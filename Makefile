@@ -28,9 +28,17 @@ COMMIT ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/internal/buildinfo.commit=$(COMMIT)"
 
 # Tier-1 verification: build + vet + full tests + race on the
-# concurrency-bearing core package.
+# concurrency-bearing core package, plus the benchmark module.
 .PHONY: verify
-verify: build vet test race
+verify: build vet test race benchmark-check
+
+# benchmark/ is its own module (`replace mvolap => ../`), so the root
+# `./...` patterns never see it: without this step a rename of any of
+# the ~60 symbols it imports breaks the benchmark of record silently.
+.PHONY: benchmark-check
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 .PHONY: build
 build:

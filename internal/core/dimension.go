@@ -29,31 +29,83 @@ type Dimension struct {
 	childRels  map[MVID][]int // parent MVID -> indexes into rels
 
 	// onMutate, when set, runs after every successful structural
-	// mutation. The owning schema hooks its cache invalidation here, so
-	// evolution operators mutating a dimension in place can never leave
-	// a stale MultiVersion Fact Table behind (the old footgun where
-	// in-place mutation required a manual Invalidate call).
-	onMutate func()
+	// mutation with the mutation window: the first instant whose
+	// restriction D(t) the mutation may have changed (see notifyMutate).
+	// The owning schema hooks its cache invalidation here, so evolution
+	// operators mutating a dimension in place can never leave a stale
+	// MultiVersion Fact Table behind (the old footgun where in-place
+	// mutation required a manual Invalidate call).
+	onMutate func(from temporal.Instant)
 
 	// derived caches rollup structures (level assignments, ancestor
-	// sets) shared by every query over this dimension value. Clone
-	// shares the pointer — a clone's structure is content-identical to
-	// its base until mutated, and every mutation routes through
-	// notifyMutate, which detaches the mutated dimension onto a fresh
-	// cache. Readers of still-shared generations (the base, and any
-	// fact-append clones) keep filling one warm cache; cached
-	// *MemberVersion ancestors may belong to an earlier generation's
-	// member copies, which is sound because rollup consumes only their
-	// content (ID, display name), never their identity.
+	// sets) shared by every query over this dimension value, one
+	// sub-cache per instant. Clone shares the pointer — a clone's
+	// structure is content-identical to its base until mutated, and
+	// every mutation routes through notifyMutate, which moves the
+	// mutated dimension onto a new cache that keeps the sub-caches of
+	// the instants before the mutation window and drops the rest.
+	// Readers of still-shared generations (the base, and any fact-append
+	// clones) keep filling one warm cache; cached *MemberVersion
+	// ancestors may belong to an earlier generation's member copies,
+	// which is sound because rollup consumes only their content (ID,
+	// display name), never their identity.
 	derived *dimDerived
 }
 
 // dimDerived is the detachable derived-rollup cache of one dimension
-// structure value; see the Dimension.derived field doc.
+// structure value; see the Dimension.derived field doc. The rollup of a
+// fact at instant t reads D(t) only (Definition 3), so the cache is cut
+// by instant: a mutation from instant f on leaves every sub-cache
+// before f valid.
 type dimDerived struct {
+	mu        sync.RWMutex
+	byInstant map[temporal.Instant]*instDerived
+}
+
+// instDerived caches the rollup structures of D(t) for one instant. It
+// may be shared by several generations' dimDerived (every generation
+// whose structure agrees at t), each filling it under its own lock.
+type instDerived struct {
 	mu     sync.RWMutex
-	levels map[temporal.Instant]map[MVID]string
+	levels map[MVID]string // nil until first computed
 	ancs   map[ancKey][]*MemberVersion
+}
+
+// at returns the sub-cache of instant t, creating it on first use.
+func (der *dimDerived) at(t temporal.Instant) *instDerived {
+	der.mu.RLock()
+	inst := der.byInstant[t]
+	der.mu.RUnlock()
+	if inst != nil {
+		return inst
+	}
+	der.mu.Lock()
+	defer der.mu.Unlock()
+	if inst = der.byInstant[t]; inst == nil {
+		if der.byInstant == nil {
+			der.byInstant = make(map[temporal.Instant]*instDerived)
+		}
+		inst = &instDerived{}
+		der.byInstant[t] = inst
+	}
+	return inst
+}
+
+// retainBefore returns a new cache sharing the sub-caches of every
+// instant before from — O(instants), whatever they hold — and none from
+// from on. temporal.Origin shares nothing.
+func (der *dimDerived) retainBefore(from temporal.Instant) *dimDerived {
+	der.mu.RLock()
+	defer der.mu.RUnlock()
+	out := &dimDerived{byInstant: make(map[temporal.Instant]*instDerived, len(der.byInstant))}
+	for t, inst := range der.byInstant {
+		if t < from {
+			out.byInstant[t] = inst
+		}
+	}
+	metRollupInstantsCarried.Add(int64(len(out.byInstant)))
+	metRollupInstantsDropped.Add(int64(len(der.byInstant) - len(out.byInstant)))
+	return out
 }
 
 // NewDimension creates an empty temporal dimension.
@@ -83,22 +135,34 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 	if mv.Member == "" {
 		mv.Member = string(mv.ID)
 	}
+	// An unlevelled member puts the whole dimension on derived depth
+	// levels (Definition 4), renaming every level at every instant, and a
+	// dimension already on them is not worth a finer window: both report
+	// "everywhere".
+	from := mv.Valid.Start
+	if mv.Level == "" || !d.HasExplicitLevels() {
+		from = temporal.Origin
+	}
 	d.members[mv.ID] = mv
 	d.order = append(d.order, mv.ID)
-	d.notifyMutate()
+	d.notifyMutate(from)
 	return nil
 }
 
 // notifyMutate reports a structural change to the owning schema and
-// detaches this dimension from the (possibly shared) derived rollup
-// cache onto a fresh one. Detaching rather than clearing keeps the
-// warm cache intact for every generation that still shares the old
-// structure value; mutation only ever happens on an unpublished clone
-// (copy-on-write), so no concurrent reader observes the swap.
-func (d *Dimension) notifyMutate() {
-	d.derived = &dimDerived{}
+// moves this dimension off the (possibly shared) derived rollup cache.
+// from is the mutation window: the mutation left D(t) as it was for
+// every t < from, so the rollup sub-caches of those instants — and, on
+// the schema side, the structure versions that end before from — stay
+// valid and are kept. temporal.Origin means "unknown / everywhere" and
+// keeps nothing. Building a new cache rather than clearing the old one
+// keeps the warm cache intact for every generation that still shares
+// the old structure value; mutation only ever happens on an unpublished
+// clone (copy-on-write), so no concurrent reader observes the swap.
+func (d *Dimension) notifyMutate(from temporal.Instant) {
+	d.derived = d.derived.retainBefore(from)
 	if d.onMutate != nil {
-		d.onMutate()
+		d.onMutate(from)
 	}
 }
 
@@ -129,7 +193,7 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 	d.rels = append(d.rels, r)
 	d.parentRels[r.From] = append(d.parentRels[r.From], idx)
 	d.childRels[r.To] = append(d.childRels[r.To], idx)
-	d.notifyMutate()
+	d.notifyMutate(r.Valid.Start)
 	return nil
 }
 
@@ -429,18 +493,17 @@ func (d *Dimension) LevelsAt(t temporal.Instant) []Level {
 	return out
 }
 
-// levelNamesAt returns the level name of every member version valid at
+// levelNamesIn returns the level name of every member version valid at
 // t, keyed by version ID: the rollup form of LevelsAt, skipping the
 // root-first level ordering that rollup never consults — which for
 // explicitly-levelled dimensions means skipping the depth computation
-// entirely. The map is cached on the dimension and shared by
-// concurrent queries; callers must treat it as frozen.
-func (d *Dimension) levelNamesAt(t temporal.Instant) map[MVID]string {
-	der := d.derived
-	der.mu.RLock()
-	m, ok := der.levels[t]
-	der.mu.RUnlock()
-	if ok {
+// entirely. inst is the sub-cache of t; the map is cached there and
+// shared by concurrent queries, so callers must treat it as frozen.
+func (d *Dimension) levelNamesIn(inst *instDerived, t temporal.Instant) map[MVID]string {
+	inst.mu.RLock()
+	m := inst.levels
+	inst.mu.RUnlock()
+	if m != nil {
 		return m
 	}
 	m = make(map[MVID]string)
@@ -463,16 +526,13 @@ func (d *Dimension) levelNamesAt(t temporal.Instant) map[MVID]string {
 			}
 		}
 	}
-	der.mu.Lock()
-	if der.levels == nil {
-		der.levels = make(map[temporal.Instant]map[MVID]string)
-	}
-	if prev, ok := der.levels[t]; ok {
-		m = prev // keep the first writer's map so readers share one value
+	inst.mu.Lock()
+	if inst.levels != nil {
+		m = inst.levels // keep the first writer's map so readers share one value
 	} else {
-		der.levels[t] = m
+		inst.levels = m
 	}
-	der.mu.Unlock()
+	inst.mu.Unlock()
 	return m
 }
 
@@ -481,15 +541,15 @@ func (d *Dimension) levelNamesAt(t temporal.Instant) map[MVID]string {
 // at the level. Results are cached on the dimension; callers must
 // treat the returned slice as frozen.
 func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant) []*MemberVersion {
-	key := ancKey{id: id, level: level, at: at}
-	der := d.derived
-	der.mu.RLock()
-	v, ok := der.ancs[key]
-	der.mu.RUnlock()
+	key := ancKey{id: id, level: level}
+	inst := d.derived.at(at)
+	inst.mu.RLock()
+	v, ok := inst.ancs[key]
+	inst.mu.RUnlock()
 	if ok {
 		return v
 	}
-	lm := d.levelNamesAt(at)
+	lm := d.levelNamesIn(inst, at)
 	var out []*MemberVersion
 	seen := make(map[MVID]bool)
 	var walk func(cur MVID)
@@ -509,16 +569,16 @@ func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant)
 		}
 	}
 	walk(id)
-	der.mu.Lock()
-	if der.ancs == nil {
-		der.ancs = make(map[ancKey][]*MemberVersion)
+	inst.mu.Lock()
+	if inst.ancs == nil {
+		inst.ancs = make(map[ancKey][]*MemberVersion)
 	}
-	if prev, ok := der.ancs[key]; ok {
+	if prev, ok := inst.ancs[key]; ok {
 		out = prev
 	} else {
-		der.ancs[key] = out
+		inst.ancs[key] = out
 	}
-	der.mu.Unlock()
+	inst.mu.Unlock()
 	return out
 }
 
@@ -650,16 +710,18 @@ func (d *Dimension) Clone() *Dimension {
 		out.childRels[r.To] = append(out.childRels[r.To], i)
 	}
 	// The clone's structure value is identical until mutated, so it
-	// shares the warm derived-rollup cache; the first mutation detaches
-	// it (notifyMutate).
+	// shares the warm derived-rollup cache; a mutation moves it onto its
+	// own, keeping what the mutation window allows (notifyMutate).
 	out.derived = d.derived
 	return out
 }
 
-// SetEnd truncates the valid time of a member version; it implements
-// the core of the Exclude evolution operator. Relationships involving
-// the version are truncated as well, per §3.2 of the paper, and
-// relationships emptied by the truncation are dropped.
+// SetEnd sets the end of the valid time of a member version; it
+// implements the core of the Exclude evolution operator. When it
+// truncates, relationships involving the version are truncated as
+// well, per §3.2 of the paper, and relationships emptied by the
+// truncation are dropped. An end later than the current one extends the
+// version (its relationships stay as they are).
 func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	mv := d.members[id]
 	if mv == nil {
@@ -669,6 +731,9 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 		return fmt.Errorf("core: dimension %s: cannot end %q at %s before its start %s",
 			d.ID, id, end, mv.Valid.Start)
 	}
+	// Truncating or extending, nothing at or before the earlier of the
+	// two ends changes.
+	from := temporal.Min(mv.Valid.End, end).Next()
 	mv.Valid.End = end
 	for i := range d.rels {
 		r := &d.rels[i]
@@ -678,7 +743,7 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	}
 	// Drop relationships emptied by the truncation.
 	d.compactRels()
-	d.notifyMutate()
+	d.notifyMutate(from)
 	return nil
 }
 
@@ -693,7 +758,7 @@ func (d *Dimension) EndRelationship(from, to MVID, end temporal.Instant) {
 		}
 	}
 	d.compactRels()
-	d.notifyMutate()
+	d.notifyMutate(end.Next())
 }
 
 func (d *Dimension) compactRels() {

@@ -297,6 +297,9 @@ func (s *Schema) retains(base *Schema, baseSVs map[string]*StructureVersion, mod
 		return true
 	}
 	old, ok := baseSVs[mode.Version.ID]
+	if ok && old == mode.Version {
+		return true // carried over by pointer: before the mutation window
+	}
 	if !ok || old.Valid != mode.Version.Valid {
 		return false
 	}

@@ -58,4 +58,20 @@ var (
 	metModesEvictedByRetract = obs.Default().Counter(
 		"mvolap_mvft_modes_evicted_by_retract_total",
 		"Cached MVFT modes evicted because a retraction could not be unfolded exactly (Min/Max, non-source confidence, or inconsistent cell state).")
+	metStructureVersionsSeconds = obs.Default().Histogram(
+		"mvolap_structure_versions_seconds",
+		"Duration of one structure-version derivation (Definition 9), carried prefix included.",
+		nil)
+	metStructureVersionsCarried = obs.Default().Counter(
+		"mvolap_structure_versions_carried_total",
+		"Structure versions carried over by pointer from the previous generation because they end before the mutation window.")
+	metStructureVersionsRecomputed = obs.Default().Counter(
+		"mvolap_structure_versions_recomputed_total",
+		"Structure versions partitioned and signed again by a derivation (the whole axis when the mutation window is unknown).")
+	metRollupInstantsCarried = obs.Default().Counter(
+		"mvolap_rollup_cache_instants_carried_total",
+		"Per-instant rollup sub-caches a mutated dimension kept because their instant precedes the mutation window.")
+	metRollupInstantsDropped = obs.Default().Counter(
+		"mvolap_rollup_cache_instants_dropped_total",
+		"Per-instant rollup sub-caches a mutated dimension dropped because their instant is inside the mutation window.")
 )

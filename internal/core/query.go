@@ -602,12 +602,11 @@ func fnv32(s string) uint32 {
 // disabled. Must not be flipped while queries are in flight.
 var debugDisableZonePruning bool
 
-// ancKey memoizes ancestorsAtLevel per (member, level, resolved
-// instant) without rendering a string key per probe.
+// ancKey memoizes ancestorsAtLevel per (member, level) inside one
+// instant's sub-cache without rendering a string key per probe.
 type ancKey struct {
 	id    MVID
 	level string
-	at    temporal.Instant
 }
 
 // diceKey memoizes a dice verdict per (member, resolved instant).

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"mvolap/internal/obs"
 	"mvolap/internal/temporal"
 )
 
@@ -32,11 +35,17 @@ type Schema struct {
 	// cached structure versions; invalidated on mutation.
 	svCache []*StructureVersion
 	// svPrev holds the structure versions of the last generation whose
-	// cache was invalidated: the next StructureVersions recompute reuses
-	// any version whose interval and structural signature are unchanged
-	// — together with its restricted dimensions and their warm derived
-	// rollup caches — instead of re-restricting every dimension.
-	svPrev []*StructureVersion
+	// cache was invalidated, and svDirtyFrom the earliest mutation window
+	// reported since they were captured (temporal.Origin: unknown). The
+	// next StructureVersions derivation carries every version of svPrev
+	// that ends before the window over by pointer and derives only the
+	// rest of the axis; there it still reuses any version whose interval
+	// and structural signature are unchanged — together with its
+	// restricted dimensions and their warm derived rollup caches —
+	// instead of re-restricting every dimension. svDirtyFrom means
+	// nothing while svPrev is nil.
+	svPrev      []*StructureVersion
+	svDirtyFrom temporal.Instant
 	// cached MultiVersion Fact Table; invalidated on mutation.
 	mvftCache *MultiVersionFactTable
 	// matWorkers pins the MVFT materialization worker count; 0 = auto.
@@ -92,7 +101,7 @@ func (s *Schema) AddDimension(d *Dimension) error {
 	if _, dup := s.dimIndex[d.ID]; dup {
 		return fmt.Errorf("core: schema %s: duplicate dimension %q", s.Name, d.ID)
 	}
-	d.onMutate = s.invalidate
+	d.onMutate = s.invalidateFrom
 	s.dimIndex[d.ID] = len(s.dims)
 	s.dims = append(s.dims, d)
 	s.invalidate()
@@ -262,48 +271,52 @@ func (s *Schema) Clone() *Schema {
 	}
 	for _, d := range s.dims {
 		cp := d.Clone()
-		cp.onMutate = out.invalidate
+		cp.onMutate = out.invalidateFrom
 		out.dimIndex[d.ID] = len(out.dims)
 		out.dims = append(out.dims, cp)
 	}
 	// The structure-version partition depends only on the dimensions,
 	// which were just deep-cloned unchanged, so the inferred versions
 	// (frozen, read-only snapshots) carry over. A later mutation of a
-	// cloned dimension clears the copy through its onMutate hook.
+	// cloned dimension clears the copy through its onMutate hook, making
+	// it the clone's svPrev; a base that was itself invalidated and never
+	// derived again hands on its own svPrev and window instead.
 	s.mu.Lock()
-	out.svCache = s.svCache
-	// Carry the reuse candidates too: if the clone is about to be
-	// mutated, its recompute can still salvage unchanged versions.
-	if s.svCache != nil {
-		out.svPrev = s.svCache
-	} else {
-		out.svPrev = s.svPrev
-	}
+	out.svCache, out.svPrev, out.svDirtyFrom = s.svCache, s.svPrev, s.svDirtyFrom
 	s.mu.Unlock()
 	out.matWorkers.Store(s.matWorkers.Load())
 	return out
 }
 
-// invalidate drops the derived caches by unlinking them. A
-// MultiVersionFactTable handle obtained before the mutation — including
-// one with materializations still in flight — keeps building into and
-// serving its own (now detached) snapshot; only handles fetched from
-// MultiVersion() after the mutation see the new state.
-func (s *Schema) invalidate() {
+// invalidateFrom drops the derived caches by unlinking them, after a
+// mutation that left every D(t) with t < from as it was (see
+// Dimension.notifyMutate). A MultiVersionFactTable handle obtained
+// before the mutation — including one with materializations still in
+// flight — keeps building into and serving its own (now detached)
+// snapshot; only handles fetched from MultiVersion() after the mutation
+// see the new state.
+func (s *Schema) invalidateFrom(from temporal.Instant) {
 	s.mu.Lock()
 	if s.svCache != nil {
-		s.svPrev = s.svCache
+		s.svPrev, s.svDirtyFrom = s.svCache, from
+	} else {
+		s.svDirtyFrom = temporal.Min(s.svDirtyFrom, from)
 	}
 	s.svCache = nil
 	s.mvftCache = nil
 	s.mu.Unlock()
 }
 
+// invalidate is invalidateFrom for changes with no known window: the
+// mapping set, the dimension list, state the schema cannot observe.
+func (s *Schema) invalidate() { s.invalidateFrom(temporal.Origin) }
+
 // Invalidate drops derived caches. Dimension mutations through the
 // registered Dimension/Schema API invalidate automatically (the schema
 // hooks every dimension's mutation callback in AddDimension and Clone);
 // this remains for external callers that mutate shared state the schema
-// cannot observe.
+// cannot observe. It assumes nothing about what changed: the next
+// derivation carries no structure version over.
 func (s *Schema) Invalidate() { s.invalidate() }
 
 // StructureVersion is a maximal interval over which every dimension is
@@ -362,50 +375,87 @@ func (v *StructureVersion) String() string { return fmt.Sprintf("%s %s", v.ID, v
 // intervals with identical restrictions coalesce. Results are cached
 // until the schema is mutated.
 func (s *Schema) StructureVersions() []*StructureVersion {
+	return s.StructureVersionsContext(context.Background())
+}
+
+// StructureVersionsContext is StructureVersions recording a
+// "structure_versions" span on the context's trace when it has to
+// derive (a cached answer records nothing).
+//
+// A derivation after a mutation is scoped to the mutation window: the
+// evolution operators act at an instant and leave every validity before
+// it alone (§3.2), so the previous generation's versions that end
+// before the window are carried over as they are — same pointer, same
+// positional ID, no signature computed — and only the rest of the axis
+// is partitioned and signed. The carry stops one instant short of the
+// window: the version that touches it is derived again, because it may
+// now merge with its new right-hand neighbour.
+func (s *Schema) StructureVersionsContext(ctx context.Context) []*StructureVersion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.svCache != nil {
 		return s.svCache
 	}
+	_, sp := obs.StartSpan(ctx, "structure_versions")
+	start := time.Now()
+
+	from := temporal.Origin
+	if s.svPrev != nil {
+		from = s.svDirtyFrom
+	}
+	carried := 0
+	for carried < len(s.svPrev) && s.svPrev[carried].Valid.End.Next() < from {
+		carried++
+	}
+	out := append(make([]*StructureVersion, 0, carried+2), s.svPrev[:carried]...)
+	// region is the part of the axis still to derive. Its left edge is a
+	// version boundary in the new generation too: both instants around
+	// it precede the window, so their signatures still differ.
+	region := temporal.Always
+	if carried > 0 {
+		region.Start = out[carried-1].Valid.End.Next()
+	}
+
 	var ivs []temporal.Interval
 	for _, d := range s.dims {
-		for _, mv := range d.Versions() {
-			ivs = append(ivs, mv.Valid)
+		for _, id := range d.order {
+			if iv := d.members[id].Valid.Intersect(region); !iv.Empty() {
+				ivs = append(ivs, iv)
+			}
 		}
-		for _, r := range d.Relationships() {
-			ivs = append(ivs, r.Valid)
+		for _, r := range d.rels {
+			if iv := r.Valid.Intersect(region); !iv.Empty() {
+				ivs = append(ivs, iv)
+			}
 		}
 	}
-	elems := temporal.Partition(ivs)
+	// Merge adjacent elementary intervals with the same structural
+	// signature.
 	type candidate struct {
 		valid temporal.Interval
 		sig   string
 	}
-	var cands []candidate
-	for _, e := range elems {
-		cands = append(cands, candidate{valid: e, sig: s.signatureAt(e.Start)})
-	}
-	// Merge adjacent elementary intervals with the same structural
-	// signature.
 	var merged []candidate
-	for _, c := range cands {
+	for _, e := range temporal.Partition(ivs) {
+		c := candidate{valid: e, sig: s.signatureAt(e.Start)}
 		if n := len(merged); n > 0 && merged[n-1].sig == c.sig && merged[n-1].valid.Adjacent(c.valid) {
 			merged[n-1].valid = merged[n-1].valid.Hull(c.valid)
 			continue
 		}
 		merged = append(merged, c)
 	}
-	// Versions from the invalidated generation are reused when their
-	// interval and structural signature are unchanged: the signature
-	// canonically encodes the member-version and relationship sets valid
-	// over the interval, and evolution never rewrites a member version's
-	// content in place (content changes are modelled as new versions),
-	// so an equal signature over an equal interval means the restricted
-	// dimensions — frozen snapshots sharing nothing mutable — are
-	// identical, warm derived rollup caches included. Only versions the
-	// mutation actually split or reshaped pay the restriction again.
-	prev := make(map[string]*StructureVersion, len(s.svPrev))
-	for _, sv := range s.svPrev {
+	// Inside the region, versions from the invalidated generation are
+	// reused when their interval and structural signature are unchanged:
+	// the signature canonically encodes the member-version and
+	// relationship sets valid over the interval, and evolution never
+	// rewrites a member version's content in place (content changes are
+	// modelled as new versions), so an equal signature over an equal
+	// interval means the restricted dimensions — frozen snapshots sharing
+	// nothing mutable — are identical, warm derived rollup caches
+	// included. Only versions the mutation actually split or reshaped pay
+	// the restriction again.
+	prev := make(map[candidate]*StructureVersion, len(s.svPrev)-carried)
+	for _, sv := range s.svPrev[carried:] {
 		if len(sv.dims) != len(s.dims) {
 			continue
 		}
@@ -417,13 +467,12 @@ func (s *Schema) StructureVersions() []*StructureVersion {
 			}
 		}
 		if ok {
-			prev[sv.Valid.String()+"\x00"+sv.sig] = sv
+			prev[candidate{sv.Valid, sv.sig}] = sv
 		}
 	}
-	out := make([]*StructureVersion, 0, len(merged))
-	for i, c := range merged {
-		id := fmt.Sprintf("V%d", i+1)
-		if old, ok := prev[c.valid.String()+"\x00"+c.sig]; ok {
+	for _, c := range merged {
+		id := fmt.Sprintf("V%d", len(out)+1)
+		if old, ok := prev[c]; ok {
 			// A fresh wrapper (the positional ID may differ) over the
 			// shared read-only restrictions.
 			out = append(out, &StructureVersion{
@@ -449,6 +498,14 @@ func (s *Schema) StructureVersions() []*StructureVersion {
 	}
 	s.svCache = out
 	s.svPrev = nil
+
+	metStructureVersionsCarried.Add(int64(carried))
+	metStructureVersionsRecomputed.Add(int64(len(out) - carried))
+	metStructureVersionsSeconds.Observe(time.Since(start).Seconds())
+	sp.SetAttr("carried", carried)
+	sp.SetAttr("recomputed", len(out)-carried)
+	sp.SetAttr("from", from.String())
+	sp.End()
 	return out
 }
 
@@ -477,10 +534,12 @@ func (s *Schema) signatureAt(t temporal.Instant) string {
 // or nil. VersionAt(temporal.Year(2001)) is the paper's "the 2001
 // organization".
 func (s *Schema) VersionAt(t temporal.Instant) *StructureVersion {
-	for _, v := range s.StructureVersions() {
-		if v.Valid.Contains(t) {
-			return v
-		}
+	// The versions are sorted and disjoint: only the last one starting at
+	// or before t can contain it.
+	svs := s.StructureVersions()
+	i := sort.Search(len(svs), func(i int) bool { return svs[i].Valid.Start > t })
+	if i > 0 && svs[i-1].Valid.Contains(t) {
+		return svs[i-1]
 	}
 	return nil
 }

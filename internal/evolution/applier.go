@@ -17,8 +17,10 @@ type LogEntry struct {
 }
 
 // Applier applies evolution operators to a schema, keeping the
-// evolution log and invalidating the schema's derived caches after each
-// batch.
+// evolution log. It never invalidates the schema itself: every mutator
+// an operator can call already does, with the window it changed, and a
+// blanket invalidation here would turn every known window into
+// "unknown".
 type Applier struct {
 	schema *core.Schema
 	log    []LogEntry
@@ -86,7 +88,6 @@ func (a *Applier) ApplyTouched(ops ...Op) (TouchSet, error) {
 	for i, op := range ops {
 		if err := op.Apply(a.schema); err != nil {
 			ts.observe(op)
-			a.schema.Invalidate()
 			return ts, &ApplyError{Index: i, Applied: i, Op: op.Describe(), Err: err}
 		}
 		ts.observe(op)
@@ -96,7 +97,6 @@ func (a *Applier) ApplyTouched(ops ...Op) (TouchSet, error) {
 			Touched:     op.Touches(),
 		})
 	}
-	a.schema.Invalidate()
 	return ts, nil
 }
 

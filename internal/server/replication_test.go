@@ -49,7 +49,10 @@ func startLeader(t *testing.T, dir string) (*httptest.Server, *Server, *store.St
 // startFollower runs a read-only follower of the leader at leaderURL:
 // a Replica pumping applied clones into a storeless server, exactly
 // as cmd/mvolapd wires -replicate-from. The returned cancel kills the
-// replication loop — the mid-stream "crash" the tests use.
+// replication loop — the mid-stream "crash" the tests use. It returns
+// only once the follower answers /readyz with 200, i.e. has installed
+// its bootstrap snapshot: a caller whose barrier is trivially met
+// (leader at seq 0) would otherwise race the install and read 503.
 func startFollower(t *testing.T, leaderURL string, opts store.ReplicaOptions, serverOpts ...Option) (*httptest.Server, *store.Replica, context.CancelFunc) {
 	t.Helper()
 	if opts.Logger == nil {
@@ -74,6 +77,17 @@ func startFollower(t *testing.T, leaderURL string, opts store.ReplicaOptions, se
 		s.Stop()
 		ts.Close()
 	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		code, body := get(t, ts, "/readyz")
+		if code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower of %s never became ready: %d %s", leaderURL, code, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	return ts, rep, cancel
 }
 

@@ -691,12 +691,16 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(envelope)
 		return
 	}
+	// The one derivation of the new generation's structure versions on
+	// the write path; TMP is tcm plus one mode per version (Def. 10).
+	ctx, root := startTrace(r, "evolve")
+	modes := 1 + len(clone.StructureVersionsContext(ctx))
 	// Write-ahead: the accepted script must be durable (per the fsync
 	// policy) before the evolved clone becomes visible. A failed append
 	// serves and persists nothing.
 	resp := map[string]any{
 		"applied": len(ops),
-		"modes":   len(clone.Modes()),
+		"modes":   modes,
 	}
 	snapshotDue := false
 	if s.store != nil {
@@ -708,12 +712,12 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		resp["walSeq"] = seq
 		snapshotDue = due
 	}
-	s.warmCaches(r, clone, touched.Delta(), "evolve", resp)
+	s.warmCaches(ctx, root, clone, touched.Delta(), resp)
 	prevID := s.schema.SwapID()
 	s.schema = clone
 	s.applier = applier
 	resp["queryCacheInvalidated"] = s.queryCache.Invalidate(prevID, clone.SwapID(), touched.Delta())
-	s.logger.Info("evolution applied", "ops", len(ops), "modes", len(clone.Modes()),
+	s.logger.Info("evolution applied", "ops", len(ops), "modes", modes,
 		"modesRetained", resp["retainedModes"], "modesEvicted", resp["evictedModes"])
 	if snapshotDue {
 		s.snapshotLocked("auto")
@@ -788,7 +792,8 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		delta.FactsReplaced = true
 	}
 	delta.FactsWindow, delta.FactsWindowKnown = store.BatchWindow(batch)
-	s.warmCaches(r, clone, delta, "facts", resp)
+	ctx, root := startTrace(r, "facts")
+	s.warmCaches(ctx, root, clone, delta, resp)
 	prevID := s.schema.SwapID()
 	s.schema = clone
 	s.applier = s.applier.Rebind(clone)
@@ -869,7 +874,8 @@ func (s *Server) handleFactsRetract(w http.ResponseWriter, r *http.Request) {
 	// Retraction is structure-neutral; the delta carries the old tuples
 	// so warm maintenance can unfold them (or evict where it cannot).
 	delta := evolution.TouchSet{}.WithRetraction(retracted)
-	s.warmCaches(r, clone, delta, "retract", resp)
+	ctx, root := startTrace(r, "retract")
+	s.warmCaches(ctx, root, clone, delta, resp)
 	prevID := s.schema.SwapID()
 	s.schema = clone
 	s.applier = s.applier.Rebind(clone)
@@ -884,24 +890,31 @@ func (s *Server) handleFactsRetract(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// startTrace returns the context a write handler's post-acceptance work
+// runs under — detached from the client's cancellation: an aborted
+// request must not decide cache temperature — and, with ?trace=1, the
+// root span of the trace warmCaches attaches to the response.
+func startTrace(r *http.Request, endpoint string) (context.Context, *obs.Span) {
+	ctx := context.WithoutCancel(r.Context())
+	if r.URL.Query().Get("trace") != "1" {
+		return ctx, nil
+	}
+	return obs.NewTrace(ctx, endpoint)
+}
+
 // warmCaches hands the currently served schema's materialized MVFT
 // modes to the accepted clone right before the swap, folding in only
 // the delta (core.Schema.WarmFrom) — the serving tier no longer starts
 // cold after every mutation. The caller holds s.mu (so s.schema is the
 // outgoing base) and has already passed the point of no failure: the
 // batch applied and the WAL append succeeded. Warming is therefore
-// best-effort and detached from the client's cancellation — an aborted
-// request must not decide cache temperature.
+// best-effort; ctx and root come from startTrace.
 //
 // The retained/evicted mode lists and delta-apply count are added to
-// the response envelope; with ?trace=1 an "mvft_delta" span tree is
-// attached as well.
-func (s *Server) warmCaches(r *http.Request, clone *core.Schema, d core.Delta, endpoint string, resp map[string]any) {
-	ctx := context.WithoutCancel(r.Context())
-	var root *obs.Span
-	if r.URL.Query().Get("trace") == "1" {
-		ctx, root = obs.NewTrace(ctx, endpoint)
-	}
+// the response envelope; with ?trace=1 the span tree — an "mvft_delta"
+// span beside whatever the handler recorded under root — is attached
+// as well.
+func (s *Server) warmCaches(ctx context.Context, root *obs.Span, clone *core.Schema, d core.Delta, resp map[string]any) {
 	spanCtx, sp := obs.StartSpan(ctx, "mvft_delta")
 	res := clone.WarmFrom(spanCtx, s.schema, d)
 	sp.SetAttr("retained", len(res.Retained))

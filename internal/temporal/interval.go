@@ -1,8 +1,9 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Interval is a closed valid-time interval [Start, End]. An interval that
@@ -150,65 +151,44 @@ func indexOf(s, sub string) int {
 // The returned intervals are sorted, pairwise disjoint, and cover exactly
 // the union of the inputs. Empty inputs are ignored.
 func Partition(intervals []Interval) []Interval {
-	type boundary struct {
-		t     Instant
-		start bool
+	// A start opens coverage at its instant; a concrete end closes it at
+	// the instant after. Both kinds of instant are cut points, and
+	// coverage is constant between cuts.
+	type event struct {
+		at    Instant
+		delta int
 	}
-	var bs []boundary
+	events := make([]event, 0, 2*len(intervals))
 	for _, iv := range intervals {
 		if iv.Empty() {
 			continue
 		}
-		bs = append(bs, boundary{iv.Start, true})
-		// The instant after the end opens a new elementary interval.
+		events = append(events, event{iv.Start, +1})
 		if iv.End != Now {
-			bs = append(bs, boundary{iv.End.Next(), true})
+			events = append(events, event{iv.End.Next(), -1})
 		}
 	}
-	if len(bs) == 0 {
-		return nil
-	}
-	// Collect distinct cut points.
-	cuts := make([]Instant, 0, len(bs))
-	for _, b := range bs {
-		cuts = append(cuts, b.t)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	cuts = dedupInstants(cuts)
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.at, b.at) })
 
-	// Determine global coverage to clip elementary intervals to instants
-	// actually covered by at least one input.
+	// One sweep: the elementary interval opening at a cut is kept when
+	// at least one input covers it.
 	var out []Interval
-	for i, c := range cuts {
+	active := 0
+	for i := 0; i < len(events); {
+		c := events[i].at
+		for ; i < len(events) && events[i].at == c; i++ {
+			active += events[i].delta
+		}
+		if active == 0 {
+			continue
+		}
 		end := Now
-		if i+1 < len(cuts) {
-			end = cuts[i+1].Prev()
+		if i < len(events) {
+			end = events[i].at.Prev()
 		}
-		elem := Interval{c, end}
-		if coveredByAny(elem.Start, intervals) {
-			out = append(out, elem)
-		}
+		out = append(out, Interval{c, end})
 	}
 	return out
-}
-
-func dedupInstants(xs []Instant) []Instant {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func coveredByAny(t Instant, intervals []Interval) bool {
-	for _, iv := range intervals {
-		if iv.Contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // MergeAdjacent coalesces sorted, disjoint intervals that touch, keeping

@@ -3,6 +3,7 @@ package temporal
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,131 @@ func TestPartitionRespectsInputBoundaries(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// coveredByAny is the naive coverage test Partition's sweep replaces;
+// the property tests keep it as their reference.
+func coveredByAny(t Instant, intervals []Interval) bool {
+	for _, iv := range intervals {
+		if iv.Contains(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPartitionMatchesNaive holds the sweep to the quadratic
+// construction it replaced: cut at every start and end+1, keep the
+// elementary intervals some input covers.
+func TestPartitionMatchesNaive(t *testing.T) {
+	naive := func(in []Interval) []Interval {
+		var cuts []Instant
+		for _, iv := range in {
+			if iv.Empty() {
+				continue
+			}
+			cuts = append(cuts, iv.Start)
+			if iv.End != Now {
+				cuts = append(cuts, iv.End.Next())
+			}
+		}
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		var out []Interval
+		for i, c := range cuts {
+			end := Now
+			if i+1 < len(cuts) {
+				end = cuts[i+1].Prev()
+			}
+			if coveredByAny(c, in) {
+				out = append(out, Interval{c, end})
+			}
+		}
+		return out
+	}
+	f := func(raw []Interval, open []bool) bool {
+		// Small instants collide often; some inputs end at Now.
+		in := make([]Interval, len(raw))
+		for i, iv := range raw {
+			in[i] = Interval{iv.Start % 40, iv.End % 40}
+			if i < len(open) && open[i] {
+				in[i].End = Now
+			}
+		}
+		got, want := Partition(in), naive(in)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPartitionGapsAndOpenEnds pins the sweep's coverage clipping:
+// instants no input covers produce no elementary interval, an open
+// (Now-ended) input keeps the tail open, and duplicate or nested
+// inputs neither add nor hide a cut.
+func TestPartitionGapsAndOpenEnds(t *testing.T) {
+	y := Year
+	cases := []struct {
+		name string
+		in   []Interval
+		want []Interval
+	}{
+		{"single closed", []Interval{Between(y(2001), y(2002))},
+			[]Interval{Between(y(2001), y(2002))}},
+		{"single open", []Interval{Since(y(2001))},
+			[]Interval{Since(y(2001))}},
+		{"gap between closed inputs",
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2003), EndOfYear(2003))},
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2003), EndOfYear(2003))}},
+		{"gap before an open tail",
+			[]Interval{Between(y(2001), EndOfYear(2001)), Since(y(2004))},
+			[]Interval{Between(y(2001), EndOfYear(2001)), Since(y(2004))}},
+		{"open input bridges a gap",
+			[]Interval{Since(y(2000)), Between(y(2001), EndOfYear(2001)), Between(y(2003), EndOfYear(2003))},
+			[]Interval{
+				Between(y(2000), EndOfYear(2000)),
+				Between(y(2001), EndOfYear(2001)),
+				Between(y(2002), EndOfYear(2002)),
+				Between(y(2003), EndOfYear(2003)),
+				Since(y(2004)),
+			}},
+		{"adjacent inputs leave no gap",
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2002), EndOfYear(2002))},
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2002), EndOfYear(2002))}},
+		{"nested and duplicate inputs",
+			[]Interval{Since(y(2001)), Since(y(2001)), Between(y(2002), EndOfYear(2002)), Between(y(2002), EndOfYear(2002))},
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2002), EndOfYear(2002)), Since(y(2003))}},
+		{"single-instant input inside a gap",
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2003), y(2003)), Since(y(2005))},
+			[]Interval{Between(y(2001), EndOfYear(2001)), Between(y(2003), y(2003)), Since(y(2005))}},
+		{"unbounded below",
+			[]Interval{Always, Between(y(2001), EndOfYear(2001))},
+			[]Interval{Between(Origin, YM(2000, 12)), Between(y(2001), EndOfYear(2001)), Since(y(2002))}},
+		{"empty inputs are ignored",
+			[]Interval{{y(2002), y(2001)}, Between(y(2001), EndOfYear(2001))},
+			[]Interval{Between(y(2001), EndOfYear(2001))}},
+	}
+	for _, tc := range cases {
+		got := Partition(tc.in)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: Partition = %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: elementary[%d] = %v, want %v", tc.name, i, got[i], tc.want[i])
+			}
+		}
 	}
 }
 
