@@ -77,13 +77,6 @@ crash-test:
 repl-test:
 	$(GO) test -race -run 'TestAppendRejects|TestAppendFsync|TestScanWALRejects|TestStreamReader|TestHeartbeatFrame|TestWaitForSeq|TestReplication|TestFollower|TestWALEndpoints|TestStreamEnds' -v ./internal/store/... ./internal/server/...
 
-# The retraction correctness anchor under the race detector: the
-# randomized insert/retract/evolve interleaving against a cold rebuild,
-# the directed Sum/Avg subtraction fast path, and the unfold algebra.
-.PHONY: retract-test
-retract-test:
-	$(GO) test -race -count=1 -run 'TestRetraction|TestUnfold|TestFactTableRetract|TestRetractFromClone|TestTombstoneZoneRebuild' -v ./internal/core/... ./internal/evolution/...
-
 # The snapshot envelope must be deterministic: snapshotting the same
 # state twice (warm tables included) yields byte-identical files.
 .PHONY: determinism-check

@@ -938,6 +938,13 @@ func ingestBatch(leaves, monthsPerLeaf, n int) []ingestFact {
 // same batch (cold-rebuild). Both paths cover all modes — tcm plus the
 // three structure versions — so the ratio is the serving-tier speedup
 // of delta ingestion over invalidation.
+//
+// Those legs clone the same cold-built base every iteration, which no
+// server does. The lineage legs write the way the serving tier does —
+// every batch clones the previous batch's clone — once starting at the
+// base and once after 1000 batches down the lineage (run off the
+// clock): per-batch ns/op and B/op of the two must agree, or a write
+// pays for its history.
 func BenchmarkIncrementalIngest(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	base := ingestSchema(b, leaves, months)
@@ -945,29 +952,31 @@ func BenchmarkIncrementalIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	nModes := len(base.Modes())
+	write := func(b *testing.B, from *core.Schema, batch []ingestFact, warm bool) *core.Schema {
+		clone := from.Clone()
+		oldLen := clone.Facts().Len()
+		for _, f := range batch {
+			if err := clone.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if warm {
+			delta := core.Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
+			res := clone.WarmFrom(context.Background(), from, delta)
+			if res.DeltaApplied != nModes {
+				b.Fatalf("delta applied to %d modes, want %d (evicted %v)",
+					res.DeltaApplied, nModes, res.Evicted)
+			}
+		} else if _, err := clone.MultiVersion().All(); err != nil {
+			b.Fatal(err)
+		}
+		return clone
+	}
 	run := func(batchSize int, warm bool) func(b *testing.B) {
 		batch := ingestBatch(leaves, months, batchSize)
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				clone := base.Clone()
-				oldLen := clone.Facts().Len()
-				for _, f := range batch {
-					if err := clone.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if warm {
-					delta := core.Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
-					res := clone.WarmFrom(context.Background(), base, delta)
-					if res.DeltaApplied != nModes {
-						b.Fatalf("delta applied to %d modes, want %d (evicted %v)",
-							res.DeltaApplied, nModes, res.Evicted)
-					}
-				} else {
-					if _, err := clone.MultiVersion().All(); err != nil {
-						b.Fatal(err)
-					}
-				}
+				write(b, base, batch, warm)
 			}
 		}
 	}
@@ -975,21 +984,35 @@ func BenchmarkIncrementalIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d/warm-delta", batchSize), run(batchSize, true))
 		b.Run(fmt.Sprintf("batch=%d/cold-rebuild", batchSize), run(batchSize, false))
 	}
+	lineage := func(prior int) func(b *testing.B) {
+		const batchSize = 32
+		return func(b *testing.B) {
+			facts := ingestBatch(leaves, months, (prior+b.N)*batchSize)
+			cur := base
+			for w := 0; w < prior; w++ {
+				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], true)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for w := prior; w < prior+b.N; w++ {
+				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], true)
+			}
+		}
+	}
+	b.Run("batch=32/lineage/first", lineage(0))
+	b.Run("batch=32/lineage/after-1000", lineage(1000))
 }
 
 // BenchmarkShardedSwap measures what a clone-swap pays per retained
 // mode on a ~100k-fact warehouse. warm-swap is the real path end to
 // end: Schema.Clone, a one-fact batch, and WarmFrom folding it into
 // every cached mode over shared storage shards (O(shard headers) per
-// mode plus one privatized tail shard). flat-baseline reproduces the
-// dominant per-mode cost of the pre-shard layout — copying each
-// retained mode's full tuple-pointer slice — so the ratio between the
-// two is the warm-clone reduction the sharded layout buys.
+// mode plus one privatized tail shard); table-swap is the WarmFrom part
+// of it alone.
 func BenchmarkShardedSwap(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	base := ingestSchema(b, leaves, months)
-	tables, err := base.MultiVersion().All()
-	if err != nil {
+	if _, err := base.MultiVersion().All(); err != nil {
 		b.Fatal(err)
 	}
 	nModes := len(base.Modes())
@@ -1012,9 +1035,8 @@ func BenchmarkShardedSwap(b *testing.B) {
 			}
 		}
 	})
-	// table-swap isolates the WarmFrom table clone+fold itself —
-	// Schema.Clone and fact insertion happen off the clock — so it is
-	// the direct comparand for flat-baseline below.
+	// table-swap isolates the WarmFrom table clone+fold itself:
+	// Schema.Clone and fact insertion happen off the clock.
 	b.Run("table-swap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -1035,27 +1057,6 @@ func BenchmarkShardedSwap(b *testing.B) {
 			if res.DeltaApplied != nModes {
 				b.Fatalf("delta applied to %d modes, want %d", res.DeltaApplied, nModes)
 			}
-		}
-	})
-	b.Run("flat-baseline", func(b *testing.B) {
-		// Pre-build the row views outside the timer; the old layout
-		// stored rows natively.
-		for _, mt := range tables {
-			_ = mt.Facts()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			for _, mt := range tables {
-				fs := mt.Facts()
-				cp := make([]*core.MappedFact, len(fs))
-				copy(cp, fs)
-				sink += len(cp)
-			}
-		}
-		if sink == 0 {
-			b.Fatal("no tuples copied")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,6 +49,9 @@ type Fact struct {
 	Coords Coords
 	Time   temporal.Instant
 	Values []float64
+	// ord is the tuple's insertion ordinal in its table's lineage (see
+	// FactTable); the private copy a replacing Insert takes keeps it.
+	ord int
 }
 
 // appendFactKey appends the canonical byte key of (coords, t) to dst:
@@ -72,35 +76,33 @@ func appendFactKey(dst []byte, c Coords, t temporal.Instant) []byte {
 // It stores source data only; mapped presentations are derived from it
 // (see MultiVersionFactTable).
 //
-// Cloning is copy-on-write: a clone shares the *Fact tuples and the key
-// index of its source, copies only the (pointer) fact slice, and takes a
-// private copy of a tuple the moment a replacing Insert would mutate it.
-// Facts are insert-only in steady state, so the shared prefix stays
-// valid forever; this is what makes per-batch schema cloning in the
-// serving tier O(batch) instead of O(allFacts).
+// Cloning is copy-on-write: a clone shares the *Fact tuples and the
+// frozen layers of the key index with its source, copies only the
+// (pointer) fact slice and the index's bounded top, and takes a private
+// copy of a tuple the moment a replacing Insert would mutate it.
 type FactTable struct {
 	measures int
-	facts    []*Fact
-	// index maps fact keys owned by this table; base is the frozen,
-	// shared index layer inherited from the clone source (nil for a
-	// directly built table). Lookups probe index first, then base;
-	// base only covers the first baseLen facts — entries past that were
-	// added by a table that kept growing after the clone and are
-	// ignored (the clone's own growth lives in index).
-	index   map[string]int
-	base    map[string]int
-	baseLen int
-	// facts[:cowLen] may be shared with other tables; they are copied
-	// before any in-place mutation (a replacing Insert). owned marks
-	// positions below cowLen this table has already privatized.
-	cowLen int
+	// facts holds the live tuples in insertion order, which is ordinal
+	// order. Every table owns its slice; the tuples are shared.
+	facts []*Fact
+	// index maps a fact key to the tuple's ordinal, not to its position:
+	// a retraction closes up the slice and moves every later tuple, but
+	// ordinals never change, so nothing is re-indexed. nextOrd is the
+	// ordinal the next new tuple takes.
+	index   keyIndex
+	nextOrd int
+	// Tuples with an ordinal below cowOrd may be shared with other
+	// tables; they are copied before any in-place mutation (a replacing
+	// Insert). owned marks the ordinals below cowOrd this table has
+	// already privatized.
+	cowOrd int
 	owned  map[int]bool
 	keyBuf []byte
 }
 
 // NewFactTable creates an empty fact table for m measures.
 func NewFactTable(measures int) *FactTable {
-	return &FactTable{measures: measures, index: make(map[string]int)}
+	return &FactTable{measures: measures, index: newKeyIndex(0)}
 }
 
 // Measures reports the number of measures per fact.
@@ -109,19 +111,14 @@ func (ft *FactTable) Measures() int { return ft.measures }
 // Len reports the number of stored facts.
 func (ft *FactTable) Len() int { return len(ft.facts) }
 
-// lookupKey probes the owned index layer, then the shared base layer.
-// Base entries at positions past baseLen were added by another table
-// after the clone and do not belong here.
-func (ft *FactTable) lookupKey(key []byte) (int, bool) {
-	if i, ok := ft.index[string(key)]; ok {
-		return i, true
-	}
-	if ft.base != nil {
-		if i, ok := ft.base[string(key)]; ok && i < ft.baseLen {
-			return i, true
-		}
-	}
-	return 0, false
+// position returns where the live tuple with the given ordinal sits in
+// facts. Only retractions move a tuple off facts[ord], each by one slot
+// to the left, so the binary search spans as many slots as the lineage
+// has retracted tuples — none at all on an insert-only table.
+func (ft *FactTable) position(ord int) int {
+	lo := max(0, ord-(ft.nextOrd-len(ft.facts)))
+	hi := min(ord, len(ft.facts)-1)
+	return lo + sort.Search(hi-lo, func(i int) bool { return ft.facts[lo+i].ord >= ord })
 }
 
 // Insert adds a fact. Inserting at existing coordinates and time
@@ -132,35 +129,37 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.measures)
 	}
 	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
-	if i, ok := ft.lookupKey(ft.keyBuf); ok {
+	if ord, ok := ft.index.get(ft.keyBuf); ok {
+		i := ft.position(ord)
 		f := ft.facts[i]
-		if i < ft.cowLen && !ft.owned[i] {
-			f = &Fact{Coords: f.Coords, Time: f.Time, Values: append([]float64(nil), f.Values...)}
+		if ord < ft.cowOrd && !ft.owned[ord] {
+			f = &Fact{Coords: f.Coords, Time: f.Time, Values: append([]float64(nil), f.Values...), ord: ord}
 			ft.facts[i] = f
 			if ft.owned == nil {
 				ft.owned = make(map[int]bool)
 			}
-			ft.owned[i] = true
+			ft.owned[ord] = true
 		}
 		copy(f.Values, values)
 		return nil
 	}
-	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...)}
-	ft.index[string(ft.keyBuf)] = len(ft.facts)
+	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...), ord: ft.nextOrd}
+	ft.index.put(ft.keyBuf, ft.nextOrd)
+	ft.nextOrd++
 	ft.facts = append(ft.facts, f)
 	return nil
 }
 
 // Lookup returns the values at the given coordinates and time. It is
-// safe for concurrent use as long as no Insert runs.
+// safe for concurrent use as long as no Insert or Retract runs.
 func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool) {
 	var scratch [64]byte
 	key := appendFactKey(scratch[:0], coords, t)
-	i, ok := ft.lookupKey(key)
+	ord, ok := ft.index.get(key)
 	if !ok {
 		return nil, false
 	}
-	return ft.facts[i].Values, true
+	return ft.facts[ft.position(ord)].Values, true
 }
 
 // Facts returns the stored facts in insertion order. The slice is shared;
@@ -168,89 +167,48 @@ func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool)
 func (ft *FactTable) Facts() []*Fact { return ft.facts }
 
 // Retract removes the fact at (coords, t), returning the removed tuple
-// so the caller can carry it in a Delta. The splice shifts every later
-// position, so both index layers collapse into a fresh fully owned one;
-// the *Fact tuples themselves stay shared with any clones (the removed
-// tuple is still referenced by them and by the returned pointer, which
-// callers must treat as read-only). O(n) per call — retraction is a
-// correction path, not an ingestion path.
+// so the caller can carry it in a Delta: an index lookup, a tombstone,
+// and closing up this table's own pointer slice. The tuple itself stays
+// shared with any clones (they and the returned pointer still reference
+// it; callers must treat it as read-only), and the surviving facts keep
+// their insertion order.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
-	i, ok := ft.lookupKey(ft.keyBuf)
+	ord, ok := ft.index.get(ft.keyBuf)
 	if !ok {
 		return nil, false
 	}
+	i := ft.position(ord)
 	f := ft.facts[i]
-	ft.facts = append(ft.facts[:i], ft.facts[i+1:]...)
-	index := make(map[string]int, len(ft.facts))
-	var key []byte
-	for j, g := range ft.facts {
-		key = appendFactKey(key[:0], g.Coords, g.Time)
-		index[string(key)] = j
-	}
-	ft.index = index
-	ft.base = nil
-	ft.baseLen = 0
-	// Position-keyed ownership is meaningless after the shift; treat
-	// every tuple as shared again so a later replacing Insert privatizes.
-	ft.cowLen = len(ft.facts)
-	ft.owned = nil
+	ft.facts = slices.Delete(ft.facts, i, i+1)
+	ft.index.delete(ft.keyBuf)
 	return f, true
 }
 
-// flattenThreshold bounds the owned overlay: once it outgrows a
-// quarter of the table, a clone flattens both layers into a fresh base
-// so lookup chains never exceed two map probes and overlay copies stay
-// small under steady ingestion.
-const flattenThreshold = 4
+// factCloneHeadroom is the spare capacity a clone's fact slice starts
+// with, so the batch a write appends to it does not copy the whole
+// slice a second time.
+const factCloneHeadroom = 1024
 
 // Clone returns a copy-on-write copy of the fact table. Fact tuples
 // are shared until one side replaces values at existing coordinates
 // (which privatizes just that tuple), so cloning costs one pointer
-// slice copy plus the (small) owned index overlay instead of a deep
-// copy of every fact. Inserts into either table never reach through to
-// the other. Not safe concurrently with Insert on the receiver.
+// slice copy plus the bounded top of the key index instead of a deep
+// copy of every fact. Inserts and retractions on either table never
+// reach through to the other. Not safe concurrently with Insert or
+// Retract on the receiver.
 func (ft *FactTable) Clone() *FactTable {
 	out := &FactTable{
 		measures: ft.measures,
-		facts:    make([]*Fact, len(ft.facts)),
-		cowLen:   len(ft.facts),
+		facts:    make([]*Fact, len(ft.facts), len(ft.facts)+factCloneHeadroom),
+		index:    ft.index.clone(ft.nextOrd),
+		nextOrd:  ft.nextOrd,
+		cowOrd:   ft.nextOrd,
 	}
 	copy(out.facts, ft.facts)
-	switch {
-	case ft.base == nil:
-		// First clone of a directly built table: its full index becomes
-		// the shared base layer. The source may keep inserting into it;
-		// the clone's baseLen bound in lookupKey screens those out.
-		out.base = ft.index
-		out.baseLen = len(ft.facts)
-		out.index = make(map[string]int)
-	case len(ft.index)*flattenThreshold > len(ft.facts):
-		merged := make(map[string]int, len(ft.base)+len(ft.index))
-		for k, v := range ft.base {
-			if v < ft.baseLen {
-				merged[k] = v
-			}
-		}
-		for k, v := range ft.index {
-			merged[k] = v
-		}
-		out.base = merged
-		out.baseLen = len(ft.facts)
-		out.index = make(map[string]int)
-	default:
-		// The shared base still covers only the prefix it did for the
-		// receiver; the receiver's own growth is in index, copied here.
-		out.base = ft.base
-		out.baseLen = ft.baseLen
-		out.index = make(map[string]int, len(ft.index))
-		for k, v := range ft.index {
-			out.index[k] = v
-		}
-	}
 	// The receiver no longer exclusively owns the shared tuples either:
 	// a replacing Insert on it must privatize before mutating.
-	ft.cowLen = len(ft.facts)
+	ft.cowOrd = ft.nextOrd
 	ft.owned = nil
 	return out
 }

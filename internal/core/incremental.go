@@ -78,6 +78,12 @@ type WarmResult struct {
 	// Subtracted counts retained modes that absorbed a retraction by
 	// unfolding (tombstones and/or subtraction) instead of rebuilding.
 	Subtracted int
+	// Sealed and Merged report the key-index maintenance this generation
+	// has paid since it was cloned, over the source fact table and every
+	// retained mode: layers sealed, and entries rewritten by layer merges
+	// and flattens — the one part of a write that is not O(batch), so a
+	// Merged in the order of the table size names a flatten.
+	Sealed, Merged int
 }
 
 // WarmFrom seeds the schema's MultiVersion Fact Table from the modes
@@ -245,6 +251,7 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	wg.Wait()
 
 	warm := make(map[string]*MappedTable, len(jobs))
+	res.Sealed, res.Merged = s.facts.index.sealed, s.facts.index.merged
 	evictedByRetract := 0
 	for i, j := range jobs {
 		if folded[i] == nil {
@@ -255,6 +262,8 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 			continue
 		}
 		warm[j.key] = folded[i]
+		res.Sealed += folded[i].index.sealed
+		res.Merged += folded[i].index.merged
 		res.Retained = append(res.Retained, j.key)
 		if len(d.NewFacts) > 0 || len(d.Retracted) > 0 {
 			res.DeltaApplied++
@@ -339,43 +348,10 @@ func (mt *MappedTable) cloneForWarm(m Mode, alg ConfidenceAlgebra, measures []Me
 		hasAvg:   mt.hasAvg,
 		graph:    mt.graph,
 		leafIn:   mt.leafIn,
+		// Published tables are never written again, so even the live top
+		// of a cold-built source can be shared (keyIndex.clone).
+		index: mt.index.clone(mt.n),
 	}
 	metShardsShared.Add(int64(len(mt.shards)))
-	switch {
-	case mt.base == nil:
-		// Published tables are never mutated again, so the source's
-		// full index can be shared as the frozen base layer.
-		out.base = mt.index
-		out.baseLen = mt.n
-		out.index = make(map[string]int)
-	case len(mt.index)*flattenThreshold > mt.n:
-		// Flattening folds the deletion shadow in: retracted keys are
-		// simply left out of the merged layer.
-		merged := make(map[string]int, len(mt.base)+len(mt.index))
-		for k, v := range mt.base {
-			if v < mt.baseLen && !mt.dels[k] {
-				merged[k] = v
-			}
-		}
-		for k, v := range mt.index {
-			merged[k] = v
-		}
-		out.base = merged
-		out.baseLen = mt.n
-		out.index = make(map[string]int)
-	default:
-		out.base = mt.base
-		out.baseLen = mt.baseLen
-		out.index = make(map[string]int, len(mt.index))
-		for k, v := range mt.index {
-			out.index[k] = v
-		}
-		if len(mt.dels) > 0 {
-			out.dels = make(map[string]bool, len(mt.dels))
-			for k := range mt.dels {
-				out.dels[k] = true
-			}
-		}
-	}
 	return out
 }

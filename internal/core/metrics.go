@@ -68,6 +68,15 @@ var (
 	metStructureVersionsRecomputed = obs.Default().Counter(
 		"mvolap_structure_versions_recomputed_total",
 		"Structure versions partitioned and signed again by a derivation (the whole axis when the mutation window is unknown).")
+	metKeyIndexSeals = obs.Default().Counter(
+		"mvolap_key_index_seals_total",
+		"Owned key-index tops frozen into a shared layer by their owner's own write (source fact table and every mapped table).")
+	metKeyIndexMerged = obs.Default().Counter(
+		"mvolap_key_index_merged_entries_total",
+		"Key-index entries rewritten by geometric layer merges and flattens: the write-path work that is not O(batch).")
+	metKeyIndexFlattens = obs.Default().Counter(
+		"mvolap_key_index_flattens_total",
+		"Key-index overlays folded into a fresh bottom layer because they outgrew a quarter of it (O(table) once per quarter-table of writes).")
 	metRollupInstantsCarried = obs.Default().Counter(
 		"mvolap_rollup_cache_instants_carried_total",
 		"Per-instant rollup sub-caches a mutated dimension kept because their instant precedes the mutation window.")

@@ -82,8 +82,8 @@ type factShard struct {
 //
 // A table is single-writer while it is built and read-only once
 // published. Incremental maintenance (Schema.WarmFrom) never mutates a
-// published table: it takes a copy-on-write clone — shared shards and a
-// shared frozen index layer — and folds the fact delta into the clone,
+// published table: it takes a copy-on-write clone — shared shards and
+// shared frozen index layers — and folds the fact delta into the clone,
 // privatizing only the shards the delta lands in (per-shard epochs; a
 // shard whose epoch differs from the table's is copied before the
 // first write into it).
@@ -96,16 +96,10 @@ type MappedTable struct {
 	epoch uint64
 	// nd and nm are the coordinate and measure widths of every tuple.
 	nd, nm int
-	// index holds keys owned by this table; base is the frozen index
-	// layer shared with the warm-clone source (nil for a cold build)
-	// and only covers the first baseLen tuples. dels is the deletion
-	// shadow over base: a retraction cannot remove a key from the
-	// shared frozen layer, so it records the key here instead and
-	// lookupKey masks it. Invariant: dels is nil whenever base is nil.
-	index   map[string]int
-	base    map[string]int
-	baseLen int
-	dels    map[string]bool
+	// index maps a tuple key to its global position. A warm clone shares
+	// its frozen layers with the source table; a retraction tombstones
+	// the key there, since the slot itself stays put (see keyIndex).
+	index keyIndex
 	// dead counts tombstoned tuples: slots whose sources count was
 	// zeroed by a retraction. The slot itself stays (positional
 	// indexing over fixed-size shards must not shift) but every view
@@ -144,7 +138,7 @@ func newMappedTable(m Mode, alg ConfidenceAlgebra, measures []Measure, nd, capac
 		epoch:    shardEpochCounter.Add(1),
 		nd:       nd,
 		nm:       len(measures),
-		index:    make(map[string]int, capacity),
+		index:    newKeyIndex(capacity),
 		alg:      alg,
 		measures: measures,
 	}
@@ -208,34 +202,13 @@ func (mt *MappedTable) shardAt(i int) (*factShard, int) {
 	return mt.shards[i>>shardShift], i & shardMask
 }
 
-// lookupKey probes the owned index layer, then the shared base layer
-// inherited from a warm clone. The owned layer is skipped entirely
-// while empty — the common state of a fresh warm clone, whose merge
-// folds would otherwise pay a dead map probe per delta tuple.
-func (mt *MappedTable) lookupKey(key []byte) (int, bool) {
-	if len(mt.index) != 0 {
-		if i, ok := mt.index[string(key)]; ok {
-			return i, true
-		}
-	}
-	if mt.base != nil {
-		if mt.dels != nil && mt.dels[string(key)] {
-			return 0, false
-		}
-		if i, ok := mt.base[string(key)]; ok && i < mt.baseLen {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Lookup returns the mapped tuple at the given coordinates and time as
 // a read-only view. It is safe for concurrent use once the table is
 // materialized.
 func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, bool) {
 	var scratch [64]byte
 	key := appendFactKey(scratch[:0], coords, t)
-	i, ok := mt.lookupKey(key)
+	i, ok := mt.index.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -298,7 +271,7 @@ func (mt *MappedTable) tailShard() *factShard {
 func (mt *MappedTable) add(coords Coords, t temporal.Instant, values []float64, cfs []Confidence) {
 	mt.keyBuf = appendFactKey(mt.keyBuf[:0], coords, t)
 	nm := mt.nm
-	if i, ok := mt.lookupKey(mt.keyBuf); ok {
+	if i, ok := mt.index.get(mt.keyBuf); ok {
 		// A merge: several source tuples present themselves on the same
 		// target coordinates. Fold values with the measure aggregate ⊕
 		// and confidences with ⊗cf (Definition 12).
@@ -341,7 +314,7 @@ func (mt *MappedTable) add(coords Coords, t temporal.Instant, values []float64, 
 	} else if sh.zone.Load() != nil {
 		sh.zone.Store(nil)
 	}
-	mt.index[string(mt.keyBuf)] = mt.n
+	mt.index.put(mt.keyBuf, mt.n)
 	mt.n++
 }
 

@@ -94,7 +94,7 @@ func unfoldPair(kind AggKind, x float64, avgc int32, v float64) (float64, int32,
 // tombstone kills the tuple at global position pos: the slot stays in
 // place (positional indexing over fixed-size shards must never shift)
 // but its sources count drops to zero, every view and scan skips it,
-// and its key leaves the index layers so a later emission on the same
+// and its key leaves the index so a later emission on the same
 // coordinates appends a fresh tuple. keyBuf is scratch, returned for
 // reuse.
 func (mt *MappedTable) tombstone(pos int, keyBuf []byte) []byte {
@@ -103,14 +103,7 @@ func (mt *MappedTable) tombstone(pos int, keyBuf []byte) []byte {
 	sh.sources[j] = 0
 	mt.dead++
 	keyBuf = appendFactKey(keyBuf[:0], Coords(sh.coords[j*mt.nd:(j+1)*mt.nd]), sh.times[j])
-	if _, ok := mt.index[string(keyBuf)]; ok {
-		delete(mt.index, string(keyBuf))
-	} else if mt.base != nil {
-		if mt.dels == nil {
-			mt.dels = make(map[string]bool)
-		}
-		mt.dels[string(keyBuf)] = true
-	}
+	mt.index.delete(keyBuf)
 	return keyBuf
 }
 
@@ -156,7 +149,7 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 	var keyBuf []byte
 	for i := range p.times {
 		keyBuf = appendFactKey(keyBuf[:0], Coords(p.coords[i*nd:(i+1)*nd]), p.times[i])
-		pos, ok := out.lookupKey(keyBuf)
+		pos, ok := out.index.get(keyBuf)
 		if !ok {
 			// The table holds no tuple this emission folded into — the
 			// warm state disagrees with the retraction; rebuild cold.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"mvolap/internal/temporal"
 )
 
 // bigTCMSchema builds a single-dimension schema with n facts spread
@@ -223,53 +225,51 @@ func TestQueryParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// BenchmarkMappedTableLookup is the satellite-2 micro-benchmark: the
-// single lookupKey helper probing the owned layer then the frozen base
-// must not regress any of the three probe outcomes.
+// BenchmarkMappedTableLookup measures the index probe of a warm clone
+// at its worst and at its best. The deep table has absorbed exactly as
+// many fresh keys as give the key index its maximum layer count before
+// the next flatten (2^k−1 seals leave k sealed layers over the bottom),
+// so a bottom hit and a miss pay a probe of the top and of every layer;
+// a fresh clone of a cold-built table pays one probe, its empty top
+// skipped.
 func BenchmarkMappedTableLookup(b *testing.B) {
-	s := bigTCMSchema(b, 2*MappedShardSize)
+	const n = 16 * MappedShardSize
+	s := bigTCMSchema(b, n)
 	baseT, err := s.MultiVersion().Mode(TCM())
 	if err != nil {
 		b.Fatal(err)
 	}
-	clone := baseT.cloneForWarm(TCM(), s.alg, s.measures)
-	// Give the clone one owned key so the index layer is non-empty.
-	clone.add(Coords{"Smith"}, ym(2500, 1), []float64{1}, []Confidence{SourceData})
+	depth := 0
+	for ((2<<depth)-1)*indexSealAt*indexFlattenRatio <= n {
+		depth++
+	}
+	seals := 1<<depth - 1 // the most the overlay takes below a quarter of the bottom
+	fresh := func(i int) (Coords, temporal.Instant) { return Coords{"Smith"}, ym(9000+i/12, 1+i%12) }
+	deep := baseT.cloneForWarm(TCM(), s.alg, s.measures)
+	for i := 0; i <= seals*indexSealAt; i++ {
+		c, at := fresh(i)
+		deep.add(c, at, []float64{1}, []Confidence{SourceData})
+	}
+	if got := len(deep.index.layers); got != depth+1 {
+		b.Fatalf("deep table has %d index layers, want the bottom plus %d", got, depth)
+	}
 
 	f0 := baseT.Facts()[0]
-	baseKey := appendFactKey(nil, f0.Coords, f0.Time)
-	ownKey := appendFactKey(nil, Coords{"Smith"}, ym(2500, 1))
-	missKey := appendFactKey(nil, Coords{"Smith"}, ym(3000, 1))
-
-	b.Run("base-hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := clone.lookupKey(baseKey); !ok {
-				b.Fatal("base key missing")
+	bottomKey := appendFactKey(nil, f0.Coords, f0.Time)
+	c, at := fresh(seals * indexSealAt) // the last key added: alone in the top
+	topKey := appendFactKey(nil, c, at)
+	missKey := appendFactKey(nil, Coords{"Smith"}, ym(8000, 1))
+	probe := func(mt *MappedTable, key []byte, want bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := mt.index.get(key); ok != want {
+					b.Fatalf("get = %v, want %v", ok, want)
+				}
 			}
 		}
-	})
-	b.Run("index-hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := clone.lookupKey(ownKey); !ok {
-				b.Fatal("owned key missing")
-			}
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := clone.lookupKey(missKey); ok {
-				b.Fatal("phantom key")
-			}
-		}
-	})
-	// The common state of a fresh warm clone: empty owned layer. The
-	// fast path must skip the dead map probe entirely.
-	fresh := baseT.cloneForWarm(TCM(), s.alg, s.measures)
-	b.Run("base-hit-empty-index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := fresh.lookupKey(baseKey); !ok {
-				b.Fatal("base key missing")
-			}
-		}
-	})
+	}
+	b.Run("bottom-hit-max-depth", probe(deep, bottomKey, true))
+	b.Run("top-hit", probe(deep, topKey, true))
+	b.Run("miss-max-depth", probe(deep, missKey, false))
+	b.Run("bottom-hit-fresh-clone", probe(baseT.cloneForWarm(TCM(), s.alg, s.measures), bottomKey, true))
 }

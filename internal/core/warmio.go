@@ -222,7 +222,7 @@ func (s *Schema) ImportWarmMode(exp *MappedTableExport) error {
 		epoch:    shardEpochCounter.Add(1),
 		nd:       nd,
 		nm:       nm,
-		index:    make(map[string]int, exp.NumFacts),
+		index:    newKeyIndex(exp.NumFacts),
 		Dropped:  exp.Dropped,
 		alg:      s.alg,
 		measures: s.measures,
@@ -282,10 +282,10 @@ func (s *Schema) ImportWarmMode(exp *MappedTableExport) error {
 		// merging); a duplicate key means the export is corrupt.
 		for j := 0; j < se.N; j++ {
 			keyBuf = appendFactKey(keyBuf[:0], Coords(sh.coords[j*nd:(j+1)*nd]), sh.times[j])
-			if _, dup := mt.index[string(keyBuf)]; dup {
+			if _, dup := mt.index.get(keyBuf); dup {
 				return fmt.Errorf("core: warm mode %s: duplicate tuple key in shard %d at %d", exp.ModeKey, si, j)
 			}
-			mt.index[string(keyBuf)] = mt.n
+			mt.index.put(keyBuf, mt.n)
 			mt.n++
 		}
 		mt.shards = append(mt.shards, sh)

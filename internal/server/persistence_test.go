@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -368,5 +369,44 @@ func TestFactsEndpoint(t *testing.T) {
 	noEvolve := testServer(t)
 	if code, _ := post(t, noEvolve, "/facts", `[{"coords":["Dpt.Bill_id"],"time":"2004","values":[1]}]`); code != http.StatusForbidden {
 		t.Errorf("facts without WithEvolution = %d", code)
+	}
+}
+
+// TestOversizedWriteBodyRejected is the defined response to a write
+// body past the 1 MiB limit on all three mutation endpoints: 413 with
+// the limit in the message, nothing applied, nothing appended to the
+// WAL. Every body is a valid batch padded with whitespace, so a handler
+// that cut it at the limit would either apply it (the script) or call
+// it malformed JSON (the arrays).
+func TestOversizedWriteBodyRejected(t *testing.T) {
+	srv, st := openServer(t, t.TempDir(), store.Options{})
+	mutate(t, srv)
+	want := captureState(t, srv)
+	seq := st.LastSeq()
+
+	pad := strings.Repeat("\n", maxWriteBody)
+	cases := []struct{ path, body string }{
+		{"/evolve", "EXCLUDE Org Dpt.Smith_id AT 01/2006\n" + pad},
+		{"/facts", `[{"coords":["Dpt.Bill_id"],"time":"2005","values":[1]}` + pad + `]`},
+		{"/facts/retract", `[{"coords":["Dpt.Bill_id"],"time":"2004"}` + pad + `]`},
+	}
+	for _, c := range cases {
+		code, body := post(t, srv, c.path, c.body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d, want 413: %.200s", c.path, len(c.body), code, body)
+		}
+		if !strings.Contains(string(body), strconv.Itoa(maxWriteBody)) {
+			t.Errorf("%s: 413 message does not name the limit: %.200s", c.path, body)
+		}
+		if got := st.LastSeq(); got != seq {
+			t.Errorf("%s: WAL advanced to seq %d, want it left at %d", c.path, got, seq)
+		}
+		assertSameState(t, srv, want)
+		// The same batch inside the limit is accepted, so it was the size
+		// alone that refused it.
+		if code, body := post(t, srv, c.path, strings.ReplaceAll(c.body, pad, "")); code != http.StatusOK {
+			t.Fatalf("%s unpadded = %d: %s", c.path, code, body)
+		}
+		want, seq = captureState(t, srv), st.LastSeq()
 	}
 }

@@ -653,9 +653,8 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readWriteBody(w, r)
+	if !ok {
 		return
 	}
 	// The write lock only serializes evolutions against each other and
@@ -741,9 +740,8 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readWriteBody(w, r)
+	if !ok {
 		return
 	}
 	batch, err := store.ParseFactBatch(body)
@@ -828,9 +826,8 @@ func (s *Server) handleFactsRetract(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readWriteBody(w, r)
+	if !ok {
 		return
 	}
 	batch, err := store.ParseRetractBatch(body)
@@ -890,6 +887,30 @@ func (s *Server) handleFactsRetract(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxWriteBody bounds the body of a write request (/evolve, /facts,
+// /facts/retract).
+const maxWriteBody = 1 << 20
+
+// readWriteBody reads a write request's whole body. A body past
+// maxWriteBody is refused with 413 naming the limit — never cut short
+// and parsed, which would report a valid batch as malformed JSON or,
+// worse, apply the first MiB of a script. On failure the response has
+// been written and ok is false.
+func readWriteBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWriteBody))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		jsonError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the limit of %d bytes; split the batch", tooLarge.Limit))
+	} else {
+		jsonError(w, http.StatusBadRequest, err)
+	}
+	return nil, false
+}
+
 // startTrace returns the context a write handler's post-acceptance work
 // runs under — detached from the client's cancellation: an aborted
 // request must not decide cache temperature — and, with ?trace=1, the
@@ -921,6 +942,8 @@ func (s *Server) warmCaches(ctx context.Context, root *obs.Span, clone *core.Sch
 	sp.SetAttr("evicted", len(res.Evicted))
 	sp.SetAttr("delta_applies", res.DeltaApplied)
 	sp.SetAttr("delta_facts", len(d.NewFacts))
+	sp.SetAttr("sealed", res.Sealed)
+	sp.SetAttr("merged", res.Merged)
 	if len(d.Retracted) > 0 {
 		sp.SetAttr("retracted_facts", len(d.Retracted))
 		sp.SetAttr("modes_subtracted", res.Subtracted)

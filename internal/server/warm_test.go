@@ -99,7 +99,12 @@ func TestFactsWarmSwap(t *testing.T) {
 		t.Errorf("deltaApplies = %d, want %d", resp.DeltaApplies, len(modes))
 	}
 	if resp.Trace == nil || resp.Trace.Find("mvft_delta") == nil {
-		t.Errorf("trace=1 response missing mvft_delta span: %s", body)
+		t.Fatalf("trace=1 response missing mvft_delta span: %s", body)
+	}
+	// Key-index maintenance is reported on the span; a two-fact batch
+	// on a cold-built warehouse seals and merges nothing.
+	if a := resp.Trace.Find("mvft_delta").Attrs; a["sealed"] != 0.0 || a["merged"] != 0.0 {
+		t.Errorf("mvft_delta attrs = %v, want sealed 0 and merged 0", a)
 	}
 
 	mv := s.snapshot().MultiVersion()
