@@ -56,32 +56,14 @@ test:
 # incremental-maintenance property suite, the lock-free observability
 # counters, the server's copy-on-write evolution and the store's
 # WAL/flusher are all concurrent; keep them honest under the race
-# detector.
+# detector. Crash recovery, replication and snapshot determinism have
+# no targets of their own: their tests live in internal/store and
+# internal/server, which this runs whole — a `-run` regex beside it
+# would only re-run a subset, and silently drop any test whose name it
+# does not match.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/core/... ./internal/evolution/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/tql/...
-
-# Torn-WAL and warm-snapshot crash-recovery tests (store-level and over
-# HTTP) under the race detector: kill mid-append, truncate the final
-# record at a random byte, corrupt a warm mode payload, restart,
-# require byte-identical answers.
-.PHONY: crash-test
-crash-test:
-	$(GO) test -race -run CrashRecovery -v ./internal/store/... ./internal/server/...
-
-# Replication suite under the race detector: the WAL append/recovery
-# durability fixes, the leader's stream reader, and the end-to-end
-# leader + two followers convergence scenario (kill one mid-stream,
-# restart it, require byte-identical answers from every follower).
-.PHONY: repl-test
-repl-test:
-	$(GO) test -race -run 'TestAppendRejects|TestAppendFsync|TestScanWALRejects|TestStreamReader|TestHeartbeatFrame|TestWaitForSeq|TestReplication|TestFollower|TestWALEndpoints|TestStreamEnds' -v ./internal/store/... ./internal/server/...
-
-# The snapshot envelope must be deterministic: snapshotting the same
-# state twice (warm tables included) yields byte-identical files.
-.PHONY: determinism-check
-determinism-check:
-	$(GO) test -run SnapshotEnvelopeDeterministic -count=1 -v ./internal/store/
 
 # Every fuzz target for FUZZTIME each (the native Go fuzzer accepts one
 # -fuzz pattern per invocation). CI runs this in its own job; crashers
@@ -95,8 +77,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tql/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWrite$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
 	$(GO) test -run '^$$' -fuzz '^FuzzMappedTableCodec$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
+	$(GO) test -run '^$$' -fuzz '^FuzzFactsCodec$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/rolap/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotContainer$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 # Advisory per-package coverage summary; CI appends it to the job
 # summary. Informational by design — coverage informs, it does not

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	mvolap -schema warehouse.json 'SELECT Amount BY Org.Division, TIME.YEAR MODE tcm'
+//	mvolap -schema data/snapshot-0000000000000256.snap MODES
 //	mvolap -demo 'QUALITY SELECT Amount BY Org.Department, TIME.YEAR'
 //	mvolap -demo MODES
 //	echo 'SELECT ...' | mvolap -schema warehouse.json
@@ -24,7 +25,7 @@ import (
 	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
 	"mvolap/internal/quality"
-	"mvolap/internal/schemaio"
+	"mvolap/internal/store"
 	"mvolap/internal/tql"
 )
 
@@ -37,7 +38,7 @@ func main() {
 
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("mvolap", flag.ContinueOnError)
-	schemaPath := fs.String("schema", "", "path to a schema JSON file")
+	schemaPath := fs.String("schema", "", "path to a schema JSON file or a store snapshot")
 	demo := fs.Bool("demo", false, "use the built-in ICDE 2003 case study")
 	color := fs.Bool("color", false, "colour values by confidence factor")
 	weightsSpec := fs.String("weights", "", "confidence weights as sd=10,em=8,am=5,uk=0 (the §5.2 pds function)")
@@ -61,12 +62,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			return err
 		}
 	case *schemaPath != "":
-		f, err := os.Open(*schemaPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if s, err = schemaio.Read(f); err != nil {
+		var err error
+		if s, err = store.LoadSchema(*schemaPath); err != nil {
 			return err
 		}
 	default:

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"mvolap/internal/casestudy"
 	"mvolap/internal/schemaio"
+	"mvolap/internal/store"
 )
 
 func demoSchemaFile(t *testing.T) string {
@@ -51,6 +54,48 @@ func TestRunSchemaFile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "V3 [01/2003 ; Now]") {
 		t.Errorf("output:\n%s", out.String())
+	}
+}
+
+// TestRunSnapshotFile: -schema sniffs the store's snapshot container,
+// so a snapshot answers exactly like the warehouse it froze.
+func TestRunSnapshotFile(t *testing.T) {
+	seed, err := casestudy.New(casestudy.Config{WithFacts: true, WithSplitMappings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	st, sch, ap, err := store.Open(dir, seed, store.Options{SnapshotWarm: true, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := sch.MultiVersion().All(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot files = %v", snaps)
+	}
+	for _, stmt := range []string{
+		"MODES",
+		"SELECT Amount BY Org.Department, TIME.YEAR WHERE TIME BETWEEN 2002 AND 2003 MODE V2",
+		"QUALITY SELECT Amount BY Org.Division, TIME.YEAR",
+	} {
+		var live, frozen bytes.Buffer
+		if err := run([]string{"-demo", stmt}, strings.NewReader(""), &live); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-schema", snaps[0], stmt}, strings.NewReader(""), &frozen); err != nil {
+			t.Fatal(err)
+		}
+		if live.Len() == 0 || frozen.String() != live.String() {
+			t.Errorf("%s on the snapshot:\n%s\non the live schema:\n%s", stmt, frozen.String(), live.String())
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"mvolap/internal/temporal"
 )
 
-// Warm export/import: the serving tier's snapshot envelope can carry
+// Warm export/import: the serving tier's snapshot container can carry
 // the materialized MappedTables of every cached temporal mode, so a
 // restarted process answers its first query in each mode without a
 // rematerialization. The exchange types below are a faithful, stable
@@ -53,6 +53,30 @@ type MappedTableExport struct {
 	HasAvg      bool
 	NumFacts    int
 	Shards      []MappedShardExport
+}
+
+// ShardMappedColumns cuts flat field-major columns over len(times)
+// tuples into shard exports of MappedShardSize tuples, the last one
+// possibly shorter. The shards alias the columns; avgN is nil for a
+// table without an Avg measure.
+func ShardMappedColumns(nd, nm int, coords []MVID, times []temporal.Instant, values []uint64, cfs []Confidence, sources, avgN []int32) []MappedShardExport {
+	var shards []MappedShardExport
+	for lo := 0; lo < len(times); lo += MappedShardSize {
+		hi := min(lo+MappedShardSize, len(times))
+		se := MappedShardExport{
+			N:       hi - lo,
+			Coords:  coords[lo*nd : hi*nd : hi*nd],
+			Times:   times[lo:hi:hi],
+			Values:  values[lo*nm : hi*nm : hi*nm],
+			CFs:     cfs[lo*nm : hi*nm : hi*nm],
+			Sources: sources[lo:hi:hi],
+		}
+		if avgN != nil {
+			se.AvgN = avgN[lo*nm : hi*nm : hi*nm]
+		}
+		shards = append(shards, se)
+	}
+	return shards
 }
 
 // ExportWarmModes exports every completed, successfully materialized
@@ -127,36 +151,36 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 			// fresh fully packed shards, in live order (the import
 			// validator rejects zero sources and underfull non-final
 			// shards, and scans define order over live tuples anyway).
-			nd, nm := t.table.nd, t.table.nm
-			var se MappedShardExport
-			flush := func() {
-				if se.N > 0 {
-					exp.Shards = append(exp.Shards, se)
-					se = MappedShardExport{}
-				}
+			// The live count is known, so each column is allocated once
+			// for the whole table and cut into shards afterwards.
+			nd, nm, live := t.table.nd, t.table.nm, exp.NumFacts
+			coords := make([]MVID, 0, live*nd)
+			times := make([]temporal.Instant, 0, live)
+			values := make([]uint64, 0, live*nm)
+			cfs := make([]Confidence, 0, live*nm)
+			sources := make([]int32, 0, live)
+			var avgN []int32
+			if t.table.hasAvg {
+				avgN = make([]int32, 0, live*nm)
 			}
 			for _, sh := range t.table.shards {
 				for j := 0; j < sh.n; j++ {
 					if sh.sources[j] == 0 {
 						continue
 					}
-					se.Coords = append(se.Coords, sh.coords[j*nd:(j+1)*nd]...)
-					se.Times = append(se.Times, sh.times[j])
-					for k := 0; k < nm; k++ {
-						se.Values = append(se.Values, math.Float64bits(sh.values[j*nm+k]))
+					coords = append(coords, sh.coords[j*nd:(j+1)*nd]...)
+					times = append(times, sh.times[j])
+					for _, v := range sh.values[j*nm : (j+1)*nm] {
+						values = append(values, math.Float64bits(v))
 					}
-					se.CFs = append(se.CFs, sh.cfs[j*nm:(j+1)*nm]...)
-					se.Sources = append(se.Sources, sh.sources[j])
-					if sh.avgN != nil {
-						se.AvgN = append(se.AvgN, sh.avgN[j*nm:(j+1)*nm]...)
-					}
-					se.N++
-					if se.N == MappedShardSize {
-						flush()
+					cfs = append(cfs, sh.cfs[j*nm:(j+1)*nm]...)
+					sources = append(sources, sh.sources[j])
+					if avgN != nil {
+						avgN = append(avgN, sh.avgN[j*nm:(j+1)*nm]...)
 					}
 				}
 			}
-			flush()
+			exp.Shards = ShardMappedColumns(nd, nm, coords, times, values, cfs, sources, avgN)
 		}
 		out = append(out, exp)
 	}

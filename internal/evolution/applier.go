@@ -9,11 +9,12 @@ import (
 
 // LogEntry records one applied operator for the §5.2 evolution
 // metadata: its sequence number, its Table 11 notation, and the member
-// versions it touched.
+// versions it touched. The JSON names are an on-disk format: the store
+// writes the log into every snapshot's meta section as it stands.
 type LogEntry struct {
-	Seq         int
-	Description string
-	Touched     []core.MVID
+	Seq         int         `json:"seq"`
+	Description string      `json:"description"`
+	Touched     []core.MVID `json:"touched,omitempty"`
 }
 
 // Applier applies evolution operators to a schema, keeping the

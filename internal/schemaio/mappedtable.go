@@ -1,6 +1,7 @@
 package schemaio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -9,14 +10,15 @@ import (
 )
 
 // Mapped-table codec: the binary serialization of one cached MVFT
-// mode, embedded (CRC-checked) in the store's snapshot envelope for
-// warm restarts. The format is deterministic — same table, same bytes
-// — which is what lets CI diff two snapshots of the same state.
+// mode, carried as one CRC-closed section of the store's snapshot
+// container for warm restarts. The format is deterministic — same
+// table, same bytes — which is what lets two snapshots of the same
+// state be compared byte for byte.
 //
-// Format 2 (current) mirrors the engine's columnar shard layout:
-// after the header, each field travels as one contiguous column over
-// all tuples, so encoding streams straight out of the shard arrays and
-// decoding re-chunks into shards without ever materializing rows:
+// The layout mirrors the engine's columnar shard layout: after the
+// header, each field travels as one contiguous column over all tuples,
+// so encoding streams straight out of the shard arrays and decoding
+// re-chunks into shards without ever materializing rows:
 //
 //	magic "MVMT02"
 //	uvarint len(modeKey), modeKey
@@ -32,21 +34,11 @@ import (
 //	  numFacts uvarint source counts
 //	  if hasAvg: numFacts×numMeasures uint32 LE avg counts
 //
-// Format 1 ("MVMT01") carried the same header followed by row-major
-// tuples (per fact: coords, time, values, cfs, sources, avg counts).
-// DecodeMappedTable still reads it — snapshots written before the
-// format bump must warm-restore, not silently rebuild cold — and
-// EncodeMappedTableV1 still writes it for regression tests and
-// downgrade tooling.
-//
 // Times and interval bounds travel as raw little-endian int64 — the
 // temporal sentinels (Now = MaxInt64, Origin = MinInt64) would not
 // survive a float-typed JSON number.
 
-var (
-	mappedTableMagic   = []byte("MVMT02")
-	mappedTableMagicV1 = []byte("MVMT01")
-)
+var mappedTableMagic = []byte("MVMT02")
 
 // Decode limits: a string longer than this, or a count implying more
 // bytes than the input holds, marks the payload corrupt. They bound
@@ -96,9 +88,31 @@ func validateExportShape(exp *core.MappedTableExport) error {
 	return nil
 }
 
-// appendMappedHeader appends the header fields shared by both formats
-// (everything between the magic and the fact payload).
-func appendMappedHeader(buf []byte, exp *core.MappedTableExport) []byte {
+// EncodeMappedTable serializes one exported mode deterministically.
+func EncodeMappedTable(exp *core.MappedTableExport) ([]byte, error) {
+	if exp == nil {
+		return nil, fmt.Errorf("schemaio: nil mapped-table export")
+	}
+	if err := validateExportShape(exp); err != nil {
+		return nil, err
+	}
+	// An upper bound on the encoding, so the buffer is allocated once:
+	// the header's numbers, then per tuple an instant (8), a source count
+	// (≤ 5) and per measure a value and a confidence (8+1) and, with an
+	// Avg measure, a count (4); each coordinate adds its bytes and a
+	// length prefix (≤ 3).
+	perTuple := 13 + 9*exp.NumMeasures
+	if exp.HasAvg {
+		perTuple += 4 * exp.NumMeasures
+	}
+	size := 80 + len(exp.ModeKey) + len(exp.Signature) + exp.NumFacts*perTuple
+	for si := range exp.Shards {
+		for _, id := range exp.Shards[si].Coords {
+			size += 3 + len(id)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, mappedTableMagic...)
 	buf = appendString(buf, exp.ModeKey)
 	buf = appendInt64(buf, int64(exp.Valid.Start))
 	buf = appendInt64(buf, int64(exp.Valid.End))
@@ -111,21 +125,7 @@ func appendMappedHeader(buf []byte, exp *core.MappedTableExport) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	return binary.AppendUvarint(buf, uint64(exp.NumFacts))
-}
-
-// EncodeMappedTable serializes one exported mode deterministically in
-// the current (columnar, format 2) framing.
-func EncodeMappedTable(exp *core.MappedTableExport) ([]byte, error) {
-	if exp == nil {
-		return nil, fmt.Errorf("schemaio: nil mapped-table export")
-	}
-	if err := validateExportShape(exp); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 64+exp.NumFacts*(16+9*exp.NumMeasures))
-	buf = append(buf, mappedTableMagic...)
-	buf = appendMappedHeader(buf, exp)
+	buf = binary.AppendUvarint(buf, uint64(exp.NumFacts))
 	for si := range exp.Shards {
 		for _, id := range exp.Shards[si].Coords {
 			buf = appendString(buf, string(id))
@@ -161,67 +161,15 @@ func EncodeMappedTable(exp *core.MappedTableExport) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeMappedTableV1 serializes one exported mode in the legacy
-// row-major format 1 framing. The engine never writes it anymore; it
-// exists so tests can prove format-1 payloads still warm-restore, and
-// as a downgrade escape hatch.
-func EncodeMappedTableV1(exp *core.MappedTableExport) ([]byte, error) {
-	if exp == nil {
-		return nil, fmt.Errorf("schemaio: nil mapped-table export")
-	}
-	if err := validateExportShape(exp); err != nil {
-		return nil, err
-	}
-	nd, nm := exp.NumDims, exp.NumMeasures
-	buf := make([]byte, 0, 64+exp.NumFacts*(16+9*nm))
-	buf = append(buf, mappedTableMagicV1...)
-	buf = appendMappedHeader(buf, exp)
-	for si := range exp.Shards {
-		sh := &exp.Shards[si]
-		for j := 0; j < sh.N; j++ {
-			for _, id := range sh.Coords[j*nd : (j+1)*nd] {
-				buf = appendString(buf, string(id))
-			}
-			buf = appendInt64(buf, int64(sh.Times[j]))
-			for _, v := range sh.Values[j*nm : (j+1)*nm] {
-				buf = binary.LittleEndian.AppendUint64(buf, v)
-			}
-			for _, cf := range sh.CFs[j*nm : (j+1)*nm] {
-				buf = append(buf, byte(cf))
-			}
-			buf = binary.AppendUvarint(buf, uint64(sh.Sources[j]))
-			if exp.HasAvg {
-				for _, n := range sh.AvgN[j*nm : (j+1)*nm] {
-					buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-				}
-			}
-		}
-	}
-	return buf, nil
-}
-
-// DecodeMappedTable parses an encoded mode in either format, validating
-// every length and count against the remaining input so corrupt or
-// hostile bytes fail cleanly instead of over-allocating.
+// DecodeMappedTable parses an encoded mode, validating every length and
+// count against the remaining input so corrupt or hostile bytes fail
+// cleanly instead of over-allocating. The columns land flat and are
+// chunked into MappedShardSize shards.
 func DecodeMappedTable(data []byte) (*core.MappedTableExport, error) {
-	if len(data) >= len(mappedTableMagic) {
-		switch string(data[:len(mappedTableMagic)]) {
-		case string(mappedTableMagic):
-			return decodeMappedTable(data[len(mappedTableMagic):], false)
-		case string(mappedTableMagicV1):
-			return decodeMappedTable(data[len(mappedTableMagicV1):], true)
-		}
+	if !bytes.HasPrefix(data, mappedTableMagic) {
+		return nil, fmt.Errorf("schemaio: bad mapped-table magic")
 	}
-	return nil, fmt.Errorf("schemaio: bad mapped-table magic")
-}
-
-// decodeMappedTable parses the body shared by both formats: the header,
-// then either row-major (v1) or field-major (v2) fact payload. Both
-// land in the same flat columns, chunked into MappedShardSize shards,
-// so a v1 payload decodes into exactly the export a v2 round trip
-// would produce.
-func decodeMappedTable(body []byte, rowMajor bool) (*core.MappedTableExport, error) {
-	r := &mtReader{data: body}
+	r := &mtReader{data: data[len(mappedTableMagic):]}
 	exp := &core.MappedTableExport{}
 	exp.ModeKey = r.string()
 	exp.Valid.Start = temporal.Instant(r.int64())
@@ -259,69 +207,31 @@ func decodeMappedTable(body []byte, rowMajor bool) (*core.MappedTableExport, err
 	if exp.HasAvg {
 		avgN = make([]int32, nFacts*nm)
 	}
-	if rowMajor {
-		for i := 0; i < nFacts; i++ {
-			for d := 0; d < nd; d++ {
-				coords[i*nd+d] = core.MVID(r.string())
-			}
-			times[i] = temporal.Instant(r.int64())
-			for k := 0; k < nm; k++ {
-				values[i*nm+k] = r.uint64()
-			}
-			for k := 0; k < nm; k++ {
-				cfs[i*nm+k] = core.Confidence(r.byte())
-			}
-			sources[i] = int32(r.count())
-			if exp.HasAvg {
-				for k := 0; k < nm; k++ {
-					avgN[i*nm+k] = int32(r.uint32())
-				}
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-		}
-	} else {
-		for i := range coords {
-			coords[i] = core.MVID(r.string())
-		}
-		for i := range times {
-			times[i] = temporal.Instant(r.int64())
-		}
-		for i := range values {
-			values[i] = r.uint64()
-		}
-		for i := range cfs {
-			cfs[i] = core.Confidence(r.byte())
-		}
-		for i := range sources {
-			sources[i] = int32(r.count())
-		}
-		for i := range avgN {
-			avgN[i] = int32(r.uint32())
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
+	for i := range coords {
+		coords[i] = core.MVID(r.string())
+	}
+	for i := range times {
+		times[i] = temporal.Instant(r.int64())
+	}
+	for i := range values {
+		values[i] = r.uint64()
+	}
+	for i := range cfs {
+		cfs[i] = core.Confidence(r.byte())
+	}
+	for i := range sources {
+		sources[i] = int32(r.count())
+	}
+	for i := range avgN {
+		avgN[i] = int32(r.uint32())
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("schemaio: %d trailing bytes after mapped table", len(r.data)-r.off)
 	}
-	for lo := 0; lo < nFacts; lo += core.MappedShardSize {
-		hi := min(lo+core.MappedShardSize, nFacts)
-		se := core.MappedShardExport{
-			N:       hi - lo,
-			Coords:  coords[lo*nd : hi*nd : hi*nd],
-			Times:   times[lo:hi:hi],
-			Values:  values[lo*nm : hi*nm : hi*nm],
-			CFs:     cfs[lo*nm : hi*nm : hi*nm],
-			Sources: sources[lo:hi:hi],
-		}
-		if exp.HasAvg {
-			se.AvgN = avgN[lo*nm : hi*nm : hi*nm]
-		}
-		exp.Shards = append(exp.Shards, se)
-	}
+	exp.Shards = core.ShardMappedColumns(nd, nm, coords, times, values, cfs, sources, avgN)
 	return exp, nil
 }
 
@@ -336,7 +246,8 @@ func appendInt64(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
-// mtReader is a bounds-checked cursor over the encoded payload; the
+// mtReader is a bounds-checked cursor over an encoded payload (mapped
+// table or facts section); the
 // first failure sticks and every later read returns zero values.
 type mtReader struct {
 	data []byte
@@ -346,7 +257,7 @@ type mtReader struct {
 
 func (r *mtReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("schemaio: corrupt mapped table: "+format, args...)
+		r.err = fmt.Errorf("schemaio: corrupt payload: "+format, args...)
 	}
 }
 

@@ -69,41 +69,6 @@ func TestMappedTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMappedTableV1DecodesAsV2 is the format-1→2 regression: a payload
-// written in the legacy row-major framing must decode into exactly the
-// export its columnar re-encoding round-trips to — old snapshots keep
-// warm-restoring after the bump.
-func TestMappedTableV1DecodesAsV2(t *testing.T) {
-	for _, hasAvg := range []bool{false, true} {
-		exp := sampleExport(hasAvg)
-		v1, err := EncodeMappedTableV1(exp)
-		if err != nil {
-			t.Fatalf("hasAvg=%v: encode v1: %v", hasAvg, err)
-		}
-		v2, err := EncodeMappedTable(exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(v1, v2) {
-			t.Fatal("v1 and v2 framings must differ on the wire")
-		}
-		got, err := DecodeMappedTable(v1)
-		if err != nil {
-			t.Fatalf("hasAvg=%v: decode v1: %v", hasAvg, err)
-		}
-		if !reflect.DeepEqual(got, exp) {
-			t.Errorf("hasAvg=%v: v1 decode mismatch:\n got %+v\nwant %+v", hasAvg, got, exp)
-		}
-		reenc, err := EncodeMappedTable(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(reenc, v2) {
-			t.Errorf("hasAvg=%v: v1-decoded table re-encodes differently from native v2", hasAvg)
-		}
-	}
-}
-
 func TestMappedTableEncodeRejectsBadShapes(t *testing.T) {
 	if _, err := EncodeMappedTable(nil); err == nil {
 		t.Error("nil export must fail")
@@ -134,33 +99,45 @@ func TestMappedTableEncodeRejectsBadShapes(t *testing.T) {
 // encoding at every offset: decoding must fail cleanly (or, for a byte
 // flip, either fail or produce a parseable table), never panic.
 func TestMappedTableDecodeRejectsCorruption(t *testing.T) {
-	for name, enc := range map[string]func(*core.MappedTableExport) ([]byte, error){
-		"v2": EncodeMappedTable,
-		"v1": EncodeMappedTableV1,
-	} {
-		data, err := enc(sampleExport(true))
-		if err != nil {
-			t.Fatal(err)
+	data, err := EncodeMappedTable(sampleExport(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := DecodeMappedTable(data[:n]); err == nil {
+			t.Fatalf("truncation at %d of %d decoded", n, len(data))
 		}
-		for n := 0; n < len(data); n++ {
-			if _, err := DecodeMappedTable(data[:n]); err == nil {
-				t.Fatalf("%s: truncation at %d of %d decoded", name, n, len(data))
-			}
-		}
-		if _, err := DecodeMappedTable(append(append([]byte{}, data...), 0)); err == nil {
-			t.Errorf("%s: trailing byte must fail", name)
-		}
-		bad := append([]byte{}, data...)
-		bad[0] ^= 0xFF
-		if _, err := DecodeMappedTable(bad); err == nil {
-			t.Errorf("%s: bad magic must fail", name)
+	}
+	if _, err := DecodeMappedTable(append(append([]byte{}, data...), 0)); err == nil {
+		t.Error("trailing byte must fail")
+	}
+	bad := append([]byte{}, data...)
+	bad[0] ^= 0xFF
+	if _, err := DecodeMappedTable(bad); err == nil {
+		t.Error("bad magic must fail")
+	}
+	// The row-major MVMT01 framing is gone: its magic is just a bad one.
+	if _, err := DecodeMappedTable(append([]byte("MVMT01"), data[len(mappedTableMagic):]...)); err == nil {
+		t.Error("MVMT01 payload must fail")
+	}
+}
+
+// TestEncodeMappedTableAllocatesOnce: the size bound holds, so the
+// encoder never regrows its buffer (the snapshot writer's allocation
+// bound leans on it).
+func TestEncodeMappedTableAllocatesOnce(t *testing.T) {
+	for _, hasAvg := range []bool{false, true} {
+		exp := sampleExport(hasAvg)
+		var err error
+		if n := testing.AllocsPerRun(10, func() { _, err = EncodeMappedTable(exp) }); n != 1 || err != nil {
+			t.Errorf("hasAvg=%v: %v allocations, %v", hasAvg, n, err)
 		}
 	}
 }
 
 // FuzzMappedTableCodec checks the round-trip invariant on arbitrary
-// bytes: whatever decodes (in either format) must re-encode and decode
-// back identically, and the decoder must never panic or over-allocate.
+// bytes: whatever decodes must re-encode and decode back identically,
+// and the decoder must never panic or over-allocate.
 func FuzzMappedTableCodec(f *testing.F) {
 	for _, hasAvg := range []bool{false, true} {
 		seed, err := EncodeMappedTable(sampleExport(hasAvg))
@@ -168,13 +145,9 @@ func FuzzMappedTableCodec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(seed)
-		seedV1, err := EncodeMappedTableV1(sampleExport(hasAvg))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seedV1)
+		f.Add(seed[:len(seed)/2]) // torn
 	}
-	f.Add([]byte("MVMT01"))
+	f.Add([]byte("MVMT01")) // the retired row-major framing: just a bad magic now
 	f.Add([]byte("MVMT02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		exp, err := DecodeMappedTable(data)

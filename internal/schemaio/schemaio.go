@@ -73,8 +73,16 @@ type fileFact struct {
 	Values []float64 `json:"values"`
 }
 
-// Write serializes the schema as indented JSON.
-func Write(w io.Writer, s *core.Schema) error {
+// Write serializes the schema, facts included, as indented JSON.
+func Write(w io.Writer, s *core.Schema) error { return write(w, s, true) }
+
+// WriteStructure serializes everything but the facts: the same
+// document with no "facts" member, which Read loads as a warehouse
+// with an empty fact table. The store's snapshot container carries it
+// beside the facts in their binary codec (EncodeFacts).
+func WriteStructure(w io.Writer, s *core.Schema) error { return write(w, s, false) }
+
+func write(w io.Writer, s *core.Schema, withFacts bool) error {
 	out := fileSchema{Name: s.Name}
 	for _, m := range s.Measures() {
 		out.Measures = append(out.Measures, fileMeasure{Name: m.Name, Agg: m.Agg.String()})
@@ -106,12 +114,14 @@ func Write(w io.Writer, s *core.Schema) error {
 		}
 		out.Mappings = append(out.Mappings, fm)
 	}
-	for _, f := range s.Facts().Facts() {
-		ff := fileFact{Time: f.Time.String(), Values: f.Values}
-		for _, id := range f.Coords {
-			ff.Coords = append(ff.Coords, string(id))
+	if withFacts {
+		for _, f := range s.Facts().Facts() {
+			ff := fileFact{Time: f.Time.String(), Values: f.Values}
+			for _, id := range f.Coords {
+				ff.Coords = append(ff.Coords, string(id))
+			}
+			out.Facts = append(out.Facts, ff)
 		}
-		out.Facts = append(out.Facts, ff)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -237,7 +238,7 @@ func TestAutoSnapshotOverHTTP(t *testing.T) {
 	if st.SnapshotSeq() != 2 {
 		t.Errorf("auto snapshot seq = %d, want 2", st.SnapshotSeq())
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
 	if len(snaps) != 1 {
 		t.Errorf("snapshot files = %v", snaps)
 	}
@@ -264,12 +265,38 @@ func TestAdminSnapshotEndpoint(t *testing.T) {
 	}
 	var resp struct {
 		WALSeq uint64 `json:"walSeq"`
+		Bytes  int64  `json:"bytes"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil || resp.WALSeq != 1 {
 		t.Fatalf("snapshot response = %+v, %v", resp, err)
 	}
 	if st.SnapshotSeq() != 1 {
 		t.Errorf("snapSeq = %d", st.SnapshotSeq())
+	}
+	// The answer, the store and /metrics agree on the file's size.
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot files = %v", snaps)
+	}
+	info, err := os.Stat(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Bytes != info.Size() || st.SnapshotBytes() != info.Size() {
+		t.Errorf("bytes: answer %d, store %d, file %d", resp.Bytes, st.SnapshotBytes(), info.Size())
+	}
+	_, metrics := get(t, srv, "/metrics")
+	for _, series := range []string{
+		fmt.Sprintf("mvolap_store_snapshot_bytes %d", info.Size()),
+		`mvolap_store_snapshot_stage_seconds_count{stage="write"}`,
+		`mvolap_store_snapshot_stage_seconds_count{stage="sync"}`,
+		`mvolap_store_snapshot_stage_seconds_count{stage="rotate"}`,
+		`mvolap_store_snapshot_stage_seconds_count{stage="compact"}`,
+		"mvolap_store_snapshot_seconds_count",
+	} {
+		if !strings.Contains(string(metrics), series) {
+			t.Errorf("/metrics missing %s", series)
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, _ *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(store.WALSeqHeader, strconv.FormatUint(seq, 10))
 	w.Write(data)
 }

@@ -292,6 +292,9 @@ func TestWALEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(store.WALSeqHeader) != "4" {
 		t.Fatalf("wal/snapshot = %d, seq header %q", resp.StatusCode, resp.Header.Get(store.WALSeqHeader))
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("wal/snapshot Content-Type = %q", ct)
+	}
 
 	// Compacted resume position: 410 plus where to bootstrap from.
 	code, body := get(t, leaderTS, "/wal/stream?from=1")

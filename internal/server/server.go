@@ -996,6 +996,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{
 		"walSeq":    seq,
 		"warmModes": warmModes,
+		"bytes":     st.SnapshotBytes(),
 		"ms":        float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }

@@ -31,6 +31,13 @@ var (
 	metSnapshotSeconds = obs.Default().Histogram(
 		"mvolap_store_snapshot_seconds",
 		"Snapshot write + WAL rotation duration.", nil)
+	metSnapshotStageSeconds = obs.Default().HistogramVec(
+		"mvolap_store_snapshot_stage_seconds",
+		"Snapshot duration by stage: write (encode into the temp file), sync (fsync, rename, directory fsync), rotate (start the next WAL file), compact (delete superseded files).",
+		nil, "stage")
+	metSnapshotBytes = obs.Default().Gauge(
+		"mvolap_store_snapshot_bytes",
+		"Size of the latest snapshot file.")
 	metRecoverySeconds = obs.Default().Histogram(
 		"mvolap_store_recovery_seconds",
 		"Crash-recovery duration (snapshot load + WAL replay).", nil)

@@ -1,66 +1,72 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
 	"mvolap/internal/schemaio"
 )
 
-// A snapshot is one JSON file freezing the whole warehouse at a WAL
-// sequence number: the schema (serialized by schemaio, so snapshots
-// are readable by every tool that reads warehouse files) plus the §5.2
-// evolution log, which schemaio does not carry but /schema serves.
-// Snapshots are written to a temp file, fsynced, and renamed into
-// place, so a crash mid-write never leaves a half snapshot under the
-// final name.
+// A snapshot is one binary container freezing the whole warehouse at a
+// WAL sequence number, written as a stream of sections so the writer
+// never holds more than one of them (docs/persistence.md has the layout
+// table):
+//
+//	file    := "MVOSNP01" section* end
+//	section := kind:u8 len:u64le payload crc32ieee(kind‖len‖payload):u32le
+//
+// in the order meta, structure, facts, one warm section per cached
+// mode, end. A file is readable only if it frames exactly — the end
+// marker, holding the count of sections before it, is its last bytes —
+// and every section but the warm ones passes its CRC, so a short or
+// torn file is unreadable as a whole; a warm section that fails its CRC
+// costs that mode its warm restart and nothing else.
 
-// snapshotFormat versions the envelope, not the schema document.
-// Format 1 (PR 3) carried schema + evolution log; format 2 adds the
-// optional warm section. Readers accept both — an old snapshot simply
-// recovers with zero warm modes.
 const (
-	snapshotFormat       = 2
-	oldestSnapshotFormat = 1
+	snapshotMagic = "MVOSNP01" // versions the container
+	snapshotExt   = ".snap"
+
+	sectionHeaderSize = 1 + 8 // kind + payload length; the CRC trails the payload
+	sectionCRCSize    = 4
 )
 
-// snapshotFile is the on-disk envelope.
-type snapshotFile struct {
-	Format       int                `json:"format"`
-	WALSeq       uint64             `json:"walSeq"`
-	EvolutionLog []snapshotLogEntry `json:"evolutionLog,omitempty"`
-	Schema       json.RawMessage    `json:"schema"`
-	// Warm optionally carries the materialized MappedTable of every
-	// cached temporal mode, each payload CRC-checked independently so
-	// one corrupt mode degrades to a cold rebuild of that mode only.
-	Warm []warmModeFile `json:"warm,omitempty"`
+// Section kinds, in file order.
+const (
+	secMeta      byte = 1 + iota // JSON snapshotMeta
+	secStructure                 // the schemaio document without facts
+	secFacts                     // schemaio's binary facts codec
+	secWarm                      // one MVMT02 mapped table
+	secEnd                       // uint32 LE count of the sections before it
+)
+
+// snapshotMeta is the meta section: what the schema document does not
+// carry (schemaio has no evolution log, but /schema serves it).
+type snapshotMeta struct {
+	WALSeq       uint64               `json:"walSeq"`
+	EvolutionLog []evolution.LogEntry `json:"evolutionLog,omitempty"`
 }
 
-// warmModeFile is one cached mode's serialized MappedTable. Payload is
-// the schemaio mapped-table binary encoding (base64 inside the JSON
-// envelope); CRC is crc32.ChecksumIEEE over the raw payload bytes.
-type warmModeFile struct {
-	Mode    string `json:"mode"`
-	CRC     uint32 `json:"crc"`
-	Payload []byte `json:"payload"`
+// snapshotSections is a container taken apart, payloads still encoded.
+// A warm payload is nil when its section failed its CRC.
+type snapshotSections struct {
+	meta             snapshotMeta
+	structure, facts []byte
+	warm             [][]byte
 }
 
-// snapshotLogEntry mirrors evolution.LogEntry with stable JSON names.
-type snapshotLogEntry struct {
-	Seq         int      `json:"seq"`
-	Description string   `json:"description"`
-	Touched     []string `json:"touched,omitempty"`
-}
-
-func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016d.json", seq) }
+func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016d%s", seq, snapshotExt) }
 func walName(seq uint64) string      { return fmt.Sprintf("wal-%016d.log", seq) }
 
 // seqOfName extracts the sequence number from a snapshot or WAL file
@@ -77,110 +83,180 @@ func seqOfName(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// encodeSnapshot renders the snapshot envelope for a schema and its
-// evolution log. The bytes are deterministic for a given schema state:
-// schemaio emits dimensions, versions, relationships, mappings and
-// facts in insertion order, the warm section sorts by mode key and the
-// mapped-table codec preserves tuple order, and the envelope adds no
-// timestamps. With warm set, every completed mode of the schema's MVFT
-// cache is carried; a cold cache yields no warm section at all.
-func encodeSnapshot(sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) ([]byte, error) {
-	var schemaDoc bytes.Buffer
-	if err := schemaio.Write(&schemaDoc, sch); err != nil {
-		return nil, fmt.Errorf("store: snapshot schema: %w", err)
+// encodeSnapshot streams the snapshot container for a schema and its
+// evolution log through bw and flushes it. The bytes are deterministic
+// for a given schema state: schemaio emits dimensions, versions,
+// relationships, mappings and facts in insertion order, the warm
+// sections sort by mode key and the mapped-table codec preserves tuple
+// order, and nothing carries a timestamp. With warm set, every
+// completed mode of the schema's MVFT cache is carried; a cold cache
+// yields no warm section at all.
+func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) error {
+	meta, err := json.Marshal(snapshotMeta{WALSeq: walSeq, EvolutionLog: log})
+	if err != nil {
+		return fmt.Errorf("store: snapshot meta: %w", err)
 	}
-	out := snapshotFile{Format: snapshotFormat, WALSeq: walSeq, Schema: schemaDoc.Bytes()}
-	for _, e := range log {
-		se := snapshotLogEntry{Seq: e.Seq, Description: e.Description}
-		for _, id := range e.Touched {
-			se.Touched = append(se.Touched, string(id))
-		}
-		out.EvolutionLog = append(out.EvolutionLog, se)
+	var structure bytes.Buffer
+	if err := schemaio.WriteStructure(&structure, sch); err != nil {
+		return fmt.Errorf("store: snapshot schema: %w", err)
 	}
+	// A bufio.Writer's first error sticks and Flush returns it, so the
+	// writes below go unchecked; a payload larger than the buffer passes
+	// straight through to the file.
+	count := uint32(0)
+	section := func(kind byte, payload []byte) {
+		var head [sectionHeaderSize]byte
+		head[0] = kind
+		binary.LittleEndian.PutUint64(head[1:], uint64(len(payload)))
+		sum := crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, payload)
+		bw.Write(head[:])
+		bw.Write(payload)
+		bw.Write(binary.LittleEndian.AppendUint32(nil, sum))
+		count++
+	}
+	bw.WriteString(snapshotMagic)
+	section(secMeta, meta)
+	section(secStructure, structure.Bytes())
+	section(secFacts, schemaio.EncodeFacts(sch))
 	if warm {
 		for _, exp := range sch.ExportWarmModes() {
 			payload, err := schemaio.EncodeMappedTable(exp)
 			if err != nil {
-				return nil, fmt.Errorf("store: snapshot warm mode %s: %w", exp.ModeKey, err)
+				return fmt.Errorf("store: snapshot warm mode %s: %w", exp.ModeKey, err)
 			}
-			out.Warm = append(out.Warm, warmModeFile{
-				Mode:    exp.ModeKey,
-				CRC:     crc32.ChecksumIEEE(payload),
-				Payload: payload,
-			})
+			section(secWarm, payload)
 		}
 	}
-	return json.MarshalIndent(out, "", " ")
+	section(secEnd, binary.LittleEndian.AppendUint32(nil, count))
+	return bw.Flush()
 }
 
-// writeSnapshot durably writes the snapshot for walSeq into dir:
-// temp file → fsync → rename → fsync(dir).
-func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) (string, error) {
-	data, err := encodeSnapshot(sch, log, walSeq, warm)
-	if err != nil {
-		return "", err
-	}
+// writeSnapshot durably writes the snapshot for walSeq into dir — temp
+// file → fsync → rename → fsync(dir) — and returns its size. No error
+// path leaves the temp file behind.
+func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) (size int64, err error) {
 	final := filepath.Join(dir, snapshotName(walSeq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return "", err
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	start := time.Now()
+	if err := encodeSnapshot(bufio.NewWriterSize(f, 256<<10), sch, log, walSeq, warm); err != nil {
+		return 0, err
 	}
+	metSnapshotStageSeconds.With("write").Observe(time.Since(start).Seconds())
+	start = time.Now()
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", err
+		return 0, err
+	}
+	if size, err = f.Seek(0, io.SeekCurrent); err != nil {
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return "", err
+		return 0, err
 	}
 	if err := os.Rename(tmp, final); err != nil {
-		return "", err
+		return 0, err
 	}
 	if err := syncDir(dir); err != nil {
-		return "", err
+		return 0, err
 	}
-	return final, nil
+	metSnapshotStageSeconds.With("sync").Observe(time.Since(start).Seconds())
+	return size, nil
 }
 
-// readSnapshot loads and validates one snapshot file. The returned
-// warm list (if any) is unverified: callers CRC-check and decode each
+// openSnapshot takes a container apart, checking everything that makes
+// it readable — magic, framing, section order, end marker, the CRC of
+// every section but the warm ones — and decoding only the meta section.
+// Warm payloads come back otherwise unverified: callers decode each
 // mode individually, so a corrupt mode degrades to a cold rebuild of
 // that mode rather than an unreadable snapshot.
-func readSnapshot(path string) (*core.Schema, []evolution.LogEntry, uint64, []warmModeFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, 0, nil, err
+func openSnapshot(data []byte) (*snapshotSections, error) {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return nil, fmt.Errorf("not a snapshot container (bad magic)")
 	}
-	return decodeSnapshot(data, path)
+	var c snapshotSections
+	rest := data[len(snapshotMagic):]
+	for i := 0; ; i++ {
+		if len(rest) < sectionHeaderSize+sectionCRCSize {
+			return nil, fmt.Errorf("truncated: no end marker after %d sections", i)
+		}
+		kind, n := rest[0], binary.LittleEndian.Uint64(rest[1:])
+		if n > uint64(len(rest)-sectionHeaderSize-sectionCRCSize) {
+			return nil, fmt.Errorf("truncated: section %d claims %d bytes, %d remain", i, n, len(rest))
+		}
+		end := sectionHeaderSize + int(n)
+		payload := rest[sectionHeaderSize:end]
+		intact := crc32.ChecksumIEEE(rest[:end]) == binary.LittleEndian.Uint32(rest[end:])
+		rest = rest[end+sectionCRCSize:]
+		want := secWarm
+		if i < 3 {
+			want = secMeta + byte(i)
+		}
+		switch {
+		case kind == secEnd && i >= 3:
+			if !intact || len(payload) != 4 || binary.LittleEndian.Uint32(payload) != uint32(i) || len(rest) != 0 {
+				return nil, fmt.Errorf("bad end marker after %d sections (%d bytes follow it)", i, len(rest))
+			}
+			return &c, nil
+		case kind != want:
+			return nil, fmt.Errorf("section %d has kind %d, want %d", i, kind, want)
+		case kind == secWarm && !intact:
+			c.warm = append(c.warm, nil)
+		case kind == secWarm:
+			c.warm = append(c.warm, payload)
+		case !intact:
+			return nil, fmt.Errorf("section %d (kind %d) failed its CRC", i, kind)
+		case kind == secMeta:
+			if err := json.Unmarshal(payload, &c.meta); err != nil {
+				return nil, fmt.Errorf("meta: %w", err)
+			}
+		case kind == secStructure:
+			c.structure = payload
+		default:
+			c.facts = payload
+		}
+	}
 }
 
-// decodeSnapshot parses a snapshot envelope from memory; name labels
-// errors (a file path, or the bootstrap URL a replica fetched from).
-func decodeSnapshot(data []byte, name string) (*core.Schema, []evolution.LogEntry, uint64, []warmModeFile, error) {
-	var in snapshotFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, nil, 0, nil, fmt.Errorf("store: snapshot %s: %w", name, err)
+// decodeSnapshot rebuilds the warehouse from a snapshot container held
+// in memory and returns it with the evolution log, the covered WAL
+// sequence and the warm payloads; name labels errors (a file path, or
+// the bootstrap URL a replica fetched from).
+func decodeSnapshot(data []byte, name string) (*core.Schema, []evolution.LogEntry, uint64, [][]byte, error) {
+	c, err := openSnapshot(data)
+	var sch *core.Schema
+	if err == nil {
+		sch, err = schemaio.Read(bytes.NewReader(c.structure))
 	}
-	if in.Format < oldestSnapshotFormat || in.Format > snapshotFormat {
-		return nil, nil, 0, nil, fmt.Errorf("store: snapshot %s: unsupported format %d", name, in.Format)
+	if err == nil {
+		err = schemaio.DecodeFacts(c.facts, sch)
 	}
-	sch, err := schemaio.Read(bytes.NewReader(in.Schema))
 	if err != nil {
 		return nil, nil, 0, nil, fmt.Errorf("store: snapshot %s: %w", name, err)
 	}
-	var log []evolution.LogEntry
-	for _, se := range in.EvolutionLog {
-		e := evolution.LogEntry{Seq: se.Seq, Description: se.Description}
-		for _, id := range se.Touched {
-			e.Touched = append(e.Touched, core.MVID(id))
-		}
-		log = append(log, e)
+	return sch, c.meta.EvolutionLog, c.meta.WALSeq, c.warm, nil
+}
+
+// LoadSchema reads a warehouse file for the command-line tools: a
+// snapshot container (told by its magic) or a schemaio JSON document.
+func LoadSchema(path string) (*core.Schema, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return sch, log, in.WALSeq, in.Warm, nil
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return schemaio.Read(bytes.NewReader(data))
+	}
+	sch, _, _, _, err := decodeSnapshot(data, path)
+	return sch, err
 }
 
 // listBySeq returns the files in dir matching prefix/suffix, sorted by

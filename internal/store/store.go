@@ -22,7 +22,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -134,9 +133,14 @@ type Store struct {
 	walSize int64  // committed bytes of walPath (never covers a rolled-back frame)
 	seq     uint64 // last appended (or replayed) record
 	snapSeq uint64 // sequence covered by the latest snapshot
-	dirty   bool   // unsynced appends pending (interval policy)
-	closed  bool
-	stats   RecoveryStats
+	// snapTried is the sequence at which Snapshot last ran, successfully
+	// or not: after a failure the next automatic snapshot is due
+	// SnapshotEvery records later, not on the very next append.
+	snapTried uint64
+	snapBytes int64 // size of the latest snapshot file
+	dirty     bool  // unsynced appends pending (interval policy)
+	closed    bool
+	stats     RecoveryStats
 	// appendCh is closed and replaced on every committed append (and on
 	// Close), waking WAL stream readers; never nil.
 	appendCh chan struct{}
@@ -180,6 +184,7 @@ func Open(dir string, seed *core.Schema, opts Options) (*Store, *core.Schema, *e
 	metRecoverySeconds.Observe(st.stats.Duration.Seconds())
 	metWALLastSeq.Set(int64(st.seq))
 	metWALSinceSnapshot.Set(int64(st.seq - st.snapSeq))
+	metSnapshotBytes.Set(st.snapBytes)
 
 	st.compactLocked()
 
@@ -211,9 +216,14 @@ func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, 
 	// Warm restore runs before WAL replay so the replayed fact batches
 	// delta-fold into the restored tables via WarmFrom, exactly like the
 	// live clone-swap path.
+	// Every failure there — CRC mismatch, codec corruption, structural-
+	// signature drift — is per mode: that mode is logged, counted and
+	// skipped, and rebuilds cold on first use; recovery never fails on it.
 	if len(warm) > 0 {
 		_, span = obs.StartSpan(ctx, "warm_restore")
-		st.restoreWarm(sch, warm, span)
+		st.stats.WarmModes = restoreWarmModes(sch, warm, st.logger)
+		span.SetAttr("restored", len(st.stats.WarmModes))
+		span.SetAttr("skipped", len(warm)-len(st.stats.WarmModes))
 		span.End()
 	}
 
@@ -233,64 +243,75 @@ func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, 
 }
 
 // loadLatestSnapshot picks the newest readable snapshot, or falls back
-// to the seed schema when none exists.
-func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, []evolution.LogEntry, []warmModeFile, error) {
-	names, _, err := listBySeq(st.dir, "snapshot-", ".json")
+// to the seed schema when none exists. Falling back is only sound if
+// the WAL still reaches back far enough; replayWAL checks that.
+func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, []evolution.LogEntry, [][]byte, error) {
+	names, _, err := listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("store: %w", err)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(st.dir, names[i])
-		sch, log, seq, warm, err := readSnapshot(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
-		st.snapSeq, st.seq = seq, seq
+		sch, log, seq, warm, err := decodeSnapshot(data, path)
+		if err != nil {
+			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
+			continue
+		}
+		st.snapSeq, st.seq, st.snapBytes = seq, seq, int64(len(data))
 		st.stats.SnapshotSeq, st.stats.SnapshotPath = seq, path
 		return sch, log, warm, nil
 	}
 	if seed == nil {
-		return nil, nil, nil, fmt.Errorf("store: %s has no snapshot and no seed schema was given", st.dir)
+		return nil, nil, nil, fmt.Errorf("store: %s has no readable snapshot%s and no seed schema was given", st.dir, st.unloadedSnapshots())
 	}
 	return seed, nil, nil, nil
 }
 
-// restoreWarm rehydrates the snapshot's warm section into the
-// recovered schema's MVFT cache. Every failure — CRC mismatch, codec
-// corruption, structural-signature drift — is per mode: that mode is
-// logged, counted and skipped, and rebuilds cold on first use; the
-// recovery itself never fails here.
-func (st *Store) restoreWarm(sch *core.Schema, warm []warmModeFile, span *obs.Span) {
-	st.stats.WarmModes = restoreWarmModes(sch, warm, st.logger)
-	span.SetAttr("restored", len(st.stats.WarmModes))
-	span.SetAttr("skipped", len(warm)-len(st.stats.WarmModes))
+// unloadedSnapshots names, for a refusal message, every snapshot-* file
+// in the directory that recovery did not load: unreadable containers,
+// and files in a format this build does not read.
+func (st *Store) unloadedSnapshots() string {
+	paths, _ := filepath.Glob(filepath.Join(st.dir, "snapshot-*"))
+	var names []string
+	for _, path := range paths {
+		if path != st.stats.SnapshotPath && !strings.HasSuffix(path, ".tmp") {
+			names = append(names, filepath.Base(path))
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	return " (not loaded: " + strings.Join(names, ", ") + ")"
 }
 
 // restoreWarmModes is the warm-restore core shared by crash recovery
-// and replica bootstrap: validate and import each warm mode payload,
+// and replica bootstrap: validate and import each warm section,
 // returning the keys of the modes restored.
-func restoreWarmModes(sch *core.Schema, warm []warmModeFile, logger *slog.Logger) []string {
+func restoreWarmModes(sch *core.Schema, warm [][]byte, logger *slog.Logger) []string {
 	var restored []string
-	for _, wm := range warm {
-		if got := crc32.ChecksumIEEE(wm.Payload); got != wm.CRC {
-			logger.Warn("store: warm mode failed CRC check, rebuilding cold",
-				"mode", wm.Mode, "want", wm.CRC, "got", got)
+	for i, payload := range warm {
+		if payload == nil {
+			logger.Warn("store: warm section failed CRC check, rebuilding that mode cold", "section", i)
 			metWarmSkipped.Inc()
 			continue
 		}
-		exp, err := schemaio.DecodeMappedTable(wm.Payload)
+		exp, err := schemaio.DecodeMappedTable(payload)
 		if err != nil {
-			logger.Warn("store: warm mode undecodable, rebuilding cold", "mode", wm.Mode, "err", err)
+			logger.Warn("store: warm section undecodable, rebuilding that mode cold", "section", i, "err", err)
 			metWarmSkipped.Inc()
 			continue
 		}
 		if err := sch.ImportWarmMode(exp); err != nil {
-			logger.Warn("store: warm mode rejected, rebuilding cold", "mode", wm.Mode, "err", err)
+			logger.Warn("store: warm mode rejected, rebuilding cold", "mode", exp.ModeKey, "err", err)
 			metWarmSkipped.Inc()
 			continue
 		}
-		restored = append(restored, wm.Mode)
+		restored = append(restored, exp.ModeKey)
 		metWarmRestored.Inc()
 	}
 	return restored
@@ -303,11 +324,25 @@ func restoreWarmModes(sch *core.Schema, warm []warmModeFile, logger *slog.Logger
 // anywhere else is an error. The surviving WAL file is reopened for
 // appending.
 func (st *Store) replayWAL(sch *core.Schema, applier *evolution.Applier, span *obs.Span) (*core.Schema, *evolution.Applier, error) {
-	names, _, err := listBySeq(st.dir, "wal-", ".log")
+	names, seqs, err := listBySeq(st.dir, "wal-", ".log")
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	expected := st.snapSeq + 1
+	// A WAL file's name carries its first sequence: a log that starts
+	// past the loaded snapshot has a hole even while it holds no record
+	// (the tail is empty right after every snapshot), and so has a
+	// directory whose only trace of its history is a snapshot that did
+	// not load. Booting the seed over either drops acknowledged writes.
+	if len(names) > 0 && seqs[0] > expected {
+		return nil, nil, fmt.Errorf("store: %s: missing WAL records %d..%d%s",
+			filepath.Join(st.dir, names[0]), expected, seqs[0]-1, st.unloadedSnapshots())
+	}
+	if len(names) == 0 && st.stats.SnapshotPath == "" {
+		if other := st.unloadedSnapshots(); other != "" {
+			return nil, nil, fmt.Errorf("store: %s has no WAL and no readable snapshot%s", st.dir, other)
+		}
+	}
 	var lastScan *walScan
 	var lastPath string
 	for i, name := range names {
@@ -591,7 +626,7 @@ func (st *Store) append(typ string, data json.RawMessage) (uint64, bool, error) 
 	metWALLastSeq.Set(int64(st.seq))
 	metWALSinceSnapshot.Set(int64(st.seq - st.snapSeq))
 
-	due := st.opts.SnapshotEvery > 0 && st.seq-st.snapSeq >= uint64(st.opts.SnapshotEvery)
+	due := st.opts.SnapshotEvery > 0 && st.seq-max(st.snapSeq, st.snapTried) >= uint64(st.opts.SnapshotEvery)
 	return st.seq, due, nil
 }
 
@@ -659,7 +694,9 @@ func (st *Store) flushLoop() {
 // Snapshot durably freezes the given schema and evolution log at the
 // current WAL position, then rotates and compacts the log: a fresh WAL
 // file is started and older WAL files and snapshots are deleted. The
-// trigger labels the snapshot metric ("auto", "admin", ...).
+// trigger labels the snapshot metric ("auto", "admin", ...). A failed
+// snapshot loses nothing — the WAL still holds every record — and the
+// next automatic one is due SnapshotEvery records later.
 func (st *Store) Snapshot(sch *core.Schema, log []evolution.LogEntry, trigger string) (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -668,9 +705,12 @@ func (st *Store) Snapshot(sch *core.Schema, log []evolution.LogEntry, trigger st
 	}
 	start := time.Now()
 	seq := st.seq
-	if _, err := writeSnapshot(st.dir, sch, log, seq, st.opts.SnapshotWarm); err != nil {
+	st.snapTried = seq
+	size, err := writeSnapshot(st.dir, sch, log, seq, st.opts.SnapshotWarm)
+	if err != nil {
 		return 0, fmt.Errorf("store: snapshot: %w", err)
 	}
+	rotate := time.Now()
 	newPath := filepath.Join(st.dir, walName(seq+1))
 	if newPath != st.walPath {
 		f, err := createWAL(newPath)
@@ -684,22 +724,27 @@ func (st *Store) Snapshot(sch *core.Schema, log []evolution.LogEntry, trigger st
 		st.wal.Close() // superseded; its records are inside the snapshot
 		st.wal, st.walPath, st.walSize, st.dirty = f, newPath, int64(len(walMagic)), false
 	}
-	st.snapSeq = seq
+	st.snapSeq, st.snapBytes = seq, size
+	compact := time.Now()
+	metSnapshotStageSeconds.With("rotate").Observe(compact.Sub(rotate).Seconds())
 	st.compactLocked()
+	metSnapshotStageSeconds.With("compact").Observe(time.Since(compact).Seconds())
 
 	dur := time.Since(start)
 	metSnapshots.With(trigger).Inc()
 	metSnapshotSeconds.Observe(dur.Seconds())
+	metSnapshotBytes.Set(size)
 	metWALSinceSnapshot.Set(0)
-	st.logger.Info("store snapshot taken", "seq", seq, "trigger", trigger,
+	st.logger.Info("store snapshot taken", "seq", seq, "trigger", trigger, "bytes", size,
 		"ms", float64(dur)/float64(time.Millisecond))
 	return seq, nil
 }
 
-// compactLocked deletes WAL files other than the current one and
-// snapshots older than the latest; the caller holds st.mu (or is
-// inside Open, before the store is published). Deletion failures are
-// logged, never fatal — stale files are re-collected next time.
+// compactLocked deletes WAL files other than the current one, snapshots
+// older than the latest and stale snapshot temp files; the caller holds
+// st.mu (or is inside Open, before the store is published). Deletion
+// failures are logged, never fatal — stale files are re-collected next
+// time.
 func (st *Store) compactLocked() {
 	names, seqs, err := listBySeq(st.dir, "wal-", ".log")
 	if err == nil {
@@ -711,7 +756,7 @@ func (st *Store) compactLocked() {
 			}
 		}
 	}
-	names, seqs, err = listBySeq(st.dir, "snapshot-", ".json")
+	names, seqs, err = listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err == nil {
 		for i, name := range names {
 			if seqs[i] < st.snapSeq {
@@ -719,6 +764,14 @@ func (st *Store) compactLocked() {
 					st.logger.Warn("store: compaction could not remove snapshot", "name", name, "err", err)
 				}
 			}
+		}
+	}
+	// A snapshot removes its own temp file when it fails and runs under
+	// the same mutex as this, so one that exists was left by a crash.
+	tmps, _ := filepath.Glob(filepath.Join(st.dir, "snapshot-*.tmp"))
+	for _, path := range tmps {
+		if err := os.Remove(path); err != nil {
+			st.logger.Warn("store: compaction could not remove stale snapshot temp file", "path", path, "err", err)
 		}
 	}
 	_ = syncDir(st.dir)
@@ -736,6 +789,14 @@ func (st *Store) SnapshotSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.snapSeq
+}
+
+// SnapshotBytes returns the size of the latest snapshot file, 0 before
+// the first one.
+func (st *Store) SnapshotBytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.snapBytes
 }
 
 // RecoveryStats reports what Open did.

@@ -23,7 +23,7 @@ func quietLog() *slog.Logger {
 }
 
 // seedSchema builds the full ICDE 2003 case study fixture.
-func seedSchema(t *testing.T) *core.Schema {
+func seedSchema(t testing.TB) *core.Schema {
 	t.Helper()
 	s, err := casestudy.New(casestudy.Config{WithFacts: true, WithSplitMappings: true})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestSnapshotRotateCompact(t *testing.T) {
 	}
 
 	// Exactly one snapshot and one (fresh) WAL file remain.
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
 	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if len(snaps) != 1 || len(wals) != 1 {
 		t.Fatalf("files after snapshot = %v %v", snaps, wals)

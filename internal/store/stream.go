@@ -239,9 +239,11 @@ func readFrameAt(f *os.File, path string, off, limit int64) ([]byte, uint64, err
 
 // LatestSnapshotBytes returns the raw bytes of the newest readable
 // snapshot and the WAL sequence it covers — the follower bootstrap
-// payload. It validates only the envelope, not the schema document.
+// payload. It checks what makes a container readable (magic, framing,
+// end marker, the CRC of every section but the warm ones) and decodes
+// only the meta section.
 func (st *Store) LatestSnapshotBytes() ([]byte, uint64, error) {
-	names, _, err := listBySeq(st.dir, "snapshot-", ".json")
+	names, _, err := listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -250,14 +252,9 @@ func (st *Store) LatestSnapshotBytes() ([]byte, uint64, error) {
 		if err != nil {
 			continue
 		}
-		var in snapshotFile
-		if err := json.Unmarshal(data, &in); err != nil {
-			continue
+		if c, err := openSnapshot(data); err == nil {
+			return data, c.meta.WALSeq, nil
 		}
-		if in.Format < oldestSnapshotFormat || in.Format > snapshotFormat {
-			continue
-		}
-		return data, in.WALSeq, nil
 	}
 	return nil, 0, fmt.Errorf("store: no readable snapshot in %s", st.dir)
 }

@@ -2,10 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -151,8 +148,9 @@ func TestCrashRecoveryWarmSnapshotThenWALTail(t *testing.T) {
 }
 
 // TestCrashRecoveryWarmCorruptModeDegradesCold flips one byte in one
-// mode's payload: only that mode rebuilds cold; every other mode stays
-// warm, and answers are still exactly the cold-rebuild answers.
+// warm section's payload: only that mode rebuilds cold; every other
+// mode stays warm, and answers are still exactly the cold-rebuild
+// answers.
 func TestCrashRecoveryWarmCorruptModeDegradesCold(t *testing.T) {
 	dir := t.TempDir()
 	st, _, _ := buildWarmWarehouse(t, dir)
@@ -162,28 +160,24 @@ func TestCrashRecoveryWarmCorruptModeDegradesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %v", snaps)
+	path, data := soleSnapshot(t, dir)
+	secs := sectionSpans(t, data)
+	var warm []sectionSpan
+	for _, sec := range secs {
+		if sec.kind == secWarm {
+			warm = append(warm, sec)
+		}
 	}
-	data, err := os.ReadFile(snaps[0])
+	if len(warm) < 4 {
+		t.Fatalf("snapshot carries %d warm sections, want >= 4", len(warm))
+	}
+	exp, err := schemaio.DecodeMappedTable(data[warm[1].payload:warm[1].crc])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in snapshotFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Warm) < 4 {
-		t.Fatalf("snapshot carries %d warm modes, want >= 4", len(in.Warm))
-	}
-	corrupted := in.Warm[1].Mode
-	in.Warm[1].Payload[len(in.Warm[1].Payload)/2] ^= 0xFF
-	data, err = json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+	corrupted := exp.ModeKey
+	data[(warm[1].payload+warm[1].crc)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,14 +186,14 @@ func TestCrashRecoveryWarmCorruptModeDegradesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	warm := st2.RecoveryStats().WarmModes
-	for _, m := range warm {
+	got := st2.RecoveryStats().WarmModes
+	for _, m := range got {
 		if m == corrupted {
 			t.Fatalf("corrupt mode %s reported warm", m)
 		}
 	}
-	if len(warm) != len(in.Warm)-1 {
-		t.Errorf("WarmModes = %v, want the %d uncorrupted modes", warm, len(in.Warm)-1)
+	if len(got) != len(warm)-1 {
+		t.Errorf("WarmModes = %v, want the %d uncorrupted modes", got, len(warm)-1)
 	}
 	if _, err := sch2.MultiVersion().All(); err != nil {
 		t.Fatal(err)
@@ -207,144 +201,15 @@ func TestCrashRecoveryWarmCorruptModeDegradesCold(t *testing.T) {
 	if builds := sch2.MultiVersion().Materializations(); builds != 1 {
 		t.Errorf("materializations = %d, want exactly the corrupted mode", builds)
 	}
-	got := warmExports(t, sch2)
-	cold := coldExports(t, sch2)
-	if !reflect.DeepEqual(got, cold) {
+	if !reflect.DeepEqual(warmExports(t, sch2), coldExports(t, sch2)) {
 		t.Error("degraded warm restart differs from a cold rebuild")
 	}
 }
 
-// TestV1MappedCodecSnapshotRecovers rewrites every warm payload of a
-// snapshot in the legacy MVMT01 row-major framing (as a snapshot
-// written before the codec bump would carry): recovery must restore
-// every mode warm — zero materializations — with tables byte-identical
-// to a cold rebuild. This is the format-1→2 mapped-codec regression.
-func TestV1MappedCodecSnapshotRecovers(t *testing.T) {
-	dir := t.TempDir()
-	_, sch, _ := buildWarmWarehouse(t, dir) // store abandoned: simulated SIGKILL
-	want := warmExports(t, sch)
-
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %v", snaps)
-	}
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in snapshotFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Warm) < 4 {
-		t.Fatalf("snapshot carries %d warm modes, want >= 4", len(in.Warm))
-	}
-	for i := range in.Warm {
-		exp, err := schemaio.DecodeMappedTable(in.Warm[i].Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := schemaio.EncodeMappedTableV1(exp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(v1, in.Warm[i].Payload) {
-			t.Fatalf("mode %s: v1 re-encoding identical to v2 payload", in.Warm[i].Mode)
-		}
-		in.Warm[i].Payload = v1
-		in.Warm[i].CRC = crc32.ChecksumIEEE(v1)
-	}
-	data, err = json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, sch2, _, err := Open(dir, nil, Options{Logger: quietLog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.RecoveryStats().WarmModes; len(got) != len(in.Warm) {
-		t.Fatalf("WarmModes = %v, want all %d modes from the v1 payloads", got, len(in.Warm))
-	}
-	if _, err := sch2.MultiVersion().All(); err != nil {
-		t.Fatal(err)
-	}
-	if builds := sch2.MultiVersion().Materializations(); builds != 0 {
-		t.Errorf("v1-payload warm restart performed %d materializations, want 0", builds)
-	}
-	got := warmExports(t, sch2)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("v1-payload warm restore differs from the original tables")
-	}
-	cold := coldExports(t, sch2)
-	if !reflect.DeepEqual(got, cold) {
-		t.Error("v1-payload warm restore differs from a cold rebuild")
-	}
-}
-
-// TestOldFormatSnapshotRecovers rewrites the snapshot as a PR 3
-// format-1 envelope (no warm section): recovery must load it cleanly
-// with zero warm modes — the format bump is backward compatible.
-func TestOldFormatSnapshotRecovers(t *testing.T) {
-	dir := t.TempDir()
-	st, sch, _ := buildWarmWarehouse(t, dir)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := schemaBytes(t, sch)
-
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in snapshotFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		t.Fatal(err)
-	}
-	in.Format = 1
-	in.Warm = nil
-	data, err = json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot from a future format must be skipped, not fatal: the
-	// older readable snapshot is the fallback.
-	future, err := json.Marshal(snapshotFile{Format: snapshotFormat + 1, WALSeq: 99, Schema: in.Schema})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(99)), future, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, sch2, _, err := Open(dir, nil, Options{Logger: quietLog()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.RecoveryStats().SnapshotSeq != 1 {
-		t.Errorf("snapshotSeq = %d, want fallback to the format-1 snapshot", st2.RecoveryStats().SnapshotSeq)
-	}
-	if warm := st2.RecoveryStats().WarmModes; len(warm) != 0 {
-		t.Errorf("format-1 snapshot restored warm modes %v", warm)
-	}
-	if got := schemaBytes(t, sch2); !bytes.Equal(got, want) {
-		t.Error("format-1 snapshot recovered a different schema")
-	}
-}
-
 // TestSnapshotEnvelopeDeterministic snapshots the same state twice and
-// compares the envelopes byte for byte — the CI determinism guard. A
-// nondeterministic codec would silently break the byte-identical
-// warm-restore guarantee.
+// compares the containers byte for byte, with and without the warm
+// sections. A nondeterministic codec would silently break the
+// byte-identical warm-restore guarantee.
 func TestSnapshotEnvelopeDeterministic(t *testing.T) {
 	st, sch, ap, err := Open(t.TempDir(), seedSchema(t), Options{SnapshotWarm: true, Logger: quietLog()})
 	if err != nil {
@@ -355,25 +220,19 @@ func TestSnapshotEnvelopeDeterministic(t *testing.T) {
 	if _, err := sch.MultiVersion().All(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := encodeSnapshot(sch, ap.Log(), 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := encodeSnapshot(sch, ap.Log(), 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("two snapshots of the same state differ byte for byte")
-	}
-	coldOnly, err := encodeSnapshot(sch, ap.Log(), 7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(coldOnly, []byte(`"warm"`)) {
-		t.Error("warm=false envelope still carries a warm section")
-	}
-	if !bytes.Contains(a, []byte(`"warm"`)) {
-		t.Error("warm=true envelope carries no warm section")
+	for _, warm := range []bool{true, false} {
+		a, b := containerBytes(t, sch, ap.Log(), 7, warm), containerBytes(t, sch, ap.Log(), 7, warm)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("warm=%v: two snapshots of the same state differ byte for byte", warm)
+		}
+		n := 0
+		for _, sec := range sectionSpans(t, a) {
+			if sec.kind == secWarm {
+				n++
+			}
+		}
+		if want := len(sch.CachedModeKeys()); warm && n != want || !warm && n != 0 {
+			t.Errorf("warm=%v: container carries %d warm sections, schema has %d cached modes", warm, n, want)
+		}
 	}
 }
