@@ -28,9 +28,25 @@ COMMIT ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/internal/buildinfo.commit=$(COMMIT)"
 
 # Tier-1 verification: build + vet + full tests + race on the
-# concurrency-bearing core package, plus the benchmark module.
+# concurrency-bearing core package, plus the benchmark module and the
+# serving binary's import graph.
 .PHONY: verify
-verify: build vet test race benchmark-check
+verify: build vet deps-check test race benchmark-check
+
+# The reproduction tier and the load generators are outside the serving
+# binary's import graph: they exist for cmd/paper-tables and the
+# benchmarks and stay frozen. An import from the serving path would
+# make them something every serving change has to keep working.
+NOT_SERVED = rolap logical warehouse cube molap etl scd timedim bench workload
+.PHONY: deps-check
+deps-check:
+	@served=$$($(GO) list -deps ./cmd/mvolapd) || exit 1; \
+	for pkg in $(NOT_SERVED); do \
+		if echo "$$served" | grep -qx "mvolap/internal/$$pkg"; then \
+			echo "deps-check: cmd/mvolapd imports mvolap/internal/$$pkg (go list -deps ./cmd/mvolapd)"; bad=1; \
+		fi; \
+	done; \
+	test -z "$$bad"
 
 # benchmark/ is its own module (`replace mvolap => ../`), so the root
 # `./...` patterns never see it: without this step a rename of any of

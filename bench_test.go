@@ -1064,37 +1064,52 @@ func BenchmarkShardedSwap(b *testing.B) {
 // BenchmarkShardedScan measures steady-state query aggregation over
 // the ~100k-tuple materialized table: the columnar scan classifying
 // tuples straight out of the shard arrays, sequential vs parallel
-// classification (the fold is always sequential, so every worker
-// count returns bit-identical rows).
+// (every worker count returns bit-identical rows). The workers=N legs
+// are the rollup (one division level, year grain, tcm: 9 rows); drill
+// groups by the leaf level at quarter grain (34k rows: the fold, the
+// cell merge and the sort carry weight); version rolls up inside a
+// structure version, where one static rollup table serves every
+// instant.
 func BenchmarkShardedScan(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	s := ingestSchema(b, leaves, months)
-	q := core.Query{
+	rollup := core.Query{
 		GroupBy: []core.GroupBy{{Dim: "Org", Level: "Division"}},
 		Grain:   core.GrainYear,
 		Mode:    core.TCM(),
 	}
-	if _, err := s.Execute(q); err != nil {
-		b.Fatal(err)
-	}
+	drill := rollup
+	drill.GroupBy = []core.GroupBy{{Dim: "Org", Level: "Department"}}
+	drill.Grain = core.GrainQuarter
+	version := rollup
+	version.Mode = core.InVersion(s.VersionAt(temporal.Year(2003)))
 	counts := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		counts = append(counts, n)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s.SetMaterializeWorkers(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Execute(q)
-				if err != nil {
-					b.Fatal(err)
+	for _, leg := range []struct {
+		prefix string
+		q      core.Query
+	}{{"", rollup}, {"drill/", drill}, {"version/", version}} {
+		if _, err := s.Execute(leg.q); err != nil { // materialize the mode, build the rollup tables
+			b.Fatal(err)
+		}
+		for _, workers := range counts {
+			b.Run(fmt.Sprintf("%sworkers=%d", leg.prefix, workers), func(b *testing.B) {
+				s.SetMaterializeWorkers(workers)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := s.Execute(leg.q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Rows) == 0 {
+						b.Fatal("empty result")
+					}
 				}
-				if len(res.Rows) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

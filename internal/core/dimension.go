@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mvolap/internal/temporal"
 )
@@ -37,75 +36,15 @@ type Dimension struct {
 	// mutation required a manual Invalidate call).
 	onMutate func(from temporal.Instant)
 
-	// derived caches rollup structures (level assignments, ancestor
-	// sets) shared by every query over this dimension value, one
-	// sub-cache per instant. Clone shares the pointer — a clone's
-	// structure is content-identical to its base until mutated, and
-	// every mutation routes through notifyMutate, which moves the
-	// mutated dimension onto a new cache that keeps the sub-caches of
-	// the instants before the mutation window and drops the rest.
-	// Readers of still-shared generations (the base, and any fact-append
-	// clones) keep filling one warm cache; cached *MemberVersion
-	// ancestors may belong to an earlier generation's member copies,
-	// which is sound because rollup consumes only their content (ID,
-	// display name), never their identity.
+	// derived caches the rollup tables (one per instant and level, see
+	// rollupTable) shared by every query over this dimension value. Clone
+	// shares the pointer — a clone's structure is content-identical to its
+	// base until mutated, and every mutation routes through notifyMutate,
+	// which moves the mutated dimension onto a new cache that keeps the
+	// sub-caches of the instants before the mutation window and drops the
+	// rest. Readers of still-shared generations (the base, and any
+	// fact-append clones) keep filling one warm cache.
 	derived *dimDerived
-}
-
-// dimDerived is the detachable derived-rollup cache of one dimension
-// structure value; see the Dimension.derived field doc. The rollup of a
-// fact at instant t reads D(t) only (Definition 3), so the cache is cut
-// by instant: a mutation from instant f on leaves every sub-cache
-// before f valid.
-type dimDerived struct {
-	mu        sync.RWMutex
-	byInstant map[temporal.Instant]*instDerived
-}
-
-// instDerived caches the rollup structures of D(t) for one instant. It
-// may be shared by several generations' dimDerived (every generation
-// whose structure agrees at t), each filling it under its own lock.
-type instDerived struct {
-	mu     sync.RWMutex
-	levels map[MVID]string // nil until first computed
-	ancs   map[ancKey][]*MemberVersion
-}
-
-// at returns the sub-cache of instant t, creating it on first use.
-func (der *dimDerived) at(t temporal.Instant) *instDerived {
-	der.mu.RLock()
-	inst := der.byInstant[t]
-	der.mu.RUnlock()
-	if inst != nil {
-		return inst
-	}
-	der.mu.Lock()
-	defer der.mu.Unlock()
-	if inst = der.byInstant[t]; inst == nil {
-		if der.byInstant == nil {
-			der.byInstant = make(map[temporal.Instant]*instDerived)
-		}
-		inst = &instDerived{}
-		der.byInstant[t] = inst
-	}
-	return inst
-}
-
-// retainBefore returns a new cache sharing the sub-caches of every
-// instant before from — O(instants), whatever they hold — and none from
-// from on. temporal.Origin shares nothing.
-func (der *dimDerived) retainBefore(from temporal.Instant) *dimDerived {
-	der.mu.RLock()
-	defer der.mu.RUnlock()
-	out := &dimDerived{byInstant: make(map[temporal.Instant]*instDerived, len(der.byInstant))}
-	for t, inst := range der.byInstant {
-		if t < from {
-			out.byInstant[t] = inst
-		}
-	}
-	metRollupInstantsCarried.Add(int64(len(out.byInstant)))
-	metRollupInstantsDropped.Add(int64(len(der.byInstant) - len(out.byInstant)))
-	return out
 }
 
 // NewDimension creates an empty temporal dimension.
@@ -143,6 +82,7 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 	if mv.Level == "" || !d.HasExplicitLevels() {
 		from = temporal.Origin
 	}
+	mv.ord = int32(len(d.order))
 	d.members[mv.ID] = mv
 	d.order = append(d.order, mv.ID)
 	d.notifyMutate(from)
@@ -169,6 +109,14 @@ func (d *Dimension) notifyMutate(from temporal.Instant) {
 // AddRelationship inserts a temporal relationship. Definition 2 requires
 // the relationship's valid time to be included in the intersection of
 // the valid times of both member versions; violations are rejected.
+//
+// One edge is stored as maximal pieces: a relationship that overlaps or
+// is adjacent to stored pieces of the same edge extends the earliest of
+// them (and absorbs the others) instead of being appended. Restrict
+// wants one stored piece covering a structure version's whole interval,
+// while the version partition is decided per instant; an edge ended and
+// re-created in adjacent pieces (RECLASSIFY … FROM p TO p) would
+// otherwise drop out of a fresh restriction of a version it spans.
 func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 	child, ok := d.members[r.From]
 	if !ok {
@@ -189,10 +137,33 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 		return fmt.Errorf("core: dimension %s: relationship %s exceeds the intersection %v of its member validities",
 			d.ID, r, window)
 	}
-	idx := len(d.rels)
-	d.rels = append(d.rels, r)
-	d.parentRels[r.From] = append(d.parentRels[r.From], idx)
-	d.childRels[r.To] = append(d.childRels[r.To], idx)
+	// The union of touching pieces differs from what was stored only
+	// inside r.Valid, so the mutation window is r.Valid.Start either way.
+	first, absorbed := -1, false
+	for _, idx := range d.parentRels[r.From] {
+		piece := &d.rels[idx]
+		if piece.To != r.To || !(piece.Valid.Overlaps(r.Valid) || piece.Valid.Adjacent(r.Valid)) {
+			continue
+		}
+		if first < 0 {
+			first = idx
+			piece.Valid = piece.Valid.Hull(r.Valid)
+			continue
+		}
+		// r bridged two stored pieces: the first absorbs this one.
+		d.rels[first].Valid = d.rels[first].Valid.Hull(piece.Valid)
+		piece.Valid = temporal.Interval{Start: 1, End: 0}
+		absorbed = true
+	}
+	switch {
+	case first < 0:
+		idx := len(d.rels)
+		d.rels = append(d.rels, r)
+		d.parentRels[r.From] = append(d.parentRels[r.From], idx)
+		d.childRels[r.To] = append(d.childRels[r.To], idx)
+	case absorbed:
+		d.compactRels()
+	}
 	d.notifyMutate(r.Valid.Start)
 	return nil
 }
@@ -493,95 +464,6 @@ func (d *Dimension) LevelsAt(t temporal.Instant) []Level {
 	return out
 }
 
-// levelNamesIn returns the level name of every member version valid at
-// t, keyed by version ID: the rollup form of LevelsAt, skipping the
-// root-first level ordering that rollup never consults — which for
-// explicitly-levelled dimensions means skipping the depth computation
-// entirely. inst is the sub-cache of t; the map is cached there and
-// shared by concurrent queries, so callers must treat it as frozen.
-func (d *Dimension) levelNamesIn(inst *instDerived, t temporal.Instant) map[MVID]string {
-	inst.mu.RLock()
-	m := inst.levels
-	inst.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	m = make(map[MVID]string)
-	if d.HasExplicitLevels() {
-		for _, id := range d.order {
-			if mv := d.members[id]; mv.ValidAt(t) {
-				m[id] = mv.Level
-			}
-		}
-	} else {
-		// One shared depth memo across the members: each walk reuses the
-		// ancestors already resolved by earlier ones.
-		memo := make(map[MVID]int)
-		for _, id := range d.order {
-			if !d.members[id].ValidAt(t) {
-				continue
-			}
-			if dep, ok := d.depthAt(id, t, memo); ok {
-				m[id] = fmt.Sprintf("depth-%d", dep)
-			}
-		}
-	}
-	inst.mu.Lock()
-	if inst.levels != nil {
-		m = inst.levels // keep the first writer's map so readers share one value
-	} else {
-		inst.levels = m
-	}
-	inst.mu.Unlock()
-	return m
-}
-
-// ancestorsAtLevel returns the member versions at the named level
-// reachable upward from id in D(at), including id itself when it sits
-// at the level. Results are cached on the dimension; callers must
-// treat the returned slice as frozen.
-func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant) []*MemberVersion {
-	key := ancKey{id: id, level: level}
-	inst := d.derived.at(at)
-	inst.mu.RLock()
-	v, ok := inst.ancs[key]
-	inst.mu.RUnlock()
-	if ok {
-		return v
-	}
-	lm := d.levelNamesIn(inst, at)
-	var out []*MemberVersion
-	seen := make(map[MVID]bool)
-	var walk func(cur MVID)
-	walk = func(cur MVID) {
-		if seen[cur] {
-			return
-		}
-		seen[cur] = true
-		if lm[cur] == level {
-			if mv := d.members[cur]; mv != nil {
-				out = append(out, mv)
-			}
-			return
-		}
-		for _, p := range d.ParentsAt(cur, at) {
-			walk(p.ID)
-		}
-	}
-	walk(id)
-	inst.mu.Lock()
-	if inst.ancs == nil {
-		inst.ancs = make(map[ancKey][]*MemberVersion)
-	}
-	if prev, ok := inst.ancs[key]; ok {
-		out = prev
-	} else {
-		inst.ancs[key] = out
-	}
-	inst.mu.Unlock()
-	return out
-}
-
 // LevelOf returns the level name of the member version at t, using the
 // same strategy as LevelsAt.
 func (d *Dimension) LevelOf(id MVID, t temporal.Instant) string {
@@ -671,6 +553,7 @@ func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 		mv := d.members[id]
 		if mv.Valid.ContainsInterval(iv) {
 			cp := mv.Clone()
+			cp.ord = int32(len(out.order))
 			out.members[cp.ID] = cp
 			out.order = append(out.order, cp.ID)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -445,5 +446,64 @@ func TestMemberVersionCloneAttrs(t *testing.T) {
 	cp.Attrs["k"] = "changed"
 	if mv.Attrs["k"] != "v" {
 		t.Error("Clone must deep-copy attributes")
+	}
+}
+
+// TestAddRelationshipCoalescesSameEdge: one edge is stored as maximal
+// pieces. A piece adjacent to or overlapping a stored piece of the same
+// edge extends it; one that bridges two stored pieces leaves a single
+// piece; another parent's edge, or a piece with a gap, is appended.
+func TestAddRelationshipCoalescesSameEdge(t *testing.T) {
+	d := NewDimension("D", "D")
+	for _, id := range []MVID{"child", "p", "q"} {
+		if err := d.AddVersion(&MemberVersion{ID: id, Level: "L", Valid: temporal.Since(y(2000))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var windows []temporal.Instant
+	d.onMutate = func(from temporal.Instant) { windows = append(windows, from) }
+	add := func(to MVID, valid temporal.Interval) {
+		t.Helper()
+		if err := d.AddRelationship(TemporalRelationship{From: "child", To: to, Valid: valid}); err != nil {
+			t.Fatal(err)
+		}
+		if got := windows[len(windows)-1]; got != valid.Start {
+			t.Fatalf("mutation window %s after adding %v, want its start", got, valid)
+		}
+	}
+	pieces := func() string { return fmt.Sprint(d.Relationships()) }
+
+	add("p", temporal.Between(y(2000), ym(2000, 12)))
+	add("p", temporal.Between(y(2003), ym(2003, 12))) // a gap: its own piece
+	add("q", temporal.Between(y(2001), ym(2001, 12))) // adjacent in time, another edge
+	if got := len(d.Relationships()); got != 3 {
+		t.Fatalf("%d pieces, want 3: %s", got, pieces())
+	}
+	add("p", temporal.Between(y(2001), ym(2001, 6)))     // adjacent on the right of the first piece
+	add("p", temporal.Between(ym(2002, 6), ym(2003, 3))) // overlapping the second on its left
+	if got, want := pieces(), fmt.Sprint([]TemporalRelationship{
+		{From: "child", To: "p", Valid: temporal.Between(y(2000), ym(2001, 6))},
+		{From: "child", To: "p", Valid: temporal.Between(ym(2002, 6), ym(2003, 12))},
+		{From: "child", To: "q", Valid: temporal.Between(y(2001), ym(2001, 12))},
+	}); got != want {
+		t.Fatalf("pieces %s, want %s", got, want)
+	}
+	add("p", temporal.Between(ym(2001, 7), ym(2002, 5))) // bridges the two
+	if got, want := pieces(), fmt.Sprint([]TemporalRelationship{
+		{From: "child", To: "p", Valid: temporal.Between(y(2000), ym(2003, 12))},
+		{From: "child", To: "q", Valid: temporal.Between(y(2001), ym(2001, 12))},
+	}); got != want {
+		t.Fatalf("pieces %s, want %s", got, want)
+	}
+	// The indexes followed the compaction.
+	if got := d.ParentsAt("child", ym(2001, 9)); len(got) != 2 || got[0].ID != "p" || got[1].ID != "q" {
+		t.Fatalf("parents at 09/2001: %v", got)
+	}
+	if got := d.ChildrenAt("q", ym(2001, 9)); len(got) != 1 || got[0].ID != "child" {
+		t.Fatalf("children of q at 09/2001: %v", got)
+	}
+	// A restriction over an interval the re-created edge spans keeps it.
+	if got := d.Restrict(temporal.Between(ym(2000, 6), ym(2003, 6))).Relationships(); len(got) != 1 || got[0].To != "p" {
+		t.Fatalf("restriction lost the coalesced edge: %v", got)
 	}
 }

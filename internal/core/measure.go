@@ -69,7 +69,14 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the aggregate kind.
 func NewAccumulator(kind AggKind) *Accumulator {
-	return &Accumulator{kind: kind, minV: math.Inf(1), maxV: math.Inf(-1)}
+	a := emptyAccumulator(kind)
+	return &a
+}
+
+// emptyAccumulator is NewAccumulator by value, for accumulators kept in
+// a slab.
+func emptyAccumulator(kind AggKind) Accumulator {
+	return Accumulator{kind: kind, minV: math.Inf(1), maxV: math.Inf(-1)}
 }
 
 // Add folds a value into the aggregate. NaN values (unknown mappings)

@@ -35,6 +35,13 @@ type MemberVersion struct {
 	Level string
 	// Valid is the valid time [ti, tf] of this version.
 	Valid temporal.Interval
+
+	// ord is the version's dense ordinal: its position in the insertion
+	// order of the dimension that holds it. Dimension.AddVersion and
+	// Restrict assign it; Clone and renormalize keep the order and so
+	// the ordinal. Rollup tables and dice verdicts are arrays indexed
+	// by it.
+	ord int32
 }
 
 // DisplayName returns Name, falling back to Member.

@@ -83,4 +83,8 @@ var (
 	metRollupInstantsDropped = obs.Default().Counter(
 		"mvolap_rollup_cache_instants_dropped_total",
 		"Per-instant rollup sub-caches a mutated dimension dropped because their instant is inside the mutation window.")
+	metRollupTablesBuilt = obs.Default().CounterVec(
+		"mvolap_rollup_tables_built_total",
+		"Rollup tables built: one upward walk over every member version of a dimension, per (instant or structure version, level) on first use; a burst after an evolve is the rebuild of what the mutation window dropped.",
+		"dim")
 )

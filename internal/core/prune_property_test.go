@@ -49,7 +49,7 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 // path (zone-map pruning on, parallel classify and fold) returns
 // results bit-identical to the reference path (pruning disabled,
 // single worker). Every query runs in tcm and in a version mode, with
-// random ranges, grains and dices, so shard skipping, the dice memo,
+// random ranges, grains and dices, so shard skipping, the dice verdicts,
 // the shared rollup caches and the reused structure-version
 // restrictions all face the same answers as the naive scan.
 func TestPropertyPrunedCachedBitIdentical(t *testing.T) {

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"mvolap/internal/obs"
@@ -57,9 +58,8 @@ func bucketOf(g TimeGrain, t temporal.Instant) (key string, order int64) {
 	}
 }
 
-// bucketRef is a memoized bucketOf result. Fact instants repeat heavily
-// (a month of data is one instant), so the per-tuple rendering cost of
-// bucketOf collapses to a map probe.
+// bucketRef is a time bucket as bucketOf renders it. A scan renders it
+// once per (worker, instant) and refers to it by ordinal from then on.
 type bucketRef struct {
 	key   string
 	order int64
@@ -149,8 +149,15 @@ func (s *Schema) Execute(q Query) (*Result, error) {
 // materialization and aggregation stages check ctx inside their
 // per-fact loops (so a client disconnect or deadline stops work
 // promptly), and when ctx carries an obs trace the two stages record
-// "materialize" and "aggregate" spans with fact and row counts.
+// "materialize" and "aggregate" spans with fact and row counts, the
+// latter with one child span per stage of the scan (see executeOn).
+// The query is resolved against the schema first: an unknown measure,
+// dimension or level fails before anything is materialized.
 func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
+	plan, err := s.planScan(q)
+	if err != nil {
+		return nil, err
+	}
 	mctx, msp := obs.StartSpan(ctx, "materialize")
 	msp.SetAttr("mode", q.Mode.String())
 	mt, cached, err := s.MultiVersion().modeContext(mctx, q.Mode)
@@ -164,7 +171,7 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 		return nil, err
 	}
 	actx, asp := obs.StartSpan(ctx, "aggregate")
-	res, err := s.executeOn(actx, mt, q)
+	res, err := plan.executeOn(actx, mt)
 	if err == nil {
 		asp.SetAttr("rows", len(res.Rows))
 	}
@@ -172,14 +179,60 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	return res, err
 }
 
-func (s *Schema) executeOn(ctx context.Context, mt *MappedTable, q Query) (*Result, error) {
-	// Resolve measure selection.
-	mIdx := make([]int, 0, len(s.measures))
-	var mNames []string
+// scanPlan is a query resolved against the schema: what the stages of
+// the scan read, nothing any of them writes.
+type scanPlan struct {
+	s      *Schema
+	mode   Mode
+	grain  TimeGrain
+	rng    temporal.Interval
+	mIdx   []int // selected measures as schema measure positions
+	mNames []string
+	gNames []string
+	// dims lists each dimension an axis or a dice reads, once, with the
+	// structure it rolls up in.
+	dims  []scanDim
+	axes  []scanAxis
+	dices []scanDice
+}
+
+// scanDim is the graph one coordinate position rolls up in: the
+// structure version's restricted dimension in a version mode — static,
+// read at the version's start whatever the fact time — and D(t) of the
+// schema's dimension at each fact's instant in tcm.
+type scanDim struct {
+	pos    int
+	d      *Dimension
+	static bool
+	at     temporal.Instant
+}
+
+// scanAxis is a GROUP BY axis: a level of dims[dim].
+type scanAxis struct {
+	dim   int
+	level string
+}
+
+// scanDice is a filter: the display names a coordinate of dims[dim], or
+// one of its ancestors, must carry. Only a dice on a static dimension
+// may consult a shard zone's distinct-coordinate set for pruning (a
+// time-dependent verdict cannot disqualify a whole shard).
+type scanDice struct {
+	dim   int
+	names map[string]bool
+}
+
+// planScan resolves and validates the query's measures, axes and
+// filters against the schema.
+func (s *Schema) planScan(q Query) (*scanPlan, error) {
+	p := &scanPlan{s: s, mode: q.Mode, grain: q.Grain, rng: q.Range}
+	if p.rng == (temporal.Interval{}) {
+		p.rng = temporal.Always
+	}
 	if len(q.Measures) == 0 {
 		for i, m := range s.measures {
-			mIdx = append(mIdx, i)
-			mNames = append(mNames, m.Name)
+			p.mIdx = append(p.mIdx, i)
+			p.mNames = append(p.mNames, m.Name)
 		}
 	} else {
 		for _, name := range q.Measures {
@@ -187,44 +240,39 @@ func (s *Schema) executeOn(ctx context.Context, mt *MappedTable, q Query) (*Resu
 			if i < 0 {
 				return nil, fmt.Errorf("core: unknown measure %q", name)
 			}
-			mIdx = append(mIdx, i)
-			mNames = append(mNames, name)
+			p.mIdx = append(p.mIdx, i)
+			p.mNames = append(p.mNames, name)
 		}
 	}
-	// Resolve grouping dimensions.
-	type axis struct {
-		dimPos int
-		level  string
+	useDim := func(pos int) int {
+		for i := range p.dims {
+			if p.dims[i].pos == pos {
+				return i
+			}
+		}
+		sd := scanDim{pos: pos, d: s.dims[pos]}
+		if q.Mode.Kind == VersionKind && q.Mode.Version != nil {
+			if rd := q.Mode.Version.Dimension(sd.d.ID); rd != nil {
+				sd.d, sd.static, sd.at = rd, true, q.Mode.Version.Valid.Start
+			}
+		}
+		p.dims = append(p.dims, sd)
+		return len(p.dims) - 1
 	}
-	axes := make([]axis, 0, len(q.GroupBy))
-	var gNames []string
 	for _, g := range q.GroupBy {
 		pos := s.DimIndex(g.Dim)
 		if pos < 0 {
 			return nil, fmt.Errorf("core: unknown dimension %q", g.Dim)
 		}
-		axes = append(axes, axis{dimPos: pos, level: g.Level})
-		gNames = append(gNames, fmt.Sprintf("%s.%s", s.dims[pos].Name, g.Level))
+		// A level that exists at some instants only is legal (non-covering
+		// hierarchy, Definition 4); one that never exists is a typo, not
+		// an empty answer.
+		if !s.dims[pos].hasLevel(g.Level) {
+			return nil, fmt.Errorf("core: unknown level %q in dimension %q", g.Level, g.Dim)
+		}
+		p.axes = append(p.axes, scanAxis{dim: useDim(pos), level: g.Level})
+		p.gNames = append(p.gNames, fmt.Sprintf("%s.%s", s.dims[pos].Name, g.Level))
 	}
-
-	rng := q.Range
-	if rng == (temporal.Interval{}) {
-		rng = temporal.Always
-	}
-
-	lookup := newRollupCache(s, q.Mode)
-
-	type dice struct {
-		dimPos int
-		names  map[string]bool
-		// static marks a dice whose rollup instant does not depend on
-		// the fact time: a version mode with the dimension restricted
-		// into the structure version. Only static dices may consult a
-		// shard zone's distinct-coordinate set for pruning (a
-		// time-dependent verdict cannot disqualify a whole shard).
-		static bool
-	}
-	dices := make([]dice, 0, len(q.Filters))
 	for _, f := range q.Filters {
 		pos := s.DimIndex(f.Dim)
 		if pos < 0 {
@@ -234,454 +282,193 @@ func (s *Schema) executeOn(ctx context.Context, mt *MappedTable, q Query) (*Resu
 		for _, n := range f.Members {
 			names[n] = true
 		}
-		static := q.Mode.Kind == VersionKind && q.Mode.Version != nil &&
-			q.Mode.Version.Dimension(s.dims[pos].ID) != nil
-		dices = append(dices, dice{dimPos: pos, names: names, static: static})
+		p.dices = append(p.dices, scanDice{dim: useDim(pos), names: names})
 	}
+	return p, nil
+}
 
-	// skipShard consults the shard's zone map: a shard is skipped when
-	// no tuple instant can fall in the queried range, or when a static
-	// dice has an exact distinct-coordinate set none of whose members
-	// passes. Both checks are conservative — a skipped shard provably
-	// emits nothing — so pruning is invisible in the result bits.
-	skipShard := func(sh *factShard, lookup *rollupCache) bool {
-		if debugDisableZonePruning {
-			return false
-		}
-		z := sh.zoneMap(mt.nd)
-		if !z.overlapsTime(rng) {
-			return true
-		}
-		for di := range dices {
-			dc := &dices[di]
-			if !dc.static || !z.hasDistinct(dc.dimPos) {
-				continue
-			}
-			any := false
-			for _, id := range z.dims[dc.dimPos].distinct {
-				// The instant is irrelevant for a static dice.
-				if lookup.diceContains(di, dc.dimPos, id, dc.names, rng.Start) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				return true
-			}
-		}
-		return false
-	}
-
-	// The scan splits into two phases. Classification — range and dice
-	// filters, rollup to the grouping levels, building each (tuple,
-	// combination) cell key — is the expensive part and carries no
-	// cross-tuple state, so it fans out across contiguous shard ranges
-	// of the columnar table, one rollup cache per worker, skipping
-	// whole shards their zone maps disqualify. The fold below replays
-	// the emissions partitioned by cell, preserving global tuple order
-	// within every cell.
-	// cellInfo is the per-worker interned identity of one result cell:
-	// built on the worker's first sight of the key, shared by every
-	// later emission of the same cell, so an emission is two words. The
-	// globally first emission of a cell (the one the fold creates the
-	// row from) carries the groups resolved at that first sight.
-	type cellInfo struct {
-		hash      uint32
-		timeKey   string
-		timeOrder int64
-		key       string
-		groups    []string
-		groupIDs  []MVID
-	}
-	type cellEmit struct {
-		tuple int
-		cell  *cellInfo
-	}
-	type scanStats struct {
-		shardsPruned int
-		factsPruned  int
-		scanned      int
-	}
-	classify := func(ctx context.Context, shardLo, shardHi int, lookup *rollupCache) ([]cellEmit, scanStats, error) {
-		var out []cellEmit
-		var stats scanStats
-		perAxis := make([][]*MemberVersion, len(axes))
-		combo := make([]int, len(axes))
-		nd := mt.nd
-		hasDead := mt.dead > 0
-		buckets := make(map[temporal.Instant]bucketRef, 64)
-		interned := make(map[string]*cellInfo, 64)
-		var keyBuf []byte
-		steps := 0
-		for si := shardLo; si < shardHi; si++ {
-			sh := mt.shards[si]
-			if sh.n == 0 {
-				continue
-			}
-			if skipShard(sh, lookup) {
-				stats.shardsPruned++
-				stats.factsPruned += sh.n
-				continue
-			}
-			base := si << shardShift
-			stats.scanned += sh.n
-			// One grow per shard at most: emissions are ~1 per passing
-			// tuple, so reserving the shard's tuple count keeps the
-			// append loop below out of growslice.
-			if need := len(out) + sh.n; need > cap(out) {
-				grown := make([]cellEmit, len(out), need)
-				copy(grown, out)
-				out = grown
-			}
-			for j := 0; j < sh.n; j++ {
-				if steps%cancelCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, stats, fmt.Errorf("core: query cancelled: %w", err)
-					}
-				}
-				steps++
-				if hasDead && sh.sources[j] == 0 {
-					continue // tombstoned by a retraction
-				}
-				t := sh.times[j]
-				if !rng.Contains(t) {
-					continue
-				}
-				coords := sh.coords[j*nd : (j+1)*nd]
-				pass := true
-				for di := range dices {
-					dc := &dices[di]
-					if !lookup.diceContains(di, dc.dimPos, coords[dc.dimPos], dc.names, t) {
-						pass = false
-						break
-					}
-				}
-				if !pass {
-					continue
-				}
-				// Each axis may roll the fact up to several members
-				// (multiple hierarchies); a fact contributes to every
-				// combination.
-				skip := false
-				for ai, ax := range axes {
-					ups := lookup.ancestorsAtLevel(ax.dimPos, coords[ax.dimPos], ax.level, t)
-					if len(ups) == 0 {
-						skip = true // non-covering hierarchy: no ancestor at the level
-						break
-					}
-					perAxis[ai] = ups
-				}
-				if skip {
-					continue
-				}
-				br, ok := buckets[t]
-				if !ok {
-					br.key, br.order = bucketOf(q.Grain, t)
-					buckets[t] = br
-				}
-				for i := range combo {
-					combo[i] = 0
-				}
-				for {
-					keyBuf = append(keyBuf[:0], br.key...)
-					keyBuf = append(keyBuf, '\x1e')
-					for ai := range axes {
-						if ai > 0 {
-							keyBuf = append(keyBuf, '\x1f')
-						}
-						keyBuf = append(keyBuf, perAxis[ai][combo[ai]].DisplayName()...)
-					}
-					ci, ok := interned[string(keyBuf)] // no-alloc probe
-					if !ok {
-						key := string(keyBuf)
-						groups := make([]string, len(axes))
-						groupIDs := make([]MVID, len(axes))
-						for ai := range axes {
-							mv := perAxis[ai][combo[ai]]
-							groups[ai] = mv.DisplayName()
-							groupIDs[ai] = mv.ID
-						}
-						ci = &cellInfo{
-							hash:      fnv32(key),
-							timeKey:   br.key,
-							timeOrder: br.order,
-							key:       key,
-							groups:    groups,
-							groupIDs:  groupIDs,
-						}
-						interned[key] = ci
-					}
-					out = append(out, cellEmit{tuple: base + j, cell: ci})
-					// Advance the combination counter.
-					i := 0
-					for ; i < len(combo); i++ {
-						combo[i]++
-						if combo[i] < len(perAxis[i]) {
-							break
-						}
-						combo[i] = 0
-					}
-					if i == len(combo) {
-						break
-					}
-				}
-			}
-		}
-		return out, stats, nil
-	}
+// executeOn aggregates the mode's mapped table in four stages. Prune
+// drops the shards whose zone map rules them out. Classify — range and
+// dice filters, rollup to the grouping levels, the cell of each (tuple,
+// combination) — is the expensive part and carries no cross-tuple
+// state, so it fans out across contiguous shard ranges, one scanWorker
+// each. Fold replays the emissions per cell in global tuple order, and
+// sort puts the rows in result order.
+func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, error) {
+	_, sp := obs.StartSpan(ctx, "prune")
+	live, pruned, t0, window := p.prune(mt)
+	sp.SetAttr("shards", len(mt.shards))
+	sp.SetAttr("shards_pruned", pruned.shards)
+	sp.SetAttr("facts_pruned", pruned.facts)
+	sp.End()
+	metShardsPruned.Add(int64(pruned.shards))
+	metFactsPruned.Add(int64(pruned.facts))
 
 	numShards := len(mt.shards)
-	workers := s.materializeWorkers(mt.Len())
-	if workers > numShards {
-		workers = numShards
+	nworkers := p.s.materializeWorkers(mt.Len())
+	if nworkers > numShards {
+		nworkers = numShards
 	}
-	if workers < 1 {
-		workers = 1
+	if nworkers < 1 {
+		nworkers = 1
 	}
-	var emitChunks [][]cellEmit
-	var total scanStats
-	if workers <= 1 {
-		emits, st, err := classify(ctx, 0, numShards, lookup)
+
+	_, sp = obs.StartSpan(ctx, "classify")
+	chunk := (numShards + nworkers - 1) / nworkers
+	workers := make([]*scanWorker, 0, nworkers)
+	for lo := 0; lo < numShards; lo += chunk {
+		workers = append(workers, newScanWorker(p, mt, live, lo, min(lo+chunk, numShards), nworkers, t0, window))
+	}
+	defer func() {
+		for _, w := range workers {
+			w.release()
+		}
+	}()
+	errs := make([]error, len(workers))
+	if len(workers) == 1 {
+		errs[0] = workers[0].classify(ctx)
+	} else {
+		var wg sync.WaitGroup
+		for i, w := range workers {
+			wg.Add(1)
+			go func(i int, w *scanWorker) {
+				defer wg.Done()
+				errs[i] = w.classify(ctx)
+			}(i, w)
+		}
+		wg.Wait()
+	}
+	scanned, emitted := 0, 0
+	for _, w := range workers {
+		scanned += w.scanned
+		emitted += w.emitted()
+	}
+	sp.SetAttr("workers", len(workers))
+	sp.SetAttr("tuples", scanned)
+	sp.SetAttr("emissions", emitted)
+	sp.End()
+	metFactsScanned.Add(int64(scanned))
+	for _, err := range errs {
 		if err != nil {
 			metQueryCancelled.Inc()
 			return nil, err
 		}
-		total = st
-		emitChunks = [][]cellEmit{emits}
-	} else {
-		emitChunks = make([][]cellEmit, workers)
-		statsBy := make([]scanStats, workers)
-		errs := make([]error, workers)
-		chunk := (numShards + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, numShards)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				emitChunks[w], statsBy[w], errs[w] = classify(ctx, lo, hi, newRollupCache(s, q.Mode))
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				metQueryCancelled.Inc()
-				return nil, err
-			}
-		}
-		for _, st := range statsBy {
-			total.shardsPruned += st.shardsPruned
-			total.factsPruned += st.factsPruned
-			total.scanned += st.scanned
-		}
 	}
-	metShardsPruned.Add(int64(total.shardsPruned))
-	metFactsPruned.Add(int64(total.factsPruned))
-	metFactsScanned.Add(int64(total.scanned))
 
 	// The fold — Accumulator.Add and ⊗cf per emission — is
 	// order-dependent (float Sum is not associative): bit-identity
 	// requires every cell to fold its emissions in global tuple order.
-	// Order only matters *within* a cell, so the fold partitions by
-	// cell — hash of the cell key modulo the fold worker count — and
-	// each fold worker replays all chunks in chunk order, processing
-	// only its own cells: the exact per-cell add sequence of a
-	// sequential fold, bit-identical at any worker count. The final
-	// sort is a total order over cells (equal sort keys imply the same
-	// cell), so row order is independent of the partitioning too.
-	type cellState struct {
-		row  *Row
-		accs []*Accumulator
-		seen []bool
-	}
-	nm := mt.nm
-	foldPartition := func(part, nparts int) []*Row {
-		cells := make(map[string]*cellState, 64)
-		order := make([]*cellState, 0, 64)
-		for _, emits := range emitChunks {
-			for i := range emits {
-				e := &emits[i]
-				ci := e.cell
-				if nparts > 1 && ci.hash%uint32(nparts) != uint32(part) {
-					continue
-				}
-				st, ok := cells[ci.key]
-				if !ok {
-					st = &cellState{
-						row: &Row{
-							TimeKey:   ci.timeKey,
-							Groups:    ci.groups,
-							GroupIDs:  ci.groupIDs,
-							CFs:       make([]Confidence, len(mIdx)),
-							timeOrder: ci.timeOrder,
-						},
-						accs: make([]*Accumulator, len(mIdx)),
-						seen: make([]bool, len(mIdx)),
-					}
-					for k, mi := range mIdx {
-						st.accs[k] = NewAccumulator(s.measures[mi].Agg)
-					}
-					cells[ci.key] = st
-					order = append(order, st)
-				}
-				sh, j := mt.shardAt(e.tuple)
-				for k, mi := range mIdx {
-					st.accs[k].Add(sh.values[j*nm+mi])
-					if !st.seen[k] {
-						st.row.CFs[k] = sh.cfs[j*nm+mi]
-						st.seen[k] = true
-					} else {
-						st.row.CFs[k] = s.alg.Combine(st.row.CFs[k], sh.cfs[j*nm+mi])
-					}
-				}
-				st.row.N++
-			}
-		}
-		rows := make([]*Row, len(order))
-		for i, st := range order {
-			st.row.Values = make([]float64, len(mIdx))
-			for k := range mIdx {
-				st.row.Values[k] = st.accs[k].Value()
-			}
-			rows[i] = st.row
-		}
-		return rows
-	}
-
-	res := &Result{MeasureNames: mNames, GroupNames: gNames, Mode: q.Mode, Dropped: mt.Dropped}
-	if workers <= 1 {
-		res.Rows = foldPartition(0, 1)
+	// Order only matters *within* a cell, so the fold partitions by cell
+	// — a hash of the cell's content modulo the partition count, taken
+	// when a worker first meets the cell — and each classify worker
+	// appended its emissions to one buffer per partition. A fold
+	// partition walks the workers' buffers for it in worker order, which
+	// is ascending shard order: the exact per-cell add sequence of a
+	// sequential fold, bit-identical at any worker count. The final sort
+	// is a total order over cells (equal sort keys imply the same cell),
+	// so row order is independent of the partitioning too.
+	_, sp = obs.StartSpan(ctx, "fold")
+	parts := mergeCells(workers, nworkers)
+	rowsBy := make([][]*Row, nworkers)
+	if nworkers == 1 {
+		rowsBy[0] = p.foldPartition(mt, workers, 0, parts[0])
 	} else {
-		parts := make([][]*Row, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for part := range parts {
 			wg.Add(1)
-			go func(w int) {
+			go func(part int) {
 				defer wg.Done()
-				parts[w] = foldPartition(w, workers)
-			}(w)
+				rowsBy[part] = p.foldPartition(mt, workers, part, parts[part])
+			}(part)
 		}
 		wg.Wait()
-		for _, p := range parts {
-			res.Rows = append(res.Rows, p...)
-		}
 	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		if a.timeOrder != b.timeOrder {
-			return a.timeOrder < b.timeOrder
+	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Dropped: mt.Dropped}
+	for _, rows := range rowsBy {
+		res.Rows = append(res.Rows, rows...)
+	}
+	sp.SetAttr("partitions", nworkers)
+	sp.SetAttr("emissions", emitted)
+	sp.SetAttr("cells", len(res.Rows))
+	sp.End()
+
+	_, sp = obs.StartSpan(ctx, "sort")
+	slices.SortFunc(res.Rows, func(a, b *Row) int {
+		if c := cmp.Compare(a.timeOrder, b.timeOrder); c != 0 {
+			return c
 		}
-		for k := range a.Groups {
-			if a.Groups[k] != b.Groups[k] {
-				return a.Groups[k] < b.Groups[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Groups, b.Groups)
 	})
+	sp.SetAttr("rows", len(res.Rows))
+	sp.End()
 	metQueryRows.Add(int64(len(res.Rows)))
 	return res, nil
 }
 
-// fnv32 is FNV-1a over the cell key, used to partition cells across
-// fold workers deterministically.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// prunedStats counts what zone-map pruning saved a scan.
+type prunedStats struct{ shards, facts int }
+
+// prune consults every shard's zone map and marks the live ones: a
+// shard is skipped when no tuple instant can fall in the queried range,
+// or when a dice on a static dimension has an exact distinct-coordinate
+// set none of whose members passes. Both checks are conservative — a
+// skipped shard provably emits nothing — so pruning is invisible in the
+// result bits. Empty shards are neither live nor counted as pruned.
+//
+// t0 and window give the workers the span their instant-indexed slot
+// arrays cover: the live zones' time hull inside the queried range,
+// cut at maxSlotWindow instants.
+func (p *scanPlan) prune(mt *MappedTable) (live []bool, pruned prunedStats, t0 temporal.Instant, window int) {
+	live = make([]bool, len(mt.shards))
+	verdicts := make([]*diceView, len(p.dices)) // built on first use
+	hull := temporal.Interval{Start: 1, End: 0}
+	for si, sh := range mt.shards {
+		if sh.n == 0 {
+			continue
+		}
+		z := sh.zoneMap(mt.nd)
+		if !debugDisableZonePruning && p.zoneExcludes(z, verdicts) {
+			pruned.shards++
+			pruned.facts += sh.n
+			continue
+		}
+		live[si] = true
+		hull = hull.Hull(temporal.Between(z.minTime, z.maxTime))
 	}
-	return h
+	if hull = hull.Intersect(p.rng); !hull.Empty() {
+		window = int(min(uint64(hull.End-hull.Start), maxSlotWindow-1)) + 1
+	}
+	return live, pruned, hull.Start, window
+}
+
+// zoneExcludes reports whether the zone proves its shard emits nothing.
+func (p *scanPlan) zoneExcludes(z *shardZone, verdicts []*diceView) bool {
+	if !z.overlapsTime(p.rng) {
+		return true
+	}
+dices:
+	for di, dc := range p.dices {
+		dim := &p.dims[dc.dim]
+		if !dim.static || !z.hasDistinct(dim.pos) {
+			continue
+		}
+		if verdicts[di] == nil {
+			verdicts[di] = newDiceView(dim.d, dim.at, dc.names)
+		}
+		for _, id := range z.dims[dim.pos].distinct {
+			if mv := dim.d.members[id]; mv != nil && verdicts[di].contains(mv.ord) {
+				continue dices
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // debugDisableZonePruning turns zone-map shard skipping off. Test-only:
 // the equivalence suites compute their reference results with pruning
 // disabled. Must not be flipped while queries are in flight.
 var debugDisableZonePruning bool
-
-// ancKey memoizes ancestorsAtLevel per (member, level) inside one
-// instant's sub-cache without rendering a string key per probe.
-type ancKey struct {
-	id    MVID
-	level string
-}
-
-// diceKey memoizes a dice verdict per (member, resolved instant).
-type diceKey struct {
-	id MVID
-	at temporal.Instant
-}
-
-// rollupCache resolves "ancestors of a leaf at a level" questions for a
-// mode, caching per-instant level assignments.
-type rollupCache struct {
-	schema *Schema
-	mode   Mode
-	// diceMemo[diceIdx] caches pass/fail verdicts of one query filter:
-	// whether a coordinate lies under any of the filter's named
-	// members in the structure resolved at the given instant.
-	diceMemo []map[diceKey]bool
-}
-
-func newRollupCache(s *Schema, m Mode) *rollupCache {
-	return &rollupCache{schema: s, mode: m}
-}
-
-// diceContains is underAnyNamed memoized per query filter: the walk
-// verdict for a coordinate depends only on the resolved (dimension,
-// instant) pair, which repeats for every tuple of a month (tcm) or the
-// whole table (version modes).
-func (rc *rollupCache) diceContains(diceIdx, dimPos int, id MVID, names map[string]bool, t temporal.Instant) bool {
-	d, at := rc.dimAndInstant(dimPos, t)
-	for len(rc.diceMemo) <= diceIdx {
-		rc.diceMemo = append(rc.diceMemo, nil)
-	}
-	m := rc.diceMemo[diceIdx]
-	if m == nil {
-		m = make(map[diceKey]bool)
-		rc.diceMemo[diceIdx] = m
-	}
-	k := diceKey{id: id, at: at}
-	if v, ok := m[k]; ok {
-		return v
-	}
-	v := underAnyNamedIn(d, at, id, names)
-	m[k] = v
-	return v
-}
-
-// dimAndInstant picks the graph to roll up in: the structure version's
-// restricted dimension (static) in a version mode, D(t) in tcm.
-func (rc *rollupCache) dimAndInstant(dimPos int, t temporal.Instant) (*Dimension, temporal.Instant) {
-	d := rc.schema.dims[dimPos]
-	if rc.mode.Kind == VersionKind && rc.mode.Version != nil {
-		rd := rc.mode.Version.Dimension(d.ID)
-		if rd != nil {
-			return rd, rc.mode.Version.Valid.Start
-		}
-	}
-	return d, t
-}
-
-// ancestorsAtLevel returns the member versions at the named level that
-// are reachable upward from id (including id itself when it sits at the
-// level). It delegates straight to the dimension's shared derived
-// cache — which survives clone swaps — so repeated queries over the
-// same dimension value pay the rollup walk only once process-wide.
-func (rc *rollupCache) ancestorsAtLevel(dimPos int, id MVID, level string, t temporal.Instant) []*MemberVersion {
-	d, at := rc.dimAndInstant(dimPos, t)
-	return d.ancestorsAtLevel(id, level, at)
-}
-
-// underAnyNamed reports whether id or any of its ancestors in the
-// mode's structure carries one of the display names.
-func (rc *rollupCache) underAnyNamed(dimPos int, id MVID, names map[string]bool, t temporal.Instant) bool {
-	d, at := rc.dimAndInstant(dimPos, t)
-	return underAnyNamedIn(d, at, id, names)
-}
 
 // underAnyNamedIn walks upward from id in the given dimension structure
 // at the given instant, looking for any of the display names.

@@ -410,3 +410,53 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownLevelIsAnError: a GROUP BY level no member version of the
+// dimension ever carries is a typo, not an empty answer; a level that
+// exists at some instants only stays legal (non-covering, Definition 4).
+func TestUnknownLevelIsAnError(t *testing.T) {
+	s := orgSchema(t)
+	if err := s.InsertFact(Coords{"Smith"}, y(2001), 50); err != nil {
+		t.Fatal(err)
+	}
+	by := func(level string, mode Mode) Query {
+		return Query{GroupBy: []GroupBy{{Dim: "Org", Level: level}}, Grain: GrainYear, Mode: mode}
+	}
+	_, err := s.Execute(by("Nonexistent", TCM()))
+	if err == nil || err.Error() != `core: unknown level "Nonexistent" in dimension "Org"` {
+		t.Fatalf("unknown level: err = %v", err)
+	}
+	if _, err := s.Execute(by("Nonexistent", InVersion(s.VersionAt(y(2001))))); err == nil {
+		t.Fatal("unknown level in a version mode must fail")
+	}
+	// Explicit levels rule out the derived names.
+	if _, err := s.Execute(by("depth-0", TCM())); err == nil {
+		t.Fatal("a depth level on an explicitly levelled dimension must fail")
+	}
+
+	// A level carried from 2004 on: legal at every instant, empty before.
+	d := s.Dimension("Org")
+	if err := d.AddVersion(&MemberVersion{ID: "Group", Level: "Holding", Valid: temporal.Since(y(2004))}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Execute(by("Holding", TCM()))
+	if err != nil || len(res.Rows) != 0 {
+		t.Fatalf("a level not yet in existence: rows %v, err %v", res, err)
+	}
+
+	// One unlevelled member puts the dimension on derived depth levels:
+	// depth-N is then the only legal form, whatever N.
+	if err := d.AddVersion(&MemberVersion{ID: "Loose", Valid: temporal.Since(y(2001))}); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []string{"depth-0", "depth-1", "depth-7"} {
+		if _, err := s.Execute(by(level, TCM())); err != nil {
+			t.Errorf("%s on derived levels: %v", level, err)
+		}
+	}
+	for _, level := range []string{"Division", "depth-", "depth-01", "depth--1", "Depth-1", ""} {
+		if _, err := s.Execute(by(level, TCM())); err == nil {
+			t.Errorf("%q on derived levels must fail", level)
+		}
+	}
+}

@@ -1,0 +1,537 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"mvolap/internal/temporal"
+)
+
+// naiveExecute is the scan's oracle: Definition 12 done the obvious way.
+// It reads the mode's tuples through the row view, walks upward from
+// every tuple's coordinates with the public structure accessors (no
+// rollup table, no ordinal, no slot), keys cells by a string, and folds
+// sequentially in tuple order.
+func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
+	t.Helper()
+	mt, err := s.MultiVersion().Mode(q.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Mode: q.Mode, Dropped: mt.Dropped}
+	var mIdx []int
+	if len(q.Measures) == 0 {
+		for i, m := range s.measures {
+			mIdx = append(mIdx, i)
+			res.MeasureNames = append(res.MeasureNames, m.Name)
+		}
+	}
+	for _, name := range q.Measures {
+		mIdx = append(mIdx, s.MeasureIndex(name))
+		res.MeasureNames = append(res.MeasureNames, name)
+	}
+	for _, g := range q.GroupBy {
+		res.GroupNames = append(res.GroupNames, fmt.Sprintf("%s.%s", s.Dimension(g.Dim).Name, g.Level))
+	}
+	rng := q.Range
+	if rng == (temporal.Interval{}) {
+		rng = temporal.Always
+	}
+	// structure picks the graph and instant a dimension rolls up in.
+	structure := func(id DimID, ft temporal.Instant) (*Dimension, temporal.Instant) {
+		if q.Mode.Kind == VersionKind && q.Mode.Version != nil {
+			if rd := q.Mode.Version.Dimension(id); rd != nil {
+				return rd, q.Mode.Version.Valid.Start
+			}
+		}
+		return s.Dimension(id), ft
+	}
+	var climb func(d *Dimension, at temporal.Instant, cur MVID, seen map[MVID]bool, visit func(*MemberVersion) bool)
+	climb = func(d *Dimension, at temporal.Instant, cur MVID, seen map[MVID]bool, visit func(*MemberVersion) bool) {
+		mv := d.Version(cur)
+		if seen[cur] || mv == nil {
+			return
+		}
+		seen[cur] = true
+		if visit(mv) {
+			return
+		}
+		for _, p := range d.ParentsAt(cur, at) {
+			climb(d, at, p.ID, seen, visit)
+		}
+	}
+
+	type cell struct {
+		row  *Row
+		accs []*Accumulator
+	}
+	cells := map[string]*cell{}
+	for _, f := range mt.Facts() {
+		if !rng.Contains(f.Time) {
+			continue
+		}
+		pass := true
+		for _, flt := range q.Filters {
+			d, at := structure(flt.Dim, f.Time)
+			under := false
+			climb(d, at, f.Coords[s.DimIndex(flt.Dim)], map[MVID]bool{}, func(mv *MemberVersion) bool {
+				under = under || slices.Contains(flt.Members, mv.DisplayName())
+				return under
+			})
+			pass = pass && under
+		}
+		if !pass {
+			continue
+		}
+		perAxis := make([][]*MemberVersion, len(q.GroupBy))
+		for ai, g := range q.GroupBy {
+			d, at := structure(g.Dim, f.Time)
+			climb(d, at, f.Coords[s.DimIndex(g.Dim)], map[MVID]bool{}, func(mv *MemberVersion) bool {
+				if d.LevelOf(mv.ID, at) != g.Level {
+					return false
+				}
+				perAxis[ai] = append(perAxis[ai], mv)
+				return true
+			})
+			pass = pass && len(perAxis[ai]) > 0
+		}
+		if !pass {
+			continue
+		}
+		timeKey, timeOrder := bucketOf(q.Grain, f.Time)
+		combo := make([]int, len(perAxis))
+		for {
+			names := make([]string, len(perAxis))
+			ids := make([]MVID, len(perAxis))
+			for ai := range perAxis {
+				names[ai] = perAxis[ai][combo[ai]].DisplayName()
+				ids[ai] = perAxis[ai][combo[ai]].ID
+			}
+			key := timeKey + "\x1e" + strings.Join(names, "\x1f")
+			c := cells[key]
+			if c == nil {
+				c = &cell{row: &Row{TimeKey: timeKey, timeOrder: timeOrder, Groups: names, GroupIDs: ids,
+					Values: make([]float64, len(mIdx)), CFs: make([]Confidence, len(mIdx))}}
+				for _, mi := range mIdx {
+					c.accs = append(c.accs, NewAccumulator(s.measures[mi].Agg))
+				}
+				cells[key] = c
+				res.Rows = append(res.Rows, c.row)
+			}
+			for k, mi := range mIdx {
+				c.accs[k].Add(f.Values[mi])
+				if c.row.N == 0 {
+					c.row.CFs[k] = f.CFs[mi]
+				} else {
+					c.row.CFs[k] = s.alg.Combine(c.row.CFs[k], f.CFs[mi])
+				}
+			}
+			c.row.N++
+			i := 0
+			for ; i < len(combo); i++ {
+				if combo[i]++; combo[i] < len(perAxis[i]) {
+					break
+				}
+				combo[i] = 0
+			}
+			if i == len(combo) {
+				break
+			}
+		}
+	}
+	for _, c := range cells {
+		for k := range c.accs {
+			c.row.Values[k] = c.accs[k].Value()
+		}
+	}
+	sort.SliceStable(res.Rows, func(i, j int) bool {
+		a, b := res.Rows[i], res.Rows[j]
+		if a.timeOrder != b.timeOrder {
+			return a.timeOrder < b.timeOrder
+		}
+		for k := range a.Groups {
+			if a.Groups[k] != b.Groups[k] {
+				return a.Groups[k] < b.Groups[k]
+			}
+		}
+		return false
+	})
+	return res
+}
+
+// oracleSchema builds a two-dimension warehouse shaped to reach every
+// branch of the scan. Dimension A carries explicit levels Top/Mid/Leaf
+// with multiple hierarchies (a member under two parents), non-covering
+// ones (leaves hanging straight off a top, members with no parent),
+// parents that change over time, and pairs of versions sharing a display
+// name, both as ancestors and as leaves. Dimension B has no level tags,
+// so its levels are depths that move as edges come and go. Facts fill a
+// little over two storage shards, mostly in time order so that ranges
+// prune, with measures under Sum and Max.
+func oracleSchema(t testing.TB, seed int64) *Schema {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	first, last := ym(2000, 1), ym(2004, 12)
+	instant := func() temporal.Instant { return first + temporal.Instant(r.Intn(int(last-first)+1)) }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	link := func(d *Dimension, from, to MVID, want temporal.Interval) {
+		if w := want.Intersect(d.Version(from).Valid).Intersect(d.Version(to).Valid); !w.Empty() {
+			must(d.AddRelationship(TemporalRelationship{From: from, To: to, Valid: w}))
+		}
+	}
+
+	a := NewDimension("A", "A")
+	tops := []MVID{"T0", "T1", "T2"}
+	must(a.AddVersion(&MemberVersion{ID: "T0", Level: "Top", Valid: temporal.Since(first)}))
+	// Two tops under one display name, valid together.
+	must(a.AddVersion(&MemberVersion{ID: "T1", Name: "North", Level: "Top", Valid: temporal.Since(first)}))
+	must(a.AddVersion(&MemberVersion{ID: "T2", Name: "North", Level: "Top", Valid: temporal.Since(instant())}))
+	var mids []MVID
+	for i := 0; i < 6; i++ {
+		id := MVID(fmt.Sprintf("M%d", i))
+		mids = append(mids, id)
+		must(a.AddVersion(&MemberVersion{ID: id, Level: "Mid", Valid: temporal.Since(first)}))
+		switch r.Intn(4) {
+		case 0: // no parent: Top does not cover it
+		case 1: // two parents at once
+			link(a, id, tops[r.Intn(3)], temporal.Always)
+			link(a, id, tops[r.Intn(3)], temporal.Since(instant()))
+		default: // one parent, changing once
+			cut := instant()
+			link(a, id, tops[r.Intn(3)], temporal.Between(first, cut.Prev()))
+			link(a, id, tops[r.Intn(3)], temporal.Since(cut))
+		}
+	}
+	var aLeaves []MVID
+	for i := 0; i < 20; i++ {
+		id := MVID(fmt.Sprintf("L%d", i))
+		aLeaves = append(aLeaves, id)
+		mv := &MemberVersion{ID: id, Level: "Leaf", Valid: temporal.Since(first)}
+		if i%5 == 4 {
+			mv.Name = string(aLeaves[i-1]) // shares its neighbour's display name
+		}
+		must(a.AddVersion(mv))
+		switch r.Intn(5) {
+		case 0: // orphan
+		case 1: // hangs off a top: Mid does not cover it
+			link(a, id, tops[r.Intn(3)], temporal.Always)
+		case 2: // two mids at once
+			link(a, id, mids[r.Intn(6)], temporal.Always)
+			link(a, id, mids[r.Intn(6)], temporal.Since(instant()))
+		default:
+			cut := instant()
+			link(a, id, mids[r.Intn(6)], temporal.Between(first, cut.Prev()))
+			link(a, id, mids[r.Intn(6)], temporal.Since(cut))
+		}
+	}
+
+	b := NewDimension("B", "B")
+	must(b.AddVersion(&MemberVersion{ID: "R0", Valid: temporal.Since(first)}))
+	must(b.AddVersion(&MemberVersion{ID: "R1", Name: "R0", Valid: temporal.Since(first)}))
+	for i := 0; i < 3; i++ {
+		id := MVID(fmt.Sprintf("C%d", i))
+		must(b.AddVersion(&MemberVersion{ID: id, Valid: temporal.Since(first)}))
+		link(b, id, []MVID{"R0", "R1"}[r.Intn(2)], temporal.Since(instant()))
+	}
+	var bLeaves []MVID
+	for i := 0; i < 8; i++ {
+		id := MVID(fmt.Sprintf("G%d", i))
+		bLeaves = append(bLeaves, id)
+		must(b.AddVersion(&MemberVersion{ID: id, Valid: temporal.Since(first)}))
+		cut := instant()
+		link(b, id, MVID(fmt.Sprintf("C%d", r.Intn(3))), temporal.Between(first, cut.Prev()))
+		if r.Intn(3) > 0 {
+			link(b, id, []MVID{"R0", "R1", "C0"}[r.Intn(3)], temporal.Since(cut))
+		}
+	}
+
+	s := NewSchema("oracle", Measure{Name: "sum", Agg: Sum}, Measure{Name: "max", Agg: Max})
+	must(s.AddDimension(a))
+	must(s.AddDimension(b))
+	type key struct {
+		a, b MVID
+		t    temporal.Instant
+	}
+	keys := make([]key, 0, len(aLeaves)*len(bLeaves)*int(last-first+1))
+	for t := first; t <= last; t++ {
+		for _, la := range aLeaves {
+			for _, lb := range bLeaves {
+				keys = append(keys, key{la, lb, t})
+			}
+		}
+	}
+	// Time order with local disorder: instants interleave inside a shard.
+	for i := range keys {
+		j := i + r.Intn(min(200, len(keys)-i))
+		keys[i], keys[j] = keys[j], keys[i]
+	}
+	for _, k := range keys[:2*MappedShardSize+700+r.Intn(500)] {
+		v := math.Floor(r.Float64()*1e6) / 64
+		if r.Intn(40) == 0 {
+			v = math.NaN()
+		}
+		must(s.InsertFact(Coords{k.a, k.b}, k.t, v, float64(r.Intn(100))))
+	}
+	return s
+}
+
+func oracleQuery(r *rand.Rand, s *Schema) Query {
+	q := Query{
+		Grain: []TimeGrain{GrainAll, GrainYear, GrainQuarter, GrainMonth}[r.Intn(4)],
+		Mode:  TCM(),
+	}
+	aLevel := GroupBy{Dim: "A", Level: []string{"Top", "Mid", "Leaf"}[r.Intn(3)]}
+	bLevel := GroupBy{Dim: "B", Level: fmt.Sprintf("depth-%d", r.Intn(4))} // depth-3 never exists
+	switch r.Intn(6) {
+	case 0: // grand total per bucket
+	case 1, 2:
+		q.GroupBy = []GroupBy{aLevel}
+	case 3:
+		q.GroupBy = []GroupBy{bLevel}
+	case 4:
+		q.GroupBy = []GroupBy{aLevel, bLevel}
+	default:
+		q.GroupBy = []GroupBy{bLevel, aLevel}
+	}
+	if r.Intn(3) == 0 {
+		q.Measures = []string{[]string{"sum", "max"}[r.Intn(2)]}
+	}
+	if r.Intn(4) > 0 {
+		from := ym(2000+r.Intn(5), 1+r.Intn(12))
+		q.Range = temporal.Between(from, from+temporal.Instant(r.Intn(30)))
+	}
+	if r.Intn(3) == 0 {
+		q.Filters = append(q.Filters, Filter{Dim: "A", Members: [][]string{{"North"}, {"M1", "M4"}, {"L3"}, {"T0", "nobody"}}[r.Intn(4)]})
+	}
+	if r.Intn(5) == 0 {
+		q.Filters = append(q.Filters, Filter{Dim: "B", Members: [][]string{{"R0"}, {"C1", "G2"}}[r.Intn(2)]})
+	}
+	if svs := s.StructureVersions(); r.Intn(3) == 0 {
+		q.Mode = InVersion(svs[r.Intn(len(svs))])
+	}
+	return q
+}
+
+// requireMatchesOracle runs q at every worker count and compares each
+// answer with the oracle's bit for bit, GroupIDs, N, Dropped and row
+// order included.
+func requireMatchesOracle(t *testing.T, label string, s *Schema, q Query) {
+	t.Helper()
+	want := naiveExecute(t, s, q)
+	for _, workers := range []int{1, 2, 3, 7} {
+		s.SetMaterializeWorkers(workers)
+		got, err := s.Execute(q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		l := fmt.Sprintf("%s workers %d %+v", label, workers, q)
+		for i := range got.Rows {
+			if i < len(want.Rows) && (len(got.Rows[i].Groups) != len(q.GroupBy) || len(got.Rows[i].GroupIDs) != len(q.GroupBy)) {
+				t.Fatalf("%s row %d: groups %v / %v", l, i, got.Rows[i].Groups, got.Rows[i].GroupIDs)
+			}
+		}
+		requireBitIdentical(t, l, got, want)
+		if fmt.Sprint(got.MeasureNames, got.GroupNames) != fmt.Sprint(want.MeasureNames, want.GroupNames) {
+			t.Fatalf("%s: header %v %v, want %v %v", l, got.MeasureNames, got.GroupNames, want.MeasureNames, want.GroupNames)
+		}
+	}
+	s.SetMaterializeWorkers(0)
+}
+
+// TestPropertyScanMatchesNaiveReference holds the scan — rollup tables,
+// slots, integer cells, partitioned emissions, the cell merge — against
+// an oracle that shares none of it.
+func TestPropertyScanMatchesNaiveReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed * 31))
+			s := oracleSchema(t, seed)
+			nonEmpty := 0
+			for i := 0; i < 24; i++ {
+				q := oracleQuery(r, s)
+				requireMatchesOracle(t, fmt.Sprintf("query %d", i), s, q)
+				if res, _ := s.Execute(q); len(res.Rows) > 0 {
+					nonEmpty++
+				}
+			}
+			if nonEmpty < 12 {
+				t.Fatalf("only %d of 24 queries answered any row: the generator lost its teeth", nonEmpty)
+			}
+
+			// The serving tier's way on: a clone gains a member (its ordinal
+			// lies past every table the lineage built before), facts on it,
+			// and a retraction folded into the warm tables as tombstones.
+			grown := s.Clone()
+			ca := grown.Dimension("A")
+			from := ym(2003, 1+r.Intn(12))
+			if err := ca.AddVersion(&MemberVersion{ID: "Lnew", Name: "L0", Level: "Leaf", Valid: temporal.Since(from)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ca.AddRelationship(TemporalRelationship{From: "Lnew", To: "M2", Valid: temporal.Since(from)}); err != nil {
+				t.Fatal(err)
+			}
+			oldLen := grown.Facts().Len()
+			for k := 0; k < 40; k++ {
+				at := from + temporal.Instant(r.Intn(int(ym(2004, 12)-from)+1))
+				if err := grown.InsertFact(Coords{"Lnew", MVID(fmt.Sprintf("G%d", k%8))}, at, float64(k), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grown.WarmFrom(context.Background(), s, Delta{NewFacts: grown.Facts().Facts()[oldLen:], StructureChanged: true})
+			clone := grown.Clone()
+			var retracted []*Fact
+			for k := 0; k < 25; k++ {
+				victim := clone.Facts().Facts()[r.Intn(clone.Facts().Len())]
+				old, err := clone.RetractFact(victim.Coords, victim.Time)
+				if err != nil {
+					t.Fatal(err)
+				}
+				retracted = append(retracted, old)
+			}
+			clone.WarmFrom(context.Background(), grown, Delta{Retracted: retracted})
+			ca = clone.Dimension("A")
+			if mt, err := clone.MultiVersion().Mode(TCM()); err != nil || mt.dead == 0 {
+				t.Fatalf("warm tcm table carries no tombstone (err %v)", err)
+			}
+			if got := ca.ancestorsAtLevel("Lnew", "Mid", ym(2000, 6)); len(got) != 0 {
+				t.Fatalf("a member past a shared table's end rolls up to %v before it exists", got)
+			}
+			for i := 0; i < 12; i++ {
+				requireMatchesOracle(t, fmt.Sprintf("clone query %d", i), clone, oracleQuery(r, clone))
+			}
+		})
+	}
+}
+
+// TestRollupTablesConcurrentFirstTouch has eight goroutines ask a cold
+// schema the same questions at once, so every rollup table is first
+// touched under contention; each answer must be the oracle's. Its other
+// assertions are the race detector's.
+func TestRollupTablesConcurrentFirstTouch(t *testing.T) {
+	s := oracleSchema(t, 9)
+	s.SetMaterializeWorkers(2)
+	queries := []Query{
+		{GroupBy: []GroupBy{{Dim: "A", Level: "Mid"}, {Dim: "B", Level: "depth-1"}}, Grain: GrainQuarter, Mode: TCM()},
+		{GroupBy: []GroupBy{{Dim: "A", Level: "Top"}}, Grain: GrainYear, Mode: TCM(),
+			Filters: []Filter{{Dim: "B", Members: []string{"R0"}}}},
+		{GroupBy: []GroupBy{{Dim: "B", Level: "depth-0"}}, Grain: GrainMonth, Mode: InVersion(s.VersionAt(ym(2002, 6)))},
+	}
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		want[i] = naiveExecute(t, s, q) // walks the structure, builds no table
+	}
+	instants := map[temporal.Instant]bool{}
+	for _, f := range s.Facts().Facts() {
+		instants[f.Time] = true
+	}
+	builtA, builtB := metRollupTablesBuilt.With("A").Value(), metRollupTablesBuilt.With("B").Value()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, q := range queries {
+				got, err := s.Execute(q)
+				if err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, i, err)
+					return
+				}
+				if len(got.Rows) != len(want[i].Rows) {
+					t.Errorf("goroutine %d query %d: %d rows, want %d", g, i, len(got.Rows), len(want[i].Rows))
+					return
+				}
+				for k, w := range want[i].Rows {
+					r := got.Rows[k]
+					if r.TimeKey != w.TimeKey || r.N != w.N || fmt.Sprint(r.GroupIDs) != fmt.Sprint(w.GroupIDs) ||
+						math.Float64bits(r.Values[0]) != math.Float64bits(w.Values[0]) {
+						t.Errorf("goroutine %d query %d row %d: %+v, want %+v", g, i, k, r, w)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Sixteen workers met every instant; each table was built once: A at
+	// Mid and at Top per instant, B at depth-1 per instant and at depth-0
+	// once, in the structure version.
+	if got, want := metRollupTablesBuilt.With("A").Value()-builtA, int64(2*len(instants)); got != want {
+		t.Errorf("%d rollup tables built for A, want %d", got, want)
+	}
+	if got, want := metRollupTablesBuilt.With("B").Value()-builtB, int64(len(instants)+1); got != want {
+		t.Errorf("%d rollup tables built for B, want %d", got, want)
+	}
+}
+
+// TestWarmRollupQueryAllocationBudget pins the per-tuple path to "reads
+// arrays, allocates nothing": once the rollup tables exist, a rollup
+// over 20k tuples may allocate per instant, per group and per row, but
+// nothing that grows with the tuples — well under 64 B per scanned
+// tuple, where one allocation per tuple would not fit.
+func TestWarmRollupQueryAllocationBudget(t *testing.T) {
+	const departments, months = 300, 72
+	const tuples = departments * months
+	d := NewDimension("Org", "Org")
+	s := NewSchema("wide", Measure{Name: "m", Agg: Sum})
+	for i := 0; i < 8; i++ {
+		if err := d.AddVersion(&MemberVersion{ID: MVID(fmt.Sprintf("div-%d", i)), Level: "Division", Valid: temporal.Since(y(2000))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < departments; i++ {
+		id := MVID(fmt.Sprintf("dept-%d", i))
+		if err := d.AddVersion(&MemberVersion{ID: id, Level: "Department", Valid: temporal.Since(y(2000))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddRelationship(TemporalRelationship{From: id, To: MVID(fmt.Sprintf("div-%d", i%8)), Valid: temporal.Since(y(2000))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < months; m++ {
+		for i := 0; i < departments; i++ {
+			if err := s.InsertFact(Coords{MVID(fmt.Sprintf("dept-%d", i))}, y(2000)+temporal.Instant(m), float64(i+m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.SetMaterializeWorkers(1)
+	q := Query{GroupBy: []GroupBy{{Dim: "Org", Level: "Division"}}, Grain: GrainYear, Mode: TCM()}
+	scannedBefore := metFactsScanned.Value()
+	if _, err := s.Execute(q); err != nil { // materializes the mode, builds the tables, fills the pool
+		t.Fatal(err)
+	}
+	if got := metFactsScanned.Value() - scannedBefore; got != tuples {
+		t.Fatalf("the query scanned %d tuples, want %d", got, tuples)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := s.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / runs / tuples
+	t.Logf("%.1f B allocated per scanned tuple", perTuple)
+	if perTuple >= 64 {
+		t.Errorf("a warm rollup query allocates %.1f B per scanned tuple, want < 64", perTuple)
+	}
+}

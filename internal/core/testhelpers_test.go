@@ -54,3 +54,15 @@ func randomEvolvingSchema(seed int64) *Schema {
 	}
 	return s
 }
+
+// ancestorsAtLevel reads the member's ancestor set at the level out of
+// the dimension's rollup table of D(at).
+func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant) []*MemberVersion {
+	mv := d.members[id]
+	if mv == nil {
+		return nil
+	}
+	tab := d.rollupTableAt(level, at)
+	lo, hi := tab.setOf(mv.ord)
+	return tab.anc[lo:hi]
+}

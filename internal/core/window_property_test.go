@@ -82,13 +82,13 @@ func requireSameRollups(t *testing.T, label string, warm, cold *Dimension, probe
 // TestPropertyIncrementalStructureVersionsMatchFresh is the
 // correctness property of window-scoped derivation: under random
 // AddVersion / AddRelationship / SetEnd (truncating and extending) /
-// EndRelationship at arbitrary instants — before every existing
-// version, exactly on a version boundary, several mutations between
-// two derivations, lineages of clones that never derived, an
-// unlevelled insert — a schema that carries structure versions and
-// rollup sub-caches across each mutation infers exactly what a schema
-// with no previous generation infers, and rolls every member up
-// exactly as a cold dimension does.
+// EndRelationship / end-and-re-create of one edge at arbitrary instants
+// — before every existing version, exactly on a version boundary,
+// several mutations between two derivations, lineages of clones that
+// never derived, an unlevelled insert — a schema that carries structure
+// versions and rollup sub-caches across each mutation infers exactly
+// what a schema with no previous generation infers, and rolls every
+// member up exactly as a cold dimension does.
 func TestPropertyIncrementalStructureVersionsMatchFresh(t *testing.T) {
 	carriedBefore := metStructureVersionsCarried.Value()
 	instantsBefore := metRollupInstantsCarried.Value()
@@ -139,19 +139,19 @@ func TestPropertyIncrementalStructureVersionsMatchFresh(t *testing.T) {
 			label := fmt.Sprintf("seed %d step %d", seed, step)
 			d := inc.Dimension([]DimID{"D", "D", "D", "E"}[r.Intn(4)])
 			members := d.Versions()
-			kind := r.Intn(4)
+			kind := r.Intn(5)
 			if step == unlevelledAt {
-				kind = 4
+				kind = 5
 			}
 			switch kind {
-			case 0, 4: // a new member, linked under a root where it can be
+			case 0, 5: // a new member, linked under a root where it can be
 				start := instant()
 				valid := temporal.Since(start)
 				if r.Intn(2) == 0 {
 					valid = temporal.Between(start, start+temporal.Instant(r.Intn(40)))
 				}
 				mv := &MemberVersion{ID: MVID(fmt.Sprintf("x%d-%d", seed, step)), Level: "Leaf", Valid: valid}
-				if kind == 4 {
+				if kind == 5 {
 					mv.Level = ""
 				}
 				if err := d.AddVersion(mv); err != nil {
@@ -191,6 +191,19 @@ func TestPropertyIncrementalStructureVersionsMatchFresh(t *testing.T) {
 				if rels := d.Relationships(); len(rels) > 0 {
 					rel := rels[r.Intn(len(rels))]
 					d.EndRelationship(rel.From, rel.To, instant())
+				}
+			case 4: // RECLASSIFY … FROM p TO p: end an edge and re-create it at once
+				if rels := d.Relationships(); len(rels) > 0 {
+					rel := rels[r.Intn(len(rels))]
+					at := instant()
+					if !rel.Valid.Contains(at) || at == rel.Valid.Start {
+						break
+					}
+					d.EndRelationship(rel.From, rel.To, at.Prev())
+					rel.Valid.Start = at
+					if err := d.AddRelationship(rel); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 

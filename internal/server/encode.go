@@ -2,111 +2,126 @@ package server
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"mvolap/internal/core"
+	"mvolap/internal/quality"
+	"mvolap/internal/tql"
 )
 
-// encodeQueryResponse renders resp exactly as encodeJSON would — the
-// wire form is contractual — but writes the two-space indentation
-// directly while walking the known struct shape, instead of encoding
-// compact JSON with reflection and re-indenting it in a second pass.
-// It covers the SELECT response shape (measures, groups, rows, mode,
-// quality, dropped); responses carrying ranking, modes, lineage or a
-// trace — and any non-finite float, which encoding/json rejects —
-// fall back to encodeJSON. Byte-identity is enforced by the
-// differential tests in encode_test.go.
-func encodeQueryResponse(resp queryResponse) []byte {
-	if resp.Ranking != nil || resp.Modes != nil || resp.Lineage != "" || resp.Trace != nil {
-		return encodeJSON(resp)
+// encodeQueryResponse renders a SELECT output exactly as encodeJSON
+// renders its queryResponse — the wire form is contractual — but writes
+// the two-space indentation directly while walking the known shape,
+// instead of encoding compact JSON with reflection and re-indenting it
+// in a second pass. Outputs carrying a ranking, modes or a lineage, and
+// a non-finite quality (which encoding/json rejects), go through
+// encodeJSON. Byte-identity is enforced by the differential tests in
+// encode_test.go.
+func encodeQueryResponse(out *tql.Output) []byte {
+	res := out.Result
+	if res == nil || out.Ranking != nil || out.Modes != nil || out.Lineage != "" ||
+		math.IsNaN(out.Quality) || math.IsInf(out.Quality, 0) {
+		return encodeJSON(toResponse(out))
 	}
-	if math.IsNaN(resp.Quality) || math.IsInf(resp.Quality, 0) {
-		return encodeJSON(resp)
-	}
-	for i := range resp.Rows {
-		for _, v := range resp.Rows[i].Values {
-			if v != nil && (math.IsNaN(*v) || math.IsInf(*v, 0)) {
-				return encodeJSON(resp)
-			}
-		}
-	}
-
-	b := make([]byte, 0, 128+160*len(resp.Rows))
+	b := make([]byte, 0, 512)
 	b = append(b, '{')
-	if len(resp.Measures) > 0 {
+	if len(res.MeasureNames) > 0 {
 		b = append(b, "\n  \"measures\": "...)
-		b = appendStringArray(b, resp.Measures, 1)
+		b = appendStringArray(b, res.MeasureNames, 1)
 		b = append(b, ',')
 	}
-	if len(resp.Groups) > 0 {
+	if len(res.GroupNames) > 0 {
 		b = append(b, "\n  \"groups\": "...)
-		b = appendStringArray(b, resp.Groups, 1)
+		b = appendStringArray(b, res.GroupNames, 1)
 		b = append(b, ',')
 	}
 	b = append(b, "\n  \"rows\": "...)
-	switch {
-	case resp.Rows == nil:
-		b = append(b, "null"...)
-	case len(resp.Rows) == 0:
-		b = append(b, '[', ']')
-	default:
-		b = append(b, '[')
-		for i := range resp.Rows {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, "\n    "...)
-			b = appendQueryRow(b, &resp.Rows[i])
-		}
-		b = append(b, "\n  ]"...)
-	}
-	if resp.Mode != "" {
+	b = appendResultRows(b, res.Rows)
+	if mode := res.Mode.String(); mode != "" {
 		b = append(b, ",\n  \"mode\": "...)
-		b = appendJSONString(b, resp.Mode)
+		b = appendJSONString(b, mode)
 	}
 	b = append(b, ",\n  \"quality\": "...)
-	b = appendJSONFloat(b, resp.Quality)
-	if resp.Dropped != 0 {
+	b = appendJSONFloat(b, out.Quality)
+	if res.Dropped != 0 {
 		b = append(b, ",\n  \"dropped\": "...)
-		b = strconv.AppendInt(b, int64(resp.Dropped), 10)
+		b = strconv.AppendInt(b, int64(res.Dropped), 10)
 	}
 	b = append(b, "\n}\n"...)
 	return b
 }
 
-// appendQueryRow writes one row object at element depth 2 (its fields
-// indent to depth 3).
-func appendQueryRow(b []byte, qr *queryRow) []byte {
-	b = append(b, "{\n      \"time\": "...)
-	b = appendJSONString(b, qr.Time)
-	b = append(b, ",\n      \"groups\": "...)
-	b = appendStringArray(b, qr.Groups, 3)
-	b = append(b, ",\n      \"values\": "...)
-	switch {
-	case qr.Values == nil:
-		b = append(b, "null"...)
-	case len(qr.Values) == 0:
-		b = append(b, '[', ']')
-	default:
-		b = append(b, '[')
-		for i, v := range qr.Values {
-			if i > 0 {
+// rowsSizedFrom is how many rows are written before the buffer is grown,
+// once, to the size they predict for the rest.
+const rowsSizedFrom = 8
+
+// appendResultRows is the one row writer: it renders result rows as the
+// response's "rows" array (opening bracket at indent depth 1), straight
+// from the engine's rows. The array and each row's inner arrays are
+// always present — [] when empty, never null — so clients can index
+// into the response without null checks; values, cfs and colors are
+// index-aligned with the response's measures, and an unknown value (NaN,
+// or any other non-finite float) is null.
+func appendResultRows(b []byte, rows []*core.Row) []byte {
+	if len(rows) == 0 {
+		return append(b, '[', ']')
+	}
+	b = append(b, '[')
+	start := len(b)
+	for i, row := range rows {
+		if i == rowsSizedFrom {
+			// A drill answers ten thousand rows of one shape.
+			perRow := (len(b) - start) / rowsSizedFrom
+			b = slices.Grow(b, (len(rows)-i)*(perRow+perRow/8)+64)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"time\": "...)
+		b = appendJSONString(b, row.TimeKey)
+		b = append(b, ",\n      \"groups\": "...)
+		if row.Groups == nil {
+			b = append(b, '[', ']')
+		} else {
+			b = appendStringArray(b, row.Groups, 3)
+		}
+		if len(row.Values) == 0 {
+			b = append(b, ",\n      \"values\": [],\n      \"cfs\": [],\n      \"colors\": []\n    }"...)
+			continue
+		}
+		b = append(b, ",\n      \"values\": ["...)
+		for k, v := range row.Values {
+			if k > 0 {
 				b = append(b, ',')
 			}
 			b = append(b, "\n        "...)
-			if v == nil {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
 				b = append(b, "null"...)
 			} else {
-				b = appendJSONFloat(b, *v)
+				b = appendJSONFloat(b, v)
 			}
 		}
-		b = append(b, "\n      ]"...)
+		b = append(b, "\n      ],\n      \"cfs\": ["...)
+		for k, cf := range row.CFs {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n        "...)
+			b = appendJSONString(b, cf.String())
+		}
+		b = append(b, "\n      ],\n      \"colors\": ["...)
+		for k, cf := range row.CFs {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n        "...)
+			b = appendJSONString(b, quality.CellColor(cf).String())
+		}
+		b = append(b, "\n      ]\n    }"...)
 	}
-	b = append(b, ",\n      \"cfs\": "...)
-	b = appendStringArray(b, qr.CFs, 3)
-	b = append(b, ",\n      \"colors\": "...)
-	b = appendStringArray(b, qr.Colors, 3)
-	b = append(b, "\n    }"...)
-	return b
+	return append(b, "\n  ]"...)
 }
 
 // appendStringArray writes a string array whose opening bracket sits at

@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -374,17 +373,16 @@ func encodeJSON(v any) []byte {
 	return buf.Bytes()
 }
 
-// queryResponse is the JSON shape of a query result. Rows is always
-// present (as [] when the result is empty) so clients can index into
-// the response without null checks; the same holds for the per-row
-// arrays, see queryRow.
+// queryResponse is the JSON shape of a query result. Rows is the array
+// appendResultRows renders, always present (as [] when the result is
+// empty or the statement is not a SELECT).
 type queryResponse struct {
-	Measures []string   `json:"measures,omitempty"`
-	Groups   []string   `json:"groups,omitempty"`
-	Rows     []queryRow `json:"rows"`
-	Mode     string     `json:"mode,omitempty"`
-	Quality  float64    `json:"quality"`
-	Dropped  int        `json:"dropped,omitempty"`
+	Measures []string        `json:"measures,omitempty"`
+	Groups   []string        `json:"groups,omitempty"`
+	Rows     json.RawMessage `json:"rows"`
+	Mode     string          `json:"mode,omitempty"`
+	Quality  float64         `json:"quality"`
+	Dropped  int             `json:"dropped,omitempty"`
 	// Ranking is set for QUALITY statements.
 	Ranking []rankEntry `json:"ranking,omitempty"`
 	// Modes is set for MODES statements.
@@ -393,17 +391,6 @@ type queryResponse struct {
 	Lineage string `json:"lineage,omitempty"`
 	// Trace is the span tree, present when the request set trace=1.
 	Trace *obs.SpanNode `json:"trace,omitempty"`
-}
-
-// queryRow is one result row. The values, cfs and colors arrays are
-// always emitted (empty, never null, for a measure-less result) and
-// are index-aligned with the response's measures.
-type queryRow struct {
-	Time   string     `json:"time"`
-	Groups []string   `json:"groups"`
-	Values []*float64 `json:"values"` // null elements encode unknown (NaN)
-	CFs    []string   `json:"cfs"`
-	Colors []string   `json:"colors"`
 }
 
 type rankEntry struct {
@@ -457,12 +444,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// encoded bytes ride along with the result-cache entry: a cache
 		// hit writes them straight out, skipping rendering and JSON
 		// encoding as well as the scan.
-		body := out.RenderOnce(func() []byte { return encodeQueryResponse(toResponse(out)) })
+		body := out.RenderOnce(func() []byte { return encodeQueryResponse(out) })
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 		return
 	}
+	// The rows are rendered before the trace is closed, so the span tree
+	// in the response can say what rendering them cost.
+	_, esp := obs.StartSpan(ctx, "encode")
 	resp := toResponse(out)
+	if out.Result != nil {
+		esp.SetAttr("rows", len(out.Result.Rows))
+	}
+	esp.SetAttr("bytes", len(resp.Rows))
+	esp.End()
 	root.End()
 	resp.Trace = root.Node()
 	writeJSON(w, resp)
@@ -483,7 +478,7 @@ func queryStatus(err error) int {
 }
 
 func toResponse(out *tql.Output) queryResponse {
-	resp := queryResponse{Quality: out.Quality, Lineage: out.Lineage, Rows: []queryRow{}}
+	resp := queryResponse{Quality: out.Quality, Lineage: out.Lineage}
 	for _, m := range out.Modes {
 		e := modeEntry{Mode: m.String()}
 		if m.Kind == core.VersionKind && m.Version != nil {
@@ -494,35 +489,15 @@ func toResponse(out *tql.Output) queryResponse {
 	for _, rk := range out.Ranking {
 		resp.Ranking = append(resp.Ranking, rankEntry{Mode: rk.Mode.String(), Quality: rk.Quality})
 	}
+	var rows []*core.Row
 	if res := out.Result; res != nil {
 		resp.Measures = res.MeasureNames
 		resp.Groups = res.GroupNames
 		resp.Mode = res.Mode.String()
 		resp.Dropped = res.Dropped
-		for _, row := range res.Rows {
-			qr := queryRow{
-				Time:   row.TimeKey,
-				Groups: row.Groups,
-				Values: []*float64{},
-				CFs:    []string{},
-				Colors: []string{},
-			}
-			if qr.Groups == nil {
-				qr.Groups = []string{}
-			}
-			for i, v := range row.Values {
-				if math.IsNaN(v) {
-					qr.Values = append(qr.Values, nil)
-				} else {
-					vv := v
-					qr.Values = append(qr.Values, &vv)
-				}
-				qr.CFs = append(qr.CFs, row.CFs[i].String())
-				qr.Colors = append(qr.Colors, quality.CellColor(row.CFs[i]).String())
-			}
-			resp.Rows = append(resp.Rows, qr)
-		}
+		rows = res.Rows
 	}
+	resp.Rows = appendResultRows(nil, rows)
 	return resp
 }
 

@@ -73,7 +73,7 @@ func TestDebugVarsEndpoint(t *testing.T) {
 
 // TestQueryTrace asserts the acceptance criterion for ?trace=1: the
 // response embeds a span tree containing at least the parse,
-// materialize and aggregate stages.
+// materialize, aggregate (with its scan stages) and encode stages.
 func TestQueryTrace(t *testing.T) {
 	srv := testServer(t)
 	code, body := get(t, srv, "/query?q="+
@@ -94,10 +94,33 @@ func TestQueryTrace(t *testing.T) {
 	if resp.Trace == nil {
 		t.Fatal("trace=1 response has no trace")
 	}
-	for _, stage := range []string{"parse", "materialize", "aggregate"} {
+	for _, stage := range []string{"parse", "materialize", "aggregate", "encode"} {
 		if resp.Trace.Find(stage) == nil {
 			t.Errorf("trace missing %q span:\n%s", stage, body)
 		}
+	}
+	// The scan says where its time went: four stages under aggregate,
+	// each with the counts that explain its duration.
+	agg := resp.Trace.Find("aggregate")
+	for stage, attrs := range map[string][]string{
+		"prune":    {"shards", "shards_pruned", "facts_pruned"},
+		"classify": {"workers", "tuples", "emissions"},
+		"fold":     {"partitions", "emissions", "cells"},
+		"sort":     {"rows"},
+	} {
+		sp := agg.Find(stage)
+		if sp == nil {
+			t.Errorf("aggregate has no %q child:\n%s", stage, body)
+			continue
+		}
+		for _, a := range attrs {
+			if _, ok := sp.Attrs[a]; !ok {
+				t.Errorf("%s span lacks attr %q: %v", stage, a, sp.Attrs)
+			}
+		}
+	}
+	if enc := resp.Trace.Find("encode"); enc != nil && (enc.Attrs["rows"] != float64(len(resp.Rows)) || enc.Attrs["bytes"] == nil) {
+		t.Errorf("encode span attrs = %v, want rows=%d and bytes", enc.Attrs, len(resp.Rows))
 	}
 	// Without trace=1 the field is absent.
 	_, body = get(t, srv, "/query?q="+urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE tcm"))

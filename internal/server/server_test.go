@@ -106,6 +106,11 @@ func TestQueryErrors(t *testing.T) {
 	if code, _ := get(t, srv, "/query?q=BOGUS"); code != http.StatusBadRequest {
 		t.Errorf("bad statement = %d", code)
 	}
+	// A mistyped level is the client's error, not 200 with "rows": [].
+	code, body := get(t, srv, "/query?q="+urlEncode("SELECT * BY Org.Nonexistent, TIME.YEAR"))
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `unknown level \"Nonexistent\" in dimension \"Org\"`) {
+		t.Errorf("unknown level = %d: %s", code, body)
+	}
 }
 
 func TestModesEndpoint(t *testing.T) {

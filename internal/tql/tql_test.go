@@ -107,6 +107,11 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := Run(s, "SELECT Nope BY Org.Division, TIME.YEAR"); err == nil {
 		t.Error("unknown measure must fail")
 	}
+	// So do mistyped levels: an error, not an empty answer.
+	if _, err := Run(s, "SELECT * BY Org.Nonexistent, TIME.YEAR"); err == nil ||
+		!strings.Contains(err.Error(), `unknown level "Nonexistent" in dimension "Org"`) {
+		t.Errorf("unknown level: err = %v", err)
+	}
 	st := &Statement{Kind: KindModes}
 	if _, err := st.Plan(s); err == nil {
 		t.Error("MODES has no plan")
