@@ -31,7 +31,7 @@ LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/in
 # concurrency-bearing core package, plus the benchmark module and the
 # serving binary's import graph.
 .PHONY: verify
-verify: build vet deps-check test race benchmark-check
+verify: build vet deps-check write-path-check test race benchmark-check
 
 # The reproduction tier and the load generators are outside the serving
 # binary's import graph: they exist for cmd/paper-tables and the
@@ -44,6 +44,33 @@ deps-check:
 	for pkg in $(NOT_SERVED); do \
 		if echo "$$served" | grep -qx "mvolap/internal/$$pkg"; then \
 			echo "deps-check: cmd/mvolapd imports mvolap/internal/$$pkg (go list -deps ./cmd/mvolapd)"; bad=1; \
+		fi; \
+	done; \
+	test -z "$$bad"
+
+# A write is one pipeline: store's commit routine is the only place
+# outside internal/core that clones a schema or warms a clone, and the
+# leader's handlers, crash recovery and the follower all go through it.
+# A second Schema.Clone() or .WarmFrom( call site in the root module's
+# non-test code is a second write path starting. Schema.Clone is told
+# from the other Clone methods by its receiver: a new kind of receiver
+# fails the check until it is listed in NOT_A_SCHEMA.
+WRITE_PATH = ./internal/store/mutation.go
+NOT_A_SCHEMA = [cC]oords|mv
+.PHONY: write-path-check
+write-path-check:
+	@calls=$$(grep -rnE '\.WarmFrom\(|\.Clone\(\)' --include='*.go' --exclude='*_test.go' \
+			--exclude-dir=benchmark --exclude-dir=core . \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+		| grep -vE '($(NOT_A_SCHEMA))\.Clone\(\)'); \
+	stray=$$(echo "$$calls" | grep -v '^$(WRITE_PATH):'); \
+	if [ -n "$$stray" ]; then \
+		echo "write-path-check: Schema.Clone() or .WarmFrom( called outside $(WRITE_PATH):"; echo "$$stray"; exit 1; \
+	fi; \
+	for call in 'WarmFrom(' 'Clone()'; do \
+		n=$$(echo "$$calls" | grep -cF ".$$call"); \
+		if [ "$$n" != 1 ]; then \
+			echo "write-path-check: $(WRITE_PATH) calls .$$call $$n times, want once"; bad=1; \
 		fi; \
 	done; \
 	test -z "$$bad"

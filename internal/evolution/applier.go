@@ -101,11 +101,15 @@ func (a *Applier) ApplyTouched(ops ...Op) (TouchSet, error) {
 	return ts, nil
 }
 
-// Rebind returns a new applier bound to s carrying a copy of this
-// applier's log — used with Schema.Clone for copy-on-write evolution:
-// the clone's applier keeps the full §5.2 evolution history.
+// Rebind returns a new applier bound to s carrying this applier's log —
+// used with Schema.Clone for copy-on-write evolution: the clone's
+// applier keeps the full §5.2 evolution history. The log is shared, not
+// copied, so a write costs its batch and not its history: entries are
+// never changed once appended, and the clipped capacity makes the
+// child's first append reallocate instead of writing past the parent's
+// length.
 func (a *Applier) Rebind(s *core.Schema) *Applier {
-	return &Applier{schema: s, log: append([]LogEntry(nil), a.log...)}
+	return &Applier{schema: s, log: a.log[:len(a.log):len(a.log)]}
 }
 
 // Log returns the applied-operator log.

@@ -2,6 +2,7 @@ package evolution
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,5 +85,57 @@ func TestRebindCarriesLog(t *testing.T) {
 	}
 	if hist := b.History("Dave"); len(hist) != 1 {
 		t.Fatalf("history of Dave on rebound applier = %v", hist)
+	}
+}
+
+// TestRebindSharesLogWithoutAliasing: Rebind hands the child the
+// parent's log without copying it (a fact batch rebinds on every write,
+// and only an evolve ever appends), and what the child then applies
+// never shows in the parent's log.
+func TestRebindSharesLogWithoutAliasing(t *testing.T) {
+	s := freshOrg(t)
+	parent := NewApplier(s)
+	insert := func(id core.MVID, year int) Op {
+		return Insert{Dim: "Org", ID: id, Name: "Dpt." + string(id), Level: "Department",
+			Start: y(year), Parents: []core.MVID{"Sales"}}
+	}
+	if err := parent.Apply(insert("A", 2002), insert("B", 2002)); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]LogEntry(nil), parent.Log()...)
+
+	// Two children of one parent both append: with a shared backing array
+	// and spare capacity the second would overwrite the first's entry.
+	c1, c2 := parent.Rebind(s.Clone()), parent.Rebind(s.Clone())
+	if _, err := c1.ApplyTouched(insert("C1", 2003)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.ApplyTouched(insert("C2", 2003)); err != nil {
+		t.Fatal(err)
+	}
+	if got := parent.Log(); len(got) != len(before) || got[0].Description != before[0].Description || got[1].Description != before[1].Description {
+		t.Errorf("parent log changed by its children: %+v, was %+v", got, before)
+	}
+	if l1, l2 := c1.Log(), c2.Log(); len(l1) != 3 || len(l2) != 3 ||
+		!strings.Contains(l1[2].Description, "C1") || !strings.Contains(l2[2].Description, "C2") || l1[2].Seq != 3 {
+		t.Errorf("children's logs = %+v and %+v", l1, l2)
+	}
+
+	allocs := func(a *Applier) float64 {
+		return testing.AllocsPerRun(100, func() { a.Rebind(s) })
+	}
+	long := NewApplierWithLog(s, make([]LogEntry, 10000))
+	if short, grown := allocs(parent), allocs(long); grown > short {
+		t.Errorf("Rebind allocates %v objects on a 2-entry log and %v on a 10000-entry log", short, grown)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 100; i++ {
+		long.Rebind(s)
+	}
+	runtime.ReadMemStats(&m1)
+	bytesPer := (m1.TotalAlloc - m0.TotalAlloc) / 100
+	if bytesPer > 256 {
+		t.Errorf("Rebind on a 10000-entry log allocates %d bytes: it copies the log", bytesPer)
 	}
 }

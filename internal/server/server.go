@@ -12,6 +12,7 @@
 //	GET  /schema            dimensions, levels, measures, mappings
 //	POST /evolve            apply an evolution script (requires enabling)
 //	POST /facts             append a fact batch (requires enabling)
+//	POST /facts/retract     remove a batch of facts by address (requires enabling)
 //	POST /admin/snapshot    durably snapshot the warehouse (requires a store)
 //	GET  /wal/snapshot      latest snapshot bytes (follower bootstrap; requires a store)
 //	GET  /wal/stream        stream committed WAL frames from ?from=<seq> (requires a store)
@@ -21,18 +22,24 @@
 //	GET  /debug/vars        the same metrics as JSON
 //	GET  /debug/pprof/      pprof handlers (requires WithPprof)
 //
-// Queries run lock-free on an immutable schema snapshot; evolution is
-// copy-on-write — operators apply to a clone which is swapped in only
-// when the whole batch succeeds, so readers never observe a mutating
-// or partially evolved structure, and a failing batch leaves the
-// served schema untouched.
+// Queries run lock-free on an immutable schema snapshot. The three
+// write endpoints are one pipeline (docs/persistence.md, "The write
+// path"): the request body is parsed into a
+// store.Mutation, and under the write lock the store's commit routine
+// clones the served schema, applies the whole batch to the clone,
+// appends it to the write-ahead log and warms the clone from the
+// schema it replaces; only then is the clone swapped in. Readers never
+// observe a mutating or partially applied structure, and a batch with
+// one element that does not apply leaves the served schema untouched
+// (422, with the element named).
 //
-// With a store attached (Install), every accepted mutation — an
-// evolution batch or a fact batch — is appended to the write-ahead
-// log before the evolved clone is swapped in, so the durable history
-// never records a state that was not served; a batch that fails to
-// apply, or whose WAL append fails, is never logged and never served,
-// preserving the 422 atomicity envelope.
+// With a store attached (Install) the append comes after the batch has
+// applied whole and before the clone is served, so the durable history
+// never records a state that was not served, and a batch that fails to
+// apply, or whose append fails (500), is never logged and never served.
+// Crash recovery and followers replay the log through the same commit
+// routine, which is why a recovered or replicated warehouse answers
+// byte for byte like the one that served the writes.
 //
 // A server built WithReplica is a read-only follower: it serves
 // /query, /modes and /schema from state replicated off a leader's
@@ -241,9 +248,11 @@ func (s *Server) notReady(w http.ResponseWriter) bool {
 	if s.snapshot() != nil {
 		return false
 	}
-	jsonError(w, http.StatusServiceUnavailable, fmt.Errorf("recovering: warehouse not yet available"))
+	jsonError(w, http.StatusServiceUnavailable, errNotReady)
 	return true
 }
+
+var errNotReady = errors.New("recovering: warehouse not yet available")
 
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler {
@@ -259,9 +268,9 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /query", "/query", s.handleQuery)
 	handle("GET /modes", "/modes", s.handleModes)
 	handle("GET /schema", "/schema", s.handleSchema)
-	handle("POST /evolve", "/evolve", s.handleEvolve)
-	handle("POST /facts", "/facts", s.handleFacts)
-	handle("POST /facts/retract", "/facts/retract", s.handleFactsRetract)
+	handle("POST /evolve", "/evolve", s.handleWrite(store.RecordEvolve))
+	handle("POST /facts", "/facts", s.handleWrite(store.RecordFacts))
+	handle("POST /facts/retract", "/facts/retract", s.handleWrite(store.RecordRetract))
 	handle("POST /admin/snapshot", "/admin/snapshot", s.handleAdminSnapshot)
 	handle("GET /wal/stream", "/wal/stream", s.handleWALStream)
 	handle("GET /wal/snapshot", "/wal/snapshot", s.handleWALSnapshot)
@@ -610,334 +619,177 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleEvolve applies an evolution script copy-on-write: the batch
-// runs against a clone of the served schema, and the clone is swapped
-// in only when every operator succeeds. A failing batch therefore
-// leaves the served schema untouched — and the 422 envelope reports
-// exactly what happened: how many operators applied before the
-// failure, which operator failed (index and Table 11 description),
-// and that nothing was retained.
-func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
-	if s.forbidOnReplica(w) {
-		return
-	}
-	if !s.allowEvolve {
-		jsonError(w, http.StatusForbidden, fmt.Errorf("evolution disabled; start with WithEvolution"))
-		return
-	}
-	if s.notReady(w) {
-		return
-	}
-	body, ok := readWriteBody(w, r)
-	if !ok {
-		return
-	}
-	// The write lock only serializes evolutions against each other and
-	// against pointer snapshots; queries in flight keep reading the
-	// previous schema and are never blocked by the clone or the apply.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ops, err := evolution.ParseScript(bytes.NewReader(body), len(s.schema.Measures()))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	clone := s.schema.Clone()
-	applier := s.applier.Rebind(clone)
-	touched, err := applier.ApplyTouched(ops...)
-	if err != nil {
-		envelope := map[string]any{"error": err.Error()}
-		var ae *evolution.ApplyError
-		if errors.As(err, &ae) {
-			envelope["applied"] = ae.Applied
-			envelope["failedAt"] = ae.Index
-			envelope["failedOp"] = ae.Op
-			// Copy-on-write: the partially applied clone is discarded,
-			// so the served schema did not mutate. A failed batch is
-			// also never appended to the WAL.
-			envelope["retained"] = false
-			s.logger.Warn("evolution batch failed",
-				"ops", len(ops), "applied", ae.Applied,
-				"failedAt", ae.Index, "failedOp", ae.Op, "err", ae.Err)
+// handleWrite is the write path: /evolve, /facts and /facts/retract are
+// one pipeline under three record kinds. beginWrite admits the request and parses its body into a
+// store.Mutation, commit runs it. A write answers 400 when its body
+// does not parse or holds nothing, 422 when the batch parsed but an
+// element of it does not apply to the served schema (the envelope says
+// which; nothing was retained, nothing logged), and 500 when the batch
+// applied but the WAL append failed (nothing served, nothing persisted).
+func (s *Server) handleWrite(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if m, waited, ok := s.beginWrite(w, r, kind); ok {
+			s.commit(w, r, m, waited)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(envelope)
-		return
 	}
-	// The one derivation of the new generation's structure versions on
-	// the write path; TMP is tcm plus one mode per version (Def. 10).
-	ctx, root := startTrace(r, "evolve")
-	modes := 1 + len(clone.StructureVersionsContext(ctx))
-	// Write-ahead: the accepted script must be durable (per the fsync
-	// policy) before the evolved clone becomes visible. A failed append
-	// serves and persists nothing.
-	resp := map[string]any{
-		"applied": len(ops),
-		"modes":   modes,
-	}
-	snapshotDue := false
-	if s.store != nil {
-		seq, due, err := s.store.AppendEvolve(body)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
-			return
-		}
-		resp["walSeq"] = seq
-		snapshotDue = due
-	}
-	s.warmCaches(ctx, root, clone, touched.Delta(), resp)
-	prevID := s.schema.SwapID()
-	s.schema = clone
-	s.applier = applier
-	resp["queryCacheInvalidated"] = s.queryCache.Invalidate(prevID, clone.SwapID(), touched.Delta())
-	s.logger.Info("evolution applied", "ops", len(ops), "modes", modes,
-		"modesRetained", resp["retainedModes"], "modesEvicted", resp["evictedModes"])
-	if snapshotDue {
-		s.snapshotLocked("auto")
-	}
-	writeJSON(w, resp)
 }
 
-// handleFacts appends a batch of source facts, with the same
-// copy-on-write atomicity as /evolve: the whole batch validates and
-// inserts into a clone, is appended to the WAL, and only then swapped
-// into service. A batch with any invalid fact changes nothing and is
-// never logged.
-func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
-	if s.forbidOnReplica(w) {
-		return
-	}
-	if !s.allowEvolve {
-		jsonError(w, http.StatusForbidden, fmt.Errorf("mutation disabled; start with WithEvolution"))
-		return
-	}
-	if s.notReady(w) {
-		return
-	}
-	body, ok := readWriteBody(w, r)
-	if !ok {
-		return
-	}
-	batch, err := store.ParseFactBatch(body)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clone := s.schema.Clone()
-	oldLen := clone.Facts().Len()
-	for i, fr := range batch {
-		if err := store.ApplyFact(clone, fr); err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnprocessableEntity)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error":    fmt.Sprintf("fact %d: %v", i, err),
-				"applied":  i,
-				"failedAt": i,
-				"retained": false,
-			})
-			return
-		}
-	}
-	resp := map[string]any{
-		"appended": len(batch),
-		"facts":    clone.Facts().Len(),
-	}
-	snapshotDue := false
-	if s.store != nil {
-		seq, due, err := s.store.AppendFactBatch(batch)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
-			return
-		}
-		resp["walSeq"] = seq
-		snapshotDue = due
-	}
-	// An insert-only batch appends a suffix the cached modes can fold in
-	// incrementally; a batch that replaced values at existing coordinates
-	// cannot be expressed as a delta and evicts everything.
-	var delta core.Delta
-	if clone.Facts().Len() == oldLen+len(batch) {
-		delta.NewFacts = clone.Facts().Facts()[oldLen:]
-	} else {
-		delta.FactsReplaced = true
-	}
-	delta.FactsWindow, delta.FactsWindowKnown = store.BatchWindow(batch)
-	ctx, root := startTrace(r, "facts")
-	s.warmCaches(ctx, root, clone, delta, resp)
-	prevID := s.schema.SwapID()
-	s.schema = clone
-	s.applier = s.applier.Rebind(clone)
-	// Cached SELECTs whose time range cannot see the batch's window are
-	// revalidated rather than dropped; everything overlapping drops.
-	resp["queryCacheInvalidated"] = s.queryCache.Invalidate(prevID, clone.SwapID(), delta)
-	s.logger.Info("facts appended", "facts", len(batch), "total", clone.Facts().Len(),
-		"modesRetained", resp["retainedModes"], "modesEvicted", resp["evictedModes"])
-	if snapshotDue {
-		s.snapshotLocked("auto")
-	}
-	writeJSON(w, resp)
-}
-
-// handleFactsRetract removes facts: a JSON array of {coords, time}
-// addresses. The batch is atomic with the same copy-on-write shape as
-// /facts: every record must address an existing tuple of a clone; any
-// miss returns 422 and changes nothing — in particular, nothing is
-// logged to the WAL. On success the delta carries the old tuples, so
-// warm modes subtract the retracted contributions under invertible
-// aggregates instead of rebuilding, and the TQL result cache retargets
-// entries whose time range provably cannot see the retracted window.
-// Leader-only: followers answer 403 with the leader's address.
-func (s *Server) handleFactsRetract(w http.ResponseWriter, r *http.Request) {
-	if s.forbidOnReplica(w) {
-		return
-	}
-	if !s.allowEvolve {
-		jsonError(w, http.StatusForbidden, fmt.Errorf("mutation disabled; start with WithEvolution"))
-		return
-	}
-	if s.notReady(w) {
-		return
-	}
-	body, ok := readWriteBody(w, r)
-	if !ok {
-		return
-	}
-	batch, err := store.ParseRetractBatch(body)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clone := s.schema.Clone()
-	retracted := make([]*core.Fact, 0, len(batch))
-	for i, rr := range batch {
-		old, err := store.ApplyRetract(clone, rr)
-		if err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnprocessableEntity)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error":    fmt.Sprintf("retract %d: %v", i, err),
-				"applied":  i,
-				"failedAt": i,
-				"retained": false,
-			})
-			return
-		}
-		retracted = append(retracted, old)
-	}
-	resp := map[string]any{
-		"retracted": len(batch),
-		"facts":     clone.Facts().Len(),
-	}
-	snapshotDue := false
-	if s.store != nil {
-		seq, due, err := s.store.AppendRetractBatch(batch)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
-			return
-		}
-		resp["walSeq"] = seq
-		snapshotDue = due
-	}
-	// Retraction is structure-neutral; the delta carries the old tuples
-	// so warm maintenance can unfold them (or evict where it cannot).
-	delta := evolution.TouchSet{}.WithRetraction(retracted)
-	ctx, root := startTrace(r, "retract")
-	s.warmCaches(ctx, root, clone, delta, resp)
-	prevID := s.schema.SwapID()
-	s.schema = clone
-	s.applier = s.applier.Rebind(clone)
-	// Cached SELECTs whose time range cannot see the retracted window
-	// are revalidated rather than dropped; everything overlapping drops.
-	resp["queryCacheInvalidated"] = s.queryCache.Invalidate(prevID, clone.SwapID(), delta)
-	s.logger.Info("facts retracted", "facts", len(batch), "total", clone.Facts().Len(),
-		"modesRetained", resp["retainedModes"], "modesEvicted", resp["evictedModes"])
-	if snapshotDue {
-		s.snapshotLocked("auto")
-	}
-	writeJSON(w, resp)
-}
-
-// maxWriteBody bounds the body of a write request (/evolve, /facts,
-// /facts/retract).
+// maxWriteBody bounds the body of a write request.
 const maxWriteBody = 1 << 20
 
-// readWriteBody reads a write request's whole body. A body past
-// maxWriteBody is refused with 413 naming the limit — never cut short
-// and parsed, which would report a valid batch as malformed JSON or,
-// worse, apply the first MiB of a script. On failure the response has
-// been written and ok is false.
-func readWriteBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+// beginWrite is the guard in front of every write: a follower answers
+// 403 with the leader's address, a server without WithEvolution 403, a
+// server still recovering 503, a body past maxWriteBody 413 naming the
+// limit — never cut short and parsed, which would report a valid batch
+// as malformed JSON or, worse, apply the first MiB of a script — and a
+// body that does not parse 400. On refusal the response has been
+// written and ok is false. waited is how long reading the served
+// pointer took: a write in progress holds the mutex, so a write that
+// arrives behind it starts queueing here, not at its own Lock.
+func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string) (m *store.Mutation, waited time.Duration, ok bool) {
+	if s.forbidOnReplica(w) {
+		return nil, 0, false
+	}
+	if !s.allowEvolve {
+		what := "mutation"
+		if kind == store.RecordEvolve {
+			what = "evolution"
+		}
+		jsonError(w, http.StatusForbidden, fmt.Errorf("%s disabled; start with WithEvolution", what))
+		return nil, 0, false
+	}
+	arrived := time.Now()
+	sch := s.snapshot()
+	start := time.Now()
+	if sch == nil {
+		jsonError(w, http.StatusServiceUnavailable, errNotReady)
+		return nil, 0, false
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWriteBody))
 	if err == nil {
-		return body, true
+		// The measure count is fixed when a schema is built, so the script
+		// parses the same against whichever generation is served by the
+		// time the write holds the lock.
+		m, err = store.ParseMutation(kind, body, len(sch.Measures()))
 	}
+	store.ObserveWriteStage(kind, "decode", start)
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case err == nil:
+		return m, start.Sub(arrived), true
+	case errors.As(err, &tooLarge):
 		jsonError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds the limit of %d bytes; split the batch", tooLarge.Limit))
-	} else {
+	default:
 		jsonError(w, http.StatusBadRequest, err)
 	}
-	return nil, false
+	return nil, 0, false
 }
 
-// startTrace returns the context a write handler's post-acceptance work
-// runs under — detached from the client's cancellation: an aborted
-// request must not decide cache temperature — and, with ?trace=1, the
-// root span of the trace warmCaches attaches to the response.
-func startTrace(r *http.Request, endpoint string) (context.Context, *obs.Span) {
+// writeResponse is the envelope of an accepted write, its fields in key
+// order. Which of the counts are present says which kind it was.
+type writeResponse struct {
+	Appended              int           `json:"appended,omitempty"`
+	Applied               int           `json:"applied,omitempty"`
+	DeltaApplies          int           `json:"deltaApplies"`
+	EvictedModes          []string      `json:"evictedModes"`
+	Facts                 *int          `json:"facts,omitempty"`
+	Modes                 int           `json:"modes,omitempty"`
+	ModesSubtracted       *int          `json:"modesSubtracted,omitempty"`
+	QueryCacheInvalidated int           `json:"queryCacheInvalidated"`
+	RetainedModes         []string      `json:"retainedModes"`
+	Retracted             int           `json:"retracted,omitempty"`
+	Trace                 *obs.SpanNode `json:"trace,omitempty"`
+	WALSeq                uint64        `json:"walSeq,omitempty"`
+}
+
+// writeRefusal is the 422 envelope, its fields in key order: the batch
+// ran against a clone that was then discarded, so the served schema did
+// not mutate, and a refused batch is never appended to the WAL.
+type writeRefusal struct {
+	Applied  int    `json:"applied"`
+	Error    string `json:"error"`
+	FailedAt int    `json:"failedAt"`
+	FailedOp string `json:"failedOp,omitempty"`
+	Retained bool   `json:"retained"`
+}
+
+// commit runs an admitted mutation: under the write lock, the store's
+// commit routine builds the evolved clone (clone, apply, WAL append,
+// warm), then the clone is swapped in, the result cache is told what
+// changed, and the automatic snapshot is taken when one is due. waited
+// is the part of the queueing beginWrite already saw. The write lock
+// only serializes writes against each other and against
+// pointer snapshots; queries in flight keep reading the previous schema
+// and are never blocked by the clone or the apply.
+func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutation, waited time.Duration) {
+	kind := m.Kind()
+	queued := time.Now().Add(-waited)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	store.ObserveWriteStage(kind, "queue", queued)
+
+	// Detached from the client's cancellation: an aborted request must
+	// not decide what is durable or how warm the caches are.
 	ctx := context.WithoutCancel(r.Context())
-	if r.URL.Query().Get("trace") != "1" {
-		return ctx, nil
+	var root *obs.Span
+	if r.URL.Query().Get("trace") == "1" {
+		ctx, root = obs.NewTrace(ctx, kind)
 	}
-	return obs.NewTrace(ctx, endpoint)
-}
+	c, err := s.store.Commit(ctx, s.schema, s.applier, m)
+	var refused *store.BatchError
+	switch {
+	case errors.As(err, &refused):
+		s.logger.Warn("batch refused", "op", kind, "elements", m.Len(),
+			"failedAt", refused.Index, "failedOp", refused.Op, "err", refused.Err)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		json.NewEncoder(w).Encode(writeRefusal{
+			Applied: refused.Index, Error: refused.Error(), FailedAt: refused.Index, FailedOp: refused.Op,
+		})
+		return
+	case err != nil:
+		jsonError(w, http.StatusInternalServerError, err)
+		return
+	}
 
-// warmCaches hands the currently served schema's materialized MVFT
-// modes to the accepted clone right before the swap, folding in only
-// the delta (core.Schema.WarmFrom) — the serving tier no longer starts
-// cold after every mutation. The caller holds s.mu (so s.schema is the
-// outgoing base) and has already passed the point of no failure: the
-// batch applied and the WAL append succeeded. Warming is therefore
-// best-effort; ctx and root come from startTrace.
-//
-// The retained/evicted mode lists and delta-apply count are added to
-// the response envelope; with ?trace=1 the span tree — an "mvft_delta"
-// span beside whatever the handler recorded under root — is attached
-// as well.
-func (s *Server) warmCaches(ctx context.Context, root *obs.Span, clone *core.Schema, d core.Delta, resp map[string]any) {
-	spanCtx, sp := obs.StartSpan(ctx, "mvft_delta")
-	res := clone.WarmFrom(spanCtx, s.schema, d)
-	sp.SetAttr("retained", len(res.Retained))
-	sp.SetAttr("evicted", len(res.Evicted))
-	sp.SetAttr("delta_applies", res.DeltaApplied)
-	sp.SetAttr("delta_facts", len(d.NewFacts))
-	sp.SetAttr("sealed", res.Sealed)
-	sp.SetAttr("merged", res.Merged)
-	if len(d.Retracted) > 0 {
-		sp.SetAttr("retracted_facts", len(d.Retracted))
-		sp.SetAttr("modes_subtracted", res.Subtracted)
-		resp["modesSubtracted"] = res.Subtracted
+	published := time.Now()
+	prevID := s.schema.SwapID()
+	s.schema, s.applier = c.Schema, c.Applier
+	// Cached SELECTs the delta provably cannot affect (a time range that
+	// cannot see the batch's window) are revalidated rather than dropped.
+	invalidated := s.queryCache.Invalidate(prevID, c.Schema.SwapID(), c.Delta)
+	store.ObserveWriteStage(kind, "publish", published)
+
+	resp := writeResponse{
+		DeltaApplies:          c.Warm.DeltaApplied,
+		EvictedModes:          append([]string{}, c.Warm.Evicted...),
+		QueryCacheInvalidated: invalidated,
+		RetainedModes:         append([]string{}, c.Warm.Retained...),
+		WALSeq:                c.Seq,
 	}
-	sp.End()
-	if res.Retained == nil {
-		res.Retained = []string{}
+	facts := c.Schema.Facts().Len()
+	switch kind {
+	case store.RecordEvolve:
+		// TMP is tcm plus one mode per structure version (Def. 10).
+		resp.Applied, resp.Modes = m.Len(), 1+len(c.Schema.StructureVersions())
+	case store.RecordFacts:
+		resp.Appended, resp.Facts = m.Len(), &facts
+	case store.RecordRetract:
+		resp.Retracted, resp.Facts, resp.ModesSubtracted = m.Len(), &facts, &c.Warm.Subtracted
 	}
-	if res.Evicted == nil {
-		res.Evicted = []string{}
-	}
-	resp["retainedModes"] = res.Retained
-	resp["evictedModes"] = res.Evicted
-	resp["deltaApplies"] = res.DeltaApplied
 	if root != nil {
 		root.End()
-		resp["trace"] = root.Node()
+		resp.Trace = root.Node()
 	}
+	s.logger.Info("write committed", "op", kind, "elements", m.Len(), "facts", facts,
+		"modesRetained", resp.RetainedModes, "modesEvicted", resp.EvictedModes)
+	if c.SnapshotDue {
+		snapshotted := time.Now()
+		s.snapshotLocked("auto")
+		store.ObserveWriteStage(kind, "snapshot", snapshotted)
+	}
+	writeJSON(w, resp)
 }
 
 // handleAdminSnapshot durably snapshots the served warehouse on

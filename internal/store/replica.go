@@ -22,10 +22,10 @@ import (
 
 // A Replica is the follower side of WAL-shipping replication: it
 // bootstraps from the leader's latest snapshot (warm MVFT modes
-// included), then applies the streamed WAL records through the same
-// applyRecord → ApplyTouched + WarmFrom clone-swap path that crash
-// recovery and the serving tier use, so a follower's hot state is the
-// leader's hot state. Each applied clone is handed to the publish
+// included), then applies the streamed WAL records through commit, the
+// routine the leader served them with and crash recovery replays them
+// with, so a follower's hot state is the leader's hot state. Each
+// applied clone is handed to the publish
 // callback (typically server.Install), which swaps it into service.
 //
 // The replica owns its reconnect loop: a dropped stream resumes from
@@ -375,8 +375,7 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 	}
 }
 
-// apply applies one streamed record through the clone-swap path and
-// publishes the evolved clone. Records at or before the applied
+// apply commits one streamed record and publishes the evolved clone. Records at or before the applied
 // frontier (reconnect overlap) are skipped; a gap is a protocol error.
 func (r *Replica) apply(rec walRecord) error {
 	r.mu.Lock()

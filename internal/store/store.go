@@ -8,10 +8,12 @@
 // freezes the whole warehouse into a snapshot (via schemaio) so the
 // log can be truncated.
 //
+// Every write is a Mutation and goes through one routine, commit
+// (mutation.go): the leader's handlers with the log to append to,
+// crash recovery and followers with a record that is already logged.
 // Crash recovery loads the latest valid snapshot and replays the WAL
-// tail through evolution.Applier against the same copy-on-write
-// clone-swap path the server uses, tolerating a torn final record
-// (the one write that was in flight when the process died).
+// tail through it, tolerating a torn final record (the one write that
+// was in flight when the process died).
 //
 // Durability is configurable: fsync on every append (no acknowledged
 // mutation is ever lost), on a background interval (bounded loss,
@@ -34,7 +36,6 @@ import (
 	"mvolap/internal/evolution"
 	"mvolap/internal/obs"
 	"mvolap/internal/schemaio"
-	"mvolap/internal/temporal"
 )
 
 // FsyncPolicy says when the WAL is flushed to stable storage.
@@ -154,7 +155,7 @@ type Store struct {
 
 // Open opens (creating if needed) the store in dir and recovers the
 // warehouse: latest valid snapshot, then the WAL tail replayed through
-// evolution.Applier on the copy-on-write clone-swap path. seed is the
+// commit, the leader's own write path. seed is the
 // schema to start from when no snapshot exists (the -schema/-demo
 // warehouse); it must be the same warehouse across restarts, since WAL
 // records replay against it. Open returns the recovered schema and an
@@ -214,8 +215,7 @@ func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, 
 	applier := evolution.NewApplierWithLog(sch, log)
 
 	// Warm restore runs before WAL replay so the replayed fact batches
-	// delta-fold into the restored tables via WarmFrom, exactly like the
-	// live clone-swap path.
+	// delta-fold into the restored tables, as they did live.
 	// Every failure there — CRC mismatch, codec corruption, structural-
 	// signature drift — is per mode: that mode is logged, counted and
 	// skipped, and rebuilds cold on first use; recovery never fails on it.
@@ -317,9 +317,9 @@ func restoreWarmModes(sch *core.Schema, warm [][]byte, logger *slog.Logger) []st
 	return restored
 }
 
-// replayWAL replays every record after the snapshot through the
-// applier, clone-swapping per record exactly like the serving path, so
-// a recovered schema is indistinguishable from one that evolved live.
+// replayWAL replays every record after the snapshot through commit,
+// the routine that served it live, so a recovered schema is
+// indistinguishable from one that evolved live.
 // A torn final record (crash mid-append) is truncated away; corruption
 // anywhere else is an error. The surviving WAL file is reopened for
 // appending.
@@ -417,124 +417,16 @@ func (st *Store) replayWAL(sch *core.Schema, applier *evolution.Applier, span *o
 	return sch, applier, nil
 }
 
-// ApplyFact inserts one FactRecord into the schema, parsing its
-// instant and coordinates. Shared by WAL replay and POST /facts.
-func ApplyFact(s *core.Schema, fr FactRecord) error {
-	at, err := temporal.ParseInstant(fr.Time)
-	if err != nil {
-		return err
-	}
-	coords := make(core.Coords, len(fr.Coords))
-	for i, c := range fr.Coords {
-		coords[i] = core.MVID(c)
-	}
-	return s.InsertFact(coords, at, fr.Values...)
-}
-
-// ApplyRetract removes one RetractRecord's tuple from the schema,
-// parsing its instant and coordinates, and returns the old tuple for
-// the delta. Shared by WAL replay and POST /facts/retract.
-func ApplyRetract(s *core.Schema, rr RetractRecord) (*core.Fact, error) {
-	at, err := temporal.ParseInstant(rr.Time)
-	if err != nil {
-		return nil, err
-	}
-	coords := make(core.Coords, len(rr.Coords))
-	for i, c := range rr.Coords {
-		coords[i] = core.MVID(c)
-	}
-	return s.RetractFact(coords, at)
-}
-
-// BatchWindow returns the hull of the batch's fact instants — the time
-// window a replace-or-append batch could have touched — and whether
-// the batch was non-empty with every instant parseable. Shared by the
-// WAL apply path and POST /facts so leaders and followers hand the
-// same window to their result caches.
-func BatchWindow(batch []FactRecord) (temporal.Interval, bool) {
-	known := false
-	var window temporal.Interval
-	for _, fr := range batch {
-		at, err := temporal.ParseInstant(fr.Time)
-		if err != nil {
-			return temporal.Interval{}, false
-		}
-		iv := temporal.Between(at, at)
-		if !known {
-			window, known = iv, true
-		} else {
-			window = window.Hull(iv)
-		}
-	}
-	return window, known
-}
-
-// applyRecord applies one WAL record to a clone of sch (copy-on-write,
-// exactly like the serving path) and returns the evolved clone with
-// its rebound applier and the delta describing what the record changed
-// (consumers use it to retain caches the change provably cannot
-// affect). Like the serving path, the clone is warmed from the base
-// before it takes over: warm-restored (or earlier-replayed) tables
-// survive the replay where the retention rules allow, with each fact
-// batch delta-folded in. WarmFrom is a no-op on a cold base.
+// applyRecord replays one logged record — decode it, then the same
+// commit the leader ran, without a log to append to — and returns the
+// evolved clone, its applier and the delta the record produced.
 func applyRecord(sch *core.Schema, ap *evolution.Applier, rec walRecord) (*core.Schema, *evolution.Applier, core.Delta, error) {
-	clone := sch.Clone()
-	ap2 := ap.Rebind(clone)
-	var delta core.Delta
-	switch rec.Type {
-	case RecordEvolve:
-		var script string
-		if err := json.Unmarshal(rec.Data, &script); err != nil {
-			return nil, nil, delta, fmt.Errorf("bad evolve payload: %w", err)
-		}
-		ops, err := evolution.ParseScript(strings.NewReader(script), len(clone.Measures()))
-		if err != nil {
-			return nil, nil, delta, err
-		}
-		touched, err := ap2.ApplyTouched(ops...)
-		if err != nil {
-			return nil, nil, delta, err
-		}
-		delta = touched.Delta()
-	case RecordFacts:
-		batch, err := ParseFactBatch(rec.Data)
-		if err != nil {
-			return nil, nil, delta, err
-		}
-		oldLen := clone.Facts().Len()
-		for i, fr := range batch {
-			if err := ApplyFact(clone, fr); err != nil {
-				return nil, nil, delta, fmt.Errorf("fact %d: %w", i, err)
-			}
-		}
-		if clone.Facts().Len() == oldLen+len(batch) {
-			delta.NewFacts = clone.Facts().Facts()[oldLen:]
-		} else {
-			delta.FactsReplaced = true // some insert overwrote a coordinate
-		}
-		delta.FactsWindow, delta.FactsWindowKnown = BatchWindow(batch)
-	case RecordRetract:
-		batch, err := ParseRetractBatch(rec.Data)
-		if err != nil {
-			return nil, nil, delta, err
-		}
-		retracted := make([]*core.Fact, 0, len(batch))
-		for i, rr := range batch {
-			old, err := ApplyRetract(clone, rr)
-			if err != nil {
-				// A logged retract batch was validated before the append,
-				// so a miss here means the log and the store disagree;
-				// refuse the record rather than apply it partially.
-				return nil, nil, delta, fmt.Errorf("retract %d: %w", i, err)
-			}
-			retracted = append(retracted, old)
-		}
-		delta = evolution.TouchSet{}.WithRetraction(retracted)
-	default:
-		return nil, nil, delta, fmt.Errorf("unknown record type %q", rec.Type)
+	m, err := decodeMutation(rec, len(sch.Measures()))
+	if err != nil {
+		return nil, nil, core.Delta{}, err
 	}
-	clone.WarmFrom(context.Background(), sch, delta)
-	return clone, ap2, delta, nil
+	c, err := commit(context.Background(), nil, sch, ap, m)
+	return c.Schema, c.Applier, c.Delta, err
 }
 
 // AppendEvolve logs one accepted evolution script (the raw /evolve

@@ -443,3 +443,38 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Errorf("tornBytes = %d", scan.tornBytes)
 	}
 }
+
+// TestRecoveryReplaysEmptyEvolveRecord: POST /evolve refuses a script
+// without operators, but a data directory written before that refusal
+// existed may hold one as a record, and it must still recover.
+func TestRecoveryReplaysEmptyEvolveRecord(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := ParseMutation(RecordEvolve, []byte("# nothing\n"), 1); err == nil {
+		t.Fatal("ParseMutation accepted a script without operators")
+	}
+	st, _, _, err := Open(dir, seedSchema(t), Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range []string{"# nothing\n", "EXCLUDE Org Dpt.Brian_id AT 01/2004\n"} {
+		if _, _, err := st.AppendEvolve([]byte(script)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, sch, ap, err := Open(dir, seedSchema(t), Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatalf("recovery refused a log holding an empty evolve record: %v", err)
+	}
+	defer st.Close()
+	if st.LastSeq() != 2 || st.RecoveryStats().Replayed != 2 || len(ap.Log()) != 1 {
+		t.Errorf("lastSeq %d, replayed %d, %d logged operators; want 2, 2, 1",
+			st.LastSeq(), st.RecoveryStats().Replayed, len(ap.Log()))
+	}
+	want, _ := applyEvolve(t, seedSchema(t), evolution.NewApplier(nil), "EXCLUDE Org Dpt.Brian_id AT 01/2004\n")
+	if !bytes.Equal(schemaBytes(t, sch), schemaBytes(t, want)) {
+		t.Error("recovered schema differs from the one the non-empty script alone produces")
+	}
+}

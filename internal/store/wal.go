@@ -46,8 +46,8 @@ const (
 	// RetractRecord addressing the tuples to remove. Introducing it as a
 	// new record type (rather than a flag on RecordFacts) versions the
 	// WAL implicitly: a binary that predates retraction refuses the
-	// record cleanly in applyRecord ("unknown record type") instead of
-	// misapplying it as an append.
+	// record cleanly when decoding it ("unknown record type") instead
+	// of misapplying it as an append.
 	RecordRetract = "retract"
 	// RecordHeartbeat is a liveness frame on the replication stream,
 	// carrying the leader's last committed sequence. It is never

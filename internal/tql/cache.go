@@ -36,8 +36,8 @@ var (
 // canonical text, the resolved mode and its structural signature, and
 // the confidence weights. Validity is anchored on the served schema's
 // swap identity, carried by each entry: the serving tier mutates
-// exclusively by clone-then-swap (/facts, /evolve, and the replica's
-// applyRecord all install a fresh clone with a fresh SwapID), and a
+// exclusively by clone-then-swap (every write, on the leader and on a
+// follower, installs a fresh clone with a fresh SwapID), and a
 // lookup hits only when the entry's swapID matches the serving
 // schema's, so entries are never served across a mutation they could
 // observe.
