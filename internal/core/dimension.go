@@ -27,6 +27,12 @@ type Dimension struct {
 	parentRels map[MVID][]int // child MVID -> indexes into rels
 	childRels  map[MVID][]int // parent MVID -> indexes into rels
 
+	// shared reports that members (with the member versions they point
+	// to), order, rels and both relationship indexes may be referenced by
+	// another Dimension value: Clone marks both sides, and every mutator
+	// calls own first, which copies them and clears the flag.
+	shared bool
+
 	// onMutate, when set, runs after every successful structural
 	// mutation with the mutation window: the first instant whose
 	// restriction D(t) the mutation may have changed (see notifyMutate).
@@ -74,6 +80,7 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 	if mv.Member == "" {
 		mv.Member = string(mv.ID)
 	}
+	d.own()
 	// An unlevelled member puts the whole dimension on derived depth
 	// levels (Definition 4), renaming every level at every instant, and a
 	// dimension already on them is not worth a finer window: both report
@@ -137,6 +144,7 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 		return fmt.Errorf("core: dimension %s: relationship %s exceeds the intersection %v of its member validities",
 			d.ID, r, window)
 	}
+	d.own()
 	// The union of touching pieces differs from what was stored only
 	// inside r.Valid, so the mutation window is r.Valid.Start either way.
 	first, absorbed := -1, false
@@ -575,28 +583,56 @@ func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 	return out
 }
 
-// Clone returns a deep copy of the dimension sharing no mutable state
-// with the original: member versions are cloned and the relationship
-// slice and its indexes are rebuilt. It backs the serving tier's
-// copy-on-write evolution (queries keep reading the old structure
-// while operators mutate the clone).
+// Clone returns a copy-on-write copy of the dimension: the clone shares
+// the member versions, the relationships and their indexes with the
+// receiver, and whichever side is mutated first copies them (own). It
+// backs the serving tier's copy-on-write evolution — queries keep
+// reading the old structure while operators mutate the clone — at
+// O(1), so a write that mutates no dimension copies none.
+//
+// Clone writes the receiver's ownership flag: it needs the writer's
+// exclusion, not the readers'. A published dimension is never mutated.
 func (d *Dimension) Clone() *Dimension {
-	out := NewDimension(d.ID, d.Name)
+	d.shared = true
+	return &Dimension{
+		ID:         d.ID,
+		Name:       d.Name,
+		members:    d.members,
+		order:      d.order,
+		rels:       d.rels,
+		parentRels: d.parentRels,
+		childRels:  d.childRels,
+		shared:     true,
+		// The clone's structure value is identical until mutated, so it
+		// shares the warm derived-rollup cache; a mutation moves it onto
+		// its own, keeping what the mutation window allows (notifyMutate).
+		derived: d.derived,
+	}
+}
+
+// own gives the dimension private copies of everything Clone shares —
+// member versions cloned, the relationship slice copied and its indexes
+// rebuilt — before a mutator writes. A dimension no Clone has touched
+// since it last owned its state copies nothing.
+func (d *Dimension) own() {
+	if !d.shared {
+		return
+	}
+	members := make(map[MVID]*MemberVersion, len(d.members))
 	for _, id := range d.order {
-		cp := d.members[id].Clone()
-		out.members[cp.ID] = cp
-		out.order = append(out.order, cp.ID)
+		members[id] = d.members[id].Clone()
 	}
-	out.rels = append([]TemporalRelationship(nil), d.rels...)
-	for i, r := range out.rels {
-		out.parentRels[r.From] = append(out.parentRels[r.From], i)
-		out.childRels[r.To] = append(out.childRels[r.To], i)
+	d.members = members
+	d.order = append([]MVID(nil), d.order...)
+	d.rels = append([]TemporalRelationship(nil), d.rels...)
+	d.parentRels = make(map[MVID][]int)
+	d.childRels = make(map[MVID][]int)
+	for i, r := range d.rels {
+		d.parentRels[r.From] = append(d.parentRels[r.From], i)
+		d.childRels[r.To] = append(d.childRels[r.To], i)
 	}
-	// The clone's structure value is identical until mutated, so it
-	// shares the warm derived-rollup cache; a mutation moves it onto its
-	// own, keeping what the mutation window allows (notifyMutate).
-	out.derived = d.derived
-	return out
+	d.shared = false
+	metDimensionCopies.With(string(d.ID)).Inc()
 }
 
 // SetEnd sets the end of the valid time of a member version; it
@@ -617,6 +653,8 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	// Truncating or extending, nothing at or before the earlier of the
 	// two ends changes.
 	from := temporal.Min(mv.Valid.End, end).Next()
+	d.own()
+	mv = d.members[id] // own replaced the shared version with a private copy
 	mv.Valid.End = end
 	for i := range d.rels {
 		r := &d.rels[i]
@@ -634,6 +672,7 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 // and the parent to; it implements part of the Reclassify operator.
 // Relationships emptied by the truncation are dropped.
 func (d *Dimension) EndRelationship(from, to MVID, end temporal.Instant) {
+	d.own()
 	for i := range d.rels {
 		r := &d.rels[i]
 		if r.From == from && r.To == to && r.Valid.End > end {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"mvolap/internal/temporal"
 )
@@ -76,15 +77,22 @@ func appendFactKey(dst []byte, c Coords, t temporal.Instant) []byte {
 // It stores source data only; mapped presentations are derived from it
 // (see MultiVersionFactTable).
 //
-// Cloning is copy-on-write: a clone shares the *Fact tuples and the
-// frozen layers of the key index with its source, copies only the
-// (pointer) fact slice and the index's bounded top, and takes a private
-// copy of a tuple the moment a replacing Insert would mutate it.
+// Cloning is copy-on-write: a clone shares the *Fact tuples, the
+// backing array of the pointer list and the frozen layers of the key
+// index with its source, copies only the index's bounded top, and takes
+// a private copy of a tuple the moment a replacing Insert would mutate
+// it. Successive generations append to one backing array (see push).
 type FactTable struct {
 	measures int
 	// facts holds the live tuples in insertion order, which is ordinal
-	// order. Every table owns its slice; the tuples are shared.
-	facts []*Fact
+	// order. Its backing array may be shared with other tables: slots
+	// below shared may be read by them, so a write there copies the list
+	// first, and a slot at or past the length is written only after it
+	// is claimed (claim counts the slots of the array some table has
+	// spoken for; every table over the array holds the same counter).
+	facts  []*Fact
+	claim  *atomic.Int64
+	shared int
 	// index maps a fact key to the tuple's ordinal, not to its position:
 	// a retraction closes up the slice and moves every later tuple, but
 	// ordinals never change, so nothing is re-indexed. nextOrd is the
@@ -134,6 +142,9 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 		f := ft.facts[i]
 		if ord < ft.cowOrd && !ft.owned[ord] {
 			f = &Fact{Coords: f.Coords, Time: f.Time, Values: append([]float64(nil), f.Values...), ord: ord}
+			if i < ft.shared {
+				ft.copyFacts("replace")
+			}
 			ft.facts[i] = f
 			if ft.owned == nil {
 				ft.owned = make(map[int]bool)
@@ -146,8 +157,46 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...), ord: ft.nextOrd}
 	ft.index.put(ft.keyBuf, ft.nextOrd)
 	ft.nextOrd++
-	ft.facts = append(ft.facts, f)
+	ft.push(f)
 	return nil
+}
+
+// push appends f. The slot at the list's length lies past every other
+// table's view of the backing array, so f is stored there in place once
+// this table wins the claim on it (n → n+1); a sibling generation that
+// claimed the slot first, or a full array, makes it copy instead.
+func (ft *FactTable) push(f *Fact) {
+	n := len(ft.facts)
+	switch {
+	case n == cap(ft.facts):
+		ft.copyFacts("full")
+	case !ft.claim.CompareAndSwap(int64(n), int64(n+1)):
+		ft.copyFacts("claim_lost")
+	default:
+		ft.facts = append(ft.facts, f)
+		return
+	}
+	ft.claim.Add(1)
+	ft.facts = append(ft.facts, f)
+}
+
+// factListHeadroom is the least spare capacity a copied pointer list
+// gets; beyond it the headroom grows with the table (a quarter), so the
+// appends of many writes share one copy.
+const factListHeadroom = 1024
+
+// copyFacts gives the table a private copy of its pointer list with
+// headroom and a fresh claim on it, counted under reason. The tuples
+// stay shared.
+func (ft *FactTable) copyFacts(reason string) {
+	n := len(ft.facts)
+	facts := make([]*Fact, n, n+max(n/4, factListHeadroom))
+	copy(facts, ft.facts)
+	ft.facts = facts
+	ft.claim = new(atomic.Int64)
+	ft.claim.Store(int64(n))
+	ft.shared = 0
+	metFactListCopies.With(reason).Inc()
 }
 
 // Lookup returns the values at the given coordinates and time. It is
@@ -162,16 +211,19 @@ func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool)
 	return ft.facts[ft.position(ord)].Values, true
 }
 
-// Facts returns the stored facts in insertion order. The slice is shared;
-// callers must not mutate it.
-func (ft *FactTable) Facts() []*Fact { return ft.facts }
+// Facts returns the stored facts in insertion order. The slice is shared
+// and has no spare capacity, so an append by the caller copies instead
+// of writing into slots the table, or a clone of it, appends to next;
+// callers must not mutate its elements.
+func (ft *FactTable) Facts() []*Fact { return ft.facts[:len(ft.facts):len(ft.facts)] }
 
 // Retract removes the fact at (coords, t), returning the removed tuple
 // so the caller can carry it in a Delta: an index lookup, a tombstone,
-// and closing up this table's own pointer slice. The tuple itself stays
-// shared with any clones (they and the returned pointer still reference
-// it; callers must treat it as read-only), and the surviving facts keep
-// their insertion order.
+// and closing up the pointer list — copied first when the slot is below
+// the shared length, as it is on the first retraction after a Clone.
+// The tuple itself stays shared with any clones (they and the returned
+// pointer still reference it; callers must treat it as read-only), and
+// the surviving facts keep their insertion order.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
 	ord, ok := ft.index.get(ft.keyBuf)
@@ -180,37 +232,41 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	}
 	i := ft.position(ord)
 	f := ft.facts[i]
+	if i < ft.shared {
+		ft.copyFacts("retract")
+	}
 	ft.facts = slices.Delete(ft.facts, i, i+1)
+	// Every slot from shared up was claimed by this table, so the claim
+	// stands at the old length; hand the freed slot back.
+	ft.claim.Store(int64(len(ft.facts)))
 	ft.index.delete(ft.keyBuf)
 	return f, true
 }
 
-// factCloneHeadroom is the spare capacity a clone's fact slice starts
-// with, so the batch a write appends to it does not copy the whole
-// slice a second time.
-const factCloneHeadroom = 1024
-
-// Clone returns a copy-on-write copy of the fact table. Fact tuples
-// are shared until one side replaces values at existing coordinates
-// (which privatizes just that tuple), so cloning costs one pointer
-// slice copy plus the bounded top of the key index instead of a deep
-// copy of every fact. Inserts and retractions on either table never
-// reach through to the other. Not safe concurrently with Insert or
-// Retract on the receiver.
+// Clone returns a copy-on-write copy of the fact table in O(1) plus the
+// bounded top of the key index: both tables share the tuples and the
+// pointer list's backing array. A replacing Insert privatizes just the
+// tuple it rewrites; a write below the shared length copies the list
+// first; an append claims its slot (see push). Inserts and retractions
+// on either table never reach through to the other.
+//
+// Clone writes the receiver's ownership state (its shared length and
+// copy-on-write ordinal): it needs the writer's exclusion, not the
+// readers'. A published table is never written.
 func (ft *FactTable) Clone() *FactTable {
-	out := &FactTable{
+	n := len(ft.facts)
+	// The receiver no longer exclusively owns the shared tuples or the
+	// list's first n slots either.
+	ft.cowOrd, ft.owned, ft.shared = ft.nextOrd, nil, n
+	return &FactTable{
 		measures: ft.measures,
-		facts:    make([]*Fact, len(ft.facts), len(ft.facts)+factCloneHeadroom),
+		facts:    ft.facts,
+		claim:    ft.claim,
+		shared:   n,
 		index:    ft.index.clone(ft.nextOrd),
 		nextOrd:  ft.nextOrd,
 		cowOrd:   ft.nextOrd,
 	}
-	copy(out.facts, ft.facts)
-	// The receiver no longer exclusively owns the shared tuples either:
-	// a replacing Insert on it must privatize before mutating.
-	ft.cowOrd = ft.nextOrd
-	ft.owned = nil
-	return out
 }
 
 // Times returns the sorted distinct instants present in the table.

@@ -107,10 +107,12 @@ type WarmResult struct {
 // would run after the base facts, so retained tables are bit-identical
 // to full rematerialization (see TestIncrementalMatchesColdRebuild).
 // Published base tables are never mutated: folding happens on
-// copy-on-write clones that share the base's storage shards wholesale
-// and privatize only the shards the delta lands in, so a swap costs
-// O(shards touched), not O(warehouse), and in-flight queries on base
-// keep their consistent snapshots. Retained modes fold their deltas
+// copy-on-write clones that share the base's storage shards wholesale,
+// append into the shared partial tail in place once they claim its
+// next slot, and privatize only the shards whose shared slots the
+// delta writes into, so a swap costs O(shards touched), not
+// O(warehouse), and in-flight queries on base keep their consistent
+// snapshots. Retained modes fold their deltas
 // concurrently — each mode's fold is independent and deterministic, so
 // the parallelism cannot change a single bit of any table.
 //
@@ -302,7 +304,7 @@ func (s *Schema) retains(base *Schema, baseSVs map[string]*StructureVersion, mod
 		return false
 	}
 	if !d.StructureChanged && len(d.DimsTouched) == 0 {
-		// A pure fact batch: dimensions were deep-cloned unchanged.
+		// A pure fact batch: dimensions were cloned unchanged.
 		return true
 	}
 	old, ok := baseSVs[mode.Version.ID]
@@ -328,8 +330,9 @@ func (s *Schema) retains(base *Schema, baseSVs map[string]*StructureVersion, mod
 // table, rebound to the new schema's mode, algebra and measures, ready
 // to absorb a fact delta. The clone copies one header per storage
 // shard — never the tuples — and takes a fresh epoch, so every
-// inherited shard is shared until a merge or append actually writes
-// into it (see MappedTable.writableShard). The materialization context
+// inherited shard is shared: an append borrows the partial tail
+// (MappedTable.tailShard), a write into a shared slot privatizes its
+// shard (MappedTable.writableShard). The materialization context
 // (mapping graph, leaf sets) rides along: warm retention guarantees
 // the mapping set and structural signature are unchanged, so the next
 // delta fold reuses both instead of rebuilding O(structure) state.

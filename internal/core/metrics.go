@@ -48,7 +48,18 @@ var (
 		"MappedTable storage shards shared wholesale (header copy only) by warm copy-on-write clones.")
 	metShardsPrivatized = obs.Default().Counter(
 		"mvolap_mvft_shards_privatized_total",
-		"Shared MappedTable storage shards deep-copied because a delta fold wrote into them.")
+		"Shared MappedTable storage shards copied because a delta fold wrote into a slot another generation still reads.")
+	metShardsBorrowed = obs.Default().Counter(
+		"mvolap_mvft_shards_borrowed_total",
+		"Shared partial tail shards a warm clone appended to in place after claiming the next slot (a header of its own over the same columns, no copy).")
+	metDimensionCopies = obs.Default().CounterVec(
+		"mvolap_dimension_copies_total",
+		"Dimensions whose members and relationships a mutator copied because a clone still shared them (one per dimension an evolve touches; none for a fact batch).",
+		"dim")
+	metFactListCopies = obs.Default().CounterVec(
+		"mvolap_fact_list_copies_total",
+		"Copies of the source fact table's pointer list: retract and replace write below the shared length, claim_lost is an append whose slot another generation took, full an append past the capacity.",
+		"reason")
 	metRetractionsApplied = obs.Default().Counter(
 		"mvolap_mvft_retractions_applied_total",
 		"Retracted source facts handed to warm MVFT maintenance (per tuple, per batch).")

@@ -56,14 +56,30 @@ var shardEpochCounter atomic.Uint64
 // factShard is one fixed-size block of mapped tuples in struct-of-
 // arrays layout: parallel columns instead of per-tuple structs, so
 // aggregation scans are cache-dense and a warm clone shares untouched
-// shards wholesale. A shard is writable only by the table whose epoch
-// it carries; every other table copy-on-writes it first (privatize).
+// shards wholesale. A factShard is a header over the columns: it is
+// writable only by the table whose epoch it carries, and only at or
+// past sharedBelow; every other write copies the columns first
+// (privatize). Several headers — one per generation that appended to a
+// partial tail — may sit over the same columns, each seeing its own
+// prefix of them.
 type factShard struct {
 	epoch uint64
 	n     int
+	// claim counts the slots of the columns some header has spoken for;
+	// every header over the same columns holds the same counter, and a
+	// table appends at slot n in place only after moving it n → n+1
+	// (tailShard). nil on shards adopted frozen, which no table appends
+	// to in place.
+	claim *atomic.Int32
+	// sharedBelow is the prefix of the columns this header shares with
+	// the header it borrowed them from (see MappedTable.borrow): slots
+	// below it are read by other generations, so writing one privatizes.
+	sharedBelow int
 	// coords holds n*nd member version IDs, times n instants, values
 	// and cfs n*nm entries each, sources n counts, and avgN n*nm Avg
 	// contribution counts (nil unless the schema has an Avg measure).
+	// Shards a table creates or privatizes have columns of capacity
+	// MappedShardSize tuples, so appends never reallocate them.
 	coords  []MVID
 	times   []temporal.Instant
 	values  []float64
@@ -83,10 +99,11 @@ type factShard struct {
 // A table is single-writer while it is built and read-only once
 // published. Incremental maintenance (Schema.WarmFrom) never mutates a
 // published table: it takes a copy-on-write clone — shared shards and
-// shared frozen index layers — and folds the fact delta into the clone,
-// privatizing only the shards the delta lands in (per-shard epochs; a
-// shard whose epoch differs from the table's is copied before the
-// first write into it).
+// shared frozen index layers — and folds the fact delta into the clone.
+// Appends borrow the shared partial tail shard (a header of the clone's
+// own over the same columns, after claiming the next slot); a merge,
+// tombstone or subtraction into a shared slot privatizes that one shard
+// (per-shard epochs and sharedBelow, see writableShard).
 type MappedTable struct {
 	Mode   Mode
 	shards []*factShard
@@ -218,32 +235,51 @@ func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, b
 	return f, true
 }
 
-// writableShard returns shard si, privatizing it first when it is
-// shared with (or frozen by) another table.
-func (mt *MappedTable) writableShard(si int) *factShard {
+// writableShard returns shard si for a write into its slot j,
+// privatizing it first when the slot may be read by another table: the
+// shard carries another table's epoch (shared, or frozen), or j lies
+// below the prefix a borrowed tail shares.
+func (mt *MappedTable) writableShard(si, j int) *factShard {
 	sh := mt.shards[si]
-	if sh.epoch != mt.epoch {
+	if sh.epoch != mt.epoch || j < sh.sharedBelow {
 		sh = mt.privatize(si)
 	}
 	return sh
 }
 
-// privatize deep-copies shard si so this table owns it. This is the
-// whole copy-on-write cost of a delta landing in a shared shard:
+// newShard returns an empty shard owned by this table, its columns
+// allocated at their full capacity, with a fresh claim on them.
+func (mt *MappedTable) newShard() *factShard {
+	sh := &factShard{
+		epoch:   mt.epoch,
+		claim:   new(atomic.Int32),
+		coords:  make([]MVID, 0, MappedShardSize*mt.nd),
+		times:   make([]temporal.Instant, 0, MappedShardSize),
+		values:  make([]float64, 0, MappedShardSize*mt.nm),
+		cfs:     make([]Confidence, 0, MappedShardSize*mt.nm),
+		sources: make([]int32, 0, MappedShardSize),
+	}
+	if mt.hasAvg {
+		sh.avgN = make([]int32, 0, MappedShardSize*mt.nm)
+	}
+	return sh
+}
+
+// privatize copies shard si into a new shard this table owns. This is
+// the whole copy-on-write cost of a delta writing into a shared slot:
 // O(MappedShardSize) once per (table, shard), never per tuple.
 func (mt *MappedTable) privatize(si int) *factShard {
 	src := mt.shards[si]
-	cp := &factShard{
-		epoch:   mt.epoch,
-		n:       src.n,
-		coords:  append([]MVID(nil), src.coords...),
-		times:   append([]temporal.Instant(nil), src.times...),
-		values:  append([]float64(nil), src.values...),
-		cfs:     append([]Confidence(nil), src.cfs...),
-		sources: append([]int32(nil), src.sources...),
-	}
+	cp := mt.newShard()
+	cp.n = src.n
+	cp.claim.Store(int32(src.n))
+	cp.coords = append(cp.coords, src.coords...)
+	cp.times = append(cp.times, src.times...)
+	cp.values = append(cp.values, src.values...)
+	cp.cfs = append(cp.cfs, src.cfs...)
+	cp.sources = append(cp.sources, src.sources...)
 	if src.avgN != nil {
-		cp.avgN = append([]int32(nil), src.avgN...)
+		cp.avgN = append(cp.avgN, src.avgN...)
 	}
 	// The copy has identical coords/times columns, so the zone map
 	// carries over; the first append into the copy clears it.
@@ -253,16 +289,48 @@ func (mt *MappedTable) privatize(si int) *factShard {
 	return cp
 }
 
-// tailShard returns the shard the next appended tuple lands in,
-// opening a fresh one when the tail is full and privatizing a shared
-// partial tail first.
+// borrow puts a header of this table's own over the columns of shard
+// si, whose next slot this table has just claimed: the first n slots
+// stay shared with the header it came from (sharedBelow), the slots
+// from n on are this table's to append to, in place.
+func (mt *MappedTable) borrow(si int) *factShard {
+	src := mt.shards[si]
+	sh := &factShard{
+		epoch:       mt.epoch,
+		n:           src.n,
+		claim:       src.claim,
+		sharedBelow: src.n,
+		coords:      src.coords,
+		times:       src.times,
+		values:      src.values,
+		cfs:         src.cfs,
+		sources:     src.sources,
+		avgN:        src.avgN,
+	}
+	mt.shards[si] = sh
+	metShardsBorrowed.Inc()
+	return sh
+}
+
+// tailShard returns the shard the next appended tuple lands in, its
+// next slot claimed for this table. A full tail gets a fresh shard
+// behind it. A partial tail is appended to in place when this table
+// wins the claim on its next slot — borrowed first if the header is
+// another table's — and privatized otherwise: the slot was taken by
+// another generation, or the shard was adopted frozen.
 func (mt *MappedTable) tailShard() *factShard {
 	if len(mt.shards) == 0 || mt.shards[len(mt.shards)-1].n == MappedShardSize {
-		sh := &factShard{epoch: mt.epoch}
-		mt.shards = append(mt.shards, sh)
-		return sh
+		mt.shards = append(mt.shards, mt.newShard())
 	}
-	return mt.writableShard(len(mt.shards) - 1)
+	si := len(mt.shards) - 1
+	sh := mt.shards[si]
+	if sh.claim == nil || !sh.claim.CompareAndSwap(int32(sh.n), int32(sh.n+1)) {
+		sh = mt.privatize(si)
+		sh.claim.Add(1)
+	} else if sh.epoch != mt.epoch {
+		sh = mt.borrow(si)
+	}
+	return sh
 }
 
 // add folds one emitted tuple into the table. Values, confidences and
@@ -275,8 +343,8 @@ func (mt *MappedTable) add(coords Coords, t temporal.Instant, values []float64, 
 		// A merge: several source tuples present themselves on the same
 		// target coordinates. Fold values with the measure aggregate ⊕
 		// and confidences with ⊗cf (Definition 12).
-		sh := mt.writableShard(i >> shardShift)
 		j := i & shardMask
+		sh := mt.writableShard(i>>shardShift, j)
 		vals := sh.values[j*nm : (j+1)*nm]
 		cfd := sh.cfs[j*nm : (j+1)*nm]
 		for k := range vals {

@@ -98,8 +98,8 @@ func unfoldPair(kind AggKind, x float64, avgc int32, v float64) (float64, int32,
 // coordinates appends a fresh tuple. keyBuf is scratch, returned for
 // reuse.
 func (mt *MappedTable) tombstone(pos int, keyBuf []byte) []byte {
-	sh := mt.writableShard(pos >> shardShift)
 	j := pos & shardMask
+	sh := mt.writableShard(pos>>shardShift, j)
 	sh.sources[j] = 0
 	mt.dead++
 	keyBuf = appendFactKey(keyBuf[:0], Coords(sh.coords[j*mt.nd:(j+1)*mt.nd]), sh.times[j])
@@ -194,7 +194,7 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 			tombShards[si] = true
 			continue
 		}
-		sh := out.writableShard(si)
+		sh := out.writableShard(si, j)
 		vals := sh.values[j*nm : (j+1)*nm]
 		for _, ei := range pl.emits {
 			// Subtraction cannot un-combine ⊗cf; it is only safe when the

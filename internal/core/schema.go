@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -253,18 +254,28 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the schema: dimensions and facts are
-// cloned, measures and mappings copied, derived caches left cold. It
-// enables copy-on-write evolution in the serving tier — apply
-// operators to the clone while queries keep running, race-free, on
-// the original, then swap pointers. Mapping functions and the
-// confidence algebra are shared; both are immutable by contract.
+// Clone returns a copy-on-write copy of the schema in O(dimensions)
+// plus the fact key index's bounded top: dimensions and the fact table
+// are cloned copy-on-write (Dimension.Clone, FactTable.Clone), so a
+// write copies only what it mutates — a fact batch no dimension, an
+// evolve the dimensions it touches; the mapping list is shared and
+// copied by the first AddMapping; derived caches are carried as
+// described below. It enables copy-on-write evolution in the serving
+// tier — apply operators to the clone while queries keep running,
+// race-free, on the original, then swap pointers. Mapping functions and
+// the confidence algebra are shared; both are immutable by contract.
+//
+// Clone writes the ownership state of the receiver's dimensions and
+// fact table: it needs the writer's exclusion, not the readers'. A
+// published schema is never mutated.
 func (s *Schema) Clone() *Schema {
 	out := &Schema{
 		Name:     s.Name,
 		dimIndex: make(map[DimID]int, len(s.dimIndex)),
 		measures: append([]Measure(nil), s.measures...),
-		mappings: append([]MappingRelationship(nil), s.mappings...),
+		// Clipped: AddMapping's append then copies instead of writing
+		// into capacity the receiver may also append to.
+		mappings: slices.Clip(s.mappings),
 		alg:      s.alg,
 		facts:    s.facts.Clone(),
 		swapID:   schemaSwapCounter.Add(1),
@@ -276,7 +287,7 @@ func (s *Schema) Clone() *Schema {
 		out.dims = append(out.dims, cp)
 	}
 	// The structure-version partition depends only on the dimensions,
-	// which were just deep-cloned unchanged, so the inferred versions
+	// which were just cloned unchanged, so the inferred versions
 	// (frozen, read-only snapshots) carry over. A later mutation of a
 	// cloned dimension clears the copy through its onMutate hook, making
 	// it the clone's svPrev; a base that was itself invalidated and never

@@ -3,6 +3,7 @@ package schemaio
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"mvolap/internal/casestudy"
@@ -136,7 +137,8 @@ func TestFactsDecodeRejectsCorruption(t *testing.T) {
 		t.Error("facts of a two-dimension schema loaded into the case study")
 	}
 	// The same cell twice is not something a fact table encodes.
-	twice := encodeFacts(append(s.Facts().Facts(), s.Facts().Facts()[0]), 2, 2)
+	facts := s.Facts().Facts()
+	twice := encodeFacts(slices.Concat(facts, facts[:1]), 2, 2)
 	if err := DecodeFacts(twice, edgeSchema(t)); err == nil {
 		t.Error("a payload naming one cell twice must fail")
 	}

@@ -111,9 +111,9 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 	data, seq, err := st.LatestSnapshotBytes()
 	if err != nil {
-		s.mu.Lock()
+		s.writeMu.Lock()
 		_, serr := st.Snapshot(s.schema, s.applier.Log(), "bootstrap")
-		s.mu.Unlock()
+		s.writeMu.Unlock()
 		if serr != nil {
 			jsonError(w, http.StatusInternalServerError, fmt.Errorf("bootstrap snapshot: %w", serr))
 			return

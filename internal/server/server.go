@@ -22,16 +22,17 @@
 //	GET  /debug/vars        the same metrics as JSON
 //	GET  /debug/pprof/      pprof handlers (requires WithPprof)
 //
-// Queries run lock-free on an immutable schema snapshot. The three
-// write endpoints are one pipeline (docs/persistence.md, "The write
-// path"): the request body is parsed into a
-// store.Mutation, and under the write lock the store's commit routine
-// clones the served schema, applies the whole batch to the clone,
-// appends it to the write-ahead log and warms the clone from the
-// schema it replaces; only then is the clone swapped in. Readers never
-// observe a mutating or partially applied structure, and a batch with
-// one element that does not apply leaves the served schema untouched
-// (422, with the element named).
+// Queries run lock-free on an immutable schema snapshot, and never block
+// on evolution: reading the served pointer waits for no write, only for
+// another write's pointer swap. The three write endpoints are one
+// pipeline (docs/persistence.md, "The write path"): the request body is
+// parsed into a store.Mutation, and under the writer mutex the store's
+// commit routine clones the served schema, applies the whole batch to
+// the clone, appends it to the write-ahead log and warms the clone from
+// the schema it replaces; only then is the clone swapped in. Readers
+// never observe a mutating or partially applied structure, and a batch
+// with one element that does not apply leaves the served schema
+// untouched (422, with the element named).
 //
 // With a store attached (Install) the append comes after the batch has
 // applied whole and before the clone is served, so the durable history
@@ -76,11 +77,17 @@ const StatusClientClosedRequest = 499
 
 // Server wraps a schema with HTTP handlers.
 type Server struct {
-	// mu guards the schema/applier pointers only. Handlers snapshot
-	// the pointers under a brief read-lock and run on the snapshot —
-	// query execution never holds the lock, so a pending evolution
-	// cannot queue readers behind the slowest in-flight query.
-	mu          sync.RWMutex
+	// mu guards the published pointers below (schema, applier, store,
+	// warmRestored) and is held only to read or swap them: handlers
+	// snapshot the pointers under a brief read-lock and run on the
+	// snapshot, so query execution never holds it and a reader never
+	// waits out a write.
+	mu sync.RWMutex
+	// writeMu serializes the writers — commit, Install, InstallDelta and
+	// the admin and bootstrap snapshots. A writer reads the published
+	// pointers under writeMu alone (only writers change them) and takes
+	// mu just for the swap.
+	writeMu     sync.Mutex
 	schema      *core.Schema
 	applier     *evolution.Applier
 	store       *store.Store
@@ -110,6 +117,11 @@ type Server struct {
 	// ahead of a graceful shutdown (Shutdown waits for handlers).
 	closing   chan struct{}
 	closeOnce sync.Once
+
+	// parkCommit, when set, runs inside commit after the store's commit
+	// routine and before the swap, with writeMu held: tests park a write
+	// there. nil outside tests.
+	parkCommit func()
 }
 
 // Option configures the server.
@@ -193,14 +205,16 @@ func (s *Server) Install(sch *core.Schema, applier *evolution.Applier, st *store
 	if applier == nil {
 		applier = evolution.NewApplier(sch)
 	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.schema = sch
 	s.applier = applier
 	s.store = st
 	if st != nil {
 		s.warmRestored = st.RecoveryStats().WarmModes
 	}
+	s.mu.Unlock()
 	// Install is the publish path of crash recovery: reclaim every
 	// result-cache entry computed against a previous schema state
 	// (their entry-held swapIDs can no longer validate either way).
@@ -219,14 +233,16 @@ func (s *Server) InstallDelta(sch *core.Schema, applier *evolution.Applier, delt
 	if applier == nil {
 		applier = evolution.NewApplier(sch)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	var prevID uint64
 	if s.schema != nil {
 		prevID = s.schema.SwapID()
 	}
+	s.mu.Lock()
 	s.schema = sch
 	s.applier = applier
+	s.mu.Unlock()
 	if sch != nil {
 		s.queryCache.Invalidate(prevID, sch.SwapID(), delta)
 	}
@@ -234,7 +250,8 @@ func (s *Server) InstallDelta(sch *core.Schema, applier *evolution.Applier, delt
 
 // snapshot returns the schema to serve this request from. The pointer
 // is immutable once published (evolution swaps in a fresh clone), so
-// the caller runs without holding any server lock. It is nil until a
+// the caller runs without holding any server lock; taking it waits for
+// a swap at most, never for a write in progress. It is nil until a
 // schema is installed.
 func (s *Server) snapshot() *core.Schema {
 	s.mu.RLock()
@@ -628,8 +645,8 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 // applied but the WAL append failed (nothing served, nothing persisted).
 func (s *Server) handleWrite(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if m, waited, ok := s.beginWrite(w, r, kind); ok {
-			s.commit(w, r, m, waited)
+		if m, ok := s.beginWrite(w, r, kind); ok {
+			s.commit(w, r, m)
 		}
 	}
 }
@@ -643,12 +660,10 @@ const maxWriteBody = 1 << 20
 // limit — never cut short and parsed, which would report a valid batch
 // as malformed JSON or, worse, apply the first MiB of a script — and a
 // body that does not parse 400. On refusal the response has been
-// written and ok is false. waited is how long reading the served
-// pointer took: a write in progress holds the mutex, so a write that
-// arrives behind it starts queueing here, not at its own Lock.
-func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string) (m *store.Mutation, waited time.Duration, ok bool) {
+// written and ok is false.
+func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string) (m *store.Mutation, ok bool) {
 	if s.forbidOnReplica(w) {
-		return nil, 0, false
+		return nil, false
 	}
 	if !s.allowEvolve {
 		what := "mutation"
@@ -656,14 +671,13 @@ func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string)
 			what = "evolution"
 		}
 		jsonError(w, http.StatusForbidden, fmt.Errorf("%s disabled; start with WithEvolution", what))
-		return nil, 0, false
+		return nil, false
 	}
-	arrived := time.Now()
-	sch := s.snapshot()
 	start := time.Now()
+	sch := s.snapshot()
 	if sch == nil {
 		jsonError(w, http.StatusServiceUnavailable, errNotReady)
-		return nil, 0, false
+		return nil, false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWriteBody))
 	if err == nil {
@@ -676,14 +690,14 @@ func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
-		return m, start.Sub(arrived), true
+		return m, true
 	case errors.As(err, &tooLarge):
 		jsonError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds the limit of %d bytes; split the batch", tooLarge.Limit))
 	default:
 		jsonError(w, http.StatusBadRequest, err)
 	}
-	return nil, 0, false
+	return nil, false
 }
 
 // writeResponse is the envelope of an accepted write, its fields in key
@@ -714,19 +728,18 @@ type writeRefusal struct {
 	Retained bool   `json:"retained"`
 }
 
-// commit runs an admitted mutation: under the write lock, the store's
+// commit runs an admitted mutation: under the writer mutex, the store's
 // commit routine builds the evolved clone (clone, apply, WAL append,
-// warm), then the clone is swapped in, the result cache is told what
-// changed, and the automatic snapshot is taken when one is due. waited
-// is the part of the queueing beginWrite already saw. The write lock
-// only serializes writes against each other and against
-// pointer snapshots; queries in flight keep reading the previous schema
-// and are never blocked by the clone or the apply.
-func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutation, waited time.Duration) {
+// warm), then the clone is swapped in under mu, the result cache is
+// told what changed, and the automatic snapshot is taken when one is
+// due. The queue stage is the wait for the writer mutex. Queries keep
+// reading the previous schema throughout, and a query that arrives
+// mid-write takes that pointer without waiting: only the swap holds mu.
+func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutation) {
 	kind := m.Kind()
-	queued := time.Now().Add(-waited)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	queued := time.Now()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	store.ObserveWriteStage(kind, "queue", queued)
 
 	// Detached from the client's cancellation: an aborted request must
@@ -753,9 +766,14 @@ func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutatio
 		return
 	}
 
+	if s.parkCommit != nil {
+		s.parkCommit()
+	}
 	published := time.Now()
 	prevID := s.schema.SwapID()
+	s.mu.Lock()
 	s.schema, s.applier = c.Schema, c.Applier
+	s.mu.Unlock()
 	// Cached SELECTs the delta provably cannot affect (a time range that
 	// cannot see the batch's window) are revalidated rather than dropped.
 	invalidated := s.queryCache.Invalidate(prevID, c.Schema.SwapID(), c.Delta)
@@ -809,13 +827,13 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	start := time.Now()
-	s.mu.Lock()
+	s.writeMu.Lock()
 	seq, err := st.Snapshot(s.schema, s.applier.Log(), "admin")
 	warmModes := []string{}
 	if err == nil && st.WarmEnabled() {
 		warmModes = append(warmModes, s.schema.CachedModeKeys()...)
 	}
-	s.mu.Unlock()
+	s.writeMu.Unlock()
 	if err != nil {
 		jsonError(w, http.StatusInternalServerError, err)
 		return
@@ -829,9 +847,9 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // snapshotLocked takes an automatic store snapshot of the served
-// schema; the caller holds s.mu. Failure is logged, not returned — the
-// WAL still holds every record, so durability is unharmed and the next
-// snapshot retries the truncation.
+// schema; the caller holds s.writeMu. Failure is logged, not returned —
+// the WAL still holds every record, so durability is unharmed and the
+// next snapshot retries the truncation.
 func (s *Server) snapshotLocked(trigger string) {
 	if _, err := s.store.Snapshot(s.schema, s.applier.Log(), trigger); err != nil {
 		s.logger.Error("snapshot failed", "trigger", trigger, "err", err)

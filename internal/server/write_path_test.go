@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mvolap/internal/casestudy"
 	"mvolap/internal/evolution"
@@ -379,6 +380,79 @@ func TestWriteStageSeries(t *testing.T) {
 	post(t, leader, "/facts", writeBodies["/facts"].refused)
 	if count(store.RecordFacts, "apply") != refusedApply || count(store.RecordFacts, "wal") != refusedWAL {
 		t.Error("a refused batch observed a stage it did not complete")
+	}
+}
+
+// TestReadersDoNotWaitForAParkedWrite: a write holds the writer mutex
+// from its clone to the end of its automatic snapshot, but readers take
+// the served pointer under mu, which the write holds only for the swap.
+// With a write parked inside commit — its clone built, applied and
+// warmed, not yet swapped in — /query, /schema, /modes and /readyz
+// answer from the schema it is about to replace; once it is released
+// the next query sees it. A regression would block the reads behind the
+// parked write, which the deadline turns into a failure, not a hang.
+func TestReadersDoNotWaitForAParkedWrite(t *testing.T) {
+	sch, err := casestudy.New(casestudy.Config{WithFacts: true, WithSplitMappings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(sch, WithLogger(quietLogger()), WithEvolution())
+	h := s.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	q := "/query?q=" + urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE tcm")
+	before := serve(http.MethodGet, q, "").Body.String()
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.parkCommit = func() {
+		close(parked)
+		<-release
+	}
+	wrote := make(chan *httptest.ResponseRecorder, 1)
+	go func() { wrote <- serve(http.MethodPost, "/facts", writeBodies["/facts"].ok) }()
+	<-parked
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	type answer struct {
+		path string
+		rec  *httptest.ResponseRecorder
+	}
+	answers := make(chan answer, 4)
+	go func() {
+		for _, path := range []string{q, "/schema", "/modes", "/readyz"} {
+			answers <- answer{path, serve(http.MethodGet, path, "")}
+		}
+	}()
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < 4; i++ {
+		select {
+		case a := <-answers:
+			if a.rec.Code != http.StatusOK {
+				t.Errorf("GET %s during a parked write = %d: %s", a.path, a.rec.Code, a.rec.Body)
+			}
+			if a.path == q && a.rec.Body.String() != before {
+				t.Errorf("GET %s during a parked write answered from another schema", q)
+			}
+		case <-deadline:
+			t.Fatalf("readers still waiting on a parked write after %d of 4 answers", i)
+		}
+	}
+
+	close(release)
+	released = true
+	if rec := <-wrote; rec.Code != http.StatusOK {
+		t.Fatalf("released write = %d: %s", rec.Code, rec.Body)
+	}
+	if after := serve(http.MethodGet, q, "").Body.String(); after == before {
+		t.Error("the released write is not visible to the next query")
 	}
 }
 
