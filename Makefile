@@ -1,28 +1,8 @@
 GO ?= go
 
-# Machine-readable benchmark record for this change series; CI uploads
-# it as an artifact so performance trajectories accumulate across
-# commits. CI reads the current name via `make -s print-bench`, so
-# bumping it here is the single edit a new record series needs.
-BENCH ?= BENCH_10.json
-
-# Load-bench record: the committed mvolap-bench saturation sweep the
-# delta target diffs fresh runs against.
-BENCH_LOAD ?= BENCH_9.json
-
-# print-bench / print-bench-load let CI resolve the artifact paths from
-# this file instead of hard-coding record names in the workflow (which
-# is how a stale BENCH_7.json pin once shipped).
-.PHONY: print-bench print-bench-load
-print-bench:
-	@echo $(BENCH)
-print-bench-load:
-	@echo $(BENCH_LOAD)
-
 # Build identity injected into the binaries. `go run` and package-path
-# builds never stamp VCS info, so without this every bench report says
-# "(devel)/unknown"; with it, a committed BENCH_*.json names the commit
-# that was measured.
+# builds never stamp VCS info, so without this mvolap_build_info and
+# -version say "(devel)/unknown"; with it, they name the commit built.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo '(devel)')
 COMMIT ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/internal/buildinfo.commit=$(COMMIT)"
@@ -33,11 +13,11 @@ LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/in
 .PHONY: verify
 verify: build vet deps-check write-path-check test race benchmark-check
 
-# The reproduction tier and the load generators are outside the serving
+# The reproduction tier and the load generator are outside the serving
 # binary's import graph: they exist for cmd/paper-tables and the
 # benchmarks and stay frozen. An import from the serving path would
 # make them something every serving change has to keep working.
-NOT_SERVED = rolap logical warehouse cube molap etl scd timedim bench workload
+NOT_SERVED = rolap logical warehouse cube etl scd workload
 .PHONY: deps-check
 deps-check:
 	@served=$$($(GO) list -deps ./cmd/mvolapd) || exit 1; \
@@ -136,9 +116,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
+# bench-json and bench-smoke write their go test -json stream to
+# bench-smoke.json, which is gitignored: a run never dirties the tree.
+# CI uploads bench-smoke's as an artifact.
 .PHONY: bench-json
 bench-json:
-	$(GO) test -json -bench=. -benchmem -run='^$$' ./... > $(BENCH)
+	$(GO) test -json -bench=. -benchmem -run='^$$' ./... > bench-smoke.json
 
 # bench-smoke runs the incremental-maintenance, sharded-swap/scan,
 # warm-restart and replication benchmarks once — a CI guard that the
@@ -149,46 +132,6 @@ bench-json:
 # catches up to a leader's WAL.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -json -bench='IncrementalIngest|ShardedSwap|ShardedScan' -benchtime=1x -run='^$$' . > $(BENCH)
-	$(GO) test -json -bench=WarmRestart -benchtime=1x -run='^$$' ./internal/store >> $(BENCH)
-	$(GO) test -json -bench='FollowerCatchup|ReplicaQueryThroughput' -benchtime=1x -run='^$$' ./internal/server >> $(BENCH)
-
-# loadtest is the mvolap-bench smoke: an in-process leader + 1
-# follower under ~5s of mixed query/facts/evolve load with a recorded
-# trace, then a serial replay of the capture (the trace self-verifies
-# its CRC framing and op digest on read), plus the record/replay
-# determinism and golden-trace tests. LOADJSON is uploaded by CI.
-LOADJSON ?= loadtest.json
-.PHONY: loadtest
-loadtest: build
-	$(GO) run $(LDFLAGS) ./cmd/mvolap-bench -inprocess 1 -duration 4s -warmup 1s -concurrency 8 \
-		-record loadtest.mvtr -json $(LOADJSON)
-	$(GO) run $(LDFLAGS) ./cmd/mvolap-bench -inprocess 0 -replay loadtest.mvtr -concurrency 1
-	$(GO) test -run 'TestRecordReplayDeterminism|TestSeedTrace' -count=1 ./internal/bench/
-	@rm -f loadtest.mvtr
-
-# bench-load regenerates $(BENCH_LOAD): a saturation sweep against an
-# in-process leader + 2 followers, queries fanned across the
-# followers, replication lag sampled from their /readyz. The ldflags
-# stamp the measured commit into the report's build identity.
-.PHONY: bench-load
-bench-load: build
-	$(GO) run $(LDFLAGS) ./cmd/mvolap-bench -inprocess 2 -sweep-concurrency 1,8,64 \
-		-duration 4s -warmup 1s -json $(BENCH_LOAD)
-
-# bench-delta runs a fresh abbreviated sweep and diffs it against the
-# committed $(BENCH_LOAD) record with `mvolap-bench -compare`: per-op
-# throughput/p50/p99 deltas as a markdown table (bench-delta.md, which
-# CI appends to the job summary). Advisory by design — deltas inform,
-# they do not gate — so only a build failure fails the target and
-# noisy CI runners never block a merge.
-.PHONY: bench-delta
-bench-delta: build
-	-$(GO) run $(LDFLAGS) ./cmd/mvolap-bench -inprocess 2 -sweep-concurrency 1,8 \
-		-duration 2s -warmup 500ms -json bench-fresh.json
-	-@if [ -f $(BENCH_LOAD) ] && [ -f bench-fresh.json ]; then \
-		$(GO) run ./cmd/mvolap-bench -compare $(BENCH_LOAD),bench-fresh.json | tee bench-delta.md; \
-	else \
-		echo "bench-delta: missing $(BENCH_LOAD) or bench-fresh.json; nothing to compare" | tee bench-delta.md; \
-	fi
-	-@rm -f bench-fresh.json
+	$(GO) test -json -bench='IncrementalIngest|ShardedSwap|ShardedScan' -benchtime=1x -run='^$$' . > bench-smoke.json
+	$(GO) test -json -bench=WarmRestart -benchtime=1x -run='^$$' ./internal/store >> bench-smoke.json
+	$(GO) test -json -bench='FollowerCatchup|ReplicaQueryThroughput' -benchtime=1x -run='^$$' ./internal/server >> bench-smoke.json

@@ -1,11 +1,12 @@
 package mvolap_test
 
-// Benchmarks regenerating every table and figure of the paper (the
-// workload of each bench IS the computation behind that artefact), plus
-// scaling sweeps for the costs the paper discusses qualitatively:
-// structure-version inference, multiversion fact table materialization,
-// per-mode query latency, duplication overhead of the MultiVersion DW,
-// and the ETL snapshot differ. Run with:
+// Scaling sweeps for the costs the paper discusses qualitatively
+// (structure-version inference, multiversion fact table
+// materialization, per-mode query latency, duplication overhead of the
+// MultiVersion DW, the ETL snapshot differ), ablations, and the
+// serving path's incremental-maintenance and scan microbenchmarks. The
+// paper's tables themselves are regenerated and checked by
+// cmd/paper-tables. Run with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -21,9 +22,6 @@ import (
 	"mvolap/internal/cube"
 	"mvolap/internal/etl"
 	"mvolap/internal/evolution"
-	"mvolap/internal/metadata"
-	"mvolap/internal/molap"
-	"mvolap/internal/quality"
 	"mvolap/internal/rolap"
 	"mvolap/internal/scd"
 	"mvolap/internal/schemaio"
@@ -40,279 +38,6 @@ func benchSchema(b *testing.B) *core.Schema {
 		b.Fatal(err)
 	}
 	return s
-}
-
-func q1(mode core.Mode) core.Query {
-	return core.Query{
-		GroupBy: []core.GroupBy{{Dim: casestudy.OrgDim, Level: "Division"}},
-		Grain:   core.GrainYear,
-		Range:   temporal.Between(temporal.Year(2001), temporal.EndOfYear(2002)),
-		Mode:    mode,
-	}
-}
-
-func q2(mode core.Mode) core.Query {
-	return core.Query{
-		GroupBy: []core.GroupBy{{Dim: casestudy.OrgDim, Level: "Department"}},
-		Grain:   core.GrainYear,
-		Range:   temporal.Between(temporal.Year(2002), temporal.EndOfYear(2003)),
-		Mode:    mode,
-	}
-}
-
-func runQuery(b *testing.B, q func(*core.Schema) core.Query) {
-	b.Helper()
-	s := benchSchema(b)
-	// Warm the MVFT cache: the bench measures steady-state query cost.
-	if _, err := s.Execute(q(s)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Execute(q(s))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkTable01OrgSnapshots regenerates Tables 1, 2 and 7: the
-// dimension's leaf sets and parent links at each year.
-func BenchmarkTable01OrgSnapshots(b *testing.B) {
-	s := benchSchema(b)
-	d := s.Dimension(casestudy.OrgDim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, yr := range []int{2001, 2002, 2003} {
-			at := temporal.Year(yr)
-			for _, mv := range d.LeavesAt(at) {
-				n += len(d.ParentsAt(mv.ID, at))
-			}
-		}
-		if n != 10 {
-			b.Fatalf("parent links = %d", n)
-		}
-	}
-}
-
-// BenchmarkTable03FactLoad regenerates Table 3: loading the snapshot
-// into the temporally consistent fact table, with validation.
-func BenchmarkTable03FactLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := casestudy.New(casestudy.Config{WithFacts: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Facts().Len() != 10 {
-			b.Fatal("bad fact count")
-		}
-	}
-}
-
-// BenchmarkTable04_Q1TCM, ...05, ...06 regenerate the three readings of
-// query Q1 (Tables 4-6).
-func BenchmarkTable04_Q1TCM(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q1(core.TCM()) })
-}
-
-func BenchmarkTable05_Q1On2001(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q1(core.InVersion(s.VersionAt(temporal.Year(2001)))) })
-}
-
-func BenchmarkTable06_Q1On2002(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q1(core.InVersion(s.VersionAt(temporal.Year(2002)))) })
-}
-
-// BenchmarkTable08_Q2TCM, ...09, ...10 regenerate the three readings of
-// query Q2 (Tables 8-10).
-func BenchmarkTable08_Q2TCM(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q2(core.TCM()) })
-}
-
-func BenchmarkTable09_Q2On2002(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q2(core.InVersion(s.VersionAt(temporal.Year(2002)))) })
-}
-
-func BenchmarkTable10_Q2On2003(b *testing.B) {
-	runQuery(b, func(s *core.Schema) core.Query { return q2(core.InVersion(s.VersionAt(temporal.Year(2003)))) })
-}
-
-// BenchmarkTable11OperatorCompilation compiles the Table 11 operations
-// into basic operators.
-func BenchmarkTable11OperatorCompilation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n := 0
-		n += len(evolution.CreateMember("Org", evolution.NewMember{ID: "idV", Name: "V", Parents: []core.MVID{"idP1"}}, temporal.Year(2002)))
-		n += len(evolution.Transform("Org", "idV", evolution.NewMember{ID: "idV'", Name: "V'"}, temporal.Year(2002), 1))
-		n += len(evolution.Merge("Org", []evolution.MergeSource{
-			{ID: "a", Forward: core.UniformMapping(1, core.Identity, core.ExactMapping), Backward: core.UniformMapping(1, core.Linear{K: 0.5}, core.ApproxMapping)},
-			{ID: "b", Forward: core.UniformMapping(1, core.Identity, core.ExactMapping), Backward: core.UniformMapping(1, core.Unknown{}, core.UnknownMapping)},
-		}, evolution.NewMember{ID: "ab"}, temporal.Year(2002)))
-		n += len(evolution.Increase("Org", "v", evolution.NewMember{ID: "v+"}, temporal.Year(2002), 2, 1))
-		n += len(evolution.PartialAnnexation("Org", "v1", "v2",
-			evolution.NewMember{ID: "v1-"}, evolution.NewMember{ID: "v2+"}, temporal.Year(2002), 0.1, 0.2, 1))
-		if n != 1+3+5+3+7 {
-			b.Fatalf("operator count = %d", n)
-		}
-	}
-}
-
-// BenchmarkTable12MappingTable regenerates the mapping-relations
-// metadata table.
-func BenchmarkTable12MappingTable(b *testing.B) {
-	s := benchSchema(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := metadata.MappingTable(s)
-		if len(rows) != 2 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-// BenchmarkFigure2GraphExport walks the Org dimension's temporal graph
-// as Figure 2 draws it.
-func BenchmarkFigure2GraphExport(b *testing.B) {
-	s := benchSchema(b)
-	d := s.Dimension(casestudy.OrgDim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		for _, mv := range d.Versions() {
-			fmt.Fprintf(&sb, "%s %s\n", mv.DisplayName(), mv.Valid)
-		}
-		for _, r := range d.Relationships() {
-			fmt.Fprintf(&sb, "%s->%s %s\n", r.From, r.To, r.Valid)
-		}
-		if sb.Len() == 0 {
-			b.Fatal("empty export")
-		}
-	}
-}
-
-// BenchmarkExample7StructureVersions measures structure-version
-// inference on the case study (Example 7 extended by the Smith move).
-func BenchmarkExample7StructureVersions(b *testing.B) {
-	s := benchSchema(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Invalidate()
-		if len(s.StructureVersions()) != 3 {
-			b.Fatal("bad versions")
-		}
-	}
-}
-
-// BenchmarkFigure1Pipeline runs the whole multi-tier architecture:
-// snapshot diffing (ETL), fact loading, both warehouses, cube build and
-// a navigated query.
-func BenchmarkFigure1Pipeline(b *testing.B) {
-	snaps := []struct {
-		year  int
-		csv   string
-		hints etl.Hints
-	}{
-		{2001, "Department,Division\nDpt.Jones,Sales\nDpt.Smith,Sales\nDpt.Brian,R&D\n", etl.Hints{}},
-		{2002, "Department,Division\nDpt.Jones,Sales\nDpt.Smith,R&D\nDpt.Brian,R&D\n", etl.Hints{}},
-		{2003, "Department,Division\nDpt.Bill,Sales\nDpt.Paul,Sales\nDpt.Smith,R&D\nDpt.Brian,R&D\n",
-			etl.Hints{Splits: []etl.SplitHint{{Source: "Dpt.Jones", Targets: []string{"Dpt.Bill", "Dpt.Paul"}, Weights: []float64{0.4, 0.6}}}}},
-	}
-	const facts = "member,time,amount\nDpt.Jones,2001,100\nDpt.Smith,2001,50\nDpt.Brian,2001,100\n" +
-		"Dpt.Jones,2002,100\nDpt.Smith,2002,100\nDpt.Brian,2002,50\n" +
-		"Dpt.Bill,2003,150\nDpt.Paul,2003,50\nDpt.Smith,2003,110\nDpt.Brian,2003,40\n"
-	for i := 0; i < b.N; i++ {
-		s := core.NewSchema("inst", core.Measure{Name: "Amount", Agg: core.Sum})
-		if err := s.AddDimension(core.NewDimension("Org", "Org")); err != nil {
-			b.Fatal(err)
-		}
-		a := evolution.NewApplier(s)
-		for _, snap := range snaps {
-			parsed, err := etl.ReadDimensionSnapshot(strings.NewReader(snap.csv), temporal.Year(snap.year))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ops, err := etl.Diff(s, "Org", parsed, snap.hints)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := a.Apply(ops...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		recs, err := etl.ReadFacts(strings.NewReader(facts), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := etl.LoadFacts(s, "Org", recs, nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := warehouse.BuildTemporal(s, a.Log()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := warehouse.BuildMultiVersion(s, warehouse.Full); err != nil {
-			b.Fatal(err)
-		}
-		c, err := cube.Build(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := c.NewView()
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := v.DrillDown().SwitchMode(core.InVersion(s.VersionAt(temporal.Year(2003)))).Materialize()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(g.RowLabels) == 0 {
-			b.Fatal("empty grid")
-		}
-	}
-}
-
-// BenchmarkSec52QualityFactor computes the §5.2 quality ranking over
-// all modes.
-func BenchmarkSec52QualityFactor(b *testing.B) {
-	s := benchSchema(b)
-	w := quality.DefaultWeights()
-	q := q2(core.TCM())
-	if _, err := quality.RankModes(s, q, w); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ranked, err := quality.RankModes(s, q, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ranked[0].Quality != 1 {
-			b.Fatal("bad ranking")
-		}
-	}
-}
-
-// BenchmarkSec51Redundancy measures MultiVersion DW construction under
-// both storage policies and reports the redundancy/saving metrics.
-func BenchmarkSec51Redundancy(b *testing.B) {
-	for _, policy := range []warehouse.StoragePolicy{warehouse.Full, warehouse.Delta} {
-		b.Run(policy.String(), func(b *testing.B) {
-			s := benchSchema(b)
-			var stats warehouse.RedundancyStats
-			for i := 0; i < b.N; i++ {
-				dw, err := warehouse.BuildMultiVersion(s, policy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = dw.Stats
-			}
-			b.ReportMetric(float64(stats.StoredRows), "rows")
-			b.ReportMetric(stats.Redundancy(), "redundancy")
-		})
-	}
 }
 
 // BenchmarkSCDComparison runs the case-study workload through the three
@@ -730,66 +455,6 @@ func BenchmarkAblationDeltaReadCost(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationRolapVsMolap compares a time-range aggregation for a
-// single member executed three ways: the ROLAP SQL engine, the core
-// query engine, and the MOLAP dense array's O(1) prefix sums — the §4.2
-// server-architecture trade-off made measurable.
-func BenchmarkAblationRolapVsMolap(b *testing.B) {
-	w := workload.MustGenerate(workload.Config{Seed: 5, Departments: 30, Years: 10, EvolutionsPerYear: 2, FactsPerYear: 12})
-	s := w.Schema
-	// Pick a leaf with data.
-	target := s.Facts().Facts()[0].Coords[0]
-	from, to := temporal.Year(workload.StartYear), temporal.EndOfYear(workload.StartYear+9)
-
-	b.Run("rolap-sql", func(b *testing.B) {
-		dw, err := warehouse.BuildTemporal(s, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q := fmt.Sprintf("SELECT SUM(m0) AS total FROM fact WHERE d_Org = '%s' AND t >= %d AND t <= %d",
-			target, int64(from), int64(to))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dw.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("core-engine", func(b *testing.B) {
-		q := core.Query{
-			GroupBy: []core.GroupBy{{Dim: workload.OrgDim, Level: "Department"}},
-			Grain:   core.GrainAll,
-			Range:   temporal.Between(from, to),
-			Mode:    core.TCM(),
-		}
-		if _, err := s.Execute(q); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("molap-array", func(b *testing.B) {
-		st, err := molap.Build(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := st.Grid(core.TCM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := g.RangeSum(core.Coords{target}, from, to, 0); !ok {
-				b.Fatal("missing row")
-			}
-		}
-	})
 }
 
 // BenchmarkSchemaIO measures JSON persistence of a midsize warehouse.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,5 +36,33 @@ func TestAllSectionsPass(t *testing.T) {
 	}
 	if n := strings.Count(text, "==== "); n != 16 {
 		t.Errorf("section headers = %d, want 16", n)
+	}
+}
+
+// TestOutputGolden pins the whole output byte for byte: every printed
+// cell, confidence factor, quality score and operator listing, not only
+// the values the sections check against the paper. Rewrite the file
+// with MVOLAP_REWRITE_TESTDATA=1 only for an intended change of what
+// the tables show.
+func TestOutputGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := run(&got); err != nil {
+		t.Fatalf("reproduction gate failed: %v", err)
+	}
+	golden := filepath.Join("testdata", "output.golden")
+	if os.Getenv("MVOLAP_REWRITE_TESTDATA") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("output differs from %s:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }

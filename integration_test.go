@@ -3,14 +3,13 @@ package mvolap_test
 // Integration test: one synthetic evolving warehouse driven through
 // every tier of the Figure-1 architecture — generation, JSON
 // persistence round trip, temporal and multiversion warehouses (both
-// storage policies), MOLAP store, cube navigation, TQL, quality
-// ranking, and the HTTP server — with cross-tier consistency checks.
+// storage policies), cube navigation, TQL, quality ranking, and the
+// HTTP server — with cross-tier consistency checks.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +17,6 @@ import (
 
 	"mvolap/internal/core"
 	"mvolap/internal/cube"
-	"mvolap/internal/molap"
 	"mvolap/internal/quality"
 	"mvolap/internal/schemaio"
 	"mvolap/internal/server"
@@ -105,30 +103,7 @@ func TestEndToEndSyntheticWarehouse(t *testing.T) {
 		t.Error("delta must not store more than full")
 	}
 
-	// 3. MOLAP totals equal engine totals per mode.
-	st, err := molap.Build(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range s.Modes() {
-		g, err := st.Grid(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Execute(core.Query{Grain: core.GrainAll, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		if len(res.Rows) > 0 && !math.IsNaN(res.Rows[0].Values[0]) {
-			want = res.Rows[0].Values[0]
-		}
-		if got := g.TotalSum(0); math.Abs(got-want) > 1e-6 {
-			t.Errorf("mode %s: molap %v vs engine %v", mode, got, want)
-		}
-	}
-
-	// 4. Cube navigation agrees with direct queries.
+	// 3. Cube navigation agrees with direct queries.
 	c, err := cube.Build(s)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +120,7 @@ func TestEndToEndSyntheticWarehouse(t *testing.T) {
 		t.Fatal("empty cube grid")
 	}
 
-	// 5. TQL and quality ranking run in every mode.
+	// 4. TQL and quality ranking run in every mode.
 	out, err := tql.Run(s, "QUALITY SELECT m0 BY Org.Department, TIME.YEAR")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +142,7 @@ func TestEndToEndSyntheticWarehouse(t *testing.T) {
 		t.Error("BestMode disagrees with TQL QUALITY")
 	}
 
-	// 6. The HTTP tier serves the same numbers.
+	// 5. The HTTP tier serves the same numbers.
 	srv := httptest.NewServer(server.New(s).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/query?q=" + strings.ReplaceAll(

@@ -1,9 +1,8 @@
 // Package buildinfo identifies the running build — module version, VCS
 // commit, and Go toolchain — from the information the linker embeds
 // (debug.ReadBuildInfo). The daemon exposes it as the
-// mvolap_build_info metric and a -version flag, and mvolap-bench
-// stamps it into every benchmark report, so a JSON result can always
-// be traced back to the build that produced it.
+// mvolap_build_info metric and a -version flag, so a running process
+// can always be traced back to the build that produced it.
 package buildinfo
 
 import (

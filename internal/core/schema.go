@@ -17,8 +17,8 @@ import (
 // Schema is the Temporal Multidimensional Schema of Definition 8:
 // temporal dimensions, a set of mapping relationships, measures, and the
 // temporally consistent fact table. The time dimension T of the paper is
-// the implicit discrete axis of temporal.Instant; calendar hierarchies
-// over it live in package timedim.
+// the implicit discrete axis of temporal.Instant; queries roll it up to
+// calendar grains through TimeGrain.
 type Schema struct {
 	Name string
 

@@ -18,7 +18,7 @@ import (
 
 // Replication benchmarks: follower catch-up throughput (WAL records
 // applied per second from bootstrap to converged) and read throughput
-// as replicas are added. Both feed the BENCH_7.json artifact.
+// as replicas are added. `make bench-smoke` runs both once.
 
 // benchLeader starts a store-backed leader whose snapshot covers
 // sequence zero, then appends records fact batches so a follower has

@@ -14,9 +14,8 @@ import (
 // operation generator for production-shaped load: TQL queries over the
 // generated schema, fact batches at currently-valid leaf members, and
 // evolution scripts that keep reorganizing the structure while the
-// load runs. The generator is deterministic from its seed, so a
-// recorded op stream (internal/bench's trace codec) can be reproduced
-// bit-identically.
+// load runs. The generator is deterministic from its seed, so an op
+// stream can be reproduced bit-identically.
 
 // Leaf is one currently-valid leaf member a fact can land on.
 type Leaf struct {
@@ -28,9 +27,7 @@ type Leaf struct {
 
 // Surface describes the queryable and mutable surface of a served
 // schema: everything the op generator needs to emit statements that
-// the server will accept. It is built either directly from a schema
-// (SurfaceOf) or from a live server's /schema response
-// (bench.DiscoverSurface).
+// the server will accept. SurfaceOf builds it from a schema.
 type Surface struct {
 	// Dim is the primary dimension: the one evolution scripts mutate.
 	Dim string
@@ -76,8 +73,7 @@ func (s Surface) Validate() error {
 	return nil
 }
 
-// SurfaceOf derives the surface from a schema directly (the in-process
-// path; a remote server's surface is discovered over /schema instead).
+// SurfaceOf derives the surface from a schema.
 func SurfaceOf(s *core.Schema) Surface {
 	sf := Surface{FirstYear: -1}
 	for _, m := range s.Measures() {
