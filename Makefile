@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/in
 # concurrency-bearing core package, plus the benchmark module and the
 # serving binary's import graph.
 .PHONY: verify
-verify: build vet deps-check write-path-check test race benchmark-check
+verify: build vet deps-check write-path-check read-path-check test race benchmark-check
 
 # The reproduction tier and the load generator are outside the serving
 # binary's import graph: they exist for cmd/paper-tables and the
@@ -55,6 +55,23 @@ write-path-check:
 	done; \
 	test -z "$$bad"
 
+# A query runs on the goroutine that asked for it: the engine starts
+# goroutines in one place, WarmFrom's per-mode fold (internal/core/
+# incremental.go). Writes serialize, so a write is the one request with
+# cores to spare; concurrent queries already fill them. A go statement
+# anywhere else in internal/core's non-test code is a second fan-out
+# starting — and the scan and materialization fan-outs it would bring
+# back moved no benchmark metric.
+.PHONY: read-path-check
+read-path-check:
+	@stray=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
+			/^[[:space:]]*go[[:space:]]/ && fn !~ /^func \(s \*Schema\) WarmFrom\(/ { print FILENAME ":" FNR ":" $$0 }' \
+			$$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$stray" ]; then \
+		echo "read-path-check: go statement in internal/core outside WarmFrom:"; echo "$$stray"; \
+		echo "A new fan-out first needs a benchmark workload (BENCHMARK.json) that shows it pays."; exit 1; \
+	fi
+
 # benchmark/ is its own module (`replace mvolap => ../`), so the root
 # `./...` patterns never see it: without this step a rename of any of
 # the ~60 symbols it imports breaks the benchmark of record silently.
@@ -75,11 +92,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# The MVFT materialization pipeline, its singleflight cache, the
-# incremental-maintenance property suite, the lock-free observability
-# counters, the server's copy-on-write evolution and the store's
-# WAL/flusher are all concurrent; keep them honest under the race
-# detector. Crash recovery, replication and snapshot determinism have
+# Concurrent queries sharing one published schema (its singleflight
+# mode cache and lazily built rollup tables), WarmFrom's per-mode fold
+# and the clones racing for a shared tail slot, the lock-free
+# observability counters, the server's copy-on-write evolution and the
+# store's WAL/flusher are all concurrent; keep them honest under the
+# race detector. Crash recovery, replication and snapshot determinism have
 # no targets of their own: their tests live in internal/store and
 # internal/server, which this runs whole — a `-run` regex beside it
 # would only re-run a subset, and silently drop any test whose name it

@@ -138,32 +138,6 @@ func BenchmarkMVFTInference(b *testing.B) {
 	}
 }
 
-// BenchmarkMVFTParallel sweeps the materialization worker count on a
-// large-schema workload: the sequential path (workers=1) is the
-// baseline, GOMAXPROCS the default under load. Output is bit-identical
-// at every setting (see TestMVFTParallelEquivalence); this measures the
-// wall-clock gain of sharding resolution and mapping.
-func BenchmarkMVFTParallel(b *testing.B) {
-	cfg := workload.Config{Seed: 3, Departments: 120, Years: 16, EvolutionsPerYear: 8, FactsPerYear: 12, Measures: 2}
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			w := workload.MustGenerate(cfg)
-			w.Schema.SetMaterializeWorkers(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Schema.Invalidate()
-				if _, err := w.Schema.MultiVersion().All(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkQueryByMode compares steady-state query latency in tcm vs a
 // version mode on the midsize workload.
 func BenchmarkQueryByMode(b *testing.B) {
@@ -728,13 +702,12 @@ func BenchmarkShardedSwap(b *testing.B) {
 
 // BenchmarkShardedScan measures steady-state query aggregation over
 // the ~100k-tuple materialized table: the columnar scan classifying
-// tuples straight out of the shard arrays, sequential vs parallel
-// (every worker count returns bit-identical rows). The workers=N legs
-// are the rollup (one division level, year grain, tcm: 9 rows); drill
-// groups by the leaf level at quarter grain (34k rows: the fold, the
-// cell merge and the sort carry weight); version rolls up inside a
-// structure version, where one static rollup table serves every
-// instant.
+// tuples straight out of the shard arrays and folding them shard by
+// shard, on the benchmark's goroutine.
+// rollup is one division level, year grain, tcm (9 rows); drill groups
+// by the leaf level at quarter grain (34k rows: the fold and the sort
+// carry weight); version rolls up inside a structure version, where one
+// static rollup table serves every instant.
 func BenchmarkShardedScan(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	s := ingestSchema(b, leaves, months)
@@ -748,33 +721,26 @@ func BenchmarkShardedScan(b *testing.B) {
 	drill.Grain = core.GrainQuarter
 	version := rollup
 	version.Mode = core.InVersion(s.VersionAt(temporal.Year(2003)))
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		counts = append(counts, n)
-	}
 	for _, leg := range []struct {
-		prefix string
-		q      core.Query
-	}{{"", rollup}, {"drill/", drill}, {"version/", version}} {
+		name string
+		q    core.Query
+	}{{"rollup", rollup}, {"drill", drill}, {"version", version}} {
 		if _, err := s.Execute(leg.q); err != nil { // materialize the mode, build the rollup tables
 			b.Fatal(err)
 		}
-		for _, workers := range counts {
-			b.Run(fmt.Sprintf("%sworkers=%d", leg.prefix, workers), func(b *testing.B) {
-				s.SetMaterializeWorkers(workers)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := s.Execute(leg.q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Rows) == 0 {
-						b.Fatal("empty result")
-					}
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := s.Execute(leg.q)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(res.Rows) == 0 {
+					b.Fatal("empty result")
+				}
+			}
+		})
 	}
 }
 

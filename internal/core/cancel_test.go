@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"mvolap/internal/temporal"
@@ -120,5 +121,103 @@ func TestSchemaCloneIsolated(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on: a cancellation at an exact check, with no timing.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestWarmFromCancelledMidFold cancels WarmFrom inside its folds, after
+// every warm mode has appended part of a delta in place, into the tail
+// shard it borrowed from base. The modes are evicted, base's tables are
+// untouched, and a sibling clone folded afterwards with a live context
+// — which finds those tail slots claimed by the abandoned clone — equals
+// a cold rebuild.
+func TestWarmFromCancelledMidFold(t *testing.T) {
+	const n, delta = MappedShardSize + 100, 300 // a partial tail; more facts than one cancel check stride
+	base := bigTCMSchema(t, n)
+	modes := base.Modes()
+	if len(modes) != 4 {
+		t.Fatalf("%d modes, want 4", len(modes))
+	}
+	for _, m := range modes {
+		if _, err := base.MultiVersion().Mode(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(c *Schema) Delta {
+		old := c.Facts().Len()
+		for i := 0; i < delta; i++ {
+			if err := c.InsertFact(Coords{[]MVID{"Smith", "Brian"}[i%2]}, ym(2600+i/24, 1+(i/2)%12), float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Delta{NewFacts: c.Facts().Facts()[old:]}
+	}
+
+	// WarmFrom checks ctx once per mode while deciding retention; every
+	// later check — each fold's first comes after cancelCheckStride
+	// facts — reports the cancellation.
+	abandoned := base.Clone()
+	res := abandoned.WarmFrom(newCancelAfter(len(modes)), base, insert(abandoned))
+	if len(res.Retained) != 0 || len(res.Evicted) != len(modes) || res.DeltaApplied != 0 {
+		t.Fatalf("cancelled WarmFrom = %+v, want every mode evicted", res)
+	}
+	if cached := len(abandoned.MultiVersion().byMode); cached != 0 {
+		t.Fatalf("%d modes cached on the abandoned clone", cached)
+	}
+	fresh := bigTCMSchema(t, n)
+	for _, m := range modes {
+		bt, err := base.MultiVersion().Mode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail := bt.shards[len(bt.shards)-1]; tail.claim.Load() != int32(tail.n+cancelCheckStride) {
+			t.Errorf("%s: tail claim %d, want the abandoned fold's %d slots past %d", m, tail.claim.Load(), cancelCheckStride, tail.n)
+		}
+		want, err := fresh.MultiVersion().Mode(InVersionOf(fresh, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalMappedTables(t, "base/"+m.String(), bt, want)
+	}
+
+	sibling := base.Clone()
+	if res := sibling.WarmFrom(context.Background(), base, insert(sibling)); len(res.Retained) != len(modes) {
+		t.Fatalf("live WarmFrom retained %v, want all %d modes", res.Retained, len(modes))
+	}
+	cold := sibling.Clone()
+	for _, m := range modes {
+		bt, _ := base.MultiVersion().Mode(m)
+		st, err := sibling.MultiVersion().Mode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := len(bt.shards) - 1
+		if &st.shards[tail].times[0] == &bt.shards[tail].times[0] {
+			t.Errorf("%s: the sibling appended into a tail whose slots the abandoned clone claimed", m)
+		}
+		want, err := cold.MultiVersion().Mode(InVersionOf(cold, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalMappedTables(t, "sibling/"+m.String(), st, want)
 	}
 }

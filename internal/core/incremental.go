@@ -114,12 +114,18 @@ type WarmResult struct {
 // O(warehouse), and in-flight queries on base keep their consistent
 // snapshots. Retained modes fold their deltas
 // concurrently — each mode's fold is independent and deterministic, so
-// the parallelism cannot change a single bit of any table.
+// the parallelism cannot change a single bit of any table. This is the
+// engine's one fan-out: writes serialize on the serving tier's writer
+// lock, so a write is the one request that has the other cores to
+// itself, while concurrent queries, each on its own goroutine, already
+// keep them busy.
 //
 // Retained modes do not count as Materializations; they count as
 // DeltaApplies when a fact delta was folded. A ctx cancellation
 // mid-fold simply evicts the affected modes — the swap must not fail
-// because warming was abandoned.
+// because warming was abandoned. The half-folded clone is dropped; the
+// tail slots it claimed stay claimed, so a sibling generation copies
+// those tails instead of appending into them.
 func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult {
 	var res WarmResult
 	base.mu.Lock()
@@ -236,16 +242,8 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 					return // folded[i] stays nil: evicted
 				}
 			}
-			if len(d.NewFacts) > 0 {
-				if j.mode.Kind == TCMKind {
-					if err := s.foldTCM(ctx, out, d.NewFacts); err != nil {
-						return
-					}
-				} else {
-					if err := s.mapInto(ctx, out, out.graph, out.leafIn, d.NewFacts); err != nil {
-						return
-					}
-				}
+			if len(d.NewFacts) > 0 && s.mapInto(ctx, out, d.NewFacts) != nil {
+				return // abandoned half folded: evicted
 			}
 			folded[i] = out
 		}(i)

@@ -188,7 +188,7 @@ type resolution struct {
 // mappingGraph indexes mapping relationships for traversal in both
 // directions. Once built it is a read-only snapshot: resolve allocates
 // all of its mutable state per call, so one graph is safe to share
-// across concurrent materialization workers.
+// across WarmFrom's concurrent per-mode folds.
 type mappingGraph struct {
 	forward  map[MVID][]*MappingRelationship // From -> rels
 	backward map[MVID][]*MappingRelationship // To -> rels

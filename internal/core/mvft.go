@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -564,29 +563,14 @@ func (mv *MultiVersionFactTable) Materializations() int64 { return mv.builds.Loa
 // retention never counts as a Materialization.
 func (mv *MultiVersionFactTable) DeltaApplies() int64 { return mv.deltas.Load() }
 
-// All materializes every mode of the schema — the full f' — running the
-// per-mode materializations concurrently. The returned map is a
-// snapshot copy, safe to iterate concurrently with queries.
+// All materializes every mode of the schema — the full f' — one mode
+// after another. The returned map is a snapshot copy, safe to iterate
+// concurrently with queries.
 func (mv *MultiVersionFactTable) All() (map[string]*MappedTable, error) {
 	modes := mv.schema.Modes()
-	errs := make([]error, len(modes))
-	var wg sync.WaitGroup
-	for i, m := range modes {
-		wg.Add(1)
-		go func(i int, m Mode) {
-			defer wg.Done()
-			_, errs[i] = mv.Mode(m)
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	out := make(map[string]*MappedTable, len(modes))
 	for _, m := range modes {
-		t, err := mv.Mode(m) // cached by the pass above
+		t, err := mv.Mode(m)
 		if err != nil {
 			return nil, err
 		}
@@ -595,73 +579,43 @@ func (mv *MultiVersionFactTable) All() (map[string]*MappedTable, error) {
 	return out, nil
 }
 
-// parallelFactThreshold is the fact count below which materialization
-// stays sequential even when several workers are available: tiny
-// schemas (like the paper's case study) must not pay goroutine and
-// merge overhead.
-const parallelFactThreshold = 256
-
-// materializeWorkers resolves the worker count for one materialization:
-// an explicit SetMaterializeWorkers pin wins, otherwise GOMAXPROCS with
-// the small-table sequential fallback.
-func (s *Schema) materializeWorkers(nFacts int) int {
-	w := int(s.matWorkers.Load())
-	pinned := w > 0
-	if !pinned {
-		w = runtime.GOMAXPROCS(0)
-		if nFacts < parallelFactThreshold {
-			return 1
-		}
-	}
-	if w > nFacts {
-		w = nFacts
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// partialShard is one worker's private output: every tuple its fact
-// shard emits, in fact order, stored in flat arenas (one slice per
-// field instead of per-tuple allocations). Tuples are NOT pre-folded
-// inside the shard — the deterministic merge replays them in global
-// fact order so the fold tree (and therefore every floating-point
-// result) is bit-identical to the sequential path. Dropped facts only
-// contribute a count, which is order-insensitive.
-type partialShard struct {
-	coords  []MVID
-	values  []float64
-	cfs     []Confidence
-	times   []temporal.Instant
-	dropped int
-}
-
 // cancelCheckStride is how many facts a mapping or aggregation loop
 // processes between context checks: frequent enough that cancellation
 // is prompt even on modest tables, rare enough to stay off the
 // per-fact hot path.
 const cancelCheckStride = 256
 
-// mapShard resolves and maps one contiguous shard of the fact table
-// into a partialShard. graph and leafIn are shared read-only snapshots;
-// the resolution cache is private to the shard. The shard stops early
-// (leaving its output incomplete) when ctx is cancelled; mapFacts
-// checks ctx after the join and discards the partials.
-func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, facts []*Fact) *partialShard {
+// emitFunc receives one presented tuple. The slices are the emitter's
+// scratch, valid only during the call: MappedTable.add copies them into
+// its shards, a collector copies what it keeps.
+type emitFunc func(coords Coords, t temporal.Instant, values []float64, cfs []Confidence)
+
+// mapShard presents a run of facts in a version mode, in fact order,
+// handing every emitted tuple to emit: each source coordinate resolves
+// through the mapping-relationship graph into the leaf member versions
+// of leafIn, values flow through the composed mapping functions and
+// confidences through ⊗cf, and a fact fans out to one tuple per
+// combination of its dimensions' resolutions (splits). It returns how
+// many facts no resolution reaches, and stops with an error, its run
+// half emitted, when ctx is cancelled.
+func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, facts []*Fact, emit emitFunc) (dropped int, err error) {
 	nd, nm := len(s.dims), len(s.measures)
-	p := &partialShard{}
 	// Resolutions are deterministic per source member version; cache
-	// them per worker.
+	// them for the run.
 	resCache := make([]map[MVID][]resolution, nd)
 	for i := range resCache {
 		resCache[i] = make(map[MVID][]resolution)
 	}
 	perDim := make([][]resolution, nd)
 	combo := make([]int, nd)
+	coords := make(Coords, nd)
+	values := make([]float64, nm)
+	cfs := make([]Confidence, nm)
 	for fi, f := range facts {
-		if fi%cancelCheckStride == 0 && ctx.Err() != nil {
-			return p
+		if fi > 0 && fi%cancelCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return dropped, fmt.Errorf("core: materialization cancelled: %w", err)
+			}
 		}
 		ok := true
 		for i, id := range f.Coords {
@@ -678,26 +632,22 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 			perDim[i] = rs
 		}
 		if !ok {
-			p.dropped++
+			dropped++
 			continue
 		}
 		// Cartesian product across dimensions (splits fan out). Each
-		// combination appends one tuple to the arenas.
+		// combination emits one tuple.
 		for i := range combo {
 			combo[i] = 0
 		}
 		for {
-			p.times = append(p.times, f.Time)
-			p.values = append(p.values, f.Values...)
-			values := p.values[len(p.values)-nm:]
-			cb := len(p.cfs)
-			for k := 0; k < nm; k++ {
-				p.cfs = append(p.cfs, SourceData)
+			copy(values, f.Values)
+			for k := range cfs {
+				cfs[k] = SourceData
 			}
-			cfs := p.cfs[cb:]
 			for i := 0; i < nd; i++ {
 				r := perDim[i][combo[i]]
-				p.coords = append(p.coords, r.target)
+				coords[i] = r.target
 				for k := 0; k < nm; k++ {
 					v, okv := r.per[k].Fn.Map(values[k])
 					if !okv {
@@ -707,6 +657,7 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 					cfs[k] = s.alg.Combine(cfs[k], r.per[k].CF)
 				}
 			}
+			emit(coords, f.Time, values, cfs)
 			// Advance the product counter.
 			i := 0
 			for ; i < len(combo); i++ {
@@ -721,97 +672,46 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 			}
 		}
 	}
-	return p
+	return dropped, nil
 }
 
-// mergePartials replays each shard's emissions, in shard order and
-// within a shard in fact order, through MappedTable.add — exactly the
-// add sequence the sequential path would have run, so merges fold in
-// the same order and the result is bit-identical for any worker count.
-func (s *Schema) mergePartials(out *MappedTable, partials []*partialShard) {
-	nd, nm := len(s.dims), len(s.measures)
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		out.Dropped += p.dropped
-		for i, t := range p.times {
-			out.add(
-				Coords(p.coords[i*nd:(i+1)*nd:(i+1)*nd]),
-				t,
-				p.values[i*nm:(i+1)*nm:(i+1)*nm],
-				p.cfs[i*nm:(i+1)*nm:(i+1)*nm],
-			)
-		}
+// foldTCM presents a run of facts in tcm, in fact order, handing each to
+// emit as it is: source values, every confidence SourceData (the
+// paper's f'|tcm = f × {sd}^m). It stops with an error, its run half
+// emitted, when ctx is cancelled.
+func (s *Schema) foldTCM(ctx context.Context, facts []*Fact, emit emitFunc) error {
+	sd := make([]Confidence, len(s.measures))
+	for k := range sd {
+		sd[k] = SourceData
 	}
-}
-
-// mapInto resolves facts through the mapping graph and folds them into
-// out: the expensive resolution/mapping phase shards across
-// materializeWorkers goroutines, the cheap fold replays the shards
-// deterministically (see mergePartials). Shared by cold
-// materialization (all facts) and warm delta application (the appended
-// suffix) — the add sequence, and with it every floating-point bit, is
-// identical either way.
-func (s *Schema) mapInto(ctx context.Context, out *MappedTable, graph *mappingGraph, leafIn []map[MVID]bool, facts []*Fact) error {
-	workers := s.materializeWorkers(len(facts))
-	if workers <= 1 {
-		p := s.mapShard(ctx, graph, leafIn, facts)
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: materialization cancelled: %w", err)
-		}
-		s.mergePartials(out, []*partialShard{p})
-		return nil
-	}
-	partials := make([]*partialShard, workers)
-	chunk := (len(facts) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(facts))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partials[w] = s.mapShard(ctx, graph, leafIn, facts[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: materialization cancelled: %w", err)
-	}
-	s.mergePartials(out, partials)
-	return nil
-}
-
-// foldTCM folds facts into a tcm table in fact order: source values
-// copied into flat arenas, confidences the zero value SourceData.
-// Shared by cold materialization (all facts) and delta application
-// (the appended suffix) — the add sequence, and therefore every bit of
-// the result, is identical either way.
-func (s *Schema) foldTCM(ctx context.Context, out *MappedTable, facts []*Fact) error {
-	nm := len(s.measures)
-	values := make([]float64, 0, len(facts)*nm)
-	cfs := make([]Confidence, len(facts)*nm)
 	for i, f := range facts {
 		if i > 0 && i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: materialization cancelled: %w", err)
 			}
 		}
-		values = append(values, f.Values...)
-		out.add(f.Coords, f.Time,
-			values[i*nm:(i+1)*nm:(i+1)*nm],
-			cfs[i*nm:(i+1)*nm:(i+1)*nm])
+		emit(f.Coords, f.Time, f.Values, sd)
 	}
 	return nil
 }
 
+// mapInto presents facts in out's mode and folds every emitted tuple
+// straight into out, in fact order. Shared by cold materialization (all
+// facts) and warm delta application (the appended suffix) — the add
+// sequence, and with it every floating-point bit, is identical either
+// way. On cancellation out is left half folded; callers discard it.
+func (s *Schema) mapInto(ctx context.Context, out *MappedTable, facts []*Fact) error {
+	if out.Mode.Kind == TCMKind {
+		return s.foldTCM(ctx, facts, out.add)
+	}
+	dropped, err := s.mapShard(ctx, out.graph, out.leafIn, facts, out.add)
+	out.Dropped += dropped
+	return err
+}
+
 // versionLeafSets builds, per dimension, the acceptable mapping targets
 // for a structure version: the leaf member versions of its restriction.
-// Built once per materialization, read-only for all workers.
+// Built once per materialization, read-only afterwards.
 func (s *Schema) versionLeafSets(sv *StructureVersion) []map[MVID]bool {
 	leafIn := make([]map[MVID]bool, len(s.dims))
 	for i, d := range s.dims {
@@ -835,23 +735,14 @@ func (s *Schema) versionLeafSets(sv *StructureVersion) []map[MVID]bool {
 // the composed mapping functions, confidences through ⊗cf; tuples
 // landing on identical target coordinates merge under ⊕ and ⊗cf.
 //
-// Resolution and mapping — the expensive phase — is sharded across
-// materializeWorkers goroutines over a shared read-only mapping-graph
-// snapshot; the cheap fold phase replays the shards deterministically
-// (see mapInto). The graph and leaf sets are cached on the table so
-// warm delta folds after a clone-swap reuse them.
+// The graph and leaf sets are cached on the table so warm delta folds
+// after a clone-swap reuse them.
 func (s *Schema) mapFacts(ctx context.Context, m Mode) (*MappedTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: materialization cancelled: %w", err)
 	}
-	facts := s.facts.Facts()
 	switch m.Kind {
 	case TCMKind:
-		out := newMappedTable(m, s.alg, s.measures, len(s.dims), len(facts))
-		if err := s.foldTCM(ctx, out, facts); err != nil {
-			return nil, err
-		}
-		return out, nil
 	case VersionKind:
 		if m.Version == nil {
 			return nil, fmt.Errorf("core: version mode without structure version")
@@ -859,12 +750,13 @@ func (s *Schema) mapFacts(ctx context.Context, m Mode) (*MappedTable, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown mode kind %d", m.Kind)
 	}
-
-	sv := m.Version
+	facts := s.facts.Facts()
 	out := newMappedTable(m, s.alg, s.measures, len(s.dims), len(facts))
-	out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
-	out.leafIn = s.versionLeafSets(sv)
-	if err := s.mapInto(ctx, out, out.graph, out.leafIn, facts); err != nil {
+	if m.Kind == VersionKind {
+		out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
+		out.leafIn = s.versionLeafSets(m.Version)
+	}
+	if err := s.mapInto(ctx, out, facts); err != nil {
 		return nil, err
 	}
 	return out, nil

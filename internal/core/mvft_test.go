@@ -483,63 +483,6 @@ func TestInvalidationVisibility(t *testing.T) {
 	}
 }
 
-// sameMappedTable reports bit-level equality of two mapped tables:
-// fact order, coordinates, times, values (NaN-aware, bitwise), CFs,
-// source counts and the dropped counter.
-func sameMappedTable(a, b *MappedTable) string {
-	if a.Len() != b.Len() {
-		return "length differs"
-	}
-	if a.Dropped != b.Dropped {
-		return "dropped differs"
-	}
-	af, bf := a.Facts(), b.Facts()
-	for i := range af {
-		fa, fb := af[i], bf[i]
-		if !fa.Coords.Equal(fb.Coords) || fa.Time != fb.Time || fa.Sources != fb.Sources {
-			return "tuple identity differs"
-		}
-		for k := range fa.Values {
-			if math.Float64bits(fa.Values[k]) != math.Float64bits(fb.Values[k]) {
-				return "values differ"
-			}
-			if fa.CFs[k] != fb.CFs[k] {
-				return "cfs differ"
-			}
-		}
-	}
-	return ""
-}
-
-// TestParallelMatchesSequential asserts the determinism guarantee on
-// the case-study schema: any worker count yields a table bit-identical
-// to the sequential one, in every mode.
-func TestParallelMatchesSequential(t *testing.T) {
-	seq := splitSchema(t)
-	seq.SetMaterializeWorkers(1)
-	for _, workers := range []int{2, 3, 8} {
-		par := splitSchema(t)
-		par.SetMaterializeWorkers(workers)
-		for _, m := range seq.Modes() {
-			want, err := seq.MultiVersion().Mode(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm := m
-			if m.Kind == VersionKind {
-				pm = InVersion(par.VersionByID(m.Version.ID))
-			}
-			got, err := par.MultiVersion().Mode(pm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := sameMappedTable(want, got); diff != "" {
-				t.Errorf("workers=%d mode=%s: %s", workers, m, diff)
-			}
-		}
-	}
-}
-
 func TestModeErrors(t *testing.T) {
 	s := splitSchema(t)
 	if _, err := s.MultiVersion().Mode(Mode{Kind: VersionKind}); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -42,16 +43,35 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// executeUnpruned answers q as Execute does, but with zone-map pruning
+// off: the scan reads every shard.
+func executeUnpruned(t *testing.T, s *Schema, q Query) *Result {
+	t.Helper()
+	p, err := s.planScan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.unpruned = true
+	mt, err := s.MultiVersion().Mode(q.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.executeOn(context.Background(), mt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPropertyPrunedCachedBitIdentical is the fast-path equivalence
 // property: for randomized queries over an evolving schema — fact
 // appends and structural mutations interleaved through clone-swap
 // generations, exactly as the serving tier mutates — the production
-// path (zone-map pruning on, parallel classify and fold) returns
-// results bit-identical to the reference path (pruning disabled,
-// single worker). Every query runs in tcm and in a version mode, with
-// random ranges, grains and dices, so shard skipping, the dice verdicts,
-// the shared rollup caches and the reused structure-version
-// restrictions all face the same answers as the naive scan.
+// path (zone-map pruning on) returns results bit-identical to the same
+// scan with pruning off. Every query runs in tcm or in a version mode,
+// with random ranges, grains and dices, so shard skipping, the dice
+// verdicts, the shared rollup caches and the reused structure-version
+// restrictions all face the same answers as the unpruned scan.
 func TestPropertyPrunedCachedBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
@@ -87,20 +107,12 @@ func TestPropertyPrunedCachedBitIdentical(t *testing.T) {
 			}
 
 			check := func(gen int, q Query) {
-				s.SetMaterializeWorkers(1)
-				debugDisableZonePruning = true
-				want, err := s.Execute(q)
-				debugDisableZonePruning = false
-				if err != nil {
-					t.Fatal(err)
-				}
-				workers := 2 + rng.Intn(7)
-				s.SetMaterializeWorkers(workers)
+				want := executeUnpruned(t, s, q)
 				got, err := s.Execute(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireBitIdentical(t, fmt.Sprintf("gen %d workers %d mode %s", gen, workers, q.Mode), got, want)
+				requireBitIdentical(t, fmt.Sprintf("gen %d mode %s", gen, q.Mode), got, want)
 			}
 
 			for gen := 0; gen < 6; gen++ {

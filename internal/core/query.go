@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mvolap/internal/obs"
 	"mvolap/internal/temporal"
@@ -59,7 +58,7 @@ func bucketOf(g TimeGrain, t temporal.Instant) (key string, order int64) {
 }
 
 // bucketRef is a time bucket as bucketOf renders it. A scan renders it
-// once per (worker, instant) and refers to it by ordinal from then on.
+// once per instant and refers to it by ordinal from then on.
 type bucketRef struct {
 	key   string
 	order int64
@@ -115,7 +114,13 @@ type Row struct {
 	Values []float64
 	// CFs holds the combined confidence factor per value.
 	CFs []Confidence
-	// N counts the mapped tuples folded into the row.
+	// N counts the emissions folded into the row: one per mapped tuple
+	// and per combination of its ancestors at the grouping levels that
+	// lands in the row. A tuple whose ancestors include two member
+	// versions sharing a display name emits into the row twice — its
+	// value is folded twice and N counts 2. In a version mode the mapped
+	// tuples are the mode's: source facts presented on one coordinate
+	// were merged into one tuple before the scan.
 	N int
 
 	timeOrder int64
@@ -194,6 +199,10 @@ type scanPlan struct {
 	dims  []scanDim
 	axes  []scanAxis
 	dices []scanDice
+	// unpruned turns zone-map pruning off, so the scan reads every
+	// non-empty shard: the reference path the equivalence tests compare
+	// pruning against. Plans built by planScan leave it false.
+	unpruned bool
 }
 
 // scanDim is the graph one coordinate position rolls up in: the
@@ -287,13 +296,16 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 	return p, nil
 }
 
-// executeOn aggregates the mode's mapped table in four stages. Prune
-// drops the shards whose zone map rules them out. Classify — range and
-// dice filters, rollup to the grouping levels, the cell of each (tuple,
-// combination) — is the expensive part and carries no cross-tuple
-// state, so it fans out across contiguous shard ranges, one scanWorker
-// each. Fold replays the emissions per cell in global tuple order, and
-// sort puts the rows in result order.
+// executeOn aggregates the mode's mapped table in three stages, all on
+// the calling goroutine. Prune drops the shards whose zone map rules
+// them out. Scan walks the live shards in tuple order — range and dice
+// filters, rollup to the grouping levels, the cell of each (tuple,
+// combination) — and folds each shard's emissions into their cells
+// before it moves on: the fold (Accumulator.Add and ⊗cf) is
+// order-dependent, float Sum not being associative, and tuple order is
+// the order Definition 12's reference fold uses. Sort puts the rows in
+// result order; it is a total order over cells (equal sort keys imply
+// the same cell).
 func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, error) {
 	_, sp := obs.StartSpan(ctx, "prune")
 	live, pruned, t0, window := p.prune(mt)
@@ -304,93 +316,19 @@ func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, err
 	metShardsPruned.Add(int64(pruned.shards))
 	metFactsPruned.Add(int64(pruned.facts))
 
-	numShards := len(mt.shards)
-	nworkers := p.s.materializeWorkers(mt.Len())
-	if nworkers > numShards {
-		nworkers = numShards
-	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
-
-	_, sp = obs.StartSpan(ctx, "classify")
-	chunk := (numShards + nworkers - 1) / nworkers
-	workers := make([]*scanWorker, 0, nworkers)
-	for lo := 0; lo < numShards; lo += chunk {
-		workers = append(workers, newScanWorker(p, mt, live, lo, min(lo+chunk, numShards), nworkers, t0, window))
-	}
-	defer func() {
-		for _, w := range workers {
-			w.release()
-		}
-	}()
-	errs := make([]error, len(workers))
-	if len(workers) == 1 {
-		errs[0] = workers[0].classify(ctx)
-	} else {
-		var wg sync.WaitGroup
-		for i, w := range workers {
-			wg.Add(1)
-			go func(i int, w *scanWorker) {
-				defer wg.Done()
-				errs[i] = w.classify(ctx)
-			}(i, w)
-		}
-		wg.Wait()
-	}
-	scanned, emitted := 0, 0
-	for _, w := range workers {
-		scanned += w.scanned
-		emitted += w.emitted()
-	}
-	sp.SetAttr("workers", len(workers))
-	sp.SetAttr("tuples", scanned)
-	sp.SetAttr("emissions", emitted)
+	_, sp = obs.StartSpan(ctx, "scan")
+	sc := newScanner(p, mt, live, t0, window)
+	rows, err := sc.scan(ctx)
+	sp.SetAttr("tuples", sc.scanned)
+	sp.SetAttr("emissions", sc.emitted)
+	sp.SetAttr("cells", len(rows))
 	sp.End()
-	metFactsScanned.Add(int64(scanned))
-	for _, err := range errs {
-		if err != nil {
-			metQueryCancelled.Inc()
-			return nil, err
-		}
+	metFactsScanned.Add(int64(sc.scanned))
+	if err != nil {
+		metQueryCancelled.Inc()
+		return nil, err
 	}
-
-	// The fold — Accumulator.Add and ⊗cf per emission — is
-	// order-dependent (float Sum is not associative): bit-identity
-	// requires every cell to fold its emissions in global tuple order.
-	// Order only matters *within* a cell, so the fold partitions by cell
-	// — a hash of the cell's content modulo the partition count, taken
-	// when a worker first meets the cell — and each classify worker
-	// appended its emissions to one buffer per partition. A fold
-	// partition walks the workers' buffers for it in worker order, which
-	// is ascending shard order: the exact per-cell add sequence of a
-	// sequential fold, bit-identical at any worker count. The final sort
-	// is a total order over cells (equal sort keys imply the same cell),
-	// so row order is independent of the partitioning too.
-	_, sp = obs.StartSpan(ctx, "fold")
-	parts := mergeCells(workers, nworkers)
-	rowsBy := make([][]*Row, nworkers)
-	if nworkers == 1 {
-		rowsBy[0] = p.foldPartition(mt, workers, 0, parts[0])
-	} else {
-		var wg sync.WaitGroup
-		for part := range parts {
-			wg.Add(1)
-			go func(part int) {
-				defer wg.Done()
-				rowsBy[part] = p.foldPartition(mt, workers, part, parts[part])
-			}(part)
-		}
-		wg.Wait()
-	}
-	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Dropped: mt.Dropped}
-	for _, rows := range rowsBy {
-		res.Rows = append(res.Rows, rows...)
-	}
-	sp.SetAttr("partitions", nworkers)
-	sp.SetAttr("emissions", emitted)
-	sp.SetAttr("cells", len(res.Rows))
-	sp.End()
+	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: rows, Dropped: mt.Dropped}
 
 	_, sp = obs.StartSpan(ctx, "sort")
 	slices.SortFunc(res.Rows, func(a, b *Row) int {
@@ -415,8 +353,8 @@ type prunedStats struct{ shards, facts int }
 // skipped shard provably emits nothing — so pruning is invisible in the
 // result bits. Empty shards are neither live nor counted as pruned.
 //
-// t0 and window give the workers the span their instant-indexed slot
-// arrays cover: the live zones' time hull inside the queried range,
+// t0 and window give the scan the span its instant-indexed slot array
+// covers: the live zones' time hull inside the queried range,
 // cut at maxSlotWindow instants.
 func (p *scanPlan) prune(mt *MappedTable) (live []bool, pruned prunedStats, t0 temporal.Instant, window int) {
 	live = make([]bool, len(mt.shards))
@@ -427,7 +365,7 @@ func (p *scanPlan) prune(mt *MappedTable) (live []bool, pruned prunedStats, t0 t
 			continue
 		}
 		z := sh.zoneMap(mt.nd)
-		if !debugDisableZonePruning && p.zoneExcludes(z, verdicts) {
+		if !p.unpruned && p.zoneExcludes(z, verdicts) {
 			pruned.shards++
 			pruned.facts += sh.n
 			continue
@@ -464,11 +402,6 @@ dices:
 	}
 	return false
 }
-
-// debugDisableZonePruning turns zone-map shard skipping off. Test-only:
-// the equivalence suites compute their reference results with pruning
-// disabled. Must not be flipped while queries are in flight.
-var debugDisableZonePruning bool
 
 // underAnyNamedIn walks upward from id in the given dimension structure
 // at the given instant, looking for any of the display names.

@@ -289,17 +289,74 @@ func TestFormatValue(t *testing.T) {
 	}
 }
 
+// TestRowN pins what Row.N counts: emissions, one per mapped tuple and
+// grouping combination landing in the row. A fact under two division
+// versions that share the display name "Sales" emits into the one
+// "Sales" row twice, so one fact of 10 reads as 20 with N = 2, in tcm
+// and in the structure version alike.
 func TestRowN(t *testing.T) {
-	s := splitSchema(t)
-	res, err := s.Execute(Query{Grain: GrainAll, Mode: TCM()})
-	if err != nil {
-		t.Fatal(err)
+	twoSales := func(t testing.TB) *Schema {
+		s := NewSchema("twoSales", Measure{Name: "Amount", Agg: Sum})
+		d := NewDimension("Org", "Org")
+		for _, mv := range []*MemberVersion{
+			{ID: "S1", Name: "Sales", Level: "Division", Valid: temporal.Since(y(2001))},
+			{ID: "S2", Name: "Sales", Level: "Division", Valid: temporal.Since(y(2001))},
+			{ID: "Smith", Level: "Department", Valid: temporal.Since(y(2001))},
+		} {
+			if err := d.AddVersion(mv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, to := range []MVID{"S1", "S2"} {
+			if err := d.AddRelationship(TemporalRelationship{From: "Smith", To: to, Valid: temporal.Since(y(2001))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AddDimension(d); err != nil {
+			t.Fatal(err)
+		}
+		s.MustInsertFact(Coords{"Smith"}, y(2001), 10)
+		return s
 	}
-	if len(res.Rows) != 1 || res.Rows[0].N != 10 {
-		t.Errorf("grand total N = %+v", res.Rows)
-	}
-	if res.Rows[0].Values[0] != 850 {
-		t.Errorf("grand total = %v, want 850", res.Rows[0].Values[0])
+	byDivision := []GroupBy{{Dim: "Org", Level: "Division"}}
+	for _, c := range []struct {
+		name    string
+		schema  func(testing.TB) *Schema
+		groupBy []GroupBy
+		version string // structure version ID to query in; "" for tcm
+		group   string
+		value   float64
+		n       int
+	}{
+		{"grand total", splitSchema, nil, "", "", 850, 10},
+		{"two Sales/tcm", twoSales, byDivision, "", "Sales", 20, 2},
+		{"two Sales/V1", twoSales, byDivision, "V1", "Sales", 20, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.schema(t)
+			mode := TCM()
+			if c.version != "" {
+				sv := s.VersionByID(c.version)
+				if sv == nil {
+					t.Fatalf("no structure version %s", c.version)
+				}
+				mode = InVersion(sv)
+			}
+			res, err := s.Execute(Query{GroupBy: c.groupBy, Grain: GrainAll, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("rows = %+v, want one", res.Rows)
+			}
+			r := res.Rows[0]
+			if c.group != "" && (len(r.Groups) != 1 || r.Groups[0] != c.group) {
+				t.Errorf("groups = %v, want [%s]", r.Groups, c.group)
+			}
+			if r.Values[0] != c.value || r.N != c.n {
+				t.Errorf("value %v, N %d; want %v, %d", r.Values[0], r.N, c.value, c.n)
+			}
+		})
 	}
 }
 

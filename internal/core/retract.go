@@ -118,25 +118,31 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 	// Recompute the exact emissions the retracted tuples contributed.
 	// Resolution and mapping are deterministic, so running the tuples
 	// through the table's own graph again reproduces the original
-	// emissions bit for bit.
-	var p *partialShard
-	if mode.Kind == TCMKind {
-		p = &partialShard{}
-		for _, f := range retracted {
-			p.coords = append(p.coords, f.Coords...)
-			p.times = append(p.times, f.Time)
-			p.values = append(p.values, f.Values...)
-			for k := 0; k < nm; k++ {
-				p.cfs = append(p.cfs, SourceData)
-			}
-		}
-	} else {
-		p = s.mapShard(ctx, out.graph, out.leafIn, retracted)
-		if ctx.Err() != nil {
-			return false
-		}
+	// emissions bit for bit. They are collected, not folded: whether a
+	// cell is tombstoned or subtracted from depends on all of them.
+	var (
+		coords  []MVID
+		times   []temporal.Instant
+		values  []float64
+		cfs     []Confidence
+		dropped int
+		err     error
+	)
+	collect := func(c Coords, t temporal.Instant, v []float64, cf []Confidence) {
+		coords = append(coords, c...)
+		times = append(times, t)
+		values = append(values, v...)
+		cfs = append(cfs, cf...)
 	}
-	out.Dropped -= p.dropped
+	if mode.Kind == TCMKind {
+		err = s.foldTCM(ctx, retracted, collect)
+	} else {
+		dropped, err = s.mapShard(ctx, out.graph, out.leafIn, retracted, collect)
+	}
+	if err != nil {
+		return false
+	}
+	out.Dropped -= dropped
 
 	// Group the emissions by the cell they folded into, in emission
 	// order (subtraction order must be deterministic).
@@ -145,10 +151,10 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 		emits []int
 	}
 	byPos := make(map[int]*cellPlan)
-	order := make([]*cellPlan, 0, len(p.times))
+	order := make([]*cellPlan, 0, len(times))
 	var keyBuf []byte
-	for i := range p.times {
-		keyBuf = appendFactKey(keyBuf[:0], Coords(p.coords[i*nd:(i+1)*nd]), p.times[i])
+	for i := range times {
+		keyBuf = appendFactKey(keyBuf[:0], Coords(coords[i*nd:(i+1)*nd]), times[i])
 		pos, ok := out.index.get(keyBuf)
 		if !ok {
 			// The table holds no tuple this emission folded into — the
@@ -201,13 +207,13 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 			// retracted emission's confidences are the source-data grade,
 			// whose removal leaves the cell's combined confidence
 			// unchanged in both built-in algebras.
-			ecfs := p.cfs[ei*nm : (ei+1)*nm]
+			ecfs := cfs[ei*nm : (ei+1)*nm]
 			for k := 0; k < nm; k++ {
 				if ecfs[k] != SourceData {
 					return false
 				}
 			}
-			evals := p.values[ei*nm : (ei+1)*nm]
+			evals := values[ei*nm : (ei+1)*nm]
 			for k := 0; k < nm; k++ {
 				var avgc int32
 				if sh.avgN != nil {

@@ -98,9 +98,9 @@ func (der *dimDerived) retainBefore(from temporal.Instant) *dimDerived {
 }
 
 // rollupTableAt returns the rollup of D(at) to the named level, building
-// it on first use. A scan fetches it once per (worker, instant) — or
-// once per worker when the structure is a static version — never per
-// tuple; concurrent first touches of one instant build it once.
+// it on first use. A scan fetches it once per instant — or once when the
+// structure is a static version — never per tuple; concurrent queries
+// first touching one instant build it once.
 func (d *Dimension) rollupTableAt(level string, at temporal.Instant) *rollupTable {
 	inst := d.derived.at(at)
 	inst.mu.RLock()

@@ -325,35 +325,30 @@ func oracleQuery(r *rand.Rand, s *Schema) Query {
 	return q
 }
 
-// requireMatchesOracle runs q at every worker count and compares each
-// answer with the oracle's bit for bit, GroupIDs, N, Dropped and row
-// order included.
+// requireMatchesOracle runs q and compares the answer with the oracle's
+// bit for bit, GroupIDs, N, Dropped and row order included.
 func requireMatchesOracle(t *testing.T, label string, s *Schema, q Query) {
 	t.Helper()
 	want := naiveExecute(t, s, q)
-	for _, workers := range []int{1, 2, 3, 7} {
-		s.SetMaterializeWorkers(workers)
-		got, err := s.Execute(q)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		l := fmt.Sprintf("%s workers %d %+v", label, workers, q)
-		for i := range got.Rows {
-			if i < len(want.Rows) && (len(got.Rows[i].Groups) != len(q.GroupBy) || len(got.Rows[i].GroupIDs) != len(q.GroupBy)) {
-				t.Fatalf("%s row %d: groups %v / %v", l, i, got.Rows[i].Groups, got.Rows[i].GroupIDs)
-			}
-		}
-		requireBitIdentical(t, l, got, want)
-		if fmt.Sprint(got.MeasureNames, got.GroupNames) != fmt.Sprint(want.MeasureNames, want.GroupNames) {
-			t.Fatalf("%s: header %v %v, want %v %v", l, got.MeasureNames, got.GroupNames, want.MeasureNames, want.GroupNames)
+	got, err := s.Execute(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	l := fmt.Sprintf("%s %+v", label, q)
+	for i := range got.Rows {
+		if i < len(want.Rows) && (len(got.Rows[i].Groups) != len(q.GroupBy) || len(got.Rows[i].GroupIDs) != len(q.GroupBy)) {
+			t.Fatalf("%s row %d: groups %v / %v", l, i, got.Rows[i].Groups, got.Rows[i].GroupIDs)
 		}
 	}
-	s.SetMaterializeWorkers(0)
+	requireBitIdentical(t, l, got, want)
+	if fmt.Sprint(got.MeasureNames, got.GroupNames) != fmt.Sprint(want.MeasureNames, want.GroupNames) {
+		t.Fatalf("%s: header %v %v, want %v %v", l, got.MeasureNames, got.GroupNames, want.MeasureNames, want.GroupNames)
+	}
 }
 
 // TestPropertyScanMatchesNaiveReference holds the scan — rollup tables,
-// slots, integer cells, partitioned emissions, the cell merge — against
-// an oracle that shares none of it.
+// slots, integer cells, the fold in tuple order — against an oracle
+// that shares none of it.
 func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -423,7 +418,6 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 // assertions are the race detector's.
 func TestRollupTablesConcurrentFirstTouch(t *testing.T) {
 	s := oracleSchema(t, 9)
-	s.SetMaterializeWorkers(2)
 	queries := []Query{
 		{GroupBy: []GroupBy{{Dim: "A", Level: "Mid"}, {Dim: "B", Level: "depth-1"}}, Grain: GrainQuarter, Mode: TCM()},
 		{GroupBy: []GroupBy{{Dim: "A", Level: "Top"}}, Grain: GrainYear, Mode: TCM(),
@@ -466,9 +460,9 @@ func TestRollupTablesConcurrentFirstTouch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Sixteen workers met every instant; each table was built once: A at
-	// Mid and at Top per instant, B at depth-1 per instant and at depth-0
-	// once, in the structure version.
+	// Eight goroutines met every instant; each table was built once: A
+	// at Mid and at Top per instant, B at depth-1 per instant and at
+	// depth-0 once, in the structure version.
 	if got, want := metRollupTablesBuilt.With("A").Value()-builtA, int64(2*len(instants)); got != want {
 		t.Errorf("%d rollup tables built for A, want %d", got, want)
 	}
@@ -511,10 +505,9 @@ func TestWarmRollupQueryAllocationBudget(t *testing.T) {
 			}
 		}
 	}
-	s.SetMaterializeWorkers(1)
 	q := Query{GroupBy: []GroupBy{{Dim: "Org", Level: "Division"}}, Grain: GrainYear, Mode: TCM()}
 	scannedBefore := metFactsScanned.Value()
-	if _, err := s.Execute(q); err != nil { // materializes the mode, builds the tables, fills the pool
+	if _, err := s.Execute(q); err != nil { // materializes the mode, builds the tables
 		t.Fatal(err)
 	}
 	if got := metFactsScanned.Value() - scannedBefore; got != tuples {
@@ -533,5 +526,27 @@ func TestWarmRollupQueryAllocationBudget(t *testing.T) {
 	t.Logf("%.1f B allocated per scanned tuple", perTuple)
 	if perTuple >= 64 {
 		t.Errorf("a warm rollup query allocates %.1f B per scanned tuple, want < 64", perTuple)
+	}
+}
+
+// TestScanFoldsInTupleOrder pins the fold order bit for bit. Values
+// 1/(i+1) make a float sum depend on the order its terms are added in,
+// and the facts span two shards, so a scan that reordered emissions
+// within a shard or across shards would differ from the oracle's
+// sequential fold in the last bits.
+func TestScanFoldsInTupleOrder(t *testing.T) {
+	s := NewSchema("order", Measure{Name: "Amount", Agg: Sum})
+	if err := s.AddDimension(buildOrg(t)); err != nil {
+		t.Fatal(err)
+	}
+	members := []MVID{"Smith", "Brian"}
+	for i := 0; i < MappedShardSize+500; i++ {
+		s.MustInsertFact(Coords{members[i%2]}, ym(2001+(i/2)/12, 1+(i/2)%12), 1/float64(i+1))
+	}
+	for _, q := range []Query{
+		{Grain: GrainAll, Mode: TCM()},
+		{GroupBy: []GroupBy{{Dim: "Org", Level: "Division"}}, Grain: GrainAll, Mode: InVersion(s.VersionAt(y(2001)))},
+	} {
+		requireMatchesOracle(t, "fold order", s, q)
 	}
 }

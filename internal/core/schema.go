@@ -49,8 +49,6 @@ type Schema struct {
 	svDirtyFrom temporal.Instant
 	// cached MultiVersion Fact Table; invalidated on mutation.
 	mvftCache *MultiVersionFactTable
-	// matWorkers pins the MVFT materialization worker count; 0 = auto.
-	matWorkers atomic.Int32
 	// swapID is a process-unique identity for this schema value,
 	// assigned at construction and on every Clone. The serving tier
 	// mutates by clone-then-swap, so the swapID distinguishes the
@@ -67,14 +65,6 @@ var schemaSwapCounter atomic.Uint64
 // identity, so a SwapID seen twice refers to the same immutable-while-
 // served state.
 func (s *Schema) SwapID() uint64 { return s.swapID }
-
-// SetMaterializeWorkers pins the number of workers used to materialize
-// the MultiVersion Fact Table. 0 (the default) sizes the pool to
-// GOMAXPROCS with a sequential fallback for small fact tables; 1 forces
-// the sequential path; n>1 forces n-way sharding even below the
-// small-table threshold (useful for benchmarks and equivalence tests).
-// The output is bit-identical for every setting.
-func (s *Schema) SetMaterializeWorkers(n int) { s.matWorkers.Store(int32(n)) }
 
 // NewSchema creates a schema with the given measures, using the paper's
 // Example 5 confidence algebra.
@@ -295,7 +285,6 @@ func (s *Schema) Clone() *Schema {
 	s.mu.Lock()
 	out.svCache, out.svPrev, out.svDirtyFrom = s.svCache, s.svPrev, s.svDirtyFrom
 	s.mu.Unlock()
-	out.matWorkers.Store(s.matWorkers.Load())
 	return out
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -387,57 +386,6 @@ func TestFactWriteAllocation(t *testing.T) {
 	t.Logf("%d B per 32-fact write (%d B before copy-on-write)", per, before)
 	if per > before/4 {
 		t.Errorf("a 32-fact write allocates %d B in core, want at most a quarter of %d B", per, before)
-	}
-}
-
-// TestQueryParallelMatchesSequential asserts the scan-side determinism
-// guarantee: the parallel classification + sequential fold pipeline
-// returns results bit-identical to a single-worker scan, for any
-// worker count, including CFs and row order.
-func TestQueryParallelMatchesSequential(t *testing.T) {
-	s := bigTCMSchema(t, 3000)
-	q := Query{
-		GroupBy: []GroupBy{{Dim: "Org", Level: "Division"}},
-		Grain:   GrainYear,
-		Filters: []Filter{{Dim: "Org", Members: []string{"Sales", "R&D"}}},
-		Mode:    TCM(),
-	}
-	s.SetMaterializeWorkers(1)
-	want, err := s.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) == 0 {
-		t.Fatal("fixture query returned no rows")
-	}
-	for _, workers := range []int{2, 3, 8} {
-		s.SetMaterializeWorkers(workers)
-		got, err := s.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			w, g := want.Rows[i], got.Rows[i]
-			if g.TimeKey != w.TimeKey || g.N != w.N {
-				t.Fatalf("workers=%d row %d: (%s,%d) vs (%s,%d)", workers, i, g.TimeKey, g.N, w.TimeKey, w.N)
-			}
-			for k := range w.Groups {
-				if g.Groups[k] != w.Groups[k] || g.GroupIDs[k] != w.GroupIDs[k] {
-					t.Fatalf("workers=%d row %d: groups differ", workers, i)
-				}
-			}
-			for k := range w.Values {
-				if math.Float64bits(g.Values[k]) != math.Float64bits(w.Values[k]) {
-					t.Fatalf("workers=%d row %d: value bits differ: %v vs %v", workers, i, g.Values[k], w.Values[k])
-				}
-				if g.CFs[k] != w.CFs[k] {
-					t.Fatalf("workers=%d row %d: CFs differ", workers, i)
-				}
-			}
-		}
 	}
 }
 

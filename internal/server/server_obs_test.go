@@ -99,14 +99,13 @@ func TestQueryTrace(t *testing.T) {
 			t.Errorf("trace missing %q span:\n%s", stage, body)
 		}
 	}
-	// The scan says where its time went: four stages under aggregate,
+	// The scan says where its time went: three stages under aggregate,
 	// each with the counts that explain its duration.
 	agg := resp.Trace.Find("aggregate")
 	for stage, attrs := range map[string][]string{
-		"prune":    {"shards", "shards_pruned", "facts_pruned"},
-		"classify": {"workers", "tuples", "emissions"},
-		"fold":     {"partitions", "emissions", "cells"},
-		"sort":     {"rows"},
+		"prune": {"shards", "shards_pruned", "facts_pruned"},
+		"scan":  {"tuples", "emissions", "cells"},
+		"sort":  {"rows"},
 	} {
 		sp := agg.Find(stage)
 		if sp == nil {
