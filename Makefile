@@ -35,6 +35,13 @@ deps-check:
 # non-test code is a second write path starting. Schema.Clone is told
 # from the other Clone methods by its receiver: a new kind of receiver
 # fails the check until it is listed in NOT_A_SCHEMA.
+#
+# What commit produces goes into service one way too: the server's
+# publish is the one place that assigns the served schema (a field
+# assignment to .schema, or a schema: key in a literal), so the WAL
+# sequence it records beside it is always the one served. An assignment
+# anywhere else in internal/server's non-test code is a second publish
+# starting.
 WRITE_PATH = ./internal/store/mutation.go
 NOT_A_SCHEMA = [cC]oords|mv
 .PHONY: write-path-check
@@ -53,6 +60,13 @@ write-path-check:
 			echo "write-path-check: $(WRITE_PATH) calls .$$call $$n times, want once"; bad=1; \
 		fi; \
 	done; \
+	swaps=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
+			/\.schema(,[[:space:]]*[[:alnum:]_.]+)*[[:space:]]*=[^=]|[^.[:alnum:]_]schema:/ && \
+			fn !~ /^func \(s \*Server\) publish\(/ { print FILENAME ":" FNR ":" $$0 }' \
+			$$(ls internal/server/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$swaps" ]; then \
+		echo "write-path-check: the served schema is assigned outside (*Server).publish:"; echo "$$swaps"; bad=1; \
+	fi; \
 	test -z "$$bad"
 
 # A query runs on the goroutine that asked for it: the engine starts

@@ -52,7 +52,6 @@ import (
 	"mvolap/internal/buildinfo"
 	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
-	"mvolap/internal/evolution"
 	"mvolap/internal/obs"
 	"mvolap/internal/schemaio"
 	"mvolap/internal/server"
@@ -232,9 +231,6 @@ func main() {
 		// the server; /readyz answers 503 until the first publish.
 		rep := store.NewReplica(c.replicateFrom, store.ReplicaOptions{Logger: logger})
 		s = server.New(nil, append(serverOptions(c, logger), server.WithReplica(rep))...)
-		rep.SetPublish(func(sch *core.Schema, applier *evolution.Applier, delta core.Delta) {
-			s.InstallDelta(sch, applier, delta)
-		})
 		go rep.Run(ctx)
 		logger.Info("mvolapd following", "leader", c.replicateFrom, "addr", c.addr,
 			"queryTimeout", c.queryTimeout)

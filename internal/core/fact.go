@@ -51,7 +51,7 @@ type Fact struct {
 	Time   temporal.Instant
 	Values []float64
 	// ord is the tuple's insertion ordinal in its table's lineage (see
-	// FactTable); the private copy a replacing Insert takes keeps it.
+	// FactTable); the tuple a replacing Insert stores in its slot keeps it.
 	ord int
 }
 
@@ -79,9 +79,9 @@ func appendFactKey(dst []byte, c Coords, t temporal.Instant) []byte {
 //
 // Cloning is copy-on-write: a clone shares the *Fact tuples, the
 // backing array of the pointer list and the frozen layers of the key
-// index with its source, copies only the index's bounded top, and takes
-// a private copy of a tuple the moment a replacing Insert would mutate
-// it. Successive generations append to one backing array (see push).
+// index with its source and copies only the index's bounded top. A
+// stored tuple is never written: a replacing Insert stores a fresh one.
+// Successive generations append to one backing array (see push).
 type FactTable struct {
 	measures int
 	// facts holds the live tuples in insertion order, which is ordinal
@@ -99,13 +99,7 @@ type FactTable struct {
 	// ordinal the next new tuple takes.
 	index   keyIndex
 	nextOrd int
-	// Tuples with an ordinal below cowOrd may be shared with other
-	// tables; they are copied before any in-place mutation (a replacing
-	// Insert). owned marks the ordinals below cowOrd this table has
-	// already privatized.
-	cowOrd int
-	owned  map[int]bool
-	keyBuf []byte
+	keyBuf  []byte
 }
 
 // NewFactTable creates an empty fact table for m measures.
@@ -130,8 +124,8 @@ func (ft *FactTable) position(ord int) int {
 }
 
 // Insert adds a fact. Inserting at existing coordinates and time
-// replaces the previous values (the fact table is a function); a
-// replaced tuple shared with a clone is privatized first.
+// replaces the previous values (the fact table is a function): a fresh
+// tuple takes the old one's slot, so a stored tuple is never written.
 func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64) error {
 	if len(values) != ft.measures {
 		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.measures)
@@ -139,19 +133,11 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
 	if ord, ok := ft.index.get(ft.keyBuf); ok {
 		i := ft.position(ord)
-		f := ft.facts[i]
-		if ord < ft.cowOrd && !ft.owned[ord] {
-			f = &Fact{Coords: f.Coords, Time: f.Time, Values: append([]float64(nil), f.Values...), ord: ord}
-			if i < ft.shared {
-				ft.copyFacts("replace")
-			}
-			ft.facts[i] = f
-			if ft.owned == nil {
-				ft.owned = make(map[int]bool)
-			}
-			ft.owned[ord] = true
+		if i < ft.shared {
+			ft.copyFacts("replace")
 		}
-		copy(f.Values, values)
+		old := ft.facts[i]
+		ft.facts[i] = &Fact{Coords: old.Coords, Time: old.Time, Values: append([]float64(nil), values...), ord: ord}
 		return nil
 	}
 	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...), ord: ft.nextOrd}
@@ -245,19 +231,17 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 
 // Clone returns a copy-on-write copy of the fact table in O(1) plus the
 // bounded top of the key index: both tables share the tuples and the
-// pointer list's backing array. A replacing Insert privatizes just the
-// tuple it rewrites; a write below the shared length copies the list
-// first; an append claims its slot (see push). Inserts and retractions
-// on either table never reach through to the other.
+// pointer list's backing array. Tuples are never written; a write to a
+// slot below the shared length (a replacing Insert, a Retract) copies
+// the list first, and an append claims its slot (see push). Inserts and
+// retractions on either table never reach through to the other.
 //
-// Clone writes the receiver's ownership state (its shared length and
-// copy-on-write ordinal): it needs the writer's exclusion, not the
-// readers'. A published table is never written.
+// Clone writes the receiver's shared length: it needs the writer's
+// exclusion, not the readers'. A published table is never written.
 func (ft *FactTable) Clone() *FactTable {
 	n := len(ft.facts)
-	// The receiver no longer exclusively owns the shared tuples or the
-	// list's first n slots either.
-	ft.cowOrd, ft.owned, ft.shared = ft.nextOrd, nil, n
+	// The receiver no longer exclusively owns the list's first n slots.
+	ft.shared = n
 	return &FactTable{
 		measures: ft.measures,
 		facts:    ft.facts,
@@ -265,7 +249,6 @@ func (ft *FactTable) Clone() *FactTable {
 		shared:   n,
 		index:    ft.index.clone(ft.nextOrd),
 		nextOrd:  ft.nextOrd,
-		cowOrd:   ft.nextOrd,
 	}
 }
 

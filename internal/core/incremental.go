@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mvolap/internal/temporal"
@@ -128,33 +127,10 @@ type WarmResult struct {
 // those tails instead of appending into them.
 func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult {
 	var res WarmResult
-	base.mu.Lock()
-	baseMV := base.mvftCache
-	base.mu.Unlock()
-	if baseMV == nil {
-		return res
-	}
-	type cached struct {
-		key   string
-		table *MappedTable
-	}
-	var tables []cached
-	baseMV.mu.Lock()
-	for k, e := range baseMV.byMode {
-		select {
-		case <-e.done:
-			if e.err == nil && e.table != nil {
-				tables = append(tables, cached{k, e.table})
-			}
-		default: // still building; leave it to base's snapshot
-		}
-	}
-	baseMV.mu.Unlock()
+	tables := base.finishedModes() // a mode still building stays base's
 	if len(tables) == 0 {
 		return res
 	}
-	sort.Slice(tables, func(i, j int) bool { return tables[i].key < tables[j].key })
-
 	if d.FactsReplaced {
 		for _, t := range tables {
 			res.Evicted = append(res.Evicted, t.key)

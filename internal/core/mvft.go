@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -477,6 +478,41 @@ func (s *Schema) MultiVersion() *MultiVersionFactTable {
 		s.mvftCache = &MultiVersionFactTable{schema: s, byMode: make(map[string]*modeEntry)}
 	}
 	return s.mvftCache
+}
+
+// finishedMode is one completed, successful materialization of a
+// schema's MVFT cache.
+type finishedMode struct {
+	key   string
+	table *MappedTable
+}
+
+// finishedModes lists the completed, successful materializations of
+// the schema's MVFT cache, sorted by mode key. It neither triggers a
+// materialization nor waits on one in flight, and a cold cache lists
+// nothing: what it returns is what a warm snapshot taken now carries
+// and what a clone can take over.
+func (s *Schema) finishedModes() []finishedMode {
+	s.mu.Lock()
+	mv := s.mvftCache
+	s.mu.Unlock()
+	if mv == nil {
+		return nil
+	}
+	var out []finishedMode
+	mv.mu.Lock()
+	for k, e := range mv.byMode {
+		select {
+		case <-e.done:
+			if e.err == nil && e.table != nil {
+				out = append(out, finishedMode{k, e.table})
+			}
+		default: // still building
+		}
+	}
+	mv.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // Mode returns the restriction of the MultiVersion Fact Table to one

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mvolap/internal/temporal"
 )
@@ -87,30 +86,7 @@ func ShardMappedColumns(nd, nm int, coords []MVID, times []temporal.Instant, val
 // bits); importing such an export adopts the shards frozen, so neither
 // side can ever write through the shared arrays.
 func (s *Schema) ExportWarmModes() []*MappedTableExport {
-	s.mu.Lock()
-	mv := s.mvftCache
-	s.mu.Unlock()
-	if mv == nil {
-		return nil
-	}
-	type cached struct {
-		key   string
-		table *MappedTable
-	}
-	var tables []cached
-	mv.mu.Lock()
-	for k, e := range mv.byMode {
-		select {
-		case <-e.done:
-			if e.err == nil && e.table != nil {
-				tables = append(tables, cached{k, e.table})
-			}
-		default: // still building; a snapshot must not wait on it
-		}
-	}
-	mv.mu.Unlock()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].key < tables[j].key })
-
+	tables := s.finishedModes()
 	out := make([]*MappedTableExport, 0, len(tables))
 	for _, t := range tables {
 		exp := &MappedTableExport{
@@ -331,24 +307,9 @@ func (s *Schema) ImportWarmMode(exp *MappedTableExport) error {
 // materialization in the MVFT cache, sorted — the modes a warm
 // snapshot taken right now would carry.
 func (s *Schema) CachedModeKeys() []string {
-	s.mu.Lock()
-	mv := s.mvftCache
-	s.mu.Unlock()
-	if mv == nil {
-		return nil
-	}
 	var keys []string
-	mv.mu.Lock()
-	for k, e := range mv.byMode {
-		select {
-		case <-e.done:
-			if e.err == nil && e.table != nil {
-				keys = append(keys, k)
-			}
-		default:
-		}
+	for _, m := range s.finishedModes() {
+		keys = append(keys, m.key)
 	}
-	mv.mu.Unlock()
-	sort.Strings(keys)
 	return keys
 }

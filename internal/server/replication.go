@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"time"
 
+	"mvolap/internal/core"
+	"mvolap/internal/evolution"
 	"mvolap/internal/obs"
 	"mvolap/internal/store"
 )
@@ -40,11 +42,18 @@ var (
 )
 
 // WithReplica marks the server as a read-only follower replicating
-// from rep's leader: mutating endpoints answer 403 with the leader's
-// address, /readyz reports replication lag, and ?minWalSeq= waits on
-// the replica's applied frontier.
+// from rep's leader: every generation rep bootstraps or applies goes
+// into service through the server's publish, mutating endpoints answer
+// 403 with the leader's address, and /readyz reports replication lag.
 func WithReplica(rep *store.Replica) Option {
-	return func(s *Server) { s.replica = rep }
+	return func(s *Server) {
+		s.replica = rep
+		rep.SetPublish(func(sch *core.Schema, ap *evolution.Applier, delta core.Delta, seq uint64) {
+			s.writeMu.Lock()
+			defer s.writeMu.Unlock()
+			s.publish(sch, ap, delta, seq)
+		})
+	}
 }
 
 // forbidOnReplica answers 403 with the leader's address on a
@@ -64,9 +73,10 @@ func (s *Server) forbidOnReplica(w http.ResponseWriter) bool {
 
 // awaitMinSeq implements read-your-writes: a request carrying
 // ?minWalSeq=<seq> (the walSeq a leader write returned) does not run
-// until this process has applied that sequence. On the leader the
-// check is immediate — an acked write is already visible; on a
-// follower it waits, bounded by ctx, for replication to catch up.
+// until this process serves a generation containing that sequence. It
+// waits, bounded by ctx, for publish to record it — on a follower for
+// replication to catch up, on the leader for a logged write to be
+// swapped in. A sequence the leader never logged fails at once.
 func (s *Server) awaitMinSeq(ctx context.Context, r *http.Request) (int, error) {
 	v := r.URL.Query().Get("minWalSeq")
 	if v == "" {
@@ -76,22 +86,27 @@ func (s *Server) awaitMinSeq(ctx context.Context, r *http.Request) (int, error) 
 	if err != nil {
 		return http.StatusBadRequest, fmt.Errorf("bad minWalSeq %q: %w", v, err)
 	}
-	if s.replica != nil {
-		if err := s.replica.WaitForSeq(ctx, seq); err != nil {
-			return http.StatusGatewayTimeout, err
+	for {
+		s.mu.RLock()
+		served, published, st := s.servedSeq, s.served, s.store
+		s.mu.RUnlock()
+		if served >= seq {
+			return 0, nil
 		}
-		return 0, nil
+		if s.replica == nil {
+			if st == nil {
+				return 0, nil // no durability: walSeq has no meaning here
+			}
+			if last := st.LastSeq(); last < seq {
+				return http.StatusGatewayTimeout, fmt.Errorf("wal seq %d not yet committed (last %d)", seq, last)
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return http.StatusGatewayTimeout, fmt.Errorf("wal seq %d not yet served (served %d): %w", seq, served, ctx.Err())
+		case <-published:
+		}
 	}
-	s.mu.RLock()
-	st := s.store
-	s.mu.RUnlock()
-	if st == nil {
-		return 0, nil // no durability: walSeq has no meaning here
-	}
-	if last := st.LastSeq(); last < seq {
-		return http.StatusGatewayTimeout, fmt.Errorf("wal seq %d not yet committed (last %d)", seq, last)
-	}
-	return 0, nil
 }
 
 // handleWALSnapshot serves the leader's latest snapshot — the

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"mvolap/internal/casestudy"
-	"mvolap/internal/core"
-	"mvolap/internal/evolution"
 	"mvolap/internal/store"
 )
 
@@ -68,9 +66,6 @@ func benchFollower(b *testing.B, leaderURL string, seq uint64) *httptest.Server 
 	b.Helper()
 	rep := store.NewReplica(leaderURL, store.ReplicaOptions{Logger: quietLogger()})
 	s := New(nil, WithLogger(quietLogger()), WithReplica(rep))
-	rep.SetPublish(func(sch *core.Schema, applier *evolution.Applier, delta core.Delta) {
-		s.InstallDelta(sch, applier, delta)
-	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go rep.Run(ctx)
 	ts := httptest.NewServer(s.Handler())

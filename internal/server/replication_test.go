@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"mvolap/internal/casestudy"
-	"mvolap/internal/core"
-	"mvolap/internal/evolution"
 	"mvolap/internal/store"
 )
 
@@ -66,9 +64,6 @@ func startFollower(t *testing.T, leaderURL string, opts store.ReplicaOptions, se
 	}
 	rep := store.NewReplica(leaderURL, opts)
 	s := New(nil, append([]Option{WithLogger(quietLogger()), WithReplica(rep)}, serverOpts...)...)
-	rep.SetPublish(func(sch *core.Schema, applier *evolution.Applier, delta core.Delta) {
-		s.InstallDelta(sch, applier, delta)
-	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go rep.Run(ctx)
 	ts := httptest.NewServer(s.Handler())

@@ -40,13 +40,16 @@
 // apply, or whose append fails (500), is never logged and never served.
 // Crash recovery and followers replay the log through the same commit
 // routine, which is why a recovered or replicated warehouse answers
-// byte for byte like the one that served the writes.
+// byte for byte like the one that served the writes. Whatever produced
+// it, a generation goes into service through one routine, publish,
+// which records the last WAL sequence it contains: /readyz reports that
+// sequence, and ?minWalSeq= is a read-your-writes barrier on it.
 //
 // A server built WithReplica is a read-only follower: it serves
 // /query, /modes and /schema from state replicated off a leader's
 // WAL stream, answers 403 with the leader's address on every
-// mutating endpoint, reports replication lag on /readyz, and honors
-// ?minWalSeq= as a read-your-writes barrier. See docs/replication.md.
+// mutating endpoint, and reports replication lag on /readyz. See
+// docs/replication.md.
 package server
 
 import (
@@ -77,19 +80,24 @@ const StatusClientClosedRequest = 499
 
 // Server wraps a schema with HTTP handlers.
 type Server struct {
-	// mu guards the published pointers below (schema, applier, store,
-	// warmRestored) and is held only to read or swap them: handlers
-	// snapshot the pointers under a brief read-lock and run on the
-	// snapshot, so query execution never holds it and a reader never
-	// waits out a write.
+	// mu guards the published pointers below (schema, applier,
+	// servedSeq, served, store, warmRestored) and is held only to read or
+	// swap them: handlers snapshot the pointers under a brief read-lock
+	// and run on the snapshot, so query execution never holds it and a
+	// reader never waits out a write.
 	mu sync.RWMutex
-	// writeMu serializes the writers — commit, Install, InstallDelta and
-	// the admin and bootstrap snapshots. A writer reads the published
-	// pointers under writeMu alone (only writers change them) and takes
-	// mu just for the swap.
-	writeMu     sync.Mutex
-	schema      *core.Schema
-	applier     *evolution.Applier
+	// writeMu serializes the writers — commit, Install, the replica's
+	// publish callback and the admin and bootstrap snapshots. A writer
+	// reads the published pointers under writeMu alone (only writers
+	// change them) and takes mu just for the swap.
+	writeMu sync.Mutex
+	schema  *core.Schema
+	applier *evolution.Applier
+	// servedSeq is the last WAL record the served schema contains, and
+	// served is closed and replaced on every publish, waking the
+	// ?minWalSeq= barriers waiting for it.
+	servedSeq   uint64
+	served      chan struct{}
 	store       *store.Store
 	allowEvolve bool
 	// replica is set on a read-only follower: mutations 403 to the
@@ -104,12 +112,12 @@ type Server struct {
 	slowQuery    time.Duration
 	enablePprof  bool
 
-	// queryCache serves repeated SELECTs with zero scan. Entries are
-	// keyed on (among others) the served schema's swap identity, so
-	// the clone-swap mutation path — /facts, /evolve, and Install,
-	// which the replica apply loop and crash recovery publish through
-	// — invalidates by construction; the swap handlers also reclaim
-	// stale entries eagerly. nil when disabled.
+	// queryCache serves repeated SELECTs with zero scan. Entries carry
+	// the served schema's swap identity, so every generation publish
+	// swaps in — a write, Install after recovery, a follower's
+	// bootstrap and each record it applies — invalidates them by
+	// construction; publish also reconciles them eagerly. nil when
+	// disabled.
 	queryCache     *tql.ResultCache
 	queryCacheSize int
 
@@ -119,7 +127,7 @@ type Server struct {
 	closeOnce sync.Once
 
 	// parkCommit, when set, runs inside commit after the store's commit
-	// routine and before the swap, with writeMu held: tests park a write
+	// routine and before publish, with writeMu held: tests park a write
 	// there. nil outside tests.
 	parkCommit func()
 }
@@ -174,11 +182,10 @@ func WithQueryCache(n int) Option {
 // recovery replays the write-ahead log.
 func New(sch *core.Schema, opts ...Option) *Server {
 	s := &Server{
-		schema:         sch,
-		applier:        evolution.NewApplier(sch),
 		logger:         slog.Default(),
 		slowQuery:      500 * time.Millisecond,
 		queryCacheSize: DefaultQueryCacheSize,
+		served:         make(chan struct{}),
 		closing:        make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -186,6 +193,9 @@ func New(sch *core.Schema, opts ...Option) *Server {
 	}
 	if s.queryCacheSize > 0 {
 		s.queryCache = tql.NewResultCache(s.queryCacheSize)
+	}
+	if sch != nil {
+		s.publish(sch, evolution.NewApplier(sch), core.Delta{}, 0)
 	}
 	return s
 }
@@ -200,52 +210,46 @@ func (s *Server) Stop() {
 // Install publishes a recovered warehouse: the schema, the applier
 // carrying its recovered evolution log (nil for a fresh one), and the
 // store that subsequent mutations append to (nil to serve without
-// durability). After Install the server reports ready.
+// durability). Nothing is known about what changed since the previous
+// generation, so every result-cache entry computed against it goes.
+// After Install the server reports ready.
 func (s *Server) Install(sch *core.Schema, applier *evolution.Applier, st *store.Store) {
 	if applier == nil {
 		applier = evolution.NewApplier(sch)
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	var seq uint64
 	s.mu.Lock()
-	s.schema = sch
-	s.applier = applier
 	s.store = st
 	if st != nil {
-		s.warmRestored = st.RecoveryStats().WarmModes
+		s.warmRestored, seq = st.RecoveryStats().WarmModes, st.LastSeq()
 	}
 	s.mu.Unlock()
-	// Install is the publish path of crash recovery: reclaim every
-	// result-cache entry computed against a previous schema state
-	// (their entry-held swapIDs can no longer validate either way).
-	if sch != nil {
-		s.queryCache.InvalidateExcept(sch.SwapID())
-	}
+	s.publish(sch, applier, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true}, seq)
 }
 
-// InstallDelta is the replica's publish path: Install, but carrying
-// the delta the applied WAL record produced, so the result cache can
-// revalidate entries an insert-only facts append provably cannot
-// affect instead of dropping everything. Followers serve the read
-// fan-out, so this is where repeated queries keep hitting across the
-// leader's append stream.
-func (s *Server) InstallDelta(sch *core.Schema, applier *evolution.Applier, delta core.Delta) {
-	if applier == nil {
-		applier = evolution.NewApplier(sch)
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
+// publish swaps in the generation the server serves: sch with its
+// applier ap, made from the served generation by delta, containing
+// every WAL record up to seq. It is the one place a generation goes
+// into service — a leader's write, Install after recovery, a
+// follower's bootstrap and each record it applies — so the sequence a
+// ?minWalSeq= barrier or /readyz reads is always the one served. The
+// caller holds writeMu (New, before the server is shared, needs none).
+// It returns the number of result-cache entries the swap dropped.
+func (s *Server) publish(sch *core.Schema, ap *evolution.Applier, delta core.Delta, seq uint64) int {
 	var prevID uint64
+	s.mu.Lock()
 	if s.schema != nil {
 		prevID = s.schema.SwapID()
 	}
-	s.mu.Lock()
-	s.schema = sch
-	s.applier = applier
+	s.schema, s.applier, s.servedSeq = sch, ap, seq
+	close(s.served)
+	s.served = make(chan struct{})
 	s.mu.Unlock()
-	if sch != nil {
-		s.queryCache.Invalidate(prevID, sch.SwapID(), delta)
-	}
+	// Cached SELECTs the delta provably cannot affect (a time range that
+	// cannot see the batch's window) are revalidated rather than dropped.
+	return s.queryCache.Invalidate(prevID, sch.SwapID(), delta)
 }
 
 // snapshot returns the schema to serve this request from. The pointer
@@ -306,9 +310,10 @@ func (s *Server) Handler() http.Handler {
 // handleReadyz is the readiness probe, distinct from /healthz
 // liveness: the process is alive during crash recovery (or a
 // follower's bootstrap) but must not receive traffic until a
-// warehouse is installed. On a follower the response carries the
-// replication lag: the seq delta behind the leader plus the
-// wall-clock age of the applied frontier.
+// warehouse is installed. On a leader the response carries walSeq, the
+// last WAL record the served schema contains; on a follower, the
+// replication lag: the seq delta behind the leader plus the wall-clock
+// age of the applied frontier.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.snapshot() == nil {
 		if s.replica != nil {
@@ -326,8 +331,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	warm := s.warmRestored
-	st := s.store
+	warm, st, seq := s.warmRestored, s.store, s.servedSeq
 	s.mu.RUnlock()
 	if warm == nil {
 		warm = []string{}
@@ -339,7 +343,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		resp["replication"] = s.replica.Status()
 	case st != nil:
 		resp["role"] = "leader"
-		resp["walSeq"] = st.LastSeq()
+		resp["walSeq"] = seq
 	}
 	writeJSON(w, resp)
 }
@@ -448,9 +452,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	// Read-your-writes: a request pinned to a walSeq waits (bounded by
-	// the same deadline as the query itself) until this process has
-	// applied it — immediate on the leader, a replication barrier on a
-	// follower.
+	// the same deadline as the query itself) until this process serves
+	// a generation that contains it.
 	if status, err := s.awaitMinSeq(ctx, r); err != nil {
 		jsonError(w, status, err)
 		return
@@ -730,8 +733,8 @@ type writeRefusal struct {
 
 // commit runs an admitted mutation: under the writer mutex, the store's
 // commit routine builds the evolved clone (clone, apply, WAL append,
-// warm), then the clone is swapped in under mu, the result cache is
-// told what changed, and the automatic snapshot is taken when one is
+// warm), then publish swaps the clone in under mu and tells the result
+// cache what changed, and the automatic snapshot is taken when one is
 // due. The queue stage is the wait for the writer mutex. Queries keep
 // reading the previous schema throughout, and a query that arrives
 // mid-write takes that pointer without waiting: only the swap holds mu.
@@ -770,13 +773,7 @@ func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutatio
 		s.parkCommit()
 	}
 	published := time.Now()
-	prevID := s.schema.SwapID()
-	s.mu.Lock()
-	s.schema, s.applier = c.Schema, c.Applier
-	s.mu.Unlock()
-	// Cached SELECTs the delta provably cannot affect (a time range that
-	// cannot see the batch's window) are revalidated rather than dropped.
-	invalidated := s.queryCache.Invalidate(prevID, c.Schema.SwapID(), c.Delta)
+	invalidated := s.publish(c.Schema, c.Applier, c.Delta, c.Seq)
 	store.ObserveWriteStage(kind, "publish", published)
 
 	resp := writeResponse{

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -453,6 +454,86 @@ func TestReadersDoNotWaitForAParkedWrite(t *testing.T) {
 	}
 	if after := serve(http.MethodGet, q, "").Body.String(); after == before {
 		t.Error("the released write is not visible to the next query")
+	}
+}
+
+// TestLeaderMinWalSeqWaitsForPublish: on the leader, walSeq means
+// served. With a write parked between its WAL append and its publish,
+// /readyz still reports the previous walSeq, and a query pinned to the
+// logged sequence never answers from the generation the write replaces:
+// at a short deadline it is a 504, and one in flight across the release
+// answers from the new generation. A sequence that was never logged is
+// a 504 at once.
+func TestLeaderMinWalSeqWaitsForPublish(t *testing.T) {
+	s, _, st := newWriteServer(t, t.TempDir(), WithEvolution())
+	h := s.Handler()
+	serve := func(ctx context.Context, method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	bg := context.Background()
+	q := "/query?q=" + urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE tcm")
+	before := serve(bg, http.MethodGet, q, "").Body.String()
+	prev := st.LastSeq()
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.parkCommit = func() {
+		close(parked)
+		<-release
+	}
+	wrote := make(chan *httptest.ResponseRecorder, 1)
+	go func() { wrote <- serve(bg, http.MethodPost, "/facts", writeBodies["/facts"].ok) }()
+	<-parked
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	seq := st.LastSeq()
+	if seq != prev+1 {
+		t.Fatalf("the parked write logged seq %d, want %d", seq, prev+1)
+	}
+
+	var ready struct {
+		WALSeq uint64 `json:"walSeq"`
+	}
+	if err := json.Unmarshal(serve(bg, http.MethodGet, "/readyz", "").Body.Bytes(), &ready); err != nil {
+		t.Fatal(err)
+	}
+	if ready.WALSeq != prev {
+		t.Errorf("/readyz walSeq = %d with seq %d logged but not served, want %d", ready.WALSeq, seq, prev)
+	}
+
+	pinned := fmt.Sprintf("%s&minWalSeq=%d", q, seq)
+	short, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	if rec := serve(short, http.MethodGet, pinned, ""); rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("minWalSeq=%d before its publish = %d, want 504 at the deadline (old generation? %v)",
+			seq, rec.Code, rec.Body.String() == before)
+	}
+
+	never := make(chan int, 1)
+	go func() { never <- serve(bg, http.MethodGet, q+"&minWalSeq=999", "").Code }()
+	select {
+	case code := <-never:
+		if code != http.StatusGatewayTimeout {
+			t.Errorf("minWalSeq=999 = %d, want 504", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("minWalSeq=999, a sequence never logged, waited instead of failing at once")
+	}
+
+	waiting := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiting <- serve(bg, http.MethodGet, pinned, "") }()
+	close(release)
+	released = true
+	if rec := <-wrote; rec.Code != http.StatusOK {
+		t.Fatalf("released write = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := <-waiting; rec.Code != http.StatusOK || rec.Body.String() == before {
+		t.Errorf("minWalSeq=%d across the release = %d, from the old generation: %v", seq, rec.Code, rec.Body.String() == before)
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -292,14 +291,14 @@ func TestHeartbeatFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := readStreamFrame(bufio.NewReader(bytes.NewReader(hb)))
+	_, rec, err := readFrame(bytes.NewReader(hb))
 	if err != nil || rec.Seq != 42 || rec.Type != RecordHeartbeat {
 		t.Fatalf("heartbeat round trip = %+v, %v", rec, err)
 	}
 }
 
-// TestWaitForSeqBounded: the read-your-writes barrier respects its
-// context instead of blocking a query forever.
+// TestWaitForSeqBounded: waiting for a sequence respects its context
+// instead of blocking forever.
 func TestWaitForSeqBounded(t *testing.T) {
 	r := NewReplica("http://unused", ReplicaOptions{Logger: quietLog()})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -3,11 +3,8 @@ package store
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -25,8 +22,8 @@ import (
 // included), then applies the streamed WAL records through commit, the
 // routine the leader served them with and crash recovery replays them
 // with, so a follower's hot state is the leader's hot state. Each
-// applied clone is handed to the publish
-// callback (typically server.Install), which swaps it into service.
+// applied clone is handed to the publish callback, which swaps it into
+// service (a server built WithReplica registers its own).
 //
 // The replica owns its reconnect loop: a dropped stream resumes from
 // the last applied sequence with exponential backoff, and a 410 from
@@ -83,7 +80,7 @@ type Replica struct {
 	client  *http.Client
 	logger  *slog.Logger
 	opts    ReplicaOptions
-	publish func(*core.Schema, *evolution.Applier, core.Delta)
+	publish func(*core.Schema, *evolution.Applier, core.Delta, uint64)
 
 	mu         sync.Mutex
 	sch        *core.Schema
@@ -100,7 +97,7 @@ type Replica struct {
 }
 
 // NewReplica creates a follower of the leader at the given base URL
-// (e.g. "http://leader:8080"). Call SetPublish before Run.
+// (e.g. "http://leader:8080"). Set the publish callback before Run.
 func NewReplica(leader string, opts ReplicaOptions) *Replica {
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -122,17 +119,18 @@ func NewReplica(leader string, opts ReplicaOptions) *Replica {
 		client:    opts.Client,
 		logger:    opts.Logger,
 		opts:      opts,
-		publish:   func(*core.Schema, *evolution.Applier, core.Delta) {},
+		publish:   func(*core.Schema, *evolution.Applier, core.Delta, uint64) {},
 		appliedCh: make(chan struct{}),
 	}
 }
 
 // SetPublish installs the callback that swaps each applied clone into
-// service (typically server.InstallDelta). The delta describes what
-// the applied record changed — a bootstrap publishes a conservative
-// everything-changed delta — so the publisher can retain caches the
-// change provably cannot affect. It must be set before Run.
-func (r *Replica) SetPublish(fn func(*core.Schema, *evolution.Applier, core.Delta)) {
+// service; server.WithReplica registers the server's own. The delta
+// describes what the applied record changed — a bootstrap publishes a
+// conservative everything-changed delta — so the publisher can retain
+// caches the change provably cannot affect, and the sequence is the
+// last WAL record the clone contains. It must be set before Run.
+func (r *Replica) SetPublish(fn func(*core.Schema, *evolution.Applier, core.Delta, uint64)) {
 	if fn != nil {
 		r.publish = fn
 	}
@@ -174,9 +172,9 @@ func (r *Replica) Status() ReplicaStatus {
 	return s
 }
 
-// WaitForSeq blocks until the replica has applied at least seq — the
-// read-your-writes barrier behind the ?minWalSeq= query parameter —
-// or the context ends.
+// WaitForSeq blocks until the replica has applied at least seq or the
+// context ends. (A server's ?minWalSeq= barrier waits for the sequence
+// it serves instead, which its publish records.)
 func (r *Replica) WaitForSeq(ctx context.Context, seq uint64) error {
 	for {
 		r.mu.Lock()
@@ -258,14 +256,12 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
-	sch, log, seq, warm, err := decodeSnapshot(data, r.leader+"/wal/snapshot")
+	sch, ap, seq, restored, err := loadSnapshot(ctx, data, r.leader+"/wal/snapshot", r.logger)
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
-	restored := restoreWarmModes(sch, warm, r.logger)
-	ap := evolution.NewApplierWithLog(sch, log)
 
-	r.publish(sch, ap, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true})
+	r.publish(sch, ap, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true}, seq)
 	r.mu.Lock()
 	r.sch, r.ap = sch, ap
 	r.applied = seq
@@ -346,17 +342,13 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 	}()
 
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if err := readMagic(br); err != nil {
 		return fmt.Errorf("replica: stream: %w", err)
 	}
-	if string(magic) != walMagic {
-		return fmt.Errorf("replica: stream: bad magic %q", magic)
-	}
 	for {
-		rec, err := readStreamFrame(br)
+		_, rec, err := readFrame(br)
 		if err != nil {
-			return err
+			return fmt.Errorf("replica: stream: %w", err)
 		}
 		r.mu.Lock()
 		r.lastFrame = time.Now()
@@ -391,7 +383,7 @@ func (r *Replica) apply(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)
 	}
-	r.publish(clone, ap2, delta)
+	r.publish(clone, ap2, delta, rec.Seq)
 	r.mu.Lock()
 	r.sch, r.ap = clone, ap2
 	r.applied = rec.Seq
@@ -413,30 +405,4 @@ func (r *Replica) noteLeaderSeq(seq uint64) {
 		r.leaderSeq = seq
 	}
 	r.mu.Unlock()
-}
-
-// readStreamFrame reads one MVOWAL01 frame off the stream, verifying
-// the length bound and CRC exactly like scanWAL.
-func readStreamFrame(br *bufio.Reader) (walRecord, error) {
-	var rec walRecord
-	var header [recordHeaderSize]byte
-	if _, err := io.ReadFull(br, header[:]); err != nil {
-		return rec, err
-	}
-	payloadLen := binary.LittleEndian.Uint32(header[0:4])
-	wantCRC := binary.LittleEndian.Uint32(header[4:8])
-	if payloadLen == 0 || payloadLen > maxWALRecord {
-		return rec, fmt.Errorf("replica: stream: corrupt frame length %d", payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return rec, err
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return rec, fmt.Errorf("replica: stream: frame CRC mismatch")
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, fmt.Errorf("replica: stream: unparseable frame: %w", err)
-	}
-	return rec, nil
 }

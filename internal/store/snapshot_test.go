@@ -517,12 +517,11 @@ func FuzzSnapshotContainer(f *testing.F) {
 	f.Add([]byte("{garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sch, log, seq, warm, err := decodeSnapshot(data, "fuzz")
+		sch, ap, seq, _, err := loadSnapshot(context.Background(), data, "fuzz", quietLog())
 		if err != nil {
 			return
 		}
-		restoreWarmModes(sch, warm, quietLog())
-		again := containerBytes(t, sch, log, seq, false)
+		again := containerBytes(t, sch, ap.Log(), seq, false)
 		sch2, log2, seq2, _, err := decodeSnapshot(again, "again")
 		if err != nil {
 			t.Fatalf("re-encoded container failed to decode: %v", err)

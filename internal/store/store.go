@@ -46,11 +46,14 @@ const (
 	// survives any crash.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs on a background ticker: a crash loses at
-	// most the last FsyncEvery of acknowledged mutations.
+	// most the last fsyncInterval of acknowledged mutations.
 	FsyncInterval
 	// FsyncOff never syncs explicitly; the OS page cache decides.
 	FsyncOff
 )
+
+// fsyncInterval is the background flush period under FsyncInterval.
+const fsyncInterval = 100 * time.Millisecond
 
 // ParseFsyncPolicy parses "always", "interval" or "off".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
@@ -82,9 +85,6 @@ type Options struct {
 	// Fsync is the WAL flush policy. The default (zero value) is
 	// FsyncAlways.
 	Fsync FsyncPolicy
-	// FsyncEvery is the background flush period for FsyncInterval;
-	// 0 means 100ms.
-	FsyncEvery time.Duration
 	// SnapshotEvery takes an automatic snapshot after this many WAL
 	// records since the last one; 0 disables automatic snapshots.
 	SnapshotEvery int
@@ -116,8 +116,8 @@ type RecoveryStats struct {
 	WarmModes []string
 	// Duration is the total recovery time.
 	Duration time.Duration
-	// Trace is the recovery span tree (load-snapshot, warm-restore,
-	// replay-wal).
+	// Trace is the recovery span tree (load-snapshot with warm_restore
+	// under it, then replay-wal).
 	Trace *obs.SpanNode
 }
 
@@ -161,9 +161,6 @@ type Store struct {
 // records replay against it. Open returns the recovered schema and an
 // applier carrying the recovered evolution log.
 func Open(dir string, seed *core.Schema, opts Options) (*Store, *core.Schema, *evolution.Applier, error) {
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 100 * time.Millisecond
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -205,26 +202,14 @@ func Open(dir string, seed *core.Schema, opts Options) (*Store, *core.Schema, *e
 // the store is published, so it touches fields without the lock.
 func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, *evolution.Applier, error) {
 	// Load the newest snapshot that parses; older ones are fallbacks
-	// in case of on-disk corruption.
-	_, span := obs.StartSpan(ctx, "load-snapshot")
-	sch, log, warm, err := st.loadLatestSnapshot(seed)
+	// in case of on-disk corruption. Its warm modes are restored before
+	// WAL replay so the replayed fact batches delta-fold into the
+	// restored tables, as they did live.
+	spanCtx, span := obs.StartSpan(ctx, "load-snapshot")
+	sch, applier, err := st.loadLatestSnapshot(spanCtx, seed)
 	span.End()
 	if err != nil {
 		return nil, nil, err
-	}
-	applier := evolution.NewApplierWithLog(sch, log)
-
-	// Warm restore runs before WAL replay so the replayed fact batches
-	// delta-fold into the restored tables, as they did live.
-	// Every failure there — CRC mismatch, codec corruption, structural-
-	// signature drift — is per mode: that mode is logged, counted and
-	// skipped, and rebuilds cold on first use; recovery never fails on it.
-	if len(warm) > 0 {
-		_, span = obs.StartSpan(ctx, "warm_restore")
-		st.stats.WarmModes = restoreWarmModes(sch, warm, st.logger)
-		span.SetAttr("restored", len(st.stats.WarmModes))
-		span.SetAttr("skipped", len(warm)-len(st.stats.WarmModes))
-		span.End()
 	}
 
 	_, span = obs.StartSpan(ctx, "replay-wal")
@@ -245,10 +230,10 @@ func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, 
 // loadLatestSnapshot picks the newest readable snapshot, or falls back
 // to the seed schema when none exists. Falling back is only sound if
 // the WAL still reaches back far enough; replayWAL checks that.
-func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, []evolution.LogEntry, [][]byte, error) {
+func (st *Store) loadLatestSnapshot(ctx context.Context, seed *core.Schema) (*core.Schema, *evolution.Applier, error) {
 	names, _, err := listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(st.dir, names[i])
@@ -257,19 +242,19 @@ func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, []evolutio
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
-		sch, log, seq, warm, err := decodeSnapshot(data, path)
+		sch, applier, seq, warm, err := loadSnapshot(ctx, data, path, st.logger)
 		if err != nil {
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
 		st.snapSeq, st.seq, st.snapBytes = seq, seq, int64(len(data))
-		st.stats.SnapshotSeq, st.stats.SnapshotPath = seq, path
-		return sch, log, warm, nil
+		st.stats.SnapshotSeq, st.stats.SnapshotPath, st.stats.WarmModes = seq, path, warm
+		return sch, applier, nil
 	}
 	if seed == nil {
-		return nil, nil, nil, fmt.Errorf("store: %s has no readable snapshot%s and no seed schema was given", st.dir, st.unloadedSnapshots())
+		return nil, nil, fmt.Errorf("store: %s has no readable snapshot%s and no seed schema was given", st.dir, st.unloadedSnapshots())
 	}
-	return seed, nil, nil, nil
+	return seed, evolution.NewApplier(seed), nil
 }
 
 // unloadedSnapshots names, for a refusal message, every snapshot-* file
@@ -289,10 +274,22 @@ func (st *Store) unloadedSnapshots() string {
 	return " (not loaded: " + strings.Join(names, ", ") + ")"
 }
 
-// restoreWarmModes is the warm-restore core shared by crash recovery
-// and replica bootstrap: validate and import each warm section,
-// returning the keys of the modes restored.
-func restoreWarmModes(sch *core.Schema, warm [][]byte, logger *slog.Logger) []string {
+// loadSnapshot decodes a snapshot container into the generation it
+// froze: the schema with its warm modes restored into the MVFT cache,
+// an applier carrying the evolution log, the WAL sequence covered and
+// the keys of the modes restored warm. Crash recovery and a follower's
+// bootstrap both start from it; name labels errors (a file path, or the
+// URL a follower fetched from). Only an unreadable container fails.
+// Every warm-mode failure — CRC mismatch, codec corruption, structural-
+// signature drift — is per mode: that mode is logged, counted and
+// skipped, and rebuilds cold on first use.
+func loadSnapshot(ctx context.Context, data []byte, name string, logger *slog.Logger) (*core.Schema, *evolution.Applier, uint64, []string, error) {
+	sch, log, seq, warm, err := decodeSnapshot(data, name)
+	if err != nil {
+		return nil, nil, 0, nil, err
+	}
+	_, span := obs.StartSpan(ctx, "warm_restore")
+	defer span.End()
 	var restored []string
 	for i, payload := range warm {
 		if payload == nil {
@@ -314,7 +311,9 @@ func restoreWarmModes(sch *core.Schema, warm [][]byte, logger *slog.Logger) []st
 		restored = append(restored, exp.ModeKey)
 		metWarmRestored.Inc()
 	}
-	return restored
+	span.SetAttr("restored", len(restored))
+	span.SetAttr("skipped", len(warm)-len(restored))
+	return sch, evolution.NewApplierWithLog(sch, log), seq, restored, nil
 }
 
 // replayWAL replays every record after the snapshot through commit,
@@ -565,7 +564,7 @@ func (st *Store) syncLocked() error {
 // flushLoop is the FsyncInterval background flusher.
 func (st *Store) flushLoop() {
 	defer close(st.flushDone)
-	t := time.NewTicker(st.opts.FsyncEvery)
+	t := time.NewTicker(fsyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -244,18 +244,39 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestFsyncIntervalRecovers(t *testing.T) {
+// TestFsyncIntervalSyncsBeforeClose: under FsyncInterval an append does
+// not sync, the background flusher does, well before Close would. The
+// hook sees that sync; a flusher that never syncs leaves it unseen (and
+// the store dirty) however long the wait, and fails here, where a
+// recovery check alone would pass because Close syncs.
+func TestFsyncIntervalSyncsBeforeClose(t *testing.T) {
 	dir := t.TempDir()
-	st, _, _, err := Open(dir, seedSchema(t), Options{
-		Fsync: FsyncInterval, FsyncEvery: 5 * time.Millisecond, Logger: quietLog(),
-	})
+	st, _, _, err := Open(dir, seedSchema(t), Options{Fsync: FsyncInterval, Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	synced := make(chan struct{}, 1)
+	setFsyncHook(st, func() error {
+		select {
+		case synced <- struct{}{}:
+		default:
+		}
+		return st.wal.Sync()
+	})
 	if _, _, err := st.AppendEvolve([]byte("EXCLUDE Org Dpt.Brian_id AT 01/2004\n")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // let the background flusher run
+	select {
+	case <-synced:
+	case <-time.After(50 * fsyncInterval):
+		t.Fatalf("no background fsync within %v of an append", 50*fsyncInterval)
+	}
+	st.mu.Lock()
+	dirty := st.dirty
+	st.mu.Unlock()
+	if dirty {
+		t.Error("the store is still dirty after the background fsync")
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -147,19 +145,20 @@ func (r *StreamReader) Next(ctx context.Context, maxBytes int, idle time.Duratio
 			// re-fetch (a commit may have landed since).
 			continue
 		}
-		frame, seq, err := readFrameAt(r.f, r.path, r.offset, limit)
+		// A frame crossing the frontier reads short: the section ends there.
+		frame, rec, err := readFrame(io.NewSectionReader(r.f, r.offset, limit-r.offset))
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("store: %s: frame at %d: %w", r.path, r.offset, err)
 		}
 		r.offset += int64(len(frame))
-		if seq < r.next {
+		if rec.Seq < r.next {
 			continue // skipping the already-delivered prefix of this file
 		}
-		if seq != r.next {
-			return nil, 0, fmt.Errorf("store: wal stream: expected seq %d, found %d in %s", r.next, seq, r.path)
+		if rec.Seq != r.next {
+			return nil, 0, fmt.Errorf("store: wal stream: expected seq %d, found %d in %s", r.next, rec.Seq, r.path)
 		}
 		out = append(out, frame...)
-		last, r.next = seq, seq+1
+		last, r.next = rec.Seq, rec.Seq+1
 		if len(out) >= maxBytes {
 			return out, last, nil
 		}
@@ -191,50 +190,12 @@ func (r *StreamReader) open() error {
 		}
 		return err
 	}
-	magic := make([]byte, len(walMagic))
-	if _, err := f.ReadAt(magic, 0); err != nil || string(magic) != walMagic {
+	if err := readMagic(f); err != nil {
 		f.Close()
-		return fmt.Errorf("store: %s: not a WAL file (bad magic)", path)
+		return fmt.Errorf("store: %s: %w", path, err)
 	}
 	r.f, r.path, r.offset = f, path, int64(len(walMagic))
 	return nil
-}
-
-// readFrameAt reads one complete frame at off, which the caller
-// guarantees starts a committed record ending at or before limit. The
-// CRC is verified before the bytes are handed to a follower.
-func readFrameAt(f *os.File, path string, off, limit int64) ([]byte, uint64, error) {
-	var header [recordHeaderSize]byte
-	if off+recordHeaderSize > limit {
-		return nil, 0, fmt.Errorf("store: %s: frame header crosses the committed frontier at %d", path, off)
-	}
-	if _, err := f.ReadAt(header[:], off); err != nil {
-		return nil, 0, err
-	}
-	payloadLen := binary.LittleEndian.Uint32(header[0:4])
-	wantCRC := binary.LittleEndian.Uint32(header[4:8])
-	if payloadLen == 0 || payloadLen > maxWALRecord {
-		return nil, 0, fmt.Errorf("store: %s: corrupt frame length %d at %d", path, payloadLen, off)
-	}
-	if off+recordHeaderSize+int64(payloadLen) > limit {
-		return nil, 0, fmt.Errorf("store: %s: frame at %d crosses the committed frontier", path, off)
-	}
-	frame := make([]byte, recordHeaderSize+int(payloadLen))
-	copy(frame, header[:])
-	if _, err := f.ReadAt(frame[recordHeaderSize:], off+recordHeaderSize); err != nil {
-		return nil, 0, err
-	}
-	payload := frame[recordHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, fmt.Errorf("store: %s: CRC mismatch at %d", path, off)
-	}
-	var seqOnly struct {
-		Seq uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(payload, &seqOnly); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: unparseable frame at %d: %w", path, off, err)
-	}
-	return frame, seqOnly.Seq, nil
 }
 
 // LatestSnapshotBytes returns the raw bytes of the newest readable

@@ -24,7 +24,8 @@ import (
 // the file back to the last good byte. A frame whose CRC matches but
 // whose payload does not parse cannot be torn — the checksum covers
 // the whole payload — so it is refused as corruption instead of
-// truncated (see scanWAL).
+// truncated (see scanWAL). One function, readFrame, reads and checks a
+// frame for recovery, the leader's stream and the follower alike.
 
 const (
 	walMagic = "MVOWAL01"
@@ -139,6 +140,56 @@ type walScan struct {
 	tornBytes int64
 }
 
+// errUnparseable marks a frame whose CRC checks out but whose payload
+// is not a WAL record. A crash-torn write cannot produce it: the CRC
+// covers the whole payload, so a partial or interleaved write fails the
+// checksum instead.
+var errUnparseable = errors.New("CRC-valid frame with unparseable payload")
+
+// readFrame reads one frame off r — the WAL file in recovery, the
+// committed part of it on the leader's stream, the stream itself on a
+// follower — checking the length bound, the CRC and the JSON of the
+// payload. It returns the frame's bytes, header included, with its
+// record. io.EOF means r ended cleanly on a frame boundary; an error
+// wrapping errUnparseable is a frame that checks out but does not
+// parse; any other error is a frame cut short or failing its checksum.
+func readFrame(r io.Reader) ([]byte, walRecord, error) {
+	var rec walRecord
+	var header [recordHeaderSize]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
+		return nil, rec, err
+	}
+	payloadLen := binary.LittleEndian.Uint32(header[0:4])
+	if payloadLen == 0 || payloadLen > maxWALRecord {
+		return nil, rec, fmt.Errorf("corrupt frame length %d", payloadLen)
+	}
+	frame := make([]byte, recordHeaderSize+int(payloadLen))
+	copy(frame, header[:])
+	if _, err := io.ReadFull(r, frame[recordHeaderSize:]); err != nil {
+		return nil, rec, fmt.Errorf("torn frame: %w", err)
+	}
+	if crc32.ChecksumIEEE(frame[recordHeaderSize:]) != binary.LittleEndian.Uint32(header[4:8]) {
+		return nil, rec, errors.New("frame CRC mismatch")
+	}
+	if err := json.Unmarshal(frame[recordHeaderSize:], &rec); err != nil {
+		return nil, rec, fmt.Errorf("%w: %w", errUnparseable, err)
+	}
+	return frame, rec, nil
+}
+
+// readMagic consumes the MVOWAL01 header that starts a WAL file and a
+// replication stream.
+func readMagic(r io.Reader) error {
+	magic := make([]byte, len(walMagic))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return fmt.Errorf("not a WAL file: %w", err)
+	}
+	if string(magic) != walMagic {
+		return fmt.Errorf("not a WAL file (bad magic %q)", magic)
+	}
+	return nil
+}
+
 // scanWAL reads every valid record of a WAL file, stopping at the
 // first torn or corrupt one. A missing or wrong magic header is an
 // error (the file is not a WAL); anything after the last valid record
@@ -153,49 +204,30 @@ func scanWAL(path string) (*walScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := info.Size()
-
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != walMagic {
-		return nil, fmt.Errorf("store: %s: not a WAL file (bad magic)", path)
+	if err := readMagic(f); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	scan := &walScan{goodSize: int64(len(walMagic))}
-	var header [recordHeaderSize]byte
 	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			break // clean EOF or torn header
-		}
-		payloadLen := binary.LittleEndian.Uint32(header[0:4])
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if payloadLen == 0 || payloadLen > maxWALRecord {
-			break // corrupt length prefix
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // corrupt payload
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// A crash-torn write cannot produce this: the CRC covers the
-			// whole payload, so a partial or interleaved write fails the
-			// checksum above. A frame that checks out but does not parse
-			// is mid-history corruption or version skew, and treating it
-			// as a torn tail would silently truncate away every later
-			// valid record — refuse recovery like a sequence jump.
-			return nil, fmt.Errorf("store: %s: record %d (offset %d): CRC-valid frame with unparseable payload: %w",
+		frame, rec, err := readFrame(f)
+		if errors.Is(err, errUnparseable) {
+			// Mid-history corruption or version skew: treating it as a torn
+			// tail would silently truncate away every later valid record —
+			// refuse recovery like a sequence jump.
+			return nil, fmt.Errorf("store: %s: record %d (offset %d): %w",
 				path, len(scan.records)+1, scan.goodSize, err)
+		}
+		if err != nil {
+			break // clean EOF, or a torn tail to truncate
 		}
 		if n := len(scan.records); n > 0 && rec.Seq != scan.records[n-1].Seq+1 {
 			return nil, fmt.Errorf("store: %s: wal sequence jumped %d → %d",
 				path, scan.records[n-1].Seq, rec.Seq)
 		}
 		scan.records = append(scan.records, rec)
-		scan.goodSize += int64(recordHeaderSize) + int64(payloadLen)
+		scan.goodSize += int64(len(frame))
 	}
-	scan.tornBytes = size - scan.goodSize
+	scan.tornBytes = info.Size() - scan.goodSize
 	return scan, nil
 }
 

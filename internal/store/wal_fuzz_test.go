@@ -26,10 +26,12 @@ func fuzzFrame(seq uint64, typ string, data any) []byte {
 
 // FuzzWALRecord drives the full recovery path — scanWAL framing, then
 // applyRecord replay against the case-study warehouse — with arbitrary
-// bytes in place of the WAL body. Every input must either replay or be
-// refused with an error; nothing may panic. The seed corpus covers all
-// three record types (facts, evolve, retract), a multi-record stream,
-// a torn tail, and plain garbage.
+// bytes in place of the WAL body. scanWAL reads each frame through
+// readFrame, the one frame reader the leader's stream and the follower
+// share, so the fuzzer covers theirs too. Every input must either
+// replay or be refused with an error; nothing may panic. The seed
+// corpus covers all three record types (facts, evolve, retract), a
+// multi-record stream, a torn tail, and plain garbage.
 func FuzzWALRecord(f *testing.F) {
 	facts := fuzzFrame(1, RecordFacts, []FactRecord{
 		{Coords: []string{"Dpt.Bill_id"}, Time: "2004", Values: []float64{70}},

@@ -141,69 +141,45 @@ func (c *ResultCache) put(key string, swapID uint64, rng temporal.Interval, out 
 
 // Invalidate reconciles the cache with one clone swap, described by
 // the delta that produced the accepted clone (swapID is that clone's
-// swap identity). Returns the number of entries dropped.
+// swap identity), in one pass over the entries. Returns the number of
+// entries dropped.
 //
+// An entry already computed on the new generation (a query raced ahead
+// of this reconciliation) is kept as-is. An entry of the replaced
+// generation, prevSwapID, is revalidated to swapID when the delta
+// provably leaves its result byte-identical, and dropped otherwise; an
+// entry of an older generation has mutations between its generation
+// and this one that were never reconciled against it, and drops.
 // Routing, from the byte-identity arguments on the Delta fields:
 //   - A mapping change, or a structural change that is not purely
-//     additive, can reroute any rollup — drop everything.
+//     additive, can reroute any rollup — nothing is revalidated.
 //   - A facts batch with a known time window (appends, replacements
 //     and retractions alike only change values at their own instants)
-//     drops the entries whose time range overlaps the window and
-//     revalidates the rest — a retraction retargets entries over
-//     disjoint windows and evicts only the overlapping ones.
+//     revalidates the entries whose time range avoids the window.
 //   - A purely additive structural change with no facts side touches
-//     no existing rollup path — revalidate everything.
-//   - Anything else (unknown window, conservative deltas) drops
-//     everything.
-//
-// prevSwapID is the swap identity of the schema generation the clone
-// replaced: only entries computed against exactly that generation may
-// be revalidated (an entry from an older generation has unreconciled
-// mutations between its generation and this one and must drop).
+//     no existing rollup path — everything is revalidated.
+//   - Anything else (unknown window, conservative deltas) revalidates
+//     nothing.
 func (c *ResultCache) Invalidate(prevSwapID, swapID uint64, delta core.Delta) int {
 	if c == nil {
 		return 0
 	}
-	if delta.MappingsChanged || (delta.StructureChanged && !delta.StructureAdditive) {
-		return c.InvalidateExcept(swapID)
-	}
 	factsTouched := delta.FactsReplaced || len(delta.NewFacts) > 0 || len(delta.Retracted) > 0
-	switch {
-	case factsTouched && delta.FactsWindowKnown:
-		return c.RetargetFacts(prevSwapID, swapID, delta.FactsWindow)
-	case factsTouched:
-		return c.InvalidateExcept(swapID)
-	default:
-		// Purely additive structure change: every entry survives.
-		return c.RetargetFacts(prevSwapID, swapID, temporal.Interval{Start: 1, End: 0})
-	}
-}
-
-// RetargetFacts reconciles the cache with a mutation whose entire
-// effect on stored facts lies inside window (an empty window means no
-// effect at all): entries of the replaced generation (prevSwapID)
-// whose effective time range avoids the window are revalidated to the
-// new swap identity — their results are byte-identical on the new
-// schema — and everything else is dropped: overlapping ranges could
-// scan changed tuples, and entries from older generations carry
-// mutations that were never reconciled against them. Entries already
-// computed on the new generation (a query raced ahead of this
-// reconciliation) are kept as-is. Returns the number dropped.
-func (c *ResultCache) RetargetFacts(prevSwapID, swapID uint64, window temporal.Interval) int {
-	if c == nil {
-		return 0
+	retarget := !delta.MappingsChanged && (!delta.StructureChanged || delta.StructureAdditive) &&
+		(!factsTouched || delta.FactsWindowKnown)
+	window := temporal.Interval{Start: 1, End: 0} // empty: overlaps nothing
+	if factsTouched {
+		window = delta.FactsWindow
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped, retained := 0, 0
-	empty := window.Empty()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
 		switch {
 		case ent.swapID == swapID:
-			// already valid on the new generation
-		case ent.swapID == prevSwapID && (empty || !ent.rng.Overlaps(window)):
+		case retarget && ent.swapID == prevSwapID && !ent.rng.Overlaps(window):
 			ent.swapID = swapID
 			retained++
 		default:
@@ -222,42 +198,13 @@ func (c *ResultCache) RetargetFacts(prevSwapID, swapID uint64, window temporal.I
 	return dropped
 }
 
-// InvalidateExcept drops every entry not computed against the given
-// schema swap identity and reports how many were dropped. The serving
-// tier calls it (via Invalidate) on every swap that could change any
-// result; the swapID check in get already guarantees stale entries
-// cannot be hit, so this is memory reclamation, counted by the
-// invalidations metric.
-func (c *ResultCache) InvalidateExcept(swapID uint64) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.swapID != swapID {
-			c.lru.Remove(el)
-			delete(c.entries, ent.key)
-			dropped++
-		}
-		el = next
-	}
-	if dropped > 0 {
-		metCacheInvalidations.Add(int64(dropped))
-	}
-	return dropped
-}
-
 // cacheKey builds the structure-aware cache key for a planned SELECT.
 // The canonical text collapses syntactic variants; the resolved mode
 // plus its structural signature bind the entry to the exact structure
 // it was computed in; the weights cover the quality factor baked into
 // the output. Swap identity is deliberately NOT part of the key: it
 // lives on the entry, so an insert-only facts append can revalidate
-// surviving entries in place (RetargetFacts) and repeated queries keep
+// surviving entries in place (Invalidate) and repeated queries keep
 // hitting the same key across appends.
 func cacheKey(st *Statement, mode core.Mode, w quality.Weights) string {
 	sig := ""

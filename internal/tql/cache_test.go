@@ -9,11 +9,11 @@ import (
 
 func y(n int) temporal.Instant { return temporal.Year(n) }
 
-// TestCacheRetargetFactsWindow pins the surgical invalidation routing:
+// TestCacheFactsWindowRetargets pins the surgical invalidation routing:
 // a facts batch with a known time window drops exactly the entries
 // whose effective range overlaps it and revalidates the rest onto the
 // new swap identity.
-func TestCacheRetargetFactsWindow(t *testing.T) {
+func TestCacheFactsWindowRetargets(t *testing.T) {
 	c := NewResultCache(8)
 	oOld, oHot, oAlways := &Output{}, &Output{}, &Output{}
 	c.put("old", 1, temporal.Between(y(2001), y(2002)), oOld)
