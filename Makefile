@@ -76,15 +76,29 @@ write-path-check:
 # anywhere else in internal/core's non-test code is a second fan-out
 # starting — and the scan and materialization fan-outs it would bring
 # back moved no benchmark metric.
+#
+# The serving path reads the schema's dimensions: a structure version
+# is an instant of them, not a copy. Dimension.Restrict builds copies,
+# so its one caller in internal/core's non-test code is the accessor
+# the reproduction tier reads versions through
+# (StructureVersion.Dimensions); a second call site is a second
+# representation of structure starting.
 .PHONY: read-path-check
 read-path-check:
-	@stray=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
-			/^[[:space:]]*go[[:space:]]/ && fn !~ /^func \(s \*Schema\) WarmFrom\(/ { print FILENAME ":" FNR ":" $$0 }' \
-			$$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+	@core=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
+	stray=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
+			/^[[:space:]]*go[[:space:]]/ && fn !~ /^func \(s \*Schema\) WarmFrom\(/ { print FILENAME ":" FNR ":" $$0 }' $$core); \
 	if [ -n "$$stray" ]; then \
 		echo "read-path-check: go statement in internal/core outside WarmFrom:"; echo "$$stray"; \
-		echo "A new fan-out first needs a benchmark workload (BENCHMARK.json) that shows it pays."; exit 1; \
-	fi
+		echo "A new fan-out first needs a benchmark workload (BENCHMARK.json) that shows it pays."; bad=1; \
+	fi; \
+	copies=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
+			/\.Restrict\(/ && fn !~ /^func \(v \*StructureVersion\) Dimensions\(/ { print FILENAME ":" FNR ":" $$0 }' $$core); \
+	if [ -n "$$copies" ]; then \
+		echo "read-path-check: Restrict( called in internal/core outside StructureVersion.Dimensions:"; echo "$$copies"; \
+		echo "The serving path reads the schema's dimensions at a version's instant, never a copy."; bad=1; \
+	fi; \
+	test -z "$$bad"
 
 # benchmark/ is its own module (`replace mvolap => ../`), so the root
 # `./...` patterns never see it: without this step a rename of any of

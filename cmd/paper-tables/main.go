@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -336,7 +337,7 @@ func qualitySection(w io.Writer, s *core.Schema) error {
 		Grain:   core.GrainYear,
 		Range:   temporal.Between(temporal.Year(2002), temporal.EndOfYear(2003)),
 	}
-	ranked, err := quality.RankModes(s, q, quality.DefaultWeights())
+	ranked, err := quality.RankModes(context.Background(), s, q, quality.DefaultWeights())
 	if err != nil {
 		return err
 	}

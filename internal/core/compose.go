@@ -19,14 +19,14 @@ import (
 
 // ComposeVersion builds a custom presentation structure: picks selects,
 // per dimension ID, the inferred structure version (by ID) whose
-// restriction of that dimension to use. Every schema dimension must be
-// picked. The copied elements are renormalized to the valid interval so
-// the composite behaves as a single coherent structure version; valid
-// must be non-empty.
+// structure of that dimension to use. Every schema dimension must be
+// picked, and valid must be non-empty. The composite copies nothing: it
+// reads each dimension at the start of the version picked for it.
 //
 // The result can be used anywhere a structure version can — most
 // usefully as InVersion(composed) in a query's temporal mode of
-// presentation.
+// presentation. Mode caches key on the version ID, so the ID may be
+// neither "tcm" nor one an inferred version holds.
 func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[DimID]string) (*StructureVersion, error) {
 	if valid.Empty() {
 		return nil, fmt.Errorf("core: compose %s: empty valid interval", id)
@@ -34,11 +34,10 @@ func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[Di
 	if id == "" {
 		return nil, fmt.Errorf("core: compose: empty version ID")
 	}
-	out := &StructureVersion{
-		ID:       id,
-		Valid:    valid,
-		dimIndex: make(map[DimID]int),
+	if id == TCM().String() || s.VersionByID(id) != nil {
+		return nil, fmt.Errorf("core: compose %s: the ID already names a mode of the schema", id)
 	}
+	out := &StructureVersion{ID: id, Valid: valid, picked: make([]temporal.Instant, len(s.dims)), dims: s.snapshots()}
 	for i, d := range s.dims {
 		pickID, ok := picks[d.ID]
 		if !ok {
@@ -48,36 +47,9 @@ func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[Di
 		if src == nil {
 			return nil, fmt.Errorf("core: compose %s: unknown structure version %q", id, pickID)
 		}
-		rd := src.Dimension(d.ID)
-		if rd == nil {
-			return nil, fmt.Errorf("core: compose %s: version %s has no dimension %s", id, pickID, d.ID)
-		}
-		out.dimIndex[d.ID] = i
-		out.dims = append(out.dims, rd.renormalize(valid))
+		out.picked[i] = src.Valid.Start
 	}
 	return out, nil
-}
-
-// renormalize deep-copies the dimension with every member version and
-// relationship declared valid exactly over the given interval, so the
-// copy reads as one unchanged structure over that interval.
-func (d *Dimension) renormalize(valid temporal.Interval) *Dimension {
-	out := NewDimension(d.ID, d.Name)
-	for _, id := range d.order {
-		cp := d.members[id].Clone()
-		cp.Valid = valid
-		out.members[cp.ID] = cp
-		out.order = append(out.order, cp.ID)
-	}
-	for _, r := range d.rels {
-		nr := r
-		nr.Valid = valid
-		idx := len(out.rels)
-		out.rels = append(out.rels, nr)
-		out.parentRels[nr.From] = append(out.parentRels[nr.From], idx)
-		out.childRels[nr.To] = append(out.childRels[nr.To], idx)
-	}
-	return out
 }
 
 // AggregateMember performs the Definition 12 data aggregation for one
@@ -93,18 +65,17 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 		return nil, nil, fmt.Errorf("core: unknown member version %q", id)
 	}
 	dimPos := s.DimIndex(d.ID)
-	// Pick the structure to roll up in.
-	graph := d
+	// Pick the instant to roll up in: the fact's in tcm, the version's
+	// own in a version mode.
 	at := t
 	if mode.Kind == VersionKind {
 		if mode.Version == nil {
 			return nil, nil, fmt.Errorf("core: version mode without version")
 		}
-		graph = mode.Version.Dimension(d.ID)
-		if graph == nil || graph.Version(id) == nil {
+		at = mode.Version.readAt(dimPos)
+		if !d.Version(id).ValidAt(at) {
 			return nil, nil, fmt.Errorf("core: member %q not in structure version %s", id, mode.Version.ID)
 		}
-		at = mode.Version.Valid.Start
 	}
 	// Leaves under id (including id itself when childless).
 	leafSet := make(map[MVID]bool)
@@ -115,7 +86,7 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 			return
 		}
 		seen[cur] = true
-		kids := graph.ChildrenAt(cur, at)
+		kids := d.ChildrenAt(cur, at)
 		if len(kids) == 0 {
 			leafSet[cur] = true
 			return

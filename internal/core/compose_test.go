@@ -153,6 +153,22 @@ func TestComposeVersionErrors(t *testing.T) {
 	}
 }
 
+// TestComposeVersionRefusesInferredID: mode caches key on the version
+// ID, so a composed version named like an inferred mode would have its
+// table served to queries in the real one.
+func TestComposeVersionRefusesInferredID(t *testing.T) {
+	s := twoDimSchema(t)
+	picks := map[DimID]string{"Org": "V1", "Channel": "V3"}
+	for _, id := range []string{"tcm", "V1", "V3"} {
+		if _, err := s.ComposeVersion(id, temporal.Since(y(2003)), picks); err == nil {
+			t.Errorf("ComposeVersion(%q) must fail", id)
+		}
+	}
+	if _, err := s.ComposeVersion("V4", temporal.Since(y(2003)), picks); err != nil {
+		t.Errorf("ComposeVersion(V4): %v", err)
+	}
+}
+
 func TestAggregateMemberTCM(t *testing.T) {
 	s := splitSchema(t)
 	// Sales in 2001 (tcm): Jones 100 + Smith 50.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mvolap/internal/temporal"
@@ -120,10 +121,10 @@ func (d *Dimension) notifyMutate(from temporal.Instant) {
 // One edge is stored as maximal pieces: a relationship that overlaps or
 // is adjacent to stored pieces of the same edge extends the earliest of
 // them (and absorbs the others) instead of being appended. Restrict
-// wants one stored piece covering a structure version's whole interval,
-// while the version partition is decided per instant; an edge ended and
-// re-created in adjacent pieces (RECLASSIFY … FROM p TO p) would
-// otherwise drop out of a fresh restriction of a version it spans.
+// wants one stored piece covering the whole interval it restricts to;
+// an edge ended and re-created in adjacent pieces (RECLASSIFY … FROM p
+// TO p) would otherwise drop out of a restriction to an interval it
+// spans.
 func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 	child, ok := d.members[r.From]
 	if !ok {
@@ -553,8 +554,9 @@ func (d *Dimension) Validate() error {
 
 // Restrict returns the restriction of the dimension to the elements
 // (member versions and relationships) valid during the whole of the
-// given interval, as used to build structure versions (Definition 9).
-// The returned dimension shares no mutable state with the original.
+// given interval. StructureVersion.Dimension builds its copies with it;
+// the serving path reads the dimension itself instead. The returned
+// dimension shares no mutable state with the original.
 func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 	out := NewDimension(d.ID, d.Name)
 	for _, id := range d.order {
@@ -581,6 +583,17 @@ func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 		}
 	}
 	return out
+}
+
+// snapshot returns a header over what Restrict reads — the member
+// versions, shared, and a copy of the relationships — and nothing
+// else: no mutation hook, which would keep the owning schema and its
+// mode tables alive as long as the header, and no rollup cache. The
+// relationships are copied because an in-place mutator rewrites their
+// slice (compactRels); the members it only adds to or ends, which
+// leaves D(t) before its mutation window as it was.
+func (d *Dimension) snapshot() *Dimension {
+	return &Dimension{ID: d.ID, Name: d.Name, members: d.members, order: d.order, rels: slices.Clone(d.rels)}
 }
 
 // Clone returns a copy-on-write copy of the dimension: the clone shares

@@ -158,7 +158,7 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	var jobs []job
 	for _, t := range tables {
 		mode, ok := dstModes[t.key]
-		if !ok || !s.retains(base, baseSVs, mode, d) || ctx.Err() != nil {
+		if !ok || !s.retains(baseSVs, mode, d) || ctx.Err() != nil {
 			res.Evicted = append(res.Evicted, t.key)
 			continue
 		}
@@ -270,7 +270,7 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 
 // retains decides whether one of base's cached modes is still valid on
 // the (already mutated) receiver under the given delta.
-func (s *Schema) retains(base *Schema, baseSVs map[string]*StructureVersion, mode Mode, d Delta) bool {
+func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delta) bool {
 	if mode.Kind == TCMKind {
 		return true
 	}
@@ -291,13 +291,10 @@ func (s *Schema) retains(base *Schema, baseSVs map[string]*StructureVersion, mod
 	// Same ID and interval: the mode survives iff the structural
 	// signature over that interval is unchanged. Structure versions are
 	// maximal constant-signature intervals, so agreement at Start means
-	// agreement throughout — the restriction, and with it every leaf
-	// set and resolution, is identical. Inferred versions carry their
-	// signature; the re-encoding fallback covers hand-composed ones.
-	if old.sig != "" && mode.Version.sig != "" {
-		return old.sig == mode.Version.sig
-	}
-	return base.signatureAt(old.Valid.Start) == s.signatureAt(mode.Version.Valid.Start)
+	// agreement throughout — the structure, and with it every leaf set
+	// and resolution, is identical. Both versions are inferred (a
+	// composed one is never among a schema's modes), so both are signed.
+	return old.sig == mode.Version.sig
 }
 
 // cloneForWarm returns a copy-on-write clone of a published mapped

@@ -303,13 +303,7 @@ func (s *Schema) ResolveInto(source MVID, sv *StructureVersion) []Resolution {
 	if d == nil || sv == nil {
 		return nil
 	}
-	rd := sv.Dimension(d.ID)
-	leafSet := make(map[MVID]bool)
-	if rd != nil {
-		for _, mv := range rd.LeavesAt(sv.Valid.Start) {
-			leafSet[mv.ID] = true
-		}
-	}
+	leafSet := s.versionLeafSets(sv)[s.DimIndex(d.ID)]
 	graph := newMappingGraph(s.mappings, len(s.measures), s.alg)
 	rs := graph.resolve(source, func(x MVID) bool { return leafSet[x] })
 	out := make([]Resolution, len(rs))

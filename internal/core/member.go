@@ -38,9 +38,8 @@ type MemberVersion struct {
 
 	// ord is the version's dense ordinal: its position in the insertion
 	// order of the dimension that holds it. Dimension.AddVersion and
-	// Restrict assign it; Clone and renormalize keep the order and so
-	// the ordinal. Rollup tables and dice verdicts are arrays indexed
-	// by it.
+	// Restrict assign it; Clone keeps the order and so the ordinal.
+	// Rollup tables and dice verdicts are arrays indexed by it.
 	ord int32
 }
 

@@ -746,19 +746,16 @@ func (s *Schema) mapInto(ctx context.Context, out *MappedTable, facts []*Fact) e
 }
 
 // versionLeafSets builds, per dimension, the acceptable mapping targets
-// for a structure version: the leaf member versions of its restriction.
-// Built once per materialization, read-only afterwards.
+// for a structure version: the leaf member versions of D at the
+// version's instant. Built once per materialization, read-only
+// afterwards.
 func (s *Schema) versionLeafSets(sv *StructureVersion) []map[MVID]bool {
 	leafIn := make([]map[MVID]bool, len(s.dims))
 	for i, d := range s.dims {
-		rd := sv.Dimension(d.ID)
-		set := make(map[MVID]bool)
-		if rd != nil {
-			for _, mv := range rd.LeavesAt(sv.Valid.Start) {
-				set[mv.ID] = true
-			}
+		leafIn[i] = make(map[MVID]bool)
+		for _, mv := range d.LeavesAt(sv.readAt(i)) {
+			leafIn[i][mv.ID] = true
 		}
-		leafIn[i] = set
 	}
 	return leafIn
 }

@@ -162,8 +162,8 @@ func TestPropertyPrunedCachedBitIdentical(t *testing.T) {
 
 // TestPropertyStructureVersionReuseMatchesFresh pins the
 // structure-version recompute reuse (invalidate stashes the previous
-// generation; StructureVersions salvages versions whose interval and
-// signature are unchanged): a schema that recomputes after every
+// generation; StructureVersions carries the versions that end before
+// the mutation window): a schema that recomputes after every
 // mutation must infer exactly the structure versions a from-scratch
 // computation over the final state infers — IDs, intervals,
 // signatures, and the full restricted member/relationship content.
@@ -179,7 +179,7 @@ func TestPropertyStructureVersionReuseMatchesFresh(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 100))
 		for step := 0; step < 5; step++ {
 			// Warm the incremental schema's cache so the next mutation
-			// has a previous generation to salvage from; the fresh
+			// has a previous generation to carry from; the fresh
 			// schema never computes until the end.
 			incremental.StructureVersions()
 			id := MVID(fmt.Sprintf("extra%d-%d", seed, step))
@@ -205,8 +205,9 @@ func TestPropertyStructureVersionReuseMatchesFresh(t *testing.T) {
 			if g.ID != w.ID || g.Valid != w.Valid || g.sig != w.sig {
 				t.Fatalf("seed %d version %d: (%s %s) vs (%s %s)", seed, i, g.ID, g.Valid, w.ID, w.Valid)
 			}
-			for j := range w.dims {
-				gd, wd := g.dims[j], w.dims[j]
+			gds, wds := g.Dimensions(), w.Dimensions()
+			for j := range wds {
+				gd, wd := gds[j], wds[j]
 				gv, wv := gd.Versions(), wd.Versions()
 				if len(gv) != len(wv) {
 					t.Fatalf("seed %d %s dim %d: %d members, want %d", seed, g.ID, j, len(gv), len(wv))

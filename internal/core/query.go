@@ -144,8 +144,8 @@ type Result struct {
 // performing Definition 12 data aggregation: measures fold under their
 // aggregate function ⊕, confidence factors under ⊗cf, and rollup to the
 // requested levels follows the temporal relationships of the mode's
-// structure (the structure version's graph in a version mode, D(t) at
-// each fact's instant in tcm).
+// structure (D at the structure version's instant in a version mode,
+// D(t) at each fact's instant in tcm).
 func (s *Schema) Execute(q Query) (*Result, error) {
 	return s.ExecuteContext(context.Background(), q)
 }
@@ -206,9 +206,8 @@ type scanPlan struct {
 }
 
 // scanDim is the graph one coordinate position rolls up in: the
-// structure version's restricted dimension in a version mode — static,
-// read at the version's start whatever the fact time — and D(t) of the
-// schema's dimension at each fact's instant in tcm.
+// schema's dimension, read in a version mode at the version's instant
+// whatever the fact time (static), and in tcm at each fact's instant.
 type scanDim struct {
 	pos    int
 	d      *Dimension
@@ -261,9 +260,7 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 		}
 		sd := scanDim{pos: pos, d: s.dims[pos]}
 		if q.Mode.Kind == VersionKind && q.Mode.Version != nil {
-			if rd := q.Mode.Version.Dimension(sd.d.ID); rd != nil {
-				sd.d, sd.static, sd.at = rd, true, q.Mode.Version.Valid.Start
-			}
+			sd.static, sd.at = true, q.Mode.Version.readAt(pos)
 		}
 		p.dims = append(p.dims, sd)
 		return len(p.dims) - 1

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mvolap/internal/temporal"
@@ -40,6 +42,58 @@ func TestQueryGrains(t *testing.T) {
 	}
 	if res := run(GrainMonth); len(res.Rows) != 12 || res.Rows[0].TimeKey != "01/2001" {
 		t.Errorf("GrainMonth: %+v", res.Rows)
+	}
+}
+
+// TestVersionModeLevelsFollowTheDimension: Definition 4 levels a
+// dimension as a whole, so one unlevelled member puts every instant on
+// depth levels — including a version's, over which every valid member
+// happens to carry a tag. Every mode answers the levels the query was
+// planned with.
+func TestVersionModeLevelsFollowTheDimension(t *testing.T) {
+	s := NewSchema("lv", Measure{Name: "m", Agg: Sum})
+	d := NewDimension("D", "D")
+	for _, mv := range []*MemberVersion{
+		{ID: "top", Level: "Top", Valid: temporal.Since(y(2001))},
+		{ID: "a", Level: "Leaf", Valid: temporal.Since(y(2001))},
+		{ID: "x", Valid: temporal.Since(y(2003))},
+	} {
+		if err := d.AddVersion(mv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []TemporalRelationship{
+		{From: "a", To: "top", Valid: temporal.Since(y(2001))},
+		{From: "x", To: "top", Valid: temporal.Since(y(2003))},
+	} {
+		if err := d.AddRelationship(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	s.MustInsertFact(Coords{"a"}, y(2001), 5)
+	s.MustInsertFact(Coords{"a"}, y(2003), 2)
+	svs := s.StructureVersions()
+	if len(svs) != 2 {
+		t.Fatalf("structure versions = %v, want 2", svs)
+	}
+	for _, mode := range []Mode{TCM(), InVersion(svs[0]), InVersion(svs[1])} {
+		res, err := s.Execute(Query{GroupBy: []GroupBy{{Dim: "D", Level: "depth-0"}}, Grain: GrainYear, Mode: mode})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, fmt.Sprintf("%s/%s/%s", r.TimeKey, r.Groups[0], FormatValue(r.Values[0])))
+		}
+		if want := []string{"2001/top/5", "2003/top/2"}; !slices.Equal(got, want) {
+			t.Errorf("%s: rows %v, want %v", mode, got, want)
+		}
+		if _, err := s.Execute(Query{GroupBy: []GroupBy{{Dim: "D", Level: "Top"}}, Mode: mode}); err == nil {
+			t.Errorf("%s: the tag level Top must be refused on a depth-levelled dimension", mode)
+		}
 	}
 }
 

@@ -40,11 +40,7 @@ type Schema struct {
 	// reported since they were captured (temporal.Origin: unknown). The
 	// next StructureVersions derivation carries every version of svPrev
 	// that ends before the window over by pointer and derives only the
-	// rest of the axis; there it still reuses any version whose interval
-	// and structural signature are unchanged — together with its
-	// restricted dimensions and their warm derived rollup caches —
-	// instead of re-restricting every dimension. svDirtyFrom means
-	// nothing while svPrev is nil.
+	// rest of the axis. svDirtyFrom means nothing while svPrev is nil.
 	svPrev      []*StructureVersion
 	svDirtyFrom temporal.Instant
 	// cached MultiVersion Fact Table; invalidated on mutation.
@@ -277,11 +273,11 @@ func (s *Schema) Clone() *Schema {
 		out.dims = append(out.dims, cp)
 	}
 	// The structure-version partition depends only on the dimensions,
-	// which were just cloned unchanged, so the inferred versions
-	// (frozen, read-only snapshots) carry over. A later mutation of a
-	// cloned dimension clears the copy through its onMutate hook, making
-	// it the clone's svPrev; a base that was itself invalidated and never
-	// derived again hands on its own svPrev and window instead.
+	// which were just cloned unchanged, so the inferred versions carry
+	// over. A later mutation of a cloned dimension clears the copy
+	// through its onMutate hook, making it the clone's svPrev; a base
+	// that was itself invalidated and never derived again hands on its
+	// own svPrev and window instead.
 	s.mu.Lock()
 	out.svCache, out.svPrev, out.svDirtyFrom = s.svCache, s.svPrev, s.svDirtyFrom
 	s.mu.Unlock()
@@ -320,8 +316,11 @@ func (s *Schema) invalidate() { s.invalidateFrom(temporal.Origin) }
 func (s *Schema) Invalidate() { s.invalidate() }
 
 // StructureVersion is a maximal interval over which every dimension is
-// unchanged (Definition 9), together with the restriction of each
-// dimension to that interval.
+// unchanged (Definition 9). Its structure is D(t) of each schema
+// dimension at one instant — for an inferred version Valid.Start, since
+// D is constant over Valid — so the version holds that instant, not a
+// copy of the structure: the serving path reads the schema's own
+// dimensions there (readAt).
 type StructureVersion struct {
 	// ID is "V1", "V2", ... in chronological order.
 	ID string
@@ -329,14 +328,22 @@ type StructureVersion struct {
 	// the schema's lifetime.
 	Valid temporal.Interval
 
-	dims     []*Dimension
-	dimIndex map[DimID]int
 	// sig is the canonical structural signature over Valid (constant
 	// throughout, since structure versions are maximal constant-signature
 	// intervals). Set by StructureVersions; empty on composed versions.
 	// Incremental maintenance compares it to decide retention without
 	// re-encoding the structure.
 	sig string
+	// picked holds, on a composed version, the instant each schema
+	// dimension is read at (nil: every one at Valid.Start). dims holds a
+	// snapshot of each, in schema order, for the accessors alone.
+	picked []temporal.Instant
+	dims   []*Dimension
+
+	// restricted holds the Restrict copies behind Dimension and
+	// Dimensions, built on first call.
+	restrictOnce sync.Once
+	restricted   []*Dimension
 }
 
 // Signature returns the canonical structural signature of the version
@@ -344,23 +351,46 @@ type StructureVersion struct {
 // entries are bound to the exact structure they were computed in.
 func (v *StructureVersion) Signature() string { return v.sig }
 
-// Dimension returns this version's restriction of the dimension.
+// readAt returns the instant whose D(t) is the version's structure of
+// the dimension at schema position pos.
+func (v *StructureVersion) readAt(pos int) temporal.Instant {
+	if v.picked != nil {
+		return v.picked[pos]
+	}
+	return v.Valid.Start
+}
+
+// Dimension returns this version's restriction of the dimension: a
+// copy holding the member versions and relationships of D(t) at the
+// version's instant.
 func (v *StructureVersion) Dimension(id DimID) *Dimension {
-	if i, ok := v.dimIndex[id]; ok {
-		return v.dims[i]
+	for _, d := range v.Dimensions() {
+		if d.ID == id {
+			return d
+		}
 	}
 	return nil
 }
 
-// Dimensions returns the restricted dimensions in schema order.
-func (v *StructureVersion) Dimensions() []*Dimension { return v.dims }
+// Dimensions returns the restricted dimensions in schema order. They
+// are built on the first call and kept; queries never read them.
+func (v *StructureVersion) Dimensions() []*Dimension {
+	v.restrictOnce.Do(func() {
+		v.restricted = make([]*Dimension, len(v.dims))
+		for i, d := range v.dims {
+			at := v.readAt(i)
+			v.restricted[i] = d.Restrict(temporal.Between(at, at))
+		}
+	})
+	return v.restricted
+}
 
-// Has reports whether the member version is valid throughout this
-// structure version.
+// Has reports whether the member version belongs to this structure
+// version: it is valid at the instant its dimension is read at.
 func (v *StructureVersion) Has(id MVID) bool {
-	for _, d := range v.dims {
-		if d.Version(id) != nil {
-			return true
+	for i, d := range v.dims {
+		if mv := d.Version(id); mv != nil {
+			return mv.ValidAt(v.readAt(i))
 		}
 	}
 	return false
@@ -431,70 +461,14 @@ func (s *Schema) StructureVersionsContext(ctx context.Context) []*StructureVersi
 	}
 	// Merge adjacent elementary intervals with the same structural
 	// signature.
-	type candidate struct {
-		valid temporal.Interval
-		sig   string
-	}
-	var merged []candidate
+	dims := s.snapshots()
 	for _, e := range temporal.Partition(ivs) {
-		c := candidate{valid: e, sig: s.signatureAt(e.Start)}
-		if n := len(merged); n > 0 && merged[n-1].sig == c.sig && merged[n-1].valid.Adjacent(c.valid) {
-			merged[n-1].valid = merged[n-1].valid.Hull(c.valid)
+		sig := s.signatureAt(e.Start)
+		if n := len(out); n > carried && out[n-1].sig == sig && out[n-1].Valid.Adjacent(e) {
+			out[n-1].Valid = out[n-1].Valid.Hull(e)
 			continue
 		}
-		merged = append(merged, c)
-	}
-	// Inside the region, versions from the invalidated generation are
-	// reused when their interval and structural signature are unchanged:
-	// the signature canonically encodes the member-version and
-	// relationship sets valid over the interval, and evolution never
-	// rewrites a member version's content in place (content changes are
-	// modelled as new versions), so an equal signature over an equal
-	// interval means the restricted dimensions — frozen snapshots sharing
-	// nothing mutable — are identical, warm derived rollup caches
-	// included. Only versions the mutation actually split or reshaped pay
-	// the restriction again.
-	prev := make(map[candidate]*StructureVersion, len(s.svPrev)-carried)
-	for _, sv := range s.svPrev[carried:] {
-		if len(sv.dims) != len(s.dims) {
-			continue
-		}
-		ok := true
-		for j, d := range s.dims {
-			if sv.dims[j].ID != d.ID {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			prev[candidate{sv.Valid, sv.sig}] = sv
-		}
-	}
-	for _, c := range merged {
-		id := fmt.Sprintf("V%d", len(out)+1)
-		if old, ok := prev[c]; ok {
-			// A fresh wrapper (the positional ID may differ) over the
-			// shared read-only restrictions.
-			out = append(out, &StructureVersion{
-				ID:       id,
-				Valid:    c.valid,
-				dims:     old.dims,
-				dimIndex: old.dimIndex,
-				sig:      c.sig,
-			})
-			continue
-		}
-		sv := &StructureVersion{
-			ID:       id,
-			Valid:    c.valid,
-			dimIndex: make(map[DimID]int),
-			sig:      c.sig,
-		}
-		for j, d := range s.dims {
-			sv.dimIndex[d.ID] = j
-			sv.dims = append(sv.dims, d.Restrict(c.valid))
-		}
-		out = append(out, sv)
+		out = append(out, &StructureVersion{ID: fmt.Sprintf("V%d", len(out)+1), Valid: e, sig: sig, dims: dims})
 	}
 	s.svCache = out
 	s.svPrev = nil
@@ -506,6 +480,16 @@ func (s *Schema) StructureVersionsContext(ctx context.Context) []*StructureVersi
 	sp.SetAttr("recomputed", len(out)-carried)
 	sp.SetAttr("from", from.String())
 	sp.End()
+	return out
+}
+
+// snapshots returns Dimension.snapshot of every schema dimension, for
+// the versions derived or composed over them.
+func (s *Schema) snapshots() []*Dimension {
+	out := make([]*Dimension, len(s.dims))
+	for i, d := range s.dims {
+		out[i] = d.snapshot()
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,27 @@ func TestStructureVersionLookups(t *testing.T) {
 	}
 	if v1.String() != "V1 [01/2001 ; 12/2001]" {
 		t.Errorf("String = %q", v1.String())
+	}
+}
+
+// TestStructureVersionDimensionsBuiltOnce: a version's restricted
+// dimensions are built by whichever caller asks first and then kept.
+func TestStructureVersionDimensionsBuiltOnce(t *testing.T) {
+	v1 := orgSchema(t).StructureVersions()[0]
+	got := make([]*Dimension, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = v1.Dimension("Org")
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d == nil || d != got[0] {
+			t.Fatalf("caller %d got restriction %p, caller 0 got %p", i, d, got[0])
+		}
 	}
 }
 

@@ -79,9 +79,11 @@ func ShardMappedColumns(nd, nm int, coords []MVID, times []temporal.Instant, val
 }
 
 // ExportWarmModes exports every completed, successfully materialized
-// mode of the schema's MVFT cache, sorted by mode key. It never
-// triggers a materialization: a cold cache (or one with only failed or
-// in-flight builds) exports nothing. The export aliases the immutable
+// mode of the schema's MVFT cache, sorted by mode key: tcm and the
+// inferred versions, never a composed version, which no schema can
+// resolve by ID on import. It never triggers a materialization: a
+// cold cache (or one with only failed or in-flight builds) exports
+// nothing. The export aliases the immutable
 // shard columns of the published tables (values are re-encoded as
 // bits); importing such an export adopts the shards frozen, so neither
 // side can ever write through the shared arrays.
@@ -89,6 +91,10 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 	tables := s.finishedModes()
 	out := make([]*MappedTableExport, 0, len(tables))
 	for _, t := range tables {
+		sv := t.table.Mode.Version
+		if t.table.Mode.Kind == VersionKind && sv.sig == "" {
+			continue // composed
+		}
 		exp := &MappedTableExport{
 			ModeKey:     t.key,
 			Dropped:     t.table.Dropped,
@@ -98,13 +104,8 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 			NumFacts:    t.table.n - t.table.dead,
 			Shards:      make([]MappedShardExport, 0, len(t.table.shards)),
 		}
-		if sv := t.table.Mode.Version; t.table.Mode.Kind == VersionKind && sv != nil {
-			exp.Valid = sv.Valid
-			if sv.sig != "" {
-				exp.Signature = sv.sig
-			} else {
-				exp.Signature = s.signatureAt(sv.Valid.Start)
-			}
+		if t.table.Mode.Kind == VersionKind {
+			exp.Valid, exp.Signature = sv.Valid, sv.sig
 		}
 		if t.table.dead == 0 {
 			for _, sh := range t.table.shards {
@@ -196,11 +197,7 @@ func (s *Schema) ImportWarmMode(exp *MappedTableExport) error {
 		if sv.Valid != exp.Valid {
 			return fmt.Errorf("core: warm mode %s: valid %v, schema has %v", exp.ModeKey, exp.Valid, sv.Valid)
 		}
-		want := sv.sig
-		if want == "" {
-			want = s.signatureAt(sv.Valid.Start)
-		}
-		if want != exp.Signature {
+		if sv.sig != exp.Signature {
 			return fmt.Errorf("core: warm mode %s: structural signature changed", exp.ModeKey)
 		}
 		mode = InVersion(sv)
@@ -304,8 +301,8 @@ func (s *Schema) ImportWarmMode(exp *MappedTableExport) error {
 }
 
 // CachedModeKeys reports the mode keys with a completed, successful
-// materialization in the MVFT cache, sorted — the modes a warm
-// snapshot taken right now would carry.
+// materialization in the MVFT cache, sorted — composed versions aside,
+// the modes a warm snapshot taken right now would carry.
 func (s *Schema) CachedModeKeys() []string {
 	var keys []string
 	for _, m := range s.finishedModes() {

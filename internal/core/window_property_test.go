@@ -14,8 +14,9 @@ import (
 // version: positional IDs, intervals, signatures, and the member and
 // relationship identities of every restricted dimension.
 // Validities inside the restrictions are deliberately not compared — a
-// carried or salvaged restriction may predate a later SetEnd of one of
-// its members, which cannot matter inside the version's own interval.
+// carried version restricts the dimensions of the generation that
+// derived it, which may predate a later SetEnd of one of its members;
+// that cannot matter inside the version's own interval.
 func requireSameStructureVersions(t *testing.T, label string, got, want []*StructureVersion) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -29,15 +30,16 @@ func requireSameStructureVersions(t *testing.T, label string, got, want []*Struc
 		if g.sig != w.sig {
 			t.Fatalf("%s %s: signature\n got  %q\n want %q", label, g, g.sig, w.sig)
 		}
-		if len(g.dims) != len(w.dims) {
-			t.Fatalf("%s %s: %d dimensions, want %d", label, g, len(g.dims), len(w.dims))
+		gds, wds := g.Dimensions(), w.Dimensions()
+		if len(gds) != len(wds) {
+			t.Fatalf("%s %s: %d dimensions, want %d", label, g, len(gds), len(wds))
 		}
-		for j := range w.dims {
-			gd, wd := g.dims[j], w.dims[j]
+		for j := range wds {
+			gd, wd := gds[j], wds[j]
 			if gd.ID != wd.ID || fmt.Sprint(gd.order) != fmt.Sprint(wd.order) {
 				t.Fatalf("%s %s dim %s: members %v, want %v", label, g, wd.ID, gd.order, wd.order)
 			}
-			// Relationships compare as sets: a salvaged restriction lists
+			// Relationships compare as sets: a carried restriction lists
 			// an edge that was ended and re-created inside one window at
 			// its old position, a fresh one at its new position.
 			if gr, wr := relationshipSet(gd), relationshipSet(wd); fmt.Sprint(gr) != fmt.Sprint(wr) {

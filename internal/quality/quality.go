@@ -6,6 +6,7 @@
 package quality
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -73,8 +74,9 @@ type ModeQuality struct {
 // break toward the temporally consistent mode and then earlier
 // versions. This realizes the paper's "the user can choose his best
 // version among all temporal modes of presentation, according to its
-// own criteria of quality".
-func RankModes(s *core.Schema, q core.Query, w Weights) ([]ModeQuality, error) {
+// own criteria of quality". Each mode runs under ctx, so a deadline or
+// a cancellation stops the ranking with the query's error.
+func RankModes(ctx context.Context, s *core.Schema, q core.Query, w Weights) ([]ModeQuality, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +85,7 @@ func RankModes(s *core.Schema, q core.Query, w Weights) ([]ModeQuality, error) {
 	for _, m := range modes {
 		qq := q
 		qq.Mode = m
-		res, err := s.Execute(qq)
+		res, err := s.ExecuteContext(ctx, qq)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +97,7 @@ func RankModes(s *core.Schema, q core.Query, w Weights) ([]ModeQuality, error) {
 
 // BestMode returns the highest-quality mode for the query.
 func BestMode(s *core.Schema, q core.Query, w Weights) (ModeQuality, error) {
-	ranked, err := RankModes(s, q, w)
+	ranked, err := RankModes(context.Background(), s, q, w)
 	if err != nil {
 		return ModeQuality{}, err
 	}

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestQualityDegradesWithMapping(t *testing.T) {
 
 func TestRankModes(t *testing.T) {
 	s := caseSchema(t)
-	ranked, err := RankModes(s, q2(), DefaultWeights())
+	ranked, err := RankModes(context.Background(), s, q2(), DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +124,13 @@ func TestRankModes(t *testing.T) {
 		t.Errorf("BestMode = %v", best.Mode)
 	}
 	// Invalid weights propagate.
-	if _, err := RankModes(s, q2(), Weights{99, 0, 0, 0}); err == nil {
+	if _, err := RankModes(context.Background(), s, q2(), Weights{99, 0, 0, 0}); err == nil {
 		t.Error("invalid weights must fail")
 	}
 	// Invalid query propagates.
 	bad := q2()
 	bad.Measures = []string{"zz"}
-	if _, err := RankModes(s, bad, DefaultWeights()); err == nil {
+	if _, err := RankModes(context.Background(), s, bad, DefaultWeights()); err == nil {
 		t.Error("invalid query must fail")
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
 	"mvolap/internal/schemaio"
+	"mvolap/internal/temporal"
 )
 
 // warmExports materializes nothing: it encodes every mode already
@@ -203,6 +205,39 @@ func TestCrashRecoveryWarmCorruptModeDegradesCold(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warmExports(t, sch2), coldExports(t, sch2)) {
 		t.Error("degraded warm restart differs from a cold rebuild")
+	}
+}
+
+// TestWarmSnapshotLeavesComposedModesOut: a composed version's cached
+// table is no mode a restarted schema can resolve, so the snapshot
+// carries no section for it and recovery rejects nothing.
+func TestWarmSnapshotLeavesComposedModesOut(t *testing.T) {
+	dir := t.TempDir()
+	st, sch, ap, err := Open(dir, seedSchema(t), Options{SnapshotWarm: true, Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	composed, err := sch.ComposeVersion("X1", temporal.Since(temporal.Year(2003)), map[core.DimID]string{casestudy.OrgDim: "V1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.Execute(core.Query{Mode: core.InVersion(composed)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	skipped := metWarmSkipped.Value()
+	st2, _, _, err := Open(dir, nil, Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if n := metWarmSkipped.Value() - skipped; n != 0 {
+		t.Errorf("recovery rejected %d warm sections, want 0", n)
 	}
 }
 

@@ -482,22 +482,11 @@ func (st *Statement) Plan(s *core.Schema) (core.Query, error) {
 		}
 		q.GroupBy = append(q.GroupBy, core.GroupBy{Dim: ax.Dim, Level: ax.Level})
 	}
-	switch {
-	case st.ModeTCM:
-		q.Mode = core.TCM()
-	case st.HasModeID:
-		sv := s.VersionByID(st.ModeID)
-		if sv == nil {
-			return core.Query{}, fmt.Errorf("tql: unknown structure version %q", st.ModeID)
-		}
-		q.Mode = core.InVersion(sv)
-	case st.HasModeAt:
-		sv := s.VersionAt(st.ModeAt)
-		if sv == nil {
-			return core.Query{}, fmt.Errorf("tql: no structure version at %s", st.ModeAt)
-		}
-		q.Mode = core.InVersion(sv)
+	mode, err := st.resolveMode(s)
+	if err != nil {
+		return core.Query{}, err
 	}
+	q.Mode = mode
 	return q, nil
 }
 
@@ -632,7 +621,7 @@ func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quali
 			return nil, err
 		}
 		_, sp := obs.StartSpan(ctx, "rank")
-		ranking, err := quality.RankModes(s, q, w)
+		ranking, err := quality.RankModes(ctx, s, q, w)
 		sp.SetAttr("modes", len(ranking))
 		sp.End()
 		if err != nil {

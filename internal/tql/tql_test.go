@@ -1,6 +1,8 @@
 package tql
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -197,6 +199,18 @@ func TestRunQuality(t *testing.T) {
 	// QUALITY with a broken plan propagates the error.
 	if _, err := Run(s, "QUALITY SELECT Amount BY Nope.X, TIME.YEAR"); err == nil {
 		t.Error("broken QUALITY plan must fail")
+	}
+}
+
+// TestRunQualityCancelled: a QUALITY ranking runs every mode under the
+// request's context, so a cancelled request gets the cancellation, not
+// a ranking.
+func TestRunQualityCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := RunContext(ctx, caseSchema(t), "QUALITY SELECT Amount BY Org.Department, TIME.YEAR")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (output %+v), want context.Canceled", err, out)
 	}
 }
 
