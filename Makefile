@@ -170,14 +170,15 @@ bench-json:
 	$(GO) test -json -bench=. -benchmem -run='^$$' ./... > bench-smoke.json
 
 # bench-smoke runs the incremental-maintenance, sharded-swap/scan,
-# warm-restart and replication benchmarks once — a CI guard that the
-# warm-delta path delta-applies to every mode, that shard-sharing
-# clone-swaps and the columnar scan still execute, that a warm restart
-# serves every snapshotted mode with zero materializations (the
-# benches b.Fatal otherwise), and that a follower bootstraps and
-# catches up to a leader's WAL.
+# structure-version, warm-restart and replication benchmarks once — a
+# CI guard that the warm-delta path delta-applies to every mode, that
+# shard-sharing clone-swaps and the columnar scan still execute, that
+# evolve_mix's end state still infers its 178 structure versions, that
+# a warm restart serves every snapshotted mode with zero
+# materializations (the benches b.Fatal otherwise), and that a follower
+# bootstraps and catches up to a leader's WAL.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -json -bench='IncrementalIngest|ShardedSwap|ShardedScan' -benchtime=1x -run='^$$' . > bench-smoke.json
+	$(GO) test -json -bench='IncrementalIngest|ShardedSwap|ShardedScan|StructureVersionInference' -benchtime=1x -run='^$$' . > bench-smoke.json
 	$(GO) test -json -bench=WarmRestart -benchtime=1x -run='^$$' ./internal/store >> bench-smoke.json
 	$(GO) test -json -bench='FollowerCatchup|ReplicaQueryThroughput' -benchtime=1x -run='^$$' ./internal/server >> bench-smoke.json

@@ -105,7 +105,11 @@ func sweepName(cfg workload.Config) string {
 }
 
 // BenchmarkStructureVersionInference measures Definition 9 inference as
-// history length and change rate grow.
+// history length and change rate grow, and on the end state of the
+// benchmark's evolve_mix workload: after-evolve is what the serving tier
+// pays per evolve (clone, apply one more script, derive), full is a
+// derivation from nothing (Invalidate, derive), as after a snapshot
+// load.
 func BenchmarkStructureVersionInference(b *testing.B) {
 	for _, cfg := range sweepConfigs {
 		b.Run(sweepName(cfg), func(b *testing.B) {
@@ -119,6 +123,56 @@ func BenchmarkStructureVersionInference(b *testing.B) {
 			}
 		})
 	}
+	s, applier, next := evolveMixSchema(b)
+	b.Run("evolve_mix/after-evolve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clone := s.Clone()
+			if err := applier.Rebind(clone).Apply(next...); err != nil {
+				b.Fatal(err)
+			}
+			if got := len(clone.StructureVersions()); got != 179 {
+				b.Fatalf("%d structure versions after one more evolve, want 179", got)
+			}
+		}
+	})
+	b.Run("evolve_mix/full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.Invalidate()
+			if got := len(s.StructureVersions()); got != 178 {
+				b.Fatalf("%d structure versions, want 178", got)
+			}
+		}
+	})
+}
+
+// evolveMixSchema builds the end state of the benchmark's evolve_mix
+// workload: its tier S warehouse (warehouseConfig(500) in
+// benchmark/node.go) after 172 of OpGen(1)'s evolution scripts, 178
+// structure versions. It returns the applier and the parsed operators
+// of the generator's next script as well.
+func evolveMixSchema(b *testing.B) (*core.Schema, *evolution.Applier, []evolution.Op) {
+	b.Helper()
+	w := workload.MustGenerate(workload.Config{
+		Seed: 11, Divisions: 8, Departments: 500, Years: 6,
+		EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
+	})
+	gen := workload.NewOpGen(1, workload.SurfaceOf(w.Schema), "")
+	parse := func() []evolution.Op {
+		ops, err := evolution.ParseScript(strings.NewReader(gen.EvolveScript()), len(w.Schema.Measures()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ops
+	}
+	for i := 0; i < 172; i++ {
+		if err := w.Applier.Apply(parse()...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := len(w.Schema.StructureVersions()); got != 178 {
+		b.Fatalf("%d structure versions, want 178", got)
+	}
+	return w.Schema, w.Applier, parse()
 }
 
 // BenchmarkMVFTInference measures Definition 11 materialization (all

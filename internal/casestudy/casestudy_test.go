@@ -47,6 +47,28 @@ func TestNewFull(t *testing.T) {
 	}
 }
 
+// TestNewFullSignatures pins the structural signatures of the paper's
+// three structure versions. Warm snapshots store them and a restarted
+// process compares them, so they must come out the same in every
+// process: a hash seeded per process (hash/maphash) fails here.
+func TestNewFullSignatures(t *testing.T) {
+	s := MustNew(Config{WithFacts: true, WithSplitMappings: true})
+	want := []string{
+		"V1 b841c7a59536afb769e219dffe068324",
+		"V2 1a13ae3a108093617cb54288e8242a2f",
+		"V3 5f11abac8b6c71c76a7b212bce64d461",
+	}
+	svs := s.StructureVersions()
+	if len(svs) != len(want) {
+		t.Fatalf("%d structure versions, want %d", len(svs), len(want))
+	}
+	for i, v := range svs {
+		if got := v.ID + " " + v.Signature(); got != want[i] {
+			t.Errorf("signature %q, want %q", got, want[i])
+		}
+	}
+}
+
 func TestTable3Fixture(t *testing.T) {
 	rows := Table3()
 	if len(rows) != 10 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -35,22 +36,14 @@ type Dimension struct {
 	shared bool
 
 	// onMutate, when set, runs after every successful structural
-	// mutation with the mutation window: the first instant whose
-	// restriction D(t) the mutation may have changed (see notifyMutate).
-	// The owning schema hooks its cache invalidation here, so evolution
-	// operators mutating a dimension in place can never leave a stale
-	// MultiVersion Fact Table behind (the old footgun where in-place
-	// mutation required a manual Invalidate call).
-	onMutate func(from temporal.Instant)
+	// mutation. The owning schema hooks its cache invalidation here, so
+	// evolution operators mutating a dimension in place can never leave
+	// stale structure versions or a stale MultiVersion Fact Table behind.
+	onMutate func()
 
-	// derived caches the rollup tables (one per instant and level, see
-	// rollupTable) shared by every query over this dimension value. Clone
-	// shares the pointer — a clone's structure is content-identical to its
-	// base until mutated, and every mutation routes through notifyMutate,
-	// which moves the mutated dimension onto a new cache that keeps the
-	// sub-caches of the instants before the mutation window and drops the
-	// rest. Readers of still-shared generations (the base, and any
-	// fact-append clones) keep filling one warm cache.
+	// derived holds the version chain and its rollup tables, shared by
+	// every query over this dimension value and, through Clone, by every
+	// generation with the same structure (see dimDerived).
 	derived *dimDerived
 }
 
@@ -82,35 +75,33 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 		mv.Member = string(mv.ID)
 	}
 	d.own()
-	// An unlevelled member puts the whole dimension on derived depth
-	// levels (Definition 4), renaming every level at every instant, and a
-	// dimension already on them is not worth a finer window: both report
-	// "everywhere".
-	from := mv.Valid.Start
-	if mv.Level == "" || !d.HasExplicitLevels() {
-		from = temporal.Origin
-	}
 	mv.ord = int32(len(d.order))
 	d.members[mv.ID] = mv
 	d.order = append(d.order, mv.ID)
-	d.notifyMutate(from)
+	d.notifyMutate()
 	return nil
 }
 
 // notifyMutate reports a structural change to the owning schema and
-// moves this dimension off the (possibly shared) derived rollup cache.
-// from is the mutation window: the mutation left D(t) as it was for
-// every t < from, so the rollup sub-caches of those instants — and, on
-// the schema side, the structure versions that end before from — stay
-// valid and are kept. temporal.Origin means "unknown / everywhere" and
-// keeps nothing. Building a new cache rather than clearing the old one
-// keeps the warm cache intact for every generation that still shares
-// the old structure value; mutation only ever happens on an unpublished
-// clone (copy-on-write), so no concurrent reader observes the swap.
-func (d *Dimension) notifyMutate(from temporal.Instant) {
-	d.derived = d.derived.retainBefore(from)
+// moves this dimension onto new derived state, which sweeps its chain
+// again on first use and takes over the tables of every entry whose
+// hash the old chain — or, if it never swept, the chain it would have
+// taken over from — still has. Building new state rather than clearing
+// the old keeps the old chain intact for every generation that still
+// shares the old structure value; mutation only ever happens on an
+// unpublished clone (copy-on-write), so no concurrent reader observes
+// the swap.
+func (d *Dimension) notifyMutate() {
+	der := d.derived
+	der.mu.Lock()
+	prev := der.prev
+	if c := der.chain.Load(); c != nil {
+		prev = *c
+	}
+	der.mu.Unlock()
+	d.derived = &dimDerived{prev: prev}
 	if d.onMutate != nil {
-		d.onMutate(from)
+		d.onMutate()
 	}
 }
 
@@ -146,8 +137,6 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 			d.ID, r, window)
 	}
 	d.own()
-	// The union of touching pieces differs from what was stored only
-	// inside r.Valid, so the mutation window is r.Valid.Start either way.
 	first, absorbed := -1, false
 	for _, idx := range d.parentRels[r.From] {
 		piece := &d.rels[idx]
@@ -173,7 +162,7 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 	case absorbed:
 		d.compactRels()
 	}
-	d.notifyMutate(r.Valid.Start)
+	d.notifyMutate()
 	return nil
 }
 
@@ -231,7 +220,10 @@ func (d *Dimension) RelationshipsAt(t temporal.Instant) []TemporalRelationship {
 	return out
 }
 
-// ParentsAt returns the parents of id in the DAG D(t).
+// ParentsAt returns the parents of id in the DAG D(t), in member order:
+// a walk up D(t) — and with it every rollup table — then depends only on
+// what D(t) holds, never on the order its relationships were stored in
+// (an edge ended and re-created lands elsewhere in storage).
 func (d *Dimension) ParentsAt(id MVID, t temporal.Instant) []*MemberVersion {
 	var out []*MemberVersion
 	for _, idx := range d.parentRels[id] {
@@ -242,6 +234,7 @@ func (d *Dimension) ParentsAt(id MVID, t temporal.Instant) []*MemberVersion {
 			}
 		}
 	}
+	slices.SortFunc(out, func(a, b *MemberVersion) int { return cmp.Compare(a.ord, b.ord) })
 	return out
 }
 
@@ -569,19 +562,11 @@ func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 		}
 	}
 	for _, r := range d.rels {
-		if r.Valid.ContainsInterval(iv) {
-			if _, okF := out.members[r.From]; !okF {
-				continue
-			}
-			if _, okT := out.members[r.To]; !okT {
-				continue
-			}
-			idx := len(out.rels)
+		if r.Valid.ContainsInterval(iv) && out.members[r.From] != nil && out.members[r.To] != nil {
 			out.rels = append(out.rels, r)
-			out.parentRels[r.From] = append(out.parentRels[r.From], idx)
-			out.childRels[r.To] = append(out.childRels[r.To], idx)
 		}
 	}
+	out.index()
 	return out
 }
 
@@ -590,8 +575,7 @@ func (d *Dimension) Restrict(iv temporal.Interval) *Dimension {
 // else: no mutation hook, which would keep the owning schema and its
 // mode tables alive as long as the header, and no rollup cache. The
 // relationships are copied because an in-place mutator rewrites their
-// slice (compactRels); the members it only adds to or ends, which
-// leaves D(t) before its mutation window as it was.
+// slice (compactRels); the members it only adds to or ends.
 func (d *Dimension) snapshot() *Dimension {
 	return &Dimension{ID: d.ID, Name: d.Name, members: d.members, order: d.order, rels: slices.Clone(d.rels)}
 }
@@ -616,10 +600,7 @@ func (d *Dimension) Clone() *Dimension {
 		parentRels: d.parentRels,
 		childRels:  d.childRels,
 		shared:     true,
-		// The clone's structure value is identical until mutated, so it
-		// shares the warm derived-rollup cache; a mutation moves it onto
-		// its own, keeping what the mutation window allows (notifyMutate).
-		derived: d.derived,
+		derived:    d.derived,
 	}
 }
 
@@ -638,12 +619,7 @@ func (d *Dimension) own() {
 	d.members = members
 	d.order = append([]MVID(nil), d.order...)
 	d.rels = append([]TemporalRelationship(nil), d.rels...)
-	d.parentRels = make(map[MVID][]int)
-	d.childRels = make(map[MVID][]int)
-	for i, r := range d.rels {
-		d.parentRels[r.From] = append(d.parentRels[r.From], i)
-		d.childRels[r.To] = append(d.childRels[r.To], i)
-	}
+	d.index()
 	d.shared = false
 	metDimensionCopies.With(string(d.ID)).Inc()
 }
@@ -663,9 +639,6 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 		return fmt.Errorf("core: dimension %s: cannot end %q at %s before its start %s",
 			d.ID, id, end, mv.Valid.Start)
 	}
-	// Truncating or extending, nothing at or before the earlier of the
-	// two ends changes.
-	from := temporal.Min(mv.Valid.End, end).Next()
 	d.own()
 	mv = d.members[id] // own replaced the shared version with a private copy
 	mv.Valid.End = end
@@ -677,7 +650,7 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	}
 	// Drop relationships emptied by the truncation.
 	d.compactRels()
-	d.notifyMutate(from)
+	d.notifyMutate()
 	return nil
 }
 
@@ -693,7 +666,7 @@ func (d *Dimension) EndRelationship(from, to MVID, end temporal.Instant) {
 		}
 	}
 	d.compactRels()
-	d.notifyMutate(end.Next())
+	d.notifyMutate()
 }
 
 func (d *Dimension) compactRels() {
@@ -704,6 +677,11 @@ func (d *Dimension) compactRels() {
 		}
 	}
 	d.rels = kept
+	d.index()
+}
+
+// index rebuilds both relationship indexes from rels.
+func (d *Dimension) index() {
 	d.parentRels = make(map[MVID][]int)
 	d.childRels = make(map[MVID][]int)
 	for i, r := range d.rels {

@@ -460,15 +460,10 @@ func TestAddRelationshipCoalescesSameEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var windows []temporal.Instant
-	d.onMutate = func(from temporal.Instant) { windows = append(windows, from) }
 	add := func(to MVID, valid temporal.Interval) {
 		t.Helper()
 		if err := d.AddRelationship(TemporalRelationship{From: "child", To: to, Valid: valid}); err != nil {
 			t.Fatal(err)
-		}
-		if got := windows[len(windows)-1]; got != valid.Start {
-			t.Fatalf("mutation window %s after adding %v, want its start", got, valid)
 		}
 	}
 	pieces := func() string { return fmt.Sprint(d.Relationships()) }

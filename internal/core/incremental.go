@@ -281,20 +281,14 @@ func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delt
 		// A pure fact batch: dimensions were cloned unchanged.
 		return true
 	}
+	// The mode survives iff base had a version with its ID, interval and
+	// structural signature. Structure versions are maximal
+	// constant-signature intervals, so agreement at Start means agreement
+	// throughout — the structure, and with it every leaf set and
+	// resolution, is identical. Both versions are inferred (a composed one
+	// is never among a schema's modes), so both are signed.
 	old, ok := baseSVs[mode.Version.ID]
-	if ok && old == mode.Version {
-		return true // carried over by pointer: before the mutation window
-	}
-	if !ok || old.Valid != mode.Version.Valid {
-		return false
-	}
-	// Same ID and interval: the mode survives iff the structural
-	// signature over that interval is unchanged. Structure versions are
-	// maximal constant-signature intervals, so agreement at Start means
-	// agreement throughout — the structure, and with it every leaf set
-	// and resolution, is identical. Both versions are inferred (a
-	// composed one is never among a schema's modes), so both are signed.
-	return old.sig == mode.Version.sig
+	return ok && old.Valid == mode.Version.Valid && old.sig == mode.Version.sig
 }
 
 // cloneForWarm returns a copy-on-write clone of a published mapped

@@ -71,14 +71,12 @@ var (
 		"Cached MVFT modes evicted because a retraction could not be unfolded exactly (Min/Max, non-source confidence, or inconsistent cell state).")
 	metStructureVersionsSeconds = obs.Default().Histogram(
 		"mvolap_structure_versions_seconds",
-		"Duration of one structure-version derivation (Definition 9), carried prefix included.",
+		"Duration of one structure-version derivation (Definition 9), the sweeps of the dimensions it re-swept included.",
 		nil)
-	metStructureVersionsCarried = obs.Default().Counter(
-		"mvolap_structure_versions_carried_total",
-		"Structure versions carried over by pointer from the previous generation because they end before the mutation window.")
-	metStructureVersionsRecomputed = obs.Default().Counter(
+	metStructureVersionsRecomputed = obs.Default().CounterVec(
 		"mvolap_structure_versions_recomputed_total",
-		"Structure versions partitioned and signed again by a derivation (the whole axis when the mutation window is unknown).")
+		"Version-chain entries derived by a dimension's sweep: one sweep per mutated dimension, on first use after the mutation.",
+		"dim")
 	metKeyIndexSeals = obs.Default().Counter(
 		"mvolap_key_index_seals_total",
 		"Owned key-index tops frozen into a shared layer by their owner's own write (source fact table and every mapped table).")
@@ -88,14 +86,8 @@ var (
 	metKeyIndexFlattens = obs.Default().Counter(
 		"mvolap_key_index_flattens_total",
 		"Key-index overlays folded into a fresh bottom layer because they outgrew a quarter of it (O(table) once per quarter-table of writes).")
-	metRollupInstantsCarried = obs.Default().Counter(
-		"mvolap_rollup_cache_instants_carried_total",
-		"Per-instant rollup sub-caches a mutated dimension kept because their instant precedes the mutation window.")
-	metRollupInstantsDropped = obs.Default().Counter(
-		"mvolap_rollup_cache_instants_dropped_total",
-		"Per-instant rollup sub-caches a mutated dimension dropped because their instant is inside the mutation window.")
 	metRollupTablesBuilt = obs.Default().CounterVec(
 		"mvolap_rollup_tables_built_total",
-		"Rollup tables built: one upward walk over every member version of a dimension, per (instant or structure version, level) on first use; a burst after an evolve is the rebuild of what the mutation window dropped.",
+		"Rollup tables built: one upward walk over every member version of a dimension, per (version-chain entry, level) on first use; an entry whose hash an earlier generation had keeps that generation's tables.",
 		"dim")
 )

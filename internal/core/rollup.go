@@ -1,30 +1,157 @@
 package core
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mvolap/internal/temporal"
 )
 
-// dimDerived is the detachable derived-rollup cache of one dimension
-// structure value; see the Dimension.derived field doc. The rollup of a
-// fact at instant t reads D(t) only (Definition 3), so the cache is cut
-// by instant: a mutation from instant f on leaves every sub-cache
-// before f valid.
+// dimDerived is the derived state of one dimension structure value: its
+// version chain and the rollup tables hanging off the chain's entries.
+// Clone shares it — a clone's structure is content-identical to its
+// base until mutated — and every mutation moves the mutated dimension
+// onto a new one (notifyMutate), so readers of still-shared generations
+// keep one warm chain.
 type dimDerived struct {
-	mu        sync.RWMutex
-	byInstant map[temporal.Instant]*instDerived
+	mu    sync.Mutex // serializes the sweep and guards prev
+	chain atomic.Pointer[[]chainEntry]
+	// prev is the chain of the generation whose tables the first sweep
+	// takes over by hash; the sweep drops it.
+	prev []chainEntry
 }
 
-// instDerived holds the rollup tables of D(t) for one instant, one per
-// level asked for. It may be shared by several generations' dimDerived
-// (every generation whose structure agrees at t); whichever generation
-// asks first builds the table, under the sub-cache's own lock.
-type instDerived struct {
-	mu     sync.RWMutex
-	tables map[string]*rollupTable
+// chainEntry is one element of a dimension's version chain: a maximal
+// interval over which D(t) holds the same member versions and
+// relationships, so one set hash and one set of rollup tables.
+type chainEntry struct {
+	valid  temporal.Interval
+	hash   setHash
+	tables *entryTables
+}
+
+// entryTables holds the rollup tables of one D(t), by level name, one
+// per level asked for. Every chain entry with the same hash shares it,
+// in this chain and in the lineage's later ones; whichever reader asks
+// first builds a table, under the lock.
+type entryTables struct {
+	mu     sync.Mutex
+	levels sync.Map
+}
+
+// setHash is an order-independent 128-bit hash of a set: per 64-bit
+// lane, the sum of its elements' digests, so adding an element's digest
+// where it starts and subtracting it after it ends keeps the hash of
+// D(t) along the time axis. It is the same in every process: structure-
+// version signatures built from it are written to warm snapshots.
+type setHash struct{ hi, lo uint64 }
+
+// sweep derives the dimension's version chain in one pass over the
+// endpoints of its member versions and relationships (Definition 9 per
+// dimension). The hash covers each member version's ID and Level tag,
+// each relationship's child and parent, and the dimension's level regime
+// of Definition 4 — one unlevelled member renames every level at every
+// instant, so it changes every entry's hash. Instants where the
+// dimension holds nothing belong to no entry.
+func (d *Dimension) sweep() []chainEntry {
+	// An element's digest is the first 128 bits of the SHA-256 of its
+	// parts, each followed by a NUL byte. A sum of digests is only as
+	// collision-free as the digests are unrelated, which a checksum's are
+	// not: FNV-1a digests of strings one byte apart are arithmetically
+	// related, and their sums over different structures collided often
+	// enough for the scan's property test to find.
+	digest := func(elem string) setHash {
+		sum := sha256.Sum256([]byte(elem))
+		return setHash{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
+	}
+	type event struct {
+		at    temporal.Instant
+		elem  setHash
+		delta int
+	}
+	events := make([]event, 0, 2*(len(d.order)+len(d.rels)))
+	add := func(iv temporal.Interval, elem setHash) {
+		events = append(events, event{iv.Start, elem, 1})
+		if iv.End != temporal.Now {
+			events = append(events, event{iv.End.Next(), setHash{-elem.hi, -elem.lo}, -1})
+		}
+	}
+	for _, id := range d.order {
+		add(d.members[id].Valid, digest("member\x00"+string(id)+"\x00"+d.members[id].Level+"\x00"))
+	}
+	for _, r := range d.rels {
+		add(r.Valid, digest("edge\x00"+string(r.From)+"\x00"+string(r.To)+"\x00"))
+	}
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.at, b.at) })
+
+	h, held := digest("explicit levels\x00"+strconv.FormatBool(d.HasExplicitLevels())+"\x00"), 0
+	var chain []chainEntry
+	for i := 0; i < len(events); {
+		at := events[i].at
+		for ; i < len(events) && events[i].at == at; i++ {
+			h, held = setHash{h.hi + events[i].elem.hi, h.lo + events[i].elem.lo}, held+events[i].delta
+		}
+		if n := len(chain); n > 0 && chain[n-1].valid.End == temporal.Now {
+			if held > 0 && chain[n-1].hash == h {
+				continue // nothing changed: the open entry goes on
+			}
+			chain[n-1].valid.End = at.Prev()
+		}
+		if held > 0 {
+			chain = append(chain, chainEntry{valid: temporal.Since(at), hash: h})
+		}
+	}
+	return chain
+}
+
+// chain returns the dimension's version chain, sweeping it on first use
+// after a mutation. The new chain's entries take the rollup tables of
+// the previous generation's entries with the same hash and drop the
+// rest. That is sound because equal hashes mean the same member versions
+// and relationships, rollup reads a member's ID, display name and
+// ordinal only, ordinals are append-only within a lineage, and a walk up
+// D(t) visits parents in member order (Dimension.ParentsAt).
+func (d *Dimension) chain() []chainEntry {
+	der := d.derived
+	if c := der.chain.Load(); c != nil {
+		return *c
+	}
+	der.mu.Lock()
+	defer der.mu.Unlock()
+	if c := der.chain.Load(); c != nil {
+		return *c
+	}
+	chain := d.sweep()
+	tables := map[setHash]*entryTables{}
+	for _, e := range der.prev {
+		tables[e.hash] = e.tables
+	}
+	for i := range chain {
+		if chain[i].tables = tables[chain[i].hash]; chain[i].tables == nil {
+			chain[i].tables = &entryTables{}
+			tables[chain[i].hash] = chain[i].tables
+		}
+	}
+	der.prev = nil
+	der.chain.Store(&chain)
+	metStructureVersionsRecomputed.With(string(d.ID)).Add(int64(len(chain)))
+	return chain
+}
+
+// entryAt returns the entry of the chain holding t, or nil.
+func entryAt(chain []chainEntry, t temporal.Instant) *chainEntry {
+	i := sort.Search(len(chain), func(i int) bool { return chain[i].valid.End >= t })
+	if i < len(chain) && chain[i].valid.Contains(t) {
+		return &chain[i]
+	}
+	return nil
 }
 
 // rollupTable is the rollup of every member version of one D(t) to one
@@ -35,13 +162,14 @@ type rollupTable struct {
 	// up maps a member ordinal to its ancestor set, -1 when the member
 	// reaches no member of the level at t (non-covering hierarchy). An
 	// ordinal past the end reads as -1 too: a later generation sharing
-	// this sub-cache may have appended members, none valid at t.
+	// this table has the same D(t), so the members it appended are not
+	// valid at t.
 	up []int32
 	// The distinct ancestor sets, flattened: set i is
 	// anc[setStart[i]:setStart[i+1]], in the order an upward depth-first
-	// walk along the relationships' insertion order meets them. Members
-	// may belong to an earlier generation's copies, which is sound
-	// because rollup consumes only their content (ID, display name).
+	// walk, parents in member order, meets them. Members may belong to an
+	// earlier generation's copies, which is sound because rollup consumes
+	// only their content (ID, display name, ordinal).
 	setStart []int32
 	anc      []*MemberVersion
 }
@@ -60,64 +188,30 @@ func (tab *rollupTable) setOf(ord int32) (lo, hi int32) {
 	return tab.setStart[si], tab.setStart[si+1]
 }
 
-// at returns the sub-cache of instant t, creating it on first use.
-func (der *dimDerived) at(t temporal.Instant) *instDerived {
-	der.mu.RLock()
-	inst := der.byInstant[t]
-	der.mu.RUnlock()
-	if inst != nil {
-		return inst
-	}
-	der.mu.Lock()
-	defer der.mu.Unlock()
-	if inst = der.byInstant[t]; inst == nil {
-		if der.byInstant == nil {
-			der.byInstant = make(map[temporal.Instant]*instDerived)
-		}
-		inst = &instDerived{}
-		der.byInstant[t] = inst
-	}
-	return inst
-}
+// emptyRollup is the rollup of an instant where the dimension holds
+// nothing: every member reaches no ancestor.
+var emptyRollup = &rollupTable{setStart: []int32{0}}
 
-// retainBefore returns a new cache sharing the sub-caches of every
-// instant before from — O(instants), whatever they hold — and none from
-// from on. temporal.Origin shares nothing.
-func (der *dimDerived) retainBefore(from temporal.Instant) *dimDerived {
-	der.mu.RLock()
-	defer der.mu.RUnlock()
-	out := &dimDerived{byInstant: make(map[temporal.Instant]*instDerived, len(der.byInstant))}
-	for t, inst := range der.byInstant {
-		if t < from {
-			out.byInstant[t] = inst
-		}
-	}
-	metRollupInstantsCarried.Add(int64(len(out.byInstant)))
-	metRollupInstantsDropped.Add(int64(len(der.byInstant) - len(out.byInstant)))
-	return out
-}
-
-// rollupTableAt returns the rollup of D(at) to the named level, building
-// it on first use. A scan fetches it once per instant — or once when the
-// structure is a static version — never per tuple; concurrent queries
-// first touching one instant build it once.
+// rollupTableAt returns the rollup of D(at) to the named level: the
+// table of the chain entry holding at, built on first use at the
+// entry's start, since D is constant over it. A scan fetches it once per
+// instant — or once when the structure is a static version — never per
+// tuple; concurrent queries first touching one entry build it once.
 func (d *Dimension) rollupTableAt(level string, at temporal.Instant) *rollupTable {
-	inst := d.derived.at(at)
-	inst.mu.RLock()
-	tab := inst.tables[level]
-	inst.mu.RUnlock()
-	if tab != nil {
-		return tab
+	entry := entryAt(d.chain(), at)
+	if entry == nil {
+		return emptyRollup
 	}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if tab = inst.tables[level]; tab == nil {
-		tab = d.buildRollupTable(level, at)
-		if inst.tables == nil {
-			inst.tables = make(map[string]*rollupTable)
-		}
-		inst.tables[level] = tab
+	if tab, ok := entry.tables.levels.Load(level); ok {
+		return tab.(*rollupTable)
 	}
+	entry.tables.mu.Lock()
+	defer entry.tables.mu.Unlock()
+	if tab, ok := entry.tables.levels.Load(level); ok {
+		return tab.(*rollupTable)
+	}
+	tab := d.buildRollupTable(level, entry.valid.Start)
+	entry.tables.levels.Store(level, tab)
 	return tab
 }
 
@@ -161,14 +255,8 @@ func (d *Dimension) buildRollupTable(level string, at temporal.Instant) *rollupT
 			found = append(found, o)
 			return
 		}
-		for _, idx := range d.parentRels[d.order[o]] {
-			r := &d.rels[idx]
-			if !r.Valid.Contains(at) {
-				continue
-			}
-			if p := d.members[r.To]; p != nil && p.ValidAt(at) {
-				walk(p.ord)
-			}
+		for _, p := range d.ParentsAt(d.order[o], at) {
+			walk(p.ord)
 		}
 	}
 	// Sets repeat (every leaf of a division rolls up to it), so they are

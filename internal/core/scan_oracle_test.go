@@ -460,13 +460,30 @@ func TestRollupTablesConcurrentFirstTouch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Eight goroutines met every instant; each table was built once: A
-	// at Mid and at Top per instant, B at depth-1 per instant and at
-	// depth-0 once, in the structure version.
-	if got, want := metRollupTablesBuilt.With("A").Value()-builtA, int64(2*len(instants)); got != want {
+	// Eight goroutines met every instant; each table was built once per
+	// chain entry and level, whatever the number of instants the entry
+	// spans: A at Mid and at Top in every entry holding a fact instant, B
+	// at depth-1 in every such entry and at depth-0 once, in the
+	// structure version.
+	entries := func(id DimID) int64 {
+		chain := s.Dimension(id).chain()
+		held := map[*entryTables]bool{}
+		for _, e := range chain {
+			for at := range instants {
+				if e.valid.Contains(at) {
+					held[e.tables] = true
+				}
+			}
+		}
+		return int64(len(held))
+	}
+	if n := entries("A"); n >= int64(len(instants)) {
+		t.Fatalf("A's chain has %d entries over %d fact instants: nothing to share", n, len(instants))
+	}
+	if got, want := metRollupTablesBuilt.With("A").Value()-builtA, 2*entries("A"); got != want {
 		t.Errorf("%d rollup tables built for A, want %d", got, want)
 	}
-	if got, want := metRollupTablesBuilt.With("B").Value()-builtB, int64(len(instants)+1); got != want {
+	if got, want := metRollupTablesBuilt.With("B").Value()-builtB, entries("B")+1; got != want {
 		t.Errorf("%d rollup tables built for B, want %d", got, want)
 	}
 }

@@ -33,16 +33,8 @@ type Schema struct {
 	// (queries) are safe. Mutations of dimensions, mappings and facts
 	// are NOT safe concurrently with queries; evolve first, query after.
 	mu sync.Mutex
-	// cached structure versions; invalidated on mutation.
+	// cached structure versions; invalidated on a dimension mutation.
 	svCache []*StructureVersion
-	// svPrev holds the structure versions of the last generation whose
-	// cache was invalidated, and svDirtyFrom the earliest mutation window
-	// reported since they were captured (temporal.Origin: unknown). The
-	// next StructureVersions derivation carries every version of svPrev
-	// that ends before the window over by pointer and derives only the
-	// rest of the axis. svDirtyFrom means nothing while svPrev is nil.
-	svPrev      []*StructureVersion
-	svDirtyFrom temporal.Instant
 	// cached MultiVersion Fact Table; invalidated on mutation.
 	mvftCache *MultiVersionFactTable
 	// swapID is a process-unique identity for this schema value,
@@ -88,7 +80,7 @@ func (s *Schema) AddDimension(d *Dimension) error {
 	if _, dup := s.dimIndex[d.ID]; dup {
 		return fmt.Errorf("core: schema %s: duplicate dimension %q", s.Name, d.ID)
 	}
-	d.onMutate = s.invalidateFrom
+	d.onMutate = s.invalidate
 	s.dimIndex[d.ID] = len(s.dims)
 	s.dims = append(s.dims, d)
 	s.invalidate()
@@ -133,7 +125,8 @@ func (s *Schema) MeasureIndex(name string) int {
 func (s *Schema) Facts() *FactTable { return s.facts }
 
 // AddMapping registers a mapping relationship after validating it, the
-// Associate operator's underlying primitive.
+// Associate operator's underlying primitive. It drops the mapped modes
+// only: structure versions read the dimensions alone (Definition 9).
 func (s *Schema) AddMapping(m MappingRelationship) error {
 	if err := m.Validate(len(s.measures)); err != nil {
 		return err
@@ -145,7 +138,7 @@ func (s *Schema) AddMapping(m MappingRelationship) error {
 		return fmt.Errorf("core: mapping %s→%s: unknown member version %q", m.From, m.To, m.To)
 	}
 	s.mappings = append(s.mappings, m)
-	s.invalidate()
+	s.dropModes()
 	return nil
 }
 
@@ -191,9 +184,7 @@ func (s *Schema) InsertFact(coords Coords, t temporal.Instant, values ...float64
 			return fmt.Errorf("core: fact coordinate %q not valid at %s (valid %v)", id, t, mv.Valid)
 		}
 	}
-	s.mu.Lock()
-	s.mvftCache = nil // new source data invalidates mapped presentations
-	s.mu.Unlock()
+	s.dropModes()
 	return s.facts.Insert(coords, t, values...)
 }
 
@@ -212,9 +203,7 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no fact at %s %s to retract", coords.Key(), t)
 	}
-	s.mu.Lock()
-	s.mvftCache = nil // removed source data invalidates mapped presentations
-	s.mu.Unlock()
+	s.dropModes()
 	return old, nil
 }
 
@@ -268,52 +257,55 @@ func (s *Schema) Clone() *Schema {
 	}
 	for _, d := range s.dims {
 		cp := d.Clone()
-		cp.onMutate = out.invalidateFrom
+		cp.onMutate = out.invalidate
 		out.dimIndex[d.ID] = len(out.dims)
 		out.dims = append(out.dims, cp)
 	}
 	// The structure-version partition depends only on the dimensions,
 	// which were just cloned unchanged, so the inferred versions carry
-	// over. A later mutation of a cloned dimension clears the copy
-	// through its onMutate hook, making it the clone's svPrev; a base
-	// that was itself invalidated and never derived again hands on its
-	// own svPrev and window instead.
+	// over until a cloned dimension is mutated.
 	s.mu.Lock()
-	out.svCache, out.svPrev, out.svDirtyFrom = s.svCache, s.svPrev, s.svDirtyFrom
+	out.svCache = s.svCache
 	s.mu.Unlock()
 	return out
 }
 
-// invalidateFrom drops the derived caches by unlinking them, after a
-// mutation that left every D(t) with t < from as it was (see
-// Dimension.notifyMutate). A MultiVersionFactTable handle obtained
-// before the mutation — including one with materializations still in
-// flight — keeps building into and serving its own (now detached)
-// snapshot; only handles fetched from MultiVersion() after the mutation
-// see the new state.
-func (s *Schema) invalidateFrom(from temporal.Instant) {
+// invalidate drops the structure versions and the mapped modes by
+// unlinking them, after a dimension mutation. A MultiVersionFactTable
+// handle obtained before the mutation — including one with
+// materializations still in flight — keeps building into and serving
+// its own (now detached) snapshot; only handles fetched from
+// MultiVersion() after the mutation see the new state.
+func (s *Schema) invalidate() {
 	s.mu.Lock()
-	if s.svCache != nil {
-		s.svPrev, s.svDirtyFrom = s.svCache, from
-	} else {
-		s.svDirtyFrom = temporal.Min(s.svDirtyFrom, from)
-	}
 	s.svCache = nil
 	s.mvftCache = nil
 	s.mu.Unlock()
 }
 
-// invalidate is invalidateFrom for changes with no known window: the
-// mapping set, the dimension list, state the schema cannot observe.
-func (s *Schema) invalidate() { s.invalidateFrom(temporal.Origin) }
+// dropModes drops the mapped modes after a change to the facts or the
+// mappings, which the structure versions do not read.
+func (s *Schema) dropModes() {
+	s.mu.Lock()
+	s.mvftCache = nil
+	s.mu.Unlock()
+}
 
 // Invalidate drops derived caches. Dimension mutations through the
 // registered Dimension/Schema API invalidate automatically (the schema
 // hooks every dimension's mutation callback in AddDimension and Clone);
 // this remains for external callers that mutate shared state the schema
-// cannot observe. It assumes nothing about what changed: the next
-// derivation carries no structure version over.
-func (s *Schema) Invalidate() { s.invalidate() }
+// cannot observe. It assumes nothing about what changed: every
+// dimension sweeps its chain again and builds its rollup tables anew.
+func (s *Schema) Invalidate() {
+	for _, d := range s.dims {
+		d.derived.mu.Lock()
+		d.derived.chain.Store(nil)
+		d.derived.prev = nil
+		d.derived.mu.Unlock()
+	}
+	s.invalidate()
+}
 
 // StructureVersion is a maximal interval over which every dimension is
 // unchanged (Definition 9). Its structure is D(t) of each schema
@@ -328,11 +320,12 @@ type StructureVersion struct {
 	// the schema's lifetime.
 	Valid temporal.Interval
 
-	// sig is the canonical structural signature over Valid (constant
-	// throughout, since structure versions are maximal constant-signature
-	// intervals). Set by StructureVersions; empty on composed versions.
-	// Incremental maintenance compares it to decide retention without
-	// re-encoding the structure.
+	// sig is the structural signature over Valid: the tuple of the
+	// per-dimension chain hashes, hex-encoded ("-" where a dimension
+	// holds nothing), constant throughout since a structure version is a
+	// maximal interval of constant tuple. Set by StructureVersions; empty
+	// on composed versions. Warm retention and warm snapshots compare it
+	// to decide that a mode's structure is unchanged.
 	sig string
 	// picked holds, on a composed version, the instant each schema
 	// dimension is read at (nil: every one at Valid.Start). dims holds a
@@ -400,26 +393,24 @@ func (v *StructureVersion) Has(id MVID) bool {
 func (v *StructureVersion) String() string { return fmt.Sprintf("%s %s", v.ID, v.Valid) }
 
 // StructureVersions infers the structure versions of the schema
-// (Definition 9): the endpoints of all member version and relationship
-// valid times partition history into elementary intervals; adjacent
-// intervals with identical restrictions coalesce. Results are cached
-// until the schema is mutated.
+// (Definition 9): the joint partition of the dimensions' version chains
+// — maximal intervals over which every dimension holds the same member
+// versions and relationships — skipping instants where no dimension
+// holds anything. Results are cached until a dimension is mutated.
 func (s *Schema) StructureVersions() []*StructureVersion {
 	return s.StructureVersionsContext(context.Background())
 }
 
 // StructureVersionsContext is StructureVersions recording a
 // "structure_versions" span on the context's trace when it has to
-// derive (a cached answer records nothing).
+// derive (a cached answer records nothing). Only the dimensions mutated
+// since their chains were last swept are swept again; the span names
+// them.
 //
-// A derivation after a mutation is scoped to the mutation window: the
-// evolution operators act at an instant and leave every validity before
-// it alone (§3.2), so the previous generation's versions that end
-// before the window are carried over as they are — same pointer, same
-// positional ID, no signature computed — and only the rest of the axis
-// is partitioned and signed. The carry stops one instant short of the
-// window: the version that touches it is derived again, because it may
-// now merge with its new right-hand neighbour.
+// The pieces of the joint partition are cut where some dimension's
+// chain entry starts or ends, and that dimension holds another hash or
+// none on the other side, so adjacent pieces never share a tuple: the
+// partition is maximal as cut.
 func (s *Schema) StructureVersionsContext(ctx context.Context) []*StructureVersion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -429,56 +420,33 @@ func (s *Schema) StructureVersionsContext(ctx context.Context) []*StructureVersi
 	_, sp := obs.StartSpan(ctx, "structure_versions")
 	start := time.Now()
 
-	from := temporal.Origin
-	if s.svPrev != nil {
-		from = s.svDirtyFrom
-	}
-	carried := 0
-	for carried < len(s.svPrev) && s.svPrev[carried].Valid.End.Next() < from {
-		carried++
-	}
-	out := append(make([]*StructureVersion, 0, carried+2), s.svPrev[:carried]...)
-	// region is the part of the axis still to derive. Its left edge is a
-	// version boundary in the new generation too: both instants around
-	// it precede the window, so their signatures still differ.
-	region := temporal.Always
-	if carried > 0 {
-		region.Start = out[carried-1].Valid.End.Next()
-	}
-
-	var ivs []temporal.Interval
+	var entries []temporal.Interval
+	var swept []string
 	for _, d := range s.dims {
-		for _, id := range d.order {
-			if iv := d.members[id].Valid.Intersect(region); !iv.Empty() {
-				ivs = append(ivs, iv)
-			}
+		if d.derived.chain.Load() == nil {
+			swept = append(swept, string(d.ID))
 		}
-		for _, r := range d.rels {
-			if iv := r.Valid.Intersect(region); !iv.Empty() {
-				ivs = append(ivs, iv)
-			}
+		for _, e := range d.chain() {
+			entries = append(entries, e.valid)
 		}
 	}
-	// Merge adjacent elementary intervals with the same structural
-	// signature.
+	out := []*StructureVersion{}
 	dims := s.snapshots()
-	for _, e := range temporal.Partition(ivs) {
-		sig := s.signatureAt(e.Start)
-		if n := len(out); n > carried && out[n-1].sig == sig && out[n-1].Valid.Adjacent(e) {
-			out[n-1].Valid = out[n-1].Valid.Hull(e)
-			continue
+	sig := make([]string, len(s.dims))
+	for _, piece := range temporal.Partition(entries) {
+		for i, d := range s.dims {
+			sig[i] = "-"
+			if e := entryAt(d.chain(), piece.Start); e != nil {
+				sig[i] = fmt.Sprintf("%016x%016x", e.hash.hi, e.hash.lo)
+			}
 		}
-		out = append(out, &StructureVersion{ID: fmt.Sprintf("V%d", len(out)+1), Valid: e, sig: sig, dims: dims})
+		out = append(out, &StructureVersion{ID: fmt.Sprintf("V%d", len(out)+1), Valid: piece, sig: strings.Join(sig, ","), dims: dims})
 	}
 	s.svCache = out
-	s.svPrev = nil
 
-	metStructureVersionsCarried.Add(int64(carried))
-	metStructureVersionsRecomputed.Add(int64(len(out) - carried))
 	metStructureVersionsSeconds.Observe(time.Since(start).Seconds())
-	sp.SetAttr("carried", carried)
-	sp.SetAttr("recomputed", len(out)-carried)
-	sp.SetAttr("from", from.String())
+	sp.SetAttr("versions", len(out))
+	sp.SetAttr("swept", strings.Join(swept, ","))
 	sp.End()
 	return out
 }
@@ -491,27 +459,6 @@ func (s *Schema) snapshots() []*Dimension {
 		out[i] = d.snapshot()
 	}
 	return out
-}
-
-// signatureAt canonically encodes which member versions and
-// relationships are valid at t across all dimensions.
-func (s *Schema) signatureAt(t temporal.Instant) string {
-	var parts []string
-	for _, d := range s.dims {
-		for _, mv := range d.VersionsAt(t) {
-			parts = append(parts, string(d.ID)+"/"+string(mv.ID))
-		}
-		for _, r := range d.RelationshipsAt(t) {
-			parts = append(parts, string(d.ID)+"/"+string(r.From)+">"+string(r.To))
-		}
-	}
-	sort.Strings(parts)
-	var b strings.Builder
-	for _, p := range parts {
-		b.WriteString(p)
-		b.WriteByte('|')
-	}
-	return b.String()
 }
 
 // VersionAt returns the structure version whose valid time contains t,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,66 @@ func TestAddMappingValidation(t *testing.T) {
 	bad.Forward = nil
 	if err := s.AddMapping(bad); err == nil {
 		t.Error("mapping with wrong arity must be rejected")
+	}
+}
+
+// TestAddMappingKeepsStructureVersions: Definition 9 reads the
+// dimensions alone, so registering a mapping (Associate) drops the
+// mapped modes and keeps the structure versions, with no chain swept
+// again.
+func TestAddMappingKeepsStructureVersions(t *testing.T) {
+	s := orgSchema(t)
+	before := s.StructureVersions()
+	chain := s.Dimension("Org").derived.chain.Load()
+	mv := s.MultiVersion()
+	if err := s.AddMapping(MappingRelationship{
+		From:     "Jones",
+		To:       "Bill",
+		Forward:  UniformMapping(1, Linear{0.4}, ApproxMapping),
+		Backward: UniformMapping(1, Identity, ExactMapping),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if s.MultiVersion() == mv {
+		t.Error("the mapped modes survived a new mapping")
+	}
+	if after := s.StructureVersions(); &after[0] != &before[0] {
+		t.Error("a new mapping dropped the structure versions")
+	}
+	if s.Dimension("Org").derived.chain.Load() != chain {
+		t.Error("a new mapping swept the dimension's chain again")
+	}
+}
+
+// TestSignatureIgnoresInsertionOrder: the signature is a function of
+// what the dimensions hold, so the same structure built in the opposite
+// order — other ordinals, other relationship storage — signs alike.
+func TestSignatureIgnoresInsertionOrder(t *testing.T) {
+	forward := buildOrg(t)
+	backward := NewDimension("Org", "Org")
+	versions, rels := forward.Versions(), forward.Relationships()
+	for i := len(versions) - 1; i >= 0; i-- {
+		if err := backward.AddVersion(versions[i].Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := len(rels) - 1; i >= 0; i-- {
+		if err := backward.AddRelationship(rels[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sigs [2][]string
+	for i, d := range []*Dimension{forward, backward} {
+		s := NewSchema("order", Measure{Name: "Amount", Agg: Sum})
+		if err := s.AddDimension(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range s.StructureVersions() {
+			sigs[i] = append(sigs[i], v.String()+" "+v.Signature())
+		}
+	}
+	if len(sigs[0]) != 3 || fmt.Sprint(sigs[0]) != fmt.Sprint(sigs[1]) {
+		t.Errorf("inserted forwards %v, backwards %v", sigs[0], sigs[1])
 	}
 }
 
@@ -232,7 +293,7 @@ func TestStructureVersionsConsecutiveDiffer(t *testing.T) {
 		s := randomEvolvingSchema(int64(seed))
 		svs := s.StructureVersions()
 		for i := 1; i < len(svs); i++ {
-			if s.signatureAt(svs[i-1].Valid.Start) == s.signatureAt(svs[i].Valid.Start) {
+			if naiveSignatureAt(s, svs[i-1].Valid.Start) == naiveSignatureAt(s, svs[i].Valid.Start) {
 				return false
 			}
 		}

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
 
 	"mvolap/internal/temporal"
 )
@@ -65,4 +70,103 @@ func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant)
 	tab := d.rollupTableAt(level, at)
 	lo, hi := tab.setOf(mv.ord)
 	return tab.anc[lo:hi]
+}
+
+// naiveElements lists D(t) the obvious way — the dimension's level
+// regime, and the member versions and relationships valid at t read
+// through the public accessors — as sorted element strings, each its
+// parts followed by a NUL byte: the encoding a chain hash digests. It is
+// nil where the dimension holds nothing.
+func naiveElements(d *Dimension, t temporal.Instant) []string {
+	members := d.VersionsAt(t)
+	if len(members) == 0 {
+		return nil
+	}
+	out := []string{"explicit levels\x00" + strconv.FormatBool(d.HasExplicitLevels()) + "\x00"}
+	for _, mv := range members {
+		out = append(out, "member\x00"+string(mv.ID)+"\x00"+mv.Level+"\x00")
+	}
+	for _, r := range d.RelationshipsAt(t) {
+		out = append(out, "edge\x00"+string(r.From)+"\x00"+string(r.To)+"\x00")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// naiveSignatureAt canonically encodes which member versions and
+// relationships are valid at t across all dimensions, and under which
+// level regime.
+func naiveSignatureAt(s *Schema, t temporal.Instant) string {
+	var b strings.Builder
+	for _, d := range s.Dimensions() {
+		b.WriteString(strings.Join(naiveElements(d, t), "|"))
+		b.WriteString("\x1e")
+	}
+	return b.String()
+}
+
+// naiveHashAt recomputes the signature of the structure at t from
+// naiveElements: per dimension the lane-wise sum, mod 2^64, of the first
+// two 64-bit words of each element's SHA-256, in hex, "-" where it holds
+// nothing, comma-separated.
+func naiveHashAt(s *Schema, t temporal.Instant) string {
+	var parts []string
+	for _, d := range s.Dimensions() {
+		elems := naiveElements(d, t)
+		if elems == nil {
+			parts = append(parts, "-")
+			continue
+		}
+		var hi, lo uint64
+		for _, e := range elems {
+			sum := sha256.Sum256([]byte(e))
+			hi += binary.BigEndian.Uint64(sum[:8])
+			lo += binary.BigEndian.Uint64(sum[8:16])
+		}
+		parts = append(parts, fmt.Sprintf("%016x%016x", hi, lo))
+	}
+	return strings.Join(parts, ",")
+}
+
+// naiveVersion is one structure version as the naive oracle infers it.
+type naiveVersion struct {
+	valid temporal.Interval
+	sig   string
+}
+
+// naiveStructureVersions is Definition 9 done the obvious way: partition
+// history at every endpoint of every member version and relationship,
+// and merge adjacent elementary intervals with the same naive
+// signature.
+func naiveStructureVersions(s *Schema) []naiveVersion {
+	var ivs []temporal.Interval
+	for _, d := range s.Dimensions() {
+		for _, mv := range d.Versions() {
+			ivs = append(ivs, mv.Valid)
+		}
+		for _, r := range d.Relationships() {
+			ivs = append(ivs, r.Valid)
+		}
+	}
+	var out []naiveVersion
+	for _, e := range temporal.Partition(ivs) {
+		sig := naiveSignatureAt(s, e.Start)
+		if n := len(out); n > 0 && out[n-1].sig == sig && out[n-1].valid.Adjacent(e) {
+			out[n-1].valid = out[n-1].valid.Hull(e)
+			continue
+		}
+		out = append(out, naiveVersion{valid: e, sig: sig})
+	}
+	return out
+}
+
+// coldClone is a clone sharing no derived state with s: every dimension
+// sweeps its chain and builds its rollup tables from nothing.
+func coldClone(s *Schema) *Schema {
+	c := s.Clone()
+	c.svCache = nil
+	for _, d := range c.dims {
+		d.derived = &dimDerived{}
+	}
+	return c
 }

@@ -19,9 +19,9 @@ type LogEntry struct {
 
 // Applier applies evolution operators to a schema, keeping the
 // evolution log. It never invalidates the schema itself: every mutator
-// an operator can call already does, with the window it changed, and a
-// blanket invalidation here would turn every known window into
-// "unknown".
+// an operator can call already moves its dimension onto a new version
+// chain, and a blanket invalidation here would sweep every dimension
+// and rebuild every rollup table after each batch.
 type Applier struct {
 	schema *core.Schema
 	log    []LogEntry

@@ -93,10 +93,10 @@ func historicalOps(r *rand.Rand, s *core.Schema, step int) []evolution.Op {
 }
 
 // TestPropertyRollupCacheRetentionMatchesCold is the serving-side
-// property of window-scoped cache retention: a lineage of clone-swaps
-// through evolution.Applier — structure versions carried by pointer,
-// per-instant rollup sub-caches kept before each mutation window, MVFT
-// modes retained by WarmFrom — answers every statement of the pool
+// property of content-keyed cache retention: a lineage of clone-swaps
+// through evolution.Applier — version chains swept again for the
+// mutated dimension only, rollup tables taken over by chain-entry hash,
+// MVFT modes retained by WarmFrom — answers every statement of the pool
 // byte-identically to the same warehouse written out and read back,
 // which shares no derived state with anything.
 func TestPropertyRollupCacheRetentionMatchesCold(t *testing.T) {

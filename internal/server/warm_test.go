@@ -163,26 +163,23 @@ func TestEvolveWarmSwap(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	// The derivation is scoped to the mutation window: 2001 and 2002 end
-	// before 01/2004 and are carried; [2003 ; Now] is derived again and
-	// splits in two.
+	// The derivation sweeps again the one dimension the evolve mutated:
+	// [2003 ; Now] splits in two, four versions in all.
 	sp := resp.Trace.Find("structure_versions")
 	if sp == nil {
 		t.Fatalf("trace=1 response missing structure_versions span: %s", body)
 	}
-	if sp.Attrs["carried"] != 2.0 || sp.Attrs["recomputed"] != 2.0 || sp.Attrs["from"] != "01/2004" {
-		t.Errorf("structure_versions span attrs = %v, want carried 2, recomputed 2, from 01/2004", sp.Attrs)
+	if sp.Attrs["swept"] != "Org" || sp.Attrs["versions"] != 4.0 {
+		t.Errorf("structure_versions span attrs = %v, want swept Org, versions 4", sp.Attrs)
 	}
 	if resp.Trace.Find("mvft_delta") == nil {
 		t.Errorf("trace=1 response missing mvft_delta span: %s", body)
 	}
 	_, metrics := get(t, srv, "/metrics")
 	for _, name := range []string{
-		"mvolap_structure_versions_carried_total",
-		"mvolap_structure_versions_recomputed_total",
+		`mvolap_structure_versions_recomputed_total{dim="Org"}`,
 		"mvolap_structure_versions_seconds_count",
-		"mvolap_rollup_cache_instants_carried_total",
-		"mvolap_rollup_cache_instants_dropped_total",
+		`mvolap_rollup_tables_built_total{dim="Org"}`,
 	} {
 		if !strings.Contains(string(metrics), "\n"+name+" ") {
 			t.Errorf("/metrics after an evolve is missing %s", name)
