@@ -66,7 +66,7 @@ func TestRunSnapshotFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	st, sch, ap, err := store.Open(dir, seed, store.Options{SnapshotWarm: true, Logger: logger})
+	st, sch, ap, err := store.Open(dir, seed, store.Options{Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,6 @@ type config struct {
 	replicateFrom   string
 	fsync           string
 	snapshotEvery   int
-	snapshotWarm    bool
 	readTimeout     time.Duration
 	writeTimeout    time.Duration
 	idleTimeout     time.Duration
@@ -95,7 +94,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.replicateFrom, "replicate-from", "", "leader base URL; run as a read-only follower replicating its WAL (e.g. http://leader:8080)")
 	fs.StringVar(&c.fsync, "fsync", "always", "WAL durability: always, interval or off")
 	fs.IntVar(&c.snapshotEvery, "snapshot-every", 256, "auto-snapshot after this many WAL records (0 disables)")
-	fs.BoolVar(&c.snapshotWarm, "snapshot-warm", true, "carry materialized MVFT modes in snapshots for warm restarts")
 	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "max duration to read a request (0 disables)")
 	fs.DurationVar(&c.writeTimeout, "write-timeout", 60*time.Second, "max duration to write a response (0 disables)")
 	fs.DurationVar(&c.idleTimeout, "idle-timeout", 2*time.Minute, "keep-alive idle timeout (0 disables)")
@@ -260,7 +258,6 @@ func main() {
 			stats := st.RecoveryStats()
 			logger.Info("mvolapd ready", "schema", sch.Name,
 				"replayed", stats.Replayed, "snapshotSeq", stats.SnapshotSeq,
-				"warmModes", len(stats.WarmModes),
 				"recoveryMs", float64(stats.Duration)/float64(time.Millisecond))
 			recovered <- recoveryResult{st: st}
 		}()
@@ -297,7 +294,6 @@ func storeOptions(c *config, logger *slog.Logger) (store.Options, error) {
 	return store.Options{
 		Fsync:         policy,
 		SnapshotEvery: c.snapshotEvery,
-		SnapshotWarm:  c.snapshotWarm,
 		Logger:        logger,
 	}, nil
 }

@@ -59,15 +59,18 @@ func TestParseFlagsPersistenceDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.dataDir != "" || c.fsync != "always" || c.snapshotEvery != 256 || !c.snapshotWarm || c.replicateFrom != "" {
-		t.Errorf("defaults = %q %q %d %v %q", c.dataDir, c.fsync, c.snapshotEvery, c.snapshotWarm, c.replicateFrom)
+	if c.dataDir != "" || c.fsync != "always" || c.snapshotEvery != 256 || c.replicateFrom != "" {
+		t.Errorf("defaults = %q %q %d %q", c.dataDir, c.fsync, c.snapshotEvery, c.replicateFrom)
 	}
-	c, err = parseFlags([]string{"-data-dir", "/tmp/d", "-fsync", "interval", "-snapshot-every", "8", "-snapshot-warm=false"})
+	c, err = parseFlags([]string{"-data-dir", "/tmp/d", "-fsync", "interval", "-snapshot-every", "8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.dataDir != "/tmp/d" || c.fsync != "interval" || c.snapshotEvery != 8 || c.snapshotWarm {
-		t.Errorf("parsed = %q %q %d %v", c.dataDir, c.fsync, c.snapshotEvery, c.snapshotWarm)
+	if c.dataDir != "/tmp/d" || c.fsync != "interval" || c.snapshotEvery != 8 {
+		t.Errorf("parsed = %q %q %d", c.dataDir, c.fsync, c.snapshotEvery)
+	}
+	if _, err := parseFlags([]string{"-snapshot-warm=false"}); err == nil {
+		t.Error("-snapshot-warm is gone: a snapshot carries no modes, so the flag must not parse")
 	}
 	c, err = parseFlags([]string{"-replicate-from", "http://leader:8080"})
 	if err != nil {
@@ -80,11 +83,11 @@ func TestParseFlagsPersistenceDefaults(t *testing.T) {
 
 func TestStoreOptions(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	opts, err := storeOptions(&config{fsync: "interval", snapshotEvery: 32, snapshotWarm: true}, logger)
+	opts, err := storeOptions(&config{fsync: "interval", snapshotEvery: 32}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Fsync != store.FsyncInterval || opts.SnapshotEvery != 32 || !opts.SnapshotWarm || opts.Logger != logger {
+	if opts.Fsync != store.FsyncInterval || opts.SnapshotEvery != 32 || opts.Logger != logger {
 		t.Errorf("options = %+v", opts)
 	}
 	if _, err := storeOptions(&config{fsync: "bogus"}, logger); err == nil {

@@ -165,24 +165,12 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 		jobs = append(jobs, job{t.key, t.table, mode})
 	}
 
-	// Most version-mode tables carry their materialization context
-	// (mapping graph + leaf sets) from the build that produced them;
-	// one shared graph covers any that do not (e.g. snapshot imports).
-	var sharedGraph *mappingGraph
-	if len(d.NewFacts) > 0 || len(d.Retracted) > 0 {
-		for _, j := range jobs {
-			if j.mode.Kind == VersionKind && j.src.graph == nil {
-				sharedGraph = newMappingGraph(s.mappings, len(s.measures), s.alg)
-				break
-			}
-		}
-	}
 	if len(d.Retracted) > 0 {
 		metRetractionsApplied.Add(int64(len(d.Retracted)))
 	}
 
 	// Clone and fold every retained mode concurrently. Each mode's fold
-	// is independent (private clone, read-only shared graph) and
+	// is independent (private clone, read-only mapping graph) and
 	// deterministic, so results are assembled in sorted key order
 	// regardless of completion order.
 	folded := make([]*MappedTable, len(jobs))
@@ -201,14 +189,6 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 			defer func() { <-sem }()
 			j := jobs[i]
 			out := j.src.cloneForWarm(j.mode, s.alg, s.measures)
-			if j.mode.Kind == VersionKind && (len(d.NewFacts) > 0 || len(d.Retracted) > 0) {
-				if out.graph == nil {
-					out.graph = sharedGraph
-				}
-				if out.leafIn == nil {
-					out.leafIn = s.versionLeafSets(j.mode.Version)
-				}
-			}
 			// Retractions unfold first: the fact table spliced the
 			// retracted tuples out before appending anything, so the
 			// warm table must shed them before new facts fold in.

@@ -48,9 +48,8 @@ const (
 	shardMask  = MappedShardSize - 1
 )
 
-// shardEpochCounter issues table ownership epochs. Epoch 0 is reserved
-// for frozen shards no table owns (e.g. adopted from a snapshot), so a
-// table always privatizes them before writing.
+// shardEpochCounter issues table ownership epochs; every table takes a
+// fresh one, so a shard carrying another table's epoch is shared.
 var shardEpochCounter atomic.Uint64
 
 // factShard is one fixed-size block of mapped tuples in struct-of-
@@ -68,8 +67,7 @@ type factShard struct {
 	// claim counts the slots of the columns some header has spoken for;
 	// every header over the same columns holds the same counter, and a
 	// table appends at slot n in place only after moving it n → n+1
-	// (tailShard). nil on shards adopted frozen, which no table appends
-	// to in place.
+	// (tailShard).
 	claim *atomic.Int32
 	// sharedBelow is the prefix of the columns this header shares with
 	// the header it borrowed them from (see MappedTable.borrow): slots
@@ -136,10 +134,11 @@ type MappedTable struct {
 
 	// graph and leafIn cache the materialization context of a version
 	// mode (the mapping-relationship graph snapshot and per-dimension
-	// acceptable leaf sets). Warm retention guarantees both are still
-	// valid on the retained clone — same mapping set, same structural
-	// signature — so delta folds reuse them instead of rebuilding
-	// O(structure) state per swap.
+	// acceptable leaf sets); mapFacts sets both on every version-mode
+	// table, and cloneForWarm carries them. Warm retention guarantees
+	// both are still valid on the retained clone — same mapping set,
+	// same structural signature — so delta folds reuse them instead of
+	// rebuilding O(structure) state per swap.
 	graph  *mappingGraph
 	leafIn []map[MVID]bool
 
@@ -237,7 +236,7 @@ func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, b
 
 // writableShard returns shard si for a write into its slot j,
 // privatizing it first when the slot may be read by another table: the
-// shard carries another table's epoch (shared, or frozen), or j lies
+// shard carries another table's epoch (shared), or j lies
 // below the prefix a borrowed tail shares.
 func (mt *MappedTable) writableShard(si, j int) *factShard {
 	sh := mt.shards[si]
@@ -317,14 +316,14 @@ func (mt *MappedTable) borrow(si int) *factShard {
 // behind it. A partial tail is appended to in place when this table
 // wins the claim on its next slot — borrowed first if the header is
 // another table's — and privatized otherwise: the slot was taken by
-// another generation, or the shard was adopted frozen.
+// another generation.
 func (mt *MappedTable) tailShard() *factShard {
 	if len(mt.shards) == 0 || mt.shards[len(mt.shards)-1].n == MappedShardSize {
 		mt.shards = append(mt.shards, mt.newShard())
 	}
 	si := len(mt.shards) - 1
 	sh := mt.shards[si]
-	if sh.claim == nil || !sh.claim.CompareAndSwap(int32(sh.n), int32(sh.n+1)) {
+	if !sh.claim.CompareAndSwap(int32(sh.n), int32(sh.n+1)) {
 		sh = mt.privatize(si)
 		sh.claim.Add(1)
 	} else if sh.epoch != mt.epoch {
@@ -490,8 +489,7 @@ type finishedMode struct {
 // finishedModes lists the completed, successful materializations of
 // the schema's MVFT cache, sorted by mode key. It neither triggers a
 // materialization nor waits on one in flight, and a cold cache lists
-// nothing: what it returns is what a warm snapshot taken now carries
-// and what a clone can take over.
+// nothing: what it returns is what a clone can take over.
 func (s *Schema) finishedModes() []finishedMode {
 	s.mu.Lock()
 	mv := s.mvftCache

@@ -49,8 +49,8 @@ type entryTables struct {
 // setHash is an order-independent 128-bit hash of a set: per 64-bit
 // lane, the sum of its elements' digests, so adding an element's digest
 // where it starts and subtracting it after it ends keeps the hash of
-// D(t) along the time axis. It is the same in every process: structure-
-// version signatures built from it are written to warm snapshots.
+// D(t) along the time axis. It is the same in every process, so a
+// signature means the same structure wherever it is compared.
 type setHash struct{ hi, lo uint64 }
 
 // sweep derives the dimension's version chain in one pass over the

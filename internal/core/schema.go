@@ -324,8 +324,8 @@ type StructureVersion struct {
 	// per-dimension chain hashes, hex-encoded ("-" where a dimension
 	// holds nothing), constant throughout since a structure version is a
 	// maximal interval of constant tuple. Set by StructureVersions; empty
-	// on composed versions. Warm retention and warm snapshots compare it
-	// to decide that a mode's structure is unchanged.
+	// on composed versions. Warm retention compares it to decide that a
+	// mode's structure is unchanged.
 	sig string
 	// picked holds, on a composed version, the instant each schema
 	// dimension is read at (nil: every one at Valid.Start). dims holds a

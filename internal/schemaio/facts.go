@@ -104,7 +104,7 @@ func decodeFacts(data []byte, emit func(core.Coords, temporal.Instant, []float64
 	if !bytes.HasPrefix(data, factsMagic) {
 		return fmt.Errorf("schemaio: bad facts magic")
 	}
-	r := &mtReader{data: data[len(factsMagic):]}
+	r := &factsReader{data: data[len(factsMagic):]}
 	nd, nm, nFacts, nIDs := r.count(), r.count(), r.count(), r.count()
 	if r.err != nil {
 		return r.err
@@ -153,4 +153,79 @@ func decodeFacts(data []byte, emit func(core.Coords, temporal.Instant, []float64
 		}
 	}
 	return nil
+}
+
+// Decode limits: a string longer than this, or a count implying more
+// bytes than the input holds, marks the payload corrupt. They bound
+// allocations on hostile input (the fuzz target) without constraining
+// any real warehouse.
+const (
+	maxStringLen = 1 << 20
+	maxCount     = 1 << 28
+)
+
+// factsReader is a bounds-checked cursor over an encoded facts payload;
+// the first failure sticks and every later read returns zero values.
+type factsReader struct {
+	data []byte
+	off  int
+	err  error
+}
+
+func (r *factsReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("schemaio: corrupt payload: "+format, args...)
+	}
+}
+
+func (r *factsReader) bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || r.off+n > len(r.data) {
+		r.fail("need %d bytes at offset %d of %d", n, r.off, len(r.data))
+		return nil
+	}
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+func (r *factsReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.fail("bad uvarint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// count reads a uvarint that must fit a non-negative int within the
+// decode limits.
+func (r *factsReader) count() int {
+	v := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if v > maxCount {
+		r.fail("count %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *factsReader) string() string {
+	n := r.uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if n > maxStringLen {
+		r.fail("string length %d out of range", n)
+		return ""
+	}
+	return string(r.bytes(int(n)))
 }

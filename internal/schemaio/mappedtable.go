@@ -1,24 +1,22 @@
 package schemaio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
 	"mvolap/internal/core"
-	"mvolap/internal/temporal"
 )
 
 // Mapped-table codec: the binary serialization of one cached MVFT
-// mode, carried as one CRC-closed section of the store's snapshot
-// container for warm restarts. The format is deterministic — same
-// table, same bytes — which is what lets two snapshots of the same
-// state be compared byte for byte.
+// mode. Snapshots no longer carry it (a snapshot holds facts and
+// structure; every mode rebuilds from them), and nothing in the module
+// decodes it: the encoder stays only for the benchmark module's serial
+// replay, which times it. The format is deterministic — same table,
+// same bytes.
 //
 // The layout mirrors the engine's columnar shard layout: after the
 // header, each field travels as one contiguous column over all tuples,
-// so encoding streams straight out of the shard arrays and decoding
-// re-chunks into shards without ever materializing rows:
+// so encoding streams straight out of the shard arrays:
 //
 //	magic "MVMT02"
 //	uvarint len(modeKey), modeKey
@@ -40,17 +38,8 @@ import (
 
 var mappedTableMagic = []byte("MVMT02")
 
-// Decode limits: a string longer than this, or a count implying more
-// bytes than the input holds, marks the payload corrupt. They bound
-// allocations on hostile input (the fuzz target) without constraining
-// any real table.
-const (
-	mtMaxStringLen = 1 << 20
-	mtMaxCount     = 1 << 28
-)
-
 // validateExportShape checks the shard invariants the engine
-// guarantees (and decoding re-establishes): every shard but the last
+// guarantees: every shard but the last
 // exactly full, column lengths matching the shard's tuple count, tuple
 // counts summing to NumFacts.
 func validateExportShape(exp *core.MappedTableExport) error {
@@ -89,6 +78,10 @@ func validateExportShape(exp *core.MappedTableExport) error {
 }
 
 // EncodeMappedTable serializes one exported mode deterministically.
+//
+// Deprecated: no snapshot carries modes any more; only the benchmark
+// module's serial replay calls this. It is removed with that replay
+// (ROADMAP item 2).
 func EncodeMappedTable(exp *core.MappedTableExport) ([]byte, error) {
 	if exp == nil {
 		return nil, fmt.Errorf("schemaio: nil mapped-table export")
@@ -161,80 +154,6 @@ func EncodeMappedTable(exp *core.MappedTableExport) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeMappedTable parses an encoded mode, validating every length and
-// count against the remaining input so corrupt or hostile bytes fail
-// cleanly instead of over-allocating. The columns land flat and are
-// chunked into MappedShardSize shards.
-func DecodeMappedTable(data []byte) (*core.MappedTableExport, error) {
-	if !bytes.HasPrefix(data, mappedTableMagic) {
-		return nil, fmt.Errorf("schemaio: bad mapped-table magic")
-	}
-	r := &mtReader{data: data[len(mappedTableMagic):]}
-	exp := &core.MappedTableExport{}
-	exp.ModeKey = r.string()
-	exp.Valid.Start = temporal.Instant(r.int64())
-	exp.Valid.End = temporal.Instant(r.int64())
-	exp.Signature = r.string()
-	exp.Dropped = r.count()
-	exp.NumDims = r.count()
-	exp.NumMeasures = r.count()
-	exp.HasAvg = r.byte() != 0
-	nFacts := r.count()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if exp.NumDims > mtMaxCount || exp.NumMeasures > mtMaxCount {
-		return nil, fmt.Errorf("schemaio: mapped table dims/measures out of range")
-	}
-	// Every tuple needs at least one byte per coord plus its fixed
-	// fields; a count the remaining bytes cannot hold is corruption.
-	// This also bounds the column allocations below by the input size.
-	minPerFact := exp.NumDims + 8 + 9*exp.NumMeasures + 1
-	if exp.HasAvg {
-		minPerFact += 4 * exp.NumMeasures
-	}
-	if nFacts*minPerFact > len(r.data)-r.off {
-		return nil, fmt.Errorf("schemaio: mapped table fact count %d exceeds payload", nFacts)
-	}
-	exp.NumFacts = nFacts
-	nd, nm := exp.NumDims, exp.NumMeasures
-	coords := make([]core.MVID, nFacts*nd)
-	times := make([]temporal.Instant, nFacts)
-	values := make([]uint64, nFacts*nm)
-	cfs := make([]core.Confidence, nFacts*nm)
-	sources := make([]int32, nFacts)
-	var avgN []int32
-	if exp.HasAvg {
-		avgN = make([]int32, nFacts*nm)
-	}
-	for i := range coords {
-		coords[i] = core.MVID(r.string())
-	}
-	for i := range times {
-		times[i] = temporal.Instant(r.int64())
-	}
-	for i := range values {
-		values[i] = r.uint64()
-	}
-	for i := range cfs {
-		cfs[i] = core.Confidence(r.byte())
-	}
-	for i := range sources {
-		sources[i] = int32(r.count())
-	}
-	for i := range avgN {
-		avgN[i] = int32(r.uint32())
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("schemaio: %d trailing bytes after mapped table", len(r.data)-r.off)
-	}
-	exp.Shards = core.ShardMappedColumns(nd, nm, coords, times, values, cfs, sources, avgN)
-	return exp, nil
-}
-
 // appendString appends a uvarint-length-prefixed string.
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -245,96 +164,3 @@ func appendString(buf []byte, s string) []byte {
 func appendInt64(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
-
-// mtReader is a bounds-checked cursor over an encoded payload (mapped
-// table or facts section); the
-// first failure sticks and every later read returns zero values.
-type mtReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *mtReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("schemaio: corrupt payload: "+format, args...)
-	}
-}
-
-func (r *mtReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.fail("need %d bytes at offset %d of %d", n, r.off, len(r.data))
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *mtReader) byte() byte {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *mtReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a uvarint that must fit a non-negative int within the
-// decode limits.
-func (r *mtReader) count() int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > mtMaxCount {
-		r.fail("count %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *mtReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > mtMaxStringLen {
-		r.fail("string length %d out of range", n)
-		return ""
-	}
-	return string(r.bytes(int(n)))
-}
-
-func (r *mtReader) uint64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *mtReader) uint32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *mtReader) int64() int64 { return int64(r.uint64()) }

@@ -1,9 +1,7 @@
 package schemaio
 
 import (
-	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"mvolap/internal/core"
@@ -44,31 +42,6 @@ func sampleExport(hasAvg bool) *core.MappedTableExport {
 	return exp
 }
 
-func TestMappedTableRoundTrip(t *testing.T) {
-	for _, hasAvg := range []bool{false, true} {
-		exp := sampleExport(hasAvg)
-		data, err := EncodeMappedTable(exp)
-		if err != nil {
-			t.Fatalf("hasAvg=%v: encode: %v", hasAvg, err)
-		}
-		got, err := DecodeMappedTable(data)
-		if err != nil {
-			t.Fatalf("hasAvg=%v: decode: %v", hasAvg, err)
-		}
-		if !reflect.DeepEqual(got, exp) {
-			t.Errorf("hasAvg=%v: round trip mismatch:\n got %+v\nwant %+v", hasAvg, got, exp)
-		}
-		// Determinism: encoding the decoded table reproduces the bytes.
-		again, err := EncodeMappedTable(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Errorf("hasAvg=%v: re-encode differs", hasAvg)
-		}
-	}
-}
-
 func TestMappedTableEncodeRejectsBadShapes(t *testing.T) {
 	if _, err := EncodeMappedTable(nil); err == nil {
 		t.Error("nil export must fail")
@@ -95,36 +68,8 @@ func TestMappedTableEncodeRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestMappedTableDecodeRejectsCorruption truncates and mutates the
-// encoding at every offset: decoding must fail cleanly (or, for a byte
-// flip, either fail or produce a parseable table), never panic.
-func TestMappedTableDecodeRejectsCorruption(t *testing.T) {
-	data, err := EncodeMappedTable(sampleExport(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(data); n++ {
-		if _, err := DecodeMappedTable(data[:n]); err == nil {
-			t.Fatalf("truncation at %d of %d decoded", n, len(data))
-		}
-	}
-	if _, err := DecodeMappedTable(append(append([]byte{}, data...), 0)); err == nil {
-		t.Error("trailing byte must fail")
-	}
-	bad := append([]byte{}, data...)
-	bad[0] ^= 0xFF
-	if _, err := DecodeMappedTable(bad); err == nil {
-		t.Error("bad magic must fail")
-	}
-	// The row-major MVMT01 framing is gone: its magic is just a bad one.
-	if _, err := DecodeMappedTable(append([]byte("MVMT01"), data[len(mappedTableMagic):]...)); err == nil {
-		t.Error("MVMT01 payload must fail")
-	}
-}
-
 // TestEncodeMappedTableAllocatesOnce: the size bound holds, so the
-// encoder never regrows its buffer (the snapshot writer's allocation
-// bound leans on it).
+// encoder never regrows its buffer.
 func TestEncodeMappedTableAllocatesOnce(t *testing.T) {
 	for _, hasAvg := range []bool{false, true} {
 		exp := sampleExport(hasAvg)
@@ -133,37 +78,4 @@ func TestEncodeMappedTableAllocatesOnce(t *testing.T) {
 			t.Errorf("hasAvg=%v: %v allocations, %v", hasAvg, n, err)
 		}
 	}
-}
-
-// FuzzMappedTableCodec checks the round-trip invariant on arbitrary
-// bytes: whatever decodes must re-encode and decode back identically,
-// and the decoder must never panic or over-allocate.
-func FuzzMappedTableCodec(f *testing.F) {
-	for _, hasAvg := range []bool{false, true} {
-		seed, err := EncodeMappedTable(sampleExport(hasAvg))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2]) // torn
-	}
-	f.Add([]byte("MVMT01")) // the retired row-major framing: just a bad magic now
-	f.Add([]byte("MVMT02"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		exp, err := DecodeMappedTable(data)
-		if err != nil {
-			return
-		}
-		out, err := EncodeMappedTable(exp)
-		if err != nil {
-			t.Fatalf("decoded table failed to re-encode: %v", err)
-		}
-		back, err := DecodeMappedTable(out)
-		if err != nil {
-			t.Fatalf("re-encoded table failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(back, exp) {
-			t.Fatal("re-encode round trip diverged")
-		}
-	})
 }

@@ -2,8 +2,9 @@
 // makes every query read-only over an immutable snapshot, so read
 // throughput scales by shipping the write-ahead log: a leader streams
 // its committed WAL frames (MVOWAL01 framing and CRCs intact) to
-// follower processes that rebuild hot state exactly like warm restart
-// and serve /query and /schema with warm caches. See
+// follower processes that rebuild state exactly like a restart —
+// snapshot, then the WAL tail through the one commit routine — and
+// serve /query and /schema, each mode building on first use. See
 // docs/replication.md.
 package server
 

@@ -81,7 +81,7 @@ const StatusClientClosedRequest = 499
 // Server wraps a schema with HTTP handlers.
 type Server struct {
 	// mu guards the published pointers below (schema, applier,
-	// servedSeq, served, store, warmRestored) and is held only to read or
+	// servedSeq, served, store) and is held only to read or
 	// swap them: handlers snapshot the pointers under a brief read-lock
 	// and run on the snapshot, so query execution never holds it and a
 	// reader never waits out a write.
@@ -103,9 +103,6 @@ type Server struct {
 	// replica is set on a read-only follower: mutations 403 to the
 	// leader, /readyz reports lag, ?minWalSeq= waits on the apply loop.
 	replica *store.Replica
-	// warmRestored lists the temporal modes crash recovery restored
-	// warm from the snapshot (reported by /readyz once ready).
-	warmRestored []string
 
 	logger       *slog.Logger
 	queryTimeout time.Duration
@@ -223,7 +220,7 @@ func (s *Server) Install(sch *core.Schema, applier *evolution.Applier, st *store
 	s.mu.Lock()
 	s.store = st
 	if st != nil {
-		s.warmRestored, seq = st.RecoveryStats().WarmModes, st.LastSeq()
+		seq = st.LastSeq()
 	}
 	s.mu.Unlock()
 	s.publish(sch, applier, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true}, seq)
@@ -331,12 +328,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	warm, st, seq := s.warmRestored, s.store, s.servedSeq
+	st, seq := s.store, s.servedSeq
 	s.mu.RUnlock()
-	if warm == nil {
-		warm = []string{}
-	}
-	resp := map[string]any{"status": "ready", "warmRestoredModes": warm}
+	resp := map[string]any{"status": "ready"}
 	switch {
 	case s.replica != nil:
 		resp["role"] = "follower"
@@ -826,20 +820,15 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
 	start := time.Now()
 	s.writeMu.Lock()
 	seq, err := st.Snapshot(s.schema, s.applier.Log(), "admin")
-	warmModes := []string{}
-	if err == nil && st.WarmEnabled() {
-		warmModes = append(warmModes, s.schema.CachedModeKeys()...)
-	}
 	s.writeMu.Unlock()
 	if err != nil {
 		jsonError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, map[string]any{
-		"walSeq":    seq,
-		"warmModes": warmModes,
-		"bytes":     st.SnapshotBytes(),
-		"ms":        float64(time.Since(start)) / float64(time.Millisecond),
+		"walSeq": seq,
+		"bytes":  st.SnapshotBytes(),
+		"ms":     float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 

@@ -1,174 +1,99 @@
 package store
 
 import (
-	"fmt"
 	"testing"
 
 	"mvolap/internal/core"
-	"mvolap/internal/temporal"
+	"mvolap/internal/workload"
 )
 
-// BenchmarkWarmRestart measures restart-to-first-query: Open on a data
-// dir holding a snapshot plus a WAL-tail fact batch, then the first
-// query's MultiVersion().All(). The warm leg restores every mode's
-// mapped table from the snapshot and delta-folds the tail; the cold leg
-// (the same snapshot written with SnapshotWarm off) rematerializes
-// every mode from the raw facts.
+// BenchmarkSnapshotRestart measures what one snapshot costs and what a
+// restart from it costs, on the benchmark module's tier S warehouse
+// (benchmark/node.go's warehouseConfig with 500 departments: 36k facts,
+// 6 structure versions, 7 temporal modes), every mode built before the
+// snapshot is taken:
 //
-// The fixture is built so the two legs differ the way a long-lived
-// warehouse does: facts live on current-era departments whose values
-// only exist in earlier structure versions through mapping
-// relationships, so cold materialization of each historical mode fans
-// every fact out across the reachable era members, while the warm
-// tables it produces stay small (the fan-out folds back onto the
-// shared era members).
-
-const (
-	wbLeaves  = 120 // current-era departments carrying facts
-	wbMonths  = 24  // months of facts per department
-	wbEras    = 3   // historical eras preceding the current structure
-	wbEraSize = 96  // departments per historical era
-	wbFanOut  = 6   // mapping links per department per era
-)
-
-func wbLeaf(k int) core.MVID         { return core.MVID(fmt.Sprintf("leaf%d", k)) }
-func wbEraMember(e, j int) core.MVID { return core.MVID(fmt.Sprintf("e%dm%d", e, j)) }
-
-// warmBenchSchema builds the fixture: one Org dimension where each
-// historical year 2000..2002 has its own generation of departments,
-// the current departments exist since 2003 and carry all the facts,
-// and mapping relationships link every current department to wbFanOut
-// members of each era. The stride 7 is coprime with wbEraSize, so the
-// mapping graph is one connected component and each department resolves
-// to every member of the accepted era.
-func warmBenchSchema(b *testing.B) *core.Schema {
-	b.Helper()
-	s := core.NewSchema("restart", core.Measure{Name: "Amount", Agg: core.Sum})
-	d := core.NewDimension("Org", "Org")
-	if err := d.AddVersion(&core.MemberVersion{ID: "top", Level: "Division", Valid: temporal.Since(temporal.Year(2000))}); err != nil {
+//   - snapshot: one Store.Snapshot of the served schema; it reports the
+//     file's size as snapshot_bytes.
+//   - restart-first-query: Open on the data directory, then one tcm
+//     query — the time until a restarted process first answers.
+//   - restart-all-modes: Open, then every mode built — the time until it
+//     answers in every mode without a build.
+//
+// A snapshot carries facts and structure only, so recovery restores no
+// mode and every one builds cold (the legs b.Fatal otherwise).
+func BenchmarkSnapshotRestart(b *testing.B) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 11, Divisions: 8, Departments: 500, Years: 6, EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
+	})
+	if err != nil {
 		b.Fatal(err)
 	}
-	for e := 0; e < wbEras; e++ {
-		valid := temporal.Between(temporal.Year(2000+e), temporal.EndOfYear(2000+e))
-		for j := 0; j < wbEraSize; j++ {
-			id := wbEraMember(e, j)
-			if err := d.AddVersion(&core.MemberVersion{ID: id, Level: "Department", Valid: valid}); err != nil {
-				b.Fatal(err)
-			}
-			if err := d.AddRelationship(core.TemporalRelationship{From: id, To: "top", Valid: valid}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	current := temporal.Since(temporal.Year(2000 + wbEras))
-	for k := 0; k < wbLeaves; k++ {
-		id := wbLeaf(k)
-		if err := d.AddVersion(&core.MemberVersion{ID: id, Level: "Department", Valid: current}); err != nil {
-			b.Fatal(err)
-		}
-		if err := d.AddRelationship(core.TemporalRelationship{From: id, To: "top", Valid: current}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.AddDimension(d); err != nil {
-		b.Fatal(err)
-	}
-	for k := 0; k < wbLeaves; k++ {
-		for e := 0; e < wbEras; e++ {
-			for i := 0; i < wbFanOut; i++ {
-				m := core.MappingRelationship{
-					From:     wbEraMember(e, (k+7*i)%wbEraSize),
-					To:       wbLeaf(k),
-					Forward:  core.UniformMapping(1, core.Linear{K: 1.0 / wbFanOut}, core.ApproxMapping),
-					Backward: core.UniformMapping(1, core.Linear{K: 1.0 / wbEraSize}, core.ApproxMapping),
-				}
-				if err := s.AddMapping(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	base := temporal.Year(2000 + wbEras)
-	for k := 0; k < wbLeaves; k++ {
-		for m := 0; m < wbMonths; m++ {
-			if err := s.InsertFact(core.Coords{wbLeaf(k)}, base+temporal.Instant(m), float64(k+m)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	return s
-}
-
-// seedWarmRestartDir materializes every mode, snapshots (warm or cold)
-// and appends a WAL-tail fact batch the snapshot does not cover, then
-// abandons the store un-closed — each benchmark iteration recovers
-// from this simulated SIGKILL. Returns the mode count.
-func seedWarmRestartDir(b *testing.B, dir string, warm bool) int {
-	b.Helper()
-	st, sch, ap, err := Open(dir, warmBenchSchema(b), Options{SnapshotWarm: warm, Logger: quietLog()})
+	dir := b.TempDir()
+	st, sch, ap, err := Open(dir, w.Schema, Options{Logger: quietLog()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if _, err := sch.MultiVersion().All(); err != nil {
 		b.Fatal(err)
 	}
-	nModes := len(sch.Modes())
-	if nModes < 4 {
-		b.Fatalf("fixture has %d modes, want >= 4", nModes)
-	}
+	nModes, nFacts := len(sch.Modes()), sch.Facts().Len()
+
+	b.Run("snapshot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := st.Snapshot(sch, ap.Log(), "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(st.SnapshotBytes()), "snapshot_bytes")
+	})
 	if _, err := st.Snapshot(sch, ap.Log(), "bench"); err != nil {
 		b.Fatal(err)
 	}
-	tail := []FactRecord{
-		{Coords: []string{string(wbLeaf(0))}, Time: "06/2005", Values: []float64{5}},
-		{Coords: []string{string(wbLeaf(1))}, Time: "06/2005", Values: []float64{7}},
-	}
-	if _, _, err := st.AppendFactBatch(tail); err != nil {
+	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
-	return nModes
-}
 
-func BenchmarkWarmRestart(b *testing.B) {
-	for _, leg := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(leg.name, func(b *testing.B) {
-			dir := b.TempDir()
-			nModes := seedWarmRestartDir(b, dir, leg.warm)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, sch, _, err := Open(dir, nil, Options{Logger: quietLog()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sch.MultiVersion().All(); err != nil {
-					b.Fatal(err)
-				}
-				builds := sch.MultiVersion().Materializations()
-				restored := len(st.RecoveryStats().WarmModes)
-				if leg.warm {
-					if restored != nModes {
-						b.Fatalf("restored %d warm modes, want %d", restored, nModes)
-					}
-					if builds != 0 {
-						b.Fatalf("warm restart performed %d materializations, want 0", builds)
-					}
-				} else {
-					if restored != 0 {
-						b.Fatalf("cold snapshot restored %d warm modes", restored)
-					}
-					if builds != int64(nModes) {
-						b.Fatalf("cold restart materialized %d modes, want %d", builds, nModes)
-					}
-				}
-				b.StopTimer()
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+	restart := func(b *testing.B, serve func(*core.Schema) error) *core.Schema {
+		b.Helper()
+		st, back, _, err := Open(dir, nil, Options{Logger: quietLog()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := serve(back); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		defer b.StartTimer()
+		if n := len(st.RecoveryStats().WarmModes); n != 0 {
+			b.Fatalf("recovery restored %d modes, want none", n)
+		}
+		if back.Facts().Len() != nFacts {
+			b.Fatalf("recovered %d facts, want %d", back.Facts().Len(), nFacts)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return back
 	}
+	b.Run("restart-first-query", func(b *testing.B) {
+		q := core.Query{GroupBy: []core.GroupBy{{Dim: workload.OrgDim, Level: "Division"}}, Mode: core.TCM()}
+		for i := 0; i < b.N; i++ {
+			restart(b, func(s *core.Schema) error {
+				_, err := s.Execute(q)
+				return err
+			})
+		}
+	})
+	b.Run("restart-all-modes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			back := restart(b, func(s *core.Schema) error {
+				_, err := s.MultiVersion().All()
+				return err
+			})
+			if builds := back.MultiVersion().Materializations(); builds != int64(nModes) {
+				b.Fatalf("restart built %d modes, want all %d cold", builds, nModes)
+			}
+		}
+	})
 }

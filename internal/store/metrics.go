@@ -51,12 +51,6 @@ var (
 	metRecoveryTornBytes = obs.Default().Counter(
 		"mvolap_store_recovery_torn_bytes_total",
 		"Trailing WAL bytes dropped during recovery (torn final record).")
-	metWarmRestored = obs.Default().Counter(
-		"mvolap_mvft_warm_restore_total",
-		"MVFT modes restored warm from a snapshot during crash recovery.")
-	metWarmSkipped = obs.Default().Counter(
-		"mvolap_mvft_warm_restore_skipped_total",
-		"Snapshot warm modes rejected during recovery (CRC, codec or structural mismatch) and left to rebuild cold.")
 	metReplApplied = obs.Default().Counter(
 		"mvolap_repl_applied_total",
 		"WAL records applied by this follower (bootstraps not included).")

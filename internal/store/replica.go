@@ -71,7 +71,6 @@ type ReplicaStatus struct {
 	LagMs      float64 `json:"lagMs"`
 	Reconnects uint64  `json:"reconnects"`
 	Bootstraps uint64  `json:"bootstraps"`
-	WarmModes  int     `json:"warmModes"`
 }
 
 // Replica replicates a leader's WAL into a locally served schema.
@@ -92,7 +91,6 @@ type Replica struct {
 	lastApply  time.Time
 	reconnects uint64
 	bootstraps uint64
-	warmModes  int
 	appliedCh  chan struct{} // closed + replaced on every apply/bootstrap
 }
 
@@ -157,7 +155,6 @@ func (r *Replica) Status() ReplicaStatus {
 		LeaderSeq:  r.leaderSeq,
 		Reconnects: r.reconnects,
 		Bootstraps: r.bootstraps,
-		WarmModes:  r.warmModes,
 	}
 	if r.leaderSeq > r.applied {
 		s.LagRecords = r.leaderSeq - r.applied
@@ -238,7 +235,8 @@ func (r *Replica) Run(ctx context.Context) error {
 }
 
 // bootstrap fetches the leader's latest snapshot and installs it:
-// schema, evolution log, warm MVFT modes, and the covered sequence.
+// schema, evolution log and the covered sequence. It carries no mode:
+// every mode builds on the follower's first query in it.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.leader+"/wal/snapshot", nil)
 	if err != nil {
@@ -256,7 +254,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
-	sch, ap, seq, restored, err := loadSnapshot(ctx, data, r.leader+"/wal/snapshot", r.logger)
+	sch, ap, seq, err := loadSnapshot(data, r.leader+"/wal/snapshot")
 	if err != nil {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
@@ -270,13 +268,12 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	}
 	r.lastApply = time.Now()
 	r.bootstraps++
-	r.warmModes = len(restored)
 	close(r.appliedCh)
 	r.appliedCh = make(chan struct{})
 	r.mu.Unlock()
 	metReplLag.Set(int64(r.Status().LagRecords))
 	r.logger.Info("replica: bootstrapped from leader snapshot",
-		"leader", r.leader, "seq", seq, "warmModes", len(restored))
+		"leader", r.leader, "seq", seq)
 	return nil
 }
 

@@ -27,12 +27,14 @@ import (
 //	file    := "MVOSNP01" section* end
 //	section := kind:u8 len:u64le payload crc32ieee(kind‖len‖payload):u32le
 //
-// in the order meta, structure, facts, one warm section per cached
-// mode, end. A file is readable only if it frames exactly — the end
-// marker, holding the count of sections before it, is its last bytes —
-// and every section but the warm ones passes its CRC, so a short or
-// torn file is unreadable as a whole; a warm section that fails its CRC
-// costs that mode its warm restart and nothing else.
+// in the order meta, structure, facts, end. A snapshot freezes the
+// warehouse, not its caches: every temporal mode rebuilds from the
+// facts and the structure on first use. A file is readable only if it
+// frames exactly — the end marker, holding the count of sections
+// before it, is its last bytes — and every section passes its CRC, so
+// a short or torn file is unreadable as a whole. Kind 4 is reserved:
+// earlier builds wrote one warm section per cached mode between facts
+// and end; this build never writes one and skips any it finds unread.
 
 const (
 	snapshotMagic = "MVOSNP01" // versions the container
@@ -47,7 +49,7 @@ const (
 	secMeta      byte = 1 + iota // JSON snapshotMeta
 	secStructure                 // the schemaio document without facts
 	secFacts                     // schemaio's binary facts codec
-	secWarm                      // one MVMT02 mapped table
+	secWarm                      // reserved: never written, skipped on read
 	secEnd                       // uint32 LE count of the sections before it
 )
 
@@ -59,11 +61,9 @@ type snapshotMeta struct {
 }
 
 // snapshotSections is a container taken apart, payloads still encoded.
-// A warm payload is nil when its section failed its CRC.
 type snapshotSections struct {
 	meta             snapshotMeta
 	structure, facts []byte
-	warm             [][]byte
 }
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snapshot-%016d%s", seq, snapshotExt) }
@@ -86,12 +86,10 @@ func seqOfName(name, prefix, suffix string) (uint64, bool) {
 // encodeSnapshot streams the snapshot container for a schema and its
 // evolution log through bw and flushes it. The bytes are deterministic
 // for a given schema state: schemaio emits dimensions, versions,
-// relationships, mappings and facts in insertion order, the warm
-// sections sort by mode key and the mapped-table codec preserves tuple
-// order, and nothing carries a timestamp. With warm set, every
-// completed mode of the schema's MVFT cache is carried; a cold cache
-// yields no warm section at all.
-func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) error {
+// relationships, mappings and facts in insertion order, and nothing
+// carries a timestamp. Whatever the schema's MVFT cache holds stays
+// out.
+func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry, walSeq uint64) error {
 	meta, err := json.Marshal(snapshotMeta{WALSeq: walSeq, EvolutionLog: log})
 	if err != nil {
 		return fmt.Errorf("store: snapshot meta: %w", err)
@@ -118,15 +116,6 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 	section(secMeta, meta)
 	section(secStructure, structure.Bytes())
 	section(secFacts, schemaio.EncodeFacts(sch))
-	if warm {
-		for _, exp := range sch.ExportWarmModes() {
-			payload, err := schemaio.EncodeMappedTable(exp)
-			if err != nil {
-				return fmt.Errorf("store: snapshot warm mode %s: %w", exp.ModeKey, err)
-			}
-			section(secWarm, payload)
-		}
-	}
 	section(secEnd, binary.LittleEndian.AppendUint32(nil, count))
 	return bw.Flush()
 }
@@ -134,7 +123,7 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 // writeSnapshot durably writes the snapshot for walSeq into dir — temp
 // file → fsync → rename → fsync(dir) — and returns its size. No error
 // path leaves the temp file behind.
-func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSeq uint64, warm bool) (size int64, err error) {
+func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSeq uint64) (size int64, err error) {
 	final := filepath.Join(dir, snapshotName(walSeq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -148,7 +137,7 @@ func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSe
 		}
 	}()
 	start := time.Now()
-	if err := encodeSnapshot(bufio.NewWriterSize(f, 256<<10), sch, log, walSeq, warm); err != nil {
+	if err := encodeSnapshot(bufio.NewWriterSize(f, 256<<10), sch, log, walSeq); err != nil {
 		return 0, err
 	}
 	metSnapshotStageSeconds.With("write").Observe(time.Since(start).Seconds())
@@ -174,10 +163,10 @@ func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSe
 
 // openSnapshot takes a container apart, checking everything that makes
 // it readable — magic, framing, section order, end marker, the CRC of
-// every section but the warm ones — and decoding only the meta section.
-// Warm payloads come back otherwise unverified: callers decode each
-// mode individually, so a corrupt mode degrades to a cold rebuild of
-// that mode rather than an unreadable snapshot.
+// every section — and decoding only the meta section. A reserved kind-4
+// section, which an earlier build wrote after the facts, is framed and
+// counted but skipped unread: not even its CRC is checked, so a data
+// directory from that build still recovers, every mode cold.
 func openSnapshot(data []byte) (*snapshotSections, error) {
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return nil, fmt.Errorf("not a snapshot container (bad magic)")
@@ -193,10 +182,14 @@ func openSnapshot(data []byte) (*snapshotSections, error) {
 			return nil, fmt.Errorf("truncated: section %d claims %d bytes, %d remain", i, n, len(rest))
 		}
 		end := sectionHeaderSize + int(n)
-		payload := rest[sectionHeaderSize:end]
-		intact := crc32.ChecksumIEEE(rest[:end]) == binary.LittleEndian.Uint32(rest[end:])
+		sec, sum := rest[:end], binary.LittleEndian.Uint32(rest[end:])
+		payload := sec[sectionHeaderSize:]
 		rest = rest[end+sectionCRCSize:]
-		want := secWarm
+		if kind == secWarm && i >= 3 {
+			continue // reserved: an earlier build's warm section, skipped unread
+		}
+		intact := crc32.ChecksumIEEE(sec) == sum
+		want := secEnd
 		if i < 3 {
 			want = secMeta + byte(i)
 		}
@@ -208,10 +201,6 @@ func openSnapshot(data []byte) (*snapshotSections, error) {
 			return &c, nil
 		case kind != want:
 			return nil, fmt.Errorf("section %d has kind %d, want %d", i, kind, want)
-		case kind == secWarm && !intact:
-			c.warm = append(c.warm, nil)
-		case kind == secWarm:
-			c.warm = append(c.warm, payload)
 		case !intact:
 			return nil, fmt.Errorf("section %d (kind %d) failed its CRC", i, kind)
 		case kind == secMeta:
@@ -226,11 +215,12 @@ func openSnapshot(data []byte) (*snapshotSections, error) {
 	}
 }
 
-// decodeSnapshot rebuilds the warehouse from a snapshot container held
-// in memory and returns it with the evolution log, the covered WAL
-// sequence and the warm payloads; name labels errors (a file path, or
-// the bootstrap URL a replica fetched from).
-func decodeSnapshot(data []byte, name string) (*core.Schema, []evolution.LogEntry, uint64, [][]byte, error) {
+// loadSnapshot rebuilds the generation a snapshot container froze: the
+// schema, every temporal mode cold, an applier carrying the evolution
+// log, and the WAL sequence covered. Crash recovery, a follower's
+// bootstrap and the command-line tools all start from it; name labels
+// errors (a file path, or the URL a follower fetched from).
+func loadSnapshot(data []byte, name string) (*core.Schema, *evolution.Applier, uint64, error) {
 	c, err := openSnapshot(data)
 	var sch *core.Schema
 	if err == nil {
@@ -240,9 +230,9 @@ func decodeSnapshot(data []byte, name string) (*core.Schema, []evolution.LogEntr
 		err = schemaio.DecodeFacts(c.facts, sch)
 	}
 	if err != nil {
-		return nil, nil, 0, nil, fmt.Errorf("store: snapshot %s: %w", name, err)
+		return nil, nil, 0, fmt.Errorf("store: snapshot %s: %w", name, err)
 	}
-	return sch, c.meta.EvolutionLog, c.meta.WALSeq, c.warm, nil
+	return sch, evolution.NewApplierWithLog(sch, c.meta.EvolutionLog), c.meta.WALSeq, nil
 }
 
 // LoadSchema reads a warehouse file for the command-line tools: a
@@ -255,7 +245,7 @@ func LoadSchema(path string) (*core.Schema, error) {
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return schemaio.Read(bytes.NewReader(data))
 	}
-	sch, _, _, _, err := decodeSnapshot(data, path)
+	sch, _, _, err := loadSnapshot(data, path)
 	return sch, err
 }
 

@@ -3,9 +3,10 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
 	"mvolap/internal/temporal"
@@ -50,10 +52,10 @@ func sectionSpans(t testing.TB, data []byte) []sectionSpan {
 }
 
 // containerBytes encodes a snapshot into memory.
-func containerBytes(t testing.TB, sch *core.Schema, log []evolution.LogEntry, seq uint64, warm bool) []byte {
+func containerBytes(t testing.TB, sch *core.Schema, log []evolution.LogEntry, seq uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeSnapshot(bufio.NewWriter(&buf), sch, log, seq, warm); err != nil {
+	if err := encodeSnapshot(bufio.NewWriter(&buf), sch, log, seq); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -73,9 +75,32 @@ func soleSnapshot(t *testing.T, dir string) (string, []byte) {
 	return snaps[0], data
 }
 
-// warmContainer is a snapshot of the evolved case study with every mode
-// warm, for the corruption tests.
-func warmContainer(t testing.TB) []byte {
+// withWarmSections rewrites a container the way an earlier build wrote
+// it from a warm cache: reserved kind-4 sections between the facts and
+// the end marker, and the end marker's count raised to match. The
+// first section is intact, the second fails its CRC. A reader never
+// looks inside them, so their payloads only need the old codec's magic.
+func withWarmSections(t testing.TB, data []byte) []byte {
+	t.Helper()
+	secs := sectionSpans(t, data)
+	end := secs[len(secs)-1]
+	out := append([]byte(nil), data[:end.start]...)
+	for i, payload := range []string{"MVMT02 tcm", "MVMT02 V2"} {
+		head := append([]byte{secWarm}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, []byte(payload))
+		out = append(append(out, head...), payload...)
+		out = binary.LittleEndian.AppendUint32(out, sum+uint32(i))
+	}
+	head := append([]byte{secEnd}, binary.LittleEndian.AppendUint64(nil, 4)...)
+	count := binary.LittleEndian.AppendUint32(nil, uint32(len(secs)+1))
+	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, count)
+	out = append(append(out, head...), count...)
+	return binary.LittleEndian.AppendUint32(out, sum)
+}
+
+// evolvedSchema is the case study after one exclusion (five temporal
+// modes), every mode built, with its applier.
+func evolvedSchema(t testing.TB) (*core.Schema, *evolution.Applier) {
 	t.Helper()
 	sch := seedSchema(t)
 	ap := evolution.NewApplier(sch)
@@ -89,16 +114,24 @@ func warmContainer(t testing.TB) []byte {
 	if _, err := sch.MultiVersion().All(); err != nil {
 		t.Fatal(err)
 	}
-	return containerBytes(t, sch, ap.Log(), 3, true)
+	return sch, ap
+}
+
+// parentContainer is a snapshot of the evolved schema as an earlier
+// build wrote it, warm sections included, for the corruption tests.
+func parentContainer(t testing.TB) []byte {
+	t.Helper()
+	sch, ap := evolvedSchema(t)
+	return withWarmSections(t, containerBytes(t, sch, ap.Log(), 3))
 }
 
 // TestSnapshotTruncationUnreadable cuts a container at every section
 // boundary, one byte either side of each, and at 64 random offsets: a
-// short file never decodes — not even to a warehouse with fewer facts
-// or fewer warm modes.
+// short file never decodes — not even to a warehouse with fewer facts,
+// and not even where the cut falls inside a skipped warm section.
 func TestSnapshotTruncationUnreadable(t *testing.T) {
-	data := warmContainer(t)
-	if _, _, _, _, err := decodeSnapshot(data, "whole"); err != nil {
+	data := parentContainer(t)
+	if _, _, _, err := loadSnapshot(data, "whole"); err != nil {
 		t.Fatalf("intact container: %v", err)
 	}
 	cuts := map[int]bool{0: true, len(snapshotMagic): true}
@@ -117,11 +150,11 @@ func TestSnapshotTruncationUnreadable(t *testing.T) {
 		if cut < 0 || cut >= len(data) {
 			continue
 		}
-		if _, _, _, _, err := decodeSnapshot(data[:cut], "cut"); err == nil {
+		if _, _, _, err := loadSnapshot(data[:cut], "cut"); err == nil {
 			t.Errorf("container truncated to %d of %d bytes decoded", cut, len(data))
 		}
 	}
-	if _, _, _, _, err := decodeSnapshot(append(data[:len(data):len(data)], 0), "long"); err == nil {
+	if _, _, _, err := loadSnapshot(append(data[:len(data):len(data)], 0), "long"); err == nil {
 		t.Error("container with a trailing byte decoded")
 	}
 }
@@ -129,15 +162,15 @@ func TestSnapshotTruncationUnreadable(t *testing.T) {
 // TestSnapshotFlippedByteUnreadable flips single bytes across the
 // magic, the meta, structure and facts sections and the end marker —
 // headers, payloads and CRCs alike: each leaves the snapshot unreadable.
-// Only a warm section's payload may fail softly (see
-// TestCrashRecoveryWarmCorruptModeDegradesCold).
+// Only a reserved warm section is skipped unread (see
+// TestOpenSkipsParentWarmSections).
 func TestSnapshotFlippedByteUnreadable(t *testing.T) {
-	data := warmContainer(t)
+	data := parentContainer(t)
 	flip := func(at int) {
 		t.Helper()
 		bad := append([]byte(nil), data...)
 		bad[at] ^= 0x01
-		if _, _, _, _, err := decodeSnapshot(bad, "flipped"); err == nil {
+		if _, _, _, err := loadSnapshot(bad, "flipped"); err == nil {
 			t.Errorf("container with byte %d of %d flipped decoded", at, len(data))
 		}
 	}
@@ -163,32 +196,20 @@ func TestSnapshotFlippedByteUnreadable(t *testing.T) {
 
 // TestSnapshotTombstonedTableRoundTrips snapshots a warehouse whose warm
 // tables hold tombstones (a retraction was unfolded out of them): the
-// restored tables equal the live ones, and both lineages keep folding
+// recovered lineage answers like the live one, and both keep folding
 // the same deltas — another insert, another retraction — to the same
-// bits, which are the bits of a cold rebuild.
+// answers, which are a cold rebuild's.
 func TestSnapshotTombstonedTableRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	st, sch, ap := buildWarmWarehouse(t, dir)
-	modes := len(sch.CachedModeKeys())
-	step := func(sch *core.Schema, ap *evolution.Applier, seq uint64, typ string, batch any) (*core.Schema, *evolution.Applier) {
-		t.Helper()
-		data, err := json.Marshal(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sch, ap, _, err = applyRecord(sch, ap, walRecord{Seq: seq, Type: typ, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sch, ap
-	}
+	modes := len(sch.Modes())
 	retract := []RetractRecord{{Coords: []string{"Dpt.Smith_id"}, Time: "2001"}}
-	live, liveAp := step(sch, ap, 2, RecordRetract, retract)
+	live, liveAp := applyBatch(t, sch, ap, 2, RecordRetract, retract)
 	if _, _, err := st.AppendRetractBatch(retract); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(live.CachedModeKeys()); got != modes {
-		t.Fatalf("retraction left %d of %d modes warm: the fixture must unfold, not evict", got, modes)
+	if got := live.MultiVersion().DeltaApplies(); got != int64(modes) {
+		t.Fatalf("retraction unfolded out of %d of %d modes: the fixture must unfold, not evict", got, modes)
 	}
 	if _, err := st.Snapshot(live, liveAp.Log(), "test"); err != nil {
 		t.Fatal(err)
@@ -200,33 +221,24 @@ func TestSnapshotTombstonedTableRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := st2.RecoveryStats().WarmModes; len(got) != modes {
-		t.Fatalf("WarmModes = %v, want %d", got, modes)
-	}
-	if !reflect.DeepEqual(warmExports(t, back), warmExports(t, live)) {
-		t.Fatal("restored tables differ from the tombstoned live tables")
+	if !reflect.DeepEqual(modeAnswers(t, back), modeAnswers(t, live)) {
+		t.Fatal("recovered answers differ from the tombstoned live tables'")
 	}
 	insert := []FactRecord{
 		{Coords: []string{"Dpt.Smith_id"}, Time: "2001", Values: []float64{41}},
 		{Coords: []string{"Dpt.Bill_id"}, Time: "2004", Values: []float64{70}},
 	}
 	retract = []RetractRecord{{Coords: []string{"Dpt.Brian_id"}, Time: "2002"}}
-	live, liveAp = step(live, liveAp, 3, RecordFacts, insert)
-	live, _ = step(live, liveAp, 4, RecordRetract, retract)
-	back, backAp = step(back, backAp, 3, RecordFacts, insert)
-	back, _ = step(back, backAp, 4, RecordRetract, retract)
-	if back.MultiVersion().Materializations() != 0 {
-		t.Errorf("restored lineage rematerialized %d modes", back.MultiVersion().Materializations())
+	live, liveAp = applyBatch(t, live, liveAp, 3, RecordFacts, insert)
+	live, _ = applyBatch(t, live, liveAp, 4, RecordRetract, retract)
+	back, backAp = applyBatch(t, back, backAp, 3, RecordFacts, insert)
+	back, _ = applyBatch(t, back, backAp, 4, RecordRetract, retract)
+	got := modeAnswers(t, back)
+	if !reflect.DeepEqual(got, modeAnswers(t, live)) {
+		t.Error("recovered lineage folded the same deltas to different answers than the live one")
 	}
-	got := warmExports(t, back)
-	if len(got) != modes {
-		t.Fatalf("restored lineage kept %d of %d modes warm", len(got), modes)
-	}
-	if !reflect.DeepEqual(got, warmExports(t, live)) {
-		t.Error("restored lineage folded the same deltas to different bits than the live one")
-	}
-	if !reflect.DeepEqual(got, coldExports(t, back)) {
-		t.Error("restored lineage differs from a cold rebuild")
+	if !reflect.DeepEqual(got, modeAnswers(t, back.Clone())) {
+		t.Error("recovered lineage differs from a cold rebuild")
 	}
 }
 
@@ -423,8 +435,7 @@ func TestOpenSweepsStaleSnapshotTemp(t *testing.T) {
 // TestSnapshotStreamsNotBuffers bounds what Store.Snapshot allocates by
 // the size of the file it writes: a writer that rendered the file in
 // memory (let alone several times over, as the JSON envelope did) cannot
-// stay under it. Every mode is warm; the second round has tombstones in
-// every table, which sends ExportWarmModes down its repacking branch.
+// stay under it. Every mode is built first, and none of it is written.
 func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-fact warehouse")
@@ -435,8 +446,7 @@ func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	st, sch, ap, err := Open(dir, w.Schema, Options{SnapshotWarm: true, Logger: quietLog()})
+	st, sch, ap, err := Open(t.TempDir(), w.Schema, Options{Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,87 +457,277 @@ func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if _, err := sch.MultiVersion().All(); err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func(sch *core.Schema, label string) {
-		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(st.SnapshotBytes())
-		t.Logf("%s: %d facts, %d warm modes, file %d bytes, allocated %d (%.2fx)", label,
-			sch.Facts().Len(), len(sch.CachedModeKeys()), size, allocated, float64(allocated)/float64(size))
-		if allocated > 4*size {
-			t.Errorf("%s: Snapshot allocated %d bytes for a %d-byte file (> 4x)", label, allocated, size)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
 	}
-	snapshot(sch, "no tombstones")
-
-	// Retract one fact in sixteen among those of members no mapping
-	// names: such a fact is the only source of its cell in every mode, so
-	// every mode unfolds it and is left holding a tombstone.
-	sizes := map[string]int{}
-	for _, exp := range sch.ExportWarmModes() {
-		sizes[exp.ModeKey] = exp.NumFacts
+	runtime.ReadMemStats(&after)
+	allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(st.SnapshotBytes())
+	t.Logf("%d facts, %d modes built, file %d bytes, allocated %d (%.2fx)",
+		sch.Facts().Len(), len(sch.Modes()), size, allocated, float64(allocated)/float64(size))
+	if allocated > 4*size {
+		t.Errorf("Snapshot allocated %d bytes for a %d-byte file (> 4x)", allocated, size)
 	}
-	mapped := map[core.MVID]bool{}
-	for _, m := range sch.Mappings() {
-		mapped[m.From], mapped[m.To] = true, true
-	}
-	clone := sch.Clone()
-	var retracted []*core.Fact
-	for i, f := range sch.Facts().Facts() {
-		if i%16 == 0 && !mapped[f.Coords[0]] {
-			old, err := clone.RetractFact(f.Coords, f.Time)
-			if err != nil {
-				t.Fatal(err)
-			}
-			retracted = append(retracted, old)
-		}
-	}
-	res := clone.WarmFrom(context.Background(), sch, evolution.TouchSet{}.WithRetraction(retracted))
-	if len(res.Evicted) != 0 || len(clone.CachedModeKeys()) != len(sizes) {
-		t.Fatalf("retraction evicted %v; the fixture must unfold in place", res.Evicted)
-	}
-	for _, exp := range clone.ExportWarmModes() {
-		if exp.NumFacts >= sizes[exp.ModeKey] {
-			t.Fatalf("mode %s holds no tombstone after the retraction", exp.ModeKey)
-		}
-	}
-	snapshot(clone, "tombstones in every table")
 }
 
 // FuzzSnapshotContainer feeds arbitrary bytes to the snapshot reader:
 // it may refuse them, never panic, and — sections being subslices of
 // the input, every count inside them checked against the bytes left —
 // never allocate out of proportion to the input. Whatever it accepts
-// must survive the warm import and re-encode to a container that reads
-// back as the same warehouse.
+// must re-encode to a container that reads back as the same warehouse.
 func FuzzSnapshotContainer(f *testing.F) {
-	warm := warmContainer(f)
-	f.Add(warm)
-	sch, log, seq, _, err := decodeSnapshot(warm, "seed")
+	parent := parentContainer(f)
+	f.Add(parent)
+	sch, ap, seq, err := loadSnapshot(parent, "seed")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(containerBytes(f, sch, log, seq, false))
-	f.Add(warm[:len(warm)/2])
+	f.Add(containerBytes(f, sch, ap.Log(), seq))
+	f.Add(parent[:len(parent)/2])
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("{garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sch, ap, seq, _, err := loadSnapshot(context.Background(), data, "fuzz", quietLog())
+		sch, ap, seq, err := loadSnapshot(data, "fuzz")
 		if err != nil {
 			return
 		}
-		again := containerBytes(t, sch, ap.Log(), seq, false)
-		sch2, log2, seq2, _, err := decodeSnapshot(again, "again")
+		again := containerBytes(t, sch, ap.Log(), seq)
+		sch2, ap2, seq2, err := loadSnapshot(again, "again")
 		if err != nil {
 			t.Fatalf("re-encoded container failed to decode: %v", err)
 		}
-		if !bytes.Equal(containerBytes(t, sch2, log2, seq2, false), again) {
+		if !bytes.Equal(containerBytes(t, sch2, ap2.Log(), seq2), again) {
 			t.Fatal("container round trip is not a fixed point")
 		}
 	})
+}
+
+// applyBatch mirrors one logged batch onto a lineage the way the
+// serving path commits it, and returns the next generation.
+func applyBatch(t *testing.T, sch *core.Schema, ap *evolution.Applier, seq uint64, typ string, batch any) (*core.Schema, *evolution.Applier) {
+	t.Helper()
+	data, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, ap, _, err = applyRecord(sch, ap, walRecord{Seq: seq, Type: typ, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch, ap
+}
+
+// modeAnswers answers one query per temporal mode — tcm and every
+// structure version — by department and year, rendered with every
+// value's bits, for byte comparison across lineages. It builds every
+// mode it has not built yet.
+func modeAnswers(t *testing.T, sch *core.Schema) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, m := range sch.Modes() {
+		res, err := sch.Execute(core.Query{
+			GroupBy: []core.GroupBy{{Dim: casestudy.OrgDim, Level: "Department"}},
+			Grain:   core.GrainYear,
+			Mode:    m,
+		})
+		if err != nil {
+			t.Fatalf("mode %s: %v", m, err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "dropped %d\n", res.Dropped)
+		for _, r := range res.Rows {
+			fmt.Fprintf(&b, "%s %v n=%d", r.TimeKey, r.GroupIDs, r.N)
+			for i, v := range r.Values {
+				fmt.Fprintf(&b, " %016x/%d", math.Float64bits(v), r.CFs[i])
+			}
+			b.WriteByte('\n')
+		}
+		out[m.String()] = b.String()
+	}
+	return out
+}
+
+// buildWarmWarehouse opens dir, evolves once (five temporal modes),
+// builds every mode and snapshots while all of them are warm. The store
+// is returned unclosed so callers can choose where the simulated
+// SIGKILL lands.
+func buildWarmWarehouse(t *testing.T, dir string) (*Store, *core.Schema, *evolution.Applier) {
+	t.Helper()
+	st, sch, ap, err := Open(dir, seedSchema(t), Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, ap = applyEvolve(t, sch, ap, "EXCLUDE Org Dpt.Brian_id AT 01/2004\n")
+	if _, _, err := st.AppendEvolve([]byte("EXCLUDE Org Dpt.Brian_id AT 01/2004\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.MultiVersion().All(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sch.Modes()); got < 4 {
+		t.Fatalf("fixture has %d modes, want >= 4", got)
+	}
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	return st, sch, ap
+}
+
+// recoverCold reopens dir after a simulated SIGKILL and checks what
+// every restart now owes: no mode restored, and each mode built cold on
+// first use, answering byte for byte like want.
+func recoverCold(t *testing.T, dir string, want map[string]string) (*Store, *core.Schema) {
+	t.Helper()
+	st, sch, _, err := Open(dir, nil, Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if got := st.RecoveryStats().WarmModes; len(got) != 0 {
+		t.Errorf("recovery restored modes %v, want none", got)
+	}
+	if !reflect.DeepEqual(modeAnswers(t, sch), want) {
+		t.Error("recovered answers differ from the live warm lineage's")
+	}
+	if builds, modes := sch.MultiVersion().Materializations(), len(sch.Modes()); builds != int64(modes) {
+		t.Errorf("recovered schema built %d modes, want all %d cold", builds, modes)
+	}
+	return st, sch
+}
+
+// TestCrashRecoveryWarmSnapshotNoTail is the SIGKILL-between-snapshot-
+// and-WAL-append case, the snapshot taken while every mode was warm:
+// the snapshot is durable, no record follows, the store is never
+// closed. Recovery restores no mode, and the modes it builds cold answer
+// exactly like the live warm tables.
+func TestCrashRecoveryWarmSnapshotNoTail(t *testing.T) {
+	dir := t.TempDir()
+	_, sch, _ := buildWarmWarehouse(t, dir) // store abandoned: simulated SIGKILL
+	st, _ := recoverCold(t, dir, modeAnswers(t, sch))
+	if st.LastSeq() != 1 || st.RecoveryStats().Replayed != 0 {
+		t.Errorf("lastSeq = %d, replayed = %d; want 1, 0", st.LastSeq(), st.RecoveryStats().Replayed)
+	}
+}
+
+// TestCrashRecoveryWarmSnapshotThenWALTail kills the process after a
+// snapshot of a warm warehouse and two more fact batches: replay folds
+// the tail into a cold base, and the recovered answers match the live
+// lineage, whose warm tables folded the same batches, bit for bit.
+func TestCrashRecoveryWarmSnapshotThenWALTail(t *testing.T) {
+	dir := t.TempDir()
+	st, live, ap := buildWarmWarehouse(t, dir)
+	for i, batch := range [][]FactRecord{
+		{
+			{Coords: []string{"Dpt.Bill_id"}, Time: "2004", Values: []float64{70}},
+			{Coords: []string{"Dpt.Paul_id"}, Time: "2004", Values: []float64{30}},
+		},
+		{
+			{Coords: []string{"Dpt.Smith_id"}, Time: "2005", Values: []float64{11}},
+		},
+	} {
+		if _, _, err := st.AppendFactBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		live, ap = applyBatch(t, live, ap, uint64(2+i), RecordFacts, batch)
+	}
+	if live.MultiVersion().Materializations() != 0 {
+		t.Fatal("the live lineage rebuilt a mode: its tables must be the warm ones")
+	}
+	// Store abandoned without Close: simulated SIGKILL with a WAL tail.
+
+	st2, back := recoverCold(t, dir, modeAnswers(t, live))
+	if st2.RecoveryStats().Replayed != 2 || st2.LastSeq() != 3 {
+		t.Fatalf("replayed = %d, lastSeq = %d; want 2, 3", st2.RecoveryStats().Replayed, st2.LastSeq())
+	}
+	if !reflect.DeepEqual(modeAnswers(t, back), modeAnswers(t, back.Clone())) {
+		t.Error("recovered answers differ from a cold rebuild")
+	}
+}
+
+// TestOpenSkipsParentWarmSections is the upgrade: the snapshot of a warm
+// warehouse as an earlier build wrote it — one intact warm section, one
+// that fails its CRC — followed by a WAL tail. Recovery skips both
+// sections unread, comes back with the same facts and walSeq, restores
+// no mode, and answers byte for byte like the live lineage once its
+// modes build cold. A reader that refused kind 4 would refuse the
+// directory: the snapshot is its only copy of the first record.
+func TestOpenSkipsParentWarmSections(t *testing.T) {
+	dir := t.TempDir()
+	st, live, ap := buildWarmWarehouse(t, dir)
+	path, data := soleSnapshot(t, dir)
+	if err := os.WriteFile(path, withWarmSections(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	batch := []FactRecord{{Coords: []string{"Dpt.Bill_id"}, Time: "2004", Values: []float64{70}}}
+	if _, _, err := st.AppendFactBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	live, _ = applyBatch(t, live, ap, 2, RecordFacts, batch)
+
+	st2, back := recoverCold(t, dir, modeAnswers(t, live))
+	if st2.LastSeq() != 2 || st2.RecoveryStats().SnapshotSeq != 1 {
+		t.Errorf("lastSeq = %d, snapshotSeq = %d; want 2, 1", st2.LastSeq(), st2.RecoveryStats().SnapshotSeq)
+	}
+	if !bytes.Equal(schemaBytes(t, back), schemaBytes(t, live)) {
+		t.Error("recovered warehouse differs from the live one")
+	}
+}
+
+// TestWarmSnapshotLeavesComposedModesOut: a store asked for warm
+// snapshots (SnapshotWarm, which is ignored) with tcm, every structure
+// version and a composed version built writes meta, structure, facts
+// and end — no mode, composed or not — and recovery loads it.
+func TestWarmSnapshotLeavesComposedModesOut(t *testing.T) {
+	dir := t.TempDir()
+	st, sch, ap, err := Open(dir, seedSchema(t), Options{SnapshotWarm: true, Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	composed, err := sch.ComposeVersion("X1", temporal.Since(temporal.Year(2003)), map[core.DimID]string{casestudy.OrgDim: "V1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.MultiVersion().All(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.Execute(core.Query{Mode: core.InVersion(composed)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, data := soleSnapshot(t, dir)
+	for _, sec := range sectionSpans(t, data) {
+		if sec.kind == secWarm {
+			t.Fatal("snapshot carries a warm section")
+		}
+	}
+	st2, _, _, err := Open(dir, nil, Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+}
+
+// TestSnapshotEnvelopeDeterministic snapshots the same state twice and
+// compares the containers byte for byte. With every mode warm, each
+// holds exactly meta, structure, facts and end.
+func TestSnapshotEnvelopeDeterministic(t *testing.T) {
+	sch, ap := evolvedSchema(t)
+	a, b := containerBytes(t, sch, ap.Log(), 7), containerBytes(t, sch, ap.Log(), 7)
+	if !bytes.Equal(a, b) {
+		t.Fatal("two snapshots of the same state differ byte for byte")
+	}
+	var kinds []byte
+	for _, sec := range sectionSpans(t, a) {
+		kinds = append(kinds, sec.kind)
+	}
+	if want := []byte{secMeta, secStructure, secFacts, secEnd}; !bytes.Equal(kinds, want) {
+		t.Errorf("container sections are of kinds %v, want %v", kinds, want)
+	}
 }

@@ -35,7 +35,6 @@ import (
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
 	"mvolap/internal/obs"
-	"mvolap/internal/schemaio"
 )
 
 // FsyncPolicy says when the WAL is flushed to stable storage.
@@ -88,11 +87,11 @@ type Options struct {
 	// SnapshotEvery takes an automatic snapshot after this many WAL
 	// records since the last one; 0 disables automatic snapshots.
 	SnapshotEvery int
-	// SnapshotWarm carries the materialized MappedTables of every cached
-	// temporal mode inside each snapshot, so a restarted process answers
-	// its first query per mode without a rematerialization. It gates
-	// writing only: recovery always restores whatever warm section the
-	// loaded snapshot holds.
+	// SnapshotWarm is ignored: a snapshot carries facts and structure
+	// only, and every temporal mode rebuilds on first use.
+	//
+	// Deprecated: it has no effect. It is removed with the benchmark
+	// module's serial replay, its last user (ROADMAP item 2).
 	SnapshotWarm bool
 	// Logger receives recovery and compaction logs; nil means
 	// slog.Default().
@@ -110,14 +109,14 @@ type RecoveryStats struct {
 	Replayed int
 	// TornBytes is the size of the truncated torn tail, if any.
 	TornBytes int64
-	// WarmModes lists the temporal modes restored warm from the
-	// snapshot's warm section (validated against the recovered schema,
-	// WAL-tail deltas folded in), sorted by mode key.
+	// WarmModes is always empty: recovery restores no temporal mode.
+	//
+	// Deprecated: it is always empty. It is removed with the benchmark
+	// module's serial replay, its last reader (ROADMAP item 2).
 	WarmModes []string
 	// Duration is the total recovery time.
 	Duration time.Duration
-	// Trace is the recovery span tree (load-snapshot with warm_restore
-	// under it, then replay-wal).
+	// Trace is the recovery span tree (load-snapshot, then replay-wal).
 	Trace *obs.SpanNode
 }
 
@@ -202,11 +201,10 @@ func Open(dir string, seed *core.Schema, opts Options) (*Store, *core.Schema, *e
 // the store is published, so it touches fields without the lock.
 func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, *evolution.Applier, error) {
 	// Load the newest snapshot that parses; older ones are fallbacks
-	// in case of on-disk corruption. Its warm modes are restored before
-	// WAL replay so the replayed fact batches delta-fold into the
-	// restored tables, as they did live.
-	spanCtx, span := obs.StartSpan(ctx, "load-snapshot")
-	sch, applier, err := st.loadLatestSnapshot(spanCtx, seed)
+	// in case of on-disk corruption. Every mode starts cold and builds
+	// on first use.
+	_, span := obs.StartSpan(ctx, "load-snapshot")
+	sch, applier, err := st.loadLatestSnapshot(seed)
 	span.End()
 	if err != nil {
 		return nil, nil, err
@@ -218,19 +216,13 @@ func (st *Store) recover(ctx context.Context, seed *core.Schema) (*core.Schema, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(st.stats.WarmModes) > 0 {
-		// Replayed records may have evicted modes (structure changes,
-		// fact replacement); report only the modes still warm on the
-		// schema that will actually serve.
-		st.stats.WarmModes = sch.CachedModeKeys()
-	}
 	return sch, applier, nil
 }
 
 // loadLatestSnapshot picks the newest readable snapshot, or falls back
 // to the seed schema when none exists. Falling back is only sound if
 // the WAL still reaches back far enough; replayWAL checks that.
-func (st *Store) loadLatestSnapshot(ctx context.Context, seed *core.Schema) (*core.Schema, *evolution.Applier, error) {
+func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, *evolution.Applier, error) {
 	names, _, err := listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
@@ -242,13 +234,13 @@ func (st *Store) loadLatestSnapshot(ctx context.Context, seed *core.Schema) (*co
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
-		sch, applier, seq, warm, err := loadSnapshot(ctx, data, path, st.logger)
+		sch, applier, seq, err := loadSnapshot(data, path)
 		if err != nil {
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
 			continue
 		}
 		st.snapSeq, st.seq, st.snapBytes = seq, seq, int64(len(data))
-		st.stats.SnapshotSeq, st.stats.SnapshotPath, st.stats.WarmModes = seq, path, warm
+		st.stats.SnapshotSeq, st.stats.SnapshotPath = seq, path
 		return sch, applier, nil
 	}
 	if seed == nil {
@@ -272,48 +264,6 @@ func (st *Store) unloadedSnapshots() string {
 		return ""
 	}
 	return " (not loaded: " + strings.Join(names, ", ") + ")"
-}
-
-// loadSnapshot decodes a snapshot container into the generation it
-// froze: the schema with its warm modes restored into the MVFT cache,
-// an applier carrying the evolution log, the WAL sequence covered and
-// the keys of the modes restored warm. Crash recovery and a follower's
-// bootstrap both start from it; name labels errors (a file path, or the
-// URL a follower fetched from). Only an unreadable container fails.
-// Every warm-mode failure — CRC mismatch, codec corruption, structural-
-// signature drift — is per mode: that mode is logged, counted and
-// skipped, and rebuilds cold on first use.
-func loadSnapshot(ctx context.Context, data []byte, name string, logger *slog.Logger) (*core.Schema, *evolution.Applier, uint64, []string, error) {
-	sch, log, seq, warm, err := decodeSnapshot(data, name)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	_, span := obs.StartSpan(ctx, "warm_restore")
-	defer span.End()
-	var restored []string
-	for i, payload := range warm {
-		if payload == nil {
-			logger.Warn("store: warm section failed CRC check, rebuilding that mode cold", "section", i)
-			metWarmSkipped.Inc()
-			continue
-		}
-		exp, err := schemaio.DecodeMappedTable(payload)
-		if err != nil {
-			logger.Warn("store: warm section undecodable, rebuilding that mode cold", "section", i, "err", err)
-			metWarmSkipped.Inc()
-			continue
-		}
-		if err := sch.ImportWarmMode(exp); err != nil {
-			logger.Warn("store: warm mode rejected, rebuilding cold", "mode", exp.ModeKey, "err", err)
-			metWarmSkipped.Inc()
-			continue
-		}
-		restored = append(restored, exp.ModeKey)
-		metWarmRestored.Inc()
-	}
-	span.SetAttr("restored", len(restored))
-	span.SetAttr("skipped", len(warm)-len(restored))
-	return sch, evolution.NewApplierWithLog(sch, log), seq, restored, nil
 }
 
 // replayWAL replays every record after the snapshot through commit,
@@ -597,7 +547,7 @@ func (st *Store) Snapshot(sch *core.Schema, log []evolution.LogEntry, trigger st
 	start := time.Now()
 	seq := st.seq
 	st.snapTried = seq
-	size, err := writeSnapshot(st.dir, sch, log, seq, st.opts.SnapshotWarm)
+	size, err := writeSnapshot(st.dir, sch, log, seq)
 	if err != nil {
 		return 0, fmt.Errorf("store: snapshot: %w", err)
 	}
@@ -692,9 +642,6 @@ func (st *Store) SnapshotBytes() int64 {
 
 // RecoveryStats reports what Open did.
 func (st *Store) RecoveryStats() RecoveryStats { return st.stats }
-
-// WarmEnabled reports whether snapshots carry the warm MVFT section.
-func (st *Store) WarmEnabled() bool { return st.opts.SnapshotWarm }
 
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
