@@ -83,6 +83,11 @@ write-path-check:
 # the reproduction tier reads versions through
 # (StructureVersion.Dimensions); a second call site is a second
 # representation of structure starting.
+#
+# The scan reads member version ordinals straight out of the shard
+# columns: a .members[ probe in scan.go or query.go is a per-tuple
+# string-keyed map lookup coming back.
+SCAN_PATH = internal/core/scan.go internal/core/query.go
 .PHONY: read-path-check
 read-path-check:
 	@core=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
@@ -97,6 +102,11 @@ read-path-check:
 	if [ -n "$$copies" ]; then \
 		echo "read-path-check: Restrict( called in internal/core outside StructureVersion.Dimensions:"; echo "$$copies"; \
 		echo "The serving path reads the schema's dimensions at a version's instant, never a copy."; bad=1; \
+	fi; \
+	probes=$$(grep -nE '\.members\[' $(SCAN_PATH) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$probes" ]; then \
+		echo "read-path-check: .members[ probe in the scan (internal/core/scan.go, query.go):"; echo "$$probes"; \
+		echo "Tuples store member version ordinals; index rollup tables and dice verdicts by them."; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -570,7 +570,7 @@ func BenchmarkDrillAcross(b *testing.B) {
 // leaf validity starting in one of three years so the schema has three
 // structure versions (four temporal modes with tcm), and
 // leaves*monthsPerLeaf facts at distinct (member, month) keys.
-func ingestSchema(b *testing.B, leaves, monthsPerLeaf int) *core.Schema {
+func ingestSchema(b testing.TB, leaves, monthsPerLeaf int) *core.Schema {
 	b.Helper()
 	s := core.NewSchema("ingest", core.Measure{Name: "Amount", Agg: core.Sum})
 	d := core.NewDimension("Org", "Org")
@@ -600,6 +600,36 @@ func ingestSchema(b *testing.B, leaves, monthsPerLeaf int) *core.Schema {
 		}
 	}
 	return s
+}
+
+// TestMappedTupleBytes bounds the live heap one materialized tcm tuple
+// costs on BenchmarkIncrementalIngest's 100k-fact warehouse: its shard
+// columns (a 4-byte member version ordinal, an 8-byte instant, an
+// 8-byte value, a 1-byte confidence, a 4-byte source count: 25 B) and
+// its key-index entry, a 64-bit hash and a position (about 24 B with
+// the map's slack).
+func TestMappedTupleBytes(t *testing.T) {
+	const leaves, months, bound = 1000, 100, 64
+	s := ingestSchema(t, leaves, months)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	mt, err := s.MultiVersion().Mode(core.TCM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := float64(liveHeap()) - float64(before)
+	per := grown / float64(mt.Len())
+	t.Logf("%d tuples: %.1f B live heap per tuple", mt.Len(), per)
+	if per > bound {
+		t.Errorf("a materialized tcm tuple costs %.1f B of live heap, want at most %d", per, bound)
+	}
+	runtime.KeepAlive(s)
 }
 
 // ingestBatch returns n (member, month, value) insertions at months

@@ -55,21 +55,14 @@ type Fact struct {
 	ord int
 }
 
-// appendFactKey appends the canonical byte key of (coords, t) to dst:
-// member version IDs separated by 0x1f, then the instant as 8
-// little-endian bytes. Keys are built into reusable buffers and probed
-// with map[string(buf)] — the compiler elides that conversion, so
-// lookups on the materialization hot path allocate nothing (the string
-// is only materialized when a new entry is inserted).
-func appendFactKey(dst []byte, c Coords, t temporal.Instant) []byte {
+// factKey hashes the key (coords, t) of a source fact for the key
+// index: every member version ID, then the instant.
+func factKey(c Coords, t temporal.Instant) uint64 {
+	h := keyHashSeed
 	for _, id := range c {
-		dst = append(dst, id...)
-		dst = append(dst, 0x1f)
+		h = h.id(id)
 	}
-	u := uint64(t)
-	return append(dst,
-		byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+	return h.at(t)
 }
 
 // FactTable is the Temporally Consistent Fact Table f of Definition 5: a
@@ -99,7 +92,6 @@ type FactTable struct {
 	// ordinal the next new tuple takes.
 	index   keyIndex
 	nextOrd int
-	keyBuf  []byte
 }
 
 // NewFactTable creates an empty fact table for m measures.
@@ -123,6 +115,15 @@ func (ft *FactTable) position(ord int) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return ft.facts[lo+i].ord >= ord })
 }
 
+// find returns the ordinal of the live tuple at (coords, t), whose key
+// hashes to h: the index's candidates are confirmed against the tuples.
+func (ft *FactTable) find(h uint64, coords Coords, t temporal.Instant) (int, bool) {
+	return ft.index.get(h, func(ord int) bool {
+		f := ft.facts[ft.position(ord)]
+		return f.Time == t && f.Coords.Equal(coords)
+	})
+}
+
 // Insert adds a fact. Inserting at existing coordinates and time
 // replaces the previous values (the fact table is a function): a fresh
 // tuple takes the old one's slot, so a stored tuple is never written.
@@ -130,8 +131,8 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 	if len(values) != ft.measures {
 		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.measures)
 	}
-	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
-	if ord, ok := ft.index.get(ft.keyBuf); ok {
+	h := factKey(coords, t)
+	if ord, ok := ft.find(h, coords, t); ok {
 		i := ft.position(ord)
 		if i < ft.shared {
 			ft.copyFacts("replace")
@@ -141,7 +142,7 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 		return nil
 	}
 	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...), ord: ft.nextOrd}
-	ft.index.put(ft.keyBuf, ft.nextOrd)
+	ft.index.put(h, ft.nextOrd)
 	ft.nextOrd++
 	ft.push(f)
 	return nil
@@ -188,9 +189,7 @@ func (ft *FactTable) copyFacts(reason string) {
 // Lookup returns the values at the given coordinates and time. It is
 // safe for concurrent use as long as no Insert or Retract runs.
 func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool) {
-	var scratch [64]byte
-	key := appendFactKey(scratch[:0], coords, t)
-	ord, ok := ft.index.get(key)
+	ord, ok := ft.find(factKey(coords, t), coords, t)
 	if !ok {
 		return nil, false
 	}
@@ -211,8 +210,8 @@ func (ft *FactTable) Facts() []*Fact { return ft.facts[:len(ft.facts):len(ft.fac
 // pointer still reference it; callers must treat it as read-only), and
 // the surviving facts keep their insertion order.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
-	ft.keyBuf = appendFactKey(ft.keyBuf[:0], coords, t)
-	ord, ok := ft.index.get(ft.keyBuf)
+	h := factKey(coords, t)
+	ord, ok := ft.find(h, coords, t)
 	if !ok {
 		return nil, false
 	}
@@ -225,7 +224,7 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	// Every slot from shared up was claimed by this table, so the claim
 	// stands at the old length; hand the freed slot back.
 	ft.claim.Store(int64(len(ft.facts)))
-	ft.index.delete(ft.keyBuf)
+	ft.index.delete(h, ord)
 	return f, true
 }
 

@@ -51,6 +51,63 @@ func TestFactTableInsertLookup(t *testing.T) {
 	}
 }
 
+// TestIDsWithSeparatorBytesStayApart: an ID may hold any byte, 0x1f
+// included. The cells (a␟b, c) and (a, b␟c) joined to the same bytes
+// under the old 0x1f-separated key, so the second insert replaced the
+// first; keys are now checked against the stored coordinates, and the
+// fact table and every mode keep both.
+func TestIDsWithSeparatorBytesStayApart(t *testing.T) {
+	s := NewSchema("sep", Measure{Name: "Amount", Agg: Sum})
+	for _, dim := range []struct {
+		id  DimID
+		ids []MVID
+	}{{"A", []MVID{"a\x1fb", "a"}}, {"B", []MVID{"c", "b\x1fc"}}} {
+		d := NewDimension(dim.id, string(dim.id))
+		for _, id := range dim.ids {
+			if err := d.AddVersion(&MemberVersion{ID: id, Valid: temporal.Since(y(2000))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AddDimension(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := []Coords{{"a\x1fb", "c"}, {"a", "b\x1fc"}}
+	at := ym(2001, 1)
+	for i, c := range cells {
+		if err := s.InsertFact(c, at, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Facts().Len(); n != 2 {
+		t.Fatalf("fact table holds %d facts, want 2", n)
+	}
+	modes := s.Modes()
+	if len(modes) < 2 {
+		t.Fatalf("schema has %d modes, want tcm and a version", len(modes))
+	}
+	for _, m := range modes {
+		mt, err := s.MultiVersion().Mode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mt.Len() != 2 {
+			t.Fatalf("mode %s holds %d tuples, want 2", m, mt.Len())
+		}
+		for i, c := range cells {
+			f, ok := mt.Lookup(c, at)
+			if !ok || !f.Coords.Equal(c) || f.Values[0] != float64(i+1) {
+				t.Fatalf("mode %s: Lookup(%q) = %v, %v; want value %d", m, c, f, ok, i+1)
+			}
+		}
+	}
+	for i, c := range cells {
+		if v, ok := s.Facts().Lookup(c, at); !ok || v[0] != float64(i+1) {
+			t.Fatalf("fact table: Lookup(%q) = %v, %v; want %d", c, v, ok, i+1)
+		}
+	}
+}
+
 func TestFactTableInsertCopiesCoords(t *testing.T) {
 	ft := NewFactTable(1)
 	coords := Coords{"a"}

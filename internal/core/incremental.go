@@ -188,7 +188,7 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			j := jobs[i]
-			out := j.src.cloneForWarm(j.mode, s.alg, s.measures)
+			out := j.src.cloneForWarm(s, j.mode)
 			// Retractions unfold first: the fact table spliced the
 			// retracted tuples out before appending anything, so the
 			// warm table must shed them before new facts fold in.
@@ -272,8 +272,9 @@ func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delt
 }
 
 // cloneForWarm returns a copy-on-write clone of a published mapped
-// table, rebound to the new schema's mode, algebra and measures, ready
-// to absorb a fact delta. The clone copies one header per storage
+// table, rebound to the new schema's mode, algebra, measures and
+// dimensions (which hold every version the source's ordinals name),
+// ready to absorb a fact delta. The clone copies one header per storage
 // shard — never the tuples — and takes a fresh epoch, so every
 // inherited shard is shared: an append borrows the partial tail
 // (MappedTable.tailShard), a write into a shared slot privatizes its
@@ -281,7 +282,7 @@ func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delt
 // (mapping graph, leaf sets) rides along: warm retention guarantees
 // the mapping set and structural signature are unchanged, so the next
 // delta fold reuses both instead of rebuilding O(structure) state.
-func (mt *MappedTable) cloneForWarm(m Mode, alg ConfidenceAlgebra, measures []Measure) *MappedTable {
+func (mt *MappedTable) cloneForWarm(s *Schema, m Mode) *MappedTable {
 	out := &MappedTable{
 		Mode:     m,
 		shards:   append([]*factShard(nil), mt.shards...),
@@ -290,9 +291,10 @@ func (mt *MappedTable) cloneForWarm(m Mode, alg ConfidenceAlgebra, measures []Me
 		epoch:    shardEpochCounter.Add(1),
 		nd:       mt.nd,
 		nm:       mt.nm,
+		dims:     s.dims,
 		Dropped:  mt.Dropped,
-		alg:      alg,
-		measures: measures,
+		alg:      s.alg,
+		measures: s.measures,
 		hasAvg:   mt.hasAvg,
 		graph:    mt.graph,
 		leafIn:   mt.leafIn,

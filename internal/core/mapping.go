@@ -179,9 +179,11 @@ func (m MappingRelationship) Validate(measures int) error {
 
 // resolution is one way of presenting a source leaf version inside a
 // target structure version: the target leaf, plus the composed mapping
-// function and confidence per measure.
+// function and confidence per measure. mapShard caches the target's
+// member version ordinal beside it, which is what it emits.
 type resolution struct {
 	target MVID
+	ord    int32
 	per    []MeasureMapping
 }
 

@@ -86,6 +86,9 @@ var (
 	metKeyIndexFlattens = obs.Default().Counter(
 		"mvolap_key_index_flattens_total",
 		"Key-index overlays folded into a fresh bottom layer because they outgrew a quarter of it (O(table) once per quarter-table of writes).")
+	metKeyIndexOverflow = obs.Default().Counter(
+		"mvolap_key_index_overflow_total",
+		"Key-index puts whose 64-bit key hash another live key already owned, stored in the generation's overflow map instead.")
 	metRollupTablesBuilt = obs.Default().CounterVec(
 		"mvolap_rollup_tables_built_total",
 		"Rollup tables built: one upward walk over every member version of a dimension, per (version-chain entry, level) on first use; an entry whose hash an earlier generation had keeps that generation's tables.",

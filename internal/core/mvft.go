@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,8 @@ import (
 // factor per value.
 //
 // Storage is columnar (see factShard); a MappedFact is a read-only view
-// whose slices alias the shard columns. Callers must not mutate it.
+// whose Values and CFs alias the shard columns and whose Coords are the
+// stored ordinals translated back to IDs. Callers must not mutate it.
 type MappedFact struct {
 	Coords Coords
 	Time   temporal.Instant
@@ -73,19 +75,21 @@ type factShard struct {
 	// the header it borrowed them from (see MappedTable.borrow): slots
 	// below it are read by other generations, so writing one privatizes.
 	sharedBelow int
-	// coords holds n*nd member version IDs, times n instants, values
-	// and cfs n*nm entries each, sources n counts, and avgN n*nm Avg
-	// contribution counts (nil unless the schema has an Avg measure).
-	// Shards a table creates or privatizes have columns of capacity
-	// MappedShardSize tuples, so appends never reallocate them.
-	coords  []MVID
+	// coords holds n*nd member version ordinals (MemberVersion.ord in
+	// the table's dimension, position by position), times n instants,
+	// values and cfs n*nm entries each, sources n counts, and avgN n*nm
+	// Avg contribution counts (nil unless the schema has an Avg measure).
+	// No column holds a pointer. Shards a table creates or privatizes
+	// have columns of capacity MappedShardSize tuples, so appends never
+	// reallocate them.
+	coords  []int32
 	times   []temporal.Instant
 	values  []float64
 	cfs     []Confidence
 	sources []int32
 	avgN    []int32
 	// zone caches the shard's zone map (min/max time, per-dimension
-	// coordinate summaries). Sealed when the shard fills, invalidated
+	// distinct coordinates). Sealed when the shard fills, invalidated
 	// by appends, carried across privatize (the copy has identical
 	// coords/times), rebuilt lazily by the query scan otherwise.
 	zone atomic.Pointer[shardZone]
@@ -111,7 +115,14 @@ type MappedTable struct {
 	epoch uint64
 	// nd and nm are the coordinate and measure widths of every tuple.
 	nd, nm int
-	// index maps a tuple key to its global position. A warm clone shares
+	// dims are the schema's dimensions, whose member version ordinals
+	// the coordinates are: a dimension only ever appends versions, so an
+	// ordinal names the same version in every generation of a lineage.
+	// Only the views (Facts, Lookup) and the export read IDs through
+	// them.
+	dims []*Dimension
+	// index maps a tuple key to its global position, every hit checked
+	// against the coordinates and time stored there. A warm clone shares
 	// its frozen layers with the source table; a retraction tombstones
 	// the key there, since the slot itself stays put (see keyIndex).
 	index keyIndex
@@ -129,8 +140,6 @@ type MappedTable struct {
 	alg      ConfidenceAlgebra
 	measures []Measure
 	hasAvg   bool
-	// keyBuf is scratch for building index keys during materialization.
-	keyBuf []byte
 
 	// graph and leafIn cache the materialization context of a version
 	// mode (the mapping-relationship graph snapshot and per-dimension
@@ -148,17 +157,18 @@ type MappedTable struct {
 	view atomic.Pointer[[]*MappedFact]
 }
 
-func newMappedTable(m Mode, alg ConfidenceAlgebra, measures []Measure, nd, capacity int) *MappedTable {
+func newMappedTable(s *Schema, m Mode, capacity int) *MappedTable {
 	mt := &MappedTable{
 		Mode:     m,
 		epoch:    shardEpochCounter.Add(1),
-		nd:       nd,
-		nm:       len(measures),
+		nd:       len(s.dims),
+		nm:       len(s.measures),
+		dims:     s.dims,
 		index:    newKeyIndex(capacity),
-		alg:      alg,
-		measures: measures,
+		alg:      s.alg,
+		measures: s.measures,
 	}
-	for _, ms := range measures {
+	for _, ms := range s.measures {
 		if ms.Agg == Avg {
 			mt.hasAvg = true
 			break
@@ -182,8 +192,9 @@ func (mt *MappedTable) Facts() []*MappedFact {
 	if v := mt.view.Load(); v != nil {
 		return *v
 	}
-	live := mt.n - mt.dead
+	live, nd := mt.n-mt.dead, mt.nd
 	arena := make([]MappedFact, live)
+	coords := make(Coords, live*nd)
 	out := make([]*MappedFact, live)
 	i := 0
 	for _, sh := range mt.shards {
@@ -191,7 +202,7 @@ func (mt *MappedTable) Facts() []*MappedFact {
 			if sh.sources[j] == 0 {
 				continue // tombstoned by a retraction
 			}
-			mt.fillView(&arena[i], sh, j)
+			mt.fillView(&arena[i], sh, j, coords[i*nd:(i+1)*nd:(i+1)*nd])
 			out[i] = &arena[i]
 			i++
 		}
@@ -200,10 +211,19 @@ func (mt *MappedTable) Facts() []*MappedFact {
 	return out
 }
 
-// fillView points one row view at tuple j of a shard.
-func (mt *MappedTable) fillView(f *MappedFact, sh *factShard, j int) {
+// ids writes the member version IDs of a tuple's ordinals into dst.
+func (mt *MappedTable) ids(dst Coords, ords []int32) {
+	for i, o := range ords {
+		dst[i] = mt.dims[i].order[o]
+	}
+}
+
+// fillView points one row view at tuple j of a shard, its coordinates
+// written into coords.
+func (mt *MappedTable) fillView(f *MappedFact, sh *factShard, j int, coords Coords) {
 	nd, nm := mt.nd, mt.nm
-	f.Coords = Coords(sh.coords[j*nd : (j+1)*nd : (j+1)*nd])
+	mt.ids(coords, sh.coords[j*nd:(j+1)*nd])
+	f.Coords = coords
 	f.Time = sh.times[j]
 	f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
 	f.CFs = sh.cfs[j*nm : (j+1)*nm : (j+1)*nm]
@@ -222,16 +242,45 @@ func (mt *MappedTable) shardAt(i int) (*factShard, int) {
 // a read-only view. It is safe for concurrent use once the table is
 // materialized.
 func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, bool) {
-	var scratch [64]byte
-	key := appendFactKey(scratch[:0], coords, t)
-	i, ok := mt.index.get(key)
+	if len(coords) != mt.nd {
+		return nil, false
+	}
+	ords := make([]int32, mt.nd)
+	for i, id := range coords {
+		mv := mt.dims[i].members[id]
+		if mv == nil {
+			return nil, false
+		}
+		ords[i] = mv.ord
+	}
+	i, ok := mt.find(tupleKey(ords, t), ords, t)
 	if !ok {
 		return nil, false
 	}
 	f := &MappedFact{}
 	sh, j := mt.shardAt(i)
-	mt.fillView(f, sh, j)
+	mt.fillView(f, sh, j, make(Coords, mt.nd))
 	return f, true
+}
+
+// tupleKey hashes the key (coords, t) of a mapped tuple for the key
+// index: every member version ordinal, then the instant.
+func tupleKey(coords []int32, t temporal.Instant) uint64 {
+	h := keyHashSeed
+	for _, o := range coords {
+		h = h.word(uint64(uint32(o)))
+	}
+	return h.at(t)
+}
+
+// find returns the position of the live tuple at (coords, t), whose key
+// hashes to h: the index's candidates are confirmed against the
+// coordinates and time stored at their positions.
+func (mt *MappedTable) find(h uint64, coords []int32, t temporal.Instant) (int, bool) {
+	return mt.index.get(h, func(pos int) bool {
+		sh, j := mt.shardAt(pos)
+		return sh.times[j] == t && slices.Equal(sh.coords[j*mt.nd:(j+1)*mt.nd], coords)
+	})
 }
 
 // writableShard returns shard si for a write into its slot j,
@@ -252,7 +301,7 @@ func (mt *MappedTable) newShard() *factShard {
 	sh := &factShard{
 		epoch:   mt.epoch,
 		claim:   new(atomic.Int32),
-		coords:  make([]MVID, 0, MappedShardSize*mt.nd),
+		coords:  make([]int32, 0, MappedShardSize*mt.nd),
 		times:   make([]temporal.Instant, 0, MappedShardSize),
 		values:  make([]float64, 0, MappedShardSize*mt.nm),
 		cfs:     make([]Confidence, 0, MappedShardSize*mt.nm),
@@ -335,10 +384,10 @@ func (mt *MappedTable) tailShard() *factShard {
 // add folds one emitted tuple into the table. Values, confidences and
 // coordinates are copied into the columnar shards; callers keep
 // ownership of the passed slices.
-func (mt *MappedTable) add(coords Coords, t temporal.Instant, values []float64, cfs []Confidence) {
-	mt.keyBuf = appendFactKey(mt.keyBuf[:0], coords, t)
+func (mt *MappedTable) add(coords []int32, t temporal.Instant, values []float64, cfs []Confidence) {
+	h := tupleKey(coords, t)
 	nm := mt.nm
-	if i, ok := mt.index.get(mt.keyBuf); ok {
+	if i, ok := mt.find(h, coords, t); ok {
 		// A merge: several source tuples present themselves on the same
 		// target coordinates. Fold values with the measure aggregate ⊕
 		// and confidences with ⊗cf (Definition 12).
@@ -381,7 +430,7 @@ func (mt *MappedTable) add(coords Coords, t temporal.Instant, values []float64, 
 	} else if sh.zone.Load() != nil {
 		sh.zone.Store(nil)
 	}
-	mt.index.put(mt.keyBuf, mt.n)
+	mt.index.put(h, mt.n)
 	mt.n++
 }
 
@@ -619,10 +668,11 @@ func (mv *MultiVersionFactTable) All() (map[string]*MappedTable, error) {
 // per-fact hot path.
 const cancelCheckStride = 256
 
-// emitFunc receives one presented tuple. The slices are the emitter's
-// scratch, valid only during the call: MappedTable.add copies them into
-// its shards, a collector copies what it keeps.
-type emitFunc func(coords Coords, t temporal.Instant, values []float64, cfs []Confidence)
+// emitFunc receives one presented tuple, its coordinates as member
+// version ordinals. The slices are the emitter's scratch, valid only
+// during the call: MappedTable.add copies them into its shards, a
+// collector copies what it keeps.
+type emitFunc func(coords []int32, t temporal.Instant, values []float64, cfs []Confidence)
 
 // mapShard presents a run of facts in a version mode, in fact order,
 // handing every emitted tuple to emit: each source coordinate resolves
@@ -635,14 +685,14 @@ type emitFunc func(coords Coords, t temporal.Instant, values []float64, cfs []Co
 func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, facts []*Fact, emit emitFunc) (dropped int, err error) {
 	nd, nm := len(s.dims), len(s.measures)
 	// Resolutions are deterministic per source member version; cache
-	// them for the run.
+	// them for the run, each with its target's ordinal.
 	resCache := make([]map[MVID][]resolution, nd)
 	for i := range resCache {
 		resCache[i] = make(map[MVID][]resolution)
 	}
 	perDim := make([][]resolution, nd)
 	combo := make([]int, nd)
-	coords := make(Coords, nd)
+	coords := make([]int32, nd)
 	values := make([]float64, nm)
 	cfs := make([]Confidence, nm)
 	for fi, f := range facts {
@@ -657,6 +707,9 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 			if !cached {
 				set := leafIn[i]
 				rs = graph.resolve(id, func(x MVID) bool { return set[x] })
+				for k := range rs {
+					rs[k].ord = s.dims[i].members[rs[k].target].ord
+				}
 				resCache[i][id] = rs
 			}
 			if len(rs) == 0 {
@@ -681,7 +734,7 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 			}
 			for i := 0; i < nd; i++ {
 				r := perDim[i][combo[i]]
-				coords[i] = r.target
+				coords[i] = r.ord
 				for k := 0; k < nm; k++ {
 					v, okv := r.per[k].Fn.Map(values[k])
 					if !okv {
@@ -710,21 +763,25 @@ func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map
 }
 
 // foldTCM presents a run of facts in tcm, in fact order, handing each to
-// emit as it is: source values, every confidence SourceData (the
-// paper's f'|tcm = f × {sd}^m). It stops with an error, its run half
-// emitted, when ctx is cancelled.
+// emit as it is: its coordinates translated to ordinals, source values,
+// every confidence SourceData (the paper's f'|tcm = f × {sd}^m). It
+// stops with an error, its run half emitted, when ctx is cancelled.
 func (s *Schema) foldTCM(ctx context.Context, facts []*Fact, emit emitFunc) error {
 	sd := make([]Confidence, len(s.measures))
 	for k := range sd {
 		sd[k] = SourceData
 	}
+	coords := make([]int32, len(s.dims))
 	for i, f := range facts {
 		if i > 0 && i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: materialization cancelled: %w", err)
 			}
 		}
-		emit(f.Coords, f.Time, f.Values, sd)
+		for k, id := range f.Coords {
+			coords[k] = s.dims[k].members[id].ord
+		}
+		emit(coords, f.Time, f.Values, sd)
 	}
 	return nil
 }
@@ -782,7 +839,7 @@ func (s *Schema) mapFacts(ctx context.Context, m Mode) (*MappedTable, error) {
 		return nil, fmt.Errorf("core: unknown mode kind %d", m.Kind)
 	}
 	facts := s.facts.Facts()
-	out := newMappedTable(m, s.alg, s.measures, len(s.dims), len(facts))
+	out := newMappedTable(s, m, len(facts))
 	if m.Kind == VersionKind {
 		out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
 		out.leafIn = s.versionLeafSets(m.Version)

@@ -384,14 +384,14 @@ func (p *scanPlan) zoneExcludes(z *shardZone, verdicts []*diceView) bool {
 dices:
 	for di, dc := range p.dices {
 		dim := &p.dims[dc.dim]
-		if !dim.static || !z.hasDistinct(dim.pos) {
+		if !dim.static || dim.pos >= len(z.distinct) || z.distinct[dim.pos] == nil {
 			continue
 		}
 		if verdicts[di] == nil {
 			verdicts[di] = newDiceView(dim.d, dim.at, dc.names)
 		}
-		for _, id := range z.dims[dim.pos].distinct {
-			if mv := dim.d.members[id]; mv != nil && verdicts[di].contains(mv.ord) {
+		for _, ord := range z.distinct[dim.pos] {
+			if verdicts[di].contains(ord) {
 				continue dices
 			}
 		}

@@ -95,16 +95,13 @@ func unfoldPair(kind AggKind, x float64, avgc int32, v float64) (float64, int32,
 // place (positional indexing over fixed-size shards must never shift)
 // but its sources count drops to zero, every view and scan skips it,
 // and its key leaves the index so a later emission on the same
-// coordinates appends a fresh tuple. keyBuf is scratch, returned for
-// reuse.
-func (mt *MappedTable) tombstone(pos int, keyBuf []byte) []byte {
+// coordinates appends a fresh tuple.
+func (mt *MappedTable) tombstone(pos int) {
 	j := pos & shardMask
 	sh := mt.writableShard(pos>>shardShift, j)
 	sh.sources[j] = 0
 	mt.dead++
-	keyBuf = appendFactKey(keyBuf[:0], Coords(sh.coords[j*mt.nd:(j+1)*mt.nd]), sh.times[j])
-	mt.index.delete(keyBuf)
-	return keyBuf
+	mt.index.delete(tupleKey(sh.coords[j*mt.nd:(j+1)*mt.nd], sh.times[j]), pos)
 }
 
 // retractInto unfolds the retracted source tuples out of a warm-clone
@@ -121,14 +118,14 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 	// emissions bit for bit. They are collected, not folded: whether a
 	// cell is tombstoned or subtracted from depends on all of them.
 	var (
-		coords  []MVID
+		coords  []int32
 		times   []temporal.Instant
 		values  []float64
 		cfs     []Confidence
 		dropped int
 		err     error
 	)
-	collect := func(c Coords, t temporal.Instant, v []float64, cf []Confidence) {
+	collect := func(c []int32, t temporal.Instant, v []float64, cf []Confidence) {
 		coords = append(coords, c...)
 		times = append(times, t)
 		values = append(values, v...)
@@ -152,10 +149,9 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 	}
 	byPos := make(map[int]*cellPlan)
 	order := make([]*cellPlan, 0, len(times))
-	var keyBuf []byte
 	for i := range times {
-		keyBuf = appendFactKey(keyBuf[:0], Coords(coords[i*nd:(i+1)*nd]), times[i])
-		pos, ok := out.index.get(keyBuf)
+		c := coords[i*nd : (i+1)*nd]
+		pos, ok := out.find(tupleKey(c, times[i]), c, times[i])
 		if !ok {
 			// The table holds no tuple this emission folded into — the
 			// warm state disagrees with the retraction; rebuild cold.
@@ -196,7 +192,7 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 		si := pl.pos >> shardShift
 		j := pl.pos & shardMask
 		if src := int(out.shards[si].sources[j]); len(pl.emits) == src {
-			keyBuf = out.tombstone(pl.pos, keyBuf)
+			out.tombstone(pl.pos)
 			tombShards[si] = true
 			continue
 		}

@@ -194,7 +194,7 @@ func TestTombstoneZoneRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := mt.cloneForWarm(TCM(), s.alg, s.measures)
+	out := mt.cloneForWarm(s, TCM())
 	if !s.retractInto(context.Background(), out, TCM(), []*Fact{s.Facts().Facts()[1]}) {
 		t.Fatal("tcm retraction must always be absorbable")
 	}

@@ -271,11 +271,11 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 }
 
 // scan classifies and folds the live shards and returns the cells as
-// rows, in first-sight order. Per tuple it reads arrays — the slot of
-// the instant, the rollup table by member ordinal, the cell by bucket
-// and group ordinals — and probes one map, the dimension's member
-// index, per dimension used; it takes no lock and allocates only when
-// it meets an instant, an ancestor set or a cell for the first time.
+// rows, in first-sight order. Per tuple it reads arrays only — the
+// slot of the instant, the dice verdict and the rollup table by the
+// member ordinal the tuple stores, the cell by bucket and group
+// ordinals; it probes no map, takes no lock and allocates only when it
+// meets an instant, an ancestor set or a cell for the first time.
 //
 // A shard's emissions are collected, then folded, one shard at a time.
 // That is the fold order of folding each emission where it is
@@ -287,8 +287,16 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 	nd := mt.nd
 	hasDead := mt.dead > 0
 	rng := p.rng
+	// The coordinate position each dice and each axis reads.
+	dicePos := make([]int, len(p.dices))
+	for di, dc := range p.dices {
+		dicePos[di] = p.dims[dc.dim].pos
+	}
+	axisPos := make([]int, len(p.axes))
+	for ai, ax := range p.axes {
+		axisPos[ai] = p.dims[ax.dim].pos
+	}
 
-	ords := make([]int32, len(p.dims)) // the tuple's member ordinal per dimension read
 	// Per axis, the bounds in table.anc of the tuple's ancestor set and
 	// the odometer over their combinations.
 	lo := make([]int32, len(p.axes))
@@ -326,15 +334,8 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 				sl, lastT = sc.slot(t), t
 			}
 			coords := sh.coords[j*nd : (j+1)*nd]
-			for k := range p.dims {
-				mv := p.dims[k].d.members[coords[p.dims[k].pos]]
-				if mv == nil {
-					continue tuples // an unknown coordinate has no ancestors and passes no dice
-				}
-				ords[k] = mv.ord
-			}
 			for di := range p.dices {
-				if !sl.dices[di].contains(ords[p.dices[di].dim]) {
+				if !sl.dices[di].contains(coords[dicePos[di]]) {
 					continue tuples
 				}
 			}
@@ -342,7 +343,7 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 			// hierarchies); a fact contributes to every combination.
 			for ai := range p.axes {
 				v := sl.axes[ai]
-				lo[ai], hi[ai] = v.table.setOf(ords[p.axes[ai].dim])
+				lo[ai], hi[ai] = v.table.setOf(coords[axisPos[ai]])
 				if lo[ai] == hi[ai] {
 					continue tuples // non-covering hierarchy: no ancestor at the level
 				}

@@ -132,12 +132,12 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := baseT.cloneForWarm(TCM(), s.alg, s.measures)
+	out := baseT.cloneForWarm(s, TCM())
 
 	// Tuple 0 lives in shard 0: fold a second contribution into it.
 	f0 := baseT.Facts()[0]
 	wantBase := f0.Values[0]
-	out.add(f0.Coords, f0.Time, []float64{5}, []Confidence{SourceData})
+	out.add(ordsOf(s, f0.Coords), f0.Time, []float64{5}, []Confidence{SourceData})
 
 	if out.Len() != baseT.Len() {
 		t.Fatalf("merge changed the tuple count: %d vs %d", out.Len(), baseT.Len())
@@ -164,7 +164,7 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	// Shard 1 is the partial tail. An append borrows it; a merge into the
 	// slot this table just appended stays in place, a merge into a slot
 	// below sharedBelow — one the base still reads — privatizes it.
-	fresh := Coords{"Smith"}
+	fresh := ordsOf(s, Coords{"Smith"})
 	out.add(fresh, ym(2600, 1), []float64{1}, []Confidence{SourceData})
 	borrowed := out.shards[1]
 	if borrowed == baseT.shards[1] || &borrowed.times[0] != &baseT.shards[1].times[0] || borrowed.sharedBelow != 50 {
@@ -176,7 +176,7 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	}
 	f1 := baseT.Facts()[MappedShardSize]
 	want1 := f1.Values[0]
-	out.add(f1.Coords, f1.Time, []float64{5}, []Confidence{SourceData})
+	out.add(ordsOf(s, f1.Coords), f1.Time, []float64{5}, []Confidence{SourceData})
 	priv := out.shards[1]
 	if priv == borrowed || &priv.times[0] == &baseT.shards[1].times[0] || priv.sharedBelow != 0 {
 		t.Fatal("merge below sharedBelow wrote into the shared columns")
@@ -312,10 +312,10 @@ func TestCloneForWarmAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocsSmall := testing.AllocsPerRun(20, func() {
-		_ = smallT.cloneForWarm(TCM(), small.alg, small.measures)
+		_ = smallT.cloneForWarm(small, TCM())
 	})
 	allocsBig := testing.AllocsPerRun(20, func() {
-		_ = bigT.cloneForWarm(TCM(), big.alg, big.measures)
+		_ = bigT.cloneForWarm(big, TCM())
 	})
 	if allocsBig > allocsSmall {
 		t.Errorf("cloneForWarm allocations scale with table size: %v at 2 shards, %v at 8", allocsSmall, allocsBig)
@@ -409,31 +409,30 @@ func BenchmarkMappedTableLookup(b *testing.B) {
 	}
 	seals := 1<<depth - 1 // the most the overlay takes below a quarter of the bottom
 	fresh := func(i int) (Coords, temporal.Instant) { return Coords{"Smith"}, ym(9000+i/12, 1+i%12) }
-	deep := baseT.cloneForWarm(TCM(), s.alg, s.measures)
+	deep := baseT.cloneForWarm(s, TCM())
 	for i := 0; i <= seals*indexSealAt; i++ {
 		c, at := fresh(i)
-		deep.add(c, at, []float64{1}, []Confidence{SourceData})
+		deep.add(ordsOf(s, c), at, []float64{1}, []Confidence{SourceData})
 	}
 	if got := len(deep.index.layers); got != depth+1 {
 		b.Fatalf("deep table has %d index layers, want the bottom plus %d", got, depth)
 	}
 
 	f0 := baseT.Facts()[0]
-	bottomKey := appendFactKey(nil, f0.Coords, f0.Time)
 	c, at := fresh(seals * indexSealAt) // the last key added: alone in the top
-	topKey := appendFactKey(nil, c, at)
-	missKey := appendFactKey(nil, Coords{"Smith"}, ym(8000, 1))
-	probe := func(mt *MappedTable, key []byte, want bool) func(b *testing.B) {
+	probe := func(mt *MappedTable, c Coords, at temporal.Instant, want bool) func(b *testing.B) {
+		ords := ordsOf(s, c)
+		h := tupleKey(ords, at)
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := mt.index.get(key); ok != want {
-					b.Fatalf("get = %v, want %v", ok, want)
+				if _, ok := mt.find(h, ords, at); ok != want {
+					b.Fatalf("find = %v, want %v", ok, want)
 				}
 			}
 		}
 	}
-	b.Run("bottom-hit-max-depth", probe(deep, bottomKey, true))
-	b.Run("top-hit", probe(deep, topKey, true))
-	b.Run("miss-max-depth", probe(deep, missKey, false))
-	b.Run("bottom-hit-fresh-clone", probe(baseT.cloneForWarm(TCM(), s.alg, s.measures), bottomKey, true))
+	b.Run("bottom-hit-max-depth", probe(deep, f0.Coords, f0.Time, true))
+	b.Run("top-hit", probe(deep, c, at, true))
+	b.Run("miss-max-depth", probe(deep, Coords{"Smith"}, ym(8000, 1), false))
+	b.Run("bottom-hit-fresh-clone", probe(baseT.cloneForWarm(s, TCM()), f0.Coords, f0.Time, true))
 }

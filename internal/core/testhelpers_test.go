@@ -60,6 +60,16 @@ func randomEvolvingSchema(seed int64) *Schema {
 	return s
 }
 
+// ordsOf translates coordinates into the member version ordinals a
+// mapped table stores.
+func ordsOf(s *Schema, c Coords) []int32 {
+	out := make([]int32, len(c))
+	for i, id := range c {
+		out[i] = s.dims[i].members[id].ord
+	}
+	return out
+}
+
 // ancestorsAtLevel reads the member's ancestor set at the level out of
 // the dimension's rollup table of D(at).
 func (d *Dimension) ancestorsAtLevel(id MVID, level string, at temporal.Instant) []*MemberVersion {

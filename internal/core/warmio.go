@@ -80,8 +80,9 @@ func shardMappedColumns(nd, nm int, coords []MVID, times []temporal.Instant, val
 // can resolve by ID. It never triggers a materialization: a
 // cold cache (or one with only failed or in-flight builds) exports
 // nothing. The export aliases the immutable shard columns of the
-// published tables (values are re-encoded as bits); callers must not
-// write through it.
+// published tables (values are re-encoded as bits, coordinates
+// translated from ordinals back to member version IDs); callers must
+// not write through it.
 //
 // Deprecated: no snapshot carries modes any more; only the benchmark
 // module's serial replay calls this. It is removed with that replay
@@ -106,16 +107,20 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 		if t.table.Mode.Kind == VersionKind {
 			exp.Valid, exp.Signature = sv.Valid, sv.sig
 		}
+		nd, nm := t.table.nd, t.table.nm
 		if t.table.dead == 0 {
 			for _, sh := range t.table.shards {
 				se := MappedShardExport{
 					N:       sh.n,
-					Coords:  sh.coords,
+					Coords:  make([]MVID, len(sh.coords)),
 					Times:   sh.times,
 					Values:  make([]uint64, len(sh.values)),
 					CFs:     sh.cfs,
 					Sources: sh.sources,
 					AvgN:    sh.avgN,
+				}
+				for j := 0; j < sh.n; j++ {
+					t.table.ids(se.Coords[j*nd:(j+1)*nd], sh.coords[j*nd:(j+1)*nd])
 				}
 				for i, v := range sh.values {
 					se.Values[i] = math.Float64bits(v)
@@ -129,7 +134,7 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 			// over live tuples anyway).
 			// The live count is known, so each column is allocated once
 			// for the whole table and cut into shards afterwards.
-			nd, nm, live := t.table.nd, t.table.nm, exp.NumFacts
+			live := exp.NumFacts
 			coords := make([]MVID, 0, live*nd)
 			times := make([]temporal.Instant, 0, live)
 			values := make([]uint64, 0, live*nm)
@@ -144,7 +149,8 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 					if sh.sources[j] == 0 {
 						continue
 					}
-					coords = append(coords, sh.coords[j*nd:(j+1)*nd]...)
+					coords = coords[:len(coords)+nd]
+					t.table.ids(coords[len(coords)-nd:], sh.coords[j*nd:(j+1)*nd])
 					times = append(times, sh.times[j])
 					for _, v := range sh.values[j*nm : (j+1)*nm] {
 						values = append(values, math.Float64bits(v))

@@ -1,39 +1,29 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"mvolap/internal/temporal"
 )
 
 // zoneDistinctCap bounds the per-dimension distinct-coordinate set kept
-// in a shard zone map. Shards touching more distinct members than this
-// keep only the min/max bounds; dice pruning then falls back to
-// scanning the shard.
+// in a shard zone map. A shard touching more distinct members than
+// this keeps no set for the dimension, and dice pruning scans it.
 const zoneDistinctCap = 32
 
-// zoneDim summarizes one coordinate column of a shard: lexicographic
-// min/max member version IDs plus, when small enough, the exact
-// distinct set (sorted).
-type zoneDim struct {
-	min, max MVID
-	// distinct is the sorted distinct coordinate set, nil once the
-	// shard exceeds zoneDistinctCap distinct members in this dimension.
-	distinct []MVID
-}
-
 // shardZone is the zone map of one factShard: the min/max fact instant
-// and per-dimension coordinate summaries. A zone describes the shard's
-// coords and times columns only — merge folds (which rewrite values,
-// confidences and source counts, never coordinates or times) keep it
-// valid; appends invalidate it (factShard.add clears the pointer and
-// re-seals a full shard).
+// and, per dimension, the sorted distinct member version ordinals of
+// the live tuples — nil once the shard exceeds zoneDistinctCap of them.
+// A zone describes the shard's coords and times columns only — merge
+// folds (which rewrite values, confidences and source counts, never
+// coordinates or times) keep it valid; appends invalidate it
+// (MappedTable.add clears the pointer and re-seals a full shard).
 //
 // The query scan consults zones to skip shards that cannot contain a
 // tuple passing the query's time window or its prunable dice filters.
 type shardZone struct {
 	minTime, maxTime temporal.Instant
-	dims             []zoneDim
+	distinct         [][]int32
 }
 
 // buildZone computes the zone map over the first n tuples of the shard
@@ -54,9 +44,9 @@ func buildZone(sh *factShard, nd int) *shardZone {
 		return &shardZone{minTime: temporal.Now, maxTime: temporal.Origin}
 	}
 	z := &shardZone{
-		minTime: sh.times[first],
-		maxTime: sh.times[first],
-		dims:    make([]zoneDim, nd),
+		minTime:  sh.times[first],
+		maxTime:  sh.times[first],
+		distinct: make([][]int32, nd),
 	}
 	for i := first; i < sh.n; i++ {
 		if sh.sources[i] == 0 {
@@ -71,35 +61,20 @@ func buildZone(sh *factShard, nd int) *shardZone {
 		}
 	}
 	for d := 0; d < nd; d++ {
-		set := make(map[MVID]struct{}, zoneDistinctCap+1)
-		zd := &z.dims[d]
-		zd.min = sh.coords[first*nd+d]
-		zd.max = zd.min
-		for i := first; i < sh.n; i++ {
+		set := make([]int32, 0, zoneDistinctCap+1)
+		for i := first; i < sh.n && set != nil; i++ {
 			if sh.sources[i] == 0 {
 				continue
 			}
-			id := sh.coords[i*nd+d]
-			if id < zd.min {
-				zd.min = id
-			}
-			if id > zd.max {
-				zd.max = id
-			}
-			if set != nil {
-				set[id] = struct{}{}
-				if len(set) > zoneDistinctCap {
+			ord := sh.coords[i*nd+d]
+			if !slices.Contains(set, ord) {
+				if set = append(set, ord); len(set) > zoneDistinctCap {
 					set = nil
 				}
 			}
 		}
-		if set != nil {
-			zd.distinct = make([]MVID, 0, len(set))
-			for id := range set {
-				zd.distinct = append(zd.distinct, id)
-			}
-			sort.Slice(zd.distinct, func(i, j int) bool { return zd.distinct[i] < zd.distinct[j] })
-		}
+		slices.Sort(set)
+		z.distinct[d] = set
 	}
 	return z
 }
@@ -122,10 +97,4 @@ func (sh *factShard) zoneMap(nd int) *shardZone {
 // the query range.
 func (z *shardZone) overlapsTime(rng temporal.Interval) bool {
 	return z.minTime <= rng.End && rng.Start <= z.maxTime
-}
-
-// hasDistinct reports whether the zone tracks the exact distinct set
-// for dimension d.
-func (z *shardZone) hasDistinct(d int) bool {
-	return d < len(z.dims) && z.dims[d].distinct != nil
 }
