@@ -42,7 +42,10 @@ deps-check:
 # sequence it records beside it is always the one served. An assignment
 # anywhere else in internal/server's non-test code is a second publish
 # starting.
+#
+# The whole-table view .Facts().Facts() is O(facts), and a write reads its appended suffix (FactTable.Since) instead.
 WRITE_PATH = ./internal/store/mutation.go
+FACT_VIEW_FREE = internal/store internal/server internal/tql
 NOT_A_SCHEMA = [cC]oords|mv
 .PHONY: write-path-check
 write-path-check:
@@ -66,6 +69,10 @@ write-path-check:
 			$$(ls internal/server/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$swaps" ]; then \
 		echo "write-path-check: the served schema is assigned outside (*Server).publish:"; echo "$$swaps"; bad=1; \
+	fi; \
+	views=$$(grep -rnF '.Facts().Facts()' --include='*.go' --exclude='*_test.go' $(FACT_VIEW_FREE)); \
+	if [ -n "$$views" ]; then \
+		echo "write-path-check: a whole-table fact view in $(FACT_VIEW_FREE):"; echo "$$views"; bad=1; \
 	fi; \
 	test -z "$$bad"
 

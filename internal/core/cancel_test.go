@@ -48,17 +48,19 @@ func TestExecuteContextDeadline(t *testing.T) {
 // TestModeContextCancelledBuildEvicted asserts that a build abandoned
 // by cancellation is evicted from the mode cache, so the next live
 // caller rebuilds cleanly instead of inheriting the failure.
+// tcm is the fact table and is never built, so the test builds V1.
 func TestModeContextCancelledBuildEvicted(t *testing.T) {
 	s := splitSchema(t)
 	mv := s.MultiVersion()
+	v1 := InVersion(s.VersionByID("V1"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mv.ModeContext(ctx, TCM()); err == nil {
+	if _, err := mv.ModeContext(ctx, v1); err == nil {
 		t.Fatal("cancelled materialization should fail")
 	}
 
-	mt, err := mv.ModeContext(context.Background(), TCM())
+	mt, err := mv.ModeContext(context.Background(), v1)
 	if err != nil {
 		t.Fatalf("retry after cancelled build: %v", err)
 	}
@@ -145,11 +147,12 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestWarmFromCancelledMidFold cancels WarmFrom inside its folds, after
-// every warm mode has appended part of a delta in place, into the tail
-// shard it borrowed from base. The modes are evicted, base's tables are
-// untouched, and a sibling clone folded afterwards with a live context
-// — which finds those tail slots claimed by the abandoned clone — equals
-// a cold rebuild.
+// every warm version mode has appended part of a delta in place, into
+// the tail shard it borrowed from base. The version modes are evicted —
+// tcm, the fact table the batch already wrote, has no fold to abandon
+// and stays — base's tables are untouched, and a sibling clone folded
+// afterwards with a live context — which finds those tail slots claimed
+// by the abandoned clone — equals a cold rebuild.
 func TestWarmFromCancelledMidFold(t *testing.T) {
 	const n, delta = MappedShardSize + 100, 300 // a partial tail; more facts than one cancel check stride
 	base := bigTCMSchema(t, n)
@@ -163,25 +166,25 @@ func TestWarmFromCancelledMidFold(t *testing.T) {
 		}
 	}
 	insert := func(c *Schema) Delta {
-		old := c.Facts().Len()
+		old := c.Facts().End()
 		for i := 0; i < delta; i++ {
 			if err := c.InsertFact(Coords{[]MVID{"Smith", "Brian"}[i%2]}, ym(2600+i/24, 1+(i/2)%12), float64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return Delta{NewFacts: c.Facts().Facts()[old:]}
+		return Delta{NewFacts: c.Facts().Since(old)}
 	}
 
-	// WarmFrom checks ctx once per mode while deciding retention; every
-	// later check — each fold's first comes after cancelCheckStride
-	// facts — reports the cancellation.
+	// WarmFrom checks ctx once per version mode while deciding
+	// retention; every later check — each fold's first comes after
+	// cancelCheckStride facts — reports the cancellation.
 	abandoned := base.Clone()
-	res := abandoned.WarmFrom(newCancelAfter(len(modes)), base, insert(abandoned))
-	if len(res.Retained) != 0 || len(res.Evicted) != len(modes) || res.DeltaApplied != 0 {
-		t.Fatalf("cancelled WarmFrom = %+v, want every mode evicted", res)
+	res := abandoned.WarmFrom(newCancelAfter(len(modes)-1), base, insert(abandoned))
+	if len(res.Retained) != 1 || res.Retained[0] != "tcm" || len(res.Evicted) != len(modes)-1 || res.DeltaApplied != 1 {
+		t.Fatalf("cancelled WarmFrom = %+v, want tcm retained and every version mode evicted", res)
 	}
-	if cached := len(abandoned.MultiVersion().byMode); cached != 0 {
-		t.Fatalf("%d modes cached on the abandoned clone", cached)
+	if cached := len(abandoned.MultiVersion().byMode); cached != 1 {
+		t.Fatalf("%d modes cached on the abandoned clone, want tcm only", cached)
 	}
 	fresh := bigTCMSchema(t, n)
 	for _, m := range modes {
@@ -189,8 +192,14 @@ func TestWarmFromCancelledMidFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tail := bt.shards[len(bt.shards)-1]; tail.claim.Load() != int32(tail.n+cancelCheckStride) {
-			t.Errorf("%s: tail claim %d, want the abandoned fold's %d slots past %d", m, tail.claim.Load(), cancelCheckStride, tail.n)
+		// The batch itself appended to the fact table, tcm; a version
+		// mode's fold was abandoned at its first cancellation check.
+		claimed := cancelCheckStride
+		if m.Kind == TCMKind {
+			claimed = delta
+		}
+		if tail := bt.shards[len(bt.shards)-1]; tail.claim.Load() != int32(tail.n+claimed) {
+			t.Errorf("%s: tail claim %d, want the abandoned write's %d slots past %d", m, tail.claim.Load(), claimed, tail.n)
 		}
 		want, err := fresh.MultiVersion().Mode(InVersionOf(fresh, m))
 		if err != nil {

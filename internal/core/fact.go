@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
-	"sync/atomic"
 
 	"mvolap/internal/temporal"
 )
@@ -13,15 +10,6 @@ import (
 // Coords addresses one cell of the fact table: one leaf member version
 // per dimension, in schema dimension order.
 type Coords []MVID
-
-// Key returns a canonical string key for the coordinate vector.
-func (c Coords) Key() string {
-	parts := make([]string, len(c))
-	for i, id := range c {
-		parts[i] = string(id)
-	}
-	return strings.Join(parts, "\x1f")
-}
 
 // Equal reports coordinate equality.
 func (c Coords) Equal(other Coords) bool {
@@ -45,232 +33,198 @@ func (c Coords) Clone() Coords {
 
 // Fact is one tuple of the Temporally Consistent Fact Table
 // (Definition 5): leaf member versions valid at Time, with one value per
-// measure.
+// measure. The fact table does not store Facts; it hands them out as
+// views of its columns.
 type Fact struct {
 	Coords Coords
 	Time   temporal.Instant
 	Values []float64
-	// ord is the tuple's insertion ordinal in its table's lineage (see
-	// FactTable); the tuple a replacing Insert stores in its slot keeps it.
-	ord int
-}
-
-// factKey hashes the key (coords, t) of a source fact for the key
-// index: every member version ID, then the instant.
-func factKey(c Coords, t temporal.Instant) uint64 {
-	h := keyHashSeed
-	for _, id := range c {
-		h = h.id(id)
-	}
-	return h.at(t)
 }
 
 // FactTable is the Temporally Consistent Fact Table f of Definition 5: a
 // partial function from leaf member versions and time to measure values.
-// It stores source data only; mapped presentations are derived from it
-// (see MultiVersionFactTable).
 //
-// Cloning is copy-on-write: a clone shares the *Fact tuples, the
-// backing array of the pointer list and the frozen layers of the key
-// index with its source and copies only the index's bounded top. A
-// stored tuple is never written: a replacing Insert stores a fresh one.
-// Successive generations append to one backing array (see push).
-type FactTable struct {
-	measures int
-	// facts holds the live tuples in insertion order, which is ordinal
-	// order. Its backing array may be shared with other tables: slots
-	// below shared may be read by them, so a write there copies the list
-	// first, and a slot at or past the length is written only after it
-	// is claimed (claim counts the slots of the array some table has
-	// spoken for; every table over the array holds the same counter).
-	facts  []*Fact
-	claim  *atomic.Int64
-	shared int
-	// index maps a fact key to the tuple's ordinal, not to its position:
-	// a retraction closes up the slice and moves every later tuple, but
-	// ordinals never change, so nothing is re-indexed. nextOrd is the
-	// ordinal the next new tuple takes.
-	index   keyIndex
-	nextOrd int
+// Definition 11 gives f'|tcm = f × {sd}^m, so the fact table is stored
+// as tcm's MappedTable and MultiVersion().Mode(TCM()) returns that very
+// table: member version ordinals, instants and values in sharded
+// columns, every confidence sd and every source count 1, with the one
+// hashed key index checked against the columns. A tuple's position is
+// its insertion ordinal. A replacing Insert writes the slot's values; a
+// Retract tombstones the slot, so a re-inserted key appends afresh.
+//
+// Cloning is the mapped tables' copy-on-write: a clone shares every
+// shard and the frozen layers of the key index, and a write into a slot
+// another generation may read privatizes that one shard first (see
+// MappedTable.writableShard); an append claims the tail's next slot
+// (MappedTable.tailShard).
+type FactTable MappedTable
+
+// newFactTable returns an empty fact table over the schema's dimensions
+// and measures.
+func newFactTable(s *Schema) *FactTable {
+	return (*FactTable)(newMappedTable(s, TCM(), 0))
 }
 
-// NewFactTable creates an empty fact table for m measures.
-func NewFactTable(measures int) *FactTable {
-	return &FactTable{measures: measures, index: newKeyIndex(0)}
-}
+// table returns the fact table as tcm's mapped table.
+func (ft *FactTable) table() *MappedTable { return (*MappedTable)(ft) }
 
 // Measures reports the number of measures per fact.
-func (ft *FactTable) Measures() int { return ft.measures }
+func (ft *FactTable) Measures() int { return ft.nm }
 
 // Len reports the number of stored facts.
-func (ft *FactTable) Len() int { return len(ft.facts) }
+func (ft *FactTable) Len() int { return ft.table().Len() }
 
-// position returns where the live tuple with the given ordinal sits in
-// facts. Only retractions move a tuple off facts[ord], each by one slot
-// to the left, so the binary search spans as many slots as the lineage
-// has retracted tuples — none at all on an insert-only table.
-func (ft *FactTable) position(ord int) int {
-	lo := max(0, ord-(ft.nextOrd-len(ft.facts)))
-	hi := min(ord, len(ft.facts)-1)
-	return lo + sort.Search(hi-lo, func(i int) bool { return ft.facts[lo+i].ord >= ord })
-}
-
-// find returns the ordinal of the live tuple at (coords, t), whose key
-// hashes to h: the index's candidates are confirmed against the tuples.
-func (ft *FactTable) find(h uint64, coords Coords, t temporal.Instant) (int, bool) {
-	return ft.index.get(h, func(ord int) bool {
-		f := ft.facts[ft.position(ord)]
-		return f.Time == t && f.Coords.Equal(coords)
-	})
-}
+// End returns the position the next appended fact takes: the mark
+// Since reads a write's appended suffix from.
+func (ft *FactTable) End() int { return ft.n }
 
 // Insert adds a fact. Inserting at existing coordinates and time
-// replaces the previous values (the fact table is a function): a fresh
-// tuple takes the old one's slot, so a stored tuple is never written.
+// replaces the previous values (the fact table is a function) in their
+// slot. Every coordinate must name a member version of its dimension.
 func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64) error {
-	if len(values) != ft.measures {
-		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.measures)
+	if len(values) != ft.nm {
+		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.nm)
 	}
-	h := factKey(coords, t)
-	if ord, ok := ft.find(h, coords, t); ok {
-		i := ft.position(ord)
-		if i < ft.shared {
-			ft.copyFacts("replace")
+	var buf [8]int32
+	mt := ft.table()
+	ords, ok := mt.ordinals(buf[:0], coords)
+	if !ok {
+		return fmt.Errorf("core: fact coordinates %v not in the schema's dimensions", coords)
+	}
+	h := tupleKey(ords, t)
+	if pos, ok := mt.find(h, ords, t); ok {
+		nm, j := ft.nm, pos&shardMask
+		sh := mt.writableShard(pos>>shardShift, j)
+		copy(sh.values[j*nm:(j+1)*nm], values)
+		if sh.avgN != nil {
+			for k, v := range values {
+				sh.avgN[j*nm+k] = avgCount(v)
+			}
 		}
-		old := ft.facts[i]
-		ft.facts[i] = &Fact{Coords: old.Coords, Time: old.Time, Values: append([]float64(nil), values...), ord: ord}
-		return nil
+	} else {
+		mt.appendTuple(h, ords, t, values, make([]Confidence, ft.nm))
 	}
-	f := &Fact{Coords: coords.Clone(), Time: t, Values: append([]float64(nil), values...), ord: ft.nextOrd}
-	ft.index.put(h, ft.nextOrd)
-	ft.nextOrd++
-	ft.push(f)
+	ft.view.Store(nil)
 	return nil
 }
 
-// push appends f. The slot at the list's length lies past every other
-// table's view of the backing array, so f is stored there in place once
-// this table wins the claim on it (n → n+1); a sibling generation that
-// claimed the slot first, or a full array, makes it copy instead.
-func (ft *FactTable) push(f *Fact) {
-	n := len(ft.facts)
-	switch {
-	case n == cap(ft.facts):
-		ft.copyFacts("full")
-	case !ft.claim.CompareAndSwap(int64(n), int64(n+1)):
-		ft.copyFacts("claim_lost")
-	default:
-		ft.facts = append(ft.facts, f)
-		return
-	}
-	ft.claim.Add(1)
-	ft.facts = append(ft.facts, f)
-}
-
-// factListHeadroom is the least spare capacity a copied pointer list
-// gets; beyond it the headroom grows with the table (a quarter), so the
-// appends of many writes share one copy.
-const factListHeadroom = 1024
-
-// copyFacts gives the table a private copy of its pointer list with
-// headroom and a fresh claim on it, counted under reason. The tuples
-// stay shared.
-func (ft *FactTable) copyFacts(reason string) {
-	n := len(ft.facts)
-	facts := make([]*Fact, n, n+max(n/4, factListHeadroom))
-	copy(facts, ft.facts)
-	ft.facts = facts
-	ft.claim = new(atomic.Int64)
-	ft.claim.Store(int64(n))
-	ft.shared = 0
-	metFactListCopies.With(reason).Inc()
-}
-
-// Lookup returns the values at the given coordinates and time. It is
-// safe for concurrent use as long as no Insert or Retract runs.
+// Lookup returns the values at the given coordinates and time, valid
+// until the table's next write. It is safe for concurrent use as long
+// as no Insert or Retract runs.
 func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool) {
-	ord, ok := ft.find(factKey(coords, t), coords, t)
+	pos, ok := ft.table().locate(coords, t)
 	if !ok {
 		return nil, false
 	}
-	return ft.facts[ft.position(ord)].Values, true
+	sh, j := ft.table().shardAt(pos)
+	nm := ft.nm
+	return sh.values[j*nm : (j+1)*nm : (j+1)*nm], true
 }
 
-// Facts returns the stored facts in insertion order. The slice is shared
-// and has no spare capacity, so an append by the caller copies instead
-// of writing into slots the table, or a clone of it, appends to next;
-// callers must not mutate its elements.
-func (ft *FactTable) Facts() []*Fact { return ft.facts[:len(ft.facts):len(ft.facts)] }
-
-// Retract removes the fact at (coords, t), returning the removed tuple
-// so the caller can carry it in a Delta: an index lookup, a tombstone,
-// and closing up the pointer list — copied first when the slot is below
-// the shared length, as it is on the first retraction after a Clone.
-// The tuple itself stays shared with any clones (they and the returned
-// pointer still reference it; callers must treat it as read-only), and
-// the surviving facts keep their insertion order.
-func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
-	h := factKey(coords, t)
-	ord, ok := ft.find(h, coords, t)
-	if !ok {
-		return nil, false
-	}
-	i := ft.position(ord)
-	f := ft.facts[i]
-	if i < ft.shared {
-		ft.copyFacts("retract")
-	}
-	ft.facts = slices.Delete(ft.facts, i, i+1)
-	// Every slot from shared up was claimed by this table, so the claim
-	// stands at the old length; hand the freed slot back.
-	ft.claim.Store(int64(len(ft.facts)))
-	ft.index.delete(h, ord)
-	return f, true
+// All yields the stored facts in insertion order, translating each
+// tuple's ordinals back to member version IDs; it stops when yield
+// returns false. The yielded Fact is the walk's scratch: its fields are
+// valid only until yield returns.
+func (ft *FactTable) All(yield func(*Fact) bool) {
+	mt := ft.table()
+	nd, nm := mt.nd, mt.nm
+	f := &Fact{Coords: make(Coords, nd)}
+	mt.each(0, func(sh *factShard, j int) bool {
+		mt.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
+		f.Time = sh.times[j]
+		f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
+		return yield(f)
+	})
 }
 
-// Clone returns a copy-on-write copy of the fact table in O(1) plus the
-// bounded top of the key index: both tables share the tuples and the
-// pointer list's backing array. Tuples are never written; a write to a
-// slot below the shared length (a replacing Insert, a Retract) copies
-// the list first, and an append claims its slot (see push). Inserts and
-// retractions on either table never reach through to the other.
-//
-// Clone writes the receiver's shared length: it needs the writer's
-// exclusion, not the readers'. A published table is never written.
-func (ft *FactTable) Clone() *FactTable {
-	n := len(ft.facts)
-	// The receiver no longer exclusively owns the list's first n slots.
-	ft.shared = n
-	return &FactTable{
-		measures: ft.measures,
-		facts:    ft.facts,
-		claim:    ft.claim,
-		shared:   n,
-		index:    ft.index.clone(ft.nextOrd),
-		nextOrd:  ft.nextOrd,
-	}
-}
+// Facts returns a fresh view of the stored facts in insertion order,
+// built on every call and never cached: it is O(facts), and a write
+// reads its appended suffix through Since instead. The slice has no
+// spare capacity and no fact aliases the table.
+func (ft *FactTable) Facts() []*Fact { return ft.Since(0) }
 
-// Times returns the sorted distinct instants present in the table.
-func (ft *FactTable) Times() []temporal.Instant {
-	seen := make(map[temporal.Instant]bool)
-	var out []temporal.Instant
-	for _, f := range ft.facts {
-		if !seen[f.Time] {
-			seen[f.Time] = true
-			out = append(out, f.Time)
-		}
+// Since returns a fresh view of the live facts stored at or past
+// position mark, in insertion order: with mark taken from End before a
+// batch, the facts the batch appended. It costs O(suffix).
+func (ft *FactTable) Since(mark int) []*Fact {
+	mt := ft.table()
+	nd, nm, size := mt.nd, mt.nm, max(mt.n-mark, 0)
+	arena := make([]Fact, 0, size)
+	coords := make(Coords, size*nd)
+	values := make([]float64, size*nm)
+	mt.each(mark, func(sh *factShard, j int) bool {
+		i := len(arena)
+		c := coords[i*nd : (i+1)*nd : (i+1)*nd]
+		mt.ids(c, sh.coords[j*nd:(j+1)*nd])
+		v := values[i*nm : (i+1)*nm : (i+1)*nm]
+		copy(v, sh.values[j*nm:(j+1)*nm])
+		arena = append(arena, Fact{Coords: c, Time: sh.times[j], Values: v})
+		return true
+	})
+	out := make([]*Fact, len(arena))
+	for i := range arena {
+		out[i] = &arena[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// TimeSpan returns the hull of all fact instants, empty when the table
-// has no facts.
-func (ft *FactTable) TimeSpan() temporal.Interval {
-	times := ft.Times()
-	if len(times) == 0 {
-		return temporal.Interval{Start: 1, End: 0}
+// Retract removes the fact at (coords, t), returning a copy of the
+// removed tuple so the caller can carry it in a Delta: an index lookup
+// and a tombstone in the slot, whose shard is privatized first when
+// another generation may read it, as on the first retraction after a
+// Clone. The surviving facts keep their insertion order.
+func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
+	mt := ft.table()
+	pos, ok := mt.locate(coords, t)
+	if !ok {
+		return nil, false
 	}
-	return temporal.Between(times[0], times[len(times)-1])
+	sh, j := mt.shardAt(pos)
+	nm := ft.nm
+	f := &Fact{Coords: coords.Clone(), Time: t, Values: slices.Clone(sh.values[j*nm : (j+1)*nm])}
+	mt.tombstone(pos)
+	sh = mt.shards[pos>>shardShift]
+	sh.zone.Store(buildZone(sh, mt.nd))
+	ft.view.Store(nil)
+	return f, true
+}
+
+// clone returns a copy-on-write copy of the fact table over the
+// schema's dimensions, in O(1) plus the bounded top of the key index
+// (MappedTable.cloneForWarm). The receiver takes a fresh epoch and
+// shares its list of shard headers too, so neither table writes a
+// shard, or a list, the other reads.
+//
+// clone writes the receiver's ownership state: it needs the writer's
+// exclusion, not the readers'. A published table is never written.
+func (ft *FactTable) clone(s *Schema) *FactTable {
+	out := ft.table().cloneForWarm(s, TCM())
+	ft.epoch = shardEpochCounter.Add(1)
+	ft.shardsShared = true
+	return (*FactTable)(out)
+}
+
+// shardOf lays facts out as one detached shard in the store's column
+// layout — ordinals, instants, values, every source count 1 — for the
+// folds that present a run of them. It reports false when a coordinate
+// names no member version of its dimension.
+func (ft *FactTable) shardOf(facts []*Fact) (*factShard, bool) {
+	mt := ft.table()
+	sh := &factShard{
+		n:       len(facts),
+		coords:  make([]int32, 0, len(facts)*mt.nd),
+		times:   make([]temporal.Instant, 0, len(facts)),
+		values:  make([]float64, 0, len(facts)*mt.nm),
+		sources: make([]int32, len(facts)),
+	}
+	for i, f := range facts {
+		var ok bool
+		if sh.coords, ok = mt.ordinals(sh.coords, f.Coords); !ok {
+			return nil, false
+		}
+		sh.times = append(sh.times, f.Time)
+		sh.values = append(sh.values, f.Values...)
+		sh.sources[i] = 1
+	}
+	return sh, true
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mvolap/internal/temporal"
@@ -13,9 +15,6 @@ func TestCoordsKeyAndEqual(t *testing.T) {
 	a := Coords{"x", "y"}
 	b := Coords{"x", "y"}
 	c := Coords{"x", "z"}
-	if a.Key() != b.Key() || a.Key() == c.Key() {
-		t.Error("Key not canonical")
-	}
 	if !a.Equal(b) || a.Equal(c) || a.Equal(Coords{"x"}) {
 		t.Error("Equal wrong")
 	}
@@ -26,13 +25,39 @@ func TestCoordsKeyAndEqual(t *testing.T) {
 	}
 }
 
+// factSchema returns a schema over one dimension "D" whose members, the
+// given IDs, are valid at every instant on level "Member", with the
+// given number of Sum measures: the store keys member version ordinals,
+// so a fact table always belongs to a schema.
+func factSchema(t testing.TB, measures int, ids ...MVID) *Schema {
+	t.Helper()
+	ms := make([]Measure, measures)
+	for k := range ms {
+		ms[k] = Measure{Name: fmt.Sprintf("m%d", k), Agg: Sum}
+	}
+	s := NewSchema("facts", ms...)
+	d := NewDimension("D", "D")
+	for _, id := range ids {
+		if err := d.AddVersion(&MemberVersion{ID: id, Level: "Member", Valid: temporal.Since(temporal.Origin)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestFactTableInsertLookup(t *testing.T) {
-	ft := NewFactTable(2)
+	ft := factSchema(t, 2, "a").Facts()
 	if err := ft.Insert(Coords{"a"}, y(2001), 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := ft.Insert(Coords{"a"}, y(2001), 5); err == nil {
 		t.Error("arity mismatch must fail")
+	}
+	if err := ft.Insert(Coords{"b"}, y(2001), 5, 6); err == nil {
+		t.Error("a coordinate naming no member version must fail")
 	}
 	vals, ok := ft.Lookup(Coords{"a"}, y(2001))
 	if !ok || vals[0] != 1 || vals[1] != 2 {
@@ -48,6 +73,20 @@ func TestFactTableInsertLookup(t *testing.T) {
 	vals, _ = ft.Lookup(Coords{"a"}, y(2001))
 	if vals[0] != 9 || ft.Len() != 1 {
 		t.Error("re-insert must replace in place")
+	}
+}
+
+// TestAddDimensionAfterFactsFails: every fact holds one coordinate per
+// dimension, so a dimension added once the table holds facts is
+// refused instead of leaving them a coordinate short.
+func TestAddDimensionAfterFactsFails(t *testing.T) {
+	s := factSchema(t, 1, "a")
+	s.MustInsertFact(Coords{"a"}, y(2001), 1)
+	if err := s.AddDimension(NewDimension("E", "E")); err == nil {
+		t.Fatal("a dimension added after facts was accepted")
+	}
+	if v, ok := s.Facts().Lookup(Coords{"a"}, y(2001)); !ok || v[0] != 1 {
+		t.Fatalf("the refused dimension lost the fact: %v, %v", v, ok)
 	}
 }
 
@@ -109,7 +148,7 @@ func TestIDsWithSeparatorBytesStayApart(t *testing.T) {
 }
 
 func TestFactTableInsertCopiesCoords(t *testing.T) {
-	ft := NewFactTable(1)
+	ft := factSchema(t, 1, "a", "changed").Facts()
 	coords := Coords{"a"}
 	if err := ft.Insert(coords, y(2001), 1); err != nil {
 		t.Fatal(err)
@@ -121,10 +160,9 @@ func TestFactTableInsertCopiesCoords(t *testing.T) {
 }
 
 // TestFactTableFactsHasNoSpareCapacity: a caller's append to Facts()
-// must copy, not land in the slot the table's next Insert writes — a
-// slot that, with the list shared across generations, may be a clone's.
+// must copy, not land in a slot the view shares with anything else.
 func TestFactTableFactsHasNoSpareCapacity(t *testing.T) {
-	ft := NewFactTable(1)
+	ft := factSchema(t, 1, "0", "1", "2", "next").Facts()
 	for i := 0; i < 3; i++ {
 		if err := ft.Insert(Coords{MVID(fmt.Sprint(i))}, y(2001), float64(i)); err != nil {
 			t.Fatal(err)
@@ -142,26 +180,6 @@ func TestFactTableFactsHasNoSpareCapacity(t *testing.T) {
 	}
 }
 
-func TestFactTableTimes(t *testing.T) {
-	ft := NewFactTable(1)
-	for _, yr := range []int{2003, 2001, 2002, 2001} {
-		if err := ft.Insert(Coords{MVID(rune('a' + yr%10))}, y(yr), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	times := ft.Times()
-	if len(times) != 3 || times[0] != y(2001) || times[2] != y(2003) {
-		t.Errorf("Times = %v", times)
-	}
-	span := ft.TimeSpan()
-	if !span.Equal(temporal.Between(y(2001), y(2003))) {
-		t.Errorf("TimeSpan = %v", span)
-	}
-	if !NewFactTable(1).TimeSpan().Empty() {
-		t.Error("empty table span must be empty")
-	}
-}
-
 // modelFact is one row of the naive fact-table model: a slice in
 // insertion order, searched linearly.
 type modelFact struct {
@@ -170,10 +188,18 @@ type modelFact struct {
 	value  float64
 }
 
-// tableLineage is a FactTable beside its naive model.
+// tableLineage is a schema's fact table beside its naive model, with
+// counters of the store's copy-on-write paths its writes took.
 type tableLineage struct {
-	ft    *FactTable
+	s     *Schema
 	model []modelFact
+	paths *storePaths
+}
+
+// storePaths counts the writes that reached each copy-on-write path of
+// the store; siblings on two goroutines count into one.
+type storePaths struct {
+	replacePrivatized, retractPrivatized, claimLost atomic.Int64
 }
 
 func (l *tableLineage) find(c Coords, at temporal.Instant) int {
@@ -186,14 +212,48 @@ func (l *tableLineage) find(c Coords, at temporal.Instant) int {
 }
 
 func (l *tableLineage) fork() *tableLineage {
-	return &tableLineage{ft: l.ft.Clone(), model: append([]modelFact(nil), l.model...)}
+	return &tableLineage{s: l.s.Clone(), model: append([]modelFact(nil), l.model...), paths: l.paths}
+}
+
+// insert and retract write through the fact table, counting the path
+// the write takes: into a slot of a shard another generation reads
+// (privatized first), or an append whose tail slot a sibling claimed.
+func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
+	ft := l.s.Facts()
+	if pos, ok := ft.table().locate(c, at); ok {
+		if l.sharedSlot(pos) {
+			l.paths.replacePrivatized.Add(1)
+		}
+	} else if n := len(ft.shards); n > 0 {
+		if tail := ft.shards[n-1]; tail.n < MappedShardSize && tail.claim.Load() != int32(tail.n) {
+			l.paths.claimLost.Add(1)
+		}
+	}
+	return ft.Insert(c, at, v)
+}
+
+func (l *tableLineage) retract(c Coords, at temporal.Instant) (*Fact, bool) {
+	ft := l.s.Facts()
+	if pos, ok := ft.table().locate(c, at); ok && l.sharedSlot(pos) {
+		l.paths.retractPrivatized.Add(1)
+	}
+	return ft.Retract(c, at)
+}
+
+// sharedSlot reports whether another generation may read the slot at
+// pos, so a write there privatizes its shard.
+func (l *tableLineage) sharedSlot(pos int) bool {
+	ft := l.s.Facts()
+	sh := ft.shards[pos>>shardShift]
+	return sh.epoch != ft.epoch || pos&shardMask < sh.sharedBelow
 }
 
 func (l *tableLineage) check(t *testing.T, label string) {
 	t.Helper()
-	facts := l.ft.Facts()
-	if l.ft.Len() != len(l.model) || len(facts) != len(l.model) {
-		t.Fatalf("%s: Len = %d, Facts has %d, model has %d", label, l.ft.Len(), len(facts), len(l.model))
+	ft := l.s.Facts()
+	facts := ft.Facts()
+	if ft.Len() != len(l.model) || len(facts) != len(l.model) {
+		t.Fatalf("%s: Len = %d, Facts has %d, model has %d", label, ft.Len(), len(facts), len(l.model))
 	}
 	for i, want := range l.model {
 		got := facts[i]
@@ -201,8 +261,34 @@ func (l *tableLineage) check(t *testing.T, label string) {
 			t.Fatalf("%s: fact %d = %v@%v %v, model has %v@%v %v",
 				label, i, got.Coords, got.Time, got.Values, want.coords, want.at, want.value)
 		}
-		if vals, ok := l.ft.Lookup(want.coords, want.at); !ok || vals[0] != want.value {
+		if vals, ok := ft.Lookup(want.coords, want.at); !ok || vals[0] != want.value {
 			t.Fatalf("%s: Lookup(%v@%v) = %v, %v; model has %v", label, want.coords, want.at, vals, ok, want.value)
+		}
+	}
+	// tcm is the store, and its answer at member × month grain is the
+	// model, bit for bit.
+	mt, err := l.s.MultiVersion().Mode(TCM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt != ft.table() {
+		t.Fatalf("%s: tcm is not the fact table", label)
+	}
+	res, err := l.s.Execute(Query{GroupBy: []GroupBy{{Dim: "D", Level: "Member"}}, Grain: GrainMonth, Mode: TCM()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(l.model) {
+		t.Fatalf("%s: tcm answers %d cells, model has %d", label, len(res.Rows), len(l.model))
+	}
+	cells := make(map[string]float64, len(res.Rows))
+	for _, r := range res.Rows {
+		cells[string(r.GroupIDs[0])+"@"+r.TimeKey] = r.Values[0]
+	}
+	for _, want := range l.model {
+		got, ok := cells[string(want.coords[0])+"@"+want.at.String()]
+		if !ok || math.Float64bits(got) != math.Float64bits(want.value) {
+			t.Fatalf("%s: tcm has %v, %v at %v@%v; model has %v", label, got, ok, want.coords, want.at, want.value)
 		}
 	}
 }
@@ -246,12 +332,12 @@ func (l *tableLineage) plan(r *rand.Rand, members, months, step, n int) []factOp
 func (l *tableLineage) run(ops []factOp) error {
 	for _, op := range ops {
 		if !op.retract {
-			if err := l.ft.Insert(op.c, op.at, op.v); err != nil {
+			if err := l.insert(op.c, op.at, op.v); err != nil {
 				return err
 			}
 			continue
 		}
-		if old, ok := l.ft.Retract(op.c, op.at); !ok || old.Values[0] != op.v {
+		if old, ok := l.retract(op.c, op.at); !ok || old.Values[0] != op.v {
 			return fmt.Errorf("Retract(%v@%v) = %v, %v; model had %v", op.c, op.at, old, ok, op.v)
 		}
 	}
@@ -260,15 +346,18 @@ func (l *tableLineage) run(ops []factOp) error {
 
 // TestPropertyFactTableMatchesModel drives forking FactTable lineages
 // through random Insert / replacing Insert / Retract / Clone and holds
-// each against a naive slice model: Facts() order, Len, Lookup — and,
-// because every lineage is checked against its own model after writes
-// to the others, that a replace or retract on one side of a clone never
-// shows on the other. Beside single writes it plays the cases the
-// shared pointer list must survive: two siblings racing for the same
-// slots on two goroutines, a sibling that writes and is discarded (a
-// refused batch's clone), the base appending after a Clone, and a
-// retract and a replacing insert below the shared length. Runs long
-// enough for the key index to seal, merge and flatten under the table.
+// each against a naive slice model: Facts() order, Len, Lookup, tcm's
+// answer at member × month grain — and, because every lineage is
+// checked against its own model after writes to the others, that a
+// replace or retract on one side of a clone never shows on the other.
+// The store keys member version ordinals, so each lineage is a schema
+// over one dimension of the 40 members. Beside single writes it plays
+// the cases the shared shards must survive: two siblings racing for the
+// same tail slots on two goroutines, a sibling that writes and is
+// discarded (a refused batch's clone), the base appending after a
+// Clone, and a retract and a replacing insert into shared shards. Runs
+// long enough for the key index to seal, merge and flatten under the
+// table, and must reach each copy-on-write path of the store.
 func TestPropertyFactTableMatchesModel(t *testing.T) {
 	const (
 		members  = 40
@@ -280,12 +369,13 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			lineages := []*tableLineage{{ft: NewFactTable(1)}}
-			seals := metKeyIndexSeals.Value()
-			copies := map[string]int64{}
-			for _, reason := range []string{"retract", "replace", "claim_lost"} {
-				copies[reason] = metFactListCopies.With(reason).Value()
+			ids := make([]MVID, members)
+			for k := range ids {
+				ids[k] = MVID(fmt.Sprintf("m%d", k))
 			}
+			paths := &storePaths{}
+			lineages := []*tableLineage{{s: factSchema(t, 1, ids...), paths: paths}}
+			seals := metKeyIndexSeals.Value()
 			for step := 0; step < steps; step++ {
 				l := lineages[r.Intn(len(lineages))]
 				c := Coords{MVID(fmt.Sprintf("m%d", r.Intn(members)))}
@@ -333,7 +423,7 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 					lineages = adopt(r, lineages, l, f, maxForks)
 				case op < 6 && len(l.model) >= 2:
 					// A replacing insert on one fork and a retract on another,
-					// each below the length the fork shares with l.
+					// each into a shard the fork shares with l.
 					f, g := l.fork(), l.fork()
 					replace := []factOp{{c: f.model[1].coords, at: f.model[1].at, v: float64(step)}}
 					f.model[1].value = float64(step)
@@ -348,23 +438,23 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 					lineages = adopt(r, lineages, l, f, maxForks)
 					lineages = adopt(r, lineages, l, g, maxForks)
 				case op < 30 && i >= 0:
-					old, ok := l.ft.Retract(c, at)
+					old, ok := l.retract(c, at)
 					if !ok || old.Values[0] != l.model[i].value {
 						t.Fatalf("step %d: Retract(%v@%v) = %v, %v; model has %v", step, c, at, old, ok, l.model[i].value)
 					}
 					l.model = append(l.model[:i], l.model[i+1:]...)
 				case i >= 0:
 					v := float64(step)
-					if err := l.ft.Insert(c, at, v); err != nil {
+					if err := l.insert(c, at, v); err != nil {
 						t.Fatal(err)
 					}
 					l.model[i].value = v
 				default:
-					if _, ok := l.ft.Retract(c, at); ok {
+					if _, ok := l.retract(c, at); ok {
 						t.Fatalf("step %d: retracted %v@%v, which the model does not hold", step, c, at)
 					}
 					v := float64(step)
-					if err := l.ft.Insert(c, at, v); err != nil {
+					if err := l.insert(c, at, v); err != nil {
 						t.Fatal(err)
 					}
 					l.model = append(l.model, modelFact{coords: c, at: at, value: v})
@@ -381,9 +471,13 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 			if metKeyIndexSeals.Value() == seals {
 				t.Fatal("no lineage ever sealed its key index; the run is too short to test the layers")
 			}
-			for reason, before := range copies {
-				if metFactListCopies.With(reason).Value() == before {
-					t.Errorf("no fact-list copy for reason %s; the run does not reach that path", reason)
+			for path, n := range map[string]int64{
+				"a replacing insert into a shared shard": paths.replacePrivatized.Load(),
+				"a retract from a shared shard":          paths.retractPrivatized.Load(),
+				"an append whose tail claim was lost":    paths.claimLost.Load(),
+			} {
+				if n == 0 {
+					t.Errorf("no write took the path of %s; the run does not reach it", path)
 				}
 			}
 		})

@@ -14,22 +14,22 @@ import (
 // change in and rebuilding from zero.
 type Delta struct {
 	// NewFacts is the suffix of the clone's fact table appended by the
-	// batch, in insertion order. Appends never rewrite earlier tuples,
-	// so folding this suffix through the mapping graph reproduces, bit
-	// for bit, the tail of a cold rebuild.
+	// batch, in insertion order (FactTable.Since). Appends never rewrite
+	// earlier tuples, so folding this suffix through the mapping graph
+	// reproduces, bit for bit, the tail of a cold rebuild.
 	NewFacts []*Fact
 	// Retracted lists the old tuples a retract batch removed from the
 	// fact table, in batch order. Carrying the full tuple (not just its
 	// key) lets WarmFrom recompute the exact emissions it contributed
 	// and subtract them out of retained modes under invertible
-	// aggregates; modes it cannot unfold exactly are evicted instead
-	// (see Schema.retractInto).
+	// aggregates; version modes it cannot unfold exactly are evicted
+	// instead (see Schema.retractInto).
 	Retracted []*Fact
 	// FactsReplaced reports that the batch overwrote values at existing
 	// coordinates (FactTable.Insert replaces — the fact table is a
 	// function). A replacement is not an insert-only delta: merged
-	// tuples already folded the old value, so every cached mode is
-	// evicted.
+	// tuples already folded the old value, so every cached version mode
+	// is evicted. tcm, the fact table itself, holds the new values.
 	FactsReplaced bool
 	// FactsWindow, when FactsWindowKnown, is the hull of the instants
 	// of every fact the batch inserted or replaced. Whether a tuple was
@@ -93,8 +93,9 @@ type WarmResult struct {
 //
 // Retention is structure-aware:
 //
-//   - tcm depends only on the fact table: retained unless facts were
-//     replaced in place, with NewFacts folded in.
+//   - tcm is the fact table, which the batch already wrote: always
+//     retained, never folded, counted as DeltaApplied when the batch
+//     appended or retracted facts and as Subtracted when it retracted.
 //   - a version mode Vi is retained when the mapping set is unchanged
 //     and the new schema has a structure version with the same ID, the
 //     same valid time and the same structural signature (member
@@ -120,7 +121,7 @@ type WarmResult struct {
 // keep them busy.
 //
 // Retained modes do not count as Materializations; they count as
-// DeltaApplies when a fact delta was folded. A ctx cancellation
+// DeltaApplies when the batch carried a fact delta. A ctx cancellation
 // mid-fold simply evicts the affected modes — the swap must not fail
 // because warming was abandoned. The half-folded clone is dropped; the
 // tail slots it claimed stay claimed, so a sibling generation copies
@@ -131,17 +132,10 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	if len(tables) == 0 {
 		return res
 	}
-	if d.FactsReplaced {
-		for _, t := range tables {
-			res.Evicted = append(res.Evicted, t.key)
-		}
-		metModesEvicted.Add(int64(len(res.Evicted)))
-		return res
-	}
 
-	// Resolve the new schema's modes by ID once; version retention also
+	// Resolve the new schema's version modes by ID once; retention also
 	// needs the base's structure versions for the signature comparison.
-	dstModes := map[string]Mode{TCM().String(): TCM()}
+	dstModes := map[string]Mode{}
 	for _, sv := range s.StructureVersions() {
 		dstModes[sv.ID] = InVersion(sv)
 	}
@@ -150,6 +144,12 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 		baseSVs[sv.ID] = sv
 	}
 
+	// tcm is the fact store, which the batch already wrote: it is
+	// retained with nothing to fold. Version modes fold the delta's
+	// tuples, laid out in the store's ordinal columns once for all; a
+	// delta naming a member version the schema lacks evicts them.
+	added, okAdded := s.facts.shardOf(d.NewFacts)
+	retracted, okRetracted := s.facts.shardOf(d.Retracted)
 	type job struct {
 		key  string
 		src  *MappedTable
@@ -157,8 +157,12 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	}
 	var jobs []job
 	for _, t := range tables {
+		if t.table.Mode.Kind == TCMKind {
+			jobs = append(jobs, job{key: t.key})
+			continue
+		}
 		mode, ok := dstModes[t.key]
-		if !ok || !s.retains(baseSVs, mode, d) || ctx.Err() != nil {
+		if !ok || !okAdded || !okRetracted || d.FactsReplaced || !s.retains(baseSVs, mode, d) || ctx.Err() != nil {
 			res.Evicted = append(res.Evicted, t.key)
 			continue
 		}
@@ -169,9 +173,9 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 		metRetractionsApplied.Add(int64(len(d.Retracted)))
 	}
 
-	// Clone and fold every retained mode concurrently. Each mode's fold
-	// is independent (private clone, read-only mapping graph) and
-	// deterministic, so results are assembled in sorted key order
+	// Clone and fold every retained version mode concurrently. Each
+	// mode's fold is independent (private clone, read-only mapping graph)
+	// and deterministic, so results are assembled in sorted key order
 	// regardless of completion order.
 	folded := make([]*MappedTable, len(jobs))
 	retractEvict := make([]bool, len(jobs))
@@ -181,24 +185,25 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for i, j := range jobs {
+		if j.src == nil {
+			folded[i] = s.facts.table()
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			j := jobs[i]
 			out := j.src.cloneForWarm(s, j.mode)
-			// Retractions unfold first: the fact table spliced the
-			// retracted tuples out before appending anything, so the
-			// warm table must shed them before new facts fold in.
-			if len(d.Retracted) > 0 {
-				if !s.retractInto(ctx, out, j.mode, d.Retracted) {
-					retractEvict[i] = true
-					return // folded[i] stays nil: evicted
-				}
+			// Retractions unfold first: the fact table tombstoned the
+			// retracted tuples before appending anything, so the warm
+			// table must shed them before new facts fold in.
+			if retracted.n > 0 && !s.retractInto(ctx, out, retracted) {
+				retractEvict[i] = true
+				return // folded[i] stays nil: evicted
 			}
-			if len(d.NewFacts) > 0 && s.mapInto(ctx, out, d.NewFacts) != nil {
+			if added.n > 0 && s.mapInto(ctx, out, []*factShard{added}) != nil {
 				return // abandoned half folded: evicted
 			}
 			folded[i] = out
@@ -218,8 +223,10 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 			continue
 		}
 		warm[j.key] = folded[i]
-		res.Sealed += folded[i].index.sealed
-		res.Merged += folded[i].index.merged
+		if j.src != nil {
+			res.Sealed += folded[i].index.sealed
+			res.Merged += folded[i].index.merged
+		}
 		res.Retained = append(res.Retained, j.key)
 		if len(d.NewFacts) > 0 || len(d.Retracted) > 0 {
 			res.DeltaApplied++
@@ -235,9 +242,7 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 		mv := s.MultiVersion()
 		mv.mu.Lock()
 		for k, mt := range warm {
-			e := &modeEntry{done: make(chan struct{}), table: mt}
-			close(e.done)
-			mv.byMode[k] = e
+			mv.byMode[k] = finishedEntry(mt)
 		}
 		mv.mu.Unlock()
 		mv.deltas.Add(int64(res.DeltaApplied))
@@ -248,12 +253,9 @@ func (s *Schema) WarmFrom(ctx context.Context, base *Schema, d Delta) WarmResult
 	return res
 }
 
-// retains decides whether one of base's cached modes is still valid on
-// the (already mutated) receiver under the given delta.
+// retains decides whether one of base's cached version modes is still
+// valid on the (already mutated) receiver under the given delta.
 func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delta) bool {
-	if mode.Kind == TCMKind {
-		return true
-	}
 	if d.MappingsChanged {
 		return false
 	}
@@ -274,9 +276,10 @@ func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delt
 // cloneForWarm returns a copy-on-write clone of a published mapped
 // table, rebound to the new schema's mode, algebra, measures and
 // dimensions (which hold every version the source's ordinals name),
-// ready to absorb a fact delta. The clone copies one header per storage
-// shard — never the tuples — and takes a fresh epoch, so every
-// inherited shard is shared: an append borrows the partial tail
+// ready to absorb a fact delta. The clone shares the source's list of
+// shard headers until its first write copies it — never the tuples —
+// and takes a fresh epoch, so every inherited shard is shared: an
+// append borrows the partial tail
 // (MappedTable.tailShard), a write into a shared slot privatizes its
 // shard (MappedTable.writableShard). The materialization context
 // (mapping graph, leaf sets) rides along: warm retention guarantees
@@ -284,20 +287,23 @@ func (s *Schema) retains(baseSVs map[string]*StructureVersion, mode Mode, d Delt
 // delta fold reuses both instead of rebuilding O(structure) state.
 func (mt *MappedTable) cloneForWarm(s *Schema, m Mode) *MappedTable {
 	out := &MappedTable{
-		Mode:     m,
-		shards:   append([]*factShard(nil), mt.shards...),
-		n:        mt.n,
-		dead:     mt.dead,
-		epoch:    shardEpochCounter.Add(1),
-		nd:       mt.nd,
-		nm:       mt.nm,
-		dims:     s.dims,
-		Dropped:  mt.Dropped,
-		alg:      s.alg,
-		measures: s.measures,
-		hasAvg:   mt.hasAvg,
-		graph:    mt.graph,
-		leafIn:   mt.leafIn,
+		Mode:   m,
+		shards: mt.shards,
+		// The source's own writes, if any, copy the list as well (see
+		// FactTable.clone).
+		shardsShared: true,
+		n:            mt.n,
+		dead:         mt.dead,
+		epoch:        shardEpochCounter.Add(1),
+		nd:           mt.nd,
+		nm:           mt.nm,
+		dims:         s.dims,
+		Dropped:      mt.Dropped,
+		alg:          s.alg,
+		measures:     s.measures,
+		hasAvg:       mt.hasAvg,
+		graph:        mt.graph,
+		leafIn:       mt.leafIn,
 		// Published tables are never written again, so even the live top
 		// of a cold-built source can be shared (keyIndex.clone).
 		index: mt.index.clone(mt.n),

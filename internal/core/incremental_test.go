@@ -12,13 +12,15 @@ import (
 // FactTable.Clone: inserts and replacements on either side never reach
 // through to the other, across chained clones.
 func TestFactTableCloneCopyOnWrite(t *testing.T) {
-	src := NewFactTable(1)
+	base := factSchema(t, 1, "a", "b", "c", "d", "e")
+	src := base.Facts()
 	for i, id := range []MVID{"a", "b", "c"} {
 		if err := src.Insert(Coords{id}, y(2001), float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl := src.Clone()
+	clone := base.Clone()
+	cl := clone.Facts()
 
 	// Insert-only growth on both sides stays private.
 	if err := cl.Insert(Coords{"d"}, y(2001), 3); err != nil {
@@ -56,7 +58,7 @@ func TestFactTableCloneCopyOnWrite(t *testing.T) {
 	}
 
 	// A chained clone (exercising the flatten/copy paths) stays isolated.
-	cl2 := cl.Clone()
+	cl2 := clone.Clone().Facts()
 	if err := cl2.Insert(Coords{"a"}, y(2001), 7); err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +313,29 @@ func TestWarmFromStructureChange(t *testing.T) {
 // TestWarmFromEvictsAll covers the blanket-eviction deltas: replaced
 // facts and changed mappings.
 func TestWarmFromEvictsAll(t *testing.T) {
+	// A replacement evicts every version mode; tcm is the fact table,
+	// which already holds the new value.
 	t.Run("FactsReplaced", func(t *testing.T) {
 		base := splitSchema(t)
-		if _, err := base.MultiVersion().Mode(TCM()); err != nil {
-			t.Fatal(err)
+		for _, m := range []Mode{TCM(), InVersion(base.VersionByID("V1"))} {
+			if _, err := base.MultiVersion().Mode(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 		clone := base.Clone()
 		if err := clone.InsertFact(Coords{"Jones"}, y(2001), 1); err != nil {
 			t.Fatal(err)
 		}
 		res := clone.WarmFrom(context.Background(), base, Delta{FactsReplaced: true})
-		if len(res.Retained) != 0 {
-			t.Fatalf("retained %v after an in-place replacement", res.Retained)
+		if len(res.Retained) != 1 || res.Retained[0] != "tcm" || len(res.Evicted) != 1 || res.Evicted[0] != "V1" {
+			t.Fatalf("retained %v, evicted %v after an in-place replacement; want tcm retained, V1 evicted", res.Retained, res.Evicted)
+		}
+		mt, err := clone.MultiVersion().Mode(TCM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := mt.Lookup(Coords{"Jones"}, y(2001)); !ok || f.Values[0] != 1 {
+			t.Fatalf("retained tcm holds %v, %v at the replaced cell, want 1", f, ok)
 		}
 	})
 	t.Run("MappingsChanged", func(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 	"mvolap/internal/temporal"
 )
 
-// keyIndex is the one key → int index under both fact tables: the
-// source FactTable maps a fact key to the fact's insertion ordinal, a
-// MappedTable maps it to the tuple's position. It stores no key: an
+// keyIndex is the one key → int index of a MappedTable, the fact table
+// included: it maps a tuple key to the tuple's position. It stores no
+// key: an
 // entry is a 64-bit hash of the key (keyHash) and the value, and the
 // owner confirms every hit against its own columns — get takes a match
 // function that says whether the tuple at a value has the probed key.
@@ -81,8 +81,8 @@ const (
 	indexDead = -1
 )
 
-// keyHash accumulates the 64-bit hash of a fact key one word at a
-// time: member version ordinals or ID bytes, then the instant. Each
+// keyHash accumulates the 64-bit hash of a tuple key one word at a
+// time: member version ordinals, then the instant. Each
 // step is a bijection of the running state, so two keys that differ in
 // their last word never collide; the index confirms every hit anyway.
 type keyHash uint64
@@ -92,22 +92,6 @@ const keyHashSeed keyHash = 0x243f6a8885a308d3
 func (h keyHash) word(x uint64) keyHash {
 	u := (uint64(h) ^ x) * 0x9e3779b97f4a7c15
 	return keyHash(u ^ u>>29)
-}
-
-// id folds a member version ID: its bytes eight at a time, then its
-// length, so IDs that concatenate to the same bytes still differ.
-func (h keyHash) id(id MVID) keyHash {
-	n := len(id)
-	for len(id) >= 8 {
-		h = h.word(uint64(id[0]) | uint64(id[1])<<8 | uint64(id[2])<<16 | uint64(id[3])<<24 |
-			uint64(id[4])<<32 | uint64(id[5])<<40 | uint64(id[6])<<48 | uint64(id[7])<<56)
-		id = id[8:]
-	}
-	var tail uint64
-	for i := 0; i < len(id); i++ {
-		tail |= uint64(id[i]) << (8 * i)
-	}
-	return h.word(tail).word(uint64(n))
 }
 
 // at folds the instant and returns the finished hash.
@@ -155,8 +139,7 @@ func (ix *keyIndex) get(h uint64, match func(int) bool) (int, bool) {
 
 // put stores the key hashed to h → v. The key must not be live
 // (callers probe with get first), and v must be at least every value
-// the lineage stored before it: fact ordinals and tuple positions only
-// grow, and that is what lets a clone screen its source's later puts
+// the lineage stored before it: tuple positions only grow, and that is what lets a clone screen its source's later puts
 // by value. A hash another live key owns sends the key to the
 // overflow.
 func (ix *keyIndex) put(h uint64, v int) {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -23,9 +24,15 @@ type indexRun struct {
 	}
 }
 
-// fullHash is the hash a one-dimensional fact table gives a key at
-// instant 0.
-func fullHash(key string) uint64 { return keyHashSeed.id(MVID(key)).at(0) }
+// fullHash is the hash a one-dimensional fact table gives key "kN" at
+// instant 0: the key of member version ordinal N.
+func fullHash(key string) uint64 {
+	n, err := strconv.Atoi(key[1:])
+	if err != nil {
+		panic(err)
+	}
+	return tupleKey([]int32{int32(n)}, 0)
+}
 
 // indexLineage is one generation of a keyIndex under test beside the
 // plain map it must agree with. tombKey records, per hash, the key

@@ -55,14 +55,14 @@ func lineageLeaf(i int) MVID { return MVID(fmt.Sprintf("leaf%d", i)) }
 func lineageWrite(t testing.TB, cur *Schema, leaves, months, batch, w int) *Schema {
 	t.Helper()
 	clone := cur.Clone()
-	oldLen := clone.Facts().Len()
+	mark := clone.Facts().End()
 	for i := w * batch; i < (w+1)*batch; i++ {
 		at := y(2003) + temporal.Instant(months+i/leaves)
 		if err := clone.InsertFact(Coords{lineageLeaf(i % leaves)}, at, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := clone.WarmFrom(context.Background(), cur, Delta{NewFacts: clone.Facts().Facts()[oldLen:]})
+	res := clone.WarmFrom(context.Background(), cur, Delta{NewFacts: clone.Facts().Since(mark)})
 	if len(res.Evicted) != 0 || res.DeltaApplied != len(res.Retained) {
 		t.Fatalf("write %d: WarmFrom = %+v, want every mode retained with the delta folded", w, res)
 	}
@@ -74,7 +74,11 @@ func lineageWrite(t testing.TB, cur *Schema, leaves, months, batch, w int) *Sche
 func lineageRetract(t testing.TB, cur *Schema) *Schema {
 	t.Helper()
 	clone := cur.Clone()
-	f := clone.Facts().Facts()[0]
+	var f Fact
+	clone.Facts().All(func(first *Fact) bool {
+		f = Fact{Coords: first.Coords.Clone(), Time: first.Time}
+		return false
+	})
 	old, err := clone.RetractFact(f.Coords, f.Time)
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +183,15 @@ func allocatedBy(fn func()) (bytes, objects uint64) {
 // over one full tail-shard fill cycle of 128 writes, so the phase of
 // shard privatization cancels. A retraction at the end must allocate a
 // handful of objects, not an index entry per stored fact.
+// retractBytesBound is what one retraction on a fresh clone may
+// allocate: the columns of the one shard it privatizes to tombstone a
+// slot (MappedShardSize tuples × 25 B: a 4-byte ordinal, an 8-byte
+// instant, an 8-byte value, a 1-byte confidence, a 4-byte source count,
+// 102 400 B) plus 16 KiB for the key index's top, which the tombstone
+// may seal. While the fact table was a pointer list, a retract copied
+// all of it, 8 B per fact and a quarter of headroom.
+const retractBytesBound = MappedShardSize*25 + 16<<10
+
 func TestWriteCostIndependentOfHistory(t *testing.T) {
 	const (
 		leaves, months, batch = 1000, 100, 32
@@ -206,13 +219,16 @@ func TestWriteCostIndependentOfHistory(t *testing.T) {
 
 	clone := s.Clone()
 	f := clone.Facts().Facts()[clone.Facts().Len()/2]
-	_, objects := allocatedBy(func() {
+	bytes, objects := allocatedBy(func() {
 		if _, err := clone.RetractFact(f.Coords, f.Time); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("retract after %d writes over %d facts: %d objects allocated", len(perWrite), clone.Facts().Len(), objects)
+	t.Logf("retract after %d writes over %d facts: %d objects, %d bytes allocated", len(perWrite), clone.Facts().Len(), objects, bytes)
 	if objects > 64 {
 		t.Errorf("retract allocated %d objects over %d facts; want a constant, not a re-index", objects, clone.Facts().Len())
+	}
+	if bytes > retractBytesBound {
+		t.Errorf("retract allocated %d bytes over %d facts; want at most %d, one privatized shard and the index top", bytes, clone.Facts().Len(), retractBytesBound)
 	}
 }

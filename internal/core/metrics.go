@@ -56,10 +56,6 @@ var (
 		"mvolap_dimension_copies_total",
 		"Dimensions whose members and relationships a mutator copied because a clone still shared them (one per dimension an evolve touches; none for a fact batch).",
 		"dim")
-	metFactListCopies = obs.Default().CounterVec(
-		"mvolap_fact_list_copies_total",
-		"Copies of the source fact table's pointer list: retract and replace write below the shared length, claim_lost is an append whose slot another generation took, full an append past the capacity.",
-		"reason")
 	metRetractionsApplied = obs.Default().Counter(
 		"mvolap_mvft_retractions_applied_total",
 		"Retracted source facts handed to warm MVFT maintenance (per tuple, per batch).")

@@ -109,6 +109,10 @@ type factShard struct {
 type MappedTable struct {
 	Mode   Mode
 	shards []*factShard
+	// shardsShared says another table holds the shards slice too (a
+	// clone shares its source's until its first write): a write replaces
+	// an element or appends, so it copies the slice first (ownShards).
+	shardsShared bool
 	// n is the total tuple count; epoch is this table's shard-ownership
 	// epoch (a shard with a different epoch is shared and frozen).
 	n     int
@@ -153,7 +157,8 @@ type MappedTable struct {
 
 	// view caches the row-oriented compatibility view built by Facts().
 	// Built lazily after the table is published; a table under
-	// construction must not be viewed.
+	// construction must not be viewed. The fact store drops it on every
+	// write.
 	view atomic.Pointer[[]*MappedFact]
 }
 
@@ -195,18 +200,13 @@ func (mt *MappedTable) Facts() []*MappedFact {
 	live, nd := mt.n-mt.dead, mt.nd
 	arena := make([]MappedFact, live)
 	coords := make(Coords, live*nd)
-	out := make([]*MappedFact, live)
-	i := 0
-	for _, sh := range mt.shards {
-		for j := 0; j < sh.n; j++ {
-			if sh.sources[j] == 0 {
-				continue // tombstoned by a retraction
-			}
-			mt.fillView(&arena[i], sh, j, coords[i*nd:(i+1)*nd:(i+1)*nd])
-			out[i] = &arena[i]
-			i++
-		}
-	}
+	out := make([]*MappedFact, 0, live)
+	mt.each(0, func(sh *factShard, j int) bool {
+		i := len(out)
+		mt.fillView(&arena[i], sh, j, coords[i*nd:(i+1)*nd:(i+1)*nd])
+		out = append(out, &arena[i])
+		return true
+	})
 	mt.view.Store(&out)
 	return out
 }
@@ -242,18 +242,7 @@ func (mt *MappedTable) shardAt(i int) (*factShard, int) {
 // a read-only view. It is safe for concurrent use once the table is
 // materialized.
 func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, bool) {
-	if len(coords) != mt.nd {
-		return nil, false
-	}
-	ords := make([]int32, mt.nd)
-	for i, id := range coords {
-		mv := mt.dims[i].members[id]
-		if mv == nil {
-			return nil, false
-		}
-		ords[i] = mv.ord
-	}
-	i, ok := mt.find(tupleKey(ords, t), ords, t)
+	i, ok := mt.locate(coords, t)
 	if !ok {
 		return nil, false
 	}
@@ -261,6 +250,49 @@ func (mt *MappedTable) Lookup(coords Coords, t temporal.Instant) (*MappedFact, b
 	sh, j := mt.shardAt(i)
 	mt.fillView(f, sh, j, make(Coords, mt.nd))
 	return f, true
+}
+
+// ordinals appends to dst the member version ordinals of coords, one
+// per dimension; false when a coordinate names no member version of its
+// dimension.
+func (mt *MappedTable) ordinals(dst []int32, coords Coords) ([]int32, bool) {
+	if len(coords) != mt.nd {
+		return dst, false
+	}
+	for i, id := range coords {
+		mv := mt.dims[i].members[id]
+		if mv == nil {
+			return dst, false
+		}
+		dst = append(dst, mv.ord)
+	}
+	return dst, true
+}
+
+// locate returns the position of the live tuple at (coords, t).
+func (mt *MappedTable) locate(coords Coords, t temporal.Instant) (int, bool) {
+	var buf [8]int32
+	ords, ok := mt.ordinals(buf[:0], coords)
+	if !ok {
+		return 0, false
+	}
+	return mt.find(tupleKey(ords, t), ords, t)
+}
+
+// each calls fn for every live tuple at or past position mark, in
+// position order, until fn returns false.
+func (mt *MappedTable) each(mark int, fn func(sh *factShard, j int) bool) {
+	for si := mark >> shardShift; si < len(mt.shards); si++ {
+		sh, j := mt.shards[si], 0
+		if si == mark>>shardShift {
+			j = mark & shardMask
+		}
+		for ; j < sh.n; j++ {
+			if sh.sources[j] != 0 && !fn(sh, j) {
+				return
+			}
+		}
+	}
 }
 
 // tupleKey hashes the key (coords, t) of a mapped tuple for the key
@@ -317,6 +349,7 @@ func (mt *MappedTable) newShard() *factShard {
 // the whole copy-on-write cost of a delta writing into a shared slot:
 // O(MappedShardSize) once per (table, shard), never per tuple.
 func (mt *MappedTable) privatize(si int) *factShard {
+	mt.ownShards()
 	src := mt.shards[si]
 	cp := mt.newShard()
 	cp.n = src.n
@@ -337,11 +370,20 @@ func (mt *MappedTable) privatize(si int) *factShard {
 	return cp
 }
 
+// ownShards gives the table a slice of shard headers of its own.
+func (mt *MappedTable) ownShards() {
+	if mt.shardsShared {
+		mt.shards = slices.Clone(mt.shards)
+		mt.shardsShared = false
+	}
+}
+
 // borrow puts a header of this table's own over the columns of shard
 // si, whose next slot this table has just claimed: the first n slots
 // stay shared with the header it came from (sharedBelow), the slots
 // from n on are this table's to append to, in place.
 func (mt *MappedTable) borrow(si int) *factShard {
+	mt.ownShards()
 	src := mt.shards[si]
 	sh := &factShard{
 		epoch:       mt.epoch,
@@ -368,6 +410,7 @@ func (mt *MappedTable) borrow(si int) *factShard {
 // another generation.
 func (mt *MappedTable) tailShard() *factShard {
 	if len(mt.shards) == 0 || mt.shards[len(mt.shards)-1].n == MappedShardSize {
+		mt.ownShards()
 		mt.shards = append(mt.shards, mt.newShard())
 	}
 	si := len(mt.shards) - 1
@@ -387,25 +430,32 @@ func (mt *MappedTable) tailShard() *factShard {
 func (mt *MappedTable) add(coords []int32, t temporal.Instant, values []float64, cfs []Confidence) {
 	h := tupleKey(coords, t)
 	nm := mt.nm
-	if i, ok := mt.find(h, coords, t); ok {
-		// A merge: several source tuples present themselves on the same
-		// target coordinates. Fold values with the measure aggregate ⊕
-		// and confidences with ⊗cf (Definition 12).
-		j := i & shardMask
-		sh := mt.writableShard(i>>shardShift, j)
-		vals := sh.values[j*nm : (j+1)*nm]
-		cfd := sh.cfs[j*nm : (j+1)*nm]
-		for k := range vals {
-			if mt.measures[k].Agg == Avg {
-				vals[k], sh.avgN[j*nm+k] = foldAvg(vals[k], sh.avgN[j*nm+k], values[k])
-			} else {
-				vals[k] = foldPair(mt.measures[k].Agg, vals[k], values[k])
-			}
-			cfd[k] = mt.alg.Combine(cfd[k], cfs[k])
-		}
-		sh.sources[j]++
+	i, ok := mt.find(h, coords, t)
+	if !ok {
+		mt.appendTuple(h, coords, t, values, cfs)
 		return
 	}
+	// A merge: several source tuples present themselves on the same
+	// target coordinates. Fold values with the measure aggregate ⊕ and
+	// confidences with ⊗cf (Definition 12).
+	j := i & shardMask
+	sh := mt.writableShard(i>>shardShift, j)
+	vals := sh.values[j*nm : (j+1)*nm]
+	cfd := sh.cfs[j*nm : (j+1)*nm]
+	for k := range vals {
+		if mt.measures[k].Agg == Avg {
+			vals[k], sh.avgN[j*nm+k] = foldAvg(vals[k], sh.avgN[j*nm+k], values[k])
+		} else {
+			vals[k] = foldPair(mt.measures[k].Agg, vals[k], values[k])
+		}
+		cfd[k] = mt.alg.Combine(cfd[k], cfs[k])
+	}
+	sh.sources[j]++
+}
+
+// appendTuple stores a tuple whose key, hashed to h, the table does not
+// hold, as one source in a fresh slot at the end.
+func (mt *MappedTable) appendTuple(h uint64, coords []int32, t temporal.Instant, values []float64, cfs []Confidence) {
 	sh := mt.tailShard()
 	sh.coords = append(sh.coords, coords...)
 	sh.times = append(sh.times, t)
@@ -414,11 +464,7 @@ func (mt *MappedTable) add(coords []int32, t temporal.Instant, values []float64,
 	sh.sources = append(sh.sources, 1)
 	if mt.hasAvg {
 		for _, v := range values {
-			var c int32
-			if !math.IsNaN(v) {
-				c = 1
-			}
-			sh.avgN = append(sh.avgN, c)
+			sh.avgN = append(sh.avgN, avgCount(v))
 		}
 	}
 	sh.n++
@@ -432,6 +478,15 @@ func (mt *MappedTable) add(coords []int32, t temporal.Instant, values []float64,
 	}
 	mt.index.put(h, mt.n)
 	mt.n++
+}
+
+// avgCount is the Avg contribution count of one source value: NaN, the
+// absent value, contributes nothing.
+func avgCount(v float64) int32 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return 1
 }
 
 // foldPair folds two values under an aggregate kind, with NaN treated as
@@ -499,13 +554,22 @@ type modeEntry struct {
 	err   error
 }
 
+// finishedEntry returns the cache entry of a table that needs no build.
+func finishedEntry(mt *MappedTable) *modeEntry {
+	e := &modeEntry{done: make(chan struct{}), table: mt}
+	close(e.done)
+	return e
+}
+
 // MultiVersionFactTable materializes the function f' of Definition 11:
 // for every temporal mode of presentation, the source data presented in
-// that mode with confidence factors. Restrictions per mode are computed
-// lazily, once per mode (concurrent callers share a single
+// that mode with confidence factors. The restriction to tcm is the
+// schema's fact table itself. Restrictions to version modes are
+// computed lazily, once per mode (concurrent callers share a single
 // materialization), and cached; the cache lives until the schema is
 // mutated (the schema drops its reference on Invalidate, so a handle
-// obtained before the mutation keeps serving its consistent snapshot).
+// obtained before the mutation keeps serving its consistent snapshot of
+// the version modes).
 type MultiVersionFactTable struct {
 	schema *Schema
 	mu     sync.Mutex
@@ -583,6 +647,20 @@ func (mv *MultiVersionFactTable) ModeContext(ctx context.Context, m Mode) (*Mapp
 // cache (true) or built by this call (false).
 func (mv *MultiVersionFactTable) modeContext(ctx context.Context, m Mode) (*MappedTable, bool, error) {
 	key := m.String()
+	if m.Kind == TCMKind {
+		// tcm is the fact store, served and never built. Its entry only
+		// records that the mode was asked for, so WarmFrom reports it
+		// retained as it does every warm mode.
+		mv.mu.Lock()
+		e, ok := mv.byMode[key]
+		if !ok {
+			e = finishedEntry(mv.schema.facts.table())
+			mv.byMode[key] = e
+		}
+		mv.mu.Unlock()
+		metModeCacheHits.Inc()
+		return e.table, ok, nil
+	}
 	for {
 		mv.mu.Lock()
 		e, ok := mv.byMode[key]
@@ -674,128 +752,113 @@ const cancelCheckStride = 256
 // collector copies what it keeps.
 type emitFunc func(coords []int32, t temporal.Instant, values []float64, cfs []Confidence)
 
-// mapShard presents a run of facts in a version mode, in fact order,
-// handing every emitted tuple to emit: each source coordinate resolves
-// through the mapping-relationship graph into the leaf member versions
-// of leafIn, values flow through the composed mapping functions and
-// confidences through ⊗cf, and a fact fans out to one tuple per
-// combination of its dimensions' resolutions (splits). It returns how
-// many facts no resolution reaches, and stops with an error, its run
-// half emitted, when ctx is cancelled.
-func (s *Schema) mapShard(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, facts []*Fact, emit emitFunc) (dropped int, err error) {
+// mapShards presents the live tuples of src in a version mode, in
+// tuple order, handing every emitted tuple to emit: each source
+// coordinate resolves through the mapping-relationship graph into the
+// leaf member versions of leafIn, values flow through the composed
+// mapping functions and confidences through ⊗cf, and a tuple fans out
+// to one emission per combination of its dimensions' resolutions
+// (splits). It returns how many tuples no resolution reaches, and stops
+// with an error, its run half emitted, when ctx is cancelled.
+func (s *Schema) mapShards(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, src []*factShard, emit emitFunc) (dropped int, err error) {
 	nd, nm := len(s.dims), len(s.measures)
 	// Resolutions are deterministic per source member version; cache
-	// them for the run, each with its target's ordinal.
-	resCache := make([]map[MVID][]resolution, nd)
-	for i := range resCache {
-		resCache[i] = make(map[MVID][]resolution)
+	// them for the run by source ordinal, each with its target's
+	// ordinal. nil is "not resolved yet", unresolvable "reaches none".
+	resCache := make([][][]resolution, nd)
+	for i, d := range s.dims {
+		resCache[i] = make([][]resolution, len(d.order))
 	}
 	perDim := make([][]resolution, nd)
 	combo := make([]int, nd)
 	coords := make([]int32, nd)
 	values := make([]float64, nm)
 	cfs := make([]Confidence, nm)
-	for fi, f := range facts {
-		if fi > 0 && fi%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return dropped, fmt.Errorf("core: materialization cancelled: %w", err)
-			}
-		}
-		ok := true
-		for i, id := range f.Coords {
-			rs, cached := resCache[i][id]
-			if !cached {
-				set := leafIn[i]
-				rs = graph.resolve(id, func(x MVID) bool { return set[x] })
-				for k := range rs {
-					rs[k].ord = s.dims[i].members[rs[k].target].ord
+	steps := 0
+	for _, sh := range src {
+	tuples:
+		for j := 0; j < sh.n; j++ {
+			if steps > 0 && steps%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return dropped, fmt.Errorf("core: materialization cancelled: %w", err)
 				}
-				resCache[i][id] = rs
 			}
-			if len(rs) == 0 {
-				ok = false
-				break
+			steps++
+			if sh.sources[j] == 0 {
+				continue // tombstoned by a retraction
 			}
-			perDim[i] = rs
-		}
-		if !ok {
-			dropped++
-			continue
-		}
-		// Cartesian product across dimensions (splits fan out). Each
-		// combination emits one tuple.
-		for i := range combo {
-			combo[i] = 0
-		}
-		for {
-			copy(values, f.Values)
-			for k := range cfs {
-				cfs[k] = SourceData
-			}
-			for i := 0; i < nd; i++ {
-				r := perDim[i][combo[i]]
-				coords[i] = r.ord
-				for k := 0; k < nm; k++ {
-					v, okv := r.per[k].Fn.Map(values[k])
-					if !okv {
-						v = math.NaN()
+			for i, o := range sh.coords[j*nd : (j+1)*nd] {
+				rs := resCache[i][o]
+				if rs == nil {
+					set := leafIn[i]
+					rs = graph.resolve(s.dims[i].order[o], func(x MVID) bool { return set[x] })
+					for k := range rs {
+						rs[k].ord = s.dims[i].members[rs[k].target].ord
 					}
-					values[k] = v
-					cfs[k] = s.alg.Combine(cfs[k], r.per[k].CF)
+					if rs == nil {
+						rs = unresolvable
+					}
+					resCache[i][o] = rs
 				}
+				if len(rs) == 0 {
+					dropped++
+					continue tuples
+				}
+				perDim[i] = rs
 			}
-			emit(coords, f.Time, values, cfs)
-			// Advance the product counter.
-			i := 0
-			for ; i < len(combo); i++ {
-				combo[i]++
-				if combo[i] < len(perDim[i]) {
-					break
-				}
+			// Cartesian product across dimensions (splits fan out). Each
+			// combination emits one tuple.
+			for i := range combo {
 				combo[i] = 0
 			}
-			if i == len(combo) {
-				break
+			for {
+				copy(values, sh.values[j*nm:(j+1)*nm])
+				for k := range cfs {
+					cfs[k] = SourceData
+				}
+				for i := 0; i < nd; i++ {
+					r := perDim[i][combo[i]]
+					coords[i] = r.ord
+					for k := 0; k < nm; k++ {
+						v, okv := r.per[k].Fn.Map(values[k])
+						if !okv {
+							v = math.NaN()
+						}
+						values[k] = v
+						cfs[k] = s.alg.Combine(cfs[k], r.per[k].CF)
+					}
+				}
+				emit(coords, sh.times[j], values, cfs)
+				// Advance the product counter.
+				i := 0
+				for ; i < len(combo); i++ {
+					combo[i]++
+					if combo[i] < len(perDim[i]) {
+						break
+					}
+					combo[i] = 0
+				}
+				if i == len(combo) {
+					break
+				}
 			}
 		}
 	}
 	return dropped, nil
 }
 
-// foldTCM presents a run of facts in tcm, in fact order, handing each to
-// emit as it is: its coordinates translated to ordinals, source values,
-// every confidence SourceData (the paper's f'|tcm = f × {sd}^m). It
-// stops with an error, its run half emitted, when ctx is cancelled.
-func (s *Schema) foldTCM(ctx context.Context, facts []*Fact, emit emitFunc) error {
-	sd := make([]Confidence, len(s.measures))
-	for k := range sd {
-		sd[k] = SourceData
-	}
-	coords := make([]int32, len(s.dims))
-	for i, f := range facts {
-		if i > 0 && i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: materialization cancelled: %w", err)
-			}
-		}
-		for k, id := range f.Coords {
-			coords[k] = s.dims[k].members[id].ord
-		}
-		emit(coords, f.Time, f.Values, sd)
-	}
-	return nil
-}
+// unresolvable marks a source ordinal no resolution reaches in
+// mapShards' cache.
+var unresolvable = []resolution{}
 
-// mapInto presents facts in out's mode and folds every emitted tuple
-// straight into out, in fact order. Shared by cold materialization (all
-// facts) and warm delta application (the appended suffix) — the add
-// sequence, and with it every floating-point bit, is identical either
-// way. On cancellation out is left half folded; callers discard it.
-func (s *Schema) mapInto(ctx context.Context, out *MappedTable, facts []*Fact) error {
-	if out.Mode.Kind == TCMKind {
-		return s.foldTCM(ctx, facts, out.add)
-	}
-	dropped, err := s.mapShard(ctx, out.graph, out.leafIn, facts, out.add)
+// mapInto presents source tuples in out's version mode and folds every
+// emitted tuple straight into out, in tuple order. Shared by cold
+// materialization (the store's shards) and warm delta application (the
+// appended suffix) — the add sequence, and with it every floating-point
+// bit, is identical either way. On cancellation out is left half
+// folded; callers discard it.
+func (s *Schema) mapInto(ctx context.Context, out *MappedTable, src []*factShard) error {
+	dropped, err := s.mapShards(ctx, out.graph, out.leafIn, src, out.add)
 	out.Dropped += dropped
 	return err
 }
@@ -815,13 +878,13 @@ func (s *Schema) versionLeafSets(sv *StructureVersion) []map[MVID]bool {
 	return leafIn
 }
 
-// mapFacts presents the temporally consistent fact table in the given
-// mode. In tcm the result is the source data tagged sd (the paper's
-// f'|tcm = f × {sd}^m). In a version mode every source coordinate is
-// resolved into the leaf member versions of the target structure
-// version through the mapping-relationship graph; values flow through
-// the composed mapping functions, confidences through ⊗cf; tuples
-// landing on identical target coordinates merge under ⊕ and ⊗cf.
+// mapFacts presents the temporally consistent fact table in a version
+// mode (tcm is the fact table itself and is never built): every source
+// coordinate is resolved into the leaf member versions of the target
+// structure version through the mapping-relationship graph; values flow
+// through the composed mapping functions, confidences through ⊗cf;
+// tuples landing on identical target coordinates merge under ⊕ and
+// ⊗cf.
 //
 // The graph and leaf sets are cached on the table so warm delta folds
 // after a clone-swap reuse them.
@@ -829,22 +892,16 @@ func (s *Schema) mapFacts(ctx context.Context, m Mode) (*MappedTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: materialization cancelled: %w", err)
 	}
-	switch m.Kind {
-	case TCMKind:
-	case VersionKind:
-		if m.Version == nil {
-			return nil, fmt.Errorf("core: version mode without structure version")
-		}
-	default:
+	switch {
+	case m.Kind != VersionKind:
 		return nil, fmt.Errorf("core: unknown mode kind %d", m.Kind)
+	case m.Version == nil:
+		return nil, fmt.Errorf("core: version mode without structure version")
 	}
-	facts := s.facts.Facts()
-	out := newMappedTable(s, m, len(facts))
-	if m.Kind == VersionKind {
-		out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
-		out.leafIn = s.versionLeafSets(m.Version)
-	}
-	if err := s.mapInto(ctx, out, facts); err != nil {
+	out := newMappedTable(s, m, s.facts.Len())
+	out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
+	out.leafIn = s.versionLeafSets(m.Version)
+	if err := s.mapInto(ctx, out, s.facts.shards); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -105,12 +105,12 @@ func (mt *MappedTable) tombstone(pos int) {
 }
 
 // retractInto unfolds the retracted source tuples out of a warm-clone
-// table for one mode. It returns false when the mode cannot absorb the
+// version-mode table. It returns false when the mode cannot absorb the
 // retraction exactly; the caller evicts it and the mode rebuilds cold
 // on next access. The table may be left part-mutated on false — every
 // touched shard is a private copy, so the caller simply discards the
 // clone.
-func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, retracted []*Fact) bool {
+func (s *Schema) retractInto(ctx context.Context, out *MappedTable, retracted *factShard) bool {
 	nd, nm := out.nd, out.nm
 	// Recompute the exact emissions the retracted tuples contributed.
 	// Resolution and mapping are deterministic, so running the tuples
@@ -118,12 +118,10 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 	// emissions bit for bit. They are collected, not folded: whether a
 	// cell is tombstoned or subtracted from depends on all of them.
 	var (
-		coords  []int32
-		times   []temporal.Instant
-		values  []float64
-		cfs     []Confidence
-		dropped int
-		err     error
+		coords []int32
+		times  []temporal.Instant
+		values []float64
+		cfs    []Confidence
 	)
 	collect := func(c []int32, t temporal.Instant, v []float64, cf []Confidence) {
 		coords = append(coords, c...)
@@ -131,11 +129,7 @@ func (s *Schema) retractInto(ctx context.Context, out *MappedTable, mode Mode, r
 		values = append(values, v...)
 		cfs = append(cfs, cf...)
 	}
-	if mode.Kind == TCMKind {
-		err = s.foldTCM(ctx, retracted, collect)
-	} else {
-		dropped, err = s.mapShard(ctx, out.graph, out.leafIn, retracted, collect)
-	}
+	dropped, err := s.mapShards(ctx, out.graph, out.leafIn, []*factShard{retracted}, collect)
 	if err != nil {
 		return false
 	}

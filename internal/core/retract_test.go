@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 )
@@ -190,13 +189,9 @@ func TestTombstoneZoneRebuild(t *testing.T) {
 	if err := s.InsertFact(Coords{"Smith"}, y(2002), 2); err != nil {
 		t.Fatal(err)
 	}
-	mt, err := s.MultiVersion().Mode(TCM())
-	if err != nil {
+	out := s.Facts()
+	if _, err := s.RetractFact(Coords{"Smith"}, y(2002)); err != nil {
 		t.Fatal(err)
-	}
-	out := mt.cloneForWarm(s, TCM())
-	if !s.retractInto(context.Background(), out, TCM(), []*Fact{s.Facts().Facts()[1]}) {
-		t.Fatal("tcm retraction must always be absorbable")
 	}
 	if out.Len() != 1 {
 		t.Fatalf("Len = %d after tombstone, want 1", out.Len())
@@ -210,8 +205,8 @@ func TestTombstoneZoneRebuild(t *testing.T) {
 		t.Fatalf("zone envelope [%v, %v], want the survivor's instant", z.minTime, z.maxTime)
 	}
 	// Tombstone the survivor too: the zone must become empty.
-	if !s.retractInto(context.Background(), out, TCM(), []*Fact{s.Facts().Facts()[0]}) {
-		t.Fatal("second tcm retraction refused")
+	if _, err := s.RetractFact(Coords{"Smith"}, y(2001)); err != nil {
+		t.Fatal(err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", out.Len())

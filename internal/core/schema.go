@@ -57,14 +57,15 @@ func (s *Schema) SwapID() uint64 { return s.swapID }
 // NewSchema creates a schema with the given measures, using the paper's
 // Example 5 confidence algebra.
 func NewSchema(name string, measures ...Measure) *Schema {
-	return &Schema{
+	s := &Schema{
 		Name:     name,
 		dimIndex: make(map[DimID]int),
 		measures: append([]Measure(nil), measures...),
 		alg:      PaperAlgebra(),
-		facts:    NewFactTable(len(measures)),
 		swapID:   schemaSwapCounter.Add(1),
 	}
+	s.facts = newFactTable(s)
+	return s
 }
 
 // SetConfidenceAlgebra replaces the ⊗cf algebra (Definition 6).
@@ -76,13 +77,19 @@ func (s *Schema) ConfidenceAlgebra() ConfidenceAlgebra { return s.alg }
 // AddDimension registers a temporal dimension. The schema hooks the
 // dimension's mutation callback, so later in-place mutations (evolution
 // operators) invalidate the schema's derived caches automatically.
+// Facts hold one coordinate per dimension, so every dimension comes
+// before the first fact.
 func (s *Schema) AddDimension(d *Dimension) error {
 	if _, dup := s.dimIndex[d.ID]; dup {
 		return fmt.Errorf("core: schema %s: duplicate dimension %q", s.Name, d.ID)
 	}
+	if s.facts.n != 0 {
+		return fmt.Errorf("core: schema %s: dimension %q added after facts", s.Name, d.ID)
+	}
 	d.onMutate = s.invalidate
 	s.dimIndex[d.ID] = len(s.dims)
 	s.dims = append(s.dims, d)
+	s.facts = newFactTable(s)
 	s.invalidate()
 	return nil
 }
@@ -184,8 +191,7 @@ func (s *Schema) InsertFact(coords Coords, t temporal.Instant, values ...float64
 			return fmt.Errorf("core: fact coordinate %q not valid at %s (valid %v)", id, t, mv.Valid)
 		}
 	}
-	s.dropModes()
-	return s.facts.Insert(coords, t, values...)
+	return s.writableFacts().Insert(coords, t, values...)
 }
 
 // RetractFact removes the fact stored at (coords, t) — the
@@ -199,11 +205,10 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 	if len(coords) != len(s.dims) {
 		return nil, fmt.Errorf("core: retract with %d coordinates for %d dimensions", len(coords), len(s.dims))
 	}
-	old, ok := s.facts.Retract(coords, t)
-	if !ok {
-		return nil, fmt.Errorf("core: no fact at %s %s to retract", coords.Key(), t)
+	if _, ok := s.facts.Lookup(coords, t); !ok {
+		return nil, fmt.Errorf("core: no fact at %s %s to retract", strings.Trim(fmt.Sprint(coords), "[]"), t)
 	}
-	s.dropModes()
+	old, _ := s.writableFacts().Retract(coords, t)
 	return old, nil
 }
 
@@ -231,7 +236,7 @@ func (s *Schema) Validate() error {
 
 // Clone returns a copy-on-write copy of the schema in O(dimensions)
 // plus the fact key index's bounded top: dimensions and the fact table
-// are cloned copy-on-write (Dimension.Clone, FactTable.Clone), so a
+// are cloned copy-on-write (Dimension.Clone, FactTable.clone), so a
 // write copies only what it mutates — a fact batch no dimension, an
 // evolve the dimensions it touches; the mapping list is shared and
 // copied by the first AddMapping; derived caches are carried as
@@ -252,7 +257,6 @@ func (s *Schema) Clone() *Schema {
 		// into capacity the receiver may also append to.
 		mappings: slices.Clip(s.mappings),
 		alg:      s.alg,
-		facts:    s.facts.Clone(),
 		swapID:   schemaSwapCounter.Add(1),
 	}
 	for _, d := range s.dims {
@@ -261,6 +265,7 @@ func (s *Schema) Clone() *Schema {
 		out.dimIndex[d.ID] = len(out.dims)
 		out.dims = append(out.dims, cp)
 	}
+	out.facts = s.facts.clone(out)
 	// The structure-version partition depends only on the dimensions,
 	// which were just cloned unchanged, so the inferred versions carry
 	// over until a cloned dimension is mutated.
@@ -284,11 +289,31 @@ func (s *Schema) invalidate() {
 }
 
 // dropModes drops the mapped modes after a change to the facts or the
-// mappings, which the structure versions do not read.
-func (s *Schema) dropModes() {
+// mappings, which the structure versions do not read. It returns the
+// dropped cache, nil when there was none.
+func (s *Schema) dropModes() *MultiVersionFactTable {
 	s.mu.Lock()
+	mv := s.mvftCache
 	s.mvftCache = nil
 	s.mu.Unlock()
+	return mv
+}
+
+// writableFacts drops the mapped modes ahead of a write to the fact
+// table through the schema and returns the table to write. A tcm handle
+// already handed out keeps serving its snapshot, as every mode's does:
+// the table it holds is left to it, and the schema writes a
+// copy-on-write clone instead.
+func (s *Schema) writableFacts() *FactTable {
+	if mv := s.dropModes(); mv != nil {
+		mv.mu.Lock()
+		_, served := mv.byMode[TCM().String()]
+		mv.mu.Unlock()
+		if served {
+			s.facts = s.facts.clone(s)
+		}
+	}
+	return s.facts
 }
 
 // Invalidate drops derived caches. Dimension mutations through the

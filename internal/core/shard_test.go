@@ -234,22 +234,20 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 			equalMappedTables(t, label+"/"+m.String(), warmT, coldT)
 		}
 	}
-	counts := func() (int64, int64, int64) {
-		return metShardsBorrowed.Value(), metShardsPrivatized.Value(), metFactListCopies.With("claim_lost").Value()
+	counts := func() (int64, int64) {
+		return metShardsBorrowed.Value(), metShardsPrivatized.Value()
 	}
 
-	b0, p0, l0 := counts()
+	b0, p0 := counts()
 	first := fold(base, base.Clone(), 2600)
-	b1, p1, l1 := counts()
-	if b1-b0 != int64(nModes) || p1 != p0 || l1 != l0 {
-		t.Errorf("first sibling: %d borrowed, %d privatized, %d fact-list claims lost; want %d, 0, 0",
-			b1-b0, p1-p0, l1-l0, nModes)
+	b1, p1 := counts()
+	if b1-b0 != int64(nModes) || p1 != p0 {
+		t.Errorf("first sibling: %d borrowed, %d privatized; want %d, 0", b1-b0, p1-p0, nModes)
 	}
 	second := fold(base, base.Clone(), 2700)
-	b2, p2, l2 := counts()
-	if b2 != b1 || p2-p1 != int64(nModes) || l2-l1 != 1 {
-		t.Errorf("second sibling: %d borrowed, %d privatized, %d fact-list claims lost; want 0, %d, 1",
-			b2-b1, p2-p1, l2-l1, nModes)
+	b2, p2 := counts()
+	if b2 != b1 || p2-p1 != int64(nModes) {
+		t.Errorf("second sibling: %d borrowed, %d privatized; want 0, %d", b2-b1, p2-p1, nModes)
 	}
 	for _, m := range base.Modes() {
 		bt, _ := base.MultiVersion().Mode(m)
@@ -272,7 +270,7 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	b3, p3, _ := counts()
+	b3, p3 := counts()
 	if b3-b2 != int64(nModes) || p3-p2 != int64(nModes) {
 		t.Errorf("racing siblings: %d borrowed, %d privatized; want %d each (one winner per mode)", b3-b2, p3-p2, nModes)
 	}
@@ -371,13 +369,13 @@ func TestFactWriteAllocation(t *testing.T) {
 	write := 0
 	per := bytesPerRun(64, func() {
 		c := s.Clone()
-		old := c.Facts().Len()
+		mark := c.Facts().End()
 		for i := 0; i < 32; i++ {
 			if err := c.InsertFact(Coords{"Smith"}, ym(9000, 1)+temporal.Instant(32*write+i), float64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if res := c.WarmFrom(context.Background(), s, Delta{NewFacts: c.Facts().Facts()[old:]}); len(res.Evicted) != 0 {
+		if res := c.WarmFrom(context.Background(), s, Delta{NewFacts: c.Facts().Since(mark)}); len(res.Evicted) != 0 {
 			t.Fatalf("write %d evicted %v", write, res.Evicted)
 		}
 		s = c

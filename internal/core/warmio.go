@@ -79,10 +79,9 @@ func shardMappedColumns(nd, nm int, coords []MVID, times []temporal.Instant, val
 // inferred versions, never a composed version, which no other schema
 // can resolve by ID. It never triggers a materialization: a
 // cold cache (or one with only failed or in-flight builds) exports
-// nothing. The export aliases the immutable shard columns of the
-// published tables (values are re-encoded as bits, coordinates
-// translated from ordinals back to member version IDs); callers must
-// not write through it.
+// nothing. The export copies the live tuples out of the shard columns
+// (values re-encoded as bits, coordinates translated from ordinals back
+// to member version IDs).
 //
 // Deprecated: no snapshot carries modes any more; only the benchmark
 // module's serial replay calls this. It is removed with that replay
@@ -101,69 +100,41 @@ func (s *Schema) ExportWarmModes() []*MappedTableExport {
 			NumDims:     len(s.dims),
 			NumMeasures: len(s.measures),
 			HasAvg:      t.table.hasAvg,
-			NumFacts:    t.table.n - t.table.dead,
-			Shards:      make([]MappedShardExport, 0, len(t.table.shards)),
+			NumFacts:    t.table.Len(),
 		}
 		if t.table.Mode.Kind == VersionKind {
 			exp.Valid, exp.Signature = sv.Valid, sv.sig
 		}
-		nd, nm := t.table.nd, t.table.nm
-		if t.table.dead == 0 {
-			for _, sh := range t.table.shards {
-				se := MappedShardExport{
-					N:       sh.n,
-					Coords:  make([]MVID, len(sh.coords)),
-					Times:   sh.times,
-					Values:  make([]uint64, len(sh.values)),
-					CFs:     sh.cfs,
-					Sources: sh.sources,
-					AvgN:    sh.avgN,
-				}
-				for j := 0; j < sh.n; j++ {
-					t.table.ids(se.Coords[j*nd:(j+1)*nd], sh.coords[j*nd:(j+1)*nd])
-				}
-				for i, v := range sh.values {
-					se.Values[i] = math.Float64bits(v)
-				}
-				exp.Shards = append(exp.Shards, se)
-			}
-		} else {
-			// Tombstoned slots do not travel: live tuples repack into
-			// fresh fully packed shards, in live order (the codec
-			// rejects underfull non-final shards, and scans define order
-			// over live tuples anyway).
-			// The live count is known, so each column is allocated once
-			// for the whole table and cut into shards afterwards.
-			live := exp.NumFacts
-			coords := make([]MVID, 0, live*nd)
-			times := make([]temporal.Instant, 0, live)
-			values := make([]uint64, 0, live*nm)
-			cfs := make([]Confidence, 0, live*nm)
-			sources := make([]int32, 0, live)
-			var avgN []int32
-			if t.table.hasAvg {
-				avgN = make([]int32, 0, live*nm)
-			}
-			for _, sh := range t.table.shards {
-				for j := 0; j < sh.n; j++ {
-					if sh.sources[j] == 0 {
-						continue
-					}
-					coords = coords[:len(coords)+nd]
-					t.table.ids(coords[len(coords)-nd:], sh.coords[j*nd:(j+1)*nd])
-					times = append(times, sh.times[j])
-					for _, v := range sh.values[j*nm : (j+1)*nm] {
-						values = append(values, math.Float64bits(v))
-					}
-					cfs = append(cfs, sh.cfs[j*nm:(j+1)*nm]...)
-					sources = append(sources, sh.sources[j])
-					if avgN != nil {
-						avgN = append(avgN, sh.avgN[j*nm:(j+1)*nm]...)
-					}
-				}
-			}
-			exp.Shards = shardMappedColumns(nd, nm, coords, times, values, cfs, sources, avgN)
+		// Live tuples pack into fully packed shards, in live order:
+		// tombstoned slots do not travel (the codec rejects underfull
+		// non-final shards, and scans define order over live tuples
+		// anyway). The live count is known, so each column is allocated
+		// once for the whole table and cut into shards afterwards.
+		nd, nm, live := t.table.nd, t.table.nm, exp.NumFacts
+		coords := make([]MVID, 0, live*nd)
+		times := make([]temporal.Instant, 0, live)
+		values := make([]uint64, 0, live*nm)
+		cfs := make([]Confidence, 0, live*nm)
+		sources := make([]int32, 0, live)
+		var avgN []int32
+		if t.table.hasAvg {
+			avgN = make([]int32, 0, live*nm)
 		}
+		t.table.each(0, func(sh *factShard, j int) bool {
+			coords = coords[:len(coords)+nd]
+			t.table.ids(coords[len(coords)-nd:], sh.coords[j*nd:(j+1)*nd])
+			times = append(times, sh.times[j])
+			for _, v := range sh.values[j*nm : (j+1)*nm] {
+				values = append(values, math.Float64bits(v))
+			}
+			cfs = append(cfs, sh.cfs[j*nm:(j+1)*nm]...)
+			sources = append(sources, sh.sources[j])
+			if avgN != nil {
+				avgN = append(avgN, sh.avgN[j*nm:(j+1)*nm]...)
+			}
+			return true
+		})
+		exp.Shards = shardMappedColumns(nd, nm, coords, times, values, cfs, sources, avgN)
 		out = append(out, exp)
 	}
 	return out

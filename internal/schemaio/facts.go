@@ -28,19 +28,25 @@ import (
 
 var factsMagic = []byte("MVFC01")
 
-// EncodeFacts serializes the schema's source facts deterministically.
+// EncodeFacts serializes the schema's source facts deterministically,
+// walking the fact table's columns rather than a view of the whole
+// table.
 func EncodeFacts(s *core.Schema) []byte {
-	return encodeFacts(s.Facts().Facts(), len(s.Dimensions()), len(s.Measures()))
+	ft := s.Facts()
+	return encodeFacts(ft.All, ft.Len(), len(s.Dimensions()), len(s.Measures()))
 }
 
-func encodeFacts(facts []*core.Fact, nd, nm int) []byte {
+// encodeFacts encodes the n facts walk yields, in order. It walks them
+// three times — coordinates, instants, values — in the payload's
+// field-major order, and keeps nothing of a yielded fact past its step.
+func encodeFacts(walk func(yield func(*core.Fact) bool), n, nd, nm int) []byte {
 	pos := make(map[core.MVID]uint32)
 	var ids []core.MVID
-	refs := make([]uint32, 0, len(facts)*nd)
+	refs := make([]uint32, 0, n*nd)
 	// An upper bound on the encoding (a uvarint is at most 10 bytes, an
 	// ID position at most 5), so the buffer is allocated once.
-	size := len(factsMagic) + 4*binary.MaxVarintLen64 + len(facts)*(8+8*nm+binary.MaxVarintLen32*nd)
-	for _, f := range facts {
+	size := len(factsMagic) + 4*binary.MaxVarintLen64 + n*(8+8*nm+binary.MaxVarintLen32*nd)
+	walk(func(f *core.Fact) bool {
 		for _, id := range f.Coords {
 			p, ok := pos[id]
 			if !ok {
@@ -51,12 +57,13 @@ func encodeFacts(facts []*core.Fact, nd, nm int) []byte {
 			}
 			refs = append(refs, p)
 		}
-	}
+		return true
+	})
 	buf := make([]byte, 0, size)
 	buf = append(buf, factsMagic...)
 	buf = binary.AppendUvarint(buf, uint64(nd))
 	buf = binary.AppendUvarint(buf, uint64(nm))
-	buf = binary.AppendUvarint(buf, uint64(len(facts)))
+	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		buf = appendString(buf, string(id))
@@ -64,14 +71,16 @@ func encodeFacts(facts []*core.Fact, nd, nm int) []byte {
 	for _, p := range refs {
 		buf = binary.AppendUvarint(buf, uint64(p))
 	}
-	for _, f := range facts {
+	walk(func(f *core.Fact) bool {
 		buf = appendInt64(buf, int64(f.Time))
-	}
-	for _, f := range facts {
+		return true
+	})
+	walk(func(f *core.Fact) bool {
 		for _, v := range f.Values {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-	}
+		return true
+	})
 	return buf
 }
 

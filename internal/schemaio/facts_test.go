@@ -138,7 +138,7 @@ func TestFactsDecodeRejectsCorruption(t *testing.T) {
 	}
 	// The same cell twice is not something a fact table encodes.
 	facts := s.Facts().Facts()
-	twice := encodeFacts(slices.Concat(facts, facts[:1]), 2, 2)
+	twice := encodeFacts(walkOf(slices.Concat(facts, facts[:1])), len(facts)+1, 2, 2)
 	if err := DecodeFacts(twice, edgeSchema(t)); err == nil {
 		t.Error("a payload naming one cell twice must fail")
 	}
@@ -175,9 +175,20 @@ func FuzzFactsCodec(f *testing.F) {
 			return
 		}
 		var back []*core.Fact
-		if err := decodeFacts(encodeFacts(facts, len(facts[0].Coords), len(facts[0].Values)), collect(&back)); err != nil {
+		if err := decodeFacts(encodeFacts(walkOf(facts), len(facts), len(facts[0].Coords), len(facts[0].Values)), collect(&back)); err != nil {
 			t.Fatalf("re-encoded facts failed to decode: %v", err)
 		}
 		sameFacts(t, back, facts)
 	})
+}
+
+// walkOf walks a slice of facts the way encodeFacts walks a fact table.
+func walkOf(facts []*core.Fact) func(func(*core.Fact) bool) {
+	return func(yield func(*core.Fact) bool) {
+		for _, f := range facts {
+			if !yield(f) {
+				return
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"mvolap/internal/core"
 	"mvolap/internal/temporal"
@@ -115,13 +116,14 @@ func write(w io.Writer, s *core.Schema, withFacts bool) error {
 		out.Mappings = append(out.Mappings, fm)
 	}
 	if withFacts {
-		for _, f := range s.Facts().Facts() {
-			ff := fileFact{Time: f.Time.String(), Values: f.Values}
+		s.Facts().All(func(f *core.Fact) bool {
+			ff := fileFact{Time: f.Time.String(), Values: slices.Clone(f.Values)}
 			for _, id := range f.Coords {
 				ff.Coords = append(ff.Coords, string(id))
 			}
 			out.Facts = append(out.Facts, ff)
-		}
+			return true
+		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

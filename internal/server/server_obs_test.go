@@ -21,7 +21,8 @@ import (
 // counters in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
-	q := "/query?q=" + urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE tcm")
+	// A version mode: tcm is the fact table and is never materialized.
+	q := "/query?q=" + urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE VERSION AT 2002")
 	for i := 0; i < 2; i++ { // second run hits the mode cache
 		if code, body := get(t, srv, q); code != http.StatusOK {
 			t.Fatalf("query = %d: %s", code, body)
@@ -38,7 +39,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mvolap_http_request_seconds_count{endpoint="/query"}`,
 		"mvolap_mode_cache_hits_total",
 		"mvolap_mode_cache_misses_total",
-		`mvolap_materialize_seconds_count{mode="tcm"}`,
+		`mvolap_materialize_seconds_count{mode="V2"}`,
 		"mvolap_query_facts_scanned_total",
 		"mvolap_http_in_flight",
 	} {

@@ -120,7 +120,7 @@ func (m *Mutation) Apply(clone *core.Schema, ap *evolution.Applier) (core.Delta,
 		}
 		return touched.Delta(), nil
 	case RecordFacts:
-		oldLen := clone.Facts().Len()
+		mark := clone.Facts().End()
 		for i, fr := range m.facts {
 			if err := ApplyFact(clone, fr); err != nil {
 				return core.Delta{}, &BatchError{Index: i, Err: fmt.Errorf("fact %d: %w", i, err)}
@@ -128,10 +128,10 @@ func (m *Mutation) Apply(clone *core.Schema, ap *evolution.Applier) (core.Delta,
 		}
 		// An insert-only batch appends a suffix the cached modes can fold in
 		// incrementally; a batch that replaced values at existing coordinates
-		// cannot be expressed as a delta and evicts everything.
+		// cannot be expressed as a delta and evicts every version mode.
 		var delta core.Delta
-		if clone.Facts().Len() == oldLen+len(m.facts) {
-			delta.NewFacts = clone.Facts().Facts()[oldLen:]
+		if appended := clone.Facts().Since(mark); len(appended) == len(m.facts) {
+			delta.NewFacts = appended
 		} else {
 			delta.FactsReplaced = true
 		}
