@@ -372,6 +372,52 @@ func TestRowN(t *testing.T) {
 		s.MustInsertFact(Coords{"Smith"}, y(2001), 10)
 		return s
 	}
+	// D1 and D2 merge into DM from 2002 on: V1 is 2001, V2 from 2002.
+	// Forward, a department's values carry over whole; backward, DM's
+	// split in halves. Measures: Amount (Sum), Heads (Count), Mean (Avg).
+	merger := func(facts func(s *Schema)) func(testing.TB) *Schema {
+		return func(t testing.TB) *Schema {
+			s := NewSchema("merger", Measure{Name: "Amount", Agg: Sum}, Measure{Name: "Heads", Agg: Count},
+				Measure{Name: "Mean", Agg: Avg})
+			d := NewDimension("Org", "Org")
+			for _, mv := range []*MemberVersion{
+				{ID: "Sales", Level: "Division", Valid: temporal.Since(y(2001))},
+				{ID: "D1", Level: "Department", Valid: temporal.Between(y(2001), y(2002).Prev())},
+				{ID: "D2", Level: "Department", Valid: temporal.Between(y(2001), y(2002).Prev())},
+				{ID: "DM", Level: "Department", Valid: temporal.Since(y(2002))},
+			} {
+				if err := d.AddVersion(mv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, from := range []MVID{"D1", "D2", "DM"} {
+				if err := d.AddRelationship(TemporalRelationship{From: from, To: "Sales", Valid: d.Version(from).Valid}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.AddDimension(d); err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []MVID{"D1", "D2"} {
+				if err := s.AddMapping(MappingRelationship{From: from, To: "DM",
+					Forward: UniformMapping(3, Identity, ExactMapping), Backward: UniformMapping(3, Linear{K: 0.5}, ApproxMapping)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			facts(s)
+			return s
+		}
+	}
+	// Definition 11's f' is a function: the two facts land on one
+	// (DM, 2001) and merge before the fold, so the row sees one tuple.
+	merged := merger(func(s *Schema) {
+		s.MustInsertFact(Coords{"D1"}, y(2001), 10, 1, 10)
+		s.MustInsertFact(Coords{"D2"}, y(2001), 30, 1, 30)
+	})
+	// One fact presented on two targets is two tuples.
+	split := merger(func(s *Schema) {
+		s.MustInsertFact(Coords{"DM"}, y(2002), 40, 1, 40)
+	})
 	byDivision := []GroupBy{{Dim: "Org", Level: "Division"}}
 	for _, c := range []struct {
 		name    string
@@ -381,10 +427,16 @@ func TestRowN(t *testing.T) {
 		group   string
 		value   float64
 		n       int
+		// rest holds the values of the measures after the first, when
+		// the schema has any.
+		rest []float64
 	}{
-		{"grand total", splitSchema, nil, "", "", 850, 10},
-		{"two Sales/tcm", twoSales, byDivision, "", "Sales", 20, 2},
-		{"two Sales/V1", twoSales, byDivision, "V1", "Sales", 20, 2},
+		{"grand total", splitSchema, nil, "", "", 850, 10, nil},
+		{"two Sales/tcm", twoSales, byDivision, "", "Sales", 20, 2, nil},
+		{"two Sales/V1", twoSales, byDivision, "V1", "Sales", 20, 2, nil},
+		{"merge/tcm", merged, byDivision, "", "Sales", 40, 2, []float64{2, 20}},
+		{"merge/V2", merged, byDivision, "V2", "Sales", 40, 1, []float64{1, 20}},
+		{"split/V1", split, byDivision, "V1", "Sales", 40, 2, []float64{2, 20}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := c.schema(t)
@@ -409,6 +461,9 @@ func TestRowN(t *testing.T) {
 			}
 			if r.Values[0] != c.value || r.N != c.n {
 				t.Errorf("value %v, N %d; want %v, %d", r.Values[0], r.N, c.value, c.n)
+			}
+			if c.rest != nil && !slices.Equal(r.Values[1:], c.rest) {
+				t.Errorf("values %v, want %v after the first", r.Values, c.rest)
 			}
 		})
 	}

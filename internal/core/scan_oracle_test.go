@@ -15,18 +15,200 @@ import (
 	"mvolap/internal/temporal"
 )
 
-// naiveExecute is the scan's oracle: Definition 12 done the obvious way.
-// It reads the mode's tuples through the row view, walks upward from
-// every tuple's coordinates with the public structure accessors (no
-// rollup table, no ordinal, no slot), keys cells by a string, and folds
-// sequentially in tuple order.
+// naiveTuple is one tuple of f' restricted to a mode, as naiveMapped
+// derives it.
+type naiveTuple struct {
+	Coords Coords
+	Time   temporal.Instant
+	Values []float64
+	CFs    []Confidence
+}
+
+// naivePresent is one way of presenting a source member version in a
+// structure version: the target, and per measure the mapping functions
+// met along the path, in path order, and the combined confidence.
+type naivePresent struct {
+	target MVID
+	fns    [][]Mapper
+	cfs    []Confidence
+}
+
+// naiveResolve finds the presentations of source among the targets by a
+// breadth-first walk of the mapping relationships, forward through
+// Forward and backward through Backward, that stops at the first target
+// on each path. A source that is a target presents as itself.
+func naiveResolve(s *Schema, source MVID, targets map[MVID]bool) []naivePresent {
+	nm := len(s.Measures())
+	self := naivePresent{target: source, fns: make([][]Mapper, nm), cfs: make([]Confidence, nm)}
+	if targets[source] {
+		return []naivePresent{self}
+	}
+	var out []naivePresent
+	seen := map[MVID]bool{source: true}
+	frontier := []naivePresent{self}
+	for len(frontier) > 0 {
+		var next []naivePresent
+		for _, at := range frontier {
+			step := func(to MVID, mms []MeasureMapping) {
+				if seen[to] {
+					return
+				}
+				seen[to] = true
+				p := naivePresent{target: to, fns: make([][]Mapper, nm), cfs: make([]Confidence, nm)}
+				for k, mm := range mms {
+					p.fns[k] = append(slices.Clip(at.fns[k]), mm.Fn)
+					p.cfs[k] = s.ConfidenceAlgebra().Combine(at.cfs[k], mm.CF)
+				}
+				if targets[to] {
+					out = append(out, p)
+				} else {
+					next = append(next, p)
+				}
+			}
+			for _, m := range s.Mappings() {
+				if m.From == at.target {
+					step(m.To, m.Forward)
+				}
+			}
+			for _, m := range s.Mappings() {
+				if m.To == at.target {
+					step(m.From, m.Backward)
+				}
+			}
+		}
+		frontier = next
+	}
+	return out
+}
+
+// naiveMapped derives f' restricted to a mode from the fact table and
+// the mapping relationships alone (Definition 11). In tcm every fact
+// presents as itself with confidence sd. In a version mode every
+// coordinate presents among the leaves of its dimension in the version
+// (naiveResolve), a fact fans out to every combination of its
+// coordinates' presentations, values run through the functions of each
+// in dimension order, and confidences combine under ⊗cf. f' is a
+// function: presentations landing on one (coordinates, instant) merge
+// into one tuple — per measure Sum adds, Min and Max keep the extreme,
+// Avg takes the mean and Count the number of its non-NaN contributions,
+// NaN being the absent value — in the order of their first presentation.
+// dropped counts the facts with a coordinate nothing presents.
+func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
+	nm := len(s.Measures())
+	alg := s.ConfidenceAlgebra()
+	type merged struct {
+		tuple   *naiveTuple
+		contrib [][]float64
+	}
+	cells := map[string]*merged{}
+	var order []*merged
+	s.Facts().All(func(f *Fact) bool {
+		if m.Kind != VersionKind {
+			tuples = append(tuples, &naiveTuple{Coords: f.Coords.Clone(), Time: f.Time,
+				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm)})
+			return true
+		}
+		per := make([][]naivePresent, len(f.Coords))
+		for i, id := range f.Coords {
+			d := s.Dimensions()[i]
+			targets := map[MVID]bool{}
+			for _, mv := range m.Version.Dimension(d.ID).LeavesAt(m.Version.Valid.Start) {
+				targets[mv.ID] = true
+			}
+			if per[i] = naiveResolve(s, id, targets); len(per[i]) == 0 {
+				dropped++
+				return true
+			}
+		}
+		combo := make([]int, len(per))
+		for {
+			tu := &naiveTuple{Coords: make(Coords, len(per)), Time: f.Time,
+				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm)}
+			for i, ps := range per {
+				p := ps[combo[i]]
+				tu.Coords[i] = p.target
+				for k := range tu.Values {
+					for _, fn := range p.fns[k] {
+						v, ok := fn.Map(tu.Values[k])
+						if !ok {
+							v = math.NaN()
+						}
+						tu.Values[k] = v
+					}
+					tu.CFs[k] = alg.Combine(tu.CFs[k], p.cfs[k])
+				}
+			}
+			key := fmt.Sprint(tu.Coords, "@", tu.Time)
+			c := cells[key]
+			if c == nil {
+				c = &merged{tuple: tu, contrib: make([][]float64, nm)}
+				cells[key] = c
+				order = append(order, c)
+			} else {
+				for k := range tu.CFs {
+					c.tuple.CFs[k] = alg.Combine(c.tuple.CFs[k], tu.CFs[k])
+				}
+			}
+			for k, v := range tu.Values {
+				if !math.IsNaN(v) {
+					c.contrib[k] = append(c.contrib[k], v)
+				}
+			}
+			i := 0
+			for ; i < len(combo); i++ {
+				if combo[i]++; combo[i] < len(per[i]) {
+					break
+				}
+				combo[i] = 0
+			}
+			if i == len(combo) {
+				break
+			}
+		}
+		return true
+	})
+	for _, c := range order {
+		for k, vs := range c.contrib {
+			if len(vs) == 0 {
+				c.tuple.Values[k] = math.NaN()
+				continue
+			}
+			acc := vs[0]
+			for _, v := range vs[1:] {
+				switch s.Measures()[k].Agg {
+				case Sum, Avg:
+					acc += v
+				case Min:
+					acc = math.Min(acc, v)
+				case Max:
+					acc = math.Max(acc, v)
+				}
+			}
+			switch s.Measures()[k].Agg {
+			case Avg:
+				acc /= float64(len(vs))
+			case Count:
+				acc = float64(len(vs))
+			}
+			c.tuple.Values[k] = acc
+		}
+		tuples = append(tuples, c.tuple)
+	}
+	return tuples, dropped
+}
+
+// naiveExecute is the scan's oracle: Definitions 11 and 12 done the
+// obvious way. It derives the mode's tuples itself (naiveMapped), walks
+// upward from every tuple's coordinates with the public structure
+// accessors (no rollup table, no ordinal, no slot), keys cells by a
+// string, and folds sequentially in tuple order.
 func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 	t.Helper()
-	mt, err := s.MultiVersion().Mode(q.Mode)
-	if err != nil {
-		t.Fatal(err)
+	if q.Mode.Kind == VersionKind && q.Mode.Version == nil {
+		t.Fatal("oracle: version mode without a version")
 	}
-	res := &Result{Mode: q.Mode, Dropped: mt.Dropped}
+	tuples, dropped := naiveMapped(s, q.Mode)
+	res := &Result{Mode: q.Mode, Dropped: dropped}
 	var mIdx []int
 	if len(q.Measures) == 0 {
 		for i, m := range s.measures {
@@ -74,7 +256,7 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 		accs []*Accumulator
 	}
 	cells := map[string]*cell{}
-	for _, f := range mt.Facts() {
+	for _, f := range tuples {
 		if !rng.Contains(f.Time) {
 			continue
 		}
@@ -175,7 +357,15 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 // name, both as ancestors and as leaves. Dimension B has no level tags,
 // so its levels are depths that move as edges come and go. Facts fill a
 // little over two storage shards, mostly in time order so that ranges
-// prune, with measures under Sum and Max.
+// prune, with measures under Sum, Max, Avg and Count.
+//
+// Dimension A also carries Definition 7's transitions, each at its own
+// cut: a merge of two leaves (P0, P1 → PM, backward halves), a split
+// (Q0 → Q1, Q2 with k = 1/4 and 3/4), a transition whose function is
+// Unknown for one measure (U0 → U1), and leaves no mapping reaches
+// (X0 ends, X1 begins), so that a version mode merges, fans out, loses
+// values and drops facts. Values and factors are dyadic, so every fold
+// is exact in any order.
 func oracleSchema(t testing.TB, seed int64) *Schema {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -238,6 +428,36 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		}
 	}
 
+	cut := func() temporal.Instant { return first + 1 + temporal.Instant(r.Intn(int(last-first))) }
+	type transition struct {
+		before, after []MVID
+	}
+	var mappings []MappingRelationship
+	lin := func(k float64, cf Confidence) []MeasureMapping { return UniformMapping(4, Linear{K: k}, cf) }
+	for _, tr := range []transition{{[]MVID{"P0", "P1"}, []MVID{"PM"}}, {[]MVID{"Q0"}, []MVID{"Q1", "Q2"}},
+		{[]MVID{"U0"}, []MVID{"U1"}}, {[]MVID{"X0"}, []MVID{"X1"}}} {
+		at := cut()
+		for _, id := range tr.before {
+			must(a.AddVersion(&MemberVersion{ID: id, Level: "Leaf", Valid: temporal.Between(first, at.Prev())}))
+			link(a, id, mids[r.Intn(6)], temporal.Always)
+			aLeaves = append(aLeaves, id)
+		}
+		for _, id := range tr.after {
+			must(a.AddVersion(&MemberVersion{ID: id, Level: "Leaf", Valid: temporal.Since(at)}))
+			link(a, id, mids[r.Intn(6)], temporal.Always)
+			aLeaves = append(aLeaves, id)
+		}
+	}
+	mappings = append(mappings,
+		MappingRelationship{From: "P0", To: "PM", Forward: lin(1, ExactMapping), Backward: lin(0.5, ApproxMapping)},
+		MappingRelationship{From: "P1", To: "PM", Forward: lin(1, ExactMapping), Backward: lin(0.5, ApproxMapping)},
+		MappingRelationship{From: "Q0", To: "Q1", Forward: lin(0.25, ApproxMapping), Backward: lin(1, ExactMapping)},
+		MappingRelationship{From: "Q0", To: "Q2", Forward: lin(0.75, ApproxMapping), Backward: lin(1, ExactMapping)},
+		MappingRelationship{From: "U0", To: "U1",
+			Forward:  []MeasureMapping{{Linear{K: 1}, ExactMapping}, {Unknown{}, UnknownMapping}, {Linear{K: 1}, ExactMapping}, {Linear{K: 1}, ExactMapping}},
+			Backward: lin(1, ExactMapping)},
+	)
+
 	b := NewDimension("B", "B")
 	must(b.AddVersion(&MemberVersion{ID: "R0", Valid: temporal.Since(first)}))
 	must(b.AddVersion(&MemberVersion{ID: "R1", Name: "R0", Valid: temporal.Since(first)}))
@@ -258,9 +478,13 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		}
 	}
 
-	s := NewSchema("oracle", Measure{Name: "sum", Agg: Sum}, Measure{Name: "max", Agg: Max})
+	s := NewSchema("oracle", Measure{Name: "sum", Agg: Sum}, Measure{Name: "max", Agg: Max},
+		Measure{Name: "avg", Agg: Avg}, Measure{Name: "cnt", Agg: Count})
 	must(s.AddDimension(a))
 	must(s.AddDimension(b))
+	for _, m := range mappings {
+		must(s.AddMapping(m))
+	}
 	type key struct {
 		a, b MVID
 		t    temporal.Instant
@@ -268,6 +492,9 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 	keys := make([]key, 0, len(aLeaves)*len(bLeaves)*int(last-first+1))
 	for t := first; t <= last; t++ {
 		for _, la := range aLeaves {
+			if !a.Version(la).ValidAt(t) {
+				continue
+			}
 			for _, lb := range bLeaves {
 				keys = append(keys, key{la, lb, t})
 			}
@@ -283,7 +510,11 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		if r.Intn(40) == 0 {
 			v = math.NaN()
 		}
-		must(s.InsertFact(Coords{k.a, k.b}, k.t, v, float64(r.Intn(100))))
+		cnt := 1.0
+		if r.Intn(40) == 0 {
+			cnt = math.NaN()
+		}
+		must(s.InsertFact(Coords{k.a, k.b}, k.t, v, float64(r.Intn(100)), float64(r.Intn(4096))/16, cnt))
 	}
 	return s
 }
@@ -307,7 +538,7 @@ func oracleQuery(r *rand.Rand, s *Schema) Query {
 		q.GroupBy = []GroupBy{bLevel, aLevel}
 	}
 	if r.Intn(3) == 0 {
-		q.Measures = []string{[]string{"sum", "max"}[r.Intn(2)]}
+		q.Measures = []string{[]string{"sum", "max", "avg", "cnt"}[r.Intn(4)]}
 	}
 	if r.Intn(4) > 0 {
 		from := ym(2000+r.Intn(5), 1+r.Intn(12))
@@ -319,7 +550,7 @@ func oracleQuery(r *rand.Rand, s *Schema) Query {
 	if r.Intn(5) == 0 {
 		q.Filters = append(q.Filters, Filter{Dim: "B", Members: [][]string{{"R0"}, {"C1", "G2"}}[r.Intn(2)]})
 	}
-	if svs := s.StructureVersions(); r.Intn(3) == 0 {
+	if svs := s.StructureVersions(); r.Intn(2) == 0 {
 		q.Mode = InVersion(svs[r.Intn(len(svs))])
 	}
 	return q
@@ -382,7 +613,7 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			oldLen := grown.Facts().Len()
 			for k := 0; k < 40; k++ {
 				at := from + temporal.Instant(r.Intn(int(ym(2004, 12)-from)+1))
-				if err := grown.InsertFact(Coords{"Lnew", MVID(fmt.Sprintf("G%d", k%8))}, at, float64(k), 1); err != nil {
+				if err := grown.InsertFact(Coords{"Lnew", MVID(fmt.Sprintf("G%d", k%8))}, at, float64(k), 1, float64(k)/4, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
