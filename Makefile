@@ -29,12 +29,14 @@ deps-check:
 	test -z "$$bad"
 
 # A write is one pipeline: store's commit routine is the only place
-# outside internal/core that clones a schema or warms a clone, and the
-# leader's handlers, crash recovery and the follower all go through it.
-# A second Schema.Clone() or .WarmFrom( call site in the root module's
-# non-test code is a second write path starting. Schema.Clone is told
-# from the other Clone methods by its receiver: a new kind of receiver
-# fails the check until it is listed in NOT_A_SCHEMA.
+# outside internal/core that clones a schema, and the leader's handlers,
+# crash recovery and the follower all go through it. A second
+# Schema.Clone() call site in the root module's non-test code is a
+# second write path starting. Schema.Clone is told from the other Clone
+# methods by its receiver: a new kind of receiver fails the check until
+# it is listed in NOT_A_SCHEMA. Nothing warms a clone: a mode has no
+# warm state, and the deprecated Schema.WarmFrom is called nowhere in
+# the root module's non-test code.
 #
 # What commit produces goes into service one way too: the server's
 # publish is the one place that assigns the served schema (a field
@@ -44,25 +46,38 @@ deps-check:
 # starting.
 #
 # The whole-table view .Facts().Facts() is O(facts), and a write reads its appended suffix (FactTable.Since) instead.
+#
+# The serving path presents every mode from the fact store through
+# resolution tables: a MultiVersion() call in the query path, the store,
+# the server or the TQL layer is a materialized mode coming back.
 WRITE_PATH = ./internal/store/mutation.go
+NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql
 NOT_A_SCHEMA = [cC]oords|mv
 .PHONY: write-path-check
 write-path-check:
-	@calls=$$(grep -rnE '\.WarmFrom\(|\.Clone\(\)' --include='*.go' --exclude='*_test.go' \
+	@calls=$$(grep -rnE '\.Clone\(\)' --include='*.go' --exclude='*_test.go' \
 			--exclude-dir=benchmark --exclude-dir=core . \
 		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
 		| grep -vE '($(NOT_A_SCHEMA))\.Clone\(\)'); \
 	stray=$$(echo "$$calls" | grep -v '^$(WRITE_PATH):'); \
 	if [ -n "$$stray" ]; then \
-		echo "write-path-check: Schema.Clone() or .WarmFrom( called outside $(WRITE_PATH):"; echo "$$stray"; exit 1; \
+		echo "write-path-check: Schema.Clone() called outside $(WRITE_PATH):"; echo "$$stray"; exit 1; \
 	fi; \
-	for call in 'WarmFrom(' 'Clone()'; do \
-		n=$$(echo "$$calls" | grep -cF ".$$call"); \
-		if [ "$$n" != 1 ]; then \
-			echo "write-path-check: $(WRITE_PATH) calls .$$call $$n times, want once"; bad=1; \
-		fi; \
-	done; \
+	n=$$(echo "$$calls" | grep -cF '.Clone()'); \
+	if [ "$$n" != 1 ]; then \
+		echo "write-path-check: $(WRITE_PATH) calls .Clone() $$n times, want once"; bad=1; \
+	fi; \
+	warms=$$(grep -rnF '.WarmFrom(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$warms" ]; then \
+		echo "write-path-check: .WarmFrom( called in the root module's non-test code:"; echo "$$warms"; bad=1; \
+	fi; \
+	mvs=$$(grep -rnF 'MultiVersion()' --include='*.go' --exclude='*_test.go' $(NO_MATERIALIZATION) \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$mvs" ]; then \
+		echo "write-path-check: MultiVersion() in $(NO_MATERIALIZATION):"; echo "$$mvs"; bad=1; \
+	fi; \
 	swaps=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
 			/\.schema(,[[:space:]]*[[:alnum:]_.]+)*[[:space:]]*=[^=]|[^.[:alnum:]_]schema:/ && \
 			fn !~ /^func \(s \*Server\) publish\(/ { print FILENAME ":" FNR ":" $$0 }' \
@@ -76,13 +91,10 @@ write-path-check:
 	fi; \
 	test -z "$$bad"
 
-# A query runs on the goroutine that asked for it: the engine starts
-# goroutines in one place, WarmFrom's per-mode fold (internal/core/
-# incremental.go). Writes serialize, so a write is the one request with
-# cores to spare; concurrent queries already fill them. A go statement
-# anywhere else in internal/core's non-test code is a second fan-out
-# starting — and the scan and materialization fan-outs it would bring
-# back moved no benchmark metric.
+# A query runs on the goroutine that asked for it, and the engine starts
+# no goroutine at all: a go statement anywhere in internal/core's
+# non-test code is a fan-out starting — and the scan, materialization
+# and warm-fold fan-outs it would bring back moved no benchmark metric.
 #
 # The serving path reads the schema's dimensions: a structure version
 # is an instant of them, not a copy. Dimension.Restrict builds copies,
@@ -98,10 +110,9 @@ SCAN_PATH = internal/core/scan.go internal/core/query.go
 .PHONY: read-path-check
 read-path-check:
 	@core=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
-	stray=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
-			/^[[:space:]]*go[[:space:]]/ && fn !~ /^func \(s \*Schema\) WarmFrom\(/ { print FILENAME ":" FNR ":" $$0 }' $$core); \
+	stray=$$(awk '/^[[:space:]]*go[[:space:]]/ { print FILENAME ":" FNR ":" $$0 }' $$core); \
 	if [ -n "$$stray" ]; then \
-		echo "read-path-check: go statement in internal/core outside WarmFrom:"; echo "$$stray"; \
+		echo "read-path-check: go statement in internal/core:"; echo "$$stray"; \
 		echo "A new fan-out first needs a benchmark workload (BENCHMARK.json) that shows it pays."; bad=1; \
 	fi; \
 	copies=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
@@ -137,9 +148,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Concurrent queries sharing one published schema (its singleflight
-# mode cache and lazily built rollup tables), WarmFrom's per-mode fold
-# and the clones racing for a shared tail slot, the lock-free
+# Concurrent queries sharing one published schema (its lazily built
+# rollup and resolution tables and pooled merge maps), the clones
+# racing for a shared tail slot, the lock-free
 # observability counters, the server's copy-on-write evolution and the
 # store's WAL/flusher are all concurrent; keep them honest under the
 # race detector. Crash recovery, replication and snapshot determinism have
@@ -187,8 +198,8 @@ bench-json:
 
 # bench-smoke runs the incremental-maintenance, sharded-swap/scan,
 # structure-version, snapshot-restart and replication benchmarks once —
-# a CI guard that the warm-delta path delta-applies to every mode, that
-# shard-sharing clone-swaps and the columnar scan still execute, that
+# a CI guard that a fact batch leaves every mode answering with nothing
+# to warm, that shard-sharing clone-swaps and the columnar scan still execute, that
 # evolve_mix's end state still infers its 178 structure versions, that
 # a restart from a snapshot recovers every fact and restores no mode
 # (the benches b.Fatal otherwise), and that a follower bootstraps and

@@ -11,7 +11,6 @@ package mvolap_test
 //	go test -bench=. -benchmem
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -643,6 +642,56 @@ func TestFactStoreBytes(t *testing.T) {
 	runtime.KeepAlive(mt)
 }
 
+// TestVersionModesHoldNoCopy bounds the live heap that answering in
+// every version mode leaves behind on the benchmark's tier-S warehouse
+// (36k facts, six structure versions). A version mode is one resolution
+// table per dimension over the one fact store, O(members), and the
+// rollup tables its structure needs: nothing per fact. While every mode
+// stored its own MappedTable, one query in each of the six modes left
+// about 410 B per source fact behind.
+func TestVersionModesHoldNoCopy(t *testing.T) {
+	const bound = 8
+	w, err := workload.Generate(workload.Config{
+		Seed: 1, Divisions: 8, Departments: 500, Years: 6, EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.Schema
+	svs := s.StructureVersions()
+	if len(svs) != 6 {
+		t.Fatalf("tier S has %d structure versions, want 6", len(svs))
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	for _, sv := range svs {
+		res, err := s.Execute(core.Query{
+			GroupBy: []core.GroupBy{{Dim: workload.OrgDim, Level: "Division"}},
+			Grain:   core.GrainYear,
+			Mode:    core.InVersion(sv),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s answered no row", sv.ID)
+		}
+	}
+	grown := float64(liveHeap()) - float64(before)
+	per := grown / float64(s.Facts().Len())
+	t.Logf("%d facts, %d version modes answered: %.2f B live heap per fact", s.Facts().Len(), len(svs), per)
+	if per > bound {
+		t.Errorf("answering every version mode left %.2f B of live heap per source fact, want at most %d", per, bound)
+	}
+	runtime.KeepAlive(s)
+}
+
 // ingestBatch returns n (member, month, value) insertions at months
 // beyond every fact ingestSchema created, so the batch never collides
 // with an existing key and the fact-side delta stays insert-only.
@@ -665,13 +714,12 @@ func ingestBatch(leaves, monthsPerLeaf, n int) []ingestFact {
 	return out
 }
 
-// BenchmarkIncrementalIngest measures the tentpole end to end: folding
-// a small insert-only fact batch into the already-materialized MVFT of
-// a ~100k-fact warehouse (warm-delta, the WarmFrom clone-swap path)
-// against rematerializing every temporal mode from scratch after the
-// same batch (cold-rebuild). Both paths cover all modes — tcm plus the
-// three structure versions — so the ratio is the serving-tier speedup
-// of delta ingestion over invalidation.
+// BenchmarkIncrementalIngest measures what a write costs on a ~100k-
+// fact warehouse: a clone and a small insert-only fact batch, with
+// nothing left to maintain — every mode presents the clone's fact store
+// at query time (write) — against the same write followed by
+// materializing every temporal mode, tcm plus the three structure
+// versions, from scratch as the reproduction tier does (cold-rebuild).
 //
 // Those legs clone the same cold-built base every iteration, which no
 // server does. The lineage legs write the way the serving tier does —
@@ -682,41 +730,36 @@ func ingestBatch(leaves, monthsPerLeaf, n int) []ingestFact {
 func BenchmarkIncrementalIngest(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	base := ingestSchema(b, leaves, months)
-	if _, err := base.MultiVersion().All(); err != nil {
-		b.Fatal(err)
+	for _, m := range base.Modes() {
+		if _, err := base.Execute(core.Query{Mode: m}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	nModes := len(base.Modes())
-	write := func(b *testing.B, from *core.Schema, batch []ingestFact, warm bool) *core.Schema {
+	write := func(b *testing.B, from *core.Schema, batch []ingestFact, materialize bool) *core.Schema {
 		clone := from.Clone()
-		oldLen := clone.Facts().Len()
 		for _, f := range batch {
 			if err := clone.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if warm {
-			delta := core.Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
-			res := clone.WarmFrom(context.Background(), from, delta)
-			if res.DeltaApplied != nModes {
-				b.Fatalf("delta applied to %d modes, want %d (evicted %v)",
-					res.DeltaApplied, nModes, res.Evicted)
+		if materialize {
+			if _, err := clone.MultiVersion().All(); err != nil {
+				b.Fatal(err)
 			}
-		} else if _, err := clone.MultiVersion().All(); err != nil {
-			b.Fatal(err)
 		}
 		return clone
 	}
-	run := func(batchSize int, warm bool) func(b *testing.B) {
+	run := func(batchSize int, materialize bool) func(b *testing.B) {
 		batch := ingestBatch(leaves, months, batchSize)
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				write(b, base, batch, warm)
+				write(b, base, batch, materialize)
 			}
 		}
 	}
 	for _, batchSize := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("batch=%d/warm-delta", batchSize), run(batchSize, true))
-		b.Run(fmt.Sprintf("batch=%d/cold-rebuild", batchSize), run(batchSize, false))
+		b.Run(fmt.Sprintf("batch=%d/write", batchSize), run(batchSize, false))
+		b.Run(fmt.Sprintf("batch=%d/cold-rebuild", batchSize), run(batchSize, true))
 	}
 	lineage := func(prior int) func(b *testing.B) {
 		const batchSize = 32
@@ -724,12 +767,23 @@ func BenchmarkIncrementalIngest(b *testing.B) {
 			facts := ingestBatch(leaves, months, (prior+b.N)*batchSize)
 			cur := base
 			for w := 0; w < prior; w++ {
-				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], true)
+				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], false)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for w := prior; w < prior+b.N; w++ {
-				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], true)
+				cur = write(b, cur, facts[w*batchSize:(w+1)*batchSize], false)
+			}
+			b.StopTimer()
+			// The end of the lineage answers in every mode, with nothing
+			// built.
+			for _, m := range cur.Modes() {
+				if _, err := cur.Execute(core.Query{Mode: m}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if n := cur.MultiVersion().Materializations(); n != 0 {
+				b.Fatalf("the lineage materialized %d modes, want 0", n)
 			}
 		}
 	}
@@ -737,59 +791,28 @@ func BenchmarkIncrementalIngest(b *testing.B) {
 	b.Run("batch=32/lineage/after-1000", lineage(1000))
 }
 
-// BenchmarkShardedSwap measures what a clone-swap pays per retained
-// mode on a ~100k-fact warehouse. warm-swap is the real path end to
-// end: Schema.Clone, a one-fact batch, and WarmFrom folding it into
-// every cached mode over shared storage shards (O(shard headers) per
-// mode plus one privatized tail shard); table-swap is the WarmFrom part
-// of it alone.
+// BenchmarkShardedSwap measures what a clone-swap pays on a ~100k-fact
+// warehouse whose every mode has been asked about: Schema.Clone and a
+// one-fact batch over shared storage shards (O(shard headers) plus the
+// borrowed tail shard), with no mode to fold the batch into.
 func BenchmarkShardedSwap(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	base := ingestSchema(b, leaves, months)
-	if _, err := base.MultiVersion().All(); err != nil {
-		b.Fatal(err)
+	for _, m := range base.Modes() {
+		if _, err := base.Execute(core.Query{Mode: m}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	nModes := len(base.Modes())
 	batch := ingestBatch(leaves, months, 1)
 
 	b.Run("warm-swap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			clone := base.Clone()
-			oldLen := clone.Facts().Len()
 			for _, f := range batch {
 				if err := clone.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
 					b.Fatal(err)
 				}
-			}
-			delta := core.Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
-			res := clone.WarmFrom(context.Background(), base, delta)
-			if res.DeltaApplied != nModes {
-				b.Fatalf("delta applied to %d modes, want %d", res.DeltaApplied, nModes)
-			}
-		}
-	})
-	// table-swap isolates the WarmFrom table clone+fold itself:
-	// Schema.Clone and fact insertion happen off the clock.
-	b.Run("table-swap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			clone := base.Clone()
-			oldLen := clone.Facts().Len()
-			for _, f := range batch {
-				if err := clone.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
-					b.Fatal(err)
-				}
-			}
-			delta := core.Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
-			// Drain the GC debt of the untimed setup so collector
-			// pauses are not billed to the swap itself.
-			runtime.GC()
-			b.StartTimer()
-			res := clone.WarmFrom(context.Background(), base, delta)
-			if res.DeltaApplied != nModes {
-				b.Fatalf("delta applied to %d modes, want %d", res.DeltaApplied, nModes)
 			}
 		}
 	})

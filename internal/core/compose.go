@@ -25,7 +25,7 @@ import (
 //
 // The result can be used anywhere a structure version can — most
 // usefully as InVersion(composed) in a query's temporal mode of
-// presentation. Mode caches key on the version ID, so the ID may be
+// presentation. Result caches key on the version ID, so the ID may be
 // neither "tcm" nor one an inferred version holds.
 func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[DimID]string) (*StructureVersion, error) {
 	if valid.Empty() {

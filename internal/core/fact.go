@@ -74,6 +74,12 @@ func (ft *FactTable) Measures() int { return ft.nm }
 // Len reports the number of stored facts.
 func (ft *FactTable) Len() int { return ft.table().Len() }
 
+// KeyIndexWork reports the key-index maintenance the table has paid
+// since it was cloned: layers sealed, and entries rewritten by layer
+// merges and flattens — the one part of a write that is not O(batch),
+// so a merged count in the order of the table size names a flatten.
+func (ft *FactTable) KeyIndexWork() (sealed, merged int) { return ft.index.sealed, ft.index.merged }
+
 // End returns the position the next appended fact takes: the mark
 // Since reads a write's appended suffix from.
 func (ft *FactTable) End() int { return ft.n }
@@ -191,40 +197,15 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 
 // clone returns a copy-on-write copy of the fact table over the
 // schema's dimensions, in O(1) plus the bounded top of the key index
-// (MappedTable.cloneForWarm). The receiver takes a fresh epoch and
+// (MappedTable.clone). The receiver takes a fresh epoch and
 // shares its list of shard headers too, so neither table writes a
 // shard, or a list, the other reads.
 //
 // clone writes the receiver's ownership state: it needs the writer's
 // exclusion, not the readers'. A published table is never written.
 func (ft *FactTable) clone(s *Schema) *FactTable {
-	out := ft.table().cloneForWarm(s, TCM())
+	out := ft.table().clone(s)
 	ft.epoch = shardEpochCounter.Add(1)
-	ft.shardsShared = true
+	ft.shardsShared, ft.ordShared = true, true
 	return (*FactTable)(out)
-}
-
-// shardOf lays facts out as one detached shard in the store's column
-// layout — ordinals, instants, values, every source count 1 — for the
-// folds that present a run of them. It reports false when a coordinate
-// names no member version of its dimension.
-func (ft *FactTable) shardOf(facts []*Fact) (*factShard, bool) {
-	mt := ft.table()
-	sh := &factShard{
-		n:       len(facts),
-		coords:  make([]int32, 0, len(facts)*mt.nd),
-		times:   make([]temporal.Instant, 0, len(facts)),
-		values:  make([]float64, 0, len(facts)*mt.nm),
-		sources: make([]int32, len(facts)),
-	}
-	for i, f := range facts {
-		var ok bool
-		if sh.coords, ok = mt.ordinals(sh.coords, f.Coords); !ok {
-			return nil, false
-		}
-		sh.times = append(sh.times, f.Time)
-		sh.values = append(sh.values, f.Values...)
-		sh.sources[i] = 1
-	}
-	return sh, true
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mvolap/internal/temporal"
@@ -174,19 +176,65 @@ func equalMappedTables(t *testing.T, label string, got, want *MappedTable) {
 	}
 }
 
-// TestWarmFromFactDelta verifies the tentpole end to end at the core
-// layer: after a pure fact batch, every cached mode survives the
-// clone-swap, the delta is folded in, the result is bit-identical to a
-// cold rebuild, and the clone performed zero materializations.
-func TestWarmFromFactDelta(t *testing.T) {
-	base := splitSchema(t)
-	baseMV := base.MultiVersion()
-	for _, m := range base.Modes() {
-		if _, err := baseMV.Mode(m); err != nil {
-			t.Fatal(err)
+// answerQueries are the fixed questions modesMatchCold asks in every
+// mode: a grand total, a rollup at each year, a drill to the leaves, and
+// a dice.
+var answerQueries = []Query{
+	{Grain: GrainAll},
+	{GroupBy: []GroupBy{{Dim: "Org", Level: "Division"}}, Grain: GrainYear},
+	{GroupBy: []GroupBy{{Dim: "Org", Level: "Department"}}, Grain: GrainMonth},
+	{GroupBy: []GroupBy{{Dim: "Org", Level: "Department"}}, Grain: GrainYear, Filters: []Filter{{Dim: "Org", Members: []string{"Sales"}}}},
+}
+
+// answers runs answerQueries in every mode of s.
+func answers(t *testing.T, s *Schema) []*Result {
+	t.Helper()
+	var out []*Result
+	for _, m := range s.Modes() {
+		for _, q := range answerQueries {
+			q.Mode = m
+			res, err := s.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
 		}
 	}
-	nModes := len(base.Modes())
+	return out
+}
+
+// requireSameAnswers fails unless two answer sets are bit-identical.
+func requireSameAnswers(t *testing.T, label string, got, want []*Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		requireBitIdentical(t, fmt.Sprintf("%s answer %d", label, i), got[i], want[i])
+	}
+}
+
+// modesMatchCold holds every mode of a lineage generation to a cold
+// clone of it — one that shares no chain, rollup or resolution table —
+// and to the oracle: the fixed query set answers bit for bit alike.
+func modesMatchCold(t *testing.T, label string, s *Schema) {
+	t.Helper()
+	requireSameAnswers(t, label+" vs cold", answers(t, s), answers(t, coldClone(s)))
+	for _, m := range s.Modes() {
+		for _, q := range answerQueries {
+			q.Mode = m
+			requireMatchesOracle(t, label+" "+m.String(), s, q)
+		}
+	}
+}
+
+// TestWarmFromFactDelta verifies at the core layer that a pure fact
+// batch leaves no mode to maintain: WarmFrom carries nothing, the clone
+// answers in every mode like a cold rebuild and the oracle, it built no
+// materialization, and the base generation answers as it did.
+func TestWarmFromFactDelta(t *testing.T) {
+	base := splitSchema(t)
+	before := answers(t, base)
 
 	clone := base.Clone()
 	oldLen := clone.Facts().Len()
@@ -202,46 +250,14 @@ func TestWarmFromFactDelta(t *testing.T) {
 	}
 	delta := Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
 
-	res := clone.WarmFrom(context.Background(), base, delta)
-	if len(res.Retained) != nModes || len(res.Evicted) != 0 {
-		t.Fatalf("retained %v evicted %v, want all %d modes retained", res.Retained, res.Evicted, nModes)
+	if res := clone.WarmFrom(context.Background(), base, delta); !reflect.DeepEqual(res, WarmResult{}) {
+		t.Fatalf("WarmFrom = %+v, want nothing carried", res)
 	}
-	if res.DeltaApplied != nModes {
-		t.Fatalf("DeltaApplied = %d, want %d", res.DeltaApplied, nModes)
-	}
-
-	cold := clone.Clone() // same facts, cold caches
-	for _, m := range clone.Modes() {
-		warmT, err := clone.MultiVersion().Mode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldT, err := cold.MultiVersion().Mode(InVersionOf(cold, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMappedTables(t, m.String(), warmT, coldT)
-	}
+	modesMatchCold(t, "clone", clone)
 	if b := clone.MultiVersion().Materializations(); b != 0 {
-		t.Fatalf("warm clone performed %d materializations, want 0", b)
+		t.Fatalf("the clone performed %d materializations, want 0", b)
 	}
-	if d := clone.MultiVersion().DeltaApplies(); d != int64(nModes) {
-		t.Fatalf("DeltaApplies = %d, want %d", d, nModes)
-	}
-
-	// The base's published tables must be untouched by the fold.
-	for _, m := range base.Modes() {
-		freshBase := splitSchema(t)
-		wantT, err := freshBase.MultiVersion().Mode(InVersionOf(freshBase, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotT, err := baseMV.Mode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMappedTables(t, "base/"+m.String(), gotT, wantT)
-	}
+	requireSameAnswers(t, "base", answers(t, base), before)
 }
 
 // InVersionOf translates a mode of one schema into the equivalent mode
@@ -253,17 +269,12 @@ func InVersionOf(s *Schema, m Mode) Mode {
 	return InVersion(s.VersionByID(m.Version.ID))
 }
 
-// TestWarmFromStructureChange verifies structure-aware invalidation:
-// a mutation that splits one structure version evicts the modes whose
-// partition slice changed while tcm and untouched versions survive.
+// TestWarmFromStructureChange verifies that a mutation splitting one
+// structure version leaves every mode of the clone answering like a
+// cold rebuild, and the base's answers as they were.
 func TestWarmFromStructureChange(t *testing.T) {
 	base := splitSchema(t)
-	baseMV := base.MultiVersion()
-	for _, m := range base.Modes() {
-		if _, err := baseMV.Mode(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	before := answers(t, base)
 
 	clone := base.Clone()
 	// End Brian in 2004: history gains a new structure version covering
@@ -272,95 +283,60 @@ func TestWarmFromStructureChange(t *testing.T) {
 	if err := clone.Dimension("Org").SetEnd("Brian", y(2004)); err != nil {
 		t.Fatal(err)
 	}
-	delta := Delta{StructureChanged: true, DimsTouched: []DimID{"Org"}}
-	res := clone.WarmFrom(context.Background(), base, delta)
-
-	retained := map[string]bool{}
-	for _, k := range res.Retained {
-		retained[k] = true
+	if n, m := len(clone.Modes()), len(base.Modes()); n != m+1 {
+		t.Fatalf("%d modes after the split, want %d", n, m+1)
 	}
-	if !retained["tcm"] {
-		t.Fatalf("tcm evicted on a pure dimension change: %v", res.Retained)
-	}
-	if len(res.Evicted) == 0 {
-		t.Fatalf("no mode evicted although the partition changed: retained %v", res.Retained)
-	}
-	for _, k := range res.Evicted {
-		if k == "tcm" {
-			t.Fatal("tcm must survive dimension mutations")
-		}
-	}
-
-	// Retained version modes must be provably identical to cold rebuilds
-	// on the new schema.
-	cold := clone.Clone()
-	for _, m := range clone.Modes() {
-		if !retained[m.String()] {
-			continue
-		}
-		warmT, err := clone.MultiVersion().Mode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldT, err := cold.MultiVersion().Mode(InVersionOf(cold, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMappedTables(t, m.String(), warmT, coldT)
-	}
+	clone.WarmFrom(context.Background(), base, Delta{StructureChanged: true, DimsTouched: []DimID{"Org"}})
+	modesMatchCold(t, "clone", clone)
+	requireSameAnswers(t, "base", answers(t, base), before)
 }
 
-// TestWarmFromEvictsAll covers the blanket-eviction deltas: replaced
-// facts and changed mappings.
+// TestWarmFromEvictsAll covers the deltas that used to evict every
+// version mode, replaced facts and changed mappings: the clone's modes
+// present the new state at once.
 func TestWarmFromEvictsAll(t *testing.T) {
-	// A replacement evicts every version mode; tcm is the fact table,
-	// which already holds the new value.
+	// A replacement rewrites the stored value, which every mode reads.
 	t.Run("FactsReplaced", func(t *testing.T) {
 		base := splitSchema(t)
-		for _, m := range []Mode{TCM(), InVersion(base.VersionByID("V1"))} {
-			if _, err := base.MultiVersion().Mode(m); err != nil {
-				t.Fatal(err)
-			}
-		}
+		before := answers(t, base)
 		clone := base.Clone()
 		if err := clone.InsertFact(Coords{"Jones"}, y(2001), 1); err != nil {
 			t.Fatal(err)
 		}
-		res := clone.WarmFrom(context.Background(), base, Delta{FactsReplaced: true})
-		if len(res.Retained) != 1 || res.Retained[0] != "tcm" || len(res.Evicted) != 1 || res.Evicted[0] != "V1" {
-			t.Fatalf("retained %v, evicted %v after an in-place replacement; want tcm retained, V1 evicted", res.Retained, res.Evicted)
+		if v, ok := clone.Facts().Lookup(Coords{"Jones"}, y(2001)); !ok || v[0] != 1 {
+			t.Fatalf("tcm holds %v, %v at the replaced cell, want 1", v, ok)
 		}
-		mt, err := clone.MultiVersion().Mode(TCM())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f, ok := mt.Lookup(Coords{"Jones"}, y(2001)); !ok || f.Values[0] != 1 {
-			t.Fatalf("retained tcm holds %v, %v at the replaced cell, want 1", f, ok)
-		}
+		modesMatchCold(t, "clone", clone)
+		requireSameAnswers(t, "base", answers(t, base), before)
 	})
+	// A mapping changes every version mode's resolution tables.
 	t.Run("MappingsChanged", func(t *testing.T) {
 		base := splitSchema(t)
-		baseMV := base.MultiVersion()
-		for _, m := range base.Modes() {
-			if _, err := baseMV.Mode(m); err != nil {
-				t.Fatal(err)
-			}
-		}
+		before := answers(t, base)
 		clone := base.Clone()
+		// Bill, which V1 does not hold, now presents on Smith as well as
+		// on Jones.
 		if err := clone.AddMapping(MappingRelationship{
-			From: "Smith", To: "Brian",
+			From: "Bill", To: "Smith",
 			Forward:  []MeasureMapping{{Fn: Identity, CF: ExactMapping}},
 			Backward: []MeasureMapping{{Fn: Identity, CF: ExactMapping}},
 		}); err != nil {
 			t.Fatal(err)
 		}
-		res := clone.WarmFrom(context.Background(), base, Delta{MappingsChanged: true})
-		retained := map[string]bool{}
-		for _, k := range res.Retained {
-			retained[k] = true
+		modesMatchCold(t, "clone", clone)
+		requireSameAnswers(t, "base", answers(t, base), before)
+		v1 := Query{Grain: GrainAll, Mode: InVersion(clone.VersionByID("V1"))}
+		got, err := clone.Execute(v1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !retained["tcm"] || len(retained) != 1 {
-			t.Fatalf("retained %v, want exactly tcm (mappings are global to version modes)", res.Retained)
+		v1.Mode = InVersion(base.VersionByID("V1"))
+		was, err := base.Execute(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows[0].Values[0] != was.Rows[0].Values[0]+150 {
+			t.Fatalf("V1 total %v after the mapping, want %v + Bill's 150", got.Rows[0].Values[0], was.Rows[0].Values[0])
 		}
 	})
 }

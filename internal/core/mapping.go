@@ -179,18 +179,17 @@ func (m MappingRelationship) Validate(measures int) error {
 
 // resolution is one way of presenting a source leaf version inside a
 // target structure version: the target leaf, plus the composed mapping
-// function and confidence per measure. mapShard caches the target's
-// member version ordinal beside it, which is what it emits.
+// function and confidence per measure.
 type resolution struct {
 	target MVID
-	ord    int32
 	per    []MeasureMapping
 }
 
 // mappingGraph indexes mapping relationships for traversal in both
 // directions. Once built it is a read-only snapshot: resolve allocates
 // all of its mutable state per call, so one graph is safe to share
-// across WarmFrom's concurrent per-mode folds.
+// across concurrent queries. A schema builds one per mapping set and
+// algebra (Schema.mappingGraph), and resolution tables key on it.
 type mappingGraph struct {
 	forward  map[MVID][]*MappingRelationship // From -> rels
 	backward map[MVID][]*MappingRelationship // To -> rels
@@ -305,12 +304,15 @@ func (s *Schema) ResolveInto(source MVID, sv *StructureVersion) []Resolution {
 	if d == nil || sv == nil {
 		return nil
 	}
-	leafSet := s.versionLeafSets(sv)[s.DimIndex(d.ID)]
-	graph := newMappingGraph(s.mappings, len(s.measures), s.alg)
-	rs := graph.resolve(source, func(x MVID) bool { return leafSet[x] })
-	out := make([]Resolution, len(rs))
-	for i, r := range rs {
-		out[i] = Resolution{Target: r.target, Per: r.per}
+	g := s.mappingGraph()
+	rt := d.resolveTableAt(g, sv.readAt(s.DimIndex(d.ID)))
+	o := d.members[source].ord
+	if rt.passes(o) {
+		return []Resolution{{Target: source, Per: g.identity}}
+	}
+	out := make([]Resolution, 0, len(rt.of(o)))
+	for _, tg := range rt.of(o) {
+		out = append(out, Resolution{Target: d.order[tg.ord], Per: tg.per})
 	}
 	return out
 }

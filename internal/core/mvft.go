@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mvolap/internal/temporal"
 )
@@ -40,9 +37,9 @@ type MappedFact struct {
 // MappedShardSize is the number of tuples per storage shard of a
 // MappedTable. Every shard except the last is exactly full, so tuple i
 // lives in shard i/MappedShardSize at offset i%MappedShardSize. The
-// size trades swap granularity (a delta privatizes whole shards)
-// against sharing granularity (a warm clone copies one header per
-// shard): at 4096 tuples a 100k-fact mode is ~25 headers per swap.
+// size trades swap granularity (a write privatizes whole shards)
+// against sharing granularity (a clone copies one header per shard):
+// at 4096 tuples a 100k-fact store is ~25 headers per swap.
 const MappedShardSize = 4096
 
 const (
@@ -56,7 +53,7 @@ var shardEpochCounter atomic.Uint64
 
 // factShard is one fixed-size block of mapped tuples in struct-of-
 // arrays layout: parallel columns instead of per-tuple structs, so
-// aggregation scans are cache-dense and a warm clone shares untouched
+// aggregation scans are cache-dense and a clone shares untouched
 // shards wholesale. A factShard is a header over the columns: it is
 // writable only by the table whose epoch it carries, and only at or
 // past sharedBelow; every other write copies the columns first
@@ -96,16 +93,18 @@ type factShard struct {
 }
 
 // MappedTable is the restriction of the MultiVersion Fact Table to one
-// temporal mode: f'(·, ·, tmp).
+// temporal mode: f'(·, ·, tmp). The fact store is tcm's table
+// (FactTable); a version mode's table exists only when the
+// reproduction tier materializes one (MultiVersionFactTable.Mode).
 //
 // A table is single-writer while it is built and read-only once
-// published. Incremental maintenance (Schema.WarmFrom) never mutates a
-// published table: it takes a copy-on-write clone — shared shards and
-// shared frozen index layers — and folds the fact delta into the clone.
-// Appends borrow the shared partial tail shard (a header of the clone's
-// own over the same columns, after claiming the next slot); a merge,
-// tombstone or subtraction into a shared slot privatizes that one shard
-// (per-shard epochs and sharedBelow, see writableShard).
+// published. A write to the fact store never mutates a published
+// table: it takes a copy-on-write clone — shared shards and shared
+// frozen index layers — and writes the clone. Appends borrow the shared
+// partial tail shard (a header of the clone's own over the same
+// columns, after claiming the next slot); a replacement or a tombstone
+// in a shared slot privatizes that one shard (per-shard epochs and
+// sharedBelow, see writableShard).
 type MappedTable struct {
 	Mode   Mode
 	shards []*factShard
@@ -126,8 +125,8 @@ type MappedTable struct {
 	// them.
 	dims []*Dimension
 	// index maps a tuple key to its global position, every hit checked
-	// against the coordinates and time stored there. A warm clone shares
-	// its frozen layers with the source table; a retraction tombstones
+	// against the coordinates and time stored there. A clone shares its
+	// frozen layers with the source table; a retraction tombstones
 	// the key there, since the slot itself stays put (see keyIndex).
 	index keyIndex
 	// dead counts tombstoned tuples: slots whose sources count was
@@ -135,6 +134,13 @@ type MappedTable struct {
 	// indexing over fixed-size shards must not shift) but every view
 	// and scan skips it.
 	dead int
+	// ordLive counts, per dimension, the live tuples holding each member
+	// version ordinal there: a version mode's dropped facts are the sum
+	// over the ordinals it drops (countDropped). A clone shares the
+	// counts until the first write of either side copies them
+	// (ordShared).
+	ordLive   [][]int32
+	ordShared bool
 	// Dropped counts source facts that could not be presented in this
 	// mode at all: no chain of mapping relationships reaches any member
 	// version of the target structure version ("impossible cross-points"
@@ -144,16 +150,6 @@ type MappedTable struct {
 	alg      ConfidenceAlgebra
 	measures []Measure
 	hasAvg   bool
-
-	// graph and leafIn cache the materialization context of a version
-	// mode (the mapping-relationship graph snapshot and per-dimension
-	// acceptable leaf sets); mapFacts sets both on every version-mode
-	// table, and cloneForWarm carries them. Warm retention guarantees
-	// both are still valid on the retained clone — same mapping set,
-	// same structural signature — so delta folds reuse them instead of
-	// rebuilding O(structure) state per swap.
-	graph  *mappingGraph
-	leafIn []map[MVID]bool
 
 	// view caches the row-oriented compatibility view built by Facts().
 	// Built lazily after the table is published; a table under
@@ -436,21 +432,92 @@ func (mt *MappedTable) add(coords []int32, t temporal.Instant, values []float64,
 		return
 	}
 	// A merge: several source tuples present themselves on the same
-	// target coordinates. Fold values with the measure aggregate ⊕ and
-	// confidences with ⊗cf (Definition 12).
+	// target coordinates.
 	j := i & shardMask
 	sh := mt.writableShard(i>>shardShift, j)
-	vals := sh.values[j*nm : (j+1)*nm]
-	cfd := sh.cfs[j*nm : (j+1)*nm]
-	for k := range vals {
-		if mt.measures[k].Agg == Avg {
-			vals[k], sh.avgN[j*nm+k] = foldAvg(vals[k], sh.avgN[j*nm+k], values[k])
-		} else {
-			vals[k] = foldPair(mt.measures[k].Agg, vals[k], values[k])
-		}
-		cfd[k] = mt.alg.Combine(cfd[k], cfs[k])
+	var avgN []int32
+	if sh.avgN != nil {
+		avgN = sh.avgN[j*nm : (j+1)*nm]
 	}
+	mergeValues(mt.measures, mt.alg, sh.values[j*nm:(j+1)*nm], avgN, sh.cfs[j*nm:(j+1)*nm], values, cfs)
 	sh.sources[j]++
+}
+
+// mergeValues folds one more presentation into the tuple it lands on
+// (Definition 11's f' is a function): values under the measure
+// aggregate ⊕ — Avg through the contribution counts in avgN, nil when
+// no measure is Avg — and confidences under ⊗cf. MappedTable.add and a
+// scan's merge map share it.
+func mergeValues(measures []Measure, alg ConfidenceAlgebra, vals []float64, avgN []int32, cfd []Confidence, values []float64, cfs []Confidence) {
+	for k := range vals {
+		if measures[k].Agg == Avg {
+			vals[k], avgN[k] = foldAvg(vals[k], avgN[k], values[k])
+		} else {
+			vals[k] = foldPair(measures[k].Agg, vals[k], values[k])
+		}
+		cfd[k] = alg.Combine(cfd[k], cfs[k])
+	}
+}
+
+// mergeMap holds the tuples a scan presents on targets that can merge,
+// one per (target coordinates, instant), each folded under mergeValues
+// in the order its presentations arrive, the tuples in first-sight
+// order. Scans take one from mergeMaps and put it back emptied, so its
+// index and columns keep their capacity from query to query.
+type mergeMap struct {
+	nd       int
+	measures []Measure
+	alg      ConfidenceAlgebra
+	// last maps a key hash to 1 + the newest tuple with it; next chains
+	// each tuple to 1 + the previous one with the same hash.
+	last   map[uint64]int32
+	next   []int32
+	coords []int32
+	times  []temporal.Instant
+	values []float64
+	cfs    []Confidence
+	avgN   []int32
+}
+
+var mergeMaps = sync.Pool{New: func() any { return &mergeMap{last: make(map[uint64]int32)} }}
+
+// newMergeMap returns an empty merge map from the pool.
+func newMergeMap(nd int, measures []Measure, alg ConfidenceAlgebra) *mergeMap {
+	m := mergeMaps.Get().(*mergeMap)
+	m.nd, m.measures, m.alg = nd, measures, alg
+	return m
+}
+
+// release empties the map and puts it back in the pool.
+func (m *mergeMap) release() {
+	clear(m.last)
+	m.next, m.coords, m.times = m.next[:0], m.coords[:0], m.times[:0]
+	m.values, m.cfs, m.avgN = m.values[:0], m.cfs[:0], m.avgN[:0]
+	m.measures, m.alg = nil, nil
+	mergeMaps.Put(m)
+}
+
+// add folds one presentation into the tuple at (coords, t), creating it
+// on first sight. The slices are the caller's; add copies them.
+func (m *mergeMap) add(coords []int32, t temporal.Instant, values []float64, cfs []Confidence) {
+	nd, nm := m.nd, len(m.measures)
+	h := tupleKey(coords, t)
+	head := m.last[h]
+	for x := int(head) - 1; x >= 0; x = int(m.next[x]) - 1 {
+		if m.times[x] == t && slices.Equal(m.coords[x*nd:(x+1)*nd], coords) {
+			mergeValues(m.measures, m.alg, m.values[x*nm:(x+1)*nm], m.avgN[x*nm:(x+1)*nm], m.cfs[x*nm:(x+1)*nm], values, cfs)
+			return
+		}
+	}
+	m.next = append(m.next, head)
+	m.last[h] = int32(len(m.times)) + 1
+	m.coords = append(m.coords, coords...)
+	m.times = append(m.times, t)
+	m.values = append(m.values, values...)
+	m.cfs = append(m.cfs, cfs...)
+	for _, v := range values {
+		m.avgN = append(m.avgN, avgCount(v))
+	}
 }
 
 // appendTuple stores a tuple whose key, hashed to h, the table does not
@@ -478,6 +545,24 @@ func (mt *MappedTable) appendTuple(h uint64, coords []int32, t temporal.Instant,
 	}
 	mt.index.put(h, mt.n)
 	mt.n++
+	mt.countOrds(coords, 1)
+}
+
+// countOrds adds delta to the live count of each of a tuple's ordinals.
+func (mt *MappedTable) countOrds(ords []int32, delta int32) {
+	if mt.ordShared || mt.ordLive == nil {
+		live := make([][]int32, mt.nd)
+		for i, c := range mt.ordLive {
+			live[i] = slices.Clone(c)
+		}
+		mt.ordLive, mt.ordShared = live, false
+	}
+	for i, o := range ords {
+		if c := mt.ordLive[i]; int(o) >= len(c) {
+			mt.ordLive[i] = append(c, make([]int32, int(o)+1-len(c))...)
+		}
+		mt.ordLive[i][o] += delta
+	}
 }
 
 // avgCount is the Avg contribution count of one source value: NaN, the
@@ -542,191 +627,62 @@ func foldAvg(a float64, na int32, b float64) (mean float64, n int32) {
 	return (a*float64(na) + b) / float64(n), n
 }
 
-// modeEntry is the singleflight slot for one mode's materialization:
-// the caller that creates the entry runs mapFacts and closes done;
-// every concurrent and later caller waits on done and shares the
-// result. Waiters may abandon the wait when their own context is
-// cancelled; a failed build is evicted from the cache so the next
-// caller retries instead of being served a stale error.
-type modeEntry struct {
-	done  chan struct{}
-	table *MappedTable
-	err   error
-}
-
-// finishedEntry returns the cache entry of a table that needs no build.
-func finishedEntry(mt *MappedTable) *modeEntry {
-	e := &modeEntry{done: make(chan struct{}), table: mt}
-	close(e.done)
-	return e
-}
-
 // MultiVersionFactTable materializes the function f' of Definition 11:
 // for every temporal mode of presentation, the source data presented in
-// that mode with confidence factors. The restriction to tcm is the
-// schema's fact table itself. Restrictions to version modes are
-// computed lazily, once per mode (concurrent callers share a single
-// materialization), and cached; the cache lives until the schema is
-// mutated (the schema drops its reference on Invalidate, so a handle
-// obtained before the mutation keeps serving its consistent snapshot of
-// the version modes).
+// that mode with confidence factors. Queries never read it — they
+// present the fact store through resolution tables (see
+// Schema.ExecuteContext) — but the reproduction tier does: the paper's
+// relational renderings (warehouse, cube) and AggregateMember. The
+// restriction to tcm is the fact table itself, as it stood when the
+// handle was taken; a version mode is built cold from that table on
+// every call and never cached. A mutation of the schema drops its
+// handle, so a handle obtained before it keeps its snapshot of the
+// facts.
 type MultiVersionFactTable struct {
 	schema *Schema
-	mu     sync.Mutex
-	byMode map[string]*modeEntry
+	facts  *MappedTable
 	builds atomic.Int64
-	deltas atomic.Int64
 }
 
-// MultiVersion returns the schema's MultiVersion Fact Table. The table
-// is cached on the schema and recomputed lazily after mutation.
-// InsertFact and every dimension mutation through the registered API
-// (AddVersion, AddRelationship, SetEnd, EndRelationship — i.e. all
-// evolution operators) invalidate the cache automatically.
+// MultiVersion returns the schema's MultiVersion Fact Table handle,
+// taken afresh after every mutation: InsertFact, RetractFact, AddMapping
+// and every dimension mutation through the registered API (AddVersion,
+// AddRelationship, SetEnd, EndRelationship — i.e. all evolution
+// operators) drop it.
 func (s *Schema) MultiVersion() *MultiVersionFactTable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.mvftCache == nil {
-		s.mvftCache = &MultiVersionFactTable{schema: s, byMode: make(map[string]*modeEntry)}
+		s.mvftCache = &MultiVersionFactTable{schema: s, facts: s.facts.table()}
 	}
 	return s.mvftCache
 }
 
-// finishedMode is one completed, successful materialization of a
-// schema's MVFT cache.
-type finishedMode struct {
-	key   string
-	table *MappedTable
-}
-
-// finishedModes lists the completed, successful materializations of
-// the schema's MVFT cache, sorted by mode key. It neither triggers a
-// materialization nor waits on one in flight, and a cold cache lists
-// nothing: what it returns is what a clone can take over.
-func (s *Schema) finishedModes() []finishedMode {
-	s.mu.Lock()
-	mv := s.mvftCache
-	s.mu.Unlock()
-	if mv == nil {
-		return nil
-	}
-	var out []finishedMode
-	mv.mu.Lock()
-	for k, e := range mv.byMode {
-		select {
-		case <-e.done:
-			if e.err == nil && e.table != nil {
-				out = append(out, finishedMode{k, e.table})
-			}
-		default: // still building
-		}
-	}
-	mv.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
-
 // Mode returns the restriction of the MultiVersion Fact Table to one
-// temporal mode of presentation. Racing callers on the same mode do not
-// duplicate work: exactly one materializes, the rest block on it.
+// temporal mode of presentation.
 func (mv *MultiVersionFactTable) Mode(m Mode) (*MappedTable, error) {
 	return mv.ModeContext(context.Background(), m)
 }
 
-// ModeContext is Mode with cancellation: the materializing caller
-// checks ctx inside the per-fact mapping loops, and waiting callers
-// stop waiting when their own ctx is cancelled (the build itself keeps
-// the builder's context). A build abandoned on cancellation is evicted
-// from the cache, so the mode re-materializes cleanly on the next call.
+// ModeContext is Mode with cancellation: a version mode's build checks
+// ctx inside its per-fact loop.
 func (mv *MultiVersionFactTable) ModeContext(ctx context.Context, m Mode) (*MappedTable, error) {
-	mt, _, err := mv.modeContext(ctx, m)
+	if m.Kind == TCMKind {
+		return mv.facts, nil
+	}
+	mt, err := mv.schema.mapFacts(ctx, mv.facts, m)
+	if err == nil {
+		mv.builds.Add(1)
+	}
 	return mt, err
 }
 
-// modeContext additionally reports whether the table was served from
-// cache (true) or built by this call (false).
-func (mv *MultiVersionFactTable) modeContext(ctx context.Context, m Mode) (*MappedTable, bool, error) {
-	key := m.String()
-	if m.Kind == TCMKind {
-		// tcm is the fact store, served and never built. Its entry only
-		// records that the mode was asked for, so WarmFrom reports it
-		// retained as it does every warm mode.
-		mv.mu.Lock()
-		e, ok := mv.byMode[key]
-		if !ok {
-			e = finishedEntry(mv.schema.facts.table())
-			mv.byMode[key] = e
-		}
-		mv.mu.Unlock()
-		metModeCacheHits.Inc()
-		return e.table, ok, nil
-	}
-	for {
-		mv.mu.Lock()
-		e, ok := mv.byMode[key]
-		if !ok {
-			e = &modeEntry{done: make(chan struct{})}
-			mv.byMode[key] = e
-			mv.mu.Unlock()
-			metModeCacheMisses.Inc()
-			mv.builds.Add(1)
-			start := time.Now()
-			e.table, e.err = mv.schema.mapFacts(ctx, m)
-			close(e.done)
-			if e.err != nil {
-				// Never cache a failure: evict the entry so a later call
-				// retries (in particular, a build cancelled by one
-				// client's disconnect must not poison the mode).
-				mv.mu.Lock()
-				if mv.byMode[key] == e {
-					delete(mv.byMode, key)
-				}
-				mv.mu.Unlock()
-				if isCancellation(e.err) {
-					metQueryCancelled.Inc()
-				}
-				return nil, false, e.err
-			}
-			metMaterializeSeconds.With(m.String()).Observe(time.Since(start).Seconds())
-			metMaterializeDropped.Add(int64(e.table.Dropped))
-			return e.table, false, nil
-		}
-		mv.mu.Unlock()
-		metModeCacheHits.Inc()
-		select {
-		case <-e.done:
-			if e.err != nil && isCancellation(e.err) && ctx.Err() == nil {
-				// The builder was cancelled but this caller is still
-				// live: retry (the failed entry has been evicted).
-				continue
-			}
-			return e.table, true, e.err
-		case <-ctx.Done():
-			metQueryCancelled.Inc()
-			return nil, true, fmt.Errorf("core: materialization wait cancelled: %w", ctx.Err())
-		}
-	}
-}
-
-// isCancellation reports whether err stems from context cancellation
-// or deadline expiry.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Materializations reports how many mapFacts runs this table has
-// performed — an observability hook that also lets tests assert the
-// singleflight contract (one build per mode, however many callers).
+// Materializations reports how many version modes this handle has
+// built.
 func (mv *MultiVersionFactTable) Materializations() int64 { return mv.builds.Load() }
 
-// DeltaApplies reports how many retained modes had a fact delta folded
-// in by Schema.WarmFrom instead of a full rematerialization. Warm
-// retention never counts as a Materialization.
-func (mv *MultiVersionFactTable) DeltaApplies() int64 { return mv.deltas.Load() }
-
 // All materializes every mode of the schema — the full f' — one mode
-// after another. The returned map is a snapshot copy, safe to iterate
-// concurrently with queries.
+// after another.
 func (mv *MultiVersionFactTable) All() (map[string]*MappedTable, error) {
 	modes := mv.schema.Modes()
 	out := make(map[string]*MappedTable, len(modes))
@@ -746,163 +702,42 @@ func (mv *MultiVersionFactTable) All() (map[string]*MappedTable, error) {
 // per-fact hot path.
 const cancelCheckStride = 256
 
-// emitFunc receives one presented tuple, its coordinates as member
-// version ordinals. The slices are the emitter's scratch, valid only
-// during the call: MappedTable.add copies them into its shards, a
-// collector copies what it keeps.
-type emitFunc func(coords []int32, t temporal.Instant, values []float64, cfs []Confidence)
-
-// mapShards presents the live tuples of src in a version mode, in
-// tuple order, handing every emitted tuple to emit: each source
-// coordinate resolves through the mapping-relationship graph into the
-// leaf member versions of leafIn, values flow through the composed
-// mapping functions and confidences through ⊗cf, and a tuple fans out
-// to one emission per combination of its dimensions' resolutions
-// (splits). It returns how many tuples no resolution reaches, and stops
-// with an error, its run half emitted, when ctx is cancelled.
-func (s *Schema) mapShards(ctx context.Context, graph *mappingGraph, leafIn []map[MVID]bool, src []*factShard, emit emitFunc) (dropped int, err error) {
-	nd, nm := len(s.dims), len(s.measures)
-	// Resolutions are deterministic per source member version; cache
-	// them for the run by source ordinal, each with its target's
-	// ordinal. nil is "not resolved yet", unresolvable "reaches none".
-	resCache := make([][][]resolution, nd)
-	for i, d := range s.dims {
-		resCache[i] = make([][]resolution, len(d.order))
-	}
-	perDim := make([][]resolution, nd)
-	combo := make([]int, nd)
-	coords := make([]int32, nd)
-	values := make([]float64, nm)
-	cfs := make([]Confidence, nm)
-	steps := 0
-	for _, sh := range src {
-	tuples:
-		for j := 0; j < sh.n; j++ {
-			if steps > 0 && steps%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return dropped, fmt.Errorf("core: materialization cancelled: %w", err)
-				}
-			}
-			steps++
-			if sh.sources[j] == 0 {
-				continue // tombstoned by a retraction
-			}
-			for i, o := range sh.coords[j*nd : (j+1)*nd] {
-				rs := resCache[i][o]
-				if rs == nil {
-					set := leafIn[i]
-					rs = graph.resolve(s.dims[i].order[o], func(x MVID) bool { return set[x] })
-					for k := range rs {
-						rs[k].ord = s.dims[i].members[rs[k].target].ord
-					}
-					if rs == nil {
-						rs = unresolvable
-					}
-					resCache[i][o] = rs
-				}
-				if len(rs) == 0 {
-					dropped++
-					continue tuples
-				}
-				perDim[i] = rs
-			}
-			// Cartesian product across dimensions (splits fan out). Each
-			// combination emits one tuple.
-			for i := range combo {
-				combo[i] = 0
-			}
-			for {
-				copy(values, sh.values[j*nm:(j+1)*nm])
-				for k := range cfs {
-					cfs[k] = SourceData
-				}
-				for i := 0; i < nd; i++ {
-					r := perDim[i][combo[i]]
-					coords[i] = r.ord
-					for k := 0; k < nm; k++ {
-						v, okv := r.per[k].Fn.Map(values[k])
-						if !okv {
-							v = math.NaN()
-						}
-						values[k] = v
-						cfs[k] = s.alg.Combine(cfs[k], r.per[k].CF)
-					}
-				}
-				emit(coords, sh.times[j], values, cfs)
-				// Advance the product counter.
-				i := 0
-				for ; i < len(combo); i++ {
-					combo[i]++
-					if combo[i] < len(perDim[i]) {
-						break
-					}
-					combo[i] = 0
-				}
-				if i == len(combo) {
-					break
-				}
-			}
-		}
-	}
-	return dropped, nil
-}
-
-// unresolvable marks a source ordinal no resolution reaches in
-// mapShards' cache.
-var unresolvable = []resolution{}
-
-// mapInto presents source tuples in out's version mode and folds every
-// emitted tuple straight into out, in tuple order. Shared by cold
-// materialization (the store's shards) and warm delta application (the
-// appended suffix) — the add sequence, and with it every floating-point
-// bit, is identical either way. On cancellation out is left half
-// folded; callers discard it.
-func (s *Schema) mapInto(ctx context.Context, out *MappedTable, src []*factShard) error {
-	dropped, err := s.mapShards(ctx, out.graph, out.leafIn, src, out.add)
-	out.Dropped += dropped
-	return err
-}
-
-// versionLeafSets builds, per dimension, the acceptable mapping targets
-// for a structure version: the leaf member versions of D at the
-// version's instant. Built once per materialization, read-only
-// afterwards.
-func (s *Schema) versionLeafSets(sv *StructureVersion) []map[MVID]bool {
-	leafIn := make([]map[MVID]bool, len(s.dims))
-	for i, d := range s.dims {
-		leafIn[i] = make(map[MVID]bool)
-		for _, mv := range d.LeavesAt(sv.readAt(i)) {
-			leafIn[i][mv.ID] = true
-		}
-	}
-	return leafIn
-}
-
-// mapFacts presents the temporally consistent fact table in a version
-// mode (tcm is the fact table itself and is never built): every source
-// coordinate is resolved into the leaf member versions of the target
-// structure version through the mapping-relationship graph; values flow
-// through the composed mapping functions, confidences through ⊗cf;
-// tuples landing on identical target coordinates merge under ⊕ and
-// ⊗cf.
-//
-// The graph and leaf sets are cached on the table so warm delta folds
-// after a clone-swap reuse them.
-func (s *Schema) mapFacts(ctx context.Context, m Mode) (*MappedTable, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: materialization cancelled: %w", err)
-	}
+// mapFacts presents the live tuples of the fact table src in a version
+// mode (tcm is the fact table itself and is never built), in tuple
+// order, through the mode's resolution tables (presenter) — the code a
+// query's scan presents with — folding every emission into a fresh
+// table: tuples landing on identical target coordinates merge under
+// mergeValues, as a scan's merge map does. Tuples no resolution reaches
+// count as Dropped.
+func (s *Schema) mapFacts(ctx context.Context, src *MappedTable, m Mode) (*MappedTable, error) {
 	switch {
 	case m.Kind != VersionKind:
 		return nil, fmt.Errorf("core: unknown mode kind %d", m.Kind)
 	case m.Version == nil:
 		return nil, fmt.Errorf("core: version mode without structure version")
 	}
-	out := newMappedTable(s, m, s.facts.Len())
-	out.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
-	out.leafIn = s.versionLeafSets(m.Version)
-	if err := s.mapInto(ctx, out, s.facts.shards); err != nil {
-		return nil, err
+	out := newMappedTable(s, m, src.Len())
+	pr := newPresenter(s.resolveTables(m.Version), out.nm, s.alg, s.mappingGraph().identity)
+	nd, nm, steps := out.nd, out.nm, 0
+	for _, sh := range src.shards {
+		for j := 0; j < sh.n; j++ {
+			if steps%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("core: materialization cancelled: %w", err)
+				}
+			}
+			steps++
+			if sh.sources[j] == 0 {
+				continue // tombstoned by a retraction
+			}
+			if !pr.start(sh.coords[j*nd:(j+1)*nd], sh.values[j*nm:(j+1)*nm]) {
+				out.Dropped++
+				continue
+			}
+			for pr.next() {
+				out.add(pr.coords, sh.times[j], pr.values, pr.cfs)
+			}
+		}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -386,44 +387,45 @@ func TestAvgMergeIgnoresUnknown(t *testing.T) {
 	}
 }
 
-// TestModeSingleflight asserts the Mode cache race fix: many concurrent
-// callers on the same cold mode must share exactly one materialization
-// and the same table pointer. Run with -race.
+// TestModeSingleflight asserts that many concurrent first queries on
+// the same cold version mode share one build of each resolution table —
+// one per version, the schema having one dimension — and the same
+// answer. Run with -race.
 func TestModeSingleflight(t *testing.T) {
 	s := splitSchema(t)
-	modes := s.Modes()
-	mv := s.MultiVersion()
+	modes := s.Modes()[1:] // tcm reads the store as it is
 	const callers = 16
-	tables := make([][]*MappedTable, len(modes))
-	for i := range tables {
-		tables[i] = make([]*MappedTable, callers)
+	results := make([][]*Result, len(modes))
+	for i := range results {
+		results[i] = make([]*Result, callers)
 	}
+	built := metResolveTablesBuilt.With("Org").Value()
 	var wg sync.WaitGroup
 	for mi, m := range modes {
 		for c := 0; c < callers; c++ {
 			wg.Add(1)
 			go func(mi, c int, m Mode) {
 				defer wg.Done()
-				mt, err := mv.Mode(m)
+				res, err := s.Execute(Query{GroupBy: []GroupBy{{Dim: "Org", Level: "Department"}}, Mode: m})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				tables[mi][c] = mt
+				results[mi][c] = res
 			}(mi, c, m)
 		}
 	}
 	wg.Wait()
-	for mi := range tables {
+	for mi := range results {
 		for c := 1; c < callers; c++ {
-			if tables[mi][c] != tables[mi][0] {
-				t.Fatalf("mode %s: caller %d got a different table", modes[mi], c)
-			}
+			requireBitIdentical(t, fmt.Sprintf("mode %s caller %d", modes[mi], c), results[mi][c], results[mi][0])
 		}
 	}
-	// tcm is the fact table: one build per version mode.
-	if got := mv.Materializations(); got != int64(len(modes)-1) {
-		t.Errorf("materializations = %d, want exactly %d (one per version mode)", got, len(modes)-1)
+	if got := metResolveTablesBuilt.With("Org").Value() - built; got != int64(len(modes)) {
+		t.Errorf("%d resolution tables built, want exactly %d (one per version mode)", got, len(modes))
+	}
+	if got := s.MultiVersion().Materializations(); got != 0 {
+		t.Errorf("queries materialized %d modes, want 0", got)
 	}
 }
 

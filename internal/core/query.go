@@ -150,38 +150,100 @@ func (s *Schema) Execute(q Query) (*Result, error) {
 	return s.ExecuteContext(context.Background(), q)
 }
 
-// ExecuteContext is Execute with cancellation and tracing: the
-// materialization and aggregation stages check ctx inside their
-// per-fact loops (so a client disconnect or deadline stops work
-// promptly), and when ctx carries an obs trace the two stages record
-// "materialize" and "aggregate" spans with fact and row counts, the
-// latter with one child span per stage of the scan (see executeOn).
-// The query is resolved against the schema first: an unknown measure,
-// dimension or level fails before anything is materialized.
+// ExecuteContext is Execute with cancellation and tracing: the scan
+// checks ctx inside its per-tuple loop (so a client disconnect or
+// deadline stops work promptly), and when ctx carries an obs trace it
+// records a "resolve" span (the mode's resolution tables and its
+// dropped facts) and an "aggregate" span with one child span per stage
+// of the scan (see executeOn). The query is resolved against the schema
+// first: an unknown measure, dimension, level or mode fails before
+// anything is scanned.
+//
+// Every mode reads the one fact store: tcm as it is stored (Definition
+// 11: f'|tcm = f × {sd}ᵐ), a version mode through one resolution table
+// per dimension, so a mode holds no copy of the facts and no state
+// that a write would have to carry.
 func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	plan, err := s.planScan(q)
 	if err != nil {
 		return nil, err
 	}
-	mctx, msp := obs.StartSpan(ctx, "materialize")
-	msp.SetAttr("mode", q.Mode.String())
-	mt, cached, err := s.MultiVersion().modeContext(mctx, q.Mode)
-	if err == nil {
-		msp.SetAttr("cached", cached)
-		msp.SetAttr("facts", mt.Len())
-		msp.SetAttr("dropped", mt.Dropped)
+	mt := s.facts.table()
+	_, rsp := obs.StartSpan(ctx, "resolve")
+	rsp.SetAttr("mode", q.Mode.String())
+	dropped := 0
+	if q.Mode.Kind == VersionKind {
+		plan.res = s.resolveTables(q.Mode.Version)
+		dropped = countDropped(mt, plan.res)
 	}
-	msp.End()
-	if err != nil {
-		return nil, err
-	}
+	rsp.SetAttr("facts", mt.Len())
+	rsp.SetAttr("dropped", dropped)
+	rsp.End()
 	actx, asp := obs.StartSpan(ctx, "aggregate")
 	res, err := plan.executeOn(actx, mt)
 	if err == nil {
+		res.Dropped = dropped
 		asp.SetAttr("rows", len(res.Rows))
 	}
 	asp.End()
 	return res, err
+}
+
+// countDropped counts the live tuples of the store that a version mode
+// cannot present: a coordinate of theirs reaches no target through the
+// mode's resolution tables. When only one dimension drops anything, it
+// sums the live counts of the ordinals that dimension drops, in
+// O(members); otherwise it reads the coordinates, skipping a shard
+// whose zone lists its distinct coordinates, none of them dropping.
+func countDropped(mt *MappedTable, res []*resolveTable) int {
+	var dims []int
+	for i, rt := range res {
+		if rt.dropping {
+			dims = append(dims, i)
+		}
+	}
+	n := 0
+	switch {
+	case len(dims) == 0 || mt.ordLive == nil:
+		return 0
+	case len(dims) == 1:
+		i := dims[0]
+		for o, c := range mt.ordLive[i] {
+			if c != 0 && res[i].drops(int32(o)) {
+				n += int(c)
+			}
+		}
+		return n
+	}
+	nd := mt.nd
+	for _, sh := range mt.shards {
+		if !zoneMayDrop(sh.zoneMap(nd), dims, res) {
+			continue
+		}
+		for j := 0; j < sh.n; j++ {
+			if sh.sources[j] == 0 {
+				continue
+			}
+			for _, i := range dims {
+				if res[i].drops(sh.coords[j*nd+i]) {
+					n++
+					break
+				}
+			}
+		}
+	}
+	return n
+}
+
+// zoneMayDrop reports whether a shard with zone z may hold a tuple a
+// coordinate of which, at one of the positions dims, res drops.
+func zoneMayDrop(z *shardZone, dims []int, res []*resolveTable) bool {
+	for _, i := range dims {
+		if z.distinct == nil || z.distinct[i] == nil || slices.ContainsFunc(z.distinct[i], res[i].drops) {
+			return true
+		}
+	}
+	return false
 }
 
 // scanPlan is a query resolved against the schema: what the stages of
@@ -199,6 +261,9 @@ type scanPlan struct {
 	dims  []scanDim
 	axes  []scanAxis
 	dices []scanDice
+	// res holds, in a version mode, each dimension's resolution into the
+	// version (ExecuteContext sets it); nil in tcm.
+	res []*resolveTable
 	// unpruned turns zone-map pruning off, so the scan reads every
 	// non-empty shard: the reference path the equivalence tests compare
 	// pruning against. Plans built by planScan leave it false.
@@ -233,6 +298,12 @@ type scanDice struct {
 // planScan resolves and validates the query's measures, axes and
 // filters against the schema.
 func (s *Schema) planScan(q Query) (*scanPlan, error) {
+	switch {
+	case q.Mode.Kind != TCMKind && q.Mode.Kind != VersionKind:
+		return nil, fmt.Errorf("core: unknown mode kind %d", q.Mode.Kind)
+	case q.Mode.Kind == VersionKind && q.Mode.Version == nil:
+		return nil, fmt.Errorf("core: version mode without structure version")
+	}
 	p := &scanPlan{s: s, mode: q.Mode, grain: q.Grain, rng: q.Range}
 	if p.rng == (temporal.Interval{}) {
 		p.rng = temporal.Always
@@ -259,7 +330,7 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 			}
 		}
 		sd := scanDim{pos: pos, d: s.dims[pos]}
-		if q.Mode.Kind == VersionKind && q.Mode.Version != nil {
+		if q.Mode.Kind == VersionKind {
 			sd.static, sd.at = true, q.Mode.Version.readAt(pos)
 		}
 		p.dims = append(p.dims, sd)
@@ -293,8 +364,8 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 	return p, nil
 }
 
-// executeOn aggregates the mode's mapped table in three stages, all on
-// the calling goroutine. Prune drops the shards whose zone map rules
+// executeOn aggregates the fact store in three stages, all on the
+// calling goroutine. Prune drops the shards whose zone map rules
 // them out. Scan walks the live shards in tuple order — range and dice
 // filters, rollup to the grouping levels, the cell of each (tuple,
 // combination) — and folds each shard's emissions into their cells
@@ -325,7 +396,7 @@ func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, err
 		metQueryCancelled.Inc()
 		return nil, err
 	}
-	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: rows, Dropped: mt.Dropped}
+	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: rows}
 
 	_, sp = obs.StartSpan(ctx, "sort")
 	slices.SortFunc(res.Rows, func(a, b *Row) int {
@@ -346,7 +417,8 @@ type prunedStats struct{ shards, facts int }
 // prune consults every shard's zone map and marks the live ones: a
 // shard is skipped when no tuple instant can fall in the queried range,
 // or when a dice on a static dimension has an exact distinct-coordinate
-// set none of whose members passes. Both checks are conservative — a
+// set none of whose members passes — in a version mode, none of whose
+// members has a target that passes. Both checks are conservative — a
 // skipped shard provably emits nothing — so pruning is invisible in the
 // result bits. Empty shards are neither live nor counted as pruned.
 //
@@ -391,8 +463,16 @@ dices:
 			verdicts[di] = newDiceView(dim.d, dim.at, dc.names)
 		}
 		for _, ord := range z.distinct[dim.pos] {
-			if verdicts[di].contains(ord) {
-				continue dices
+			if p.res == nil || p.res[dim.pos].passes(ord) {
+				if verdicts[di].contains(ord) {
+					continue dices
+				}
+				continue
+			}
+			for _, tg := range p.res[dim.pos].of(ord) {
+				if verdicts[di].contains(tg.ord) {
+					continue dices
+				}
 			}
 		}
 		return true

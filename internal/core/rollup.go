@@ -38,12 +38,14 @@ type chainEntry struct {
 }
 
 // entryTables holds the rollup tables of one D(t), by level name, one
-// per level asked for. Every chain entry with the same hash shares it,
-// in this chain and in the lineage's later ones; whichever reader asks
-// first builds a table, under the lock.
+// per level asked for, and its resolution table under the latest
+// mapping graph asked for (resolveTableAt). Every chain entry with the
+// same hash shares it, in this chain and in the lineage's later ones;
+// whichever reader asks first builds a table, under the lock.
 type entryTables struct {
-	mu     sync.Mutex
-	levels sync.Map
+	mu      sync.Mutex
+	levels  sync.Map
+	resolve atomic.Pointer[resolveTable]
 }
 
 // setHash is an order-independent 128-bit hash of a set: per 64-bit

@@ -83,8 +83,10 @@ func (x *pairIndex) get(prefix, next int32) int32 {
 	return row[next] - 1
 }
 
-// emission says "this tuple of the shard being scanned folds into this
-// cell": one per (tuple, ancestor combination). It holds no pointer.
+// emission says "this tuple folds into this cell": one per (tuple,
+// ancestor combination). A tuple ≥ 0 is a tuple of the shard being
+// scanned, read from its columns; ^tuple is a row of the scanner's
+// presented values (xvals, xcfs). It holds no pointer.
 type emission struct {
 	tuple, cell int32
 }
@@ -98,6 +100,18 @@ type scanner struct {
 	p    *scanPlan
 	mt   *MappedTable
 	live []bool
+
+	// In a version mode, pres presents the tuples that do not pass
+	// through their resolution tables as they are. Their emissions carry
+	// their values in xvals and xcfs, one row per emission, for the shard
+	// being scanned; emissions on a target that can merge wait in merged
+	// until every shard is scanned.
+	pres   *presenter
+	xvals  []float64
+	xcfs   []Confidence
+	xrows  int32
+	merged *mergeMap
+	emits  []emission
 
 	// slotAt maps instant t0+i to slots[slotAt[i]-1] (0: not met yet);
 	// slotFar does the same for instants outside that window.
@@ -130,6 +144,12 @@ type scanner struct {
 	cfs        []Confidence
 	cellN      []int32
 
+	// The coordinate position each dice and each axis reads; per axis,
+	// the bounds in table.anc of a tuple's ancestor set and the odometer
+	// over their combinations.
+	dicePos, axisPos []int
+	lo, hi, idx      []int32
+
 	scanned, emitted int
 }
 
@@ -137,6 +157,9 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 	na := len(p.axes)
 	sc := &scanner{
 		p: p, mt: mt, live: live,
+		// Most tuples emit once; a multiple hierarchy grows the buffer by
+		// append.
+		emits:       make([]emission, 0, MappedShardSize),
 		t0:          t0,
 		slotAt:      make([]int32, window),
 		staticAxes:  make([]*axisView, na),
@@ -145,9 +168,18 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 		groupOrd:    make([]map[string]int32, na),
 		memberGroup: make([][]int32, na),
 		pairs:       make([]pairIndex, na+1),
+		dicePos:     make([]int, len(p.dices)),
+		axisPos:     make([]int, na),
+		lo:          make([]int32, na),
+		hi:          make([]int32, na),
+		idx:         make([]int32, na),
+	}
+	for di, dc := range p.dices {
+		sc.dicePos[di] = p.dims[dc.dim].pos
 	}
 	for ai, ax := range p.axes {
 		dim := &p.dims[ax.dim]
+		sc.axisPos[ai] = dim.pos
 		sc.groupOrd[ai] = make(map[string]int32)
 		sc.memberGroup[ai] = make([]int32, len(dim.d.order))
 		if dim.static {
@@ -158,6 +190,11 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 		if dim := &p.dims[dc.dim]; dim.static {
 			sc.staticDices[di] = newDiceView(dim.d, dim.at, dc.names)
 		}
+	}
+	if p.res != nil {
+		s := p.s
+		sc.pres = newPresenter(p.res, mt.nm, s.alg, s.mappingGraph().identity)
+		sc.merged = newMergeMap(mt.nd, s.measures, s.alg)
 	}
 	return sc
 }
@@ -272,39 +309,31 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 
 // scan classifies and folds the live shards and returns the cells as
 // rows, in first-sight order. Per tuple it reads arrays only — the
-// slot of the instant, the dice verdict and the rollup table by the
-// member ordinal the tuple stores, the cell by bucket and group
-// ordinals; it probes no map, takes no lock and allocates only when it
-// meets an instant, an ancestor set or a cell for the first time.
+// slot of the instant, in a version mode the resolution of each
+// coordinate, the dice verdict and the rollup table by the member
+// ordinal the tuple stores, the cell by bucket and group ordinals; it
+// probes no map, takes no lock and allocates only when it meets an
+// instant, an ancestor set or a cell for the first time.
 //
 // A shard's emissions are collected, then folded, one shard at a time.
 // That is the fold order of folding each emission where it is
 // classified; the interleaved form measured about 10 % slower on one
 // core (BenchmarkShardedScan's rollup leg). The buffer holds one
 // shard's emissions and is reused for every shard.
+//
+// In a version mode a tuple whose every coordinate passes through its
+// resolution table is read as it is stored. Any other tuple is
+// presented (presenter) and each of its emissions classified on its
+// target coordinates, except that an emission on a target that can
+// merge (Definition 11's f' is a function: presentations landing on one
+// coordinate and instant are one tuple) goes to the merge map; the
+// merged tuples are classified and folded last, in first-sight order.
 func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 	p, mt := sc.p, sc.mt
 	nd := mt.nd
 	hasDead := mt.dead > 0
 	rng := p.rng
-	// The coordinate position each dice and each axis reads.
-	dicePos := make([]int, len(p.dices))
-	for di, dc := range p.dices {
-		dicePos[di] = p.dims[dc.dim].pos
-	}
-	axisPos := make([]int, len(p.axes))
-	for ai, ax := range p.axes {
-		axisPos[ai] = p.dims[ax.dim].pos
-	}
-
-	// Per axis, the bounds in table.anc of the tuple's ancestor set and
-	// the odometer over their combinations.
-	lo := make([]int32, len(p.axes))
-	hi := make([]int32, len(p.axes))
-	idx := make([]int32, len(p.axes))
-	// Most tuples emit once; a multiple hierarchy grows the buffer by
-	// append.
-	emits := make([]emission, 0, MappedShardSize)
+	res := p.res
 	steps := 0
 	// Fact instants repeat in runs; sl is the slot of lastT.
 	var sl *scanSlot
@@ -314,7 +343,7 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 			continue
 		}
 		sc.scanned += sh.n
-		emits = emits[:0]
+		sc.emits, sc.xvals, sc.xcfs, sc.xrows = sc.emits[:0], sc.xvals[:0], sc.xcfs[:0], 0
 	tuples:
 		for j := 0; j < sh.n; j++ {
 			if steps%cancelCheckStride == 0 {
@@ -334,49 +363,102 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 				sl, lastT = sc.slot(t), t
 			}
 			coords := sh.coords[j*nd : (j+1)*nd]
-			for di := range p.dices {
-				if !sl.dices[di].contains(coords[dicePos[di]]) {
+			for i := range res {
+				if !res[i].passes(coords[i]) {
+					sc.present(sl, t, coords, sh.values[j*mt.nm:(j+1)*mt.nm])
 					continue tuples
 				}
 			}
-			// Each axis may roll the fact up to several members (multiple
-			// hierarchies); a fact contributes to every combination.
-			for ai := range p.axes {
-				v := sl.axes[ai]
-				lo[ai], hi[ai] = v.table.setOf(coords[axisPos[ai]])
-				if lo[ai] == hi[ai] {
-					continue tuples // non-covering hierarchy: no ancestor at the level
-				}
-				if v.groups[lo[ai]] < 0 {
-					sc.internSet(ai, v, lo[ai], hi[ai])
-				}
-			}
-			copy(idx, lo)
-			for {
-				cell := sc.pairs[0].get(0, sl.bucket)
-				for ai, v := range sl.axes {
-					cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
-				}
-				if int(cell) == len(sc.cellN) {
-					sc.newCell(sl, idx)
-				}
-				emits = append(emits, emission{tuple: int32(j), cell: cell})
-				// Advance the combination odometer, first axis fastest.
-				ai := 0
-				for ; ai < len(idx); ai++ {
-					if idx[ai]++; idx[ai] < hi[ai] {
-						break
-					}
-					idx[ai] = lo[ai]
-				}
-				if ai == len(idx) {
-					break
-				}
+			if sc.diced(sl, coords) {
+				sc.classify(sl, coords, int32(j))
 			}
 		}
-		sc.fold(sh, emits)
+		sc.fold(sh, sc.emits)
+	}
+	if m := sc.merged; m != nil {
+		sc.emits = sc.emits[:0]
+		for x, t := range m.times {
+			sc.classify(sc.slot(t), m.coords[x*nd:(x+1)*nd], ^int32(x))
+		}
+		sc.xvals, sc.xcfs = m.values, m.cfs
+		sc.fold(nil, sc.emits)
+		sc.xvals, sc.xcfs, sc.merged = nil, nil, nil
+		m.release()
 	}
 	return sc.rows(), nil
+}
+
+// present classifies the emissions of one source tuple at instant t
+// that does not pass through the mode's resolution tables.
+func (sc *scanner) present(sl *scanSlot, t temporal.Instant, src []int32, values []float64) {
+	pr := sc.pres
+	if !pr.start(src, values) {
+		return // dropped: countDropped counts it
+	}
+	for pr.next() {
+		switch {
+		case !sc.diced(sl, pr.coords):
+		case pr.merges:
+			sc.merged.add(pr.coords, t, pr.values, pr.cfs)
+		default:
+			sc.xvals = append(sc.xvals, pr.values...)
+			sc.xcfs = append(sc.xcfs, pr.cfs...)
+			sc.classify(sl, pr.coords, ^sc.xrows)
+			sc.xrows++
+		}
+	}
+}
+
+// diced reports whether a tuple with the given coordinates passes every
+// dice of the slot.
+func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
+	for di, pos := range sc.dicePos {
+		if !sl.dices[di].contains(coords[pos]) {
+			return false
+		}
+	}
+	return true
+}
+
+// classify appends the emissions of one tuple that passed the dices,
+// with the given coordinates in slot sl, to the buffer: none when it
+// misses a grouping level (non-covering hierarchy), one per combination
+// of its ancestors at the grouping levels otherwise — each axis may roll
+// the tuple up to several members (multiple hierarchies).
+func (sc *scanner) classify(sl *scanSlot, coords []int32, tuple int32) {
+	lo, hi, idx := sc.lo, sc.hi, sc.idx
+	for ai, pos := range sc.axisPos {
+		v := sl.axes[ai]
+		lo[ai], hi[ai] = v.table.setOf(coords[pos])
+		if lo[ai] == hi[ai] {
+			return
+		}
+		if v.groups[lo[ai]] < 0 {
+			sc.internSet(ai, v, lo[ai], hi[ai])
+		}
+	}
+	copy(idx, lo)
+	for {
+		cell := sc.pairs[0].get(0, sl.bucket)
+		for ai, v := range sl.axes {
+			cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
+		}
+		if int(cell) == len(sc.cellN) {
+			sc.newCell(sl, idx)
+		}
+		sc.emits = append(sc.emits, emission{tuple: tuple, cell: cell})
+		// Advance the combination odometer, first axis fastest.
+		ai := 0
+		for ; ai < len(idx); ai++ {
+			if idx[ai]++; idx[ai] < hi[ai] {
+				break
+			}
+			idx[ai] = lo[ai]
+		}
+		if ai == len(idx) {
+			return
+		}
+	}
 }
 
 // fold adds one shard's emissions to their cells, in tuple order:
@@ -384,8 +466,15 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 func (sc *scanner) fold(sh *factShard, emits []emission) {
 	nm, nq, alg := sc.mt.nm, len(sc.p.mIdx), sc.p.s.alg
 	for _, e := range emits {
-		j, c := int(e.tuple), int(e.cell)
-		vals, tcfs := sh.values[j*nm:(j+1)*nm], sh.cfs[j*nm:(j+1)*nm]
+		c := int(e.cell)
+		var vals []float64
+		var tcfs []Confidence
+		if j := int(e.tuple); j >= 0 {
+			vals, tcfs = sh.values[j*nm:(j+1)*nm], sh.cfs[j*nm:(j+1)*nm]
+		} else {
+			x := int(^e.tuple)
+			vals, tcfs = sc.xvals[x*nm:(x+1)*nm], sc.xcfs[x*nm:(x+1)*nm]
+		}
 		accs, cfs := sc.accs[c*nq:(c+1)*nq], sc.cfs[c*nq:(c+1)*nq]
 		first := sc.cellN[c] == 0
 		for k, mi := range sc.p.mIdx {

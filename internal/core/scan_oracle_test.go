@@ -102,6 +102,20 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 	}
 	cells := map[string]*merged{}
 	var order []*merged
+	// Per dimension, the version's leaves and each member's
+	// presentations among them, resolved on first sight.
+	var leaves []map[MVID]bool
+	var presents []map[MVID][]naivePresent
+	if m.Kind == VersionKind {
+		for _, d := range s.Dimensions() {
+			targets := map[MVID]bool{}
+			for _, mv := range m.Version.Dimension(d.ID).LeavesAt(m.Version.Valid.Start) {
+				targets[mv.ID] = true
+			}
+			leaves = append(leaves, targets)
+			presents = append(presents, map[MVID][]naivePresent{})
+		}
+	}
 	s.Facts().All(func(f *Fact) bool {
 		if m.Kind != VersionKind {
 			tuples = append(tuples, &naiveTuple{Coords: f.Coords.Clone(), Time: f.Time,
@@ -110,12 +124,11 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 		}
 		per := make([][]naivePresent, len(f.Coords))
 		for i, id := range f.Coords {
-			d := s.Dimensions()[i]
-			targets := map[MVID]bool{}
-			for _, mv := range m.Version.Dimension(d.ID).LeavesAt(m.Version.Valid.Start) {
-				targets[mv.ID] = true
+			if per[i] = presents[i][id]; per[i] == nil {
+				per[i] = naiveResolve(s, id, leaves[i])
+				presents[i][id] = per[i]
 			}
-			if per[i] = naiveResolve(s, id, targets); len(per[i]) == 0 {
+			if len(per[i]) == 0 {
 				dropped++
 				return true
 			}
@@ -362,10 +375,11 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 // Dimension A also carries Definition 7's transitions, each at its own
 // cut: a merge of two leaves (P0, P1 → PM, backward halves), a split
 // (Q0 → Q1, Q2 with k = 1/4 and 3/4), a transition whose function is
-// Unknown for one measure (U0 → U1), and leaves no mapping reaches
-// (X0 ends, X1 begins), so that a version mode merges, fans out, loses
-// values and drops facts. Values and factors are dyadic, so every fold
-// is exact in any order.
+// Unknown for one measure (U0 → U1), a leaf that presents on a leaf
+// valid beside it (X1 → L0), and leaves no mapping reaches (X0 ends,
+// and in B, GX ends), so that a version mode merges, fans out, loses
+// values and drops facts, in one dimension or both.
+// Values and factors are dyadic, so every fold is exact in any order.
 func oracleSchema(t testing.TB, seed int64) *Schema {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -456,6 +470,9 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		MappingRelationship{From: "U0", To: "U1",
 			Forward:  []MeasureMapping{{Linear{K: 1}, ExactMapping}, {Unknown{}, UnknownMapping}, {Linear{K: 1}, ExactMapping}, {Linear{K: 1}, ExactMapping}},
 			Backward: lin(1, ExactMapping)},
+		// Before X1 begins, its facts present on L0, a leaf throughout, and
+		// merge with L0's own at the same instants.
+		MappingRelationship{From: "X1", To: "L0", Forward: lin(1, ExactMapping), Backward: lin(1, ExactMapping)},
 	)
 
 	b := NewDimension("B", "B")
@@ -477,6 +494,11 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 			link(b, id, []MVID{"R0", "R1", "C0"}[r.Intn(3)], temporal.Since(cut))
 		}
 	}
+	// A leaf of B that ends and that no mapping reaches either, so that
+	// both dimensions drop facts in the later versions.
+	must(b.AddVersion(&MemberVersion{ID: "GX", Valid: temporal.Between(first, cut().Prev())}))
+	link(b, "GX", "C0", temporal.Always)
+	bLeaves = append(bLeaves, "GX")
 
 	s := NewSchema("oracle", Measure{Name: "sum", Agg: Sum}, Measure{Name: "max", Agg: Max},
 		Measure{Name: "avg", Agg: Avg}, Measure{Name: "cnt", Agg: Count})
@@ -496,6 +518,9 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 				continue
 			}
 			for _, lb := range bLeaves {
+				if !b.Version(lb).ValidAt(t) {
+					continue
+				}
 				keys = append(keys, key{la, lb, t})
 			}
 		}
@@ -596,6 +621,11 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			}
 			if nonEmpty < 12 {
 				t.Fatalf("only %d of 24 queries answered any row: the generator lost its teeth", nonEmpty)
+			}
+			// Every mode once at the finest grain, so that no transition
+			// hides behind the random queries' ranges, dices and levels.
+			for _, m := range s.Modes() {
+				requireMatchesOracle(t, "every mode", s, Query{GroupBy: []GroupBy{{Dim: "A", Level: "Leaf"}}, Grain: GrainMonth, Mode: m})
 			}
 
 			// The serving tier's way on: a clone gains a member (its ordinal

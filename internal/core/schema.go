@@ -35,8 +35,11 @@ type Schema struct {
 	mu sync.Mutex
 	// cached structure versions; invalidated on a dimension mutation.
 	svCache []*StructureVersion
-	// cached MultiVersion Fact Table; invalidated on mutation.
+	// cached MultiVersion Fact Table handle; invalidated on mutation.
 	mvftCache *MultiVersionFactTable
+	// graph is the mapping graph of mappings under alg, built on first
+	// use and dropped when either changes; resolution tables key on it.
+	graph *mappingGraph
 	// swapID is a process-unique identity for this schema value,
 	// assigned at construction and on every Clone. The serving tier
 	// mutates by clone-then-swap, so the swapID distinguishes the
@@ -69,7 +72,23 @@ func NewSchema(name string, measures ...Measure) *Schema {
 }
 
 // SetConfidenceAlgebra replaces the ⊗cf algebra (Definition 6).
-func (s *Schema) SetConfidenceAlgebra(alg ConfidenceAlgebra) { s.alg = alg }
+func (s *Schema) SetConfidenceAlgebra(alg ConfidenceAlgebra) {
+	s.alg = alg
+	s.mu.Lock()
+	s.graph = nil
+	s.mu.Unlock()
+}
+
+// mappingGraph returns the graph of the schema's mapping relationships,
+// building it on first use after a change to them or to the algebra.
+func (s *Schema) mappingGraph() *mappingGraph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.graph == nil {
+		s.graph = newMappingGraph(s.mappings, len(s.measures), s.alg)
+	}
+	return s.graph
+}
 
 // ConfidenceAlgebra returns the active ⊗cf algebra.
 func (s *Schema) ConfidenceAlgebra() ConfidenceAlgebra { return s.alg }
@@ -146,6 +165,9 @@ func (s *Schema) AddMapping(m MappingRelationship) error {
 	}
 	s.mappings = append(s.mappings, m)
 	s.dropModes()
+	s.mu.Lock()
+	s.graph = nil
+	s.mu.Unlock()
 	return nil
 }
 
@@ -270,17 +292,16 @@ func (s *Schema) Clone() *Schema {
 	// which were just cloned unchanged, so the inferred versions carry
 	// over until a cloned dimension is mutated.
 	s.mu.Lock()
-	out.svCache = s.svCache
+	out.svCache, out.graph = s.svCache, s.graph
 	s.mu.Unlock()
 	return out
 }
 
-// invalidate drops the structure versions and the mapped modes by
-// unlinking them, after a dimension mutation. A MultiVersionFactTable
-// handle obtained before the mutation — including one with
-// materializations still in flight — keeps building into and serving
-// its own (now detached) snapshot; only handles fetched from
-// MultiVersion() after the mutation see the new state.
+// invalidate drops the structure versions and the MultiVersion handle
+// by unlinking them, after a dimension mutation. A handle obtained
+// before the mutation keeps its own (now detached) snapshot of the
+// facts; only handles fetched from MultiVersion() after the mutation
+// see the new state.
 func (s *Schema) invalidate() {
 	s.mu.Lock()
 	s.svCache = nil
@@ -288,9 +309,9 @@ func (s *Schema) invalidate() {
 	s.mu.Unlock()
 }
 
-// dropModes drops the mapped modes after a change to the facts or the
-// mappings, which the structure versions do not read. It returns the
-// dropped cache, nil when there was none.
+// dropModes drops the MultiVersion handle after a change to the facts
+// or the mappings, which the structure versions do not read. It returns
+// the dropped handle, nil when there was none.
 func (s *Schema) dropModes() *MultiVersionFactTable {
 	s.mu.Lock()
 	mv := s.mvftCache
@@ -299,19 +320,13 @@ func (s *Schema) dropModes() *MultiVersionFactTable {
 	return mv
 }
 
-// writableFacts drops the mapped modes ahead of a write to the fact
-// table through the schema and returns the table to write. A tcm handle
-// already handed out keeps serving its snapshot, as every mode's does:
-// the table it holds is left to it, and the schema writes a
-// copy-on-write clone instead.
+// writableFacts drops the MultiVersion handle ahead of a write to the
+// fact table through the schema and returns the table to write. A
+// handle already handed out keeps its snapshot: the table it holds is
+// left to it, and the schema writes a copy-on-write clone instead.
 func (s *Schema) writableFacts() *FactTable {
 	if mv := s.dropModes(); mv != nil {
-		mv.mu.Lock()
-		_, served := mv.byMode[TCM().String()]
-		mv.mu.Unlock()
-		if served {
-			s.facts = s.facts.clone(s)
-		}
+		s.facts = s.facts.clone(s)
 	}
 	return s.facts
 }
@@ -349,7 +364,7 @@ type StructureVersion struct {
 	// per-dimension chain hashes, hex-encoded ("-" where a dimension
 	// holds nothing), constant throughout since a structure version is a
 	// maximal interval of constant tuple. Set by StructureVersions; empty
-	// on composed versions. Warm retention compares it to decide that a
+	// on composed versions. Result caches compare it to decide that a
 	// mode's structure is unchanged.
 	sig string
 	// picked holds, on a composed version, the instant each schema

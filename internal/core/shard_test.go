@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,7 +29,8 @@ func bigTCMSchema(t testing.TB, n int) *Schema {
 }
 
 // TestWarmCloneAliasesShardsUntilTouched is the property the whole
-// sharded layout exists for: a warm clone shares every untouched shard
+// sharded layout exists for: a clone of the fact store shares every
+// untouched shard
 // with its source — the same *factShard, the same backing arrays — and
 // appends into the shared partial tail in place, under a header of its
 // own that claimed the slot, leaving the source bit-for-bit intact. A
@@ -49,20 +49,15 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 
 	privatized, borrowed := metShardsPrivatized.Value(), metShardsBorrowed.Value()
 	clone := base.Clone()
-	oldLen := clone.Facts().Len()
 	if err := clone.InsertFact(Coords{"Smith"}, ym(2500, 1), 42); err != nil {
 		t.Fatal(err)
-	}
-	res := clone.WarmFrom(context.Background(), base, Delta{NewFacts: clone.Facts().Facts()[oldLen:]})
-	if len(res.Retained) != 1 || res.DeltaApplied != 1 {
-		t.Fatalf("WarmFrom = %+v, want tcm retained with delta applied", res)
 	}
 	cloneT, err := clone.MultiVersion().Mode(TCM())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b := clone.MultiVersion().Materializations(); b != 0 {
-		t.Fatalf("warm clone performed %d materializations", b)
+		t.Fatalf("the clone performed %d materializations", b)
 	}
 
 	// The append landed in the partial tail shard: the clone borrowed it
@@ -103,7 +98,7 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 		t.Error("delta fact leaked into the published base table")
 	}
 	if f, ok := cloneT.Lookup(Coords{"Smith"}, ym(2500, 1)); !ok || f.Values[0] != 42 {
-		t.Errorf("delta fact missing from the warm clone: %v %v", f, ok)
+		t.Errorf("delta fact missing from the clone: %v %v", f, ok)
 	}
 
 	// Shared shards carry the base's epoch, not the clone's: any write
@@ -122,7 +117,7 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 }
 
 // TestMergePrivatizesOnlyTouchedShard drives a merge (add at an
-// existing key) into the first shard of a warm clone: that shard must
+// existing key) into the first shard of a table's clone: that shard must
 // be privatized and folded, every other shard must stay shared, and
 // the source tuple must keep its original bits.
 func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
@@ -132,7 +127,7 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := baseT.cloneForWarm(s, TCM())
+	out := baseT.clone(s)
 
 	// Tuple 0 lives in shard 0: fold a second contribution into it.
 	f0 := baseT.Facts()[0]
@@ -187,76 +182,47 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	}
 }
 
-// TestWarmSiblingClonesFoldIndependently holds the claim rule on warm
-// tables: two clones of one published schema each fold a fact batch.
-// The first borrows every mode's partial tail and copies nothing; the
-// second finds the next slot of every tail (and of the fact list)
-// claimed and copies instead. Then two clones of the first race for the
-// same slots concurrently: exactly one per mode borrows. Base and every
-// clone must equal a cold rebuild of its own facts, bit for bit.
+// TestWarmSiblingClonesFoldIndependently holds the claim rule on the
+// fact store: two clones of one published schema each write a fact
+// batch. The first borrows the store's partial tail and copies nothing;
+// the second finds the tail's next slot claimed and copies instead.
+// Then two clones of the first race for the same slots concurrently:
+// exactly one borrows. Base and every clone must answer in every mode
+// like a cold clone of its own facts and the oracle, bit for bit.
 func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 	base := bigTCMSchema(t, MappedShardSize+100)
-	for _, m := range base.Modes() {
-		if _, err := base.MultiVersion().Mode(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nModes := len(base.Modes())
-	// fold applies a batch to c, a clone of from, and warms it. Cloning
-	// stays with the caller: Clone writes from's ownership state, so it
-	// is never called concurrently on one schema.
-	fold := func(from, c *Schema, year int) *Schema {
-		old := c.Facts().Len()
+	before := answers(t, base)
+	// write applies a batch to c, a clone of from. Cloning stays with the
+	// caller: Clone writes from's ownership state, so it is never called
+	// concurrently on one schema.
+	write := func(c *Schema, year int) *Schema {
 		for i, id := range []MVID{"Smith", "Brian", "Smith"} {
 			if err := c.InsertFact(Coords{id}, ym(year, 1+i), float64(year+i)); err != nil {
 				t.Error(err)
 				return c
 			}
 		}
-		res := c.WarmFrom(context.Background(), from, Delta{NewFacts: c.Facts().Facts()[old:]})
-		if len(res.Retained) != nModes {
-			t.Errorf("fold %d retained %v, want %d modes", year, res.Retained, nModes)
-		}
 		return c
-	}
-	matchesCold := func(label string, s *Schema) {
-		t.Helper()
-		cold := s.Clone()
-		for _, m := range s.Modes() {
-			warmT, err := s.MultiVersion().Mode(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldT, err := cold.MultiVersion().Mode(InVersionOf(cold, m))
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalMappedTables(t, label+"/"+m.String(), warmT, coldT)
-		}
 	}
 	counts := func() (int64, int64) {
 		return metShardsBorrowed.Value(), metShardsPrivatized.Value()
 	}
 
 	b0, p0 := counts()
-	first := fold(base, base.Clone(), 2600)
+	first := write(base.Clone(), 2600)
 	b1, p1 := counts()
-	if b1-b0 != int64(nModes) || p1 != p0 {
-		t.Errorf("first sibling: %d borrowed, %d privatized; want %d, 0", b1-b0, p1-p0, nModes)
+	if b1-b0 != 1 || p1 != p0 {
+		t.Errorf("first sibling: %d borrowed, %d privatized; want 1, 0", b1-b0, p1-p0)
 	}
-	second := fold(base, base.Clone(), 2700)
+	second := write(base.Clone(), 2700)
 	b2, p2 := counts()
-	if b2 != b1 || p2-p1 != int64(nModes) {
-		t.Errorf("second sibling: %d borrowed, %d privatized; want 0, %d", b2-b1, p2-p1, nModes)
+	if b2 != b1 || p2-p1 != 1 {
+		t.Errorf("second sibling: %d borrowed, %d privatized; want 0, 1", b2-b1, p2-p1)
 	}
-	for _, m := range base.Modes() {
-		bt, _ := base.MultiVersion().Mode(m)
-		ft, _ := first.MultiVersion().Mode(m)
-		st, _ := second.MultiVersion().Mode(m)
-		tail := len(bt.shards) - 1
-		if &ft.shards[tail].times[0] != &bt.shards[tail].times[0] || &st.shards[tail].times[0] == &bt.shards[tail].times[0] {
-			t.Errorf("%s: the first sibling must append into the base's tail columns, the second into a copy", m)
-		}
+	bt, ft, st := base.Facts(), first.Facts(), second.Facts()
+	tail := len(bt.shards) - 1
+	if &ft.shards[tail].times[0] != &bt.shards[tail].times[0] || &st.shards[tail].times[0] == &bt.shards[tail].times[0] {
+		t.Error("the first sibling must append into the base's tail columns, the second into a copy")
 	}
 
 	// Two generations racing for the same slots.
@@ -266,34 +232,27 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fold(first, racers[i], 2800+100*i)
+			write(racers[i], 2800+100*i)
 		}(i)
 	}
 	wg.Wait()
 	b3, p3 := counts()
-	if b3-b2 != int64(nModes) || p3-p2 != int64(nModes) {
-		t.Errorf("racing siblings: %d borrowed, %d privatized; want %d each (one winner per mode)", b3-b2, p3-p2, nModes)
+	if b3-b2 != 1 || p3-p2 != 1 {
+		t.Errorf("racing siblings: %d borrowed, %d privatized; want 1 each (one winner)", b3-b2, p3-p2)
 	}
 
-	matchesCold("base", base)
-	matchesCold("first", first)
-	matchesCold("second", second)
+	modesMatchCold(t, "base", base)
+	modesMatchCold(t, "first", first)
+	modesMatchCold(t, "second", second)
 	for i, r := range racers {
-		matchesCold(fmt.Sprintf("racer%d", i), r)
+		modesMatchCold(t, fmt.Sprintf("racer%d", i), r)
 	}
-	fresh := bigTCMSchema(t, MappedShardSize+100)
-	for _, m := range base.Modes() {
-		got, _ := base.MultiVersion().Mode(m)
-		want, err := fresh.MultiVersion().Mode(InVersionOf(fresh, m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMappedTables(t, "published base/"+m.String(), got, want)
-	}
+	requireSameAnswers(t, "published base", answers(t, base), before)
 }
 
-// TestCloneForWarmAllocationBound is the satellite-6 regression: the
-// cost of a warm clone must be O(shard headers), never O(warehouse).
+// TestCloneForWarmAllocationBound is the regression for a table's
+// copy-on-write clone (MappedTable.clone, behind every FactTable.clone):
+// its cost must be O(shard headers), never O(warehouse).
 // Allocation counts are the tripwire — the old layout copied one
 // pointer slice entry and one owned-map entry per tuple, so its
 // allocation profile scaled with the table; the sharded clone performs
@@ -310,16 +269,16 @@ func TestCloneForWarmAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocsSmall := testing.AllocsPerRun(20, func() {
-		_ = smallT.cloneForWarm(small, TCM())
+		_ = smallT.clone(small)
 	})
 	allocsBig := testing.AllocsPerRun(20, func() {
-		_ = bigT.cloneForWarm(big, TCM())
+		_ = bigT.clone(big)
 	})
 	if allocsBig > allocsSmall {
-		t.Errorf("cloneForWarm allocations scale with table size: %v at 2 shards, %v at 8", allocsSmall, allocsBig)
+		t.Errorf("clone allocations scale with table size: %v at 2 shards, %v at 8", allocsSmall, allocsBig)
 	}
 	if allocsBig > 8 {
-		t.Errorf("cloneForWarm performs %v allocations, want a small constant", allocsBig)
+		t.Errorf("clone performs %v allocations, want a small constant", allocsBig)
 	}
 }
 
@@ -353,30 +312,27 @@ func TestSchemaCloneAllocationFlat(t *testing.T) {
 }
 
 // TestFactWriteAllocation bounds what a 32-fact write costs in core —
-// clone, insert, WarmFrom into every warm mode — on a 32k-fact table
-// with tcm and three version modes warm. Before clones shared the
-// pointer list, the dimensions and the partial tail shards, the same
-// loop allocated 589 000 B per write, nearly all of it the copied list
-// (270 KB) and four privatized tails; the bound is a quarter of that.
+// clone and insert; no mode is left to warm — on a 32k-fact table that
+// every mode has been asked about. Before clones shared the pointer
+// list, the dimensions and the partial tail shards, the same loop
+// (with three version modes warm) allocated 589 000 B per write, nearly
+// all of it the copied list (270 KB) and four privatized tails; the
+// bound is a quarter of that.
 func TestFactWriteAllocation(t *testing.T) {
 	const before = 589_000
 	s := bigTCMSchema(t, 8*MappedShardSize)
 	for _, m := range s.Modes() {
-		if _, err := s.MultiVersion().Mode(m); err != nil {
+		if _, err := s.Execute(Query{Mode: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	write := 0
 	per := bytesPerRun(64, func() {
 		c := s.Clone()
-		mark := c.Facts().End()
 		for i := 0; i < 32; i++ {
 			if err := c.InsertFact(Coords{"Smith"}, ym(9000, 1)+temporal.Instant(32*write+i), float64(i)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if res := c.WarmFrom(context.Background(), s, Delta{NewFacts: c.Facts().Since(mark)}); len(res.Evicted) != 0 {
-			t.Fatalf("write %d evicted %v", write, res.Evicted)
 		}
 		s = c
 		write++
@@ -387,7 +343,7 @@ func TestFactWriteAllocation(t *testing.T) {
 	}
 }
 
-// BenchmarkMappedTableLookup measures the index probe of a warm clone
+// BenchmarkMappedTableLookup measures the index probe of a table clone
 // at its worst and at its best. The deep table has absorbed exactly as
 // many fresh keys as give the key index its maximum layer count before
 // the next flatten (2^k−1 seals leave k sealed layers over the bottom),
@@ -407,7 +363,7 @@ func BenchmarkMappedTableLookup(b *testing.B) {
 	}
 	seals := 1<<depth - 1 // the most the overlay takes below a quarter of the bottom
 	fresh := func(i int) (Coords, temporal.Instant) { return Coords{"Smith"}, ym(9000+i/12, 1+i%12) }
-	deep := baseT.cloneForWarm(s, TCM())
+	deep := baseT.clone(s)
 	for i := 0; i <= seals*indexSealAt; i++ {
 		c, at := fresh(i)
 		deep.add(ordsOf(s, c), at, []float64{1}, []Confidence{SourceData})
@@ -432,5 +388,5 @@ func BenchmarkMappedTableLookup(b *testing.B) {
 	b.Run("bottom-hit-max-depth", probe(deep, f0.Coords, f0.Time, true))
 	b.Run("top-hit", probe(deep, c, at, true))
 	b.Run("miss-max-depth", probe(deep, Coords{"Smith"}, ym(8000, 1), false))
-	b.Run("bottom-hit-fresh-clone", probe(baseT.cloneForWarm(s, TCM()), f0.Coords, f0.Time, true))
+	b.Run("bottom-hit-fresh-clone", probe(baseT.clone(s), f0.Coords, f0.Time, true))
 }

@@ -116,11 +116,6 @@ func querySignature(q core.Query) string {
 // of the named dimension at the given grain — the §1.1 "query results
 // are pre-calculated in the form of aggregates" step.
 func (c *Cube) Precompute(dim core.DimID, grain core.TimeGrain) error {
-	// Warm every mode's mapped table in one concurrent materialization
-	// pass; the per-level queries below then hit the MVFT cache.
-	if _, err := c.schema.MultiVersion().All(); err != nil {
-		return err
-	}
 	for _, mode := range c.schema.Modes() {
 		for _, level := range c.levelOrder[dim] {
 			q := core.Query{

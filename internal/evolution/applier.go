@@ -79,8 +79,8 @@ func (a *Applier) Apply(ops ...Op) error {
 
 // ApplyTouched is Apply returning the batch's structural footprint: the
 // dimensions mutated and whether the mapping set changed. The serving
-// tier feeds it to core.Schema.WarmFrom so only MVFT modes the batch
-// could actually have changed are evicted across a clone-swap. Each
+// tier feeds it to the result cache, so only answers the batch could
+// actually have changed are dropped across a clone-swap. Each
 // operator's footprint is recorded even when it fails — it may have
 // mutated part of the schema before erroring, so invalidation must
 // still cover it.

@@ -102,7 +102,7 @@ func (ts TouchSet) StructureAdditive() bool {
 	return len(ts.dims) > 0 && !ts.nonAdditive && !ts.conservative
 }
 
-// Delta renders the touch-set as a core.Delta for Schema.WarmFrom; the
+// Delta renders the touch-set as a core.Delta for the result cache; the
 // caller fills in the fact-side fields (NewFacts, FactsReplaced,
 // Retracted — see WithRetraction for the latter).
 func (ts TouchSet) Delta() core.Delta {
@@ -119,9 +119,8 @@ func (ts TouchSet) Delta() core.Delta {
 // retracted tuples and the hull of their instants as the facts window.
 // A retraction touches no dimension and no mapping — it is structure-
 // neutral — so a retraction-only batch (the zero TouchSet) yields a
-// delta under which every structurally valid mode is retained and
-// offered the unfold path; WarmFrom falls back to per-mode eviction
-// only where the subtraction cannot be proven exact.
+// delta under which only cached answers whose time range meets the
+// retracted instants can change.
 func (ts TouchSet) WithRetraction(retracted []*core.Fact) core.Delta {
 	d := ts.Delta()
 	d.Retracted = retracted

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Span is one timed stage of a request: lex, parse, plan, materialize,
+// Span is one timed stage of a request: lex, parse, plan, resolve,
 // aggregate, … Spans form a tree rooted at the span installed by
 // NewTrace. All methods are nil-safe, so instrumented code paths pay
 // nothing (and branch nowhere) when the request carries no trace.

@@ -21,8 +21,6 @@ func TestFactsRetractEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("facts = %d: %s", code, body)
 	}
-	// Materialize the modes the persistence queries use, so the
-	// retraction below has warm tables to maintain.
 	before := captureState(t, srv)
 
 	code, body = post(t, srv, "/facts/retract",
@@ -46,11 +44,10 @@ func TestFactsRetractEndpoint(t *testing.T) {
 	if resp.Facts != 9 { // 10 seed + 1 appended - 2 retracted
 		t.Fatalf("facts = %d, want 9", resp.Facts)
 	}
-	// The case study carries a single Sum measure and the retracted
-	// tuples are unmerged cells in every mode: all warm modes must
-	// absorb the retraction (tombstones), none may rebuild.
-	if resp.ModesSubtracted == 0 || len(resp.RetainedModes) == 0 {
-		t.Fatalf("retraction rebuilt instead of subtracting: %+v", resp)
+	// A mode has no warm state: the retraction tombstones the fact
+	// table and leaves no mode to subtract from.
+	if resp.ModesSubtracted != 0 || resp.RetainedModes == nil || len(resp.RetainedModes) != 0 {
+		t.Fatalf("retraction envelope %+v, want no mode subtracted or retained", resp)
 	}
 
 	after := captureState(t, srv)
@@ -73,9 +70,9 @@ func TestFactsRetractEndpoint(t *testing.T) {
 		t.Fatalf("failed retract advanced the WAL to %d", st.LastSeq())
 	}
 
-	// The maintenance metrics are exposed.
+	// The retraction's stages are exposed.
 	code, body = get(t, srv, "/metrics")
-	if code != http.StatusOK || !strings.Contains(string(body), "mvolap_mvft_retractions_applied_total") {
+	if code != http.StatusOK || !strings.Contains(string(body), `mvolap_write_stage_seconds_count{op="retract",stage="apply"}`) {
 		t.Error("retraction metrics missing from /metrics")
 	}
 }

@@ -63,6 +63,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mvolap/internal/core"
@@ -118,6 +119,11 @@ type Server struct {
 	queryCache     *tql.ResultCache
 	queryCacheSize int
 
+	// modes holds GET /modes' body for the generation that rendered it
+	// last: TMP changes only with the structure versions, so a page is
+	// rendered once per published generation, by its first GET.
+	modes atomic.Pointer[modesPage]
+
 	// closing is closed by Stop to end long-lived replication streams
 	// ahead of a graceful shutdown (Shutdown waits for handlers).
 	closing   chan struct{}
@@ -144,8 +150,8 @@ func WithLogger(l *slog.Logger) Option {
 }
 
 // WithQueryTimeout sets a per-request deadline for /query; 0 (the
-// default) means no deadline. Expired queries stop materializing and
-// aggregating promptly and return 504.
+// default) means no deadline. Expired queries stop scanning promptly
+// and return 504.
 func WithQueryTimeout(d time.Duration) Option {
 	return func(s *Server) { s.queryTimeout = d }
 }
@@ -438,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// The request context carries client-disconnect cancellation; the
 	// configured per-request deadline is layered on top, and both stop
-	// materialization and aggregation inside their per-fact loops.
+	// the scan inside its per-tuple loop.
 	ctx := r.Context()
 	if s.queryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -525,18 +531,32 @@ func toResponse(out *tql.Output) queryResponse {
 }
 
 func (s *Server) handleModes(w http.ResponseWriter, _ *http.Request) {
-	if s.notReady(w) {
+	sch := s.snapshot()
+	if sch == nil {
+		jsonError(w, http.StatusServiceUnavailable, errNotReady)
 		return
 	}
-	var out []modeEntry
-	for _, m := range s.snapshot().Modes() {
-		e := modeEntry{Mode: m.String()}
-		if m.Kind == core.VersionKind {
-			e.Valid = m.Version.Valid.String()
+	page := s.modes.Load()
+	if page == nil || page.swapID != sch.SwapID() {
+		var out []modeEntry
+		for _, m := range sch.Modes() {
+			e := modeEntry{Mode: m.String()}
+			if m.Kind == core.VersionKind {
+				e.Valid = m.Version.Valid.String()
+			}
+			out = append(out, e)
 		}
-		out = append(out, e)
+		page = &modesPage{swapID: sch.SwapID(), body: encodeJSON(out)}
+		s.modes.Store(page)
 	}
-	writeJSON(w, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(page.body)
+}
+
+// modesPage is GET /modes' body as one generation renders it.
+type modesPage struct {
+	swapID uint64
+	body   []byte
 }
 
 // schemaResponse describes the warehouse structure.
@@ -699,6 +719,9 @@ func (s *Server) beginWrite(w http.ResponseWriter, r *http.Request, kind string)
 
 // writeResponse is the envelope of an accepted write, its fields in key
 // order. Which of the counts are present says which kind it was.
+// deltaApplies, evictedModes, retainedModes and modesSubtracted stay for
+// the envelope's clients: a mode has no warm state, so they are always
+// 0 and empty.
 type writeResponse struct {
 	Appended              int           `json:"appended,omitempty"`
 	Applied               int           `json:"applied,omitempty"`
@@ -771,10 +794,9 @@ func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutatio
 	store.ObserveWriteStage(kind, "publish", published)
 
 	resp := writeResponse{
-		DeltaApplies:          c.Warm.DeltaApplied,
-		EvictedModes:          append([]string{}, c.Warm.Evicted...),
+		EvictedModes:          []string{},
 		QueryCacheInvalidated: invalidated,
-		RetainedModes:         append([]string{}, c.Warm.Retained...),
+		RetainedModes:         []string{},
 		WALSeq:                c.Seq,
 	}
 	facts := c.Schema.Facts().Len()
@@ -785,14 +807,13 @@ func (s *Server) commit(w http.ResponseWriter, r *http.Request, m *store.Mutatio
 	case store.RecordFacts:
 		resp.Appended, resp.Facts = m.Len(), &facts
 	case store.RecordRetract:
-		resp.Retracted, resp.Facts, resp.ModesSubtracted = m.Len(), &facts, &c.Warm.Subtracted
+		resp.Retracted, resp.Facts, resp.ModesSubtracted = m.Len(), &facts, new(int)
 	}
 	if root != nil {
 		root.End()
 		resp.Trace = root.Node()
 	}
-	s.logger.Info("write committed", "op", kind, "elements", m.Len(), "facts", facts,
-		"modesRetained", resp.RetainedModes, "modesEvicted", resp.EvictedModes)
+	s.logger.Info("write committed", "op", kind, "elements", m.Len(), "facts", facts)
 	if c.SnapshotDue {
 		snapshotted := time.Now()
 		s.snapshotLocked("auto")

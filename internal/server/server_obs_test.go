@@ -17,13 +17,13 @@ import (
 
 // TestMetricsEndpoint asserts the acceptance criterion: after
 // exercising /query, GET /metrics serves the query latency histogram,
-// the per-endpoint request counters, and the mode-cache hit/miss
-// counters in Prometheus text format.
+// the per-endpoint request counters, and the resolution-table counter
+// in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
-	// A version mode: tcm is the fact table and is never materialized.
+	// A version mode: tcm reads the fact table as it is stored.
 	q := "/query?q=" + urlEncode("SELECT Amount BY Org.Division, TIME.YEAR MODE VERSION AT 2002")
-	for i := 0; i < 2; i++ { // second run hits the mode cache
+	for i := 0; i < 2; i++ { // the second run finds the resolution table built
 		if code, body := get(t, srv, q); code != http.StatusOK {
 			t.Fatalf("query = %d: %s", code, body)
 		}
@@ -37,9 +37,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mvolap_http_requests_total{endpoint="/query",code="200"}`,
 		`mvolap_http_request_seconds_bucket{endpoint="/query",le="+Inf"}`,
 		`mvolap_http_request_seconds_count{endpoint="/query"}`,
-		"mvolap_mode_cache_hits_total",
-		"mvolap_mode_cache_misses_total",
-		`mvolap_materialize_seconds_count{mode="V2"}`,
+		`mvolap_resolve_tables_built_total{dim="Org"}`,
 		"mvolap_query_facts_scanned_total",
 		"mvolap_http_in_flight",
 	} {
@@ -63,8 +61,8 @@ func TestDebugVarsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"mvolap_http_requests_total",
-		"mvolap_mode_cache_misses_total",
-		"mvolap_materialize_seconds",
+		"mvolap_query_facts_scanned_total",
+		"mvolap_resolve_tables_built_total",
 	} {
 		if _, ok := snap[want]; !ok {
 			t.Errorf("snapshot missing %q", want)
@@ -74,7 +72,7 @@ func TestDebugVarsEndpoint(t *testing.T) {
 
 // TestQueryTrace asserts the acceptance criterion for ?trace=1: the
 // response embeds a span tree containing at least the parse,
-// materialize, aggregate (with its scan stages) and encode stages.
+// resolve, aggregate (with its scan stages) and encode stages.
 func TestQueryTrace(t *testing.T) {
 	srv := testServer(t)
 	code, body := get(t, srv, "/query?q="+
@@ -95,7 +93,7 @@ func TestQueryTrace(t *testing.T) {
 	if resp.Trace == nil {
 		t.Fatal("trace=1 response has no trace")
 	}
-	for _, stage := range []string{"parse", "materialize", "aggregate", "encode"} {
+	for _, stage := range []string{"parse", "resolve", "aggregate", "encode"} {
 		if resp.Trace.Find(stage) == nil {
 			t.Errorf("trace missing %q span:\n%s", stage, body)
 		}

@@ -343,13 +343,13 @@ func TestEmptyEvolveScriptRefused(t *testing.T) {
 
 // TestWriteStageSeries: every write observes each stage it went through
 // in mvolap_write_stage_seconds, traced or not, and a follower applying
-// the leader's records feeds clone, apply and warm of the same series
+// the leader's records feeds clone and apply of the same series
 // through the same routine. Two scrapes are enough to say where a
 // write's time went, queueing and the snapshot stall included.
 func TestWriteStageSeries(t *testing.T) {
 	leader, _, st := startLeader(t, t.TempDir())
 	_, rep, _ := startFollower(t, leader.URL, store.ReplicaOptions{})
-	stages := []string{"decode", "queue", "clone", "apply", "wal", "warm", "publish"}
+	stages := []string{"decode", "queue", "clone", "apply", "wal", "publish"}
 	count := func(kind, stage string) float64 { return stageCount(t, leader, kind, stage) }
 	// The registry is the process's: other tests' writes are in it too,
 	// so only differences between two scrapes mean anything.
@@ -365,9 +365,9 @@ func TestWriteStageSeries(t *testing.T) {
 		waitApplied(t, rep, st.LastSeq())
 		for _, stage := range stages {
 			// The leader observed the stage once; the follower, sharing the
-			// registry, observed the three stages of the shared routine again.
+			// registry, observed the two stages of the shared routine again.
 			want := 1.0
-			if stage == "clone" || stage == "apply" || stage == "warm" {
+			if stage == "clone" || stage == "apply" {
 				want = 2
 			}
 			if got := count(kind, stage) - before[stage]; got != want {

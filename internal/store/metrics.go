@@ -7,7 +7,7 @@ import "mvolap/internal/obs"
 var (
 	metWriteStageSeconds = obs.Default().HistogramVec(
 		"mvolap_write_stage_seconds",
-		"Where a write's time went, by op (evolve, facts, retract) and stage: decode (read and parse the body), queue (wait for the write mutex), clone, apply, wal (append + fsync), warm (WarmFrom), publish (swap + result-cache invalidation), snapshot (the automatic one, when due). Recovery and followers feed clone, apply and warm.",
+		"Where a write's time went, by op (evolve, facts, retract) and stage: decode (read and parse the body), queue (wait for the write mutex), clone, apply, wal (append + fsync), publish (swap + result-cache invalidation), snapshot (the automatic one, when due). Recovery and followers feed clone and apply.",
 		nil, "op", "stage")
 	metWALAppends = obs.Default().CounterVec(
 		"mvolap_store_wal_appends_total",

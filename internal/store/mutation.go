@@ -216,14 +216,12 @@ func BatchWindow(batch []FactRecord) (temporal.Interval, bool) {
 
 // Committed is what commit made of a mutation.
 type Committed struct {
-	// Schema is the evolved clone, warmed and ready to be served, and
-	// Applier its applier, carrying the evolution log.
+	// Schema is the evolved clone, ready to be served, and Applier its
+	// applier, carrying the evolution log.
 	Schema  *core.Schema
 	Applier *evolution.Applier
 	// Delta says what the mutation changed, for the caches above.
 	Delta core.Delta
-	// Warm says which materialized modes the clone took over from base.
-	Warm core.WarmResult
 	// Seq is the mutation's WAL sequence; 0 when nothing was logged.
 	Seq uint64
 	// SnapshotDue reports that the append made an automatic snapshot due.
@@ -238,19 +236,21 @@ func (st *Store) Commit(ctx context.Context, base *core.Schema, ap *evolution.Ap
 	return commit(ctx, st, base, ap, m)
 }
 
-// commit is the write path, the one place a schema is cloned and a
-// clone is warmed: clone base, rebind the applier, apply the batch,
-// append it to log (nil when replaying a record that is already
-// logged, here or on the leader), and warm the clone from base. The
-// order makes acknowledged ⇔ recoverable ⇔ replicable: only a batch
-// that applied whole is logged, and only a logged batch is returned for
-// the caller to publish. base keeps serving throughout and is never
-// mutated. ctx carries the trace, not cancellation: past the append the
-// mutation is durable and must be finished.
+// commit is the write path, the one place a schema is cloned: clone
+// base, rebind the applier, apply the batch, and append it to log (nil
+// when replaying a record that is already logged, here or on the
+// leader). The order makes acknowledged ⇔ recoverable ⇔ replicable:
+// only a batch that applied whole is logged, and only a logged batch is
+// returned for the caller to publish. base keeps serving throughout and
+// is never mutated. Nothing is warmed: every mode presents the clone's
+// fact store at query time, so the clone is ready to serve as applied.
+// ctx carries the trace, not cancellation: past the append the mutation
+// is durable and must be finished.
 //
 // Each stage that completes is one observation of
-// mvolap_write_stage_seconds, traced or not; warm is the site of the
-// mvft_delta span a ?trace=1 answer shows.
+// mvolap_write_stage_seconds, traced or not; apply ends with the
+// mvft_delta span a ?trace=1 answer shows: what the batch wrote to the
+// fact table, and the key-index maintenance it paid.
 func commit(ctx context.Context, log *Store, base *core.Schema, ap *evolution.Applier, m *Mutation) (Committed, error) {
 	t := time.Now()
 	clone := base.Clone()
@@ -267,6 +267,21 @@ func commit(ctx context.Context, log *Store, base *core.Schema, ap *evolution.Ap
 		// its own span.
 		clone.StructureVersionsContext(ctx)
 	}
+	// What the batch did to the fact table. The mode counts stay on the
+	// span for its readers and are always 0: no mode has warm state.
+	_, sp := obs.StartSpan(ctx, "mvft_delta")
+	sealed, merged := clone.Facts().KeyIndexWork()
+	sp.SetAttr("retained", 0)
+	sp.SetAttr("evicted", 0)
+	sp.SetAttr("delta_applies", 0)
+	sp.SetAttr("delta_facts", len(delta.NewFacts))
+	sp.SetAttr("sealed", sealed)
+	sp.SetAttr("merged", merged)
+	if len(delta.Retracted) > 0 {
+		sp.SetAttr("retracted_facts", len(delta.Retracted))
+		sp.SetAttr("modes_subtracted", 0)
+	}
+	sp.End()
 	t = ObserveWriteStage(m.kind, "apply", t)
 
 	c := Committed{Schema: clone, Applier: ap, Delta: delta}
@@ -277,26 +292,8 @@ func commit(ctx context.Context, log *Store, base *core.Schema, ap *evolution.Ap
 		if err != nil {
 			return Committed{}, fmt.Errorf("wal append: %w", err)
 		}
-		t = ObserveWriteStage(m.kind, "wal", t)
+		ObserveWriteStage(m.kind, "wal", t)
 	}
-
-	// Past the point of no failure. The clone takes over base's
-	// materialized modes with only the delta folded in, so the serving
-	// tier does not start cold after every write (a no-op on a cold base).
-	spanCtx, sp := obs.StartSpan(ctx, "mvft_delta")
-	c.Warm = clone.WarmFrom(spanCtx, base, delta)
-	sp.SetAttr("retained", len(c.Warm.Retained))
-	sp.SetAttr("evicted", len(c.Warm.Evicted))
-	sp.SetAttr("delta_applies", c.Warm.DeltaApplied)
-	sp.SetAttr("delta_facts", len(delta.NewFacts))
-	sp.SetAttr("sealed", c.Warm.Sealed)
-	sp.SetAttr("merged", c.Warm.Merged)
-	if len(delta.Retracted) > 0 {
-		sp.SetAttr("retracted_facts", len(delta.Retracted))
-		sp.SetAttr("modes_subtracted", c.Warm.Subtracted)
-	}
-	sp.End()
-	ObserveWriteStage(m.kind, "warm", t)
 	return c, nil
 }
 

@@ -194,22 +194,21 @@ func TestSnapshotFlippedByteUnreadable(t *testing.T) {
 	}
 }
 
-// TestSnapshotTombstonedTableRoundTrips snapshots a warehouse whose warm
-// tables hold tombstones (a retraction was unfolded out of them): the
-// recovered lineage answers like the live one, and both keep folding
-// the same deltas — another insert, another retraction — to the same
-// answers, which are a cold rebuild's.
+// TestSnapshotTombstonedTableRoundTrips snapshots a warehouse whose fact
+// table holds a tombstone (a retraction): the recovered lineage answers
+// like the live one, and both keep taking the same deltas — another
+// insert, another retraction — to the same answers, which are a cold
+// rebuild's.
 func TestSnapshotTombstonedTableRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	st, sch, ap := buildWarmWarehouse(t, dir)
-	modes := len(sch.Modes())
 	retract := []RetractRecord{{Coords: []string{"Dpt.Smith_id"}, Time: "2001"}}
 	live, liveAp := applyBatch(t, sch, ap, 2, RecordRetract, retract)
 	if _, _, err := st.AppendRetractBatch(retract); err != nil {
 		t.Fatal(err)
 	}
-	if got := live.MultiVersion().DeltaApplies(); got != int64(modes) {
-		t.Fatalf("retraction unfolded out of %d of %d modes: the fixture must unfold, not evict", got, modes)
+	if ft := live.Facts(); ft.End() != ft.Len()+1 {
+		t.Fatalf("fact table holds %d slots for %d facts: the fixture must tombstone one", ft.End(), ft.Len())
 	}
 	if _, err := st.Snapshot(live, liveAp.Log(), "test"); err != nil {
 		t.Fatal(err)
@@ -576,8 +575,9 @@ func buildWarmWarehouse(t *testing.T, dir string) (*Store, *core.Schema, *evolut
 }
 
 // recoverCold reopens dir after a simulated SIGKILL and checks what
-// every restart now owes: no mode restored, and each mode built cold on
-// first use, answering byte for byte like want.
+// every restart now owes: no mode restored and none built — each mode
+// presents the recovered fact store — answering byte for byte like
+// want.
 func recoverCold(t *testing.T, dir string, want map[string]string) (*Store, *core.Schema) {
 	t.Helper()
 	st, sch, _, err := Open(dir, nil, Options{Logger: quietLog()})
@@ -591,9 +591,8 @@ func recoverCold(t *testing.T, dir string, want map[string]string) (*Store, *cor
 	if !reflect.DeepEqual(modeAnswers(t, sch), want) {
 		t.Error("recovered answers differ from the live warm lineage's")
 	}
-	// tcm is the fact table: every version mode builds cold.
-	if builds, modes := sch.MultiVersion().Materializations(), len(sch.Modes())-1; builds != int64(modes) {
-		t.Errorf("recovered schema built %d version modes, want all %d cold", builds, modes)
+	if builds := sch.MultiVersion().Materializations(); builds != 0 {
+		t.Errorf("recovered schema built %d version modes, want none", builds)
 	}
 	return st, sch
 }

@@ -552,9 +552,9 @@ func Run(s *core.Schema, input string) (*Output, error) {
 }
 
 // RunContext is Run with cancellation and tracing: ctx cancellation
-// (client disconnect, per-request deadline) stops materialization and
-// aggregation promptly, and an obs trace on ctx records per-stage
-// spans (lex, parse, plan, materialize, aggregate, …).
+// (client disconnect, per-request deadline) stops the scan promptly,
+// and an obs trace on ctx records per-stage spans (lex, parse, plan,
+// resolve, aggregate, …).
 func RunContext(ctx context.Context, s *core.Schema, input string) (*Output, error) {
 	return RunWithContext(ctx, s, input, quality.DefaultWeights())
 }

@@ -9,7 +9,7 @@ import (
 
 // TestRunContextTraceSpans asserts the acceptance criterion for query
 // tracing: a traced SELECT produces a span tree containing at least
-// the lex, parse, plan, materialize and aggregate stages.
+// the lex, parse, plan, resolve and aggregate stages.
 func TestRunContextTraceSpans(t *testing.T) {
 	s := caseSchema(t)
 	ctx, root := obs.NewTrace(context.Background(), "query")
@@ -22,17 +22,14 @@ func TestRunContextTraceSpans(t *testing.T) {
 	}
 	root.End()
 	n := root.Node()
-	for _, stage := range []string{"lex", "parse", "plan", "materialize", "aggregate"} {
+	for _, stage := range []string{"lex", "parse", "plan", "resolve", "aggregate"} {
 		if n.Find(stage) == nil {
 			t.Errorf("trace missing %q span", stage)
 		}
 	}
-	mat := n.Find("materialize")
-	if mat.Attrs["mode"] != "tcm" {
-		t.Errorf("materialize attrs = %v, want mode=tcm", mat.Attrs)
-	}
-	if _, ok := mat.Attrs["cached"]; !ok {
-		t.Errorf("materialize attrs = %v, want a cached verdict", mat.Attrs)
+	res := n.Find("resolve")
+	if res.Attrs["mode"] != "tcm" || res.Attrs["dropped"] != 0 {
+		t.Errorf("resolve attrs = %v, want mode=tcm and dropped=0", res.Attrs)
 	}
 	agg := n.Find("aggregate")
 	if agg.Attrs["rows"] == nil {

@@ -116,8 +116,8 @@ func BuildMultiVersion(s *core.Schema, policy StoragePolicy) (*MultiVersionDW, e
 	}
 
 	dw := &MultiVersionDW{DB: db, Policy: policy, schema: s}
-	// Materialize all modes concurrently up front; the sequential
-	// insert loop below reads the cached tables.
+	// Materialize every mode up front (Definition 11, cold); the insert
+	// loop below reads the tables.
 	tables, err := s.MultiVersion().All()
 	if err != nil {
 		return nil, err
