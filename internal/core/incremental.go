@@ -93,7 +93,7 @@ func (mt *MappedTable) clone(s *Schema) *MappedTable {
 		shardsShared: true,
 		n:            mt.n,
 		dead:         mt.dead,
-		ordLive:      mt.ordLive,
+		ords:         mt.ords,
 		ordShared:    true,
 		epoch:        shardEpochCounter.Add(1),
 		nd:           mt.nd,

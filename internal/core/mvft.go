@@ -134,12 +134,14 @@ type MappedTable struct {
 	// indexing over fixed-size shards must not shift) but every view
 	// and scan skips it.
 	dead int
-	// ordLive counts, per dimension, the live tuples holding each member
-	// version ordinal there: a version mode's dropped facts are the sum
-	// over the ordinals it drops (countDropped). A clone shares the
-	// counts until the first write of either side copies them
-	// (ordShared).
-	ordLive   [][]int32
+	// ords says, per dimension and member version ordinal, how many
+	// live tuples hold the ordinal there and at which instants: a version
+	// mode's dropped facts are the sum over the ordinals it drops
+	// (countDropped), and only presentations of ordinals whose instants
+	// meet can land on one tuple (newPresentation). A clone shares the
+	// chunk lists until the first write of either side copies them
+	// (ordShared), and each chunk until it writes into it (ordChunk).
+	ords      [][]*ordChunk
 	ordShared bool
 	// Dropped counts source facts that could not be presented in this
 	// mode at all: no chain of mapping relationships reaches any member
@@ -545,23 +547,73 @@ func (mt *MappedTable) appendTuple(h uint64, coords []int32, t temporal.Instant,
 	}
 	mt.index.put(h, mt.n)
 	mt.n++
-	mt.countOrds(coords, 1)
+	mt.countOrds(coords, t, 1)
 }
 
-// countOrds adds delta to the live count of each of a tuple's ordinals.
-func (mt *MappedTable) countOrds(ords []int32, delta int32) {
-	if mt.ordShared || mt.ordLive == nil {
-		live := make([][]int32, mt.nd)
-		for i, c := range mt.ordLive {
-			live[i] = slices.Clone(c)
+// ordStat is what a table knows of one member version ordinal at one
+// coordinate position: live tuples hold it, and while live > 0 every
+// one of them lies within instants. A retraction leaves instants as
+// they are, so they may cover more than the live tuples, never less.
+type ordStat struct {
+	live     int32
+	instants temporal.Interval
+}
+
+// ordChunkSize is the number of ordinals per chunk of a table's ordinal
+// stats: what a write into a shared chunk copies.
+const ordChunkSize = 128
+
+// ordChunk holds the stats of ordChunkSize consecutive ordinals. It is
+// writable only by the table whose epoch it carries.
+type ordChunk struct {
+	epoch uint64
+	stats [ordChunkSize]ordStat
+}
+
+// ordStat returns the stats of ordinal o at coordinate position i.
+func (mt *MappedTable) ordStat(i int, o int32) ordStat {
+	if i >= len(mt.ords) {
+		return ordStat{}
+	}
+	chunks, ci := mt.ords[i], int(o)/ordChunkSize
+	if ci >= len(chunks) || chunks[ci] == nil {
+		return ordStat{}
+	}
+	return chunks[ci].stats[int(o)%ordChunkSize]
+}
+
+// countOrds records that a tuple at instant t holding the given
+// ordinals was added (delta 1) or removed (delta -1), copying a chunk
+// another table may read before writing into it.
+func (mt *MappedTable) countOrds(ords []int32, t temporal.Instant, delta int32) {
+	if mt.ordShared || mt.ords == nil {
+		own := make([][]*ordChunk, mt.nd)
+		for i, chunks := range mt.ords {
+			own[i] = slices.Clone(chunks)
 		}
-		mt.ordLive, mt.ordShared = live, false
+		mt.ords, mt.ordShared = own, false
 	}
 	for i, o := range ords {
-		if c := mt.ordLive[i]; int(o) >= len(c) {
-			mt.ordLive[i] = append(c, make([]int32, int(o)+1-len(c))...)
+		ci := int(o) / ordChunkSize
+		for len(mt.ords[i]) <= ci {
+			mt.ords[i] = append(mt.ords[i], nil)
 		}
-		mt.ordLive[i][o] += delta
+		c := mt.ords[i][ci]
+		if c == nil || c.epoch != mt.epoch {
+			own := &ordChunk{epoch: mt.epoch}
+			if c != nil {
+				own.stats = c.stats
+			}
+			mt.ords[i][ci], c = own, own
+		}
+		st := &c.stats[int(o)%ordChunkSize]
+		switch {
+		case delta > 0 && st.live == 0:
+			st.instants = temporal.Between(t, t)
+		case delta > 0:
+			st.instants = st.instants.Hull(temporal.Between(t, t))
+		}
+		st.live += delta
 	}
 }
 
@@ -717,7 +769,7 @@ func (s *Schema) mapFacts(ctx context.Context, src *MappedTable, m Mode) (*Mappe
 		return nil, fmt.Errorf("core: version mode without structure version")
 	}
 	out := newMappedTable(s, m, src.Len())
-	pr := newPresenter(s.resolveTables(m.Version), out.nm, s.alg, s.mappingGraph().identity)
+	pr := newPresenter(s.resolveTables(m.Version), nil, out.nm, s.alg, s.mappingGraph().identity)
 	nd, nm, steps := out.nd, out.nm, 0
 	for _, sh := range src.shards {
 		for j := 0; j < sh.n; j++ {

@@ -174,6 +174,7 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	dropped := 0
 	if q.Mode.Kind == VersionKind {
 		plan.res = s.resolveTables(q.Mode.Version)
+		plan.pres = newPresentation(plan.res, mt)
 		dropped = countDropped(mt, plan.res)
 	}
 	rsp.SetAttr("facts", mt.Len())
@@ -204,13 +205,18 @@ func countDropped(mt *MappedTable, res []*resolveTable) int {
 	}
 	n := 0
 	switch {
-	case len(dims) == 0 || mt.ordLive == nil:
+	case len(dims) == 0 || mt.ords == nil:
 		return 0
 	case len(dims) == 1:
 		i := dims[0]
-		for o, c := range mt.ordLive[i] {
-			if c != 0 && res[i].drops(int32(o)) {
-				n += int(c)
+		for ci, c := range mt.ords[i] {
+			if c == nil {
+				continue
+			}
+			for k, st := range c.stats {
+				if st.live != 0 && res[i].drops(int32(ci*ordChunkSize+k)) {
+					n += int(st.live)
+				}
 			}
 		}
 		return n
@@ -262,8 +268,10 @@ type scanPlan struct {
 	axes  []scanAxis
 	dices []scanDice
 	// res holds, in a version mode, each dimension's resolution into the
-	// version (ExecuteContext sets it); nil in tcm.
-	res []*resolveTable
+	// version, and pres what it makes of the store (ExecuteContext sets
+	// both); nil in tcm.
+	res  []*resolveTable
+	pres *presentation
 	// unpruned turns zone-map pruning off, so the scan reads every
 	// non-empty shard: the reference path the equivalence tests compare
 	// pruning against. Plans built by planScan leave it false.

@@ -22,6 +22,14 @@ type resolveTable struct {
 	// are), lo == hi one no mapping reaches (its tuples are dropped).
 	spans   []resolveSpan
 	targets []resolveTarget
+	// groups lists, per target more than one source ordinal presents on,
+	// the indexes in targets of those presentations: only they can land
+	// on one (coordinates, instant) — and then only when their sources
+	// hold tuples at one instant (newPresentation).
+	groups [][]int32
+	// canPass says sd ⊗cf sd is sd, so that a tuple presenting as
+	// itself may be read as stored.
+	canPass bool
 	// dropping reports that some ordinal reaches no target.
 	dropping bool
 }
@@ -30,16 +38,15 @@ type resolveSpan struct{ lo, hi int32 }
 
 // resolveTarget is one presentation of a source ordinal.
 type resolveTarget struct {
-	ord int32
-	// merges marks a target more than one presentation lands on (two
-	// source ordinals, or one by two paths): only tuples presented
-	// there can meet another on the same (coordinates, instant), so only
-	// they go through a scan's merge map.
-	merges bool
-	per    []MeasureMapping
+	ord, src int32
+	// group is the presentation's index in groups, -1 when no other
+	// source ordinal presents on ord.
+	group int32
+	per   []MeasureMapping
 }
 
-// passes reports whether source ordinal o presents as itself, unmerged.
+// passes reports whether source ordinal o presents as itself and no
+// other ordinal presents on it.
 func (rt *resolveTable) passes(o int32) bool { return rt.spans[o].lo < 0 }
 
 // of returns the presentations of source ordinal o; empty when it
@@ -73,17 +80,30 @@ func (d *Dimension) buildResolveTable(g *mappingGraph, at temporal.Instant) *res
 			reached[d.members[r.target].ord]++
 		}
 	}
-	rt := &resolveTable{graph: g, spans: make([]resolveSpan, n)}
+	// A pass-through reads the stored confidence sd, which is the
+	// presented one only when sd ⊗cf sd is sd.
+	rt := &resolveTable{graph: g, spans: make([]resolveSpan, n), canPass: g.alg.Combine(SourceData, SourceData) == SourceData}
+	group := map[int32]int32{}
 	for o, rs := range all {
-		if len(rs) == 1 && rs[0].target == d.order[o] && reached[o] == 1 {
+		if rt.canPass && len(rs) == 1 && rs[0].target == d.order[o] && reached[o] == 1 {
 			rt.spans[o] = resolveSpan{-1, -1}
 			continue
 		}
 		rt.spans[o] = resolveSpan{int32(len(rt.targets)), int32(len(rt.targets) + len(rs))}
 		rt.dropping = rt.dropping || len(rs) == 0
 		for _, r := range rs {
-			ord := d.members[r.target].ord
-			rt.targets = append(rt.targets, resolveTarget{ord: ord, merges: reached[ord] > 1, per: r.per})
+			tg := resolveTarget{ord: d.members[r.target].ord, src: int32(o), group: -1, per: r.per}
+			if reached[tg.ord] > 1 {
+				gi, ok := group[tg.ord]
+				if !ok {
+					gi = int32(len(rt.groups))
+					group[tg.ord] = gi
+					rt.groups = append(rt.groups, nil)
+				}
+				tg.group = gi
+				rt.groups[gi] = append(rt.groups[gi], int32(len(rt.targets)))
+			}
+			rt.targets = append(rt.targets, tg)
 		}
 	}
 	rt.targets = slices.Clip(rt.targets)
@@ -126,6 +146,52 @@ func (s *Schema) resolveTables(sv *StructureVersion) []*resolveTable {
 	return out
 }
 
+// presentation is a version mode over the store as it stands: per
+// dimension, which source ordinals a scan reads as stored (pass) and
+// which presentations may land on a tuple another one lands on
+// (merges, by index in the resolution table's targets). Two
+// presentations on one target can only meet at an instant at which both
+// their sources hold a tuple, so a group's presentations merge only
+// when the instants of their sources' live tuples overlap
+// (MappedTable.ords); an ordinal presenting as itself alone, with no
+// merge, passes.
+type presentation struct {
+	pass   [][]bool
+	merges [][]bool
+}
+
+// newPresentation reads the store's per-ordinal stats into the flags of
+// the mode with the given resolution tables.
+func newPresentation(res []*resolveTable, mt *MappedTable) *presentation {
+	pr := &presentation{pass: make([][]bool, len(res)), merges: make([][]bool, len(res))}
+	for i, rt := range res {
+		instants := func(k int32) (temporal.Interval, bool) {
+			st := mt.ordStat(i, rt.targets[k].src)
+			return st.instants, st.live > 0
+		}
+		merges := make([]bool, len(rt.targets))
+		for _, g := range rt.groups {
+			for a, ka := range g {
+				ia, ok := instants(ka)
+				if !ok {
+					continue
+				}
+				for _, kb := range g[a+1:] {
+					if ib, ok := instants(kb); ok && ia.Overlaps(ib) {
+						merges[ka], merges[kb] = true, true
+					}
+				}
+			}
+		}
+		pass := make([]bool, len(rt.spans))
+		for o, sp := range rt.spans {
+			pass[o] = sp.lo < 0 || rt.canPass && sp.hi == sp.lo+1 && rt.targets[sp.lo].ord == int32(o) && !merges[sp.lo]
+		}
+		pr.pass[i], pr.merges[i] = pass, merges
+	}
+	return pr
+}
+
 // presenter presents source tuples in a version mode through its
 // resolution tables: a tuple fans out to one emission per combination
 // of its coordinates' presentations (splits), values flow through the
@@ -136,14 +202,19 @@ func (s *Schema) resolveTables(sv *StructureVersion) []*resolveTable {
 //	if !pr.start(coords, values) { /* dropped */ }
 //	for pr.next() { /* pr.coords, pr.values, pr.cfs, pr.merges */ }
 type presenter struct {
-	res    []*resolveTable
-	alg    ConfidenceAlgebra
+	res []*resolveTable
+	alg ConfidenceAlgebra
+	// flags are the scan's presentation, nil in a materialization (which
+	// merges by key whatever the flags say); base[i] is the index in
+	// res[i].targets of perDim[i][0], -1 for a pass-through.
+	flags  *presentation
+	base   []int32
 	perDim [][]resolveTarget
 	combo  []int
 	src    []float64
 	more   bool
 	// The current emission: target ordinals, values, confidences, and
-	// whether any of its targets merges.
+	// whether it may land on a tuple another emission lands on.
 	coords []int32
 	values []float64
 	cfs    []Confidence
@@ -151,10 +222,11 @@ type presenter struct {
 	self   []resolveTarget // per dimension, a pass-through's one target
 }
 
-func newPresenter(res []*resolveTable, nm int, alg ConfidenceAlgebra, identity []MeasureMapping) *presenter {
+func newPresenter(res []*resolveTable, flags *presentation, nm int, alg ConfidenceAlgebra, identity []MeasureMapping) *presenter {
 	nd := len(res)
 	p := &presenter{
-		res: res, alg: alg,
+		res: res, alg: alg, flags: flags,
+		base:   make([]int32, nd),
 		perDim: make([][]resolveTarget, nd),
 		combo:  make([]int, nd),
 		coords: make([]int32, nd),
@@ -176,8 +248,8 @@ func (p *presenter) start(src []int32, values []float64) bool {
 	for i, o := range src {
 		if rt := p.res[i]; rt.passes(o) {
 			p.self[i].ord = o
-			p.perDim[i] = p.self[i : i+1]
-		} else if p.perDim[i] = rt.of(o); len(p.perDim[i]) == 0 {
+			p.perDim[i], p.base[i] = p.self[i:i+1], -1
+		} else if p.perDim[i], p.base[i] = rt.of(o), rt.spans[o].lo; len(p.perDim[i]) == 0 {
 			return false
 		}
 		p.combo[i] = 0
@@ -201,7 +273,9 @@ func (p *presenter) next() bool {
 	for i := range p.perDim {
 		tg := &p.perDim[i][p.combo[i]]
 		p.coords[i] = tg.ord
-		p.merges = p.merges || tg.merges
+		if p.flags != nil && p.base[i] >= 0 && p.flags.merges[i][p.base[i]+int32(p.combo[i])] {
+			p.merges = true
+		}
 		for k, mm := range tg.per {
 			v, ok := mm.Fn.Map(p.values[k])
 			if !ok {

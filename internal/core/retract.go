@@ -26,6 +26,6 @@ func (mt *MappedTable) tombstone(pos int) {
 	sh := mt.writableShard(pos>>shardShift, j)
 	sh.sources[j] = 0
 	mt.dead++
-	mt.countOrds(sh.coords[j*mt.nd:(j+1)*mt.nd], -1)
+	mt.countOrds(sh.coords[j*mt.nd:(j+1)*mt.nd], sh.times[j], -1)
 	mt.index.delete(tupleKey(sh.coords[j*mt.nd:(j+1)*mt.nd], sh.times[j]), pos)
 }

@@ -85,8 +85,9 @@ func (x *pairIndex) get(prefix, next int32) int32 {
 
 // emission says "this tuple folds into this cell": one per (tuple,
 // ancestor combination). A tuple ≥ 0 is a tuple of the shard being
-// scanned, read from its columns; ^tuple is a row of the scanner's
-// presented values (xvals, xcfs). It holds no pointer.
+// scanned, read from its columns; a negative one is ^row of the
+// scanner's presented values (xvals, xcfs), or of the merge map's. It
+// holds no pointer.
 type emission struct {
 	tuple, cell int32
 }
@@ -111,7 +112,6 @@ type scanner struct {
 	xcfs   []Confidence
 	xrows  int32
 	merged *mergeMap
-	emits  []emission
 
 	// slotAt maps instant t0+i to slots[slotAt[i]-1] (0: not met yet);
 	// slotFar does the same for instants outside that window.
@@ -157,9 +157,6 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 	na := len(p.axes)
 	sc := &scanner{
 		p: p, mt: mt, live: live,
-		// Most tuples emit once; a multiple hierarchy grows the buffer by
-		// append.
-		emits:       make([]emission, 0, MappedShardSize),
 		t0:          t0,
 		slotAt:      make([]int32, window),
 		staticAxes:  make([]*axisView, na),
@@ -193,7 +190,7 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 	}
 	if p.res != nil {
 		s := p.s
-		sc.pres = newPresenter(p.res, mt.nm, s.alg, s.mappingGraph().identity)
+		sc.pres = newPresenter(p.res, p.pres, mt.nm, s.alg, s.mappingGraph().identity)
 		sc.merged = newMergeMap(mt.nd, s.measures, s.alg)
 	}
 	return sc
@@ -333,7 +330,16 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 	nd := mt.nd
 	hasDead := mt.dead > 0
 	rng := p.rng
-	res := p.res
+	// In a version mode, which coordinates pass as stored, per dimension.
+	var passes [][]bool
+	if p.pres != nil {
+		passes = p.pres.pass
+	}
+	dicePos, axisPos := sc.dicePos, sc.axisPos
+	lo, hi, idx := sc.lo, sc.hi, sc.idx
+	// Most tuples emit once; a multiple hierarchy grows the buffer by
+	// append.
+	emits := make([]emission, 0, MappedShardSize)
 	steps := 0
 	// Fact instants repeat in runs; sl is the slot of lastT.
 	var sl *scanSlot
@@ -343,7 +349,7 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 			continue
 		}
 		sc.scanned += sh.n
-		sc.emits, sc.xvals, sc.xcfs, sc.xrows = sc.emits[:0], sc.xvals[:0], sc.xcfs[:0], 0
+		emits, sc.xvals, sc.xcfs, sc.xrows = emits[:0], sc.xvals[:0], sc.xcfs[:0], 0
 	tuples:
 		for j := 0; j < sh.n; j++ {
 			if steps%cancelCheckStride == 0 {
@@ -363,37 +369,75 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 				sl, lastT = sc.slot(t), t
 			}
 			coords := sh.coords[j*nd : (j+1)*nd]
-			for i := range res {
-				if !res[i].passes(coords[i]) {
-					sc.present(sl, t, coords, sh.values[j*mt.nm:(j+1)*mt.nm])
+			for i, pass := range passes {
+				if !pass[coords[i]] {
+					emits = sc.present(emits, sl, t, coords, sh.values[j*mt.nm:(j+1)*mt.nm])
 					continue tuples
 				}
 			}
-			if sc.diced(sl, coords) {
-				sc.classify(sl, coords, int32(j))
+			// The tuple as stored. This is classify written out in the
+			// loop, the scan's hot path: as a call per tuple it measured
+			// about 10 % slower on the benchmark's read_scan.
+			for di := range p.dices {
+				if !sl.dices[di].contains(coords[dicePos[di]]) {
+					continue tuples
+				}
+			}
+			// Each axis may roll the fact up to several members (multiple
+			// hierarchies); a fact contributes to every combination.
+			for ai := range p.axes {
+				v := sl.axes[ai]
+				lo[ai], hi[ai] = v.table.setOf(coords[axisPos[ai]])
+				if lo[ai] == hi[ai] {
+					continue tuples // non-covering hierarchy: no ancestor at the level
+				}
+				if v.groups[lo[ai]] < 0 {
+					sc.internSet(ai, v, lo[ai], hi[ai])
+				}
+			}
+			copy(idx, lo)
+			for {
+				cell := sc.pairs[0].get(0, sl.bucket)
+				for ai, v := range sl.axes {
+					cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
+				}
+				if int(cell) == len(sc.cellN) {
+					sc.newCell(sl, idx)
+				}
+				emits = append(emits, emission{tuple: int32(j), cell: cell})
+				// Advance the combination odometer, first axis fastest.
+				ai := 0
+				for ; ai < len(idx); ai++ {
+					if idx[ai]++; idx[ai] < hi[ai] {
+						break
+					}
+					idx[ai] = lo[ai]
+				}
+				if ai == len(idx) {
+					break
+				}
 			}
 		}
-		sc.fold(sh, sc.emits)
+		sc.fold(sh, emits)
 	}
 	if m := sc.merged; m != nil {
-		sc.emits = sc.emits[:0]
+		emits = emits[:0]
 		for x, t := range m.times {
-			sc.classify(sc.slot(t), m.coords[x*nd:(x+1)*nd], ^int32(x))
+			emits = sc.classify(emits, sc.slot(t), m.coords[x*nd:(x+1)*nd], ^int32(x))
 		}
-		sc.xvals, sc.xcfs = m.values, m.cfs
-		sc.fold(nil, sc.emits)
-		sc.xvals, sc.xcfs, sc.merged = nil, nil, nil
+		sc.foldRows(m.values, m.cfs, emits)
+		sc.merged = nil
 		m.release()
 	}
 	return sc.rows(), nil
 }
 
-// present classifies the emissions of one source tuple at instant t
-// that does not pass through the mode's resolution tables.
-func (sc *scanner) present(sl *scanSlot, t temporal.Instant, src []int32, values []float64) {
+// present appends the emissions of one source tuple at instant t that
+// does not pass through the mode's resolution tables.
+func (sc *scanner) present(emits []emission, sl *scanSlot, t temporal.Instant, src []int32, values []float64) []emission {
 	pr := sc.pres
 	if !pr.start(src, values) {
-		return // dropped: countDropped counts it
+		return emits // dropped: countDropped counts it
 	}
 	for pr.next() {
 		switch {
@@ -403,10 +447,11 @@ func (sc *scanner) present(sl *scanSlot, t temporal.Instant, src []int32, values
 		default:
 			sc.xvals = append(sc.xvals, pr.values...)
 			sc.xcfs = append(sc.xcfs, pr.cfs...)
-			sc.classify(sl, pr.coords, ^sc.xrows)
+			emits = sc.classify(emits, sl, pr.coords, ^sc.xrows)
 			sc.xrows++
 		}
 	}
+	return emits
 }
 
 // diced reports whether a tuple with the given coordinates passes every
@@ -421,17 +466,18 @@ func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
 }
 
 // classify appends the emissions of one tuple that passed the dices,
-// with the given coordinates in slot sl, to the buffer: none when it
+// with the given coordinates in slot sl, to emits: none when it
 // misses a grouping level (non-covering hierarchy), one per combination
 // of its ancestors at the grouping levels otherwise — each axis may roll
-// the tuple up to several members (multiple hierarchies).
-func (sc *scanner) classify(sl *scanSlot, coords []int32, tuple int32) {
+// the tuple up to several members (multiple hierarchies). The scan's
+// loop does the same for the tuples it reads as stored.
+func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tuple int32) []emission {
 	lo, hi, idx := sc.lo, sc.hi, sc.idx
 	for ai, pos := range sc.axisPos {
 		v := sl.axes[ai]
 		lo[ai], hi[ai] = v.table.setOf(coords[pos])
 		if lo[ai] == hi[ai] {
-			return
+			return emits
 		}
 		if v.groups[lo[ai]] < 0 {
 			sc.internSet(ai, v, lo[ai], hi[ai])
@@ -446,8 +492,7 @@ func (sc *scanner) classify(sl *scanSlot, coords []int32, tuple int32) {
 		if int(cell) == len(sc.cellN) {
 			sc.newCell(sl, idx)
 		}
-		sc.emits = append(sc.emits, emission{tuple: tuple, cell: cell})
-		// Advance the combination odometer, first axis fastest.
+		emits = append(emits, emission{tuple: tuple, cell: cell})
 		ai := 0
 		for ; ai < len(idx); ai++ {
 			if idx[ai]++; idx[ai] < hi[ai] {
@@ -456,33 +501,49 @@ func (sc *scanner) classify(sl *scanSlot, coords []int32, tuple int32) {
 			idx[ai] = lo[ai]
 		}
 		if ai == len(idx) {
-			return
+			return emits
 		}
 	}
 }
 
 // fold adds one shard's emissions to their cells, in tuple order:
-// Definition 12's ⊕ per measure and ⊗cf per confidence factor.
+// Definition 12's ⊕ per measure and ⊗cf per confidence factor. Runs of
+// emissions of stored tuples fold from the shard's columns, runs of
+// presented ones from the scanner's.
 func (sc *scanner) fold(sh *factShard, emits []emission) {
+	if sc.xrows == 0 {
+		sc.foldRows(sh.values, sh.cfs, emits)
+		return
+	}
+	for len(emits) > 0 {
+		stored, n := emits[0].tuple >= 0, 1
+		for n < len(emits) && (emits[n].tuple >= 0) == stored {
+			n++
+		}
+		if stored {
+			sc.foldRows(sh.values, sh.cfs, emits[:n])
+		} else {
+			sc.foldRows(sc.xvals, sc.xcfs, emits[:n])
+		}
+		emits = emits[n:]
+	}
+}
+
+// foldRows folds emissions whose tuples are all rows of the given value
+// and confidence columns, a row either as is or complemented (^row).
+func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
 	nm, nq, alg := sc.mt.nm, len(sc.p.mIdx), sc.p.s.alg
 	for _, e := range emits {
-		c := int(e.cell)
-		var vals []float64
-		var tcfs []Confidence
-		if j := int(e.tuple); j >= 0 {
-			vals, tcfs = sh.values[j*nm:(j+1)*nm], sh.cfs[j*nm:(j+1)*nm]
-		} else {
-			x := int(^e.tuple)
-			vals, tcfs = sc.xvals[x*nm:(x+1)*nm], sc.xcfs[x*nm:(x+1)*nm]
-		}
+		j, c := int(e.tuple^e.tuple>>31), int(e.cell)
+		vals, vcfs := values[j*nm:(j+1)*nm], tcfs[j*nm:(j+1)*nm]
 		accs, cfs := sc.accs[c*nq:(c+1)*nq], sc.cfs[c*nq:(c+1)*nq]
 		first := sc.cellN[c] == 0
 		for k, mi := range sc.p.mIdx {
 			accs[k].Add(vals[mi])
 			if first {
-				cfs[k] = tcfs[mi]
+				cfs[k] = vcfs[mi]
 			} else {
-				cfs[k] = alg.Combine(cfs[k], tcfs[mi])
+				cfs[k] = alg.Combine(cfs[k], vcfs[mi])
 			}
 		}
 		sc.cellN[c]++
