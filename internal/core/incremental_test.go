@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -146,36 +145,6 @@ func TestDimensionMutationInvalidatesMVFT(t *testing.T) {
 	})
 }
 
-// equalMappedTables fails the test unless the two tables are
-// bit-identical: same tuple order, coordinates, times, values (by
-// Float64bits, so NaN and -0 count), confidences, source counts and
-// Dropped.
-func equalMappedTables(t *testing.T, label string, got, want *MappedTable) {
-	t.Helper()
-	if got.Dropped != want.Dropped {
-		t.Fatalf("%s: Dropped = %d, want %d", label, got.Dropped, want.Dropped)
-	}
-	gf, wf := got.Facts(), want.Facts()
-	if len(gf) != len(wf) {
-		t.Fatalf("%s: %d tuples, want %d", label, len(gf), len(wf))
-	}
-	for i := range gf {
-		g, w := gf[i], wf[i]
-		if !g.Coords.Equal(w.Coords) || g.Time != w.Time || g.Sources != w.Sources {
-			t.Fatalf("%s[%d]: (%v,%v,%d) vs (%v,%v,%d)", label, i,
-				g.Coords, g.Time, g.Sources, w.Coords, w.Time, w.Sources)
-		}
-		for k := range g.Values {
-			if math.Float64bits(g.Values[k]) != math.Float64bits(w.Values[k]) {
-				t.Fatalf("%s[%d].Values[%d] = %v, want %v", label, i, k, g.Values[k], w.Values[k])
-			}
-			if g.CFs[k] != w.CFs[k] {
-				t.Fatalf("%s[%d].CFs[%d] = %v, want %v", label, i, k, g.CFs[k], w.CFs[k])
-			}
-		}
-	}
-}
-
 // answerQueries are the fixed questions modesMatchCold asks in every
 // mode: a grand total, a rollup at each year, a drill to the leaves, and
 // a dice.
@@ -258,15 +227,6 @@ func TestWarmFromFactDelta(t *testing.T) {
 		t.Fatalf("the clone performed %d materializations, want 0", b)
 	}
 	requireSameAnswers(t, "base", answers(t, base), before)
-}
-
-// InVersionOf translates a mode of one schema into the equivalent mode
-// of another schema with the same structure-version partition.
-func InVersionOf(s *Schema, m Mode) Mode {
-	if m.Kind == TCMKind {
-		return m
-	}
-	return InVersion(s.VersionByID(m.Version.ID))
 }
 
 // TestWarmFromStructureChange verifies that a mutation splitting one

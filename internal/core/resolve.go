@@ -36,13 +36,11 @@ type resolveTable struct {
 
 type resolveSpan struct{ lo, hi int32 }
 
-// resolveTarget is one presentation of a source ordinal.
+// resolveTarget is one presentation of source ordinal src on target
+// ordinal ord.
 type resolveTarget struct {
 	ord, src int32
-	// group is the presentation's index in groups, -1 when no other
-	// source ordinal presents on ord.
-	group int32
-	per   []MeasureMapping
+	per      []MeasureMapping
 }
 
 // passes reports whether source ordinal o presents as itself and no
@@ -64,7 +62,7 @@ func (rt *resolveTable) drops(o int32) bool {
 
 // buildResolveTable resolves every member version of the dimension into
 // the leaves of D(at) through the mapping graph. Only ordinals that do
-// not pass through keep targets.
+// not always pass through keep targets.
 func (d *Dimension) buildResolveTable(g *mappingGraph, at temporal.Instant) *resolveTable {
 	n := len(d.order)
 	leaf := make(map[MVID]bool)
@@ -92,7 +90,7 @@ func (d *Dimension) buildResolveTable(g *mappingGraph, at temporal.Instant) *res
 		rt.spans[o] = resolveSpan{int32(len(rt.targets)), int32(len(rt.targets) + len(rs))}
 		rt.dropping = rt.dropping || len(rs) == 0
 		for _, r := range rs {
-			tg := resolveTarget{ord: d.members[r.target].ord, src: int32(o), group: -1, per: r.per}
+			tg := resolveTarget{ord: d.members[r.target].ord, src: int32(o), per: r.per}
 			if reached[tg.ord] > 1 {
 				gi, ok := group[tg.ord]
 				if !ok {
@@ -100,7 +98,6 @@ func (d *Dimension) buildResolveTable(g *mappingGraph, at temporal.Instant) *res
 					group[tg.ord] = gi
 					rt.groups = append(rt.groups, nil)
 				}
-				tg.group = gi
 				rt.groups[gi] = append(rt.groups[gi], int32(len(rt.targets)))
 			}
 			rt.targets = append(rt.targets, tg)

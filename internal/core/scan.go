@@ -376,8 +376,8 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 				}
 			}
 			// The tuple as stored. This is classify written out in the
-			// loop, the scan's hot path: as a call per tuple it measured
-			// about 10 % slower on the benchmark's read_scan.
+			// loop, the scan's hot path: as a call per tuple, the call and
+			// its field loads took about a tenth of the scan's profile.
 			for di := range p.dices {
 				if !sl.dices[di].contains(coords[dicePos[di]]) {
 					continue tuples
