@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"mvolap/internal/temporal"
@@ -123,4 +125,78 @@ func TestSchemaCloneIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on: a cancellation at an exact check, with no timing.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestWarmFromCancelledMidFold cancels a write's clone-swap after the
+// batch has appended into the tail shard its clone borrowed from base.
+// WarmFrom has no fold left to abandon: under a context that is
+// cancelled at its first check it carries nothing. Base answers in
+// every mode as a fresh build of its facts does, though the abandoned
+// clone claimed the tail's next slots; the abandoned clone answers like
+// a cold rebuild and the oracle; and a sibling clone written afterwards
+// with other values — which finds those slots claimed and must not
+// append into them — does too, leaving the abandoned clone's answers as
+// they were.
+func TestWarmFromCancelledMidFold(t *testing.T) {
+	const n, delta = MappedShardSize + 100, 300 // a partial tail; more facts than one cancel check stride
+	base := bigTCMSchema(t, n)
+	if got := len(base.Modes()); got != 4 {
+		t.Fatalf("%d modes, want 4", got)
+	}
+	before := answers(t, base)
+	insert := func(c *Schema, offset float64) Delta {
+		old := c.Facts().End()
+		for i := 0; i < delta; i++ {
+			if err := c.InsertFact(Coords{[]MVID{"Smith", "Brian"}[i%2]}, ym(2600+i/24, 1+(i/2)%12), offset+float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Delta{NewFacts: c.Facts().Since(old)}
+	}
+
+	abandoned := base.Clone()
+	if res := abandoned.WarmFrom(newCancelAfter(0), base, insert(abandoned, 0)); !reflect.DeepEqual(res, WarmResult{}) {
+		t.Fatalf("cancelled WarmFrom = %+v, want nothing carried", res)
+	}
+	bt := base.Facts()
+	tail := bt.shards[len(bt.shards)-1]
+	if tail.claim.Load() != int32(tail.n+delta) {
+		t.Errorf("base tail claim %d, want the abandoned write's %d slots past %d", tail.claim.Load(), delta, tail.n)
+	}
+	requireSameAnswers(t, "base", answers(t, base), before)
+	requireSameAnswers(t, "base vs fresh", answers(t, base), answers(t, bigTCMSchema(t, n)))
+	modesMatchCold(t, "abandoned", abandoned)
+	abandonedBefore := answers(t, abandoned)
+
+	sibling := base.Clone()
+	if res := sibling.WarmFrom(context.Background(), base, insert(sibling, 0.5)); !reflect.DeepEqual(res, WarmResult{}) {
+		t.Fatalf("live WarmFrom = %+v, want nothing carried", res)
+	}
+	st := sibling.Facts()
+	if &st.shards[len(bt.shards)-1].times[0] == &tail.times[0] {
+		t.Error("the sibling appended into a tail whose slots the abandoned clone claimed")
+	}
+	modesMatchCold(t, "sibling", sibling)
+	requireSameAnswers(t, "abandoned after the sibling", answers(t, abandoned), abandonedBefore)
+	requireSameAnswers(t, "base after the sibling", answers(t, base), before)
 }
