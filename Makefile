@@ -106,6 +106,12 @@ write-path-check:
 # The scan reads member version ordinals straight out of the shard
 # columns: a .members[ probe in scan.go or query.go is a per-tuple
 # string-keyed map lookup coming back.
+#
+# A result is ordered by integers: the scan ranks its buckets and
+# display names and sorts cells by those ranks. The function that fills
+# the rows, (*scanner).rows, is the one place scan.go or query.go
+# touches a row's .Groups; a read anywhere else is a string sort of rows
+# coming back.
 SCAN_PATH = internal/core/scan.go internal/core/query.go
 .PHONY: read-path-check
 read-path-check:
@@ -125,6 +131,12 @@ read-path-check:
 	if [ -n "$$probes" ]; then \
 		echo "read-path-check: .members[ probe in the scan (internal/core/scan.go, query.go):"; echo "$$probes"; \
 		echo "Tuples store member version ordinals; index rollup tables and dice verdicts by them."; bad=1; \
+	fi; \
+	groups=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
+			/\.Groups([^[:alnum:]_]|$$)/ && fn !~ /^func \(sc \*scanner\) rows\(/ { print FILENAME ":" FNR ":" $$0 }' $(SCAN_PATH)); \
+	if [ -n "$$groups" ]; then \
+		echo "read-path-check: .Groups read in the scan (internal/core/scan.go, query.go) outside (*scanner).rows:"; echo "$$groups"; \
+		echo "Cells are ordered by integer ranks (scanner.order); rows are written once, in that order."; bad=1; \
 	fi; \
 	test -z "$$bad"
 

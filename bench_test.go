@@ -819,13 +819,15 @@ func BenchmarkShardedSwap(b *testing.B) {
 }
 
 // BenchmarkShardedScan measures steady-state query aggregation over
-// the ~100k-tuple materialized table: the columnar scan classifying
+// the ~100k facts of the one fact store: the columnar scan classifying
 // tuples straight out of the shard arrays and folding them shard by
-// shard, on the benchmark's goroutine.
+// shard, on the benchmark's goroutine, then ordering the cells and
+// writing the rows.
 // rollup is one division level, year grain, tcm (9 rows); drill groups
-// by the leaf level at quarter grain (34k rows: the fold and the sort
-// carry weight); version rolls up inside a structure version, where one
-// static rollup table serves every instant.
+// by the leaf level at quarter grain (34k rows: creating cells and
+// writing rows carry weight, ordering them little); version rolls up
+// inside a structure version, where one static rollup table serves
+// every instant.
 func BenchmarkShardedScan(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	s := ingestSchema(b, leaves, months)
@@ -843,7 +845,7 @@ func BenchmarkShardedScan(b *testing.B) {
 		name string
 		q    core.Query
 	}{{"rollup", rollup}, {"drill", drill}, {"version", version}} {
-		if _, err := s.Execute(leg.q); err != nil { // materialize the mode, build the rollup tables
+		if _, err := s.Execute(leg.q); err != nil { // build the rollup and resolution tables
 			b.Fatal(err)
 		}
 		b.Run(leg.name, func(b *testing.B) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -122,8 +121,6 @@ type Row struct {
 	// tuples are the mode's: source facts presented on one coordinate
 	// were merged into one tuple before the scan.
 	N int
-
-	timeOrder int64
 }
 
 // Result is a query result: a header plus sorted rows.
@@ -379,9 +376,10 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 // combination) — and folds each shard's emissions into their cells
 // before it moves on: the fold (Accumulator.Add and ⊗cf) is
 // order-dependent, float Sum not being associative, and tuple order is
-// the order Definition 12's reference fold uses. Sort puts the rows in
-// result order; it is a total order over cells (equal sort keys imply
-// the same cell).
+// the order Definition 12's reference fold uses. Sort ranks the cells'
+// buckets and display names, orders the cells by those integers — a
+// total order: equal keys are the same cell — and writes the rows in
+// that order (scanner.order, scanner.rows).
 func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, error) {
 	_, sp := obs.StartSpan(ctx, "prune")
 	live, pruned, t0, window := p.prune(mt)
@@ -394,25 +392,19 @@ func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, err
 
 	_, sp = obs.StartSpan(ctx, "scan")
 	sc := newScanner(p, mt, live, t0, window)
-	rows, err := sc.scan(ctx)
+	err := sc.scan(ctx)
 	sp.SetAttr("tuples", sc.scanned)
 	sp.SetAttr("emissions", sc.emitted)
-	sp.SetAttr("cells", len(rows))
+	sp.SetAttr("cells", len(sc.cellN))
 	sp.End()
 	metFactsScanned.Add(int64(sc.scanned))
 	if err != nil {
 		metQueryCancelled.Inc()
 		return nil, err
 	}
-	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: rows}
 
 	_, sp = obs.StartSpan(ctx, "sort")
-	slices.SortFunc(res.Rows, func(a, b *Row) int {
-		if c := cmp.Compare(a.timeOrder, b.timeOrder); c != 0 {
-			return c
-		}
-		return slices.Compare(a.Groups, b.Groups)
-	})
+	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: sc.rows(sc.order())}
 	sp.SetAttr("rows", len(res.Rows))
 	sp.End()
 	metQueryRows.Add(int64(len(res.Rows)))

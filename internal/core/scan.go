@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"mvolap/internal/temporal"
 )
@@ -15,7 +17,8 @@ const maxSlotWindow = 1 << 12
 // scanSlot is what a scan knows about one fact instant: its time bucket
 // and, per axis and per dice, the view of the structure the instant's
 // tuples roll up in. Views of static dimensions are shared by every
-// slot.
+// slot, and an axis view by every slot whose instant reads its rollup
+// table.
 type scanSlot struct {
 	bucket int32
 	axes   []*axisView
@@ -96,7 +99,8 @@ type emission struct {
 // the calling goroutine. Per shard it classifies every tuple into the
 // cells it emits to, then folds those emissions into their cells, so
 // every cell folds its emissions in tuple order. Everything it interns
-// — buckets, groups, cells — is numbered in first-sight order.
+// — buckets, groups, cells — is numbered in first-sight order; order
+// ranks them for the result.
 type scanner struct {
 	p    *scanPlan
 	mt   *MappedTable
@@ -119,27 +123,31 @@ type scanner struct {
 	slotAt  []int32
 	slotFar map[temporal.Instant]int32
 	slots   []scanSlot
-	// Views of static dimensions, per axis and per dice (nil otherwise).
+	// Views of static dimensions, per axis and per dice (nil otherwise);
+	// per axis of a time-dependent dimension, its views by rollup table.
 	staticAxes  []*axisView
 	staticDices []*diceView
+	tableViews  []map[*rollupTable]*axisView
 
 	buckets   []bucketRef
 	bucketOrd map[int64]int32 // by bucketRef.order
-	// Per axis: group ordinals by display name, and the group ordinal + 1
-	// of the members met as ancestors, by member ordinal (0: not met
-	// yet).
+	// Per axis: group ordinals by display name and display names by
+	// group ordinal, and the group ordinal + 1 of the members met as
+	// ancestors, by member ordinal (0: not met yet).
 	groupOrd    []map[string]int32
+	groupNames  [][]string
 	memberGroup [][]int32
 
 	// pairs is the cell chain: pairs[0] numbers the buckets that emit,
 	// pairs[ai+1] extends a cell prefix by axis ai's group. A cell's
 	// columns follow: its bucket; one entry per axis in cellFirst, the
-	// ancestors of the emission that created it (a row takes its
-	// GroupIDs from its first emission); one accumulator and one
-	// combined confidence per selected measure; its emission count.
+	// member ordinals of the ancestors of the emission that created it
+	// (a row takes its GroupIDs from its first emission); one
+	// accumulator and one combined confidence per selected measure; its
+	// emission count.
 	pairs      []pairIndex
 	cellBucket []int32
-	cellFirst  []*MemberVersion
+	cellFirst  []int32
 	accs       []Accumulator
 	cfs        []Confidence
 	cellN      []int32
@@ -161,8 +169,10 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 		slotAt:      make([]int32, window),
 		staticAxes:  make([]*axisView, na),
 		staticDices: make([]*diceView, len(p.dices)),
+		tableViews:  make([]map[*rollupTable]*axisView, na),
 		bucketOrd:   make(map[int64]int32),
 		groupOrd:    make([]map[string]int32, na),
+		groupNames:  make([][]string, na),
 		memberGroup: make([][]int32, na),
 		pairs:       make([]pairIndex, na+1),
 		dicePos:     make([]int, len(p.dices)),
@@ -181,6 +191,8 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 		sc.memberGroup[ai] = make([]int32, len(dim.d.order))
 		if dim.static {
 			sc.staticAxes[ai] = newAxisView(dim.d.rollupTableAt(ax.level, dim.at))
+		} else {
+			sc.tableViews[ai] = make(map[*rollupTable]*axisView)
 		}
 	}
 	for di, dc := range p.dices {
@@ -198,6 +210,8 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 
 // slot returns the slot of instant t, building it on first sight: the
 // one place a scan renders a time bucket or fetches a rollup table.
+// Instants of one structure read one rollup table, and share its view:
+// a set's groups are interned once per table, not once per instant.
 func (sc *scanner) slot(t temporal.Instant) *scanSlot {
 	off := uint64(t - sc.t0)
 	near := off < uint64(len(sc.slotAt))
@@ -218,9 +232,16 @@ func (sc *scanner) slot(t temporal.Instant) *scanSlot {
 		dices:  make([]*diceView, len(p.dices)),
 	}
 	for ai, ax := range p.axes {
-		if sl.axes[ai] = sc.staticAxes[ai]; sl.axes[ai] == nil {
-			sl.axes[ai] = newAxisView(p.dims[ax.dim].d.rollupTableAt(ax.level, t))
+		if sl.axes[ai] = sc.staticAxes[ai]; sl.axes[ai] != nil {
+			continue
 		}
+		tab := p.dims[ax.dim].d.rollupTableAt(ax.level, t)
+		v := sc.tableViews[ai][tab]
+		if v == nil {
+			v = newAxisView(tab)
+			sc.tableViews[ai][tab] = v
+		}
+		sl.axes[ai] = v
 	}
 	for di, dc := range p.dices {
 		if sl.dices[di] = sc.staticDices[di]; sl.dices[di] == nil {
@@ -272,6 +293,7 @@ func (sc *scanner) internSet(ai int, v *axisView, lo, hi int32) {
 			if !ok {
 				g = int32(len(byName))
 				byName[name] = g
+				sc.groupNames[ai] = append(sc.groupNames[ai], name)
 			}
 			byMember[mv.ord] = g + 1
 		}
@@ -294,7 +316,7 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 		sc.cellN = slices.Grow(sc.cellN, n)
 	}
 	for ai, v := range sl.axes {
-		sc.cellFirst = append(sc.cellFirst, v.table.anc[idx[ai]])
+		sc.cellFirst = append(sc.cellFirst, v.table.anc[idx[ai]].ord)
 	}
 	sc.cellBucket = append(sc.cellBucket, sl.bucket)
 	for _, mi := range sc.p.mIdx {
@@ -304,13 +326,13 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 	sc.cellN = append(sc.cellN, 0)
 }
 
-// scan classifies and folds the live shards and returns the cells as
-// rows, in first-sight order. Per tuple it reads arrays only — the
-// slot of the instant, in a version mode the resolution of each
-// coordinate, the dice verdict and the rollup table by the member
-// ordinal the tuple stores, the cell by bucket and group ordinals; it
-// probes no map, takes no lock and allocates only when it meets an
-// instant, an ancestor set or a cell for the first time.
+// scan classifies and folds the live shards into cells, numbered in
+// first-sight order. Per tuple it reads arrays only — the slot of the
+// instant, in a version mode the resolution of each coordinate, the
+// dice verdict and the rollup table by the member ordinal the tuple
+// stores, the cell by bucket and group ordinals; it probes no map,
+// takes no lock and allocates only when it meets an instant, an
+// ancestor set or a cell for the first time.
 //
 // A shard's emissions are collected, then folded, one shard at a time.
 // That is the fold order of folding each emission where it is
@@ -325,7 +347,7 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 // merge (Definition 11's f' is a function: presentations landing on one
 // coordinate and instant are one tuple) goes to the merge map; the
 // merged tuples are classified and folded last, in first-sight order.
-func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
+func (sc *scanner) scan(ctx context.Context) error {
 	p, mt := sc.p, sc.mt
 	nd := mt.nd
 	hasDead := mt.dead > 0
@@ -354,7 +376,7 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 		for j := 0; j < sh.n; j++ {
 			if steps%cancelCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("core: query cancelled: %w", err)
+					return fmt.Errorf("core: query cancelled: %w", err)
 				}
 			}
 			steps++
@@ -429,7 +451,7 @@ func (sc *scanner) scan(ctx context.Context) ([]*Row, error) {
 		sc.merged = nil
 		m.release()
 	}
-	return sc.rows(), nil
+	return nil
 }
 
 // present appends the emissions of one source tuple at instant t that
@@ -551,30 +573,98 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 	sc.emitted += len(emits)
 }
 
-// rows renders the cells as result rows, in cell order.
-func (sc *scanner) rows() []*Row {
-	n, nq, na := len(sc.cellN), len(sc.p.mIdx), len(sc.p.axes)
+// order returns the cell ordinals in result order: by time bucket,
+// then by each axis's display name, compared byte by byte. Equal
+// display names are one group, so (bucket, names) is one cell and the
+// order is total. It ranks the scan's own buckets and names, then
+// sorts the cells by those ranks with one stable counting sort per key,
+// least significant first: no string is compared per cell, and any
+// number of axes goes through the one loop.
+func (sc *scanner) order() []int32 {
+	n, na := len(sc.cellN), len(sc.p.axes)
+	perm := make([]int32, n)
+	for c := range perm {
+		perm[c] = int32(c)
+	}
+	tmp, keys := make([]int32, n), make([]int32, n)
+	// sortBy reorders perm stably by keys, each below k.
+	sortBy := func(k int) {
+		count := make([]int32, k+1)
+		for _, c := range perm {
+			count[keys[c]+1]++
+		}
+		for r := 1; r < k; r++ {
+			count[r] += count[r-1]
+		}
+		for _, c := range perm {
+			r := keys[c]
+			tmp[count[r]] = c
+			count[r]++
+		}
+		perm, tmp = tmp, perm
+	}
+	for ai := na - 1; ai >= 0; ai-- {
+		names := sc.groupNames[ai]
+		rank := ranks(len(names), func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+		groupOf := sc.memberGroup[ai]
+		for c := range keys {
+			keys[c] = rank[groupOf[sc.cellFirst[c*na+ai]]-1]
+		}
+		sortBy(len(names))
+	}
+	nb := len(sc.buckets)
+	rank := ranks(nb, func(a, b int32) int { return cmp.Compare(sc.buckets[a].order, sc.buckets[b].order) })
+	for c := range keys {
+		keys[c] = rank[sc.cellBucket[c]]
+	}
+	sortBy(nb)
+	return perm
+}
+
+// ranks returns the rank of each of the n ordinals under compare, which
+// tells any two apart.
+func ranks(n int, compare func(a, b int32) int) []int32 {
+	byRank := make([]int32, n)
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	slices.SortFunc(byRank, compare)
+	rank := make([]int32, n)
+	for r, i := range byRank {
+		rank[i] = int32(r)
+	}
+	return rank
+}
+
+// rows renders the cells as result rows, in the given order. It is the
+// one place a scan writes a row's display names.
+func (sc *scanner) rows(perm []int32) []*Row {
+	n, nq, na := len(perm), len(sc.p.mIdx), len(sc.p.axes)
 	rows := make([]Row, n)
 	out := make([]*Row, n)
 	values := make([]float64, n*nq)
 	groups := make([]string, n*na)
 	groupIDs := make([]MVID, n*na)
-	for i := range rows {
-		br := sc.buckets[sc.cellBucket[i]]
+	ids := make([][]MVID, na)
+	for ai, ax := range sc.p.axes {
+		ids[ai] = sc.p.dims[ax.dim].d.order
+	}
+	for i, c := range perm {
+		c := int(c)
 		r := &rows[i]
-		r.TimeKey, r.timeOrder = br.key, br.order
+		r.TimeKey = sc.buckets[sc.cellBucket[c]].key
 		r.Groups = groups[i*na : (i+1)*na : (i+1)*na]
 		r.GroupIDs = groupIDs[i*na : (i+1)*na : (i+1)*na]
-		for ai, mv := range sc.cellFirst[i*na : (i+1)*na] {
-			r.Groups[ai] = mv.DisplayName()
-			r.GroupIDs[ai] = mv.ID
+		for ai, ord := range sc.cellFirst[c*na : (c+1)*na] {
+			r.Groups[ai] = sc.groupNames[ai][sc.memberGroup[ai][ord]-1]
+			r.GroupIDs[ai] = ids[ai][ord]
 		}
 		r.Values = values[i*nq : (i+1)*nq : (i+1)*nq]
 		for k := range r.Values {
-			r.Values[k] = sc.accs[i*nq+k].Value()
+			r.Values[k] = sc.accs[c*nq+k].Value()
 		}
-		r.CFs = sc.cfs[i*nq : (i+1)*nq : (i+1)*nq]
-		r.N = int(sc.cellN[i])
+		r.CFs = sc.cfs[c*nq : (c+1)*nq : (c+1)*nq]
+		r.N = int(sc.cellN[c])
 		out[i] = r
 	}
 	return out

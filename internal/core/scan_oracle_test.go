@@ -265,10 +265,12 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 	}
 
 	type cell struct {
-		row  *Row
-		accs []*Accumulator
+		row   *Row
+		order int64 // the bucket's, from bucketOf
+		accs  []*Accumulator
 	}
 	cells := map[string]*cell{}
+	var list []*cell // first-sight order
 	for _, f := range tuples {
 		if !rng.Contains(f.Time) {
 			continue
@@ -313,13 +315,13 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 			key := timeKey + "\x1e" + strings.Join(names, "\x1f")
 			c := cells[key]
 			if c == nil {
-				c = &cell{row: &Row{TimeKey: timeKey, timeOrder: timeOrder, Groups: names, GroupIDs: ids,
+				c = &cell{order: timeOrder, row: &Row{TimeKey: timeKey, Groups: names, GroupIDs: ids,
 					Values: make([]float64, len(mIdx)), CFs: make([]Confidence, len(mIdx))}}
 				for _, mi := range mIdx {
 					c.accs = append(c.accs, NewAccumulator(s.measures[mi].Agg))
 				}
 				cells[key] = c
-				res.Rows = append(res.Rows, c.row)
+				list = append(list, c)
 			}
 			for k, mi := range mIdx {
 				c.accs[k].Add(f.Values[mi])
@@ -347,18 +349,21 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 			c.row.Values[k] = c.accs[k].Value()
 		}
 	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		if a.timeOrder != b.timeOrder {
-			return a.timeOrder < b.timeOrder
+	sort.SliceStable(list, func(i, j int) bool {
+		a, b := list[i], list[j]
+		if a.order != b.order {
+			return a.order < b.order
 		}
-		for k := range a.Groups {
-			if a.Groups[k] != b.Groups[k] {
-				return a.Groups[k] < b.Groups[k]
+		for k := range a.row.Groups {
+			if a.row.Groups[k] != b.row.Groups[k] {
+				return a.row.Groups[k] < b.row.Groups[k]
 			}
 		}
 		return false
 	})
+	for _, c := range list {
+		res.Rows = append(res.Rows, c.row)
+	}
 	return res
 }
 
@@ -380,6 +385,12 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 // and in B, GX ends), so that a version mode merges, fans out, loses
 // values and drops facts, in one dimension or both.
 // Values and factors are dyadic, so every fold is exact in any order.
+//
+// Some leaves carry display names whose byte order, the order a result
+// lists groups in, differs from both the order they are added in and
+// their member ordinals: L10 sorts before L2, l1 after L9, the prefix
+// pair Sales2/Sales is added longer name first, and Ökonomie, added
+// before L10, sorts after every ASCII name.
 func oracleSchema(t testing.TB, seed int64) *Schema {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -420,10 +431,11 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		}
 	}
 	var aLeaves []MVID
+	leafNames := map[int]string{1: "l1", 5: "Sales2", 6: "Ökonomie", 7: "Sales"}
 	for i := 0; i < 20; i++ {
 		id := MVID(fmt.Sprintf("L%d", i))
 		aLeaves = append(aLeaves, id)
-		mv := &MemberVersion{ID: id, Level: "Leaf", Valid: temporal.Since(first)}
+		mv := &MemberVersion{ID: id, Name: leafNames[i], Level: "Leaf", Valid: temporal.Since(first)}
 		if i%5 == 4 {
 			mv.Name = string(aLeaves[i-1]) // shares its neighbour's display name
 		}

@@ -109,7 +109,11 @@ func appendResultRows(b []byte, rows []*core.Row) []byte {
 				b = append(b, ',')
 			}
 			b = append(b, "\n        "...)
-			b = appendJSONString(b, cf.String())
+			if int(cf) < len(cfJSON) {
+				b = append(b, cfJSON[cf]...)
+			} else {
+				b = appendJSONString(b, cf.String())
+			}
 		}
 		b = append(b, "\n      ],\n      \"colors\": ["...)
 		for k, cf := range row.CFs {
@@ -117,12 +121,27 @@ func appendResultRows(b []byte, rows []*core.Row) []byte {
 				b = append(b, ',')
 			}
 			b = append(b, "\n        "...)
-			b = appendJSONString(b, quality.CellColor(cf).String())
+			if int(cf) < len(colorJSON) {
+				b = append(b, colorJSON[cf]...)
+			} else {
+				b = appendJSONString(b, quality.CellColor(cf).String())
+			}
 		}
 		b = append(b, "\n      ]\n    }"...)
 	}
 	return append(b, "\n  ]"...)
 }
+
+// cfJSON and colorJSON hold, by confidence factor, the JSON strings of
+// the four factors' codes and colours, written once per process rather
+// than escaped once per measure and row.
+var cfJSON, colorJSON = func() (cfs, colors [4]string) {
+	for _, cf := range []core.Confidence{core.SourceData, core.ExactMapping, core.ApproxMapping, core.UnknownMapping} {
+		cfs[cf] = string(appendJSONString(nil, cf.String()))
+		colors[cf] = string(appendJSONString(nil, quality.CellColor(cf).String()))
+	}
+	return cfs, colors
+}()
 
 // appendStringArray writes a string array whose opening bracket sits at
 // indent depth `depth` (elements indent one deeper). A nil slice is
@@ -157,8 +176,18 @@ func appendNewlineIndent(b []byte, depth int) []byte {
 // appendJSONFloat mirrors encoding/json's float64 encoding: shortest
 // representation, %f unless the exponent forces %e, with the exponent's
 // leading zero trimmed. The caller has excluded NaN and ±Inf.
+//
+// A nonzero integral value below 2^53 in magnitude is written as an
+// integer: every integer there is a float64, so the shortest
+// representation that reads back as it is its own digits, which is what
+// %f writes. Zero keeps the float path, which writes -0 for -0.
 func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
+	if abs > 0 && abs < 1<<53 {
+		if i := int64(f); float64(i) == f {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -102,6 +102,21 @@ func selectOutput(quality float64, res core.Result) *tql.Output {
 	return &tql.Output{Result: &res, Quality: quality}
 }
 
+// integralEdges are the integral values at the edges of the encoder's
+// integer path: zero of either sign, one, the last integers a float64
+// holds exactly (2^53 − 1, 2^53) and the first it skips one of
+// (2^53 + 2), the largest powers of ten on either side of encoding/json's
+// switch to exponent form (1e20, 1e21), and an integral value past
+// MaxInt64 (9.3e18).
+var integralEdges = func() []float64 {
+	const p53 = 1 << 53
+	var out []float64
+	for _, v := range []float64{0, 1, p53 - 1, p53, p53 + 2, 1e20, 1e21, 9.3e18} {
+		out = append(out, v, -v)
+	}
+	return out
+}()
+
 // TestEncodeQueryResponseMatchesStdlib pins the hand-rolled encoder to
 // encoding/json byte for byte across the shapes and edge cases the
 // serving tier can produce.
@@ -152,6 +167,16 @@ func TestEncodeQueryResponseMatchesStdlib(t *testing.T) {
 				},
 				CFs: []core.Confidence{sd, sd, sd, sd, sd, em, em, am, uk, core.Confidence(9)},
 			}},
+		})},
+		{"integral edges", selectOutput(1, core.Result{
+			MeasureNames: []string{"v"},
+			Rows: func() []*core.Row {
+				var rows []*core.Row
+				for _, v := range integralEdges {
+					rows = append(rows, &core.Row{TimeKey: "x", Groups: []string{}, Values: []float64{v}, CFs: []core.Confidence{sd}})
+				}
+				return rows
+			}(),
 		})},
 		{"string edge cases", selectOutput(0, core.Result{
 			Mode:         escaped,
@@ -211,8 +236,8 @@ func TestEncodeNonFiniteValuesAreNull(t *testing.T) {
 // encoding/json on seeded random outputs: random row counts (past the
 // point where the buffer is sized from the first rows), random strings
 // over a byte alphabet rich in escapes, random floats spanning the
-// format-switch boundaries, random unknown values and measure counts
-// down to none.
+// format-switch boundaries and the integer path's edges, random unknown
+// values and measure counts down to none.
 func TestEncodeQueryResponseRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	alphabet := []byte("ab \"\\<>&\n\r\t\x00\x1fé\xff日")
@@ -238,9 +263,11 @@ func TestEncodeQueryResponseRandomized(t *testing.T) {
 		return out
 	}
 	randFloat := func() float64 {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			return 0
+		case 6:
+			return integralEdges[rng.Intn(len(integralEdges))]
 		case 1:
 			return rng.Float64() * 1e-6 * 2 // straddles the 'e' switch
 		case 2:
