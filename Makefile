@@ -112,6 +112,11 @@ write-path-check:
 # the rows, (*scanner).rows, is the one place scan.go or query.go
 # touches a row's .Groups; a read anywhere else is a string sort of rows
 # coming back.
+#
+# A stored tuple with a sole ancestor per axis is classified inline from
+# rollupTable.up; (*scanner).classify is the scan's one general path, so
+# a .setOf( call anywhere else in scan.go is a second written-out
+# classification starting.
 SCAN_PATH = internal/core/scan.go internal/core/query.go
 .PHONY: read-path-check
 read-path-check:
@@ -137,6 +142,12 @@ read-path-check:
 	if [ -n "$$groups" ]; then \
 		echo "read-path-check: .Groups read in the scan (internal/core/scan.go, query.go) outside (*scanner).rows:"; echo "$$groups"; \
 		echo "Cells are ordered by integer ranks (scanner.order); rows are written once, in that order."; bad=1; \
+	fi; \
+	sets=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
+			/\.setOf\(/ && fn !~ /^func \(sc \*scanner\) classify\(/ { print FILENAME ":" FNR ":" $$0 }' internal/core/scan.go); \
+	if [ -n "$$sets" ]; then \
+		echo "read-path-check: .setOf( call in internal/core/scan.go outside (*scanner).classify:"; echo "$$sets"; \
+		echo "The scan reads a sole ancestor inline (rollupTable.up); every other tuple goes through classify, its one general path."; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -827,10 +827,25 @@ func BenchmarkShardedSwap(b *testing.B) {
 // by the leaf level at quarter grain (34k rows: creating cells and
 // writing rows carry weight, ordering them little); version rolls up
 // inside a structure version, where one static rollup table serves
-// every instant.
+// every instant. In those three every tuple has a sole ancestor at the
+// grouped level and is classified by array reads once its cell exists;
+// multi is rollup over a clone where each leaf also sits under a second
+// division (a multiple hierarchy, 18 rows), so every tuple has a
+// two-member ancestor set and goes through the scan's general classify.
 func BenchmarkShardedScan(b *testing.B) {
 	const leaves, months = 1000, 100 // 100k facts
 	s := ingestSchema(b, leaves, months)
+	multi := s.Clone()
+	org := multi.Dimension("Org")
+	if err := org.AddVersion(&core.MemberVersion{ID: "alt", Level: "Division", Valid: temporal.Since(temporal.Year(2000))}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < leaves; i++ {
+		id := core.MVID(fmt.Sprintf("leaf%d", i))
+		if err := org.AddRelationship(core.TemporalRelationship{From: id, To: "alt", Valid: temporal.Since(temporal.Year(2000 + i%3))}); err != nil {
+			b.Fatal(err)
+		}
+	}
 	rollup := core.Query{
 		GroupBy: []core.GroupBy{{Dim: "Org", Level: "Division"}},
 		Grain:   core.GrainYear,
@@ -843,16 +858,17 @@ func BenchmarkShardedScan(b *testing.B) {
 	version.Mode = core.InVersion(s.VersionAt(temporal.Year(2003)))
 	for _, leg := range []struct {
 		name string
+		s    *core.Schema
 		q    core.Query
-	}{{"rollup", rollup}, {"drill", drill}, {"version", version}} {
-		if _, err := s.Execute(leg.q); err != nil { // build the rollup and resolution tables
+	}{{"rollup", s, rollup}, {"drill", s, drill}, {"version", s, version}, {"multi", multi, rollup}} {
+		if _, err := leg.s.Execute(leg.q); err != nil { // build the rollup and resolution tables
 			b.Fatal(err)
 		}
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := s.Execute(leg.q)
+				res, err := leg.s.Execute(leg.q)
 				if err != nil {
 					b.Fatal(err)
 				}

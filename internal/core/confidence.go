@@ -109,9 +109,13 @@ func ParseConfidence(s string) (Confidence, error) {
 // combines the confidence factors of values that are aggregated together
 // (or of mapping steps that are composed). The paper lets the designer
 // define it either as a truth table (qualitative factors) or as a
-// function (quantitative factors).
+// function (quantitative factors). Either way ⊗cf is a function of its
+// two operands: Combine must be pure, its result depending on a and b
+// alone, because a query's scan tabulates it over the four factors once
+// and folds from that table.
 type ConfidenceAlgebra interface {
-	// Combine merges two confidence factors.
+	// Combine merges two confidence factors: a is what is combined so far
+	// (a cell's fold, a mapping path), b the factor added to it.
 	Combine(a, b Confidence) Confidence
 	// Name identifies the algebra in metadata.
 	Name() string

@@ -161,9 +161,11 @@ func entryAt(chain []chainEntry, t temporal.Instant) *chainEntry {
 // the ancestors of a member at the level are an array read by the
 // member's ordinal. Tables are immutable once built.
 type rollupTable struct {
-	// up maps a member ordinal to its ancestor set, -1 when the member
-	// reaches no member of the level at t (non-covering hierarchy). An
-	// ordinal past the end reads as -1 too: a later generation sharing
+	// up maps a member ordinal to its ancestors at the level: the
+	// position in anc of its sole ancestor when it has one, so that the
+	// common case is one read; -1 when it reaches no member of the level
+	// at t (non-covering hierarchy); -(i+2) when it has several, set i.
+	// An ordinal past the end reads as -1 too: a later generation sharing
 	// this table has the same D(t), so the members it appended are not
 	// valid at t.
 	up []int32
@@ -183,11 +185,14 @@ func (tab *rollupTable) setOf(ord int32) (lo, hi int32) {
 	if int(ord) >= len(tab.up) {
 		return 0, 0
 	}
-	si := tab.up[ord]
-	if si < 0 {
+	switch u := tab.up[ord]; {
+	case u >= 0:
+		return u, u + 1
+	case u == -1:
 		return 0, 0
+	default:
+		return tab.setStart[-u-2], tab.setStart[-u-1]
 	}
-	return tab.setStart[si], tab.setStart[si+1]
 }
 
 // emptyRollup is the rollup of an instant where the dimension holds
@@ -263,46 +268,48 @@ func (d *Dimension) buildRollupTable(level string, at temporal.Instant) *rollupT
 	}
 	// Sets repeat (every leaf of a division rolls up to it), so they are
 	// stored once: one-member sets are told apart by that member's
-	// ordinal, the rare larger ones by their ordinal sequence.
+	// ordinal (single holds its position in anc + 1), the rare larger
+	// ones by their ordinal sequence.
 	single := make([]int32, n)
 	var multi map[string]int32
 	var key []byte
+	addSet := func() int32 {
+		si := int32(len(tab.setStart) - 1)
+		for _, a := range found {
+			tab.anc = append(tab.anc, d.members[d.order[a]])
+		}
+		tab.setStart = append(tab.setStart, int32(len(tab.anc)))
+		return si
+	}
 	for o := 0; o < n; o++ {
 		pass++
 		found = found[:0]
 		walk(int32(o))
-		if len(found) == 0 {
+		switch len(found) {
+		case 0:
 			tab.up[o] = -1
-			continue
-		}
-		var si int32
-		var known bool
-		if len(found) == 1 {
-			si, known = single[found[0]]-1, single[found[0]] != 0
-		} else {
+		case 1:
+			if single[found[0]] == 0 {
+				addSet()
+				single[found[0]] = int32(len(tab.anc))
+			}
+			tab.up[o] = single[found[0]] - 1
+		default:
 			key = key[:0]
 			for _, a := range found {
 				key = strconv.AppendInt(key, int64(a), 10)
 				key = append(key, ',')
 			}
-			si, known = multi[string(key)]
-		}
-		if !known {
-			si = int32(len(tab.setStart) - 1)
-			for _, a := range found {
-				tab.anc = append(tab.anc, d.members[d.order[a]])
-			}
-			tab.setStart = append(tab.setStart, int32(len(tab.anc)))
-			if len(found) == 1 {
-				single[found[0]] = si + 1
-			} else {
+			si, known := multi[string(key)]
+			if !known {
 				if multi == nil {
 					multi = make(map[string]int32)
 				}
+				si = addSet()
 				multi[string(key)] = si
 			}
+			tab.up[o] = -si - 2
 		}
-		tab.up[o] = si
 	}
 	metRollupTablesBuilt.With(string(d.ID)).Inc()
 	return tab

@@ -14,15 +14,16 @@ import (
 // instants further than this from the window's start go through a map.
 const maxSlotWindow = 1 << 12
 
-// scanSlot is what a scan knows about one fact instant: its time bucket
-// and, per axis and per dice, the view of the structure the instant's
-// tuples roll up in. Views of static dimensions are shared by every
-// slot, and an axis view by every slot whose instant reads its rollup
-// table.
+// scanSlot is what a scan knows about one fact instant: its time bucket,
+// the bucket's prefix in the cell chain (pairs[0]; unset for a grand
+// total, where the bucket is the cell) and, per axis and per dice, the
+// view of the structure the instant's tuples roll up in. Views of static
+// dimensions are shared by every slot, and an axis view by every slot
+// whose instant reads its rollup table.
 type scanSlot struct {
-	bucket int32
-	axes   []*axisView
-	dices  []*diceView
+	bucket, prefix int32
+	axes           []*axisView
+	dices          []*diceView
 }
 
 // axisView is a scan's reading of one rollup table: groups runs
@@ -158,6 +159,10 @@ type scanner struct {
 	dicePos, axisPos []int
 	lo, hi, idx      []int32
 
+	// comb is ⊗cf tabulated over the four factors (Definition 6: a
+	// function of its two operands), comb[a][b] = alg.Combine(a, b).
+	comb [numConfidence][numConfidence]Confidence
+
 	scanned, emitted int
 }
 
@@ -183,6 +188,11 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 	}
 	for di, dc := range p.dices {
 		sc.dicePos[di] = p.dims[dc.dim].pos
+	}
+	for a := range sc.comb {
+		for b := range sc.comb[a] {
+			sc.comb[a][b] = p.s.alg.Combine(Confidence(a), Confidence(b))
+		}
 	}
 	for ai, ax := range p.axes {
 		dim := &p.dims[ax.dim]
@@ -230,6 +240,9 @@ func (sc *scanner) slot(t temporal.Instant) *scanSlot {
 		bucket: sc.internBucket(br),
 		axes:   make([]*axisView, len(p.axes)),
 		dices:  make([]*diceView, len(p.dices)),
+	}
+	if len(p.axes) > 0 {
+		sl.prefix = sc.pairs[0].get(0, sl.bucket)
 	}
 	for ai, ax := range p.axes {
 		if sl.axes[ai] = sc.staticAxes[ai]; sl.axes[ai] != nil {
@@ -334,6 +347,13 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 // takes no lock and allocates only when it meets an instant, an
 // ancestor set or a cell for the first time.
 //
+// A stored tuple whose every axis reads a sole ancestor (rollupTable.up)
+// with an interned group, into a cell that exists, is classified inline
+// by those reads alone, with no side effect. Any other tuple — a first
+// sight of a set or a cell, a multiple or non-covering hierarchy, an
+// ordinal past the table, a grand total — goes through classify, the
+// one general path, from the start.
+//
 // A shard's emissions are collected, then folded, one shard at a time.
 // That is the fold order of folding each emission where it is
 // classified; the interleaved form measured about 10 % slower on one
@@ -357,8 +377,8 @@ func (sc *scanner) scan(ctx context.Context) error {
 	if p.pres != nil {
 		passes = p.pres.pass
 	}
-	dicePos, axisPos := sc.dicePos, sc.axisPos
-	lo, hi, idx := sc.lo, sc.hi, sc.idx
+	dicePos, axisPos, pairs := sc.dicePos, sc.axisPos, sc.pairs
+	na, slotAt := len(axisPos), sc.slotAt
 	// Most tuples emit once; a multiple hierarchy grows the buffer by
 	// append.
 	emits := make([]emission, 0, MappedShardSize)
@@ -388,7 +408,15 @@ func (sc *scanner) scan(ctx context.Context) error {
 				continue
 			}
 			if sl == nil || t != lastT {
-				sl, lastT = sc.slot(t), t
+				// Facts loaded member by member change instant at almost
+				// every tuple: a slot already built in the window is read
+				// here, without a call.
+				if off := uint64(t - sc.t0); off < uint64(len(slotAt)) && slotAt[off] != 0 {
+					sl = &sc.slots[slotAt[off]-1]
+				} else {
+					sl = sc.slot(t)
+				}
+				lastT = t
 			}
 			coords := sh.coords[j*nd : (j+1)*nd]
 			for i, pass := range passes {
@@ -397,47 +425,29 @@ func (sc *scanner) scan(ctx context.Context) error {
 					continue tuples
 				}
 			}
-			// The tuple as stored. This is classify written out in the
-			// loop, the scan's hot path: as a call per tuple, the call and
-			// its field loads took about a tenth of the scan's profile.
+			// The tuple as stored.
 			for di := range p.dices {
 				if !sl.dices[di].contains(coords[dicePos[di]]) {
 					continue tuples
 				}
 			}
-			// Each axis may roll the fact up to several members (multiple
-			// hierarchies); a fact contributes to every combination.
-			for ai := range p.axes {
+			cell, ai := sl.prefix, 0
+			for ; ai < na; ai++ {
 				v := sl.axes[ai]
-				lo[ai], hi[ai] = v.table.setOf(coords[axisPos[ai]])
-				if lo[ai] == hi[ai] {
-					continue tuples // non-covering hierarchy: no ancestor at the level
-				}
-				if v.groups[lo[ai]] < 0 {
-					sc.internSet(ai, v, lo[ai], hi[ai])
-				}
-			}
-			copy(idx, lo)
-			for {
-				cell := sc.pairs[0].get(0, sl.bucket)
-				for ai, v := range sl.axes {
-					cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
-				}
-				if int(cell) == len(sc.cellN) {
-					sc.newCell(sl, idx)
-				}
-				emits = append(emits, emission{tuple: int32(j), cell: cell})
-				// Advance the combination odometer, first axis fastest.
-				ai := 0
-				for ; ai < len(idx); ai++ {
-					if idx[ai]++; idx[ai] < hi[ai] {
-						break
-					}
-					idx[ai] = lo[ai]
-				}
-				if ai == len(idx) {
+				ord, up := coords[axisPos[ai]], v.table.up
+				if int(ord) >= len(up) || up[ord] < 0 {
 					break
 				}
+				g, rows := v.groups[up[ord]], pairs[ai+1].rows
+				if g < 0 || int(cell) >= len(rows) || int(g) >= len(rows[cell]) || rows[cell][g] == 0 {
+					break
+				}
+				cell = rows[cell][g] - 1
+			}
+			if na > 0 && ai == na {
+				emits = append(emits, emission{tuple: int32(j), cell: cell})
+			} else {
+				emits = sc.classify(emits, sl, coords, int32(j))
 			}
 		}
 		sc.fold(sh, emits)
@@ -491,8 +501,9 @@ func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
 // with the given coordinates in slot sl, to emits: none when it
 // misses a grouping level (non-covering hierarchy), one per combination
 // of its ancestors at the grouping levels otherwise — each axis may roll
-// the tuple up to several members (multiple hierarchies). The scan's
-// loop does the same for the tuples it reads as stored.
+// the tuple up to several members (multiple hierarchies). It is the
+// scan's one general path: it interns sets and creates cells, and the
+// scan's loop reads inline only what it has already done.
 func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tuple int32) []emission {
 	lo, hi, idx := sc.lo, sc.hi, sc.idx
 	for ai, pos := range sc.axisPos {
@@ -506,8 +517,12 @@ func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tupl
 		}
 	}
 	copy(idx, lo)
+	prefix := sl.prefix
+	if len(sl.axes) == 0 {
+		prefix = sc.pairs[0].get(0, sl.bucket) // the cell: one emission
+	}
 	for {
-		cell := sc.pairs[0].get(0, sl.bucket)
+		cell := prefix
 		for ai, v := range sl.axes {
 			cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
 		}
@@ -554,7 +569,7 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 // foldRows folds emissions whose tuples are all rows of the given value
 // and confidence columns, a row either as is or complemented (^row).
 func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
-	nm, nq, alg := sc.mt.nm, len(sc.p.mIdx), sc.p.s.alg
+	nm, nq, alg, comb := sc.mt.nm, len(sc.p.mIdx), sc.p.s.alg, &sc.comb
 	for _, e := range emits {
 		j, c := int(e.tuple^e.tuple>>31), int(e.cell)
 		vals, vcfs := values[j*nm:(j+1)*nm], tcfs[j*nm:(j+1)*nm]
@@ -562,10 +577,12 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 		first := sc.cellN[c] == 0
 		for k, mi := range sc.p.mIdx {
 			accs[k].Add(vals[mi])
-			if first {
-				cfs[k] = vcfs[mi]
+			if a, b := cfs[k], vcfs[mi]; first {
+				cfs[k] = b
+			} else if a|b < numConfidence {
+				cfs[k] = comb[a][b]
 			} else {
-				cfs[k] = alg.Combine(cfs[k], vcfs[mi])
+				cfs[k] = alg.Combine(a, b)
 			}
 		}
 		sc.cellN[c]++
