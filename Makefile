@@ -47,9 +47,14 @@ deps-check:
 #
 # The whole-table view .Facts().Facts() is O(facts), and a write reads its appended suffix (FactTable.Since) instead.
 #
-# The serving path presents every mode from the fact store through
-# resolution tables: a MultiVersion() call in the query path, the store,
-# the server or the TQL layer is a materialized mode coming back.
+# No mode is materialized: the deprecated MultiVersion() handle builds
+# nothing and stays only for the benchmark module, so a call to it
+# anywhere in the root module's non-test code (its own definition
+# aside) is a materialized mode coming back. The serving path presents
+# every mode from the fact store through resolution tables as it scans;
+# Schema.Present lists a whole mode for the reproduction tier, so a
+# .Present( call in the query path, the store, the server or the TQL
+# layer is a second read path starting.
 WRITE_PATH = ./internal/store/mutation.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql
@@ -73,10 +78,16 @@ write-path-check:
 	if [ -n "$$warms" ]; then \
 		echo "write-path-check: .WarmFrom( called in the root module's non-test code:"; echo "$$warms"; bad=1; \
 	fi; \
-	mvs=$$(grep -rnF 'MultiVersion()' --include='*.go' --exclude='*_test.go' $(NO_MATERIALIZATION) \
-		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	mvs=$$(grep -rnF 'MultiVersion()' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+		| grep -vE '^[^:]+:[0-9]+:func \(s \*Schema\) MultiVersion\(\) '); \
 	if [ -n "$$mvs" ]; then \
-		echo "write-path-check: MultiVersion() in $(NO_MATERIALIZATION):"; echo "$$mvs"; bad=1; \
+		echo "write-path-check: MultiVersion() called in the root module's non-test code:"; echo "$$mvs"; bad=1; \
+	fi; \
+	presents=$$(grep -rnF '.Present(' --include='*.go' --exclude='*_test.go' $(NO_MATERIALIZATION) \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$presents" ]; then \
+		echo "write-path-check: .Present( called in $(NO_MATERIALIZATION):"; echo "$$presents"; bad=1; \
 	fi; \
 	swaps=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
 			/\.schema(,[[:space:]]*[[:alnum:]_.]+)*[[:space:]]*=[^=]|[^.[:alnum:]_]schema:/ && \

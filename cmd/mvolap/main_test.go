@@ -71,9 +71,6 @@ func TestRunSnapshotFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := sch.MultiVersion().All(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
 		t.Fatal(err)
 	}

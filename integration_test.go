@@ -196,20 +196,19 @@ func TestSoakLargeWarehouse(t *testing.T) {
 	if len(svs) < 6 {
 		t.Fatalf("soak workload produced only %d versions", len(svs))
 	}
-	// Every mode materializes; presented + dropped accounts for sources;
-	// coordinates are version leaves.
+	// Every mode presents; presented + dropped accounts for sources.
 	for _, mode := range s.Modes() {
-		mt, err := s.MultiVersion().Mode(mode)
+		presented := 0
+		dropped, err := s.Present(mode, func(mf *core.MappedFact) bool {
+			presented += mf.Sources
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		presented := 0
-		for _, mf := range mt.Facts() {
-			presented += mf.Sources
-		}
-		if presented+mt.Dropped < s.Facts().Len() {
+		if presented+dropped < s.Facts().Len() {
 			t.Fatalf("mode %s: %d presented + %d dropped < %d sources",
-				mode, presented, mt.Dropped, s.Facts().Len())
+				mode, presented, dropped, s.Facts().Len())
 		}
 	}
 	// Query engine handles the full sweep of modes and grains.

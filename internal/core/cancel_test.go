@@ -46,34 +46,6 @@ func TestExecuteContextDeadline(t *testing.T) {
 	}
 }
 
-// TestModeContextCancelledBuildEvicted asserts that a build abandoned
-// by cancellation fails and leaves nothing behind, so the next live
-// caller builds cleanly instead of inheriting the failure. tcm is the
-// fact table and is never built, so the test builds V1; only the build
-// that finished counts as a materialization.
-func TestModeContextCancelledBuildEvicted(t *testing.T) {
-	s := splitSchema(t)
-	mv := s.MultiVersion()
-	v1 := InVersion(s.VersionByID("V1"))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := mv.ModeContext(ctx, v1); err == nil {
-		t.Fatal("cancelled materialization should fail")
-	}
-
-	mt, err := mv.ModeContext(context.Background(), v1)
-	if err != nil {
-		t.Fatalf("retry after cancelled build: %v", err)
-	}
-	if mt == nil || len(mt.Facts()) == 0 {
-		t.Fatal("retry should produce a materialized table")
-	}
-	if got := mv.Materializations(); got != 1 {
-		t.Fatalf("Materializations() = %d, want 1", got)
-	}
-}
-
 // TestSchemaCloneIsolated asserts Clone's copy-on-write contract: the
 // clone is deep enough that in-place evolution of the clone's
 // dimensions and facts never shows through to the original.

@@ -97,19 +97,15 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 	}
 	walk(id)
 
-	mt, err := s.MultiVersion().Mode(mode)
-	if err != nil {
-		return nil, nil, err
-	}
 	accs := make([]*Accumulator, len(s.measures))
 	for i, m := range s.measures {
 		accs[i] = NewAccumulator(m.Agg)
 	}
 	cfs := make([]Confidence, len(s.measures))
 	first := true
-	for _, f := range mt.Facts() {
+	_, err := s.Present(mode, func(f *MappedFact) bool {
 		if f.Time != t || !leafSet[f.Coords[dimPos]] {
-			continue
+			return true
 		}
 		for k := range accs {
 			accs[k].Add(f.Values[k])
@@ -120,6 +116,10 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 			}
 		}
 		first = false
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	values := make([]float64, len(accs))
 	for k, a := range accs {

@@ -18,7 +18,7 @@
 //   - Structure Versions inferred from the valid-time endpoints (Def. 9).
 //   - Temporal Modes of Presentation: temporally consistent, or mapped
 //     into one structure version (Def. 10).
-//   - The MultiVersion Fact Table materializing data in every mode with
+//   - The MultiVersion Fact Table presenting data in every mode with
 //     confidence factors (Def. 11) and mode-aware aggregation (Def. 12).
 package core
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"mvolap/internal/temporal"
 )
@@ -41,38 +42,142 @@ type Fact struct {
 	Values []float64
 }
 
+// MappedShardSize is the number of tuples per storage shard of the fact
+// table. Every shard except the last is exactly full, so tuple i lives
+// in shard i/MappedShardSize at offset i%MappedShardSize. The size
+// trades swap granularity (a write privatizes whole shards) against
+// sharing granularity (a clone copies one header per shard): at 4096
+// tuples a 100k-fact store is ~25 headers per swap.
+const MappedShardSize = 4096
+
+const (
+	shardShift = 12 // log2(MappedShardSize)
+	shardMask  = MappedShardSize - 1
+	// shardWords is the length of a shard's live bitmap.
+	shardWords = MappedShardSize / 64
+)
+
+// shardEpochCounter issues table ownership epochs; every table takes a
+// fresh one, so a shard carrying another table's epoch is shared.
+var shardEpochCounter atomic.Uint64
+
+// factShard is one fixed-size block of facts in struct-of-arrays
+// layout: parallel columns instead of per-tuple structs, so the scan is
+// cache-dense and a clone shares untouched shards wholesale. A
+// factShard is a header over the columns: it is writable only by the
+// table whose epoch it carries, and only at or past sharedBelow; every
+// other write copies the columns first (privatize). Several headers —
+// one per generation that appended to a partial tail — may sit over the
+// same columns, each seeing its own prefix of them.
+type factShard struct {
+	epoch uint64
+	n     int
+	// claim counts the slots of the columns some header has spoken for;
+	// every header over the same columns holds the same counter, and a
+	// table appends at slot n in place only after moving it n → n+1
+	// (tailShard).
+	claim *atomic.Int32
+	// sharedBelow is the prefix of the columns this header shares with
+	// the header it borrowed them from (see FactTable.borrow): slots
+	// below it are read by other generations, so writing one privatizes.
+	sharedBelow int
+	// coords holds n*nd member version ordinals (MemberVersion.ord in
+	// the table's dimension, position by position), times n instants and
+	// values n*nm entries. No column holds a pointer. Shards a table
+	// creates or privatizes have columns of capacity MappedShardSize
+	// tuples, so appends never reallocate them.
+	coords []int32
+	times  []temporal.Instant
+	values []float64
+	// live has bit j set while slot j holds a fact: an append sets it, a
+	// retraction clears it. Unlike the columns it belongs to the header
+	// alone (borrow copies it), so a write into it never touches a word
+	// another generation reads.
+	live []uint64
+	// zone caches the shard's zone map (min/max time, per-dimension
+	// distinct coordinates). Sealed when the shard fills, invalidated
+	// by appends, carried across privatize (the copy has identical
+	// coords/times), rebuilt lazily by the query scan otherwise.
+	zone atomic.Pointer[shardZone]
+}
+
+// isLive reports whether slot j holds a fact.
+func (sh *factShard) isLive(j int) bool { return sh.live[j>>6]&(1<<(uint(j)&63)) != 0 }
+
 // FactTable is the Temporally Consistent Fact Table f of Definition 5: a
 // partial function from leaf member versions and time to measure values.
+// It holds f and nothing else: member version ordinals, instants and
+// values in sharded columns, a live bitmap per shard, and one hashed key
+// index checked against the columns. Definition 11's f' is presented
+// from it, never stored: a query reads tcm as it is (f'|tcm = f × {sd}ᵐ)
+// and a version mode through resolution tables (Schema.ExecuteContext),
+// and Schema.Present lists a mode's tuples. A tuple's position is its
+// insertion ordinal. A replacing Insert writes the slot's values; a
+// Retract clears the slot's live bit, so a re-inserted key appends
+// afresh.
 //
-// Definition 11 gives f'|tcm = f × {sd}^m, so the fact table is stored
-// as tcm's MappedTable and MultiVersion().Mode(TCM()) returns that very
-// table: member version ordinals, instants and values in sharded
-// columns, every confidence sd and every source count 1, with the one
-// hashed key index checked against the columns. A tuple's position is
-// its insertion ordinal. A replacing Insert writes the slot's values; a
-// Retract tombstones the slot, so a re-inserted key appends afresh.
-//
-// Cloning is the mapped tables' copy-on-write: a clone shares every
-// shard and the frozen layers of the key index, and a write into a slot
-// another generation may read privatizes that one shard first (see
-// MappedTable.writableShard); an append claims the tail's next slot
-// (MappedTable.tailShard).
-type FactTable MappedTable
+// A table is single-writer while it is built and read-only once
+// published. A write never mutates a published table: it takes a
+// copy-on-write clone — shared shards and shared frozen index layers —
+// and writes the clone. Appends borrow the shared partial tail shard (a
+// header of the clone's own over the same columns, after claiming the
+// next slot; tailShard); a replacement or a tombstone in a shared slot
+// privatizes that one shard (per-shard epochs and sharedBelow, see
+// writableShard).
+type FactTable struct {
+	shards []*factShard
+	// shardsShared says another table holds the shards slice too (a
+	// clone shares its source's until its first write): a write replaces
+	// an element or appends, so it copies the slice first (ownShards).
+	shardsShared bool
+	// n is the total tuple count; epoch is this table's shard-ownership
+	// epoch (a shard with a different epoch is shared and frozen).
+	n     int
+	epoch uint64
+	// nd and nm are the coordinate and measure widths of every tuple.
+	nd, nm int
+	// dims are the schema's dimensions, whose member version ordinals
+	// the coordinates are: a dimension only ever appends versions, so an
+	// ordinal names the same version in every generation of a lineage.
+	dims []*Dimension
+	// index maps a tuple key to its global position, every hit checked
+	// against the coordinates and time stored there. A clone shares its
+	// frozen layers with the source table; a retraction tombstones
+	// the key there, since the slot itself stays put (see keyIndex).
+	index keyIndex
+	// dead counts tombstoned tuples: slots whose live bit a retraction
+	// cleared. The slot itself stays (positional indexing over
+	// fixed-size shards must not shift) but every view and scan skips it.
+	dead int
+	// ords says, per dimension and member version ordinal, how many
+	// live tuples hold the ordinal there and at which instants: a version
+	// mode's dropped facts are the sum over the ordinals it drops
+	// (countDropped), and only presentations of ordinals whose instants
+	// meet can land on one tuple (newPresentation). A clone shares the
+	// chunk lists until the first write of either side copies them
+	// (ordShared), and each chunk until it writes into it (ordChunk).
+	ords      [][]*ordChunk
+	ordShared bool
+}
 
 // newFactTable returns an empty fact table over the schema's dimensions
 // and measures.
 func newFactTable(s *Schema) *FactTable {
-	return (*FactTable)(newMappedTable(s, TCM(), 0))
+	return &FactTable{
+		epoch: shardEpochCounter.Add(1),
+		nd:    len(s.dims),
+		nm:    len(s.measures),
+		dims:  s.dims,
+		index: newKeyIndex(0),
+	}
 }
-
-// table returns the fact table as tcm's mapped table.
-func (ft *FactTable) table() *MappedTable { return (*MappedTable)(ft) }
 
 // Measures reports the number of measures per fact.
 func (ft *FactTable) Measures() int { return ft.nm }
 
-// Len reports the number of stored facts.
-func (ft *FactTable) Len() int { return ft.table().Len() }
+// Len reports the number of stored facts (tombstoned slots are
+// excluded).
+func (ft *FactTable) Len() int { return ft.n - ft.dead }
 
 // KeyIndexWork reports the key-index maintenance the table has paid
 // since it was cloned: layers sealed, and entries rewritten by layer
@@ -92,25 +197,18 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.nm)
 	}
 	var buf [8]int32
-	mt := ft.table()
-	ords, ok := mt.ordinals(buf[:0], coords)
+	ords, ok := ft.ordinals(buf[:0], coords)
 	if !ok {
 		return fmt.Errorf("core: fact coordinates %v not in the schema's dimensions", coords)
 	}
 	h := tupleKey(ords, t)
-	if pos, ok := mt.find(h, ords, t); ok {
+	if pos, ok := ft.find(h, ords, t); ok {
 		nm, j := ft.nm, pos&shardMask
-		sh := mt.writableShard(pos>>shardShift, j)
+		sh := ft.writableShard(pos>>shardShift, j)
 		copy(sh.values[j*nm:(j+1)*nm], values)
-		if sh.avgN != nil {
-			for k, v := range values {
-				sh.avgN[j*nm+k] = avgCount(v)
-			}
-		}
 	} else {
-		mt.appendTuple(h, ords, t, values, make([]Confidence, ft.nm))
+		ft.appendTuple(h, ords, t, values)
 	}
-	ft.view.Store(nil)
 	return nil
 }
 
@@ -118,11 +216,11 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 // until the table's next write. It is safe for concurrent use as long
 // as no Insert or Retract runs.
 func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool) {
-	pos, ok := ft.table().locate(coords, t)
+	pos, ok := ft.locate(coords, t)
 	if !ok {
 		return nil, false
 	}
-	sh, j := ft.table().shardAt(pos)
+	sh, j := ft.shardAt(pos)
 	nm := ft.nm
 	return sh.values[j*nm : (j+1)*nm : (j+1)*nm], true
 }
@@ -132,11 +230,10 @@ func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool)
 // returns false. The yielded Fact is the walk's scratch: its fields are
 // valid only until yield returns.
 func (ft *FactTable) All(yield func(*Fact) bool) {
-	mt := ft.table()
-	nd, nm := mt.nd, mt.nm
+	nd, nm := ft.nd, ft.nm
 	f := &Fact{Coords: make(Coords, nd)}
-	mt.each(0, func(sh *factShard, j int) bool {
-		mt.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
+	ft.each(0, func(sh *factShard, j int) bool {
+		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
 		f.Time = sh.times[j]
 		f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
 		return yield(f)
@@ -153,15 +250,14 @@ func (ft *FactTable) Facts() []*Fact { return ft.Since(0) }
 // position mark, in insertion order: with mark taken from End before a
 // batch, the facts the batch appended. It costs O(suffix).
 func (ft *FactTable) Since(mark int) []*Fact {
-	mt := ft.table()
-	nd, nm, size := mt.nd, mt.nm, max(mt.n-mark, 0)
+	nd, nm, size := ft.nd, ft.nm, max(ft.n-mark, 0)
 	arena := make([]Fact, 0, size)
 	coords := make(Coords, size*nd)
 	values := make([]float64, size*nm)
-	mt.each(mark, func(sh *factShard, j int) bool {
+	ft.each(mark, func(sh *factShard, j int) bool {
 		i := len(arena)
 		c := coords[i*nd : (i+1)*nd : (i+1)*nd]
-		mt.ids(c, sh.coords[j*nd:(j+1)*nd])
+		ft.ids(c, sh.coords[j*nd:(j+1)*nd])
 		v := values[i*nm : (i+1)*nm : (i+1)*nm]
 		copy(v, sh.values[j*nm:(j+1)*nm])
 		arena = append(arena, Fact{Coords: c, Time: sh.times[j], Values: v})
@@ -176,36 +272,360 @@ func (ft *FactTable) Since(mark int) []*Fact {
 
 // Retract removes the fact at (coords, t), returning a copy of the
 // removed tuple so the caller can carry it in a Delta: an index lookup
-// and a tombstone in the slot, whose shard is privatized first when
-// another generation may read it, as on the first retraction after a
-// Clone. The surviving facts keep their insertion order.
+// and a tombstone in the slot (tombstone), whose shard is privatized
+// first when another generation may read it, as on the first retraction
+// after a Clone. The surviving facts keep their insertion order.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
-	mt := ft.table()
-	pos, ok := mt.locate(coords, t)
+	pos, ok := ft.locate(coords, t)
 	if !ok {
 		return nil, false
 	}
-	sh, j := mt.shardAt(pos)
+	sh, j := ft.shardAt(pos)
 	nm := ft.nm
 	f := &Fact{Coords: coords.Clone(), Time: t, Values: slices.Clone(sh.values[j*nm : (j+1)*nm])}
-	mt.tombstone(pos)
-	sh = mt.shards[pos>>shardShift]
-	sh.zone.Store(buildZone(sh, mt.nd))
-	ft.view.Store(nil)
+	ft.tombstone(pos)
+	sh = ft.shards[pos>>shardShift]
+	sh.zone.Store(buildZone(sh, ft.nd))
 	return f, true
 }
 
+// firstAfter returns the first live fact, in position order, that holds
+// member version id at coordinate position i at an instant past end.
+// The ordinal's stats settle almost every call in O(1): no live tuple
+// holds it, or all of them lie at or before end. Since a retraction
+// leaves the stats' hull of instants as it was, a hull reaching past
+// end is confirmed against the columns.
+func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bool) {
+	mv := ft.dims[i].members[id]
+	if mv == nil {
+		return nil, false
+	}
+	if st := ft.ordStat(i, mv.ord); st.live == 0 || st.instants.End <= end {
+		return nil, false
+	}
+	var out *Fact
+	nd := ft.nd
+	ft.each(0, func(sh *factShard, j int) bool {
+		if sh.coords[j*nd+i] != mv.ord || sh.times[j] <= end {
+			return true
+		}
+		out = &Fact{Coords: make(Coords, nd), Time: sh.times[j]}
+		ft.ids(out.Coords, sh.coords[j*nd:(j+1)*nd])
+		return false
+	})
+	return out, out != nil
+}
+
+// tombstone kills the tuple at global position pos: the slot stays in
+// place (positional indexing over fixed-size shards must never shift)
+// but its live bit is cleared, every view and scan skips it, and its
+// key leaves the index so a later insert on the same coordinates
+// appends a fresh tuple.
+func (ft *FactTable) tombstone(pos int) {
+	j := pos & shardMask
+	sh := ft.writableShard(pos>>shardShift, j)
+	sh.live[j>>6] &^= 1 << (uint(j) & 63)
+	ft.dead++
+	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j], -1)
+	ft.index.delete(tupleKey(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j]), pos)
+}
+
 // clone returns a copy-on-write copy of the fact table over the
-// schema's dimensions, in O(1) plus the bounded top of the key index
-// (MappedTable.clone). The receiver takes a fresh epoch and
-// shares its list of shard headers too, so neither table writes a
-// shard, or a list, the other reads.
+// schema's dimensions (which hold every version the source's ordinals
+// name), in O(1) plus the bounded top of the key index. The clone
+// shares the source's list of shard headers until its first write
+// copies it — never the tuples — and takes a fresh epoch, so every
+// inherited shard is shared: an append borrows the partial tail
+// (tailShard), a write into a shared slot privatizes its shard
+// (writableShard). The receiver takes a fresh epoch and shares its list
+// of shard headers too, so neither table writes a shard, or a list, the
+// other reads.
 //
 // clone writes the receiver's ownership state: it needs the writer's
 // exclusion, not the readers'. A published table is never written.
 func (ft *FactTable) clone(s *Schema) *FactTable {
-	out := ft.table().clone(s)
+	out := &FactTable{
+		shards:       ft.shards,
+		shardsShared: true,
+		n:            ft.n,
+		epoch:        shardEpochCounter.Add(1),
+		nd:           ft.nd,
+		nm:           ft.nm,
+		dims:         s.dims,
+		// Published tables are never written again, so even the live top
+		// of a freshly loaded source can be shared (keyIndex.clone).
+		index:     ft.index.clone(ft.n),
+		dead:      ft.dead,
+		ords:      ft.ords,
+		ordShared: true,
+	}
+	metShardsShared.Add(int64(len(ft.shards)))
 	ft.epoch = shardEpochCounter.Add(1)
 	ft.shardsShared, ft.ordShared = true, true
-	return (*FactTable)(out)
+	return out
+}
+
+// ids writes the member version IDs of a tuple's ordinals into dst.
+func (ft *FactTable) ids(dst Coords, ords []int32) {
+	for i, o := range ords {
+		dst[i] = ft.dims[i].order[o]
+	}
+}
+
+// shardAt returns the shard and in-shard offset of global tuple i.
+func (ft *FactTable) shardAt(i int) (*factShard, int) {
+	return ft.shards[i>>shardShift], i & shardMask
+}
+
+// ordinals appends to dst the member version ordinals of coords, one
+// per dimension; false when a coordinate names no member version of its
+// dimension.
+func (ft *FactTable) ordinals(dst []int32, coords Coords) ([]int32, bool) {
+	if len(coords) != ft.nd {
+		return dst, false
+	}
+	for i, id := range coords {
+		mv := ft.dims[i].members[id]
+		if mv == nil {
+			return dst, false
+		}
+		dst = append(dst, mv.ord)
+	}
+	return dst, true
+}
+
+// locate returns the position of the live tuple at (coords, t).
+func (ft *FactTable) locate(coords Coords, t temporal.Instant) (int, bool) {
+	var buf [8]int32
+	ords, ok := ft.ordinals(buf[:0], coords)
+	if !ok {
+		return 0, false
+	}
+	return ft.find(tupleKey(ords, t), ords, t)
+}
+
+// each calls fn for every live tuple at or past position mark, in
+// position order, until fn returns false.
+func (ft *FactTable) each(mark int, fn func(sh *factShard, j int) bool) {
+	for si := mark >> shardShift; si < len(ft.shards); si++ {
+		sh, j := ft.shards[si], 0
+		if si == mark>>shardShift {
+			j = mark & shardMask
+		}
+		for ; j < sh.n; j++ {
+			if sh.isLive(j) && !fn(sh, j) {
+				return
+			}
+		}
+	}
+}
+
+// tupleKey hashes the key (coords, t) of a tuple for the key index:
+// every member version ordinal, then the instant.
+func tupleKey(coords []int32, t temporal.Instant) uint64 {
+	h := keyHashSeed
+	for _, o := range coords {
+		h = h.word(uint64(uint32(o)))
+	}
+	return h.at(t)
+}
+
+// find returns the position of the live tuple at (coords, t), whose key
+// hashes to h: the index's candidates are confirmed against the
+// coordinates and time stored at their positions.
+func (ft *FactTable) find(h uint64, coords []int32, t temporal.Instant) (int, bool) {
+	return ft.index.get(h, func(pos int) bool {
+		sh, j := ft.shardAt(pos)
+		return sh.times[j] == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
+	})
+}
+
+// writableShard returns shard si for a write into its slot j,
+// privatizing it first when the slot may be read by another table: the
+// shard carries another table's epoch (shared), or j lies below the
+// prefix a borrowed tail shares.
+func (ft *FactTable) writableShard(si, j int) *factShard {
+	sh := ft.shards[si]
+	if sh.epoch != ft.epoch || j < sh.sharedBelow {
+		sh = ft.privatize(si)
+	}
+	return sh
+}
+
+// newShard returns an empty shard owned by this table, its columns
+// allocated at their full capacity, with a fresh claim on them.
+func (ft *FactTable) newShard() *factShard {
+	return &factShard{
+		epoch:  ft.epoch,
+		claim:  new(atomic.Int32),
+		coords: make([]int32, 0, MappedShardSize*ft.nd),
+		times:  make([]temporal.Instant, 0, MappedShardSize),
+		values: make([]float64, 0, MappedShardSize*ft.nm),
+		live:   make([]uint64, shardWords),
+	}
+}
+
+// privatize copies shard si into a new shard this table owns. This is
+// the whole copy-on-write cost of a write into a shared slot:
+// O(MappedShardSize) once per (table, shard), never per tuple.
+func (ft *FactTable) privatize(si int) *factShard {
+	ft.ownShards()
+	src := ft.shards[si]
+	cp := ft.newShard()
+	cp.n = src.n
+	cp.claim.Store(int32(src.n))
+	cp.coords = append(cp.coords, src.coords...)
+	cp.times = append(cp.times, src.times...)
+	cp.values = append(cp.values, src.values...)
+	copy(cp.live, src.live)
+	// The copy has identical coords/times columns, so the zone map
+	// carries over; the first append into the copy clears it.
+	cp.zone.Store(src.zone.Load())
+	ft.shards[si] = cp
+	metShardsPrivatized.Inc()
+	return cp
+}
+
+// ownShards gives the table a slice of shard headers of its own.
+func (ft *FactTable) ownShards() {
+	if ft.shardsShared {
+		ft.shards = slices.Clone(ft.shards)
+		ft.shardsShared = false
+	}
+}
+
+// borrow puts a header of this table's own over the columns of shard
+// si, whose next slot this table has just claimed: the first n slots
+// stay shared with the header it came from (sharedBelow), the slots
+// from n on are this table's to append to, in place. The live bitmap is
+// the header's own: borrow copies it.
+func (ft *FactTable) borrow(si int) *factShard {
+	ft.ownShards()
+	src := ft.shards[si]
+	sh := &factShard{
+		epoch:       ft.epoch,
+		n:           src.n,
+		claim:       src.claim,
+		sharedBelow: src.n,
+		coords:      src.coords,
+		times:       src.times,
+		values:      src.values,
+		live:        slices.Clone(src.live),
+	}
+	ft.shards[si] = sh
+	metShardsBorrowed.Inc()
+	return sh
+}
+
+// tailShard returns the shard the next appended tuple lands in, its
+// next slot claimed for this table. A full tail gets a fresh shard
+// behind it. A partial tail is appended to in place when this table
+// wins the claim on its next slot — borrowed first if the header is
+// another table's — and privatized otherwise: the slot was taken by
+// another generation.
+func (ft *FactTable) tailShard() *factShard {
+	if len(ft.shards) == 0 || ft.shards[len(ft.shards)-1].n == MappedShardSize {
+		ft.ownShards()
+		ft.shards = append(ft.shards, ft.newShard())
+	}
+	si := len(ft.shards) - 1
+	sh := ft.shards[si]
+	if !sh.claim.CompareAndSwap(int32(sh.n), int32(sh.n+1)) {
+		sh = ft.privatize(si)
+		sh.claim.Add(1)
+	} else if sh.epoch != ft.epoch {
+		sh = ft.borrow(si)
+	}
+	return sh
+}
+
+// appendTuple stores a fact whose key, hashed to h, the table does not
+// hold, in a fresh slot at the end. The slices are the caller's;
+// appendTuple copies them.
+func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, values []float64) {
+	sh := ft.tailShard()
+	j := sh.n
+	sh.coords = append(sh.coords, coords...)
+	sh.times = append(sh.times, t)
+	sh.values = append(sh.values, values...)
+	sh.live[j>>6] |= 1 << (uint(j) & 63)
+	sh.n++
+	// Appends change the coords/times columns the zone map summarizes:
+	// drop a stale zone, and seal a freshly filled shard with its final
+	// zone (full shards never change again under this table's epoch).
+	if sh.n == MappedShardSize {
+		sh.zone.Store(buildZone(sh, ft.nd))
+	} else if sh.zone.Load() != nil {
+		sh.zone.Store(nil)
+	}
+	ft.index.put(h, ft.n)
+	ft.n++
+	ft.countOrds(coords, t, 1)
+}
+
+// ordStat is what a table knows of one member version ordinal at one
+// coordinate position: live tuples hold it, and while live > 0 every
+// one of them lies within instants. A retraction leaves instants as
+// they are, so they may cover more than the live tuples, never less.
+type ordStat struct {
+	live     int32
+	instants temporal.Interval
+}
+
+// ordChunkSize is the number of ordinals per chunk of a table's ordinal
+// stats: what a write into a shared chunk copies.
+const ordChunkSize = 128
+
+// ordChunk holds the stats of ordChunkSize consecutive ordinals. It is
+// writable only by the table whose epoch it carries.
+type ordChunk struct {
+	epoch uint64
+	stats [ordChunkSize]ordStat
+}
+
+// ordStat returns the stats of ordinal o at coordinate position i.
+func (ft *FactTable) ordStat(i int, o int32) ordStat {
+	if i >= len(ft.ords) {
+		return ordStat{}
+	}
+	chunks, ci := ft.ords[i], int(o)/ordChunkSize
+	if ci >= len(chunks) || chunks[ci] == nil {
+		return ordStat{}
+	}
+	return chunks[ci].stats[int(o)%ordChunkSize]
+}
+
+// countOrds records that a tuple at instant t holding the given
+// ordinals was added (delta 1) or removed (delta -1), copying a chunk
+// another table may read before writing into it.
+func (ft *FactTable) countOrds(ords []int32, t temporal.Instant, delta int32) {
+	if ft.ordShared || ft.ords == nil {
+		own := make([][]*ordChunk, ft.nd)
+		for i, chunks := range ft.ords {
+			own[i] = slices.Clone(chunks)
+		}
+		ft.ords, ft.ordShared = own, false
+	}
+	for i, o := range ords {
+		ci := int(o) / ordChunkSize
+		for len(ft.ords[i]) <= ci {
+			ft.ords[i] = append(ft.ords[i], nil)
+		}
+		c := ft.ords[i][ci]
+		if c == nil || c.epoch != ft.epoch {
+			own := &ordChunk{epoch: ft.epoch}
+			if c != nil {
+				own.stats = c.stats
+			}
+			ft.ords[i][ci], c = own, own
+		}
+		st := &c.stats[int(o)%ordChunkSize]
+		switch {
+		case delta > 0 && st.live == 0:
+			st.instants = temporal.Between(t, t)
+		case delta > 0:
+			st.instants = st.instants.Hull(temporal.Between(t, t))
+		}
+		st.live += delta
+	}
 }

@@ -126,15 +126,12 @@ func TestIDsWithSeparatorBytesStayApart(t *testing.T) {
 		t.Fatalf("schema has %d modes, want tcm and a version", len(modes))
 	}
 	for _, m := range modes {
-		mt, err := s.MultiVersion().Mode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mt.Len() != 2 {
-			t.Fatalf("mode %s holds %d tuples, want 2", m, mt.Len())
+		facts, _ := presented(t, s, m)
+		if len(facts) != 2 {
+			t.Fatalf("mode %s holds %d tuples, want 2", m, len(facts))
 		}
 		for i, c := range cells {
-			f, ok := mt.Lookup(c, at)
+			f, ok := presentedAt(facts, c, at)
 			if !ok || !f.Coords.Equal(c) || f.Values[0] != float64(i+1) {
 				t.Fatalf("mode %s: Lookup(%q) = %v, %v; want value %d", m, c, f, ok, i+1)
 			}
@@ -220,7 +217,7 @@ func (l *tableLineage) fork() *tableLineage {
 // (privatized first), or an append whose tail slot a sibling claimed.
 func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
 	ft := l.s.Facts()
-	if pos, ok := ft.table().locate(c, at); ok {
+	if pos, ok := ft.locate(c, at); ok {
 		if l.sharedSlot(pos) {
 			l.paths.replacePrivatized.Add(1)
 		}
@@ -234,7 +231,7 @@ func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
 
 func (l *tableLineage) retract(c Coords, at temporal.Instant) (*Fact, bool) {
 	ft := l.s.Facts()
-	if pos, ok := ft.table().locate(c, at); ok && l.sharedSlot(pos) {
+	if pos, ok := ft.locate(c, at); ok && l.sharedSlot(pos) {
 		l.paths.retractPrivatized.Add(1)
 	}
 	return ft.Retract(c, at)
@@ -265,14 +262,16 @@ func (l *tableLineage) check(t *testing.T, label string) {
 			t.Fatalf("%s: Lookup(%v@%v) = %v, %v; model has %v", label, want.coords, want.at, vals, ok, want.value)
 		}
 	}
-	// tcm is the store, and its answer at member × month grain is the
-	// model, bit for bit.
-	mt, err := l.s.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
+	// tcm presents the store as it is, and its answer at member × month
+	// grain is the model, bit for bit.
+	tcm, _ := presented(t, l.s, TCM())
+	if len(tcm) != len(facts) {
+		t.Fatalf("%s: tcm presents %d tuples, the store holds %d", label, len(tcm), len(facts))
 	}
-	if mt != ft.table() {
-		t.Fatalf("%s: tcm is not the fact table", label)
+	for i, f := range tcm {
+		if !f.Coords.Equal(facts[i].Coords) || f.Time != facts[i].Time || f.Values[0] != facts[i].Values[0] || f.CFs[0] != SourceData || f.Sources != 1 {
+			t.Fatalf("%s: tcm tuple %d = %+v, store holds %+v", label, i, f, facts[i])
+		}
 	}
 	res, err := l.s.Execute(Query{GroupBy: []GroupBy{{Dim: "D", Level: "Member"}}, Grain: GrainMonth, Mode: TCM()})
 	if err != nil {

@@ -75,38 +75,3 @@ type WarmResult struct {
 // module's serial replay does, and it goes with that replay (ROADMAP
 // item 2).
 func (s *Schema) WarmFrom(context.Context, *Schema, Delta) WarmResult { return WarmResult{} }
-
-// clone returns a copy-on-write clone of a table for a new generation,
-// rebound to the schema's algebra, measures and dimensions (which hold
-// every version the source's ordinals name). The clone shares the
-// source's list of shard headers until its first write copies it —
-// never the tuples — and takes a fresh epoch, so every inherited shard
-// is shared: an append borrows the partial tail
-// (MappedTable.tailShard), a write into a shared slot privatizes its
-// shard (MappedTable.writableShard).
-func (mt *MappedTable) clone(s *Schema) *MappedTable {
-	out := &MappedTable{
-		Mode:   mt.Mode,
-		shards: mt.shards,
-		// The source's own writes, if any, copy the list as well (see
-		// FactTable.clone).
-		shardsShared: true,
-		n:            mt.n,
-		dead:         mt.dead,
-		ords:         mt.ords,
-		ordShared:    true,
-		epoch:        shardEpochCounter.Add(1),
-		nd:           mt.nd,
-		nm:           mt.nm,
-		dims:         s.dims,
-		Dropped:      mt.Dropped,
-		alg:          s.alg,
-		measures:     s.measures,
-		hasAvg:       mt.hasAvg,
-		// Published tables are never written again, so even the live top
-		// of a cold-built source can be shared (keyIndex.clone).
-		index: mt.index.clone(mt.n),
-	}
-	metShardsShared.Add(int64(len(mt.shards)))
-	return out
-}

@@ -73,9 +73,10 @@ func TestFactTableCloneCopyOnWrite(t *testing.T) {
 
 // TestDimensionMutationInvalidatesMVFT is the regression test for the
 // old footgun: evolution operators mutate dimensions in place, and the
-// cached MultiVersion Fact Table used to survive unless the caller
-// remembered Schema.Invalidate. Every mutator must now invalidate
-// through the dimension's schema callback.
+// schema's derived caches used to survive unless the caller remembered
+// Schema.Invalidate. Every mutator must invalidate through the
+// dimension's schema callback, so the structure versions — and with
+// them the modes f' is presented in — are derived afresh.
 func TestDimensionMutationInvalidatesMVFT(t *testing.T) {
 	mutations := []struct {
 		name string
@@ -113,15 +114,8 @@ func TestDimensionMutationInvalidatesMVFT(t *testing.T) {
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			s := splitSchema(t)
-			before := s.MultiVersion()
-			if _, err := before.Mode(TCM()); err != nil {
-				t.Fatal(err)
-			}
 			svsBefore := len(s.StructureVersions())
 			m.do(t, s) // no manual s.Invalidate()
-			if after := s.MultiVersion(); after == before {
-				t.Fatal("in-place dimension mutation did not invalidate the MVFT cache")
-			}
 			if svs := len(s.StructureVersions()); svs == svsBefore {
 				// every mutation above changes the partition of history
 				t.Fatalf("structure versions not recomputed: still %d", svs)
@@ -132,15 +126,15 @@ func TestDimensionMutationInvalidatesMVFT(t *testing.T) {
 	t.Run("CloneDimsRebound", func(t *testing.T) {
 		s := splitSchema(t)
 		cl := s.Clone()
-		before := cl.MultiVersion()
-		if _, err := before.Mode(TCM()); err != nil {
-			t.Fatal(err)
-		}
+		svsBefore := len(cl.StructureVersions())
 		if err := cl.Dimension("Org").SetEnd("Smith", y(2004)); err != nil {
 			t.Fatal(err)
 		}
-		if after := cl.MultiVersion(); after == before {
-			t.Fatal("mutation of a cloned dimension did not invalidate the clone's cache")
+		if svs := len(cl.StructureVersions()); svs == svsBefore {
+			t.Fatalf("mutation of a cloned dimension did not invalidate the clone's structure versions: still %d", svs)
+		}
+		if svs := len(s.StructureVersions()); svs != svsBefore {
+			t.Fatalf("mutation of a cloned dimension changed the source's structure versions: %d, want %d", svs, svsBefore)
 		}
 	})
 }
@@ -199,8 +193,8 @@ func modesMatchCold(t *testing.T, label string, s *Schema) {
 
 // TestWarmFromFactDelta verifies at the core layer that a pure fact
 // batch leaves no mode to maintain: WarmFrom carries nothing, the clone
-// answers in every mode like a cold rebuild and the oracle, it built no
-// materialization, and the base generation answers as it did.
+// answers in every mode like a cold rebuild and the oracle, and the base
+// generation answers as it did.
 func TestWarmFromFactDelta(t *testing.T) {
 	base := splitSchema(t)
 	before := answers(t, base)
@@ -223,9 +217,6 @@ func TestWarmFromFactDelta(t *testing.T) {
 		t.Fatalf("WarmFrom = %+v, want nothing carried", res)
 	}
 	modesMatchCold(t, "clone", clone)
-	if b := clone.MultiVersion().Materializations(); b != 0 {
-		t.Fatalf("the clone performed %d materializations, want 0", b)
-	}
 	requireSameAnswers(t, "base", answers(t, base), before)
 }
 

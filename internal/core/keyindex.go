@@ -8,11 +8,10 @@ import (
 	"mvolap/internal/temporal"
 )
 
-// keyIndex is the one key → int index of a MappedTable, the fact table
-// included: it maps a tuple key to the tuple's position. It stores no
-// key: an
-// entry is a 64-bit hash of the key (keyHash) and the value, and the
-// owner confirms every hit against its own columns — get takes a match
+// keyIndex is the fact table's one key → int index: it maps a tuple key
+// to the tuple's position. It stores no key: an entry is a 64-bit hash
+// of the key (keyHash) and the value, and the owner confirms every hit
+// against its own columns — get takes a match
 // function that says whether the tuple at a value has the probed key.
 // A hash collision therefore costs a second probe, never a wrong
 // answer:
@@ -47,10 +46,10 @@ import (
 // it is counted (metKeyIndex*) and reported per generation (sealed,
 // merged).
 //
-// A cold-built index has no layers and never seals on insert, so cold
-// materialization pays no merges: its top simply is the whole index.
-// The first clone of such an index shares that live top as its bottom
-// layer, screened by a value bound (see clone).
+// A freshly loaded index has no layers and never seals on insert, so
+// loading a warehouse pays no merges: its top simply is the whole
+// index. The first clone of such an index shares that live top as its
+// bottom layer, screened by a value bound (see clone).
 type keyIndex struct {
 	top      map[uint64]int
 	layers   []*indexLayer
@@ -103,7 +102,7 @@ func newKeyIndex(capacity int) keyIndex {
 
 // owner returns the live value the layers hold under h, indexDead when
 // they hold none (no entry, or a tombstone). The top is skipped while
-// empty — the state of a fresh clone of a cold-built index.
+// empty — the state of a fresh clone of a freshly loaded index.
 func (ix *keyIndex) owner(h uint64) int {
 	if len(ix.top) != 0 {
 		if v, ok := ix.top[h]; ok {
@@ -186,7 +185,7 @@ func (ix *keyIndex) delete(h uint64, v int) {
 
 // clone returns an index over the same entries that shares every frozen
 // layer and copies only the bounded top and the overflow. bound is the
-// lineage's next value. A cold-built index past the seal bound has all
+// lineage's next value. A freshly loaded index past the seal bound has all
 // its layer entries in one large top; the clone takes that live map as
 // its bottom layer under bound instead of copying it, and the receiver
 // — which does not learn of the clone — may keep putting fresh keys

@@ -372,11 +372,8 @@ func TestSchemaWithQuantitativeAlgebra(t *testing.T) {
 	}
 	s.Invalidate()
 	v3 := s.VersionAt(y(2003))
-	mt, err := s.MultiVersion().Mode(InVersion(v3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bill, ok := mt.Lookup(Coords{"Bill"}, y(2001))
+	facts, _ := presented(t, s, InVersion(v3))
+	bill, ok := presentedAt(facts, Coords{"Bill"}, y(2001))
 	if !ok || bill.Values[0] != 40 {
 		t.Fatalf("mapped value = %+v", bill)
 	}

@@ -8,13 +8,13 @@ import "mvolap/internal/obs"
 var (
 	metFactsScanned = obs.Default().Counter(
 		"mvolap_query_facts_scanned_total",
-		"Mapped facts scanned by query aggregation (zone-pruned shards excluded).")
+		"Stored facts scanned by query aggregation (zone-pruned shards excluded).")
 	metShardsPruned = obs.Default().Counter(
 		"mvolap_query_shards_pruned_total",
-		"MappedTable shards skipped by zone-map pruning during query scans.")
+		"Fact-table shards skipped by zone-map pruning during query scans.")
 	metFactsPruned = obs.Default().Counter(
 		"mvolap_query_facts_pruned_total",
-		"Mapped facts inside zone-pruned shards (work avoided by the scan).")
+		"Stored facts inside zone-pruned shards (work avoided by the scan).")
 	metQueryRows = obs.Default().Counter(
 		"mvolap_query_rows_total",
 		"Result rows emitted by query aggregation.")
@@ -44,7 +44,7 @@ var (
 		"dim")
 	metKeyIndexSeals = obs.Default().Counter(
 		"mvolap_key_index_seals_total",
-		"Owned key-index tops frozen into a shared layer by their owner's own write (the fact table, and a materialized table while it is built).")
+		"Owned key-index tops frozen into a shared layer by their owner's own write (the fact table's).")
 	metKeyIndexMerged = obs.Default().Counter(
 		"mvolap_key_index_merged_entries_total",
 		"Key-index entries rewritten by geometric layer merges and flattens: the write-path work that is not O(batch).")

@@ -52,15 +52,12 @@ func splitSchema(t testing.TB) *Schema {
 // f' restricted to tcm equals f × {sd}^m.
 func TestTCMRestrictionIsSource(t *testing.T) {
 	s := splitSchema(t)
-	mt, err := s.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt.Len() != s.Facts().Len() {
-		t.Fatalf("tcm has %d tuples, source has %d", mt.Len(), s.Facts().Len())
+	mt, dropped := presented(t, s, TCM())
+	if len(mt) != s.Facts().Len() {
+		t.Fatalf("tcm has %d tuples, source has %d", len(mt), s.Facts().Len())
 	}
 	for _, f := range s.Facts().Facts() {
-		m, ok := mt.Lookup(f.Coords, f.Time)
+		m, ok := presentedAt(mt, f.Coords, f.Time)
 		if !ok {
 			t.Fatalf("tcm missing %v@%v", f.Coords, f.Time)
 		}
@@ -72,35 +69,35 @@ func TestTCMRestrictionIsSource(t *testing.T) {
 				t.Errorf("tcm cf must be sd, got %v", m.CFs[k])
 			}
 		}
+		if m.Sources != 1 {
+			t.Errorf("tcm tuple %v@%v has %d sources, want 1", f.Coords, f.Time, m.Sources)
+		}
 	}
-	if mt.Dropped != 0 {
-		t.Errorf("tcm dropped %d", mt.Dropped)
+	if dropped != 0 {
+		t.Errorf("tcm dropped %d", dropped)
 	}
 }
 
 func TestVersionModeMapping(t *testing.T) {
 	s := splitSchema(t)
 	v3 := s.VersionAt(y(2003))
-	mt, err := s.MultiVersion().Mode(InVersion(v3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt, _ := presented(t, s, InVersion(v3))
 	// Jones's 2001 and 2002 tuples fan out to Bill and Paul.
-	bill01, ok := mt.Lookup(Coords{"Bill"}, y(2001))
+	bill01, ok := presentedAt(mt, Coords{"Bill"}, y(2001))
 	if !ok || bill01.Values[0] != 40 || bill01.CFs[0] != ApproxMapping {
 		t.Errorf("Bill@2001 = %+v", bill01)
 	}
-	paul02, ok := mt.Lookup(Coords{"Paul"}, y(2002))
+	paul02, ok := presentedAt(mt, Coords{"Paul"}, y(2002))
 	if !ok || paul02.Values[0] != 60 || paul02.CFs[0] != ApproxMapping {
 		t.Errorf("Paul@2002 = %+v", paul02)
 	}
 	// Smith stays source data.
-	smith02, ok := mt.Lookup(Coords{"Smith"}, y(2002))
+	smith02, ok := presentedAt(mt, Coords{"Smith"}, y(2002))
 	if !ok || smith02.Values[0] != 100 || smith02.CFs[0] != SourceData {
 		t.Errorf("Smith@2002 = %+v", smith02)
 	}
 	// No Jones tuples exist in V3.
-	if _, ok := mt.Lookup(Coords{"Jones"}, y(2001)); ok {
+	if _, ok := presentedAt(mt, Coords{"Jones"}, y(2001)); ok {
 		t.Error("Jones must not appear in V3 presentation")
 	}
 }
@@ -108,11 +105,8 @@ func TestVersionModeMapping(t *testing.T) {
 func TestVersionModeMerge(t *testing.T) {
 	s := splitSchema(t)
 	v2 := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(InVersion(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jones03, ok := mt.Lookup(Coords{"Jones"}, y(2003))
+	mt, _ := presented(t, s, InVersion(v2))
+	jones03, ok := presentedAt(mt, Coords{"Jones"}, y(2003))
 	if !ok {
 		t.Fatal("Jones@2003 missing in V2 presentation")
 	}
@@ -142,15 +136,12 @@ func TestDroppedFactsWithoutMappings(t *testing.T) {
 		t.Fatal(err)
 	}
 	v3 := s.VersionAt(y(2003))
-	mt, err := s.MultiVersion().Mode(InVersion(v3))
-	if err != nil {
-		t.Fatal(err)
+	mt, dropped := presented(t, s, InVersion(v3))
+	if dropped != 1 {
+		t.Errorf("dropped = %d, want 1 (the Jones tuple)", dropped)
 	}
-	if mt.Dropped != 1 {
-		t.Errorf("dropped = %d, want 1 (the Jones tuple)", mt.Dropped)
-	}
-	if mt.Len() != 1 {
-		t.Errorf("presented tuples = %d, want 1", mt.Len())
+	if len(mt) != 1 {
+		t.Errorf("presented tuples = %d, want 1", len(mt))
 	}
 }
 
@@ -197,16 +188,13 @@ func TestUnknownMappingYieldsNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := s.VersionAt(y(2001))
-	mt, err := s.MultiVersion().Mode(InVersion(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt, _ := presented(t, s, InVersion(v1))
 	// V12's value maps to V1 as 50 (am) and to V2 as unknown.
-	mv1, ok := mt.Lookup(Coords{"V1"}, y(2002))
+	mv1, ok := presentedAt(mt, Coords{"V1"}, y(2002))
 	if !ok || mv1.Values[0] != 50 || mv1.CFs[0] != ApproxMapping {
 		t.Errorf("V1 presentation = %+v", mv1)
 	}
-	mv2, ok := mt.Lookup(Coords{"V2"}, y(2002))
+	mv2, ok := presentedAt(mt, Coords{"V2"}, y(2002))
 	if !ok {
 		t.Fatal("V2 presentation missing")
 	}
@@ -227,12 +215,9 @@ func TestMassConservationProperty(t *testing.T) {
 		_ = seed
 		s := splitSchema(t)
 		for _, v := range s.StructureVersions() {
-			mt, err := s.MultiVersion().Mode(InVersion(v))
-			if err != nil {
-				return false
-			}
+			mt, _ := presented(t, s, InVersion(v))
 			totals := map[temporal.Instant]float64{}
-			for _, mf := range mt.Facts() {
+			for _, mf := range mt {
 				if !math.IsNaN(mf.Values[0]) {
 					totals[mf.Time] += mf.Values[0]
 				}
@@ -254,33 +239,28 @@ func TestMassConservationProperty(t *testing.T) {
 	}
 }
 
+// TestMultiVersionAll presents every mode of the schema — the full f' —
+// and checks that a write shows in the next presentation at once: a
+// mode is presented from the store, never cached.
 func TestMultiVersionAll(t *testing.T) {
 	s := splitSchema(t)
-	all, err := s.MultiVersion().All()
-	if err != nil {
-		t.Fatal(err)
+	modes := s.Modes()
+	if len(modes) != 4 { // tcm + V1..V3
+		t.Fatalf("got %d modes, want 4", len(modes))
 	}
-	if len(all) != 4 { // tcm + V1..V3
-		t.Fatalf("got %d modes, want 4", len(all))
-	}
-	for key, mt := range all {
-		if mt.Len() == 0 {
-			t.Errorf("mode %s has no tuples", key)
+	for _, m := range modes {
+		if mt, _ := presented(t, s, m); len(mt) == 0 {
+			t.Errorf("mode %s has no tuples", m)
 		}
 	}
-	// The cache returns the same tables.
-	mt1, _ := s.MultiVersion().Mode(TCM())
-	mt2, _ := s.MultiVersion().Mode(TCM())
-	if mt1 != mt2 {
-		t.Error("mapped tables must be cached")
-	}
-	// Inserting a fact invalidates the cache.
-	if err := s.InsertFact(Coords{"Smith"}, y(2003), 1); err != nil {
+	if err := s.InsertFact(Coords{"Smith"}, y(2004), 1); err != nil {
 		t.Fatal(err)
 	}
-	mt3, _ := s.MultiVersion().Mode(TCM())
-	if mt3 == mt1 {
-		t.Error("fact insertion must invalidate the MVFT cache")
+	for _, m := range modes {
+		mt, _ := presented(t, s, m)
+		if f, ok := presentedAt(mt, Coords{"Smith"}, y(2004)); !ok || f.Values[0] != 1 {
+			t.Errorf("mode %s presents %+v, %v at the inserted fact", m, f, ok)
+		}
 	}
 }
 
@@ -343,11 +323,8 @@ func TestAvgThreeWayMerge(t *testing.T) {
 		}
 	}
 	v2 := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(InVersion(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := mt.Lookup(Coords{"M"}, y(2001))
+	mt, _ := presented(t, s, InVersion(v2))
+	m, ok := presentedAt(mt, Coords{"M"}, y(2001))
 	if !ok {
 		t.Fatal("merged tuple missing")
 	}
@@ -368,11 +345,8 @@ func TestAvgMergeIgnoresUnknown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mt, err := s.MultiVersion().Mode(InVersion(s.VersionAt(y(2002))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := mt.Lookup(Coords{"M"}, y(2001))
+	mt, _ := presented(t, s, InVersion(s.VersionAt(y(2002))))
+	m, ok := presentedAt(mt, Coords{"M"}, y(2001))
 	if !ok {
 		t.Fatal("merged tuple missing")
 	}
@@ -424,74 +398,48 @@ func TestModeSingleflight(t *testing.T) {
 	if got := metResolveTablesBuilt.With("Org").Value() - built; got != int64(len(modes)) {
 		t.Errorf("%d resolution tables built, want exactly %d (one per version mode)", got, len(modes))
 	}
-	if got := s.MultiVersion().Materializations(); got != 0 {
-		t.Errorf("queries materialized %d modes, want 0", got)
-	}
 }
 
-// TestInvalidationVisibility pins the caching contract: a handle taken
-// before an insert keeps serving its snapshot (the new fact must NOT
-// appear through it), while handles fetched after the invalidation see
-// the new fact.
+// TestInvalidationVisibility pins the visibility contract: a write
+// shows in the written schema's next presentation at once, an explicit
+// Invalidate keeps it, and a generation cloned before the write — the
+// serving tier's published snapshot — keeps presenting what it held.
 func TestInvalidationVisibility(t *testing.T) {
 	s := splitSchema(t)
-	stale := s.MultiVersion()
-	base, err := stale.Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0 := base.Len()
+	published := s.Clone()
+	base, _ := presented(t, s, TCM())
+	n0 := len(base)
 	if err := s.InsertFact(Coords{"Smith"}, y(2004), 7); err != nil {
 		t.Fatal(err)
 	}
-	// Before re-fetching (i.e. "before Invalidate" from the stale
-	// handle's point of view) the fact is invisible.
-	again, err := stale.Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
+	stale, _ := presented(t, published, TCM())
+	if len(stale) != n0 {
+		t.Errorf("the published generation presents %d tuples, want its %d", len(stale), n0)
 	}
-	if again.Len() != n0 {
-		t.Errorf("stale handle sees %d tuples, want the snapshot's %d", again.Len(), n0)
+	if _, ok := presentedAt(stale, Coords{"Smith"}, y(2004)); ok {
+		t.Error("inserted fact must not appear in the generation cloned before it")
 	}
-	if _, ok := again.Lookup(Coords{"Smith"}, y(2004)); ok {
-		t.Error("inserted fact must not appear through the pre-insert handle")
+	cur, _ := presented(t, s, TCM())
+	if len(cur) != n0+1 {
+		t.Errorf("the written schema presents %d tuples, want %d", len(cur), n0+1)
 	}
-	// InsertFact invalidates: a fresh handle sees the fact.
-	fresh := s.MultiVersion()
-	if fresh == stale {
-		t.Fatal("insert must drop the cached MVFT")
+	if _, ok := presentedAt(cur, Coords{"Smith"}, y(2004)); !ok {
+		t.Error("inserted fact must appear in the written schema")
 	}
-	cur, err := fresh.Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Len() != n0+1 {
-		t.Errorf("fresh handle sees %d tuples, want %d", cur.Len(), n0+1)
-	}
-	if _, ok := cur.Lookup(Coords{"Smith"}, y(2004)); !ok {
-		t.Error("inserted fact must appear after invalidation")
-	}
-	// Explicit Invalidate also rotates the handle and keeps the fact.
 	s.Invalidate()
-	third := s.MultiVersion()
-	if third == fresh {
-		t.Fatal("Invalidate must drop the cached MVFT")
-	}
-	cur2, err := third.Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cur2.Lookup(Coords{"Smith"}, y(2004)); !ok {
+	cur2, _ := presented(t, s, TCM())
+	if _, ok := presentedAt(cur2, Coords{"Smith"}, y(2004)); !ok {
 		t.Error("fact must stay visible after explicit Invalidate")
 	}
 }
 
 func TestModeErrors(t *testing.T) {
 	s := splitSchema(t)
-	if _, err := s.MultiVersion().Mode(Mode{Kind: VersionKind}); err == nil {
+	yield := func(*MappedFact) bool { return true }
+	if _, err := s.Present(Mode{Kind: VersionKind}, yield); err == nil {
 		t.Error("version mode without version must fail")
 	}
-	if _, err := s.MultiVersion().Mode(Mode{Kind: ModeKind(9)}); err == nil {
+	if _, err := s.Present(Mode{Kind: ModeKind(9)}, yield); err == nil {
 		t.Error("unknown mode kind must fail")
 	}
 }
@@ -506,11 +454,9 @@ func TestFoldPair(t *testing.T) {
 		{Sum, 1, 2, 3},
 		{Min, 1, 2, 1},
 		{Max, 1, 2, 2},
-		{Avg, 1, 3, 2},
-		{Count, 2, 3, 5},
 		{Sum, nan, 2, 2},
 		{Sum, 1, nan, 1},
-		{Count, nan, 7, 1},
+		{Max, nan, 7, 7},
 	}
 	for _, c := range cases {
 		got := foldPair(c.kind, c.a, c.b)

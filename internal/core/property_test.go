@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,19 +23,31 @@ func genWorkload(seed uint32) *workload.Workload {
 	})
 }
 
+// present collects f'|m through Schema.Present, each tuple copied out
+// of the walk's scratch, with the number of facts the mode drops.
+func present(s *core.Schema, m core.Mode) ([]*core.MappedFact, int, error) {
+	var out []*core.MappedFact
+	dropped, err := s.Present(m, func(f *core.MappedFact) bool {
+		out = append(out, &core.MappedFact{Coords: f.Coords.Clone(), Time: f.Time,
+			Values: slices.Clone(f.Values), CFs: slices.Clone(f.CFs), Sources: f.Sources})
+		return true
+	})
+	return out, dropped, err
+}
+
 // TestPropertyTCMIsSource: Definition 11's identity f'|tcm = f × {sd}^m
 // holds on arbitrary schemas.
 func TestPropertyTCMIsSource(t *testing.T) {
 	f := func(seed uint32) bool {
 		s := genWorkload(seed).Schema
-		mt, err := s.MultiVersion().Mode(core.TCM())
+		mt, dropped, err := present(s, core.TCM())
 		if err != nil {
 			return false
 		}
-		if mt.Len() != s.Facts().Len() || mt.Dropped != 0 {
+		if len(mt) != s.Facts().Len() || dropped != 0 {
 			return false
 		}
-		for _, mf := range mt.Facts() {
+		for _, mf := range mt {
 			src, ok := s.Facts().Lookup(mf.Coords, mf.Time)
 			if !ok {
 				return false
@@ -59,7 +72,7 @@ func TestPropertyMappedCoordsAreVersionLeaves(t *testing.T) {
 	f := func(seed uint32) bool {
 		s := genWorkload(seed).Schema
 		for _, sv := range s.StructureVersions() {
-			mt, err := s.MultiVersion().Mode(core.InVersion(sv))
+			mt, _, err := present(s, core.InVersion(sv))
 			if err != nil {
 				return false
 			}
@@ -69,7 +82,7 @@ func TestPropertyMappedCoordsAreVersionLeaves(t *testing.T) {
 				for _, mv := range rd.LeavesAt(sv.Valid.Start) {
 					leafSet[mv.ID] = true
 				}
-				for _, mf := range mt.Facts() {
+				for _, mf := range mt {
 					if !leafSet[mf.Coords[di]] {
 						return false
 					}
@@ -89,7 +102,7 @@ func TestPropertyAccounting(t *testing.T) {
 	f := func(seed uint32) bool {
 		s := genWorkload(seed).Schema
 		for _, sv := range s.StructureVersions() {
-			mt, err := s.MultiVersion().Mode(core.InVersion(sv))
+			mt, dropped, err := present(s, core.InVersion(sv))
 			if err != nil {
 				return false
 			}
@@ -97,13 +110,13 @@ func TestPropertyAccounting(t *testing.T) {
 			// tuple; sum of Sources counts fan-in, so it can exceed the
 			// source count but never fall below presented sources.
 			presented := 0
-			for _, mf := range mt.Facts() {
+			for _, mf := range mt {
 				presented += mf.Sources
 			}
-			if mt.Dropped < 0 || mt.Dropped > s.Facts().Len() {
+			if dropped < 0 || dropped > s.Facts().Len() {
 				return false
 			}
-			if presented+mt.Dropped < s.Facts().Len() {
+			if presented+dropped < s.Facts().Len() {
 				return false
 			}
 		}
@@ -169,12 +182,12 @@ func TestPropertyQueryTotalsMatchMVFT(t *testing.T) {
 	f := func(seed uint32) bool {
 		s := genWorkload(seed).Schema
 		for _, mode := range s.Modes() {
-			mt, err := s.MultiVersion().Mode(mode)
+			mt, _, err := present(s, mode)
 			if err != nil {
 				return false
 			}
 			want := 0.0
-			for _, mf := range mt.Facts() {
+			for _, mf := range mt {
 				if !math.IsNaN(mf.Values[0]) {
 					want += mf.Values[0]
 				}

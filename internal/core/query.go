@@ -165,20 +165,20 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mt := s.facts.table()
+	ft := s.facts
 	_, rsp := obs.StartSpan(ctx, "resolve")
 	rsp.SetAttr("mode", q.Mode.String())
 	dropped := 0
 	if q.Mode.Kind == VersionKind {
 		plan.res = s.resolveTables(q.Mode.Version)
-		plan.pres = newPresentation(plan.res, mt)
-		dropped = countDropped(mt, plan.res)
+		plan.pres = newPresentation(plan.res, ft)
+		dropped = countDropped(ft, plan.res)
 	}
-	rsp.SetAttr("facts", mt.Len())
+	rsp.SetAttr("facts", ft.Len())
 	rsp.SetAttr("dropped", dropped)
 	rsp.End()
 	actx, asp := obs.StartSpan(ctx, "aggregate")
-	res, err := plan.executeOn(actx, mt)
+	res, err := plan.executeOn(actx, ft)
 	if err == nil {
 		res.Dropped = dropped
 		asp.SetAttr("rows", len(res.Rows))
@@ -193,7 +193,7 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 // sums the live counts of the ordinals that dimension drops, in
 // O(members); otherwise it reads the coordinates, skipping a shard
 // whose zone lists its distinct coordinates, none of them dropping.
-func countDropped(mt *MappedTable, res []*resolveTable) int {
+func countDropped(ft *FactTable, res []*resolveTable) int {
 	var dims []int
 	for i, rt := range res {
 		if rt.dropping {
@@ -202,11 +202,11 @@ func countDropped(mt *MappedTable, res []*resolveTable) int {
 	}
 	n := 0
 	switch {
-	case len(dims) == 0 || mt.ords == nil:
+	case len(dims) == 0 || ft.ords == nil:
 		return 0
 	case len(dims) == 1:
 		i := dims[0]
-		for ci, c := range mt.ords[i] {
+		for ci, c := range ft.ords[i] {
 			if c == nil {
 				continue
 			}
@@ -218,13 +218,13 @@ func countDropped(mt *MappedTable, res []*resolveTable) int {
 		}
 		return n
 	}
-	nd := mt.nd
-	for _, sh := range mt.shards {
+	nd := ft.nd
+	for _, sh := range ft.shards {
 		if !zoneMayDrop(sh.zoneMap(nd), dims, res) {
 			continue
 		}
 		for j := 0; j < sh.n; j++ {
-			if sh.sources[j] == 0 {
+			if !sh.isLive(j) {
 				continue
 			}
 			for _, i := range dims {
@@ -380,10 +380,10 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 // buckets and display names, orders the cells by those integers — a
 // total order: equal keys are the same cell — and writes the rows in
 // that order (scanner.order, scanner.rows).
-func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, error) {
+func (p *scanPlan) executeOn(ctx context.Context, ft *FactTable) (*Result, error) {
 	_, sp := obs.StartSpan(ctx, "prune")
-	live, pruned, t0, window := p.prune(mt)
-	sp.SetAttr("shards", len(mt.shards))
+	live, pruned, t0, window := p.prune(ft)
+	sp.SetAttr("shards", len(ft.shards))
 	sp.SetAttr("shards_pruned", pruned.shards)
 	sp.SetAttr("facts_pruned", pruned.facts)
 	sp.End()
@@ -391,7 +391,7 @@ func (p *scanPlan) executeOn(ctx context.Context, mt *MappedTable) (*Result, err
 	metFactsPruned.Add(int64(pruned.facts))
 
 	_, sp = obs.StartSpan(ctx, "scan")
-	sc := newScanner(p, mt, live, t0, window)
+	sc := newScanner(p, ft, live, t0, window)
 	err := sc.scan(ctx)
 	sp.SetAttr("tuples", sc.scanned)
 	sp.SetAttr("emissions", sc.emitted)
@@ -425,15 +425,15 @@ type prunedStats struct{ shards, facts int }
 // t0 and window give the scan the span its instant-indexed slot array
 // covers: the live zones' time hull inside the queried range,
 // cut at maxSlotWindow instants.
-func (p *scanPlan) prune(mt *MappedTable) (live []bool, pruned prunedStats, t0 temporal.Instant, window int) {
-	live = make([]bool, len(mt.shards))
+func (p *scanPlan) prune(ft *FactTable) (live []bool, pruned prunedStats, t0 temporal.Instant, window int) {
+	live = make([]bool, len(ft.shards))
 	verdicts := make([]*diceView, len(p.dices)) // built on first use
 	hull := temporal.Interval{Start: 1, End: 0}
-	for si, sh := range mt.shards {
+	for si, sh := range ft.shards {
 		if sh.n == 0 {
 			continue
 		}
-		z := sh.zoneMap(mt.nd)
+		z := sh.zoneMap(ft.nd)
 		if !p.unpruned && p.zoneExcludes(z, verdicts) {
 			pruned.shards++
 			pruned.facts += sh.n

@@ -150,7 +150,7 @@ func (s *Schema) resolveTables(sv *StructureVersion) []*resolveTable {
 // presentations on one target can only meet at an instant at which both
 // their sources hold a tuple, so a group's presentations merge only
 // when the instants of their sources' live tuples overlap
-// (MappedTable.ords); an ordinal presenting as itself alone, with no
+// (FactTable.ords); an ordinal presenting as itself alone, with no
 // merge, passes.
 type presentation struct {
 	pass   [][]bool
@@ -159,11 +159,11 @@ type presentation struct {
 
 // newPresentation reads the store's per-ordinal stats into the flags of
 // the mode with the given resolution tables.
-func newPresentation(res []*resolveTable, mt *MappedTable) *presentation {
+func newPresentation(res []*resolveTable, ft *FactTable) *presentation {
 	pr := &presentation{pass: make([][]bool, len(res)), merges: make([][]bool, len(res))}
 	for i, rt := range res {
 		instants := func(k int32) (temporal.Interval, bool) {
-			st := mt.ordStat(i, rt.targets[k].src)
+			st := ft.ordStat(i, rt.targets[k].src)
 			return st.instants, st.live > 0
 		}
 		merges := make([]bool, len(rt.targets))
@@ -201,7 +201,7 @@ func newPresentation(res []*resolveTable, mt *MappedTable) *presentation {
 type presenter struct {
 	res []*resolveTable
 	alg ConfidenceAlgebra
-	// flags are the scan's presentation, nil in a materialization (which
+	// flags are the scan's presentation, nil in Schema.Present (which
 	// merges by key whatever the flags say); base[i] is the index in
 	// res[i].targets of perDim[i][0], -1 for a pass-through.
 	flags  *presentation

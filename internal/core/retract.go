@@ -15,17 +15,3 @@ func FactsSpan(facts []*Fact) (temporal.Interval, bool) {
 	}
 	return window, true
 }
-
-// tombstone kills the tuple at global position pos: the slot stays in
-// place (positional indexing over fixed-size shards must never shift)
-// but its sources count drops to zero, every view and scan skips it,
-// and its key leaves the index so a later emission on the same
-// coordinates appends a fresh tuple.
-func (mt *MappedTable) tombstone(pos int) {
-	j := pos & shardMask
-	sh := mt.writableShard(pos>>shardShift, j)
-	sh.sources[j] = 0
-	mt.dead++
-	mt.countOrds(sh.coords[j*mt.nd:(j+1)*mt.nd], sh.times[j], -1)
-	mt.index.delete(tupleKey(sh.coords[j*mt.nd:(j+1)*mt.nd], sh.times[j]), pos)
-}

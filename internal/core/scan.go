@@ -96,7 +96,7 @@ type emission struct {
 	tuple, cell int32
 }
 
-// scanner walks the live shards of a mapped table in tuple order, on
+// scanner walks the live shards of the fact table in tuple order, on
 // the calling goroutine. Per shard it classifies every tuple into the
 // cells it emits to, then folds those emissions into their cells, so
 // every cell folds its emissions in tuple order. Everything it interns
@@ -104,7 +104,7 @@ type emission struct {
 // ranks them for the result.
 type scanner struct {
 	p    *scanPlan
-	mt   *MappedTable
+	ft   *FactTable
 	live []bool
 
 	// In a version mode, pres presents the tuples that do not pass
@@ -162,14 +162,17 @@ type scanner struct {
 	// comb is ⊗cf tabulated over the four factors (Definition 6: a
 	// function of its two operands), comb[a][b] = alg.Combine(a, b).
 	comb [numConfidence][numConfidence]Confidence
+	// sdRow is one row of sd factors, what every stored tuple folds
+	// (Definition 11: f'|tcm = f × {sd}ᵐ).
+	sdRow []Confidence
 
 	scanned, emitted int
 }
 
-func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, window int) *scanner {
+func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, window int) *scanner {
 	na := len(p.axes)
 	sc := &scanner{
-		p: p, mt: mt, live: live,
+		p: p, ft: ft, live: live,
 		t0:          t0,
 		slotAt:      make([]int32, window),
 		staticAxes:  make([]*axisView, na),
@@ -185,6 +188,7 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 		lo:          make([]int32, na),
 		hi:          make([]int32, na),
 		idx:         make([]int32, na),
+		sdRow:       make([]Confidence, ft.nm),
 	}
 	for di, dc := range p.dices {
 		sc.dicePos[di] = p.dims[dc.dim].pos
@@ -212,8 +216,8 @@ func newScanner(p *scanPlan, mt *MappedTable, live []bool, t0 temporal.Instant, 
 	}
 	if p.res != nil {
 		s := p.s
-		sc.pres = newPresenter(p.res, p.pres, mt.nm, s.alg, s.mappingGraph().identity)
-		sc.merged = newMergeMap(mt.nd, s.measures, s.alg)
+		sc.pres = newPresenter(p.res, p.pres, ft.nm, s.alg, s.mappingGraph().identity)
+		sc.merged = newMergeMap(ft.nd, s.measures, s.alg)
 	}
 	return sc
 }
@@ -368,9 +372,9 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 // coordinate and instant are one tuple) goes to the merge map; the
 // merged tuples are classified and folded last, in first-sight order.
 func (sc *scanner) scan(ctx context.Context) error {
-	p, mt := sc.p, sc.mt
-	nd := mt.nd
-	hasDead := mt.dead > 0
+	p, ft := sc.p, sc.ft
+	nd := ft.nd
+	hasDead := ft.dead > 0
 	rng := p.rng
 	// In a version mode, which coordinates pass as stored, per dimension.
 	var passes [][]bool
@@ -386,7 +390,7 @@ func (sc *scanner) scan(ctx context.Context) error {
 	// Fact instants repeat in runs; sl is the slot of lastT.
 	var sl *scanSlot
 	var lastT temporal.Instant
-	for si, sh := range mt.shards {
+	for si, sh := range ft.shards {
 		if !sc.live[si] {
 			continue
 		}
@@ -400,7 +404,7 @@ func (sc *scanner) scan(ctx context.Context) error {
 				}
 			}
 			steps++
-			if hasDead && sh.sources[j] == 0 {
+			if hasDead && !sh.isLive(j) {
 				continue // tombstoned by a retraction
 			}
 			t := sh.times[j]
@@ -421,7 +425,7 @@ func (sc *scanner) scan(ctx context.Context) error {
 			coords := sh.coords[j*nd : (j+1)*nd]
 			for i, pass := range passes {
 				if !pass[coords[i]] {
-					emits = sc.present(emits, sl, t, coords, sh.values[j*mt.nm:(j+1)*mt.nm])
+					emits = sc.present(emits, sl, t, coords, sh.values[j*ft.nm:(j+1)*ft.nm])
 					continue tuples
 				}
 			}
@@ -545,11 +549,13 @@ func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tupl
 
 // fold adds one shard's emissions to their cells, in tuple order:
 // Definition 12's ⊕ per measure and ⊗cf per confidence factor. Runs of
-// emissions of stored tuples fold from the shard's columns, runs of
-// presented ones from the scanner's.
+// emissions of stored tuples fold from the shard's values with
+// confidence sd (Definition 11: f'|tcm = f × {sd}ᵐ, and a tuple read as
+// stored presents as itself), runs of presented ones from the
+// scanner's values and confidences.
 func (sc *scanner) fold(sh *factShard, emits []emission) {
 	if sc.xrows == 0 {
-		sc.foldRows(sh.values, sh.cfs, emits)
+		sc.foldRows(sh.values, nil, emits)
 		return
 	}
 	for len(emits) > 0 {
@@ -558,7 +564,7 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 			n++
 		}
 		if stored {
-			sc.foldRows(sh.values, sh.cfs, emits[:n])
+			sc.foldRows(sh.values, nil, emits[:n])
 		} else {
 			sc.foldRows(sc.xvals, sc.xcfs, emits[:n])
 		}
@@ -568,11 +574,17 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 
 // foldRows folds emissions whose tuples are all rows of the given value
 // and confidence columns, a row either as is or complemented (^row).
+// A nil confidence column folds every factor as sd: every row reads
+// the scanner's one row of sd factors.
 func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
-	nm, nq, alg, comb := sc.mt.nm, len(sc.p.mIdx), sc.p.s.alg, &sc.comb
+	nm, nq, alg, comb := sc.ft.nm, len(sc.p.mIdx), sc.p.s.alg, &sc.comb
+	stride := nm
+	if tcfs == nil {
+		tcfs, stride = sc.sdRow, 0
+	}
 	for _, e := range emits {
 		j, c := int(e.tuple^e.tuple>>31), int(e.cell)
-		vals, vcfs := values[j*nm:(j+1)*nm], tcfs[j*nm:(j+1)*nm]
+		vals, vcfs := values[j*nm:(j+1)*nm], tcfs[j*stride:j*stride+nm]
 		accs, cfs := sc.accs[c*nq:(c+1)*nq], sc.cfs[c*nq:(c+1)*nq]
 		first := sc.cellN[c] == 0
 		for k, mi := range sc.p.mIdx {

@@ -22,6 +22,8 @@ type naiveTuple struct {
 	Time   temporal.Instant
 	Values []float64
 	CFs    []Confidence
+	// Sources counts the presentations merged into the tuple.
+	Sources int
 }
 
 // naivePresent is one way of presenting a source member version in a
@@ -119,7 +121,7 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 	s.Facts().All(func(f *Fact) bool {
 		if m.Kind != VersionKind {
 			tuples = append(tuples, &naiveTuple{Coords: f.Coords.Clone(), Time: f.Time,
-				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm)})
+				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm), Sources: 1})
 			return true
 		}
 		per := make([][]naivePresent, len(f.Coords))
@@ -136,7 +138,7 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 		combo := make([]int, len(per))
 		for {
 			tu := &naiveTuple{Coords: make(Coords, len(per)), Time: f.Time,
-				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm)}
+				Values: slices.Clone(f.Values), CFs: make([]Confidence, nm), Sources: 1}
 			for i, ps := range per {
 				p := ps[combo[i]]
 				tu.Coords[i] = p.target
@@ -158,6 +160,7 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 				cells[key] = c
 				order = append(order, c)
 			} else {
+				c.tuple.Sources++
 				for k := range tu.CFs {
 					c.tuple.CFs[k] = alg.Combine(c.tuple.CFs[k], tu.CFs[k])
 				}
@@ -672,8 +675,8 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			}
 			clone.WarmFrom(context.Background(), grown, Delta{Retracted: retracted})
 			ca = clone.Dimension("A")
-			if mt, err := clone.MultiVersion().Mode(TCM()); err != nil || mt.dead == 0 {
-				t.Fatalf("warm tcm table carries no tombstone (err %v)", err)
+			if clone.Facts().dead == 0 {
+				t.Fatal("the clone's fact table carries no tombstone")
 			}
 			if got := ca.ancestorsAtLevel("Lnew", "Mid", ym(2000, 6)); len(got) != 0 {
 				t.Fatalf("a member past a shared table's end rolls up to %v before it exists", got)
@@ -722,6 +725,77 @@ func TestPropertyScanMatchesNaiveReferenceUnderAlgebras(t *testing.T) {
 				for _, m := range s.Modes() {
 					requireMatchesOracle(t, "every mode", s, Query{Grain: GrainAll, Mode: m})
 				}
+			})
+		}
+	}
+}
+
+// TestPresentMatchesNaiveMapped holds Schema.Present — the scan's
+// presenter and merge map over every live tuple — against naiveMapped,
+// which derives f' from the facts and the mapping relationships alone,
+// in every mode of the oracle schemas: under Example 5's algebra and
+// under the two of TestPropertyScanMatchesNaiveReferenceUnderAlgebras,
+// and, under Example 5's, again on a clone with retracted facts. Tuples
+// come in the same order with the same coordinates, instants,
+// confidences and source counts, and the same number of facts drops.
+// Sum, Max and Count values match bit for bit; an Avg value, which
+// Present folds as a running mean and the oracle as one sum over the
+// count, within a relative 1e-12.
+func TestPresentMatchesNaiveMapped(t *testing.T) {
+	sd, em, am, uk := SourceData, ExactMapping, ApproxMapping, UnknownMapping
+	// TestPropertyScanMatchesNaiveReferenceUnderAlgebras's lastWins.
+	lastWins := &TruthTable{Label: "last-am-or-uk-wins", Table: [numConfidence][numConfidence]Confidence{
+		{sd, em, am, uk},
+		{em, em, am, uk},
+		{am, am, am, uk},
+		{uk, uk, am, uk},
+	}}
+	requireSame := func(t *testing.T, label string, s *Schema) {
+		t.Helper()
+		for _, m := range s.Modes() {
+			got, gotDropped := presented(t, s, m)
+			want, wantDropped := naiveMapped(s, m)
+			l := fmt.Sprintf("%s mode %s", label, m)
+			if gotDropped != wantDropped || len(got) != len(want) {
+				t.Fatalf("%s: %d tuples, %d dropped; want %d, %d", l, len(got), gotDropped, len(want), wantDropped)
+			}
+			for i, w := range want {
+				g := got[i]
+				if !g.Coords.Equal(w.Coords) || g.Time != w.Time || !slices.Equal(g.CFs, w.CFs) || g.Sources != w.Sources {
+					t.Fatalf("%s tuple %d: %v@%v cf %v sources %d; want %v@%v cf %v sources %d",
+						l, i, g.Coords, g.Time, g.CFs, g.Sources, w.Coords, w.Time, w.CFs, w.Sources)
+				}
+				for k, wv := range w.Values {
+					gv := g.Values[k]
+					same := math.Float64bits(gv) == math.Float64bits(wv)
+					if s.Measures()[k].Agg == Avg && !same {
+						same = math.Abs(gv-wv) <= 1e-12*math.Abs(wv)
+					}
+					if !same {
+						t.Fatalf("%s tuple %d %v@%v measure %s: %v, want %v", l, i, g.Coords, g.Time, s.Measures()[k].Name, gv, wv)
+					}
+				}
+			}
+		}
+	}
+	for _, alg := range []ConfidenceAlgebra{PaperAlgebra(), NewQuantitativeAlgebra(), lastWins} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", alg.Name(), seed), func(t *testing.T) {
+				s := oracleSchema(t, seed)
+				s.SetConfidenceAlgebra(alg)
+				requireSame(t, "schema", s)
+				if alg.Name() != PaperAlgebra().Name() {
+					return
+				}
+				clone := s.Clone()
+				r := rand.New(rand.NewSource(seed))
+				for k := 0; k < 25; k++ {
+					victim := clone.Facts().Facts()[r.Intn(clone.Facts().Len())]
+					if _, err := clone.RetractFact(victim.Coords, victim.Time); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSame(t, "clone", clone)
 			})
 		}
 	}

@@ -35,8 +35,6 @@ type Schema struct {
 	mu sync.Mutex
 	// cached structure versions; invalidated on a dimension mutation.
 	svCache []*StructureVersion
-	// cached MultiVersion Fact Table handle; invalidated on mutation.
-	mvftCache *MultiVersionFactTable
 	// graph is the mapping graph of mappings under alg, built on first
 	// use and dropped when either changes; resolution tables key on it.
 	graph *mappingGraph
@@ -151,7 +149,7 @@ func (s *Schema) MeasureIndex(name string) int {
 func (s *Schema) Facts() *FactTable { return s.facts }
 
 // AddMapping registers a mapping relationship after validating it, the
-// Associate operator's underlying primitive. It drops the mapped modes
+// Associate operator's underlying primitive. It drops the mapping graph
 // only: structure versions read the dimensions alone (Definition 9).
 func (s *Schema) AddMapping(m MappingRelationship) error {
 	if err := m.Validate(len(s.measures)); err != nil {
@@ -164,7 +162,6 @@ func (s *Schema) AddMapping(m MappingRelationship) error {
 		return fmt.Errorf("core: mapping %s→%s: unknown member version %q", m.From, m.To, m.To)
 	}
 	s.mappings = append(s.mappings, m)
-	s.dropModes()
 	s.mu.Lock()
 	s.graph = nil
 	s.mu.Unlock()
@@ -213,7 +210,7 @@ func (s *Schema) InsertFact(coords Coords, t temporal.Instant, values ...float64
 			return fmt.Errorf("core: fact coordinate %q not valid at %s (valid %v)", id, t, mv.Valid)
 		}
 	}
-	return s.writableFacts().Insert(coords, t, values...)
+	return s.facts.Insert(coords, t, values...)
 }
 
 // RetractFact removes the fact stored at (coords, t) — the
@@ -230,8 +227,27 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 	if _, ok := s.facts.Lookup(coords, t); !ok {
 		return nil, fmt.Errorf("core: no fact at %s %s to retract", strings.Trim(fmt.Sprint(coords), "[]"), t)
 	}
-	old, _ := s.writableFacts().Retract(coords, t)
+	old, _ := s.facts.Retract(coords, t)
 	return old, nil
+}
+
+// EndVersion ends member version id of dimension dim at end
+// (Dimension.SetEnd), the Exclude operator's underlying primitive,
+// unless a stored fact holds the version at an instant past end:
+// ending it there would leave a fact whose coordinate is not valid at
+// its instant (Definition 5), which no snapshot could load again. The
+// error names the first such fact; the caller retracts or re-maps the
+// facts first.
+func (s *Schema) EndVersion(dim DimID, id MVID, end temporal.Instant) error {
+	i := s.DimIndex(dim)
+	if i < 0 {
+		return fmt.Errorf("core: unknown dimension %q", dim)
+	}
+	if f, ok := s.facts.firstAfter(i, id, end); ok {
+		return fmt.Errorf("core: dimension %s: cannot end %q at %s: the fact at %s %s holds it; retract it first",
+			dim, id, end, strings.Trim(fmt.Sprint(f.Coords), "[]"), f.Time)
+	}
+	return s.dims[i].SetEnd(id, end)
 }
 
 // MustInsertFact is InsertFact panicking on error; for fixtures.
@@ -297,38 +313,11 @@ func (s *Schema) Clone() *Schema {
 	return out
 }
 
-// invalidate drops the structure versions and the MultiVersion handle
-// by unlinking them, after a dimension mutation. A handle obtained
-// before the mutation keeps its own (now detached) snapshot of the
-// facts; only handles fetched from MultiVersion() after the mutation
-// see the new state.
+// invalidate drops the structure versions after a dimension mutation.
 func (s *Schema) invalidate() {
 	s.mu.Lock()
 	s.svCache = nil
-	s.mvftCache = nil
 	s.mu.Unlock()
-}
-
-// dropModes drops the MultiVersion handle after a change to the facts
-// or the mappings, which the structure versions do not read. It returns
-// the dropped handle, nil when there was none.
-func (s *Schema) dropModes() *MultiVersionFactTable {
-	s.mu.Lock()
-	mv := s.mvftCache
-	s.mvftCache = nil
-	s.mu.Unlock()
-	return mv
-}
-
-// writableFacts drops the MultiVersion handle ahead of a write to the
-// fact table through the schema and returns the table to write. A
-// handle already handed out keeps its snapshot: the table it holds is
-// left to it, and the schema writes a copy-on-write clone instead.
-func (s *Schema) writableFacts() *FactTable {
-	if mv := s.dropModes(); mv != nil {
-		s.facts = s.facts.clone(s)
-	}
-	return s.facts
 }
 
 // Invalidate drops derived caches. Dimension mutations through the

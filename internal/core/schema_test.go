@@ -117,13 +117,13 @@ func TestAddMappingValidation(t *testing.T) {
 
 // TestAddMappingKeepsStructureVersions: Definition 9 reads the
 // dimensions alone, so registering a mapping (Associate) drops the
-// mapped modes and keeps the structure versions, with no chain swept
-// again.
+// mapping graph the version modes' resolution tables key on and keeps
+// the structure versions, with no chain swept again.
 func TestAddMappingKeepsStructureVersions(t *testing.T) {
 	s := orgSchema(t)
 	before := s.StructureVersions()
 	chain := s.Dimension("Org").derived.chain.Load()
-	mv := s.MultiVersion()
+	graph := s.mappingGraph()
 	if err := s.AddMapping(MappingRelationship{
 		From:     "Jones",
 		To:       "Bill",
@@ -132,8 +132,8 @@ func TestAddMappingKeepsStructureVersions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.MultiVersion() == mv {
-		t.Error("the mapped modes survived a new mapping")
+	if s.mappingGraph() == graph {
+		t.Error("the mapping graph survived a new mapping")
 	}
 	if after := s.StructureVersions(); &after[0] != &before[0] {
 		t.Error("a new mapping dropped the structure versions")

@@ -39,11 +39,8 @@ func bigTCMSchema(t testing.TB, n int) *Schema {
 func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	const n = 2*MappedShardSize + 100
 	base := bigTCMSchema(t, n)
-	baseT, err := base.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := baseT.NumShards(); got != 3 {
+	baseT := base.Facts()
+	if got := len(baseT.shards); got != 3 {
 		t.Fatalf("base table has %d shards, want 3", got)
 	}
 
@@ -52,20 +49,14 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	if err := clone.InsertFact(Coords{"Smith"}, ym(2500, 1), 42); err != nil {
 		t.Fatal(err)
 	}
-	cloneT, err := clone.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := clone.MultiVersion().Materializations(); b != 0 {
-		t.Fatalf("the clone performed %d materializations", b)
-	}
+	cloneT := clone.Facts()
 
 	// The append landed in the partial tail shard: the clone borrowed it
 	// — its own header over the base's columns, sharing the first 100
 	// slots — and copied nothing; the two full shards are shared by
 	// identity.
-	if cloneT.NumShards() != 3 {
-		t.Fatalf("clone has %d shards, want 3", cloneT.NumShards())
+	if len(cloneT.shards) != 3 {
+		t.Fatalf("clone has %d shards, want 3", len(cloneT.shards))
 	}
 	for si := 0; si < 2; si++ {
 		if cloneT.shards[si] != baseT.shards[si] {
@@ -85,6 +76,9 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	if ct.claim != bt.claim || bt.claim.Load() != 101 {
 		t.Errorf("tail claim not shared or not taken: %d", bt.claim.Load())
 	}
+	if &ct.live[0] == &bt.live[0] || !ct.isLive(100) || bt.isLive(100) || !bt.isLive(99) || !ct.isLive(99) {
+		t.Error("the borrowed tail's live bitmap is not its own, or its bits are wrong")
+	}
 	if got := metShardsPrivatized.Value() - privatized; got != 0 {
 		t.Errorf("%d shards privatized by an append-only delta, want 0", got)
 	}
@@ -97,8 +91,8 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	if _, ok := baseT.Lookup(Coords{"Smith"}, ym(2500, 1)); ok {
 		t.Error("delta fact leaked into the published base table")
 	}
-	if f, ok := cloneT.Lookup(Coords{"Smith"}, ym(2500, 1)); !ok || f.Values[0] != 42 {
-		t.Errorf("delta fact missing from the clone: %v %v", f, ok)
+	if v, ok := cloneT.Lookup(Coords{"Smith"}, ym(2500, 1)); !ok || v[0] != 42 {
+		t.Errorf("delta fact missing from the clone: %v %v", v, ok)
 	}
 
 	// Shared shards carry the base's epoch, not the clone's: any write
@@ -116,65 +110,68 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	}
 }
 
-// TestMergePrivatizesOnlyTouchedShard drives a merge (add at an
-// existing key) into the first shard of a table's clone: that shard must
-// be privatized and folded, every other shard must stay shared, and
-// the source tuple must keep its original bits.
+// TestMergePrivatizesOnlyTouchedShard drives a write into an existing
+// slot — a replacing insert; the store merges nothing, a mode's merges
+// being presented — into the first shard of a table's clone: that shard
+// must be privatized and written, every other shard must stay shared,
+// and the source tuple must keep its original bits.
 func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	const n = MappedShardSize + 50
 	s := bigTCMSchema(t, n)
-	baseT, err := s.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := baseT.clone(s)
+	baseT := s.Facts()
+	out := s.Clone().Facts()
 
-	// Tuple 0 lives in shard 0: fold a second contribution into it.
+	// Tuple 0 lives in shard 0: replace its value.
 	f0 := baseT.Facts()[0]
 	wantBase := f0.Values[0]
-	out.add(ordsOf(s, f0.Coords), f0.Time, []float64{5}, []Confidence{SourceData})
+	if err := out.Insert(f0.Coords, f0.Time, wantBase+5); err != nil {
+		t.Fatal(err)
+	}
 
 	if out.Len() != baseT.Len() {
-		t.Fatalf("merge changed the tuple count: %d vs %d", out.Len(), baseT.Len())
+		t.Fatalf("replacement changed the tuple count: %d vs %d", out.Len(), baseT.Len())
 	}
 	if out.shards[0] == baseT.shards[0] {
-		t.Fatal("merged-into shard still shared")
+		t.Fatal("written shard still shared")
 	}
 	if out.shards[1] != baseT.shards[1] {
-		t.Error("untouched shard was copied by a merge elsewhere")
+		t.Error("untouched shard was copied by a write elsewhere")
 	}
 	if got := baseT.shards[0].values[0]; got != wantBase {
-		t.Errorf("merge leaked into the published source: %v", got)
+		t.Errorf("replacement leaked into the published source: %v", got)
 	}
 	if got := out.shards[0].values[0]; got != wantBase+5 {
-		t.Errorf("merge result = %v, want %v", got, wantBase+5)
+		t.Errorf("replacement result = %v, want %v", got, wantBase+5)
 	}
-	if got := out.shards[0].sources[0]; got != 2 {
-		t.Errorf("merged sources = %d, want 2", got)
-	}
-	if got := baseT.shards[0].sources[0]; got != 1 {
-		t.Errorf("source count mutated on the published table: %d", got)
+	if !out.shards[0].isLive(0) || !baseT.shards[0].isLive(0) {
+		t.Error("a replacement changed a live bit")
 	}
 
-	// Shard 1 is the partial tail. An append borrows it; a merge into the
-	// slot this table just appended stays in place, a merge into a slot
+	// Shard 1 is the partial tail. An append borrows it; a write into the
+	// slot this table just appended stays in place, a write into a slot
 	// below sharedBelow — one the base still reads — privatizes it.
-	fresh := ordsOf(s, Coords{"Smith"})
-	out.add(fresh, ym(2600, 1), []float64{1}, []Confidence{SourceData})
+	fresh := Coords{"Smith"}
+	if err := out.Insert(fresh, ym(2600, 1), 1); err != nil {
+		t.Fatal(err)
+	}
 	borrowed := out.shards[1]
 	if borrowed == baseT.shards[1] || &borrowed.times[0] != &baseT.shards[1].times[0] || borrowed.sharedBelow != 50 {
 		t.Fatalf("append into the partial tail did not borrow it (sharedBelow %d)", borrowed.sharedBelow)
 	}
-	out.add(fresh, ym(2600, 1), []float64{2}, []Confidence{SourceData})
+	if err := out.Insert(fresh, ym(2600, 1), 3); err != nil {
+		t.Fatal(err)
+	}
 	if out.shards[1] != borrowed || borrowed.values[50] != 3 {
-		t.Fatalf("merge into an owned slot of a borrowed tail copied it or lost the fold (%v)", borrowed.values[50])
+		t.Fatalf("write into an owned slot of a borrowed tail copied it or lost the value (%v)", borrowed.values[50])
 	}
 	f1 := baseT.Facts()[MappedShardSize]
 	want1 := f1.Values[0]
-	out.add(ordsOf(s, f1.Coords), f1.Time, []float64{5}, []Confidence{SourceData})
+	if err := out.Insert(f1.Coords, f1.Time, want1+5); err != nil {
+		t.Fatal(err)
+	}
 	priv := out.shards[1]
 	if priv == borrowed || &priv.times[0] == &baseT.shards[1].times[0] || priv.sharedBelow != 0 {
-		t.Fatal("merge below sharedBelow wrote into the shared columns")
+		t.Fatal("write below sharedBelow wrote into the shared columns")
 	}
 	if baseT.shards[1].values[0] != want1 || priv.values[0] != want1+5 || priv.values[50] != 3 {
 		t.Errorf("after privatizing: base %v, clone %v/%v; want %v, %v/3",
@@ -251,7 +248,7 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 }
 
 // TestCloneForWarmAllocationBound is the regression for a table's
-// copy-on-write clone (MappedTable.clone, behind every FactTable.clone):
+// copy-on-write clone (FactTable.clone, behind every Schema.Clone):
 // its cost must be O(shard headers), never O(warehouse).
 // Allocation counts are the tripwire — the old layout copied one
 // pointer slice entry and one owned-map entry per tuple, so its
@@ -260,14 +257,7 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 func TestCloneForWarmAllocationBound(t *testing.T) {
 	small := bigTCMSchema(t, 2*MappedShardSize)
 	big := bigTCMSchema(t, 8*MappedShardSize)
-	smallT, err := small.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigT, err := big.MultiVersion().Mode(TCM())
-	if err != nil {
-		t.Fatal(err)
-	}
+	smallT, bigT := small.Facts(), big.Facts()
 	allocsSmall := testing.AllocsPerRun(20, func() {
 		_ = smallT.clone(small)
 	})
@@ -343,20 +333,17 @@ func TestFactWriteAllocation(t *testing.T) {
 	}
 }
 
-// BenchmarkMappedTableLookup measures the index probe of a table clone
+// BenchmarkFactTableLookup measures the index probe of a table clone
 // at its worst and at its best. The deep table has absorbed exactly as
 // many fresh keys as give the key index its maximum layer count before
 // the next flatten (2^k−1 seals leave k sealed layers over the bottom),
 // so a bottom hit and a miss pay a probe of the top and of every layer;
-// a fresh clone of a cold-built table pays one probe, its empty top
+// a fresh clone of a freshly loaded table pays one probe, its empty top
 // skipped.
-func BenchmarkMappedTableLookup(b *testing.B) {
+func BenchmarkFactTableLookup(b *testing.B) {
 	const n = 16 * MappedShardSize
 	s := bigTCMSchema(b, n)
-	baseT, err := s.MultiVersion().Mode(TCM())
-	if err != nil {
-		b.Fatal(err)
-	}
+	baseT := s.Facts()
 	depth := 0
 	for ((2<<depth)-1)*indexSealAt*indexFlattenRatio <= n {
 		depth++
@@ -366,7 +353,9 @@ func BenchmarkMappedTableLookup(b *testing.B) {
 	deep := baseT.clone(s)
 	for i := 0; i <= seals*indexSealAt; i++ {
 		c, at := fresh(i)
-		deep.add(ordsOf(s, c), at, []float64{1}, []Confidence{SourceData})
+		if err := deep.Insert(c, at, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if got := len(deep.index.layers); got != depth+1 {
 		b.Fatalf("deep table has %d index layers, want the bottom plus %d", got, depth)
@@ -374,12 +363,12 @@ func BenchmarkMappedTableLookup(b *testing.B) {
 
 	f0 := baseT.Facts()[0]
 	c, at := fresh(seals * indexSealAt) // the last key added: alone in the top
-	probe := func(mt *MappedTable, c Coords, at temporal.Instant, want bool) func(b *testing.B) {
+	probe := func(ft *FactTable, c Coords, at temporal.Instant, want bool) func(b *testing.B) {
 		ords := ordsOf(s, c)
 		h := tupleKey(ords, at)
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := mt.find(h, ords, at); ok != want {
+				if _, ok := ft.find(h, ords, at); ok != want {
 					b.Fatalf("find = %v, want %v", ok, want)
 				}
 			}

@@ -5,12 +5,40 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
 
 	"mvolap/internal/temporal"
 )
+
+// presented collects f'|m through Schema.Present, each tuple copied out
+// of the walk's scratch, with the number of facts the mode drops.
+func presented(t testing.TB, s *Schema, m Mode) ([]*MappedFact, int) {
+	t.Helper()
+	var out []*MappedFact
+	dropped, err := s.Present(m, func(f *MappedFact) bool {
+		out = append(out, &MappedFact{Coords: f.Coords.Clone(), Time: f.Time,
+			Values: slices.Clone(f.Values), CFs: slices.Clone(f.CFs), Sources: f.Sources})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, dropped
+}
+
+// presentedAt returns the tuple of facts at (c, at).
+func presentedAt(facts []*MappedFact, c Coords, at temporal.Instant) (*MappedFact, bool) {
+	for _, f := range facts {
+		if f.Time == at && f.Coords.Equal(c) {
+			return f, true
+		}
+	}
+	return nil, false
+}
 
 // randomEvolvingSchema builds a deterministic pseudo-random schema whose
 // dimension members appear and disappear at random instants, producing a

@@ -2,11 +2,12 @@ package core
 
 import "mvolap/internal/temporal"
 
-// Warm export: the image of one materialized MappedTable in its native
-// columnar shard layout. Tuple order is preserved (it encodes the fold
-// order, and with it every floating-point bit), values travel as
-// Float64bits (NaN payloads survive), and the Avg contribution counts,
-// Sources and Dropped ride along. Nothing exports one any more: the
+// Warm export: the serializable image of one materialized mode in the
+// columnar shard layout earlier builds stored modes in. Tuple order is
+// preserved (it encodes the fold order, and with it every
+// floating-point bit), values travel as Float64bits (NaN payloads
+// survive), and the Avg contribution counts, Sources and Dropped ride
+// along. No mode is materialized any more and nothing exports one: the
 // types stay for internal/schemaio's codec, which the benchmark
 // module's serial replay still compiles against.
 
@@ -26,8 +27,8 @@ type MappedShardExport struct {
 	AvgN    []int32
 }
 
-// MappedTableExport is the serializable image of one cached mode's
-// MappedTable, together with its structural identity (the ID, interval
+// MappedTableExport is the serializable image of one materialized
+// mode, together with its structural identity (the ID, interval
 // and signature that warm retention compares across a clone-swap).
 // Every shard except the last holds exactly MappedShardSize tuples.
 type MappedTableExport struct {
@@ -46,7 +47,7 @@ type MappedTableExport struct {
 }
 
 // ExportWarmModes used to export the materialized modes of the
-// schema's MVFT cache. A mode has no materialized state any more, so it
+// schema's mode cache. A mode has no materialized state any more, so it
 // returns nil.
 //
 // Deprecated: only the benchmark module's serial replay calls it; it is

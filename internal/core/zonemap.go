@@ -14,10 +14,10 @@ const zoneDistinctCap = 32
 // shardZone is the zone map of one factShard: the min/max fact instant
 // and, per dimension, the sorted distinct member version ordinals of
 // the live tuples — nil once the shard exceeds zoneDistinctCap of them.
-// A zone describes the shard's coords and times columns only — merge
-// folds (which rewrite values, confidences and source counts, never
-// coordinates or times) keep it valid; appends invalidate it
-// (MappedTable.add clears the pointer and re-seals a full shard).
+// A zone describes the shard's coords and times columns and its live
+// bitmap: a replacing insert (which rewrites values only) keeps it
+// valid, an append invalidates it (FactTable.appendTuple clears the
+// pointer and re-seals a full shard) and a retraction rebuilds it.
 //
 // The query scan consults zones to skip shards that cannot contain a
 // tuple passing the query's time window or its prunable dice filters.
@@ -27,13 +27,13 @@ type shardZone struct {
 }
 
 // buildZone computes the zone map over the first n tuples of the shard
-// columns, skipping tombstoned slots (sources == 0) so a retraction
+// columns, skipping tombstoned slots so a retraction
 // tightens the envelope instead of pinning it to dead coordinates. nd
 // is the coordinate width.
 func buildZone(sh *factShard, nd int) *shardZone {
 	first := -1
 	for i := 0; i < sh.n; i++ {
-		if sh.sources[i] != 0 {
+		if sh.isLive(i) {
 			first = i
 			break
 		}
@@ -49,7 +49,7 @@ func buildZone(sh *factShard, nd int) *shardZone {
 		distinct: make([][]int32, nd),
 	}
 	for i := first; i < sh.n; i++ {
-		if sh.sources[i] == 0 {
+		if !sh.isLive(i) {
 			continue
 		}
 		t := sh.times[i]
@@ -63,7 +63,7 @@ func buildZone(sh *factShard, nd int) *shardZone {
 	for d := 0; d < nd; d++ {
 		set := make([]int32, 0, zoneDistinctCap+1)
 		for i := first; i < sh.n && set != nil; i++ {
-			if sh.sources[i] == 0 {
+			if !sh.isLive(i) {
 				continue
 			}
 			ord := sh.coords[i*nd+d]
@@ -82,8 +82,8 @@ func buildZone(sh *factShard, nd int) *shardZone {
 // zoneMap returns the shard's zone, building and caching it when
 // absent. Safe on published (read-only) shards: a concurrent duplicate
 // build stores an identical zone. Shards still receiving appends carry
-// a nil cached zone (cleared by add); callers on such tables rebuild
-// per call, which only the single-writer materialization path does.
+// a nil cached zone (cleared by appendTuple) and are rebuilt on the
+// first scan after the write.
 func (sh *factShard) zoneMap(nd int) *shardZone {
 	if z := sh.zone.Load(); z != nil {
 		return z

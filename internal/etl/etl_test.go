@@ -210,13 +210,17 @@ Dpt.Brian,R&D
 	s.MustInsertFact(core.Coords{"Dpt.Jones"}, y(2001), 100)
 	s.MustInsertFact(core.Coords{"Dpt.Smith"}, y(2001), 50)
 	v2 := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(v2))
-	if err != nil {
+	var got []float64
+	if _, err := s.Present(core.InVersion(v2), func(f *core.MappedFact) bool {
+		if f.Time == y(2001) && f.Coords.Equal(core.Coords{"Dpt.JS"}) {
+			got = append(got, f.Values...)
+		}
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := mt.Lookup(core.Coords{"Dpt.JS"}, y(2001))
-	if !ok || got.Values[0] != 150 {
-		t.Errorf("merged value = %+v", got)
+	if len(got) != 1 || got[0] != 150 {
+		t.Errorf("merged value = %v", got)
 	}
 }
 

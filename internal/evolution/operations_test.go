@@ -2,6 +2,7 @@ package evolution
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mvolap/internal/core"
@@ -162,10 +163,7 @@ func TestMergeOperation(t *testing.T) {
 	s.MustInsertFact(core.Coords{"V1"}, y(2001), 30)
 	s.MustInsertFact(core.Coords{"V2"}, y(2001), 12)
 	v2 := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := presentMode(t, s, core.InVersion(v2))
 	got, ok := mt.Lookup(core.Coords{"V12"}, y(2001))
 	if !ok || got.Values[0] != 42 {
 		t.Errorf("merged presentation = %+v, want 42", got)
@@ -177,10 +175,7 @@ func TestMergeOperation(t *testing.T) {
 	// unknown to V2.
 	s.MustInsertFact(core.Coords{"V12"}, y(2002), 100)
 	v1 := s.VersionAt(y(2001))
-	mt, err = s.MultiVersion().Mode(core.InVersion(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt = presentMode(t, s, core.InVersion(v1))
 	gv1, ok := mt.Lookup(core.Coords{"V1"}, y(2002))
 	if !ok || gv1.Values[0] != 50 || gv1.CFs[0] != core.ApproxMapping {
 		t.Errorf("back-mapped V1 = %+v, want 50 (am)", gv1)
@@ -218,20 +213,14 @@ func TestIncreaseOperation(t *testing.T) {
 	s.MustInsertFact(core.Coords{"V+"}, y(2002), 50)
 	// Forward: V's 10 becomes 20 on V+ (am).
 	vNew := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(vNew))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := presentMode(t, s, core.InVersion(vNew))
 	fwd, ok := mt.Lookup(core.Coords{"V+"}, y(2001))
 	if !ok || fwd.Values[0] != 20 || fwd.CFs[0] != core.ApproxMapping {
 		t.Errorf("forward = %+v, want 20 (am)", fwd)
 	}
 	// Backward: V+'s 50 becomes 25 on V (x→0.5x).
 	vOld := s.VersionAt(y(2001))
-	mt, err = s.MultiVersion().Mode(core.InVersion(vOld))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt = presentMode(t, s, core.InVersion(vOld))
 	back, ok := mt.Lookup(core.Coords{"V"}, y(2002))
 	if !ok || back.Values[0] != 25 {
 		t.Errorf("backward = %+v, want 25", back)
@@ -262,10 +251,7 @@ func TestDecreaseOperation(t *testing.T) {
 	}
 	s.MustInsertFact(core.Coords{"V"}, y(2001), 100)
 	vNew := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(vNew))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := presentMode(t, s, core.InVersion(vNew))
 	got, ok := mt.Lookup(core.Coords{"V-"}, y(2001))
 	if !ok || math.Abs(got.Values[0]-70) > 1e-9 || got.CFs[0] != core.ApproxMapping {
 		t.Errorf("decreased presentation = %+v, want 70 (am)", got)
@@ -310,10 +296,7 @@ func TestPartialAnnexationOperation(t *testing.T) {
 	s.MustInsertFact(core.Coords{"V1"}, y(2001), 100)
 	s.MustInsertFact(core.Coords{"V2"}, y(2001), 40)
 	vNew := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(vNew))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := presentMode(t, s, core.InVersion(vNew))
 	g1, ok := mt.Lookup(core.Coords{"V1-"}, y(2001))
 	if !ok || math.Abs(g1.Values[0]-90) > 1e-9 {
 		t.Errorf("V1- = %+v, want 90", g1)
@@ -363,10 +346,7 @@ func TestTransformKeepsEquivalence(t *testing.T) {
 	s.MustInsertFact(core.Coords{"Jones2"}, y(2002), 120)
 	// In the 2002 version, 2001 data presents on Jones2 unchanged (em).
 	v2 := s.VersionAt(y(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := presentMode(t, s, core.InVersion(v2))
 	got, ok := mt.Lookup(core.Coords{"Jones2"}, y(2001))
 	if !ok || got.Values[0] != 100 || got.CFs[0] != core.ExactMapping {
 		t.Errorf("transformed presentation = %+v, want 100 (em)", got)
@@ -407,4 +387,32 @@ func TestTransformChangesAttributes(t *testing.T) {
 	if len(vs) != 2 {
 		t.Errorf("versions of member = %d", len(vs))
 	}
+}
+
+// presentedMode is f'|m as Schema.Present lists it.
+type presentedMode []*core.MappedFact
+
+// presentMode collects f'|m, each tuple copied out of the walk's
+// scratch.
+func presentMode(t *testing.T, s *core.Schema, m core.Mode) presentedMode {
+	t.Helper()
+	var out presentedMode
+	if _, err := s.Present(m, func(f *core.MappedFact) bool {
+		out = append(out, &core.MappedFact{Coords: f.Coords.Clone(), Time: f.Time,
+			Values: slices.Clone(f.Values), CFs: slices.Clone(f.CFs), Sources: f.Sources})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Lookup returns the tuple at (c, at).
+func (p presentedMode) Lookup(c core.Coords, at temporal.Instant) (*core.MappedFact, bool) {
+	for _, f := range p {
+		if f.Time == at && f.Coords.Equal(c) {
+			return f, true
+		}
+	}
+	return nil, false
 }

@@ -139,13 +139,13 @@ type Exclude struct {
 	At  temporal.Instant
 }
 
-// Apply truncates the version and its relationships.
+// Apply truncates the version and its relationships. It refuses, and
+// changes nothing, when a stored fact holds the version at or after At
+// (Schema.EndVersion): the facts are retracted or re-mapped first. WAL
+// replay and followers apply records through here, so they refuse what
+// the leader refuses.
 func (op Exclude) Apply(s *core.Schema) error {
-	d := s.Dimension(op.Dim)
-	if d == nil {
-		return fmt.Errorf("evolution: unknown dimension %q", op.Dim)
-	}
-	return d.SetEnd(op.ID, op.At.Prev())
+	return s.EndVersion(op.Dim, op.ID, op.At.Prev())
 }
 
 // Describe renders the Table 11 notation.

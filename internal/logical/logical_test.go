@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"fmt"
 	"testing"
 
 	"mvolap/internal/casestudy"
@@ -101,13 +102,17 @@ func TestRewriteReclassify(t *testing.T) {
 	// new structure version.
 	s.MustInsertFact(core.Coords{"Smith"}, temporal.Year(2001), 50)
 	v2 := s.VersionAt(temporal.Year(2002))
-	mt, err := s.MultiVersion().Mode(core.InVersion(v2))
-	if err != nil {
+	var got []string
+	if _, err := s.Present(core.InVersion(v2), func(f *core.MappedFact) bool {
+		if f.Time == temporal.Year(2001) && f.Coords.Equal(core.Coords{"Smith@01/2002"}) {
+			got = append(got, fmt.Sprint(f.Values[0], " ", f.CFs[0]))
+		}
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := mt.Lookup(core.Coords{"Smith@01/2002"}, temporal.Year(2001))
-	if !ok || got.Values[0] != 50 || got.CFs[0] != core.SourceData {
-		t.Errorf("mapped presentation = %+v, want 50 (sd)", got)
+	if want := fmt.Sprint(50.0, " ", core.SourceData); len(got) != 1 || got[0] != want {
+		t.Errorf("mapped presentation = %v, want [%s]", got, want)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 
 // Facts codec: the source fact table as one columnar binary payload,
 // the facts section of the store's snapshot container. Facts travel in
-// insertion order — it is the fold order of every materialization, so
-// a warehouse reloaded from here rebuilds bit-identical tables — and
+// insertion order — it is the fold order of every query and every
+// presentation of a mode, so a warehouse reloaded from here answers bit
+// for bit as the one written — and
 // nothing passes through text: instants are raw int64 (Now and Origin
 // survive), values are Float64bits (NaN payloads survive). Member
 // version IDs are written once, in order of first use, and each

@@ -111,9 +111,6 @@ func evolvedSchema(t testing.TB) (*core.Schema, *evolution.Applier) {
 	if err := ap.Apply(ops...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sch.MultiVersion().All(); err != nil {
-		t.Fatal(err)
-	}
 	return sch, ap
 }
 
@@ -453,9 +450,6 @@ func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if sch.Facts().Len() < 20000 {
 		t.Fatalf("fixture has %d facts, want >= 20000", sch.Facts().Len())
 	}
-	if _, err := sch.MultiVersion().All(); err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
@@ -562,9 +556,6 @@ func buildWarmWarehouse(t *testing.T, dir string) (*Store, *core.Schema, *evolut
 	if _, _, err := st.AppendEvolve([]byte("EXCLUDE Org Dpt.Brian_id AT 01/2004\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sch.MultiVersion().All(); err != nil {
-		t.Fatal(err)
-	}
 	if got := len(sch.Modes()); got < 4 {
 		t.Fatalf("fixture has %d modes, want >= 4", got)
 	}
@@ -590,9 +581,6 @@ func recoverCold(t *testing.T, dir string, want map[string]string) (*Store, *cor
 	}
 	if !reflect.DeepEqual(modeAnswers(t, sch), want) {
 		t.Error("recovered answers differ from the live warm lineage's")
-	}
-	if builds := sch.MultiVersion().Materializations(); builds != 0 {
-		t.Errorf("recovered schema built %d version modes, want none", builds)
 	}
 	return st, sch
 }
@@ -631,9 +619,6 @@ func TestCrashRecoveryWarmSnapshotThenWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		live, ap = applyBatch(t, live, ap, uint64(2+i), RecordFacts, batch)
-	}
-	if live.MultiVersion().Materializations() != 0 {
-		t.Fatal("the live lineage rebuilt a mode: its tables must be the warm ones")
 	}
 	// Store abandoned without Close: simulated SIGKILL with a WAL tail.
 
@@ -687,9 +672,6 @@ func TestWarmSnapshotLeavesComposedModesOut(t *testing.T) {
 	}
 	composed, err := sch.ComposeVersion("X1", temporal.Since(temporal.Year(2003)), map[core.DimID]string{casestudy.OrgDim: "V1"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sch.MultiVersion().All(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sch.Execute(core.Query{Mode: core.InVersion(composed)}); err != nil {

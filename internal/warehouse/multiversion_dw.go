@@ -116,12 +116,6 @@ func BuildMultiVersion(s *core.Schema, policy StoragePolicy) (*MultiVersionDW, e
 	}
 
 	dw := &MultiVersionDW{DB: db, Policy: policy, schema: s}
-	// Materialize every mode up front (Definition 11, cold); the insert
-	// loop below reads the tables.
-	tables, err := s.MultiVersion().All()
-	if err != nil {
-		return nil, err
-	}
 	insert := func(mode string, f *core.MappedFact) error {
 		row := make([]any, 0, len(factSchema))
 		row = append(row, mode)
@@ -142,17 +136,25 @@ func BuildMultiVersion(s *core.Schema, policy StoragePolicy) (*MultiVersionDW, e
 		return fact.Insert(row...)
 	}
 
+	// Present every mode (Definition 11) and store its tuples.
 	for _, mode := range s.Modes() {
-		mt := tables[mode.String()]
-		dw.Stats.LogicalRows += mt.Len()
-		for _, f := range mt.Facts() {
+		var ierr error
+		_, err := s.Present(mode, func(f *core.MappedFact) bool {
+			dw.Stats.LogicalRows++
 			if policy == Delta && mode.Kind == core.VersionKind && isSourceIdentical(s, f) {
-				continue
+				return true
 			}
-			if err := insert(mode.String(), f); err != nil {
-				return nil, err
+			if ierr = insert(mode.String(), f); ierr != nil {
+				return false
 			}
 			dw.Stats.StoredRows++
+			return true
+		})
+		if err == nil {
+			err = ierr
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	dw.Stats.SourceRows = s.Facts().Len()
