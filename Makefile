@@ -55,6 +55,11 @@ deps-check:
 # Schema.Present lists a whole mode for the reproduction tier, so a
 # .Present( call in the query path, the store, the server or the TQL
 # layer is a second read path starting.
+#
+# The fact table's columns have one binary codec, beside them in
+# internal/core (MVFC02, core.EncodeFacts): a fact-codec magic ("MVFC…
+# or "MVMT…) in non-test Go code anywhere else is a second on-disk
+# representation of the facts starting.
 WRITE_PATH = ./internal/store/mutation.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql
@@ -95,6 +100,10 @@ write-path-check:
 			$$(ls internal/server/*.go | grep -v '_test\.go$$')); \
 	if [ -n "$$swaps" ]; then \
 		echo "write-path-check: the served schema is assigned outside (*Server).publish:"; echo "$$swaps"; bad=1; \
+	fi; \
+	magics=$$(grep -rnE '"MV(FC|MT)' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/core/'); \
+	if [ -n "$$magics" ]; then \
+		echo "write-path-check: a fact-codec magic outside internal/core:"; echo "$$magics"; bad=1; \
 	fi; \
 	views=$$(grep -rnF '.Facts().Facts()' --include='*.go' --exclude='*_test.go' $(FACT_VIEW_FREE)); \
 	if [ -n "$$views" ]; then \
@@ -207,7 +216,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInterval$$' -fuzztime $(FUZZTIME) ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tql/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWrite$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
-	$(GO) test -run '^$$' -fuzz '^FuzzFactsCodec$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
+	$(GO) test -run '^$$' -fuzz '^FuzzFactsCodec$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelect$$' -fuzztime $(FUZZTIME) ./internal/rolap/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotContainer$$' -fuzztime $(FUZZTIME) ./internal/store/

@@ -1,0 +1,310 @@
+package core_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"mvolap/internal/casestudy"
+	"mvolap/internal/core"
+	"mvolap/internal/schemaio"
+	"mvolap/internal/temporal"
+)
+
+// edgeSchema is a two-dimension, two-measure warehouse whose members x,
+// y and p are valid over all of time, so facts can sit on the sentinel
+// instants; z is valid in 2001 only.
+func edgeSchema(t testing.TB) *core.Schema {
+	t.Helper()
+	s := core.NewSchema("edge", core.Measure{Name: "a", Agg: core.Sum}, core.Measure{Name: "b", Agg: core.Sum})
+	for _, dim := range []struct {
+		id      core.DimID
+		members []core.MVID
+	}{{"Org", []core.MVID{"x", "y", "z"}}, {"Geo", []core.MVID{"p"}}} {
+		d := core.NewDimension(dim.id, string(dim.id))
+		for _, id := range dim.members {
+			valid := temporal.Always
+			if id == "z" {
+				valid = temporal.Between(temporal.Year(2001), temporal.YM(2001, 12))
+			}
+			if err := d.AddVersion(&core.MemberVersion{ID: id, Level: "Leaf", Valid: valid}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AddDimension(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// structureOf rebuilds s's structure, with an empty fact table, from
+// its structure document, the way the snapshot container stores it.
+func structureOf(t testing.TB, s *core.Schema) *core.Schema {
+	t.Helper()
+	var doc bytes.Buffer
+	if err := schemaio.WriteStructure(&doc, s); err != nil {
+		t.Fatal(err)
+	}
+	back, err := schemaio.Read(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Facts().Len() != 0 {
+		t.Fatalf("structure document carried %d facts", back.Facts().Len())
+	}
+	return back
+}
+
+// reload rebuilds a schema from its structure document and facts
+// payload.
+func reload(t testing.TB, s *core.Schema) *core.Schema {
+	t.Helper()
+	back := structureOf(t, s)
+	if err := core.DecodeFacts(core.EncodeFacts(s), back); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+func sameFacts(t *testing.T, got, want []*core.Fact) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d facts, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Coords.Equal(want[i].Coords) || got[i].Time != want[i].Time {
+			t.Errorf("fact %d = %v@%d, want %v@%d", i, got[i].Coords, got[i].Time, want[i].Coords, want[i].Time)
+		}
+		for k, v := range want[i].Values {
+			if math.Float64bits(got[i].Values[k]) != math.Float64bits(v) {
+				t.Errorf("fact %d value %d = %x, want %x", i, k, math.Float64bits(got[i].Values[k]), math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// rawFact is one fact as the payload spells it.
+type rawFact struct {
+	ords []uint64
+	at   temporal.Instant
+	vals []float64
+}
+
+// payload writes an MVFC02 payload by hand, header widths as given.
+func payload(nd, nm int, facts ...rawFact) []byte {
+	out := binary.AppendUvarint([]byte("MVFC02"), uint64(nd))
+	out = binary.AppendUvarint(out, uint64(nm))
+	out = binary.AppendUvarint(out, uint64(len(facts)))
+	for _, f := range facts {
+		for _, o := range f.ords {
+			out = binary.AppendUvarint(out, o)
+		}
+	}
+	for _, f := range facts {
+		out = binary.LittleEndian.AppendUint64(out, uint64(f.at))
+	}
+	for _, f := range facts {
+		for _, v := range f.vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// TestFactsRoundTripEdges: what text cannot carry survives the binary
+// codec — NaN payload bits, negative zero, the Now and Origin
+// sentinels — and a replaced coordinate keeps its original position.
+func TestFactsRoundTripEdges(t *testing.T) {
+	s := edgeSchema(t)
+	payloadNaN := math.Float64frombits(0x7ff8_dead_beef_0001)
+	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 1, 2)
+	s.MustInsertFact(core.Coords{"y", "p"}, temporal.Now, payloadNaN, math.Copysign(0, -1))
+	s.MustInsertFact(core.Coords{"y", "p"}, temporal.Origin, math.Inf(-1), 1e300)
+	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 7, math.NaN()) // replaces fact 0 in place
+	if s.Facts().Len() != 3 {
+		t.Fatalf("fixture has %d facts, want 3", s.Facts().Len())
+	}
+	sameFacts(t, reload(t, s).Facts().Facts(), s.Facts().Facts())
+
+	// JSON cannot: this is why the container does not use schemaio.Write.
+	if err := schemaio.Write(&bytes.Buffer{}, s); err == nil {
+		t.Error("the JSON writer accepted a NaN value")
+	}
+}
+
+// TestFactsRoundTripCaseStudy: a reloaded warehouse is the same
+// document as the one written, and an empty fact table round-trips.
+func TestFactsRoundTripCaseStudy(t *testing.T) {
+	for _, cfg := range []casestudy.Config{{}, {WithFacts: true, WithSplitMappings: true}} {
+		s, err := casestudy.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if err := schemaio.Write(&want, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := schemaio.Write(&got, reload(t, s)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("WithFacts=%v: reloaded warehouse differs", cfg.WithFacts)
+		}
+	}
+}
+
+// TestFactsCodecTombstonedTable: a retracted fact's slot stays in the
+// table but not in the payload, which is byte for byte the payload of
+// the surviving facts inserted afresh; the reloaded table holds no dead
+// slot and answers like the tombstoned one in every mode.
+func TestFactsCodecTombstonedTable(t *testing.T) {
+	s, err := casestudy.New(casestudy.Config{WithFacts: true, WithSplitMappings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := s.Facts().Facts()[1]
+	if _, err := s.RetractFact(victim.Coords, victim.Time); err != nil {
+		t.Fatal(err)
+	}
+	if ft := s.Facts(); ft.End() != ft.Len()+1 {
+		t.Fatalf("fact table holds %d slots for %d facts: the fixture must tombstone one", ft.End(), ft.Len())
+	}
+	fresh := structureOf(t, s)
+	for _, f := range s.Facts().Facts() {
+		fresh.MustInsertFact(f.Coords, f.Time, f.Values...)
+	}
+	if !bytes.Equal(core.EncodeFacts(s), core.EncodeFacts(fresh)) {
+		t.Error("a tombstoned table encodes differently from its live facts inserted afresh")
+	}
+	back := reload(t, s)
+	if ft := back.Facts(); ft.End() != ft.Len() || ft.Len() != s.Facts().Len() {
+		t.Fatalf("reloaded table holds %d slots for %d facts, want %d of each", ft.End(), ft.Len(), s.Facts().Len())
+	}
+	if got, want := answers(t, back), answers(t, s); got != want {
+		t.Errorf("reloaded answers\n%s\nthe tombstoned table's\n%s", got, want)
+	}
+}
+
+// answers renders a grand total by year in every mode, values by their
+// bits.
+func answers(t *testing.T, s *core.Schema) string {
+	t.Helper()
+	var b strings.Builder
+	for _, m := range s.Modes() {
+		res, err := s.Execute(core.Query{Grain: core.GrainYear, Mode: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s dropped %d\n", m, res.Dropped)
+		for _, r := range res.Rows {
+			fmt.Fprintf(&b, "%s n=%d", r.TimeKey, r.N)
+			for k, v := range r.Values {
+				fmt.Fprintf(&b, " %x/%v", math.Float64bits(v), r.CFs[k])
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+func TestFactsDecodeRejectsCorruption(t *testing.T) {
+	s := edgeSchema(t)
+	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 1, 2)
+	s.MustInsertFact(core.Coords{"y", "p"}, temporal.Year(2002), 3, 4)
+	data := core.EncodeFacts(s)
+	if want := payload(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, 2}},
+		rawFact{[]uint64{1, 0}, temporal.Year(2002), []float64{3, 4}}); !bytes.Equal(data, want) {
+		t.Fatalf("payload\n% x\nwant\n% x", data, want)
+	}
+	decode := func(data []byte) error { return core.DecodeFacts(data, edgeSchema(t)) }
+	if err := decode(data); err != nil {
+		t.Fatalf("intact payload: %v", err)
+	}
+	for n := 0; n < len(data); n++ {
+		if err := decode(data[:n]); err == nil {
+			t.Fatalf("truncation at %d of %d decoded", n, len(data))
+		}
+	}
+	if err := decode(append(append([]byte{}, data...), 0)); err == nil {
+		t.Error("trailing byte must fail")
+	}
+	if err := decode(append([]byte("MVFC01"), data[6:]...)); err == nil {
+		t.Error("an MVFC01 payload decoded")
+	}
+	// A payload for another schema is refused by its widths.
+	other, err := casestudy.New(casestudy.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.DecodeFacts(data, other); err == nil {
+		t.Error("facts of a two-dimension schema loaded into the case study")
+	}
+	fact := func(ords ...uint64) rawFact { return rawFact{ords, temporal.Year(2001), []float64{1, 2}} }
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"numDims not the schema's", "coordinates", payload(1, 2, rawFact{[]uint64{0}, temporal.Year(2001), []float64{1, 2}})},
+		{"numMeasures not the schema's", "values per fact", payload(2, 1, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1}})},
+		{"an ordinal past its dimension", "past the 3 versions of dimension Org", payload(2, 2, fact(3, 0))},
+		{"an ordinal past the second dimension", "past the 1 versions of dimension Geo", payload(2, 2, fact(0, 1))},
+		{"a coordinate not valid at its instant", `coordinate "z" not valid`,
+			payload(2, 2, rawFact{[]uint64{2, 0}, temporal.Year(2002), []float64{1, 2}})},
+		{"a repeated key", "repeats the key", payload(2, 2, fact(0, 0), fact(1, 0), fact(0, 0))},
+	} {
+		err := decode(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// z at an instant it is valid at is a fact like any other.
+	if err := decode(payload(2, 2, fact(2, 0))); err != nil {
+		t.Errorf("z in 2001: %v", err)
+	}
+}
+
+// FuzzFactsCodec: decoding arbitrary bytes into either fixture's
+// structure never panics and allocates in proportion to the input
+// (every count is checked against the bytes left before anything is
+// sized by it); whatever decodes re-encodes to a payload that decodes
+// to the same facts and from then on is a byte-level fixed point.
+func FuzzFactsCodec(f *testing.F) {
+	var structures []*core.Schema
+	for _, cfg := range []casestudy.Config{{}, {WithFacts: true, WithSplitMappings: true}} {
+		s, err := casestudy.New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(core.EncodeFacts(s))
+		structures = append(structures, s)
+	}
+	edge := edgeSchema(f)
+	edge.MustInsertFact(core.Coords{"y", "p"}, temporal.Now, math.NaN(), math.Copysign(0, -1))
+	edge.MustInsertFact(core.Coords{"x", "p"}, temporal.Origin, 1, 2)
+	f.Add(core.EncodeFacts(edge))
+	structures = append(structures, edge)
+	f.Add([]byte("MVFC02"))
+	f.Add([]byte("MVFC02\x01\x01\x00"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, st := range structures {
+			s := structureOf(t, st)
+			if err := core.DecodeFacts(data, s); err != nil {
+				continue
+			}
+			again := core.EncodeFacts(s)
+			back := structureOf(t, st)
+			if err := core.DecodeFacts(again, back); err != nil {
+				t.Fatalf("re-encoded facts failed to decode: %v", err)
+			}
+			sameFacts(t, back.Facts().Facts(), s.Facts().Facts())
+			if !bytes.Equal(core.EncodeFacts(back), again) {
+				t.Fatal("facts round trip is not a fixed point")
+			}
+		}
+	})
+}

@@ -480,33 +480,6 @@ dices:
 	return false
 }
 
-// underAnyNamedIn walks upward from id in the given dimension structure
-// at the given instant, looking for any of the display names.
-func underAnyNamedIn(d *Dimension, at temporal.Instant, id MVID, names map[string]bool) bool {
-	seen := make(map[MVID]bool)
-	var walk func(cur MVID) bool
-	walk = func(cur MVID) bool {
-		if seen[cur] {
-			return false
-		}
-		seen[cur] = true
-		mv := d.Version(cur)
-		if mv == nil {
-			return false
-		}
-		if names[mv.DisplayName()] {
-			return true
-		}
-		for _, p := range d.ParentsAt(cur, at) {
-			if walk(p.ID) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(id)
-}
-
 // FormatValue renders a measure value, with unknown (NaN) shown as "?".
 func FormatValue(v float64) string {
 	if math.IsNaN(v) {

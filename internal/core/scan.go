@@ -53,7 +53,7 @@ func (v *diceView) contains(ord int32) bool {
 	verdict := v.verdicts[ord]
 	if verdict == 0 {
 		verdict = 2
-		if underAnyNamedIn(v.d, v.at, v.d.order[ord], v.names) {
+		if v.d.HasAncestorNamedAt(v.d.order[ord], v.names, v.at) {
 			verdict = 1
 		}
 		v.verdicts[ord] = verdict

@@ -194,10 +194,10 @@ func renderAnswers(t *testing.T, s *core.Schema) []string {
 	return out
 }
 
-// coldCopy writes s's structure out and reads it back, then copies its
-// facts in, in order: the same warehouse, sharing no chain, rollup or
-// resolution table with s's lineage.
-func coldCopy(t *testing.T, s *core.Schema) *core.Schema {
+// structureCopy writes s's structure out and reads it back, with an
+// empty fact table: it shares no chain, rollup or resolution table with
+// s's lineage.
+func structureCopy(t *testing.T, s *core.Schema) *core.Schema {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := schemaio.WriteStructure(&buf, s); err != nil {
@@ -207,6 +207,26 @@ func coldCopy(t *testing.T, s *core.Schema) *core.Schema {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cold
+}
+
+// snapshotCopy is s as a snapshot carries it: the structure document,
+// then the facts section (core.EncodeFacts) decoded into it.
+func snapshotCopy(t *testing.T, s *core.Schema) *core.Schema {
+	t.Helper()
+	back := structureCopy(t, s)
+	if err := core.DecodeFacts(core.EncodeFacts(s), back); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// coldCopy is s's structure with its facts copied in, in order: the
+// same warehouse, sharing no chain, rollup or resolution table with s's
+// lineage.
+func coldCopy(t *testing.T, s *core.Schema) *core.Schema {
+	t.Helper()
+	cold := structureCopy(t, s)
 	// Straight into the fact table, in the source's order.
 	s.Facts().All(func(f *core.Fact) bool {
 		if err := cold.Facts().Insert(f.Coords, f.Time, f.Values...); err != nil {
@@ -365,19 +385,26 @@ func oracleYearTotals(s *core.Schema, m core.Mode) (map[string]*oracleRow, int) 
 }
 
 // assertAnswersMatch holds one lineage generation to a cold copy of its
-// warehouse, bit for bit over propQueries in every mode, and its grand
-// totals by year to the oracle: rows, N, confidences, Dropped and
-// values — exactly, but for Avg, whose merged means the oracle sums in
-// another order, to a relative 1e-12.
+// warehouse and to the warehouse its snapshot reloads, bit for bit over
+// propQueries in every mode, and its grand totals by year to the
+// oracle: rows, N, confidences, Dropped and values — exactly, but for
+// Avg, whose merged means the oracle sums in another order, to a
+// relative 1e-12.
 func assertAnswersMatch(t *testing.T, step int, s *core.Schema) {
 	t.Helper()
-	got, want := renderAnswers(t, s), renderAnswers(t, coldCopy(t, s))
-	if len(got) != len(want) {
-		t.Fatalf("step %d: %d answers, a cold copy gives %d", step, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: lineage answers\n%s\na cold copy answers\n%s", step, got[i], want[i])
+	got := renderAnswers(t, s)
+	for _, c := range []struct {
+		name string
+		s    *core.Schema
+	}{{"a cold copy", coldCopy(t, s)}, {"its snapshot", snapshotCopy(t, s)}} {
+		want := renderAnswers(t, c.s)
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d answers, %s gives %d", step, len(got), c.name, len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: lineage answers\n%s\n%s answers\n%s", step, got[i], c.name, want[i])
+			}
 		}
 	}
 	for _, m := range s.Modes() {

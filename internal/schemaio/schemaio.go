@@ -80,7 +80,7 @@ func Write(w io.Writer, s *core.Schema) error { return write(w, s, true) }
 // WriteStructure serializes everything but the facts: the same
 // document with no "facts" member, which Read loads as a warehouse
 // with an empty fact table. The store's snapshot container carries it
-// beside the facts in their binary codec (EncodeFacts).
+// beside the facts in their binary codec (core.EncodeFacts).
 func WriteStructure(w io.Writer, s *core.Schema) error { return write(w, s, false) }
 
 func write(w io.Writer, s *core.Schema, withFacts bool) error {

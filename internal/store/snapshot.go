@@ -32,9 +32,7 @@ import (
 // facts and the structure on first use. A file is readable only if it
 // frames exactly — the end marker, holding the count of sections
 // before it, is its last bytes — and every section passes its CRC, so
-// a short or torn file is unreadable as a whole. Kind 4 is reserved:
-// earlier builds wrote one warm section per cached mode between facts
-// and end; this build never writes one and skips any it finds unread.
+// a short or torn file is unreadable as a whole.
 
 const (
 	snapshotMagic = "MVOSNP01" // versions the container
@@ -44,13 +42,14 @@ const (
 	sectionCRCSize    = 4
 )
 
-// Section kinds, in file order.
+// Section kinds, in file order. Kind 4 is no kind: earlier builds
+// wrote cached modes under it, and a reader refuses it like any other
+// misplaced kind.
 const (
-	secMeta      byte = 1 + iota // JSON snapshotMeta
-	secStructure                 // the schemaio document without facts
-	secFacts                     // schemaio's binary facts codec
-	secWarm                      // reserved: never written, skipped on read
-	secEnd                       // uint32 LE count of the sections before it
+	secMeta      byte = 1 // JSON snapshotMeta
+	secStructure byte = 2 // the schemaio document without facts
+	secFacts     byte = 3 // core's binary facts codec (core.EncodeFacts)
+	secEnd       byte = 5 // uint32 LE count of the sections before it
 )
 
 // snapshotMeta is the meta section: what the schema document does not
@@ -86,9 +85,8 @@ func seqOfName(name, prefix, suffix string) (uint64, bool) {
 // encodeSnapshot streams the snapshot container for a schema and its
 // evolution log through bw and flushes it. The bytes are deterministic
 // for a given schema state: schemaio emits dimensions, versions,
-// relationships, mappings and facts in insertion order, and nothing
-// carries a timestamp. Whatever the schema's MVFT cache holds stays
-// out.
+// relationships and mappings in insertion order, core emits the live
+// facts in position order, and nothing carries a timestamp.
 func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry, walSeq uint64) error {
 	meta, err := json.Marshal(snapshotMeta{WALSeq: walSeq, EvolutionLog: log})
 	if err != nil {
@@ -115,7 +113,7 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 	bw.WriteString(snapshotMagic)
 	section(secMeta, meta)
 	section(secStructure, structure.Bytes())
-	section(secFacts, schemaio.EncodeFacts(sch))
+	section(secFacts, core.EncodeFacts(sch))
 	section(secEnd, binary.LittleEndian.AppendUint32(nil, count))
 	return bw.Flush()
 }
@@ -163,10 +161,7 @@ func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSe
 
 // openSnapshot takes a container apart, checking everything that makes
 // it readable — magic, framing, section order, end marker, the CRC of
-// every section — and decoding only the meta section. A reserved kind-4
-// section, which an earlier build wrote after the facts, is framed and
-// counted but skipped unread: not even its CRC is checked, so a data
-// directory from that build still recovers, every mode cold.
+// every section — and decoding only the meta section.
 func openSnapshot(data []byte) (*snapshotSections, error) {
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return nil, fmt.Errorf("not a snapshot container (bad magic)")
@@ -185,16 +180,13 @@ func openSnapshot(data []byte) (*snapshotSections, error) {
 		sec, sum := rest[:end], binary.LittleEndian.Uint32(rest[end:])
 		payload := sec[sectionHeaderSize:]
 		rest = rest[end+sectionCRCSize:]
-		if kind == secWarm && i >= 3 {
-			continue // reserved: an earlier build's warm section, skipped unread
-		}
 		intact := crc32.ChecksumIEEE(sec) == sum
 		want := secEnd
 		if i < 3 {
 			want = secMeta + byte(i)
 		}
 		switch {
-		case kind == secEnd && i >= 3:
+		case kind == secEnd && i == 3:
 			if !intact || len(payload) != 4 || binary.LittleEndian.Uint32(payload) != uint32(i) || len(rest) != 0 {
 				return nil, fmt.Errorf("bad end marker after %d sections (%d bytes follow it)", i, len(rest))
 			}
@@ -227,7 +219,7 @@ func loadSnapshot(data []byte, name string) (*core.Schema, *evolution.Applier, u
 		sch, err = schemaio.Read(bytes.NewReader(c.structure))
 	}
 	if err == nil {
-		err = schemaio.DecodeFacts(c.facts, sch)
+		err = core.DecodeFacts(c.facts, sch)
 	}
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("store: snapshot %s: %w", name, err)

@@ -75,27 +75,22 @@ func soleSnapshot(t *testing.T, dir string) (string, []byte) {
 	return snaps[0], data
 }
 
-// withWarmSections rewrites a container the way an earlier build wrote
-// it from a warm cache: reserved kind-4 sections between the facts and
-// the end marker, and the end marker's count raised to match. The
-// first section is intact, the second fails its CRC. A reader never
-// looks inside them, so their payloads only need the old codec's magic.
-func withWarmSections(t testing.TB, data []byte) []byte {
+// withKind4Section rewrites a container the way an earlier build wrote
+// it from a warm cache: an intact kind-4 section between the facts and
+// the end marker, and the end marker's count raised to match.
+func withKind4Section(t testing.TB, data []byte) []byte {
 	t.Helper()
 	secs := sectionSpans(t, data)
 	end := secs[len(secs)-1]
 	out := append([]byte(nil), data[:end.start]...)
-	for i, payload := range []string{"MVMT02 tcm", "MVMT02 V2"} {
-		head := append([]byte{secWarm}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
-		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, []byte(payload))
-		out = append(append(out, head...), payload...)
-		out = binary.LittleEndian.AppendUint32(out, sum+uint32(i))
+	section := func(kind byte, payload []byte) {
+		head := append([]byte{kind}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
+		out = binary.LittleEndian.AppendUint32(append(append(out, head...), payload...), sum)
 	}
-	head := append([]byte{secEnd}, binary.LittleEndian.AppendUint64(nil, 4)...)
-	count := binary.LittleEndian.AppendUint32(nil, uint32(len(secs)+1))
-	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, count)
-	out = append(append(out, head...), count...)
-	return binary.LittleEndian.AppendUint32(out, sum)
+	section(4, []byte("MVMT02 tcm"))
+	section(secEnd, binary.LittleEndian.AppendUint32(nil, uint32(len(secs))))
+	return out
 }
 
 // evolvedSchema is the case study after one exclusion (five temporal
@@ -114,20 +109,34 @@ func evolvedSchema(t testing.TB) (*core.Schema, *evolution.Applier) {
 	return sch, ap
 }
 
-// parentContainer is a snapshot of the evolved schema as an earlier
-// build wrote it, warm sections included, for the corruption tests.
-func parentContainer(t testing.TB) []byte {
+// evolvedContainer is a snapshot of the evolved schema, for the
+// corruption tests.
+func evolvedContainer(t testing.TB) []byte {
 	t.Helper()
 	sch, ap := evolvedSchema(t)
-	return withWarmSections(t, containerBytes(t, sch, ap.Log(), 3))
+	return containerBytes(t, sch, ap.Log(), 3)
+}
+
+// TestSnapshotRefusesKind4Section: a container holding the kind-4
+// section an earlier build wrote its cached modes under is refused
+// like any misplaced kind, even with every CRC intact. No older facts
+// section is readable either, so skipping it could admit no file.
+func TestSnapshotRefusesKind4Section(t *testing.T) {
+	data := evolvedContainer(t)
+	if _, _, _, err := loadSnapshot(data, "plain"); err != nil {
+		t.Fatalf("intact container: %v", err)
+	}
+	_, _, _, err := loadSnapshot(withKind4Section(t, data), "kind4")
+	if err == nil || !strings.Contains(err.Error(), "kind 4") {
+		t.Errorf("container with a kind-4 section: %v, want a refusal naming kind 4", err)
+	}
 }
 
 // TestSnapshotTruncationUnreadable cuts a container at every section
 // boundary, one byte either side of each, and at 64 random offsets: a
-// short file never decodes — not even to a warehouse with fewer facts,
-// and not even where the cut falls inside a skipped warm section.
+// short file never decodes — not even to a warehouse with fewer facts.
 func TestSnapshotTruncationUnreadable(t *testing.T) {
-	data := parentContainer(t)
+	data := evolvedContainer(t)
 	if _, _, _, err := loadSnapshot(data, "whole"); err != nil {
 		t.Fatalf("intact container: %v", err)
 	}
@@ -159,10 +168,8 @@ func TestSnapshotTruncationUnreadable(t *testing.T) {
 // TestSnapshotFlippedByteUnreadable flips single bytes across the
 // magic, the meta, structure and facts sections and the end marker —
 // headers, payloads and CRCs alike: each leaves the snapshot unreadable.
-// Only a reserved warm section is skipped unread (see
-// TestOpenSkipsParentWarmSections).
 func TestSnapshotFlippedByteUnreadable(t *testing.T) {
-	data := parentContainer(t)
+	data := evolvedContainer(t)
 	flip := func(at int) {
 		t.Helper()
 		bad := append([]byte(nil), data...)
@@ -175,9 +182,6 @@ func TestSnapshotFlippedByteUnreadable(t *testing.T) {
 		flip(at)
 	}
 	for _, sec := range sectionSpans(t, data) {
-		if sec.kind == secWarm {
-			continue
-		}
 		// Every header and CRC byte, and a stride through the payload.
 		for at := sec.start; at < sec.payload; at++ {
 			flip(at)
@@ -241,7 +245,7 @@ func TestSnapshotTombstonedTableRoundTrips(t *testing.T) {
 // TestSnapshotFactsSurviveVerbatim: source facts come back in insertion
 // order with every bit — a NaN payload, negative zero, the Now instant,
 // a coordinate whose values were replaced in place. (No case-study
-// member reaches back to Origin; schemaio's TestFactsRoundTripEdges
+// member reaches back to Origin; core's TestFactsRoundTripEdges
 // covers it.)
 func TestSnapshotFactsSurviveVerbatim(t *testing.T) {
 	dir := t.TempDir()
@@ -470,7 +474,7 @@ func TestSnapshotStreamsNotBuffers(t *testing.T) {
 // never allocate out of proportion to the input. Whatever it accepts
 // must re-encode to a container that reads back as the same warehouse.
 func FuzzSnapshotContainer(f *testing.F) {
-	parent := parentContainer(f)
+	parent := evolvedContainer(f)
 	f.Add(parent)
 	sch, ap, seq, err := loadSnapshot(parent, "seed")
 	if err != nil {
@@ -631,35 +635,6 @@ func TestCrashRecoveryWarmSnapshotThenWALTail(t *testing.T) {
 	}
 }
 
-// TestOpenSkipsParentWarmSections is the upgrade: the snapshot of a warm
-// warehouse as an earlier build wrote it — one intact warm section, one
-// that fails its CRC — followed by a WAL tail. Recovery skips both
-// sections unread, comes back with the same facts and walSeq, restores
-// no mode, and answers byte for byte like the live lineage once its
-// modes build cold. A reader that refused kind 4 would refuse the
-// directory: the snapshot is its only copy of the first record.
-func TestOpenSkipsParentWarmSections(t *testing.T) {
-	dir := t.TempDir()
-	st, live, ap := buildWarmWarehouse(t, dir)
-	path, data := soleSnapshot(t, dir)
-	if err := os.WriteFile(path, withWarmSections(t, data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	batch := []FactRecord{{Coords: []string{"Dpt.Bill_id"}, Time: "2004", Values: []float64{70}}}
-	if _, _, err := st.AppendFactBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	live, _ = applyBatch(t, live, ap, 2, RecordFacts, batch)
-
-	st2, back := recoverCold(t, dir, modeAnswers(t, live))
-	if st2.LastSeq() != 2 || st2.RecoveryStats().SnapshotSeq != 1 {
-		t.Errorf("lastSeq = %d, snapshotSeq = %d; want 2, 1", st2.LastSeq(), st2.RecoveryStats().SnapshotSeq)
-	}
-	if !bytes.Equal(schemaBytes(t, back), schemaBytes(t, live)) {
-		t.Error("recovered warehouse differs from the live one")
-	}
-}
-
 // TestWarmSnapshotLeavesComposedModesOut: a store asked for warm
 // snapshots (SnapshotWarm, which is ignored) with tcm, every structure
 // version and a composed version built writes meta, structure, facts
@@ -684,10 +659,12 @@ func TestWarmSnapshotLeavesComposedModesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, data := soleSnapshot(t, dir)
+	var kinds []byte
 	for _, sec := range sectionSpans(t, data) {
-		if sec.kind == secWarm {
-			t.Fatal("snapshot carries a warm section")
-		}
+		kinds = append(kinds, sec.kind)
+	}
+	if want := []byte{secMeta, secStructure, secFacts, secEnd}; !bytes.Equal(kinds, want) {
+		t.Fatalf("snapshot sections are of kinds %v, want %v", kinds, want)
 	}
 	st2, _, _, err := Open(dir, nil, Options{Logger: quietLog()})
 	if err != nil {
