@@ -610,18 +610,22 @@ func ingestFacts(b testing.TB, s *core.Schema, leaves, monthsPerLeaf int) {
 }
 
 // TestFactStoreBytes bounds the live heap one source fact costs on
-// BenchmarkIncrementalIngest's 100k-fact warehouse. The fact table
-// holds Definition 5's f and nothing of f': one tuple of shard columns
-// (a 4-byte member version ordinal, an 8-byte instant, an 8-byte value
-// and a live bit: about 20 B) and one key-index entry, a 64-bit hash
-// and a position (about 24 B with the map's slack). While the table
-// also stored tcm's confidences and source counts it cost 49.6 B; while
-// it was a pointer list of heap tuples with a key index of its own
-// beside a materialized tcm table, 121 + 49 B. It measures 44.6 B; the
-// bound leaves 3.4 B (8 %) for the runtime's heap accounting to move.
+// BenchmarkIncrementalIngest's 100k-fact warehouse and on one half as
+// large again, so that a doubling of any part of the store between the
+// two sizes cannot hide. The fact table holds Definition 5's f and
+// nothing of f': one tuple of shard columns (a 4-byte member version
+// ordinal, an 8-byte instant, an 8-byte value and a live bit: about
+// 20 B) and one key-index entry, an 8-byte word of fingerprint and
+// position in a table kept between 1/2 and 3/4 full (11–16 B). While
+// the entries were Go map slots of a 64-bit hash and a position, a
+// fact cost 44.6 B at 100k and 52.2 B at 150k; while the table also
+// stored tcm's confidences and source counts, 49.6 B at 100k; while it
+// was a pointer list of heap tuples with a key index of its own beside
+// a materialized tcm table, 121 + 49 B. It measures 36.8 B at 100k
+// (where the index's top has just grown) and 36.5 B at 150k; the bound
+// leaves 2.2 B (6 %) for the runtime's heap accounting to move.
 func TestFactStoreBytes(t *testing.T) {
-	const leaves, months, bound = 1000, 100, 48
-	s := ingestSchema(t, leaves, 0)
+	const leaves, bound = 1000, 39
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -629,16 +633,19 @@ func TestFactStoreBytes(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := liveHeap()
-	ingestFacts(t, s, leaves, months)
-	ft := s.Facts()
-	grown := float64(liveHeap()) - float64(before)
-	per := grown / float64(leaves*months)
-	t.Logf("%d facts: %.1f B live heap per fact", ft.Len(), per)
-	if per > bound {
-		t.Errorf("a source fact costs %.1f B of live heap, want at most %d", per, bound)
+	for _, months := range []int{100, 150} {
+		s := ingestSchema(t, leaves, 0)
+		before := liveHeap()
+		ingestFacts(t, s, leaves, months)
+		ft := s.Facts()
+		grown := float64(liveHeap()) - float64(before)
+		per := grown / float64(leaves*months)
+		t.Logf("%d facts: %.1f B live heap per fact", ft.Len(), per)
+		if per > bound {
+			t.Errorf("at %d facts a source fact costs %.1f B of live heap, want at most %d", ft.Len(), per, bound)
+		}
+		runtime.KeepAlive(s)
 	}
-	runtime.KeepAlive(s)
 }
 
 // TestVersionModesHoldNoCopy bounds the live heap that answering in

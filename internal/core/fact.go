@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"mvolap/internal/temporal"
 )
@@ -141,9 +142,10 @@ type FactTable struct {
 	// ordinal names the same version in every generation of a lineage.
 	dims []*Dimension
 	// index maps a tuple key to its global position, every hit checked
-	// against the coordinates and time stored there. A clone shares its
-	// frozen layers with the source table; a retraction tombstones
-	// the key there, since the slot itself stays put (see keyIndex).
+	// against the live bit, coordinates and time stored there. A clone
+	// shares its frozen layers with the source table; a retraction
+	// writes nothing there, since the cleared live bit already rejects
+	// the slot's entry (see keyIndex).
 	index keyIndex
 	// dead counts tombstoned tuples: slots whose live bit a retraction
 	// cleared. The slot itself stays (positional indexing over
@@ -168,7 +170,6 @@ func newFactTable(s *Schema) *FactTable {
 		nd:    len(s.dims),
 		nm:    len(s.measures),
 		dims:  s.dims,
-		index: newKeyIndex(0),
 	}
 }
 
@@ -184,6 +185,19 @@ func (ft *FactTable) Len() int { return ft.n - ft.dead }
 // merges and flattens — the one part of a write that is not O(batch),
 // so a merged count in the order of the table size names a flatten.
 func (ft *FactTable) KeyIndexWork() (sealed, merged int) { return ft.index.sealed, ft.index.merged }
+
+// Bytes reports the table's footprint, computed from the lengths and
+// capacities it reaches: columns is the shard headers with their
+// columns and live bitmaps, index the key index's tables. Shards and
+// index layers the table shares with other generations count in full.
+func (ft *FactTable) Bytes() (columns, index int) {
+	columns = 8 * cap(ft.shards)
+	for _, sh := range ft.shards {
+		columns += int(unsafe.Sizeof(*sh)+unsafe.Sizeof(*sh.claim)) +
+			4*cap(sh.coords) + 8*cap(sh.times) + 8*cap(sh.values) + 8*cap(sh.live)
+	}
+	return columns, ft.index.bytes()
+}
 
 // End returns the position the next appended fact takes: the mark
 // Since reads a write's appended suffix from.
@@ -318,16 +332,15 @@ func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bo
 
 // tombstone kills the tuple at global position pos: the slot stays in
 // place (positional indexing over fixed-size shards must never shift)
-// but its live bit is cleared, every view and scan skips it, and its
-// key leaves the index so a later insert on the same coordinates
-// appends a fresh tuple.
+// but its live bit is cleared, so every view, scan and index probe
+// skips it and a later insert on the same coordinates appends a fresh
+// tuple. The index keeps the slot's entry until a merge drops it.
 func (ft *FactTable) tombstone(pos int) {
 	j := pos & shardMask
 	sh := ft.writableShard(pos>>shardShift, j)
 	sh.live[j>>6] &^= 1 << (uint(j) & 63)
 	ft.dead++
 	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j], -1)
-	ft.index.delete(tupleKey(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j]), pos)
 }
 
 // clone returns a copy-on-write copy of the fact table over the
@@ -354,7 +367,7 @@ func (ft *FactTable) clone(s *Schema) *FactTable {
 		dims:         s.dims,
 		// Published tables are never written again, so even the live top
 		// of a freshly loaded source can be shared (keyIndex.clone).
-		index:     ft.index.clone(ft.n),
+		index:     ft.index.clone(),
 		dead:      ft.dead,
 		ords:      ft.ords,
 		ordShared: true,
@@ -431,13 +444,26 @@ func tupleKey(coords []int32, t temporal.Instant) uint64 {
 }
 
 // find returns the position of the live tuple at (coords, t), whose key
-// hashes to h: the index's candidates are confirmed against the
-// coordinates and time stored at their positions.
+// hashes to h: the index's candidates are confirmed against this
+// table's length and the live bit, coordinates and time stored at
+// their positions.
 func (ft *FactTable) find(h uint64, coords []int32, t temporal.Instant) (int, bool) {
 	return ft.index.get(h, func(pos int) bool {
+		if !ft.live(pos) {
+			return false
+		}
 		sh, j := ft.shardAt(pos)
 		return sh.times[j] == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
 	})
+}
+
+// live reports whether position pos holds a live tuple of this table.
+func (ft *FactTable) live(pos int) bool {
+	if pos >= ft.n {
+		return false
+	}
+	sh, j := ft.shardAt(pos)
+	return sh.isLive(j)
 }
 
 // writableShard returns shard si for a write into its slot j,
@@ -558,7 +584,7 @@ func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, v
 	} else if sh.zone.Load() != nil {
 		sh.zone.Store(nil)
 	}
-	ft.index.put(h, ft.n)
+	ft.index.put(h, ft.n, ft.live)
 	ft.n++
 	ft.countOrds(coords, t, 1)
 }

@@ -5,22 +5,27 @@ import (
 	"maps"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
 
 // indexRun is what the lineages of one property run share: the hash
-// the keys are indexed under, the key every value was put with, and
-// counts of the overflow events the run went through. Values are
-// unique across the run — the next value is len(keyAt) — so keyAt is
-// one table every lineage confirms its hits against, as a fact table
-// confirms them against its columns: the slot of a deleted key still
-// holds that key.
+// the keys are indexed under and the key every position was put with.
+// Positions are unique across the run — the next one is len(keyAt) —
+// so keyAt is one column every lineage confirms its candidates
+// against, beside its own live set, as a fact table confirms them
+// against its columns and live bits: the slot of a retracted key still
+// holds that key. put records every key ever put; events counts what
+// the run went through.
 type indexRun struct {
 	hash   func(key string) uint64
 	keyAt  []string
+	put    map[string]bool
 	events struct {
-		overflowPuts, overflowDeletes, tombstonesTaken, overflowClones int
+		// rejected counts candidates confirmation turned down: a shared
+		// fingerprint, a dead slot or another lineage's position.
+		rejected, reinserts, retracts int
 	}
 }
 
@@ -34,73 +39,64 @@ func fullHash(key string) uint64 {
 	return tupleKey([]int32{int32(n)}, 0)
 }
 
+// truncatedHash keeps only the top width bits of the fingerprint, so
+// that keys share fingerprints and probes meet several candidates.
+func truncatedHash(width int) func(string) uint64 {
+	mask := ^uint64(0) << (64 - width)
+	return func(key string) uint64 { return fullHash(key) & mask }
+}
+
 // indexLineage is one generation of a keyIndex under test beside the
-// plain map it must agree with. tombKey records, per hash, the key
-// whose delete last wrote a tombstone.
+// plain map it must agree with: model maps each live key to its
+// position, alive is the inverse — the lineage's live bits.
 type indexLineage struct {
-	run     *indexRun
-	ix      keyIndex
-	model   map[string]int
-	tombKey map[uint64]string
+	run   *indexRun
+	ix    keyIndex
+	model map[string]int
+	alive map[int]bool
 }
 
 func newIndexLineage(run *indexRun) *indexLineage {
-	return &indexLineage{run: run, ix: newKeyIndex(0), model: map[string]int{}, tombKey: map[uint64]string{}}
+	return &indexLineage{run: run, model: map[string]int{}, alive: map[int]bool{}}
 }
 
 func (l *indexLineage) fork() *indexLineage {
-	if len(l.ix.overflow) != 0 {
-		l.run.events.overflowClones++
-	}
-	return &indexLineage{
-		run:     l.run,
-		ix:      l.ix.clone(len(l.run.keyAt)),
-		model:   maps.Clone(l.model),
-		tombKey: maps.Clone(l.tombKey),
-	}
+	return &indexLineage{run: l.run, ix: l.ix.clone(), model: maps.Clone(l.model), alive: maps.Clone(l.alive)}
 }
 
-// layerEntry returns the entry the layers hold under h, tombstones
-// included.
-func layerEntry(ix *keyIndex, h uint64) (int, bool) {
-	if v, ok := ix.top[h]; ok {
-		return v, true
-	}
-	for i := len(ix.layers) - 1; i >= 0; i-- {
-		if v, ok := ix.layers[i].m[h]; ok && v < ix.layers[i].bound {
-			return v, true
-		}
-	}
-	return 0, false
-}
+func (l *indexLineage) live(pos int) bool { return l.alive[pos] }
 
 func (l *indexLineage) get(key string) (int, bool) {
-	return l.ix.get(l.run.hash(key), func(v int) bool { return l.run.keyAt[v] == key })
+	return l.ix.get(l.run.hash(key), func(pos int) bool {
+		if l.alive[pos] && l.run.keyAt[pos] == key {
+			return true
+		}
+		l.run.events.rejected++
+		return false
+	})
 }
 
 func (l *indexLineage) put(key string) {
-	h, v := l.run.hash(key), len(l.run.keyAt)
-	switch w, ok := layerEntry(&l.ix, h); {
-	case ok && w != indexDead:
-		l.run.events.overflowPuts++
-	case ok && l.tombKey[h] != key:
-		l.run.events.tombstonesTaken++
+	pos := len(l.run.keyAt)
+	if l.run.put[key] {
+		l.run.events.reinserts++
 	}
+	if l.run.put == nil {
+		l.run.put = map[string]bool{}
+	}
+	l.run.put[key] = true
 	l.run.keyAt = append(l.run.keyAt, key)
-	l.ix.put(h, v)
-	l.model[key] = v
+	l.ix.put(l.run.hash(key), pos, l.live)
+	l.model[key] = pos
+	l.alive[pos] = true
 }
 
+// del retracts a live key: the lineage clears its live bit and the
+// index is not written at all.
 func (l *indexLineage) del(key string) {
-	h, v := l.run.hash(key), l.model[key]
-	if w, ok := layerEntry(&l.ix, h); !ok || w != v {
-		l.run.events.overflowDeletes++
-	}
-	l.ix.delete(h, v)
-	if w, ok := layerEntry(&l.ix, h); ok && w == indexDead {
-		l.tombKey[h] = key
-	}
+	delete(l.alive, l.model[key])
 	delete(l.model, key)
+	l.run.events.retracts++
 }
 
 // adopt puts a fork into the pool of lineages under test. A full pool
@@ -120,26 +116,31 @@ func adopt[L comparable](r *rand.Rand, pool []L, parent, fork L, limit int) []L 
 
 // check compares every key of the universe, live or not, and the
 // structural invariants: a layered index keeps its top bounded and its
-// depth logarithmic in the overlay.
+// depth logarithmic in the overlay, and no table passes a load of 3/4.
 func (l *indexLineage) check(t *testing.T, label string, universe int) {
 	t.Helper()
 	for k := 0; k < universe; k++ {
-		key := fmt.Sprintf("k%d", k)
+		key := "k" + strconv.Itoa(k)
 		got, ok := l.get(key)
 		want, wantOK := l.model[key]
 		if ok != wantOK || (ok && got != want) {
 			t.Fatalf("%s: get(%s) = %d, %v; model has %d, %v", label, key, got, ok, want, wantOK)
 		}
 	}
+	for i, kt := range append([]keyTable{l.ix.top}, l.ix.layers...) {
+		if 4*kt.n > 3*len(kt.slots) {
+			t.Fatalf("%s: table %d holds %d entries in %d slots, past a load of 3/4", label, i, kt.n, len(kt.slots))
+		}
+	}
 	if len(l.ix.layers) == 0 {
 		return
 	}
-	if len(l.ix.top) > indexSealAt {
-		t.Fatalf("%s: layered index holds %d entries in its top, bound %d", label, len(l.ix.top), indexSealAt)
+	if l.ix.top.n > indexSealAt {
+		t.Fatalf("%s: layered index holds %d entries in its top, bound %d", label, l.ix.top.n, indexSealAt)
 	}
 	overlay := 0
 	for _, layer := range l.ix.layers[1:] {
-		overlay += len(layer.m)
+		overlay += layer.n
 	}
 	if maxDepth := 2 + bits.Len(uint(overlay/indexSealAt)); len(l.ix.layers) > maxDepth {
 		t.Fatalf("%s: %d layers over an overlay of %d entries, want at most %d", label, len(l.ix.layers), overlay, maxDepth)
@@ -148,17 +149,15 @@ func (l *indexLineage) check(t *testing.T, label string, universe int) {
 
 // TestPropertyKeyIndexMatchesMap drives forking lineages of one
 // keyIndex — a parent keeps writing after it was cloned, clones are
-// cloned again — through random put / delete / re-put after delete /
+// cloned again — through random put / retract / re-put after retract /
 // get, and requires every lineage to agree with its own plain map
 // throughout. Each seed starts from a cold-built index large enough
 // that its first clone shares the live top, and runs long enough to
 // cross seal, geometric merge and flatten.
 //
-// The hashbits runs repeat it with the hash cut to its low bits, so
-// that most puts find their hash owned by another live key and go to
-// the overflow. At 4 bits the layers hold at most 16 entries, never
-// seal and never write a tombstone; at 10 bits they do all three, so a
-// tombstone is taken over by a different key.
+// The hashbits runs repeat it with the fingerprint cut to its top bits,
+// so that most probes meet candidates of other keys: at 4 bits every
+// key shares its fingerprint with a sixteenth of the universe.
 func TestPropertyKeyIndexMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -173,22 +172,13 @@ func TestPropertyKeyIndexMatchesMap(t *testing.T) {
 	for _, width := range []int{4, 10} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("hashbits=%d/seed=%d", width, seed), func(t *testing.T) {
-				mask := uint64(1)<<width - 1
-				run := &indexRun{hash: func(key string) uint64 { return fullHash(key) & mask }}
-				overflow := metKeyIndexOverflow.Value()
+				run := &indexRun{hash: truncatedHash(width)}
 				runKeyIndexProperty(t, seed, run)
 				ev := run.events
-				t.Logf("%d overflow puts, %d overflow deletes, %d tombstones taken over, %d clones with an overflow",
-					ev.overflowPuts, ev.overflowDeletes, ev.tombstonesTaken, ev.overflowClones)
-				if got := metKeyIndexOverflow.Value() - overflow; got != int64(ev.overflowPuts) {
-					t.Errorf("mvolap_key_index_overflow_total moved by %d over %d overflow puts", got, ev.overflowPuts)
-				}
-				if ev.overflowPuts == 0 || ev.overflowDeletes == 0 || ev.overflowClones == 0 {
-					t.Errorf("run made %d overflow puts, %d overflow deletes, %d clones with an overflow; want each exercised",
-						ev.overflowPuts, ev.overflowDeletes, ev.overflowClones)
-				}
-				if width > 8 && ev.tombstonesTaken == 0 {
-					t.Error("no tombstone was taken over by a different key")
+				t.Logf("%d candidates rejected, %d re-inserts, %d retracts", ev.rejected, ev.reinserts, ev.retracts)
+				if ev.rejected == 0 || ev.reinserts == 0 || ev.retracts == 0 {
+					t.Errorf("run rejected %d candidates over %d re-inserts and %d retracts; want each exercised",
+						ev.rejected, ev.reinserts, ev.retracts)
 				}
 			})
 		}
@@ -205,24 +195,22 @@ func runKeyIndexProperty(t *testing.T, seed int64, run *indexRun) {
 	r := rand.New(rand.NewSource(seed))
 	root := newIndexLineage(run)
 	for k := 0; k < coldSize; k++ {
-		root.put(fmt.Sprintf("k%d", k))
+		root.put("k" + strconv.Itoa(k))
 	}
 	if root.ix.sealed != 0 || len(root.ix.layers) != 0 {
 		t.Fatalf("cold build sealed %d layers", root.ix.sealed)
 	}
 	// The first clone of the cold-built index, and a parent that keeps
-	// writing (fresh keys, deletes, re-puts) beside it.
+	// writing (fresh keys, retracts, re-puts) beside it.
 	lineages := []*indexLineage{root, root.fork()}
-	if len(root.ix.top) > indexSealAt {
-		if got := lineages[1].ix.layers; len(got) != 1 || len(lineages[1].ix.top) != 0 {
-			t.Fatalf("first clone of a cold index has %d layers and %d top entries, want the shared top as its only layer",
-				len(got), len(lineages[1].ix.top))
-		}
+	if got := lineages[1].ix; len(got.layers) != 1 || got.top.n != 0 || &got.layers[0].slots[0] != &root.ix.top.slots[0] {
+		t.Fatalf("first clone of a cold index has %d layers and %d top entries, want the shared top as its only layer",
+			len(got.layers), got.top.n)
 	}
 
 	for step := 0; step < steps; step++ {
 		l := lineages[r.Intn(len(lineages))]
-		key := fmt.Sprintf("k%d", r.Intn(universe))
+		key := "k" + strconv.Itoa(r.Intn(universe))
 		_, live := l.model[key]
 		switch op := r.Intn(100); {
 		case op < 2:
@@ -230,7 +218,7 @@ func runKeyIndexProperty(t *testing.T, seed int64, run *indexRun) {
 		case op < 25 && live:
 			l.del(key)
 		case !live:
-			l.put(key) // fresh, or a re-put after a delete
+			l.put(key) // fresh, or a re-put after a retract
 		default:
 			got, ok := l.get(key)
 			if !ok || got != l.model[key] {
@@ -250,41 +238,196 @@ func runKeyIndexProperty(t *testing.T, seed int64, run *indexRun) {
 
 // TestKeyIndexCloneLeavesSourceUntouched pins the sharing rules a
 // published table relies on: taking a clone writes nothing to the
-// source, a layered source hands over its frozen layers by pointer and
-// only its top by copy, and a seal on either side builds new layers
-// instead of writing shared ones.
+// source, a cold source hands over its live top as the clone's bottom,
+// a layered source hands over its frozen layers as they are and only
+// its top by copy, and a seal on either side builds new layers instead
+// of writing shared ones.
 func TestKeyIndexCloneLeavesSourceUntouched(t *testing.T) {
 	run := &indexRun{hash: fullHash}
-	src := newIndexLineage(run)
 	put := func(l *indexLineage, count int) {
 		for i := 0; i < count; i++ {
-			l.put(fmt.Sprintf("k%d", len(run.keyAt)))
+			l.put("k" + strconv.Itoa(len(run.keyAt)))
 		}
 	}
-	put(src, 2*indexSealAt)
-	// Become layered: a delete on a large cold top seals it first.
-	src.del("k0")
-	put(src, indexSealAt/2)
-	if len(src.ix.layers) != 1 {
-		t.Fatalf("source has %d layers, want 1", len(src.ix.layers))
+	cold := newIndexLineage(run)
+	put(cold, 2*indexSealAt)
+	src := cold.fork()
+	if len(src.ix.layers) != 1 || &src.ix.layers[0].slots[0] != &cold.ix.top.slots[0] {
+		t.Fatal("the clone of a cold index copied its top instead of sharing it")
 	}
-	bottom, top := src.ix.layers[0], maps.Clone(src.ix.top)
+	// The cold source keeps writing into the table its clone shares.
+	put(cold, indexSealAt/8)
+	if _, ok := src.get(run.keyAt[len(run.keyAt)-1]); ok {
+		t.Error("the cold source's later key is visible through its clone")
+	}
+	put(src, indexSealAt/2)
+	src.del("k0")
+	bottom, top := src.ix.layers[0], slices.Clone(src.ix.top.slots)
 
 	cl := src.fork()
-	if cl.ix.layers[0] != bottom {
-		t.Error("clone copied a frozen layer instead of sharing it")
+	if &cl.ix.layers[0].slots[0] != &bottom.slots[0] || &cl.ix.top.slots[0] == &src.ix.top.slots[0] {
+		t.Error("clone copied a frozen layer, or shares the source's top")
 	}
 	put(cl, 2*indexSealAt) // crosses a seal on the clone
 	if cl.ix.sealed == 0 {
 		t.Fatal("clone never sealed")
 	}
-	if len(src.ix.layers) != 1 || src.ix.layers[0] != bottom || !maps.Equal(src.ix.top, top) {
+	if len(src.ix.layers) != 1 || &src.ix.layers[0].slots[0] != &bottom.slots[0] || !slices.Equal(src.ix.top.slots, top) {
 		t.Error("writes to the clone reached the source")
 	}
 	if _, ok := src.get(run.keyAt[len(run.keyAt)-1]); ok {
 		t.Error("clone's key visible through the source")
 	}
 	if _, ok := cl.get("k0"); ok {
-		t.Error("source's tombstone lost in the clone")
+		t.Error("source's retraction lost in the clone")
 	}
+	src.check(t, "source", len(run.keyAt))
+	cl.check(t, "clone", len(run.keyAt))
+}
+
+// TestRetractWritesNoIndexEntry: FactTable.Retract clears a live bit
+// and writes nothing to the key index — not its top, not its layers —
+// on a cold index (one large top, no layers) and on a layered one (a
+// clone that sealed), for tuples whose entries sit in the top and in a
+// frozen layer alike. The retracted tuples are then gone from lookups
+// and their keys take a fresh insert.
+func TestRetractWritesNoIndexEntry(t *testing.T) {
+	const members, years = 50, 50
+	ids := make([]MVID, members)
+	for i := range ids {
+		ids[i] = MVID("m" + strconv.Itoa(i))
+	}
+	fill := func(ft *FactTable, from, to int) {
+		for i := from; i < to; i++ {
+			if err := ft.Insert(Coords{ids[i%members]}, y(2000+i/members), float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	retract := func(label string, ft *FactTable, tuples ...int) {
+		t.Helper()
+		top, layers := slices.Clone(ft.index.top.slots), slices.Clone(ft.index.layers)
+		layerSlots := make([][]uint64, len(layers))
+		for i, l := range layers {
+			layerSlots[i] = slices.Clone(l.slots)
+		}
+		for _, i := range tuples {
+			if _, ok := ft.Retract(Coords{ids[i%members]}, y(2000+i/members)); !ok {
+				t.Fatalf("%s: tuple %d not found to retract", label, i)
+			}
+		}
+		if !slices.Equal(top, ft.index.top.slots) || len(layers) != len(ft.index.layers) {
+			t.Fatalf("%s: retracting wrote the index's top or its layer list", label)
+		}
+		for i, l := range ft.index.layers {
+			if l.n != layers[i].n || !slices.Equal(layerSlots[i], l.slots) {
+				t.Fatalf("%s: retracting wrote layer %d", label, i)
+			}
+		}
+		for _, i := range tuples {
+			if _, ok := ft.Lookup(Coords{ids[i%members]}, y(2000+i/members)); ok {
+				t.Errorf("%s: retracted tuple %d still found", label, i)
+			}
+		}
+	}
+
+	s := factSchema(t, 1, ids...)
+	cold := s.Facts()
+	fill(cold, 0, 8*indexSealAt)
+	if len(cold.index.layers) != 0 || cold.index.top.n != 8*indexSealAt {
+		t.Fatalf("cold index has %d layers and %d top entries", len(cold.index.layers), cold.index.top.n)
+	}
+	retract("cold", cold, 0, 1, 500, 8*indexSealAt-1)
+
+	layered := s.Clone().Facts()
+	fill(layered, 8*indexSealAt, members*years)
+	if len(layered.index.layers) < 2 || layered.index.top.n == 0 {
+		t.Fatalf("layered index has %d layers and %d top entries, want a sealed layer and a non-empty top",
+			len(layered.index.layers), layered.index.top.n)
+	}
+	// Tuples from the shared bottom, from a sealed layer and from the top.
+	retract("layered", layered, 2, 8*indexSealAt, members*years-1)
+	if err := layered.Insert(Coords{ids[2]}, y(2000), 7); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := layered.Lookup(Coords{ids[2]}, y(2000)); !ok || v[0] != 7 {
+		t.Errorf("re-inserted tuple reads %v, %v", v, ok)
+	}
+}
+
+// FuzzKeyIndexLineage plays a byte string as a lineage history against
+// a map model per generation: the first byte picks the fingerprint
+// width (full, or cut to 4 or 10 bits so that keys share
+// fingerprints), the second the size of the cold build, and every
+// further three bytes one operation — an insert, a replacement (a probe
+// that must hit and write nothing), a retraction, a re-insert, a clone,
+// or a sibling that writes and is discarded. Every generation still
+// held is checked against its model every 64 operations and at the
+// end. The one seed tier-1 runs is a 3 000-operation history at 4 bits,
+// long enough to seal, merge and flatten.
+func FuzzKeyIndexLineage(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	seed := make([]byte, 2+3*3000)
+	r.Read(seed)
+	seed[0], seed[1] = 1, 255
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const universe, maxForks = 1024, 6
+		if len(data) < 2 {
+			return
+		}
+		run := &indexRun{hash: [...]func(string) uint64{fullHash, truncatedHash(4), truncatedHash(10)}[data[0]%3]}
+		root := newIndexLineage(run)
+		for k := 0; k < 4*int(data[1]); k++ {
+			root.put("k" + strconv.Itoa(k%universe))
+			if k >= universe {
+				root.del("k" + strconv.Itoa(k%universe))
+				root.put("k" + strconv.Itoa(k%universe))
+			}
+		}
+		lineages := []*indexLineage{root}
+		pick := rand.New(rand.NewSource(int64(len(data))))
+		apply := func(l *indexLineage, op byte, key string) {
+			_, live := l.model[key]
+			switch {
+			case op%8 < 3 && live:
+				l.del(key)
+			case op%8 == 3 && live:
+				top, layers := l.ix.top.n, len(l.ix.layers)
+				if got, ok := l.get(key); !ok || got != l.model[key] {
+					t.Fatalf("replace: get(%s) = %d, %v; model has %d", key, got, ok, l.model[key])
+				}
+				if l.ix.top.n != top || len(l.ix.layers) != layers {
+					t.Fatalf("a replacement of %s wrote the key index", key)
+				}
+			case !live:
+				l.put(key)
+			}
+		}
+		ops := data[2:]
+		for i := 0; i+3 <= len(ops); i += 3 {
+			op, key := ops[i], "k"+strconv.Itoa((int(ops[i+1])<<8|int(ops[i+2]))%universe)
+			l := lineages[int(op>>4)%len(lineages)]
+			switch op % 16 {
+			case 14:
+				lineages = adopt(pick, lineages, l, l.fork(), maxForks)
+			case 15:
+				// A sibling writes and is dropped; l must not see any of it.
+				d := l.fork()
+				for k := 0; k < 8; k++ {
+					apply(d, byte(k), "k"+strconv.Itoa((int(ops[i+1])+k*37)%universe))
+				}
+			default:
+				apply(l, op, key)
+			}
+			if (i/3)%64 == 63 {
+				for j, l := range lineages {
+					l.check(t, fmt.Sprintf("op %d lineage %d", i/3, j), universe)
+				}
+			}
+		}
+		for j, l := range lineages {
+			l.check(t, fmt.Sprintf("end lineage %d", j), universe)
+		}
+	})
 }

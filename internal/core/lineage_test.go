@@ -182,9 +182,10 @@ func allocatedBy(fn func()) (bytes, objects uint64) {
 // allocate: the columns of the one shard it privatizes to tombstone a
 // slot (MappedShardSize tuples × 25 B: a 4-byte ordinal, an 8-byte
 // instant, an 8-byte value, a 1-byte confidence, a 4-byte source count,
-// 102 400 B) plus 16 KiB for the key index's top, which the tombstone
-// may seal. While the fact table was a pointer list, a retract copied
-// all of it, 8 B per fact and a quarter of headroom.
+// 102 400 B) plus 16 KiB, once for the key index's top, which a
+// tombstone could seal while it wrote an index entry; a retraction
+// writes none now. While the fact table was a pointer list, a retract
+// copied all of it, 8 B per fact and a quarter of headroom.
 const retractBytesBound = MappedShardSize*25 + 16<<10
 
 func TestWriteCostIndependentOfHistory(t *testing.T) {

@@ -51,9 +51,6 @@ var (
 	metKeyIndexFlattens = obs.Default().Counter(
 		"mvolap_key_index_flattens_total",
 		"Key-index overlays folded into a fresh bottom layer because they outgrew a quarter of it (O(table) once per quarter-table of writes).")
-	metKeyIndexOverflow = obs.Default().Counter(
-		"mvolap_key_index_overflow_total",
-		"Key-index puts whose 64-bit key hash another live key already owned, stored in the generation's overflow map instead.")
 	metResolveTablesBuilt = obs.Default().CounterVec(
 		"mvolap_resolve_tables_built_total",
 		"Resolution tables built: one walk of the mapping graph from every member version of a dimension, per (version-chain entry, mapping set) on first use by a version-mode query.",

@@ -27,6 +27,10 @@ var (
 	metSlowQueries = obs.Default().Counter(
 		"mvolap_http_slow_queries_total",
 		"Query requests slower than the slow-query threshold.")
+	metFactStoreBytes = obs.Default().GaugeVec(
+		"mvolap_fact_store_bytes",
+		"Bytes the served fact table reaches, by part: its shard columns, or its key index.",
+		"part")
 )
 
 // statusRecorder captures the status code written by a handler so the

@@ -17,8 +17,8 @@ import (
 
 // TestMetricsEndpoint asserts the acceptance criterion: after
 // exercising /query, GET /metrics serves the query latency histogram,
-// the per-endpoint request counters, and the resolution-table counter
-// in Prometheus text format.
+// the per-endpoint request counters, the resolution-table counter and
+// the published fact store's bytes in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	// A version mode: tcm reads the fact table as it is stored.
@@ -40,6 +40,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mvolap_resolve_tables_built_total{dim="Org"}`,
 		"mvolap_query_facts_scanned_total",
 		"mvolap_http_in_flight",
+		`mvolap_fact_store_bytes{part="columns"}`,
+		`mvolap_fact_store_bytes{part="index"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)
