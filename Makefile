@@ -45,7 +45,15 @@ deps-check:
 # anywhere else in internal/server's non-test code is a second publish
 # starting.
 #
-# The whole-table view .Facts().Facts() is O(facts), and a write reads its appended suffix (FactTable.Since) instead.
+# The whole-table view .Facts().Facts() is O(facts), and a write reads
+# what it changed off the clone (Schema.Delta) instead.
+#
+# What a write changed is derived in one place, core's Schema.Delta:
+# the footprint the evolution operators used to declare is gone, and
+# the deprecated names left for the benchmark module (TouchSet,
+# ApplyTouched, WithRetraction, BatchWindow) are named nowhere in the
+# root module, tests included, outside their own definitions
+# (DEPRECATED_DELTA and the func line of store.BatchWindow).
 #
 # No mode is materialized: the deprecated MultiVersion() handle builds
 # nothing and stays only for the benchmark module, so a call to it
@@ -64,6 +72,7 @@ WRITE_PATH = ./internal/store/mutation.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql
 NOT_A_SCHEMA = [cC]oords|mv
+DEPRECATED_DELTA = ./internal/evolution/touchset.go
 .PHONY: write-path-check
 write-path-check:
 	@calls=$$(grep -rnE '\.Clone\(\)' --include='*.go' --exclude='*_test.go' \
@@ -108,6 +117,13 @@ write-path-check:
 	views=$$(grep -rnF '.Facts().Facts()' --include='*.go' --exclude='*_test.go' $(FACT_VIEW_FREE)); \
 	if [ -n "$$views" ]; then \
 		echo "write-path-check: a whole-table fact view in $(FACT_VIEW_FREE):"; echo "$$views"; bad=1; \
+	fi; \
+	shims=$$(grep -rnwE 'TouchSet|ApplyTouched|WithRetraction|BatchWindow' --include='*.go' --exclude-dir=benchmark . \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+		| grep -v '^$(DEPRECATED_DELTA):' \
+		| grep -vE '^[^:]+:[0-9]+:func BatchWindow\('); \
+	if [ -n "$$shims" ]; then \
+		echo "write-path-check: a deprecated delta name used in the root module:"; echo "$$shims"; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -1,6 +1,8 @@
 package mvolap_test
 
 import (
+	"context"
+	"encoding/json"
 	"math"
 	"runtime"
 	"sort"
@@ -8,6 +10,8 @@ import (
 	"testing"
 
 	"mvolap/internal/core"
+	"mvolap/internal/evolution"
+	"mvolap/internal/store"
 	"mvolap/internal/temporal"
 	"mvolap/internal/workload"
 )
@@ -243,4 +247,49 @@ func TestCostKeyIndexMerges(t *testing.T) {
 		t.Logf("%d facts after %d writes: %.2f entries merged per fact written, log2(n/256) = %.2f", n, writes, per, math.Log2(float64(n)/256))
 		atMost(t, "merged entries per written fact", per, c*math.Log2(float64(n)/256))
 	}
+}
+
+// TestCostCommitFacts: a 64-fact write through the write path —
+// store.Commit on a nil store: clone, apply, the span, Schema.Delta —
+// costs its batch, as TestCostFactBatch's bare insert does. The median
+// over 64 writes of one lineage; the batches are parsed beforehand.
+func TestCostCommitFacts(t *testing.T) {
+	var bytes, objects [2]float64
+	for i, months := range costSizes {
+		s := costWarehouse(t, months)
+		ap := evolution.NewApplier(s)
+		muts := make([]*store.Mutation, 64)
+		for w := range muts {
+			batch := make([]store.FactRecord, 64)
+			for k := range batch {
+				j := w*64 + k
+				at := temporal.Year(2003) + temporal.Instant(months+j/costLeaves)
+				batch[k] = store.FactRecord{
+					Coords: []string{string(costCoords[j%costLeaves][0])}, Time: at.String(), Values: []float64{float64(j)},
+				}
+			}
+			body, err := json.Marshal(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if muts[w], err = store.ParseMutation(store.RecordFacts, body, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bs, os := make([]uint64, 64), make([]uint64, 64)
+		for w, m := range muts {
+			bs[w], os[w] = allocs(func() {
+				c, err := (*store.Store)(nil).Commit(context.Background(), s, ap, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, ap = c.Schema, c.Applier
+			})
+		}
+		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		t.Logf("%d facts: a 64-fact Commit allocates %.0f B in %.0f objects (median)", s.Facts().Len(), bytes[i], objects[i])
+	}
+	atMost(t, "64-fact Commit bytes at 4N", bytes[1], 13800)
+	atMost(t, "64-fact Commit objects at 4N", objects[1], 88)
+	atMost(t, "64-fact Commit bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 }

@@ -137,13 +137,12 @@ func TestWarmFromCancelledMidFold(t *testing.T) {
 	}
 	before := answers(t, base)
 	insert := func(c *Schema, offset float64) Delta {
-		old := c.Facts().End()
 		for i := 0; i < delta; i++ {
 			if err := c.InsertFact(Coords{[]MVID{"Smith", "Brian"}[i%2]}, ym(2600+i/24, 1+(i/2)%12), offset+float64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return Delta{NewFacts: c.Facts().Since(old)}
+		return c.Delta()
 	}
 
 	abandoned := base.Clone()

@@ -36,10 +36,16 @@ type Dimension struct {
 	shared bool
 
 	// onMutate, when set, runs after every successful structural
-	// mutation. The owning schema hooks its cache invalidation here, so
-	// evolution operators mutating a dimension in place can never leave
-	// stale structure versions or a stale MultiVersion Fact Table behind.
-	onMutate func()
+	// mutation, told whether the mutation can reroute a stored fact's
+	// rollup. The owning schema hooks its cache invalidation and its
+	// Delta here, so evolution operators mutating a dimension in place
+	// can never leave stale structure versions behind or a write's
+	// footprint unrecorded.
+	onMutate func(reroutes bool)
+
+	// base is the number of member versions the dimension held when
+	// Clone made it: a version with a smaller ordinal predates the clone.
+	base int32
 
 	// derived holds the version chain and its rollup tables, shared by
 	// every query over this dimension value and, through Clone, by every
@@ -78,11 +84,15 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 	mv.ord = int32(len(d.order))
 	d.members[mv.ID] = mv
 	d.order = append(d.order, mv.ID)
-	d.notifyMutate()
+	// A levelled version is a fresh member no stored fact holds. An
+	// unlevelled one can switch the dimension from tagged levels to
+	// derived depth levels (Definition 4), renaming every member's level.
+	d.notifyMutate(mv.Level == "")
 	return nil
 }
 
-// notifyMutate reports a structural change to the owning schema and
+// notifyMutate reports a structural change to the owning schema, with
+// whether it can reroute a stored fact's rollup (Delta.Reroutes), and
 // moves this dimension onto new derived state, which sweeps its chain
 // again on first use and takes over the tables of every entry whose
 // hash the old chain — or, if it never swept, the chain it would have
@@ -91,7 +101,7 @@ func (d *Dimension) AddVersion(mv *MemberVersion) error {
 // shares the old structure value; mutation only ever happens on an
 // unpublished clone (copy-on-write), so no concurrent reader observes
 // the swap.
-func (d *Dimension) notifyMutate() {
+func (d *Dimension) notifyMutate(reroutes bool) {
 	der := d.derived
 	der.mu.Lock()
 	prev := der.prev
@@ -101,7 +111,7 @@ func (d *Dimension) notifyMutate() {
 	der.mu.Unlock()
 	d.derived = &dimDerived{prev: prev}
 	if d.onMutate != nil {
-		d.onMutate()
+		d.onMutate(reroutes)
 	}
 }
 
@@ -162,7 +172,9 @@ func (d *Dimension) AddRelationship(r TemporalRelationship) error {
 	case absorbed:
 		d.compactRels()
 	}
-	d.notifyMutate()
+	// An edge up from a version created since the clone extends no path
+	// a stored fact rolls up through: no fact can hold that version yet.
+	d.notifyMutate(child.ord < d.base)
 	return nil
 }
 
@@ -600,6 +612,7 @@ func (d *Dimension) Clone() *Dimension {
 		parentRels: d.parentRels,
 		childRels:  d.childRels,
 		shared:     true,
+		base:       int32(len(d.order)),
 		derived:    d.derived,
 	}
 }
@@ -650,7 +663,7 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	}
 	// Drop relationships emptied by the truncation.
 	d.compactRels()
-	d.notifyMutate()
+	d.notifyMutate(true)
 	return nil
 }
 
@@ -666,7 +679,7 @@ func (d *Dimension) EndRelationship(from, to MVID, end temporal.Instant) {
 		}
 	}
 	d.compactRels()
-	d.notifyMutate()
+	d.notifyMutate(true)
 }
 
 func (d *Dimension) compactRels() {

@@ -160,6 +160,11 @@ type FactTable struct {
 	// (ordShared), and each chunk until it writes into it (ordChunk).
 	ords      [][]*ordChunk
 	ordShared bool
+	// written is the hull of the instants this table inserted, replaced
+	// or tombstoned since it was made, when wrote says there was one: a
+	// clone starts with none (Schema.Delta).
+	written temporal.Interval
+	wrote   bool
 }
 
 // newFactTable returns an empty fact table over the schema's dimensions
@@ -199,10 +204,6 @@ func (ft *FactTable) Bytes() (columns, index int) {
 	return columns, ft.index.bytes()
 }
 
-// End returns the position the next appended fact takes: the mark
-// Since reads a write's appended suffix from.
-func (ft *FactTable) End() int { return ft.n }
-
 // Insert adds a fact. Inserting at existing coordinates and time
 // replaces the previous values (the fact table is a function) in their
 // slot. Every coordinate must name a member version of its dimension.
@@ -216,6 +217,7 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 		return fmt.Errorf("core: fact coordinates %v not in the schema's dimensions", coords)
 	}
 	h := tupleKey(ords, t)
+	ft.noteWrite(t)
 	if pos, ok := ft.find(h, ords, t); ok {
 		nm, j := ft.nm, pos&shardMask
 		sh := ft.writableShard(pos>>shardShift, j)
@@ -246,7 +248,7 @@ func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool)
 func (ft *FactTable) All(yield func(*Fact) bool) {
 	nd, nm := ft.nd, ft.nm
 	f := &Fact{Coords: make(Coords, nd)}
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
 		f.Time = sh.times[j]
 		f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
@@ -255,20 +257,14 @@ func (ft *FactTable) All(yield func(*Fact) bool) {
 }
 
 // Facts returns a fresh view of the stored facts in insertion order,
-// built on every call and never cached: it is O(facts), and a write
-// reads its appended suffix through Since instead. The slice has no
-// spare capacity and no fact aliases the table.
-func (ft *FactTable) Facts() []*Fact { return ft.Since(0) }
-
-// Since returns a fresh view of the live facts stored at or past
-// position mark, in insertion order: with mark taken from End before a
-// batch, the facts the batch appended. It costs O(suffix).
-func (ft *FactTable) Since(mark int) []*Fact {
-	nd, nm, size := ft.nd, ft.nm, max(ft.n-mark, 0)
+// built on every call and never cached: it is O(facts). The slice has
+// no spare capacity and no fact aliases the table.
+func (ft *FactTable) Facts() []*Fact {
+	nd, nm, size := ft.nd, ft.nm, ft.Len()
 	arena := make([]Fact, 0, size)
 	coords := make(Coords, size*nd)
 	values := make([]float64, size*nm)
-	ft.each(mark, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		i := len(arena)
 		c := coords[i*nd : (i+1)*nd : (i+1)*nd]
 		ft.ids(c, sh.coords[j*nd:(j+1)*nd])
@@ -285,7 +281,7 @@ func (ft *FactTable) Since(mark int) []*Fact {
 }
 
 // Retract removes the fact at (coords, t), returning a copy of the
-// removed tuple so the caller can carry it in a Delta: an index lookup
+// removed tuple: an index lookup
 // and a tombstone in the slot (tombstone), whose shard is privatized
 // first when another generation may read it, as on the first retraction
 // after a Clone. The surviving facts keep their insertion order.
@@ -319,7 +315,7 @@ func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bo
 	}
 	var out *Fact
 	nd := ft.nd
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		if sh.coords[j*nd+i] != mv.ord || sh.times[j] <= end {
 			return true
 		}
@@ -340,6 +336,7 @@ func (ft *FactTable) tombstone(pos int) {
 	sh := ft.writableShard(pos>>shardShift, j)
 	sh.live[j>>6] &^= 1 << (uint(j) & 63)
 	ft.dead++
+	ft.noteWrite(sh.times[j])
 	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j], -1)
 }
 
@@ -376,6 +373,16 @@ func (ft *FactTable) clone(s *Schema) *FactTable {
 	ft.epoch = shardEpochCounter.Add(1)
 	ft.shardsShared, ft.ordShared = true, true
 	return out
+}
+
+// noteWrite widens the hull of the instants written since the table was
+// made by t.
+func (ft *FactTable) noteWrite(t temporal.Instant) {
+	iv := temporal.Between(t, t)
+	if ft.wrote {
+		iv = ft.written.Hull(iv)
+	}
+	ft.written, ft.wrote = iv, true
 }
 
 // ids writes the member version IDs of a tuple's ordinals into dst.
@@ -417,15 +424,11 @@ func (ft *FactTable) locate(coords Coords, t temporal.Instant) (int, bool) {
 	return ft.find(tupleKey(ords, t), ords, t)
 }
 
-// each calls fn for every live tuple at or past position mark, in
-// position order, until fn returns false.
-func (ft *FactTable) each(mark int, fn func(sh *factShard, j int) bool) {
-	for si := mark >> shardShift; si < len(ft.shards); si++ {
-		sh, j := ft.shards[si], 0
-		if si == mark>>shardShift {
-			j = mark & shardMask
-		}
-		for ; j < sh.n; j++ {
+// each calls fn for every live tuple, in position order, until fn
+// returns false.
+func (ft *FactTable) each(fn func(sh *factShard, j int) bool) {
+	for _, sh := range ft.shards {
+		for j := 0; j < sh.n; j++ {
 			if sh.isLive(j) && !fn(sh, j) {
 				return
 			}

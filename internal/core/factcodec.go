@@ -40,17 +40,17 @@ func EncodeFacts(s *Schema) []byte {
 	buf = binary.AppendUvarint(buf, uint64(nd))
 	buf = binary.AppendUvarint(buf, uint64(nm))
 	buf = binary.AppendUvarint(buf, uint64(n))
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		for _, o := range sh.coords[j*nd : (j+1)*nd] {
 			buf = binary.AppendUvarint(buf, uint64(o))
 		}
 		return true
 	})
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.times[j]))
 		return true
 	})
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		for _, v := range sh.values[j*nm : (j+1)*nm] {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}

@@ -170,8 +170,8 @@ func TestFactsCodecTombstonedTable(t *testing.T) {
 	if _, err := s.RetractFact(victim.Coords, victim.Time); err != nil {
 		t.Fatal(err)
 	}
-	if ft := s.Facts(); ft.End() != ft.Len()+1 {
-		t.Fatalf("fact table holds %d slots for %d facts: the fixture must tombstone one", ft.End(), ft.Len())
+	if ft := s.Facts(); ft.Slots() != ft.Len()+1 {
+		t.Fatalf("fact table holds %d slots for %d facts: the fixture must tombstone one", ft.Slots(), ft.Len())
 	}
 	fresh := structureOf(t, s)
 	for _, f := range s.Facts().Facts() {
@@ -181,8 +181,8 @@ func TestFactsCodecTombstonedTable(t *testing.T) {
 		t.Error("a tombstoned table encodes differently from its live facts inserted afresh")
 	}
 	back := reload(t, s)
-	if ft := back.Facts(); ft.End() != ft.Len() || ft.Len() != s.Facts().Len() {
-		t.Fatalf("reloaded table holds %d slots for %d facts, want %d of each", ft.End(), ft.Len(), s.Facts().Len())
+	if ft := back.Facts(); ft.Slots() != ft.Len() || ft.Len() != s.Facts().Len() {
+		t.Fatalf("reloaded table holds %d slots for %d facts, want %d of each", ft.Slots(), ft.Len(), s.Facts().Len())
 	}
 	if got, want := answers(t, back), answers(t, s); got != want {
 		t.Errorf("reloaded answers\n%s\nthe tombstoned table's\n%s", got, want)

@@ -6,50 +6,57 @@ import (
 	"mvolap/internal/temporal"
 )
 
-// Delta describes what one accepted mutation batch changed between a
-// base schema and its evolved clone, precisely enough for the result
-// cache above the engine to decide, per cached answer, between keeping
-// it and dropping it. The engine itself needs none of it: a mode is
-// presented from the fact store at query time, so a write leaves no
-// mode behind to maintain.
+// Delta is what a write changed between a schema and the clone it was
+// written to, precisely enough for the result cache above the engine to
+// decide, per cached answer, between keeping it and dropping it. It is
+// read off the clone (Schema.Delta), never declared by the writer: the
+// mutators record it as they run. The engine itself needs none of it:
+// a mode is presented from the fact store at query time, so a write
+// leaves no mode behind to maintain.
 type Delta struct {
-	// NewFacts is the suffix of the clone's fact table appended by the
-	// batch, in insertion order (FactTable.Since).
-	NewFacts []*Fact
-	// Retracted lists the old tuples a retract batch removed from the
-	// fact table, in batch order.
-	Retracted []*Fact
-	// FactsReplaced reports that the batch overwrote values at existing
-	// coordinates (FactTable.Insert replaces — the fact table is a
-	// function).
-	FactsReplaced bool
-	// FactsWindow, when FactsWindowKnown, is the hull of the instants
-	// of every fact the batch inserted or replaced. Whether a tuple was
-	// appended or overwritten, only its own instant's value changed, so
-	// a query result computed over a time range disjoint from this
-	// window is byte-identical before and after the batch — the TQL
-	// result cache revalidates such entries instead of dropping them.
+	// Reroutes reports that a stored fact's rollup or resolution may
+	// have changed: a member version or relationship was ended
+	// (Dimension.SetEnd, EndRelationship), an edge was added up from a
+	// member version the schema held before the clone, an unlevelled
+	// member version was added (Definition 4's derived levels may
+	// rename every level), or the mapping set or the ⊗cf algebra
+	// changed (the mapping graph is global). Adding a levelled member
+	// version, and edges up from versions created since the clone, leave
+	// it clear: no stored fact holds such a version, so every answer
+	// computed before the write is byte-identical after it unless a fact
+	// was written too.
+	Reroutes bool
+	// FactsWindow, when FactsWindowKnown, is the hull of the instants of
+	// every fact the write inserted, replaced or retracted; without
+	// FactsWindowKnown no fact was written. Each only changes the value
+	// at its own instant, so an answer computed over a time range
+	// disjoint from this window is byte-identical before and after the
+	// write.
 	FactsWindow      temporal.Interval
 	FactsWindowKnown bool
-	// StructureAdditive reports that every structural mutation in the
-	// batch only created fresh member versions with relationships up to
-	// their parents — nothing pre-existing was modified, ended, or
-	// given a new child-to-parent edge. No already-stored fact can roll
-	// up through a freshly created member (its coordinates predate it,
-	// and upward paths from them were not extended), so query results
-	// computed before the batch are byte-identical after it.
-	StructureAdditive bool
-	// StructureChanged reports that any dimension was mutated in place
-	// (evolution operators).
-	StructureChanged bool
-	// MappingsChanged reports that the set of mapping relationships
-	// changed (Associate). The mapping graph is global — resolution may
-	// route through any relationship — so every version-mode answer may
-	// change; tcm does not use the graph.
-	MappingsChanged bool
-	// DimsTouched lists the dimensions the batch mutated, for
-	// observability.
-	DimsTouched []DimID
+
+	// NewFacts is a facts batch's appended suffix, as a caller saw it.
+	//
+	// Deprecated: nothing reads it; only the benchmark module's serial
+	// replay still fills it in, and it goes with that replay (ROADMAP
+	// item 2).
+	NewFacts []*Fact
+	// FactsReplaced reports, as a caller saw it, that a facts batch
+	// replaced values.
+	//
+	// Deprecated: nothing reads it; only the benchmark module's serial
+	// replay still sets it, and it goes with that replay (ROADMAP item
+	// 2).
+	FactsReplaced bool
+}
+
+// Delta reports what was written to the schema since Clone made it (or
+// NewSchema, for a schema built from nothing): Reroutes as the
+// dimension mutators, AddMapping and SetConfidenceAlgebra recorded it,
+// and the hull of the instants the fact table wrote. It is the one
+// place a write's footprint is derived.
+func (s *Schema) Delta() Delta {
+	return Delta{Reroutes: s.reroutes, FactsWindow: s.facts.written, FactsWindowKnown: s.facts.wrote}
 }
 
 // WarmResult reports what WarmFrom did.

@@ -200,7 +200,6 @@ func TestWarmFromFactDelta(t *testing.T) {
 	before := answers(t, base)
 
 	clone := base.Clone()
-	oldLen := clone.Facts().Len()
 	batch := []struct {
 		id MVID
 		at temporal.Instant
@@ -211,9 +210,7 @@ func TestWarmFromFactDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delta := Delta{NewFacts: clone.Facts().Facts()[oldLen:]}
-
-	if res := clone.WarmFrom(context.Background(), base, delta); !reflect.DeepEqual(res, WarmResult{}) {
+	if res := clone.WarmFrom(context.Background(), base, clone.Delta()); !reflect.DeepEqual(res, WarmResult{}) {
 		t.Fatalf("WarmFrom = %+v, want nothing carried", res)
 	}
 	modesMatchCold(t, "clone", clone)
@@ -237,7 +234,7 @@ func TestWarmFromStructureChange(t *testing.T) {
 	if n, m := len(clone.Modes()), len(base.Modes()); n != m+1 {
 		t.Fatalf("%d modes after the split, want %d", n, m+1)
 	}
-	clone.WarmFrom(context.Background(), base, Delta{StructureChanged: true, DimsTouched: []DimID{"Org"}})
+	clone.WarmFrom(context.Background(), base, clone.Delta())
 	modesMatchCold(t, "clone", clone)
 	requireSameAnswers(t, "base", answers(t, base), before)
 }

@@ -52,14 +52,13 @@ func lineageLeaf(i int) MVID { return MVID(fmt.Sprintf("leaf%d", i)) }
 func lineageWrite(t testing.TB, cur *Schema, leaves, months, batch, w int) *Schema {
 	t.Helper()
 	clone := cur.Clone()
-	mark := clone.Facts().End()
 	for i := w * batch; i < (w+1)*batch; i++ {
 		at := y(2003) + temporal.Instant(months+i/leaves)
 		if err := clone.InsertFact(Coords{lineageLeaf(i % leaves)}, at, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := clone.WarmFrom(context.Background(), cur, Delta{NewFacts: clone.Facts().Since(mark)})
+	res := clone.WarmFrom(context.Background(), cur, clone.Delta())
 	if len(res.Evicted) != 0 || res.DeltaApplied != len(res.Retained) {
 		t.Fatalf("write %d: WarmFrom = %+v, want every mode retained with the delta folded", w, res)
 	}
@@ -76,11 +75,10 @@ func lineageRetract(t testing.TB, cur *Schema) *Schema {
 		f = Fact{Coords: first.Coords.Clone(), Time: first.Time}
 		return false
 	})
-	old, err := clone.RetractFact(f.Coords, f.Time)
-	if err != nil {
+	if _, err := clone.RetractFact(f.Coords, f.Time); err != nil {
 		t.Fatal(err)
 	}
-	res := clone.WarmFrom(context.Background(), cur, Delta{Retracted: []*Fact{old}})
+	res := clone.WarmFrom(context.Background(), cur, clone.Delta())
 	if len(res.Evicted) != 0 || res.Subtracted != len(res.Retained) {
 		t.Fatalf("retract: WarmFrom = %+v, want every mode retained by unfolding", res)
 	}

@@ -62,7 +62,7 @@ func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err
 	pr := newPresenter(res, nil, nm, s.alg, s.mappingGraph().identity)
 	merged := newMergeMap(nd, s.measures, s.alg)
 	defer merged.release()
-	ft.each(0, func(sh *factShard, j int) bool {
+	ft.each(func(sh *factShard, j int) bool {
 		if pr.start(sh.coords[j*nd:(j+1)*nd], sh.values[j*nm:(j+1)*nm]) {
 			for pr.next() {
 				merged.add(pr.coords, sh.times[j], pr.values, pr.cfs)

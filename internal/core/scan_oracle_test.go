@@ -655,25 +655,21 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			if err := ca.AddRelationship(TemporalRelationship{From: "Lnew", To: "M2", Valid: temporal.Since(from)}); err != nil {
 				t.Fatal(err)
 			}
-			oldLen := grown.Facts().Len()
 			for k := 0; k < 40; k++ {
 				at := from + temporal.Instant(r.Intn(int(ym(2004, 12)-from)+1))
 				if err := grown.InsertFact(Coords{"Lnew", MVID(fmt.Sprintf("G%d", k%8))}, at, float64(k), 1, float64(k)/4, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-			grown.WarmFrom(context.Background(), s, Delta{NewFacts: grown.Facts().Facts()[oldLen:], StructureChanged: true})
+			grown.WarmFrom(context.Background(), s, grown.Delta())
 			clone := grown.Clone()
-			var retracted []*Fact
 			for k := 0; k < 25; k++ {
 				victim := clone.Facts().Facts()[r.Intn(clone.Facts().Len())]
-				old, err := clone.RetractFact(victim.Coords, victim.Time)
-				if err != nil {
+				if _, err := clone.RetractFact(victim.Coords, victim.Time); err != nil {
 					t.Fatal(err)
 				}
-				retracted = append(retracted, old)
 			}
-			clone.WarmFrom(context.Background(), grown, Delta{Retracted: retracted})
+			clone.WarmFrom(context.Background(), grown, clone.Delta())
 			ca = clone.Dimension("A")
 			if clone.Facts().dead == 0 {
 				t.Fatal("the clone's fact table carries no tombstone")

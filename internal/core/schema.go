@@ -38,6 +38,9 @@ type Schema struct {
 	// graph is the mapping graph of mappings under alg, built on first
 	// use and dropped when either changes; resolution tables key on it.
 	graph *mappingGraph
+	// reroutes records that a write since Clone (or NewSchema) can have
+	// rerouted a stored fact's rollup: Delta.Reroutes.
+	reroutes bool
 	// swapID is a process-unique identity for this schema value,
 	// assigned at construction and on every Clone. The serving tier
 	// mutates by clone-then-swap, so the swapID distinguishes the
@@ -72,6 +75,7 @@ func NewSchema(name string, measures ...Measure) *Schema {
 // SetConfidenceAlgebra replaces the ⊗cf algebra (Definition 6).
 func (s *Schema) SetConfidenceAlgebra(alg ConfidenceAlgebra) {
 	s.alg = alg
+	s.reroutes = true
 	s.mu.Lock()
 	s.graph = nil
 	s.mu.Unlock()
@@ -103,11 +107,11 @@ func (s *Schema) AddDimension(d *Dimension) error {
 	if s.facts.n != 0 {
 		return fmt.Errorf("core: schema %s: dimension %q added after facts", s.Name, d.ID)
 	}
-	d.onMutate = s.invalidate
+	d.onMutate = s.mutated
 	s.dimIndex[d.ID] = len(s.dims)
 	s.dims = append(s.dims, d)
 	s.facts = newFactTable(s)
-	s.invalidate()
+	s.mutated(true)
 	return nil
 }
 
@@ -151,6 +155,8 @@ func (s *Schema) Facts() *FactTable { return s.facts }
 // AddMapping registers a mapping relationship after validating it, the
 // Associate operator's underlying primitive. It drops the mapping graph
 // only: structure versions read the dimensions alone (Definition 9).
+// The mapping graph is global, so any version mode's resolution may
+// route through the new relationship: the write reroutes.
 func (s *Schema) AddMapping(m MappingRelationship) error {
 	if err := m.Validate(len(s.measures)); err != nil {
 		return err
@@ -162,6 +168,7 @@ func (s *Schema) AddMapping(m MappingRelationship) error {
 		return fmt.Errorf("core: mapping %s→%s: unknown member version %q", m.From, m.To, m.To)
 	}
 	s.mappings = append(s.mappings, m)
+	s.reroutes = true
 	s.mu.Lock()
 	s.graph = nil
 	s.mu.Unlock()
@@ -215,7 +222,7 @@ func (s *Schema) InsertFact(coords Coords, t temporal.Instant, values ...float64
 
 // RetractFact removes the fact stored at (coords, t) — the
 // retract/correct API's schema-level primitive — and returns the old
-// tuple so the caller can carry it in a Delta for incremental unfold.
+// tuple.
 // Retracting a tuple that does not exist is an error and mutates
 // nothing, which is what makes batch retraction atomic at the serving
 // tier (validate each record against the clone; any miss discards the
@@ -299,7 +306,7 @@ func (s *Schema) Clone() *Schema {
 	}
 	for _, d := range s.dims {
 		cp := d.Clone()
-		cp.onMutate = out.invalidate
+		cp.onMutate = out.mutated
 		out.dimIndex[d.ID] = len(out.dims)
 		out.dims = append(out.dims, cp)
 	}
@@ -313,11 +320,14 @@ func (s *Schema) Clone() *Schema {
 	return out
 }
 
-// invalidate drops the structure versions after a dimension mutation.
-func (s *Schema) invalidate() {
+// mutated records a dimension mutation: it drops the structure
+// versions, and marks the schema's Delta when the mutation can reroute
+// a stored fact's rollup.
+func (s *Schema) mutated(reroutes bool) {
 	s.mu.Lock()
 	s.svCache = nil
 	s.mu.Unlock()
+	s.reroutes = s.reroutes || reroutes
 }
 
 // Invalidate drops derived caches. Dimension mutations through the
@@ -333,7 +343,7 @@ func (s *Schema) Invalidate() {
 		d.derived.prev = nil
 		d.derived.mu.Unlock()
 	}
-	s.invalidate()
+	s.mutated(true)
 }
 
 // StructureVersion is a maximal interval over which every dimension is

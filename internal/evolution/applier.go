@@ -73,32 +73,17 @@ func (e *ApplyError) Unwrap() error { return e.Err }
 // operators were applied before it; apply to a core.Schema.Clone and
 // swap on success when atomicity is required.
 func (a *Applier) Apply(ops ...Op) error {
-	_, err := a.ApplyTouched(ops...)
-	return err
-}
-
-// ApplyTouched is Apply returning the batch's structural footprint: the
-// dimensions mutated and whether the mapping set changed. The serving
-// tier feeds it to the result cache, so only answers the batch could
-// actually have changed are dropped across a clone-swap. Each
-// operator's footprint is recorded even when it fails — it may have
-// mutated part of the schema before erroring, so invalidation must
-// still cover it.
-func (a *Applier) ApplyTouched(ops ...Op) (TouchSet, error) {
-	var ts TouchSet
 	for i, op := range ops {
 		if err := op.Apply(a.schema); err != nil {
-			ts.observe(op)
-			return ts, &ApplyError{Index: i, Applied: i, Op: op.Describe(), Err: err}
+			return &ApplyError{Index: i, Applied: i, Op: op.Describe(), Err: err}
 		}
-		ts.observe(op)
 		a.log = append(a.log, LogEntry{
 			Seq:         len(a.log) + 1,
 			Description: op.Describe(),
 			Touched:     op.Touches(),
 		})
 	}
-	return ts, nil
+	return nil
 }
 
 // Rebind returns a new applier bound to s carrying this applier's log —

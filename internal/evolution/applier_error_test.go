@@ -107,10 +107,10 @@ func TestRebindSharesLogWithoutAliasing(t *testing.T) {
 	// Two children of one parent both append: with a shared backing array
 	// and spare capacity the second would overwrite the first's entry.
 	c1, c2 := parent.Rebind(s.Clone()), parent.Rebind(s.Clone())
-	if _, err := c1.ApplyTouched(insert("C1", 2003)); err != nil {
+	if err := c1.Apply(insert("C1", 2003)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.ApplyTouched(insert("C2", 2003)); err != nil {
+	if err := c2.Apply(insert("C2", 2003)); err != nil {
 		t.Fatal(err)
 	}
 	if got := parent.Log(); len(got) != len(before) || got[0].Description != before[0].Description || got[1].Description != before[1].Description {

@@ -49,10 +49,8 @@ func propSchema(t *testing.T, r *rand.Rand) *core.Schema {
 }
 
 // randomFactBatch inserts 1..6 random facts into the clone, at times
-// chosen so collisions (replacements) occasionally happen, and returns
-// the resulting fact-side delta exactly as the serving tier computes
-// it.
-func randomFactBatch(t *testing.T, r *rand.Rand, clone *core.Schema) core.Delta {
+// chosen so collisions (replacements) occasionally happen.
+func randomFactBatch(t *testing.T, r *rand.Rand, clone *core.Schema) {
 	t.Helper()
 	d := clone.Dimensions()[0]
 	var leaves []*core.MemberVersion
@@ -61,9 +59,7 @@ func randomFactBatch(t *testing.T, r *rand.Rand, clone *core.Schema) core.Delta 
 			leaves = append(leaves, mv)
 		}
 	}
-	oldLen := clone.Facts().Len()
 	n := 1 + r.Intn(6)
-	inserted := 0
 	for i := 0; i < n; i++ {
 		mv := leaves[r.Intn(len(leaves))]
 		at := mv.Valid.Start + temporal.Instant(r.Intn(48))
@@ -77,15 +73,7 @@ func randomFactBatch(t *testing.T, r *rand.Rand, clone *core.Schema) core.Delta 
 		if err := clone.InsertFact(core.Coords{mv.ID}, at, vals...); err != nil {
 			t.Fatal(err)
 		}
-		inserted++
 	}
-	var delta core.Delta
-	if clone.Facts().Len() == oldLen+inserted {
-		delta.NewFacts = clone.Facts().Facts()[oldLen:]
-	} else {
-		delta.FactsReplaced = true
-	}
-	return delta
 }
 
 // randomOps builds a 1..2 operator evolution batch against the clone's
@@ -461,7 +449,7 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 					next = applier.Rebind(clone)
 				} else {
 					reb := applier.Rebind(clone)
-					if _, err := reb.ApplyTouched(randomOps(r, clone)...); err != nil {
+					if err := reb.Apply(randomOps(r, clone)...); err != nil {
 						continue // failed batch: clone discarded, like the server's 422
 					}
 					next = reb

@@ -19,11 +19,9 @@ import (
 )
 
 // Op is a basic evolution operator application. Ops mutate the schema's
-// dimensions and mapping set in place; the schema invalidates its
-// derived caches on every such mutation automatically. Ops should also
-// implement StructureToucher (and MappingToucher when relevant) so the
-// serving tier can invalidate structure-aware; ops that don't are
-// treated as touching everything.
+// dimensions and mapping set in place, through the core mutators; the
+// schema invalidates its derived caches and records the write's
+// footprint (core.Schema.Delta) on every such mutation automatically.
 type Op interface {
 	// Apply performs the operator against the schema.
 	Apply(s *core.Schema) error
@@ -118,18 +116,6 @@ func (op Insert) Describe() string {
 // Touches reports the inserted version.
 func (op Insert) Touches() []core.MVID { return []core.MVID{op.ID} }
 
-// Additive reports whether the operator only creates: a fresh member
-// version plus edges from it up to its parents. Linking existing
-// children under the new member extends upward paths from pre-existing
-// coordinates, so an Insert with children is not additive. An insert
-// without an explicit level is not additive either: it can flip an
-// all-explicitly-levelled dimension to derived depth levels, renaming
-// every member's level.
-func (op Insert) Additive() bool { return len(op.Children) == 0 && op.Level != "" }
-
-// TouchedDims reports the mutated dimension.
-func (op Insert) TouchedDims() []core.DimID { return []core.DimID{op.Dim} }
-
 // Exclude is the basic operator Exclude(Did, mvID, tf): the member
 // version is excluded on and after tf, i.e. its end time and the end of
 // all relationships involving it are set to tf−1 (§3.2).
@@ -156,9 +142,6 @@ func (op Exclude) Describe() string {
 // Touches reports the excluded version.
 func (op Exclude) Touches() []core.MVID { return []core.MVID{op.ID} }
 
-// TouchedDims reports the mutated dimension.
-func (op Exclude) TouchedDims() []core.DimID { return []core.DimID{op.Dim} }
-
 // Associate is the basic operator Associate(Rmap): it checks a mapping
 // relationship for consistency and adds it to the schema's set MR.
 type Associate struct {
@@ -180,13 +163,6 @@ func (op Associate) Describe() string {
 func (op Associate) Touches() []core.MVID {
 	return []core.MVID{op.Mapping.From, op.Mapping.To}
 }
-
-// TouchedDims reports no structural change: Associate extends the
-// mapping set without mutating any dimension.
-func (op Associate) TouchedDims() []core.DimID { return nil }
-
-// TouchesMappings reports that the mapping-relationship set changed.
-func (op Associate) TouchesMappings() bool { return true }
 
 // Reclassify is the basic operator
 // Reclassify(Did, mvID, ti, [tf], OldParents, NewParents): it changes
@@ -249,9 +225,6 @@ func (op Reclassify) Touches() []core.MVID {
 	out = append(out, op.NewParents...)
 	return out
 }
-
-// TouchedDims reports the mutated dimension.
-func (op Reclassify) TouchedDims() []core.DimID { return []core.DimID{op.Dim} }
 
 func joinIDs(ids []core.MVID) string {
 	parts := make([]string, len(ids))

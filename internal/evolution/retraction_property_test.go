@@ -11,14 +11,12 @@ import (
 )
 
 // randomRetractBatch retracts 1..3 distinct existing facts from the
-// clone and returns the delta exactly as the serving tier computes it
-// (TouchSet.WithRetraction on the structure-neutral zero touch-set).
-// ok=false means the table was empty and nothing was retracted.
-func randomRetractBatch(t *testing.T, r *rand.Rand, clone *core.Schema) (core.Delta, bool) {
+// clone; false means the table was empty and nothing was retracted.
+func randomRetractBatch(t *testing.T, r *rand.Rand, clone *core.Schema) bool {
 	t.Helper()
 	all := clone.Facts().Facts()
 	if len(all) == 0 {
-		return core.Delta{}, false
+		return false
 	}
 	n := 1 + r.Intn(3)
 	if n > len(all) {
@@ -30,15 +28,12 @@ func randomRetractBatch(t *testing.T, r *rand.Rand, clone *core.Schema) (core.De
 	for _, i := range r.Perm(len(all))[:n] {
 		picks = append(picks, all[i])
 	}
-	retracted := make([]*core.Fact, 0, n)
 	for _, f := range picks {
-		old, err := clone.RetractFact(f.Coords, f.Time)
-		if err != nil {
+		if _, err := clone.RetractFact(f.Coords, f.Time); err != nil {
 			t.Fatalf("retract %v@%v: %v", f.Coords, f.Time, err)
 		}
-		retracted = append(retracted, old)
 	}
-	return evolution.TouchSet{}.WithRetraction(retracted), true
+	return true
 }
 
 // TestRetractionMatchesColdRebuild extends the lineage property to
@@ -67,13 +62,13 @@ func TestRetractionMatchesColdRebuild(t *testing.T) {
 					randomFactBatch(t, r, clone)
 					next = applier.Rebind(clone)
 				case roll < 8:
-					if _, ok := randomRetractBatch(t, r, clone); !ok {
+					if !randomRetractBatch(t, r, clone) {
 						randomFactBatch(t, r, clone)
 					}
 					next = applier.Rebind(clone)
 				default:
 					reb := applier.Rebind(clone)
-					if _, err := reb.ApplyTouched(randomOps(r, clone)...); err != nil {
+					if err := reb.Apply(randomOps(r, clone)...); err != nil {
 						continue // failed batch: clone discarded, like the server's 422
 					}
 					next = reb
@@ -188,12 +183,10 @@ func TestRetractionSumAvgSubtractsInPlace(t *testing.T) {
 	}
 
 	clone := base.Clone()
-	old, err := clone.RetractFact(core.Coords{"B"}, temporal.YM(2001, 6))
-	if err != nil {
+	if _, err := clone.RetractFact(core.Coords{"B"}, temporal.YM(2001, 6)); err != nil {
 		t.Fatal(err)
 	}
-	delta := evolution.TouchSet{}.WithRetraction([]*core.Fact{old})
-	if !delta.FactsWindowKnown {
+	if delta := clone.Delta(); !delta.FactsWindowKnown {
 		t.Fatal("retraction delta must carry a known facts window")
 	}
 	assertAnswersMatch(t, 0, clone)

@@ -1,129 +1,50 @@
 package evolution
 
 import (
-	"sort"
-
 	"mvolap/internal/core"
+	"mvolap/internal/temporal"
 )
 
-// StructureToucher is an optional Op refinement: operators that mutate
-// dimension structure report which dimensions they touch, so the
-// serving tier can invalidate MVFT caches structure-aware instead of
-// wholesale. The four basic operators all implement it.
-type StructureToucher interface {
-	// TouchedDims lists the dimensions the operator mutates
-	// structurally (member versions or temporal relationships).
-	TouchedDims() []core.DimID
+// ApplyTouched is Apply returning the applier's schema as a TouchSet.
+//
+// Deprecated: call Apply and read core.Schema.Delta on the schema.
+// ApplyTouched stays for the benchmark module's serial replay and goes
+// with it (ROADMAP item 2).
+func (a *Applier) ApplyTouched(ops ...Op) (TouchSet, error) {
+	return TouchSet{a.schema}, a.Apply(ops...)
 }
 
-// MappingToucher is an optional Op refinement: operators that change
-// the schema's mapping-relationship set report it, because the mapping
-// graph is global — a changed set can reroute resolution in every
-// version mode.
-type MappingToucher interface {
-	TouchesMappings() bool
-}
+// TouchSet is what ApplyTouched returns: the applier's schema, whose
+// Delta says what the batch changed.
+//
+// Deprecated: read core.Schema.Delta on the schema the batch was
+// applied to. TouchSet stays for the benchmark module's serial replay
+// and goes with it (ROADMAP item 2).
+type TouchSet struct{ s *core.Schema }
 
-// AdditiveToucher is an optional Op refinement: operators whose
-// structural footprint is purely creative — a fresh member version and
-// edges from it to its parents, nothing pre-existing modified — report
-// it, because results computed before such an operator are
-// byte-identical after it (no stored fact can roll up through a member
-// that did not exist when the fact's coordinates were written).
-type AdditiveToucher interface {
-	Additive() bool
-}
-
-// TouchSet accumulates the structural footprint of an applied operator
-// batch. An operator implementing neither refinement is folded in
-// conservatively, as if it had touched every dimension and the mapping
-// set — unknown operators must degrade to full invalidation, never to
-// stale caches.
-type TouchSet struct {
-	dims         map[core.DimID]bool
-	mappings     bool
-	conservative bool
-	nonAdditive  bool
-}
-
-// observe folds one operator's footprint into the set.
-func (ts *TouchSet) observe(op Op) {
-	known := false
-	if st, ok := op.(StructureToucher); ok {
-		known = true
-		touched := st.TouchedDims()
-		for _, d := range touched {
-			if ts.dims == nil {
-				ts.dims = make(map[core.DimID]bool)
-			}
-			ts.dims[d] = true
-		}
-		if len(touched) > 0 {
-			if at, ok := op.(AdditiveToucher); !ok || !at.Additive() {
-				ts.nonAdditive = true
-			}
-		}
-	}
-	if mt, ok := op.(MappingToucher); ok {
-		known = true
-		if mt.TouchesMappings() {
-			ts.mappings = true
-		}
-	}
-	if !known {
-		ts.conservative = true
-	}
-}
-
-// Dims returns the touched dimensions, sorted for determinism.
-func (ts TouchSet) Dims() []core.DimID {
-	out := make([]core.DimID, 0, len(ts.dims))
-	for d := range ts.dims {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// StructureChanged reports whether any dimension structure changed.
-func (ts TouchSet) StructureChanged() bool {
-	return len(ts.dims) > 0 || ts.conservative
-}
-
-// MappingsChanged reports whether the mapping-relationship set changed.
-func (ts TouchSet) MappingsChanged() bool {
-	return ts.mappings || ts.conservative
-}
-
-// StructureAdditive reports that every structural change in the batch
-// was purely creative (see AdditiveToucher); false whenever nothing
-// structural changed at all.
-func (ts TouchSet) StructureAdditive() bool {
-	return len(ts.dims) > 0 && !ts.nonAdditive && !ts.conservative
-}
-
-// Delta renders the touch-set as a core.Delta for the result cache; the
-// caller fills in the fact-side fields (NewFacts, FactsReplaced,
-// Retracted — see WithRetraction for the latter).
+// Delta returns the schema's Delta; the zero TouchSet has none.
+//
+// Deprecated: read core.Schema.Delta (see TouchSet).
 func (ts TouchSet) Delta() core.Delta {
-	return core.Delta{
-		StructureChanged:  ts.StructureChanged(),
-		MappingsChanged:   ts.MappingsChanged(),
-		StructureAdditive: ts.StructureAdditive(),
-		DimsTouched:       ts.Dims(),
+	if ts.s == nil {
+		return core.Delta{}
 	}
+	return ts.s.Delta()
 }
 
-// WithRetraction classifies a fact-retraction batch on top of the
-// touch-set's structural footprint: the rendered delta carries the
-// retracted tuples and the hull of their instants as the facts window.
-// A retraction touches no dimension and no mapping — it is structure-
-// neutral — so a retraction-only batch (the zero TouchSet) yields a
-// delta under which only cached answers whose time range meets the
-// retracted instants can change.
+// WithRetraction returns the Delta with the hull of the retracted
+// tuples' instants as its facts window.
+//
+// Deprecated: the fact table records the instants a retraction writes;
+// read core.Schema.Delta on the clone (see TouchSet).
 func (ts TouchSet) WithRetraction(retracted []*core.Fact) core.Delta {
 	d := ts.Delta()
-	d.Retracted = retracted
-	d.FactsWindow, d.FactsWindowKnown = core.FactsSpan(retracted)
+	for _, f := range retracted {
+		iv := temporal.Between(f.Time, f.Time)
+		if d.FactsWindowKnown {
+			iv = d.FactsWindow.Hull(iv)
+		}
+		d.FactsWindow, d.FactsWindowKnown = iv, true
+	}
 	return d
 }

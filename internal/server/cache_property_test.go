@@ -170,4 +170,45 @@ func TestPropertyCachedServingByteIdentical(t *testing.T) {
 	for _, stmt := range stmts[:min(len(stmts), 10)] {
 		propertyQuery(t, stmt, seq, leaderTS, cachedTS, uncachedTS)
 	}
+
+	// Directed rerouting coverage: before each write every statement
+	// below is cached on the leader and the cached follower, after it
+	// all three servers must still agree byte for byte. Each write can
+	// change one of the cached answers unless the cache drops it (the
+	// fresh parent of a fresh child can change none).
+	watched := []string{
+		oldRange,
+		"SELECT Amount BY Org.Division, TIME.YEAR WHERE TIME BETWEEN 2015 AND 2018 MODE tcm",
+		"SELECT Amount BY Org.Department, TIME.YEAR WHERE TIME BETWEEN 2015 AND 2015 MODE VERSION AT 2016",
+		"SELECT Amount BY Org.Division, TIME.ALL MODE tcm",
+	}
+	write := func(path, body string) {
+		t.Helper()
+		for _, stmt := range watched {
+			propertyQuery(t, stmt, seq, leaderTS, cachedTS, uncachedTS)
+		}
+		if code, resp := postLeader(path, body); code != http.StatusOK {
+			t.Fatalf("%s %q = %d: %s", path, body, code, resp)
+		}
+		barrier()
+		for _, stmt := range watched {
+			propertyQuery(t, stmt, seq, leaderTS, cachedTS, uncachedTS)
+		}
+	}
+	// A new division over an existing department: Dpt.Smith_id's 2015
+	// fact now rolls up to it as well.
+	write("/evolve", "INSERT Org Div.PropOver_id Div.PropOver LEVEL Division AT 01/2015 CHILDREN Dpt.Smith_id\n")
+	// Dpt.PropNew_id gets a fact it keeps and one retracted before the
+	// exclusion, which would otherwise leave it past its member's end.
+	write("/facts", `[{"coords":["Dpt.PropNew_id"],"time":"06/2015","values":[7]},`+
+		`{"coords":["Dpt.PropNew_id"],"time":"03/2016","values":[9]}]`)
+	write("/facts/retract", `[{"coords":["Dpt.PropNew_id"],"time":"03/2016"}]`)
+	write("/evolve", "EXCLUDE Org Dpt.PropNew_id AT 01/2016\n")
+	// VERSION AT 2016 no longer holds Dpt.PropNew_id: the mapping
+	// presents its 2015 fact at Dpt.Brian_id.
+	write("/evolve", "ASSOCIATE Dpt.PropNew_id Dpt.Brian_id FORWARD - em BACKWARD - em\n")
+	write("/evolve", "INSERT Org Dpt.PropKid_id Dpt.PropKid LEVEL Department AT 01/2017\n"+
+		"INSERT Org Div.PropTop_id Div.PropTop LEVEL Division AT 01/2017 CHILDREN Dpt.PropKid_id\n")
+	// Last: an unlevelled member switches Org to derived depth levels.
+	write("/evolve", "INSERT Org Dpt.PropFlat_id Dpt.PropFlat AT 01/2018 PARENTS Sales_id\n")
 }

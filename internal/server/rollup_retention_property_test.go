@@ -127,11 +127,10 @@ func TestPropertyRollupCacheRetentionMatchesCold(t *testing.T) {
 				}
 				clone := cur.Clone()
 				next := applier.Rebind(clone)
-				touched, err := next.ApplyTouched(ops...)
-				if err != nil {
+				if err := next.Apply(ops...); err != nil {
 					continue // rejected batch: the clone is discarded, as on a 422
 				}
-				clone.WarmFrom(context.Background(), cur, touched.Delta())
+				clone.WarmFrom(context.Background(), cur, clone.Delta())
 
 				var buf bytes.Buffer
 				if err := schemaio.Write(&buf, clone); err != nil {

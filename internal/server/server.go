@@ -229,7 +229,7 @@ func (s *Server) Install(sch *core.Schema, applier *evolution.Applier, st *store
 		seq = st.LastSeq()
 	}
 	s.mu.Unlock()
-	s.publish(sch, applier, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true}, seq)
+	s.publish(sch, applier, core.Delta{Reroutes: true}, seq)
 }
 
 // publish swaps in the generation the server serves: sch with its

@@ -103,53 +103,34 @@ type BatchError struct {
 func (e *BatchError) Error() string { return e.Err.Error() }
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// Apply applies the batch to clone, whose applier is ap, and returns
-// the delta that tells the caches what it changed. A failure is a
-// *BatchError and leaves clone partially mutated.
-func (m *Mutation) Apply(clone *core.Schema, ap *evolution.Applier) (core.Delta, error) {
+// Apply applies the batch to clone, whose applier is ap; what it
+// changed is clone.Delta(). A failure is a *BatchError and leaves clone
+// partially mutated.
+func (m *Mutation) Apply(clone *core.Schema, ap *evolution.Applier) error {
 	switch m.kind {
 	case RecordEvolve:
-		touched, err := ap.ApplyTouched(m.ops...)
-		if err != nil {
+		if err := ap.Apply(m.ops...); err != nil {
 			be := &BatchError{Err: err}
 			var ae *evolution.ApplyError
 			if errors.As(err, &ae) {
 				be.Index, be.Op = ae.Index, ae.Op
 			}
-			return core.Delta{}, be
+			return be
 		}
-		return touched.Delta(), nil
 	case RecordFacts:
-		mark := clone.Facts().End()
 		for i, fr := range m.facts {
 			if err := ApplyFact(clone, fr); err != nil {
-				return core.Delta{}, &BatchError{Index: i, Err: fmt.Errorf("fact %d: %w", i, err)}
+				return &BatchError{Index: i, Err: fmt.Errorf("fact %d: %w", i, err)}
 			}
 		}
-		// An insert-only batch appends a suffix the cached modes can fold in
-		// incrementally; a batch that replaced values at existing coordinates
-		// cannot be expressed as a delta and evicts every version mode.
-		var delta core.Delta
-		if appended := clone.Facts().Since(mark); len(appended) == len(m.facts) {
-			delta.NewFacts = appended
-		} else {
-			delta.FactsReplaced = true
-		}
-		delta.FactsWindow, delta.FactsWindowKnown = BatchWindow(m.facts)
-		return delta, nil
 	default:
-		retracted := make([]*core.Fact, 0, len(m.retract))
 		for i, rr := range m.retract {
-			old, err := ApplyRetract(clone, rr)
-			if err != nil {
-				return core.Delta{}, &BatchError{Index: i, Err: fmt.Errorf("retract %d: %w", i, err)}
+			if _, err := ApplyRetract(clone, rr); err != nil {
+				return &BatchError{Index: i, Err: fmt.Errorf("retract %d: %w", i, err)}
 			}
-			retracted = append(retracted, old)
 		}
-		// Retraction is structure-neutral; the delta carries the old tuples
-		// so warm maintenance can unfold them (or evict where it cannot).
-		return evolution.TouchSet{}.WithRetraction(retracted), nil
 	}
+	return nil
 }
 
 // appendTo logs the mutation.
@@ -179,8 +160,7 @@ func ApplyFact(s *core.Schema, fr FactRecord) error {
 }
 
 // ApplyRetract removes one RetractRecord's tuple from the schema,
-// parsing its instant and coordinates, and returns the old tuple for
-// the delta.
+// parsing its instant and coordinates, and returns the old tuple.
 func ApplyRetract(s *core.Schema, rr RetractRecord) (*core.Fact, error) {
 	at, err := temporal.ParseInstant(rr.Time)
 	if err != nil {
@@ -193,9 +173,12 @@ func ApplyRetract(s *core.Schema, rr RetractRecord) (*core.Fact, error) {
 	return s.RetractFact(coords, at)
 }
 
-// BatchWindow returns the hull of the batch's fact instants — the time
-// window a replace-or-append batch could have touched — and whether
-// the batch was non-empty with every instant parseable.
+// BatchWindow returns the hull of the batch's fact instants and
+// whether the batch was non-empty with every instant parseable.
+//
+// Deprecated: the fact table records the instants a batch writes; read
+// core.Schema.Delta on the clone. BatchWindow stays for the benchmark
+// module's serial replay and goes with it (ROADMAP item 2).
 func BatchWindow(batch []FactRecord) (temporal.Interval, bool) {
 	known := false
 	var window temporal.Interval
@@ -220,7 +203,8 @@ type Committed struct {
 	// applier, carrying the evolution log.
 	Schema  *core.Schema
 	Applier *evolution.Applier
-	// Delta says what the mutation changed, for the caches above.
+	// Delta is Schema.Delta(): what the mutation changed, for the caches
+	// above.
 	Delta core.Delta
 	// Seq is the mutation's WAL sequence; 0 when nothing was logged.
 	Seq uint64
@@ -257,8 +241,7 @@ func commit(ctx context.Context, log *Store, base *core.Schema, ap *evolution.Ap
 	ap = ap.Rebind(clone)
 	t = ObserveWriteStage(m.kind, "clone", t)
 
-	delta, err := m.Apply(clone, ap)
-	if err != nil {
+	if err := m.Apply(clone, ap); err != nil {
 		return Committed{}, err
 	}
 	if m.kind == RecordEvolve {
@@ -274,20 +257,25 @@ func commit(ctx context.Context, log *Store, base *core.Schema, ap *evolution.Ap
 	sp.SetAttr("retained", 0)
 	sp.SetAttr("evicted", 0)
 	sp.SetAttr("delta_applies", 0)
-	sp.SetAttr("delta_facts", len(delta.NewFacts))
+	appended := 0
+	if m.kind == RecordFacts {
+		appended = clone.Facts().Len() - base.Facts().Len()
+	}
+	sp.SetAttr("delta_facts", appended)
 	sp.SetAttr("sealed", sealed)
 	sp.SetAttr("merged", merged)
-	if len(delta.Retracted) > 0 {
-		sp.SetAttr("retracted_facts", len(delta.Retracted))
+	if m.kind == RecordRetract {
+		sp.SetAttr("retracted_facts", m.Len())
 		sp.SetAttr("modes_subtracted", 0)
 	}
 	sp.End()
 	t = ObserveWriteStage(m.kind, "apply", t)
 
-	c := Committed{Schema: clone, Applier: ap, Delta: delta}
+	c := Committed{Schema: clone, Applier: ap, Delta: clone.Delta()}
 	if log != nil {
 		// Write-ahead: the accepted batch must be durable (per the fsync
 		// policy) before the clone becomes visible.
+		var err error
 		c.Seq, c.SnapshotDue, err = m.appendTo(log)
 		if err != nil {
 			return Committed{}, fmt.Errorf("wal append: %w", err)

@@ -259,7 +259,7 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replica: bootstrap: %w", err)
 	}
 
-	r.publish(sch, ap, core.Delta{FactsReplaced: true, StructureChanged: true, MappingsChanged: true}, seq)
+	r.publish(sch, ap, core.Delta{Reroutes: true}, seq)
 	r.mu.Lock()
 	r.sch, r.ap = sch, ap
 	r.applied = seq

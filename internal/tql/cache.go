@@ -23,12 +23,13 @@ var (
 	metCacheEvictions = obs.Default().Counter(
 		"mvolap_query_cache_evictions_total",
 		"Result-cache entries dropped by the LRU bound.")
-	metCacheInvalidations = obs.Default().Counter(
+	metCacheInvalidations = obs.Default().CounterVec(
 		"mvolap_query_cache_invalidations_total",
-		"Result-cache entries dropped because a mutation could affect them.")
+		"Result-cache entries dropped because a mutation could affect them, by reason: reroute (the write could reroute a rollup), window (the entry's time range meets the facts the write touched), generation (the entry is of an older swap, never reconciled).",
+		"reason")
 	metCacheRetained = obs.Default().Counter(
 		"mvolap_query_cache_retained_total",
-		"Result-cache entries revalidated across a facts append whose time window their query range provably cannot see.")
+		"Result-cache entries revalidated across a write that provably cannot affect them: it does not reroute, and their time range avoids its facts window.")
 )
 
 // ResultCache is a bounded LRU cache of frozen SELECT outputs, keyed by
@@ -43,15 +44,14 @@ var (
 // observe.
 //
 // The swap path routes through Invalidate with the mutation's
-// core.Delta. Structural or mapping changes — and fact batches that
-// replaced existing coordinates — drop everything, as before. The hot
-// mutation, an insert-only facts append, is handled surgically: the
-// appended facts form a time window, and a cached SELECT whose
-// effective time range does not overlap that window scans exactly the
-// tuples it scanned before (appends only extend the fact table's
-// tail), so its output is byte-identical — the entry is revalidated to
-// the new swap identity instead of dropped. Queries without a WHERE
-// TIME range have effective range temporal.Always and always drop.
+// core.Delta, read off the clone. A write that can reroute a rollup
+// drops everything. Any other write is handled surgically: the facts it
+// inserted, replaced or retracted form a time window, and a cached
+// SELECT whose effective time range does not overlap that window reads
+// exactly the values it read before, so its output is byte-identical —
+// the entry is revalidated to the new swap identity instead of dropped.
+// Queries without a WHERE TIME range have effective range
+// temporal.Always and drop whenever a fact was written.
 //
 // Cached outputs are shared and must be treated as frozen by every
 // reader, which holds for the serving tier: results are rendered, never
@@ -145,57 +145,52 @@ func (c *ResultCache) put(key string, swapID uint64, rng temporal.Interval, out 
 // entries dropped.
 //
 // An entry already computed on the new generation (a query raced ahead
-// of this reconciliation) is kept as-is. An entry of the replaced
-// generation, prevSwapID, is revalidated to swapID when the delta
-// provably leaves its result byte-identical, and dropped otherwise; an
-// entry of an older generation has mutations between its generation
-// and this one that were never reconciled against it, and drops.
-// Routing, from the byte-identity arguments on the Delta fields:
-//   - A mapping change, or a structural change that is not purely
-//     additive, can reroute any rollup — nothing is revalidated.
-//   - A facts batch with a known time window (appends, replacements
-//     and retractions alike only change values at their own instants)
-//     revalidates the entries whose time range avoids the window.
-//   - A purely additive structural change with no facts side touches
-//     no existing rollup path — everything is revalidated.
-//   - Anything else (unknown window, conservative deltas) revalidates
-//     nothing.
+// of this reconciliation) is kept as-is. An entry of an older
+// generation than the replaced one, prevSwapID, has mutations between
+// its generation and this one that were never reconciled against it,
+// and drops. An entry of the replaced generation drops when the delta
+// reroutes, or when its time range meets the delta's facts window; it
+// is revalidated to swapID otherwise. Each drop counts under its reason
+// in mvolap_query_cache_invalidations_total.
 func (c *ResultCache) Invalidate(prevSwapID, swapID uint64, delta core.Delta) int {
 	if c == nil {
 		return 0
 	}
-	factsTouched := delta.FactsReplaced || len(delta.NewFacts) > 0 || len(delta.Retracted) > 0
-	retarget := !delta.MappingsChanged && (!delta.StructureChanged || delta.StructureAdditive) &&
-		(!factsTouched || delta.FactsWindowKnown)
-	window := temporal.Interval{Start: 1, End: 0} // empty: overlaps nothing
-	if factsTouched {
-		window = delta.FactsWindow
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped, retained := 0, 0
+	dropped, retained := map[string]int64{}, 0
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*cacheEntry)
+		reason := ""
 		switch {
 		case ent.swapID == swapID:
-		case retarget && ent.swapID == prevSwapID && !ent.rng.Overlaps(window):
+		case ent.swapID != prevSwapID:
+			reason = "generation"
+		case delta.Reroutes:
+			reason = "reroute"
+		case delta.FactsWindowKnown && ent.rng.Overlaps(delta.FactsWindow):
+			reason = "window"
+		default:
 			ent.swapID = swapID
 			retained++
-		default:
+		}
+		if reason != "" {
 			c.lru.Remove(el)
 			delete(c.entries, ent.key)
-			dropped++
+			dropped[reason]++
 		}
 		el = next
 	}
-	if dropped > 0 {
-		metCacheInvalidations.Add(int64(dropped))
+	n := 0
+	for reason, k := range dropped {
+		metCacheInvalidations.With(reason).Add(k)
+		n += int(k)
 	}
 	if retained > 0 {
 		metCacheRetained.Add(int64(retained))
 	}
-	return dropped
+	return n
 }
 
 // cacheKey builds the structure-aware cache key for a planned SELECT.

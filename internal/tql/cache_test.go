@@ -20,11 +20,7 @@ func TestCacheFactsWindowRetargets(t *testing.T) {
 	c.put("hot", 1, temporal.Between(y(2004), y(2006)), oHot)
 	c.put("always", 1, temporal.Always, oAlways)
 
-	delta := core.Delta{
-		FactsReplaced:    true,
-		FactsWindow:      temporal.Between(y(2005), y(2005)),
-		FactsWindowKnown: true,
-	}
+	delta := core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}
 	dropped := c.Invalidate(1, 2, delta)
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2 (overlapping + Always)", dropped)
@@ -40,52 +36,72 @@ func TestCacheFactsWindowRetargets(t *testing.T) {
 	}
 }
 
-// TestCacheFactsUnknownWindowDropsAll: a facts mutation whose window
-// could not be established must drop everything.
-func TestCacheFactsUnknownWindowDropsAll(t *testing.T) {
-	c := NewResultCache(8)
-	c.put("k", 1, temporal.Between(y(2001), y(2001)), &Output{})
-	if d := c.Invalidate(1, 2, core.Delta{FactsReplaced: true}); d != 1 {
-		t.Fatalf("dropped = %d, want 1", d)
-	}
-	if _, ok := c.get("k", 2); ok {
-		t.Fatal("entry survived a facts mutation with unknown window")
-	}
-}
-
-// TestCacheAdditiveStructureRetainsAll: a purely additive structural
-// change (fresh member, upward edges only) retains every entry; a
-// non-additive one drops them all.
+// TestCacheAdditiveStructureRetainsAll: a write that neither reroutes
+// nor writes a fact (a fresh levelled member with upward edges only)
+// retains every entry; a rerouting one drops them all.
 func TestCacheAdditiveStructureRetainsAll(t *testing.T) {
 	c := NewResultCache(8)
 	o := &Output{}
 	c.put("k", 1, temporal.Always, o)
-	d := c.Invalidate(1, 2, core.Delta{StructureChanged: true, StructureAdditive: true})
-	if d != 0 {
+	if d := c.Invalidate(1, 2, core.Delta{}); d != 0 {
 		t.Fatalf("dropped = %d, want 0 on additive evolve", d)
 	}
 	if out, ok := c.get("k", 2); !ok || out != o {
 		t.Fatal("entry was not retained across an additive evolve")
 	}
-	if d := c.Invalidate(2, 3, core.Delta{StructureChanged: true}); d != 1 {
-		t.Fatalf("dropped = %d, want 1 on non-additive evolve", d)
+	if d := c.Invalidate(2, 3, core.Delta{Reroutes: true}); d != 1 {
+		t.Fatalf("dropped = %d, want 1 on a rerouting evolve", d)
 	}
 	if _, ok := c.get("k", 3); ok {
-		t.Fatal("entry survived a non-additive structural change")
+		t.Fatal("entry survived a rerouting structural change")
 	}
 }
 
-// TestCacheMappingsChangeDropsAll: mapping-set changes reroute version
-// modes globally; nothing may survive, additive or not.
+// TestCacheMappingsChangeDropsAll: a mapping-set change reroutes version
+// modes globally (AddMapping sets Reroutes); nothing may survive, not
+// even an entry whose range avoids the facts window.
 func TestCacheMappingsChangeDropsAll(t *testing.T) {
 	c := NewResultCache(8)
 	c.put("k", 1, temporal.Between(y(2001), y(2001)), &Output{})
-	delta := core.Delta{MappingsChanged: true, StructureChanged: true, StructureAdditive: true}
+	delta := core.Delta{Reroutes: true, FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}
 	if d := c.Invalidate(1, 2, delta); d != 1 {
 		t.Fatalf("dropped = %d, want 1", d)
 	}
 	if _, ok := c.get("k", 2); ok {
 		t.Fatal("entry survived a mapping change")
+	}
+}
+
+// TestCacheInvalidationReasons: every dropped entry counts once, under
+// its reason, in mvolap_query_cache_invalidations_total.
+func TestCacheInvalidationReasons(t *testing.T) {
+	reasons := []string{"reroute", "window", "generation"}
+	counts := func() map[string]int64 {
+		out := make(map[string]int64)
+		for _, r := range reasons {
+			out[r] = metCacheInvalidations.With(r).Value()
+		}
+		return out
+	}
+	before := counts()
+	c := NewResultCache(8)
+	c.put("laggard", 1, temporal.Between(y(2001), y(2001)), &Output{})
+	c.put("hot", 2, temporal.Between(y(2005), y(2005)), &Output{})
+	c.put("cold", 2, temporal.Between(y(2001), y(2001)), &Output{})
+	// The 2→3 swap wrote facts in 2005: the generation-1 laggard drops
+	// for its generation, hot for the window, cold is revalidated.
+	if d := c.Invalidate(2, 3, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}); d != 2 {
+		t.Fatalf("dropped = %d, want 2", d)
+	}
+	c.put("fresh", 3, temporal.Always, &Output{})
+	if d := c.Invalidate(3, 4, core.Delta{Reroutes: true}); d != 2 {
+		t.Fatalf("dropped = %d, want 2", d)
+	}
+	after := counts()
+	for r, want := range map[string]int64{"reroute": 2, "window": 1, "generation": 1} {
+		if got := after[r] - before[r]; got != want {
+			t.Errorf("invalidations{reason=%q} grew by %d, want %d", r, got, want)
+		}
 	}
 }
 
@@ -97,11 +113,11 @@ func TestCacheStalePutNeverRevalidated(t *testing.T) {
 	c := NewResultCache(8)
 	// Swap 1→2 happens first; the laggard put from generation 1 lands
 	// after it.
-	c.Invalidate(1, 2, core.Delta{FactsReplaced: true, FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
+	c.Invalidate(1, 2, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
 	c.put("laggard", 1, temporal.Between(y(2001), y(2001)), &Output{})
 	// The 2→3 reconciliation has a window disjoint from the entry's
 	// range, but the entry is from generation 1, not 2: it must drop.
-	c.Invalidate(2, 3, core.Delta{FactsReplaced: true, FactsWindow: temporal.Between(y(2006), y(2006)), FactsWindowKnown: true})
+	c.Invalidate(2, 3, core.Delta{FactsWindow: temporal.Between(y(2006), y(2006)), FactsWindowKnown: true})
 	if _, ok := c.get("laggard", 3); ok {
 		t.Fatal("stale put from an older generation was revalidated")
 	}
@@ -114,7 +130,7 @@ func TestCacheRacedAheadEntryKept(t *testing.T) {
 	c := NewResultCache(8)
 	o := &Output{}
 	c.put("ahead", 2, temporal.Always, o)
-	c.Invalidate(1, 2, core.Delta{FactsReplaced: true, FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
+	c.Invalidate(1, 2, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
 	if out, ok := c.get("ahead", 2); !ok || out != o {
 		t.Fatal("entry already on the new generation was dropped by reconciliation")
 	}
