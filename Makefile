@@ -153,7 +153,15 @@ write-path-check:
 # rollupTable.up; (*scanner).classify is the scan's one general path, so
 # a .setOf( call anywhere else in scan.go is a second written-out
 # classification starting.
+#
+# A TQL statement reaches the engine one way: runSelect, which probes
+# the result cache, scans on a miss and puts what it scanned; a QUALITY
+# ranking runs each of its modes through it. So internal/tql's non-test
+# code calls .ExecuteContext( exactly once, and internal/quality and
+# internal/server never: a second call site is a read path that
+# bypasses the result cache.
 SCAN_PATH = internal/core/scan.go internal/core/query.go
+CACHE_BYPASS_FREE = internal/quality internal/server
 .PHONY: read-path-check
 read-path-check:
 	@core=$$(ls internal/core/*.go | grep -v '_test\.go$$'); \
@@ -184,6 +192,15 @@ read-path-check:
 	if [ -n "$$sets" ]; then \
 		echo "read-path-check: .setOf( call in internal/core/scan.go outside (*scanner).classify:"; echo "$$sets"; \
 		echo "The scan reads a sole ancestor inline (rollupTable.up); every other tuple goes through classify, its one general path."; bad=1; \
+	fi; \
+	execs=$$(grep -rnF '.ExecuteContext(' --include='*.go' --exclude='*_test.go' internal/tql | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ "$$(echo "$$execs" | grep -cF '.ExecuteContext(')" != 1 ]; then \
+		echo "read-path-check: internal/tql calls .ExecuteContext( other than once (in runSelect):"; echo "$$execs"; bad=1; \
+	fi; \
+	bypass=$$(grep -rnF '.ExecuteContext(' --include='*.go' --exclude='*_test.go' $(CACHE_BYPASS_FREE) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$bypass" ]; then \
+		echo "read-path-check: .ExecuteContext( called in $(CACHE_BYPASS_FREE):"; echo "$$bypass"; \
+		echo "A statement reaches the engine through tql's runSelect, which the result cache fronts."; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -71,7 +72,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	exec := func(stmt string) error {
-		res, err := tql.RunWith(s, stmt, weights)
+		res, err := tql.RunCachedContext(context.Background(), s, stmt, weights, nil)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -21,6 +20,7 @@ import (
 	"mvolap/internal/quality"
 	"mvolap/internal/scd"
 	"mvolap/internal/temporal"
+	"mvolap/internal/tql"
 	"mvolap/internal/warehouse"
 )
 
@@ -332,15 +332,11 @@ func figure2(w io.Writer, s *core.Schema) error {
 }
 
 func qualitySection(w io.Writer, s *core.Schema) error {
-	q := core.Query{
-		GroupBy: []core.GroupBy{{Dim: casestudy.OrgDim, Level: "Department"}},
-		Grain:   core.GrainYear,
-		Range:   temporal.Between(temporal.Year(2002), temporal.EndOfYear(2003)),
-	}
-	ranked, err := quality.RankModes(context.Background(), s, q, quality.DefaultWeights())
+	out, err := tql.Run(s, "QUALITY SELECT * BY Org.Department, TIME.YEAR WHERE TIME BETWEEN 2002 AND 2003")
 	if err != nil {
 		return err
 	}
+	ranked := out.Ranking
 	for _, r := range ranked {
 		fmt.Fprintf(w, "  %-4s Q=%.3f\n", r.Mode, r.Quality)
 	}

@@ -11,8 +11,10 @@ import (
 
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
+	"mvolap/internal/quality"
 	"mvolap/internal/store"
 	"mvolap/internal/temporal"
+	"mvolap/internal/tql"
 	"mvolap/internal/workload"
 )
 
@@ -289,7 +291,38 @@ func TestCostCommitFacts(t *testing.T) {
 		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
 		t.Logf("%d facts: a 64-fact Commit allocates %.0f B in %.0f objects (median)", s.Facts().Len(), bytes[i], objects[i])
 	}
-	atMost(t, "64-fact Commit bytes at 4N", bytes[1], 13800)
-	atMost(t, "64-fact Commit objects at 4N", objects[1], 88)
+	atMost(t, "64-fact Commit bytes at 4N", bytes[1], 12700)
+	atMost(t, "64-fact Commit objects at 4N", objects[1], 23)
 	atMost(t, "64-fact Commit bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+}
+
+// TestCostCacheHit: a result-cache hit — lex, parse, plan, the plan's
+// key and the probe — costs its statement, whatever the facts behind
+// the cached answer. The statement is one of the benchmark's rollup
+// shapes.
+func TestCostCacheHit(t *testing.T) {
+	const stmt = "SELECT Amount BY Org.Division, TIME.QUARTER WHERE TIME BETWEEN 2003 AND 2005 MODE tcm"
+	var bytes, objects [2]float64
+	for i, months := range costSizes {
+		s := costWarehouse(t, months)
+		cache := tql.NewResultCache(16)
+		w := quality.DefaultWeights()
+		cached, err := tql.RunCachedContext(context.Background(), s, stmt, w, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 64
+		b, o := allocs(func() {
+			for r := 0; r < runs; r++ {
+				if out, _ := tql.RunCachedContext(context.Background(), s, stmt, w, cache); out != cached {
+					t.Fatal("the statement missed the cache")
+				}
+			}
+		})
+		bytes[i], objects[i] = float64(b)/runs, float64(o)/runs
+		t.Logf("%d facts: a cache hit allocates %.0f B in %.1f objects", s.Facts().Len(), bytes[i], objects[i])
+	}
+	atMost(t, "cache hit bytes at 4N", bytes[1], 2200)
+	atMost(t, "cache hit objects at 4N", objects[1], 17)
+	atMost(t, "cache hit bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 }

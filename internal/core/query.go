@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"mvolap/internal/obs"
 	"mvolap/internal/temporal"
@@ -97,6 +99,79 @@ type Query struct {
 	Filters []Filter
 	// Mode is the temporal mode of presentation.
 	Mode Mode
+}
+
+// Key is the query's one canonical form, a deterministic and injective
+// encoding of what the scan reads: the measures in order, duplicates
+// kept; the group-bys in order; the filters, a conjunction of set
+// tests, sorted by dimension with their members sorted and
+// deduplicated; the grain; the effective range, a zero range written
+// as Always; and the mode, tcm or a version's ID and structural
+// signature. Every name is length-prefixed, so no name can forge a
+// separator. Two queries with one key scan alike and return equal
+// results, which is what the TQL result cache and the cube's aggregate
+// cache key on.
+func (q Query) Key() string {
+	var buf [256]byte
+	b := append(buf[:0], 'M')
+	b = appendKeyInt(b, int64(len(q.Measures)))
+	for _, m := range q.Measures {
+		b = appendKeyName(b, m)
+	}
+	b = append(b, 'G')
+	b = appendKeyInt(b, int64(len(q.GroupBy)))
+	for _, g := range q.GroupBy {
+		b = appendKeyName(appendKeyName(b, string(g.Dim)), g.Level)
+	}
+	b = append(b, 'F')
+	b = appendKeyInt(b, int64(len(q.Filters)))
+	for _, f := range keyFilters(q.Filters) {
+		b = appendKeyInt(appendKeyName(b, string(f.Dim)), int64(len(f.Members)))
+		for _, m := range f.Members {
+			b = appendKeyName(b, m)
+		}
+	}
+	rng := q.Range
+	if rng == (temporal.Interval{}) {
+		rng = temporal.Always
+	}
+	b = appendKeyInt(append(b, 'T'), int64(q.Grain))
+	b = appendKeyInt(appendKeyInt(append(b, 'R'), int64(rng.Start)), int64(rng.End))
+	switch {
+	case q.Mode.Kind == TCMKind:
+		b = append(b, 'C')
+	case q.Mode.Kind == VersionKind && q.Mode.Version != nil:
+		b = appendKeyName(appendKeyName(append(b, 'V'), q.Mode.Version.ID), q.Mode.Version.sig)
+	default:
+		b = appendKeyInt(append(b, '?'), int64(q.Mode.Kind))
+	}
+	return string(b)
+}
+
+// appendKeyInt appends n and its terminator.
+func appendKeyInt(b []byte, n int64) []byte {
+	return append(strconv.AppendInt(b, n, 10), ';')
+}
+
+// appendKeyName appends s behind its length.
+func appendKeyName(b []byte, s string) []byte {
+	return append(appendKeyInt(b, int64(len(s))), s...)
+}
+
+// keyFilters returns copies of the filters in the order Key writes
+// them: each one's members sorted and deduplicated, the filters sorted
+// by dimension, then by members.
+func keyFilters(fs []Filter) []Filter {
+	out := make([]Filter, len(fs))
+	for i, f := range fs {
+		ms := slices.Clone(f.Members)
+		slices.Sort(ms)
+		out[i] = Filter{Dim: f.Dim, Members: slices.Compact(ms)}
+	}
+	slices.SortFunc(out, func(a, b Filter) int {
+		return cmp.Or(cmp.Compare(a.Dim, b.Dim), slices.Compare(a.Members, b.Members))
+	})
+	return out
 }
 
 // Row is one line of a query result.

@@ -72,13 +72,10 @@ func (c *Cube) Schema() *core.Schema { return c.schema }
 // Levels returns the root-to-leaf level order of a dimension.
 func (c *Cube) Levels(dim core.DimID) []string { return c.levelOrder[dim] }
 
-// execute runs a query through the cache. The zero time range is
-// normalized to Always so equivalent queries share a cache entry.
+// execute runs a query through the cache, keyed by the query's
+// canonical form.
 func (c *Cube) execute(q core.Query) (*core.Result, error) {
-	if q.Range == (temporal.Interval{}) {
-		q.Range = temporal.Always
-	}
-	key := querySignature(q)
+	key := q.Key()
 	if res, ok := c.cache[key]; ok {
 		c.Hits++
 		return res, nil
@@ -90,26 +87,6 @@ func (c *Cube) execute(q core.Query) (*core.Result, error) {
 	c.Misses++
 	c.cache[key] = res
 	return res, nil
-}
-
-func querySignature(q core.Query) string {
-	var b strings.Builder
-	b.WriteString(q.Mode.String())
-	b.WriteByte('|')
-	fmt.Fprintf(&b, "%d|", q.Grain)
-	fmt.Fprintf(&b, "%d..%d|", int64(q.Range.Start), int64(q.Range.End))
-	for _, g := range q.GroupBy {
-		fmt.Fprintf(&b, "%s.%s,", g.Dim, g.Level)
-	}
-	for _, f := range q.Filters {
-		fmt.Fprintf(&b, "%s in %s;", f.Dim, strings.Join(f.Members, ","))
-	}
-	b.WriteByte('|')
-	for _, m := range q.Measures {
-		b.WriteString(m)
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 // Precompute warms the aggregate cache for every mode and every level

@@ -2,13 +2,13 @@
 // et al. (ICDE 2003): confidence-factor weighting, the global quality
 // factor Q of a query result per temporal mode of presentation, and the
 // cell colouring used to let the user "detect at a glance" mapped
-// values.
+// values. It executes nothing: ranking the modes by Q is the TQL
+// QUALITY statement (internal/tql), the same SELECT asked once per mode
+// through the result cache.
 package quality
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"mvolap/internal/core"
 )
@@ -59,52 +59,6 @@ func Of(res *core.Result, w Weights) float64 {
 		}
 	}
 	return float64(sum) / (float64(cells) * 10)
-}
-
-// ModeQuality pairs a temporal mode with the quality of the query
-// result in that mode.
-type ModeQuality struct {
-	Mode    core.Mode
-	Quality float64
-	Result  *core.Result
-}
-
-// RankModes executes the query in every temporal mode of presentation
-// of the schema and ranks the modes by quality factor, best first; ties
-// break toward the temporally consistent mode and then earlier
-// versions. This realizes the paper's "the user can choose his best
-// version among all temporal modes of presentation, according to its
-// own criteria of quality". Each mode runs under ctx, so a deadline or
-// a cancellation stops the ranking with the query's error.
-func RankModes(ctx context.Context, s *core.Schema, q core.Query, w Weights) ([]ModeQuality, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	modes := s.Modes()
-	out := make([]ModeQuality, 0, len(modes))
-	for _, m := range modes {
-		qq := q
-		qq.Mode = m
-		res, err := s.ExecuteContext(ctx, qq)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ModeQuality{Mode: m, Quality: Of(res, w), Result: res})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Quality > out[j].Quality })
-	return out, nil
-}
-
-// BestMode returns the highest-quality mode for the query.
-func BestMode(s *core.Schema, q core.Query, w Weights) (ModeQuality, error) {
-	ranked, err := RankModes(context.Background(), s, q, w)
-	if err != nil {
-		return ModeQuality{}, err
-	}
-	if len(ranked) == 0 {
-		return ModeQuality{}, fmt.Errorf("quality: schema has no modes")
-	}
-	return ranked[0], nil
 }
 
 // Color is the background colour a front end should give a cell to

@@ -1,7 +1,6 @@
 package quality
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -96,42 +95,6 @@ func TestQualityDegradesWithMapping(t *testing.T) {
 	}
 	if got, want := Of(res10, w), (6*10.0+2*5)/80; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Q(V2003) = %v, want %v", got, want)
-	}
-}
-
-func TestRankModes(t *testing.T) {
-	s := caseSchema(t)
-	ranked, err := RankModes(context.Background(), s, q2(), DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 4 {
-		t.Fatalf("ranked %d modes", len(ranked))
-	}
-	if ranked[0].Mode.Kind != core.TCMKind {
-		t.Errorf("best mode = %v, want tcm", ranked[0].Mode)
-	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i-1].Quality < ranked[i].Quality {
-			t.Error("ranking must be descending")
-		}
-	}
-	best, err := BestMode(s, q2(), DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Mode.Kind != core.TCMKind {
-		t.Errorf("BestMode = %v", best.Mode)
-	}
-	// Invalid weights propagate.
-	if _, err := RankModes(context.Background(), s, q2(), Weights{99, 0, 0, 0}); err == nil {
-		t.Error("invalid weights must fail")
-	}
-	// Invalid query propagates.
-	bad := q2()
-	bad.Measures = []string{"zz"}
-	if _, err := RankModes(context.Background(), s, bad, DefaultWeights()); err == nil {
-		t.Error("invalid query must fail")
 	}
 }
 

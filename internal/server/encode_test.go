@@ -194,7 +194,7 @@ func TestEncodeQueryResponseMatchesStdlib(t *testing.T) {
 			}},
 		})},
 		{"modes statement", &tql.Output{Modes: []core.Mode{core.TCM(), escaped}}},
-		{"quality statement", &tql.Output{Quality: 0.5, Ranking: []quality.ModeQuality{{Mode: core.TCM(), Quality: 0.5}}}},
+		{"quality statement", &tql.Output{Quality: 0.5, Ranking: []tql.ModeQuality{{Mode: core.TCM(), Quality: 0.5}}}},
 		{"explain statement", &tql.Output{Lineage: "Dpt.Jones <- Dpt.Bill"}},
 	}
 	for _, tc := range cases {

@@ -118,8 +118,10 @@ func (m *Mutation) Apply(clone *core.Schema, ap *evolution.Applier) error {
 			return be
 		}
 	case RecordFacts:
+		var coords core.Coords // one buffer for the batch: InsertFact keeps none
 		for i, fr := range m.facts {
-			if err := ApplyFact(clone, fr); err != nil {
+			var err error
+			if coords, err = insertFact(clone, fr, coords); err != nil {
 				return &BatchError{Index: i, Err: fmt.Errorf("fact %d: %w", i, err)}
 			}
 		}
@@ -148,15 +150,22 @@ func (m *Mutation) appendTo(st *Store) (seq uint64, snapshotDue bool, err error)
 // ApplyFact inserts one FactRecord into the schema, parsing its
 // instant and coordinates.
 func ApplyFact(s *core.Schema, fr FactRecord) error {
+	_, err := insertFact(s, fr, nil)
+	return err
+}
+
+// insertFact is ApplyFact with the coordinates parsed into buf, which
+// it returns for the next record.
+func insertFact(s *core.Schema, fr FactRecord, buf core.Coords) (core.Coords, error) {
 	at, err := temporal.ParseInstant(fr.Time)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	coords := make(core.Coords, len(fr.Coords))
-	for i, c := range fr.Coords {
-		coords[i] = core.MVID(c)
+	buf = buf[:0]
+	for _, c := range fr.Coords {
+		buf = append(buf, core.MVID(c))
 	}
-	return s.InsertFact(coords, at, fr.Values...)
+	return buf, s.InsertFact(buf, at, fr.Values...)
 }
 
 // ApplyRetract removes one RetractRecord's tuple from the schema,

@@ -2,7 +2,6 @@ package tql
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"mvolap/internal/core"
@@ -16,10 +15,10 @@ import (
 var (
 	metCacheHits = obs.Default().Counter(
 		"mvolap_query_cache_hits_total",
-		"SELECT statements served from the TQL result cache with zero scan.")
+		"Result-cache probes answered with zero scan: one per SELECT, and one per mode of a QUALITY ranking.")
 	metCacheMisses = obs.Default().Counter(
 		"mvolap_query_cache_misses_total",
-		"Cacheable SELECT statements that had to execute a scan.")
+		"Result-cache probes that had to execute a scan: one per SELECT, and one per mode of a QUALITY ranking.")
 	metCacheEvictions = obs.Default().Counter(
 		"mvolap_query_cache_evictions_total",
 		"Result-cache entries dropped by the LRU bound.")
@@ -33,9 +32,8 @@ var (
 )
 
 // ResultCache is a bounded LRU cache of frozen SELECT outputs, keyed by
-// the structure-aware cache key (see cacheKey): the statement's
-// canonical text, the resolved mode and its structural signature, and
-// the confidence weights. Validity is anchored on the served schema's
+// the planned query's canonical form and the confidence weights (see
+// cacheKey). Validity is anchored on the served schema's
 // swap identity, carried by each entry: the serving tier mutates
 // exclusively by clone-then-swap (every write, on the leader and on a
 // follower, installs a fresh clone with a fresh SwapID), and a
@@ -59,12 +57,12 @@ var (
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recently used
 }
 
 type cacheEntry struct {
-	key    string
+	key    cacheKey
 	swapID uint64
 	// rng is the query's effective time range (temporal.Always when
 	// the statement had no WHERE TIME clause), the exact filter the
@@ -79,7 +77,7 @@ type cacheEntry struct {
 func NewResultCache(max int) *ResultCache {
 	return &ResultCache{
 		max:     max,
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 		lru:     list.New(),
 	}
 }
@@ -97,7 +95,7 @@ func (c *ResultCache) Len() int {
 // get returns the cached output for key if it was computed against the
 // given schema swap identity. A stale entry (a put that raced with a
 // swap) is removed on sight.
-func (c *ResultCache) get(key string, swapID uint64) (*Output, bool) {
+func (c *ResultCache) get(key cacheKey, swapID uint64) (*Output, bool) {
 	if c == nil || c.max <= 0 {
 		return nil, false
 	}
@@ -117,7 +115,7 @@ func (c *ResultCache) get(key string, swapID uint64) (*Output, bool) {
 	return ent.out, true
 }
 
-func (c *ResultCache) put(key string, swapID uint64, rng temporal.Interval, out *Output) {
+func (c *ResultCache) put(key cacheKey, swapID uint64, rng temporal.Interval, out *Output) {
 	if c == nil || c.max <= 0 {
 		return
 	}
@@ -193,19 +191,14 @@ func (c *ResultCache) Invalidate(prevSwapID, swapID uint64, delta core.Delta) in
 	return n
 }
 
-// cacheKey builds the structure-aware cache key for a planned SELECT.
-// The canonical text collapses syntactic variants; the resolved mode
-// plus its structural signature bind the entry to the exact structure
-// it was computed in; the weights cover the quality factor baked into
-// the output. Swap identity is deliberately NOT part of the key: it
-// lives on the entry, so an insert-only facts append can revalidate
-// surviving entries in place (Invalidate) and repeated queries keep
-// hitting the same key across appends.
-func cacheKey(st *Statement, mode core.Mode, w quality.Weights) string {
-	sig := ""
-	if mode.Kind == core.VersionKind && mode.Version != nil {
-		sig = mode.Version.Signature()
-	}
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d/%d/%d/%d",
-		st.Canonical(), mode, sig, w[0], w[1], w[2], w[3])
+// cacheKey is a result-cache key: the plan's canonical form
+// (core.Query.Key), which binds an entry to the exact structure its
+// mode presents, and the confidence weights behind the quality factor
+// baked into the output. Swap identity is deliberately NOT part of the
+// key: it lives on the entry, so an insert-only facts append can
+// revalidate surviving entries in place (Invalidate) and repeated
+// queries keep hitting the same key across appends.
+type cacheKey struct {
+	plan string
+	w    quality.Weights
 }

@@ -16,22 +16,22 @@ func y(n int) temporal.Instant { return temporal.Year(n) }
 func TestCacheFactsWindowRetargets(t *testing.T) {
 	c := NewResultCache(8)
 	oOld, oHot, oAlways := &Output{}, &Output{}, &Output{}
-	c.put("old", 1, temporal.Between(y(2001), y(2002)), oOld)
-	c.put("hot", 1, temporal.Between(y(2004), y(2006)), oHot)
-	c.put("always", 1, temporal.Always, oAlways)
+	c.put(cacheKey{plan: "old"}, 1, temporal.Between(y(2001), y(2002)), oOld)
+	c.put(cacheKey{plan: "hot"}, 1, temporal.Between(y(2004), y(2006)), oHot)
+	c.put(cacheKey{plan: "always"}, 1, temporal.Always, oAlways)
 
 	delta := core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}
 	dropped := c.Invalidate(1, 2, delta)
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2 (overlapping + Always)", dropped)
 	}
-	if out, ok := c.get("old", 2); !ok || out != oOld {
+	if out, ok := c.get(cacheKey{plan: "old"}, 2); !ok || out != oOld {
 		t.Fatal("disjoint-range entry was not revalidated to the new swap identity")
 	}
-	if _, ok := c.get("hot", 2); ok {
+	if _, ok := c.get(cacheKey{plan: "hot"}, 2); ok {
 		t.Fatal("entry overlapping the facts window survived")
 	}
-	if _, ok := c.get("always", 2); ok {
+	if _, ok := c.get(cacheKey{plan: "always"}, 2); ok {
 		t.Fatal("unbounded-range entry survived a facts mutation")
 	}
 }
@@ -42,17 +42,17 @@ func TestCacheFactsWindowRetargets(t *testing.T) {
 func TestCacheAdditiveStructureRetainsAll(t *testing.T) {
 	c := NewResultCache(8)
 	o := &Output{}
-	c.put("k", 1, temporal.Always, o)
+	c.put(cacheKey{plan: "k"}, 1, temporal.Always, o)
 	if d := c.Invalidate(1, 2, core.Delta{}); d != 0 {
 		t.Fatalf("dropped = %d, want 0 on additive evolve", d)
 	}
-	if out, ok := c.get("k", 2); !ok || out != o {
+	if out, ok := c.get(cacheKey{plan: "k"}, 2); !ok || out != o {
 		t.Fatal("entry was not retained across an additive evolve")
 	}
 	if d := c.Invalidate(2, 3, core.Delta{Reroutes: true}); d != 1 {
 		t.Fatalf("dropped = %d, want 1 on a rerouting evolve", d)
 	}
-	if _, ok := c.get("k", 3); ok {
+	if _, ok := c.get(cacheKey{plan: "k"}, 3); ok {
 		t.Fatal("entry survived a rerouting structural change")
 	}
 }
@@ -62,12 +62,12 @@ func TestCacheAdditiveStructureRetainsAll(t *testing.T) {
 // even an entry whose range avoids the facts window.
 func TestCacheMappingsChangeDropsAll(t *testing.T) {
 	c := NewResultCache(8)
-	c.put("k", 1, temporal.Between(y(2001), y(2001)), &Output{})
+	c.put(cacheKey{plan: "k"}, 1, temporal.Between(y(2001), y(2001)), &Output{})
 	delta := core.Delta{Reroutes: true, FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}
 	if d := c.Invalidate(1, 2, delta); d != 1 {
 		t.Fatalf("dropped = %d, want 1", d)
 	}
-	if _, ok := c.get("k", 2); ok {
+	if _, ok := c.get(cacheKey{plan: "k"}, 2); ok {
 		t.Fatal("entry survived a mapping change")
 	}
 }
@@ -85,15 +85,15 @@ func TestCacheInvalidationReasons(t *testing.T) {
 	}
 	before := counts()
 	c := NewResultCache(8)
-	c.put("laggard", 1, temporal.Between(y(2001), y(2001)), &Output{})
-	c.put("hot", 2, temporal.Between(y(2005), y(2005)), &Output{})
-	c.put("cold", 2, temporal.Between(y(2001), y(2001)), &Output{})
+	c.put(cacheKey{plan: "laggard"}, 1, temporal.Between(y(2001), y(2001)), &Output{})
+	c.put(cacheKey{plan: "hot"}, 2, temporal.Between(y(2005), y(2005)), &Output{})
+	c.put(cacheKey{plan: "cold"}, 2, temporal.Between(y(2001), y(2001)), &Output{})
 	// The 2→3 swap wrote facts in 2005: the generation-1 laggard drops
 	// for its generation, hot for the window, cold is revalidated.
 	if d := c.Invalidate(2, 3, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true}); d != 2 {
 		t.Fatalf("dropped = %d, want 2", d)
 	}
-	c.put("fresh", 3, temporal.Always, &Output{})
+	c.put(cacheKey{plan: "fresh"}, 3, temporal.Always, &Output{})
 	if d := c.Invalidate(3, 4, core.Delta{Reroutes: true}); d != 2 {
 		t.Fatalf("dropped = %d, want 2", d)
 	}
@@ -114,11 +114,11 @@ func TestCacheStalePutNeverRevalidated(t *testing.T) {
 	// Swap 1→2 happens first; the laggard put from generation 1 lands
 	// after it.
 	c.Invalidate(1, 2, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
-	c.put("laggard", 1, temporal.Between(y(2001), y(2001)), &Output{})
+	c.put(cacheKey{plan: "laggard"}, 1, temporal.Between(y(2001), y(2001)), &Output{})
 	// The 2→3 reconciliation has a window disjoint from the entry's
 	// range, but the entry is from generation 1, not 2: it must drop.
 	c.Invalidate(2, 3, core.Delta{FactsWindow: temporal.Between(y(2006), y(2006)), FactsWindowKnown: true})
-	if _, ok := c.get("laggard", 3); ok {
+	if _, ok := c.get(cacheKey{plan: "laggard"}, 3); ok {
 		t.Fatal("stale put from an older generation was revalidated")
 	}
 }
@@ -129,9 +129,9 @@ func TestCacheStalePutNeverRevalidated(t *testing.T) {
 func TestCacheRacedAheadEntryKept(t *testing.T) {
 	c := NewResultCache(8)
 	o := &Output{}
-	c.put("ahead", 2, temporal.Always, o)
+	c.put(cacheKey{plan: "ahead"}, 2, temporal.Always, o)
 	c.Invalidate(1, 2, core.Delta{FactsWindow: temporal.Between(y(2005), y(2005)), FactsWindowKnown: true})
-	if out, ok := c.get("ahead", 2); !ok || out != o {
+	if out, ok := c.get(cacheKey{plan: "ahead"}, 2); !ok || out != o {
 		t.Fatal("entry already on the new generation was dropped by reconciliation")
 	}
 }

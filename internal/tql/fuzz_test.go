@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParse checks the TQL parser never panics, that accepted SELECT
-// statements can be planned against the case-study schema without
-// panicking, and that canonicalization is stable: Canonical() never
-// panics, its output reparses, and parse→canonical→parse is a fixpoint
-// (the reparse canonicalizes to the same string). The fixpoint is what
-// lets the result cache use the canonical text as a key — equivalent
-// statements must collapse onto exactly one string.
+// FuzzParse checks the TQL parser never panics, that what it accepts is
+// well formed (a known statement kind, a SELECT with at least one
+// axis), and that an accepted SELECT or QUALITY plans against the
+// case-study schema without panicking, to a query with a key.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT Amount BY Org.Division, TIME.YEAR WHERE TIME BETWEEN 2001 AND 2002 MODE tcm",
@@ -31,6 +28,7 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	s := caseSchema(f)
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1024 {
 			return
@@ -54,15 +52,11 @@ func FuzzParse(f *testing.F) {
 		if strings.TrimSpace(input) == "" {
 			t.Fatal("accepted blank input")
 		}
-		// Canonicalization stability: the canonical text must itself
-		// parse, and canonicalizing the reparse must reproduce it.
-		canon := st.Canonical()
-		st2, err := Parse(canon)
-		if err != nil {
-			t.Fatalf("canonical form does not reparse: %q -> %q: %v", input, canon, err)
+		if st.Kind != KindSelect && st.Kind != KindQuality {
+			return
 		}
-		if again := st2.Canonical(); again != canon {
-			t.Fatalf("canonicalization is not a fixpoint:\n input: %q\n first: %q\nsecond: %q", input, canon, again)
+		if q, err := st.Plan(s); err == nil && q.Key() == "" {
+			t.Fatalf("empty plan key for %q", input)
 		}
 	})
 }

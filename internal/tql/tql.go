@@ -25,8 +25,10 @@
 package tql
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -511,6 +513,13 @@ func (st *Statement) resolveMode(s *core.Schema) (core.Mode, error) {
 	return core.TCM(), nil
 }
 
+// ModeQuality is one line of a QUALITY ranking: a temporal mode and the
+// quality factor of the statement's result in it.
+type ModeQuality struct {
+	Mode    core.Mode
+	Quality float64
+}
+
 // Output is the result of running a TQL statement.
 type Output struct {
 	// Result is set for SELECT.
@@ -518,8 +527,8 @@ type Output struct {
 	// Quality is set for SELECT (the Q factor of the result under
 	// default weights) and for QUALITY rankings.
 	Quality float64
-	// Ranking is set for QUALITY.
-	Ranking []quality.ModeQuality
+	// Ranking is set for QUALITY, best first.
+	Ranking []ModeQuality
 	// Modes is set for MODES.
 	Modes []core.Mode
 	// Lineage is set for EXPLAIN: the §5.2 provenance of the cell,
@@ -546,39 +555,26 @@ func (o *Output) RenderOnce(render func() []byte) []byte {
 }
 
 // Run executes a TQL statement against the schema using the default
-// §5.2 confidence weights.
+// §5.2 confidence weights, without a result cache.
 func Run(s *core.Schema, input string) (*Output, error) {
-	return RunWithContext(context.Background(), s, input, quality.DefaultWeights())
+	return RunCachedContext(context.Background(), s, input, quality.DefaultWeights(), nil)
 }
 
-// RunContext is Run with cancellation and tracing: ctx cancellation
+// RunCachedContext executes a TQL statement with user-pondered
+// confidence weights (the pds function of §5.2), which drive both
+// per-result quality factors and QUALITY rankings. ctx cancellation
 // (client disconnect, per-request deadline) stops the scan promptly,
 // and an obs trace on ctx records per-stage spans (lex, parse, plan,
-// resolve, aggregate, …).
-func RunContext(ctx context.Context, s *core.Schema, input string) (*Output, error) {
-	return RunWithContext(ctx, s, input, quality.DefaultWeights())
-}
-
-// RunWith executes a TQL statement with user-pondered confidence
-// weights (the pds function of §5.2), which drive both per-result
-// quality factors and QUALITY rankings.
-func RunWith(s *core.Schema, input string, w quality.Weights) (*Output, error) {
-	return RunWithContext(context.Background(), s, input, w)
-}
-
-// RunWithContext is RunWith with cancellation and tracing; see
-// RunContext for the semantics.
-func RunWithContext(ctx context.Context, s *core.Schema, input string, w quality.Weights) (*Output, error) {
-	return RunCachedContext(ctx, s, input, w, nil)
-}
-
-// RunCachedContext is RunWithContext backed by a result cache: SELECT
-// statements probe the cache under a structure-aware key (canonical
-// statement text + resolved mode + structural signature + weights),
-// validated against the serving schema's swap identity, and hits
-// return the frozen cached output with zero scan, recorded as a
-// "query_cache" span. A nil cache disables caching. Cached outputs are
-// shared — callers must not mutate them.
+// query_cache, resolve, aggregate, …).
+//
+// A SELECT probes the result cache under its plan's key
+// (core.Query.Key) and the weights, validated against the serving
+// schema's swap identity; a hit returns the frozen cached output with
+// zero scan. A QUALITY ranking is the same SELECT asked once per
+// temporal mode, each through that probe, so its per-mode results
+// enter the cache and a later SELECT in one of the modes hits. A nil
+// cache disables caching. Cached outputs are shared — callers must not
+// mutate them.
 func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quality.Weights, cache *ResultCache) (*Output, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -620,16 +616,26 @@ func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quali
 		if err != nil {
 			return nil, err
 		}
-		_, sp := obs.StartSpan(ctx, "rank")
-		ranking, err := quality.RankModes(ctx, s, q, w)
-		sp.SetAttr("modes", len(ranking))
-		sp.End()
-		if err != nil {
-			return nil, err
+		rctx, sp := obs.StartSpan(ctx, "rank")
+		defer sp.End()
+		modes := s.Modes()
+		sp.SetAttr("modes", len(modes))
+		// Ties keep s.Modes()'s order: tcm first, then earlier versions.
+		out := &Output{Ranking: make([]ModeQuality, 0, len(modes))}
+		for _, m := range modes {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			q.Mode = m
+			o, err := runSelect(rctx, s, q, w, cache)
+			if err != nil {
+				return nil, err
+			}
+			out.Ranking = append(out.Ranking, ModeQuality{Mode: m, Quality: o.Quality})
 		}
-		out := &Output{Ranking: ranking}
-		if len(ranking) > 0 {
-			out.Quality = ranking[0].Quality
+		slices.SortStableFunc(out.Ranking, func(a, b ModeQuality) int { return cmp.Compare(b.Quality, a.Quality) })
+		if len(out.Ranking) > 0 {
+			out.Quality = out.Ranking[0].Quality
 		}
 		return out, nil
 	default:
@@ -637,35 +643,41 @@ func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quali
 		if err != nil {
 			return nil, err
 		}
-		var key string
-		if cache != nil {
-			_, sp := obs.StartSpan(ctx, "query_cache")
-			key = cacheKey(st, q.Mode, w)
-			out, ok := cache.get(key, s.SwapID())
-			sp.SetAttr("hit", ok)
-			sp.End()
-			if ok {
-				metCacheHits.Inc()
-				return out, nil
-			}
-			metCacheMisses.Inc()
-		}
-		res, err := s.ExecuteContext(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		out := &Output{Result: res, Quality: quality.Of(res, w)}
-		if cache != nil {
-			// The effective range mirrors the executor: a statement
-			// without WHERE TIME scans everything.
-			rng := q.Range
-			if rng == (temporal.Interval{}) {
-				rng = temporal.Always
-			}
-			cache.put(key, s.SwapID(), rng, out)
-		}
-		return out, nil
+		return runSelect(ctx, s, q, w, cache)
 	}
+}
+
+// runSelect answers one planned SELECT: it probes the cache under the
+// plan's key, scans on a miss and puts what it scanned.
+func runSelect(ctx context.Context, s *core.Schema, q core.Query, w quality.Weights, cache *ResultCache) (*Output, error) {
+	var key cacheKey
+	if cache != nil {
+		_, sp := obs.StartSpan(ctx, "query_cache")
+		key = cacheKey{plan: q.Key(), w: w}
+		out, ok := cache.get(key, s.SwapID())
+		sp.SetAttr("hit", ok)
+		sp.End()
+		if ok {
+			metCacheHits.Inc()
+			return out, nil
+		}
+		metCacheMisses.Inc()
+	}
+	res, err := s.ExecuteContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	out := &Output{Result: res, Quality: quality.Of(res, w)}
+	if cache != nil {
+		// The effective range mirrors the executor: a statement
+		// without WHERE TIME scans everything.
+		rng := q.Range
+		if rng == (temporal.Interval{}) {
+			rng = temporal.Always
+		}
+		cache.put(key, s.SwapID(), rng, out)
+	}
+	return out, nil
 }
 
 // planSpanned wraps Statement.Plan in a "plan" span.

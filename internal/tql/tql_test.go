@@ -8,6 +8,7 @@ import (
 
 	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
+	"mvolap/internal/quality"
 	"mvolap/internal/temporal"
 )
 
@@ -202,15 +203,56 @@ func TestRunQuality(t *testing.T) {
 	}
 }
 
-// TestRunQualityCancelled: a QUALITY ranking runs every mode under the
-// request's context, so a cancelled request gets the cancellation, not
-// a ranking.
+// TestRunQualityCancelled: a QUALITY ranking checks the request's
+// context before each mode, so a cancelled request gets the
+// cancellation, not a ranking — also when every mode would hit a warm
+// cache.
 func TestRunQualityCancelled(t *testing.T) {
+	const stmt = "QUALITY SELECT Amount BY Org.Department, TIME.YEAR"
+	s := caseSchema(t)
+	cache := NewResultCache(16)
+	if _, err := RunCachedContext(context.Background(), s, stmt, quality.DefaultWeights(), cache); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := RunContext(ctx, caseSchema(t), "QUALITY SELECT Amount BY Org.Department, TIME.YEAR")
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (output %+v), want context.Canceled", err, out)
+	for _, c := range []*ResultCache{nil, cache} {
+		out, err := RunCachedContext(ctx, s, stmt, quality.DefaultWeights(), c)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cache %v: err = %v (output %+v), want context.Canceled", c != nil, err, out)
+		}
+	}
+}
+
+// TestRankModes: a QUALITY ranking covers every mode, best first, tcm
+// on top for a query whose tcm answer is all source data, and fails
+// with its weights or its query.
+func TestRankModes(t *testing.T) {
+	const stmt = "QUALITY SELECT * BY Org.Department, TIME.YEAR WHERE TIME BETWEEN 2002 AND 2003"
+	s := caseSchema(t)
+	out, err := Run(s, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := out.Ranking
+	if len(ranked) != 4 {
+		t.Fatalf("ranked %d modes", len(ranked))
+	}
+	if ranked[0].Mode.Kind != core.TCMKind {
+		t.Errorf("best mode = %v, want tcm", ranked[0].Mode)
+	}
+	for i := 1; i < len(ranked); i++ {
+		if ranked[i-1].Quality < ranked[i].Quality {
+			t.Error("ranking must be descending")
+		}
+	}
+	// Invalid weights propagate.
+	if _, err := RunCachedContext(context.Background(), s, stmt, quality.Weights{99, 0, 0, 0}, nil); err == nil {
+		t.Error("invalid weights must fail")
+	}
+	// Invalid query propagates.
+	if _, err := Run(s, "QUALITY SELECT zz BY Org.Department, TIME.YEAR"); err == nil {
+		t.Error("invalid query must fail")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mvolap/internal/obs"
+	"mvolap/internal/quality"
 )
 
 // TestRunContextTraceSpans asserts the acceptance criterion for query
@@ -13,7 +14,7 @@ import (
 func TestRunContextTraceSpans(t *testing.T) {
 	s := caseSchema(t)
 	ctx, root := obs.NewTrace(context.Background(), "query")
-	out, err := RunContext(ctx, s, "SELECT Amount BY Org.Division, TIME.YEAR MODE tcm")
+	out, err := RunCachedContext(ctx, s, "SELECT Amount BY Org.Division, TIME.YEAR MODE tcm", quality.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRunContextTraceSpans(t *testing.T) {
 func TestRunContextQualityTrace(t *testing.T) {
 	s := caseSchema(t)
 	ctx, root := obs.NewTrace(context.Background(), "query")
-	if _, err := RunContext(ctx, s, "QUALITY SELECT Amount BY Org.Division, TIME.YEAR"); err != nil {
+	if _, err := RunCachedContext(ctx, s, "QUALITY SELECT Amount BY Org.Division, TIME.YEAR", quality.DefaultWeights(), nil); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -58,7 +59,7 @@ func TestRunContextQualityTrace(t *testing.T) {
 // without a trace on the context must not panic or change results.
 func TestRunWithoutTraceStillWorks(t *testing.T) {
 	s := caseSchema(t)
-	out, err := RunContext(context.Background(), s, "SELECT Amount BY Org.Division, TIME.YEAR MODE tcm")
+	out, err := RunCachedContext(context.Background(), s, "SELECT Amount BY Org.Division, TIME.YEAR MODE tcm", quality.DefaultWeights(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
+	"mvolap/internal/quality"
 	"mvolap/internal/temporal"
 	"mvolap/internal/tql"
 )
@@ -88,7 +89,7 @@ func TestOpGenOpsApply(t *testing.T) {
 	applier := w.Applier
 	for i := 0; i < 50; i++ {
 		q := g.Query()
-		if _, err := tql.RunContext(context.Background(), w.Schema, q); err != nil {
+		if _, err := tql.RunCachedContext(context.Background(), w.Schema, q, quality.DefaultWeights(), nil); err != nil {
 			t.Fatalf("query %d %q: %v", i, q, err)
 		}
 		script := g.EvolveScript()
