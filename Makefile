@@ -46,7 +46,9 @@ deps-check:
 # starting.
 #
 # The whole-table view .Facts().Facts() is O(facts), and a write reads
-# what it changed off the clone (Schema.Delta) instead.
+# what it changed off the clone (Schema.Delta) instead; EXPLAIN's
+# lineage (internal/metadata) reads the instant's shards through
+# Schema.SourcesOf.
 #
 # What a write changed is derived in one place, core's Schema.Delta:
 # the footprint the evolution operators used to declare is gone, and
@@ -70,7 +72,7 @@ deps-check:
 # representation of the facts starting.
 WRITE_PATH = ./internal/store/mutation.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
-FACT_VIEW_FREE = internal/store internal/server internal/tql
+FACT_VIEW_FREE = internal/store internal/server internal/tql internal/metadata
 NOT_A_SCHEMA = [cC]oords|mv
 DEPRECATED_DELTA = ./internal/evolution/touchset.go
 .PHONY: write-path-check

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mvolap/internal/core"
@@ -41,6 +42,21 @@ func costWarehouse(t *testing.T, months int) *core.Schema {
 	s := ingestSchema(t, costLeaves, 0)
 	ingestFacts(t, s, costLeaves, months)
 	return s
+}
+
+// costTier returns the benchmark's tier S (i 0, 36k facts) or M (i 1,
+// 144k facts) as generated: one evolving dimension of 500 or 2 000
+// departments, two measures, facts loaded year by year.
+func costTier(t *testing.T, i int) *core.Schema {
+	t.Helper()
+	w, err := workload.Generate(workload.Config{
+		Seed: 1, Divisions: 8, Departments: [2]int{500, 2000}[i], Years: 6,
+		EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Schema
 }
 
 // costCoords are the coordinates of the warehouse's leaves, built once
@@ -114,16 +130,7 @@ func TestCostFactStoreBytes(t *testing.T) {
 	}
 	rows := []row{
 		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 33},
-		{"benchmark", func(i int) *core.Schema {
-			w, err := workload.Generate(workload.Config{
-				Seed: 1, Divisions: 8, Departments: [2]int{500, 2000}[i], Years: 6,
-				EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w.Schema
-		}, 41},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 41},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
@@ -322,7 +329,84 @@ func TestCostCacheHit(t *testing.T) {
 		bytes[i], objects[i] = float64(b)/runs, float64(o)/runs
 		t.Logf("%d facts: a cache hit allocates %.0f B in %.1f objects", s.Facts().Len(), bytes[i], objects[i])
 	}
-	atMost(t, "cache hit bytes at 4N", bytes[1], 2200)
-	atMost(t, "cache hit objects at 4N", objects[1], 17)
+	atMost(t, "cache hit bytes at 4N", bytes[1], 1000)
+	atMost(t, "cache hit objects at 4N", objects[1], 9)
 	atMost(t, "cache hit bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+}
+
+// TestCostExplain: a version-mode EXPLAIN — lex, parse, the lineage of
+// one cell and its text — costs its lineage, whatever the facts beside
+// it: the walk reads the instant's shards through the scan's presenter
+// and copies no fact it does not report. The cell is a department's in
+// June of the last year, in the newest structure version, on the
+// benchmark's tiers S and M.
+func TestCostExplain(t *testing.T) {
+	var bytes, objects [2]float64
+	for i := range costSizes {
+		s := costTier(t, i)
+		modes := s.Modes()
+		at := temporal.YM(workload.StartYear+5, 6)
+		var cell core.MVID
+		s.Facts().All(func(f *core.Fact) bool {
+			cell = f.Coords[0]
+			return f.Time != at
+		})
+		stmt := "EXPLAIN " + string(cell) + " AT " + at.String() + " MODE " + modes[len(modes)-1].String()
+		out, err := tql.Run(s, stmt)
+		if err != nil || !strings.HasPrefix(out.Lineage, "from ("+string(cell)+")") {
+			t.Fatalf("%s = %+v, %v", stmt, out, err)
+		}
+		const runs = 16
+		b, o := allocs(func() {
+			for r := 0; r < runs; r++ {
+				if _, err := tql.Run(s, stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		bytes[i], objects[i] = float64(b)/runs, float64(o)/runs
+		t.Logf("%d facts: %s allocates %.0f B in %.1f objects", s.Facts().Len(), stmt, bytes[i], objects[i])
+	}
+	atMost(t, "EXPLAIN bytes at 4N", bytes[1], 2000)
+	atMost(t, "EXPLAIN objects at 4N", objects[1], 48)
+	atMost(t, "EXPLAIN bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	atMost(t, "EXPLAIN objects at 4N over N", objects[1]/objects[0], 1.05)
+}
+
+// TestCostAggregateMember: Definition 12's aggregation of one member at
+// one instant presents that instant's tuples alone, so it costs the
+// member's leaves and not the facts. The member is the ingest
+// warehouse's top, over its 1 000 leaves, in the newest structure
+// version, at the first month of facts. Each call follows two
+// collections, which empty the merge-map pool, so that the row reads
+// the merge map a call fills and not one an earlier call left; the
+// median of 8 calls.
+func TestCostAggregateMember(t *testing.T) {
+	var bytes, objects [2]float64
+	for i, months := range costSizes {
+		s := costWarehouse(t, months)
+		modes := s.Modes()
+		mode := modes[len(modes)-1]
+		at := temporal.Year(2003)
+		vals, _, err := s.AggregateMember("top", at, mode)
+		if err != nil || vals[0] != float64(costLeaves*(costLeaves-1)/2) {
+			t.Fatalf("AggregateMember(top, %s, %s) = %v, %v", at, mode, vals, err)
+		}
+		bs, os := make([]uint64, 8), make([]uint64, 8)
+		for r := range bs {
+			runtime.GC()
+			runtime.GC()
+			bs[r], os[r] = allocs(func() {
+				if _, _, err := s.AggregateMember("top", at, mode); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		t.Logf("%d facts: AggregateMember(top, %s, %s) allocates %.0f B in %.0f objects (median)", s.Facts().Len(), at, mode, bytes[i], objects[i])
+	}
+	atMost(t, "AggregateMember bytes at 4N", bytes[1], 460000)
+	atMost(t, "AggregateMember objects at 4N", objects[1], 190)
+	atMost(t, "AggregateMember bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	atMost(t, "AggregateMember objects at 4N over N", objects[1]/objects[0], 1.05)
 }

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 
 	// Lineage: where does the estimated Nord-Est 2003 value come from?
 	v4 := s.VersionAt(mvolap.Year(2004))
-	steps, err := metadata.Explain(s, mvolap.InVersion(v4), mvolap.Coords{"nord-est"}, mvolap.Year(2003))
+	steps, err := metadata.Explain(context.Background(), s, mvolap.InVersion(v4), mvolap.Coords{"nord-est"}, mvolap.Year(2003))
 	if err != nil {
 		log.Fatal(err)
 	}

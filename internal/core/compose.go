@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"mvolap/internal/temporal"
@@ -56,7 +57,8 @@ func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[Di
 // member version directly: it locates the member in the mode's
 // structure, collects the leaf member versions below it (or itself when
 // it is a leaf), and folds the mode-mapped values at instant t with the
-// measure aggregates ⊕ and the confidence algebra ⊗cf. It returns one
+// measure aggregates ⊕ and the confidence algebra ⊗cf: the tuples of
+// f'|mode at t alone, presented as Present presents them. It returns one
 // value and confidence per measure; a member with no data at t yields
 // NaN values with UnknownMapping confidence.
 func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]float64, []Confidence, error) {
@@ -103,8 +105,8 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 	}
 	cfs := make([]Confidence, len(s.measures))
 	first := true
-	_, err := s.Present(mode, func(f *MappedFact) bool {
-		if f.Time != t || !leafSet[f.Coords[dimPos]] {
+	_, err := s.present(context.Background(), mode, temporal.Between(t, t), func(f *MappedFact) bool {
+		if !leafSet[f.Coords[dimPos]] {
 			return true
 		}
 		for k := range accs {

@@ -282,37 +282,3 @@ func (g *mappingGraph) resolve(source MVID, acceptable func(MVID) bool) []resolu
 	}
 	return out
 }
-
-// Resolution is one exported way of presenting a source leaf member
-// version inside a target structure version: the target leaf plus, per
-// measure, the composed mapping function and combined confidence.
-type Resolution struct {
-	Target MVID
-	Per    []MeasureMapping
-}
-
-// ResolveInto computes every presentation of the source leaf member
-// version among the leaf member versions of the target structure
-// version, following mapping relationships forward (F) and backward
-// (F⁻¹) and composing functions and confidences along the way. A source
-// valid throughout the version resolves to itself with identity
-// mappings and SourceData confidence. An empty result means the source
-// cannot be presented in that version at all. The Per slices may be
-// shared between resolutions; callers must treat them as read-only.
-func (s *Schema) ResolveInto(source MVID, sv *StructureVersion) []Resolution {
-	d := s.DimensionOf(source)
-	if d == nil || sv == nil {
-		return nil
-	}
-	g := s.mappingGraph()
-	rt := d.resolveTableAt(g, sv.readAt(s.DimIndex(d.ID)))
-	o := d.members[source].ord
-	if rt.passes(o) {
-		return []Resolution{{Target: source, Per: g.identity}}
-	}
-	out := make([]Resolution, 0, len(rt.of(o)))
-	for _, tg := range rt.of(o) {
-		out = append(out, Resolution{Target: d.order[tg.ord], Per: tg.per})
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -327,38 +328,51 @@ func TestResolveCycleTermination(t *testing.T) {
 	}
 }
 
-func TestResolveIntoExported(t *testing.T) {
+// TestSourcesOfSplit reads the lineage of cells of splitSchema's V3
+// (SourcesOf): Jones's 2002 fact presents on both of Jones's targets,
+// on Bill at x→0.4x with am; Smith's presents as itself through
+// identity mappings with sd; an unknown member has no source, and a
+// version mode without a version is an error that yields nothing.
+func TestSourcesOfSplit(t *testing.T) {
 	s := splitSchema(t)
-	v3 := s.VersionAt(y(2003))
-	rs := s.ResolveInto("Jones", v3)
-	if len(rs) != 2 {
-		t.Fatalf("resolutions = %+v", rs)
+	v3 := InVersion(s.VersionAt(y(2003)))
+	type source struct {
+		from MVID
+		per  []MeasureMapping
+		cf   Confidence
 	}
-	byTarget := map[MVID]Resolution{}
-	for _, r := range rs {
-		byTarget[r.Target] = r
+	sources := func(m Mode, at MVID) ([]source, error) {
+		var out []source
+		err := s.SourcesOf(context.Background(), m, Coords{at}, y(2002), func(src *Fact, per [][]MeasureMapping, cfs []Confidence) bool {
+			out = append(out, source{src.Coords[0], per[0], cfs[0]})
+			return true
+		})
+		return out, err
 	}
-	bill, ok := byTarget["Bill"]
-	if !ok {
-		t.Fatal("Bill missing")
+	for _, target := range []MVID{"Bill", "Paul"} {
+		got, err := sources(v3, target)
+		if err != nil || len(got) != 1 || got[0].from != "Jones" {
+			t.Fatalf("sources of %s = %+v, %v; want Jones", target, got, err)
+		}
+		if target != "Bill" {
+			continue
+		}
+		if v, _ := got[0].per[0].Fn.Map(100); v != 40 {
+			t.Errorf("Bill mapping = %v", v)
+		}
+		if got[0].per[0].CF != ApproxMapping || got[0].cf != ApproxMapping {
+			t.Errorf("Bill cf = %v, combined %v", got[0].per[0].CF, got[0].cf)
+		}
 	}
-	if v, _ := bill.Per[0].Fn.Map(100); v != 40 {
-		t.Errorf("Bill mapping = %v", v)
+	got, err := sources(v3, "Smith")
+	if err != nil || len(got) != 1 || got[0].from != "Smith" || got[0].per[0].Fn != Identity || got[0].cf != SourceData {
+		t.Errorf("Smith sources = %+v, %v", got, err)
 	}
-	if bill.Per[0].CF != ApproxMapping {
-		t.Errorf("Bill cf = %v", bill.Per[0].CF)
+	if got, err := sources(v3, "zz"); err != nil || got != nil {
+		t.Errorf("unknown member sources = %+v, %v", got, err)
 	}
-	// Identity resolution for a member valid in the version.
-	rs = s.ResolveInto("Smith", v3)
-	if len(rs) != 1 || rs[0].Target != "Smith" || rs[0].Per[0].CF != SourceData {
-		t.Errorf("Smith resolution = %+v", rs)
-	}
-	// Unknown member and nil version yield nothing.
-	if rs := s.ResolveInto("zz", v3); rs != nil {
-		t.Errorf("unknown member resolved: %+v", rs)
-	}
-	if rs := s.ResolveInto("Jones", nil); rs != nil {
-		t.Errorf("nil version resolved: %+v", rs)
+	if got, err := sources(Mode{Kind: VersionKind}, "Jones"); err == nil || got != nil {
+		t.Errorf("nil version sources = %+v, %v", got, err)
 	}
 }
 

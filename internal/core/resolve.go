@@ -197,7 +197,7 @@ func newPresentation(res []*resolveTable, ft *FactTable) *presentation {
 // emission; a presenter is not safe for concurrent use.
 //
 //	if !pr.start(coords, values) { /* dropped */ }
-//	for pr.next() { /* pr.coords, pr.values, pr.cfs, pr.merges */ }
+//	for pr.next() { /* pr.coords, pr.values, pr.cfs, pr.merges, pr.at */ }
 type presenter struct {
 	res []*resolveTable
 	alg ConfidenceAlgebra
@@ -210,12 +210,14 @@ type presenter struct {
 	combo  []int
 	src    []float64
 	more   bool
-	// The current emission: target ordinals, values, confidences, and
-	// whether it may land on a tuple another emission lands on.
+	// The current emission: target ordinals, values, confidences,
+	// whether it may land on a tuple another emission lands on, and per
+	// dimension the presentation it went through.
 	coords []int32
 	values []float64
 	cfs    []Confidence
 	merges bool
+	at     []*resolveTarget
 	self   []resolveTarget // per dimension, a pass-through's one target
 }
 
@@ -229,6 +231,7 @@ func newPresenter(res []*resolveTable, flags *presentation, nm int, alg Confiden
 		coords: make([]int32, nd),
 		values: make([]float64, nm),
 		cfs:    make([]Confidence, nm),
+		at:     make([]*resolveTarget, nd),
 		self:   make([]resolveTarget, nd),
 	}
 	for i := range p.self {
@@ -269,7 +272,7 @@ func (p *presenter) next() bool {
 	p.merges = false
 	for i := range p.perDim {
 		tg := &p.perDim[i][p.combo[i]]
-		p.coords[i] = tg.ord
+		p.coords[i], p.at[i] = tg.ord, tg
 		if p.flags != nil && p.base[i] >= 0 && p.flags.merges[i][p.base[i]+int32(p.combo[i])] {
 			p.merges = true
 		}

@@ -15,6 +15,7 @@
 package metadata
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -126,14 +127,9 @@ func MappingTable(s *core.Schema) []MappingRow {
 // description otherwise.
 func kOf(fn core.Mapper) string {
 	if l, ok := fn.(core.Linear); ok {
-		return trimFloat(l.K)
+		return fmt.Sprintf("%g", l.K)
 	}
 	return fn.String()
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
 }
 
 func displayName(s *core.Schema, id core.MVID) string {
@@ -169,19 +165,21 @@ type LineageStep struct {
 // Explain computes the lineage of the cell at (coords, t) in the given
 // version mode: every source fact that presents itself on those
 // coordinates, with the composed mapping functions and confidence
-// factors applied. For the temporally consistent mode the lineage of a
-// cell is the source fact itself.
-func Explain(s *core.Schema, mode core.Mode, coords core.Coords, t temporal.Instant) ([]LineageStep, error) {
+// factors applied, read from the scan's own presentation
+// (core.Schema.SourcesOf) over the instant's shards alone. For the
+// temporally consistent mode the lineage of a cell is the source fact
+// itself. ctx cancels the walk.
+func Explain(ctx context.Context, s *core.Schema, mode core.Mode, coords core.Coords, t temporal.Instant) ([]LineageStep, error) {
 	dims := s.Dimensions()
 	if len(coords) != len(dims) {
 		return nil, fmt.Errorf("metadata: %d coordinates for %d dimensions", len(coords), len(dims))
 	}
+	m := len(s.Measures())
 	if mode.Kind == core.TCMKind {
 		vals, ok := s.Facts().Lookup(coords, t)
 		if !ok {
 			return nil, nil
 		}
-		m := len(s.Measures())
 		step := LineageStep{
 			SourceCoords: coords.Clone(),
 			SourceTime:   t,
@@ -194,56 +192,29 @@ func Explain(s *core.Schema, mode core.Mode, coords core.Coords, t temporal.Inst
 		}
 		return []LineageStep{step}, nil
 	}
-	if mode.Version == nil {
-		return nil, fmt.Errorf("metadata: version mode without version")
-	}
 	var out []LineageStep
-	alg := s.ConfidenceAlgebra()
-	for _, f := range s.Facts().Facts() {
-		if f.Time != t {
-			continue
-		}
-		m := len(s.Measures())
+	err := s.SourcesOf(ctx, mode, coords, t, func(src *core.Fact, per [][]core.MeasureMapping, cfs []core.Confidence) bool {
 		fns := make([]string, m)
-		cfs := make([]core.Confidence, m)
-		for k := range cfs {
-			cfs[k] = core.SourceData
-			fns[k] = ""
-		}
-		match := true
-		for di := range dims {
-			rs := s.ResolveInto(f.Coords[di], mode.Version)
-			var hit *core.Resolution
-			for i := range rs {
-				if rs[i].Target == coords[di] {
-					hit = &rs[i]
-					break
-				}
-			}
-			if hit == nil {
-				match = false
-				break
-			}
-			for k := 0; k < m; k++ {
-				cfs[k] = alg.Combine(cfs[k], hit.Per[k].CF)
-				desc := hit.Per[k].Fn.String()
-				if fns[k] == "" {
+		for _, mms := range per {
+			for k := range fns {
+				if desc := mms[k].Fn.String(); fns[k] == "" {
 					fns[k] = desc
 				} else {
 					fns[k] = fns[k] + " ∘ " + desc
 				}
 			}
 		}
-		if !match {
-			continue
-		}
 		out = append(out, LineageStep{
-			SourceCoords: f.Coords.Clone(),
-			SourceTime:   f.Time,
-			SourceValues: append([]float64(nil), f.Values...),
+			SourceCoords: src.Coords.Clone(),
+			SourceTime:   src.Time,
+			SourceValues: append([]float64(nil), src.Values...),
 			Fn:           fns,
-			CF:           cfs,
+			CF:           append([]core.Confidence(nil), cfs...),
 		})
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package metadata
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -142,7 +144,7 @@ func TestMappingTableTwoMeasures(t *testing.T) {
 
 func TestExplainTCM(t *testing.T) {
 	s := caseSchema(t)
-	steps, err := Explain(s, core.TCM(), core.Coords{casestudy.Smith}, temporal.Year(2002))
+	steps, err := Explain(context.Background(), s, core.TCM(), core.Coords{casestudy.Smith}, temporal.Year(2002))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestExplainTCM(t *testing.T) {
 		t.Errorf("tcm lineage = %+v", steps[0])
 	}
 	// Missing cell: no lineage.
-	steps, err = Explain(s, core.TCM(), core.Coords{casestudy.Bill}, temporal.Year(2004))
+	steps, err = Explain(context.Background(), s, core.TCM(), core.Coords{casestudy.Bill}, temporal.Year(2004))
 	if err != nil || steps != nil {
 		t.Errorf("missing cell lineage = %v, %v", steps, err)
 	}
@@ -163,7 +165,7 @@ func TestExplainMappedCell(t *testing.T) {
 	s := caseSchema(t)
 	v2 := s.VersionAt(temporal.Year(2002))
 	// Jones@2003 in V2002 mode is fed by Bill's 150 and Paul's 50.
-	steps, err := Explain(s, core.InVersion(v2), core.Coords{casestudy.Jones}, temporal.Year(2003))
+	steps, err := Explain(context.Background(), s, core.InVersion(v2), core.Coords{casestudy.Jones}, temporal.Year(2003))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestExplainMappedCell(t *testing.T) {
 func TestExplainSplitCell(t *testing.T) {
 	s := caseSchema(t)
 	v3 := s.VersionAt(temporal.Year(2003))
-	steps, err := Explain(s, core.InVersion(v3), core.Coords{casestudy.Bill}, temporal.Year(2002))
+	steps, err := Explain(context.Background(), s, core.InVersion(v3), core.Coords{casestudy.Bill}, temporal.Year(2002))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +211,27 @@ func TestExplainSplitCell(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	s := caseSchema(t)
-	if _, err := Explain(s, core.TCM(), core.Coords{"a", "b"}, temporal.Year(2001)); err == nil {
+	if _, err := Explain(context.Background(), s, core.TCM(), core.Coords{"a", "b"}, temporal.Year(2001)); err == nil {
 		t.Error("coordinate arity must be checked")
 	}
-	if _, err := Explain(s, core.Mode{Kind: core.VersionKind}, core.Coords{casestudy.Bill}, temporal.Year(2001)); err == nil {
+	if _, err := Explain(context.Background(), s, core.Mode{Kind: core.VersionKind}, core.Coords{casestudy.Bill}, temporal.Year(2001)); err == nil {
 		t.Error("nil version must be rejected")
+	}
+}
+
+// TestExplainCancelled: a version-mode lineage walks the instant's
+// shards under the request's context, so a cancelled request gets the
+// context's error and no lineage; tcm's index lookup walks nothing.
+func TestExplainCancelled(t *testing.T) {
+	s := caseSchema(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	v3 := s.VersionAt(temporal.Year(2003))
+	steps, err := Explain(ctx, s, core.InVersion(v3), core.Coords{casestudy.Bill}, temporal.Year(2002))
+	if !errors.Is(err, context.Canceled) || steps != nil {
+		t.Errorf("cancelled lineage = %v, %v; want no steps and context.Canceled", steps, err)
+	}
+	if steps, err := Explain(ctx, s, core.TCM(), core.Coords{casestudy.Smith}, temporal.Year(2002)); err != nil || len(steps) != 1 {
+		t.Errorf("tcm lineage under a cancelled context = %v, %v", steps, err)
 	}
 }

@@ -1,56 +1,97 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
 
 	"mvolap/internal/core"
+	"mvolap/internal/obs"
 	"mvolap/internal/quality"
 	"mvolap/internal/tql"
 )
 
-// encodeQueryResponse renders a SELECT output exactly as encodeJSON
-// renders its queryResponse — the wire form is contractual — but writes
-// the two-space indentation directly while walking the known shape,
-// instead of encoding compact JSON with reflection and re-indenting it
-// in a second pass. Outputs carrying a ranking, modes or a lineage, and
-// a non-finite quality (which encoding/json rejects), go through
-// encodeJSON. Byte-identity is enforced by the differential tests in
-// encode_test.go.
-func encodeQueryResponse(out *tql.Output) []byte {
-	res := out.Result
-	if res == nil || out.Ranking != nil || out.Modes != nil || out.Lineage != "" ||
-		math.IsNaN(out.Quality) || math.IsInf(out.Quality, 0) {
-		return encodeJSON(toResponse(out))
-	}
+// encodeQueryResponse is the one /query body writer: it renders every
+// statement's output — a SELECT's result, a QUALITY ranking, MODES, an
+// EXPLAIN lineage — in the wire form encoding/json gives it (two-space
+// indentation, HTML escaping, a trailing newline), writing the
+// indentation directly while walking the known shape; a mode list and
+// the trace, small and rare, go through encoding/json. The wire form is
+// contractual: encode_test.go compares it with encoding/json byte for
+// byte. trace, when not nil, is called with the body's fields once they
+// are written and returns the span tree the body ends with, so a traced
+// request's tree can say what writing them cost.
+func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNode) []byte {
 	b := make([]byte, 0, 512)
 	b = append(b, '{')
-	if len(res.MeasureNames) > 0 {
-		b = append(b, "\n  \"measures\": "...)
-		b = appendStringArray(b, res.MeasureNames, 1)
-		b = append(b, ',')
-	}
-	if len(res.GroupNames) > 0 {
-		b = append(b, "\n  \"groups\": "...)
-		b = appendStringArray(b, res.GroupNames, 1)
-		b = append(b, ',')
+	res := out.Result
+	var rows []*core.Row
+	if res != nil {
+		if len(res.MeasureNames) > 0 {
+			b = append(b, "\n  \"measures\": "...)
+			b = appendStringArray(b, res.MeasureNames, 1)
+			b = append(b, ',')
+		}
+		if len(res.GroupNames) > 0 {
+			b = append(b, "\n  \"groups\": "...)
+			b = appendStringArray(b, res.GroupNames, 1)
+			b = append(b, ',')
+		}
+		rows = res.Rows
 	}
 	b = append(b, "\n  \"rows\": "...)
-	b = appendResultRows(b, res.Rows)
-	if mode := res.Mode.String(); mode != "" {
+	b = appendResultRows(b, rows)
+	if res != nil && res.Mode.String() != "" {
 		b = append(b, ",\n  \"mode\": "...)
-		b = appendJSONString(b, mode)
+		b = appendJSONString(b, res.Mode.String())
 	}
 	b = append(b, ",\n  \"quality\": "...)
 	b = appendJSONFloat(b, out.Quality)
-	if res.Dropped != 0 {
+	if res != nil && res.Dropped != 0 {
 		b = append(b, ",\n  \"dropped\": "...)
 		b = strconv.AppendInt(b, int64(res.Dropped), 10)
 	}
-	b = append(b, "\n}\n"...)
-	return b
+	if len(out.Ranking) > 0 {
+		b = append(b, ",\n  \"ranking\": ["...)
+		for i, r := range out.Ranking {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {\n      \"mode\": "...)
+			b = appendJSONString(b, r.Mode.String())
+			b = append(b, ",\n      \"quality\": "...)
+			b = appendJSONFloat(b, r.Quality)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	if len(out.Modes) > 0 {
+		b = appendIndented(b, "modes", modeEntries(out.Modes))
+	}
+	if out.Lineage != "" {
+		b = append(b, ",\n  \"lineage\": "...)
+		b = appendJSONString(b, out.Lineage)
+	}
+	if trace != nil {
+		b = appendIndented(b, "trace", trace(b))
+	}
+	return append(b, "\n}\n"...)
+}
+
+// appendIndented writes a further top-level field of the body, its
+// value encoded by encoding/json at the field's depth; a value
+// encoding/json rejects is left out.
+func appendIndented(b []byte, name string, v any) []byte {
+	value, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		return b
+	}
+	b = append(b, ",\n  "...)
+	b = appendJSONString(b, name)
+	b = append(b, ": "...)
+	return append(b, value...)
 }
 
 // rowsSizedFrom is how many rows are written before the buffer is grown,
@@ -206,9 +247,9 @@ func appendJSONFloat(b []byte, f float64) []byte {
 const hexDigits = "0123456789abcdef"
 
 // appendJSONString mirrors encoding/json's string encoding with HTML
-// escaping on (the package default, and what encodeJSON emits): quotes,
-// backslashes, <, >, &, control bytes, U+2028/U+2029 and invalid UTF-8
-// are escaped exactly as encoding/json escapes them.
+// escaping on (the package default): quotes, backslashes, <, >, &,
+// control bytes, U+2028/U+2029 and invalid UTF-8 are escaped exactly as
+// encoding/json escapes them.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0

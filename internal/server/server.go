@@ -406,34 +406,23 @@ func encodeJSON(v any) []byte {
 	return buf.Bytes()
 }
 
-// queryResponse is the JSON shape of a query result. Rows is the array
-// appendResultRows renders, always present (as [] when the result is
-// empty or the statement is not a SELECT).
-type queryResponse struct {
-	Measures []string        `json:"measures,omitempty"`
-	Groups   []string        `json:"groups,omitempty"`
-	Rows     json.RawMessage `json:"rows"`
-	Mode     string          `json:"mode,omitempty"`
-	Quality  float64         `json:"quality"`
-	Dropped  int             `json:"dropped,omitempty"`
-	// Ranking is set for QUALITY statements.
-	Ranking []rankEntry `json:"ranking,omitempty"`
-	// Modes is set for MODES statements.
-	Modes []modeEntry `json:"modes,omitempty"`
-	// Lineage is set for EXPLAIN statements.
-	Lineage string `json:"lineage,omitempty"`
-	// Trace is the span tree, present when the request set trace=1.
-	Trace *obs.SpanNode `json:"trace,omitempty"`
-}
-
-type rankEntry struct {
-	Mode    string  `json:"mode"`
-	Quality float64 `json:"quality"`
-}
-
+// modeEntry is one temporal mode on the wire: GET /modes lists them,
+// and so does a MODES statement's body.
 type modeEntry struct {
 	Mode  string `json:"mode"`
 	Valid string `json:"valid,omitempty"`
+}
+
+func modeEntries(modes []core.Mode) []modeEntry {
+	var out []modeEntry
+	for _, m := range modes {
+		e := modeEntry{Mode: m.String()}
+		if m.Kind == core.VersionKind && m.Version != nil {
+			e.Valid = m.Version.Valid.String()
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -476,23 +465,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// encoded bytes ride along with the result-cache entry: a cache
 		// hit writes them straight out, skipping rendering and JSON
 		// encoding as well as the scan.
-		body := out.RenderOnce(func() []byte { return encodeQueryResponse(out) })
+		body := out.RenderOnce(func() []byte { return encodeQueryResponse(out, nil) })
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 		return
 	}
-	// The rows are rendered before the trace is closed, so the span tree
-	// in the response can say what rendering them cost.
+	// The body is written before the trace is closed, so the span tree
+	// in the response can say what writing it cost.
 	_, esp := obs.StartSpan(ctx, "encode")
-	resp := toResponse(out)
-	if out.Result != nil {
-		esp.SetAttr("rows", len(out.Result.Rows))
-	}
-	esp.SetAttr("bytes", len(resp.Rows))
-	esp.End()
-	root.End()
-	resp.Trace = root.Node()
-	writeJSON(w, resp)
+	body := encodeQueryResponse(out, func(fields []byte) *obs.SpanNode {
+		if out.Result != nil {
+			esp.SetAttr("rows", len(out.Result.Rows))
+		}
+		esp.SetAttr("bytes", len(fields))
+		esp.End()
+		root.End()
+		return root.Node()
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // queryStatus maps a query error onto an HTTP status: expired
@@ -509,30 +500,6 @@ func queryStatus(err error) int {
 	}
 }
 
-func toResponse(out *tql.Output) queryResponse {
-	resp := queryResponse{Quality: out.Quality, Lineage: out.Lineage}
-	for _, m := range out.Modes {
-		e := modeEntry{Mode: m.String()}
-		if m.Kind == core.VersionKind && m.Version != nil {
-			e.Valid = m.Version.Valid.String()
-		}
-		resp.Modes = append(resp.Modes, e)
-	}
-	for _, rk := range out.Ranking {
-		resp.Ranking = append(resp.Ranking, rankEntry{Mode: rk.Mode.String(), Quality: rk.Quality})
-	}
-	var rows []*core.Row
-	if res := out.Result; res != nil {
-		resp.Measures = res.MeasureNames
-		resp.Groups = res.GroupNames
-		resp.Mode = res.Mode.String()
-		resp.Dropped = res.Dropped
-		rows = res.Rows
-	}
-	resp.Rows = appendResultRows(nil, rows)
-	return resp
-}
-
 func (s *Server) handleModes(w http.ResponseWriter, _ *http.Request) {
 	sch := s.snapshot()
 	if sch == nil {
@@ -541,15 +508,7 @@ func (s *Server) handleModes(w http.ResponseWriter, _ *http.Request) {
 	}
 	page := s.modes.Load()
 	if page == nil || page.swapID != sch.SwapID() {
-		var out []modeEntry
-		for _, m := range sch.Modes() {
-			e := modeEntry{Mode: m.String()}
-			if m.Kind == core.VersionKind {
-				e.Valid = m.Version.Valid.String()
-			}
-			out = append(out, e)
-		}
-		page = &modesPage{swapID: sch.SwapID(), body: encodeJSON(out)}
+		page = &modesPage{swapID: sch.SwapID(), body: encodeJSON(modeEntries(sch.Modes()))}
 		s.modes.Store(page)
 	}
 	w.Header().Set("Content-Type", "application/json")

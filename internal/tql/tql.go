@@ -49,18 +49,23 @@ type Statement struct {
 	Grain    core.TimeGrain
 	HasRange bool
 	Range    temporal.Interval
-	// Mode selection: exactly one of the following.
-	ModeTCM     bool
-	ModeID      string           // "V2"
-	ModeAt      temporal.Instant // VERSION AT …
-	HasModeAt   bool
-	HasModeID   bool
-	DefaultMode bool // no MODE clause: defaults to tcm
+	// Mode is the MODE clause (every kind but MODES).
+	Mode ModeClause
 	// Filters are the WHERE <dim> IN (...) dice conditions.
 	Filters []Filter
 	// Explain fields (valid for KindExplain).
 	ExplainCoords []core.MVID
 	ExplainAt     temporal.Instant
+}
+
+// ModeClause is a statement's temporal mode of presentation as written:
+// its zero value is tcm, which a statement without a MODE clause asks
+// for too; Version names a structure version by ID (MODE V2); ByInstant
+// asks for the version valid at At (MODE VERSION AT 2002).
+type ModeClause struct {
+	Version   string
+	At        temporal.Instant
+	ByInstant bool
 }
 
 // Filter is one dice condition: a dimension restricted to members by
@@ -126,37 +131,49 @@ type token struct {
 	punct bool
 }
 
+// lex splits s into tokens. It lexes twice, counting the tokens and
+// then filling a slice allocated once at that size.
 func lex(s string) ([]token, error) {
-	var out []token
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == ',' || c == '.' || c == '*':
-			out = append(out, token{string(c), true})
-			i++
-		case c == '\'':
-			j := i + 1
-			for j < len(s) && s[j] != '\'' {
-				j++
-			}
-			if j >= len(s) {
-				return nil, fmt.Errorf("tql: unterminated quoted token")
-			}
-			out = append(out, token{s[i+1 : j], false})
-			i = j + 1
-		default:
-			j := i
-			for j < len(s) && !strings.ContainsRune(" \t\n\r,.*'", rune(s[j])) {
-				j++
-			}
-			out = append(out, token{s[i:j], false})
-			i = j
+	n := 0
+	for i := 0; ; n++ {
+		var err error
+		if _, i, err = nextToken(s, i); err != nil {
+			return nil, err
+		} else if i < 0 {
+			break
 		}
 	}
+	out := make([]token, n)
+	for k, i := 0, 0; k < n; k++ {
+		out[k], i, _ = nextToken(s, i)
+	}
 	return out, nil
+}
+
+// nextToken returns the first token at or after offset i of s and the
+// offset past it; next is -1 when only whitespace is left.
+func nextToken(s string, i int) (tok token, next int, err error) {
+	for i < len(s) && strings.IndexByte(" \t\n\r", s[i]) >= 0 {
+		i++
+	}
+	if i == len(s) {
+		return token{}, -1, nil
+	}
+	switch c := s[i]; {
+	case c == ',' || c == '.' || c == '*':
+		return token{s[i : i+1], true}, i + 1, nil
+	case c == '\'':
+		j := strings.IndexByte(s[i+1:], '\'')
+		if j < 0 {
+			return token{}, -1, fmt.Errorf("tql: unterminated quoted token")
+		}
+		return token{s[i+1 : i+1+j], false}, i + j + 2, nil
+	}
+	j := i
+	for j < len(s) && strings.IndexByte(" \t\n\r,.*'", s[j]) < 0 {
+		j++
+	}
+	return token{s[i:j], false}, j, nil
 }
 
 type parser struct {
@@ -204,7 +221,7 @@ func (p *parser) parseSelect() (*Statement, error) {
 	if !p.kw("SELECT") {
 		return nil, fmt.Errorf("tql: expected SELECT")
 	}
-	st := &Statement{Kind: KindSelect, Grain: core.GrainYear, DefaultMode: true, ModeTCM: true}
+	st := &Statement{Kind: KindSelect, Grain: core.GrainYear}
 	// Measures.
 	if p.punct("*") {
 		// all measures
@@ -321,49 +338,15 @@ func (p *parser) parseSelect() (*Statement, error) {
 			}
 		}
 	}
-	if p.kw("MODE") {
-		st.DefaultMode = false
-		st.ModeTCM = false
-		switch {
-		case p.kw("TCM"):
-			st.ModeTCM = true
-		case p.kw("VERSION"):
-			if !p.kw("AT") {
-				return nil, fmt.Errorf("tql: expected AT after VERSION")
-			}
-			at, err := p.parseInstant(false)
-			if err != nil {
-				return nil, err
-			}
-			st.ModeAt = at
-			st.HasModeAt = true
-		default:
-			t, err := p.next()
-			if err != nil {
-				return nil, err
-			}
-			st.ModeID = t.text
-			st.HasModeID = true
-		}
-	}
-	if !p.eof() {
-		t, _ := p.peek()
-		return nil, fmt.Errorf("tql: trailing input at %q", t.text)
+	if err := p.parseMode(st); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
 func (p *parser) parseExplain() (*Statement, error) {
-	st := &Statement{Kind: KindExplain, DefaultMode: true, ModeTCM: true}
+	st := &Statement{Kind: KindExplain}
 	for {
-		t, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		if t.punct {
-			return nil, fmt.Errorf("tql: expected member version ID, got %q", t.text)
-		}
-		p.pos-- // re-read through dottedName
 		id, err := p.dottedName()
 		if err != nil {
 			return nil, err
@@ -381,36 +364,42 @@ func (p *parser) parseExplain() (*Statement, error) {
 		return nil, err
 	}
 	st.ExplainAt = at
-	if p.kw("MODE") {
-		st.DefaultMode = false
-		st.ModeTCM = false
-		switch {
-		case p.kw("TCM"):
-			st.ModeTCM = true
-		case p.kw("VERSION"):
-			if !p.kw("AT") {
-				return nil, fmt.Errorf("tql: expected AT after VERSION")
-			}
-			v, err := p.parseInstant(false)
-			if err != nil {
-				return nil, err
-			}
-			st.ModeAt = v
-			st.HasModeAt = true
-		default:
-			t, err := p.next()
-			if err != nil {
-				return nil, err
-			}
-			st.ModeID = t.text
-			st.HasModeID = true
+	if err := p.parseMode(st); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// parseMode reads the statement's optional closing MODE clause into
+// st.Mode; nothing may follow it.
+func (p *parser) parseMode(st *Statement) error {
+	switch {
+	case !p.kw("MODE"), p.kw("TCM"):
+		// tcm, the zero clause
+	case p.kw("VERSION"):
+		if !p.kw("AT") {
+			return fmt.Errorf("tql: expected AT after VERSION")
 		}
+		at, err := p.parseInstant(false)
+		if err != nil {
+			return err
+		}
+		st.Mode = ModeClause{At: at, ByInstant: true}
+	default:
+		t, err := p.next()
+		if err != nil {
+			return err
+		}
+		if t.text == "" {
+			return fmt.Errorf("tql: empty structure version ID")
+		}
+		st.Mode = ModeClause{Version: t.text}
 	}
 	if !p.eof() {
 		t, _ := p.peek()
-		return nil, fmt.Errorf("tql: trailing input at %q", t.text)
+		return fmt.Errorf("tql: trailing input at %q", t.text)
 	}
-	return st, nil
+	return nil
 }
 
 // dottedName reads a name that may contain dots (which the lexer
@@ -494,19 +483,17 @@ func (st *Statement) Plan(s *core.Schema) (core.Query, error) {
 
 // resolveMode maps the statement's mode clause onto the schema.
 func (st *Statement) resolveMode(s *core.Schema) (core.Mode, error) {
-	switch {
-	case st.ModeTCM:
-		return core.TCM(), nil
-	case st.HasModeID:
-		sv := s.VersionByID(st.ModeID)
+	switch mc := st.Mode; {
+	case mc.ByInstant:
+		sv := s.VersionAt(mc.At)
 		if sv == nil {
-			return core.Mode{}, fmt.Errorf("tql: unknown structure version %q", st.ModeID)
+			return core.Mode{}, fmt.Errorf("tql: no structure version at %s", mc.At)
 		}
 		return core.InVersion(sv), nil
-	case st.HasModeAt:
-		sv := s.VersionAt(st.ModeAt)
+	case mc.Version != "":
+		sv := s.VersionByID(mc.Version)
 		if sv == nil {
-			return core.Mode{}, fmt.Errorf("tql: no structure version at %s", st.ModeAt)
+			return core.Mode{}, fmt.Errorf("tql: unknown structure version %q", mc.Version)
 		}
 		return core.InVersion(sv), nil
 	}
@@ -602,7 +589,7 @@ func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quali
 		if err != nil {
 			return nil, err
 		}
-		steps, err := metadata.Explain(s, mode, core.Coords(st.ExplainCoords), st.ExplainAt)
+		steps, err := metadata.Explain(ctx, s, mode, core.Coords(st.ExplainCoords), st.ExplainAt)
 		if err != nil {
 			return nil, err
 		}

@@ -35,8 +35,35 @@ func TestParseQ1(t *testing.T) {
 	if !st.HasRange || !st.Range.Equal(temporal.Between(temporal.Year(2001), temporal.EndOfYear(2002))) {
 		t.Errorf("range = %v", st.Range)
 	}
-	if !st.ModeTCM || st.DefaultMode {
-		t.Errorf("mode = %+v", st)
+	if st.Mode != (ModeClause{}) {
+		t.Errorf("mode = %+v", st.Mode)
+	}
+}
+
+// TestParseModeClause: SELECT, QUALITY and EXPLAIN read their MODE
+// clause alike, into the statement's one mode field, and no clause is
+// tcm.
+func TestParseModeClause(t *testing.T) {
+	at := ModeClause{At: temporal.YM(2003, 6), ByInstant: true}
+	for _, head := range []string{"SELECT Amount BY Org.Division", "QUALITY SELECT * BY TIME.YEAR", "EXPLAIN Dpt.Bill_id AT 2003"} {
+		for clause, want := range map[string]ModeClause{
+			"":                         {},
+			" MODE tcm":                {},
+			" MODE V2":                 {Version: "V2"},
+			" MODE VERSION AT 06/2003": at,
+		} {
+			st, err := Parse(head + clause)
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", head+clause, err)
+			}
+			if st.Mode != want {
+				t.Errorf("Parse(%q).Mode = %+v, want %+v", head+clause, st.Mode, want)
+			}
+		}
+		// An empty ID would read as tcm.
+		if _, err := Parse(head + " MODE ''"); err == nil {
+			t.Errorf("Parse(%q) must fail", head+" MODE ''")
+		}
 	}
 }
 
@@ -221,6 +248,18 @@ func TestRunQualityCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cache %v: err = %v (output %+v), want context.Canceled", c != nil, err, out)
 		}
+	}
+}
+
+// TestRunExplainCancelled: a version-mode EXPLAIN walks the instant's
+// shards under the request's context, so a cancelled request gets the
+// cancellation, not a lineage.
+func TestRunExplainCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := RunCachedContext(ctx, caseSchema(t), "EXPLAIN Dpt.Jones_id AT 2003 MODE V2", quality.DefaultWeights(), nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (output %+v), want context.Canceled", err, out)
 	}
 }
 
