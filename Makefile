@@ -156,6 +156,13 @@ write-path-check:
 # a .setOf( call anywhere else in scan.go is a second written-out
 # classification starting.
 #
+# The scan folds Definition 12's ⊕ into typed columns, per cell and
+# selected measure: a float64 sum, an int32 count of the non-NaN
+# values, and a least and a greatest only when a selected measure is a
+# Min or a Max. core.Accumulator, which updates all four whatever the
+# kind, serves callers outside the scan; a use of it in scan.go is a
+# second fold form starting.
+#
 # A TQL statement reaches the engine one way: runSelect, which probes
 # the result cache, scans on a miss and puts what it scanned; a QUALITY
 # ranking runs each of its modes through it. So internal/tql's non-test
@@ -194,6 +201,11 @@ read-path-check:
 	if [ -n "$$sets" ]; then \
 		echo "read-path-check: .setOf( call in internal/core/scan.go outside (*scanner).classify:"; echo "$$sets"; \
 		echo "The scan reads a sole ancestor inline (rollupTable.up); every other tuple goes through classify, its one general path."; bad=1; \
+	fi; \
+	accs=$$(grep -nF 'Accumulator' internal/core/scan.go | grep -vE '^[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$accs" ]; then \
+		echo "read-path-check: internal/core/scan.go names Accumulator:"; echo "$$accs"; \
+		echo "The scan folds into typed columns (sums, counts, mins, maxs), its one fold form."; bad=1; \
 	fi; \
 	execs=$$(grep -rnF '.ExecuteContext(' --include='*.go' --exclude='*_test.go' internal/tql | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
 	if [ "$$(echo "$$execs" | grep -cF '.ExecuteContext(')" != 1 ]; then \

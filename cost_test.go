@@ -375,7 +375,8 @@ func TestCostExplain(t *testing.T) {
 
 // TestCostAggregateMember: Definition 12's aggregation of one member at
 // one instant presents that instant's tuples alone, so it costs the
-// member's leaves and not the facts. The member is the ingest
+// member's leaves and not the facts; a presented tuple's membership is
+// one read by its member version ordinal. The member is the ingest
 // warehouse's top, over its 1 000 leaves, in the newest structure
 // version, at the first month of facts. Each call follows two
 // collections, which empty the merge-map pool, so that the row reads
@@ -405,8 +406,74 @@ func TestCostAggregateMember(t *testing.T) {
 		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
 		t.Logf("%d facts: AggregateMember(top, %s, %s) allocates %.0f B in %.0f objects (median)", s.Facts().Len(), at, mode, bytes[i], objects[i])
 	}
-	atMost(t, "AggregateMember bytes at 4N", bytes[1], 460000)
-	atMost(t, "AggregateMember objects at 4N", objects[1], 190)
+	atMost(t, "AggregateMember bytes at 4N", bytes[1], 210000)
+	atMost(t, "AggregateMember objects at 4N", objects[1], 140)
 	atMost(t, "AggregateMember bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 	atMost(t, "AggregateMember objects at 4N over N", objects[1]/objects[0], 1.05)
+}
+
+// costRollupQuery and costDrillQuery are the benchmark's two query
+// shapes on the ingest warehouse: its one division by year, and its
+// departments by quarter.
+var (
+	costRollupQuery = core.Query{GroupBy: []core.GroupBy{{Dim: "Org", Level: "Division"}}, Grain: core.GrainYear, Mode: core.TCM()}
+	costDrillQuery  = core.Query{GroupBy: []core.GroupBy{{Dim: "Org", Level: "Department"}}, Grain: core.GrainQuarter, Mode: core.TCM()}
+)
+
+// TestCostRollup: a rollup query allocates for its instants, buckets,
+// groups and cells, never for the tuples it scans. N and 4N are the
+// ingest warehouse's 144 months on 250 and on all 1 000 of its leaves
+// (36k and 144k facts): one dimension, one set of instants, one
+// answer, four times the tuples. The median of 8 runs.
+func TestCostRollup(t *testing.T) {
+	var bytes, objects [2]float64
+	for i, leaves := range []int{costLeaves / 4, costLeaves} {
+		s := ingestSchema(t, costLeaves, 0)
+		ingestFacts(t, s, leaves, costSizes[1])
+		res, err := s.Execute(costRollupQuery) // builds the rollup tables
+		if err != nil || len(res.Rows) != costSizes[1]/12 {
+			t.Fatalf("rollup = %v, %v; want one row a year", res, err)
+		}
+		bs, os := make([]uint64, 8), make([]uint64, 8)
+		for r := range bs {
+			bs[r], os[r] = allocs(func() {
+				if _, err := s.Execute(costRollupQuery); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		t.Logf("%d facts: the rollup allocates %.0f B in %.0f objects (median)", s.Facts().Len(), bytes[i], objects[i])
+	}
+	atMost(t, "rollup bytes at 4N", bytes[1], 21500)
+	atMost(t, "rollup objects at 4N", objects[1], 116)
+	atMost(t, "rollup bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	atMost(t, "rollup objects at 4N over N", objects[1]/objects[0], 1.05)
+}
+
+// TestCostDrill: a drill down pays for its answer: its cells and rows
+// cost bytes per output row, at N and 4N (the ingest warehouse's 12 000
+// and 48 000 department-quarters). The per-row cost moves a little with
+// where the row count falls between two doublings of the cell columns.
+func TestCostDrill(t *testing.T) {
+	var perRow [2]float64
+	for i, months := range costSizes {
+		s := costWarehouse(t, months)
+		res, err := s.Execute(costDrillQuery)
+		if err != nil || len(res.Rows) != costLeaves*months/3 {
+			t.Fatalf("drill: %d rows, %v; want one a department and quarter", len(res.Rows), err)
+		}
+		const runs = 4
+		b, _ := allocs(func() {
+			for r := 0; r < runs; r++ {
+				if _, err := s.Execute(costDrillQuery); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		perRow[i] = float64(b) / runs / float64(len(res.Rows))
+		t.Logf("%d facts: the drill allocates %.1f B a row for %d rows", s.Facts().Len(), perRow[i], len(res.Rows))
+	}
+	atMost(t, "drill bytes a row at N", perRow[0], 290)
+	atMost(t, "drill bytes a row at 4N", perRow[1], 325)
 }

@@ -79,25 +79,25 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 			return nil, nil, fmt.Errorf("core: member %q not in structure version %s", id, mode.Version.ID)
 		}
 	}
-	// Leaves under id (including id itself when childless).
-	leafSet := make(map[MVID]bool)
-	var walk func(cur MVID)
-	seen := make(map[MVID]bool)
-	walk = func(cur MVID) {
-		if seen[cur] {
+	// under[o] is 2 when the member version with ordinal o is a leaf
+	// under id at `at` (id itself when childless), 1 when it is an inner
+	// member under id, 0 when the walk down from id does not meet it.
+	under := make([]uint8, len(d.order))
+	var walk func(mv *MemberVersion)
+	walk = func(mv *MemberVersion) {
+		if under[mv.ord] != 0 {
 			return
 		}
-		seen[cur] = true
-		kids := d.ChildrenAt(cur, at)
+		under[mv.ord] = 1
+		kids := d.ChildrenAt(mv.ID, at)
 		if len(kids) == 0 {
-			leafSet[cur] = true
-			return
+			under[mv.ord] = 2
 		}
 		for _, c := range kids {
-			walk(c.ID)
+			walk(c)
 		}
 	}
-	walk(id)
+	walk(d.Version(id))
 
 	accs := make([]*Accumulator, len(s.measures))
 	for i, m := range s.measures {
@@ -105,8 +105,8 @@ func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]floa
 	}
 	cfs := make([]Confidence, len(s.measures))
 	first := true
-	_, err := s.present(context.Background(), mode, temporal.Between(t, t), func(f *MappedFact) bool {
-		if !leafSet[f.Coords[dimPos]] {
+	_, err := s.present(context.Background(), mode, temporal.Between(t, t), func(f *MappedFact, ords []int32) bool {
+		if o := ords[dimPos]; int(o) >= len(under) || under[o] != 2 {
 			return true
 		}
 		for k := range accs {

@@ -69,14 +69,7 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the aggregate kind.
 func NewAccumulator(kind AggKind) *Accumulator {
-	a := emptyAccumulator(kind)
-	return &a
-}
-
-// emptyAccumulator is NewAccumulator by value, for accumulators kept in
-// a slab.
-func emptyAccumulator(kind AggKind) Accumulator {
-	return Accumulator{kind: kind, minV: math.Inf(1), maxV: math.Inf(-1)}
+	return &Accumulator{kind: kind, minV: math.Inf(1), maxV: math.Inf(-1)}
 }
 
 // Add folds a value into the aggregate. NaN values (unknown mappings)
@@ -102,20 +95,28 @@ func (a *Accumulator) N() int { return a.n }
 // Value returns the aggregate. An empty accumulator yields NaN, which
 // renders as an unknown cell.
 func (a *Accumulator) Value() float64 {
-	if a.n == 0 {
+	return aggValue(a.kind, a.sum, a.minV, a.maxV, a.n)
+}
+
+// aggValue is the value of an aggregate of the given kind over n
+// non-NaN values with the given sum, least and greatest: NaN when n is
+// 0. It is Accumulator.Value over the parts, which the scan keeps as
+// columns; a Sum, Count or Avg reads neither lo nor hi.
+func aggValue(kind AggKind, sum, lo, hi float64, n int) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	switch a.kind {
+	switch kind {
 	case Sum:
-		return a.sum
+		return sum
 	case Count:
-		return float64(a.n)
+		return float64(n)
 	case Min:
-		return a.minV
+		return lo
 	case Max:
-		return a.maxV
+		return hi
 	case Avg:
-		return a.sum / float64(a.n)
+		return sum / float64(n)
 	}
 	return math.NaN()
 }

@@ -45,7 +45,7 @@ type MappedFact struct {
 // (Schema.walk). The yielded MappedFact is the walk's scratch: it is
 // valid only until yield returns.
 func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err error) {
-	res, err := s.present(context.Background(), m, temporal.Always, yield)
+	res, err := s.present(context.Background(), m, temporal.Always, func(f *MappedFact, _ []int32) bool { return yield(f) })
 	if err != nil {
 		return 0, err
 	}
@@ -53,11 +53,11 @@ func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err
 }
 
 // present yields the tuples of f'|m whose instant lies in rng, as
-// Present does for the whole time axis, and returns the mode's
-// resolution tables (nil in tcm). Merges key on (coordinates,
-// instant), so the tuples of any one instant, and their order, do not
-// depend on rng.
-func (s *Schema) present(ctx context.Context, m Mode, rng temporal.Interval, yield func(*MappedFact) bool) ([]*resolveTable, error) {
+// Present does for the whole time axis, each with the member version
+// ordinals of its coordinates, and returns the mode's resolution tables
+// (nil in tcm). Merges key on (coordinates, instant), so the tuples of
+// any one instant, and their order, do not depend on rng.
+func (s *Schema) present(ctx context.Context, m Mode, rng temporal.Interval, yield func(f *MappedFact, ords []int32) bool) ([]*resolveTable, error) {
 	ft := s.facts
 	nd, nm := ft.nd, ft.nm
 	f := &MappedFact{Coords: make(Coords, nd), CFs: make([]Confidence, nm), Sources: 1}
@@ -68,20 +68,22 @@ func (s *Schema) present(ctx context.Context, m Mode, rng temporal.Interval, yie
 			merged.add(pr.coords, sh.times[j], pr.values, pr.cfs)
 			return true
 		}
-		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
+		ords := sh.coords[j*nd : (j+1)*nd]
+		ft.ids(f.Coords, ords)
 		f.Time, f.Values = sh.times[j], sh.values[j*nm:(j+1)*nm:(j+1)*nm]
-		return yield(f)
+		return yield(f, ords)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for x, t := range merged.times {
-		ft.ids(f.Coords, merged.coords[x*nd:(x+1)*nd])
+		ords := merged.coords[x*nd : (x+1)*nd]
+		ft.ids(f.Coords, ords)
 		f.Time = t
 		f.Values = merged.values[x*nm : (x+1)*nm : (x+1)*nm]
 		f.CFs = merged.cfs[x*nm : (x+1)*nm : (x+1)*nm]
 		f.Sources = int(merged.n[x])
-		if !yield(f) {
+		if !yield(f, ords) {
 			break
 		}
 	}

@@ -12,7 +12,11 @@ import (
 
 // splitSchema builds the full case-study schema white-box (departments,
 // reclassification, split, facts, mappings).
-func splitSchema(t testing.TB) *Schema {
+func splitSchema(t testing.TB) *Schema { return splitSchemaWith(t, ApproxMapping) }
+
+// splitSchemaWith is splitSchema with the split's forward mappings
+// carrying the confidence factor cf.
+func splitSchemaWith(t testing.TB, cf Confidence) *Schema {
 	s := NewSchema("cs", Measure{Name: "Amount", Agg: Sum})
 	d := buildOrg(t)
 	if err := s.AddDimension(d); err != nil {
@@ -20,10 +24,10 @@ func splitSchema(t testing.TB) *Schema {
 	}
 	maps := []MappingRelationship{
 		{From: "Jones", To: "Bill",
-			Forward:  []MeasureMapping{{Fn: Linear{0.4}, CF: ApproxMapping}},
+			Forward:  []MeasureMapping{{Fn: Linear{0.4}, CF: cf}},
 			Backward: []MeasureMapping{{Fn: Identity, CF: ExactMapping}}},
 		{From: "Jones", To: "Paul",
-			Forward:  []MeasureMapping{{Fn: Linear{0.6}, CF: ApproxMapping}},
+			Forward:  []MeasureMapping{{Fn: Linear{0.6}, CF: cf}},
 			Backward: []MeasureMapping{{Fn: Identity, CF: ExactMapping}}},
 	}
 	for _, m := range maps {

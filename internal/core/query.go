@@ -44,22 +44,38 @@ func (g TimeGrain) String() string {
 	return fmt.Sprintf("TimeGrain(%d)", uint8(g))
 }
 
-func bucketOf(g TimeGrain, t temporal.Instant) (key string, order int64) {
+// bucketOrder returns the position on the time axis of the bucket of t
+// at grain g: instants of one bucket share it.
+func bucketOrder(g TimeGrain, t temporal.Instant) int64 {
 	switch g {
 	case GrainYear:
-		return fmt.Sprintf("%d", t.YearOf()), int64(t.YearOf())
+		return int64(t.YearOf())
 	case GrainQuarter:
-		q := (t.MonthOf()-1)/3 + 1
-		return fmt.Sprintf("Q%d/%d", q, t.YearOf()), int64(t.YearOf())*4 + int64(q)
+		return int64(t.YearOf())*4 + int64((t.MonthOf()-1)/3+1)
 	case GrainMonth:
-		return t.String(), int64(t)
+		return int64(t)
 	default:
-		return "all", 0
+		return 0
 	}
 }
 
-// bucketRef is a time bucket as bucketOf renders it. A scan renders it
-// once per instant and refers to it by ordinal from then on.
+// bucketKey renders the bucket of t at grain g: "2003", "Q2/2003",
+// "05/2003" or "all".
+func bucketKey(g TimeGrain, t temporal.Instant) string {
+	switch g {
+	case GrainYear:
+		return strconv.Itoa(t.YearOf())
+	case GrainQuarter:
+		return fmt.Sprintf("Q%d/%d", (t.MonthOf()-1)/3+1, t.YearOf())
+	case GrainMonth:
+		return t.String()
+	default:
+		return "all"
+	}
+}
+
+// bucketRef is a time bucket: its key and its order. A scan renders the
+// key once per bucket and refers to the bucket by ordinal from then on.
 type bucketRef struct {
 	key   string
 	order int64
@@ -449,7 +465,7 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 // them out. Scan walks the live shards in tuple order — range and dice
 // filters, rollup to the grouping levels, the cell of each (tuple,
 // combination) — and folds each shard's emissions into their cells
-// before it moves on: the fold (Accumulator.Add and ⊗cf) is
+// before it moves on: the fold (⊕ into typed columns, and ⊗cf) is
 // order-dependent, float Sum not being associative, and tuple order is
 // the order Definition 12's reference fold uses. Sort ranks the cells'
 // buckets and display names, orders the cells by those integers — a

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -17,13 +18,16 @@ const maxSlotWindow = 1 << 12
 // scanSlot is what a scan knows about one fact instant: its time bucket,
 // the bucket's prefix in the cell chain (pairs[0]; unset for a grand
 // total, where the bucket is the cell) and, per axis and per dice, the
-// view of the structure the instant's tuples roll up in. Views of static
+// view of the structure the instant's tuples roll up in, as offsets of
+// the scanner's slabs: the slot's axis views are axisSlab[axes:axes+na]
+// and its dice views diceSlab[dices:dices+len(dices)]. Views of static
 // dimensions are shared by every slot, and an axis view by every slot
-// whose instant reads its rollup table.
+// whose instant reads its rollup table; consecutive slots reading the
+// same axis views share one window, so two slots with one axes offset
+// read the same views.
 type scanSlot struct {
 	bucket, prefix int32
-	axes           []*axisView
-	dices          []*diceView
+	axes, dices    int32
 }
 
 // axisView is a scan's reading of one rollup table: groups runs
@@ -124,6 +128,9 @@ type scanner struct {
 	slotAt  []int32
 	slotFar map[temporal.Instant]int32
 	slots   []scanSlot
+	// The slabs the slots' axis and dice views are windows of.
+	axisSlab []*axisView
+	diceSlab []*diceView
 	// Views of static dimensions, per axis and per dice (nil otherwise);
 	// per axis of a time-dependent dimension, its views by rollup table.
 	staticAxes  []*axisView
@@ -143,15 +150,21 @@ type scanner struct {
 	// pairs[ai+1] extends a cell prefix by axis ai's group. A cell's
 	// columns follow: its bucket; one entry per axis in cellFirst, the
 	// member ordinals of the ancestors of the emission that created it
-	// (a row takes its GroupIDs from its first emission); one
-	// accumulator and one combined confidence per selected measure; its
-	// emission count.
+	// (a row takes its GroupIDs from its first emission); per selected
+	// measure, Definition 12's ⊕ as typed parts — the sum and the count
+	// of the non-NaN values folded, and their least and greatest when a
+	// selected measure is a Min or a Max (mins and maxs are nil
+	// otherwise) — and the combined confidence; its emission count.
 	pairs      []pairIndex
 	cellBucket []int32
 	cellFirst  []int32
-	accs       []Accumulator
+	sums       []float64
+	counts     []int32
+	mins, maxs []float64
 	cfs        []Confidence
 	cellN      []int32
+	// minMax says a selected measure is a Min or a Max.
+	minMax bool
 
 	// The coordinate position each dice and each axis reads; per axis,
 	// the bounds in table.anc of a tuple's ancestor set and the odometer
@@ -162,9 +175,15 @@ type scanner struct {
 	// comb is ⊗cf tabulated over the four factors (Definition 6: a
 	// function of its two operands), comb[a][b] = alg.Combine(a, b).
 	comb [numConfidence][numConfidence]Confidence
-	// sdRow is one row of sd factors, what every stored tuple folds
-	// (Definition 11: f'|tcm = f × {sd}ᵐ).
-	sdRow []Confidence
+	// skipSD says a stored tuple's ⊗cf step is the identity. A stored
+	// tuple folds sd into every factor (Definition 11: f'|tcm = f ×
+	// {sd}ᵐ); when sd is a right identity of the table (x ⊗cf sd = x, as
+	// in Example 5 and the quantitative algebra) and every cell's factor
+	// is in the table, that step changes nothing, and a cell's
+	// confidence column, which starts at sd, already holds what its
+	// first tuple would put there. It is cleared for good when a
+	// presented factor outside the table reaches a cell.
+	skipSD bool
 
 	scanned, emitted int
 }
@@ -183,20 +202,24 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 		groupNames:  make([][]string, na),
 		memberGroup: make([][]int32, na),
 		pairs:       make([]pairIndex, na+1),
-		dicePos:     make([]int, len(p.dices)),
-		axisPos:     make([]int, na),
-		lo:          make([]int32, na),
-		hi:          make([]int32, na),
-		idx:         make([]int32, na),
-		sdRow:       make([]Confidence, ft.nm),
+		skipSD:      true,
 	}
+	nd := len(p.dices)
+	pos, odo := make([]int, nd+na), make([]int32, 3*na)
+	sc.dicePos, sc.axisPos = pos[:nd:nd], pos[nd:]
+	sc.lo, sc.hi, sc.idx = odo[:na:na], odo[na:2*na:2*na], odo[2*na:]
 	for di, dc := range p.dices {
 		sc.dicePos[di] = p.dims[dc.dim].pos
+	}
+	for _, mi := range p.mIdx {
+		agg := p.s.measures[mi].Agg
+		sc.minMax = sc.minMax || agg == Min || agg == Max
 	}
 	for a := range sc.comb {
 		for b := range sc.comb[a] {
 			sc.comb[a][b] = p.s.alg.Combine(Confidence(a), Confidence(b))
 		}
+		sc.skipSD = sc.skipSD && sc.comb[a][SourceData] == Confidence(a)
 	}
 	for ai, ax := range p.axes {
 		dim := &p.dims[ax.dim]
@@ -222,48 +245,48 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 	return sc
 }
 
-// slot returns the slot of instant t, building it on first sight: the
-// one place a scan renders a time bucket or fetches a rollup table.
-// Instants of one structure read one rollup table, and share its view:
-// a set's groups are interned once per table, not once per instant.
-func (sc *scanner) slot(t temporal.Instant) *scanSlot {
+// slot returns the index + 1 in sc.slots of the slot of instant t,
+// building it on first sight: the one place a scan renders a time
+// bucket or fetches a rollup table. Instants of one structure read one
+// rollup table, and share its view: a set's groups are interned once
+// per table, not once per instant.
+func (sc *scanner) slot(t temporal.Instant) int32 {
 	off := uint64(t - sc.t0)
 	near := off < uint64(len(sc.slotAt))
 	if near {
 		if i := sc.slotAt[off]; i != 0 {
-			return &sc.slots[i-1]
+			return i
 		}
 	} else if i, ok := sc.slotFar[t]; ok {
-		return &sc.slots[i-1]
+		return i
 	}
 
 	p := sc.p
-	var br bucketRef
-	br.key, br.order = bucketOf(p.grain, t)
-	sl := scanSlot{
-		bucket: sc.internBucket(br),
-		axes:   make([]*axisView, len(p.axes)),
-		dices:  make([]*diceView, len(p.dices)),
-	}
+	sl := scanSlot{bucket: sc.internBucket(t), axes: int32(len(sc.axisSlab)), dices: int32(len(sc.diceSlab))}
 	if len(p.axes) > 0 {
 		sl.prefix = sc.pairs[0].get(0, sl.bucket)
 	}
 	for ai, ax := range p.axes {
-		if sl.axes[ai] = sc.staticAxes[ai]; sl.axes[ai] != nil {
-			continue
-		}
-		tab := p.dims[ax.dim].d.rollupTableAt(ax.level, t)
-		v := sc.tableViews[ai][tab]
+		v := sc.staticAxes[ai]
 		if v == nil {
-			v = newAxisView(tab)
-			sc.tableViews[ai][tab] = v
+			tab := p.dims[ax.dim].d.rollupTableAt(ax.level, t)
+			if v = sc.tableViews[ai][tab]; v == nil {
+				v = newAxisView(tab)
+				sc.tableViews[ai][tab] = v
+			}
 		}
-		sl.axes[ai] = v
+		sc.axisSlab = append(sc.axisSlab, v)
+	}
+	if n := len(sc.slots); n > 0 && slices.Equal(sc.axesOf(&sc.slots[n-1]), sc.axesOf(&sl)) {
+		sc.axisSlab = sc.axisSlab[:sl.axes]
+		sl.axes = sc.slots[n-1].axes
 	}
 	for di, dc := range p.dices {
-		if sl.dices[di] = sc.staticDices[di]; sl.dices[di] == nil {
-			sl.dices[di] = newDiceView(p.dims[dc.dim].d, t, dc.names)
+		v := sc.staticDices[di]
+		if v == nil {
+			v = newDiceView(p.dims[dc.dim].d, t, dc.names)
 		}
+		sc.diceSlab = append(sc.diceSlab, v)
 	}
 	sc.slots = append(sc.slots, sl)
 	i := int32(len(sc.slots))
@@ -275,7 +298,23 @@ func (sc *scanner) slot(t temporal.Instant) *scanSlot {
 		}
 		sc.slotFar[t] = i
 	}
-	return &sc.slots[i-1]
+	return i
+}
+
+// axesOf returns the axis views of slot sl, one per axis.
+func (sc *scanner) axesOf(sl *scanSlot) []*axisView {
+	return sc.axisSlab[sl.axes : int(sl.axes)+len(sc.p.axes)]
+}
+
+// dicesOf returns the dice views of slot sl, one per dice.
+func (sc *scanner) dicesOf(sl *scanSlot) []*diceView {
+	return sc.diceSlab[sl.dices : int(sl.dices)+len(sc.p.dices)]
+}
+
+// axisRead is what the scan's loop reads of one axis's view: its
+// rollup table's up column and its groups.
+type axisRead struct {
+	up, groups []int32
 }
 
 func newAxisView(tab *rollupTable) *axisView {
@@ -286,12 +325,15 @@ func newAxisView(tab *rollupTable) *axisView {
 	return v
 }
 
-func (sc *scanner) internBucket(br bucketRef) int32 {
-	b, ok := sc.bucketOrd[br.order]
+// internBucket returns the ordinal of the time bucket of t, rendering
+// the bucket's key when it is first met.
+func (sc *scanner) internBucket(t temporal.Instant) int32 {
+	order := bucketOrder(sc.p.grain, t)
+	b, ok := sc.bucketOrd[order]
 	if !ok {
 		b = int32(len(sc.buckets))
-		sc.bucketOrd[br.order] = b
-		sc.buckets = append(sc.buckets, br)
+		sc.bucketOrd[order] = b
+		sc.buckets = append(sc.buckets, bucketRef{key: bucketKey(sc.p.grain, t), order: order})
 	}
 	return b
 }
@@ -318,28 +360,40 @@ func (sc *scanner) internSet(ai int, v *axisView, lo, hi int32) {
 	}
 }
 
-// newCell records the cell the current emission creates: idx[ai] is the
-// position in axis ai's table.anc of the ancestor the combination uses.
-func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
+// newCell records the cell the current emission creates in the given
+// bucket: idx[ai] is the position in axes[ai].table.anc of the ancestor
+// the combination uses.
+func (sc *scanner) newCell(bucket int32, axes []*axisView, idx []int32) {
 	if n := len(sc.cellN); n == cap(sc.cellN) {
 		// Double the columns: append grows a long slice by a quarter at a
 		// time, and a drill down meets tens of thousands of cells.
 		n = max(n, 16)
 		nq := len(sc.p.mIdx)
-		sc.cellFirst = slices.Grow(sc.cellFirst, n*len(sl.axes))
+		sc.cellFirst = slices.Grow(sc.cellFirst, n*len(axes))
 		sc.cellBucket = slices.Grow(sc.cellBucket, n)
-		sc.accs = slices.Grow(sc.accs, n*nq)
+		sc.sums = slices.Grow(sc.sums, n*nq)
+		sc.counts = slices.Grow(sc.counts, n*nq)
+		if sc.minMax {
+			sc.mins = slices.Grow(sc.mins, n*nq)
+			sc.maxs = slices.Grow(sc.maxs, n*nq)
+		}
 		sc.cfs = slices.Grow(sc.cfs, n*nq)
 		sc.cellN = slices.Grow(sc.cellN, n)
 	}
-	for ai, v := range sl.axes {
+	for ai, v := range axes {
 		sc.cellFirst = append(sc.cellFirst, v.table.anc[idx[ai]].ord)
 	}
-	sc.cellBucket = append(sc.cellBucket, sl.bucket)
-	for _, mi := range sc.p.mIdx {
-		sc.accs = append(sc.accs, emptyAccumulator(sc.p.s.measures[mi].Agg))
+	sc.cellBucket = append(sc.cellBucket, bucket)
+	nq := len(sc.p.mIdx)
+	sc.sums = append(sc.sums, make([]float64, nq)...)
+	sc.counts = append(sc.counts, make([]int32, nq)...)
+	if sc.minMax {
+		for range nq {
+			sc.mins = append(sc.mins, math.Inf(1))
+			sc.maxs = append(sc.maxs, math.Inf(-1))
+		}
 	}
-	sc.cfs = append(sc.cfs, make([]Confidence, len(sc.p.mIdx))...)
+	sc.cfs = append(sc.cfs, make([]Confidence, nq)...)
 	sc.cellN = append(sc.cellN, 0)
 }
 
@@ -360,9 +414,16 @@ func (sc *scanner) newCell(sl *scanSlot, idx []int32) {
 //
 // A shard's emissions are collected, then folded, one shard at a time.
 // That is the fold order of folding each emission where it is
-// classified; the interleaved form measured about 10 % slower on one
-// core (BenchmarkShardedScan's rollup leg). The buffer holds one
-// shard's emissions and is reused for every shard.
+// classified; the interleaved form, one fold call per tuple, measured
+// about 50 % slower on one core (BenchmarkShardedScan's rollup leg,
+// fastest of four runs: 2.8 ms against 1.85 ms), and a Sum-only fold
+// written into the loop no faster. The buffer holds one shard's
+// emissions and is reused for every shard.
+//
+// The loop reads a tuple's slot by its instant, and the slot's axis
+// views into locals only when they differ from the slot before's:
+// facts loaded member by member change instant at almost every tuple,
+// but rarely change structure.
 //
 // In a version mode a tuple whose every coordinate passes through its
 // resolution table is read as it is stored. Any other tuple is
@@ -382,14 +443,17 @@ func (sc *scanner) scan(ctx context.Context) error {
 		passes = p.pres.pass
 	}
 	dicePos, axisPos, pairs := sc.dicePos, sc.axisPos, sc.pairs
-	na, slotAt := len(axisPos), sc.slotAt
+	na, slotAt, t0 := len(axisPos), sc.slotAt, sc.t0
 	// Most tuples emit once; a multiple hierarchy grows the buffer by
 	// append.
 	emits := make([]emission, 0, MappedShardSize)
-	steps := 0
-	// Fact instants repeat in runs; sl is the slot of lastT.
+	// sl is the slot of the tuple before, cur its ordinal + 1. When the
+	// slot changes to one that reads other axis views (views is the
+	// offset of the ones read), each axis's rollup table up column and
+	// group ordinals are read into reads.
 	var sl *scanSlot
-	var lastT temporal.Instant
+	cur, views := int32(0), int32(-1)
+	reads := make([]axisRead, na)
 	for si, sh := range ft.shards {
 		if !sc.live[si] {
 			continue
@@ -397,30 +461,34 @@ func (sc *scanner) scan(ctx context.Context) error {
 		sc.scanned += sh.n
 		emits, sc.xvals, sc.xcfs, sc.xrows = emits[:0], sc.xvals[:0], sc.xcfs[:0], 0
 	tuples:
-		for j := 0; j < sh.n; j++ {
-			if steps%cancelCheckStride == 0 {
+		for j, t := range sh.times[:sh.n] {
+			if j%cancelCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: query cancelled: %w", err)
 				}
 			}
-			steps++
 			if hasDead && !sh.isLive(j) {
 				continue // tombstoned by a retraction
 			}
-			t := sh.times[j]
-			if !rng.Contains(t) {
-				continue
+			// The slot window lies inside the queried range, so an
+			// instant with a slot there needs no range check.
+			i := int32(0)
+			if off := uint64(t - t0); off < uint64(len(slotAt)) {
+				i = slotAt[off]
 			}
-			if sl == nil || t != lastT {
-				// Facts loaded member by member change instant at almost
-				// every tuple: a slot already built in the window is read
-				// here, without a call.
-				if off := uint64(t - sc.t0); off < uint64(len(slotAt)) && slotAt[off] != 0 {
-					sl = &sc.slots[slotAt[off]-1]
-				} else {
-					sl = sc.slot(t)
+			if i == 0 {
+				if !rng.Contains(t) {
+					continue
 				}
-				lastT = t
+				i = sc.slot(t)
+			}
+			if i != cur {
+				if cur, sl = i, &sc.slots[i-1]; sl.axes != views {
+					views = sl.axes
+					for ai, v := range sc.axesOf(sl) {
+						reads[ai] = axisRead{v.table.up, v.groups}
+					}
+				}
 			}
 			coords := sh.coords[j*nd : (j+1)*nd]
 			for i, pass := range passes {
@@ -429,24 +497,27 @@ func (sc *scanner) scan(ctx context.Context) error {
 					continue tuples
 				}
 			}
-			// The tuple as stored.
-			for di := range p.dices {
-				if !sl.dices[di].contains(coords[dicePos[di]]) {
-					continue tuples
-				}
+			// The tuple as stored: ordinal → up → group → cell, per axis.
+			if len(dicePos) > 0 && !sc.diced(sl, coords) {
+				continue
 			}
 			cell, ai := sl.prefix, 0
 			for ; ai < na; ai++ {
-				v := sl.axes[ai]
-				ord, up := coords[axisPos[ai]], v.table.up
-				if int(ord) >= len(up) || up[ord] < 0 {
+				r := &reads[ai]
+				ord, up := coords[axisPos[ai]], r.up
+				if uint(ord) >= uint(len(up)) || up[ord] < 0 {
 					break
 				}
-				g, rows := v.groups[up[ord]], pairs[ai+1].rows
-				if g < 0 || int(cell) >= len(rows) || int(g) >= len(rows[cell]) || rows[cell][g] == 0 {
+				rows := pairs[ai+1].rows
+				if int(cell) >= len(rows) {
 					break
 				}
-				cell = rows[cell][g] - 1
+				// A group not interned yet is negative, so out of the row.
+				g, row := r.groups[up[ord]], rows[cell]
+				if uint(g) >= uint(len(row)) || row[g] == 0 {
+					break
+				}
+				cell = row[g] - 1
 			}
 			if na > 0 && ai == na {
 				emits = append(emits, emission{tuple: int32(j), cell: cell})
@@ -459,7 +530,7 @@ func (sc *scanner) scan(ctx context.Context) error {
 	if m := sc.merged; m != nil {
 		emits = emits[:0]
 		for x, t := range m.times {
-			emits = sc.classify(emits, sc.slot(t), m.coords[x*nd:(x+1)*nd], ^int32(x))
+			emits = sc.classify(emits, &sc.slots[sc.slot(t)-1], m.coords[x*nd:(x+1)*nd], ^int32(x))
 		}
 		sc.foldRows(m.values, m.cfs, emits)
 		sc.merged = nil
@@ -493,8 +564,8 @@ func (sc *scanner) present(emits []emission, sl *scanSlot, t temporal.Instant, s
 // diced reports whether a tuple with the given coordinates passes every
 // dice of the slot.
 func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
-	for di, pos := range sc.dicePos {
-		if !sl.dices[di].contains(coords[pos]) {
+	for di, v := range sc.dicesOf(sl) {
+		if !v.contains(coords[sc.dicePos[di]]) {
 			return false
 		}
 	}
@@ -509,9 +580,9 @@ func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
 // scan's one general path: it interns sets and creates cells, and the
 // scan's loop reads inline only what it has already done.
 func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tuple int32) []emission {
-	lo, hi, idx := sc.lo, sc.hi, sc.idx
+	lo, hi, idx, axes := sc.lo, sc.hi, sc.idx, sc.axesOf(sl)
 	for ai, pos := range sc.axisPos {
-		v := sl.axes[ai]
+		v := axes[ai]
 		lo[ai], hi[ai] = v.table.setOf(coords[pos])
 		if lo[ai] == hi[ai] {
 			return emits
@@ -522,16 +593,16 @@ func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tupl
 	}
 	copy(idx, lo)
 	prefix := sl.prefix
-	if len(sl.axes) == 0 {
+	if len(axes) == 0 {
 		prefix = sc.pairs[0].get(0, sl.bucket) // the cell: one emission
 	}
 	for {
 		cell := prefix
-		for ai, v := range sl.axes {
+		for ai, v := range axes {
 			cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
 		}
 		if int(cell) == len(sc.cellN) {
-			sc.newCell(sl, idx)
+			sc.newCell(sl.bucket, axes, idx)
 		}
 		emits = append(emits, emission{tuple: tuple, cell: cell})
 		ai := 0
@@ -574,30 +645,73 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 
 // foldRows folds emissions whose tuples are all rows of the given value
 // and confidence columns, a row either as is or complemented (^row).
-// A nil confidence column folds every factor as sd: every row reads
-// the scanner's one row of sd factors.
+// Each selected measure folds its values into its typed columns in one
+// pass over the emissions, so a cell still folds them in tuple order.
+// A nil confidence column folds every factor as sd, and takes no ⊗cf
+// step at all while skipSD holds.
 func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
-	nm, nq, alg, comb := sc.ft.nm, len(sc.p.mIdx), sc.p.s.alg, &sc.comb
-	stride := nm
-	if tcfs == nil {
-		tcfs, stride = sc.sdRow, 0
+	nm, nq := sc.ft.nm, len(sc.p.mIdx)
+	for k, mi := range sc.p.mIdx {
+		sums, counts := sc.sums, sc.counts
+		if sc.minMax {
+			mins, maxs := sc.mins, sc.maxs
+			for _, e := range emits {
+				j, x := int(e.tuple^e.tuple>>31), int(e.cell)*nq+k
+				// A NaN value (unknown mapping) is not folded: it poisons
+				// the confidence factor, not the number.
+				if v := values[j*nm+mi]; v == v {
+					sums[x] += v
+					counts[x]++
+					if v < mins[x] {
+						mins[x] = v
+					}
+					if v > maxs[x] {
+						maxs[x] = v
+					}
+				}
+			}
+			continue
+		}
+		// Without a Min or a Max the pass tests nothing else per
+		// emission: a minMax test in one shared loop measured slower on
+		// BenchmarkShardedScan's rollup leg.
+		for _, e := range emits {
+			j, x := int(e.tuple^e.tuple>>31), int(e.cell)*nq+k
+			if v := values[j*nm+mi]; v == v {
+				sums[x] += v
+				counts[x]++
+			}
+		}
 	}
+	cellN := sc.cellN
+	if tcfs == nil && sc.skipSD {
+		for _, e := range emits {
+			cellN[e.cell]++
+		}
+		sc.emitted += len(emits)
+		return
+	}
+	alg, comb := sc.p.s.alg, &sc.comb
 	for _, e := range emits {
 		j, c := int(e.tuple^e.tuple>>31), int(e.cell)
-		vals, vcfs := values[j*nm:(j+1)*nm], tcfs[j*stride:j*stride+nm]
-		accs, cfs := sc.accs[c*nq:(c+1)*nq], sc.cfs[c*nq:(c+1)*nq]
-		first := sc.cellN[c] == 0
+		cfs, first := sc.cfs[c*nq:(c+1)*nq], cellN[c] == 0
 		for k, mi := range sc.p.mIdx {
-			accs[k].Add(vals[mi])
-			if a, b := cfs[k], vcfs[mi]; first {
+			b := SourceData
+			if tcfs != nil {
+				b = tcfs[j*nm+mi]
+			}
+			if a := cfs[k]; first {
 				cfs[k] = b
 			} else if a|b < numConfidence {
 				cfs[k] = comb[a][b]
 			} else {
 				cfs[k] = alg.Combine(a, b)
 			}
+			if cfs[k] >= numConfidence {
+				sc.skipSD = false
+			}
 		}
-		sc.cellN[c]++
+		cellN[c]++
 	}
 	sc.emitted += len(emits)
 }
@@ -689,8 +803,13 @@ func (sc *scanner) rows(perm []int32) []*Row {
 			r.GroupIDs[ai] = ids[ai][ord]
 		}
 		r.Values = values[i*nq : (i+1)*nq : (i+1)*nq]
-		for k := range r.Values {
-			r.Values[k] = sc.accs[c*nq+k].Value()
+		for k, mi := range sc.p.mIdx {
+			x := c*nq + k
+			var lo, hi float64
+			if sc.minMax {
+				lo, hi = sc.mins[x], sc.maxs[x]
+			}
+			r.Values[k] = aggValue(sc.p.s.measures[mi].Agg, sc.sums[x], lo, hi, int(sc.counts[x]))
 		}
 		r.CFs = sc.cfs[c*nq : (c+1)*nq : (c+1)*nq]
 		r.N = int(sc.cellN[c])

@@ -306,7 +306,7 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 		if !pass {
 			continue
 		}
-		timeKey, timeOrder := bucketOf(q.Grain, f.Time)
+		timeKey, timeOrder := bucketKey(q.Grain, f.Time), bucketOrder(q.Grain, f.Time)
 		combo := make([]int, len(perAxis))
 		for {
 			names := make([]string, len(perAxis))
@@ -707,7 +707,7 @@ func TestPropertyScanMatchesNaiveReferenceUnderAlgebras(t *testing.T) {
 		{am, am, am, uk},
 		{uk, uk, am, uk},
 	}}
-	for _, alg := range []ConfidenceAlgebra{NewQuantitativeAlgebra(), lastWins} {
+	for _, alg := range []ConfidenceAlgebra{NewQuantitativeAlgebra(), lastWins, approxThenSource()} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", alg.Name(), seed), func(t *testing.T) {
 				r := rand.New(rand.NewSource(seed * 37))
@@ -724,6 +724,44 @@ func TestPropertyScanMatchesNaiveReferenceUnderAlgebras(t *testing.T) {
 			})
 		}
 	}
+	// Under approxThenSource the oracle schemas cannot show the kept
+	// step: their second dimension presents every tuple through its
+	// identity mapping, so an am presentation reaches its cell as am ⊗cf
+	// sd = uk. splitSchema has one dimension: in V3 Jones's facts present
+	// on Bill and Paul with am, and fold with stored tuples into Sales and
+	// the grand total, where the kept step turns the cell uk; its merges
+	// carry em and sd alone, which commute under the table, so folding
+	// merged tuples last cannot tell it from presentation order.
+	t.Run("am-then-sd-unknown/split", func(t *testing.T) {
+		s := splitSchema(t)
+		s.SetConfidenceAlgebra(approxThenSource())
+		for _, m := range s.Modes() {
+			for _, g := range [][]GroupBy{nil, {{Dim: "Org", Level: "Division"}}, {{Dim: "Org", Level: "Department"}}} {
+				for _, grain := range []TimeGrain{GrainAll, GrainYear} {
+					requireMatchesOracle(t, "split", s, Query{GroupBy: g, Grain: grain, Mode: m})
+				}
+			}
+		}
+		res, err := s.Execute(Query{Grain: GrainAll, Mode: InVersion(s.VersionAt(y(2003)))})
+		if err != nil || len(res.Rows) != 1 || res.Rows[0].CFs[0] != UnknownMapping {
+			t.Fatalf("V3's grand total = %+v, %v; want one row, uk (am tuples, then stored ones)", res, err)
+		}
+	})
+}
+
+// approxThenSource is Example 5's table but for one entry, am ⊗cf sd =
+// uk: a stored tuple folded into a cell that holds an approximation
+// leaves it unknown. Example 5's table and the quantitative algebra have
+// sd as right identity, so a scan under them skips the ⊗cf step of a
+// stored tuple (scanner.skipSD); under this table it keeps the step.
+func approxThenSource() *TruthTable {
+	sd, em, am, uk := SourceData, ExactMapping, ApproxMapping, UnknownMapping
+	return &TruthTable{Label: "am-then-sd-unknown", Table: [numConfidence][numConfidence]Confidence{
+		{sd, em, am, uk},
+		{em, em, am, uk},
+		{uk, am, am, uk},
+		{uk, uk, uk, uk},
+	}}
 }
 
 // TestPresentMatchesNaiveMapped holds Schema.Present — the scan's
@@ -1085,3 +1123,55 @@ func TestScanFoldsInTupleOrder(t *testing.T) {
 		requireMatchesOracle(t, "fold order", s, q)
 	}
 }
+
+// TestScanSkipsStoredConfidenceStep: a scan takes no ⊗cf step for a
+// stored tuple when sd is a right identity of the algebra's table — under
+// Example 5's table and the quantitative algebra, not under
+// approxThenSource — and takes it again once a factor outside the table
+// has reached a cell. outOfTable is Example 5's table inside it, so the
+// scan starts out skipping; in V3 of splitSchemaWith(t, 9) Jones's facts
+// present on Bill and Paul with a factor outside it, and stored tuples
+// then fold into the same cells, where the oracle takes every step.
+func TestScanSkipsStoredConfidenceStep(t *testing.T) {
+	for _, c := range []struct {
+		alg  ConfidenceAlgebra
+		skip bool
+	}{{PaperAlgebra(), true}, {NewQuantitativeAlgebra(), true}, {approxThenSource(), false}, {outOfTable{}, true}} {
+		s := splitSchema(t)
+		s.SetConfidenceAlgebra(c.alg)
+		p, err := s.planScan(Query{Grain: GrainAll, Mode: TCM()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := newScanner(p, s.facts, nil, 0, 0).skipSD; got != c.skip {
+			t.Errorf("%s: skipSD = %v, want %v", c.alg.Name(), got, c.skip)
+		}
+	}
+
+	s := splitSchemaWith(t, 9)
+	s.SetConfidenceAlgebra(outOfTable{})
+	v3 := InVersion(s.VersionAt(y(2003)))
+	for _, g := range [][]GroupBy{nil, {{Dim: "Org", Level: "Division"}}} {
+		requireMatchesOracle(t, "out of table", s, Query{GroupBy: g, Grain: GrainAll, Mode: v3})
+	}
+	res, err := s.Execute(Query{Grain: GrainAll, Mode: v3})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0].CFs[0] < numConfidence {
+		t.Fatalf("V3's grand total = %+v, %v; want one row with a factor outside the table", res, err)
+	}
+}
+
+// outOfTable is Example 5's table over the four factors and x ⊗cf y =
+// x + y + 1 when a factor lies outside them, so that x ⊗cf sd = x holds
+// inside the table and nowhere outside it.
+type outOfTable struct{}
+
+var paperAlgebra = PaperAlgebra()
+
+func (outOfTable) Combine(a, b Confidence) Confidence {
+	if a < numConfidence && b < numConfidence {
+		return paperAlgebra.Combine(a, b)
+	}
+	return a + b + 1
+}
+
+func (outOfTable) Name() string { return "example-5-then-sum" }
