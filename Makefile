@@ -146,10 +146,17 @@ write-path-check:
 # string-keyed map lookup coming back.
 #
 # A result is ordered by integers: the scan ranks its buckets and
-# display names and sorts cells by those ranks. The function that fills
-# the rows, (*scanner).rows, is the one place scan.go or query.go
-# touches a row's .Groups; a read anywhere else is a string sort of rows
-# coming back.
+# display names and sorts cells by those ranks. The function that packs
+# the cells, (*scanner).result, is the one place scan.go or query.go
+# may touch a row's .Groups; a read anywhere else is a string sort of
+# rows coming back.
+#
+# A result is its cells (core.Result's columns), and the serving path
+# reads them where they lie: the body writer, the quality factor and
+# the text rendering walk the columns. Result.Rows() builds row structs
+# for the reproduction tier, the examples and tests, so a .Rows read or
+# call, or a core.Row, in the non-test code of internal/server,
+# internal/tql or internal/quality is a per-cell allocation coming back.
 #
 # A stored tuple with a sole ancestor per axis is classified inline from
 # rollupTable.up; (*scanner).classify is the scan's one general path, so
@@ -170,6 +177,7 @@ write-path-check:
 # internal/server never: a second call site is a read path that
 # bypasses the result cache.
 SCAN_PATH = internal/core/scan.go internal/core/query.go
+ROWLESS = internal/server internal/tql internal/quality
 CACHE_BYPASS_FREE = internal/quality internal/server
 .PHONY: read-path-check
 read-path-check:
@@ -191,10 +199,16 @@ read-path-check:
 		echo "Tuples store member version ordinals; index rollup tables and dice verdicts by them."; bad=1; \
 	fi; \
 	groups=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
-			/\.Groups([^[:alnum:]_]|$$)/ && fn !~ /^func \(sc \*scanner\) rows\(/ { print FILENAME ":" FNR ":" $$0 }' $(SCAN_PATH)); \
+			/\.Groups([^[:alnum:]_]|$$)/ && fn !~ /^func \(sc \*scanner\) result\(/ { print FILENAME ":" FNR ":" $$0 }' $(SCAN_PATH)); \
 	if [ -n "$$groups" ]; then \
-		echo "read-path-check: .Groups read in the scan (internal/core/scan.go, query.go) outside (*scanner).rows:"; echo "$$groups"; \
-		echo "Cells are ordered by integer ranks (scanner.order); rows are written once, in that order."; bad=1; \
+		echo "read-path-check: .Groups read in the scan (internal/core/scan.go, query.go) outside (*scanner).result:"; echo "$$groups"; \
+		echo "Cells are ordered by integer ranks (scanner.order) and packed once, in that order."; bad=1; \
+	fi; \
+	rows=$$(grep -rnE '\.Rows([^[:alnum:]_]|$$)|core\.Row([^[:alnum:]_]|$$)' --include='*.go' --exclude='*_test.go' $(ROWLESS) \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$rows" ]; then \
+		echo "read-path-check: rows built or named in $(ROWLESS):"; echo "$$rows"; \
+		echo "The serving path reads a result's cells through its accessors (Len, TimeKey, Group, Values, CFs)."; bad=1; \
 	fi; \
 	sets=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
 			/\.setOf\(/ && fn !~ /^func \(sc \*scanner\) classify\(/ { print FILENAME ":" FNR ":" $$0 }' internal/core/scan.go); \

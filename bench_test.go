@@ -685,7 +685,7 @@ func TestVersionModesHoldNoCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
+		if res.Len() == 0 {
 			t.Fatalf("%s answered no row", sv.ID)
 		}
 	}
@@ -876,7 +876,7 @@ func BenchmarkShardedScan(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Rows) == 0 {
+				if res.Len() == 0 {
 					b.Fatal("empty result")
 				}
 			}

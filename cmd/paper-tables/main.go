@@ -122,7 +122,7 @@ func checkQuery(w io.Writer, s *core.Schema, q core.Query, sel modeSelector, wan
 		return err
 	}
 	got := map[string]float64{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		key := r.TimeKey + "/" + r.Groups[0]
 		got[key] = r.Values[0]
 		fmt.Fprintf(w, "  %-6s %-10s %8s (%s)\n", r.TimeKey, r.Groups[0], core.FormatValue(r.Values[0]), r.CFs[0])
@@ -432,7 +432,7 @@ func composeSection(w io.Writer, s *core.Schema) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		fmt.Fprintf(w, "  %-6s %-10s %8s (%s)\n", r.TimeKey, r.Groups[0], core.FormatValue(r.Values[0]), r.CFs[0])
 	}
 	q.Mode = core.InVersion(s.VersionAt(temporal.Year(2001)))
@@ -440,11 +440,11 @@ func composeSection(w io.Writer, s *core.Schema) error {
 	if err != nil {
 		return err
 	}
-	if len(res.Rows) != len(ref.Rows) {
-		return fmt.Errorf("composed presentation has %d rows, V1 has %d", len(res.Rows), len(ref.Rows))
+	if res.Len() != ref.Len() {
+		return fmt.Errorf("composed presentation has %d rows, V1 has %d", res.Len(), ref.Len())
 	}
-	for i := range res.Rows {
-		if res.Rows[i].Values[0] != ref.Rows[i].Values[0] || res.Rows[i].CFs[0] != ref.Rows[i].CFs[0] {
+	for i := range res.Len() {
+		if res.Values(i)[0] != ref.Values(i)[0] || res.CFs(i)[0] != ref.CFs(i)[0] {
 			return fmt.Errorf("composed row %d differs from the V1 presentation", i)
 		}
 	}

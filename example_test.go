@@ -111,7 +111,7 @@ func ExampleSchema_Execute() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		fmt.Printf("%s %s %v\n", r.TimeKey, r.Groups[0], r.Values[0])
 	}
 	// Output:

@@ -56,11 +56,12 @@ func TestEndToEndSyntheticWarehouse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resA.Rows) != len(resB.Rows) {
-		t.Fatalf("round trip changed row count: %d vs %d", len(resA.Rows), len(resB.Rows))
+	rowsA, rowsB := resA.Rows(), resB.Rows()
+	if len(rowsA) != len(rowsB) {
+		t.Fatalf("round trip changed row count: %d vs %d", len(rowsA), len(rowsB))
 	}
-	for i := range resA.Rows {
-		if resA.Rows[i].Values[0] != resB.Rows[i].Values[0] {
+	for i := range rowsA {
+		if rowsA[i].Values[0] != rowsB[i].Values[0] {
 			t.Fatalf("round trip changed values at row %d", i)
 		}
 	}
@@ -166,16 +167,16 @@ func TestEndToEndSyntheticWarehouse(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&httpRes); err != nil {
 		t.Fatal(err)
 	}
-	if len(httpRes.Rows) != len(resA.Rows) {
-		t.Fatalf("http rows = %d, direct rows = %d", len(httpRes.Rows), len(resA.Rows))
+	if len(httpRes.Rows) != len(rowsA) {
+		t.Fatalf("http rows = %d, direct rows = %d", len(httpRes.Rows), len(rowsA))
 	}
 	for i, hr := range httpRes.Rows {
 		key := fmt.Sprintf("%s/%s", hr.Time, hr.Groups[0])
-		direct := fmt.Sprintf("%s/%s", resA.Rows[i].TimeKey, resA.Rows[i].Groups[0])
+		direct := fmt.Sprintf("%s/%s", rowsA[i].TimeKey, rowsA[i].Groups[0])
 		if key != direct {
 			t.Errorf("row %d: http %s vs direct %s", i, key, direct)
 		}
-		if hr.Values[0] == nil || *hr.Values[0] != resA.Rows[i].Values[0] {
+		if hr.Values[0] == nil || *hr.Values[0] != rowsA[i].Values[0] {
 			t.Errorf("row %d: value mismatch", i)
 		}
 	}
@@ -223,7 +224,7 @@ func TestSoakLargeWarehouse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
+		if res.Len() == 0 {
 			t.Fatalf("grain %v: empty result", grain)
 		}
 	}

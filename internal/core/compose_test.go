@@ -111,7 +111,7 @@ func TestComposeVersionMixesDimensions(t *testing.T) {
 	}
 	got := map[string]float64{}
 	cfs := map[string]Confidence{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		key := r.TimeKey + "/" + r.Groups[0] + "/" + r.Groups[1]
 		got[key] = r.Values[0]
 		cfs[key] = r.CFs[0]

@@ -277,11 +277,11 @@ func (l *tableLineage) check(t *testing.T, label string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(l.model) {
-		t.Fatalf("%s: tcm answers %d cells, model has %d", label, len(res.Rows), len(l.model))
+	if res.Len() != len(l.model) {
+		t.Fatalf("%s: tcm answers %d cells, model has %d", label, res.Len(), len(l.model))
 	}
-	cells := make(map[string]float64, len(res.Rows))
-	for _, r := range res.Rows {
+	cells := make(map[string]float64, res.Len())
+	for _, r := range res.Rows() {
 		cells[string(r.GroupIDs[0])+"@"+r.TimeKey] = r.Values[0]
 	}
 	for _, want := range l.model {

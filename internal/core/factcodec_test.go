@@ -200,7 +200,7 @@ func answers(t *testing.T, s *core.Schema) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "%s dropped %d\n", m, res.Dropped)
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			fmt.Fprintf(&b, "%s n=%d", r.TimeKey, r.N)
 			for k, v := range r.Values {
 				fmt.Fprintf(&b, " %x/%v", math.Float64bits(v), r.CFs[k])

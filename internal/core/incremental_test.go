@@ -283,8 +283,8 @@ func TestWarmFromEvictsAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Rows[0].Values[0] != was.Rows[0].Values[0]+150 {
-			t.Fatalf("V1 total %v after the mapping, want %v + Bill's 150", got.Rows[0].Values[0], was.Rows[0].Values[0])
+		if got.Rows()[0].Values[0] != was.Rows()[0].Values[0]+150 {
+			t.Fatalf("V1 total %v after the mapping, want %v + Bill's 150", got.Rows()[0].Values[0], was.Rows()[0].Values[0])
 		}
 	})
 }

@@ -145,7 +145,7 @@ func TestPropertyQualityBounds(t *testing.T) {
 			if q < 0 || q > 1 {
 				return false
 			}
-			if mode.Kind == core.TCMKind && len(res.Rows) > 0 && q != 1 {
+			if mode.Kind == core.TCMKind && res.Len() > 0 && q != 1 {
 				return false
 			}
 		}
@@ -163,7 +163,7 @@ func qualityOf(res *core.Result) float64 {
 		core.SourceData: 10, core.ExactMapping: 8, core.ApproxMapping: 5, core.UnknownMapping: 0,
 	}
 	sum, cells := 0, 0
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		for _, cf := range r.CFs {
 			sum += weights[cf]
 			cells++
@@ -197,8 +197,8 @@ func TestPropertyQueryTotalsMatchMVFT(t *testing.T) {
 				return false
 			}
 			got := 0.0
-			if len(res.Rows) > 0 && !math.IsNaN(res.Rows[0].Values[0]) {
-				got = res.Rows[0].Values[0]
+			if res.Len() > 0 && !math.IsNaN(res.Rows()[0].Values[0]) {
+				got = res.Rows()[0].Values[0]
 			}
 			if math.Abs(got-want) > 1e-6 {
 				return false

@@ -18,11 +18,12 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	if got.Dropped != want.Dropped {
 		t.Fatalf("%s: dropped %d, want %d", label, got.Dropped, want.Dropped)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows, want %d", label, got.Len(), want.Len())
 	}
-	for i := range want.Rows {
-		g, w := got.Rows[i], want.Rows[i]
+	gotRows := got.Rows()
+	for i, w := range want.Rows() {
+		g := gotRows[i]
 		if g.TimeKey != w.TimeKey || g.N != w.N {
 			t.Fatalf("%s row %d: (%s,%d) vs (%s,%d)", label, i, g.TimeKey, g.N, w.TimeKey, w.N)
 		}

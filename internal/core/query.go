@@ -66,7 +66,9 @@ func bucketKey(g TimeGrain, t temporal.Instant) string {
 	case GrainYear:
 		return strconv.Itoa(t.YearOf())
 	case GrainQuarter:
-		return fmt.Sprintf("Q%d/%d", (t.MonthOf()-1)/3+1, t.YearOf())
+		var b [24]byte
+		q := byte('1' + (t.MonthOf()-1)/3)
+		return string(strconv.AppendInt(append(b[:0], 'Q', q, '/'), int64(t.YearOf()), 10))
 	case GrainMonth:
 		return t.String()
 	default:
@@ -190,44 +192,6 @@ func keyFilters(fs []Filter) []Filter {
 	return out
 }
 
-// Row is one line of a query result.
-type Row struct {
-	// TimeKey is the rendered time bucket ("2001", "Q2/2002", ...).
-	TimeKey string
-	// Groups holds the display names of the grouping members, aligned
-	// with Query.GroupBy.
-	Groups []string
-	// GroupIDs holds the member version IDs behind Groups.
-	GroupIDs []MVID
-	// Values holds one aggregate per selected measure; NaN marks a value
-	// whose mapping is unknown.
-	Values []float64
-	// CFs holds the combined confidence factor per value.
-	CFs []Confidence
-	// N counts the emissions folded into the row: one per mapped tuple
-	// and per combination of its ancestors at the grouping levels that
-	// lands in the row. A tuple whose ancestors include two member
-	// versions sharing a display name emits into the row twice — its
-	// value is folded twice and N counts 2. In a version mode the mapped
-	// tuples are the mode's: source facts presented on one coordinate
-	// were merged into one tuple before the scan.
-	N int
-}
-
-// Result is a query result: a header plus sorted rows.
-type Result struct {
-	// MeasureNames are the selected measures in output order.
-	MeasureNames []string
-	// GroupNames are the grouping level names in output order.
-	GroupNames []string
-	// Mode echoes the query's temporal mode of presentation.
-	Mode Mode
-	// Rows are sorted by time bucket, then group names.
-	Rows []*Row
-	// Dropped counts source facts not presentable in the mode.
-	Dropped int
-}
-
 // Execute runs the query against the schema's MultiVersion Fact Table,
 // performing Definition 12 data aggregation: measures fold under their
 // aggregate function ⊕, confidence factors under ⊗cf, and rollup to the
@@ -272,7 +236,7 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	res, err := plan.executeOn(actx, ft)
 	if err == nil {
 		res.Dropped = dropped
-		asp.SetAttr("rows", len(res.Rows))
+		asp.SetAttr("rows", res.Len())
 	}
 	asp.End()
 	return res, err
@@ -469,8 +433,8 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 // order-dependent, float Sum not being associative, and tuple order is
 // the order Definition 12's reference fold uses. Sort ranks the cells'
 // buckets and display names, orders the cells by those integers — a
-// total order: equal keys are the same cell — and writes the rows in
-// that order (scanner.order, scanner.rows).
+// total order: equal keys are the same cell — and packs the cells into
+// the result's columns in that order (scanner.order, scanner.result).
 func (p *scanPlan) executeOn(ctx context.Context, ft *FactTable) (*Result, error) {
 	_, sp := obs.StartSpan(ctx, "prune")
 	live, pruned, t0, window := p.prune(ft)
@@ -486,7 +450,7 @@ func (p *scanPlan) executeOn(ctx context.Context, ft *FactTable) (*Result, error
 	err := sc.scan(ctx)
 	sp.SetAttr("tuples", sc.scanned)
 	sp.SetAttr("emissions", sc.emitted)
-	sp.SetAttr("cells", len(sc.cellN))
+	sp.SetAttr("cells", int(sc.cells))
 	sp.End()
 	metFactsScanned.Add(int64(sc.scanned))
 	if err != nil {
@@ -495,10 +459,10 @@ func (p *scanPlan) executeOn(ctx context.Context, ft *FactTable) (*Result, error
 	}
 
 	_, sp = obs.StartSpan(ctx, "sort")
-	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode, Rows: sc.rows(sc.order())}
-	sp.SetAttr("rows", len(res.Rows))
+	res := sc.result()
+	sp.SetAttr("rows", res.Len())
 	sp.End()
-	metQueryRows.Add(int64(len(res.Rows)))
+	metQueryRows.Add(int64(res.Len()))
 	return res, nil
 }
 

@@ -20,11 +20,11 @@ type wantRow struct {
 
 func checkResult(t *testing.T, res *core.Result, want []wantRow, checkCF bool) {
 	t.Helper()
-	if len(res.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d:\n%s", len(res.Rows), len(want), dumpResult(res))
+	if res.Len() != len(want) {
+		t.Fatalf("got %d rows, want %d:\n%s", res.Len(), len(want), dumpResult(res))
 	}
 	for i, w := range want {
-		r := res.Rows[i]
+		r := res.Rows()[i]
 		if r.TimeKey != w.time {
 			t.Errorf("row %d: time %q, want %q", i, r.TimeKey, w.time)
 		}
@@ -48,7 +48,7 @@ func checkResult(t *testing.T, res *core.Result, want []wantRow, checkCF bool) {
 
 func dumpResult(res *core.Result) string {
 	out := ""
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		out += r.TimeKey
 		for _, g := range r.Groups {
 			out += " | " + g
@@ -248,7 +248,7 @@ func TestGrandTotalInvariantAcrossModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make(map[string]float64)
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			out[r.TimeKey] = r.Values[0]
 		}
 		return out

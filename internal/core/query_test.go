@@ -31,17 +31,17 @@ func TestQueryGrains(t *testing.T) {
 		}
 		return res
 	}
-	if res := run(GrainAll); len(res.Rows) != 1 || res.Rows[0].Values[0] != 12 {
-		t.Errorf("GrainAll: %+v", res.Rows)
+	if res := run(GrainAll); res.Len() != 1 || res.Rows()[0].Values[0] != 12 {
+		t.Errorf("GrainAll: %+v", res.Rows())
 	}
-	if res := run(GrainYear); len(res.Rows) != 1 || res.Rows[0].TimeKey != "2001" {
-		t.Errorf("GrainYear: %+v", res.Rows)
+	if res := run(GrainYear); res.Len() != 1 || res.Rows()[0].TimeKey != "2001" {
+		t.Errorf("GrainYear: %+v", res.Rows())
 	}
-	if res := run(GrainQuarter); len(res.Rows) != 4 || res.Rows[0].TimeKey != "Q1/2001" || res.Rows[0].Values[0] != 3 {
-		t.Errorf("GrainQuarter: %+v", res.Rows)
+	if res := run(GrainQuarter); res.Len() != 4 || res.Rows()[0].TimeKey != "Q1/2001" || res.Rows()[0].Values[0] != 3 {
+		t.Errorf("GrainQuarter: %+v", res.Rows())
 	}
-	if res := run(GrainMonth); len(res.Rows) != 12 || res.Rows[0].TimeKey != "01/2001" {
-		t.Errorf("GrainMonth: %+v", res.Rows)
+	if res := run(GrainMonth); res.Len() != 12 || res.Rows()[0].TimeKey != "01/2001" {
+		t.Errorf("GrainMonth: %+v", res.Rows())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestVersionModeLevelsFollowTheDimension(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var got []string
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			got = append(got, fmt.Sprintf("%s/%s/%s", r.TimeKey, r.Groups[0], FormatValue(r.Values[0])))
 		}
 		if want := []string{"2001/top/5", "2003/top/2"}; !slices.Equal(got, want) {
@@ -126,7 +126,7 @@ func TestQueryMeasureSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.MeasureNames) != 1 || res.MeasureNames[0] != "profit" || res.Rows[0].Values[0] != 20 {
+	if len(res.MeasureNames) != 1 || res.MeasureNames[0] != "profit" || res.Rows()[0].Values[0] != 20 {
 		t.Errorf("projection failed: %+v", res)
 	}
 	// All measures by default.
@@ -199,10 +199,10 @@ func TestMultiHierarchyFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %+v", res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %+v", res.Rows())
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.Values[0] != 10 {
 			t.Errorf("row %v value %v, want 10", r.Groups, r.Values[0])
 		}
@@ -239,8 +239,8 @@ func TestNonCoveringHierarchySkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].Values[0] != 5 {
-		t.Errorf("non-covering rollup = %+v", res.Rows)
+	if res.Len() != 1 || res.Rows()[0].Values[0] != 5 {
+		t.Errorf("non-covering rollup = %+v", res.Rows())
 	}
 }
 
@@ -257,8 +257,8 @@ func TestGroupByLeafLevelIncludesSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Errorf("rows = %+v", res.Rows)
+	if res.Len() != 3 {
+		t.Errorf("rows = %+v", res.Rows())
 	}
 }
 
@@ -296,8 +296,8 @@ func TestDerivedLevelGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].Values[0] != 7 {
-		t.Errorf("derived-level rollup = %+v", res.Rows)
+	if res.Len() != 1 || res.Rows()[0].Values[0] != 7 {
+		t.Errorf("derived-level rollup = %+v", res.Rows())
 	}
 }
 
@@ -307,8 +307,9 @@ func TestRowOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		a, b := res.Rows[i-1], res.Rows[i]
+	rows := res.Rows()
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1], rows[i]
 		if a.TimeKey > b.TimeKey {
 			t.Fatal("rows must be sorted by time")
 		}
@@ -452,10 +453,10 @@ func TestRowN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != 1 {
-				t.Fatalf("rows = %+v, want one", res.Rows)
+			if res.Len() != 1 {
+				t.Fatalf("rows = %+v, want one", res.Rows())
 			}
-			r := res.Rows[0]
+			r := res.Rows()[0]
 			if c.group != "" && (len(r.Groups) != 1 || r.Groups[0] != c.group) {
 				t.Errorf("groups = %v, want [%s]", r.Groups, c.group)
 			}
@@ -482,14 +483,14 @@ func TestQueryFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.Groups[0] == "Brian" {
 			t.Errorf("Brian is never under Sales: %+v", r)
 		}
 	}
 	// Smith contributes only in 2001 (under Sales then, R&D after).
 	found2001, found2002 := false, false
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.Groups[0] == "Smith" {
 			switch r.TimeKey {
 			case "2001":
@@ -512,7 +513,7 @@ func TestQueryFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.Groups[0] != "Smith" && r.Groups[0] != "Brian" {
 			t.Errorf("unexpected member %q", r.Groups[0])
 		}
@@ -530,7 +531,7 @@ func TestQueryFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	smith2002 := false
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.Groups[0] == "Smith" && r.TimeKey == "2002" {
 			smith2002 = true
 		}
@@ -606,7 +607,7 @@ func TestUnknownLevelIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := s.Execute(by("Holding", TCM()))
-	if err != nil || len(res.Rows) != 0 {
+	if err != nil || res.Len() != 0 {
 		t.Fatalf("a level not yet in existence: rows %v, err %v", res, err)
 	}
 

@@ -69,10 +69,19 @@ func (v *diceView) contains(ord int32) bool {
 // first-sight order, so that a new pair's ordinal is the count of pairs
 // before it. A chain of them — (0, bucket), then (that, group) per axis —
 // turns a bucket ordinal and one group ordinal per axis into a dense
-// cell ordinal without hashing anything.
+// cell ordinal without hashing anything. A row that grows moves to a
+// window twice its length, or as long as next needs, cut from a slab:
+// the rows of a drill down, one per bucket, allocate a few slabs
+// between them rather than one array per doubling each. Slabs double up
+// to maxSlab entries, so the room a scan leaves unused is at most one
+// slab's tail.
+const maxSlab = 1 << 14
+
 type pairIndex struct {
-	rows [][]int32 // rows[prefix][next] = ordinal + 1, 0 when unseen
-	n    int32
+	rows    [][]int32 // rows[prefix][next] = ordinal + 1, 0 when unseen
+	slab    []int32   // what is left of the last slab
+	slabLen int
+	n       int32
 }
 
 func (x *pairIndex) get(prefix, next int32) int32 {
@@ -81,7 +90,15 @@ func (x *pairIndex) get(prefix, next int32) int32 {
 	}
 	row := x.rows[prefix]
 	if int(next) >= len(row) {
-		row = append(row, make([]int32, max(int(next)+1, 2*len(row))-len(row))...)
+		n := max(int(next)+1, 2*len(row))
+		if n > len(x.slab) {
+			x.slabLen = max(n, min(2*x.slabLen, maxSlab), 64)
+			x.slab = make([]int32, x.slabLen)
+		}
+		grown := x.slab[:n:n]
+		x.slab = x.slab[n:]
+		copy(grown, row)
+		row = grown
 		x.rows[prefix] = row
 	}
 	if row[next] == 0 {
@@ -147,24 +164,17 @@ type scanner struct {
 	memberGroup [][]int32
 
 	// pairs is the cell chain: pairs[0] numbers the buckets that emit,
-	// pairs[ai+1] extends a cell prefix by axis ai's group. A cell's
-	// columns follow: its bucket; one entry per axis in cellFirst, the
-	// member ordinals of the ancestors of the emission that created it
-	// (a row takes its GroupIDs from its first emission); per selected
-	// measure, Definition 12's ⊕ as typed parts — the sum and the count
-	// of the non-NaN values folded, and their least and greatest when a
-	// selected measure is a Min or a Max (mins and maxs are nil
-	// otherwise) — and the combined confidence; its emission count.
-	pairs      []pairIndex
-	cellBucket []int32
-	cellFirst  []int32
-	sums       []float64
-	counts     []int32
-	mins, maxs []float64
-	cfs        []Confidence
-	cellN      []int32
+	// pairs[ai+1] extends a cell prefix by axis ai's group. The cells'
+	// columns follow, in chunks (cellChunk); cells counts them.
+	pairs  []pairIndex
+	chunks []cellChunk
+	cells  int32
 	// minMax says a selected measure is a Min or a Max.
 	minMax bool
+	// byChunk is fold's scratch for a shard's emissions ordered by chunk,
+	// and chunkEnds the end of each chunk's run in it.
+	byChunk   []emission
+	chunkEnds []int
 
 	// The coordinate position each dice and each axis reads; per axis,
 	// the bounds in table.anc of a tuple's ancestor set and the odometer
@@ -224,10 +234,9 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 	for ai, ax := range p.axes {
 		dim := &p.dims[ax.dim]
 		sc.axisPos[ai] = dim.pos
-		sc.groupOrd[ai] = make(map[string]int32)
 		sc.memberGroup[ai] = make([]int32, len(dim.d.order))
 		if dim.static {
-			sc.staticAxes[ai] = newAxisView(dim.d.rollupTableAt(ax.level, dim.at))
+			sc.staticAxes[ai] = sc.newAxisView(ai, dim.d.rollupTableAt(ax.level, dim.at))
 		} else {
 			sc.tableViews[ai] = make(map[*rollupTable]*axisView)
 		}
@@ -271,7 +280,7 @@ func (sc *scanner) slot(t temporal.Instant) int32 {
 		if v == nil {
 			tab := p.dims[ax.dim].d.rollupTableAt(ax.level, t)
 			if v = sc.tableViews[ai][tab]; v == nil {
-				v = newAxisView(tab)
+				v = sc.newAxisView(ai, tab)
 				sc.tableViews[ai][tab] = v
 			}
 		}
@@ -317,7 +326,14 @@ type axisRead struct {
 	up, groups []int32
 }
 
-func newAxisView(tab *rollupTable) *axisView {
+// newAxisView returns a view of axis ai's rollup table tab. The axis's
+// first view sizes its group tables by the ancestors tab lists, the
+// groups of a single hierarchy.
+func (sc *scanner) newAxisView(ai int, tab *rollupTable) *axisView {
+	if sc.groupOrd[ai] == nil {
+		sc.groupOrd[ai] = make(map[string]int32, len(tab.anc))
+		sc.groupNames[ai] = make([]string, 0, len(tab.anc))
+	}
 	v := &axisView{table: tab, groups: make([]int32, len(tab.anc))}
 	for i := range v.groups {
 		v.groups[i] = -1
@@ -360,41 +376,90 @@ func (sc *scanner) internSet(ai int, v *axisView, lo, hi int32) {
 	}
 }
 
+// cellChunkShift sets the cells a chunk of cell columns holds,
+// 1<<cellChunkShift. The first chunk grows from 16 cells, fourfold, up
+// to that size; past it a scan that meets more cells adds chunks, so
+// the columns of a drill down are copied only while they are small,
+// and only the last chunk has room to spare.
+const (
+	cellChunkShift = 12
+	cellChunkMask  = 1<<cellChunkShift - 1
+)
+
+// cellChunk holds the columns of consecutive cells, indexed by a cell's
+// offset in its chunk: its bucket; one entry per axis in first, the
+// member ordinals of the ancestors of the emission that created it (a
+// row takes its GroupIDs from its first emission); per selected
+// measure, Definition 12's ⊕ as typed parts — the sum and the count of
+// the non-NaN values folded, and their least and greatest when a
+// selected measure is a Min or a Max (mins and maxs are nil
+// otherwise) — and the combined confidence; its emission count. The
+// int32 columns are windows of one block, the float64 ones of another.
+type cellChunk struct {
+	first, bucket, counts, n []int32
+	sums, mins, maxs         []float64
+	cfs                      []Confidence
+}
+
+// newChunk returns a chunk with room for k cells, holding a copy of
+// the used columns of old, whose cells it continues (nil for none).
+func (sc *scanner) newChunk(k int, old *cellChunk) cellChunk {
+	na, nq := len(sc.p.axes), len(sc.p.mIdx)
+	nf := 1 // sums, and mins and maxs beside them for a Min or a Max
+	if sc.minMax {
+		nf = 3
+	}
+	ints, floats := make([]int32, k*(na+2+nq)), make([]float64, k*nq*nf)
+	ch := cellChunk{cfs: make([]Confidence, k*nq)}
+	ch.first, ints = ints[:k*na:k*na], ints[k*na:]
+	ch.bucket, ints = ints[:k:k], ints[k:]
+	ch.n, ch.counts = ints[:k:k], ints[k:]
+	ch.sums, floats = floats[:k*nq:k*nq], floats[k*nq:]
+	if sc.minMax {
+		ch.mins, ch.maxs = floats[:k*nq:k*nq], floats[k*nq:]
+		for i := range ch.mins {
+			ch.mins[i], ch.maxs[i] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	if old != nil {
+		copy(ch.first, old.first)
+		copy(ch.bucket, old.bucket)
+		copy(ch.n, old.n)
+		copy(ch.counts, old.counts)
+		copy(ch.sums, old.sums)
+		copy(ch.mins, old.mins)
+		copy(ch.maxs, old.maxs)
+		copy(ch.cfs, old.cfs)
+	}
+	return ch
+}
+
+// chunkOf returns the chunk of cell c and c's offset in it.
+func (sc *scanner) chunkOf(c int32) (*cellChunk, int) {
+	return &sc.chunks[c>>cellChunkShift], int(c & cellChunkMask)
+}
+
 // newCell records the cell the current emission creates in the given
 // bucket: idx[ai] is the position in axes[ai].table.anc of the ancestor
 // the combination uses.
 func (sc *scanner) newCell(bucket int32, axes []*axisView, idx []int32) {
-	if n := len(sc.cellN); n == cap(sc.cellN) {
-		// Double the columns: append grows a long slice by a quarter at a
-		// time, and a drill down meets tens of thousands of cells.
-		n = max(n, 16)
-		nq := len(sc.p.mIdx)
-		sc.cellFirst = slices.Grow(sc.cellFirst, n*len(axes))
-		sc.cellBucket = slices.Grow(sc.cellBucket, n)
-		sc.sums = slices.Grow(sc.sums, n*nq)
-		sc.counts = slices.Grow(sc.counts, n*nq)
-		if sc.minMax {
-			sc.mins = slices.Grow(sc.mins, n*nq)
-			sc.maxs = slices.Grow(sc.maxs, n*nq)
-		}
-		sc.cfs = slices.Grow(sc.cfs, n*nq)
-		sc.cellN = slices.Grow(sc.cellN, n)
+	c := sc.cells
+	switch k := len(sc.chunks); {
+	case k == 0:
+		sc.chunks = append(sc.chunks, sc.newChunk(16, nil))
+	case c&cellChunkMask == 0 && c>>cellChunkShift == int32(k):
+		sc.chunks = append(sc.chunks, sc.newChunk(1<<cellChunkShift, nil))
+	case int(c) == len(sc.chunks[0].bucket):
+		// Only the first chunk grows, fourfold until it is full.
+		sc.chunks[0] = sc.newChunk(4*int(c), &sc.chunks[0])
 	}
+	ch, off := sc.chunkOf(c)
+	na := len(axes)
 	for ai, v := range axes {
-		sc.cellFirst = append(sc.cellFirst, v.table.anc[idx[ai]].ord)
+		ch.first[off*na+ai] = v.table.anc[idx[ai]].ord
 	}
-	sc.cellBucket = append(sc.cellBucket, bucket)
-	nq := len(sc.p.mIdx)
-	sc.sums = append(sc.sums, make([]float64, nq)...)
-	sc.counts = append(sc.counts, make([]int32, nq)...)
-	if sc.minMax {
-		for range nq {
-			sc.mins = append(sc.mins, math.Inf(1))
-			sc.maxs = append(sc.maxs, math.Inf(-1))
-		}
-	}
-	sc.cfs = append(sc.cfs, make([]Confidence, nq)...)
-	sc.cellN = append(sc.cellN, 0)
+	ch.bucket[off] = bucket
+	sc.cells++
 }
 
 // scan classifies and folds the live shards into cells, numbered in
@@ -601,7 +666,7 @@ func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tupl
 		for ai, v := range axes {
 			cell = sc.pairs[ai+1].get(cell, v.groups[idx[ai]])
 		}
-		if int(cell) == len(sc.cellN) {
+		if cell == sc.cells {
 			sc.newCell(sl.bucket, axes, idx)
 		}
 		emits = append(emits, emission{tuple: tuple, cell: cell})
@@ -644,17 +709,52 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 }
 
 // foldRows folds emissions whose tuples are all rows of the given value
-// and confidence columns, a row either as is or complemented (^row).
-// Each selected measure folds its values into its typed columns in one
-// pass over the emissions, so a cell still folds them in tuple order.
-// A nil confidence column folds every factor as sd, and takes no ⊗cf
-// step at all while skipSD holds.
+// and confidence columns, a row either as is or complemented (^row),
+// one chunk of cells at a time: when the cells lie in several chunks,
+// the emissions are first ordered by chunk, stably, so each cell still
+// folds its emissions in tuple order.
 func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
+	sc.emitted += len(emits)
+	if len(sc.chunks) == 1 {
+		sc.foldChunk(&sc.chunks[0], values, tcfs, emits)
+		return
+	}
+	ends := append(sc.chunkEnds[:0], make([]int, len(sc.chunks))...)
+	for _, e := range emits {
+		ends[e.cell>>cellChunkShift]++
+	}
+	at := 0
+	for k, n := range ends {
+		ends[k] = at
+		at += n
+	}
+	by := append(sc.byChunk[:0], emits...)
+	for _, e := range emits {
+		k := e.cell >> cellChunkShift
+		by[ends[k]] = emission{tuple: e.tuple, cell: e.cell & cellChunkMask}
+		ends[k]++
+	}
+	sc.byChunk, sc.chunkEnds = by, ends
+	from := 0
+	for k, end := range ends {
+		if end > from {
+			sc.foldChunk(&sc.chunks[k], values, tcfs, by[from:end])
+		}
+		from = end
+	}
+}
+
+// foldChunk folds emissions into cells of one chunk, each emission's
+// cell an offset in the chunk. Each selected measure folds its values
+// into its typed columns in one pass over the emissions, so a cell
+// still folds them in tuple order. A nil confidence column folds every
+// factor as sd, and takes no ⊗cf step at all while skipSD holds.
+func (sc *scanner) foldChunk(ch *cellChunk, values []float64, tcfs []Confidence, emits []emission) {
 	nm, nq := sc.ft.nm, len(sc.p.mIdx)
 	for k, mi := range sc.p.mIdx {
-		sums, counts := sc.sums, sc.counts
+		sums, counts := ch.sums, ch.counts
 		if sc.minMax {
-			mins, maxs := sc.mins, sc.maxs
+			mins, maxs := ch.mins, ch.maxs
 			for _, e := range emits {
 				j, x := int(e.tuple^e.tuple>>31), int(e.cell)*nq+k
 				// A NaN value (unknown mapping) is not folded: it poisons
@@ -683,18 +783,17 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 			}
 		}
 	}
-	cellN := sc.cellN
+	cellN := ch.n
 	if tcfs == nil && sc.skipSD {
 		for _, e := range emits {
 			cellN[e.cell]++
 		}
-		sc.emitted += len(emits)
 		return
 	}
 	alg, comb := sc.p.s.alg, &sc.comb
 	for _, e := range emits {
 		j, c := int(e.tuple^e.tuple>>31), int(e.cell)
-		cfs, first := sc.cfs[c*nq:(c+1)*nq], cellN[c] == 0
+		cfs, first := ch.cfs[c*nq:(c+1)*nq], cellN[c] == 0
 		for k, mi := range sc.p.mIdx {
 			b := SourceData
 			if tcfs != nil {
@@ -713,7 +812,6 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 		}
 		cellN[c]++
 	}
-	sc.emitted += len(emits)
 }
 
 // order returns the cell ordinals in result order: by time bucket,
@@ -722,14 +820,14 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 // order is total. It ranks the scan's own buckets and names, then
 // sorts the cells by those ranks with one stable counting sort per key,
 // least significant first: no string is compared per cell, and any
-// number of axes goes through the one loop.
-func (sc *scanner) order() []int32 {
-	n, na := len(sc.cellN), len(sc.p.axes)
+// number of axes goes through the one loop. tmp and keys, one entry per
+// cell each, are its scratch.
+func (sc *scanner) order(tmp, keys []int32) []int32 {
+	n, na := int(sc.cells), len(sc.p.axes)
 	perm := make([]int32, n)
 	for c := range perm {
 		perm[c] = int32(c)
 	}
-	tmp, keys := make([]int32, n), make([]int32, n)
 	// sortBy reorders perm stably by keys, each below k.
 	sortBy := func(k int) {
 		count := make([]int32, k+1)
@@ -751,16 +849,23 @@ func (sc *scanner) order() []int32 {
 		rank := ranks(len(names), func(a, b int32) int { return strings.Compare(names[a], names[b]) })
 		groupOf := sc.memberGroup[ai]
 		for c := range keys {
-			keys[c] = rank[groupOf[sc.cellFirst[c*na+ai]]-1]
+			ch, off := sc.chunkOf(int32(c))
+			keys[c] = rank[groupOf[ch.first[off*na+ai]]-1]
 		}
 		sortBy(len(names))
 	}
 	nb := len(sc.buckets)
 	rank := ranks(nb, func(a, b int32) int { return cmp.Compare(sc.buckets[a].order, sc.buckets[b].order) })
 	for c := range keys {
-		keys[c] = rank[sc.cellBucket[c]]
+		ch, off := sc.chunkOf(int32(c))
+		keys[c] = rank[ch.bucket[off]]
 	}
 	sortBy(nb)
+	if na%2 == 0 {
+		// An odd number of sorts leaves the order in the scratch.
+		copy(tmp, perm)
+		perm = tmp
+	}
 	return perm
 }
 
@@ -779,41 +884,61 @@ func ranks(n int, compare func(a, b int32) int) []int32 {
 	return rank
 }
 
-// rows renders the cells as result rows, in the given order. It is the
-// one place a scan writes a row's display names.
-func (sc *scanner) rows(perm []int32) []*Row {
-	n, nq, na := len(perm), len(sc.p.mIdx), len(sc.p.axes)
-	rows := make([]Row, n)
-	out := make([]*Row, n)
-	values := make([]float64, n*nq)
-	groups := make([]string, n*na)
-	groupIDs := make([]MVID, n*na)
-	ids := make([][]MVID, na)
-	for ai, ax := range sc.p.axes {
-		ids[ai] = sc.p.dims[ax.dim].d.order
+// result orders the cells (order, with two of the result's columns as
+// its scratch) and packs them into the result's columns in that order:
+// the one place a scan writes a cell's display names. Each axis's table
+// holds the members the cells name, in the order the result first names
+// them, read off memberGroup, which order has read for the last time and
+// which this numbers them in: a named member's group g+1 turns to -(g+1)
+// when the first pass counts it, then to its table index + 1 when the
+// second pass enters it.
+func (sc *scanner) result() *Result {
+	p := sc.p
+	n, nq, na := int(sc.cells), len(p.mIdx), len(p.axes)
+	res := &Result{MeasureNames: p.mNames, GroupNames: p.gNames, Mode: p.mode}
+	res.alloc(n)
+	perm := sc.order(res.bucket, res.n)
+	res.keys = make([]string, len(sc.buckets))
+	for b, ref := range sc.buckets {
+		res.keys[b] = ref.key
+	}
+	res.names, res.ids = make([][]string, na), make([][]MVID, na)
+	for ai, ax := range p.axes {
+		byMember, count := sc.memberGroup[ai], 0
+		for _, c := range perm {
+			ch, off := sc.chunkOf(c)
+			if ord := ch.first[off*na+ai]; byMember[ord] > 0 {
+				byMember[ord] = -byMember[ord]
+				count++
+			}
+		}
+		names, ids := make([]string, 0, count), make([]MVID, 0, count)
+		order, groupNames := p.dims[ax.dim].d.order, sc.groupNames[ai]
+		for i, c := range perm {
+			ch, off := sc.chunkOf(c)
+			ord := ch.first[off*na+ai]
+			if g := byMember[ord]; g < 0 {
+				names = append(names, groupNames[-g-1])
+				ids = append(ids, order[ord])
+				byMember[ord] = int32(len(names))
+			}
+			res.member[i*na+ai] = byMember[ord] - 1
+		}
+		res.names[ai], res.ids[ai] = names, ids
 	}
 	for i, c := range perm {
-		c := int(c)
-		r := &rows[i]
-		r.TimeKey = sc.buckets[sc.cellBucket[c]].key
-		r.Groups = groups[i*na : (i+1)*na : (i+1)*na]
-		r.GroupIDs = groupIDs[i*na : (i+1)*na : (i+1)*na]
-		for ai, ord := range sc.cellFirst[c*na : (c+1)*na] {
-			r.Groups[ai] = sc.groupNames[ai][sc.memberGroup[ai][ord]-1]
-			r.GroupIDs[ai] = ids[ai][ord]
-		}
-		r.Values = values[i*nq : (i+1)*nq : (i+1)*nq]
-		for k, mi := range sc.p.mIdx {
-			x := c*nq + k
+		ch, off := sc.chunkOf(c)
+		res.bucket[i] = ch.bucket[off]
+		res.n[i] = ch.n[off]
+		for k, mi := range p.mIdx {
+			x := off*nq + k
 			var lo, hi float64
 			if sc.minMax {
-				lo, hi = sc.mins[x], sc.maxs[x]
+				lo, hi = ch.mins[x], ch.maxs[x]
 			}
-			r.Values[k] = aggValue(sc.p.s.measures[mi].Agg, sc.sums[x], lo, hi, int(sc.counts[x]))
+			res.values[i*nq+k] = aggValue(p.s.measures[mi].Agg, ch.sums[x], lo, hi, int(ch.counts[x]))
 		}
-		r.CFs = sc.cfs[c*nq : (c+1)*nq : (c+1)*nq]
-		r.N = int(sc.cellN[c])
-		out[i] = r
+		copy(res.cfs[i*nq:(i+1)*nq], ch.cfs[off*nq:(off+1)*nq])
 	}
-	return out
+	return res
 }

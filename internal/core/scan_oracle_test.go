@@ -364,9 +364,11 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 		}
 		return false
 	})
-	for _, c := range list {
-		res.Rows = append(res.Rows, c.row)
+	rows := make([]*Row, len(list))
+	for i, c := range list {
+		rows[i] = c.row
 	}
+	res.SetRows(rows)
 	return res
 }
 
@@ -606,9 +608,9 @@ func requireMatchesOracle(t *testing.T, label string, s *Schema, q Query) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	l := fmt.Sprintf("%s %+v", label, q)
-	for i := range got.Rows {
-		if i < len(want.Rows) && (len(got.Rows[i].Groups) != len(q.GroupBy) || len(got.Rows[i].GroupIDs) != len(q.GroupBy)) {
-			t.Fatalf("%s row %d: groups %v / %v", l, i, got.Rows[i].Groups, got.Rows[i].GroupIDs)
+	for i, row := range got.Rows() {
+		if i < want.Len() && (len(row.Groups) != len(q.GroupBy) || len(row.GroupIDs) != len(q.GroupBy)) {
+			t.Fatalf("%s row %d: groups %v / %v", l, i, row.Groups, row.GroupIDs)
 		}
 	}
 	requireBitIdentical(t, l, got, want)
@@ -630,7 +632,7 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			for i := 0; i < 24; i++ {
 				q := oracleQuery(r, s)
 				requireMatchesOracle(t, fmt.Sprintf("query %d", i), s, q)
-				if res, _ := s.Execute(q); len(res.Rows) > 0 {
+				if res, _ := s.Execute(q); res.Len() > 0 {
 					nonEmpty++
 				}
 			}
@@ -743,7 +745,7 @@ func TestPropertyScanMatchesNaiveReferenceUnderAlgebras(t *testing.T) {
 			}
 		}
 		res, err := s.Execute(Query{Grain: GrainAll, Mode: InVersion(s.VersionAt(y(2003)))})
-		if err != nil || len(res.Rows) != 1 || res.Rows[0].CFs[0] != UnknownMapping {
+		if err != nil || res.Len() != 1 || res.Rows()[0].CFs[0] != UnknownMapping {
 			t.Fatalf("V3's grand total = %+v, %v; want one row, uk (am tuples, then stored ones)", res, err)
 		}
 	})
@@ -1000,12 +1002,13 @@ func TestRollupTablesConcurrentFirstTouch(t *testing.T) {
 					t.Errorf("goroutine %d query %d: %v", g, i, err)
 					return
 				}
-				if len(got.Rows) != len(want[i].Rows) {
-					t.Errorf("goroutine %d query %d: %d rows, want %d", g, i, len(got.Rows), len(want[i].Rows))
+				if got.Len() != want[i].Len() {
+					t.Errorf("goroutine %d query %d: %d rows, want %d", g, i, got.Len(), want[i].Len())
 					return
 				}
-				for k, w := range want[i].Rows {
-					r := got.Rows[k]
+				rows := got.Rows()
+				for k, w := range want[i].Rows() {
+					r := rows[k]
 					if r.TimeKey != w.TimeKey || r.N != w.N || fmt.Sprint(r.GroupIDs) != fmt.Sprint(w.GroupIDs) ||
 						math.Float64bits(r.Values[0]) != math.Float64bits(w.Values[0]) {
 						t.Errorf("goroutine %d query %d row %d: %+v, want %+v", g, i, k, r, w)
@@ -1155,7 +1158,7 @@ func TestScanSkipsStoredConfidenceStep(t *testing.T) {
 		requireMatchesOracle(t, "out of table", s, Query{GroupBy: g, Grain: GrainAll, Mode: v3})
 	}
 	res, err := s.Execute(Query{Grain: GrainAll, Mode: v3})
-	if err != nil || len(res.Rows) != 1 || res.Rows[0].CFs[0] < numConfidence {
+	if err != nil || res.Len() != 1 || res.Rows()[0].CFs[0] < numConfidence {
 		t.Fatalf("V3's grand total = %+v, %v; want one row with a factor outside the table", res, err)
 	}
 }

@@ -246,15 +246,33 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 // error names the first such fact; the caller retracts or re-maps the
 // facts first.
 func (s *Schema) EndVersion(dim DimID, id MVID, end temporal.Instant) error {
+	if err := s.CanEndVersion(dim, id, end); err != nil {
+		return err
+	}
+	return s.dims[s.DimIndex(dim)].SetEnd(id, end)
+}
+
+// CanEndVersion returns the error EndVersion(dim, id, end) would
+// return, changing nothing: nil when the version may end there.
+func (s *Schema) CanEndVersion(dim DimID, id MVID, end temporal.Instant) error {
 	i := s.DimIndex(dim)
 	if i < 0 {
 		return fmt.Errorf("core: unknown dimension %q", dim)
+	}
+	d := s.dims[i]
+	mv := d.members[id]
+	switch {
+	case mv == nil:
+		return fmt.Errorf("core: dimension %s: unknown member version %q", d.ID, id)
+	case end < mv.Valid.Start:
+		return fmt.Errorf("core: dimension %s: cannot end %q at %s before its start %s",
+			d.ID, id, end, mv.Valid.Start)
 	}
 	if f, ok := s.facts.firstAfter(i, id, end); ok {
 		return fmt.Errorf("core: dimension %s: cannot end %q at %s: the fact at %s %s holds it; retract it first",
 			dim, id, end, strings.Trim(fmt.Sprint(f.Coords), "[]"), f.Time)
 	}
-	return s.dims[i].SetEnd(id, end)
+	return nil
 }
 
 // MustInsertFact is InsertFact panicking on error; for fixtures.

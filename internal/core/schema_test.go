@@ -349,8 +349,8 @@ func TestDegenerateSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("empty schema rows = %v", res.Rows)
+	if res.Len() != 0 {
+		t.Errorf("empty schema rows = %v", res.Rows())
 	}
 	// Dimension with members but no facts.
 	d := NewDimension("D", "D")
@@ -365,14 +365,14 @@ func TestDegenerateSchemas(t *testing.T) {
 		Grain:   GrainYear,
 		Mode:    TCM(),
 	})
-	if err != nil || len(res.Rows) != 0 {
-		t.Errorf("factless schema: %v, %v", res.Rows, err)
+	if err != nil || res.Len() != 0 {
+		t.Errorf("factless schema: %v, %v", res.Rows(), err)
 	}
 	// Version-mode query on a factless schema.
 	if svs := s.StructureVersions(); len(svs) == 1 {
 		res, err = s.Execute(Query{Grain: GrainYear, Mode: InVersion(svs[0])})
-		if err != nil || len(res.Rows) != 0 {
-			t.Errorf("factless version mode: %v, %v", res.Rows, err)
+		if err != nil || res.Len() != 0 {
+			t.Errorf("factless version mode: %v, %v", res.Rows(), err)
 		}
 	} else {
 		t.Errorf("factless schema versions = %v", svs)
@@ -389,7 +389,7 @@ func TestDegenerateSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || len(res.Rows[0].Values) != 0 {
-		t.Errorf("zero-measure rows = %+v", res.Rows)
+	if res.Len() != 1 || len(res.Rows()[0].Values) != 0 {
+		t.Errorf("zero-measure rows = %+v", res.Rows())
 	}
 }

@@ -290,7 +290,7 @@ func (v *View) Materialize() (*Grid, error) {
 	var cols, rows []string
 	type cellKey struct{ r, c string }
 	values := map[cellKey]Cell{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		var rowKey, colKey string
 		if memberRows {
 			rowKey, colKey = r.Groups[0], r.Groups[1]

@@ -173,7 +173,7 @@ Dpt.Brian,2003,40
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		got[r.TimeKey+"/"+r.Groups[0]] = r.Values[0]
 	}
 	if got["2002/Dpt.Bill"] != 40 || got["2002/Dpt.Paul"] != 60 {

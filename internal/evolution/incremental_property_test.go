@@ -169,7 +169,7 @@ func renderAnswers(t *testing.T, s *core.Schema) []string {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s dropped %d\n", m, res.Dropped)
-			for _, r := range res.Rows {
+			for _, r := range res.Rows() {
 				fmt.Fprintf(&b, "%s %v n=%d", r.TimeKey, r.GroupIDs, r.N)
 				for k, v := range r.Values {
 					fmt.Fprintf(&b, " %x/%v", math.Float64bits(v), r.CFs[k])
@@ -401,10 +401,10 @@ func assertAnswersMatch(t *testing.T, step int, s *core.Schema) {
 			t.Fatal(err)
 		}
 		rows, dropped := oracleYearTotals(s, m)
-		if res.Dropped != dropped || len(res.Rows) != len(rows) {
-			t.Fatalf("step %d mode %s: %d rows, %d dropped; the oracle has %d, %d", step, m, len(res.Rows), res.Dropped, len(rows), dropped)
+		if res.Dropped != dropped || res.Len() != len(rows) {
+			t.Fatalf("step %d mode %s: %d rows, %d dropped; the oracle has %d, %d", step, m, res.Len(), res.Dropped, len(rows), dropped)
 		}
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			o := rows[r.TimeKey]
 			if o == nil || r.N != o.n || fmt.Sprint(r.CFs) != fmt.Sprint(o.cfs) {
 				t.Fatalf("step %d mode %s year %s: n=%d cfs %v; the oracle has %+v", step, m, r.TimeKey, r.N, r.CFs, o)

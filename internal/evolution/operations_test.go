@@ -77,7 +77,7 @@ func TestCaseStudyRebuiltFromOperators(t *testing.T) {
 	}
 	byKey := map[string]float64{}
 	cfs := map[string]core.Confidence{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		byKey[r.TimeKey+"/"+r.Groups[0]] = r.Values[0]
 		cfs[r.TimeKey+"/"+r.Groups[0]] = r.CFs[0]
 	}
@@ -97,7 +97,7 @@ func TestCaseStudyRebuiltFromOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	byKey = map[string]float64{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		byKey[r.TimeKey+"/"+r.Groups[0]] = r.Values[0]
 	}
 	if byKey["2002/Dpt.Bill"] != 40 || byKey["2002/Dpt.Paul"] != 60 {

@@ -171,10 +171,10 @@ func TestRetractionSumAvgSubtractsInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 || res.Rows[0].GroupIDs[0] != "B" {
-			t.Fatalf("June 2001 in %s = %+v, want B's one row", post.ID, res.Rows)
+		if res.Len() != 1 || res.Rows()[0].GroupIDs[0] != "B" {
+			t.Fatalf("June 2001 in %s = %+v, want B's one row", post.ID, res.Rows())
 		}
-		return res.Rows[0]
+		return res.Rows()[0]
 	}
 	// Sanity: the post-exclusion version really merges A's mapped fact
 	// with B's native one into one tuple.

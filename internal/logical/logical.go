@@ -71,18 +71,67 @@ func LogicalMeasures(s *core.Schema) []core.Measure {
 // mvID. Every child in E is then reclassified recursively to the new
 // version mvID'. The new versions take the ID of the old one suffixed
 // with "@<ti>". It returns the IDs of all versions created.
+//
+// The rewrite is all or nothing. It plans every version it re-versions
+// from the structure just before ti, which its own operators leave as
+// it is, and checks the plan before it applies an operator: every new
+// ID is free, every parent outside the plan is still valid at ti, and
+// every version may end at ti−1 (Schema.CanEndVersion: no stored fact
+// holds it later). When a check fails it returns the error with the
+// schema and the applier's log as it found them.
 func RewriteReclassify(a *evolution.Applier, s *core.Schema, dim core.DimID, id core.MVID,
 	at temporal.Instant, oldParents, newParents []core.MVID) ([]core.MVID, error) {
 	d := s.Dimension(dim)
 	if d == nil {
 		return nil, fmt.Errorf("logical: unknown dimension %q", dim)
 	}
+	var plan []evolution.Op
+	var created []core.MVID
+	if err := planReclassify(s, d, id, at, oldParents, newParents, &plan, &created); err != nil {
+		return nil, err
+	}
+	planned := make(map[core.MVID]bool, len(created))
+	for _, newID := range created {
+		switch {
+		case planned[newID]:
+			return nil, fmt.Errorf("logical: cannot re-version at %s: %q would be created twice, under two re-versioned parents", at, newID)
+		case s.VersionOf(newID) != nil:
+			return nil, fmt.Errorf("logical: cannot re-version at %s: member version %q exists", at, newID)
+		}
+		planned[newID] = true
+	}
+	for _, op := range plan {
+		switch op := op.(type) {
+		case evolution.Insert:
+			for _, p := range op.Parents {
+				if pv := d.Version(p); !planned[p] && (pv == nil || pv.Valid.End < at) {
+					return nil, fmt.Errorf("logical: cannot re-version %q under %q: the parent is not valid at %s", op.ID, p, at)
+				}
+			}
+		case evolution.Exclude:
+			if err := s.CanEndVersion(dim, op.ID, at.Prev()); err != nil {
+				return nil, fmt.Errorf("logical: %w", err)
+			}
+		}
+	}
+	if err := a.Apply(plan...); err != nil {
+		return nil, err
+	}
+	return created, nil
+}
+
+// planReclassify appends the operators of the §4.2 rewrite of id and of
+// its descendants to plan, in the order they apply — a version's three
+// operators, then its children's — and the IDs of the versions they
+// create to created. It reads the structure just before at only.
+func planReclassify(s *core.Schema, d *core.Dimension, id core.MVID, at temporal.Instant,
+	oldParents, newParents []core.MVID, plan *[]evolution.Op, created *[]core.MVID) error {
 	mv := d.Version(id)
 	if mv == nil {
-		return nil, fmt.Errorf("logical: unknown member version %q", id)
+		return fmt.Errorf("logical: unknown member version %q", id)
 	}
 	if !mv.ValidAt(at.Prev()) {
-		return nil, fmt.Errorf("logical: %q not valid just before %s", id, at)
+		return fmt.Errorf("logical: %q not valid just before %s", id, at)
 	}
 	// P' = (P − OldParents) ∪ NewParents, computed on the structure just
 	// before the change.
@@ -104,40 +153,30 @@ func RewriteReclassify(a *evolution.Applier, s *core.Schema, dim core.DimID, id 
 			parents = append(parents, p)
 		}
 	}
-	// E: children of mvID just before the change.
-	var children []core.MVID
-	for _, c := range d.ChildrenAt(id, at.Prev()) {
-		children = append(children, c.ID)
-	}
-
 	newID := core.MVID(fmt.Sprintf("%s@%s", id, at))
 	measures := len(s.Measures())
-	ops := []evolution.Op{
+	*plan = append(*plan,
 		evolution.Insert{
-			Dim: dim, ID: newID, Member: mv.Member, Name: mv.DisplayName(),
+			Dim: d.ID, ID: newID, Member: mv.Member, Name: mv.DisplayName(),
 			Attrs: mv.Attrs, Level: mv.Level, Start: at, Parents: parents,
 		},
-		evolution.Exclude{Dim: dim, ID: id, At: at},
+		evolution.Exclude{Dim: d.ID, ID: id, At: at},
 		evolution.Associate{Mapping: core.MappingRelationship{
 			From:     id,
 			To:       newID,
 			Forward:  core.UniformMapping(measures, core.Identity, core.SourceData),
 			Backward: core.UniformMapping(measures, core.Identity, core.SourceData),
 		}},
-	}
-	if err := a.Apply(ops...); err != nil {
-		return nil, err
-	}
-	created := []core.MVID{newID}
-	// Recursively re-version every descendant under the new parent.
-	for _, c := range children {
-		sub, err := RewriteReclassify(a, s, dim, c, at, []core.MVID{id}, []core.MVID{newID})
-		if err != nil {
-			return nil, err
+	)
+	*created = append(*created, newID)
+	// Recursively re-version every descendant (E: the children of id just
+	// before the change) under the new version.
+	for _, c := range d.ChildrenAt(id, at.Prev()) {
+		if err := planReclassify(s, d, c.ID, at, []core.MVID{id}, []core.MVID{newID}, plan, created); err != nil {
+			return err
 		}
-		created = append(created, sub...)
 	}
-	return created, nil
+	return nil
 }
 
 // Layout selects one of the §5.1 physical dimension representations.

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mvolap/internal/casestudy"
@@ -52,26 +53,7 @@ func TestLogicalMeasures(t *testing.T) {
 // logical level must (§4.2): a new version Smith@01/2002 appears,
 // linked by a source-data equivalence mapping.
 func TestRewriteReclassify(t *testing.T) {
-	// Start from the 2001 organization with Smith under Sales since 2001.
-	s := core.NewSchema("org", core.Measure{Name: "Amount", Agg: core.Sum})
-	d := core.NewDimension("Org", "Org")
-	for _, mv := range []*core.MemberVersion{
-		{ID: "Sales", Name: "Sales", Level: "Division", Valid: temporal.Since(temporal.Year(2001))},
-		{ID: "R&D", Name: "R&D", Level: "Division", Valid: temporal.Since(temporal.Year(2001))},
-		{ID: "Smith", Name: "Dpt.Smith", Level: "Department", Valid: temporal.Since(temporal.Year(2001))},
-	} {
-		if err := d.AddVersion(mv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.AddRelationship(core.TemporalRelationship{
-		From: "Smith", To: "Sales", Valid: temporal.Since(temporal.Year(2001)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddDimension(d); err != nil {
-		t.Fatal(err)
-	}
+	s, d := smithWarehouse(t)
 	a := evolution.NewApplier(s)
 	created, err := RewriteReclassify(a, s, "Org", "Smith", temporal.Year(2002),
 		[]core.MVID{"Sales"}, []core.MVID{"R&D"})
@@ -113,6 +95,62 @@ func TestRewriteReclassify(t *testing.T) {
 	}
 	if want := fmt.Sprint(50.0, " ", core.SourceData); len(got) != 1 || got[0] != want {
 		t.Errorf("mapped presentation = %v, want [%s]", got, want)
+	}
+}
+
+// smithWarehouse is the 2001 organization with Smith under Sales since
+// 2001, and no facts.
+func smithWarehouse(t *testing.T) (*core.Schema, *core.Dimension) {
+	t.Helper()
+	s := core.NewSchema("org", core.Measure{Name: "Amount", Agg: core.Sum})
+	d := core.NewDimension("Org", "Org")
+	for _, mv := range []*core.MemberVersion{
+		{ID: "Sales", Name: "Sales", Level: "Division", Valid: temporal.Since(temporal.Year(2001))},
+		{ID: "R&D", Name: "R&D", Level: "Division", Valid: temporal.Since(temporal.Year(2001))},
+		{ID: "Smith", Name: "Dpt.Smith", Level: "Department", Valid: temporal.Since(temporal.Year(2001))},
+	} {
+		if err := d.AddVersion(mv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.AddRelationship(core.TemporalRelationship{
+		From: "Smith", To: "Sales", Valid: temporal.Since(temporal.Year(2001)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	return s, d
+}
+
+// TestRewriteReclassifyRefusedChangesNothing: a rewrite that cannot end
+// the version — a fact of Smith at 2003 holds it past the change —
+// returns Exclude's error and leaves the structure versions, the facts,
+// the dimension and the applier's log as it found them, its Insert
+// included.
+func TestRewriteReclassifyRefusedChangesNothing(t *testing.T) {
+	s, d := smithWarehouse(t)
+	s.MustInsertFact(core.Coords{"Smith"}, temporal.Year(2003), 50)
+	a := evolution.NewApplier(s)
+	versions := fmt.Sprint(s.StructureVersions())
+	rels, log := fmt.Sprint(d.Relationships()), fmt.Sprint(a.Log())
+	_, err := RewriteReclassify(a, s, "Org", "Smith", temporal.Year(2002),
+		[]core.MVID{"Sales"}, []core.MVID{"R&D"})
+	if err == nil || !strings.Contains(err.Error(), `cannot end "Smith" at 12/2001: the fact at Smith 01/2003 holds it`) {
+		t.Fatalf("rewrite error = %v, want the Exclude refusal", err)
+	}
+	if got := fmt.Sprint(s.StructureVersions()); got != versions {
+		t.Errorf("structure versions = %s, want %s", got, versions)
+	}
+	if n := s.Facts().Len(); n != 1 {
+		t.Errorf("%d facts, want 1", n)
+	}
+	if got := fmt.Sprint(a.Log()); got != log {
+		t.Errorf("applier log = %s, want %s", got, log)
+	}
+	if got := fmt.Sprint(d.Relationships()); got != rels || d.Version("Smith@01/2002") != nil || len(s.Mappings()) != 0 {
+		t.Errorf("dimension changed: relationships %s, want %s; %d mappings", got, rels, len(s.Mappings()))
 	}
 }
 

@@ -43,15 +43,16 @@ func (w Weights) Validate() error {
 //	Q = (Σ_i Σ_j pds(fb(i,j))) / (Ni·Nj·10)
 //
 // where the sum runs over every value cell of the result (rows ×
-// selected measures). An empty result has quality 0.
+// selected measures), read off the result's confidence factors. An
+// empty result has quality 0.
 func Of(res *core.Result, w Weights) float64 {
-	if res == nil || len(res.Rows) == 0 || len(res.MeasureNames) == 0 {
+	if res == nil || res.Len() == 0 || len(res.MeasureNames) == 0 {
 		return 0
 	}
 	sum := 0
 	cells := 0
-	for _, row := range res.Rows {
-		for _, cf := range row.CFs {
+	for i := range res.Len() {
+		for _, cf := range res.CFs(i) {
 			if int(cf) < len(w) {
 				sum += w[cf]
 			}

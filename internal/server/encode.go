@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"math"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -23,11 +22,15 @@ import (
 // byte. trace, when not nil, is called with the body's fields once they
 // are written and returns the span tree the body ends with, so a traced
 // request's tree can say what writing them cost.
+//
+// The fields around the rows are written first, into a small buffer,
+// and the rows' length is summed off the result's cells, so an untraced
+// body is allocated once, at exactly its length: the result cache keeps
+// no spare capacity.
 func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNode) []byte {
-	b := make([]byte, 0, 512)
-	b = append(b, '{')
+	var buf [512]byte
+	b := append(buf[:0], '{')
 	res := out.Result
-	var rows []*core.Row
 	if res != nil {
 		if len(res.MeasureNames) > 0 {
 			b = append(b, "\n  \"measures\": "...)
@@ -39,10 +42,9 @@ func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNod
 			b = appendStringArray(b, res.GroupNames, 1)
 			b = append(b, ',')
 		}
-		rows = res.Rows
 	}
 	b = append(b, "\n  \"rows\": "...)
-	b = appendResultRows(b, rows)
+	rowsAt := len(b)
 	if res != nil && res.Mode.String() != "" {
 		b = append(b, ",\n  \"mode\": "...)
 		b = appendJSONString(b, res.Mode.String())
@@ -74,10 +76,15 @@ func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNod
 		b = append(b, ",\n  \"lineage\": "...)
 		b = appendJSONString(b, out.Lineage)
 	}
+	const end = "\n}\n"
+	body := make([]byte, 0, len(b)+rowsLen(res)+len(end))
+	body = append(body, b[:rowsAt]...)
+	body = appendResultRows(body, res)
+	body = append(body, b[rowsAt:]...)
 	if trace != nil {
-		b = appendIndented(b, "trace", trace(b))
+		body = appendIndented(body, "trace", trace(body))
 	}
-	return append(b, "\n}\n"...)
+	return append(body, end...)
 }
 
 // appendIndented writes a further top-level field of the body, its
@@ -94,83 +101,188 @@ func appendIndented(b []byte, name string, v any) []byte {
 	return append(b, value...)
 }
 
-// rowsSizedFrom is how many rows are written before the buffer is grown,
-// once, to the size they predict for the rest.
-const rowsSizedFrom = 8
+// The fixed text of a result row, around its time key, its groups and
+// its values, confidence factors and colours; cellIndent opens each
+// element of a row's arrays.
+const (
+	rowOpen     = "\n    {\n      \"time\": "
+	rowGroups   = ",\n      \"groups\": "
+	groupsClose = "\n      ]"
+	rowNoValues = ",\n      \"values\": [],\n      \"cfs\": [],\n      \"colors\": []\n    }"
+	rowValues   = ",\n      \"values\": ["
+	rowCFs      = "\n      ],\n      \"cfs\": ["
+	rowColors   = "\n      ],\n      \"colors\": ["
+	rowClose    = "\n      ]\n    }"
+	cellIndent  = "\n        "
+	rowsClose   = "\n  ]"
+)
 
-// appendResultRows is the one row writer: it renders result rows as the
-// response's "rows" array (opening bracket at indent depth 1), straight
-// from the engine's rows. The array and each row's inner arrays are
-// always present — [] when empty, never null — so clients can index
-// into the response without null checks; values, cfs and colors are
-// index-aligned with the response's measures, and an unknown value (NaN,
-// or any other non-finite float) is null.
-func appendResultRows(b []byte, rows []*core.Row) []byte {
-	if len(rows) == 0 {
+// appendResultRows is the one row writer: it renders a result's cells
+// as the response's "rows" array (opening bracket at indent depth 1),
+// reading them where the result holds them. The array and each row's
+// inner arrays are always present — [] when empty, never null — so
+// clients can index into the response without null checks; groups are
+// index-aligned with the response's groups, values, cfs and colors with
+// its measures, and an unknown value (NaN, or any other non-finite
+// float) is null. rowsLen must count what it writes.
+func appendResultRows(b []byte, res *core.Result) []byte {
+	if res == nil || res.Len() == 0 {
 		return append(b, '[', ']')
 	}
+	na := len(res.GroupNames)
 	b = append(b, '[')
-	start := len(b)
-	for i, row := range rows {
-		if i == rowsSizedFrom {
-			// A drill answers ten thousand rows of one shape.
-			perRow := (len(b) - start) / rowsSizedFrom
-			b = slices.Grow(b, (len(rows)-i)*(perRow+perRow/8)+64)
-		}
+	for i := range res.Len() {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, "\n    {\n      \"time\": "...)
-		b = appendJSONString(b, row.TimeKey)
-		b = append(b, ",\n      \"groups\": "...)
-		if row.Groups == nil {
+		b = append(b, rowOpen...)
+		b = appendJSONString(b, res.TimeKey(i))
+		b = append(b, rowGroups...)
+		if na == 0 {
 			b = append(b, '[', ']')
 		} else {
-			b = appendStringArray(b, row.Groups, 3)
+			b = append(b, '[')
+			for ai := range na {
+				if ai > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, cellIndent...)
+				b = appendJSONString(b, res.Group(i, ai))
+			}
+			b = append(b, groupsClose...)
 		}
-		if len(row.Values) == 0 {
-			b = append(b, ",\n      \"values\": [],\n      \"cfs\": [],\n      \"colors\": []\n    }"...)
+		values, cfs := res.Values(i), res.CFs(i)
+		if len(values) == 0 {
+			b = append(b, rowNoValues...)
 			continue
 		}
-		b = append(b, ",\n      \"values\": ["...)
-		for k, v := range row.Values {
+		b = append(b, rowValues...)
+		for k, v := range values {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n        "...)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				b = append(b, "null"...)
-			} else {
-				b = appendJSONFloat(b, v)
-			}
+			b = appendJSONValue(append(b, cellIndent...), v)
 		}
-		b = append(b, "\n      ],\n      \"cfs\": ["...)
-		for k, cf := range row.CFs {
+		b = append(b, rowCFs...)
+		for k, cf := range cfs {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n        "...)
-			if int(cf) < len(cfJSON) {
-				b = append(b, cfJSON[cf]...)
-			} else {
-				b = appendJSONString(b, cf.String())
-			}
+			b = appendCF(append(b, cellIndent...), cf)
 		}
-		b = append(b, "\n      ],\n      \"colors\": ["...)
-		for k, cf := range row.CFs {
+		b = append(b, rowColors...)
+		for k, cf := range cfs {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n        "...)
-			if int(cf) < len(colorJSON) {
-				b = append(b, colorJSON[cf]...)
-			} else {
-				b = appendJSONString(b, quality.CellColor(cf).String())
-			}
+			b = appendColor(append(b, cellIndent...), cf)
 		}
-		b = append(b, "\n      ]\n    }"...)
+		b = append(b, rowClose...)
 	}
-	return append(b, "\n  ]"...)
+	return append(b, rowsClose...)
+}
+
+// rowsLen returns the number of bytes appendResultRows writes for res:
+// the fixed text every row of the result's shape writes, plus each
+// cell's time key, groups, values, factors and colours as written into
+// a scratch buffer.
+func rowsLen(res *core.Result) int {
+	if res == nil || res.Len() == 0 {
+		return 2
+	}
+	n, na, nq := res.Len(), len(res.GroupNames), len(res.MeasureNames)
+	// array writes nq elements at cellIndent, comma-separated.
+	array := func(nq int) int { return nq*len(cellIndent) + nq - 1 }
+	fixed := len(rowOpen) + len(rowGroups) + 2
+	if na > 0 {
+		fixed += array(na) - 1 + len(groupsClose)
+	}
+	if nq == 0 {
+		fixed += len(rowNoValues)
+	} else {
+		fixed += len(rowValues) + len(rowCFs) + len(rowColors) + len(rowClose) + 3*array(nq)
+	}
+	size := len("[") + n*fixed + n - 1 + len(rowsClose)
+	var buf [64]byte
+	scratch := buf[:0]
+	// Rows come sorted by time bucket: a row mostly repeats the key of
+	// the row before.
+	key, keyLen := "", 2
+	for i := range n {
+		if k := res.TimeKey(i); k != key {
+			key, keyLen = k, jsonStringLen(k, scratch)
+		}
+		size += keyLen
+		for ai := range na {
+			size += jsonStringLen(res.Group(i, ai), scratch)
+		}
+		for _, v := range res.Values(i) {
+			size += jsonValueLen(v, scratch)
+		}
+		for _, cf := range res.CFs(i) {
+			if int(cf) < len(cfJSON) {
+				size += len(cfJSON[cf]) + len(colorJSON[cf])
+			} else {
+				size += len(appendCF(scratch[:0], cf)) + len(appendColor(scratch[:0], cf))
+			}
+		}
+	}
+	return size
+}
+
+// jsonStringLen returns the length appendJSONString writes for s,
+// writing it into scratch only when s holds a byte that is escaped or
+// starts a multi-byte character.
+func jsonStringLen(s string, scratch []byte) int {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return len(appendJSONString(scratch[:0], s))
+		}
+	}
+	return len(s) + 2
+}
+
+// jsonValueLen returns the length appendJSONValue writes for v: the
+// digits of a nonzero integral value below 2^53 in magnitude (the
+// integer path of appendJSONFloat) are counted, any other value is
+// written into scratch.
+func jsonValueLen(v float64, scratch []byte) int {
+	if abs := math.Abs(v); abs >= 1 && abs < 1<<53 && v == math.Trunc(v) {
+		n := 1
+		if v < 0 {
+			n++
+		}
+		for x := uint64(abs); x >= 10; x /= 10 {
+			n++
+		}
+		return n
+	}
+	return len(appendJSONValue(scratch[:0], v))
+}
+
+// appendJSONValue writes a measure value: null when it is unknown (NaN,
+// or any other non-finite float).
+func appendJSONValue(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	return appendJSONFloat(b, v)
+}
+
+// appendCF writes a confidence factor's code as a JSON string.
+func appendCF(b []byte, cf core.Confidence) []byte {
+	if int(cf) < len(cfJSON) {
+		return append(b, cfJSON[cf]...)
+	}
+	return appendJSONString(b, cf.String())
+}
+
+// appendColor writes a confidence factor's §5.2 colour as a JSON string.
+func appendColor(b []byte, cf core.Confidence) []byte {
+	if int(cf) < len(colorJSON) {
+		return append(b, colorJSON[cf]...)
+	}
+	return appendJSONString(b, quality.CellColor(cf).String())
 }
 
 // cfJSON and colorJSON hold, by confidence factor, the JSON strings of

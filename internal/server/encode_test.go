@@ -37,7 +37,7 @@ type refRank struct {
 type refRow struct {
 	Time   string     `json:"time"`
 	Groups []string   `json:"groups"`
-	Values []*float64 `json:"values"` // null elements encode unknown (NaN)
+	Values []*float64 `json:"values"` // null elements encode unknown (NaN, ±Inf)
 	CFs    []string   `json:"cfs"`
 	Colors []string   `json:"colors"`
 }
@@ -61,13 +61,13 @@ func referenceJSON(t *testing.T, out *tql.Output, trace *obs.SpanNode) []byte {
 		resp.Groups = res.GroupNames
 		resp.Mode = res.Mode.String()
 		resp.Dropped = res.Dropped
-		for _, row := range res.Rows {
+		for _, row := range res.Rows() {
 			rr := refRow{Time: row.TimeKey, Groups: row.Groups, Values: []*float64{}, CFs: []string{}, Colors: []string{}}
 			if rr.Groups == nil {
 				rr.Groups = []string{}
 			}
 			for i, v := range row.Values {
-				if math.IsNaN(v) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
 					rr.Values = append(rr.Values, nil)
 				} else {
 					vv := v
@@ -89,11 +89,16 @@ func referenceJSON(t *testing.T, out *tql.Output, trace *obs.SpanNode) []byte {
 }
 
 // requireWireForm checks the one body writer, untraced and traced,
-// against the reference.
+// against the reference, and that an untraced body is allocated at
+// exactly its length.
 func requireWireForm(t *testing.T, out *tql.Output) {
 	t.Helper()
-	if got, want := encodeQueryResponse(out, nil), referenceJSON(t, out, nil); string(got) != string(want) {
+	got, want := encodeQueryResponse(out, nil), referenceJSON(t, out, nil)
+	if string(got) != string(want) {
 		t.Errorf("encoder diverges from encoding/json\n got: %q\nwant: %q", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("body of %d bytes allocated with capacity %d", len(got), cap(got))
 	}
 	trace := &obs.SpanNode{Name: "query", DurationMS: 1.5, Attrs: map[string]any{"rows": 3, "mode": "<V1> & \"x\""},
 		Children: []*obs.SpanNode{{Name: "encode", DurationMS: 0.25, Attrs: map[string]any{"bytes": 812}}}}
@@ -102,7 +107,12 @@ func requireWireForm(t *testing.T, out *tql.Output) {
 	}
 }
 
-func selectOutput(quality float64, res core.Result) *tql.Output {
+// selectOutput is a SELECT's output: the result's header with the
+// given rows as its cells (none when rows is nil).
+func selectOutput(quality float64, res core.Result, rows []*core.Row) *tql.Output {
+	if rows != nil {
+		res.SetRows(rows)
+	}
 	return &tql.Output{Result: &res, Quality: quality}
 }
 
@@ -131,72 +141,70 @@ func TestEncodeQueryResponseMatchesStdlib(t *testing.T) {
 		name string
 		out  *tql.Output
 	}{
-		{"empty", selectOutput(0, core.Result{Rows: []*core.Row{}})},
-		{"nil rows", selectOutput(0, core.Result{})},
-		{"quality only", selectOutput(0.6180339887498949, core.Result{Rows: []*core.Row{}})},
-		{"dropped", selectOutput(1, core.Result{Rows: []*core.Row{}, Dropped: 42})},
+		{"empty", selectOutput(0, core.Result{}, []*core.Row{})},
+		{"nil rows", selectOutput(0, core.Result{}, nil)},
+		{"quality only", selectOutput(0.6180339887498949, core.Result{}, []*core.Row{})},
+		{"dropped", selectOutput(1, core.Result{Dropped: 42}, []*core.Row{})},
 		{"full", selectOutput(0.875, core.Result{
 			MeasureNames: []string{"amount", "count"},
 			GroupNames:   []string{"Org.Division", "TIME.YEAR"},
-			Rows: []*core.Row{
-				{
-					TimeKey: "1999",
-					Groups:  []string{"East", "1999"},
-					Values:  []float64{12.5, math.NaN()},
-					CFs:     []core.Confidence{em, uk},
-				},
-				{
-					TimeKey: "2000-Q1",
-					Groups:  []string{"West <&> \"quoted\"\nnewline\ttab"},
-					Values:  []float64{0, math.Copysign(0, -1)},
-					CFs:     []core.Confidence{sd, am},
-				},
+		}, []*core.Row{
+			{
+				TimeKey: "1999",
+				Groups:  []string{"East", "1999"},
+				Values:  []float64{12.5, math.NaN()},
+				CFs:     []core.Confidence{em, uk},
+			},
+			{
+				TimeKey: "2000-Q1",
+				Groups:  []string{"West <&> \"quoted\"\nnewline\ttab", "2000"},
+				Values:  []float64{0, math.Copysign(0, -1)},
+				CFs:     []core.Confidence{sd, am},
 			},
 		})},
-		{"empty inner arrays", selectOutput(0, core.Result{
-			Rows: []*core.Row{{TimeKey: "1999", Groups: []string{}, Values: []float64{}, CFs: []core.Confidence{}}},
-		})},
-		{"nil inner arrays", selectOutput(0, core.Result{
-			Rows: []*core.Row{{TimeKey: "1999"}},
-		})},
+		{"empty inner arrays", selectOutput(0, core.Result{},
+			[]*core.Row{{TimeKey: "1999", Groups: []string{}, Values: []float64{}, CFs: []core.Confidence{}}},
+		)},
+		{"nil inner arrays", selectOutput(0, core.Result{},
+			[]*core.Row{{TimeKey: "1999"}},
+		)},
 		{"float extremes", selectOutput(1e-7, core.Result{
 			MeasureNames: []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"},
-			Rows: []*core.Row{{
-				TimeKey: "x",
-				Groups:  []string{},
-				Values: []float64{
-					1e21, 1e20, -1e21, 1e-6, 9.999999e-7,
-					math.MaxFloat64, math.SmallestNonzeroFloat64,
-					123456789.123456789, 0.1, -2.5,
-				},
-				CFs: []core.Confidence{sd, sd, sd, sd, sd, em, em, am, uk, core.Confidence(9)},
-			}},
-		})},
+		}, []*core.Row{{
+			TimeKey: "x",
+			Groups:  []string{},
+			Values: []float64{
+				1e21, 1e20, -1e21, 1e-6, 9.999999e-7,
+				math.MaxFloat64, math.SmallestNonzeroFloat64,
+				123456789.123456789, 0.1, -2.5,
+			},
+			CFs: []core.Confidence{sd, sd, sd, sd, sd, em, em, am, uk, core.Confidence(9)},
+		}},
+		)},
 		{"integral edges", selectOutput(1, core.Result{
 			MeasureNames: []string{"v"},
-			Rows: func() []*core.Row {
-				var rows []*core.Row
-				for _, v := range integralEdges {
-					rows = append(rows, &core.Row{TimeKey: "x", Groups: []string{}, Values: []float64{v}, CFs: []core.Confidence{sd}})
-				}
-				return rows
-			}(),
-		})},
+		}, func() []*core.Row {
+			var rows []*core.Row
+			for _, v := range integralEdges {
+				rows = append(rows, &core.Row{TimeKey: "x", Groups: []string{}, Values: []float64{v}, CFs: []core.Confidence{sd}})
+			}
+			return rows
+		}())},
 		{"string edge cases", selectOutput(0, core.Result{
 			Mode:         escaped,
 			MeasureNames: []string{"<m>"},
-			GroupNames:   []string{"Org.<b>Division</b>"},
-			Rows: []*core.Row{{
-				TimeKey: "\x00\x01\x1f\x7f",
-				Groups: []string{
-					"héllo wörld", "\u2028line\u2029sep", "日本語",
-					string([]byte{0xff, 0xfe, 'a'}), "<script>&amp;</script>",
-					"back\\slash \"quote\"",
-				},
-				Values: []float64{},
-				CFs:    []core.Confidence{},
-			}},
-		})},
+			GroupNames:   []string{"Org.<b>Division</b>", "L2", "L3", "L4", "L5", "L6"},
+		}, []*core.Row{{
+			TimeKey: "\x00\x01\x1f\x7f",
+			Groups: []string{
+				"héllo wörld", "\u2028line\u2029sep", "日本語",
+				string([]byte{0xff, 0xfe, 'a'}), "<script>&amp;</script>",
+				"back\\slash \"quote\"",
+			},
+			Values: []float64{0.5},
+			CFs:    []core.Confidence{am},
+		}},
+		)},
 		{"modes statement", &tql.Output{Modes: []core.Mode{core.TCM(), escaped}}},
 		{"quality statement", &tql.Output{Quality: 0.5, Ranking: []tql.ModeQuality{{Mode: core.TCM(), Quality: 0.5}}}},
 		{"explain statement", &tql.Output{Lineage: "Dpt.Jones <- Dpt.Bill"}},
@@ -212,12 +220,12 @@ func TestEncodeQueryResponseMatchesStdlib(t *testing.T) {
 // cannot: encoding/json has no rendering of ±Inf to compare against. A
 // sum that overflowed is as unknown as a NaN.
 func TestEncodeNonFiniteValuesAreNull(t *testing.T) {
-	out := selectOutput(1, core.Result{Rows: []*core.Row{{
+	out := selectOutput(1, core.Result{MeasureNames: []string{"a", "b", "c"}}, []*core.Row{{
 		TimeKey: "2001",
 		Groups:  []string{},
 		Values:  []float64{math.Inf(1), math.Inf(-1), math.NaN()},
 		CFs:     []core.Confidence{core.SourceData, core.SourceData, core.SourceData},
-	}}})
+	}})
 	var resp struct {
 		Rows []struct {
 			Values []*float64 `json:"values"`
@@ -239,11 +247,13 @@ func TestEncodeNonFiniteValuesAreNull(t *testing.T) {
 // TestEncodeQueryResponseRandomized cross-checks the encoder against
 // encoding/json on seeded random outputs of every statement kind,
 // untraced and traced: 500 SELECT results, then 100 each of rankings,
-// mode lists and lineages. The results draw random row counts (past the
-// point where the buffer is sized from the first rows), random strings
-// over a byte alphabet rich in escapes, random floats spanning the
-// format-switch boundaries and the integer path's edges, random unknown
-// values and measure counts down to none.
+// mode lists and lineages. Each result's cells are written from its
+// columns and compared with encoding/json of its Rows. The results draw
+// random row counts down to none, group and measure counts from none to
+// three, random strings over a byte alphabet rich in escapes, random
+// floats spanning the format-switch boundaries and the integer path's
+// edges, unknown values (NaN, ±Inf) and confidence factors outside the
+// four codes.
 func TestEncodeQueryResponseRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	alphabet := []byte("ab \"\\<>&\n\r\t\x00\x1fé\xff日")
@@ -269,9 +279,11 @@ func TestEncodeQueryResponseRandomized(t *testing.T) {
 		return out
 	}
 	randFloat := func() float64 {
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0:
 			return 0
+		case 7:
+			return math.Inf(1 - 2*rng.Intn(2))
 		case 6:
 			return integralEdges[rng.Intn(len(integralEdges))]
 		case 1:
@@ -286,9 +298,9 @@ func TestEncodeQueryResponseRandomized(t *testing.T) {
 			return float64(rng.Intn(10000)) / 16
 		}
 	}
-	// A quality factor is never NaN, which encoding/json cannot write.
+	// A quality factor is finite: encoding/json cannot write NaN or ±Inf.
 	randQuality := func() float64 {
-		if q := randFloat(); !math.IsNaN(q) {
+		if q := randFloat(); !math.IsNaN(q) && !math.IsInf(q, 0) {
 			return q
 		}
 		return 1
@@ -327,19 +339,22 @@ func TestEncodeQueryResponseRandomized(t *testing.T) {
 			Mode:         core.InVersion(&core.StructureVersion{ID: randStr()}),
 			Dropped:      rng.Intn(3),
 		}
+		var rows []*core.Row
 		if rng.Intn(8) > 0 {
-			res.Rows = []*core.Row{}
-			nm := rng.Intn(4)
-			for i := rng.Intn(3 * rowsSizedFrom); i > 0; i-- {
-				row := &core.Row{TimeKey: randStr(), Groups: randStrs()}
-				for j := 0; j < nm; j++ {
-					row.Values = append(row.Values, randFloat())
-					row.CFs = append(row.CFs, core.Confidence(rng.Intn(5)))
+			rows = []*core.Row{}
+			for i := rng.Intn(24); i > 0; i-- {
+				row := &core.Row{TimeKey: randStr(), Groups: []string{}}
+				for range res.GroupNames {
+					row.Groups = append(row.Groups, randStr())
 				}
-				res.Rows = append(res.Rows, row)
+				for range res.MeasureNames {
+					row.Values = append(row.Values, randFloat())
+					row.CFs = append(row.CFs, core.Confidence(rng.Intn(6)))
+				}
+				rows = append(rows, row)
 			}
 		}
-		requireWireForm(t, selectOutput(randQuality(), res))
+		requireWireForm(t, selectOutput(randQuality(), res, rows))
 		if t.Failed() {
 			t.Fatalf("trial %d: %+v", trial, res)
 		}

@@ -475,7 +475,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, esp := obs.StartSpan(ctx, "encode")
 	body := encodeQueryResponse(out, func(fields []byte) *obs.SpanNode {
 		if out.Result != nil {
-			esp.SetAttr("rows", len(out.Result.Rows))
+			esp.SetAttr("rows", out.Result.Len())
 		}
 		esp.SetAttr("bytes", len(fields))
 		esp.End()

@@ -534,7 +534,7 @@ func modeAnswers(t *testing.T, sch *core.Schema) map[string]string {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "dropped %d\n", res.Dropped)
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			fmt.Fprintf(&b, "%s %v n=%d", r.TimeKey, r.GroupIDs, r.N)
 			for i, v := range r.Values {
 				fmt.Fprintf(&b, " %016x/%d", math.Float64bits(v), r.CFs[i])

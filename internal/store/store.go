@@ -643,9 +643,6 @@ func (st *Store) SnapshotBytes() int64 {
 // RecoveryStats reports what Open did.
 func (st *Store) RecoveryStats() RecoveryStats { return st.stats }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Close flushes and closes the WAL. It never snapshots — a process
 // killed without Close recovers identically, minus at most the
 // unsynced tail permitted by the fsync policy.

@@ -77,9 +77,6 @@ func (iv Interval) Equal(other Interval) bool {
 	return iv.Start == other.Start && iv.End == other.End
 }
 
-// Clamp restricts the interval to the given bounds.
-func (iv Interval) Clamp(bounds Interval) Interval { return iv.Intersect(bounds) }
-
 // Duration reports the number of instants in the interval. It returns -1
 // for unbounded intervals (End == Now or Start == Origin).
 func (iv Interval) Duration() int64 {

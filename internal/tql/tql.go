@@ -709,13 +709,14 @@ func Render(out *Output) string {
 			b.WriteString(" | " + m)
 		}
 		b.WriteString("\n")
-		for _, r := range res.Rows {
-			b.WriteString(r.TimeKey)
-			for _, g := range r.Groups {
-				b.WriteString(" | " + g)
+		for i := range res.Len() {
+			b.WriteString(res.TimeKey(i))
+			for ai := range res.GroupNames {
+				b.WriteString(" | " + res.Group(i, ai))
 			}
-			for i := range res.MeasureNames {
-				fmt.Fprintf(&b, " | %s (%s)", core.FormatValue(r.Values[i]), r.CFs[i])
+			values, cfs := res.Values(i), res.CFs(i)
+			for k := range res.MeasureNames {
+				fmt.Fprintf(&b, " | %s (%s)", core.FormatValue(values[k]), cfs[k])
 			}
 			b.WriteString("\n")
 		}

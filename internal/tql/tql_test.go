@@ -159,7 +159,7 @@ func TestRunQ1AllModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := map[string]float64{}
-		for _, r := range out.Result.Rows {
+		for _, r := range out.Result.Rows() {
 			m[r.TimeKey+"/"+r.Groups[0]] = r.Values[0]
 		}
 		return m
@@ -374,7 +374,7 @@ func TestFilterConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range out.Result.Rows {
+	for _, r := range out.Result.Rows() {
 		if r.Groups[0] == "Dpt.Brian" {
 			t.Errorf("Brian must be filtered out: %+v", r)
 		}
@@ -386,7 +386,7 @@ func TestFilterConditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, r := range out.Result.Rows {
+	for _, r := range out.Result.Rows() {
 		seen[r.Groups[0]] = true
 	}
 	if !seen["Dpt.Smith"] || !seen["Dpt.Brian"] || len(seen) != 2 {

@@ -18,7 +18,7 @@ func TestRunContextTraceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result == nil || len(out.Result.Rows) == 0 {
+	if out.Result == nil || out.Result.Len() == 0 {
 		t.Fatal("traced query should still return rows")
 	}
 	root.End()
@@ -63,7 +63,7 @@ func TestRunWithoutTraceStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Result.Rows) == 0 {
+	if out.Result.Len() == 0 {
 		t.Fatal("expected rows")
 	}
 }

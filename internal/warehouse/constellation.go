@@ -154,7 +154,7 @@ func (c *Constellation) DrillAcross(q core.Query, mode func(*core.Schema) core.M
 		for _, m := range res.MeasureNames {
 			out.Columns = append(out.Columns, star.Name+"."+m)
 		}
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			key := r.TimeKey + "\x1f" + strings.Join(r.Groups, "\x1f")
 			st, ok := rows[key]
 			if !ok {

@@ -37,7 +37,7 @@ func TestExtractMartByMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r.TimeKey == "2003" && r.Groups[0] == "Dpt.Jones" {
 			found = true
 			if r.Values[0] != 200 || r.CFs[0] != core.ExactMapping {

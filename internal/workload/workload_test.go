@@ -76,7 +76,7 @@ func TestGeneratedSchemaAnswersAllModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		if len(res.Rows) == 0 {
+		if res.Len() == 0 {
 			t.Errorf("mode %v: empty result", mode)
 		}
 	}
@@ -120,7 +120,7 @@ func TestGenerateMultiMeasure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		for _, r := range res.Rows {
+		for _, r := range res.Rows() {
 			if len(r.Values) != 2 || len(r.CFs) != 2 {
 				t.Fatalf("row arity = %d/%d", len(r.Values), len(r.CFs))
 			}

@@ -95,7 +95,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 || mvolap.QualityOf(res) != 1 {
+	if res.Len() == 0 || mvolap.QualityOf(res) != 1 {
 		t.Error("tcm query via façade failed")
 	}
 }
