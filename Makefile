@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X mvolap/internal/buildinfo.version=$(VERSION) -X mvolap/in
 # concurrency-bearing core package, plus the benchmark module and the
 # serving binary's import graph.
 .PHONY: verify
-verify: build vet deps-check write-path-check read-path-check test race benchmark-check
+verify: build vet deps-check write-path-check read-path-check exports-check test race benchmark-check
 
 # The reproduction tier and the load generator are outside the serving
 # binary's import graph: they exist for cmd/paper-tables and the
@@ -166,9 +166,15 @@ write-path-check:
 # The scan folds Definition 12's ⊕ into typed columns, per cell and
 # selected measure: a float64 sum, an int32 count of the non-NaN
 # values, and a least and a greatest only when a selected measure is a
-# Min or a Max. core.Accumulator, which updates all four whatever the
-# kind, serves callers outside the scan; a use of it in scan.go is a
-# second fold form starting.
+# Min or a Max. That is Definition 12's one fold: core.Accumulator,
+# which updates all four whatever the kind, is the test oracles'
+# reference fold, so a non-test file of internal/core that names it
+# outside its own declarations in measure.go is a second fold starting.
+#
+# A dice is a membership column by member ordinal, built by one walk
+# down from the named members per chain entry met (Dimension.under);
+# a call of HasAncestorNamedAt in scan.go or query.go is a verdict per
+# member and instant coming back.
 #
 # A TQL statement reaches the engine one way: runSelect, which probes
 # the result cache, scans on a miss and puts what it scanned; a QUALITY
@@ -196,7 +202,7 @@ read-path-check:
 	probes=$$(grep -nE '\.members\[' $(SCAN_PATH) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
 	if [ -n "$$probes" ]; then \
 		echo "read-path-check: .members[ probe in the scan (internal/core/scan.go, query.go):"; echo "$$probes"; \
-		echo "Tuples store member version ordinals; index rollup tables and dice verdicts by them."; bad=1; \
+		echo "Tuples store member version ordinals; index rollup tables and dice columns by them."; bad=1; \
 	fi; \
 	groups=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
 			/\.Groups([^[:alnum:]_]|$$)/ && fn !~ /^func \(sc \*scanner\) result\(/ { print FILENAME ":" FNR ":" $$0 }' $(SCAN_PATH)); \
@@ -216,10 +222,17 @@ read-path-check:
 		echo "read-path-check: .setOf( call in internal/core/scan.go outside (*scanner).classify:"; echo "$$sets"; \
 		echo "The scan reads a sole ancestor inline (rollupTable.up); every other tuple goes through classify, its one general path."; bad=1; \
 	fi; \
-	accs=$$(grep -nF 'Accumulator' internal/core/scan.go | grep -vE '^[0-9]+:[[:space:]]*//'); \
+	accs=$$(awk 'FNR == 1 { decl = "" } /^(func|type) / { decl = $$0 } /^[[:space:]]*\/\// { next } \
+			/Accumulator/ && !(FILENAME == "internal/core/measure.go" && decl ~ /^(func (\(a \*Accumulator\) |NewAccumulator\()|type Accumulator )/) \
+			{ print FILENAME ":" FNR ":" $$0 }' $$core); \
 	if [ -n "$$accs" ]; then \
-		echo "read-path-check: internal/core/scan.go names Accumulator:"; echo "$$accs"; \
-		echo "The scan folds into typed columns (sums, counts, mins, maxs), its one fold form."; bad=1; \
+		echo "read-path-check: internal/core names Accumulator outside its declarations:"; echo "$$accs"; \
+		echo "Definition 12 has one fold, the scan's typed columns (sums, counts, mins, maxs)."; bad=1; \
+	fi; \
+	walks=$$(grep -nF 'HasAncestorNamedAt' $(SCAN_PATH) | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$walks" ]; then \
+		echo "read-path-check: HasAncestorNamedAt called in the scan (internal/core/scan.go, query.go):"; echo "$$walks"; \
+		echo "A dice reads a membership column, one walk down per chain entry (Dimension.under)."; bad=1; \
 	fi; \
 	execs=$$(grep -rnF '.ExecuteContext(' --include='*.go' --exclude='*_test.go' internal/tql | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
 	if [ "$$(echo "$$execs" | grep -cF '.ExecuteContext(')" != 1 ]; then \
@@ -231,6 +244,56 @@ read-path-check:
 		echo "A statement reaches the engine through tql's runSelect, which the result cache fronts."; bad=1; \
 	fi; \
 	test -z "$$bad"
+
+# The served packages export only what code outside the tests calls:
+# an exported function or method of a package under internal/ or cmd/
+# with no caller in any non-test .go file of the repository — the
+# façade, the frozen packages, the commands, the examples and the
+# benchmark module (so anything benchmark/ imports) included — is dead
+# surface, or a test fixture posing as API. The frozen public surface,
+# EXPORTS_FROZEN and the façade, is not listed; a name is a caller
+# wherever it stands outside a comment and its own declaration. The
+# exports that stay with tests alone, and why:
+#
+#   AggregateMember        Def. 12 for one member on the façade's Schema
+#                          (ExampleSchema_AggregateMember).
+#   NewAccumulator         the test oracles' reference fold of Def. 12.
+#   NewQuantitativeAlgebra Def. 6's quantitative ⊗cf, the algebra the
+#                          scan's property tests run beside Example 5's.
+#   SetRows                the test oracles build a Result row by row.
+#   MustInsertFact         the fact fixture of several packages' tests.
+#   Signature, Has         Def. 9 on the case study: its versions'
+#                          signatures (casestudy.TestNewFullSignatures)
+#                          and member versions (query_paper_test.go).
+#   History                §5.2's textual history of a member
+#                          (evolution.TestApplierLogAndHistory).
+#   Decrease               Table 11's Decrease (TestDecreaseOperation).
+#   VersionInfoOf          §5.2's member metadata (metadata_test.go).
+#   ParseInterval          Interval.String's inverse, fuzzed by
+#                          FuzzParseInterval (make fuzz); it goes with
+#                          that target (ROADMAP item 25).
+#   Unwrap                 errors.Is and errors.As call it, never by name.
+EXPORTS_FROZEN = $(NOT_SERVED) casestudy
+EXPORTS_TEST_ONLY = AggregateMember NewAccumulator NewQuantitativeAlgebra SetRows MustInsertFact \
+	Signature Has History Decrease VersionInfoOf ParseInterval Unwrap
+.PHONY: exports-check
+exports-check:
+	@corpus=$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' ! -path './_*' ! -path '*/testdata/*'); \
+	dead=$$(for dir in internal/* cmd/*; do \
+		case " $(EXPORTS_FROZEN) " in *" $${dir##*/} "*) continue;; esac; \
+		for f in $$dir/*.go; do \
+			case $$f in *_test.go) continue;; esac; \
+			awk '/^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[[(]/ { s = $$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[[(].*/, "", s); print FILENAME ":" FNR ":" s }' $$f; \
+		done; \
+	done | while IFS=: read -r file line name; do \
+		case " $(EXPORTS_TEST_ONLY) " in *" $$name "*) continue;; esac; \
+		grep -hE "(^|[^A-Za-z0-9_])$$name([^A-Za-z0-9_]|$$)" $$corpus | grep -vE '^[[:space:]]*//' \
+			| grep -qvE "^func (\([^)]*\) )?$$name[[(]" || echo "$$file:$$line: $$name"; \
+	done); \
+	if [ -n "$$dead" ]; then \
+		echo "exports-check: exported with no caller outside the tests:"; echo "$$dead"; \
+		echo "Delete it with the tests that only exercise it, or list it in EXPORTS_TEST_ONLY with the claim its test checks."; exit 1; \
+	fi
 
 # benchmark/ is its own module (`replace mvolap => ../`), so the root
 # `./...` patterns never see it: without this step a rename of any of

@@ -500,6 +500,50 @@ func TestCostRollup(t *testing.T) {
 	atMost(t, "rollup objects at 4N over N", objects[1]/objects[0], 1.05)
 }
 
+// TestCostFilteredRollup: a dice costs its structures, not its tuples.
+// `BY Org.Division, TIME.YEAR WHERE Org = div-0` in tcm, on the
+// benchmark's tiers S and M (36k and 144k facts, one evolving
+// dimension): the dice's membership is one column per chain entry of
+// the dimension met, built by one walk down from div-0, so the filtered
+// rollup allocates what the unfiltered one does and a column per entry,
+// whatever the facts. While each instant built its own verdicts, one
+// member at a time, it allocated 36 553 and 144 853 objects. The median
+// of 8 runs.
+func TestCostFilteredRollup(t *testing.T) {
+	diced := core.Query{Measures: []string{"m0"}, GroupBy: []core.GroupBy{{Dim: "Org", Level: "Division"}},
+		Grain: core.GrainYear, Mode: core.TCM(), Filters: []core.Filter{{Dim: "Org", Members: []string{"div-0"}}}}
+	whole := diced
+	whole.Filters = nil
+	var objects, unfiltered [2]float64
+	for i := range costSizes {
+		s := costTier(t, i)
+		res, err := s.Execute(diced) // builds the rollup tables
+		if err != nil || res.Len() != 6 || res.Group(0, 0) != "div-0" {
+			t.Fatalf("filtered rollup = %d rows, %v; want div-0's six years", res.Len(), err)
+		}
+		for k, q := range []core.Query{diced, whole} {
+			bs, os := make([]uint64, 8), make([]uint64, 8)
+			for r := range bs {
+				bs[r], os[r] = allocs(func() {
+					if _, err := s.Execute(q); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if k == 0 {
+				objects[i] = float64(median(os))
+				t.Logf("%d facts: the filtered rollup allocates %d B in %.0f objects (median)", s.Facts().Len(), median(bs), objects[i])
+			} else {
+				unfiltered[i] = float64(median(os))
+				t.Logf("%d facts: the rollup allocates %d B in %.0f objects (median)", s.Facts().Len(), median(bs), unfiltered[i])
+			}
+		}
+	}
+	atMost(t, "filtered rollup objects at 4N over N", objects[1]/objects[0], 1.05)
+	atMost(t, "filtered rollup objects over the unfiltered at N", objects[0]/unfiltered[0], 2)
+	atMost(t, "filtered rollup objects over the unfiltered at 4N", objects[1]/unfiltered[1], 2)
+}
+
 // TestCostDrill: a drill down pays for its answer: its cells cost bytes
 // per output row, at N and 4N (the ingest warehouse's 12 000 and 48 000
 // department-quarters) — the scan's cell columns, in chunks, and the

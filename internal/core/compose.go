@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"mvolap/internal/temporal"
 )
@@ -53,82 +54,39 @@ func (s *Schema) ComposeVersion(id string, valid temporal.Interval, picks map[Di
 	return out, nil
 }
 
-// AggregateMember performs the Definition 12 data aggregation for one
-// member version directly: it locates the member in the mode's
-// structure, collects the leaf member versions below it (or itself when
-// it is a leaf), and folds the mode-mapped values at instant t with the
-// measure aggregates ⊕ and the confidence algebra ⊗cf: the tuples of
-// f'|mode at t alone, presented as Present presents them. It returns one
-// value and confidence per measure; a member with no data at t yields
-// NaN values with UnknownMapping confidence.
+// AggregateMember performs the Definition 12 data aggregation of one
+// member version at instant t in mode: the grand total of the query over
+// [t, t] diced to the member, the one fold every query takes (⊕ per
+// measure, ⊗cf per confidence factor). The dice starts from the member
+// version itself, not its display name, and passes the tuples of f'|mode
+// on it and on every member under it in the mode's structure: D(t) in
+// tcm, D at the version's instant in a version mode. It returns one value
+// and confidence per measure; a member with no data at t yields NaN
+// values with UnknownMapping confidence.
 func (s *Schema) AggregateMember(id MVID, t temporal.Instant, mode Mode) ([]float64, []Confidence, error) {
 	d := s.DimensionOf(id)
 	if d == nil {
 		return nil, nil, fmt.Errorf("core: unknown member version %q", id)
 	}
-	dimPos := s.DimIndex(d.ID)
-	// Pick the instant to roll up in: the fact's in tcm, the version's
-	// own in a version mode.
-	at := t
-	if mode.Kind == VersionKind {
-		if mode.Version == nil {
-			return nil, nil, fmt.Errorf("core: version mode without version")
-		}
-		at = mode.Version.readAt(dimPos)
-		if !d.Version(id).ValidAt(at) {
-			return nil, nil, fmt.Errorf("core: member %q not in structure version %s", id, mode.Version.ID)
-		}
-	}
-	// under[o] is 2 when the member version with ordinal o is a leaf
-	// under id at `at` (id itself when childless), 1 when it is an inner
-	// member under id, 0 when the walk down from id does not meet it.
-	under := make([]uint8, len(d.order))
-	var walk func(mv *MemberVersion)
-	walk = func(mv *MemberVersion) {
-		if under[mv.ord] != 0 {
-			return
-		}
-		under[mv.ord] = 1
-		kids := d.ChildrenAt(mv.ID, at)
-		if len(kids) == 0 {
-			under[mv.ord] = 2
-		}
-		for _, c := range kids {
-			walk(c)
-		}
-	}
-	walk(d.Version(id))
-
-	accs := make([]*Accumulator, len(s.measures))
-	for i, m := range s.measures {
-		accs[i] = NewAccumulator(m.Agg)
-	}
-	cfs := make([]Confidence, len(s.measures))
-	first := true
-	_, err := s.present(context.Background(), mode, temporal.Between(t, t), func(f *MappedFact, ords []int32) bool {
-		if o := ords[dimPos]; int(o) >= len(under) || under[o] != 2 {
-			return true
-		}
-		for k := range accs {
-			accs[k].Add(f.Values[k])
-			if first {
-				cfs[k] = f.CFs[k]
-			} else {
-				cfs[k] = s.alg.Combine(cfs[k], f.CFs[k])
-			}
-		}
-		first = false
-		return true
-	})
+	p, err := s.planScan(Query{Range: temporal.Between(t, t), Grain: GrainAll, Mode: mode})
 	if err != nil {
 		return nil, nil, err
 	}
-	values := make([]float64, len(accs))
-	for k, a := range accs {
-		values[k] = a.Value()
-		if a.N() == 0 {
-			cfs[k] = UnknownMapping
-		}
+	mv, dim := d.Version(id), p.useDim(s.DimIndex(d.ID))
+	if sd := &p.dims[dim]; sd.static && !mv.ValidAt(sd.at) {
+		return nil, nil, fmt.Errorf("core: member %q not in structure version %s", id, mode.Version.ID)
 	}
-	return values, cfs, nil
+	p.addDice(dim, func(v *MemberVersion) bool { return v == mv })
+	res, err := s.execute(context.Background(), p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Len() == 0 {
+		values, cfs := make([]float64, len(s.measures)), make([]Confidence, len(s.measures))
+		for k := range values {
+			values[k], cfs[k] = math.NaN(), UnknownMapping
+		}
+		return values, cfs, nil
+	}
+	return res.Values(0), res.CFs(0), nil
 }

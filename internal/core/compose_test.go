@@ -224,3 +224,33 @@ func TestAggregateMemberErrors(t *testing.T) {
 		t.Error("member absent from the version must fail")
 	}
 }
+
+// TestAggregateMemberCountsInnerFacts pins the reading of Definition 12
+// that AggregateMember shares with every query: a member's aggregate
+// folds the tuples of f'|mode on the member and on every member under
+// it. By Definition 5 facts sit on leaves, where that is the fold over
+// the leaves under the member; but InsertFact checks validity only, so
+// in tcm a fact may sit on a member with children at its instant, and
+// it counts, as it does in a grouped query's rollup. A version mode
+// presents on the version's leaves alone: there such a fact has no
+// target and is dropped.
+func TestAggregateMemberCountsInnerFacts(t *testing.T) {
+	s := splitSchema(t)
+	if err := s.InsertFact(Coords{"Sales"}, y(2001), 7); err != nil {
+		t.Fatal(err)
+	}
+	vals, cfs, err := s.AggregateMember("Sales", y(2001), TCM())
+	if err != nil || vals[0] != 157 || cfs[0] != SourceData {
+		t.Fatalf("Sales@2001 in tcm = %v (%v), %v; want Jones 100 + Smith 50 + Sales 7 (sd)", vals, cfs, err)
+	}
+	res, err := s.Execute(Query{Range: temporal.Between(y(2001), y(2001)), Grain: GrainAll, Mode: TCM(),
+		Filters: []Filter{{Dim: "Org", Members: []string{"Sales"}}}})
+	if err != nil || res.Len() != 1 || res.Values(0)[0] != 157 {
+		t.Fatalf("the diced grand total = %v, %v; want AggregateMember's 157", res, err)
+	}
+	v1 := s.VersionAt(y(2001))
+	vals, _, err = s.AggregateMember("Sales", y(2001), InVersion(v1))
+	if err != nil || vals[0] != 150 {
+		t.Fatalf("Sales@2001 in %s = %v, %v; want 150, the fact on Sales dropped", v1.ID, vals, err)
+	}
+}

@@ -75,21 +75,6 @@ func (c Confidence) PrototypeCode() int {
 	return 0
 }
 
-// ConfidenceFromPrototypeCode is the inverse of PrototypeCode.
-func ConfidenceFromPrototypeCode(code int) (Confidence, error) {
-	switch code {
-	case 3:
-		return SourceData, nil
-	case 2:
-		return ExactMapping, nil
-	case 1:
-		return ApproxMapping, nil
-	case 4:
-		return UnknownMapping, nil
-	}
-	return 0, fmt.Errorf("core: unknown prototype confidence code %d", code)
-}
-
 // ParseConfidence parses the two-letter codes sd, em, am, uk.
 func ParseConfidence(s string) (Confidence, error) {
 	switch s {

@@ -103,10 +103,6 @@ func TestConfidenceStringAndCodes(t *testing.T) {
 		if got := c.c.PrototypeCode(); got != c.code {
 			t.Errorf("PrototypeCode(%v) = %d, want %d", c.c, got, c.code)
 		}
-		back, err := ConfidenceFromPrototypeCode(c.code)
-		if err != nil || back != c.c {
-			t.Errorf("ConfidenceFromPrototypeCode(%d) = %v, %v", c.code, back, err)
-		}
 		parsed, err := ParseConfidence(c.str)
 		if err != nil || parsed != c.c {
 			t.Errorf("ParseConfidence(%q) = %v, %v", c.str, parsed, err)
@@ -114,9 +110,6 @@ func TestConfidenceStringAndCodes(t *testing.T) {
 	}
 	if _, err := ParseConfidence("xx"); err == nil {
 		t.Error("ParseConfidence(xx) should fail")
-	}
-	if _, err := ConfidenceFromPrototypeCode(9); err == nil {
-		t.Error("ConfidenceFromPrototypeCode(9) should fail")
 	}
 	if Confidence(99).String() == "" {
 		t.Error("out-of-range String should not be empty")

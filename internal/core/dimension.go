@@ -190,18 +190,6 @@ func (d *Dimension) Versions() []*MemberVersion {
 	return out
 }
 
-// VersionsOfMember returns all versions of the named member, in
-// insertion order.
-func (d *Dimension) VersionsOfMember(member string) []*MemberVersion {
-	var out []*MemberVersion
-	for _, id := range d.order {
-		if mv := d.members[id]; mv.Member == member {
-			out = append(out, mv)
-		}
-	}
-	return out
-}
-
 // Relationships returns a copy of all temporal relationships.
 func (d *Dimension) Relationships() []TemporalRelationship {
 	out := make([]TemporalRelationship, len(d.rels))
@@ -216,17 +204,6 @@ func (d *Dimension) VersionsAt(t temporal.Instant) []*MemberVersion {
 	for _, id := range d.order {
 		if mv := d.members[id]; mv.ValidAt(t) {
 			out = append(out, mv)
-		}
-	}
-	return out
-}
-
-// RelationshipsAt returns G(t): the relationships valid at t.
-func (d *Dimension) RelationshipsAt(t temporal.Instant) []TemporalRelationship {
-	var out []TemporalRelationship
-	for _, r := range d.rels {
-		if r.Valid.Contains(t) {
-			out = append(out, r)
 		}
 	}
 	return out
@@ -310,17 +287,6 @@ func (d *Dimension) IsLeafVersion(id MVID) bool {
 	return false
 }
 
-// LeafVersions returns all Leaf Member Versions of the dimension.
-func (d *Dimension) LeafVersions() []*MemberVersion {
-	var out []*MemberVersion
-	for _, id := range d.order {
-		if d.IsLeafVersion(id) {
-			out = append(out, d.members[id])
-		}
-	}
-	return out
-}
-
 // ElementaryIntervals returns the partition of the dimension's lifetime
 // into maximal intervals over which no member version or relationship
 // starts or ends. The structure D(t) is constant within each elementary
@@ -334,28 +300,6 @@ func (d *Dimension) ElementaryIntervals() []temporal.Interval {
 		ivs = append(ivs, r.Valid)
 	}
 	return temporal.Partition(ivs)
-}
-
-// Lifetime returns the hull of all element validities.
-func (d *Dimension) Lifetime() temporal.Interval {
-	var hull temporal.Interval
-	hull = temporal.Interval{Start: 1, End: 0} // empty
-	for _, id := range d.order {
-		hull = hull.Hull(d.members[id].Valid)
-	}
-	return hull
-}
-
-// RootsAt returns the member versions valid at t with no parents at t.
-func (d *Dimension) RootsAt(t temporal.Instant) []*MemberVersion {
-	var out []*MemberVersion
-	for _, id := range d.order {
-		mv := d.members[id]
-		if mv.ValidAt(t) && len(d.ParentsAt(id, t)) == 0 {
-			out = append(out, mv)
-		}
-	}
-	return out
 }
 
 // DepthAt returns the depth of the member version in D(t): roots have
@@ -493,17 +437,6 @@ func (d *Dimension) LevelOf(id MVID, t temporal.Instant) string {
 		return ""
 	}
 	return fmt.Sprintf("depth-%d", dep)
-}
-
-// MembersOfLevelAt returns the member versions belonging to the named
-// level at t.
-func (d *Dimension) MembersOfLevelAt(level string, t temporal.Instant) []*MemberVersion {
-	for _, l := range d.LevelsAt(t) {
-		if l.Name == level {
-			return l.Members
-		}
-	}
-	return nil
 }
 
 // ValidateAt checks that D(t) is a DAG (Definition 3).
@@ -703,9 +636,36 @@ func (d *Dimension) index() {
 	}
 }
 
+// under returns, by member ordinal, whether the member version lies in
+// D(at) under a root or is one: the roots are the member versions valid
+// at `at` that root accepts, found in one pass over the dimension, and
+// one walk down from them marks the rest. It is HasAncestorNamedAt for
+// every member at once, a query's dice.
+func (d *Dimension) under(at temporal.Instant, root func(*MemberVersion) bool) []bool {
+	in := make([]bool, len(d.order))
+	var down func(id MVID)
+	down = func(id MVID) {
+		for _, idx := range d.childRels[id] {
+			r := d.rels[idx]
+			if c := d.members[r.From]; r.Valid.Contains(at) && c.ValidAt(at) && !in[c.ord] {
+				in[c.ord] = true
+				down(c.ID)
+			}
+		}
+	}
+	for _, id := range d.order {
+		if mv := d.members[id]; !in[mv.ord] && mv.ValidAt(at) && root(mv) {
+			in[mv.ord] = true
+			down(id)
+		}
+	}
+	return in
+}
+
 // HasAncestorNamedAt reports whether the member version, or any of its
 // ancestors in D(t), carries one of the display names. It backs
-// member-sliced fact extraction (data marts) and engine-level dicing.
+// member-sliced fact extraction (data marts); a query dices through
+// Dimension.under.
 func (d *Dimension) HasAncestorNamedAt(id MVID, names map[string]bool, t temporal.Instant) bool {
 	seen := make(map[MVID]bool)
 	var walk func(cur MVID) bool

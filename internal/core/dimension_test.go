@@ -129,7 +129,12 @@ func TestAddRelationshipErrors(t *testing.T) {
 
 func TestLeafVersions(t *testing.T) {
 	d := buildOrg(t)
-	leaves := names(d.LeafVersions())
+	var leaves []string
+	for _, mv := range d.Versions() {
+		if d.IsLeafVersion(mv.ID) {
+			leaves = append(leaves, string(mv.ID))
+		}
+	}
 	want := map[string]bool{"Jones": true, "Smith": true, "Brian": true, "Bill": true, "Paul": true}
 	if len(leaves) != len(want) {
 		t.Fatalf("leaf versions = %v", leaves)
@@ -192,11 +197,8 @@ func TestExplicitLevels(t *testing.T) {
 	if got := d.LevelOf("Smith", y(1999)); got != "" {
 		t.Errorf("LevelOf before validity = %q", got)
 	}
-	if ms := d.MembersOfLevelAt("Division", y(2003)); len(ms) != 2 {
-		t.Errorf("divisions in 2003 = %v", names(ms))
-	}
-	if ms := d.MembersOfLevelAt("Nope", y(2003)); ms != nil {
-		t.Errorf("unknown level returned %v", names(ms))
+	if ls := d.LevelsAt(y(2003)); len(ls) == 0 || ls[0].Name != "Division" || len(ls[0].Members) != 2 {
+		t.Errorf("levels in 2003 = %+v; want two divisions first", ls)
 	}
 }
 
@@ -315,23 +317,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestVersionsOfMember(t *testing.T) {
-	d := NewDimension("D", "D")
-	for _, v := range []*MemberVersion{
-		{ID: "m1", Member: "M", Valid: temporal.Between(y(2001), ym(2001, 12))},
-		{ID: "m2", Member: "M", Valid: temporal.Since(y(2002))},
-		{ID: "other", Member: "O", Valid: temporal.Always},
-	} {
-		if err := d.AddVersion(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := d.VersionsOfMember("M")
-	if len(got) != 2 || got[0].ID != "m1" || got[1].ID != "m2" {
-		t.Errorf("VersionsOfMember = %v", names(got))
-	}
-}
-
 // TestOverlappingVersions: Definition 1 allows several valid versions of
 // one member at the same instant — no exact history partition needed.
 func TestOverlappingVersions(t *testing.T) {
@@ -350,18 +335,6 @@ func TestOverlappingVersions(t *testing.T) {
 	}
 	if err := d.Validate(); err != nil {
 		t.Errorf("overlap must be legal: %v", err)
-	}
-}
-
-func TestRootsAndLifetime(t *testing.T) {
-	d := buildOrg(t)
-	roots := names(d.RootsAt(y(2001)))
-	if strings.Join(roots, ",") != "Sales,R&D" {
-		t.Errorf("2001 roots = %v", roots)
-	}
-	life := d.Lifetime()
-	if !life.Equal(temporal.Since(y(2001))) {
-		t.Errorf("lifetime = %v", life)
 	}
 }
 

@@ -59,7 +59,11 @@ type Measure struct {
 }
 
 // Accumulator incrementally computes one aggregate over float64 values,
-// skipping NaN (the representation of values with unknown mapping).
+// skipping NaN (the representation of values with unknown mapping). No
+// engine code folds with it: Definition 12 has one fold, the scan's
+// typed columns, whose values aggValue derives as Value does. It stays
+// as the reference fold of the test oracles (naiveExecute in the scan's,
+// the incremental-maintenance property's in package evolution).
 type Accumulator struct {
 	kind       AggKind
 	sum        float64

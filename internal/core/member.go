@@ -39,7 +39,7 @@ type MemberVersion struct {
 	// ord is the version's dense ordinal: its position in the insertion
 	// order of the dimension that holds it. Dimension.AddVersion and
 	// Restrict assign it; Clone keeps the order and so the ordinal.
-	// Rollup tables and dice verdicts are arrays indexed by it.
+	// Rollup tables and dice columns are arrays indexed by it.
 	ord int32
 }
 

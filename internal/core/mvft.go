@@ -41,53 +41,38 @@ type MappedFact struct {
 // counts the facts the mode cannot present at all, as a query's Result
 // does (countDropped).
 //
-// Present, AggregateMember and SourcesOf present through one walk
-// (Schema.walk). The yielded MappedFact is the walk's scratch: it is
-// valid only until yield returns.
+// Present and SourcesOf present through one walk (Schema.walk). The
+// yielded MappedFact is the walk's scratch: it is valid only until yield
+// returns.
 func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err error) {
-	res, err := s.present(context.Background(), m, temporal.Always, func(f *MappedFact, _ []int32) bool { return yield(f) })
-	if err != nil {
-		return 0, err
-	}
-	return countDropped(s.facts, res), nil
-}
-
-// present yields the tuples of f'|m whose instant lies in rng, as
-// Present does for the whole time axis, each with the member version
-// ordinals of its coordinates, and returns the mode's resolution tables
-// (nil in tcm). Merges key on (coordinates, instant), so the tuples of
-// any one instant, and their order, do not depend on rng.
-func (s *Schema) present(ctx context.Context, m Mode, rng temporal.Interval, yield func(f *MappedFact, ords []int32) bool) ([]*resolveTable, error) {
 	ft := s.facts
 	nd, nm := ft.nd, ft.nm
 	f := &MappedFact{Coords: make(Coords, nd), CFs: make([]Confidence, nm), Sources: 1}
 	merged := newMergeMap(nd, s.measures, s.alg)
 	defer merged.release()
-	res, err := s.walk(ctx, m, rng, func(sh *factShard, j int, pr *presenter) bool {
+	res, err := s.walk(context.Background(), m, temporal.Always, func(sh *factShard, j int, pr *presenter) bool {
 		if pr != nil {
 			merged.add(pr.coords, sh.times[j], pr.values, pr.cfs)
 			return true
 		}
-		ords := sh.coords[j*nd : (j+1)*nd]
-		ft.ids(f.Coords, ords)
+		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
 		f.Time, f.Values = sh.times[j], sh.values[j*nm:(j+1)*nm:(j+1)*nm]
-		return yield(f, ords)
+		return yield(f)
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for x, t := range merged.times {
-		ords := merged.coords[x*nd : (x+1)*nd]
-		ft.ids(f.Coords, ords)
+		ft.ids(f.Coords, merged.coords[x*nd:(x+1)*nd])
 		f.Time = t
 		f.Values = merged.values[x*nm : (x+1)*nm : (x+1)*nm]
 		f.CFs = merged.cfs[x*nm : (x+1)*nm : (x+1)*nm]
 		f.Sources = int(merged.n[x])
-		if !yield(f, ords) {
+		if !yield(f) {
 			break
 		}
 	}
-	return res, nil
+	return countDropped(ft, res), nil
 }
 
 // SourcesOf yields the lineage of the tuple of f'|m at (coords, t) in

@@ -54,17 +54,10 @@ func executeUnpruned(t *testing.T, s *Schema, q Query) *Result {
 		t.Fatal(err)
 	}
 	p.unpruned = true
-	dropped := 0
-	if q.Mode.Kind == VersionKind {
-		p.res = s.resolveTables(q.Mode.Version)
-		p.pres = newPresentation(p.res, s.facts)
-		dropped = countDropped(s.facts, p.res)
-	}
-	res, err := p.executeOn(context.Background(), s.facts)
+	res, err := s.execute(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Dropped = dropped
 	return res
 }
 
@@ -75,7 +68,7 @@ func executeUnpruned(t *testing.T, s *Schema, q Query) *Result {
 // path (zone-map pruning on) returns results bit-identical to the same
 // scan with pruning off. Every query runs in tcm or in a version mode,
 // with random ranges, grains and dices, so shard skipping, the dice
-// verdicts, the shared rollup caches and the reused structure-version
+// columns, the shared rollup caches and the reused structure-version
 // restrictions all face the same answers as the unpruned scan.
 func TestPropertyPrunedCachedBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {

@@ -220,12 +220,19 @@ func (s *Schema) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.execute(ctx, plan)
+}
+
+// execute runs a plan over the schema's fact store: in a version mode
+// it first resolves the store into the version (a "resolve" span), then
+// aggregates it (an "aggregate" span, executeOn).
+func (s *Schema) execute(ctx context.Context, plan *scanPlan) (*Result, error) {
 	ft := s.facts
 	_, rsp := obs.StartSpan(ctx, "resolve")
-	rsp.SetAttr("mode", q.Mode.String())
+	rsp.SetAttr("mode", plan.mode.String())
 	dropped := 0
-	if q.Mode.Kind == VersionKind {
-		plan.res = s.resolveTables(q.Mode.Version)
+	if plan.mode.Kind == VersionKind {
+		plan.res = s.resolveTables(plan.mode.Version)
 		plan.pres = newPresentation(plan.res, ft)
 		dropped = countDropped(ft, plan.res)
 	}
@@ -346,13 +353,18 @@ type scanAxis struct {
 	level string
 }
 
-// scanDice is a filter: the display names a coordinate of dims[dim], or
-// one of its ancestors, must carry. Only a dice on a static dimension
-// may consult a shard zone's distinct-coordinate set for pruning (a
-// time-dependent verdict cannot disqualify a whole shard).
+// scanDice is a filter: a coordinate of dims[dim] passes when it is a
+// member version root accepts or lies under one in the structure it
+// rolls up in. On a static dimension in holds that membership by member
+// ordinal, one walk down from the roots (Dimension.under) that the scan
+// and zone-map pruning both read; on a time-dependent one the scan
+// builds one such column per chain entry it meets (scanner.diceAt).
+// Only a static dice may rule a shard out by its zone's distinct
+// coordinates: a shard spans instants of several structures.
 type scanDice struct {
-	dim   int
-	names map[string]bool
+	dim  int
+	root func(*MemberVersion) bool
+	in   []bool
 }
 
 // planScan resolves and validates the query's measures, axes and
@@ -383,19 +395,6 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 			p.mNames = append(p.mNames, name)
 		}
 	}
-	useDim := func(pos int) int {
-		for i := range p.dims {
-			if p.dims[i].pos == pos {
-				return i
-			}
-		}
-		sd := scanDim{pos: pos, d: s.dims[pos]}
-		if q.Mode.Kind == VersionKind {
-			sd.static, sd.at = true, q.Mode.Version.readAt(pos)
-		}
-		p.dims = append(p.dims, sd)
-		return len(p.dims) - 1
-	}
 	for _, g := range q.GroupBy {
 		pos := s.DimIndex(g.Dim)
 		if pos < 0 {
@@ -407,7 +406,7 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 		if !s.dims[pos].hasLevel(g.Level) {
 			return nil, fmt.Errorf("core: unknown level %q in dimension %q", g.Level, g.Dim)
 		}
-		p.axes = append(p.axes, scanAxis{dim: useDim(pos), level: g.Level})
+		p.axes = append(p.axes, scanAxis{dim: p.useDim(pos), level: g.Level})
 		p.gNames = append(p.gNames, fmt.Sprintf("%s.%s", s.dims[pos].Name, g.Level))
 	}
 	for _, f := range q.Filters {
@@ -419,9 +418,36 @@ func (s *Schema) planScan(q Query) (*scanPlan, error) {
 		for _, n := range f.Members {
 			names[n] = true
 		}
-		p.dices = append(p.dices, scanDice{dim: useDim(pos), names: names})
+		p.addDice(p.useDim(pos), func(mv *MemberVersion) bool { return names[mv.DisplayName()] })
 	}
 	return p, nil
+}
+
+// useDim returns the index in p.dims of the schema dimension at
+// position pos, adding it on first use with the structure it rolls up
+// in: the version's instant in a version mode, each fact's in tcm.
+func (p *scanPlan) useDim(pos int) int {
+	for i := range p.dims {
+		if p.dims[i].pos == pos {
+			return i
+		}
+	}
+	sd := scanDim{pos: pos, d: p.s.dims[pos]}
+	if p.mode.Kind == VersionKind {
+		sd.static, sd.at = true, p.mode.Version.readAt(pos)
+	}
+	p.dims = append(p.dims, sd)
+	return len(p.dims) - 1
+}
+
+// addDice dices dims[dim] to the member versions root accepts and those
+// under them, building the membership column of a static dimension.
+func (p *scanPlan) addDice(dim int, root func(*MemberVersion) bool) {
+	dc := scanDice{dim: dim, root: root}
+	if sd := &p.dims[dim]; sd.static {
+		dc.in = sd.d.under(sd.at, root)
+	}
+	p.dices = append(p.dices, dc)
 }
 
 // executeOn aggregates the fact store in three stages, all on the
@@ -482,14 +508,13 @@ type prunedStats struct{ shards, facts int }
 // cut at maxSlotWindow instants.
 func (p *scanPlan) prune(ft *FactTable) (live []bool, pruned prunedStats, t0 temporal.Instant, window int) {
 	live = make([]bool, len(ft.shards))
-	verdicts := make([]*diceView, len(p.dices)) // built on first use
 	hull := temporal.Interval{Start: 1, End: 0}
 	for si, sh := range ft.shards {
 		if sh.n == 0 {
 			continue
 		}
 		z := sh.zoneMap(ft.nd)
-		if !p.unpruned && p.zoneExcludes(z, verdicts) {
+		if !p.unpruned && p.zoneExcludes(z) {
 			pruned.shards++
 			pruned.facts += sh.n
 			continue
@@ -504,28 +529,25 @@ func (p *scanPlan) prune(ft *FactTable) (live []bool, pruned prunedStats, t0 tem
 }
 
 // zoneExcludes reports whether the zone proves its shard emits nothing.
-func (p *scanPlan) zoneExcludes(z *shardZone, verdicts []*diceView) bool {
+func (p *scanPlan) zoneExcludes(z *shardZone) bool {
 	if !z.overlapsTime(p.rng) {
 		return true
 	}
 dices:
-	for di, dc := range p.dices {
+	for _, dc := range p.dices {
 		dim := &p.dims[dc.dim]
 		if !dim.static || dim.pos >= len(z.distinct) || z.distinct[dim.pos] == nil {
 			continue
 		}
-		if verdicts[di] == nil {
-			verdicts[di] = newDiceView(dim.d, dim.at, dc.names)
-		}
 		for _, ord := range z.distinct[dim.pos] {
 			if p.res == nil || p.res[dim.pos].passes(ord) {
-				if verdicts[di].contains(ord) {
+				if dc.in[ord] {
 					continue dices
 				}
 				continue
 			}
 			for _, tg := range p.res[dim.pos].of(ord) {
-				if verdicts[di].contains(tg.ord) {
+				if dc.in[tg.ord] {
 					continue dices
 				}
 			}

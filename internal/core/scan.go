@@ -20,11 +20,12 @@ const maxSlotWindow = 1 << 12
 // total, where the bucket is the cell) and, per axis and per dice, the
 // view of the structure the instant's tuples roll up in, as offsets of
 // the scanner's slabs: the slot's axis views are axisSlab[axes:axes+na]
-// and its dice views diceSlab[dices:dices+len(dices)]. Views of static
-// dimensions are shared by every slot, and an axis view by every slot
-// whose instant reads its rollup table; consecutive slots reading the
-// same axis views share one window, so two slots with one axes offset
-// read the same views.
+// and its dice columns diceSlab[dices:dices+len(dices)]. Views and
+// columns of static dimensions are shared by every slot, an axis view by
+// every slot whose instant reads its rollup table and a dice column by
+// every slot whose instant lies in its chain entry; consecutive slots
+// reading the same axis views share one window, so two slots with one
+// axes offset read the same views.
 type scanSlot struct {
 	bucket, prefix int32
 	axes, dices    int32
@@ -36,33 +37,6 @@ type scanSlot struct {
 type axisView struct {
 	table  *rollupTable
 	groups []int32
-}
-
-// diceView holds the verdicts of one filter in one D(at), by member
-// ordinal: 0 not asked yet, 1 under a named member, 2 not.
-type diceView struct {
-	d        *Dimension
-	at       temporal.Instant
-	names    map[string]bool
-	verdicts []uint8
-}
-
-func newDiceView(d *Dimension, at temporal.Instant, names map[string]bool) *diceView {
-	return &diceView{d: d, at: at, names: names, verdicts: make([]uint8, len(d.order))}
-}
-
-// contains reports whether the member version of v.d with the given
-// ordinal, or one of its ancestors in D(at), carries one of the names.
-func (v *diceView) contains(ord int32) bool {
-	verdict := v.verdicts[ord]
-	if verdict == 0 {
-		verdict = 2
-		if v.d.HasAncestorNamedAt(v.d.order[ord], v.names, v.at) {
-			verdict = 1
-		}
-		v.verdicts[ord] = verdict
-	}
-	return verdict == 1
 }
 
 // pairIndex numbers (prefix, next) pairs of small dense integers in
@@ -145,14 +119,15 @@ type scanner struct {
 	slotAt  []int32
 	slotFar map[temporal.Instant]int32
 	slots   []scanSlot
-	// The slabs the slots' axis and dice views are windows of.
+	// The slabs the slots' axis views and dice columns are windows of.
 	axisSlab []*axisView
-	diceSlab []*diceView
-	// Views of static dimensions, per axis and per dice (nil otherwise);
-	// per axis of a time-dependent dimension, its views by rollup table.
-	staticAxes  []*axisView
-	staticDices []*diceView
-	tableViews  []map[*rollupTable]*axisView
+	diceSlab [][]bool
+	// Views of static dimensions, per axis (nil otherwise); per axis of a
+	// time-dependent dimension, its views by rollup table, and per dice of
+	// one, its columns by chain entry.
+	staticAxes []*axisView
+	tableViews []map[*rollupTable]*axisView
+	entryDices []map[*entryTables][]bool
 
 	buckets   []bucketRef
 	bucketOrd map[int64]int32 // by bucketRef.order
@@ -205,8 +180,8 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 		t0:          t0,
 		slotAt:      make([]int32, window),
 		staticAxes:  make([]*axisView, na),
-		staticDices: make([]*diceView, len(p.dices)),
 		tableViews:  make([]map[*rollupTable]*axisView, na),
+		entryDices:  make([]map[*entryTables][]bool, len(p.dices)),
 		bucketOrd:   make(map[int64]int32),
 		groupOrd:    make([]map[string]int32, na),
 		groupNames:  make([][]string, na),
@@ -220,6 +195,9 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 	sc.lo, sc.hi, sc.idx = odo[:na:na], odo[na:2*na:2*na], odo[2*na:]
 	for di, dc := range p.dices {
 		sc.dicePos[di] = p.dims[dc.dim].pos
+		if dc.in == nil {
+			sc.entryDices[di] = make(map[*entryTables][]bool)
+		}
 	}
 	for _, mi := range p.mIdx {
 		agg := p.s.measures[mi].Agg
@@ -239,11 +217,6 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 			sc.staticAxes[ai] = sc.newAxisView(ai, dim.d.rollupTableAt(ax.level, dim.at))
 		} else {
 			sc.tableViews[ai] = make(map[*rollupTable]*axisView)
-		}
-	}
-	for di, dc := range p.dices {
-		if dim := &p.dims[dc.dim]; dim.static {
-			sc.staticDices[di] = newDiceView(dim.d, dim.at, dc.names)
 		}
 	}
 	if p.res != nil {
@@ -290,12 +263,8 @@ func (sc *scanner) slot(t temporal.Instant) int32 {
 		sc.axisSlab = sc.axisSlab[:sl.axes]
 		sl.axes = sc.slots[n-1].axes
 	}
-	for di, dc := range p.dices {
-		v := sc.staticDices[di]
-		if v == nil {
-			v = newDiceView(p.dims[dc.dim].d, t, dc.names)
-		}
-		sc.diceSlab = append(sc.diceSlab, v)
+	for di := range p.dices {
+		sc.diceSlab = append(sc.diceSlab, sc.diceAt(di, t))
 	}
 	sc.slots = append(sc.slots, sl)
 	i := int32(len(sc.slots))
@@ -315,9 +284,31 @@ func (sc *scanner) axesOf(sl *scanSlot) []*axisView {
 	return sc.axisSlab[sl.axes : int(sl.axes)+len(sc.p.axes)]
 }
 
-// dicesOf returns the dice views of slot sl, one per dice.
-func (sc *scanner) dicesOf(sl *scanSlot) []*diceView {
+// dicesOf returns the dice columns of slot sl, one per dice.
+func (sc *scanner) dicesOf(sl *scanSlot) [][]bool {
 	return sc.diceSlab[sl.dices : int(sl.dices)+len(sc.p.dices)]
+}
+
+// diceAt returns dice di's membership column at instant t: the plan's
+// on a static dimension; otherwise the one of the chain entry holding
+// t, built on first sight (D is constant over an entry, Definition 9),
+// and nil, passing nothing, where the dimension holds nothing.
+func (sc *scanner) diceAt(di int, t temporal.Instant) []bool {
+	dc := &sc.p.dices[di]
+	if dc.in != nil {
+		return dc.in
+	}
+	d := sc.p.dims[dc.dim].d
+	entry := entryAt(d.chain(), t)
+	if entry == nil {
+		return nil
+	}
+	in, ok := sc.entryDices[di][entry.tables]
+	if !ok {
+		in = d.under(t, dc.root)
+		sc.entryDices[di][entry.tables] = in
+	}
+	return in
 }
 
 // axisRead is what the scan's loop reads of one axis's view: its
@@ -465,7 +456,7 @@ func (sc *scanner) newCell(bucket int32, axes []*axisView, idx []int32) {
 // scan classifies and folds the live shards into cells, numbered in
 // first-sight order. Per tuple it reads arrays only — the slot of the
 // instant, in a version mode the resolution of each coordinate, the
-// dice verdict and the rollup table by the member ordinal the tuple
+// dice column and the rollup table by the member ordinal the tuple
 // stores, the cell by bucket and group ordinals; it probes no map,
 // takes no lock and allocates only when it meets an instant, an
 // ancestor set or a cell for the first time.
@@ -629,8 +620,8 @@ func (sc *scanner) present(emits []emission, sl *scanSlot, t temporal.Instant, s
 // diced reports whether a tuple with the given coordinates passes every
 // dice of the slot.
 func (sc *scanner) diced(sl *scanSlot, coords []int32) bool {
-	for di, v := range sc.dicesOf(sl) {
-		if !v.contains(coords[sc.dicePos[di]]) {
+	for di, in := range sc.dicesOf(sl) {
+		if o := coords[sc.dicePos[di]]; uint(o) >= uint(len(in)) || !in[o] {
 			return false
 		}
 	}

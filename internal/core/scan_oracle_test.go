@@ -598,6 +598,21 @@ func oracleQuery(r *rand.Rand, s *Schema) Query {
 	return q
 }
 
+// entriesMet returns how many entries of d's version chain the range
+// meets, the zero range meaning all time.
+func entriesMet(d *Dimension, rng temporal.Interval) int {
+	if rng == (temporal.Interval{}) {
+		rng = temporal.Always
+	}
+	n := 0
+	for _, e := range d.chain() {
+		if e.valid.Overlaps(rng) {
+			n++
+		}
+	}
+	return n
+}
+
 // requireMatchesOracle runs q and compares the answer with the oracle's
 // bit for bit, GroupIDs, N, Dropped and row order included.
 func requireMatchesOracle(t *testing.T, label string, s *Schema, q Query) {
@@ -629,15 +644,29 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			r := rand.New(rand.NewSource(seed * 31))
 			s := oracleSchema(t, seed)
 			nonEmpty := 0
+			// changing counts, in tcm and in a version mode, the filters
+			// on a dimension whose structure changes inside the queried
+			// range: a tcm scan dices them through one column per chain
+			// entry it meets.
+			var changing [2]int
 			for i := 0; i < 24; i++ {
 				q := oracleQuery(r, s)
 				requireMatchesOracle(t, fmt.Sprintf("query %d", i), s, q)
 				if res, _ := s.Execute(q); res.Len() > 0 {
 					nonEmpty++
 				}
+				for _, f := range q.Filters {
+					if entriesMet(s.Dimension(f.Dim), q.Range) > 1 {
+						changing[q.Mode.Kind]++
+					}
+				}
 			}
 			if nonEmpty < 12 {
 				t.Fatalf("only %d of 24 queries answered any row: the generator lost its teeth", nonEmpty)
+			}
+			t.Logf("filters on a dimension changing inside the range: %d in tcm, %d in a version mode", changing[TCMKind], changing[VersionKind])
+			if changing[TCMKind] == 0 {
+				t.Fatal("no tcm filter falls on a dimension changing inside its range: the generator lost its teeth")
 			}
 			// Every mode once at the finest grain, so that no transition
 			// hides behind the random queries' ranges, dices and levels.
@@ -681,6 +710,67 @@ func TestPropertyScanMatchesNaiveReference(t *testing.T) {
 			}
 			for i := 0; i < 12; i++ {
 				requireMatchesOracle(t, fmt.Sprintf("clone query %d", i), clone, oracleQuery(r, clone))
+			}
+		})
+	}
+}
+
+// TestPropertyAggregateMemberMatchesNaive holds AggregateMember, a
+// grand total diced from one member version, against the oracle's grand
+// total over [t, t] diced by the member's display name, at random
+// (member version, instant, mode) where that name is unique in the
+// structure the mode reads at t, bit for bit.
+func TestPropertyAggregateMemberMatchesNaive(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed * 41))
+			s := oracleSchema(t, seed)
+			modes := s.Modes()
+			compared, withData := 0, 0
+			for compared < 32 {
+				pos := r.Intn(len(s.dims))
+				d := s.dims[pos]
+				mv := d.Version(d.order[r.Intn(len(d.order))])
+				at := ym(2000, 1) + temporal.Instant(r.Intn(60))
+				m := modes[r.Intn(len(modes))]
+				read := at
+				if m.Kind == VersionKind {
+					read = m.Version.readAt(pos)
+				}
+				namesakes := 0
+				for _, v := range d.VersionsAt(read) {
+					if v.DisplayName() == mv.DisplayName() {
+						namesakes++
+					}
+				}
+				if !mv.ValidAt(read) || namesakes != 1 {
+					continue
+				}
+				compared++
+				label := fmt.Sprintf("%s at %s in %s", mv.ID, at, m)
+				vals, cfs, err := s.AggregateMember(mv.ID, at, m)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := naiveExecute(t, s, Query{Range: temporal.Between(at, at), Grain: GrainAll, Mode: m,
+					Filters: []Filter{{Dim: d.ID, Members: []string{mv.DisplayName()}}}})
+				if want.Len() == 0 {
+					for k := range vals {
+						if !math.IsNaN(vals[k]) || cfs[k] != UnknownMapping {
+							t.Fatalf("%s: %v (%v), want no data: NaN (uk)", label, vals, cfs)
+						}
+					}
+					continue
+				}
+				withData++
+				for k, w := range want.Values(0) {
+					if math.Float64bits(vals[k]) != math.Float64bits(w) || cfs[k] != want.CFs(0)[k] {
+						t.Fatalf("%s: %v (%v), want %v (%v)", label, vals, cfs, want.Values(0), want.CFs(0))
+					}
+				}
+			}
+			if withData < 8 {
+				t.Fatalf("only %d of %d members had data: the generator lost its teeth", withData, compared)
 			}
 		})
 	}

@@ -124,8 +124,10 @@ func naiveElements(d *Dimension, t temporal.Instant) []string {
 	for _, mv := range members {
 		out = append(out, "member\x00"+string(mv.ID)+"\x00"+mv.Level+"\x00")
 	}
-	for _, r := range d.RelationshipsAt(t) {
-		out = append(out, "edge\x00"+string(r.From)+"\x00"+string(r.To)+"\x00")
+	for _, r := range d.Relationships() {
+		if r.Valid.Contains(t) {
+			out = append(out, "edge\x00"+string(r.From)+"\x00"+string(r.To)+"\x00")
+		}
 	}
 	sort.Strings(out)
 	return out

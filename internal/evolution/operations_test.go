@@ -383,9 +383,14 @@ func TestTransformChangesAttributes(t *testing.T) {
 	if neu.Member != "Dpt.Jones" || old.Member != "Dpt.Jones" {
 		t.Errorf("member names: %q vs %q", old.Member, neu.Member)
 	}
-	vs := d.VersionsOfMember("Dpt.Jones")
-	if len(vs) != 2 {
-		t.Errorf("versions of member = %d", len(vs))
+	vs := 0
+	for _, mv := range d.Versions() {
+		if mv.Member == "Dpt.Jones" {
+			vs++
+		}
+	}
+	if vs != 2 {
+		t.Errorf("versions of member = %d", vs)
 	}
 }
 

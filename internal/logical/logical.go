@@ -21,6 +21,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 
 	"mvolap/internal/core"
 	"mvolap/internal/evolution"
@@ -69,8 +70,10 @@ func LogicalMeasures(s *core.Schema) []core.Measure {
 //
 // where P' = (P − OldParents) ∪ NewParents and E are the children of
 // mvID. Every child in E is then reclassified recursively to the new
-// version mvID'. The new versions take the ID of the old one suffixed
-// with "@<ti>". It returns the IDs of all versions created.
+// version mvID', once: a descendant under several re-versioned parents
+// (a multiple hierarchy) hangs under all their new versions. The new
+// versions take the ID of the old one suffixed with "@<ti>". It returns
+// the IDs of all versions created.
 //
 // The rewrite is all or nothing. It plans every version it re-versions
 // from the structure just before ti, which its own operators leave as
@@ -85,17 +88,13 @@ func RewriteReclassify(a *evolution.Applier, s *core.Schema, dim core.DimID, id 
 	if d == nil {
 		return nil, fmt.Errorf("logical: unknown dimension %q", dim)
 	}
-	var plan []evolution.Op
-	var created []core.MVID
-	if err := planReclassify(s, d, id, at, oldParents, newParents, &plan, &created); err != nil {
+	plan, created, err := planReclassify(s, d, id, at, oldParents, newParents)
+	if err != nil {
 		return nil, err
 	}
 	planned := make(map[core.MVID]bool, len(created))
 	for _, newID := range created {
-		switch {
-		case planned[newID]:
-			return nil, fmt.Errorf("logical: cannot re-version at %s: %q would be created twice, under two re-versioned parents", at, newID)
-		case s.VersionOf(newID) != nil:
+		if s.VersionOf(newID) != nil {
 			return nil, fmt.Errorf("logical: cannot re-version at %s: member version %q exists", at, newID)
 		}
 		planned[newID] = true
@@ -120,63 +119,87 @@ func RewriteReclassify(a *evolution.Applier, s *core.Schema, dim core.DimID, id 
 	return created, nil
 }
 
-// planReclassify appends the operators of the §4.2 rewrite of id and of
-// its descendants to plan, in the order they apply — a version's three
-// operators, then its children's — and the IDs of the versions they
-// create to created. It reads the structure just before at only.
+// planReclassify returns the operators of the §4.2 rewrite of id and of
+// its descendants, in the order they apply, and the IDs of the versions
+// they create. It reads the structure just before at only. The subtree is
+// planned parents first, each version once: a descendant under several
+// re-versioned parents (a multiple hierarchy, Definition 4) is planned
+// after all of them, under every new version, and keeps its parents
+// outside the subtree. A tree is planned in pre-order: a version's three
+// operators, then its children's, in child order.
 func planReclassify(s *core.Schema, d *core.Dimension, id core.MVID, at temporal.Instant,
-	oldParents, newParents []core.MVID, plan *[]evolution.Op, created *[]core.MVID) error {
+	oldParents, newParents []core.MVID) (plan []evolution.Op, created []core.MVID, err error) {
 	mv := d.Version(id)
 	if mv == nil {
-		return fmt.Errorf("logical: unknown member version %q", id)
+		return nil, nil, fmt.Errorf("logical: unknown member version %q", id)
 	}
-	if !mv.ValidAt(at.Prev()) {
-		return fmt.Errorf("logical: %q not valid just before %s", id, at)
+	before := at.Prev()
+	if !mv.ValidAt(before) {
+		return nil, nil, fmt.Errorf("logical: %q not valid just before %s", id, at)
 	}
-	// P' = (P − OldParents) ∪ NewParents, computed on the structure just
-	// before the change.
+	// The reverse of a post-order walk that takes children last to first
+	// lists parents before children, a tree in pre-order.
+	var post []*core.MemberVersion
+	seen := map[core.MVID]bool{}
+	var walk func(v *core.MemberVersion)
+	walk = func(v *core.MemberVersion) {
+		seen[v.ID] = true
+		kids := d.ChildrenAt(v.ID, before)
+		for k := len(kids) - 1; k >= 0; k-- {
+			if !seen[kids[k].ID] {
+				walk(kids[k])
+			}
+		}
+		post = append(post, v)
+	}
+	walk(mv)
+
 	old := make(map[core.MVID]bool, len(oldParents))
 	for _, p := range oldParents {
 		old[p] = true
 	}
-	var parents []core.MVID
-	seen := make(map[core.MVID]bool)
-	for _, p := range d.ParentsAt(id, at.Prev()) {
-		if !old[p.ID] && !seen[p.ID] {
-			seen[p.ID] = true
-			parents = append(parents, p.ID)
-		}
-	}
-	for _, p := range newParents {
-		if !seen[p] {
-			seen[p] = true
-			parents = append(parents, p)
-		}
-	}
-	newID := core.MVID(fmt.Sprintf("%s@%s", id, at))
+	renamed := make(map[core.MVID]core.MVID, len(post))
 	measures := len(s.Measures())
-	*plan = append(*plan,
-		evolution.Insert{
-			Dim: d.ID, ID: newID, Member: mv.Member, Name: mv.DisplayName(),
-			Attrs: mv.Attrs, Level: mv.Level, Start: at, Parents: parents,
-		},
-		evolution.Exclude{Dim: d.ID, ID: id, At: at},
-		evolution.Associate{Mapping: core.MappingRelationship{
-			From:     id,
-			To:       newID,
-			Forward:  core.UniformMapping(measures, core.Identity, core.SourceData),
-			Backward: core.UniformMapping(measures, core.Identity, core.SourceData),
-		}},
-	)
-	*created = append(*created, newID)
-	// Recursively re-version every descendant (E: the children of id just
-	// before the change) under the new version.
-	for _, c := range d.ChildrenAt(id, at.Prev()) {
-		if err := planReclassify(s, d, c.ID, at, []core.MVID{id}, []core.MVID{newID}, plan, created); err != nil {
-			return err
+	for k := len(post) - 1; k >= 0; k-- {
+		v := post[k]
+		// P' = (P − OldParents) ∪ NewParents for id; a descendant keeps its
+		// parents outside the subtree and trades the ones inside for their
+		// new versions.
+		var kept, moved []core.MVID
+		for _, p := range d.ParentsAt(v.ID, before) {
+			if np, ok := renamed[p.ID]; ok {
+				moved = append(moved, np)
+			} else if v != mv || !old[p.ID] {
+				kept = append(kept, p.ID)
+			}
 		}
+		if v == mv {
+			moved = newParents
+		}
+		var parents []core.MVID
+		for _, p := range append(kept, moved...) {
+			if !slices.Contains(parents, p) {
+				parents = append(parents, p)
+			}
+		}
+		newID := core.MVID(fmt.Sprintf("%s@%s", v.ID, at))
+		renamed[v.ID] = newID
+		plan = append(plan,
+			evolution.Insert{
+				Dim: d.ID, ID: newID, Member: v.Member, Name: v.DisplayName(),
+				Attrs: v.Attrs, Level: v.Level, Start: at, Parents: parents,
+			},
+			evolution.Exclude{Dim: d.ID, ID: v.ID, At: at},
+			evolution.Associate{Mapping: core.MappingRelationship{
+				From:     v.ID,
+				To:       newID,
+				Forward:  core.UniformMapping(measures, core.Identity, core.SourceData),
+				Backward: core.UniformMapping(measures, core.Identity, core.SourceData),
+			}},
+		)
+		created = append(created, newID)
 	}
-	return nil
+	return plan, created, nil
 }
 
 // Layout selects one of the §5.1 physical dimension representations.

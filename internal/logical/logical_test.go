@@ -211,6 +211,64 @@ func TestRewriteReclassifyRecursive(t *testing.T) {
 	}
 }
 
+// TestRewriteReclassifyMultipleHierarchy: under a multiple hierarchy
+// (Definition 4) a descendant reached through two re-versioned parents
+// is re-versioned once, under both new versions, and keeps its parent
+// outside the reclassified subtree. Top → {A, B} → Leaf, and Leaf under
+// Other too: rewriting Top at 2002 creates Top', A', B' and one Leaf',
+// whose parents are Other, A' and B'.
+func TestRewriteReclassifyMultipleHierarchy(t *testing.T) {
+	s := core.NewSchema("org", core.Measure{Name: "m", Agg: core.Sum})
+	d := core.NewDimension("D", "D")
+	since := temporal.Since(temporal.Year(2001))
+	for _, id := range []core.MVID{"top", "other", "a", "b", "leaf"} {
+		if err := d.AddVersion(&core.MemberVersion{ID: id, Valid: since}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range [][2]core.MVID{{"a", "top"}, {"b", "top"}, {"leaf", "a"}, {"leaf", "b"}, {"leaf", "other"}} {
+		if err := d.AddRelationship(core.TemporalRelationship{From: r[0], To: r[1], Valid: since}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	s.MustInsertFact(core.Coords{"leaf"}, temporal.Year(2001), 5)
+	a := evolution.NewApplier(s)
+	created, err := RewriteReclassify(a, s, "D", "top", temporal.Year(2002), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(created); got != "[top@01/2002 a@01/2002 b@01/2002 leaf@01/2002]" {
+		t.Fatalf("created = %s, want Top', A', B' and one Leaf'", got)
+	}
+	if got := names(d.ParentsAt("leaf@01/2002", temporal.Year(2002))); got != "[other a@01/2002 b@01/2002]" {
+		t.Errorf("Leaf' parents = %s, want other and both new versions", got)
+	}
+	if got := names(d.ChildrenAt("top@01/2002", temporal.Year(2002))); got != "[a@01/2002 b@01/2002]" {
+		t.Errorf("Top' children = %s", got)
+	}
+	if d.Version("leaf").Valid.End != temporal.YM(2001, 12) {
+		t.Error("the old leaf must end at 12/2001")
+	}
+	if len(s.Mappings()) != 4 {
+		t.Errorf("mappings = %d, want one per re-versioned member", len(s.Mappings()))
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("schema invalid after the rewrite: %v", err)
+	}
+}
+
+// names lists the IDs of the member versions.
+func names(mvs []*core.MemberVersion) string {
+	ids := make([]core.MVID, len(mvs))
+	for i, mv := range mvs {
+		ids[i] = mv.ID
+	}
+	return fmt.Sprint(ids)
+}
+
 func TestRewriteReclassifyErrors(t *testing.T) {
 	s := caseSchema(t)
 	a := evolution.NewApplier(s)

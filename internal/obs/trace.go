@@ -36,12 +36,6 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// Enabled reports whether the context carries a trace.
-func Enabled(ctx context.Context) bool {
-	_, ok := ctx.Value(ctxKey{}).(*Span)
-	return ok
-}
-
 // StartSpan opens a child span under the context's current span. When
 // the context carries no trace it returns the context unchanged and a
 // nil span, whose methods are all no-ops.

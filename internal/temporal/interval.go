@@ -187,22 +187,3 @@ func Partition(intervals []Interval) []Interval {
 	}
 	return out
 }
-
-// MergeAdjacent coalesces sorted, disjoint intervals that touch, keeping
-// the list canonical. It is used after filtering elementary intervals by
-// a predicate (e.g. merging elementary intervals with identical dimension
-// restrictions into a single structure version).
-func MergeAdjacent(intervals []Interval) []Interval {
-	var out []Interval
-	for _, iv := range intervals {
-		if iv.Empty() {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].Adjacent(iv) {
-			out[n-1] = out[n-1].Hull(iv)
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}

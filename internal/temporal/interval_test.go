@@ -387,25 +387,3 @@ func TestPartitionEmpty(t *testing.T) {
 		t.Errorf("Partition(empty intervals) = %v", got)
 	}
 }
-
-func TestMergeAdjacent(t *testing.T) {
-	in := []Interval{
-		Between(Year(2001), EndOfYear(2001)),
-		Between(Year(2002), EndOfYear(2002)),
-		Between(Year(2004), EndOfYear(2004)),
-		Since(Year(2005)),
-	}
-	got := MergeAdjacent(in)
-	want := []Interval{
-		Between(Year(2001), EndOfYear(2002)),
-		Since(Year(2004)),
-	}
-	if len(got) != len(want) {
-		t.Fatalf("MergeAdjacent = %v, want %v", got, want)
-	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Errorf("merged[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
