@@ -67,7 +67,7 @@ deps-check:
 # layer is a second read path starting.
 #
 # The fact table's columns have one binary codec, beside them in
-# internal/core (MVFC02, core.EncodeFacts): a fact-codec magic ("MVFC…
+# internal/core (MVFC03, core.WriteFacts): a fact-codec magic ("MVFC…
 # or "MVMT…) in non-test Go code anywhere else is a second on-disk
 # representation of the facts starting.
 WRITE_PATH = ./internal/store/mutation.go
@@ -269,13 +269,13 @@ read-path-check:
 #                          (evolution.TestApplierLogAndHistory).
 #   Decrease               Table 11's Decrease (TestDecreaseOperation).
 #   VersionInfoOf          §5.2's member metadata (metadata_test.go).
-#   ParseInterval          Interval.String's inverse, fuzzed by
-#                          FuzzParseInterval (make fuzz); it goes with
-#                          that target (ROADMAP item 25).
+#   EncodeFacts            the facts payload in one buffer, which the
+#                          codec's round-trip tests and FuzzFactsCodec
+#                          read; a snapshot streams it (WriteFacts).
 #   Unwrap                 errors.Is and errors.As call it, never by name.
 EXPORTS_FROZEN = $(NOT_SERVED) casestudy
 EXPORTS_TEST_ONLY = AggregateMember NewAccumulator NewQuantitativeAlgebra SetRows MustInsertFact \
-	Signature Has History Decrease VersionInfoOf ParseInterval Unwrap
+	Signature Has History Decrease VersionInfoOf EncodeFacts Unwrap
 .PHONY: exports-check
 exports-check:
 	@corpus=$$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' ! -path './_*' ! -path '*/testdata/*'); \
@@ -337,7 +337,6 @@ FUZZTIME ?= 30s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInstant$$' -fuzztime $(FUZZTIME) ./internal/temporal/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseInterval$$' -fuzztime $(FUZZTIME) ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tql/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWrite$$' -fuzztime $(FUZZTIME) ./internal/schemaio/
 	$(GO) test -run '^$$' -fuzz '^FuzzFactsCodec$$' -fuzztime $(FUZZTIME) ./internal/core/

@@ -132,8 +132,8 @@ func TestCostFactStoreBytes(t *testing.T) {
 		perFact float64
 	}
 	rows := []row{
-		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 33},
-		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 41},
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 26},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 34},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
@@ -162,6 +162,30 @@ func TestCostFactStoreBytes(t *testing.T) {
 		t.Errorf("FactTable.Bytes = %d B, %.1f%% off the %.0f B of live heap the facts took", columns+index, 100*d, grown)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestCostSnapshotFactBytes: the snapshot's facts section costs a fact
+// its ordinals, its instant and its values, whatever the size of the
+// store: on the ingest warehouse (one measure) and the benchmark's
+// tiers S and M (two), loaded member by member, a fact's instant is
+// almost always a month from the one before, one byte.
+func TestCostSnapshotFactBytes(t *testing.T) {
+	rows := []struct {
+		name  string
+		build func(i int) *core.Schema
+		bound float64
+	}{
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 11.5},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 19.5},
+	}
+	for _, r := range rows {
+		for i := range costSizes {
+			s := r.build(i)
+			per := float64(len(core.EncodeFacts(s))) / float64(s.Facts().Len())
+			t.Logf("%s, %d facts: %.2f snapshot bytes a fact", r.name, s.Facts().Len(), per)
+			atMost(t, r.name+" snapshot bytes per fact", per, r.bound)
+		}
+	}
 }
 
 // TestCostClone: Schema.Clone copies O(dimensions) plus the key index's
@@ -507,14 +531,18 @@ func TestCostRollup(t *testing.T) {
 // the dimension met, built by one walk down from div-0, so the filtered
 // rollup allocates what the unfiltered one does and a column per entry,
 // whatever the facts. While each instant built its own verdicts, one
-// member at a time, it allocated 36 553 and 144 853 objects. The median
-// of 8 runs.
+// member at a time, it allocated 36 553 and 144 853 objects. The
+// unfiltered rollup's bytes do not grow on the smaller tier, whose
+// structure has a multiple hierarchy: the scan's emission buffer is
+// sized once, and a shard that emits more than it holds is folded in
+// runs (it grew by append there, 64 640 B at N against 22 624 at 4N).
+// The median of 8 runs.
 func TestCostFilteredRollup(t *testing.T) {
 	diced := core.Query{Measures: []string{"m0"}, GroupBy: []core.GroupBy{{Dim: "Org", Level: "Division"}},
 		Grain: core.GrainYear, Mode: core.TCM(), Filters: []core.Filter{{Dim: "Org", Members: []string{"div-0"}}}}
 	whole := diced
 	whole.Filters = nil
-	var objects, unfiltered [2]float64
+	var objects, unfiltered, unfilteredBytes [2]float64
 	for i := range costSizes {
 		s := costTier(t, i)
 		res, err := s.Execute(diced) // builds the rollup tables
@@ -534,12 +562,13 @@ func TestCostFilteredRollup(t *testing.T) {
 				objects[i] = float64(median(os))
 				t.Logf("%d facts: the filtered rollup allocates %d B in %.0f objects (median)", s.Facts().Len(), median(bs), objects[i])
 			} else {
-				unfiltered[i] = float64(median(os))
+				unfiltered[i], unfilteredBytes[i] = float64(median(os)), float64(median(bs))
 				t.Logf("%d facts: the rollup allocates %d B in %.0f objects (median)", s.Facts().Len(), median(bs), unfiltered[i])
 			}
 		}
 	}
 	atMost(t, "filtered rollup objects at 4N over N", objects[1]/objects[0], 1.05)
+	atMost(t, "rollup bytes at N over 4N", unfilteredBytes[0]/unfilteredBytes[1], 1.05)
 	atMost(t, "filtered rollup objects over the unfiltered at N", objects[0]/unfiltered[0], 2)
 	atMost(t, "filtered rollup objects over the unfiltered at 4N", objects[1]/unfiltered[1], 2)
 }

@@ -164,7 +164,7 @@ func TestWarmFromCancelledMidFold(t *testing.T) {
 		t.Fatalf("live WarmFrom = %+v, want nothing carried", res)
 	}
 	st := sibling.Facts()
-	if &st.shards[len(bt.shards)-1].times[0] == &tail.times[0] {
+	if &st.shards[len(bt.shards)-1].offs[0] == &tail.offs[0] {
 		t.Error("the sibling appended into a tail whose slots the abandoned clone claimed")
 	}
 	modesMatchCold(t, "sibling", sibling)

@@ -56,6 +56,9 @@ const (
 	shardMask  = MappedShardSize - 1
 	// shardWords is the length of a shard's live bitmap.
 	shardWords = MappedShardSize / 64
+	// narrowSpan is the number of instants a narrow instant column
+	// spans: its 16-bit offsets from the shard's base.
+	narrowSpan = 1 << 16
 )
 
 // shardEpochCounter issues table ownership epochs; every table takes a
@@ -83,12 +86,21 @@ type factShard struct {
 	// below it are read by other generations, so writing one privatizes.
 	sharedBelow int
 	// coords holds n*nd member version ordinals (MemberVersion.ord in
-	// the table's dimension, position by position), times n instants and
-	// values n*nm entries. No column holds a pointer. Shards a table
-	// creates or privatizes have columns of capacity MappedShardSize
-	// tuples, so appends never reallocate them.
+	// the table's dimension, position by position) and values n*nm
+	// entries. No column holds a pointer. Shards a table creates or
+	// privatizes have columns of capacity MappedShardSize tuples, so
+	// appends never reallocate them.
 	coords []int32
-	times  []temporal.Instant
+	// The instant column, read through at: while the shard is narrow,
+	// slot j's instant is base + offs[j], in wrapping int64 arithmetic,
+	// and wide is nil; once widened, wide holds every slot's instant and
+	// offs is nil. The base is fixed when the columns are made, half a
+	// span below their first instant, and every header over the same
+	// columns carries it; an append outside the narrow window widens the
+	// column (widen).
+	base   temporal.Instant
+	offs   []uint16
+	wide   []temporal.Instant
 	values []float64
 	// live has bit j set while slot j holds a fact: an append sets it, a
 	// retraction clears it. Unlike the columns it belongs to the header
@@ -98,12 +110,28 @@ type factShard struct {
 	// zone caches the shard's zone map (min/max time, per-dimension
 	// distinct coordinates). Sealed when the shard fills, invalidated
 	// by appends, carried across privatize (the copy has identical
-	// coords/times), rebuilt lazily by the query scan otherwise.
+	// coordinates and instants), rebuilt lazily by the query scan otherwise.
 	zone atomic.Pointer[shardZone]
 }
 
 // isLive reports whether slot j holds a fact.
 func (sh *factShard) isLive(j int) bool { return sh.live[j>>6]&(1<<(uint(j)&63)) != 0 }
+
+// at returns the instant of slot j: the one accessor of the instant
+// column outside the scan's loop (scanShard), which reads the column
+// itself.
+func (sh *factShard) at(j int) temporal.Instant {
+	if sh.wide != nil {
+		return sh.wide[j]
+	}
+	return sh.base + temporal.Instant(sh.offs[j])
+}
+
+// holds reports whether the instant column can take t as it is: a wide
+// column takes any instant, a narrow one those in its window.
+func (sh *factShard) holds(t temporal.Instant) bool {
+	return sh.wide != nil || uint64(t-sh.base) < narrowSpan
+}
 
 // FactTable is the Temporally Consistent Fact Table f of Definition 5: a
 // partial function from leaf member versions and time to measure values.
@@ -199,7 +227,7 @@ func (ft *FactTable) Bytes() (columns, index int) {
 	columns = 8 * cap(ft.shards)
 	for _, sh := range ft.shards {
 		columns += int(unsafe.Sizeof(*sh)+unsafe.Sizeof(*sh.claim)) +
-			4*cap(sh.coords) + 8*cap(sh.times) + 8*cap(sh.values) + 8*cap(sh.live)
+			4*cap(sh.coords) + 2*cap(sh.offs) + 8*cap(sh.wide) + 8*cap(sh.values) + 8*cap(sh.live)
 	}
 	return columns, ft.index.bytes()
 }
@@ -250,7 +278,7 @@ func (ft *FactTable) All(yield func(*Fact) bool) {
 	f := &Fact{Coords: make(Coords, nd)}
 	ft.each(func(sh *factShard, j int) bool {
 		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
-		f.Time = sh.times[j]
+		f.Time = sh.at(j)
 		f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
 		return yield(f)
 	})
@@ -270,7 +298,7 @@ func (ft *FactTable) Facts() []*Fact {
 		ft.ids(c, sh.coords[j*nd:(j+1)*nd])
 		v := values[i*nm : (i+1)*nm : (i+1)*nm]
 		copy(v, sh.values[j*nm:(j+1)*nm])
-		arena = append(arena, Fact{Coords: c, Time: sh.times[j], Values: v})
+		arena = append(arena, Fact{Coords: c, Time: sh.at(j), Values: v})
 		return true
 	})
 	out := make([]*Fact, len(arena))
@@ -316,10 +344,10 @@ func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bo
 	var out *Fact
 	nd := ft.nd
 	ft.each(func(sh *factShard, j int) bool {
-		if sh.coords[j*nd+i] != mv.ord || sh.times[j] <= end {
+		if sh.coords[j*nd+i] != mv.ord || sh.at(j) <= end {
 			return true
 		}
-		out = &Fact{Coords: make(Coords, nd), Time: sh.times[j]}
+		out = &Fact{Coords: make(Coords, nd), Time: sh.at(j)}
 		ft.ids(out.Coords, sh.coords[j*nd:(j+1)*nd])
 		return false
 	})
@@ -336,8 +364,9 @@ func (ft *FactTable) tombstone(pos int) {
 	sh := ft.writableShard(pos>>shardShift, j)
 	sh.live[j>>6] &^= 1 << (uint(j) & 63)
 	ft.dead++
-	ft.noteWrite(sh.times[j])
-	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.times[j], -1)
+	t := sh.at(j)
+	ft.noteWrite(t)
+	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], t, -1)
 }
 
 // clone returns a copy-on-write copy of the fact table over the
@@ -456,7 +485,7 @@ func (ft *FactTable) find(h uint64, coords []int32, t temporal.Instant) (int, bo
 			return false
 		}
 		sh, j := ft.shardAt(pos)
-		return sh.times[j] == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
+		return sh.at(j) == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
 	})
 }
 
@@ -482,32 +511,41 @@ func (ft *FactTable) writableShard(si, j int) *factShard {
 }
 
 // newShard returns an empty shard owned by this table, its columns
-// allocated at their full capacity, with a fresh claim on them.
-func (ft *FactTable) newShard() *factShard {
-	return &factShard{
+// allocated at their full capacity — its instant column narrow at base,
+// or wide — with a fresh claim on them.
+func (ft *FactTable) newShard(base temporal.Instant, wide bool) *factShard {
+	sh := &factShard{
 		epoch:  ft.epoch,
 		claim:  new(atomic.Int32),
 		coords: make([]int32, 0, MappedShardSize*ft.nd),
-		times:  make([]temporal.Instant, 0, MappedShardSize),
+		base:   base,
 		values: make([]float64, 0, MappedShardSize*ft.nm),
 		live:   make([]uint64, shardWords),
 	}
+	if wide {
+		sh.wide = make([]temporal.Instant, 0, MappedShardSize)
+	} else {
+		sh.offs = make([]uint16, 0, MappedShardSize)
+	}
+	return sh
 }
 
-// privatize copies shard si into a new shard this table owns. This is
-// the whole copy-on-write cost of a write into a shared slot:
-// O(MappedShardSize) once per (table, shard), never per tuple.
+// privatize copies shard si into a new shard this table owns, its
+// instant column as wide as the source's. This is the whole
+// copy-on-write cost of a write into a shared slot: O(MappedShardSize)
+// once per (table, shard), never per tuple.
 func (ft *FactTable) privatize(si int) *factShard {
 	ft.ownShards()
 	src := ft.shards[si]
-	cp := ft.newShard()
+	cp := ft.newShard(src.base, src.wide != nil)
 	cp.n = src.n
 	cp.claim.Store(int32(src.n))
 	cp.coords = append(cp.coords, src.coords...)
-	cp.times = append(cp.times, src.times...)
+	cp.offs = append(cp.offs, src.offs...)
+	cp.wide = append(cp.wide, src.wide...)
 	cp.values = append(cp.values, src.values...)
 	copy(cp.live, src.live)
-	// The copy has identical coords/times columns, so the zone map
+	// The copy has identical coords and instants, so the zone map
 	// carries over; the first append into the copy clears it.
 	cp.zone.Store(src.zone.Load())
 	ft.shards[si] = cp
@@ -537,7 +575,9 @@ func (ft *FactTable) borrow(si int) *factShard {
 		claim:       src.claim,
 		sharedBelow: src.n,
 		coords:      src.coords,
-		times:       src.times,
+		base:        src.base,
+		offs:        src.offs,
+		wide:        src.wide,
 		values:      src.values,
 		live:        slices.Clone(src.live),
 	}
@@ -546,16 +586,18 @@ func (ft *FactTable) borrow(si int) *factShard {
 	return sh
 }
 
-// tailShard returns the shard the next appended tuple lands in, its
-// next slot claimed for this table. A full tail gets a fresh shard
-// behind it. A partial tail is appended to in place when this table
-// wins the claim on its next slot — borrowed first if the header is
-// another table's — and privatized otherwise: the slot was taken by
-// another generation.
-func (ft *FactTable) tailShard() *factShard {
+// tailShard returns the shard the next appended tuple, at instant t,
+// lands in, its next slot claimed for this table and its instant column
+// able to take t. A full tail gets a fresh shard behind it, whose narrow
+// window is centred on t. A partial tail is appended to in place when
+// this table wins the claim on its next slot — borrowed first if the
+// header is another table's — and privatized otherwise: the slot was
+// taken by another generation. A narrow column whose window misses t is
+// widened.
+func (ft *FactTable) tailShard(t temporal.Instant) *factShard {
 	if len(ft.shards) == 0 || ft.shards[len(ft.shards)-1].n == MappedShardSize {
 		ft.ownShards()
-		ft.shards = append(ft.shards, ft.newShard())
+		ft.shards = append(ft.shards, ft.newShard(t-narrowSpan/2, false))
 	}
 	si := len(ft.shards) - 1
 	sh := ft.shards[si]
@@ -565,6 +607,29 @@ func (ft *FactTable) tailShard() *factShard {
 	} else if sh.epoch != ft.epoch {
 		sh = ft.borrow(si)
 	}
+	if !sh.holds(t) {
+		sh = ft.widen(si)
+	}
+	return sh
+}
+
+// widen gives tail shard si, whose next slot this table has claimed, a
+// wide instant column holding the instants of its narrow one. Widening
+// never writes a column another header reads: a borrowed tail shares
+// its columns, so it is privatized first (the copy's claim taking the
+// slot the shared one gave up) and the copy widened; a shard the table
+// owns alone gets the wide column in place of its narrow one.
+func (ft *FactTable) widen(si int) *factShard {
+	sh := ft.shards[si]
+	if sh.sharedBelow > 0 {
+		sh = ft.privatize(si)
+		sh.claim.Add(1)
+	}
+	wide := make([]temporal.Instant, sh.n, MappedShardSize)
+	for j := range wide {
+		wide[j] = sh.at(j)
+	}
+	sh.offs, sh.wide = nil, wide
 	return sh
 }
 
@@ -572,14 +637,18 @@ func (ft *FactTable) tailShard() *factShard {
 // hold, in a fresh slot at the end. The slices are the caller's;
 // appendTuple copies them.
 func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, values []float64) {
-	sh := ft.tailShard()
+	sh := ft.tailShard(t)
 	j := sh.n
 	sh.coords = append(sh.coords, coords...)
-	sh.times = append(sh.times, t)
+	if sh.wide != nil {
+		sh.wide = append(sh.wide, t)
+	} else {
+		sh.offs = append(sh.offs, uint16(t-sh.base))
+	}
 	sh.values = append(sh.values, values...)
 	sh.live[j>>6] |= 1 << (uint(j) & 63)
 	sh.n++
-	// Appends change the coords/times columns the zone map summarizes:
+	// Appends change the coords and instants the zone map summarizes:
 	// drop a stale zone, and seal a freshly filled shard with its final
 	// zone (full shards never change again under this table's epoch).
 	if sh.n == MappedShardSize {

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 
 	"mvolap/internal/temporal"
 )
@@ -17,25 +20,73 @@ import (
 // position order — the fold order of every query and every
 // presentation of a mode, so a warehouse reloaded from here answers bit
 // for bit as the one written — and tombstoned slots are not written.
-// Nothing passes through text: instants are raw int64 (Now and Origin
-// survive), values are Float64bits (NaN payloads survive).
+// Nothing passes through text: an instant is its difference from the
+// instant before it (the first from 0), taken in wrapping int64
+// arithmetic so that every pair of instants — Origin then Now included —
+// has one, and written as a zigzag uvarint, so a store loaded member by
+// member, which steps one month a fact, pays one byte an instant; values
+// are Float64bits (NaN payloads survive).
 //
-//	magic "MVFC02"
+//	magic "MVFC03"
 //	uvarint numDims, uvarint numMeasures, uvarint numFacts
 //	numFacts×numDims uvarint member version ordinals
-//	numFacts int64 LE instants
+//	numFacts zigzag uvarint instant deltas, in tuple order
 //	numFacts×numMeasures uint64 LE Float64bits values
 
-var factsMagic = []byte("MVFC02")
+var factsMagic = []byte("MVFC03")
 
-// EncodeFacts serializes the schema's live facts deterministically,
-// one walk over the shards per column.
-func EncodeFacts(s *Schema) []byte {
+// ErrFactsVersion refuses a facts payload in an earlier version of the
+// codec: one format is read, the one written.
+var ErrFactsVersion = errors.New("core: facts: payload in an earlier facts codec; this build reads only MVFC03")
+
+// FactsLen returns the length of the facts payload of s: one walk over
+// the live tuples, summing the varints of their ordinals and instant
+// deltas.
+func FactsLen(s *Schema) int {
 	ft := s.facts
 	nd, nm, n := ft.nd, ft.nm, ft.Len()
-	// An upper bound (an int32 ordinal is at most 5 uvarint bytes), so
-	// the buffer is allocated once.
-	buf := make([]byte, 0, len(factsMagic)+3*binary.MaxVarintLen64+n*(binary.MaxVarintLen32*nd+8+8*nm))
+	size := len(factsMagic) + uvarintLen(uint64(nd)) + uvarintLen(uint64(nm)) + uvarintLen(uint64(n)) + n*8*nm
+	var prev temporal.Instant
+	ft.each(func(sh *factShard, j int) bool {
+		for _, o := range sh.coords[j*nd : (j+1)*nd] {
+			size += uvarintLen(uint64(o))
+		}
+		t := sh.at(j)
+		size += uvarintLen(zigzag(t - prev))
+		prev = t
+		return true
+	})
+	return size
+}
+
+// factsChunk is the size of the buffer WriteFacts encodes through.
+const factsChunk = 32 << 10
+
+// WriteFacts writes the facts payload of s, FactsLen(s) bytes, to w:
+// the schema's live facts, deterministically, one walk over the shards
+// per column, encoded through a buffer of factsChunk bytes, so that a
+// snapshot streams its facts section and never holds it whole. It
+// returns w's first error.
+func WriteFacts(w io.Writer, s *Schema) error {
+	ft := s.facts
+	nd, nm, n := ft.nd, ft.nm, ft.Len()
+	// The most one tuple adds to a column: its ordinals, its instant's
+	// delta or its values.
+	most := max(binary.MaxVarintLen32*nd, binary.MaxVarintLen64, 8*nm)
+	buf := make([]byte, 0, max(factsChunk, most))
+	var err error
+	flush := func() {
+		if err == nil {
+			_, err = w.Write(buf)
+		}
+		buf = buf[:0]
+	}
+	room := func() bool {
+		if len(buf)+most > cap(buf) {
+			flush()
+		}
+		return err == nil
+	}
 	buf = append(buf, factsMagic...)
 	buf = binary.AppendUvarint(buf, uint64(nd))
 	buf = binary.AppendUvarint(buf, uint64(nm))
@@ -44,20 +95,44 @@ func EncodeFacts(s *Schema) []byte {
 		for _, o := range sh.coords[j*nd : (j+1)*nd] {
 			buf = binary.AppendUvarint(buf, uint64(o))
 		}
-		return true
+		return room()
 	})
+	var prev temporal.Instant
 	ft.each(func(sh *factShard, j int) bool {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.times[j]))
-		return true
+		t := sh.at(j)
+		buf = binary.AppendUvarint(buf, zigzag(t-prev))
+		prev = t
+		return room()
 	})
 	ft.each(func(sh *factShard, j int) bool {
 		for _, v := range sh.values[j*nm : (j+1)*nm] {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		return true
+		return room()
 	})
-	return buf
+	flush()
+	return err
 }
+
+// EncodeFacts returns the facts payload of s in one buffer of exactly
+// its length.
+func EncodeFacts(s *Schema) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, FactsLen(s)))
+	_ = WriteFacts(buf, s) // a bytes.Buffer's Write never fails
+	return buf.Bytes()
+}
+
+// zigzag maps a signed delta to the unsigned value binary.AppendVarint
+// would write for it: small magnitudes, either sign, to small values.
+func zigzag(d temporal.Instant) uint64 {
+	if d < 0 {
+		return ^(uint64(d) << 1)
+	}
+	return uint64(d) << 1
+}
+
+// uvarintLen returns the bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeFacts appends the encoded facts to s's fact table in their
 // encoded order, refusing the payload unless it frames exactly, its
@@ -69,6 +144,9 @@ func EncodeFacts(s *Schema) []byte {
 // partly loaded and must be discarded.
 func DecodeFacts(data []byte, s *Schema) error {
 	if !bytes.HasPrefix(data, factsMagic) {
+		if bytes.HasPrefix(data, factsMagic[:len(factsMagic)-2]) {
+			return fmt.Errorf("%w (magic %q)", ErrFactsVersion, data[:min(len(data), len(factsMagic))])
+		}
 		return fmt.Errorf("core: facts: not an %s payload (magic %q)", factsMagic, data[:min(len(data), len(factsMagic))])
 	}
 	ft := s.facts
@@ -85,9 +163,10 @@ func DecodeFacts(data []byte, s *Schema) error {
 	if nd != uint64(ft.nd) || nm != uint64(ft.nm) {
 		return fmt.Errorf("core: facts: %d coordinates and %d values per fact, the schema has %d and %d", nd, nm, ft.nd, ft.nm)
 	}
-	// A fact costs at least one byte per ordinal plus its fixed-width
-	// instant and values (divided, not multiplied: n is untrusted).
-	if n > uint64(len(data))/(nd+8+8*nm) {
+	// A fact costs at least one byte per ordinal and for its instant,
+	// plus its fixed-width values (divided, not multiplied: n is
+	// untrusted).
+	if n > uint64(len(data))/(nd+1+8*nm) {
 		return fmt.Errorf("core: facts: %d bytes cannot hold %d facts", len(data), n)
 	}
 	// valid[i][o] is the valid time of ordinal o of dimension i.
@@ -107,14 +186,24 @@ func DecodeFacts(data []byte, s *Schema) error {
 		data = data[w:]
 	}
 	coords = coords[:len(coords)-len(data)]
-	if uint64(len(data)) != n*(8+8*nm) {
-		return fmt.Errorf("core: facts: %d bytes after the ordinals, want %d", len(data), n*(8+8*nm))
+	times := data
+	for k := uint64(0); k < n; k++ {
+		_, w := binary.Varint(data)
+		if w <= 0 {
+			return fmt.Errorf("core: facts: bad instant %d", k)
+		}
+		data = data[w:]
 	}
-	times, vals := data[:n*8], data[n*8:]
+	if uint64(len(data)) != n*8*nm {
+		return fmt.Errorf("core: facts: %d bytes after the instants, want %d", len(data), n*8*nm)
+	}
+	vals := data
 	ords := make([]int32, ft.nd)
 	values := make([]float64, ft.nm)
+	var t temporal.Instant
 	for f := 0; f < int(n); f++ {
-		t := temporal.Instant(binary.LittleEndian.Uint64(times[f*8:]))
+		d, w := binary.Varint(times)
+		times, t = times[w:], t+temporal.Instant(d)
 		for i := range ords {
 			o, w := binary.Uvarint(coords)
 			coords = coords[w:]

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -94,9 +95,30 @@ type rawFact struct {
 	vals []float64
 }
 
-// payload writes an MVFC02 payload by hand, header widths as given.
+// payload writes an MVFC03 payload by hand, header widths as given.
 func payload(nd, nm int, facts ...rawFact) []byte {
-	out := binary.AppendUvarint([]byte("MVFC02"), uint64(nd))
+	out := payloadHead("MVFC03", nd, nm, facts)
+	var prev temporal.Instant
+	for _, f := range facts {
+		out = binary.AppendVarint(out, int64(f.at-prev))
+		prev = f.at
+	}
+	return payloadValues(out, facts)
+}
+
+// payloadV2 writes a payload in the earlier MVFC02 layout, whose
+// instants are raw int64s.
+func payloadV2(nd, nm int, facts ...rawFact) []byte {
+	out := payloadHead("MVFC02", nd, nm, facts)
+	for _, f := range facts {
+		out = binary.LittleEndian.AppendUint64(out, uint64(f.at))
+	}
+	return payloadValues(out, facts)
+}
+
+// payloadHead writes a payload's magic, counts and ordinals.
+func payloadHead(magic string, nd, nm int, facts []rawFact) []byte {
+	out := binary.AppendUvarint([]byte(magic), uint64(nd))
 	out = binary.AppendUvarint(out, uint64(nm))
 	out = binary.AppendUvarint(out, uint64(len(facts)))
 	for _, f := range facts {
@@ -104,9 +126,11 @@ func payload(nd, nm int, facts ...rawFact) []byte {
 			out = binary.AppendUvarint(out, o)
 		}
 	}
-	for _, f := range facts {
-		out = binary.LittleEndian.AppendUint64(out, uint64(f.at))
-	}
+	return out
+}
+
+// payloadValues appends the facts' values to a payload.
+func payloadValues(out []byte, facts []rawFact) []byte {
 	for _, f := range facts {
 		for _, v := range f.vals {
 			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
@@ -232,8 +256,8 @@ func TestFactsDecodeRejectsCorruption(t *testing.T) {
 	if err := decode(append(append([]byte{}, data...), 0)); err == nil {
 		t.Error("trailing byte must fail")
 	}
-	if err := decode(append([]byte("MVFC01"), data[6:]...)); err == nil {
-		t.Error("an MVFC01 payload decoded")
+	if err := decode(append([]byte("MVFC01"), data[6:]...)); !errors.Is(err, core.ErrFactsVersion) {
+		t.Errorf("an MVFC01 payload: %v, want ErrFactsVersion", err)
 	}
 	// A payload for another schema is refused by its widths.
 	other, err := casestudy.New(casestudy.Config{})
@@ -267,6 +291,41 @@ func TestFactsDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFactsDecodeRefusesMVFC02: a payload in the codec before this one,
+// whose instants are raw int64s, is refused by name, not misread.
+func TestFactsDecodeRefusesMVFC02(t *testing.T) {
+	old := payloadV2(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, 2}})
+	err := core.DecodeFacts(old, edgeSchema(t))
+	if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), "MVFC02") {
+		t.Errorf("MVFC02 payload: %v, want ErrFactsVersion naming MVFC02", err)
+	}
+}
+
+// TestFactsInstantDeltas: an instant costs the zigzag varint of its
+// step from the one before, in wrapping arithmetic — one byte for a
+// month forward or back, one from Origin to Now — and any order of
+// instants decodes as written.
+func TestFactsInstantDeltas(t *testing.T) {
+	s := edgeSchema(t)
+	at := []temporal.Instant{temporal.YM(2001, 3), temporal.YM(2001, 4), temporal.YM(2001, 3),
+		temporal.Origin, temporal.Now, temporal.YM(1990, 1), temporal.Year(2001)}
+	for i, id := range []core.MVID{"x", "y", "y", "x", "y", "x", "z"} {
+		s.MustInsertFact(core.Coords{id, "p"}, at[i], float64(i), 0)
+	}
+	data := core.EncodeFacts(s)
+	// From 0 to 03/2001 is three bytes; a step past the int64 range
+	// either way (to Origin, from Now) is ten; 1990 to 2001 is two.
+	steps := []int{3, 1, 1, 10, 1, 10, 2}
+	want := len("MVFC03") + 3 + 2*len(at) + 16*len(at)
+	for _, k := range steps {
+		want += k
+	}
+	if len(data) != want || core.FactsLen(s) != want {
+		t.Errorf("payload is %d bytes, FactsLen %d, want %d", len(data), core.FactsLen(s), want)
+	}
+	sameFacts(t, reload(t, s).Facts().Facts(), s.Facts().Facts())
+}
+
 // FuzzFactsCodec: decoding arbitrary bytes into either fixture's
 // structure never panics and allocates in proportion to the input
 // (every count is checked against the bytes left before anything is
@@ -287,8 +346,14 @@ func FuzzFactsCodec(f *testing.F) {
 	edge.MustInsertFact(core.Coords{"x", "p"}, temporal.Origin, 1, 2)
 	f.Add(core.EncodeFacts(edge))
 	structures = append(structures, edge)
-	f.Add([]byte("MVFC02"))
-	f.Add([]byte("MVFC02\x01\x01\x00"))
+	f.Add([]byte("MVFC03"))
+	f.Add([]byte("MVFC03\x02\x02\x00"))
+	fact := func(org uint64, at temporal.Instant) rawFact { return rawFact{[]uint64{org, 0}, at, []float64{1, 2}} }
+	f.Add(payload(2, 2, fact(0, temporal.Origin), fact(1, temporal.Now)))
+	f.Add(payload(2, 2, fact(0, temporal.YM(2003, 1)), fact(1, temporal.YM(2002, 6)), fact(0, temporal.YM(2001, 12))))
+	f.Add(payload(2, 2, fact(2, temporal.YM(2001, 5))))
+	// A fact whose instant's varint is cut after a continuation byte.
+	f.Add(append(payloadHead("MVFC03", 2, 2, []rawFact{fact(0, 0)}), 0x80))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, st := range structures {
@@ -297,6 +362,9 @@ func FuzzFactsCodec(f *testing.F) {
 				continue
 			}
 			again := core.EncodeFacts(s)
+			if len(again) != core.FactsLen(s) {
+				t.Fatalf("payload of %d bytes, FactsLen %d", len(again), core.FactsLen(s))
+			}
 			back := structureOf(t, st)
 			if err := core.DecodeFacts(again, back); err != nil {
 				t.Fatalf("re-encoded facts failed to decode: %v", err)

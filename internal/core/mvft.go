@@ -52,11 +52,11 @@ func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err
 	defer merged.release()
 	res, err := s.walk(context.Background(), m, temporal.Always, func(sh *factShard, j int, pr *presenter) bool {
 		if pr != nil {
-			merged.add(pr.coords, sh.times[j], pr.values, pr.cfs)
+			merged.add(pr.coords, sh.at(j), pr.values, pr.cfs)
 			return true
 		}
 		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
-		f.Time, f.Values = sh.times[j], sh.values[j*nm:(j+1)*nm:(j+1)*nm]
+		f.Time, f.Values = sh.at(j), sh.values[j*nm:(j+1)*nm:(j+1)*nm]
 		return yield(f)
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func (s *Schema) SourcesOf(ctx context.Context, m Mode, coords Coords, t tempora
 			per[i] = pr.at[i].per
 		}
 		ft.ids(src.Coords, sh.coords[j*nd:(j+1)*nd])
-		src.Time, src.Values = sh.times[j], sh.values[j*nm:(j+1)*nm:(j+1)*nm]
+		src.Time, src.Values = sh.at(j), sh.values[j*nm:(j+1)*nm:(j+1)*nm]
 		return yield(src, per, pr.cfs)
 	})
 	return err
@@ -144,7 +144,7 @@ func (s *Schema) walk(ctx context.Context, m Mode, rng temporal.Interval, yield 
 				}
 			}
 			steps++
-			if !sh.isLive(j) || !rng.Contains(sh.times[j]) {
+			if !sh.isLive(j) || !rng.Contains(sh.at(j)) {
 				continue
 			}
 			if pr == nil {

@@ -156,6 +156,9 @@ type scanner struct {
 	// over their combinations.
 	dicePos, axisPos []int
 	lo, hi, idx      []int32
+	// reads holds, per axis, what the loop reads of the current slot's
+	// view (scanShard).
+	reads []axisRead
 
 	// comb is ⊗cf tabulated over the four factors (Definition 6: a
 	// function of its two operands), comb[a][b] = alg.Combine(a, b).
@@ -187,6 +190,7 @@ func newScanner(p *scanPlan, ft *FactTable, live []bool, t0 temporal.Instant, wi
 		groupNames:  make([][]string, na),
 		memberGroup: make([][]int32, na),
 		pairs:       make([]pairIndex, na+1),
+		reads:       make([]axisRead, na),
 		skipSD:      true,
 	}
 	nd := len(p.dices)
@@ -473,8 +477,9 @@ func (sc *scanner) newCell(bucket int32, axes []*axisView, idx []int32) {
 // classified; the interleaved form, one fold call per tuple, measured
 // about 50 % slower on one core (BenchmarkShardedScan's rollup leg,
 // fastest of four runs: 2.8 ms against 1.85 ms), and a Sum-only fold
-// written into the loop no faster. The buffer holds one shard's
-// emissions and is reused for every shard.
+// written into the loop no faster. The buffer is reused for every
+// shard; a shard whose tuples emit more than it holds is folded in runs
+// (scanShard).
 //
 // The loop reads a tuple's slot by its instant, and the slot's axis
 // views into locals only when they differ from the slot before's:
@@ -489,8 +494,68 @@ func (sc *scanner) newCell(bucket int32, axes []*axisView, idx []int32) {
 // coordinate and instant are one tuple) goes to the merge map; the
 // merged tuples are classified and folded last, in first-sight order.
 func (sc *scanner) scan(ctx context.Context) error {
+	ft := sc.ft
+	// The buffer is sized once, on the stack: a shard's tuples and
+	// emitSlack emissions more (see scanShard).
+	emits := make([]emission, 0, MappedShardSize+emitSlack)
+	var err error
+	for si, sh := range ft.shards {
+		if !sc.live[si] {
+			continue
+		}
+		sc.scanned += sh.n
+		if sh.wide != nil {
+			emits, err = scanShard(ctx, sc, sh, sh.wide[:sh.n], 0, emits[:0])
+		} else {
+			emits, err = scanShard(ctx, sc, sh, sh.offs[:sh.n], sh.base, emits[:0])
+		}
+		if err != nil {
+			return err
+		}
+		sc.flush(sh, emits)
+	}
+	if m := sc.merged; m != nil {
+		emits = emits[:0]
+		for x, t := range m.times {
+			emits = sc.classify(emits, &sc.slots[sc.slot(t)-1], m.coords[x*ft.nd:(x+1)*ft.nd], ^int32(x))
+		}
+		sc.foldRows(m.values, m.cfs, emits)
+		sc.merged = nil
+		m.release()
+	}
+	return nil
+}
+
+// emitSlack is the room the emission buffer keeps past one emission a
+// tuple, for a tuple that emits several times: a multiple hierarchy
+// rolls it up to several ancestors, a split mapping presents it on
+// several targets.
+const emitSlack = 256
+
+// flush folds the emissions collected from shard sh and empties the
+// buffer and the presented rows they read.
+func (sc *scanner) flush(sh *factShard, emits []emission) []emission {
+	sc.fold(sh, emits)
+	sc.xvals, sc.xcfs, sc.xrows = sc.xvals[:0], sc.xcfs[:0], 0
+	return emits[:0]
+}
+
+// scanShard appends the emissions of shard sh's live tuples to emits,
+// which the caller folds: the scan's loop. Tuple j's instant is base +
+// col[j], col being the shard's narrow offsets or, at base 0, its wide
+// instants; the loop is compiled once per column width, so the choice
+// between them is made once per shard, and base - t0 is taken once, so
+// a tuple's slot costs one add and one read.
+//
+// A tuple read inline emits once. Before a tuple that may emit more
+// goes to present or classify, the collected emissions are folded
+// (flush) unless the buffer has room for emitSlack of them and one for
+// every tuple after it, so a multiple hierarchy never grows the buffer:
+// folding a shard's emissions in several runs folds each cell's in the
+// same tuple order.
+func scanShard[W uint16 | temporal.Instant](ctx context.Context, sc *scanner, sh *factShard, col []W, base temporal.Instant, emits []emission) ([]emission, error) {
 	p, ft := sc.p, sc.ft
-	nd := ft.nd
+	nd, nm := ft.nd, ft.nm
 	hasDead := ft.dead > 0
 	rng := p.rng
 	// In a version mode, which coordinates pass as stored, per dimension.
@@ -498,101 +563,88 @@ func (sc *scanner) scan(ctx context.Context) error {
 	if p.pres != nil {
 		passes = p.pres.pass
 	}
-	dicePos, axisPos, pairs := sc.dicePos, sc.axisPos, sc.pairs
-	na, slotAt, t0 := len(axisPos), sc.slotAt, sc.t0
-	// Most tuples emit once; a multiple hierarchy grows the buffer by
-	// append.
-	emits := make([]emission, 0, MappedShardSize)
+	dicePos, axisPos, pairs, reads := sc.dicePos, sc.axisPos, sc.pairs, sc.reads
+	na, slotAt := len(axisPos), sc.slotAt
+	d := uint64(base - sc.t0)
 	// sl is the slot of the tuple before, cur its ordinal + 1. When the
 	// slot changes to one that reads other axis views (views is the
 	// offset of the ones read), each axis's rollup table up column and
 	// group ordinals are read into reads.
 	var sl *scanSlot
 	cur, views := int32(0), int32(-1)
-	reads := make([]axisRead, na)
-	for si, sh := range ft.shards {
-		if !sc.live[si] {
-			continue
+tuples:
+	for j, o := range col {
+		if j%cancelCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return emits, fmt.Errorf("core: query cancelled: %w", err)
+			}
 		}
-		sc.scanned += sh.n
-		emits, sc.xvals, sc.xcfs, sc.xrows = emits[:0], sc.xvals[:0], sc.xcfs[:0], 0
-	tuples:
-		for j, t := range sh.times[:sh.n] {
-			if j%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: query cancelled: %w", err)
-				}
-			}
-			if hasDead && !sh.isLive(j) {
-				continue // tombstoned by a retraction
-			}
-			// The slot window lies inside the queried range, so an
-			// instant with a slot there needs no range check.
-			i := int32(0)
-			if off := uint64(t - t0); off < uint64(len(slotAt)) {
-				i = slotAt[off]
-			}
-			if i == 0 {
-				if !rng.Contains(t) {
-					continue
-				}
-				i = sc.slot(t)
-			}
-			if i != cur {
-				if cur, sl = i, &sc.slots[i-1]; sl.axes != views {
-					views = sl.axes
-					for ai, v := range sc.axesOf(sl) {
-						reads[ai] = axisRead{v.table.up, v.groups}
-					}
-				}
-			}
-			coords := sh.coords[j*nd : (j+1)*nd]
-			for i, pass := range passes {
-				if !pass[coords[i]] {
-					emits = sc.present(emits, sl, t, coords, sh.values[j*ft.nm:(j+1)*ft.nm])
-					continue tuples
-				}
-			}
-			// The tuple as stored: ordinal → up → group → cell, per axis.
-			if len(dicePos) > 0 && !sc.diced(sl, coords) {
+		if hasDead && !sh.isLive(j) {
+			continue // tombstoned by a retraction
+		}
+		// The slot window lies inside the queried range, so an instant
+		// with a slot there needs no range check.
+		i := int32(0)
+		if off := uint64(o) + d; off < uint64(len(slotAt)) {
+			i = slotAt[off]
+		}
+		if i == 0 {
+			t := base + temporal.Instant(o)
+			if !rng.Contains(t) {
 				continue
 			}
-			cell, ai := sl.prefix, 0
-			for ; ai < na; ai++ {
-				r := &reads[ai]
-				ord, up := coords[axisPos[ai]], r.up
-				if uint(ord) >= uint(len(up)) || up[ord] < 0 {
-					break
+			i = sc.slot(t)
+		}
+		if i != cur {
+			if cur, sl = i, &sc.slots[i-1]; sl.axes != views {
+				views = sl.axes
+				for ai, v := range sc.axesOf(sl) {
+					reads[ai] = axisRead{v.table.up, v.groups}
 				}
-				rows := pairs[ai+1].rows
-				if int(cell) >= len(rows) {
-					break
-				}
-				// A group not interned yet is negative, so out of the row.
-				g, row := r.groups[up[ord]], rows[cell]
-				if uint(g) >= uint(len(row)) || row[g] == 0 {
-					break
-				}
-				cell = row[g] - 1
-			}
-			if na > 0 && ai == na {
-				emits = append(emits, emission{tuple: int32(j), cell: cell})
-			} else {
-				emits = sc.classify(emits, sl, coords, int32(j))
 			}
 		}
-		sc.fold(sh, emits)
-	}
-	if m := sc.merged; m != nil {
-		emits = emits[:0]
-		for x, t := range m.times {
-			emits = sc.classify(emits, &sc.slots[sc.slot(t)-1], m.coords[x*nd:(x+1)*nd], ^int32(x))
+		coords := sh.coords[j*nd : (j+1)*nd]
+		for i, pass := range passes {
+			if !pass[coords[i]] {
+				if cap(emits)-len(emits) < len(col)-j+emitSlack {
+					emits = sc.flush(sh, emits)
+				}
+				emits = sc.present(emits, sl, base+temporal.Instant(o), coords, sh.values[j*nm:(j+1)*nm])
+				continue tuples
+			}
 		}
-		sc.foldRows(m.values, m.cfs, emits)
-		sc.merged = nil
-		m.release()
+		// The tuple as stored: ordinal → up → group → cell, per axis.
+		if len(dicePos) > 0 && !sc.diced(sl, coords) {
+			continue
+		}
+		cell, ai := sl.prefix, 0
+		for ; ai < na; ai++ {
+			r := &reads[ai]
+			ord, up := coords[axisPos[ai]], r.up
+			if uint(ord) >= uint(len(up)) || up[ord] < 0 {
+				break
+			}
+			rows := pairs[ai+1].rows
+			if int(cell) >= len(rows) {
+				break
+			}
+			// A group not interned yet is negative, so out of the row.
+			g, row := r.groups[up[ord]], rows[cell]
+			if uint(g) >= uint(len(row)) || row[g] == 0 {
+				break
+			}
+			cell = row[g] - 1
+		}
+		if na > 0 && ai == na {
+			emits = append(emits, emission{tuple: int32(j), cell: cell})
+			continue
+		}
+		if cap(emits)-len(emits) < len(col)-j+emitSlack {
+			emits = sc.flush(sh, emits)
+		}
+		emits = sc.classify(emits, sl, coords, int32(j))
 	}
-	return nil
+	return emits, nil
 }
 
 // present appends the emissions of one source tuple at instant t that

@@ -67,7 +67,7 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	if ct == bt {
 		t.Fatal("the clone appended through the base's own tail header")
 	}
-	if &ct.times[0] != &bt.times[0] || &ct.coords[0] != &bt.coords[0] || &ct.values[0] != &bt.values[0] {
+	if &ct.offs[0] != &bt.offs[0] || &ct.coords[0] != &bt.coords[0] || &ct.values[0] != &bt.values[0] {
 		t.Error("borrowed tail shard does not alias the base backing arrays")
 	}
 	if bt.n != 100 || ct.n != 101 || ct.sharedBelow != 100 {
@@ -155,7 +155,7 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	borrowed := out.shards[1]
-	if borrowed == baseT.shards[1] || &borrowed.times[0] != &baseT.shards[1].times[0] || borrowed.sharedBelow != 50 {
+	if borrowed == baseT.shards[1] || &borrowed.offs[0] != &baseT.shards[1].offs[0] || borrowed.sharedBelow != 50 {
 		t.Fatalf("append into the partial tail did not borrow it (sharedBelow %d)", borrowed.sharedBelow)
 	}
 	if err := out.Insert(fresh, ym(2600, 1), 3); err != nil {
@@ -170,7 +170,7 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	priv := out.shards[1]
-	if priv == borrowed || &priv.times[0] == &baseT.shards[1].times[0] || priv.sharedBelow != 0 {
+	if priv == borrowed || &priv.offs[0] == &baseT.shards[1].offs[0] || priv.sharedBelow != 0 {
 		t.Fatal("write below sharedBelow wrote into the shared columns")
 	}
 	if baseT.shards[1].values[0] != want1 || priv.values[0] != want1+5 || priv.values[50] != 3 {
@@ -218,7 +218,7 @@ func TestWarmSiblingClonesFoldIndependently(t *testing.T) {
 	}
 	bt, ft, st := base.Facts(), first.Facts(), second.Facts()
 	tail := len(bt.shards) - 1
-	if &ft.shards[tail].times[0] != &bt.shards[tail].times[0] || &st.shards[tail].times[0] == &bt.shards[tail].times[0] {
+	if &ft.shards[tail].offs[0] != &bt.shards[tail].offs[0] || &st.shards[tail].offs[0] == &bt.shards[tail].offs[0] {
 		t.Error("the first sibling must append into the base's tail columns, the second into a copy")
 	}
 

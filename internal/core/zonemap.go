@@ -14,7 +14,7 @@ const zoneDistinctCap = 32
 // shardZone is the zone map of one factShard: the min/max fact instant
 // and, per dimension, the sorted distinct member version ordinals of
 // the live tuples — nil once the shard exceeds zoneDistinctCap of them.
-// A zone describes the shard's coords and times columns and its live
+// A zone describes the shard's coordinates and instants and its live
 // bitmap: a replacing insert (which rewrites values only) keeps it
 // valid, an append invalidates it (FactTable.appendTuple clears the
 // pointer and re-seals a full shard) and a retraction rebuilds it.
@@ -44,15 +44,15 @@ func buildZone(sh *factShard, nd int) *shardZone {
 		return &shardZone{minTime: temporal.Now, maxTime: temporal.Origin}
 	}
 	z := &shardZone{
-		minTime:  sh.times[first],
-		maxTime:  sh.times[first],
+		minTime:  sh.at(first),
+		maxTime:  sh.at(first),
 		distinct: make([][]int32, nd),
 	}
 	for i := first; i < sh.n; i++ {
 		if !sh.isLive(i) {
 			continue
 		}
-		t := sh.times[i]
+		t := sh.at(i)
 		if t < z.minTime {
 			z.minTime = t
 		}

@@ -26,9 +26,12 @@ import (
 // The fields around the rows are written first, into a small buffer,
 // and the rows' length is summed off the result's cells, so an untraced
 // body is allocated once, at exactly its length: the result cache keeps
-// no spare capacity.
+// no spare capacity. Summing formats every value that is not written as
+// an integer, once: the rows copy its text.
 func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNode) []byte {
 	var buf [512]byte
+	var textBuf [1024]byte
+	var lensBuf [64]uint8
 	b := append(buf[:0], '{')
 	res := out.Result
 	if res != nil {
@@ -77,9 +80,10 @@ func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNod
 		b = appendJSONString(b, out.Lineage)
 	}
 	const end = "\n}\n"
-	body := make([]byte, 0, len(b)+rowsLen(res)+len(end))
+	size, vals := rowsLen(res, valueTexts{textBuf[:0], lensBuf[:0]})
+	body := make([]byte, 0, len(b)+size+len(end))
 	body = append(body, b[:rowsAt]...)
-	body = appendResultRows(body, res)
+	body = appendResultRows(body, res, vals)
 	body = append(body, b[rowsAt:]...)
 	if trace != nil {
 		body = appendIndented(body, "trace", trace(body))
@@ -124,8 +128,9 @@ const (
 // clients can index into the response without null checks; groups are
 // index-aligned with the response's groups, values, cfs and colors with
 // its measures, and an unknown value (NaN, or any other non-finite
-// float) is null. rowsLen must count what it writes.
-func appendResultRows(b []byte, res *core.Result) []byte {
+// float) is null. rowsLen must count what it writes, and vals hold the
+// text rowsLen formatted for the values it does not write as integers.
+func appendResultRows(b []byte, res *core.Result, vals valueTexts) []byte {
 	if res == nil || res.Len() == 0 {
 		return append(b, '[', ']')
 	}
@@ -161,7 +166,14 @@ func appendResultRows(b []byte, res *core.Result) []byte {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONValue(append(b, cellIndent...), v)
+			b = append(b, cellIndent...)
+			if integral(v) {
+				b = strconv.AppendInt(b, int64(v), 10)
+				continue
+			}
+			n := int(vals.lens[0])
+			b = append(b, vals.text[:n]...)
+			vals.text, vals.lens = vals.text[n:], vals.lens[1:]
 		}
 		b = append(b, rowCFs...)
 		for k, cf := range cfs {
@@ -182,13 +194,26 @@ func appendResultRows(b []byte, res *core.Result) []byte {
 	return append(b, rowsClose...)
 }
 
-// rowsLen returns the number of bytes appendResultRows writes for res:
+// maxValueLen is the longest text appendJSONValue writes: a negative
+// value just above 1e-6 with seventeen significant digits,
+// "-0.0000012345678901234567".
+const maxValueLen = 25
+
+// valueTexts holds the JSON text of the measure values a body writes
+// other than as integers, in the order it writes them: text is their
+// concatenation, lens[k] the length of the k-th.
+type valueTexts struct {
+	text []byte
+	lens []uint8
+}
+
+// rowsLen returns the number of bytes appendResultRows writes for res —
 // the fixed text every row of the result's shape writes, plus each
-// cell's time key, groups, values, factors and colours as written into
-// a scratch buffer.
-func rowsLen(res *core.Result) int {
+// cell's time key, groups, values, factors and colours — and vals with
+// the text of every value not written as an integer appended.
+func rowsLen(res *core.Result, vals valueTexts) (int, valueTexts) {
 	if res == nil || res.Len() == 0 {
-		return 2
+		return 2, vals
 	}
 	n, na, nq := res.Len(), len(res.GroupNames), len(res.MeasureNames)
 	// array writes nq elements at cellIndent, comma-separated.
@@ -203,6 +228,18 @@ func rowsLen(res *core.Result) int {
 		fixed += len(rowValues) + len(rowCFs) + len(rowColors) + len(rowClose) + 3*array(nq)
 	}
 	size := len("[") + n*fixed + n - 1 + len(rowsClose)
+	// The values' text is sized once, by the longest a value can take.
+	texts := 0
+	for i := range n {
+		for _, v := range res.Values(i) {
+			if !integral(v) {
+				texts++
+			}
+		}
+	}
+	if texts > cap(vals.lens) || texts*maxValueLen > cap(vals.text) {
+		vals = valueTexts{make([]byte, 0, texts*maxValueLen), make([]uint8, 0, texts)}
+	}
 	var buf [64]byte
 	scratch := buf[:0]
 	// Rows come sorted by time bucket: a row mostly repeats the key of
@@ -217,7 +254,14 @@ func rowsLen(res *core.Result) int {
 			size += jsonStringLen(res.Group(i, ai), scratch)
 		}
 		for _, v := range res.Values(i) {
-			size += jsonValueLen(v, scratch)
+			if integral(v) {
+				size += integerLen(v)
+				continue
+			}
+			at := len(vals.text)
+			vals.text = appendJSONValue(vals.text, v)
+			vals.lens = append(vals.lens, uint8(len(vals.text)-at))
+			size += len(vals.text) - at
 		}
 		for _, cf := range res.CFs(i) {
 			if int(cf) < len(cfJSON) {
@@ -227,7 +271,7 @@ func rowsLen(res *core.Result) int {
 			}
 		}
 	}
-	return size
+	return size, vals
 }
 
 // jsonStringLen returns the length appendJSONString writes for s,
@@ -242,22 +286,24 @@ func jsonStringLen(s string, scratch []byte) int {
 	return len(s) + 2
 }
 
-// jsonValueLen returns the length appendJSONValue writes for v: the
-// digits of a nonzero integral value below 2^53 in magnitude (the
-// integer path of appendJSONFloat) are counted, any other value is
-// written into scratch.
-func jsonValueLen(v float64, scratch []byte) int {
-	if abs := math.Abs(v); abs >= 1 && abs < 1<<53 && v == math.Trunc(v) {
-		n := 1
-		if v < 0 {
-			n++
-		}
-		for x := uint64(abs); x >= 10; x /= 10 {
-			n++
-		}
-		return n
+// integral reports whether appendJSONValue writes v as an integer: v is
+// a nonzero integral value below 2^53 in magnitude (the integer path of
+// appendJSONFloat).
+func integral(v float64) bool {
+	abs := math.Abs(v)
+	return abs >= 1 && abs < 1<<53 && v == math.Trunc(v)
+}
+
+// integerLen returns the number of digits, and sign, of an integral v.
+func integerLen(v float64) int {
+	n := 1
+	if v < 0 {
+		n++
 	}
-	return len(appendJSONValue(scratch[:0], v))
+	for x := uint64(math.Abs(v)); x >= 10; x /= 10 {
+		n++
+	}
+	return n
 }
 
 // appendJSONValue writes a measure value: null when it is unknown (NaN,

@@ -48,7 +48,7 @@ const (
 const (
 	secMeta      byte = 1 // JSON snapshotMeta
 	secStructure byte = 2 // the schemaio document without facts
-	secFacts     byte = 3 // core's binary facts codec (core.EncodeFacts)
+	secFacts     byte = 3 // core's binary facts codec (core.WriteFacts)
 	secEnd       byte = 5 // uint32 LE count of the sections before it
 )
 
@@ -98,23 +98,27 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 	}
 	// A bufio.Writer's first error sticks and Flush returns it, so the
 	// writes below go unchecked; a payload larger than the buffer passes
-	// straight through to the file.
+	// straight through to the file. A section's payload, n bytes, is
+	// written by write, through the section's checksum; the facts are
+	// streamed so (core.WriteFacts), never held whole.
 	count := uint32(0)
-	section := func(kind byte, payload []byte) {
+	section := func(kind byte, n int, write func(io.Writer)) {
 		var head [sectionHeaderSize]byte
 		head[0] = kind
-		binary.LittleEndian.PutUint64(head[1:], uint64(len(payload)))
-		sum := crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, payload)
+		binary.LittleEndian.PutUint64(head[1:], uint64(n))
+		sum := crc32.NewIEEE()
+		sum.Write(head[:])
 		bw.Write(head[:])
-		bw.Write(payload)
-		bw.Write(binary.LittleEndian.AppendUint32(nil, sum))
+		write(io.MultiWriter(bw, sum))
+		bw.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
 		count++
 	}
+	payload := func(p []byte) func(io.Writer) { return func(w io.Writer) { w.Write(p) } }
 	bw.WriteString(snapshotMagic)
-	section(secMeta, meta)
-	section(secStructure, structure.Bytes())
-	section(secFacts, core.EncodeFacts(sch))
-	section(secEnd, binary.LittleEndian.AppendUint32(nil, count))
+	section(secMeta, len(meta), payload(meta))
+	section(secStructure, structure.Len(), payload(structure.Bytes()))
+	section(secFacts, core.FactsLen(sch), func(w io.Writer) { core.WriteFacts(w, sch) })
+	section(secEnd, 4, payload(binary.LittleEndian.AppendUint32(nil, count)))
 	return bw.Flush()
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -327,6 +328,56 @@ func TestOpenRefusesUnreadableSoleSnapshot(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestOpenRefusesMVFC02Snapshot: a data directory whose snapshot holds
+// its facts in the MVFC02 codec, the one before this build's, does not
+// recover: with the WAL compacted up to the snapshot, Open refuses to
+// start (the seed would drop the retraction the snapshot covers), naming
+// the file, and the refusal wraps core.ErrFactsVersion.
+// The facts section is this build's with the earlier magic, its CRC
+// recomputed, so the codec's magic is all that refuses it.
+func TestOpenRefusesMVFC02Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, sch, ap, err := Open(dir, seedSchema(t), Options{Logger: quietLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retract := []RetractRecord{{Coords: []string{"Dpt.Smith_id"}, Time: "2001"}}
+	sch = sch.Clone()
+	if _, err := ApplyRetract(sch, retract[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.AppendRetractBatch(retract); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Snapshot(sch, ap.Log(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, data := soleSnapshot(t, dir)
+	out := []byte(snapshotMagic)
+	for _, sec := range sectionSpans(t, data) {
+		payload := data[sec.payload:sec.crc]
+		if sec.kind == secFacts {
+			if !bytes.HasPrefix(payload, []byte("MVFC03")) {
+				t.Fatalf("facts section starts % x", payload[:6])
+			}
+			payload = append([]byte("MVFC02"), payload[6:]...)
+		}
+		head := append([]byte{sec.kind}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
+		out = binary.LittleEndian.AppendUint32(append(append(out, head...), payload...), sum)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = Open(dir, seedSchema(t), Options{Logger: quietLog()})
+	if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Errorf("Open = %v, want a refusal naming %s and wrapping core.ErrFactsVersion", err, filepath.Base(path))
 	}
 }
 

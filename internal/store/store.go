@@ -138,9 +138,11 @@ type Store struct {
 	// SnapshotEvery records later, not on the very next append.
 	snapTried uint64
 	snapBytes int64 // size of the latest snapshot file
-	dirty     bool  // unsynced appends pending (interval policy)
-	closed    bool
-	stats     RecoveryStats
+	// snapErr is why the newest snapshot recovery skipped did not load.
+	snapErr error
+	dirty   bool // unsynced appends pending (interval policy)
+	closed  bool
+	stats   RecoveryStats
 	// appendCh is closed and replaced on every committed append (and on
 	// Close), waking WAL stream readers; never nil.
 	appendCh chan struct{}
@@ -237,6 +239,9 @@ func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, *evolution
 		sch, applier, seq, err := loadSnapshot(data, path)
 		if err != nil {
 			st.logger.Warn("store: skipping unreadable snapshot", "path", path, "err", err)
+			if st.snapErr == nil {
+				st.snapErr = err
+			}
 			continue
 		}
 		st.snapSeq, st.seq, st.snapBytes = seq, seq, int64(len(data))
@@ -244,9 +249,20 @@ func (st *Store) loadLatestSnapshot(seed *core.Schema) (*core.Schema, *evolution
 		return sch, applier, nil
 	}
 	if seed == nil {
-		return nil, nil, fmt.Errorf("store: %s has no readable snapshot%s and no seed schema was given", st.dir, st.unloadedSnapshots())
+		return nil, nil, st.whyUnloaded(fmt.Errorf("store: %s has no readable snapshot%s and no seed schema was given", st.dir, st.unloadedSnapshots()))
 	}
 	return seed, evolution.NewApplier(seed), nil
+}
+
+// whyUnloaded adds to a refusal to start why the newest snapshot that
+// recovery skipped did not load, wrapped, so that a caller can tell a
+// snapshot in an earlier format (core.ErrFactsVersion) from a damaged
+// one.
+func (st *Store) whyUnloaded(err error) error {
+	if st.snapErr == nil {
+		return err
+	}
+	return fmt.Errorf("%w: %w", err, st.snapErr)
 }
 
 // unloadedSnapshots names, for a refusal message, every snapshot-* file
@@ -284,12 +300,12 @@ func (st *Store) replayWAL(sch *core.Schema, applier *evolution.Applier, span *o
 	// directory whose only trace of its history is a snapshot that did
 	// not load. Booting the seed over either drops acknowledged writes.
 	if len(names) > 0 && seqs[0] > expected {
-		return nil, nil, fmt.Errorf("store: %s: missing WAL records %d..%d%s",
-			filepath.Join(st.dir, names[0]), expected, seqs[0]-1, st.unloadedSnapshots())
+		return nil, nil, st.whyUnloaded(fmt.Errorf("store: %s: missing WAL records %d..%d%s",
+			filepath.Join(st.dir, names[0]), expected, seqs[0]-1, st.unloadedSnapshots()))
 	}
 	if len(names) == 0 && st.stats.SnapshotPath == "" {
 		if other := st.unloadedSnapshots(); other != "" {
-			return nil, nil, fmt.Errorf("store: %s has no WAL and no readable snapshot%s", st.dir, other)
+			return nil, nil, st.whyUnloaded(fmt.Errorf("store: %s has no WAL and no readable snapshot%s", st.dir, other))
 		}
 	}
 	var lastScan *walScan

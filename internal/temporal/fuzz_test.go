@@ -26,23 +26,3 @@ func FuzzParseInstant(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseInterval does the same for intervals.
-func FuzzParseInterval(f *testing.F) {
-	for _, s := range []string{"[01/2001 ; Now]", "2001..2002", "[x ; y]", ""} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		if len(input) > 64 {
-			return
-		}
-		iv, err := ParseInterval(input)
-		if err != nil || iv.Empty() {
-			return
-		}
-		back, err := ParseInterval(iv.String())
-		if err != nil || !back.Equal(iv) {
-			t.Fatalf("round trip %q -> %v -> %v (%v)", input, iv, back, err)
-		}
-	})
-}

@@ -97,48 +97,6 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("[%s ; %s]", iv.Start, iv.End)
 }
 
-// ParseInterval parses "[start ; end]" or "start..end" using the instant
-// forms accepted by ParseInstant.
-func ParseInterval(s string) (Interval, error) {
-	raw := s
-	if len(s) >= 2 && s[0] == '[' && s[len(s)-1] == ']' {
-		s = s[1 : len(s)-1]
-	}
-	var a, b string
-	var ok bool
-	if a, b, ok = cut2(s, ";"); !ok {
-		if a, b, ok = cut2(s, ".."); !ok {
-			return Interval{}, fmt.Errorf("temporal: cannot parse interval %q", raw)
-		}
-	}
-	start, err := ParseInstant(a)
-	if err != nil {
-		return Interval{}, err
-	}
-	end, err := ParseInstant(b)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{start, end}, nil
-}
-
-func cut2(s, sep string) (before, after string, found bool) {
-	i := indexOf(s, sep)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+len(sep):], true
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 // Partition slices the hull of the given intervals into the coarsest set
 // of elementary intervals such that every input interval is a union of
 // elementary intervals. This is the construction behind Definition 9 of
