@@ -369,10 +369,11 @@ bench-json:
 # to warm, that shard-sharing clone-swaps and the columnar scan still execute, that
 # evolve_mix's end state still infers its 178 structure versions, that
 # a restart from a snapshot recovers every fact and restores no mode
-# (the benches b.Fatal otherwise), and that a follower bootstraps and
-# catches up to a leader's WAL.
+# (the benches b.Fatal otherwise), that a follower bootstraps and
+# catches up to a leader's WAL, and that the /query body writer still
+# encodes tier M's rollup and drill.
 .PHONY: bench-smoke
 bench-smoke:
 	$(GO) test -json -bench='IncrementalIngest|ShardedSwap|ShardedScan|StructureVersionInference' -benchtime=1x -run='^$$' . > bench-smoke.json
 	$(GO) test -json -bench=SnapshotRestart -benchtime=1x -run='^$$' ./internal/store >> bench-smoke.json
-	$(GO) test -json -bench='FollowerCatchup|ReplicaQueryThroughput' -benchtime=1x -run='^$$' ./internal/server >> bench-smoke.json
+	$(GO) test -json -bench='FollowerCatchup|ReplicaQueryThroughput|EncodeQueryResponse' -benchtime=1x -run='^$$' ./internal/server >> bench-smoke.json

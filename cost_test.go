@@ -212,6 +212,41 @@ func TestCostClone(t *testing.T) {
 	atMost(t, "clone bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 }
 
+// TestCostReclassify: an in-place RECLASSIFY through evolution.Applier
+// truncates and adds the member's own relationships, whatever the other
+// relationships of its dimension: it neither walks nor reindexes them.
+// The benchmark's tiers S and M as generated (500 and 2 000
+// departments); each of eight departments valid past the history moves
+// to another division at its end, through an applier of its own, so
+// that the log's growth is the same in every call; the median.
+func TestCostReclassify(t *testing.T) {
+	var objects [2]float64
+	for i := range costSizes {
+		s := costTier(t, i)
+		d := s.Dimension(workload.OrgDim)
+		at := temporal.Year(workload.StartYear + 6)
+		leaves := d.LeavesAt(at)[:8]
+		os := make([]uint64, len(leaves))
+		for k, mv := range leaves {
+			from, to := d.ParentsAt(mv.ID, at.Prev())[0].ID, core.MVID("div-0")
+			if from == to {
+				to = "div-1"
+			}
+			ops := evolution.ReclassifyMember(workload.OrgDim, mv.ID, at, []core.MVID{from}, []core.MVID{to})
+			a := evolution.NewApplier(s)
+			_, os[k] = allocs(func() {
+				if err := a.Apply(ops...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		objects[i] = float64(median(os))
+		t.Logf("%d relationships: a RECLASSIFY allocates %.0f objects (median)", len(d.Relationships()), objects[i])
+	}
+	atMost(t, "RECLASSIFY objects at 4N", objects[1], 20)
+	atMost(t, "RECLASSIFY objects at 4N over N", objects[1]/objects[0], 1.05)
+}
+
 // TestCostFactBatch: a 64-fact write — clone and insert — costs its
 // batch. The median over 64 writes of one lineage, so that the one
 // write in 64 that opens a tail shard, and the index merges the merge

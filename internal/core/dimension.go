@@ -588,14 +588,16 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 	d.own()
 	mv = d.members[id] // own replaced the shared version with a private copy
 	mv.Valid.End = end
-	for i := range d.rels {
-		r := &d.rels[i]
-		if (r.From == id || r.To == id) && r.Valid.End > end {
-			r.Valid.End = end
-		}
+	emptied := false
+	for _, idx := range d.parentRels[id] {
+		emptied = d.endRel(idx, end) || emptied
 	}
-	// Drop relationships emptied by the truncation.
-	d.compactRels()
+	for _, idx := range d.childRels[id] {
+		emptied = d.endRel(idx, end) || emptied
+	}
+	if emptied {
+		d.compactRels()
+	}
 	d.notifyMutate(true)
 	return nil
 }
@@ -605,16 +607,28 @@ func (d *Dimension) SetEnd(id MVID, end temporal.Instant) error {
 // Relationships emptied by the truncation are dropped.
 func (d *Dimension) EndRelationship(from, to MVID, end temporal.Instant) {
 	d.own()
-	for i := range d.rels {
-		r := &d.rels[i]
-		if r.From == from && r.To == to && r.Valid.End > end {
-			r.Valid.End = end
+	emptied := false
+	for _, idx := range d.parentRels[from] {
+		if d.rels[idx].To == to {
+			emptied = d.endRel(idx, end) || emptied
 		}
 	}
-	d.compactRels()
+	if emptied {
+		d.compactRels()
+	}
 	d.notifyMutate(true)
 }
 
+// endRel truncates the relationship at rels[idx] to end at end, and
+// reports whether that emptied it.
+func (d *Dimension) endRel(idx int, end temporal.Instant) bool {
+	r := &d.rels[idx]
+	r.Valid.End = min(r.Valid.End, end)
+	return r.Valid.Empty()
+}
+
+// compactRels drops the emptied relationships, which reindexes the
+// rest: rels never holds an empty one.
 func (d *Dimension) compactRels() {
 	kept := d.rels[:0]
 	for _, r := range d.rels {

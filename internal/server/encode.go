@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"mvolap/internal/core"
@@ -21,18 +22,15 @@ import (
 // contractual: encode_test.go compares it with encoding/json byte for
 // byte. trace, when not nil, is called with the body's fields once they
 // are written and returns the span tree the body ends with, so a traced
-// request's tree can say what writing them cost.
+// request's tree can say what writing them cost; it must not keep the
+// slice it is given, which is scratch.
 //
-// The fields around the rows are written first, into a small buffer,
-// and the rows' length is summed off the result's cells, so an untraced
-// body is allocated once, at exactly its length: the result cache keeps
-// no spare capacity. Summing formats every value that is not written as
-// an integer, once: the rows copy its text.
+// The body is written once, front to back, into scratch reused across
+// calls, and copied out at exactly its length: the result cache keeps
+// no spare capacity.
 func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNode) []byte {
-	var buf [512]byte
-	var textBuf [1024]byte
-	var lensBuf [64]uint8
-	b := append(buf[:0], '{')
+	scratch := bodyScratch.Get().(*[]byte)
+	b := append((*scratch)[:0], '{')
 	res := out.Result
 	if res != nil {
 		if len(res.MeasureNames) > 0 {
@@ -47,7 +45,7 @@ func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNod
 		}
 	}
 	b = append(b, "\n  \"rows\": "...)
-	rowsAt := len(b)
+	b = appendResultRows(b, res)
 	if res != nil && res.Mode.String() != "" {
 		b = append(b, ",\n  \"mode\": "...)
 		b = appendJSONString(b, res.Mode.String())
@@ -79,17 +77,19 @@ func encodeQueryResponse(out *tql.Output, trace func(fields []byte) *obs.SpanNod
 		b = append(b, ",\n  \"lineage\": "...)
 		b = appendJSONString(b, out.Lineage)
 	}
-	const end = "\n}\n"
-	size, vals := rowsLen(res, valueTexts{textBuf[:0], lensBuf[:0]})
-	body := make([]byte, 0, len(b)+size+len(end))
-	body = append(body, b[:rowsAt]...)
-	body = appendResultRows(body, res, vals)
-	body = append(body, b[rowsAt:]...)
 	if trace != nil {
-		body = appendIndented(body, "trace", trace(body))
+		b = appendIndented(b, "trace", trace(b))
 	}
-	return append(body, end...)
+	b = append(b, "\n}\n"...)
+	body := make([]byte, len(b))
+	copy(body, b)
+	*scratch = b
+	bodyScratch.Put(scratch)
+	return body
 }
+
+// bodyScratch holds the buffers encodeQueryResponse writes bodies in.
+var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendIndented writes a further top-level field of the body, its
 // value encoded by encoding/json at the field's depth; a value
@@ -128,9 +128,8 @@ const (
 // clients can index into the response without null checks; groups are
 // index-aligned with the response's groups, values, cfs and colors with
 // its measures, and an unknown value (NaN, or any other non-finite
-// float) is null. rowsLen must count what it writes, and vals hold the
-// text rowsLen formatted for the values it does not write as integers.
-func appendResultRows(b []byte, res *core.Result, vals valueTexts) []byte {
+// float) is null.
+func appendResultRows(b []byte, res *core.Result) []byte {
 	if res == nil || res.Len() == 0 {
 		return append(b, '[', ']')
 	}
@@ -166,14 +165,7 @@ func appendResultRows(b []byte, res *core.Result, vals valueTexts) []byte {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, cellIndent...)
-			if integral(v) {
-				b = strconv.AppendInt(b, int64(v), 10)
-				continue
-			}
-			n := int(vals.lens[0])
-			b = append(b, vals.text[:n]...)
-			vals.text, vals.lens = vals.text[n:], vals.lens[1:]
+			b = appendJSONValue(append(b, cellIndent...), v)
 		}
 		b = append(b, rowCFs...)
 		for k, cf := range cfs {
@@ -192,118 +184,6 @@ func appendResultRows(b []byte, res *core.Result, vals valueTexts) []byte {
 		b = append(b, rowClose...)
 	}
 	return append(b, rowsClose...)
-}
-
-// maxValueLen is the longest text appendJSONValue writes: a negative
-// value just above 1e-6 with seventeen significant digits,
-// "-0.0000012345678901234567".
-const maxValueLen = 25
-
-// valueTexts holds the JSON text of the measure values a body writes
-// other than as integers, in the order it writes them: text is their
-// concatenation, lens[k] the length of the k-th.
-type valueTexts struct {
-	text []byte
-	lens []uint8
-}
-
-// rowsLen returns the number of bytes appendResultRows writes for res —
-// the fixed text every row of the result's shape writes, plus each
-// cell's time key, groups, values, factors and colours — and vals with
-// the text of every value not written as an integer appended.
-func rowsLen(res *core.Result, vals valueTexts) (int, valueTexts) {
-	if res == nil || res.Len() == 0 {
-		return 2, vals
-	}
-	n, na, nq := res.Len(), len(res.GroupNames), len(res.MeasureNames)
-	// array writes nq elements at cellIndent, comma-separated.
-	array := func(nq int) int { return nq*len(cellIndent) + nq - 1 }
-	fixed := len(rowOpen) + len(rowGroups) + 2
-	if na > 0 {
-		fixed += array(na) - 1 + len(groupsClose)
-	}
-	if nq == 0 {
-		fixed += len(rowNoValues)
-	} else {
-		fixed += len(rowValues) + len(rowCFs) + len(rowColors) + len(rowClose) + 3*array(nq)
-	}
-	size := len("[") + n*fixed + n - 1 + len(rowsClose)
-	// The values' text is sized once, by the longest a value can take.
-	texts := 0
-	for i := range n {
-		for _, v := range res.Values(i) {
-			if !integral(v) {
-				texts++
-			}
-		}
-	}
-	if texts > cap(vals.lens) || texts*maxValueLen > cap(vals.text) {
-		vals = valueTexts{make([]byte, 0, texts*maxValueLen), make([]uint8, 0, texts)}
-	}
-	var buf [64]byte
-	scratch := buf[:0]
-	// Rows come sorted by time bucket: a row mostly repeats the key of
-	// the row before.
-	key, keyLen := "", 2
-	for i := range n {
-		if k := res.TimeKey(i); k != key {
-			key, keyLen = k, jsonStringLen(k, scratch)
-		}
-		size += keyLen
-		for ai := range na {
-			size += jsonStringLen(res.Group(i, ai), scratch)
-		}
-		for _, v := range res.Values(i) {
-			if integral(v) {
-				size += integerLen(v)
-				continue
-			}
-			at := len(vals.text)
-			vals.text = appendJSONValue(vals.text, v)
-			vals.lens = append(vals.lens, uint8(len(vals.text)-at))
-			size += len(vals.text) - at
-		}
-		for _, cf := range res.CFs(i) {
-			if int(cf) < len(cfJSON) {
-				size += len(cfJSON[cf]) + len(colorJSON[cf])
-			} else {
-				size += len(appendCF(scratch[:0], cf)) + len(appendColor(scratch[:0], cf))
-			}
-		}
-	}
-	return size, vals
-}
-
-// jsonStringLen returns the length appendJSONString writes for s,
-// writing it into scratch only when s holds a byte that is escaped or
-// starts a multi-byte character.
-func jsonStringLen(s string, scratch []byte) int {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return len(appendJSONString(scratch[:0], s))
-		}
-	}
-	return len(s) + 2
-}
-
-// integral reports whether appendJSONValue writes v as an integer: v is
-// a nonzero integral value below 2^53 in magnitude (the integer path of
-// appendJSONFloat).
-func integral(v float64) bool {
-	abs := math.Abs(v)
-	return abs >= 1 && abs < 1<<53 && v == math.Trunc(v)
-}
-
-// integerLen returns the number of digits, and sign, of an integral v.
-func integerLen(v float64) int {
-	n := 1
-	if v < 0 {
-		n++
-	}
-	for x := uint64(math.Abs(v)); x >= 10; x /= 10 {
-		n++
-	}
-	return n
 }
 
 // appendJSONValue writes a measure value: null when it is unknown (NaN,

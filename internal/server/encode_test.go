@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mvolap/internal/core"
@@ -12,6 +13,7 @@ import (
 	"mvolap/internal/quality"
 	"mvolap/internal/temporal"
 	"mvolap/internal/tql"
+	"mvolap/internal/workload"
 )
 
 // refResponse and refRow spell the wire form out for encoding/json: the
@@ -244,126 +246,227 @@ func TestEncodeNonFiniteValuesAreNull(t *testing.T) {
 	}
 }
 
-// TestEncodeQueryResponseRandomized cross-checks the encoder against
-// encoding/json on seeded random outputs of every statement kind,
-// untraced and traced: 500 SELECT results, then 100 each of rankings,
-// mode lists and lineages. Each result's cells are written from its
-// columns and compared with encoding/json of its Rows. The results draw
-// random row counts down to none, group and measure counts from none to
-// three, random strings over a byte alphabet rich in escapes, random
-// floats spanning the format-switch boundaries and the integer path's
-// edges, unknown values (NaN, ±Inf) and confidence factors outside the
-// four codes.
-func TestEncodeQueryResponseRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// outputGen draws seeded random outputs of every statement kind: a
+// SELECT result with a random row count down to none, group and measure
+// counts from none to three, random strings over a byte alphabet rich in
+// escapes, random floats spanning the format-switch boundaries and the
+// integer path's edges, unknown values (NaN, ±Inf) and confidence
+// factors outside the four codes; and rankings, mode lists and lineages.
+type outputGen struct{ rng *rand.Rand }
+
+func (g outputGen) str() string {
 	alphabet := []byte("ab \"\\<>&\n\r\t\x00\x1fé\xff日")
-	randStr := func() string {
-		n := rng.Intn(12)
-		b := make([]byte, 0, n)
-		for i := 0; i < n; i++ {
-			b = append(b, alphabet[rng.Intn(len(alphabet))])
-		}
-		return string(b)
+	n := g.rng.Intn(12)
+	b := make([]byte, 0, n)
+	for i := 0; i < n; i++ {
+		b = append(b, alphabet[g.rng.Intn(len(alphabet))])
 	}
-	randStrs := func() []string {
-		switch rng.Intn(4) {
-		case 0:
-			return nil
-		case 1:
-			return []string{}
-		}
-		out := make([]string, rng.Intn(3)+1)
-		for i := range out {
-			out[i] = randStr()
-		}
-		return out
+	return string(b)
+}
+
+func (g outputGen) strs() []string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return []string{}
 	}
-	randFloat := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 7:
-			return math.Inf(1 - 2*rng.Intn(2))
-		case 6:
-			return integralEdges[rng.Intn(len(integralEdges))]
-		case 1:
-			return rng.Float64() * 1e-6 * 2 // straddles the 'e' switch
-		case 2:
-			return rng.Float64() * 2e21
-		case 3:
-			return -rng.NormFloat64() * 1e3
-		case 4:
-			return math.NaN()
-		default:
-			return float64(rng.Intn(10000)) / 16
-		}
+	out := make([]string, g.rng.Intn(3)+1)
+	for i := range out {
+		out[i] = g.str()
 	}
-	// A quality factor is finite: encoding/json cannot write NaN or ±Inf.
-	randQuality := func() float64 {
-		if q := randFloat(); !math.IsNaN(q) && !math.IsInf(q, 0) {
-			return q
-		}
-		return 1
+	return out
+}
+
+func (g outputGen) float() float64 {
+	switch g.rng.Intn(8) {
+	case 0:
+		return 0
+	case 7:
+		return math.Inf(1 - 2*g.rng.Intn(2))
+	case 6:
+		return integralEdges[g.rng.Intn(len(integralEdges))]
+	case 1:
+		return g.rng.Float64() * 1e-6 * 2 // straddles the 'e' switch
+	case 2:
+		return g.rng.Float64() * 2e21
+	case 3:
+		return -g.rng.NormFloat64() * 1e3
+	case 4:
+		return math.NaN()
+	default:
+		return float64(g.rng.Intn(10000)) / 16
 	}
-	randMode := func() core.Mode {
-		if rng.Intn(3) == 0 {
-			return core.TCM()
-		}
-		return core.InVersion(&core.StructureVersion{ID: randStr(), Valid: temporal.Between(temporal.Instant(rng.Intn(50)), temporal.Now)})
+}
+
+// quality is finite: encoding/json cannot write NaN or ±Inf.
+func (g outputGen) quality() float64 {
+	if q := g.float(); !math.IsNaN(q) && !math.IsInf(q, 0) {
+		return q
 	}
-	// Every statement kind but SELECT, drawn on top of the SELECT trials.
-	others := []func() *tql.Output{
-		func() *tql.Output { // QUALITY
-			out := &tql.Output{}
-			for i := rng.Intn(4); i > 0; i-- {
-				out.Ranking = append(out.Ranking, tql.ModeQuality{Mode: randMode(), Quality: randQuality()})
+	return 1
+}
+
+func (g outputGen) mode() core.Mode {
+	if g.rng.Intn(3) == 0 {
+		return core.TCM()
+	}
+	return core.InVersion(&core.StructureVersion{ID: g.str(), Valid: temporal.Between(temporal.Instant(g.rng.Intn(50)), temporal.Now)})
+}
+
+// selectOut draws a SELECT's output.
+func (g outputGen) selectOut() *tql.Output {
+	res := core.Result{
+		MeasureNames: g.strs(),
+		GroupNames:   g.strs(),
+		Mode:         core.InVersion(&core.StructureVersion{ID: g.str()}),
+		Dropped:      g.rng.Intn(3),
+	}
+	var rows []*core.Row
+	if g.rng.Intn(8) > 0 {
+		rows = []*core.Row{}
+		for i := g.rng.Intn(24); i > 0; i-- {
+			row := &core.Row{TimeKey: g.str(), Groups: []string{}}
+			for range res.GroupNames {
+				row.Groups = append(row.Groups, g.str())
 			}
-			if len(out.Ranking) > 0 {
-				out.Quality = out.Ranking[0].Quality
+			for range res.MeasureNames {
+				row.Values = append(row.Values, g.float())
+				row.CFs = append(row.CFs, core.Confidence(g.rng.Intn(6)))
 			}
-			return out
-		},
-		func() *tql.Output { // MODES
-			out := &tql.Output{}
-			for i := rng.Intn(4); i > 0; i-- {
-				out.Modes = append(out.Modes, randMode())
-			}
-			return out
-		},
-		func() *tql.Output { return &tql.Output{Lineage: randStr()} }, // EXPLAIN
+			rows = append(rows, row)
+		}
 	}
+	return selectOutput(g.quality(), res, rows)
+}
+
+// otherOut draws the output of a statement of another kind than SELECT:
+// QUALITY, MODES and EXPLAIN in turn as trial counts up.
+func (g outputGen) otherOut(trial int) *tql.Output {
+	out := &tql.Output{}
+	switch trial % 3 {
+	case 0: // QUALITY
+		for i := g.rng.Intn(4); i > 0; i-- {
+			out.Ranking = append(out.Ranking, tql.ModeQuality{Mode: g.mode(), Quality: g.quality()})
+		}
+		if len(out.Ranking) > 0 {
+			out.Quality = out.Ranking[0].Quality
+		}
+	case 1: // MODES
+		for i := g.rng.Intn(4); i > 0; i-- {
+			out.Modes = append(out.Modes, g.mode())
+		}
+	default: // EXPLAIN
+		out.Lineage = g.str()
+	}
+	return out
+}
+
+// TestEncodeQueryResponseRandomized cross-checks the encoder against
+// encoding/json on outputGen's seeded random outputs, untraced and
+// traced: 500 SELECT results, then 100 each of rankings, mode lists and
+// lineages. Each result's cells are written from its columns and
+// compared with encoding/json of its Rows.
+func TestEncodeQueryResponseRandomized(t *testing.T) {
+	g := outputGen{rand.New(rand.NewSource(11))}
 	for trial := 0; trial < 500; trial++ {
-		res := core.Result{
-			MeasureNames: randStrs(),
-			GroupNames:   randStrs(),
-			Mode:         core.InVersion(&core.StructureVersion{ID: randStr()}),
-			Dropped:      rng.Intn(3),
-		}
-		var rows []*core.Row
-		if rng.Intn(8) > 0 {
-			rows = []*core.Row{}
-			for i := rng.Intn(24); i > 0; i-- {
-				row := &core.Row{TimeKey: randStr(), Groups: []string{}}
-				for range res.GroupNames {
-					row.Groups = append(row.Groups, randStr())
-				}
-				for range res.MeasureNames {
-					row.Values = append(row.Values, randFloat())
-					row.CFs = append(row.CFs, core.Confidence(rng.Intn(6)))
-				}
-				rows = append(rows, row)
-			}
-		}
-		requireWireForm(t, selectOutput(randQuality(), res, rows))
+		out := g.selectOut()
+		requireWireForm(t, out)
 		if t.Failed() {
-			t.Fatalf("trial %d: %+v", trial, res)
+			t.Fatalf("trial %d: %+v", trial, out.Result)
 		}
 	}
 	for trial := 0; trial < 300; trial++ {
-		out := others[trial%len(others)]()
+		out := g.otherOut(trial)
 		requireWireForm(t, out)
 		if t.Failed() {
 			t.Fatalf("trial %d: %+v", trial, out)
 		}
+	}
+}
+
+// TestEncodeQueryResponseConcurrent: bodies written at once by several
+// goroutines, which share the encoder's scratch, are each their own.
+// Eight goroutines encode their own random outputs many times; every
+// body equals encoding/json's, is allocated at exactly its length, and
+// is unchanged once all of them have finished.
+func TestEncodeQueryResponseConcurrent(t *testing.T) {
+	const workers, outputs, rounds = 8, 24, 20
+	type job struct {
+		out  *tql.Output
+		want []byte
+	}
+	jobs := make([][]job, workers)
+	for w := range jobs {
+		g := outputGen{rand.New(rand.NewSource(int64(100 + w)))}
+		for i := 0; i < outputs; i++ {
+			var out *tql.Output
+			if i%4 == 3 {
+				out = g.otherOut(i)
+			} else {
+				out = g.selectOut()
+			}
+			jobs[w] = append(jobs[w], job{out, referenceJSON(t, out, nil)})
+		}
+	}
+	bodies := make([][][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, j := range jobs[w] {
+					got := encodeQueryResponse(j.out, nil)
+					if string(got) != string(j.want) {
+						t.Errorf("worker %d: body diverges from encoding/json\n got: %q\nwant: %q", w, got, j.want)
+						return
+					}
+					bodies[w] = append(bodies[w], got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, bs := range bodies {
+		for i, got := range bs {
+			if want := jobs[w][i%outputs].want; string(got) != string(want) || cap(got) != len(got) {
+				t.Fatalf("worker %d body %d changed after the others finished (len %d cap %d)\n got: %q\nwant: %q",
+					w, i, len(got), cap(got), got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEncodeQueryResponse writes the /query bodies of the
+// benchmark's tier M warehouse (the cost suite's tier M config: 2 000
+// departments, 144k facts, two measures): a division × year rollup and
+// a department × year drill. An op allocates its body and nothing else,
+// so B/op is body-bytes/op up to the allocator's size classes.
+func BenchmarkEncodeQueryResponse(b *testing.B) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 1, Divisions: 8, Departments: 2000, Years: 6,
+		EvolutionsPerYear: 20, FactsPerYear: 12, Measures: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, stmt string }{
+		{"rollup", "SELECT * BY Org.Division, TIME.YEAR MODE tcm"},
+		{"drill", "SELECT * BY Org.Department, TIME.YEAR MODE tcm"},
+	} {
+		out, err := tql.Run(w.Schema, bc.stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			body := encodeQueryResponse(out, nil) // the scratch grows once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body = encodeQueryResponse(out, nil)
+			}
+			b.ReportMetric(float64(len(body)), "body-bytes/op")
+		})
 	}
 }

@@ -446,7 +446,8 @@ func (p *parser) parseInstant(endOfRange bool) (temporal.Instant, error) {
 	return temporal.Year(yr), nil
 }
 
-// Plan turns a parsed SELECT into a core query against the schema.
+// Plan turns a parsed SELECT into a core query against the schema. A
+// statement without WHERE TIME ranges over temporal.Always.
 func (st *Statement) Plan(s *core.Schema) (core.Query, error) {
 	if st.Kind == KindModes {
 		return core.Query{}, fmt.Errorf("tql: MODES has no query plan")
@@ -454,6 +455,7 @@ func (st *Statement) Plan(s *core.Schema) (core.Query, error) {
 	q := core.Query{
 		Measures: st.Measures,
 		Grain:    st.Grain,
+		Range:    temporal.Always,
 	}
 	if st.HasRange {
 		q.Range = st.Range
@@ -635,7 +637,8 @@ func RunCachedContext(ctx context.Context, s *core.Schema, input string, w quali
 }
 
 // runSelect answers one planned SELECT: it probes the cache under the
-// plan's key, scans on a miss and puts what it scanned.
+// plan's key, scans on a miss and puts what it scanned under the
+// plan's range.
 func runSelect(ctx context.Context, s *core.Schema, q core.Query, w quality.Weights, cache *ResultCache) (*Output, error) {
 	var key cacheKey
 	if cache != nil {
@@ -656,13 +659,7 @@ func runSelect(ctx context.Context, s *core.Schema, q core.Query, w quality.Weig
 	}
 	out := &Output{Result: res, Quality: quality.Of(res, w)}
 	if cache != nil {
-		// The effective range mirrors the executor: a statement
-		// without WHERE TIME scans everything.
-		rng := q.Range
-		if rng == (temporal.Interval{}) {
-			rng = temporal.Always
-		}
-		cache.put(key, s.SwapID(), rng, out)
+		cache.put(key, s.SwapID(), q.Range, out)
 	}
 	return out, nil
 }
