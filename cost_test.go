@@ -268,11 +268,12 @@ func TestCostFactBatch(t *testing.T) {
 }
 
 // TestCostRetract: an 8-fact retraction — clone, then eight facts in
-// eight distinct shards — allocates per fact and per shard it
-// privatizes, not per stored fact: no index entry is written or
-// rebuilt.
+// eight distinct shards — allocates per fact and per shard it writes a
+// live bit in, not per stored fact: no index entry is written or
+// rebuilt, and no shard's columns are copied, only its header and live
+// bitmap.
 func TestCostRetract(t *testing.T) {
-	var objects [2]float64
+	var bytes, objects [2]float64
 	for i, months := range costSizes {
 		s := costWarehouse(t, months)
 		var targets []core.Fact
@@ -284,7 +285,7 @@ func TestCostRetract(t *testing.T) {
 			k++
 			return len(targets) < 8
 		})
-		_, o := allocs(func() {
+		b, o := allocs(func() {
 			c := s.Clone()
 			for _, f := range targets {
 				if _, err := c.RetractFact(f.Coords, f.Time); err != nil {
@@ -292,11 +293,13 @@ func TestCostRetract(t *testing.T) {
 				}
 			}
 		})
-		objects[i] = float64(o)
-		t.Logf("%d facts: an 8-fact retract allocates %.0f objects", s.Facts().Len(), objects[i])
+		bytes[i], objects[i] = float64(b), float64(o)
+		t.Logf("%d facts: an 8-fact retract allocates %.0f B in %.0f objects", s.Facts().Len(), bytes[i], objects[i])
 	}
 	atMost(t, "8-fact retract objects at 4N", objects[1], 120)
 	atMost(t, "8-fact retract objects at 4N over N", objects[1]/objects[0], 1.05)
+	atMost(t, "8-fact retract bytes at 4N", bytes[1], 24_000)
+	atMost(t, "8-fact retract bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 }
 
 // TestCostKeyIndexMerges: along a lineage of 2 000 writes of 64 facts,

@@ -82,8 +82,9 @@ type factShard struct {
 	// (tailShard).
 	claim *atomic.Int32
 	// sharedBelow is the prefix of the columns this header shares with
-	// the header it borrowed them from (see FactTable.borrow): slots
-	// below it are read by other generations, so writing one privatizes.
+	// the header it was borrowed from (see FactTable.borrow): slots
+	// below it are read by other generations, so writing their columns
+	// privatizes. The live bitmap is the header's own at every slot.
 	sharedBelow int
 	// coords holds n*nd member version ordinals (MemberVersion.ord in
 	// the table's dimension, position by position) and values n*nm
@@ -148,11 +149,12 @@ func (sh *factShard) holds(t temporal.Instant) bool {
 // A table is single-writer while it is built and read-only once
 // published. A write never mutates a published table: it takes a
 // copy-on-write clone — shared shards and shared frozen index layers —
-// and writes the clone. Appends borrow the shared partial tail shard (a
-// header of the clone's own over the same columns, after claiming the
-// next slot; tailShard); a replacement or a tombstone in a shared slot
-// privatizes that one shard (per-shard epochs and sharedBelow, see
-// writableShard).
+// and writes the clone. An append borrows the shared partial tail shard
+// (a header of the clone's own over the same columns, after claiming
+// the next slot; tailShard), and a tombstone takes such a header,
+// without the claim, over the shard whose live bit it clears
+// (tombstone); a replacement in a shared slot privatizes that one shard
+// (per-shard epochs and sharedBelow, see writableShard).
 type FactTable struct {
 	shards []*factShard
 	// shardsShared says another table holds the shards slice too (a
@@ -309,10 +311,11 @@ func (ft *FactTable) Facts() []*Fact {
 }
 
 // Retract removes the fact at (coords, t), returning a copy of the
-// removed tuple: an index lookup
-// and a tombstone in the slot (tombstone), whose shard is privatized
-// first when another generation may read it, as on the first retraction
-// after a Clone. The surviving facts keep their insertion order.
+// removed tuple: an index lookup and a tombstone in the slot
+// (tombstone), which copies the shard's header and live bitmap, never
+// its columns, when another generation may read it, as on the first
+// retraction in a shard after a Clone. The surviving facts keep their
+// insertion order.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	pos, ok := ft.locate(coords, t)
 	if !ok {
@@ -358,10 +361,17 @@ func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bo
 // place (positional indexing over fixed-size shards must never shift)
 // but its live bit is cleared, so every view, scan and index probe
 // skips it and a later insert on the same coordinates appends a fresh
-// tuple. The index keeps the slot's entry until a merge drops it.
+// tuple. The index keeps the slot's entry until a merge drops it. The
+// bit is the header's own, so the table clears it in place in a header
+// it owns, even below sharedBelow, and in a shard another table owns it
+// first takes a header of its own over the same columns (borrow): a
+// retraction copies a 512-byte bitmap, not the shard's columns.
 func (ft *FactTable) tombstone(pos int) {
-	j := pos & shardMask
-	sh := ft.writableShard(pos>>shardShift, j)
+	si, j := pos>>shardShift, pos&shardMask
+	sh := ft.shards[si]
+	if sh.epoch != ft.epoch {
+		sh = ft.borrow(si)
+	}
 	sh.live[j>>6] &^= 1 << (uint(j) & 63)
 	ft.dead++
 	t := sh.at(j)
@@ -375,7 +385,8 @@ func (ft *FactTable) tombstone(pos int) {
 // shares the source's list of shard headers until its first write
 // copies it — never the tuples — and takes a fresh epoch, so every
 // inherited shard is shared: an append borrows the partial tail
-// (tailShard), a write into a shared slot privatizes its shard
+// (tailShard), a tombstone takes a header of its own over its shard
+// (tombstone), a replacement in a shared slot privatizes its shard
 // (writableShard). The receiver takes a fresh epoch and shares its list
 // of shard headers too, so neither table writes a shard, or a list, the
 // other reads.
@@ -498,10 +509,10 @@ func (ft *FactTable) live(pos int) bool {
 	return sh.isLive(j)
 }
 
-// writableShard returns shard si for a write into its slot j,
-// privatizing it first when the slot may be read by another table: the
-// shard carries another table's epoch (shared), or j lies below the
-// prefix a borrowed tail shares.
+// writableShard returns shard si for a write into the columns of its
+// slot j, privatizing it first when the slot may be read by another
+// table: the shard carries another table's epoch (shared), or j lies
+// below the prefix the header shares (sharedBelow).
 func (ft *FactTable) writableShard(si, j int) *factShard {
 	sh := ft.shards[si]
 	if sh.epoch != ft.epoch || j < sh.sharedBelow {
@@ -532,8 +543,9 @@ func (ft *FactTable) newShard(base temporal.Instant, wide bool) *factShard {
 
 // privatize copies shard si into a new shard this table owns, its
 // instant column as wide as the source's. This is the whole
-// copy-on-write cost of a write into a shared slot: O(MappedShardSize)
-// once per (table, shard), never per tuple.
+// copy-on-write cost of a replacement in a shared slot, an append whose
+// claim another generation won, or a widening of a borrowed tail:
+// O(MappedShardSize) once per (table, shard), never per tuple.
 func (ft *FactTable) privatize(si int) *factShard {
 	ft.ownShards()
 	src := ft.shards[si]
@@ -562,10 +574,12 @@ func (ft *FactTable) ownShards() {
 }
 
 // borrow puts a header of this table's own over the columns of shard
-// si, whose next slot this table has just claimed: the first n slots
-// stay shared with the header it came from (sharedBelow), the slots
-// from n on are this table's to append to, in place. The live bitmap is
-// the header's own: borrow copies it.
+// si: the first n slots stay shared with the header it came from
+// (sharedBelow), so their columns are only read, and the slots from n
+// on are this table's to append to, in place, once it wins the claim
+// on them (tailShard). The live bitmap is the header's own: borrow
+// copies it. An append takes one over a partial tail after claiming its
+// next slot, a tombstone one over any shard, without a claim.
 func (ft *FactTable) borrow(si int) *factShard {
 	ft.ownShards()
 	src := ft.shards[si]

@@ -196,7 +196,7 @@ type tableLineage struct {
 // storePaths counts the writes that reached each copy-on-write path of
 // the store; siblings on two goroutines count into one.
 type storePaths struct {
-	replacePrivatized, retractPrivatized, claimLost atomic.Int64
+	replacePrivatized, retractBorrowed, claimLost atomic.Int64
 }
 
 func (l *tableLineage) find(c Coords, at temporal.Instant) int {
@@ -213,8 +213,9 @@ func (l *tableLineage) fork() *tableLineage {
 }
 
 // insert and retract write through the fact table, counting the path
-// the write takes: into a slot of a shard another generation reads
-// (privatized first), or an append whose tail slot a sibling claimed.
+// the write takes: into a slot of a shard another generation reads (a
+// replacement privatizes the shard first, a retraction borrows a header
+// over it), or an append whose tail slot a sibling claimed.
 func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
 	ft := l.s.Facts()
 	if pos, ok := ft.locate(c, at); ok {
@@ -231,14 +232,14 @@ func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
 
 func (l *tableLineage) retract(c Coords, at temporal.Instant) (*Fact, bool) {
 	ft := l.s.Facts()
-	if pos, ok := ft.locate(c, at); ok && l.sharedSlot(pos) {
-		l.paths.retractPrivatized.Add(1)
+	if pos, ok := ft.locate(c, at); ok && ft.shards[pos>>shardShift].epoch != ft.epoch {
+		l.paths.retractBorrowed.Add(1)
 	}
 	return ft.Retract(c, at)
 }
 
 // sharedSlot reports whether another generation may read the slot at
-// pos, so a write there privatizes its shard.
+// pos, so a replacement there privatizes its shard.
 func (l *tableLineage) sharedSlot(pos int) bool {
 	ft := l.s.Facts()
 	sh := ft.shards[pos>>shardShift]
@@ -472,7 +473,7 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 			}
 			for path, n := range map[string]int64{
 				"a replacing insert into a shared shard": paths.replacePrivatized.Load(),
-				"a retract from a shared shard":          paths.retractPrivatized.Load(),
+				"a retract from a shared shard":          paths.retractBorrowed.Load(),
 				"an append whose tail claim was lost":    paths.claimLost.Load(),
 			} {
 				if n == 0 {

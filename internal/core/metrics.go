@@ -26,10 +26,10 @@ var (
 		"Fact-table storage shards shared wholesale (header copy only) by copy-on-write clones.")
 	metShardsPrivatized = obs.Default().Counter(
 		"mvolap_mvft_shards_privatized_total",
-		"Shared fact-table storage shards copied because a write (a replacement or a retraction) went into a slot another generation still reads.")
+		"Shared fact-table storage shards copied because a write went into the columns of a slot another generation still reads (a replacement, an append whose slot a sibling claimed, a widening of a borrowed tail); a retraction copies none.")
 	metShardsBorrowed = obs.Default().Counter(
 		"mvolap_mvft_shards_borrowed_total",
-		"Shared partial tail shards a clone appended to in place after claiming the next slot (a header of its own over the same columns, no copy).")
+		"Shared shards a clone took a header of its own over, with a copy of the live bitmap and no column copy: a partial tail it appends to in place after claiming the next slot, or a shard whose live bit a retraction clears.")
 	metDimensionCopies = obs.Default().CounterVec(
 		"mvolap_dimension_copies_total",
 		"Dimensions whose members and relationships a mutator copied because a clone still shared them (one per dimension an evolve touches; none for a fact batch).",

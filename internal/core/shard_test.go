@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -177,6 +178,159 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 		t.Errorf("after privatizing: base %v, clone %v/%v; want %v, %v/3",
 			baseT.shards[1].values[0], priv.values[0], priv.values[50], want1, want1+5)
 	}
+}
+
+// TestRetractBorrowsHeaderNotColumns: a retraction writes one live bit,
+// which belongs to a shard's header alone, so a retraction on a clone
+// takes a header of the clone's own over the source's columns — the
+// same backing arrays, a copied bitmap, no claim — and copies no
+// column. The source keeps its header and its answers; a later write
+// into the columns (a replacement) still privatizes, and a re-inserted
+// key appends afresh. In a partial tail the header shares the source's
+// claim: the retracting clone appends in place, a sibling that comes
+// second loses the claim and privatizes.
+func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
+	const n = 2*MappedShardSize + 100
+	base := bigTCMSchema(t, n)
+	baseT := base.Facts()
+	before := answers(t, base)
+	bt := baseT.shards[0]
+	btLive, btN, btEpoch := slices.Clone(bt.live), bt.n, bt.epoch
+	facts := baseT.Facts()
+	dead, kept := facts[17], facts[5]
+
+	privatized, borrowed := metShardsPrivatized.Value(), metShardsBorrowed.Value()
+	g1 := base.Clone()
+	if _, err := g1.RetractFact(dead.Coords, dead.Time); err != nil {
+		t.Fatal(err)
+	}
+	g1T := g1.Facts()
+	ct := g1T.shards[0]
+	if ct == bt || ct.epoch != g1T.epoch {
+		t.Fatal("the retraction cleared the bit in the source's header")
+	}
+	if &ct.coords[0] != &bt.coords[0] || &ct.values[0] != &bt.values[0] || &ct.offs[0] != &bt.offs[0] {
+		t.Error("the retraction copied the shard's columns, want its header over the source's")
+	}
+	if &ct.live[0] == &bt.live[0] || ct.isLive(17) || !ct.isLive(16) || ct.n != bt.n || ct.sharedBelow != bt.n {
+		t.Errorf("the retracting header: own bitmap %v, bit 17 %v, n %d, sharedBelow %d; want own, cleared, %d, %d",
+			&ct.live[0] != &bt.live[0], ct.isLive(17), ct.n, ct.sharedBelow, bt.n, bt.n)
+	}
+	if g1T.shards[1] != baseT.shards[1] || g1T.shards[2] != baseT.shards[2] {
+		t.Error("a retraction in shard 0 touched another shard")
+	}
+	if !slices.Equal(bt.live, btLive) || bt.n != btN || bt.epoch != btEpoch || bt.sharedBelow != 0 {
+		t.Error("the retraction changed the source's header")
+	}
+	if got := metShardsPrivatized.Value() - privatized; got != 0 {
+		t.Errorf("%d shards privatized by a retraction, want 0", got)
+	}
+	if got := metShardsBorrowed.Value() - borrowed; got != 1 {
+		t.Errorf("%d shards borrowed by a retraction, want 1", got)
+	}
+	// A second retraction in a header the table owns clears the bit in
+	// place, below sharedBelow as well.
+	if _, err := g1.RetractFact(facts[18].Coords, facts[18].Time); err != nil {
+		t.Fatal(err)
+	}
+	if g1T.shards[0] != ct || ct.isLive(18) || !bt.isLive(18) || metShardsBorrowed.Value()-borrowed != 1 {
+		t.Error("a second retraction in an owned header did not clear its bit in place")
+	}
+	requireSameAnswers(t, "source after the retraction", answers(t, base), before)
+	if _, ok := baseT.Lookup(dead.Coords, dead.Time); !ok {
+		t.Error("the retracted fact left the source")
+	}
+	if _, ok := g1T.Lookup(dead.Coords, dead.Time); ok || g1T.Len() != n-2 {
+		t.Errorf("the clone still holds the retracted fact, or holds %d facts, want %d", g1T.Len(), n-2)
+	}
+	modesMatchCold(t, "retracting clone", g1)
+	mid := answers(t, g1)
+
+	// A replacing insert writes a column: it privatizes, in the next
+	// generation and in a retracting table itself, below sharedBelow of
+	// the header it owns, and neither older generation sees it.
+	privatized = metShardsPrivatized.Value()
+	own := base.Clone()
+	if _, err := own.RetractFact(facts[18].Coords, facts[18].Time); err != nil {
+		t.Fatal(err)
+	}
+	ownT := own.Facts()
+	oh := ownT.shards[0]
+	if err := own.InsertFact(facts[6].Coords, facts[6].Time, -1); err != nil {
+		t.Fatal(err)
+	}
+	if p := ownT.shards[0]; p == oh || oh.epoch != ownT.epoch || &p.values[0] == &bt.values[0] || p.isLive(18) || p.values[6] != -1 {
+		t.Error("a replacement below sharedBelow of the table's own header did not privatize it with its bitmap")
+	}
+	g2 := g1.Clone()
+	if err := g2.InsertFact(kept.Coords, kept.Time, kept.Values[0]+5); err != nil {
+		t.Fatal(err)
+	}
+	g2T := g2.Facts()
+	if p := g2T.shards[0]; p == ct || &p.values[0] == &bt.values[0] || p.isLive(17) || p.values[5] != kept.Values[0]+5 {
+		t.Error("a replacement into the borrowed header did not privatize it with its bitmap")
+	}
+	if got := metShardsPrivatized.Value() - privatized; got != 2 {
+		t.Errorf("%d shards privatized by two replacements, want 2", got)
+	}
+	if bt.values[5] != kept.Values[0] || ct.values[5] != kept.Values[0] || bt.values[6] != facts[6].Values[0] {
+		t.Error("a replacement wrote into the shared columns")
+	}
+	requireSameAnswers(t, "source after the replacements", answers(t, base), before)
+	requireSameAnswers(t, "retracting generation after the replacement", answers(t, g1), mid)
+
+	// Re-inserting the retracted key appends a fresh tuple at the end;
+	// the tombstoned slot stays dead.
+	if err := g2.InsertFact(dead.Coords, dead.Time, 7); err != nil {
+		t.Fatal(err)
+	}
+	if g2T.n != n+1 || g2T.shards[0].isLive(17) || !g2T.shards[2].isLive(100) {
+		t.Errorf("re-insert: %d tuples, slot 17 live %v; want a fresh tuple at %d", g2T.n, g2T.shards[0].isLive(17), n)
+	}
+	if v, ok := g2T.Lookup(dead.Coords, dead.Time); !ok || v[0] != 7 {
+		t.Errorf("re-inserted fact = %v, %v; want 7", v, ok)
+	}
+	modesMatchCold(t, "re-inserting generation", g2)
+
+	// A retraction in the partial tail shares the tail's claim: the
+	// retracting clone appends in place behind the shared prefix, and a
+	// sibling appending after it has lost the claim and privatizes.
+	base = bigTCMSchema(t, MappedShardSize+100)
+	before = answers(t, base)
+	baseT = base.Facts()
+	tail := baseT.shards[1]
+	f10 := baseT.Facts()[MappedShardSize+10]
+	c1, c2 := base.Clone(), base.Clone()
+	privatized, borrowed = metShardsPrivatized.Value(), metShardsBorrowed.Value()
+	if _, err := c1.RetractFact(f10.Coords, f10.Time); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.InsertFact(Coords{"Smith"}, ym(2600, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	c1t := c1.Facts().shards[1]
+	if c1t == tail || &c1t.coords[0] != &tail.coords[0] || c1t.claim != tail.claim || c1t.n != 101 || c1t.isLive(10) || !c1t.isLive(100) {
+		t.Error("the retracting clone did not append in place behind its borrowed tail header")
+	}
+	if p, b := metShardsPrivatized.Value()-privatized, metShardsBorrowed.Value()-borrowed; p != 0 || b != 1 {
+		t.Errorf("retract then append: %d privatized, %d borrowed; want 0, 1", p, b)
+	}
+	if err := c2.InsertFact(Coords{"Brian"}, ym(2700, 1), 2); err != nil {
+		t.Fatal(err)
+	}
+	c2t := c2.Facts().shards[1]
+	if &c2t.coords[0] == &tail.coords[0] || c2t.n != 101 || !c2t.isLive(10) {
+		t.Error("the sibling appended into the columns the retracting clone claimed")
+	}
+	if p := metShardsPrivatized.Value() - privatized; p != 1 {
+		t.Errorf("the sibling privatized %d shards, want 1", p)
+	}
+	if tail.n != 100 || !tail.isLive(10) || tail.isLive(100) {
+		t.Error("the source's tail header changed")
+	}
+	requireSameAnswers(t, "source of the siblings", answers(t, base), before)
+	modesMatchCold(t, "retracting sibling", c1)
+	modesMatchCold(t, "second sibling", c2)
 }
 
 // TestWarmSiblingClonesFoldIndependently holds the claim rule on the

@@ -78,9 +78,11 @@ type fileFact struct {
 func Write(w io.Writer, s *core.Schema) error { return write(w, s, true) }
 
 // WriteStructure serializes everything but the facts: the same
-// document with no "facts" member, which Read loads as a warehouse
-// with an empty fact table. The store's snapshot container carries it
-// beside the facts in their binary codec (core.WriteFacts).
+// document with no "facts" member, written compact (no indentation),
+// which Read loads as a warehouse with an empty fact table. The store's
+// snapshot container carries it beside the facts in their binary codec
+// (core.WriteFacts); Read ignores whitespace, so a structure written
+// indented loads alike.
 func WriteStructure(w io.Writer, s *core.Schema) error { return write(w, s, false) }
 
 func write(w io.Writer, s *core.Schema, withFacts bool) error {
@@ -126,7 +128,10 @@ func write(w io.Writer, s *core.Schema, withFacts bool) error {
 		})
 	}
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	if withFacts {
+		// The whole document is for human readers.
+		enc.SetIndent("", "  ")
+	}
 	return enc.Encode(out)
 }
 

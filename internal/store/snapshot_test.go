@@ -118,6 +118,49 @@ func evolvedContainer(t testing.TB) []byte {
 	return containerBytes(t, sch, ap.Log(), 3)
 }
 
+// TestSnapshotLoadsIndentedStructure: the structure section is written
+// compact, and a container whose structure section is indented, as
+// every snapshot written before it was, loads to the same warehouse:
+// the same answers in every mode, and a container re-encoded from it
+// identical to the compact one byte for byte.
+func TestSnapshotLoadsIndentedStructure(t *testing.T) {
+	sch, ap := evolvedSchema(t)
+	data := containerBytes(t, sch, ap.Log(), 3)
+	indented := []byte(snapshotMagic)
+	for _, sec := range sectionSpans(t, data) {
+		payload := data[sec.payload:sec.crc]
+		if sec.kind == secStructure {
+			if n := bytes.Count(payload, []byte("\n")); n != 1 || !json.Valid(payload) {
+				t.Fatalf("structure section holds %d newlines, want a compact document and its trailing newline", n)
+			}
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, payload, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			payload = buf.Bytes()
+		}
+		head := append([]byte{sec.kind}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
+		indented = binary.LittleEndian.AppendUint32(append(append(indented, head...), payload...), sum)
+	}
+	if len(indented) <= len(data) {
+		t.Fatalf("indented container has %d bytes, the compact one %d", len(indented), len(data))
+	}
+	back, backAp, seq, err := loadSnapshot(indented, "indented")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 3 {
+		t.Errorf("indented container loads at seq %d, want 3", seq)
+	}
+	if !reflect.DeepEqual(modeAnswers(t, back), modeAnswers(t, sch)) {
+		t.Error("the indented container answers differently from the warehouse it froze")
+	}
+	if !bytes.Equal(containerBytes(t, back, backAp.Log(), seq), data) {
+		t.Error("the warehouse loaded from the indented container re-encodes to other bytes")
+	}
+}
+
 // TestSnapshotRefusesKind4Section: a container holding the kind-4
 // section an earlier build wrote its cached modes under is refused
 // like any misplaced kind, even with every CRC intact. No older facts
@@ -487,6 +530,11 @@ func TestOpenSweepsStaleSnapshotTemp(t *testing.T) {
 // the size of the file it writes: a writer that rendered the file in
 // memory (let alone several times over, as the JSON envelope did) cannot
 // stay under it. Every mode is built first, and none of it is written.
+// With the structure section written compact the ratio reads 1.34–1.73×
+// in plain runs and 1.60–2.32× under the race detector (whose sync.Pool
+// drops the JSON encoder's scratch); the bound is the highest of those
+// plus about a fifth. An indented structure section read 2.64× (3.26×
+// under race).
 func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-fact warehouse")
@@ -514,8 +562,8 @@ func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	allocated, size := after.TotalAlloc-before.TotalAlloc, uint64(st.SnapshotBytes())
 	t.Logf("%d facts, %d modes built, file %d bytes, allocated %d (%.2fx)",
 		sch.Facts().Len(), len(sch.Modes()), size, allocated, float64(allocated)/float64(size))
-	if allocated > 4*size {
-		t.Errorf("Snapshot allocated %d bytes for a %d-byte file (> 4x)", allocated, size)
+	if float64(allocated) > 2.75*float64(size) {
+		t.Errorf("Snapshot allocated %d bytes for a %d-byte file (> 2.75x)", allocated, size)
 	}
 }
 
