@@ -67,7 +67,7 @@ deps-check:
 # layer is a second read path starting.
 #
 # The fact table's columns have one binary codec, beside them in
-# internal/core (MVFC03, core.WriteFacts): a fact-codec magic ("MVFC…
+# internal/core (MVFC04, core.WriteFacts): a fact-codec magic ("MVFC…
 # or "MVMT…) in non-test Go code anywhere else is a second on-disk
 # representation of the facts starting.
 WRITE_PATH = ./internal/store/mutation.go

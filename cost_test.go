@@ -132,8 +132,8 @@ func TestCostFactStoreBytes(t *testing.T) {
 		perFact float64
 	}
 	rows := []row{
-		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 26},
-		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 34},
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 21},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 23},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
@@ -168,15 +168,16 @@ func TestCostFactStoreBytes(t *testing.T) {
 // its ordinals, its instant and its values, whatever the size of the
 // store: on the ingest warehouse (one measure) and the benchmark's
 // tiers S and M (two), loaded member by member, a fact's instant is
-// almost always a month from the one before, one byte.
+// almost always a month from the one before, one byte, and a whole
+// amount below 64 in magnitude one byte, below 8 192 two.
 func TestCostSnapshotFactBytes(t *testing.T) {
 	rows := []struct {
 		name  string
 		build func(i int) *core.Schema
 		bound float64
 	}{
-		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 11.5},
-		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 19.5},
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 6},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 9},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
@@ -300,6 +301,52 @@ func TestCostRetract(t *testing.T) {
 	atMost(t, "8-fact retract objects at 4N over N", objects[1]/objects[0], 1.05)
 	atMost(t, "8-fact retract bytes at 4N", bytes[1], 24_000)
 	atMost(t, "8-fact retract bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+}
+
+// TestCostCorrect: a correction — clone, then one replacement of an
+// existing fact — copies the one shard it writes into, at its width. On
+// the benchmark's tiers S and M as generated (two measures, whole
+// amounts), a whole replacement copies a narrow shard: int32 ordinals,
+// 16-bit instant offsets and int16 values. A fractional one copies the
+// shard straight into a float64 value column, never narrow first.
+func TestCostCorrect(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		delta  float64
+		bytes  float64 // bound at 4N
+		object float64
+	}{
+		{"whole", 1, 44_000, 18},
+		{"fractional", 0.5, 92_008, 18},
+	} {
+		var bytes, objects [2]float64
+		for i := range costSizes {
+			s := costTier(t, i)
+			var target core.Fact
+			k := 0
+			s.Facts().All(func(f *core.Fact) bool {
+				target = core.Fact{Coords: f.Coords.Clone(), Time: f.Time, Values: append([]float64(nil), f.Values...)}
+				k++
+				return k <= 17
+			})
+			for m := range target.Values {
+				target.Values[m] += c.delta
+			}
+			bs, os := make([]uint64, 5), make([]uint64, 5)
+			for r := range bs {
+				bs[r], os[r] = allocs(func() {
+					if err := s.Clone().InsertFact(target.Coords, target.Time, target.Values...); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+			t.Logf("%d facts: a %s correction allocates %.0f B in %.0f objects (median)", s.Facts().Len(), c.name, bytes[i], objects[i])
+		}
+		atMost(t, c.name+" correction bytes at 4N", bytes[1], c.bytes)
+		atMost(t, c.name+" correction objects at 4N", objects[1], c.object)
+		atMost(t, c.name+" correction bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	}
 }
 
 // TestCostKeyIndexMerges: along a lineage of 2 000 writes of 64 facts,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -87,10 +88,10 @@ type factShard struct {
 	// privatizes. The live bitmap is the header's own at every slot.
 	sharedBelow int
 	// coords holds n*nd member version ordinals (MemberVersion.ord in
-	// the table's dimension, position by position) and values n*nm
-	// entries. No column holds a pointer. Shards a table creates or
-	// privatizes have columns of capacity MappedShardSize tuples, so
-	// appends never reallocate them.
+	// the table's dimension, position by position), and the value
+	// column n*nm entries. No column holds a pointer. Shards a table
+	// creates or privatizes have columns of capacity MappedShardSize
+	// tuples, so appends never reallocate them.
 	coords []int32
 	// The instant column, read through at: while the shard is narrow,
 	// slot j's instant is base + offs[j], in wrapping int64 arithmetic,
@@ -99,20 +100,32 @@ type factShard struct {
 	// span below their first instant, and every header over the same
 	// columns carries it; an append outside the narrow window widens the
 	// column (widen).
-	base   temporal.Instant
-	offs   []uint16
-	wide   []temporal.Instant
+	base temporal.Instant
+	offs []uint16
+	wide []temporal.Instant
+	// The value column, read through valuesAt: while the shard is
+	// narrow, ints holds every value, each one an integer that narrow
+	// holds exactly, and values is nil; once widened, values holds them
+	// as float64 and ints is nil. A shard starts narrow; a write of a
+	// value ints cannot hold widens it (widen, writableShard).
+	ints   []int16
 	values []float64
 	// live has bit j set while slot j holds a fact: an append sets it, a
 	// retraction clears it. Unlike the columns it belongs to the header
 	// alone (borrow copies it), so a write into it never touches a word
 	// another generation reads.
-	live []uint64
+	live *[shardWords]uint64
 	// zone caches the shard's zone map (min/max time, per-dimension
 	// distinct coordinates). Sealed when the shard fills, invalidated
 	// by appends, carried across privatize (the copy has identical
 	// coordinates and instants), rebuilt lazily by the query scan otherwise.
 	zone atomic.Pointer[shardZone]
+}
+
+// cloneLive returns a copy of a live bitmap.
+func cloneLive(live *[shardWords]uint64) *[shardWords]uint64 {
+	cp := *live
+	return &cp
 }
 
 // isLive reports whether slot j holds a fact.
@@ -132,6 +145,101 @@ func (sh *factShard) at(j int) temporal.Instant {
 // column takes any instant, a narrow one those in its window.
 func (sh *factShard) holds(t temporal.Instant) bool {
 	return sh.wide != nil || uint64(t-sh.base) < narrowSpan
+}
+
+// narrow returns v as an int16 when that holds it exactly: an integer
+// in int16's range, and not −0. NaN, ±Inf, −0 and fractions have no
+// narrow form. The range is tested before converting, since Go leaves
+// an out-of-range conversion to the implementation.
+func narrow(v float64) (int16, bool) {
+	if !(v >= math.MinInt16 && v <= math.MaxInt16) {
+		return 0, false
+	}
+	i := int16(v)
+	return i, float64(i) == v && (i != 0 || !math.Signbit(v))
+}
+
+// fits reports whether the value column can take values as they are: a
+// float64 column takes any value, a narrow one those narrow holds.
+func (sh *factShard) fits(values []float64) bool {
+	if sh.values != nil {
+		return true
+	}
+	for _, v := range values {
+		if _, ok := narrow(v); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// valuesAt copies the values of slot j, one per measure, into dst and
+// returns it: the one reader of the value column outside the scan's
+// fold (foldRows) and the codec's integer path (appendVarints), which
+// read the column themselves.
+func (sh *factShard) valuesAt(dst []float64, j int) []float64 {
+	nm := len(dst)
+	if sh.values != nil {
+		copy(dst, sh.values[j*nm:(j+1)*nm])
+		return dst
+	}
+	for k, v := range sh.ints[j*nm : (j+1)*nm] {
+		dst[k] = float64(v)
+	}
+	return dst
+}
+
+// appendValues appends a tuple's values, which the value column must
+// fit (fits).
+func (sh *factShard) appendValues(values []float64) {
+	if sh.values != nil {
+		sh.values = append(sh.values, values...)
+		return
+	}
+	for _, v := range values {
+		i, _ := narrow(v)
+		sh.ints = append(sh.ints, i)
+	}
+}
+
+// setValues writes the values of slot j in place; the value column
+// must fit them.
+func (sh *factShard) setValues(j int, values []float64) {
+	nm := len(values)
+	if sh.values != nil {
+		copy(sh.values[j*nm:(j+1)*nm], values)
+		return
+	}
+	for k, v := range values {
+		sh.ints[j*nm+k], _ = narrow(v)
+	}
+}
+
+// wideInstants returns a copy of the shard's instants as a wide column.
+func (sh *factShard) wideInstants() []temporal.Instant {
+	wide := make([]temporal.Instant, sh.n, MappedShardSize)
+	if sh.wide != nil {
+		copy(wide, sh.wide)
+		return wide
+	}
+	for j, o := range sh.offs {
+		wide[j] = sh.base + temporal.Instant(o)
+	}
+	return wide
+}
+
+// wideValues returns a copy of the shard's values, nm a tuple, as a
+// float64 column.
+func (sh *factShard) wideValues(nm int) []float64 {
+	values := make([]float64, sh.n*nm, MappedShardSize*nm)
+	if sh.values != nil {
+		copy(values, sh.values)
+		return values
+	}
+	for k, v := range sh.ints {
+		values[k] = float64(v)
+	}
+	return values
 }
 
 // FactTable is the Temporally Consistent Fact Table f of Definition 5: a
@@ -229,7 +337,7 @@ func (ft *FactTable) Bytes() (columns, index int) {
 	columns = 8 * cap(ft.shards)
 	for _, sh := range ft.shards {
 		columns += int(unsafe.Sizeof(*sh)+unsafe.Sizeof(*sh.claim)) +
-			4*cap(sh.coords) + 2*cap(sh.offs) + 8*cap(sh.wide) + 8*cap(sh.values) + 8*cap(sh.live)
+			4*cap(sh.coords) + 2*cap(sh.offs) + 8*cap(sh.wide) + 2*cap(sh.ints) + 8*cap(sh.values) + 8*len(sh.live)
 	}
 	return columns, ft.index.bytes()
 }
@@ -249,26 +357,27 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 	h := tupleKey(ords, t)
 	ft.noteWrite(t)
 	if pos, ok := ft.find(h, ords, t); ok {
-		nm, j := ft.nm, pos&shardMask
-		sh := ft.writableShard(pos>>shardShift, j)
-		copy(sh.values[j*nm:(j+1)*nm], values)
+		j := pos & shardMask
+		ft.writableShard(pos>>shardShift, j, values).setValues(j, values)
 	} else {
 		ft.appendTuple(h, ords, t, values)
 	}
 	return nil
 }
 
-// Lookup returns the values at the given coordinates and time, valid
-// until the table's next write. It is safe for concurrent use as long
-// as no Insert or Retract runs.
+// Lookup returns the values at the given coordinates and time in a
+// fresh slice of the caller's: a narrow shard holds no float64 to
+// alias, so the values are copied out of every shard, and the slice
+// aliases nothing of the table and stays valid across its writes. It
+// is safe for concurrent use as long as no Insert or Retract runs. A
+// caller that needs only whether the fact exists uses locate.
 func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool) {
 	pos, ok := ft.locate(coords, t)
 	if !ok {
 		return nil, false
 	}
 	sh, j := ft.shardAt(pos)
-	nm := ft.nm
-	return sh.values[j*nm : (j+1)*nm : (j+1)*nm], true
+	return sh.valuesAt(make([]float64, ft.nm), j), true
 }
 
 // All yields the stored facts in insertion order, translating each
@@ -276,12 +385,12 @@ func (ft *FactTable) Lookup(coords Coords, t temporal.Instant) ([]float64, bool)
 // returns false. The yielded Fact is the walk's scratch: its fields are
 // valid only until yield returns.
 func (ft *FactTable) All(yield func(*Fact) bool) {
-	nd, nm := ft.nd, ft.nm
-	f := &Fact{Coords: make(Coords, nd)}
+	nd := ft.nd
+	f := &Fact{Coords: make(Coords, nd), Values: make([]float64, ft.nm)}
 	ft.each(func(sh *factShard, j int) bool {
 		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
 		f.Time = sh.at(j)
-		f.Values = sh.values[j*nm : (j+1)*nm : (j+1)*nm]
+		sh.valuesAt(f.Values, j)
 		return yield(f)
 	})
 }
@@ -298,8 +407,7 @@ func (ft *FactTable) Facts() []*Fact {
 		i := len(arena)
 		c := coords[i*nd : (i+1)*nd : (i+1)*nd]
 		ft.ids(c, sh.coords[j*nd:(j+1)*nd])
-		v := values[i*nm : (i+1)*nm : (i+1)*nm]
-		copy(v, sh.values[j*nm:(j+1)*nm])
+		v := sh.valuesAt(values[i*nm:(i+1)*nm:(i+1)*nm], j)
 		arena = append(arena, Fact{Coords: c, Time: sh.at(j), Values: v})
 		return true
 	})
@@ -322,8 +430,7 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 		return nil, false
 	}
 	sh, j := ft.shardAt(pos)
-	nm := ft.nm
-	f := &Fact{Coords: coords.Clone(), Time: t, Values: slices.Clone(sh.values[j*nm : (j+1)*nm])}
+	f := &Fact{Coords: coords.Clone(), Time: t, Values: sh.valuesAt(make([]float64, ft.nm), j)}
 	ft.tombstone(pos)
 	sh = ft.shards[pos>>shardShift]
 	sh.zone.Store(buildZone(sh, ft.nd))
@@ -509,54 +616,69 @@ func (ft *FactTable) live(pos int) bool {
 	return sh.isLive(j)
 }
 
-// writableShard returns shard si for a write into the columns of its
-// slot j, privatizing it first when the slot may be read by another
-// table: the shard carries another table's epoch (shared), or j lies
-// below the prefix the header shares (sharedBelow).
-func (ft *FactTable) writableShard(si, j int) *factShard {
+// writableShard returns shard si for a write of values into the
+// columns of its slot j. It privatizes the shard first when the slot
+// may be read by another table: the shard carries another table's epoch
+// (shared), or j lies below the prefix the header shares (sharedBelow).
+// It widens the value column when narrow cannot hold a value, under
+// widen's rule: in place in a shard no other header reads, by
+// privatizing straight into the wide form otherwise.
+func (ft *FactTable) writableShard(si, j int, values []float64) *factShard {
 	sh := ft.shards[si]
-	if sh.epoch != ft.epoch || j < sh.sharedBelow {
-		sh = ft.privatize(si)
+	wideVals := !sh.fits(values)
+	switch {
+	case sh.epoch != ft.epoch || j < sh.sharedBelow || wideVals && sh.sharedBelow > 0:
+		sh = ft.privatize(si, false, wideVals)
+	case wideVals:
+		sh.ints, sh.values = nil, sh.wideValues(ft.nm)
 	}
 	return sh
 }
 
-// newShard returns an empty shard owned by this table, its columns
-// allocated at their full capacity — its instant column narrow at base,
-// or wide — with a fresh claim on them.
-func (ft *FactTable) newShard(base temporal.Instant, wide bool) *factShard {
-	sh := &factShard{
+// newShard returns an empty, narrow shard owned by this table, its
+// instant column at base, its columns allocated at their full capacity,
+// with a fresh claim on them.
+func (ft *FactTable) newShard(base temporal.Instant) *factShard {
+	return &factShard{
 		epoch:  ft.epoch,
 		claim:  new(atomic.Int32),
 		coords: make([]int32, 0, MappedShardSize*ft.nd),
 		base:   base,
-		values: make([]float64, 0, MappedShardSize*ft.nm),
-		live:   make([]uint64, shardWords),
+		offs:   make([]uint16, 0, MappedShardSize),
+		ints:   make([]int16, 0, MappedShardSize*ft.nm),
+		live:   new([shardWords]uint64),
 	}
-	if wide {
-		sh.wide = make([]temporal.Instant, 0, MappedShardSize)
-	} else {
-		sh.offs = make([]uint16, 0, MappedShardSize)
-	}
-	return sh
 }
 
-// privatize copies shard si into a new shard this table owns, its
-// instant column as wide as the source's. This is the whole
-// copy-on-write cost of a replacement in a shared slot, an append whose
-// claim another generation won, or a widening of a borrowed tail:
-// O(MappedShardSize) once per (table, shard), never per tuple.
-func (ft *FactTable) privatize(si int) *factShard {
+// privatize copies shard si into a new shard this table owns, each of
+// its instant and value columns as wide as the source's, or wide where
+// wideAt or wideVals asks, so a widening copies the shard once. This is
+// the whole copy-on-write cost of a replacement in a shared slot, an
+// append whose claim another generation won, or a widening of a shard
+// another header reads: O(MappedShardSize) once per (table, shard),
+// never per tuple.
+func (ft *FactTable) privatize(si int, wideAt, wideVals bool) *factShard {
 	ft.ownShards()
 	src := ft.shards[si]
-	cp := ft.newShard(src.base, src.wide != nil)
-	cp.n = src.n
+	cp := &factShard{
+		epoch:  ft.epoch,
+		n:      src.n,
+		claim:  new(atomic.Int32),
+		coords: append(make([]int32, 0, MappedShardSize*ft.nd), src.coords...),
+		base:   src.base,
+		live:   cloneLive(src.live),
+	}
 	cp.claim.Store(int32(src.n))
-	cp.coords = append(cp.coords, src.coords...)
-	cp.offs = append(cp.offs, src.offs...)
-	cp.wide = append(cp.wide, src.wide...)
-	cp.values = append(cp.values, src.values...)
-	copy(cp.live, src.live)
+	if wideAt || src.wide != nil {
+		cp.wide = src.wideInstants()
+	} else {
+		cp.offs = append(make([]uint16, 0, MappedShardSize), src.offs...)
+	}
+	if wideVals || src.values != nil {
+		cp.values = src.wideValues(ft.nm)
+	} else {
+		cp.ints = append(make([]int16, 0, MappedShardSize*ft.nm), src.ints...)
+	}
 	// The copy has identical coords and instants, so the zone map
 	// carries over; the first append into the copy clears it.
 	cp.zone.Store(src.zone.Load())
@@ -592,58 +714,64 @@ func (ft *FactTable) borrow(si int) *factShard {
 		base:        src.base,
 		offs:        src.offs,
 		wide:        src.wide,
+		ints:        src.ints,
 		values:      src.values,
-		live:        slices.Clone(src.live),
+		live:        cloneLive(src.live),
 	}
 	ft.shards[si] = sh
 	metShardsBorrowed.Inc()
 	return sh
 }
 
-// tailShard returns the shard the next appended tuple, at instant t,
-// lands in, its next slot claimed for this table and its instant column
-// able to take t. A full tail gets a fresh shard behind it, whose narrow
-// window is centred on t. A partial tail is appended to in place when
-// this table wins the claim on its next slot — borrowed first if the
-// header is another table's — and privatized otherwise: the slot was
-// taken by another generation. A narrow column whose window misses t is
-// widened.
-func (ft *FactTable) tailShard(t temporal.Instant) *factShard {
+// tailShard returns the shard the next appended tuple, at instant t
+// with the given values, lands in, its next slot claimed for this table
+// and its columns able to take the tuple. A full tail gets a fresh shard
+// behind it, whose narrow window is centred on t. A partial tail is
+// appended to in place when this table wins the claim on its next slot
+// — borrowed first if the header is another table's — and privatized
+// otherwise: the slot was taken by another generation. A narrow column
+// that cannot take the tuple is widened.
+func (ft *FactTable) tailShard(t temporal.Instant, values []float64) *factShard {
 	if len(ft.shards) == 0 || ft.shards[len(ft.shards)-1].n == MappedShardSize {
 		ft.ownShards()
-		ft.shards = append(ft.shards, ft.newShard(t-narrowSpan/2, false))
+		ft.shards = append(ft.shards, ft.newShard(t-narrowSpan/2))
 	}
 	si := len(ft.shards) - 1
 	sh := ft.shards[si]
 	if !sh.claim.CompareAndSwap(int32(sh.n), int32(sh.n+1)) {
-		sh = ft.privatize(si)
+		sh = ft.privatize(si, !sh.holds(t), !sh.fits(values))
 		sh.claim.Add(1)
 	} else if sh.epoch != ft.epoch {
 		sh = ft.borrow(si)
 	}
-	if !sh.holds(t) {
-		sh = ft.widen(si)
+	if !sh.holds(t) || !sh.fits(values) {
+		sh = ft.widen(si, t, values)
 	}
 	return sh
 }
 
-// widen gives tail shard si, whose next slot this table has claimed, a
-// wide instant column holding the instants of its narrow one. Widening
-// never writes a column another header reads: a borrowed tail shares
-// its columns, so it is privatized first (the copy's claim taking the
-// slot the shared one gave up) and the copy widened; a shard the table
-// owns alone gets the wide column in place of its narrow one.
-func (ft *FactTable) widen(si int) *factShard {
+// widen gives tail shard si, whose next slot this table has claimed,
+// the wide columns a tuple at instant t with the given values needs: a
+// wide instant column when t misses the narrow window, a float64 value
+// column when narrow cannot hold a value. Widening never writes a
+// column another header reads: a borrowed tail shares its columns, so
+// it is privatized straight into the wide form (the copy's claim taking
+// the slot the shared one gave up); a shard the table owns alone gets
+// the wide column in place of its narrow one.
+func (ft *FactTable) widen(si int, t temporal.Instant, values []float64) *factShard {
 	sh := ft.shards[si]
+	wideAt, wideVals := !sh.holds(t), !sh.fits(values)
 	if sh.sharedBelow > 0 {
-		sh = ft.privatize(si)
+		sh = ft.privatize(si, wideAt, wideVals)
 		sh.claim.Add(1)
+		return sh
 	}
-	wide := make([]temporal.Instant, sh.n, MappedShardSize)
-	for j := range wide {
-		wide[j] = sh.at(j)
+	if wideAt {
+		sh.offs, sh.wide = nil, sh.wideInstants()
 	}
-	sh.offs, sh.wide = nil, wide
+	if wideVals {
+		sh.ints, sh.values = nil, sh.wideValues(ft.nm)
+	}
 	return sh
 }
 
@@ -651,7 +779,7 @@ func (ft *FactTable) widen(si int) *factShard {
 // hold, in a fresh slot at the end. The slices are the caller's;
 // appendTuple copies them.
 func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, values []float64) {
-	sh := ft.tailShard(t)
+	sh := ft.tailShard(t, values)
 	j := sh.n
 	sh.coords = append(sh.coords, coords...)
 	if sh.wide != nil {
@@ -659,7 +787,7 @@ func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, v
 	} else {
 		sh.offs = append(sh.offs, uint16(t-sh.base))
 	}
-	sh.values = append(sh.values, values...)
+	sh.appendValues(values)
 	sh.live[j>>6] |= 1 << (uint(j) & 63)
 	sh.n++
 	// Appends change the coords and instants the zone map summarizes:

@@ -24,39 +24,114 @@ import (
 // instant before it (the first from 0), taken in wrapping int64
 // arithmetic so that every pair of instants — Origin then Now included —
 // has one, and written as a zigzag uvarint, so a store loaded member by
-// member, which steps one month a fact, pays one byte an instant; values
-// are Float64bits (NaN payloads survive).
+// member, which steps one month a fact, pays one byte an instant. A
+// section whose every value is an integer (integral) is flagged and
+// writes each value as a zigzag uvarint, a byte or two for the amounts
+// a warehouse holds; any other section writes every value as its
+// Float64bits (NaN payloads survive).
 //
-//	magic "MVFC03"
+//	magic "MVFC04"
 //	uvarint numDims, uvarint numMeasures, uvarint numFacts
+//	byte integers: 1 when every value is integral, else 0
 //	numFacts×numDims uvarint member version ordinals
 //	numFacts zigzag uvarint instant deltas, in tuple order
-//	numFacts×numMeasures uint64 LE Float64bits values
+//	numFacts×numMeasures values: zigzag uvarints when integers is 1,
+//	  uint64 LE Float64bits when 0
 
-var factsMagic = []byte("MVFC03")
+var factsMagic = []byte("MVFC04")
 
 // ErrFactsVersion refuses a facts payload in an earlier version of the
 // codec: one format is read, the one written.
-var ErrFactsVersion = errors.New("core: facts: payload in an earlier facts codec; this build reads only MVFC03")
+var ErrFactsVersion = errors.New("core: facts: payload in an earlier facts codec; this build reads only MVFC04")
 
-// FactsLen returns the length of the facts payload of s: one walk over
-// the live tuples, summing the varints of their ordinals and instant
-// deltas.
+// maxIntegral is the magnitude bound of an integral value: every
+// integer up to it is a float64 exactly.
+const maxIntegral = 1 << 53
+
+// integral reports whether v travels as an integer: it is one, of
+// magnitude at most 2^53, and not −0. NaN and ±Inf are not.
+func integral(v float64) bool {
+	return v == math.Trunc(v) && math.Abs(v) <= maxIntegral && (v != 0 || !math.Signbit(v))
+}
+
+// FactsLen returns the length of the facts payload of s. The values
+// travel as varints when integers says so, as WriteFacts decides it;
+// one walk over the live tuples then sums the varints of their
+// ordinals, instant deltas and, if so, values.
 func FactsLen(s *Schema) int {
 	ft := s.facts
 	nd, nm, n := ft.nd, ft.nm, ft.Len()
-	size := len(factsMagic) + uvarintLen(uint64(nd)) + uvarintLen(uint64(nm)) + uvarintLen(uint64(n)) + n*8*nm
+	size := len(factsMagic) + uvarintLen(uint64(nd)) + uvarintLen(uint64(nm)) + uvarintLen(uint64(n)) + 1
+	ints := ft.integers()
+	if !ints {
+		size += n * 8 * nm
+	}
 	var prev temporal.Instant
 	ft.each(func(sh *factShard, j int) bool {
 		for _, o := range sh.coords[j*nd : (j+1)*nd] {
 			size += uvarintLen(uint64(o))
 		}
 		t := sh.at(j)
-		size += uvarintLen(zigzag(t - prev))
+		size += uvarintLen(zigzag(int64(t - prev)))
 		prev = t
+		if ints {
+			size += sh.varintsLen(j, nm)
+		}
 		return true
 	})
 	return size
+}
+
+// varintsLen returns the bytes the values of slot j, nm a tuple and
+// every one integral, take as zigzag varints.
+func (sh *factShard) varintsLen(j, nm int) int {
+	size := 0
+	if sh.values == nil {
+		for _, v := range sh.ints[j*nm : (j+1)*nm] {
+			size += uvarintLen(zigzag(int64(v)))
+		}
+		return size
+	}
+	for _, v := range sh.values[j*nm : (j+1)*nm] {
+		size += uvarintLen(zigzag(int64(v)))
+	}
+	return size
+}
+
+// appendVarints appends the values of slot j, nm a tuple and every one
+// integral, as zigzag varints.
+func (sh *factShard) appendVarints(buf []byte, j, nm int) []byte {
+	if sh.values == nil {
+		for _, v := range sh.ints[j*nm : (j+1)*nm] {
+			buf = binary.AppendVarint(buf, int64(v))
+		}
+		return buf
+	}
+	for _, v := range sh.values[j*nm : (j+1)*nm] {
+		buf = binary.AppendVarint(buf, int64(v))
+	}
+	return buf
+}
+
+// integers reports whether every live value of ft is integral: true at
+// once of a narrow shard, whose values are int16s.
+func (ft *FactTable) integers() bool {
+	for _, sh := range ft.shards {
+		if sh.values == nil {
+			continue
+		}
+		for j := 0; j < sh.n; j++ {
+			if !sh.isLive(j) {
+				continue
+			}
+			for _, v := range sh.values[j*ft.nm : (j+1)*ft.nm] {
+				if !integral(v) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // factsChunk is the size of the buffer WriteFacts encodes through.
@@ -72,7 +147,7 @@ func WriteFacts(w io.Writer, s *Schema) error {
 	nd, nm, n := ft.nd, ft.nm, ft.Len()
 	// The most one tuple adds to a column: its ordinals, its instant's
 	// delta or its values.
-	most := max(binary.MaxVarintLen32*nd, binary.MaxVarintLen64, 8*nm)
+	most := max(binary.MaxVarintLen32*nd, binary.MaxVarintLen64*max(nm, 1))
 	buf := make([]byte, 0, max(factsChunk, most))
 	var err error
 	flush := func() {
@@ -87,10 +162,16 @@ func WriteFacts(w io.Writer, s *Schema) error {
 		}
 		return err == nil
 	}
+	ints := ft.integers()
 	buf = append(buf, factsMagic...)
 	buf = binary.AppendUvarint(buf, uint64(nd))
 	buf = binary.AppendUvarint(buf, uint64(nm))
 	buf = binary.AppendUvarint(buf, uint64(n))
+	if ints {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
 	ft.each(func(sh *factShard, j int) bool {
 		for _, o := range sh.coords[j*nd : (j+1)*nd] {
 			buf = binary.AppendUvarint(buf, uint64(o))
@@ -100,12 +181,17 @@ func WriteFacts(w io.Writer, s *Schema) error {
 	var prev temporal.Instant
 	ft.each(func(sh *factShard, j int) bool {
 		t := sh.at(j)
-		buf = binary.AppendUvarint(buf, zigzag(t-prev))
+		buf = binary.AppendUvarint(buf, zigzag(int64(t-prev)))
 		prev = t
 		return room()
 	})
+	vals := make([]float64, nm)
 	ft.each(func(sh *factShard, j int) bool {
-		for _, v := range sh.values[j*nm : (j+1)*nm] {
+		if ints {
+			buf = sh.appendVarints(buf, j, nm)
+			return room()
+		}
+		for _, v := range sh.valuesAt(vals, j) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		return room()
@@ -124,7 +210,7 @@ func EncodeFacts(s *Schema) []byte {
 
 // zigzag maps a signed delta to the unsigned value binary.AppendVarint
 // would write for it: small magnitudes, either sign, to small values.
-func zigzag(d temporal.Instant) uint64 {
+func zigzag(d int64) uint64 {
 	if d < 0 {
 		return ^(uint64(d) << 1)
 	}
@@ -163,10 +249,19 @@ func DecodeFacts(data []byte, s *Schema) error {
 	if nd != uint64(ft.nd) || nm != uint64(ft.nm) {
 		return fmt.Errorf("core: facts: %d coordinates and %d values per fact, the schema has %d and %d", nd, nm, ft.nd, ft.nm)
 	}
+	if len(data) == 0 || data[0] > 1 {
+		return fmt.Errorf("core: facts: bad integers flag")
+	}
+	ints := data[0] == 1
+	data = data[1:]
 	// A fact costs at least one byte per ordinal and for its instant,
-	// plus its fixed-width values (divided, not multiplied: n is
-	// untrusted).
-	if n > uint64(len(data))/(nd+1+8*nm) {
+	// plus one per value when they are integers and eight otherwise
+	// (divided, not multiplied: n is untrusted).
+	valueLen := uint64(8)
+	if ints {
+		valueLen = 1
+	}
+	if n > uint64(len(data))/(nd+1+valueLen*nm) {
 		return fmt.Errorf("core: facts: %d bytes cannot hold %d facts", len(data), n)
 	}
 	// valid[i][o] is the valid time of ordinal o of dimension i.
@@ -194,10 +289,21 @@ func DecodeFacts(data []byte, s *Schema) error {
 		}
 		data = data[w:]
 	}
-	if uint64(len(data)) != n*8*nm {
+	vals := data
+	if ints {
+		for k := uint64(0); k < n*nm; k++ {
+			v, w := binary.Varint(data)
+			if w <= 0 || v < -maxIntegral || v > maxIntegral {
+				return fmt.Errorf("core: facts: bad integer value %d", k)
+			}
+			data = data[w:]
+		}
+		if len(data) != 0 {
+			return fmt.Errorf("core: facts: %d bytes after the values", len(data))
+		}
+	} else if uint64(len(data)) != n*8*nm {
 		return fmt.Errorf("core: facts: %d bytes after the instants, want %d", len(data), n*8*nm)
 	}
-	vals := data
 	ords := make([]int32, ft.nd)
 	values := make([]float64, ft.nm)
 	var t temporal.Instant
@@ -216,7 +322,12 @@ func DecodeFacts(data []byte, s *Schema) error {
 			ords[i] = int32(o)
 		}
 		for k := range values {
-			values[k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[(f*ft.nm+k)*8:]))
+			if ints {
+				v, w := binary.Varint(vals)
+				vals, values[k] = vals[w:], float64(v)
+			} else {
+				values[k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[(f*ft.nm+k)*8:]))
+			}
 		}
 		h := tupleKey(ords, t)
 		if _, dup := ft.find(h, ords, t); dup {

@@ -95,32 +95,54 @@ type rawFact struct {
 	vals []float64
 }
 
-// payload writes an MVFC03 payload by hand, header widths as given.
+// payload writes an MVFC04 payload by hand, header widths as given:
+// its values as zigzag varints, flagged, when every one is an integer
+// within ±2^53 and none is −0, as Float64bits otherwise.
 func payload(nd, nm int, facts ...rawFact) []byte {
-	out := payloadHead("MVFC03", nd, nm, facts)
-	var prev temporal.Instant
+	ints := true
 	for _, f := range facts {
-		out = binary.AppendVarint(out, int64(f.at-prev))
-		prev = f.at
+		for _, v := range f.vals {
+			ints = ints && v == math.Trunc(v) && math.Abs(v) <= 1<<53 && !(v == 0 && math.Signbit(v))
+		}
 	}
-	return payloadValues(out, facts)
+	flag := []byte{0}
+	if ints {
+		flag[0] = 1
+	}
+	out := payloadInstants(payloadHead("MVFC04", flag, nd, nm, facts), facts)
+	if !ints {
+		return payloadValues(out, facts)
+	}
+	for _, f := range facts {
+		for _, v := range f.vals {
+			out = binary.AppendVarint(out, int64(v))
+		}
+	}
+	return out
+}
+
+// payloadV3 writes a payload in the earlier MVFC03 layout: no integers
+// flag, every value its Float64bits.
+func payloadV3(nd, nm int, facts ...rawFact) []byte {
+	return payloadValues(payloadInstants(payloadHead("MVFC03", nil, nd, nm, facts), facts), facts)
 }
 
 // payloadV2 writes a payload in the earlier MVFC02 layout, whose
 // instants are raw int64s.
 func payloadV2(nd, nm int, facts ...rawFact) []byte {
-	out := payloadHead("MVFC02", nd, nm, facts)
+	out := payloadHead("MVFC02", nil, nd, nm, facts)
 	for _, f := range facts {
 		out = binary.LittleEndian.AppendUint64(out, uint64(f.at))
 	}
 	return payloadValues(out, facts)
 }
 
-// payloadHead writes a payload's magic, counts and ordinals.
-func payloadHead(magic string, nd, nm int, facts []rawFact) []byte {
+// payloadHead writes a payload's magic, counts, flag and ordinals.
+func payloadHead(magic string, flag []byte, nd, nm int, facts []rawFact) []byte {
 	out := binary.AppendUvarint([]byte(magic), uint64(nd))
 	out = binary.AppendUvarint(out, uint64(nm))
 	out = binary.AppendUvarint(out, uint64(len(facts)))
+	out = append(out, flag...)
 	for _, f := range facts {
 		for _, o := range f.ords {
 			out = binary.AppendUvarint(out, o)
@@ -129,7 +151,18 @@ func payloadHead(magic string, nd, nm int, facts []rawFact) []byte {
 	return out
 }
 
-// payloadValues appends the facts' values to a payload.
+// payloadInstants appends the facts' instants to a payload as zigzag
+// varint deltas.
+func payloadInstants(out []byte, facts []rawFact) []byte {
+	var prev temporal.Instant
+	for _, f := range facts {
+		out = binary.AppendVarint(out, int64(f.at-prev))
+		prev = f.at
+	}
+	return out
+}
+
+// payloadValues appends the facts' values to a payload as Float64bits.
 func payloadValues(out []byte, facts []rawFact) []byte {
 	for _, f := range facts {
 		for _, v := range f.vals {
@@ -291,13 +324,73 @@ func TestFactsDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFactsDecodeRefusesMVFC02: a payload in the codec before this one,
-// whose instants are raw int64s, is refused by name, not misread.
+// TestFactsDecodeRefusesMVFC02: a payload in an earlier codec — MVFC03,
+// whose values are all Float64bits, or MVFC02, whose instants are raw
+// int64s — is refused by name, not misread.
 func TestFactsDecodeRefusesMVFC02(t *testing.T) {
-	old := payloadV2(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, 2}})
-	err := core.DecodeFacts(old, edgeSchema(t))
-	if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), "MVFC02") {
-		t.Errorf("MVFC02 payload: %v, want ErrFactsVersion naming MVFC02", err)
+	f := rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, 2}}
+	for magic, old := range map[string][]byte{"MVFC03": payloadV3(2, 2, f), "MVFC02": payloadV2(2, 2, f)} {
+		err := core.DecodeFacts(old, edgeSchema(t))
+		if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), magic) {
+			t.Errorf("%s payload: %v, want ErrFactsVersion naming %s", magic, err, magic)
+		}
+	}
+}
+
+// TestFactsIntegerValues: a section whose every value is an integer
+// within ±2^53 writes each as its zigzag varint, flagged; one value
+// that is not — −0, a fraction, NaN, ±Inf, 2^53 + 1 — turns the whole
+// section to Float64bits. Either way FactsLen is the payload's length,
+// the values come back bit for bit, and the hand-written payload is
+// the one encoded.
+func TestFactsIntegerValues(t *testing.T) {
+	const big = 1 << 53
+	for _, c := range []struct {
+		name string
+		odd  float64
+		ints bool
+	}{
+		{"small", 7, true},
+		{"past int16", 32768, true},
+		{"2^53", big, true},
+		{"-2^53", -big, true},
+		{"2^53 + 2", big + 2, false},
+		{"-0", math.Copysign(0, -1), false},
+		{"a fraction", 0.5, false},
+		{"NaN", math.Float64frombits(0x7ff8_0000_0000_0042), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	} {
+		s := edgeSchema(t)
+		s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 1, -300)
+		s.MustInsertFact(core.Coords{"y", "p"}, temporal.Year(2002), 0, c.odd)
+		data := core.EncodeFacts(s)
+		want := payload(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, -300}},
+			rawFact{[]uint64{1, 0}, temporal.Year(2002), []float64{0, c.odd}})
+		if !bytes.Equal(data, want) || core.FactsLen(s) != len(data) {
+			t.Errorf("%s: payload\n% x\nFactsLen %d, want\n% x", c.name, data, core.FactsLen(s), want)
+		}
+		if got := data[len("MVFC04")+3] == 1; got != c.ints {
+			t.Errorf("%s: integers flag %v, want %v", c.name, got, c.ints)
+		}
+		sameFacts(t, reload(t, s).Facts().Facts(), s.Facts().Facts())
+	}
+	// 2^53 + 1 is no float64: the nearest one, 2^53, is integral.
+	if v := float64(big + 1); v != big {
+		t.Fatalf("2^53 + 1 is a float64: %v", v)
+	}
+	// A flagged integer past 2^53 and a flag other than 0 or 1 are
+	// refused.
+	decode := func(data []byte) error { return core.DecodeFacts(data, edgeSchema(t)) }
+	over := payloadHead("MVFC04", []byte{1}, 2, 2, []rawFact{{ords: []uint64{0, 0}}})
+	over = binary.AppendVarint(binary.AppendVarint(payloadInstants(over, []rawFact{{}}), 1), big+1)
+	if err := decode(over); err == nil || !strings.Contains(err.Error(), "bad integer value 1") {
+		t.Errorf("a flagged integer past 2^53: %v", err)
+	}
+	flag := payload(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, 2}})
+	flag[len("MVFC04")+3] = 2
+	if err := decode(flag); err == nil || !strings.Contains(err.Error(), "flag") {
+		t.Errorf("an integers flag of 2: %v", err)
 	}
 }
 
@@ -314,9 +407,10 @@ func TestFactsInstantDeltas(t *testing.T) {
 	}
 	data := core.EncodeFacts(s)
 	// From 0 to 03/2001 is three bytes; a step past the int64 range
-	// either way (to Origin, from Now) is ten; 1990 to 2001 is two.
+	// either way (to Origin, from Now) is ten; 1990 to 2001 is two. The
+	// values, integers below 64, are a byte each.
 	steps := []int{3, 1, 1, 10, 1, 10, 2}
-	want := len("MVFC03") + 3 + 2*len(at) + 16*len(at)
+	want := len("MVFC04") + 4 + 2*len(at) + 2*len(at)
 	for _, k := range steps {
 		want += k
 	}
@@ -346,14 +440,17 @@ func FuzzFactsCodec(f *testing.F) {
 	edge.MustInsertFact(core.Coords{"x", "p"}, temporal.Origin, 1, 2)
 	f.Add(core.EncodeFacts(edge))
 	structures = append(structures, edge)
-	f.Add([]byte("MVFC03"))
-	f.Add([]byte("MVFC03\x02\x02\x00"))
+	f.Add([]byte("MVFC04"))
+	f.Add([]byte("MVFC04\x02\x02\x00\x01"))
 	fact := func(org uint64, at temporal.Instant) rawFact { return rawFact{[]uint64{org, 0}, at, []float64{1, 2}} }
+	// An integer section, and a float one.
 	f.Add(payload(2, 2, fact(0, temporal.Origin), fact(1, temporal.Now)))
-	f.Add(payload(2, 2, fact(0, temporal.YM(2003, 1)), fact(1, temporal.YM(2002, 6)), fact(0, temporal.YM(2001, 12))))
+	f.Add(payload(2, 2, fact(0, temporal.YM(2003, 1)), rawFact{[]uint64{1, 0}, temporal.YM(2002, 6), []float64{0.5, -3}}))
 	f.Add(payload(2, 2, fact(2, temporal.YM(2001, 5))))
+	// A payload in the codec before this one, refused.
+	f.Add(payloadV3(2, 2, fact(0, temporal.YM(2003, 1)), fact(1, temporal.YM(2002, 6)), fact(0, temporal.YM(2001, 12))))
 	// A fact whose instant's varint is cut after a continuation byte.
-	f.Add(append(payloadHead("MVFC03", 2, 2, []rawFact{fact(0, 0)}), 0x80))
+	f.Add(append(payloadHead("MVFC04", []byte{1}, 2, 2, []rawFact{fact(0, 0)}), 0x80))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, st := range structures {

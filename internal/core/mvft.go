@@ -47,7 +47,7 @@ type MappedFact struct {
 func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err error) {
 	ft := s.facts
 	nd, nm := ft.nd, ft.nm
-	f := &MappedFact{Coords: make(Coords, nd), CFs: make([]Confidence, nm), Sources: 1}
+	f := &MappedFact{Coords: make(Coords, nd), Values: make([]float64, nm), CFs: make([]Confidence, nm), Sources: 1}
 	merged := newMergeMap(nd, s.measures, s.alg)
 	defer merged.release()
 	res, err := s.walk(context.Background(), m, temporal.Always, func(sh *factShard, j int, pr *presenter) bool {
@@ -56,7 +56,8 @@ func (s *Schema) Present(m Mode, yield func(*MappedFact) bool) (dropped int, err
 			return true
 		}
 		ft.ids(f.Coords, sh.coords[j*nd:(j+1)*nd])
-		f.Time, f.Values = sh.at(j), sh.values[j*nm:(j+1)*nm:(j+1)*nm]
+		f.Time = sh.at(j)
+		sh.valuesAt(f.Values, j)
 		return yield(f)
 	})
 	if err != nil {
@@ -91,7 +92,7 @@ func (s *Schema) SourcesOf(ctx context.Context, m Mode, coords Coords, t tempora
 		return fmt.Errorf("core: SourcesOf needs a version mode; a tcm cell is its stored fact")
 	}
 	ft := s.facts
-	nd, nm := ft.nd, ft.nm
+	nd := ft.nd
 	// On failure target is shorter than nd, and matches nothing.
 	target, _ := ft.ordinals(make([]int32, 0, nd), coords)
 	src := &Fact{Coords: make(Coords, nd)}
@@ -104,7 +105,7 @@ func (s *Schema) SourcesOf(ctx context.Context, m Mode, coords Coords, t tempora
 			per[i] = pr.at[i].per
 		}
 		ft.ids(src.Coords, sh.coords[j*nd:(j+1)*nd])
-		src.Time, src.Values = sh.at(j), sh.values[j*nm:(j+1)*nm:(j+1)*nm]
+		src.Time, src.Values = sh.at(j), pr.src
 		return yield(src, per, pr.cfs)
 	})
 	return err
@@ -151,7 +152,7 @@ func (s *Schema) walk(ctx context.Context, m Mode, rng temporal.Interval, yield 
 				if !yield(sh, j, nil) {
 					return res, nil
 				}
-			} else if pr.start(sh.coords[j*nd:(j+1)*nd], sh.values[j*nm:(j+1)*nm]) {
+			} else if pr.start(sh, j) {
 				for pr.next() {
 					if !yield(sh, j, pr) {
 						return res, nil

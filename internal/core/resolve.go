@@ -196,7 +196,7 @@ func newPresentation(res []*resolveTable, ft *FactTable) *presentation {
 // combine under ⊗cf, starting from sd. It holds the scratch of one
 // emission; a presenter is not safe for concurrent use.
 //
-//	if !pr.start(coords, values) { /* dropped */ }
+//	if !pr.start(sh, j) { /* dropped */ }
 //	for pr.next() { /* pr.coords, pr.values, pr.cfs, pr.merges, pr.at */ }
 type presenter struct {
 	res []*resolveTable
@@ -208,8 +208,10 @@ type presenter struct {
 	base   []int32
 	perDim [][]resolveTarget
 	combo  []int
-	src    []float64
-	more   bool
+	// src holds the source tuple's values, read from its shard by
+	// start: the walk's scratch, valid until the next start.
+	src  []float64
+	more bool
 	// The current emission: target ordinals, values, confidences,
 	// whether it may land on a tuple another emission lands on, and per
 	// dimension the presentation it went through.
@@ -229,23 +231,26 @@ func newPresenter(res []*resolveTable, flags *presentation, nm int, alg Confiden
 		perDim: make([][]resolveTarget, nd),
 		combo:  make([]int, nd),
 		coords: make([]int32, nd),
-		values: make([]float64, nm),
 		cfs:    make([]Confidence, nm),
 		at:     make([]*resolveTarget, nd),
 		self:   make([]resolveTarget, nd),
 	}
+	// The emission's values and the source's share one allocation.
+	vals := make([]float64, 2*nm)
+	p.values, p.src = vals[:nm:nm], vals[nm:]
 	for i := range p.self {
 		p.self[i].per = identity
 	}
 	return p
 }
 
-// start begins presenting the source tuple with the given ordinals and
-// values. It returns false, and next presents nothing, when a
-// coordinate reaches no target.
-func (p *presenter) start(src []int32, values []float64) bool {
-	p.src, p.more = values, false
-	for i, o := range src {
+// start begins presenting tuple j of shard sh. It returns false, and
+// next presents nothing, when a coordinate reaches no target; otherwise
+// it has read the tuple's values into src.
+func (p *presenter) start(sh *factShard, j int) bool {
+	nd := len(p.res)
+	p.more = false
+	for i, o := range sh.coords[j*nd : (j+1)*nd] {
 		if rt := p.res[i]; rt.passes(o) {
 			p.self[i].ord = o
 			p.perDim[i], p.base[i] = p.self[i:i+1], -1
@@ -254,6 +259,7 @@ func (p *presenter) start(src []int32, values []float64) bool {
 		}
 		p.combo[i] = 0
 	}
+	sh.valuesAt(p.src, j)
 	p.more = true
 	return true
 }

@@ -519,7 +519,7 @@ func (sc *scanner) scan(ctx context.Context) error {
 		for x, t := range m.times {
 			emits = sc.classify(emits, &sc.slots[sc.slot(t)-1], m.coords[x*ft.nd:(x+1)*ft.nd], ^int32(x))
 		}
-		sc.foldRows(m.values, m.cfs, emits)
+		foldRows(sc, m.values, m.cfs, emits)
 		sc.merged = nil
 		m.release()
 	}
@@ -555,7 +555,7 @@ func (sc *scanner) flush(sh *factShard, emits []emission) []emission {
 // same tuple order.
 func scanShard[W uint16 | temporal.Instant](ctx context.Context, sc *scanner, sh *factShard, col []W, base temporal.Instant, emits []emission) ([]emission, error) {
 	p, ft := sc.p, sc.ft
-	nd, nm := ft.nd, ft.nm
+	nd := ft.nd
 	hasDead := ft.dead > 0
 	rng := p.rng
 	// In a version mode, which coordinates pass as stored, per dimension.
@@ -609,7 +609,7 @@ tuples:
 				if cap(emits)-len(emits) < len(col)-j+emitSlack {
 					emits = sc.flush(sh, emits)
 				}
-				emits = sc.present(emits, sl, base+temporal.Instant(o), coords, sh.values[j*nm:(j+1)*nm])
+				emits = sc.present(emits, sl, base+temporal.Instant(o), sh, j)
 				continue tuples
 			}
 		}
@@ -647,11 +647,11 @@ tuples:
 	return emits, nil
 }
 
-// present appends the emissions of one source tuple at instant t that
-// does not pass through the mode's resolution tables.
-func (sc *scanner) present(emits []emission, sl *scanSlot, t temporal.Instant, src []int32, values []float64) []emission {
+// present appends the emissions of tuple j of shard sh, at instant t,
+// which does not pass through the mode's resolution tables.
+func (sc *scanner) present(emits []emission, sl *scanSlot, t temporal.Instant, sh *factShard, j int) []emission {
 	pr := sc.pres
-	if !pr.start(src, values) {
+	if !pr.start(sh, j) {
 		return emits // dropped: countDropped counts it
 	}
 	for pr.next() {
@@ -728,13 +728,22 @@ func (sc *scanner) classify(emits []emission, sl *scanSlot, coords []int32, tupl
 
 // fold adds one shard's emissions to their cells, in tuple order:
 // Definition 12's ⊕ per measure and ⊗cf per confidence factor. Runs of
-// emissions of stored tuples fold from the shard's values with
-// confidence sd (Definition 11: f'|tcm = f × {sd}ᵐ, and a tuple read as
-// stored presents as itself), runs of presented ones from the
-// scanner's values and confidences.
+// emissions of stored tuples fold from the shard's value column, narrow
+// or wide, with confidence sd (Definition 11: f'|tcm = f × {sd}ᵐ, and a
+// tuple read as stored presents as itself), runs of presented ones from
+// the scanner's values and confidences.
 func (sc *scanner) fold(sh *factShard, emits []emission) {
+	if sh.values != nil {
+		foldShard(sc, sh.values, emits)
+	} else {
+		foldShard(sc, sh.ints, emits)
+	}
+}
+
+// foldShard is fold over a shard whose value column is col.
+func foldShard[V value](sc *scanner, col []V, emits []emission) {
 	if sc.xrows == 0 {
-		sc.foldRows(sh.values, nil, emits)
+		foldRows(sc, col, nil, emits)
 		return
 	}
 	for len(emits) > 0 {
@@ -743,23 +752,28 @@ func (sc *scanner) fold(sh *factShard, emits []emission) {
 			n++
 		}
 		if stored {
-			sc.foldRows(sh.values, nil, emits[:n])
+			foldRows(sc, col, nil, emits[:n])
 		} else {
-			sc.foldRows(sc.xvals, sc.xcfs, emits[:n])
+			foldRows(sc, sc.xvals, sc.xcfs, emits[:n])
 		}
 		emits = emits[n:]
 	}
 }
+
+// value is the type of a value column: a shard's narrow int16 one, or a
+// float64 one — a wide shard's, the scanner's presented rows or the
+// merge map's. The fold is compiled once per type.
+type value interface{ int16 | float64 }
 
 // foldRows folds emissions whose tuples are all rows of the given value
 // and confidence columns, a row either as is or complemented (^row),
 // one chunk of cells at a time: when the cells lie in several chunks,
 // the emissions are first ordered by chunk, stably, so each cell still
 // folds its emissions in tuple order.
-func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emission) {
+func foldRows[V value](sc *scanner, values []V, tcfs []Confidence, emits []emission) {
 	sc.emitted += len(emits)
 	if len(sc.chunks) == 1 {
-		sc.foldChunk(&sc.chunks[0], values, tcfs, emits)
+		foldChunk(sc, &sc.chunks[0], values, tcfs, emits)
 		return
 	}
 	ends := append(sc.chunkEnds[:0], make([]int, len(sc.chunks))...)
@@ -781,7 +795,7 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 	from := 0
 	for k, end := range ends {
 		if end > from {
-			sc.foldChunk(&sc.chunks[k], values, tcfs, by[from:end])
+			foldChunk(sc, &sc.chunks[k], values, tcfs, by[from:end])
 		}
 		from = end
 	}
@@ -792,7 +806,7 @@ func (sc *scanner) foldRows(values []float64, tcfs []Confidence, emits []emissio
 // into its typed columns in one pass over the emissions, so a cell
 // still folds them in tuple order. A nil confidence column folds every
 // factor as sd, and takes no ⊗cf step at all while skipSD holds.
-func (sc *scanner) foldChunk(ch *cellChunk, values []float64, tcfs []Confidence, emits []emission) {
+func foldChunk[V value](sc *scanner, ch *cellChunk, values []V, tcfs []Confidence, emits []emission) {
 	nm, nq := sc.ft.nm, len(sc.p.mIdx)
 	for k, mi := range sc.p.mIdx {
 		sums, counts := ch.sums, ch.counts
@@ -802,7 +816,7 @@ func (sc *scanner) foldChunk(ch *cellChunk, values []float64, tcfs []Confidence,
 				j, x := int(e.tuple^e.tuple>>31), int(e.cell)*nq+k
 				// A NaN value (unknown mapping) is not folded: it poisons
 				// the confidence factor, not the number.
-				if v := values[j*nm+mi]; v == v {
+				if v := float64(values[j*nm+mi]); v == v {
 					sums[x] += v
 					counts[x]++
 					if v < mins[x] {
@@ -820,7 +834,7 @@ func (sc *scanner) foldChunk(ch *cellChunk, values []float64, tcfs []Confidence,
 		// BenchmarkShardedScan's rollup leg.
 		for _, e := range emits {
 			j, x := int(e.tuple^e.tuple>>31), int(e.cell)*nq+k
-			if v := values[j*nm+mi]; v == v {
+			if v := float64(values[j*nm+mi]); v == v {
 				sums[x] += v
 				counts[x]++
 			}

@@ -102,7 +102,14 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 		tuple   *naiveTuple
 		contrib [][]float64
 	}
-	cells := map[string]*merged{}
+	// A tuple's key: its coordinates' IDs, each ended by a NUL, and its
+	// instant.
+	type key struct {
+		ids string
+		at  temporal.Instant
+	}
+	cells := map[key]*merged{}
+	var ids []byte
 	var order []*merged
 	// Per dimension, the version's leaves and each member's
 	// presentations among them, resolved on first sight.
@@ -153,11 +160,14 @@ func naiveMapped(s *Schema, m Mode) (tuples []*naiveTuple, dropped int) {
 					tu.CFs[k] = alg.Combine(tu.CFs[k], p.cfs[k])
 				}
 			}
-			key := fmt.Sprint(tu.Coords, "@", tu.Time)
-			c := cells[key]
+			ids = ids[:0]
+			for _, id := range tu.Coords {
+				ids = append(append(ids, id...), 0)
+			}
+			c := cells[key{string(ids), tu.Time}]
 			if c == nil {
 				c = &merged{tuple: tu, contrib: make([][]float64, nm)}
-				cells[key] = c
+				cells[key{string(ids), tu.Time}] = c
 				order = append(order, c)
 			} else {
 				c.tuple.Sources++
@@ -398,6 +408,35 @@ func naiveExecute(t testing.TB, s *Schema, q Query) *Result {
 // before L10, sorts after every ASCII name.
 func oracleSchema(t testing.TB, seed int64) *Schema {
 	t.Helper()
+	s, keys, r := oracleStructure(t, seed)
+	for _, k := range keys[:2*MappedShardSize+700+r.Intn(500)] {
+		v := math.Floor(r.Float64()*1e6) / 64
+		if r.Intn(40) == 0 {
+			v = math.NaN()
+		}
+		cnt := 1.0
+		if r.Intn(40) == 0 {
+			cnt = math.NaN()
+		}
+		if err := s.InsertFact(k.coords, k.at, v, float64(r.Intn(100)), float64(r.Intn(4096))/16, cnt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// oracleKey is a fact key of oracleSchema's structure.
+type oracleKey struct {
+	coords Coords
+	at     temporal.Instant
+}
+
+// oracleStructure returns oracleSchema's structure with no facts, every
+// key a fact may take in an order of instants with local disorder, and
+// the random source, drawn only as far as oracleSchema draws it before
+// its facts.
+func oracleStructure(t testing.TB, seed int64) (*Schema, []oracleKey, *rand.Rand) {
+	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	first, last := ym(2000, 1), ym(2004, 12)
 	instant := func() temporal.Instant { return first + temporal.Instant(r.Intn(int(last-first)+1)) }
@@ -524,11 +563,7 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 	for _, m := range mappings {
 		must(s.AddMapping(m))
 	}
-	type key struct {
-		a, b MVID
-		t    temporal.Instant
-	}
-	keys := make([]key, 0, len(aLeaves)*len(bLeaves)*int(last-first+1))
+	keys := make([]oracleKey, 0, len(aLeaves)*len(bLeaves)*int(last-first+1))
 	for t := first; t <= last; t++ {
 		for _, la := range aLeaves {
 			if !a.Version(la).ValidAt(t) {
@@ -538,7 +573,7 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 				if !b.Version(lb).ValidAt(t) {
 					continue
 				}
-				keys = append(keys, key{la, lb, t})
+				keys = append(keys, oracleKey{Coords{la, lb}, t})
 			}
 		}
 	}
@@ -547,18 +582,7 @@ func oracleSchema(t testing.TB, seed int64) *Schema {
 		j := i + r.Intn(min(200, len(keys)-i))
 		keys[i], keys[j] = keys[j], keys[i]
 	}
-	for _, k := range keys[:2*MappedShardSize+700+r.Intn(500)] {
-		v := math.Floor(r.Float64()*1e6) / 64
-		if r.Intn(40) == 0 {
-			v = math.NaN()
-		}
-		cnt := 1.0
-		if r.Intn(40) == 0 {
-			cnt = math.NaN()
-		}
-		must(s.InsertFact(Coords{k.a, k.b}, k.t, v, float64(r.Intn(100)), float64(r.Intn(4096))/16, cnt))
-	}
-	return s
+	return s, keys, r
 }
 
 func oracleQuery(r *rand.Rand, s *Schema) Query {

@@ -231,7 +231,7 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 	if len(coords) != len(s.dims) {
 		return nil, fmt.Errorf("core: retract with %d coordinates for %d dimensions", len(coords), len(s.dims))
 	}
-	if _, ok := s.facts.Lookup(coords, t); !ok {
+	if _, ok := s.facts.locate(coords, t); !ok {
 		return nil, fmt.Errorf("core: no fact at %s %s to retract", strings.Trim(fmt.Sprint(coords), "[]"), t)
 	}
 	old, _ := s.facts.Retract(coords, t)

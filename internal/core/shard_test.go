@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -28,6 +27,10 @@ func bigTCMSchema(t testing.TB, n int) *Schema {
 	}
 	return s
 }
+
+// slotValue returns the first value of slot j of a one-measure shard,
+// through the shard's accessor.
+func slotValue(sh *factShard, j int) float64 { return sh.valuesAt(make([]float64, 1), j)[0] }
 
 // TestWarmCloneAliasesShardsUntilTouched is the property the whole
 // sharded layout exists for: a clone of the fact store shares every
@@ -68,7 +71,7 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	if ct == bt {
 		t.Fatal("the clone appended through the base's own tail header")
 	}
-	if &ct.offs[0] != &bt.offs[0] || &ct.coords[0] != &bt.coords[0] || &ct.values[0] != &bt.values[0] {
+	if &ct.offs[0] != &bt.offs[0] || &ct.coords[0] != &bt.coords[0] || &ct.ints[0] != &bt.ints[0] {
 		t.Error("borrowed tail shard does not alias the base backing arrays")
 	}
 	if bt.n != 100 || ct.n != 101 || ct.sharedBelow != 100 {
@@ -138,10 +141,10 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	if out.shards[1] != baseT.shards[1] {
 		t.Error("untouched shard was copied by a write elsewhere")
 	}
-	if got := baseT.shards[0].values[0]; got != wantBase {
+	if got := slotValue(baseT.shards[0], 0); got != wantBase {
 		t.Errorf("replacement leaked into the published source: %v", got)
 	}
-	if got := out.shards[0].values[0]; got != wantBase+5 {
+	if got := slotValue(out.shards[0], 0); got != wantBase+5 {
 		t.Errorf("replacement result = %v, want %v", got, wantBase+5)
 	}
 	if !out.shards[0].isLive(0) || !baseT.shards[0].isLive(0) {
@@ -162,8 +165,8 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	if err := out.Insert(fresh, ym(2600, 1), 3); err != nil {
 		t.Fatal(err)
 	}
-	if out.shards[1] != borrowed || borrowed.values[50] != 3 {
-		t.Fatalf("write into an owned slot of a borrowed tail copied it or lost the value (%v)", borrowed.values[50])
+	if out.shards[1] != borrowed || slotValue(borrowed, 50) != 3 {
+		t.Fatalf("write into an owned slot of a borrowed tail copied it or lost the value (%v)", slotValue(borrowed, 50))
 	}
 	f1 := baseT.Facts()[MappedShardSize]
 	want1 := f1.Values[0]
@@ -174,9 +177,9 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	if priv == borrowed || &priv.offs[0] == &baseT.shards[1].offs[0] || priv.sharedBelow != 0 {
 		t.Fatal("write below sharedBelow wrote into the shared columns")
 	}
-	if baseT.shards[1].values[0] != want1 || priv.values[0] != want1+5 || priv.values[50] != 3 {
+	if slotValue(baseT.shards[1], 0) != want1 || slotValue(priv, 0) != want1+5 || slotValue(priv, 50) != 3 {
 		t.Errorf("after privatizing: base %v, clone %v/%v; want %v, %v/3",
-			baseT.shards[1].values[0], priv.values[0], priv.values[50], want1, want1+5)
+			slotValue(baseT.shards[1], 0), slotValue(priv, 0), slotValue(priv, 50), want1, want1+5)
 	}
 }
 
@@ -195,7 +198,7 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	baseT := base.Facts()
 	before := answers(t, base)
 	bt := baseT.shards[0]
-	btLive, btN, btEpoch := slices.Clone(bt.live), bt.n, bt.epoch
+	btLive, btN, btEpoch := *bt.live, bt.n, bt.epoch
 	facts := baseT.Facts()
 	dead, kept := facts[17], facts[5]
 
@@ -209,7 +212,7 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	if ct == bt || ct.epoch != g1T.epoch {
 		t.Fatal("the retraction cleared the bit in the source's header")
 	}
-	if &ct.coords[0] != &bt.coords[0] || &ct.values[0] != &bt.values[0] || &ct.offs[0] != &bt.offs[0] {
+	if &ct.coords[0] != &bt.coords[0] || &ct.ints[0] != &bt.ints[0] || &ct.offs[0] != &bt.offs[0] {
 		t.Error("the retraction copied the shard's columns, want its header over the source's")
 	}
 	if &ct.live[0] == &bt.live[0] || ct.isLive(17) || !ct.isLive(16) || ct.n != bt.n || ct.sharedBelow != bt.n {
@@ -219,7 +222,7 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	if g1T.shards[1] != baseT.shards[1] || g1T.shards[2] != baseT.shards[2] {
 		t.Error("a retraction in shard 0 touched another shard")
 	}
-	if !slices.Equal(bt.live, btLive) || bt.n != btN || bt.epoch != btEpoch || bt.sharedBelow != 0 {
+	if *bt.live != btLive || bt.n != btN || bt.epoch != btEpoch || bt.sharedBelow != 0 {
 		t.Error("the retraction changed the source's header")
 	}
 	if got := metShardsPrivatized.Value() - privatized; got != 0 {
@@ -259,7 +262,7 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	if err := own.InsertFact(facts[6].Coords, facts[6].Time, -1); err != nil {
 		t.Fatal(err)
 	}
-	if p := ownT.shards[0]; p == oh || oh.epoch != ownT.epoch || &p.values[0] == &bt.values[0] || p.isLive(18) || p.values[6] != -1 {
+	if p := ownT.shards[0]; p == oh || oh.epoch != ownT.epoch || &p.ints[0] == &bt.ints[0] || p.isLive(18) || slotValue(p, 6) != -1 {
 		t.Error("a replacement below sharedBelow of the table's own header did not privatize it with its bitmap")
 	}
 	g2 := g1.Clone()
@@ -267,13 +270,13 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2T := g2.Facts()
-	if p := g2T.shards[0]; p == ct || &p.values[0] == &bt.values[0] || p.isLive(17) || p.values[5] != kept.Values[0]+5 {
+	if p := g2T.shards[0]; p == ct || &p.ints[0] == &bt.ints[0] || p.isLive(17) || slotValue(p, 5) != kept.Values[0]+5 {
 		t.Error("a replacement into the borrowed header did not privatize it with its bitmap")
 	}
 	if got := metShardsPrivatized.Value() - privatized; got != 2 {
 		t.Errorf("%d shards privatized by two replacements, want 2", got)
 	}
-	if bt.values[5] != kept.Values[0] || ct.values[5] != kept.Values[0] || bt.values[6] != facts[6].Values[0] {
+	if slotValue(bt, 5) != kept.Values[0] || slotValue(ct, 5) != kept.Values[0] || slotValue(bt, 6) != facts[6].Values[0] {
 		t.Error("a replacement wrote into the shared columns")
 	}
 	requireSameAnswers(t, "source after the replacements", answers(t, base), before)

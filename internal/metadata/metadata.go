@@ -183,7 +183,7 @@ func Explain(ctx context.Context, s *core.Schema, mode core.Mode, coords core.Co
 		step := LineageStep{
 			SourceCoords: coords.Clone(),
 			SourceTime:   t,
-			SourceValues: append([]float64(nil), vals...),
+			SourceValues: vals,
 			Fn:           make([]string, m),
 			CF:           make([]core.Confidence, m),
 		}

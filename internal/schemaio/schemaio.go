@@ -75,20 +75,30 @@ type fileFact struct {
 }
 
 // Write serializes the schema, facts included, as indented JSON.
-func Write(w io.Writer, s *core.Schema) error { return write(w, s, true) }
+func Write(w io.Writer, s *core.Schema) error {
+	out, err := document(s)
+	if err != nil {
+		return err
+	}
+	s.Facts().All(func(f *core.Fact) bool {
+		ff := fileFact{Time: f.Time.String(), Values: slices.Clone(f.Values)}
+		for _, id := range f.Coords {
+			ff.Coords = append(ff.Coords, string(id))
+		}
+		out.Facts = append(out.Facts, ff)
+		return true
+	})
+	enc := json.NewEncoder(w)
+	// The whole document is for human readers.
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
 
-// WriteStructure serializes everything but the facts: the same
-// document with no "facts" member, written compact (no indentation),
-// which Read loads as a warehouse with an empty fact table. The store's
-// snapshot container carries it beside the facts in their binary codec
-// (core.WriteFacts); Read ignores whitespace, so a structure written
-// indented loads alike.
-func WriteStructure(w io.Writer, s *core.Schema) error { return write(w, s, false) }
-
-func write(w io.Writer, s *core.Schema, withFacts bool) error {
-	out := fileSchema{Name: s.Name}
-	for _, m := range s.Measures() {
-		out.Measures = append(out.Measures, fileMeasure{Name: m.Name, Agg: m.Agg.String()})
+// document builds the on-disk layout of everything but the facts.
+func document(s *core.Schema) (fileSchema, error) {
+	out, err := header(s)
+	if err != nil {
+		return out, err
 	}
 	for _, d := range s.Dimensions() {
 		fd := fileDimension{ID: string(d.ID), Name: d.Name}
@@ -106,33 +116,173 @@ func write(w io.Writer, s *core.Schema, withFacts bool) error {
 		}
 		out.Dimensions = append(out.Dimensions, fd)
 	}
+	return out, nil
+}
+
+// header builds the document's name, measures and mappings.
+func header(s *core.Schema) (fileSchema, error) {
+	out := fileSchema{Name: s.Name}
+	for _, m := range s.Measures() {
+		out.Measures = append(out.Measures, fileMeasure{Name: m.Name, Agg: m.Agg.String()})
+	}
 	for _, m := range s.Mappings() {
 		fm := fileMapping{From: string(m.From), To: string(m.To)}
 		var err error
 		if fm.Forward, err = encodeMappers(m.Forward); err != nil {
-			return fmt.Errorf("schemaio: mapping %s→%s: %w", m.From, m.To, err)
+			return out, fmt.Errorf("schemaio: mapping %s→%s: %w", m.From, m.To, err)
 		}
 		if fm.Backward, err = encodeMappers(m.Backward); err != nil {
-			return fmt.Errorf("schemaio: mapping %s→%s: %w", m.From, m.To, err)
+			return out, fmt.Errorf("schemaio: mapping %s→%s: %w", m.From, m.To, err)
 		}
 		out.Mappings = append(out.Mappings, fm)
 	}
-	if withFacts {
-		s.Facts().All(func(f *core.Fact) bool {
-			ff := fileFact{Time: f.Time.String(), Values: slices.Clone(f.Values)}
-			for _, id := range f.Coords {
-				ff.Coords = append(ff.Coords, string(id))
+	return out, nil
+}
+
+// WriteStructure serializes everything but the facts: the same
+// document with no "facts" member, written compact (no indentation),
+// which Read loads as a warehouse with an empty fact table. The store's
+// snapshot container carries it beside the facts in their binary codec
+// (core.WriteFacts); Read ignores whitespace, so a structure written
+// indented loads alike.
+//
+// It streams: its bytes are exactly encoding/json's compact encoding of
+// the document, trailing newline included, but the member versions and
+// relationships — nearly all of it — are rendered one at a time into a
+// chunk of structureChunk bytes that is written out whenever it fills,
+// so neither the document nor its encoding is ever held whole.
+func WriteStructure(w io.Writer, s *core.Schema) error {
+	h, err := header(s)
+	if err != nil {
+		return err
+	}
+	st := structureWriter{w: w, buf: make([]byte, 0, structureChunk)}
+	st.buf = append(st.buf, `{"name":`...)
+	st.str(h.Name)
+	st.buf = append(st.buf, `,"measures":`...)
+	st.json(h.Measures)
+	st.buf = append(st.buf, `,"dimensions":`...)
+	dims := s.Dimensions()
+	st.list(len(dims), func(i int) {
+		d := dims[i]
+		st.buf = append(st.buf, `{"id":`...)
+		st.str(string(d.ID))
+		st.buf = append(st.buf, `,"name":`...)
+		st.str(d.Name)
+		st.buf = append(st.buf, `,"versions":`...)
+		versions, rels := d.Versions(), d.Relationships()
+		st.list(len(versions), func(i int) {
+			mv := versions[i]
+			st.buf = append(st.buf, `{"id":`...)
+			st.str(string(mv.ID))
+			st.field(`,"member":`, mv.Member)
+			st.field(`,"name":`, mv.Name)
+			st.field(`,"level":`, mv.Level)
+			if len(mv.Attrs) > 0 {
+				st.buf = append(st.buf, `,"attrs":`...)
+				st.json(mv.Attrs)
 			}
-			out.Facts = append(out.Facts, ff)
-			return true
+			st.interval(mv.Valid)
+			st.buf = append(st.buf, '}')
 		})
+		if len(rels) > 0 {
+			st.buf = append(st.buf, `,"relationships":`...)
+			st.list(len(rels), func(i int) {
+				r := rels[i]
+				st.buf = append(st.buf, `{"child":`...)
+				st.str(string(r.From))
+				st.buf = append(st.buf, `,"parent":`...)
+				st.str(string(r.To))
+				st.interval(r.Valid)
+				st.buf = append(st.buf, '}')
+			})
+		}
+		st.buf = append(st.buf, '}')
+	})
+	if len(h.Mappings) > 0 {
+		st.buf = append(st.buf, `,"mappings":`...)
+		st.json(h.Mappings)
 	}
-	enc := json.NewEncoder(w)
-	if withFacts {
-		// The whole document is for human readers.
-		enc.SetIndent("", "  ")
+	st.buf = append(st.buf, "}\n"...)
+	st.flush()
+	return st.err
+}
+
+// structureChunk is what WriteStructure renders before writing it out.
+const structureChunk = 4 << 10
+
+// structureWriter renders WriteStructure's document into buf, writing
+// it to w whenever a list element leaves it at least structureChunk
+// long; the first error sticks.
+type structureWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (st *structureWriter) flush() {
+	if st.err == nil {
+		_, st.err = st.w.Write(st.buf)
 	}
-	return enc.Encode(out)
+	st.buf = st.buf[:0]
+}
+
+// list renders n elements as a JSON array, null when n is 0 (the
+// encoding of a nil slice).
+func (st *structureWriter) list(n int, elem func(i int)) {
+	if n == 0 {
+		st.buf = append(st.buf, "null"...)
+		return
+	}
+	st.buf = append(st.buf, '[')
+	for i := range n {
+		if i > 0 {
+			st.buf = append(st.buf, ',')
+		}
+		elem(i)
+		if len(st.buf) >= structureChunk {
+			st.flush()
+		}
+	}
+	st.buf = append(st.buf, ']')
+}
+
+// field renders an omitempty string member.
+func (st *structureWriter) field(key, v string) {
+	if v != "" {
+		st.buf = append(st.buf, key...)
+		st.str(v)
+	}
+}
+
+// interval renders a valid time's "from" and "to" members.
+func (st *structureWriter) interval(iv temporal.Interval) {
+	st.buf = append(st.buf, `,"from":"`...)
+	st.buf = append(iv.Start.Append(st.buf), `","to":"`...)
+	st.buf = append(iv.End.Append(st.buf), '"')
+}
+
+// str renders a string as encoding/json does: printable ASCII with
+// nothing to escape is copied, anything else (quotes, backslashes, the
+// HTML-escaped <, > and &, control bytes, non-ASCII) goes through
+// json.Marshal.
+func (st *structureWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			st.json(s)
+			return
+		}
+	}
+	st.buf = append(append(append(st.buf, '"'), s...), '"')
+}
+
+// json renders v through json.Marshal.
+func (st *structureWriter) json(v any) {
+	b, err := json.Marshal(v)
+	if err != nil && st.err == nil {
+		st.err = err
+	}
+	st.buf = append(st.buf, b...)
 }
 
 func encodeMappers(ms []core.MeasureMapping) ([]fileMapper, error) {

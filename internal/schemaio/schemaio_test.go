@@ -2,12 +2,14 @@ package schemaio
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"mvolap/internal/casestudy"
 	"mvolap/internal/core"
 	"mvolap/internal/temporal"
+	"mvolap/internal/workload"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -80,6 +82,78 @@ func TestWriteRejectsCustomFuncs(t *testing.T) {
 	if err := Write(&buf, s); err == nil {
 		t.Error("custom func mapper must be rejected")
 	}
+	if err := WriteStructure(&buf, s); err == nil {
+		t.Error("custom func mapper must be rejected by WriteStructure")
+	}
+}
+
+// TestWriteStructureMatchesEncodingJSON: the streamed structure is
+// byte for byte encoding/json's compact encoding of the document, on
+// the case study, a generated warehouse and a schema of awkward
+// strings, attributes, an empty dimension and a negative year; and a
+// warehouse's structure reaches the writer in chunks, never whole.
+func TestWriteStructureMatchesEncodingJSON(t *testing.T) {
+	cs, err := casestudy.New(casestudy.Config{WithFacts: true, WithSplitMappings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(workload.Config{Seed: 3, Divisions: 4, Departments: 300, Years: 6, EvolutionsPerYear: 4, FactsPerYear: 1, Measures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := core.NewSchema(`q"u<o>t&e\\ é\u2028`, core.Measure{Name: "m<1>", Agg: core.Max})
+	d := core.NewDimension("D\x01", "naïve")
+	for _, mv := range []*core.MemberVersion{
+		{ID: "a", Member: "A", Name: "Ä \"a\"", Level: "L", Attrs: map[string]string{"z": "1", "a": "<2>", "m": ""}, Valid: temporal.Always},
+		{ID: "b", Valid: temporal.Interval{Start: temporal.YM(-5, 3), End: temporal.YM(12, 11)}},
+	} {
+		if err := d.AddVersion(mv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.AddRelationship(core.TemporalRelationship{From: "b", To: "a", Valid: temporal.Interval{Start: temporal.YM(1, 1), End: temporal.YM(12, 11)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dim := range []*core.Dimension{d, core.NewDimension("E", "")} {
+		if err := odd.AddDimension(dim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		s    *core.Schema
+	}{{"casestudy", cs}, {"workload", w.Schema}, {"odd", odd}, {"empty", core.NewSchema("")}} {
+		doc, err := document(c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got chunks
+		if err := WriteStructure(&got, c.s); err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteStructure wrote\n%s\nwant\n%s", c.name, got.Bytes(), want)
+		}
+		if c.name == "workload" && (len(want) < 8*structureChunk || got.largest > 2*structureChunk) {
+			t.Errorf("workload: %d-byte structure written with a largest write of %d bytes, want chunks of about %d",
+				len(want), got.largest, structureChunk)
+		}
+	}
+}
+
+// chunks is a bytes.Buffer that remembers its largest write.
+type chunks struct {
+	bytes.Buffer
+	largest int
+}
+
+func (c *chunks) Write(p []byte) (int, error) {
+	c.largest = max(c.largest, len(p))
+	return c.Buffer.Write(p)
 }
 
 func TestReadErrors(t *testing.T) {

@@ -92,15 +92,18 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 	if err != nil {
 		return fmt.Errorf("store: snapshot meta: %w", err)
 	}
-	var structure bytes.Buffer
+	// The structure is written twice, streamed both times: once to
+	// count it for its section's header, once into the section.
+	var structure counter
 	if err := schemaio.WriteStructure(&structure, sch); err != nil {
 		return fmt.Errorf("store: snapshot schema: %w", err)
 	}
 	// A bufio.Writer's first error sticks and Flush returns it, so the
 	// writes below go unchecked; a payload larger than the buffer passes
-	// straight through to the file. A section's payload, n bytes, is
-	// written by write, through the section's checksum; the facts are
-	// streamed so (core.WriteFacts), never held whole.
+	// straight through to the file. A section's payload is written by
+	// write, through the section's checksum, and must come to the n
+	// bytes its header claims; the structure and the facts are streamed
+	// so (core.WriteFacts), never held whole.
 	count := uint32(0)
 	section := func(kind byte, n int, write func(io.Writer)) {
 		var head [sectionHeaderSize]byte
@@ -109,17 +112,38 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 		sum := crc32.NewIEEE()
 		sum.Write(head[:])
 		bw.Write(head[:])
-		write(io.MultiWriter(bw, sum))
+		payload := counter{w: io.MultiWriter(bw, sum)}
+		write(&payload)
+		if payload.n != n && err == nil {
+			err = fmt.Errorf("store: snapshot section %d came to %d bytes, its header says %d", kind, payload.n, n)
+		}
 		bw.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
 		count++
 	}
 	payload := func(p []byte) func(io.Writer) { return func(w io.Writer) { w.Write(p) } }
 	bw.WriteString(snapshotMagic)
 	section(secMeta, len(meta), payload(meta))
-	section(secStructure, structure.Len(), payload(structure.Bytes()))
+	section(secStructure, structure.n, func(w io.Writer) { schemaio.WriteStructure(w, sch) })
 	section(secFacts, core.FactsLen(sch), func(w io.Writer) { core.WriteFacts(w, sch) })
 	section(secEnd, 4, payload(binary.LittleEndian.AppendUint32(nil, count)))
+	if err != nil {
+		return err
+	}
 	return bw.Flush()
+}
+
+// counter counts the bytes written through it to w, if w is set.
+type counter struct {
+	w io.Writer
+	n int
+}
+
+func (c *counter) Write(p []byte) (int, error) {
+	c.n += len(p)
+	if c.w == nil {
+		return len(p), nil
+	}
+	return c.w.Write(p)
 }
 
 // writeSnapshot durably writes the snapshot for walSeq into dir — temp

@@ -374,14 +374,24 @@ func TestOpenRefusesUnreadableSoleSnapshot(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesMVFC02Snapshot: a data directory whose snapshot holds
-// its facts in the MVFC02 codec, the one before this build's, does not
-// recover: with the WAL compacted up to the snapshot, Open refuses to
-// start (the seed would drop the retraction the snapshot covers), naming
-// the file, and the refusal wraps core.ErrFactsVersion.
-// The facts section is this build's with the earlier magic, its CRC
-// recomputed, so the codec's magic is all that refuses it.
-func TestOpenRefusesMVFC02Snapshot(t *testing.T) {
+// TestOpenRefusesMVFC03Snapshot: a data directory whose snapshot holds
+// its facts in the MVFC03 codec, the one before this build's (values
+// all Float64bits, no integers flag), does not recover: with the WAL
+// compacted up to the snapshot, Open refuses to start (the seed would
+// drop the retraction the snapshot covers), naming the file, and the
+// refusal wraps core.ErrFactsVersion.
+func TestOpenRefusesMVFC03Snapshot(t *testing.T) { requireOpenRefusesFacts(t, "MVFC03") }
+
+// TestOpenRefusesMVFC02Snapshot: the same for the MVFC02 codec, whose
+// instants are raw int64s.
+func TestOpenRefusesMVFC02Snapshot(t *testing.T) { requireOpenRefusesFacts(t, "MVFC02") }
+
+// requireOpenRefusesFacts checks that Open refuses a data directory
+// whose snapshot's facts section carries an earlier codec's magic. The
+// facts section is this build's with that magic, its CRC recomputed, so
+// the codec's magic is all that refuses it.
+func requireOpenRefusesFacts(t *testing.T, magic string) {
+	t.Helper()
 	dir := t.TempDir()
 	st, sch, ap, err := Open(dir, seedSchema(t), Options{Logger: quietLog()})
 	if err != nil {
@@ -406,10 +416,10 @@ func TestOpenRefusesMVFC02Snapshot(t *testing.T) {
 	for _, sec := range sectionSpans(t, data) {
 		payload := data[sec.payload:sec.crc]
 		if sec.kind == secFacts {
-			if !bytes.HasPrefix(payload, []byte("MVFC03")) {
+			if !bytes.HasPrefix(payload, []byte("MVFC04")) {
 				t.Fatalf("facts section starts % x", payload[:6])
 			}
-			payload = append([]byte("MVFC02"), payload[6:]...)
+			payload = append([]byte(magic), payload[6:]...)
 		}
 		head := append([]byte{sec.kind}, binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
 		sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
@@ -419,8 +429,8 @@ func TestOpenRefusesMVFC02Snapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, err = Open(dir, seedSchema(t), Options{Logger: quietLog()})
-	if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), filepath.Base(path)) {
-		t.Errorf("Open = %v, want a refusal naming %s and wrapping core.ErrFactsVersion", err, filepath.Base(path))
+	if !errors.Is(err, core.ErrFactsVersion) || !strings.Contains(err.Error(), filepath.Base(path)) || !strings.Contains(err.Error(), magic) {
+		t.Errorf("Open = %v, want a refusal naming %s and %s, wrapping core.ErrFactsVersion", err, filepath.Base(path), magic)
 	}
 }
 
@@ -530,11 +540,14 @@ func TestOpenSweepsStaleSnapshotTemp(t *testing.T) {
 // the size of the file it writes: a writer that rendered the file in
 // memory (let alone several times over, as the JSON envelope did) cannot
 // stay under it. Every mode is built first, and none of it is written.
-// With the structure section written compact the ratio reads 1.34–1.73×
-// in plain runs and 1.60–2.32× under the race detector (whose sync.Pool
-// drops the JSON encoder's scratch); the bound is the highest of those
-// plus about a fifth. An indented structure section read 2.64× (3.26×
-// under race).
+// With facts in MVFC04 and the structure section streamed (counted, then
+// written, a 4 KB chunk at a time) the file is 190 KB and the ratio
+// reads 2.27× in plain runs and 2.33–2.50× under the race detector, of
+// which 1.38× is the writer's 256 KB buffer. Rendering the structure
+// whole through encoding/json read 3.37× plain and 3.39–3.45× under race
+// on the same file; with MVFC03 values (a 460 KB file) it read 1.34–1.73×
+// plain and 1.60–2.32× under race, and an indented structure section
+// 2.64× (3.26× under race).
 func TestSnapshotStreamsNotBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-fact warehouse")

@@ -113,13 +113,34 @@ func Max(a, b Instant) Instant {
 // String renders the instant as "MM/YYYY" in the style of the paper
 // ("01/2001"), with the sentinels rendered as "Now" and "-inf".
 func (i Instant) String() string {
+	var b [24]byte
+	return string(i.Append(b[:0]))
+}
+
+// Append appends String's form of the instant to b: the month in two
+// digits, then the year zero-padded to four characters, a minus sign
+// included (fmt's "%02d/%04d").
+func (i Instant) Append(b []byte) []byte {
 	switch i {
 	case Now:
-		return "Now"
+		return append(b, "Now"...)
 	case Origin:
-		return "-inf"
+		return append(b, "-inf"...)
 	}
-	return fmt.Sprintf("%02d/%04d", i.MonthOf(), i.YearOf())
+	m, y := i.MonthOf(), int64(i.YearOf())
+	b = append(b, byte('0'+m/10), byte('0'+m%10), '/')
+	width := 4
+	if y < 0 {
+		b, y, width = append(b, '-'), -y, 3
+	}
+	digits := 1
+	for p := int64(10); p <= y && digits < width; p *= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, y, 10)
 }
 
 // ParseInstant parses the textual forms produced by String: "MM/YYYY",

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +72,18 @@ func TestInstantString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("String(%d) = %q, want %q", int64(c.in), got, c.want)
+		}
+	}
+}
+
+// TestInstantAppendMatchesSprintf: Append, which String renders
+// through, writes fmt's "%02d/%04d" of month and year for every instant
+// from year -10 000 to year 100 000, negative years' sign included.
+func TestInstantAppendMatchesSprintf(t *testing.T) {
+	for i := YM(-10000, 1); i <= YM(100000, 12); i++ {
+		want := fmt.Sprintf("%02d/%04d", i.MonthOf(), i.YearOf())
+		if got := string(i.Append([]byte("x"))); got != "x"+want {
+			t.Fatalf("Append(%d) = %q, want %q", int64(i), got, "x"+want)
 		}
 	}
 }
