@@ -615,19 +615,21 @@ func ingestFacts(b testing.TB, s *core.Schema, leaves, monthsPerLeaf int) {
 // two sizes cannot hide. The fact table holds Definition 5's f and
 // nothing of f': one tuple of shard columns (a 4-byte member version
 // ordinal, a 2-byte instant offset, a 2-byte whole value and a live
-// bit: about 8 B) and one key-index entry, an 8-byte word of
-// fingerprint and position in a table kept between 1/2 and 3/4 full
-// (11–16 B). While the entries were Go map slots of a 64-bit hash and a
-// position, a fact cost 44.6 B at 100k and 52.2 B at 150k; while the
-// table also stored tcm's confidences and source counts, 49.6 B at
-// 100k; while it was a pointer list of heap tuples with a key index of
-// its own beside a materialized tcm table, 121 + 49 B; with an 8-byte
-// instant and an 8-byte value a tuple, 36.8 B at 100k and 36.5 B at
-// 150k. It measures 24.5 B at 100k (where the index's top has just
-// grown) and 24.4 B at 150k; the bound leaves 1.5 B (6 %) for the
-// runtime's heap accounting to move.
+// bit: about 8 B) and one key-index slot, a 4-byte position and a
+// 1-byte tag in a table kept between 1/2 and 3/4 full (6.7–10 B).
+// While the entries were Go map slots of a 64-bit hash and a position,
+// a fact cost 44.6 B at 100k and 52.2 B at 150k; while the table also
+// stored tcm's confidences and source counts, 49.6 B at 100k; while it
+// was a pointer list of heap tuples with a key index of its own beside
+// a materialized tcm table, 121 + 49 B; with an 8-byte instant and an
+// 8-byte value a tuple, 36.8 B at 100k and 36.5 B at 150k; with an
+// 8-byte word of fingerprint and position a slot, 24.6 B at 100k
+// (where the index had just grown) and 24.4 B at 150k. It measures
+// 15.8 B at 100k and 15.6 B at 150k; an index that has just grown adds
+// about 3 B a fact, and the bound leaves 1 B more for the runtime's
+// heap accounting to move.
 func TestFactStoreBytes(t *testing.T) {
-	const leaves, bound = 1000, 26
+	const leaves, bound = 1000, 20
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()

@@ -132,8 +132,8 @@ func TestCostFactStoreBytes(t *testing.T) {
 		perFact float64
 	}
 	rows := []row{
-		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 21},
-		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 23},
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 16.5},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 18.5},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
@@ -143,7 +143,7 @@ func TestCostFactStoreBytes(t *testing.T) {
 			n := float64(ft.Len())
 			per := float64(columns+index) / n
 			t.Logf("%s, %d facts: %.1f B a fact (columns %.1f, index %.1f)", r.name, ft.Len(), per, float64(columns)/n, float64(index)/n)
-			atMost(t, r.name+" index bytes per live fact", float64(index)/n, 16)
+			atMost(t, r.name+" index bytes per live fact", float64(index)/n, 10)
 			if i == 1 {
 				atMost(t, r.name+" bytes per fact at 4N", per, r.perFact)
 			}

@@ -279,11 +279,13 @@ type FactTable struct {
 	// the coordinates are: a dimension only ever appends versions, so an
 	// ordinal names the same version in every generation of a lineage.
 	dims []*Dimension
-	// index maps a tuple key to its global position, every hit checked
-	// against the live bit, coordinates and time stored there. A clone
-	// shares its frozen layers with the source table; a retraction
-	// writes nothing there, since the cleared live bit already rejects
-	// the slot's entry (see keyIndex).
+	// index maps a tuple key to its global position: a 4-byte position
+	// and a 1-byte tag of the key's hash a slot, every hit checked
+	// against the live bit, coordinates and time stored there, and every
+	// table it grows or merges placed again by the hashes of these
+	// columns (hashAt). A clone shares its frozen layers with the source
+	// table; a retraction writes nothing there, since the cleared live
+	// bit already rejects the slot's entry (see keyIndex).
 	index keyIndex
 	// dead counts tombstoned tuples: slots whose live bit a retraction
 	// cleared. The slot itself stays (positional indexing over
@@ -593,18 +595,52 @@ func tupleKey(coords []int32, t temporal.Instant) uint64 {
 	return h.at(t)
 }
 
+// hashAt returns the hash of the key of the tuple at position pos, the
+// key index's placement of its entry.
+func (ft *FactTable) hashAt(pos int) uint64 {
+	sh, j := ft.shardAt(pos)
+	return tupleKey(sh.coords[j*ft.nd:(j+1)*ft.nd], sh.at(j))
+}
+
 // find returns the position of the live tuple at (coords, t), whose key
 // hashes to h: the index's candidates are confirmed against this
 // table's length and the live bit, coordinates and time stored at
 // their positions.
 func (ft *FactTable) find(h uint64, coords []int32, t temporal.Instant) (int, bool) {
-	return ft.index.get(h, func(pos int) bool {
-		if !ft.live(pos) {
-			return false
-		}
+	return ft.index.get(h, func(pos int) bool { return ft.holds(pos, coords, t) })
+}
+
+// holds reports whether position pos holds a live tuple at (coords, t):
+// the confirmation of an index candidate.
+func (ft *FactTable) holds(pos int, coords []int32, t temporal.Instant) bool {
+	if !ft.live(pos) {
+		return false
+	}
+	sh, j := ft.shardAt(pos)
+	return sh.at(j) == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
+}
+
+// reindex replaces the key index with one layerless table sized exactly
+// for the live tuples, their entries placed in position order, reading
+// the columns front to back. It returns the first position whose key a
+// live tuple before it holds; the index is then left as it was.
+func (ft *FactTable) reindex() (int, bool) {
+	kt := newKeyTable(slotsFor(ft.Len()))
+	nd := ft.nd
+	for pos := 0; pos < ft.n; pos++ {
 		sh, j := ft.shardAt(pos)
-		return sh.at(j) == t && slices.Equal(sh.coords[j*ft.nd:(j+1)*ft.nd], coords)
-	})
+		if !sh.isLive(j) {
+			continue
+		}
+		coords, t := sh.coords[j*nd:(j+1)*nd], sh.at(j)
+		h := tupleKey(coords, t)
+		if _, dup := kt.find(h, func(q int) bool { return ft.holds(q, coords, t) }); dup {
+			return pos, true
+		}
+		kt.add(h, pos)
+	}
+	ft.index = keyIndex{top: kt}
+	return 0, false
 }
 
 // live reports whether position pos holds a live tuple of this table.
@@ -776,9 +812,16 @@ func (ft *FactTable) widen(si int, t temporal.Instant, values []float64) *factSh
 }
 
 // appendTuple stores a fact whose key, hashed to h, the table does not
-// hold, in a fresh slot at the end. The slices are the caller's;
-// appendTuple copies them.
+// hold, in a fresh slot at the end, and its key index entry. The slices
+// are the caller's; appendTuple copies them.
 func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, values []float64) {
+	ft.appendColumns(coords, t, values)
+	ft.index.put(h, ft.n-1, ft)
+}
+
+// appendColumns stores a fact in a fresh slot at the end, leaving the
+// key index as it is: everything appendTuple does but the index entry.
+func (ft *FactTable) appendColumns(coords []int32, t temporal.Instant, values []float64) {
 	sh := ft.tailShard(t, values)
 	j := sh.n
 	sh.coords = append(sh.coords, coords...)
@@ -798,7 +841,6 @@ func (ft *FactTable) appendTuple(h uint64, coords []int32, t temporal.Instant, v
 	} else if sh.zone.Load() != nil {
 		sh.zone.Store(nil)
 	}
-	ft.index.put(h, ft.n, ft.live)
 	ft.n++
 	ft.countOrds(coords, t, 1)
 }

@@ -225,9 +225,11 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // widths are the schema's, and every fact is one Insert would take: an
 // ordinal of a member version of its dimension, valid at the fact's
 // instant (Definition 5), at a key the table does not hold yet.
-// Appending through the table's own key index keeps the index, the zone
-// maps and the ordinal stats as Insert builds them. On error s is
-// partly loaded and must be discarded.
+// Appending through the table's own columns keeps the zone maps and the
+// ordinal stats as Insert builds them; the key index is not probed per
+// fact but built once, exactly sized, from the columns in position
+// order, the same pass refusing a repeated key. On error s is partly
+// loaded and must be discarded.
 func DecodeFacts(data []byte, s *Schema) error {
 	if !bytes.HasPrefix(data, factsMagic) {
 		if bytes.HasPrefix(data, factsMagic[:len(factsMagic)-2]) {
@@ -307,6 +309,7 @@ func DecodeFacts(data []byte, s *Schema) error {
 	ords := make([]int32, ft.nd)
 	values := make([]float64, ft.nm)
 	var t temporal.Instant
+	start := ft.n
 	for f := 0; f < int(n); f++ {
 		d, w := binary.Varint(times)
 		times, t = times[w:], t+temporal.Instant(d)
@@ -329,11 +332,10 @@ func DecodeFacts(data []byte, s *Schema) error {
 				values[k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[(f*ft.nm+k)*8:]))
 			}
 		}
-		h := tupleKey(ords, t)
-		if _, dup := ft.find(h, ords, t); dup {
-			return fmt.Errorf("core: facts: fact %d repeats the key of an earlier one", f)
-		}
-		ft.appendTuple(h, ords, t, values)
+		ft.appendColumns(ords, t, values)
+	}
+	if pos, dup := ft.reindex(); dup {
+		return fmt.Errorf("core: facts: fact %d repeats the key of an earlier one", pos-start)
 	}
 	return nil
 }

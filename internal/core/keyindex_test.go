@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+
+	"mvolap/internal/temporal"
 )
 
 // indexRun is what the lineages of one property run share: the hash
@@ -24,7 +26,7 @@ type indexRun struct {
 	put    map[string]bool
 	events struct {
 		// rejected counts candidates confirmation turned down: a shared
-		// fingerprint, a dead slot or another lineage's position.
+		// tag, a dead slot or another lineage's position.
 		rejected, reinserts, retracts int
 	}
 }
@@ -39,12 +41,18 @@ func fullHash(key string) uint64 {
 	return tupleKey([]int32{int32(n)}, 0)
 }
 
-// truncatedHash keeps only the top width bits of the fingerprint, so
-// that keys share fingerprints and probes meet several candidates.
+// truncatedHash keeps only the top width bits of the hash, so that
+// keys share home slots and, their low bits all zero, one tag: probes
+// meet several candidates.
 func truncatedHash(width int) func(string) uint64 {
 	mask := ^uint64(0) << (64 - width)
 	return func(key string) uint64 { return fullHash(key) & mask }
 }
+
+// oneTag keeps the high half of the hash, which places an entry, and
+// zeroes the low half, which the tag is taken from: every key has one
+// tag, so every candidate a probe meets is confirmed.
+func oneTag(key string) uint64 { return fullHash(key) &^ (1<<32 - 1) }
 
 // indexLineage is one generation of a keyIndex under test beside the
 // plain map it must agree with: model maps each live key to its
@@ -66,6 +74,10 @@ func (l *indexLineage) fork() *indexLineage {
 
 func (l *indexLineage) live(pos int) bool { return l.alive[pos] }
 
+// hashAt is the hash of the key the run put at pos: the lineage's
+// column the index places its entries by.
+func (l *indexLineage) hashAt(pos int) uint64 { return l.run.hash(l.run.keyAt[pos]) }
+
 func (l *indexLineage) get(key string) (int, bool) {
 	return l.ix.get(l.run.hash(key), func(pos int) bool {
 		if l.alive[pos] && l.run.keyAt[pos] == key {
@@ -86,7 +98,7 @@ func (l *indexLineage) put(key string) {
 	}
 	l.run.put[key] = true
 	l.run.keyAt = append(l.run.keyAt, key)
-	l.ix.put(l.run.hash(key), pos, l.live)
+	l.ix.put(l.run.hash(key), pos, l)
 	l.model[key] = pos
 	l.alive[pos] = true
 }
@@ -128,8 +140,8 @@ func (l *indexLineage) check(t *testing.T, label string, universe int) {
 		}
 	}
 	for i, kt := range append([]keyTable{l.ix.top}, l.ix.layers...) {
-		if 4*kt.n > 3*len(kt.slots) {
-			t.Fatalf("%s: table %d holds %d entries in %d slots, past a load of 3/4", label, i, kt.n, len(kt.slots))
+		if 4*kt.n > 3*kt.width() {
+			t.Fatalf("%s: table %d holds %d entries in %d slots, past a load of 3/4", label, i, kt.n, kt.width())
 		}
 	}
 	if len(l.ix.layers) == 0 {
@@ -155,9 +167,11 @@ func (l *indexLineage) check(t *testing.T, label string, universe int) {
 // that its first clone shares the live top, and runs long enough to
 // cross seal, geometric merge and flatten.
 //
-// The hashbits runs repeat it with the fingerprint cut to its top bits,
-// so that most probes meet candidates of other keys: at 4 bits every
-// key shares its fingerprint with a sixteenth of the universe.
+// The hashbits runs repeat it with the hash cut to its top bits, so
+// that most probes meet candidates of other keys: at 4 bits every key
+// shares its home slot's neighbourhood and its tag with a sixteenth of
+// the universe. The onetag runs keep the placement and give every key
+// one tag, so that every probe confirms every candidate it meets.
 func TestPropertyKeyIndexMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -169,10 +183,14 @@ func TestPropertyKeyIndexMatchesMap(t *testing.T) {
 			}
 		})
 	}
-	for _, width := range []int{4, 10} {
+	cuts := []struct {
+		name string
+		hash func(string) uint64
+	}{{"hashbits=4", truncatedHash(4)}, {"hashbits=10", truncatedHash(10)}, {"onetag", oneTag}}
+	for _, cut := range cuts {
 		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("hashbits=%d/seed=%d", width, seed), func(t *testing.T) {
-				run := &indexRun{hash: truncatedHash(width)}
+			t.Run(fmt.Sprintf("%s/seed=%d", cut.name, seed), func(t *testing.T) {
+				run := &indexRun{hash: cut.hash}
 				runKeyIndexProperty(t, seed, run)
 				ev := run.events
 				t.Logf("%d candidates rejected, %d re-inserts, %d retracts", ev.rejected, ev.reinserts, ev.retracts)
@@ -285,6 +303,120 @@ func TestKeyIndexCloneLeavesSourceUntouched(t *testing.T) {
 	cl.check(t, "clone", len(run.keyAt))
 }
 
+// columnGen is one generation of an owner that, as a fact table does,
+// keeps a column of its own: the key at each position, which another
+// generation may hold differently past the length they share.
+type columnGen struct {
+	ix    keyIndex
+	keys  []int
+	alive []bool
+}
+
+func (g *columnGen) live(pos int) bool     { return pos < len(g.keys) && g.alive[pos] }
+func (g *columnGen) hashAt(pos int) uint64 { return tupleKey([]int32{int32(g.keys[pos])}, 0) }
+
+// TestKeyIndexRebuildReadsOwnColumns: a table the index rebuilds holds
+// an entry for exactly the live positions it rebuilt from, each placed
+// under the key the rebuilding generation's own column holds there. A
+// clone takes a freshly loaded source's live top as its bottom; the
+// source keeps putting entries into that table, at positions the clone
+// then fills with keys of its own; the clone retracts some tuples and
+// seals, merges and flattens past the shared table. No entry the
+// source left there reaches a table the clone builds: each holds one
+// entry per live position, tagged and placed by the clone's key, and
+// the flattened bottom holds every live position.
+func TestKeyIndexRebuildReadsOwnColumns(t *testing.T) {
+	src := &columnGen{}
+	add := func(g *columnGen, key int) {
+		pos := len(g.keys)
+		g.keys, g.alive = append(g.keys, key), append(g.alive, true)
+		g.ix.put(g.hashAt(pos), pos, g)
+	}
+	for k := 0; k < 16*indexSealAt; k++ {
+		add(src, k)
+	}
+	cl := &columnGen{ix: src.ix.clone(), keys: slices.Clone(src.keys), alive: slices.Clone(src.alive)}
+	shared := cl.ix.layers[0]
+	if len(cl.ix.layers) != 1 || &shared.slots[0] != &src.ix.top.slots[0] {
+		t.Fatal("the clone of a freshly loaded index does not share its live top")
+	}
+	// The source puts into the shared table, short of growing it, at
+	// positions the clone fills with other keys, or leaves dead, below.
+	for k := 0; k < indexSealAt/8 && 4*(src.ix.top.n+1) <= 3*src.ix.top.width(); k++ {
+		add(src, 1_000_000+k)
+	}
+	if src.ix.top.n == shared.n || &src.ix.top.slots[0] != &shared.slots[0] {
+		t.Fatal("the source did not write the shared table")
+	}
+
+	// rebuilt checks a table the clone built: every entry is live in the
+	// clone and tagged and placed by the clone's own key, and there is
+	// exactly one per live position it covers.
+	rebuilt := func(label string, kt keyTable, covered func(pos int) bool) {
+		t.Helper()
+		seen := map[int]bool{}
+		kt.each(func(p int) {
+			if !cl.live(p) {
+				t.Fatalf("%s: holds an entry at position %d, not live in the clone", label, p)
+			}
+			if seen[p] {
+				t.Fatalf("%s: holds position %d twice", label, p)
+			}
+			seen[p] = true
+			if got, ok := kt.find(cl.hashAt(p), func(q int) bool { return q == p }); !ok || got != p {
+				t.Fatalf("%s: position %d is not found under the clone's key %d", label, p, cl.keys[p])
+			}
+		})
+		for p := range cl.keys {
+			if cl.live(p) && covered(p) && !seen[p] {
+				t.Fatalf("%s: lacks live position %d", label, p)
+			}
+		}
+		if kt.n != len(seen) {
+			t.Fatalf("%s: counts %d entries, holds %d", label, kt.n, len(seen))
+		}
+	}
+
+	flattened, merged := 0, 0
+	for k := 0; k < 24*indexSealAt; k++ {
+		if k%7 == 3 {
+			p := len(cl.keys) - 2
+			cl.alive[p] = false // a retraction: the index is not written
+		}
+		top, before := cl.ix.top, slices.Clone(cl.ix.layers)
+		add(cl, 2_000_000+k)
+		for i, l := range cl.ix.layers {
+			if slices.ContainsFunc(before, func(o keyTable) bool { return &o.slots[0] == &l.slots[0] }) ||
+				len(top.slots) > 0 && &l.slots[0] == &top.slots[0] {
+				continue // carried over as it was, or the top it sealed
+			}
+			if i == 0 {
+				// A new bottom is a flatten: every live position below the
+				// one just put.
+				flattened++
+				rebuilt(fmt.Sprintf("put %d: flattened bottom", k), l, func(p int) bool { return p < len(cl.keys)-1 })
+				continue
+			}
+			merged++
+			rebuilt(fmt.Sprintf("put %d: layer %d", k, i), l, func(int) bool { return false })
+		}
+	}
+	if flattened == 0 || merged == 0 {
+		t.Fatalf("the clone flattened %d times and merged %d layers, want both", flattened, merged)
+	}
+	for _, l := range cl.ix.layers {
+		if &l.slots[0] == &shared.slots[0] {
+			t.Fatal("the clone still probes the table the source writes")
+		}
+	}
+	for p, key := range cl.keys {
+		got, ok := cl.ix.get(cl.hashAt(p), func(q int) bool { return cl.live(q) && cl.keys[q] == key })
+		if ok != cl.live(p) || (ok && got != p) {
+			t.Fatalf("get(key %d) = %d, %v; position %d live %v", key, got, ok, p, cl.live(p))
+		}
+	}
+}
+
 // TestRetractWritesNoIndexEntry: FactTable.Retract clears a live bit
 // and writes nothing to the key index — not its top, not its layers —
 // on a cold index (one large top, no layers) and on a layered one (a
@@ -356,9 +488,9 @@ func TestRetractWritesNoIndexEntry(t *testing.T) {
 }
 
 // FuzzKeyIndexLineage plays a byte string as a lineage history against
-// a map model per generation: the first byte picks the fingerprint
-// width (full, or cut to 4 or 10 bits so that keys share
-// fingerprints), the second the size of the cold build, and every
+// a map model per generation: the first byte picks the hash (full, cut
+// to 4 or 10 bits so that keys share home slots and tags, or with one
+// tag for every key), the second the size of the cold build, and every
 // further three bytes one operation — an insert, a replacement (a probe
 // that must hit and write nothing), a retraction, a re-insert, a clone,
 // or a sibling that writes and is discarded. Every generation still
@@ -376,7 +508,7 @@ func FuzzKeyIndexLineage(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		run := &indexRun{hash: [...]func(string) uint64{fullHash, truncatedHash(4), truncatedHash(10)}[data[0]%3]}
+		run := &indexRun{hash: [...]func(string) uint64{fullHash, truncatedHash(4), truncatedHash(10), oneTag}[data[0]%4]}
 		root := newIndexLineage(run)
 		for k := 0; k < 4*int(data[1]); k++ {
 			root.put("k" + strconv.Itoa(k%universe))
@@ -430,4 +562,92 @@ func FuzzKeyIndexLineage(f *testing.F) {
 			l.check(t, fmt.Sprintf("end lineage %d", j), universe)
 		}
 	})
+}
+
+// TestKeyIndexProbeConfirmations counts the confirmations a probe
+// makes — the column reads of its match function — along a lineage of
+// 64 writes of 64 fresh facts on lineageSchema's warehouse, the ingest
+// warehouse's shape (1 000 leaves, one measure) at 36 and 144 months a
+// leaf, the cost suite's N and 4N, so across seals and geometric
+// merges. Before each insert the fresh key is looked up, a
+// miss, and then a stored key drawn at random, a hit; each lookup
+// probes the top and the layers newest first, as keyIndex.get does.
+//
+// The tag filters the candidates a probe run meets. A probe of one
+// table for a key it does not hold confirms at most 0.05 candidates on
+// average, and the probe that finds a key at most 1.05, its own and
+// hardly another. A whole lookup that misses probes every table, up to
+// six here, and confirms at most 0.1. Slots that kept only a position
+// would confirm every candidate of every run.
+func TestKeyIndexProbeConfirmations(t *testing.T) {
+	const leaves, writes, batch = 1000, 64, 64
+	keyOf := func(i int) (MVID, temporal.Instant) {
+		return lineageLeaf(i % leaves), y(2003) + temporal.Instant(i/leaves)
+	}
+	for _, months := range []int{36, 144} {
+		s := lineageSchema(t, leaves, months)
+		r := rand.New(rand.NewSource(int64(months)))
+		var missProbes, missReads, hitProbes, hitReads, lookupMisses, lookupMissReads, layers int
+		// lookup probes the tables for key i as get does, counting what
+		// each probe confirmed, and reports whether the key is stored.
+		lookup := func(i int) bool {
+			id, at := keyOf(i)
+			ft := s.Facts()
+			ords, _ := ft.ordinals(nil, Coords{id})
+			h := tupleKey(ords, at)
+			tables := append([]keyTable{ft.index.top}, ft.index.layers...)
+			slices.Reverse(tables[1:])
+			reads := 0
+			for _, kt := range tables {
+				before := reads
+				_, ok := kt.find(h, func(pos int) bool {
+					reads++
+					return ft.holds(pos, ords, at)
+				})
+				if ok {
+					hitProbes++
+					hitReads += reads - before
+					return true
+				}
+				missProbes++
+				missReads += reads - before
+			}
+			lookupMisses++
+			lookupMissReads += reads
+			return false
+		}
+		stored := leaves * months
+		for w := 0; w < writes; w++ {
+			s = s.Clone()
+			for k := 0; k < batch; k++ {
+				if lookup(stored) {
+					t.Fatalf("fresh key %d found", stored)
+				}
+				id, at := keyOf(stored)
+				if err := s.InsertFact(Coords{id}, at, 1); err != nil {
+					t.Fatal(err)
+				}
+				stored++
+				if !lookup(r.Intn(stored)) {
+					t.Fatal("a stored key was not found")
+				}
+			}
+			layers = max(layers, len(s.Facts().index.layers))
+		}
+		perMiss, perHit := float64(missReads)/float64(missProbes), float64(hitReads)/float64(hitProbes)
+		perLookup := float64(lookupMissReads) / float64(lookupMisses)
+		t.Logf("%d facts, up to %d layers: a table probe confirms %.4f candidates for a key it lacks, %.4f for one it holds; a missing lookup %.4f",
+			stored, layers, perMiss, perHit, perLookup)
+		if layers < 3 {
+			t.Errorf("the lineage reached %d layers, want a bottom and at least two sealed", layers)
+		}
+		atMost := func(what string, got, bound float64) {
+			if got > bound {
+				t.Errorf("%s confirms %.4f candidates, want at most %.2f", what, got, bound)
+			}
+		}
+		atMost("a table probe for a key it lacks", perMiss, 0.05)
+		atMost("the table probe that finds a key", perHit, 1.05)
+		atMost("a lookup that misses", perLookup, 0.1)
+	}
 }

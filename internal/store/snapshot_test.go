@@ -332,6 +332,75 @@ func TestSnapshotFactsSurviveVerbatim(t *testing.T) {
 	}
 }
 
+// TestOpenIndexNoLargerThanWritten: a snapshot load builds the fact
+// table's key index once, exactly sized, from the columns it decoded.
+// After Open the index is no larger than the one of the table the
+// snapshot was written from — a freshly generated warehouse, whose
+// index is one growing table, and the same warehouse after a lineage
+// of writes that retracted and re-inserted 1 024 facts, enough for its
+// index to seal layers — and every fact is found through it.
+func TestOpenIndexNoLargerThanWritten(t *testing.T) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 3, Divisions: 4, Departments: 100, Years: 4, EvolutionsPerYear: 10, FactsPerYear: 12, Measures: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineage := w.Schema.Clone()
+	facts := lineage.Facts().Facts()
+	for b := 0; b < 16; b++ {
+		lineage = lineage.Clone()
+		for _, f := range facts[b*64 : (b+1)*64] {
+			if _, err := lineage.RetractFact(f.Coords, f.Time); err != nil {
+				t.Fatal(err)
+			}
+			if err := lineage.InsertFact(f.Coords, f.Time, f.Values[0]+1, f.Values[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		sch  *core.Schema
+	}{{"generated", w.Schema}, {"after a lineage of writes", lineage}} {
+		dir := t.TempDir()
+		st, _, ap, err := Open(dir, w.Schema, Options{Logger: quietLog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Snapshot(c.sch, ap.Log(), "test"); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, back, _, err := Open(dir, nil, Options{Logger: quietLog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, written := c.sch.Facts().Bytes()
+		_, loaded := back.Facts().Bytes()
+		t.Logf("%s, %d facts: index %d B written from, %d B loaded", c.name, back.Facts().Len(), written, loaded)
+		if loaded > written {
+			t.Errorf("%s: the loaded index takes %d B, the one written from %d B", c.name, loaded, written)
+		}
+		if back.Facts().Len() != c.sch.Facts().Len() {
+			t.Fatalf("%s: loaded %d facts, want %d", c.name, back.Facts().Len(), c.sch.Facts().Len())
+		}
+		c.sch.Facts().All(func(f *core.Fact) bool {
+			got, ok := back.Facts().Lookup(f.Coords, f.Time)
+			if !ok || !reflect.DeepEqual(got, f.Values) {
+				t.Errorf("%s: fact %v at %s loaded as %v, %v; want %v", c.name, f.Coords, f.Time, got, ok, f.Values)
+				return false
+			}
+			return true
+		})
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestOpenRefusesUnreadableSoleSnapshot: right after a snapshot the WAL
 // tail is empty, so replay has no record to notice a gap by. With the
 // only snapshot unreadable, Open used to come up on the seed — every
