@@ -70,7 +70,17 @@ deps-check:
 # internal/core (MVFC04, core.WriteFacts): a fact-codec magic ("MVFC…
 # or "MVMT…) in non-test Go code anywhere else is a second on-disk
 # representation of the facts starting.
+#
+# A snapshot is written once, front to back: each section's length
+# trails its payload, so internal/store's non-test code names
+# WriteStructure( and WriteFacts( once each, in encodeSnapshot. A second
+# call is a payload encoded twice — a counting pass, a sizer mirroring
+# the writer — coming back. The container has one format, read and
+# written in internal/store/snapshot.go: a container magic ("MVOSNP…)
+# in non-test Go code anywhere else is a second reader or writer
+# starting.
 WRITE_PATH = ./internal/store/mutation.go
+SNAPSHOT_CODEC = ./internal/store/snapshot.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql internal/metadata
 NOT_A_SCHEMA = [cC]oords|mv
@@ -115,6 +125,18 @@ write-path-check:
 	magics=$$(grep -rnE '"MV(FC|MT)' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/core/'); \
 	if [ -n "$$magics" ]; then \
 		echo "write-path-check: a fact-codec magic outside internal/core:"; echo "$$magics"; bad=1; \
+	fi; \
+	for w in 'WriteStructure(' 'WriteFacts('; do \
+		names=$$(grep -rnF "$$w" --include='*.go' --exclude='*_test.go' internal/store \
+			| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'); \
+		n=$$(echo "$$names" | grep -oF "$$w" | wc -l); \
+		if [ "$$n" -gt 1 ]; then \
+			echo "write-path-check: internal/store's non-test code names $$w $$n times, want once:"; echo "$$names"; bad=1; \
+		fi; \
+	done; \
+	snaps=$$(grep -rnF '"MVOSNP' --include='*.go' --exclude='*_test.go' . | grep -v '^$(SNAPSHOT_CODEC):'); \
+	if [ -n "$$snaps" ]; then \
+		echo "write-path-check: a snapshot container magic outside $(SNAPSHOT_CODEC):"; echo "$$snaps"; bad=1; \
 	fi; \
 	views=$$(grep -rnF '.Facts().Facts()' --include='*.go' --exclude='*_test.go' $(FACT_VIEW_FREE)); \
 	if [ -n "$$views" ]; then \

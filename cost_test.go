@@ -112,11 +112,12 @@ func atMost(t *testing.T, what string, got, bound float64) {
 }
 
 // TestCostFactStoreBytes: a fact costs its columns and one key-index
-// entry, whatever the size of the store. Two warehouses at N and 4N:
-// the ingest warehouse (one measure) and the benchmark's tiers S and M
-// as generated (two measures, 36k and 144k facts). The bytes are
-// FactTable.Bytes, which the first row checks once against the live
-// heap the facts took.
+// entry, whatever the size of the store, and the ordinal stats cost
+// their member versions. Two warehouses at N and 4N: the ingest
+// warehouse (one measure) and the benchmark's tiers S and M as
+// generated (two measures, 36k and 144k facts). The bytes are
+// FactTable.Bytes, whose three parts the first row checks once against
+// the live heap the facts took.
 func TestCostFactStoreBytes(t *testing.T) {
 	liveHeap := func() float64 {
 		runtime.GC()
@@ -139,10 +140,10 @@ func TestCostFactStoreBytes(t *testing.T) {
 		for i := range costSizes {
 			s := r.build(i)
 			ft := s.Facts()
-			columns, index := ft.Bytes()
+			columns, index, stats := ft.Bytes()
 			n := float64(ft.Len())
-			per := float64(columns+index) / n
-			t.Logf("%s, %d facts: %.1f B a fact (columns %.1f, index %.1f)", r.name, ft.Len(), per, float64(columns)/n, float64(index)/n)
+			per := float64(columns+index+stats) / n
+			t.Logf("%s, %d facts: %.1f B a fact (columns %.1f, index %.1f, stats %.1f)", r.name, ft.Len(), per, float64(columns)/n, float64(index)/n, float64(stats)/n)
 			atMost(t, r.name+" index bytes per live fact", float64(index)/n, 10)
 			if i == 1 {
 				atMost(t, r.name+" bytes per fact at 4N", per, r.perFact)
@@ -156,10 +157,12 @@ func TestCostFactStoreBytes(t *testing.T) {
 	before := liveHeap()
 	ingestFacts(t, s, costLeaves, costSizes[0])
 	grown := liveHeap() - before
-	columns, index := s.Facts().Bytes()
-	t.Logf("live heap %.0f B, Bytes %d B", grown, columns+index)
-	if d := math.Abs(grown-float64(columns+index)) / grown; d > 0.05 {
-		t.Errorf("FactTable.Bytes = %d B, %.1f%% off the %.0f B of live heap the facts took", columns+index, 100*d, grown)
+	columns, index, stats := s.Facts().Bytes()
+	total := float64(columns + index + stats)
+	d := math.Abs(grown-total) / grown
+	t.Logf("live heap %.0f B, Bytes %.0f B (columns %d, index %d, stats %d), %.1f%% off", grown, total, columns, index, stats, 100*d)
+	if d > 0.05 {
+		t.Errorf("FactTable.Bytes = %.0f B, %.1f%% off the %.0f B of live heap the facts took", total, 100*d, grown)
 	}
 	runtime.KeepAlive(s)
 }

@@ -333,15 +333,25 @@ func (ft *FactTable) KeyIndexWork() (sealed, merged int) { return ft.index.seale
 
 // Bytes reports the table's footprint, computed from the lengths and
 // capacities it reaches: columns is the shard headers with their
-// columns and live bitmaps, index the key index's tables. Shards and
-// index layers the table shares with other generations count in full.
-func (ft *FactTable) Bytes() (columns, index int) {
+// columns and live bitmaps, index the key index's tables, stats the
+// ordinal stats' chunk lists and chunks. Shards, index layers and
+// chunks the table shares with other generations count in full.
+func (ft *FactTable) Bytes() (columns, index, stats int) {
 	columns = 8 * cap(ft.shards)
 	for _, sh := range ft.shards {
 		columns += int(unsafe.Sizeof(*sh)+unsafe.Sizeof(*sh.claim)) +
 			4*cap(sh.coords) + 2*cap(sh.offs) + 8*cap(sh.wide) + 2*cap(sh.ints) + 8*cap(sh.values) + 8*len(sh.live)
 	}
-	return columns, ft.index.bytes()
+	stats = int(unsafe.Sizeof(ft.ords)) * cap(ft.ords)
+	for _, chunks := range ft.ords {
+		stats += 8 * cap(chunks)
+		for _, c := range chunks {
+			if c != nil {
+				stats += int(unsafe.Sizeof(*c))
+			}
+		}
+	}
+	return columns, ft.index.bytes(), stats
 }
 
 // Insert adds a fact. Inserting at existing coordinates and time

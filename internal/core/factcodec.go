@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 
 	"mvolap/internal/temporal"
 )
@@ -54,50 +53,6 @@ func integral(v float64) bool {
 	return v == math.Trunc(v) && math.Abs(v) <= maxIntegral && (v != 0 || !math.Signbit(v))
 }
 
-// FactsLen returns the length of the facts payload of s. The values
-// travel as varints when integers says so, as WriteFacts decides it;
-// one walk over the live tuples then sums the varints of their
-// ordinals, instant deltas and, if so, values.
-func FactsLen(s *Schema) int {
-	ft := s.facts
-	nd, nm, n := ft.nd, ft.nm, ft.Len()
-	size := len(factsMagic) + uvarintLen(uint64(nd)) + uvarintLen(uint64(nm)) + uvarintLen(uint64(n)) + 1
-	ints := ft.integers()
-	if !ints {
-		size += n * 8 * nm
-	}
-	var prev temporal.Instant
-	ft.each(func(sh *factShard, j int) bool {
-		for _, o := range sh.coords[j*nd : (j+1)*nd] {
-			size += uvarintLen(uint64(o))
-		}
-		t := sh.at(j)
-		size += uvarintLen(zigzag(int64(t - prev)))
-		prev = t
-		if ints {
-			size += sh.varintsLen(j, nm)
-		}
-		return true
-	})
-	return size
-}
-
-// varintsLen returns the bytes the values of slot j, nm a tuple and
-// every one integral, take as zigzag varints.
-func (sh *factShard) varintsLen(j, nm int) int {
-	size := 0
-	if sh.values == nil {
-		for _, v := range sh.ints[j*nm : (j+1)*nm] {
-			size += uvarintLen(zigzag(int64(v)))
-		}
-		return size
-	}
-	for _, v := range sh.values[j*nm : (j+1)*nm] {
-		size += uvarintLen(zigzag(int64(v)))
-	}
-	return size
-}
-
 // appendVarints appends the values of slot j, nm a tuple and every one
 // integral, as zigzag varints.
 func (sh *factShard) appendVarints(buf []byte, j, nm int) []byte {
@@ -137,11 +92,12 @@ func (ft *FactTable) integers() bool {
 // factsChunk is the size of the buffer WriteFacts encodes through.
 const factsChunk = 32 << 10
 
-// WriteFacts writes the facts payload of s, FactsLen(s) bytes, to w:
-// the schema's live facts, deterministically, one walk over the shards
-// per column, encoded through a buffer of factsChunk bytes, so that a
-// snapshot streams its facts section and never holds it whole. It
-// returns w's first error.
+// WriteFacts writes the facts payload of s to w: the schema's live
+// facts, deterministically, one walk over the shards per column,
+// encoded through a buffer of factsChunk bytes, so that a snapshot
+// streams its facts section and never holds it whole. The payload
+// frames itself (its header counts the facts), so nothing needs its
+// length ahead of it. It returns w's first error.
 func WriteFacts(w io.Writer, s *Schema) error {
 	ft := s.facts
 	nd, nm, n := ft.nd, ft.nm, ft.Len()
@@ -200,11 +156,10 @@ func WriteFacts(w io.Writer, s *Schema) error {
 	return err
 }
 
-// EncodeFacts returns the facts payload of s in one buffer of exactly
-// its length.
+// EncodeFacts returns the facts payload of s in one buffer.
 func EncodeFacts(s *Schema) []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, FactsLen(s)))
-	_ = WriteFacts(buf, s) // a bytes.Buffer's Write never fails
+	var buf bytes.Buffer
+	_ = WriteFacts(&buf, s) // a bytes.Buffer's Write never fails
 	return buf.Bytes()
 }
 
@@ -216,9 +171,6 @@ func zigzag(d int64) uint64 {
 	}
 	return uint64(d) << 1
 }
-
-// uvarintLen returns the bytes binary.AppendUvarint writes for x.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeFacts appends the encoded facts to s's fact table in their
 // encoded order, refusing the payload unless it frames exactly, its

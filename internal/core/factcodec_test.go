@@ -340,9 +340,8 @@ func TestFactsDecodeRefusesMVFC02(t *testing.T) {
 // TestFactsIntegerValues: a section whose every value is an integer
 // within ±2^53 writes each as its zigzag varint, flagged; one value
 // that is not — −0, a fraction, NaN, ±Inf, 2^53 + 1 — turns the whole
-// section to Float64bits. Either way FactsLen is the payload's length,
-// the values come back bit for bit, and the hand-written payload is
-// the one encoded.
+// section to Float64bits. Either way the values come back bit for bit,
+// and the hand-written payload is the one encoded.
 func TestFactsIntegerValues(t *testing.T) {
 	const big = 1 << 53
 	for _, c := range []struct {
@@ -367,8 +366,8 @@ func TestFactsIntegerValues(t *testing.T) {
 		data := core.EncodeFacts(s)
 		want := payload(2, 2, rawFact{[]uint64{0, 0}, temporal.Year(2001), []float64{1, -300}},
 			rawFact{[]uint64{1, 0}, temporal.Year(2002), []float64{0, c.odd}})
-		if !bytes.Equal(data, want) || core.FactsLen(s) != len(data) {
-			t.Errorf("%s: payload\n% x\nFactsLen %d, want\n% x", c.name, data, core.FactsLen(s), want)
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s: payload\n% x\nwant\n% x", c.name, data, want)
 		}
 		if got := data[len("MVFC04")+3] == 1; got != c.ints {
 			t.Errorf("%s: integers flag %v, want %v", c.name, got, c.ints)
@@ -414,8 +413,8 @@ func TestFactsInstantDeltas(t *testing.T) {
 	for _, k := range steps {
 		want += k
 	}
-	if len(data) != want || core.FactsLen(s) != want {
-		t.Errorf("payload is %d bytes, FactsLen %d, want %d", len(data), core.FactsLen(s), want)
+	if len(data) != want {
+		t.Errorf("payload is %d bytes, want %d", len(data), want)
 	}
 	sameFacts(t, reload(t, s).Facts().Facts(), s.Facts().Facts())
 }
@@ -459,9 +458,6 @@ func FuzzFactsCodec(f *testing.F) {
 				continue
 			}
 			again := core.EncodeFacts(s)
-			if len(again) != core.FactsLen(s) {
-				t.Fatalf("payload of %d bytes, FactsLen %d", len(again), core.FactsLen(s))
-			}
 			back := structureOf(t, st)
 			if err := core.DecodeFacts(again, back); err != nil {
 				t.Fatalf("re-encoded facts failed to decode: %v", err)

@@ -42,6 +42,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mvolap_http_in_flight",
 		`mvolap_fact_store_bytes{part="columns"}`,
 		`mvolap_fact_store_bytes{part="index"}`,
+		`mvolap_fact_store_bytes{part="stats"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)

@@ -20,26 +20,28 @@ import (
 )
 
 // A snapshot is one binary container freezing the whole warehouse at a
-// WAL sequence number, written as a stream of sections so the writer
-// never holds more than one of them (docs/persistence.md has the layout
-// table):
+// WAL sequence number, written once, front to back, as a stream of
+// sections: a section's length trails its payload, so the writer
+// streams each payload straight into the file and never counts or
+// holds one whole (docs/persistence.md has the layout table):
 //
-//	file    := "MVOSNP01" section* end
-//	section := kind:u8 len:u64le payload crc32ieee(kind‖len‖payload):u32le
+//	file    := "MVOSNP02" section* end
+//	section := kind:u8 payload len:u64le crc32ieee(kind‖payload‖len):u32le
 //
 // in the order meta, structure, facts, end. A snapshot freezes the
 // warehouse, not its caches: every temporal mode rebuilds from the
-// facts and the structure on first use. A file is readable only if it
+// facts and the structure on first use. A reader finds the sections
+// from the end marker back to the magic. A file is readable only if it
 // frames exactly — the end marker, holding the count of sections
-// before it, is its last bytes — and every section passes its CRC, so
-// a short or torn file is unreadable as a whole.
+// before it, is its last bytes, and the first section starts right
+// after the magic — and every section passes its CRC, so a short or
+// torn file is unreadable as a whole.
 
 const (
-	snapshotMagic = "MVOSNP01" // versions the container
+	snapshotMagic = "MVOSNP02" // versions the container
 	snapshotExt   = ".snap"
 
-	sectionHeaderSize = 1 + 8 // kind + payload length; the CRC trails the payload
-	sectionCRCSize    = 4
+	sectionTrailerSize = 8 + 4 // payload length and CRC, after the payload
 )
 
 // Section kinds, in file order. Kind 4 is no kind: earlier builds
@@ -92,47 +94,39 @@ func encodeSnapshot(bw *bufio.Writer, sch *core.Schema, log []evolution.LogEntry
 	if err != nil {
 		return fmt.Errorf("store: snapshot meta: %w", err)
 	}
-	// The structure is written twice, streamed both times: once to
-	// count it for its section's header, once into the section.
-	var structure counter
-	if err := schemaio.WriteStructure(&structure, sch); err != nil {
-		return fmt.Errorf("store: snapshot schema: %w", err)
-	}
 	// A bufio.Writer's first error sticks and Flush returns it, so the
-	// writes below go unchecked; a payload larger than the buffer passes
-	// straight through to the file. A section's payload is written by
-	// write, through the section's checksum, and must come to the n
-	// bytes its header claims; the structure and the facts are streamed
-	// so (core.WriteFacts), never held whole.
+	// framing's writes go unchecked; a payload larger than the buffer
+	// passes straight through to the file. A section's payload is
+	// written once, by write, through the section's checksum and a
+	// counter whose count then closes the section.
 	count := uint32(0)
-	section := func(kind byte, n int, write func(io.Writer)) {
-		var head [sectionHeaderSize]byte
-		head[0] = kind
-		binary.LittleEndian.PutUint64(head[1:], uint64(n))
+	section := func(kind byte, write func(io.Writer) error) error {
 		sum := crc32.NewIEEE()
-		sum.Write(head[:])
-		bw.Write(head[:])
-		payload := counter{w: io.MultiWriter(bw, sum)}
-		write(&payload)
-		if payload.n != n && err == nil {
-			err = fmt.Errorf("store: snapshot section %d came to %d bytes, its header says %d", kind, payload.n, n)
-		}
+		out := io.MultiWriter(bw, sum)
+		out.Write([]byte{kind})
+		payload := counter{w: out}
+		err := write(&payload)
+		out.Write(binary.LittleEndian.AppendUint64(nil, uint64(payload.n)))
 		bw.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
 		count++
-	}
-	payload := func(p []byte) func(io.Writer) { return func(w io.Writer) { w.Write(p) } }
-	bw.WriteString(snapshotMagic)
-	section(secMeta, len(meta), payload(meta))
-	section(secStructure, structure.n, func(w io.Writer) { schemaio.WriteStructure(w, sch) })
-	section(secFacts, core.FactsLen(sch), func(w io.Writer) { core.WriteFacts(w, sch) })
-	section(secEnd, 4, payload(binary.LittleEndian.AppendUint32(nil, count)))
-	if err != nil {
 		return err
 	}
+	bytesOf := func(p []byte) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := w.Write(p); return err }
+	}
+	bw.WriteString(snapshotMagic)
+	section(secMeta, bytesOf(meta))
+	if err := section(secStructure, func(w io.Writer) error { return schemaio.WriteStructure(w, sch) }); err != nil {
+		return fmt.Errorf("store: snapshot schema: %w", err)
+	}
+	if err := section(secFacts, func(w io.Writer) error { return core.WriteFacts(w, sch) }); err != nil {
+		return fmt.Errorf("store: snapshot facts: %w", err)
+	}
+	section(secEnd, bytesOf(binary.LittleEndian.AppendUint32(nil, count)))
 	return bw.Flush()
 }
 
-// counter counts the bytes written through it to w, if w is set.
+// counter counts the bytes written through it to w.
 type counter struct {
 	w io.Writer
 	n int
@@ -140,9 +134,6 @@ type counter struct {
 
 func (c *counter) Write(p []byte) (int, error) {
 	c.n += len(p)
-	if c.w == nil {
-		return len(p), nil
-	}
 	return c.w.Write(p)
 }
 
@@ -189,50 +180,51 @@ func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSe
 
 // openSnapshot takes a container apart, checking everything that makes
 // it readable — magic, framing, section order, end marker, the CRC of
-// every section — and decoding only the meta section.
+// every section — and decoding only the meta section. It reads the
+// sections from the last back: each one's trailer says where the
+// section starts, and so where the one before it ends.
 func openSnapshot(data []byte) (*snapshotSections, error) {
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		if bytes.HasPrefix(data, []byte(snapshotMagic[:len(snapshotMagic)-2])) {
+			return nil, fmt.Errorf("snapshot container in an earlier format (magic %q); this build reads only %s", data[:min(len(data), len(snapshotMagic))], snapshotMagic)
+		}
 		return nil, fmt.Errorf("not a snapshot container (bad magic)")
 	}
-	var c snapshotSections
-	rest := data[len(snapshotMagic):]
-	for i := 0; ; i++ {
-		if len(rest) < sectionHeaderSize+sectionCRCSize {
-			return nil, fmt.Errorf("truncated: no end marker after %d sections", i)
+	var payloads [4][]byte
+	first, end := len(snapshotMagic), len(data)
+	for i := len(payloads) - 1; i >= 0; i-- {
+		room := end - first - 1 - sectionTrailerSize
+		if room < 0 {
+			return nil, fmt.Errorf("truncated: no room for section %d before %d bytes of sections", i, len(data)-end)
 		}
-		kind, n := rest[0], binary.LittleEndian.Uint64(rest[1:])
-		if n > uint64(len(rest)-sectionHeaderSize-sectionCRCSize) {
-			return nil, fmt.Errorf("truncated: section %d claims %d bytes, %d remain", i, n, len(rest))
+		n := binary.LittleEndian.Uint64(data[end-sectionTrailerSize:])
+		if n > uint64(room) {
+			return nil, fmt.Errorf("truncated: section %d claims %d bytes, room for %d", i, n, room)
 		}
-		end := sectionHeaderSize + int(n)
-		sec, sum := rest[:end], binary.LittleEndian.Uint32(rest[end:])
-		payload := sec[sectionHeaderSize:]
-		rest = rest[end+sectionCRCSize:]
-		intact := crc32.ChecksumIEEE(sec) == sum
-		want := secEnd
+		start := end - sectionTrailerSize - int(n) - 1
+		kind, want := data[start], secEnd
 		if i < 3 {
 			want = secMeta + byte(i)
 		}
-		switch {
-		case kind == secEnd && i == 3:
-			if !intact || len(payload) != 4 || binary.LittleEndian.Uint32(payload) != uint32(i) || len(rest) != 0 {
-				return nil, fmt.Errorf("bad end marker after %d sections (%d bytes follow it)", i, len(rest))
-			}
-			return &c, nil
-		case kind != want:
+		if kind != want {
 			return nil, fmt.Errorf("section %d has kind %d, want %d", i, kind, want)
-		case !intact:
-			return nil, fmt.Errorf("section %d (kind %d) failed its CRC", i, kind)
-		case kind == secMeta:
-			if err := json.Unmarshal(payload, &c.meta); err != nil {
-				return nil, fmt.Errorf("meta: %w", err)
-			}
-		case kind == secStructure:
-			c.structure = payload
-		default:
-			c.facts = payload
 		}
+		if crc32.ChecksumIEEE(data[start:end-4]) != binary.LittleEndian.Uint32(data[end-4:]) {
+			return nil, fmt.Errorf("section %d (kind %d) failed its CRC", i, kind)
+		}
+		payloads[i], end = data[start+1:end-sectionTrailerSize], start
 	}
+	if end != first {
+		return nil, fmt.Errorf("%d bytes between the magic and the first section", end-first)
+	}
+	if p := payloads[3]; len(p) != 4 || binary.LittleEndian.Uint32(p) != 3 {
+		return nil, fmt.Errorf("bad end marker after 3 sections (% x)", p)
+	}
+	c := snapshotSections{structure: payloads[1], facts: payloads[2]}
+	if err := json.Unmarshal(payloads[0], &c.meta); err != nil {
+		return nil, fmt.Errorf("meta: %w", err)
+	}
+	return &c, nil
 }
 
 // loadSnapshot rebuilds the generation a snapshot container froze: the
@@ -256,13 +248,14 @@ func loadSnapshot(data []byte, name string) (*core.Schema, *evolution.Applier, u
 }
 
 // LoadSchema reads a warehouse file for the command-line tools: a
-// snapshot container (told by its magic) or a schemaio JSON document.
+// snapshot container (told by its magic, whose refusal names a
+// container of an earlier format) or a schemaio JSON document.
 func LoadSchema(path string) (*core.Schema, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic[:len(snapshotMagic)-2])) {
 		return schemaio.Read(bytes.NewReader(data))
 	}
 	sch, _, _, err := loadSnapshot(data, path)

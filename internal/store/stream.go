@@ -201,8 +201,8 @@ func (r *StreamReader) open() error {
 // LatestSnapshotBytes returns the raw bytes of the newest readable
 // snapshot and the WAL sequence it covers — the follower bootstrap
 // payload. It checks what makes a container readable (magic, framing,
-// end marker, the CRC of every section but the warm ones) and decodes
-// only the meta section.
+// end marker, the CRC of every section) and decodes only the meta
+// section.
 func (st *Store) LatestSnapshotBytes() ([]byte, uint64, error) {
 	names, _, err := listBySeq(st.dir, "snapshot-", snapshotExt)
 	if err != nil {
