@@ -79,11 +79,23 @@ deps-check:
 # written in internal/store/snapshot.go: a container magic ("MVOSNP…)
 # in non-test Go code anywhere else is a second reader or writer
 # starting.
+#
+# A stored slot is written once, by the append that fills it: a
+# correction is a tombstone plus an append, and a compaction appends the
+# live tuples afresh; after its append only a slot's live bit changes.
+# An indexed assignment to, or a copy into, a shard column (.coords,
+# .offs, .wide, .ints, .values) in internal/core's non-test code is an
+# in-place write, a second way to change a stored fact, coming back.
+# The columns are told from other types' fields of the same names by
+# their receiver: a new kind of receiver fails the check until it is
+# listed in NOT_A_SHARD.
 WRITE_PATH = ./internal/store/mutation.go
 SNAPSHOT_CODEC = ./internal/store/snapshot.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
 FACT_VIEW_FREE = internal/store internal/server internal/tql internal/metadata
 NOT_A_SCHEMA = [cC]oords|mv
+SLOT_WRITE = \.(coords|offs|wide|ints|values)\[[^]]*\](,[^=]*)?[[:space:]]*([-+*/|&^%]|<<|>>)?=([^=]|$$)|copy\([[:alnum:]_.]*\.(coords|offs|wide|ints|values)[][,:]
+NOT_A_SHARD = p|r|res
 DEPRECATED_DELTA = ./internal/evolution/touchset.go
 .PHONY: write-path-check
 write-path-check:
@@ -148,6 +160,12 @@ write-path-check:
 		| grep -vE '^[^:]+:[0-9]+:func BatchWindow\('); \
 	if [ -n "$$shims" ]; then \
 		echo "write-path-check: a deprecated delta name used in the root module:"; echo "$$shims"; bad=1; \
+	fi; \
+	slots=$$(grep -nE '$(SLOT_WRITE)' $$(ls internal/core/*.go | grep -v '_test\.go$$') \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+		| grep -vE '(^|[^[:alnum:]_.])($(NOT_A_SHARD))\.(coords|offs|wide|ints|values)'); \
+	if [ -n "$$slots" ]; then \
+		echo "write-path-check: a shard column slot written in place in internal/core:"; echo "$$slots"; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -91,7 +91,8 @@ type factShard struct {
 	// the table's dimension, position by position), and the value
 	// column n*nm entries. No column holds a pointer. Shards a table
 	// creates or privatizes have columns of capacity MappedShardSize
-	// tuples, so appends never reallocate them.
+	// tuples, so appends never reallocate them. A slot's columns are
+	// written once, by the append that fills it.
 	coords []int32
 	// The instant column, read through at: while the shard is narrow,
 	// slot j's instant is base + offs[j], in wrapping int64 arithmetic,
@@ -106,8 +107,8 @@ type factShard struct {
 	// The value column, read through valuesAt: while the shard is
 	// narrow, ints holds every value, each one an integer that narrow
 	// holds exactly, and values is nil; once widened, values holds them
-	// as float64 and ints is nil. A shard starts narrow; a write of a
-	// value ints cannot hold widens it (widen, writableShard).
+	// as float64 and ints is nil. A shard starts narrow; an append of a
+	// value ints cannot hold widens it (widen).
 	ints   []int16
 	values []float64
 	// live has bit j set while slot j holds a fact: an append sets it, a
@@ -116,9 +117,10 @@ type factShard struct {
 	// another generation reads.
 	live *[shardWords]uint64
 	// zone caches the shard's zone map (min/max time, per-dimension
-	// distinct coordinates). Sealed when the shard fills, invalidated
-	// by appends, carried across privatize (the copy has identical
-	// coordinates and instants), rebuilt lazily by the query scan otherwise.
+	// distinct coordinates). Sealed when the shard fills, dropped by
+	// appends and tombstones, carried across privatize (the copy has
+	// identical coordinates, instants and live bits), rebuilt lazily by
+	// the query scan otherwise.
 	zone atomic.Pointer[shardZone]
 }
 
@@ -202,19 +204,6 @@ func (sh *factShard) appendValues(values []float64) {
 	}
 }
 
-// setValues writes the values of slot j in place; the value column
-// must fit them.
-func (sh *factShard) setValues(j int, values []float64) {
-	nm := len(values)
-	if sh.values != nil {
-		copy(sh.values[j*nm:(j+1)*nm], values)
-		return
-	}
-	for k, v := range values {
-		sh.ints[j*nm+k], _ = narrow(v)
-	}
-}
-
 // wideInstants returns a copy of the shard's instants as a wide column.
 func (sh *factShard) wideInstants() []temporal.Instant {
 	wide := make([]temporal.Instant, sh.n, MappedShardSize)
@@ -250,9 +239,12 @@ func (sh *factShard) wideValues(nm int) []float64 {
 // from it, never stored: a query reads tcm as it is (f'|tcm = f × {sd}ᵐ)
 // and a version mode through resolution tables (Schema.ExecuteContext),
 // and Schema.Present lists a mode's tuples. A tuple's position is its
-// insertion ordinal. A replacing Insert writes the slot's values; a
-// Retract clears the slot's live bit, so a re-inserted key appends
-// afresh.
+// insertion ordinal. A slot's columns are written once, by its append:
+// a Retract clears the slot's live bit, and a replacing Insert is a
+// retraction plus an append, so a corrected fact moves to the end of
+// position order. Once more than half of the slots of its shards are
+// dead, the table re-appends its live tuples into fresh shards
+// (compact).
 //
 // A table is single-writer while it is built and read-only once
 // published. A write never mutates a published table: it takes a
@@ -261,8 +253,7 @@ func (sh *factShard) wideValues(nm int) []float64 {
 // (a header of the clone's own over the same columns, after claiming
 // the next slot; tailShard), and a tombstone takes such a header,
 // without the claim, over the shard whose live bit it clears
-// (tombstone); a replacement in a shared slot privatizes that one shard
-// (per-shard epochs and sharedBelow, see writableShard).
+// (tombstone).
 type FactTable struct {
 	shards []*factShard
 	// shardsShared says another table holds the shards slice too (a
@@ -289,7 +280,8 @@ type FactTable struct {
 	index keyIndex
 	// dead counts tombstoned tuples: slots whose live bit a retraction
 	// cleared. The slot itself stays (positional indexing over
-	// fixed-size shards must not shift) but every view and scan skips it.
+	// fixed-size shards must not shift) but every view and scan skips it,
+	// until a compaction drops it (compact).
 	dead int
 	// ords says, per dimension and member version ordinal, how many
 	// live tuples hold the ordinal there and at which instants: a version
@@ -355,8 +347,9 @@ func (ft *FactTable) Bytes() (columns, index, stats int) {
 }
 
 // Insert adds a fact. Inserting at existing coordinates and time
-// replaces the previous values (the fact table is a function) in their
-// slot. Every coordinate must name a member version of its dimension.
+// replaces the previous values (the fact table is a function): the old
+// tuple is tombstoned and the new one appended, at the end of position
+// order. Every coordinate must name a member version of its dimension.
 func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64) error {
 	if len(values) != ft.nm {
 		return fmt.Errorf("core: fact with %d values for %d measures", len(values), ft.nm)
@@ -369,11 +362,9 @@ func (ft *FactTable) Insert(coords Coords, t temporal.Instant, values ...float64
 	h := tupleKey(ords, t)
 	ft.noteWrite(t)
 	if pos, ok := ft.find(h, ords, t); ok {
-		j := pos & shardMask
-		ft.writableShard(pos>>shardShift, j, values).setValues(j, values)
-	} else {
-		ft.appendTuple(h, ords, t, values)
+		ft.tombstone(pos)
 	}
+	ft.appendTuple(h, ords, t, values)
 	return nil
 }
 
@@ -435,7 +426,8 @@ func (ft *FactTable) Facts() []*Fact {
 // (tombstone), which copies the shard's header and live bitmap, never
 // its columns, when another generation may read it, as on the first
 // retraction in a shard after a Clone. The surviving facts keep their
-// insertion order.
+// insertion order. false means no fact is stored there, and nothing
+// changed.
 func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	pos, ok := ft.locate(coords, t)
 	if !ok {
@@ -444,8 +436,6 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 	sh, j := ft.shardAt(pos)
 	f := &Fact{Coords: coords.Clone(), Time: t, Values: sh.valuesAt(make([]float64, ft.nm), j)}
 	ft.tombstone(pos)
-	sh = ft.shards[pos>>shardShift]
-	sh.zone.Store(buildZone(sh, ft.nd))
 	return f, true
 }
 
@@ -484,7 +474,10 @@ func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bo
 // bit is the header's own, so the table clears it in place in a header
 // it owns, even below sharedBelow, and in a shard another table owns it
 // first takes a header of its own over the same columns (borrow): a
-// retraction copies a 512-byte bitmap, not the shard's columns.
+// retraction copies a 512-byte bitmap, not the shard's columns. The
+// header's zone is dropped, and the next scan rebuilds it without the
+// dead tuple (zoneMap). A tombstone that leaves more than half of the
+// slots of the table's shards dead compacts it.
 func (ft *FactTable) tombstone(pos int) {
 	si, j := pos>>shardShift, pos&shardMask
 	sh := ft.shards[si]
@@ -492,10 +485,41 @@ func (ft *FactTable) tombstone(pos int) {
 		sh = ft.borrow(si)
 	}
 	sh.live[j>>6] &^= 1 << (uint(j) & 63)
+	sh.zone.Store(nil)
 	ft.dead++
 	t := sh.at(j)
 	ft.noteWrite(t)
 	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], t, -1)
+	if 2*ft.dead > len(ft.shards)*MappedShardSize {
+		ft.compact()
+	}
+}
+
+// compact drops the table's dead slots: it re-appends the live tuples,
+// in position order, into fresh shards of its own (appendColumns, which
+// recounts the ordinal stats), and rebuilds the key index over them
+// (reindex). The facts and their order stay as they were, and every
+// other generation keeps the shards it reads. It runs once more than
+// half of the slots of the shards are dead, so the live tuples fit in
+// at most half as many shards, and a table holds at most twice its
+// facts, plus one shard, in slots; its O(slots) is O(1) a tombstone,
+// amortized. A table within one shard never compacts: fresh shards
+// would take as much room as its own.
+func (ft *FactTable) compact() {
+	old := ft.shards
+	ft.shards, ft.shardsShared = nil, false
+	ft.n, ft.dead = 0, 0
+	ft.ords, ft.ordShared = nil, false
+	nd, values := ft.nd, make([]float64, ft.nm)
+	for _, sh := range old {
+		for j := 0; j < sh.n; j++ {
+			if sh.isLive(j) {
+				ft.appendColumns(sh.coords[j*nd:(j+1)*nd], sh.at(j), sh.valuesAt(values, j))
+			}
+		}
+	}
+	ft.reindex()
+	metFactCompactions.Inc()
 }
 
 // clone returns a copy-on-write copy of the fact table over the
@@ -505,9 +529,8 @@ func (ft *FactTable) tombstone(pos int) {
 // copies it — never the tuples — and takes a fresh epoch, so every
 // inherited shard is shared: an append borrows the partial tail
 // (tailShard), a tombstone takes a header of its own over its shard
-// (tombstone), a replacement in a shared slot privatizes its shard
-// (writableShard). The receiver takes a fresh epoch and shares its list
-// of shard headers too, so neither table writes a shard, or a list, the
+// (tombstone). The receiver takes a fresh epoch and shares its list of
+// shard headers too, so neither table writes a shard, or a list, the
 // other reads.
 //
 // clone writes the receiver's ownership state: it needs the writer's
@@ -662,25 +685,6 @@ func (ft *FactTable) live(pos int) bool {
 	return sh.isLive(j)
 }
 
-// writableShard returns shard si for a write of values into the
-// columns of its slot j. It privatizes the shard first when the slot
-// may be read by another table: the shard carries another table's epoch
-// (shared), or j lies below the prefix the header shares (sharedBelow).
-// It widens the value column when narrow cannot hold a value, under
-// widen's rule: in place in a shard no other header reads, by
-// privatizing straight into the wide form otherwise.
-func (ft *FactTable) writableShard(si, j int, values []float64) *factShard {
-	sh := ft.shards[si]
-	wideVals := !sh.fits(values)
-	switch {
-	case sh.epoch != ft.epoch || j < sh.sharedBelow || wideVals && sh.sharedBelow > 0:
-		sh = ft.privatize(si, false, wideVals)
-	case wideVals:
-		sh.ints, sh.values = nil, sh.wideValues(ft.nm)
-	}
-	return sh
-}
-
 // newShard returns an empty, narrow shard owned by this table, its
 // instant column at base, its columns allocated at their full capacity,
 // with a fresh claim on them.
@@ -696,13 +700,12 @@ func (ft *FactTable) newShard(base temporal.Instant) *factShard {
 	}
 }
 
-// privatize copies shard si into a new shard this table owns, each of
-// its instant and value columns as wide as the source's, or wide where
-// wideAt or wideVals asks, so a widening copies the shard once. This is
-// the whole copy-on-write cost of a replacement in a shared slot, an
-// append whose claim another generation won, or a widening of a shard
-// another header reads: O(MappedShardSize) once per (table, shard),
-// never per tuple.
+// privatize copies tail shard si into a new shard this table owns, each
+// of its instant and value columns as wide as the source's, or wide
+// where wideAt or wideVals asks, so a widening copies the shard once.
+// This is the whole copy-on-write cost of an append whose claim another
+// generation won, or of a widening of a tail another header reads:
+// O(MappedShardSize) once per (table, shard), never per tuple.
 func (ft *FactTable) privatize(si int, wideAt, wideVals bool) *factShard {
 	ft.ownShards()
 	src := ft.shards[si]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,7 +197,7 @@ type tableLineage struct {
 // storePaths counts the writes that reached each copy-on-write path of
 // the store; siblings on two goroutines count into one.
 type storePaths struct {
-	replacePrivatized, retractBorrowed, claimLost atomic.Int64
+	correctBorrowed, retractBorrowed, claimLost atomic.Int64
 }
 
 func (l *tableLineage) find(c Coords, at temporal.Instant) int {
@@ -213,14 +214,14 @@ func (l *tableLineage) fork() *tableLineage {
 }
 
 // insert and retract write through the fact table, counting the path
-// the write takes: into a slot of a shard another generation reads (a
-// replacement privatizes the shard first, a retraction borrows a header
-// over it), or an append whose tail slot a sibling claimed.
+// the write takes: a tombstone in a shard another generation reads (a
+// correction's or a retraction's, which borrows a header over it), or
+// an append whose tail slot a sibling claimed.
 func (l *tableLineage) insert(c Coords, at temporal.Instant, v float64) error {
 	ft := l.s.Facts()
 	if pos, ok := ft.locate(c, at); ok {
-		if l.sharedSlot(pos) {
-			l.paths.replacePrivatized.Add(1)
+		if ft.shards[pos>>shardShift].epoch != ft.epoch {
+			l.paths.correctBorrowed.Add(1)
 		}
 	} else if n := len(ft.shards); n > 0 {
 		if tail := ft.shards[n-1]; tail.n < MappedShardSize && tail.claim.Load() != int32(tail.n) {
@@ -238,12 +239,12 @@ func (l *tableLineage) retract(c Coords, at temporal.Instant) (*Fact, bool) {
 	return ft.Retract(c, at)
 }
 
-// sharedSlot reports whether another generation may read the slot at
-// pos, so a replacement there privatizes its shard.
-func (l *tableLineage) sharedSlot(pos int) bool {
-	ft := l.s.Facts()
-	sh := ft.shards[pos>>shardShift]
-	return sh.epoch != ft.epoch || pos&shardMask < sh.sharedBelow
+// correct moves the model's fact i to the end with value v, where a
+// replacing insert moves it in the store.
+func (l *tableLineage) correct(i int, v float64) {
+	f := l.model[i]
+	f.value = v
+	l.model = append(slices.Delete(l.model, i, i+1), f)
 }
 
 func (l *tableLineage) check(t *testing.T, label string) {
@@ -319,7 +320,7 @@ func (l *tableLineage) plan(r *rand.Rand, members, months, step, n int) []factOp
 			op.v, op.retract = l.model[i].value, true
 			l.model = append(l.model[:i], l.model[i+1:]...)
 		case i >= 0:
-			l.model[i].value = op.v
+			l.correct(i, op.v)
 		default:
 			l.model = append(l.model, modelFact{coords: op.c, at: op.at, value: op.v})
 		}
@@ -346,10 +347,11 @@ func (l *tableLineage) run(ops []factOp) error {
 
 // TestPropertyFactTableMatchesModel drives forking FactTable lineages
 // through random Insert / replacing Insert / Retract / Clone and holds
-// each against a naive slice model: Facts() order, Len, Lookup, tcm's
-// answer at member × month grain — and, because every lineage is
-// checked against its own model after writes to the others, that a
-// replace or retract on one side of a clone never shows on the other.
+// each against a naive slice model, in which a replaced fact moves to
+// the end: Facts() order, Len, Lookup, tcm's answer at member × month
+// grain — and, because every lineage is checked against its own model
+// after writes to the others, that a replace or retract on one side of
+// a clone never shows on the other.
 // The store keys member version ordinals, so each lineage is a schema
 // over one dimension of the 40 members. Beside single writes it plays
 // the cases the shared shards must survive: two siblings racing for the
@@ -426,7 +428,7 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 					// each into a shard the fork shares with l.
 					f, g := l.fork(), l.fork()
 					replace := []factOp{{c: f.model[1].coords, at: f.model[1].at, v: float64(step)}}
-					f.model[1].value = float64(step)
+					f.correct(1, float64(step))
 					retract := []factOp{{c: g.model[0].coords, at: g.model[0].at, v: g.model[0].value, retract: true}}
 					g.model = g.model[1:]
 					if err := f.run(replace); err != nil {
@@ -448,7 +450,7 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 					if err := l.insert(c, at, v); err != nil {
 						t.Fatal(err)
 					}
-					l.model[i].value = v
+					l.correct(i, v)
 				default:
 					if _, ok := l.retract(c, at); ok {
 						t.Fatalf("step %d: retracted %v@%v, which the model does not hold", step, c, at)
@@ -472,7 +474,7 @@ func TestPropertyFactTableMatchesModel(t *testing.T) {
 				t.Fatal("no lineage ever sealed its key index; the run is too short to test the layers")
 			}
 			for path, n := range map[string]int64{
-				"a replacing insert into a shared shard": paths.replacePrivatized.Load(),
+				"a replacing insert into a shared shard": paths.correctBorrowed.Load(),
 				"a retract from a shared shard":          paths.retractBorrowed.Load(),
 				"an append whose tail claim was lost":    paths.claimLost.Load(),
 			} {

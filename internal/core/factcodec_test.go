@@ -174,14 +174,14 @@ func payloadValues(out []byte, facts []rawFact) []byte {
 
 // TestFactsRoundTripEdges: what text cannot carry survives the binary
 // codec — NaN payload bits, negative zero, the Now and Origin
-// sentinels — and a replaced coordinate keeps its original position.
+// sentinels — and a replaced coordinate keeps its position, the last.
 func TestFactsRoundTripEdges(t *testing.T) {
 	s := edgeSchema(t)
 	payloadNaN := math.Float64frombits(0x7ff8_dead_beef_0001)
 	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 1, 2)
 	s.MustInsertFact(core.Coords{"y", "p"}, temporal.Now, payloadNaN, math.Copysign(0, -1))
 	s.MustInsertFact(core.Coords{"y", "p"}, temporal.Origin, math.Inf(-1), 1e300)
-	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 7, math.NaN()) // replaces fact 0 in place
+	s.MustInsertFact(core.Coords{"x", "p"}, temporal.Year(2001), 7, math.NaN()) // replaces fact 0, which moves last
 	if s.Facts().Len() != 3 {
 		t.Fatalf("fixture has %d facts, want 3", s.Facts().Len())
 	}

@@ -26,10 +26,13 @@ var (
 		"Fact-table storage shards shared wholesale (header copy only) by copy-on-write clones.")
 	metShardsPrivatized = obs.Default().Counter(
 		"mvolap_mvft_shards_privatized_total",
-		"Shared fact-table storage shards copied because a write went into the columns of a slot another generation still reads (a replacement, an append whose slot a sibling claimed, a widening of a borrowed tail); a retraction copies none.")
+		"Shared fact-table storage shards copied because an append went into columns another generation still reads (an append whose slot a sibling claimed, a widening of a borrowed tail); a retraction or a correction copies none.")
 	metShardsBorrowed = obs.Default().Counter(
 		"mvolap_mvft_shards_borrowed_total",
 		"Shared shards a clone took a header of its own over, with a copy of the live bitmap and no column copy: a partial tail it appends to in place after claiming the next slot, or a shard whose live bit a retraction clears.")
+	metFactCompactions = obs.Default().Counter(
+		"mvolap_fact_compactions_total",
+		"Fact-table compactions: a tombstone left more than half of the slots of a table's shards dead, so its live tuples were appended again, in order, into fresh shards.")
 	metDimensionCopies = obs.Default().CounterVec(
 		"mvolap_dimension_copies_total",
 		"Dimensions whose members and relationships a mutator copied because a clone still shared them (one per dimension an evolve touches; none for a fact batch).",

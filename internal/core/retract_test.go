@@ -87,41 +87,51 @@ func TestRetractFromClone(t *testing.T) {
 	}
 }
 
-// TestTombstoneZoneRebuild: tombstoning every tuple of a shard must
-// leave its zone map empty — pruned by every scan — and a partially
-// tombstoned shard's zone must shrink to the survivors' envelope.
+// TestTombstoneZoneRebuild: a tombstone drops its shard's zone map,
+// and the next scan rebuilds it from the live tuples alone, so the dead
+// tuple is out of it: a partially tombstoned shard's zone shrinks to
+// the survivors' envelope, and a fully tombstoned one's is empty,
+// pruned by every scan. The table is two full shards and a tail of
+// three, so that no retraction here compacts it.
 func TestTombstoneZoneRebuild(t *testing.T) {
-	s := orgSchema(t)
-	if err := s.InsertFact(Coords{"Smith"}, y(2001), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.InsertFact(Coords{"Smith"}, y(2002), 2); err != nil {
-		t.Fatal(err)
-	}
+	const n = 2*MappedShardSize + 3
+	s := bigTCMSchema(t, n)
 	out := s.Facts()
-	if _, err := s.RetractFact(Coords{"Smith"}, y(2002)); err != nil {
-		t.Fatal(err)
+	facts := out.Facts()
+	sh := out.shards[2]
+	retract := func(f *Fact) {
+		t.Helper()
+		if _, err := s.RetractFact(f.Coords, f.Time); err != nil {
+			t.Fatal(err)
+		}
+		if sh.zone.Load() != nil {
+			t.Fatalf("the tombstone of %v@%v kept its shard's zone", f.Coords, f.Time)
+		}
 	}
-	if out.Len() != 1 {
-		t.Fatalf("Len = %d after tombstone, want 1", out.Len())
+	scan := func() *shardZone {
+		t.Helper()
+		if _, err := s.Execute(Query{GroupBy: []GroupBy{{Dim: "Org", Level: "Department"}}, Mode: TCM()}); err != nil {
+			t.Fatal(err)
+		}
+		return sh.zone.Load()
 	}
-	sh := out.shards[0]
-	z := sh.zone.Load()
-	if z == nil {
-		t.Fatal("touched shard was not re-sealed")
+	if z := scan(); z == nil || z.maxTime != facts[n-1].Time {
+		t.Fatalf("tail zone %+v, want one reaching %v", z, facts[n-1].Time)
 	}
-	if z.minTime != y(2001) || z.maxTime != y(2001) {
-		t.Fatalf("zone envelope [%v, %v], want the survivor's instant", z.minTime, z.maxTime)
+	retract(facts[n-1])
+	if out.Len() != n-1 || out.n != n {
+		t.Fatalf("Len = %d in %d slots after a tombstone, want %d in %d", out.Len(), out.n, n-1, n)
 	}
-	// Tombstone the survivor too: the zone must become empty.
-	if _, err := s.RetractFact(Coords{"Smith"}, y(2001)); err != nil {
-		t.Fatal(err)
+	if z := scan(); z == nil || z.minTime != facts[n-2].Time || z.maxTime != facts[n-2].Time {
+		t.Fatalf("zone after the scan = %+v, want the survivors' instant %v", z, facts[n-2].Time)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", out.Len())
+	// Tombstone the survivors too: the zone must become empty.
+	retract(facts[n-2])
+	retract(facts[n-3])
+	if out.Len() != n-3 {
+		t.Fatalf("Len = %d, want %d", out.Len(), n-3)
 	}
-	z = sh.zone.Load()
-	if z == nil || z.minTime <= z.maxTime {
+	if z := scan(); z == nil || z.minTime <= z.maxTime {
 		t.Fatalf("fully tombstoned shard zone = %+v, want empty envelope", z)
 	}
 }

@@ -231,10 +231,10 @@ func (s *Schema) RetractFact(coords Coords, t temporal.Instant) (*Fact, error) {
 	if len(coords) != len(s.dims) {
 		return nil, fmt.Errorf("core: retract with %d coordinates for %d dimensions", len(coords), len(s.dims))
 	}
-	if _, ok := s.facts.locate(coords, t); !ok {
+	old, ok := s.facts.Retract(coords, t)
+	if !ok {
 		return nil, fmt.Errorf("core: no fact at %s %s to retract", strings.Trim(fmt.Sprint(coords), "[]"), t)
 	}
-	old, _ := s.facts.Retract(coords, t)
 	return old, nil
 }
 

@@ -114,16 +114,20 @@ func TestWarmCloneAliasesShardsUntilTouched(t *testing.T) {
 	}
 }
 
-// TestMergePrivatizesOnlyTouchedShard drives a write into an existing
-// slot — a replacing insert; the store merges nothing, a mode's merges
-// being presented — into the first shard of a table's clone: that shard
-// must be privatized and written, every other shard must stay shared,
-// and the source tuple must keep its original bits.
+// TestMergePrivatizesOnlyTouchedShard drives a write at an existing
+// key — a replacing insert; the store merges nothing, a mode's merges
+// being presented — into the first shard of a table's clone. A
+// correction is a tombstone plus an append, so it privatizes nothing:
+// the touched shard takes a header of the clone's own over the same
+// columns, with the old slot's live bit cleared, the new tuple lands in
+// the borrowed tail, every other shard stays shared, and the source
+// tuple keeps its bits and its live bit.
 func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 	const n = MappedShardSize + 50
 	s := bigTCMSchema(t, n)
 	baseT := s.Facts()
 	out := s.Clone().Facts()
+	privatized := metShardsPrivatized.Value()
 
 	// Tuple 0 lives in shard 0: replace its value.
 	f0 := baseT.Facts()[0]
@@ -132,54 +136,47 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if out.Len() != baseT.Len() {
-		t.Fatalf("replacement changed the tuple count: %d vs %d", out.Len(), baseT.Len())
+	if out.Len() != baseT.Len() || out.n != n+1 {
+		t.Fatalf("replacement: %d facts in %d slots, want %d in %d", out.Len(), out.n, baseT.Len(), n+1)
 	}
-	if out.shards[0] == baseT.shards[0] {
-		t.Fatal("written shard still shared")
+	h0, tail := out.shards[0], out.shards[1]
+	if h0 == baseT.shards[0] || &h0.ints[0] != &baseT.shards[0].ints[0] || h0.isLive(0) || !baseT.shards[0].isLive(0) {
+		t.Fatal("the replacement's tombstone did not take a header of its own over shard 0's columns")
 	}
-	if out.shards[1] != baseT.shards[1] {
-		t.Error("untouched shard was copied by a write elsewhere")
+	if tail == baseT.shards[1] || &tail.offs[0] != &baseT.shards[1].offs[0] || tail.sharedBelow != 50 || slotValue(tail, 50) != wantBase+5 {
+		t.Fatalf("the replacement did not append into the borrowed tail (sharedBelow %d)", tail.sharedBelow)
 	}
 	if got := slotValue(baseT.shards[0], 0); got != wantBase {
 		t.Errorf("replacement leaked into the published source: %v", got)
 	}
-	if got := slotValue(out.shards[0], 0); got != wantBase+5 {
-		t.Errorf("replacement result = %v, want %v", got, wantBase+5)
-	}
-	if !out.shards[0].isLive(0) || !baseT.shards[0].isLive(0) {
-		t.Error("a replacement changed a live bit")
+	if last := out.Facts()[n-1]; !last.Coords.Equal(f0.Coords) || last.Time != f0.Time || last.Values[0] != wantBase+5 {
+		t.Errorf("the replaced fact is not last in store order: %v", last)
 	}
 
-	// Shard 1 is the partial tail. An append borrows it; a write into the
-	// slot this table just appended stays in place, a write into a slot
-	// below sharedBelow — one the base still reads — privatizes it.
+	// A replacement of the tuple this table just appended, and of one
+	// below the tail's sharedBelow — one the base still reads — clear
+	// their bits in the header the table owns and append behind them.
 	fresh := Coords{"Smith"}
 	if err := out.Insert(fresh, ym(2600, 1), 1); err != nil {
 		t.Fatal(err)
 	}
-	borrowed := out.shards[1]
-	if borrowed == baseT.shards[1] || &borrowed.offs[0] != &baseT.shards[1].offs[0] || borrowed.sharedBelow != 50 {
-		t.Fatalf("append into the partial tail did not borrow it (sharedBelow %d)", borrowed.sharedBelow)
-	}
 	if err := out.Insert(fresh, ym(2600, 1), 3); err != nil {
 		t.Fatal(err)
-	}
-	if out.shards[1] != borrowed || slotValue(borrowed, 50) != 3 {
-		t.Fatalf("write into an owned slot of a borrowed tail copied it or lost the value (%v)", slotValue(borrowed, 50))
 	}
 	f1 := baseT.Facts()[MappedShardSize]
 	want1 := f1.Values[0]
 	if err := out.Insert(f1.Coords, f1.Time, want1+5); err != nil {
 		t.Fatal(err)
 	}
-	priv := out.shards[1]
-	if priv == borrowed || &priv.offs[0] == &baseT.shards[1].offs[0] || priv.sharedBelow != 0 {
-		t.Fatal("write below sharedBelow wrote into the shared columns")
+	if out.shards[1] != tail || tail.n != 54 || tail.isLive(51) || tail.isLive(0) || slotValue(tail, 52) != 3 || slotValue(tail, 53) != want1+5 {
+		t.Fatalf("replacements in the borrowed tail: n %d, slot 51 live %v, slot 0 live %v, slots 52/53 %v/%v; want 54, false, false, 3/%v",
+			tail.n, tail.isLive(51), tail.isLive(0), slotValue(tail, 52), slotValue(tail, 53), want1+5)
 	}
-	if slotValue(baseT.shards[1], 0) != want1 || slotValue(priv, 0) != want1+5 || slotValue(priv, 50) != 3 {
-		t.Errorf("after privatizing: base %v, clone %v/%v; want %v, %v/3",
-			slotValue(baseT.shards[1], 0), slotValue(priv, 0), slotValue(priv, 50), want1, want1+5)
+	if !baseT.shards[1].isLive(0) || slotValue(baseT.shards[1], 0) != want1 || baseT.shards[1].n != 50 {
+		t.Error("a replacement in the borrowed tail changed the source's tuple")
+	}
+	if p := metShardsPrivatized.Value() - privatized; p != 0 {
+		t.Errorf("%d shards privatized by replacements, want 0", p)
 	}
 }
 
@@ -187,9 +184,9 @@ func TestMergePrivatizesOnlyTouchedShard(t *testing.T) {
 // which belongs to a shard's header alone, so a retraction on a clone
 // takes a header of the clone's own over the source's columns — the
 // same backing arrays, a copied bitmap, no claim — and copies no
-// column. The source keeps its header and its answers; a later write
-// into the columns (a replacement) still privatizes, and a re-inserted
-// key appends afresh. In a partial tail the header shares the source's
+// column. The source keeps its header and its answers; a replacement
+// is a tombstone plus an append, so it copies no column either, and a
+// re-inserted key appends afresh. In a partial tail the header shares the source's
 // claim: the retracting clone appends in place, a sibling that comes
 // second loses the claim and privatizes.
 func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
@@ -249,12 +246,38 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	modesMatchCold(t, "retracting clone", g1)
 	mid := answers(t, g1)
 
-	// A replacing insert writes a column: it privatizes, in the next
-	// generation and in a retracting table itself, below sharedBelow of
-	// the header it owns, and neither older generation sees it.
+	// A replacing insert is a tombstone plus an append, and writes no
+	// column: in the next generation it takes a header of its own over
+	// the old tuple's shard and appends to the borrowed tail, and in a
+	// table that already owns the header it clears the bit in place,
+	// below sharedBelow too. No older generation sees it. Re-inserting
+	// a retracted key appends a fresh tuple at the end as well.
 	privatized = metShardsPrivatized.Value()
-	own := base.Clone()
-	if _, err := own.RetractFact(facts[18].Coords, facts[18].Time); err != nil {
+	g2 := g1.Clone()
+	if err := g2.InsertFact(kept.Coords, kept.Time, kept.Values[0]+5); err != nil {
+		t.Fatal(err)
+	}
+	g2T := g2.Facts()
+	p := g2T.shards[0]
+	if p == ct || &p.ints[0] != &bt.ints[0] || p.isLive(17) || p.isLive(5) || !ct.isLive(5) {
+		t.Error("a replacement did not take a header of its own over the old tuple's shard")
+	}
+	if v, ok := g2T.Lookup(kept.Coords, kept.Time); !ok || v[0] != kept.Values[0]+5 || g2T.n != n+1 || !g2T.shards[2].isLive(100) {
+		t.Errorf("replaced fact = %v, %v in %d slots; want %v appended at %d", v, ok, g2T.n, kept.Values[0]+5, n)
+	}
+	if err := g2.InsertFact(dead.Coords, dead.Time, 7); err != nil {
+		t.Fatal(err)
+	}
+	if g2T.n != n+2 || g2T.shards[0].isLive(17) || !g2T.shards[2].isLive(101) {
+		t.Errorf("re-insert: %d tuples, slot 17 live %v; want a fresh tuple at %d", g2T.n, g2T.shards[0].isLive(17), n+1)
+	}
+	if v, ok := g2T.Lookup(dead.Coords, dead.Time); !ok || v[0] != 7 {
+		t.Errorf("re-inserted fact = %v, %v; want 7", v, ok)
+	}
+	modesMatchCold(t, "replacing generation", g2)
+	replaced := answers(t, g2)
+	own := g2.Clone()
+	if _, err := own.RetractFact(facts[19].Coords, facts[19].Time); err != nil {
 		t.Fatal(err)
 	}
 	ownT := own.Facts()
@@ -262,38 +285,22 @@ func TestRetractBorrowsHeaderNotColumns(t *testing.T) {
 	if err := own.InsertFact(facts[6].Coords, facts[6].Time, -1); err != nil {
 		t.Fatal(err)
 	}
-	if p := ownT.shards[0]; p == oh || oh.epoch != ownT.epoch || &p.ints[0] == &bt.ints[0] || p.isLive(18) || slotValue(p, 6) != -1 {
-		t.Error("a replacement below sharedBelow of the table's own header did not privatize it with its bitmap")
+	if ownT.shards[0] != oh || oh.isLive(6) || oh.isLive(19) || &oh.ints[0] != &bt.ints[0] || !p.isLive(6) {
+		t.Error("a replacement below sharedBelow of the table's own header did not clear its bit in place")
 	}
-	g2 := g1.Clone()
-	if err := g2.InsertFact(kept.Coords, kept.Time, kept.Values[0]+5); err != nil {
-		t.Fatal(err)
+	if v, ok := ownT.Lookup(facts[6].Coords, facts[6].Time); !ok || v[0] != -1 {
+		t.Errorf("replaced fact = %v, %v; want -1", v, ok)
 	}
-	g2T := g2.Facts()
-	if p := g2T.shards[0]; p == ct || &p.ints[0] == &bt.ints[0] || p.isLive(17) || slotValue(p, 5) != kept.Values[0]+5 {
-		t.Error("a replacement into the borrowed header did not privatize it with its bitmap")
+	if got := metShardsPrivatized.Value() - privatized; got != 0 {
+		t.Errorf("%d shards privatized by two replacements, want 0", got)
 	}
-	if got := metShardsPrivatized.Value() - privatized; got != 2 {
-		t.Errorf("%d shards privatized by two replacements, want 2", got)
-	}
-	if slotValue(bt, 5) != kept.Values[0] || slotValue(ct, 5) != kept.Values[0] || slotValue(bt, 6) != facts[6].Values[0] {
+	if slotValue(bt, 5) != kept.Values[0] || slotValue(bt, 6) != facts[6].Values[0] {
 		t.Error("a replacement wrote into the shared columns")
 	}
 	requireSameAnswers(t, "source after the replacements", answers(t, base), before)
-	requireSameAnswers(t, "retracting generation after the replacement", answers(t, g1), mid)
-
-	// Re-inserting the retracted key appends a fresh tuple at the end;
-	// the tombstoned slot stays dead.
-	if err := g2.InsertFact(dead.Coords, dead.Time, 7); err != nil {
-		t.Fatal(err)
-	}
-	if g2T.n != n+1 || g2T.shards[0].isLive(17) || !g2T.shards[2].isLive(100) {
-		t.Errorf("re-insert: %d tuples, slot 17 live %v; want a fresh tuple at %d", g2T.n, g2T.shards[0].isLive(17), n)
-	}
-	if v, ok := g2T.Lookup(dead.Coords, dead.Time); !ok || v[0] != 7 {
-		t.Errorf("re-inserted fact = %v, %v; want 7", v, ok)
-	}
-	modesMatchCold(t, "re-inserting generation", g2)
+	requireSameAnswers(t, "retracting generation after the replacements", answers(t, g1), mid)
+	requireSameAnswers(t, "replacing generation after its clone's replacement", answers(t, g2), replaced)
+	modesMatchCold(t, "generation replacing in its own header", own)
 
 	// A retraction in the partial tail shares the tail's claim: the
 	// retracting clone appends in place behind the shared prefix, and a

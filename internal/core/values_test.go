@@ -46,9 +46,11 @@ func forceWide(s *Schema) {
 // after the codec's round trip. The lineage appends, corrects with
 // integers and with fractions, retracts, and writes −0, NaN with a
 // payload, ±Inf, 32 768 and 2^53 + 1. Its first write after a publish
-// widens a borrowed tail and a shared full shard that the generation
-// before still reads; every generation, checked after its lineage
-// wrote on, still reads the facts it was published with.
+// widens a borrowed tail that the generation before still reads, and
+// its corrections of full shards leave them narrow: a correction is a
+// tombstone there plus an append to the tail. Every generation, checked
+// after its lineage wrote on, still reads the facts it was published
+// with.
 func TestPropertyWideValuesMatchNarrow(t *testing.T) {
 	const gens, batch = 5, 400
 	for seed := int64(1); seed <= 2; seed++ {
@@ -97,20 +99,24 @@ func TestPropertyWideValuesMatchNarrow(t *testing.T) {
 			publish()
 
 			// Generation 1: a fraction appended widens the borrowed tail,
-			// −0 written into full shard 1 widens that shared shard, and a
-			// whole correction of shard 0 keeps it narrow; the generation
-			// before reads none of it.
+			// and the corrections of full shards 1 (to −0) and 0 (whole)
+			// tombstone their slots under headers of the generation's own
+			// over the narrow columns and append to the wide tail; the
+			// generation before reads none of it.
 			base := published[0].narrow.facts
 			insert(keys[next], 0.5, 1, 2, 3)
 			next++
 			insert(keys[MappedShardSize+7], math.Copysign(0, -1), 1, 2, 3)
 			insert(keys[5], -7, 8, 9, 10)
-			for si, wide := range []bool{false, true, true} {
+			for si, j := range []int{5, 7} {
 				sh, old := cur.narrow.facts.shards[si], base.shards[si]
-				if sh == old || (sh.values != nil) != wide || old.values != nil || old.ints == nil {
-					t.Fatalf("shard %d after its first write: copied %v, wide %v (want %v), source narrow %v",
-						si, sh != old, sh.values != nil, wide, old.ints != nil)
+				if sh == old || sh.values != nil || &sh.ints[0] != &old.ints[0] || sh.isLive(j) || !old.isLive(j) {
+					t.Fatalf("shard %d after its correction: own header %v, wide %v, columns shared %v, slot %d live %v (source %v)",
+						si, sh != old, sh.values != nil, &sh.ints[0] == &old.ints[0], j, sh.isLive(j), old.isLive(j))
 				}
+			}
+			if tail := cur.narrow.facts.shards[2]; tail.values == nil || tail.n != 303 {
+				t.Fatalf("the tail after the fraction and two corrections: wide %v, n %d; want wide, 303", tail.values != nil, tail.n)
 			}
 			if tail, old := cur.narrow.facts.shards[2], base.shards[2]; tail.claim == old.claim || old.n != 300 {
 				t.Fatalf("the widening append did not privatize the borrowed tail (n %d)", old.n)
@@ -127,8 +133,7 @@ func TestPropertyWideValuesMatchNarrow(t *testing.T) {
 						insert(keys[next], values(r.Intn(25) == 0)...)
 						next++
 					case x < 17 && had:
-						// Shard 0 takes only whole corrections in int16's range.
-						insert(k, values(i >= MappedShardSize && r.Intn(4) == 0)...)
+						insert(k, values(r.Intn(4) == 0)...)
 					case had:
 						nf, nerr := cur.narrow.RetractFact(k.coords, k.at)
 						ff, ferr := cur.float.RetractFact(k.coords, k.at)

@@ -15,9 +15,9 @@ const zoneDistinctCap = 32
 // and, per dimension, the sorted distinct member version ordinals of
 // the live tuples — nil once the shard exceeds zoneDistinctCap of them.
 // A zone describes the shard's coordinates and instants and its live
-// bitmap: a replacing insert (which rewrites values only) keeps it
-// valid, an append invalidates it (FactTable.appendTuple clears the
-// pointer and re-seals a full shard) and a retraction rebuilds it.
+// bitmap: an append drops it (FactTable.appendColumns clears the
+// pointer and re-seals a full shard), and so does a tombstone; the next
+// scan rebuilds it (zoneMap).
 //
 // The query scan consults zones to skip shards that cannot contain a
 // tuple passing the query's time window or its prunable dice filters.
@@ -81,9 +81,9 @@ func buildZone(sh *factShard, nd int) *shardZone {
 
 // zoneMap returns the shard's zone, building and caching it when
 // absent. Safe on published (read-only) shards: a concurrent duplicate
-// build stores an identical zone. Shards still receiving appends carry
-// a nil cached zone (cleared by appendTuple) and are rebuilt on the
-// first scan after the write.
+// build stores an identical zone. Shards still receiving appends or
+// tombstones carry a nil cached zone (cleared by appendColumns and
+// tombstone) and are rebuilt on the first scan after the write.
 func (sh *factShard) zoneMap(nd int) *shardZone {
 	if z := sh.zone.Load(); z != nil {
 		return z

@@ -154,7 +154,10 @@ func writeSnapshot(dir string, sch *core.Schema, log []evolution.LogEntry, walSe
 		}
 	}()
 	start := time.Now()
-	if err := encodeSnapshot(bufio.NewWriterSize(f, 256<<10), sch, log, walSeq); err != nil {
+	// One facts-codec chunk (32 KB): the structure writer's 4 KB chunks
+	// and the framing fill it, and a whole facts chunk passes straight
+	// through to the file.
+	if err := encodeSnapshot(bufio.NewWriterSize(f, 32<<10), sch, log, walSeq); err != nil {
 		return 0, err
 	}
 	metSnapshotStageSeconds.With("write").Observe(time.Since(start).Seconds())
