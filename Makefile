@@ -89,6 +89,13 @@ deps-check:
 # The columns are told from other types' fields of the same names by
 # their receiver: a new kind of receiver fails the check until it is
 # listed in NOT_A_SHARD.
+#
+# The ordinal stats (live tuples and their instants per member version
+# ordinal) are a read cache of the columns, derived in one walk by
+# FactTable.ordStats and dropped by every write: an assignment to, or
+# an increment of, an ordStat's live or instants in internal/core's
+# non-test code outside ordStats is a write keeping a second summary of
+# the facts up, coming back.
 WRITE_PATH = ./internal/store/mutation.go
 SNAPSHOT_CODEC = ./internal/store/snapshot.go
 NO_MATERIALIZATION = internal/core/query.go internal/store internal/server internal/tql
@@ -96,6 +103,7 @@ FACT_VIEW_FREE = internal/store internal/server internal/tql internal/metadata
 NOT_A_SCHEMA = [cC]oords|mv
 SLOT_WRITE = \.(coords|offs|wide|ints|values)\[[^]]*\](,[^=]*)?[[:space:]]*([-+*/|&^%]|<<|>>)?=([^=]|$$)|copy\([[:alnum:]_.]*\.(coords|offs|wide|ints|values)[][,:]
 NOT_A_SHARD = p|r|res
+STAT_WRITE = \.(live|instants)(\.[[:alnum:]_]+)?(,[^=]*)?[[:space:]]*(\+\+|--|([-+*/|&^%]|<<|>>)?=([^=]|$$))
 DEPRECATED_DELTA = ./internal/evolution/touchset.go
 .PHONY: write-path-check
 write-path-check:
@@ -166,6 +174,12 @@ write-path-check:
 		| grep -vE '(^|[^[:alnum:]_.])($(NOT_A_SHARD))\.(coords|offs|wide|ints|values)'); \
 	if [ -n "$$slots" ]; then \
 		echo "write-path-check: a shard column slot written in place in internal/core:"; echo "$$slots"; bad=1; \
+	fi; \
+	stats=$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]*\/\// { next } \
+			fn !~ /^func \(ft \*FactTable\) ordStats\(/ { print FILENAME ":" FNR ":" $$0 }' \
+			$$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -E '$(STAT_WRITE)'); \
+	if [ -n "$$stats" ]; then \
+		echo "write-path-check: an ordinal stat written outside FactTable.ordStats in internal/core:"; echo "$$stats"; bad=1; \
 	fi; \
 	test -z "$$bad"
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
@@ -113,11 +114,10 @@ func atMost(t *testing.T, what string, got, bound float64) {
 }
 
 // TestCostFactStoreBytes: a fact costs its columns and one key-index
-// entry, whatever the size of the store, and the ordinal stats cost
-// their member versions. Two warehouses at N and 4N: the ingest
-// warehouse (one measure) and the benchmark's tiers S and M as
-// generated (two measures, 36k and 144k facts). The bytes are
-// FactTable.Bytes, whose three parts the first row checks once against
+// entry, whatever the size of the store. Two warehouses at N and 4N:
+// the ingest warehouse (one measure) and the benchmark's tiers S and M
+// as generated (two measures, 36k and 144k facts). The bytes are
+// FactTable.Bytes, whose two parts the first row checks once against
 // the live heap the facts took.
 func TestCostFactStoreBytes(t *testing.T) {
 	liveHeap := func() float64 {
@@ -134,17 +134,17 @@ func TestCostFactStoreBytes(t *testing.T) {
 		perFact float64
 	}
 	rows := []row{
-		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 16.5},
-		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 18.5},
+		{"ingest", func(i int) *core.Schema { return costWarehouse(t, costSizes[i]) }, 16.0},
+		{"benchmark", func(i int) *core.Schema { return costTier(t, i) }, 18.0},
 	}
 	for _, r := range rows {
 		for i := range costSizes {
 			s := r.build(i)
 			ft := s.Facts()
-			columns, index, stats := ft.Bytes()
+			columns, index := ft.Bytes()
 			n := float64(ft.Len())
-			per := float64(columns+index+stats) / n
-			t.Logf("%s, %d facts: %.1f B a fact (columns %.1f, index %.1f, stats %.1f)", r.name, ft.Len(), per, float64(columns)/n, float64(index)/n, float64(stats)/n)
+			per := float64(columns+index) / n
+			t.Logf("%s, %d facts: %.1f B a fact (columns %.1f, index %.1f)", r.name, ft.Len(), per, float64(columns)/n, float64(index)/n)
 			atMost(t, r.name+" index bytes per live fact", float64(index)/n, 10)
 			if i == 1 {
 				atMost(t, r.name+" bytes per fact at 4N", per, r.perFact)
@@ -158,10 +158,10 @@ func TestCostFactStoreBytes(t *testing.T) {
 	before := liveHeap()
 	ingestFacts(t, s, costLeaves, costSizes[0])
 	grown := liveHeap() - before
-	columns, index, stats := s.Facts().Bytes()
-	total := float64(columns + index + stats)
+	columns, index := s.Facts().Bytes()
+	total := float64(columns + index)
 	d := math.Abs(grown-total) / grown
-	t.Logf("live heap %.0f B, Bytes %.0f B (columns %d, index %d, stats %d), %.1f%% off", grown, total, columns, index, stats, 100*d)
+	t.Logf("live heap %.0f B, Bytes %.0f B (columns %d, index %d), %.1f%% off", grown, total, columns, index, 100*d)
 	if d > 0.05 {
 		t.Errorf("FactTable.Bytes = %.0f B, %.1f%% off the %.0f B of live heap the facts took", total, 100*d, grown)
 	}
@@ -252,24 +252,87 @@ func TestCostReclassify(t *testing.T) {
 	atMost(t, "RECLASSIFY objects at 4N over N", objects[1]/objects[0], 1.05)
 }
 
+// shardsOf is the number of shards s's live facts fill.
+func shardsOf(s *core.Schema) int {
+	return (s.Facts().Len() + core.MappedShardSize - 1) / core.MappedShardSize
+}
+
+// atMostPerShard fails a write row whose bytes grow from N to 4N by more
+// than the first write of a clone pays per shard: its copy of the list
+// of shard headers (ownShards), 8 B a shard, plus 64 B of allocator
+// rounding.
+func atMostPerShard(t *testing.T, what string, bytes [2]float64, shards [2]int) {
+	t.Helper()
+	atMost(t, what+" bytes from N to 4N", bytes[1]-bytes[0], float64(8*(shards[1]-shards[0])+64))
+}
+
 // TestCostFactBatch: a 64-fact write — clone and insert — costs its
 // batch. The median over 64 writes of one lineage, so that the one
 // write in 64 that opens a tail shard, and the index merges the merge
 // row bounds, do not decide it.
 func TestCostFactBatch(t *testing.T) {
 	var bytes, objects [2]float64
+	var shards [2]int
 	for i, months := range costSizes {
 		s := costWarehouse(t, months)
 		bs, os := make([]uint64, 64), make([]uint64, 64)
 		for w := range bs {
 			bs[w], os[w] = allocs(func() { s = costWrite(t, s, months, 64, w) })
 		}
-		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		bytes[i], objects[i], shards[i] = float64(median(bs)), float64(median(os)), shardsOf(s)
 		t.Logf("%d facts: a 64-fact write allocates %.0f B in %.0f objects (median)", s.Facts().Len(), bytes[i], objects[i])
 	}
-	atMost(t, "64-fact write bytes at 4N", bytes[1], 13000)
-	atMost(t, "64-fact write objects at 4N", objects[1], 19)
-	atMost(t, "64-fact write bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	atMost(t, "64-fact write bytes at 4N", bytes[1], 4000)
+	atMost(t, "64-fact write objects at 4N", objects[1], 14)
+	atMostPerShard(t, "64-fact write", bytes, shards)
+}
+
+// TestCostRandomLeafBatch: a 32-fact write at random leaves — clone and
+// insert — costs its batch, however many member versions the leaves
+// spread over. Along a lineage of 64 writes on the benchmark's tiers S
+// and M as generated (500 and 2 000 departments), each write inserts
+// at 32 distinct leaves drawn from those valid at the last stored
+// month, one fresh month a write; the median.
+func TestCostRandomLeafBatch(t *testing.T) {
+	const writes, batch = 64, 32
+	var bytes, objects [2]float64
+	for i := range costSizes {
+		s := costTier(t, i)
+		var last temporal.Instant
+		s.Facts().All(func(f *core.Fact) bool {
+			last = max(last, f.Time)
+			return true
+		})
+		var leaves []core.Coords
+		for _, mv := range s.Dimension(workload.OrgDim).LeavesAt(last) {
+			if mv.ValidAt(last + writes) {
+				leaves = append(leaves, core.Coords{mv.ID})
+			}
+		}
+		r := rand.New(rand.NewSource(1))
+		picks := make([][]int, writes)
+		for w := range picks {
+			picks[w] = r.Perm(len(leaves))[:batch]
+		}
+		bs, os := make([]uint64, writes), make([]uint64, writes)
+		for w := range bs {
+			at := last + 1 + temporal.Instant(w)
+			bs[w], os[w] = allocs(func() {
+				c := s.Clone()
+				for k, l := range picks[w] {
+					if err := c.InsertFact(leaves[l], at, float64(k), float64(w)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s = c
+			})
+		}
+		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		t.Logf("%d facts, %d leaves: a %d-fact write at random leaves allocates %.0f B in %.0f objects (median)", s.Facts().Len(), len(leaves), batch, bytes[i], objects[i])
+	}
+	atMost(t, "random-leaf write bytes at 4N", bytes[1], 4000)
+	atMost(t, "random-leaf write objects at 4N", objects[1], 14)
+	atMost(t, "random-leaf write bytes at 4N over N", bytes[1]/bytes[0], 1.2)
 }
 
 // TestCostRetract: an 8-fact retraction — clone, then eight facts in
@@ -301,9 +364,9 @@ func TestCostRetract(t *testing.T) {
 		bytes[i], objects[i] = float64(b), float64(o)
 		t.Logf("%d facts: an 8-fact retract allocates %.0f B in %.0f objects", s.Facts().Len(), bytes[i], objects[i])
 	}
-	atMost(t, "8-fact retract objects at 4N", objects[1], 120)
+	atMost(t, "8-fact retract objects at 4N", objects[1], 60)
 	atMost(t, "8-fact retract objects at 4N over N", objects[1]/objects[0], 1.05)
-	atMost(t, "8-fact retract bytes at 4N", bytes[1], 24_000)
+	atMost(t, "8-fact retract bytes at 4N", bytes[1], 8_000)
 	atMost(t, "8-fact retract bytes at 4N over N", bytes[1]/bytes[0], 1.05)
 }
 
@@ -325,10 +388,11 @@ func TestCostCorrect(t *testing.T) {
 		bytes  float64 // bound at 4N
 		object float64
 	}{
-		{"whole", 1, 8_000, 18},
-		{"fractional", 0.5, 8_000, 18},
+		{"whole", 1, 4_700, 15},
+		{"fractional", 0.5, 4_700, 15},
 	} {
 		var bytes, objects [2]float64
+		var shards [2]int
 		for i := range costSizes {
 			s := costTier(t, i)
 			var targets []core.Fact
@@ -354,12 +418,12 @@ func TestCostCorrect(t *testing.T) {
 					s = next
 				})
 			}
-			bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+			bytes[i], objects[i], shards[i] = float64(median(bs)), float64(median(os)), shardsOf(s)
 			t.Logf("%d facts: a %s correction allocates %.0f B in %.0f objects (median; the most %d B)", s.Facts().Len(), c.name, bytes[i], objects[i], slices.Max(bs))
 		}
 		atMost(t, c.name+" correction bytes at 4N", bytes[1], c.bytes)
 		atMost(t, c.name+" correction objects at 4N", objects[1], c.object)
-		atMost(t, c.name+" correction bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+		atMostPerShard(t, c.name+" correction", bytes, shards)
 	}
 }
 
@@ -390,6 +454,7 @@ func TestCostKeyIndexMerges(t *testing.T) {
 // over 64 writes of one lineage; the batches are parsed beforehand.
 func TestCostCommitFacts(t *testing.T) {
 	var bytes, objects [2]float64
+	var shards [2]int
 	for i, months := range costSizes {
 		s := costWarehouse(t, months)
 		ap := evolution.NewApplier(s)
@@ -421,12 +486,12 @@ func TestCostCommitFacts(t *testing.T) {
 				s, ap = c.Schema, c.Applier
 			})
 		}
-		bytes[i], objects[i] = float64(median(bs)), float64(median(os))
+		bytes[i], objects[i], shards[i] = float64(median(bs)), float64(median(os)), shardsOf(s)
 		t.Logf("%d facts: a 64-fact Commit allocates %.0f B in %.0f objects (median)", s.Facts().Len(), bytes[i], objects[i])
 	}
-	atMost(t, "64-fact Commit bytes at 4N", bytes[1], 12700)
-	atMost(t, "64-fact Commit objects at 4N", objects[1], 23)
-	atMost(t, "64-fact Commit bytes at 4N over N", bytes[1]/bytes[0], 1.05)
+	atMost(t, "64-fact Commit bytes at 4N", bytes[1], 4100)
+	atMost(t, "64-fact Commit objects at 4N", objects[1], 18)
+	atMostPerShard(t, "64-fact Commit", bytes, shards)
 }
 
 // TestCostCacheHit: a result-cache hit — lex, parse, plan, the plan's

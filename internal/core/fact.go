@@ -283,15 +283,16 @@ type FactTable struct {
 	// fixed-size shards must not shift) but every view and scan skips it,
 	// until a compaction drops it (compact).
 	dead int
-	// ords says, per dimension and member version ordinal, how many
-	// live tuples hold the ordinal there and at which instants: a version
-	// mode's dropped facts are the sum over the ordinals it drops
-	// (countDropped), and only presentations of ordinals whose instants
-	// meet can land on one tuple (newPresentation). A clone shares the
-	// chunk lists until the first write of either side copies them
-	// (ordShared), and each chunk until it writes into it (ordChunk).
-	ords      [][]*ordChunk
-	ordShared bool
+	// stats says, per dimension and member version ordinal, how many
+	// live tuples hold the ordinal there and the hull of their instants:
+	// a version mode's dropped facts are the sum over the ordinals it
+	// drops (countDropped), and only presentations of ordinals whose
+	// instants meet can land on one tuple (newPresentation). It is a read
+	// cache of the columns, as the zone maps are: derived on the first
+	// read that needs it (ordStats), dropped by every write (noteWrite),
+	// and shared by a clone, which holds the same live tuples until it
+	// writes one.
+	stats atomic.Pointer[[][]ordStat]
 	// written is the hull of the instants this table inserted, replaced
 	// or tombstoned since it was made, when wrote says there was one: a
 	// clone starts with none (Schema.Delta).
@@ -325,25 +326,17 @@ func (ft *FactTable) KeyIndexWork() (sealed, merged int) { return ft.index.seale
 
 // Bytes reports the table's footprint, computed from the lengths and
 // capacities it reaches: columns is the shard headers with their
-// columns and live bitmaps, index the key index's tables, stats the
-// ordinal stats' chunk lists and chunks. Shards, index layers and
-// chunks the table shares with other generations count in full.
-func (ft *FactTable) Bytes() (columns, index, stats int) {
+// columns and live bitmaps, index the key index's tables. Shards and
+// index layers the table shares with other generations count in full.
+// The read caches derived from the columns — zone maps, ordinal stats —
+// are not counted.
+func (ft *FactTable) Bytes() (columns, index int) {
 	columns = 8 * cap(ft.shards)
 	for _, sh := range ft.shards {
 		columns += int(unsafe.Sizeof(*sh)+unsafe.Sizeof(*sh.claim)) +
 			4*cap(sh.coords) + 2*cap(sh.offs) + 8*cap(sh.wide) + 2*cap(sh.ints) + 8*cap(sh.values) + 8*len(sh.live)
 	}
-	stats = int(unsafe.Sizeof(ft.ords)) * cap(ft.ords)
-	for _, chunks := range ft.ords {
-		stats += 8 * cap(chunks)
-		for _, c := range chunks {
-			if c != nil {
-				stats += int(unsafe.Sizeof(*c))
-			}
-		}
-	}
-	return columns, ft.index.bytes(), stats
+	return columns, ft.index.bytes()
 }
 
 // Insert adds a fact. Inserting at existing coordinates and time
@@ -441,10 +434,8 @@ func (ft *FactTable) Retract(coords Coords, t temporal.Instant) (*Fact, bool) {
 
 // firstAfter returns the first live fact, in position order, that holds
 // member version id at coordinate position i at an instant past end.
-// The ordinal's stats settle almost every call in O(1): no live tuple
-// holds it, or all of them lie at or before end. Since a retraction
-// leaves the stats' hull of instants as it was, a hull reaching past
-// end is confirmed against the columns.
+// The ordinal's stats settle whether there is one: its hull of live
+// instants reaches past end. The walk only names the fact.
 func (ft *FactTable) firstAfter(i int, id MVID, end temporal.Instant) (*Fact, bool) {
 	mv := ft.dims[i].members[id]
 	if mv == nil {
@@ -489,15 +480,14 @@ func (ft *FactTable) tombstone(pos int) {
 	ft.dead++
 	t := sh.at(j)
 	ft.noteWrite(t)
-	ft.countOrds(sh.coords[j*ft.nd:(j+1)*ft.nd], t, -1)
 	if 2*ft.dead > len(ft.shards)*MappedShardSize {
 		ft.compact()
 	}
 }
 
 // compact drops the table's dead slots: it re-appends the live tuples,
-// in position order, into fresh shards of its own (appendColumns, which
-// recounts the ordinal stats), and rebuilds the key index over them
+// in position order, into fresh shards of its own (appendColumns), and
+// rebuilds the key index over them
 // (reindex). The facts and their order stay as they were, and every
 // other generation keeps the shards it reads. It runs once more than
 // half of the slots of the shards are dead, so the live tuples fit in
@@ -509,7 +499,6 @@ func (ft *FactTable) compact() {
 	old := ft.shards
 	ft.shards, ft.shardsShared = nil, false
 	ft.n, ft.dead = 0, 0
-	ft.ords, ft.ordShared = nil, false
 	nd, values := ft.nd, make([]float64, ft.nm)
 	for _, sh := range old {
 		for j := 0; j < sh.n; j++ {
@@ -546,20 +535,20 @@ func (ft *FactTable) clone(s *Schema) *FactTable {
 		dims:         s.dims,
 		// Published tables are never written again, so even the live top
 		// of a freshly loaded source can be shared (keyIndex.clone).
-		index:     ft.index.clone(),
-		dead:      ft.dead,
-		ords:      ft.ords,
-		ordShared: true,
+		index: ft.index.clone(),
+		dead:  ft.dead,
 	}
+	out.stats.Store(ft.stats.Load())
 	metShardsShared.Add(int64(len(ft.shards)))
 	ft.epoch = shardEpochCounter.Add(1)
-	ft.shardsShared, ft.ordShared = true, true
+	ft.shardsShared = true
 	return out
 }
 
 // noteWrite widens the hull of the instants written since the table was
-// made by t.
+// made by t, and drops the ordinal stats the write makes stale.
 func (ft *FactTable) noteWrite(t temporal.Instant) {
+	ft.stats.Store(nil)
 	iv := temporal.Between(t, t)
 	if ft.wrote {
 		iv = ft.written.Hull(iv)
@@ -855,72 +844,53 @@ func (ft *FactTable) appendColumns(coords []int32, t temporal.Instant, values []
 		sh.zone.Store(nil)
 	}
 	ft.n++
-	ft.countOrds(coords, t, 1)
 }
 
 // ordStat is what a table knows of one member version ordinal at one
-// coordinate position: live tuples hold it, and while live > 0 every
-// one of them lies within instants. A retraction leaves instants as
-// they are, so they may cover more than the live tuples, never less.
+// coordinate position: live tuples hold it, and while live > 0,
+// instants runs from the earliest of their instants to the latest.
 type ordStat struct {
 	live     int32
 	instants temporal.Interval
 }
 
-// ordChunkSize is the number of ordinals per chunk of a table's ordinal
-// stats: what a write into a shared chunk copies.
-const ordChunkSize = 128
-
-// ordChunk holds the stats of ordChunkSize consecutive ordinals. It is
-// writable only by the table whose epoch it carries.
-type ordChunk struct {
-	epoch uint64
-	stats [ordChunkSize]ordStat
-}
-
-// ordStat returns the stats of ordinal o at coordinate position i.
-func (ft *FactTable) ordStat(i int, o int32) ordStat {
-	if i >= len(ft.ords) {
-		return ordStat{}
+// ordStats returns the table's ordinal stats: one slice per dimension,
+// indexed by member version ordinal. The first call since the table's
+// last write derives them in one walk of the live tuples. A published
+// table is read-only, so readers racing on a first call derive equal
+// stats, and whichever is stored last is kept.
+func (ft *FactTable) ordStats() [][]ordStat {
+	if p := ft.stats.Load(); p != nil {
+		return *p
 	}
-	chunks, ci := ft.ords[i], int(o)/ordChunkSize
-	if ci >= len(chunks) || chunks[ci] == nil {
-		return ordStat{}
+	stats := make([][]ordStat, ft.nd)
+	for i, d := range ft.dims {
+		stats[i] = make([]ordStat, len(d.order))
 	}
-	return chunks[ci].stats[int(o)%ordChunkSize]
-}
-
-// countOrds records that a tuple at instant t holding the given
-// ordinals was added (delta 1) or removed (delta -1), copying a chunk
-// another table may read before writing into it.
-func (ft *FactTable) countOrds(ords []int32, t temporal.Instant, delta int32) {
-	if ft.ordShared || ft.ords == nil {
-		own := make([][]*ordChunk, ft.nd)
-		for i, chunks := range ft.ords {
-			own[i] = slices.Clone(chunks)
-		}
-		ft.ords, ft.ordShared = own, false
-	}
-	for i, o := range ords {
-		ci := int(o) / ordChunkSize
-		for len(ft.ords[i]) <= ci {
-			ft.ords[i] = append(ft.ords[i], nil)
-		}
-		c := ft.ords[i][ci]
-		if c == nil || c.epoch != ft.epoch {
-			own := &ordChunk{epoch: ft.epoch}
-			if c != nil {
-				own.stats = c.stats
+	nd := ft.nd
+	ft.each(func(sh *factShard, j int) bool {
+		t := sh.at(j)
+		for i, o := range sh.coords[j*nd : (j+1)*nd] {
+			st := &stats[i][o]
+			if st.live == 0 {
+				st.instants = temporal.Between(t, t)
+			} else {
+				st.instants = temporal.Between(min(st.instants.Start, t), max(st.instants.End, t))
 			}
-			ft.ords[i][ci], c = own, own
+			st.live++
 		}
-		st := &c.stats[int(o)%ordChunkSize]
-		switch {
-		case delta > 0 && st.live == 0:
-			st.instants = temporal.Between(t, t)
-		case delta > 0:
-			st.instants = st.instants.Hull(temporal.Between(t, t))
-		}
-		st.live += delta
+		return true
+	})
+	ft.stats.Store(&stats)
+	return stats
+}
+
+// ordStat returns the stats of ordinal o at coordinate position i. An
+// ordinal past the derived stats is a version an evolve added since,
+// which no tuple holds.
+func (ft *FactTable) ordStat(i int, o int32) ordStat {
+	if stats := ft.ordStats()[i]; int(o) < len(stats) {
+		return stats[o]
 	}
+	return ordStat{}
 }

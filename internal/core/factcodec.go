@@ -177,11 +177,11 @@ func zigzag(d int64) uint64 {
 // widths are the schema's, and every fact is one Insert would take: an
 // ordinal of a member version of its dimension, valid at the fact's
 // instant (Definition 5), at a key the table does not hold yet.
-// Appending through the table's own columns keeps the zone maps and the
-// ordinal stats as Insert builds them; the key index is not probed per
-// fact but built once, exactly sized, from the columns in position
-// order, the same pass refusing a repeated key. On error s is partly
-// loaded and must be discarded.
+// Appending through the table's own columns keeps the zone maps as
+// Insert builds them, and drops the ordinal stats as an Insert does; the
+// key index is not probed per fact but built once, exactly sized, from
+// the columns in position order, the same pass refusing a repeated key.
+// On error s is partly loaded and must be discarded.
 func DecodeFacts(data []byte, s *Schema) error {
 	if !bytes.HasPrefix(data, factsMagic) {
 		if bytes.HasPrefix(data, factsMagic[:len(factsMagic)-2]) {
@@ -262,6 +262,7 @@ func DecodeFacts(data []byte, s *Schema) error {
 	values := make([]float64, ft.nm)
 	var t temporal.Instant
 	start := ft.n
+	ft.stats.Store(nil)
 	for f := 0; f < int(n); f++ {
 		d, w := binary.Varint(times)
 		times, t = times[w:], t+temporal.Instant(d)

@@ -264,18 +264,13 @@ func countDropped(ft *FactTable, res []*resolveTable) int {
 	}
 	n := 0
 	switch {
-	case len(dims) == 0 || ft.ords == nil:
+	case len(dims) == 0 || ft.Len() == 0:
 		return 0
 	case len(dims) == 1:
 		i := dims[0]
-		for ci, c := range ft.ords[i] {
-			if c == nil {
-				continue
-			}
-			for k, st := range c.stats {
-				if st.live != 0 && res[i].drops(int32(ci*ordChunkSize+k)) {
-					n += int(st.live)
-				}
+		for o, st := range ft.ordStats()[i] {
+			if st.live != 0 && res[i].drops(int32(o)) {
+				n += int(st.live)
 			}
 		}
 		return n

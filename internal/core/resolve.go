@@ -150,15 +150,16 @@ func (s *Schema) resolveTables(sv *StructureVersion) []*resolveTable {
 // presentations on one target can only meet at an instant at which both
 // their sources hold a tuple, so a group's presentations merge only
 // when the instants of their sources' live tuples overlap
-// (FactTable.ords); an ordinal presenting as itself alone, with no
+// (FactTable.ordStats); an ordinal presenting as itself alone, with no
 // merge, passes.
 type presentation struct {
 	pass   [][]bool
 	merges [][]bool
 }
 
-// newPresentation reads the store's per-ordinal stats into the flags of
-// the mode with the given resolution tables.
+// newPresentation reads the store's per-ordinal stats, exact for its
+// live tuples (FactTable.ordStats), into the flags of the mode with the
+// given resolution tables.
 func newPresentation(res []*resolveTable, ft *FactTable) *presentation {
 	pr := &presentation{pass: make([][]bool, len(res)), merges: make([][]bool, len(res))}
 	for i, rt := range res {

@@ -204,3 +204,84 @@ func TestRetractionSumAvgSubtractsInPlace(t *testing.T) {
 		t.Fatalf("the base generation's tuple changed to %+v", r)
 	}
 }
+
+// TestRetractionShrinkingHullMatchesCopies: a retraction that shrinks
+// the instants a member version's live tuples span changes which of its
+// presentations may merge, and the generation answers like a cold copy
+// and like its snapshot, which never saw the retracted fact. A and B
+// end with 2001 and present on C through identity mappings, so the
+// later structure version merges their facts where their instants meet:
+// A's at 01 and 03/2001 span B's at 02/2001 until A@03/2001 is
+// retracted. The values are not dyadic, so a merge flag that still saw
+// the retracted instant folds the 2001 total, and top's first quarter,
+// in another order, and their last bit differs.
+func TestRetractionShrinkingHullMatchesCopies(t *testing.T) {
+	s := core.NewSchema("hull", core.Measure{Name: "amount", Agg: core.Sum})
+	d := core.NewDimension("D", "D")
+	start, end := temporal.YM(2001, 1), temporal.YM(2001, 12)
+	for _, mv := range []*core.MemberVersion{
+		{ID: "top", Level: "Top", Valid: temporal.Since(start)},
+		{ID: "A", Level: "Leaf", Valid: temporal.Between(start, end)},
+		{ID: "B", Level: "Leaf", Valid: temporal.Between(start, end)},
+		{ID: "C", Level: "Leaf", Valid: temporal.Since(start)},
+		{ID: "E", Level: "Leaf", Valid: temporal.Since(start)},
+	} {
+		if err := d.AddVersion(mv); err != nil {
+			t.Fatal(err)
+		}
+		if mv.ID != "top" {
+			if err := d.AddRelationship(core.TemporalRelationship{From: mv.ID, To: "top", Valid: mv.Valid}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.AddDimension(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []core.MVID{"A", "B"} {
+		if err := s.AddMapping(core.MappingRelationship{
+			From:     from,
+			To:       "C",
+			Forward:  core.UniformMapping(1, core.Identity, core.ExactMapping),
+			Backward: core.UniformMapping(1, core.Identity, core.ExactMapping),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []struct {
+		id core.MVID
+		at temporal.Instant
+		v  float64
+	}{
+		{"A", temporal.YM(2001, 1), 0.1},
+		{"E", temporal.YM(2001, 1), 0.1},
+		{"E", temporal.YM(2001, 2), 0.4},
+		{"B", temporal.YM(2001, 2), 0.1},
+		{"A", temporal.YM(2001, 3), 0.5},
+	} {
+		if err := s.InsertFact(core.Coords{f.id}, f.at, f.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matchesCopies := func(step int, s *core.Schema) {
+		t.Helper()
+		got := renderAnswers(t, s)
+		for _, c := range []struct {
+			name string
+			s    *core.Schema
+		}{{"a cold copy", coldCopy(t, s)}, {"its snapshot", snapshotCopy(t, s)}} {
+			want := renderAnswers(t, c.s)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: lineage answers\n%s\n%s answers\n%s", step, got[i], c.name, want[i])
+				}
+			}
+		}
+	}
+	matchesCopies(0, s)
+	clone := s.Clone()
+	if _, err := clone.RetractFact(core.Coords{"A"}, temporal.YM(2001, 3)); err != nil {
+		t.Fatal(err)
+	}
+	matchesCopies(1, clone)
+}

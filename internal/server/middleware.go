@@ -29,7 +29,7 @@ var (
 		"Query requests slower than the slow-query threshold.")
 	metFactStoreBytes = obs.Default().GaugeVec(
 		"mvolap_fact_store_bytes",
-		"Bytes the served fact table reaches, by part: its shard columns, its key index, or its ordinal stats.",
+		"Bytes the served fact table reaches, by part: its shard columns or its key index.",
 		"part")
 )
 

@@ -250,10 +250,9 @@ func (s *Server) publish(sch *core.Schema, ap *evolution.Applier, delta core.Del
 	close(s.served)
 	s.served = make(chan struct{})
 	s.mu.Unlock()
-	columns, index, stats := sch.Facts().Bytes()
+	columns, index := sch.Facts().Bytes()
 	metFactStoreBytes.With("columns").Set(int64(columns))
 	metFactStoreBytes.With("index").Set(int64(index))
-	metFactStoreBytes.With("stats").Set(int64(stats))
 	// Cached SELECTs the delta provably cannot affect (a time range that
 	// cannot see the batch's window) are revalidated rather than dropped.
 	return s.queryCache.Invalidate(prevID, sch.SwapID(), delta)

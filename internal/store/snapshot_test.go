@@ -381,8 +381,8 @@ func TestOpenIndexNoLargerThanWritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, written, _ := c.sch.Facts().Bytes()
-		_, loaded, _ := back.Facts().Bytes()
+		_, written := c.sch.Facts().Bytes()
+		_, loaded := back.Facts().Bytes()
 		t.Logf("%s, %d facts: index %d B written from, %d B loaded", c.name, back.Facts().Len(), written, loaded)
 		if loaded > written {
 			t.Errorf("%s: the loaded index takes %d B, the one written from %d B", c.name, loaded, written)
